@@ -8,7 +8,7 @@ baseline.
 
 Run with::
 
-    PYTHONPATH=src python -m benchmarks.bench_pipeline_smoke [--json PATH]
+    PYTHONPATH=src python -m benchmarks.bench_pipeline_smoke [--json PATH] [--pr N]
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ from benchmarks.common import (
 STEPS = 3
 SPACING = 5.0
 ENGINES = ("serial", "gpu", "hybrid")
+#: Each engine's report is its fastest of this many runs: a half-second
+#: run on a shared host is one scheduler hiccup away from +50 %, and the
+#: CI gates on the wall/modelled ratios must not fire on that.
+REPEATS = 3
 
 
 def run_engine(engine_name: str) -> dict:
@@ -59,26 +63,44 @@ def run_engine(engine_name: str) -> dict:
 
 
 def main(argv=None) -> int:
-    args = bench_arg_parser(__doc__).parse_args(argv)
+    parser = bench_arg_parser(__doc__)
+    parser.add_argument(
+        "--pr", type=int, default=None,
+        help="PR number of the trajectory point (default: last point's + 1)",
+    )
+    args = parser.parse_args(argv)
     payload = {
         "steps": STEPS,
         "joint_spacing": SPACING,
-        "engines": {name: run_engine(name) for name in ENGINES},
+        "engines": {
+            name: min(
+                (run_engine(name) for _ in range(REPEATS)),
+                key=lambda report: report["wall_seconds_total"],
+            )
+            for name in ENGINES
+        },
     }
     # headline trajectory point: how close the serial pipeline's wall
     # time tracks the sum of its modelled per-module device seconds
-    # (the host-overhead ratio the optimisation PRs drive down)
-    serial = payload["engines"]["serial"]
-    wall = serial["wall_seconds_total"]
-    modelled = sum(serial["modeled_seconds_per_module"].values())
-    payload["serial_wall_modelled_ratio"] = (
-        wall / modelled if modelled > 0.0 else None
-    )
+    # (the host-overhead ratio the optimisation PRs drive down); the
+    # gpu/hybrid presets' ratios ride along so CI can gate them too
+    totals = {
+        name: (data["wall_seconds_total"],
+               sum(data["modeled_seconds_per_module"].values()))
+        for name, data in payload["engines"].items()
+    }
+    for name, (wall, modelled) in totals.items():
+        payload[f"{name}_wall_modelled_ratio"] = (
+            wall / modelled if modelled > 0.0 else None
+        )
+    wall, modelled = totals["serial"]
+    point = {"wall": wall, "modelled": modelled}
+    if args.pr is not None:
+        point["pr"] = args.pr
     path = write_bench_json(
-        "pipeline", payload, path=args.json_path,
-        trajectory={"wall": wall, "modelled": modelled},
+        "pipeline", payload, path=args.json_path, trajectory=point
     )
-    n_blocks = serial["n_blocks"]
+    n_blocks = payload["engines"]["serial"]["n_blocks"]
     print(f"wrote {path} ({n_blocks} blocks, {STEPS} steps, "
           f"{len(ENGINES)} engines, serial wall/modelled "
           f"{payload['serial_wall_modelled_ratio']:.2f}x)")

@@ -6,8 +6,7 @@ construction); this module *splits* the assembled matrix into one
 
 * the diagonal blocks of the owned rows;
 * the **up phase** — every stored upper entry whose row is owned, kept
-  in the global (row, col) sort order, slice-packed exactly like the
-  HSBCSR layout;
+  in the global (row, col) sort order;
 * the **low phase** — every stored upper entry whose column is owned
   (its transpose contributes to an owned row), with the (col, row)
   gather permutation of the HSBCSR SpMV;
@@ -16,10 +15,12 @@ construction); this module *splits* the assembled matrix into one
   preconditioners (block-Jacobi across domains, overlapping additive
   Schwarz).
 
-Because each phase's entries are an order-preserving subset of the
-global HSBCSR traversal and the accumulation order (up, low, diagonal)
-is identical, ``domain_spmv`` reproduces
-:func:`repro.spmv.hsbcsr.hsbcsr_spmv` bit-for-bit on the owned rows.
+The three pieces are held as one
+:class:`~repro.spmv.hsbcsr.TwoStageOperator` — the same kernel
+:func:`repro.spmv.hsbcsr.hsbcsr_spmv` runs. Because each phase's entries
+are an order-preserving subset of the global HSBCSR traversal and the
+kernel sums strictly left to right (up, low, diagonal), ``domain_spmv``
+reproduces the global product bit-for-bit on the owned rows.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from repro.assembly.global_matrix import BS, BlockMatrix, _canonical_offdiag
 from repro.domain.halo import DomainMap, ExchangePlan
 from repro.gpu.counters import KernelCounters
 from repro.gpu.memory import coalesced_transactions
-from repro.primitives.scatter import segment_sum
 from repro.gpu.warp import WARP_SIZE
+from repro.primitives.scatter import BlockRowProduct, GatherSegmentSum
+from repro.spmv.hsbcsr import TwoStageOperator, segment_indptr
 
 
 @dataclass(frozen=True)
@@ -46,24 +48,14 @@ class DomainMatrix:
         Domain index (scalar).
     n_local, n_ext:
         Owned / owned+ghost block counts (scalars).
-    diag_v:
-        ``(6, n_local, 6)`` slice view of the owned diagonal blocks.
-    up_v:
-        ``(6, m_up, 6)`` slices of entries with owned row, global
-        (row, col) order.
-    up_slots:
-        ``(m_up,)`` extended-vector slots of each entry's column.
-    up_starts, up_targets:
-        ``(k_up,)`` reduceat starts / destination local rows.
-    low_v:
-        ``(6, m_low, 6)`` slices of entries with owned column, storage
-        order.
-    low_slots:
-        ``(m_low,)`` extended-vector slots of each entry's row.
-    low_perm:
-        ``(m_low,)`` gather permutation into (col, row) order.
-    low_starts, low_targets:
-        ``(k_low,)`` reduceat starts / destination local rows.
+    op:
+        The two-stage kernel over this domain's entries: up half =
+        entries with owned row (global (row, col) order, gathering the
+        column's extended-vector slot), low half = entries with owned
+        column (gathering the row's slot, summed in (col, row) order),
+        diagonal = the owned diagonal blocks.
+    m_up, m_low:
+        Entry counts of the two halves (scalars; what the ledger prices).
     local:
         Owned x owned coupling as a local-index :class:`BlockMatrix`.
     extended:
@@ -74,28 +66,11 @@ class DomainMatrix:
     domain: int
     n_local: int
     n_ext: int
-    diag_v: np.ndarray
-    up_v: np.ndarray
-    up_slots: np.ndarray
-    up_starts: np.ndarray
-    up_targets: np.ndarray
-    low_v: np.ndarray
-    low_slots: np.ndarray
-    low_perm: np.ndarray
-    low_starts: np.ndarray
-    low_targets: np.ndarray
+    op: TwoStageOperator
+    m_up: int
+    m_low: int
     local: BlockMatrix
     extended: BlockMatrix
-
-
-def _segment_starts(
-    targets_local: np.ndarray, n_local: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reduceat ``(k,)`` starts and nonempty rows for sorted targets."""
-    indptr = np.zeros(n_local + 1, dtype=np.int64)
-    np.cumsum(np.bincount(targets_local, minlength=n_local), out=indptr[1:])
-    nonempty = np.flatnonzero(np.diff(indptr) > 0)
-    return indptr[:-1][nonempty], nonempty
 
 
 def _submatrix(
@@ -136,17 +111,26 @@ def split_matrix(
         n_ext = n_local + ghost.size
 
         up_sel = np.flatnonzero(row_lab == d)
-        up_blocks = matrix.blocks[up_sel]
-        up_rows = dmap.local[rows[up_sel]]
-        up_slots = slot[cols[up_sel]]
-        up_starts, up_targets = _segment_starts(up_rows, n_local)
-
         low_sel = np.flatnonzero(col_lab == d)
-        low_blocks = matrix.blocks[low_sel]
-        low_slots = slot[rows[low_sel]]
-        low_cols = dmap.local[cols[low_sel]]
-        low_perm = np.lexsort((rows[low_sel], cols[low_sel]))
-        low_starts, low_targets = _segment_starts(low_cols, n_local)
+        op = TwoStageOperator(
+            BlockRowProduct(matrix.blocks[up_sel], slot[cols[up_sel]], n_ext),
+            GatherSegmentSum(
+                segment_indptr(dmap.local[rows[up_sel]], n_local),
+                np.arange(up_sel.size, dtype=np.int64),
+            ),
+            BlockRowProduct(
+                matrix.blocks[low_sel].transpose(0, 2, 1),
+                slot[rows[low_sel]],
+                n_ext,
+            ),
+            GatherSegmentSum(
+                segment_indptr(dmap.local[cols[low_sel]], n_local),
+                np.lexsort((rows[low_sel], cols[low_sel])),
+            ),
+            BlockRowProduct(
+                matrix.diag[own], np.arange(n_local, dtype=np.int64), n_ext
+            ),
+        )
 
         both = np.flatnonzero((row_lab == d) & (col_lab == d))
         local = BlockMatrix(
@@ -170,16 +154,9 @@ def split_matrix(
             domain=d,
             n_local=n_local,
             n_ext=n_ext,
-            diag_v=matrix.diag[own].transpose(1, 0, 2).copy(),
-            up_v=up_blocks.transpose(1, 0, 2).copy(),
-            up_slots=up_slots,
-            up_starts=up_starts,
-            up_targets=up_targets,
-            low_v=low_blocks.transpose(1, 0, 2).copy(),
-            low_slots=low_slots,
-            low_perm=low_perm,
-            low_starts=low_starts,
-            low_targets=low_targets,
+            op=op,
+            m_up=up_sel.size,
+            m_low=low_sel.size,
             local=local,
             extended=extended,
         ))
@@ -189,36 +166,20 @@ def split_matrix(
 def domain_spmv(dm: DomainMatrix, x_ext: np.ndarray, device=None) -> np.ndarray:
     """Owned rows of ``A @ x``: ``(n_local*6,)`` from ``(n_ext*6,)``.
 
-    The einsum contractions, gather permutation, segment reductions and
-    accumulation order (up, low, diagonal) replicate
-    :func:`repro.spmv.hsbcsr.hsbcsr_spmv` exactly, so for refreshed
-    ghosts the result equals the global SpMV restricted to owned rows,
-    bit for bit.
+    Calls the same :class:`~repro.spmv.hsbcsr.TwoStageOperator` kernel
+    as :func:`repro.spmv.hsbcsr.hsbcsr_spmv` on this domain's
+    order-preserving subset of the entries, so for refreshed ghosts the
+    result equals the global SpMV restricted to owned rows, bit for bit.
     """
-    xb = x_ext.reshape(dm.n_ext, BS)
-    y = np.zeros((dm.n_local, BS))
-
-    if dm.up_slots.size:
-        up_res = np.einsum("skc,kc->ks", dm.up_v, xb[dm.up_slots])
-        if dm.up_targets.size:
-            y[dm.up_targets] += segment_sum(up_res, dm.up_starts, axis=0)
-    if dm.low_slots.size:
-        low_res = np.einsum("skc,ks->kc", dm.low_v, xb[dm.low_slots])
-        gathered = low_res[dm.low_perm]
-        if dm.low_targets.size:
-            y[dm.low_targets] += segment_sum(
-                gathered, dm.low_starts, axis=0
-            )
-    y += np.einsum("snc,nc->ns", dm.diag_v, xb[: dm.n_local])
-
+    y = dm.op(x_ext)
     if device is not None:
         _record_cost(dm, device)
-    return y.reshape(-1)
+    return y
 
 
 def _record_cost(dm: DomainMatrix, device) -> None:
     """Meter the per-domain SpMV with HSBCSR-style launches."""
-    m = dm.up_slots.size + dm.low_slots.size
+    m = dm.m_up + dm.m_low
     n = dm.n_local
     if m:
         device.launch(

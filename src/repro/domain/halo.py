@@ -176,8 +176,9 @@ class HaloExchanger:
     ``(n_dof,)`` vector into per-domain owned segments, ``exchange``
     refreshes ghost values (one call per CG iteration), ``gather``
     collects owned segments back into global order, and ``allreduce``
-    meters the latency-bound scalar reductions. ``inject`` is the chaos
-    hook applied to the gathered solution buffer.
+    meters the latency-bound scalar reductions. With one domain no
+    transfer is charged (the data never leaves the device). ``inject``
+    is the chaos hook applied to the gathered solution buffer.
     """
 
     dmap: DomainMap
@@ -196,6 +197,8 @@ class HaloExchanger:
 
     # ------------------------------------------------------------------
     def _launch(self, d: int, name: str, nbytes: float) -> None:
+        if self.dmap.n_domains == 1:
+            return  # a single device: nothing crosses a PCIe boundary
         self.devices[d].launch(
             name,
             KernelCounters(

@@ -93,17 +93,20 @@ class DistributedPreconditioner:
         self.exchanger = exchanger
         self.local = local
         self.name = getattr(base, "name", "?")
+        self._n_loc = [own.size * BS for own in exchanger.dmap.owned]
+        self._local_counters = [
+            _vector_ops_counters(n_loc, 2) for n_loc in self._n_loc
+        ]
 
     def apply(self, r: np.ndarray, device=None) -> np.ndarray:
         """Apply to ``(n_dof,)`` and return the same shape."""
         z = self.base.apply(r, None)
         ex = self.exchanger
-        for d in range(ex.dmap.n_domains):
-            n_loc = ex.dmap.owned[d].size * BS
+        for d, n_loc in enumerate(self._n_loc):
             if self.local:
                 ex.devices[d].launch(
                     "precond_apply_local",
-                    _vector_ops_counters(n_loc, 2),
+                    self._local_counters[d],
                     module="equation_solving",
                 )
             else:
@@ -235,7 +238,7 @@ def distributed_pcg(
         m = DistributedPreconditioner(
             IdentityPreconditioner(), exchanger, True
         )
-    local_dof = [dm.n_local * BS for dm in domains]
+    vector_ops = [_vector_ops_counters(dm.n_local * BS, 5) for dm in domains]
 
     x = np.zeros(n) if x0 is None else check_array("x0", x0, dtype=np.float64,
                                                    shape=(n,)).copy()
@@ -282,8 +285,7 @@ def distributed_pcg(
         r -= alpha * ap
         for d in range(exchanger.dmap.n_domains):
             exchanger.devices[d].launch(
-                "cg_vector_ops", _vector_ops_counters(local_dof[d], 5),
-                module="equation_solving",
+                "cg_vector_ops", vector_ops[d], module="equation_solving",
             )
         rel = float(np.linalg.norm(r)) / b_norm  # lint: sync-ok[cg-convergence] -- one ordered all-reduce scalar per iteration
         exchanger.allreduce()

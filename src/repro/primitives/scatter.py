@@ -13,13 +13,26 @@ Every wrapper is a **pure pass-through**: no virtual-device launches,
 no counter updates, no copies — the call sites' modelled costs and
 bit-exact results (the ``diag_mode`` replay contract, the domain
 bit-identity pins) are unchanged by routing through this seam.
+
+The two *compiled* operators at the bottom (:class:`BlockRowProduct`,
+:class:`GatherSegmentSum`) are the stage-1 / stage-2 halves of the
+HSBCSR two-stage SpMV, run as SciPy BSR / CSR products. Both sum
+strictly left to right — each 6-term dot, then each segment, starting
+from ``0.0`` — so a pure-Python loop reproduces them bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["scatter_add", "segment_sum", "segment_min", "segment_max"]
+__all__ = [
+    "scatter_add",
+    "segment_sum",
+    "segment_min",
+    "segment_max",
+    "BlockRowProduct",
+    "GatherSegmentSum",
+]
 
 
 def scatter_add(target: np.ndarray, index, values) -> None:
@@ -68,3 +81,60 @@ def segment_max(
     Same shape conventions and ``starts`` as :func:`segment_sum`.
     """
     return np.maximum.reduceat(values, starts, axis=axis)
+
+
+class BlockRowProduct:
+    """Compiled stage 1: one dense block per output block row.
+
+    ``blocks``: ``(m, b, b)`` float64 payload; ``index``: ``(m,)`` int64
+    block position in ``x`` that block ``k`` multiplies (the ``rc``
+    gather); ``n_in``: block length of ``x``. Calling it with ``x`` of
+    shape ``(n_in*b,)`` returns ``(m, b)`` with row ``k`` equal to
+    ``blocks[k] @ x[index[k]]``, each dot summed left to right.
+    """
+
+    def __init__(self, blocks: np.ndarray, index: np.ndarray, n_in: int) -> None:
+        from scipy.sparse import bsr_array
+
+        m, b = blocks.shape[0], blocks.shape[1]
+        self._shape = (m, b)
+        self._op = bsr_array(
+            (np.ascontiguousarray(blocks), index,
+             np.arange(m + 1, dtype=np.int64)),
+            shape=(m * b, n_in * b),
+        )
+
+    def with_blocks(self, blocks: np.ndarray) -> "BlockRowProduct":
+        """Same gather structure, new ``(m, b, b)`` payload."""
+        n_in = self._op.shape[1] // self._shape[1]
+        return BlockRowProduct(blocks, self._op.indices, n_in)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return (self._op @ x).reshape(self._shape)
+
+
+class GatherSegmentSum:
+    """Compiled stage 2: gather rows of ``v`` and sum them per segment.
+
+    ``indptr``: ``(n+1,)`` int64 CSR-style segment bounds (empty
+    segments allowed — they yield ``0.0``); ``gather``: ``(m,)`` int64
+    row of ``v`` read at each segment position (``arange(m)`` when
+    ``v`` is already in segment order). Calling it with ``v`` of
+    shape ``(m, b)`` returns ``(n, b)``; segment ``i`` is
+    ``v[gather[indptr[i]]] + v[gather[indptr[i]+1]] + ...`` summed
+    left to right. Structure only: one instance serves every
+    value-only rebuild of the same sparsity pattern; the two index
+    arrays stay readable as ``.indptr`` / ``.gather``.
+    """
+
+    def __init__(self, indptr: np.ndarray, gather: np.ndarray) -> None:
+        from scipy.sparse import csr_array
+
+        self.indptr, self.gather = indptr, gather
+        m = gather.size
+        self._op = csr_array(
+            (np.ones(m), gather, indptr), shape=(indptr.size - 1, m)
+        )
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        return self._op @ v

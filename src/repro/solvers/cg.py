@@ -152,6 +152,7 @@ def pcg(
     z = m.apply(r, device)
     p = z.copy()
     rz = float(r @ z)  # lint: sync-ok[cg-convergence] -- one fused-dot scalar per iteration
+    vector_ops = _vector_ops_counters(n, 5)  # same ledger entry every iteration
     for it in range(1, max_iterations + 1):
         ap = hsbcsr_spmv(h, p, device)
         pap = float(p @ ap)  # lint: sync-ok[cg-convergence] -- one fused-dot scalar per iteration
@@ -165,7 +166,7 @@ def pcg(
         x += alpha * p
         r -= alpha * ap
         if device is not None:
-            device.launch("cg_vector_ops", _vector_ops_counters(n, 5))
+            device.launch("cg_vector_ops", vector_ops)
         # the residual norm rides the same fused pass as the x/r
         # updates (the ops=5 launch above): axpy, axpy, dot — one
         # kernel, one scalar back to the host per iteration

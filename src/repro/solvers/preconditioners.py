@@ -21,6 +21,7 @@ from repro.solvers.triangular import (
     level_schedule,
     sparse_triangular_solve,
 )
+from repro.spmv.hsbcsr import TwoStageOperator
 from repro.util.validation import check_array
 
 
@@ -106,6 +107,17 @@ class BlockJacobiPreconditioner(Preconditioner):
     def __init__(self, a: BlockMatrix, device: VirtualDevice | None = None) -> None:
         self.n = a.n
         self.inv_blocks = np.linalg.inv(a.diag)
+        self._apply_counters = KernelCounters(
+            flops=2.0 * self.n * BS * BS,
+            global_bytes_read=self.n * (BS * BS + BS) * 8.0,
+            global_bytes_written=self.n * BS * 8.0,
+            global_txn_read=coalesced_transactions(
+                self.n * (BS * BS + BS), 8
+            ),
+            global_txn_written=coalesced_transactions(self.n * BS, 8),
+            threads=self.n * BS,
+            warps=max(1, self.n * BS // WARP_SIZE),
+        )
         if device is not None:
             # one small dense inversion per block (LU of 6x6: ~2/3*6^3 flops)
             device.launch(
@@ -125,20 +137,7 @@ class BlockJacobiPreconditioner(Preconditioner):
         r = check_array("r", r, dtype=np.float64, shape=(self.n * BS,))
         z = np.einsum("nij,nj->ni", self.inv_blocks, r.reshape(self.n, BS))
         if device is not None:
-            device.launch(
-                "bj_apply",
-                KernelCounters(
-                    flops=2.0 * self.n * BS * BS,
-                    global_bytes_read=self.n * (BS * BS + BS) * 8.0,
-                    global_bytes_written=self.n * BS * 8.0,
-                    global_txn_read=coalesced_transactions(
-                        self.n * (BS * BS + BS), 8
-                    ),
-                    global_txn_written=coalesced_transactions(self.n * BS, 8),
-                    threads=self.n * BS,
-                    warps=max(1, self.n * BS // WARP_SIZE),
-                ),
-            )
+            device.launch("bj_apply", self._apply_counters)
         return z.reshape(-1)
 
 
@@ -163,13 +162,30 @@ class SSORAIPreconditioner(Preconditioner):
         if not (0.0 < omega < 2.0):
             raise ValueError(f"omega must be in (0, 2), got {omega}")
         self.a = a
+        # the strict upper / lower triangular SpMVs are the two halves of
+        # the HSBCSR kernel (the operators the construct launch stages)
+        self.op = TwoStageOperator.from_block_matrix(a)
         self.omega = omega
         self.inv_diag = np.linalg.inv(a.diag)
         self.scale = omega * (2.0 - omega)
+        m = a.n_offdiag
+        self._apply_counters = KernelCounters(
+            # two triangular SpMVs + three block-diagonal products
+            flops=2.0 * (2 * m * BS * BS) + 3.0 * 2 * a.n * BS * BS,
+            global_bytes_read=(m + 3 * a.n) * BS * BS * 8.0
+            + 4.0 * a.n * BS * 8,
+            global_bytes_written=a.n * BS * 8.0,
+            global_txn_read=coalesced_transactions(
+                (m + 3 * a.n) * BS * BS, 8
+            ),
+            global_txn_written=coalesced_transactions(a.n * BS, 8),
+            texture_bytes=2.0 * m * BS * 8,
+            threads=max(a.n, m) * BS,
+            warps=max(1, max(a.n, m) * BS // WARP_SIZE),
+        )
         if device is not None:
             # beyond the block inversions, SSOR-AI stages the scaled
             # triangular operators (reads the off-diagonal blocks once)
-            m = a.n_offdiag
             device.launch(
                 "ssor_ai_construct",
                 KernelCounters(
@@ -188,25 +204,6 @@ class SSORAIPreconditioner(Preconditioner):
                 ),
             )
 
-    # -- triangular SpMVs on the half-stored matrix --------------------
-    def _upper_apply(self, xb: np.ndarray) -> np.ndarray:
-        """(strict block upper) @ x."""
-        y = np.zeros_like(xb)
-        a = self.a
-        if a.n_offdiag:
-            contrib = np.einsum("mij,mj->mi", a.blocks, xb[a.cols])
-            np.add.at(y, a.rows, contrib)
-        return y
-
-    def _lower_apply(self, xb: np.ndarray) -> np.ndarray:
-        """(strict block lower) @ x = U^T x."""
-        y = np.zeros_like(xb)
-        a = self.a
-        if a.n_offdiag:
-            contrib = np.einsum("mji,mj->mi", a.blocks, xb[a.rows])
-            np.add.at(y, a.cols, contrib)
-        return y
-
     def _dinv(self, xb: np.ndarray) -> np.ndarray:
         return np.einsum("nij,nj->ni", self.inv_diag, xb)
 
@@ -216,31 +213,14 @@ class SSORAIPreconditioner(Preconditioner):
         rb = r.reshape(a.n, BS)
         # W^T r = D^{-1} r - w D^{-1} L D^{-1} r
         t = self._dinv(rb)
-        wt = t - self.omega * self._dinv(self._lower_apply(t))
+        wt = t - self.omega * self._dinv(self.op.lower(t.reshape(-1)))
         # D (W^T r)
         dwt = np.einsum("nij,nj->ni", a.diag, wt)
         # W (D W^T r)
         u = self._dinv(dwt)
-        z = u - self.omega * self._dinv(self._upper_apply(u))
+        z = u - self.omega * self._dinv(self.op.upper(u.reshape(-1)))
         if device is not None:
-            m = a.n_offdiag
-            device.launch(
-                "ssor_ai_apply",
-                KernelCounters(
-                    # two triangular SpMVs + three block-diagonal products
-                    flops=2.0 * (2 * m * BS * BS) + 3.0 * 2 * a.n * BS * BS,
-                    global_bytes_read=(m + 3 * a.n) * BS * BS * 8.0
-                    + 4.0 * a.n * BS * 8,
-                    global_bytes_written=a.n * BS * 8.0,
-                    global_txn_read=coalesced_transactions(
-                        (m + 3 * a.n) * BS * BS, 8
-                    ),
-                    global_txn_written=coalesced_transactions(a.n * BS, 8),
-                    texture_bytes=2.0 * m * BS * 8,
-                    threads=max(a.n, m) * BS,
-                    warps=max(1, max(a.n, m) * BS // WARP_SIZE),
-                ),
-            )
+            device.launch("ssor_ai_apply", self._apply_counters)
         return (self.scale * z).reshape(-1)
 
 

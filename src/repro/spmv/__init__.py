@@ -13,11 +13,14 @@ Reference formats reproduce the baselines:
   full-matrix recovery cost the paper charges to that path;
 * :mod:`repro.spmv.formats` — BCSR and ELL.
 
-All kernels compute with NumPy and record their modelled cost on the
-virtual device; correctness is cross-checked against SciPy in the tests.
+The reference kernels compute with NumPy; the HSBCSR kernel runs its two
+stages as compiled sparse products over its own index arrays
+(:class:`~repro.spmv.hsbcsr.TwoStageOperator`). All record their modelled
+cost on the virtual device; correctness is cross-checked against SciPy
+and a left-to-right Python oracle in the tests.
 """
 
-from repro.spmv.hsbcsr import HSBCSRMatrix, hsbcsr_spmv
+from repro.spmv.hsbcsr import HSBCSRMatrix, TwoStageOperator, hsbcsr_spmv
 from repro.spmv.csr_ref import CSRMatrix, csr_spmv
 from repro.spmv.formats import BCSRMatrix, bcsr_spmv, ELLMatrix, ell_spmv
 from repro.spmv.sell import SELLMatrix, sell_spmv
@@ -25,6 +28,7 @@ from repro.spmv.synthetic import synthetic_block_matrix, slope_like_sparsity
 
 __all__ = [
     "HSBCSRMatrix",
+    "TwoStageOperator",
     "hsbcsr_spmv",
     "CSRMatrix",
     "csr_spmv",

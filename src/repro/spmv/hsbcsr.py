@@ -7,7 +7,8 @@ Storage (paper Fig. 6/7):
   every block, in (slice, global row, global column) sort priority, padded
   so each slice's length is a multiple of 32 (the GPU alignment
   condition). Consecutive threads reading consecutive blocks' slice data
-  therefore access global memory fully coalesced.
+  therefore access global memory fully coalesced. The sliced payload is
+  what the *ledger prices* (padded widths, coalesced transactions).
 * ``rc`` — compressed (row, col) per non-diagonal block (``rows``/``cols``
   here).
 * ``row_up_i`` — end position of each block row in the upper storage
@@ -26,6 +27,17 @@ The SpMV (paper Figs. 8/9) runs in two stages plus the diagonal pass:
    integer reads by 48-thread groups) and ``low_res`` gathered through
    ``row_low_p`` (texture path) and segment-summed by ``row_low_i``;
 3. the diagonal blocks multiply and accumulate.
+
+The index arrays are what the *host runs*: :class:`TwoStageOperator`
+executes exactly these stages as compiled sparse products gathered
+through ``rc`` / ``row_up_i`` / ``row_low_i`` / ``row_low_p`` (the
+:mod:`repro.primitives.scatter` seam), over the block payload and a
+per-matrix transposed copy of it. It is the one implementation behind
+:func:`hsbcsr_spmv`, SSOR-AI's triangular halves and
+:func:`repro.domain.assembly.domain_spmv`. Every sum runs strictly left
+to right (each 6-term dot, each segment, then up + low + diagonal), so
+order-preserving subsets of the entries — the per-domain splits —
+reproduce the global product bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +51,7 @@ from repro.gpu.counters import KernelCounters
 from repro.gpu.kernel import VirtualDevice
 from repro.gpu.memory import coalesced_transactions, gather_transactions
 from repro.gpu.warp import WARP_SIZE
-from repro.primitives.scatter import segment_sum
+from repro.primitives.scatter import BlockRowProduct, GatherSegmentSum
 from repro.util.validation import check_array
 
 #: Slice lengths are padded to a multiple of this (GPU alignment).
@@ -61,6 +73,79 @@ def _slice_blocks(blocks: np.ndarray, align: int) -> np.ndarray:
     return data
 
 
+def segment_indptr(targets: np.ndarray, n: int) -> np.ndarray:
+    """``(n+1,)`` CSR-style bounds of the entries adding into each of ``n`` rows."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(targets, minlength=n), out=indptr[1:])
+    return indptr
+
+
+@dataclass(frozen=True)
+class TwoStageOperator:
+    """The two-stage half-stored block kernel over explicit index arrays.
+
+    Stage 1 (``*_product``): entry ``k`` of a half multiplies the input
+    block its gather index names — ``A_k x_j`` in the upper half,
+    ``A_k^T x_i`` (the transposed payload) in the lower. Stage 2
+    (``*_reduce``): the results are summed into the output block row
+    whose segment holds them, the lower half reading its segments
+    through the ``row_low_p`` permutation. The diagonal blocks multiply
+    the leading ``n_out`` blocks of the input.
+    """
+
+    up_product: BlockRowProduct
+    up_reduce: GatherSegmentSum
+    low_product: BlockRowProduct
+    low_reduce: GatherSegmentSum
+    diag_product: BlockRowProduct
+
+    @classmethod
+    def from_block_matrix(cls, a: BlockMatrix) -> "TwoStageOperator":
+        """The kernel of a whole half-stored matrix; its stage-2 operators
+        carry the HSBCSR index arrays (``row_up_i``; ``row_low_i`` and
+        ``row_low_p``) they were derived with."""
+        # lower triangle: entry (j, i) for each upper (i, j); sorted by
+        # (col, row) of the upper — i.e. by the lower entry's row
+        row_low_p = np.lexsort((a.rows, a.cols)).astype(np.int64)
+        return cls(
+            BlockRowProduct(a.blocks, a.cols, a.n),
+            GatherSegmentSum(
+                segment_indptr(a.rows, a.n),
+                np.arange(a.n_offdiag, dtype=np.int64),
+            ),
+            BlockRowProduct(a.blocks.transpose(0, 2, 1), a.rows, a.n),
+            GatherSegmentSum(segment_indptr(a.cols, a.n), row_low_p),
+            BlockRowProduct(a.diag, np.arange(a.n, dtype=np.int64), a.n),
+        )
+
+    def with_values(
+        self, diag: np.ndarray, up_blocks: np.ndarray, low_blocks: np.ndarray
+    ) -> "TwoStageOperator":
+        """Same structure (gathers, stage-2 operators), new payloads."""
+        return TwoStageOperator(
+            self.up_product.with_blocks(up_blocks),
+            self.up_reduce,
+            self.low_product.with_blocks(low_blocks),
+            self.low_reduce,
+            self.diag_product.with_blocks(diag),
+        )
+
+    def upper(self, x: np.ndarray) -> np.ndarray:
+        """Upper-half product ``(n_out, 6)`` from ``(n_in*6,)``."""
+        return self.up_reduce(self.up_product(x))
+
+    def lower(self, x: np.ndarray) -> np.ndarray:
+        """Lower-half (transposed) product ``(n_out, 6)`` from ``(n_in*6,)``."""
+        return self.low_reduce(self.low_product(x))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Full product ``(n_out*6,)``: up, then low, then diagonal."""
+        y = self.upper(x)
+        y += self.lower(x)
+        y += self.diag_product(x)
+        return y.reshape(-1)
+
+
 @dataclass
 class HSBCSRMatrix:
     """A :class:`BlockMatrix` converted to the HSBCSR layout."""
@@ -74,9 +159,9 @@ class HSBCSRMatrix:
     row_up_i: np.ndarray      # (n+1,) indptr over rows of the upper storage
     row_low_i: np.ndarray     # (n+1,) indptr over rows of the implied lower
     row_low_p: np.ndarray     # (m,) upper-storage position of each lower entry
-    # structure-derived caches, computed once per sparsity pattern and
+    op: TwoStageOperator      # the host kernel over the arrays above
+    # launch-cost counters, computed once per sparsity pattern and
     # shared across value-only rebuilds (the solver sparsity reuse path)
-    _reduce_index: tuple | None = None
     _cost: tuple | None = None
 
     @classmethod
@@ -91,10 +176,10 @@ class HSBCSRMatrix:
 
         ``structure`` optionally names a previously-built matrix with
         the same ``(n,)`` dimensions and identical ``(m,)`` sparsity
-        pattern: its index arrays (and any cached reduction indices /
-        cost counters) are shared instead of re-derived, so only the
-        slice payloads are rebuilt. The pattern is verified exactly; a
-        mismatch falls back to a full build.
+        pattern: its index arrays, the operator's structure half and
+        any cached cost counters are shared instead of re-derived, so
+        only the payloads are rebuilt. The pattern is verified exactly;
+        a mismatch falls back to a full build.
         """
         m = a.n_offdiag
         d_data = _slice_blocks(a.diag, align)
@@ -108,53 +193,26 @@ class HSBCSRMatrix:
             and np.array_equal(structure.rows, a.rows)
             and np.array_equal(structure.cols, a.cols)
         ):
-            return cls(
-                n=a.n,
-                n_offdiag=m,
-                d_data=d_data,
-                nd_data=nd_data,
-                rows=structure.rows,
-                cols=structure.cols,
-                row_up_i=structure.row_up_i,
-                row_low_i=structure.row_low_i,
-                row_low_p=structure.row_low_p,
-                _reduce_index=structure._reduce_index,
-                _cost=structure._cost,
+            rows, cols, cost = structure.rows, structure.cols, structure._cost
+            op = structure.op.with_values(
+                a.diag, a.blocks, a.blocks.transpose(0, 2, 1)
             )
-        row_up_i = np.zeros(a.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(a.rows, minlength=a.n), out=row_up_i[1:])
-        # lower triangle: entry (j, i) for each upper (i, j); sorted by
-        # (col, row) of the upper — i.e. by the lower entry's row
-        order = np.lexsort((a.rows, a.cols))
-        row_low_i = np.zeros(a.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(a.cols, minlength=a.n), out=row_low_i[1:])
+        else:
+            rows, cols, cost = a.rows.copy(), a.cols.copy(), None
+            op = TwoStageOperator.from_block_matrix(a)
         return cls(
             n=a.n,
             n_offdiag=m,
             d_data=d_data,
             nd_data=nd_data,
-            rows=a.rows.copy(),
-            cols=a.cols.copy(),
-            row_up_i=row_up_i,
-            row_low_i=row_low_i,
-            row_low_p=order.astype(np.int64),
+            rows=rows,
+            cols=cols,
+            row_up_i=op.up_reduce.indptr,
+            row_low_i=op.low_reduce.indptr,
+            row_low_p=op.low_reduce.gather,
+            op=op,
+            _cost=cost,
         )
-
-    def reduction_index(self) -> tuple:
-        """Stage-2 reduction indices, cached per structure.
-
-        Returns ``(starts_up, nonempty_up, starts_low, nonempty_low)``
-        — all 1-D index arrays derived purely from the indptrs, so they
-        are computed once and shared by every SpMV on this pattern.
-        """
-        if self._reduce_index is None:
-            self._reduce_index = (
-                self.row_up_i[:-1],
-                np.flatnonzero(np.diff(self.row_up_i) > 0),
-                self.row_low_i[:-1],
-                np.flatnonzero(np.diff(self.row_low_i) > 0),
-            )
-        return self._reduce_index
 
     # ------------------------------------------------------------------
     @property
@@ -175,10 +233,6 @@ class HSBCSRMatrix:
         m = self.n_offdiag
         return self.nd_data[:, : m * BS].reshape(BS, m, BS)
 
-    def d_view(self) -> np.ndarray:
-        """``(6, n, 6)`` view of the diagonal slice data."""
-        return self.d_data[:, : self.n * BS].reshape(BS, self.n, BS)
-
 
 def hsbcsr_spmv(
     a: HSBCSRMatrix,
@@ -188,44 +242,18 @@ def hsbcsr_spmv(
     """``y = A x`` using the two-stage HSBCSR kernel.
 
     ``x`` has shape ``(6 n,)``; returns ``y`` of the same shape. The
-    computation indexes the slice arrays exactly as the CUDA kernel
-    does; the modelled cost reflects the coalesced slice reads, the
-    texture-path vector gathers, the bank-conflict-free shared reduction
-    of Fig. 8, and the regular/irregular stage-2 reductions of Fig. 9.
+    host runs ``a.op`` — stage 1 gathered through ``rc``, stage 2 over
+    ``row_up_i`` / ``row_low_i`` / ``row_low_p``, then the diagonal —
+    while the modelled cost is priced from the sliced payload: the
+    coalesced slice reads, the texture-path vector gathers, the
+    bank-conflict-free shared reduction of Fig. 8, and the
+    regular/irregular stage-2 reductions of Fig. 9.
     """
     x = check_array("x", x, dtype=np.float64, shape=(a.n * BS,))
-    xb = x.reshape(a.n, BS)
-    m = a.n_offdiag
-    y = np.zeros((a.n, BS))
-
-    if m:
-        v = a.nd_view()  # (6, m, 6): v[s, k, c] = block_k[s, c]
-        xj = xb[a.cols]  # texture gathers
-        xi = xb[a.rows]
-        # stage 1
-        up_res = np.einsum("skc,kc->ks", v, xj)   # A_k x_j
-        low_res = np.einsum("skc,ks->kc", v, xi)  # A_k^T x_i
-        # stage 2: regular reduction of up_res by row_up_i (indices are
-        # structure-only, cached across the CG iterations on one matrix)
-        starts_up, nonempty_up, starts_low, nonempty_low = (
-            a.reduction_index()
-        )
-        if nonempty_up.size:
-            sums = segment_sum(up_res, starts_up[nonempty_up], axis=0)
-            y[nonempty_up] += sums
-        # irregular reduction of low_res gathered through row_low_p
-        gathered = low_res[a.row_low_p]
-        if nonempty_low.size:
-            sums = segment_sum(gathered, starts_low[nonempty_low], axis=0)
-            y[nonempty_low] += sums
-
-    # stage 3: diagonal
-    d = a.d_view()
-    y += np.einsum("snc,nc->ns", d, xb)
-
+    y = a.op(x)
     if device is not None:
         _record_cost(a, device)
-    return y.reshape(-1)
+    return y
 
 
 def _record_cost(a: HSBCSRMatrix, device: VirtualDevice) -> None:
