@@ -93,8 +93,11 @@ def main(argv=None) -> int:
         payload[f"{name}_wall_modelled_ratio"] = (
             wall / modelled if modelled > 0.0 else None
         )
-    wall, modelled = totals["serial"]
-    point = {"wall": wall, "modelled": modelled}
+    wall, modelled = totals.pop("serial")
+    point = {
+        "wall": wall, "modelled": modelled,
+        **{name: {"wall": w, "modelled": m} for name, (w, m) in totals.items()},
+    }
     if args.pr is not None:
         point["pr"] = args.pr
     path = write_bench_json(

@@ -1,8 +1,8 @@
-"""SpMV format showcase: HSBCSR vs CSR / BCSR / ELL on the Case-1 matrix.
+"""SpMV format showcase: HSBCSR vs CSR / BCSR on the Case-1 matrix.
 
 Builds a synthetic block matrix with the paper's exact Case-1 dimensions
 (4361 diagonal, 18731 non-diagonal 6x6 blocks), multiplies it through all
-four formats, verifies they agree, and prints the storage footprint and
+three formats, verifies they agree, and prints the storage footprint and
 the modelled Tesla K40 kernel time of each — the comparison behind the
 paper's Fig. 10.
 
@@ -16,7 +16,7 @@ import numpy as np
 from repro.gpu.device import K40
 from repro.gpu.kernel import VirtualDevice
 from repro.spmv.csr_ref import CSRMatrix, csr_spmv
-from repro.spmv.formats import BCSRMatrix, ELLMatrix, bcsr_spmv, ell_spmv
+from repro.spmv.formats import BCSRMatrix, bcsr_spmv
 from repro.spmv.hsbcsr import HSBCSRMatrix, hsbcsr_spmv
 from repro.spmv.synthetic import synthetic_block_matrix
 from repro.util.tables import Table
@@ -56,23 +56,6 @@ def main() -> None:
     b = BCSRMatrix.from_block_matrix(a)
     results["BCSR"] = bcsr_spmv(b, x, dev)
     rows.append(("BCSR (full)", b.storage_bytes / 1e6, dev.total_time))
-
-    if args.n <= 5000:  # ELL padding is expensive to build at huge sizes
-        dev = VirtualDevice(K40)
-        e = ELLMatrix.from_block_matrix(a)
-        results["ELL"] = ell_spmv(e, x, dev)
-        rows.append(
-            (f"ELL (fill {e.fill_ratio:.0%})", e.storage_bytes / 1e6, dev.total_time)
-        )
-        from repro.spmv.sell import SELLMatrix, sell_spmv
-
-        dev = VirtualDevice(K40)
-        sl = SELLMatrix.from_block_matrix(a)
-        results["SELL"] = sell_spmv(sl, x, dev)
-        rows.append(
-            (f"SELL-32 (fill {sl.fill_ratio:.0%})",
-             sl.storage_bytes / 1e6, dev.total_time)
-        )
 
     reference = results["HSBCSR"]
     for name, y in results.items():

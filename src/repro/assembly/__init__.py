@@ -5,10 +5,12 @@ diagonal blocks collect elastic stiffness, inertia, loads and fixed-point
 penalties (:mod:`repro.assembly.submatrices`); non-diagonal blocks collect
 contact-spring couplings (:mod:`repro.assembly.contact_springs`).
 
-Two assemblers produce the same :class:`~repro.assembly.global_matrix.BlockMatrix`:
-the serial scatter-add loop of the CPU pipeline, and the paper's Fig.-4
-sort + scan scheme that avoids memory write conflicts on the GPU
-(:func:`~repro.assembly.global_matrix.assemble_gpu`).
+One assembler produces the :class:`~repro.assembly.global_matrix.BlockMatrix`
+for every engine preset: the paper's Fig.-4 sort + scan scheme that avoids
+memory write conflicts on the GPU, split into a symbolic phase cached per
+contribution pattern and a numeric phase run every sweep
+(:class:`~repro.assembly.symbolic.AssemblyPlan`;
+:func:`~repro.assembly.global_matrix.assemble_gpu` runs both).
 """
 
 from repro.assembly.submatrices import (
@@ -27,7 +29,6 @@ from repro.assembly.contact_springs import (
 )
 from repro.assembly.global_matrix import (
     BlockMatrix,
-    assemble_serial,
     assemble_gpu,
 )
 from repro.assembly.categories import classify_categories, CATEGORY_NAMES
@@ -44,7 +45,6 @@ __all__ = [
     "shear_spring_vectors",
     "contact_contributions",
     "BlockMatrix",
-    "assemble_serial",
     "assemble_gpu",
     "classify_categories",
     "CATEGORY_NAMES",

@@ -171,14 +171,6 @@ class SimulationControls:
         their destination indices for undeclared duplicates, and a race
         raises a recoverable contract violation. Off by default (the
         disabled fast path is one pointer test per scatter site).
-    symbolic_reuse:
-        Reuse the symbolic assembly phase (sort permutation, segment
-        boundaries, output sparsity pattern) across open–close sweeps
-        whose contact topology is unchanged
-        (:class:`repro.assembly.symbolic.AssemblyPlan`). The result and
-        the modelled device time are bit-identical either way; ``False``
-        forces every sweep through the full assembler (useful when
-        A/B-ing the optimisation).
     """
 
     time_step: float = 1e-3
@@ -196,7 +188,6 @@ class SimulationControls:
     resilience: ResilienceControls = field(default_factory=ResilienceControls)
     contract_level: str = "off"
     sanitize: bool = False
-    symbolic_reuse: bool = True
 
     def __post_init__(self) -> None:
         if self.time_step <= 0:

@@ -17,7 +17,7 @@ the 3-D method's core so that step has a foundation:
 * :mod:`repro.dda3d.engine3d` — a compact time-stepping engine (implicit
   inertia, open–close iteration, exact-rotation update via Rodrigues).
 
-Combined with :mod:`repro.gpu.multi`, this is the projection target the
+Combined with :mod:`repro.domain`, this is the multi-GPU 3-D target the
 paper names. The 2-D package remains the reproduction of record; the 3-D
 engine validates against the same analytic benchmarks (free fall,
 friction threshold on an inclined face).

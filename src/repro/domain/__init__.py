@@ -1,8 +1,8 @@
 """Executable multi-device domain decomposition.
 
-Turns the analytic multi-GPU projection of :mod:`repro.gpu.multi` into
-a runnable path: :mod:`repro.domain.partition` splits blocks across
-``n_domains`` virtual devices with a graph partition over the contact
+The paper's stated next step ("applying these efforts to ... multiple
+GPUs") as a runnable path: :mod:`repro.domain.partition` splits blocks
+across ``n_domains`` virtual devices with a graph partition over the contact
 topology; :mod:`repro.domain.halo` builds ownership maps, ghost lists
 and the metered halo-exchange step; :mod:`repro.domain.assembly`
 extracts per-domain submatrices (local block matrix + boundary coupling

@@ -24,10 +24,14 @@ from repro.assembly.global_matrix import BS
 from repro.gpu.counters import KernelCounters
 from repro.gpu.device import DeviceProfile
 from repro.gpu.kernel import RoutedVirtualDevice
-from repro.gpu.multi import PCIE_BANDWIDTH, PCIE_LATENCY
 
-#: Inter-device transfer profile: PCIe 3.0 x16 peer-to-peer, matching
-#: the bandwidth/latency constants the analytic projection uses.
+#: Effective PCIe 3.0 x16 bandwidth per direction, bytes/s.
+PCIE_BANDWIDTH = 12e9
+
+#: One-way PCIe/NVLink-free transfer latency, seconds.
+PCIE_LATENCY = 8e-6
+
+#: Inter-device transfer profile: PCIe 3.0 x16 peer-to-peer.
 TRANSFER = DeviceProfile(
     name="PCIe 3.0 x16 P2P",
     kind="gpu",

@@ -1,10 +1,7 @@
 """Partition blocks across domains via the contact topology.
 
-The single source of truth for block-to-domain assignment: both the
-analytic projection (:func:`repro.gpu.multi.predict_multi_gpu_time`)
-and the executable path (:class:`repro.engine.domain_engine
-.DomainEngine`) call :func:`partition_blocks` here, so the projection
-and the execution can never disagree on the partition.
+The block-to-domain assignment :class:`repro.engine.domain_engine
+.DomainEngine` runs on: :func:`partition_blocks`.
 
 Two methods are available:
 
@@ -17,10 +14,10 @@ Two methods are available:
     :func:`repro.analysis.topology.contact_graph`), else from the
     broad-phase AABB adjacency.
 ``stripe``
-    Equal-count spatial stripes along x (the historic
-    ``gpu/multi.py`` logic) — the fallback when the contact graph is
-    disconnected (isolated blocks would make the Fiedler vector
-    meaningless per component) or too large for the dense eigensolve.
+    Equal-count spatial stripes along x — the fallback when the
+    contact graph is disconnected (isolated blocks would make the
+    Fiedler vector meaningless per component) or too large for the
+    dense eigensolve.
 
 ``method="auto"`` (the default) picks ``graph`` when the graph is
 connected and small enough, else ``stripe``. Everything here is

@@ -70,13 +70,6 @@ class EngineBase:
     #: Device profile subclasses charge their kernels to.
     default_profile: DeviceProfile = K40
 
-    #: Diagonal accumulation order of this engine's assembler, mirrored
-    #: by the cached :class:`AssemblyPlan` so symbolic reuse stays
-    #: bit-identical per engine: ``"scatter"`` (``assemble_serial``'s
-    #: ``np.add.at``) or ``"segment"`` (``assemble_gpu``'s stable sort +
-    #: segment reduction).
-    _assembly_diag_mode: str = "scatter"
-
     def __init__(
         self,
         system: BlockSystem,
@@ -157,11 +150,8 @@ class EngineBase:
         # noise floor for open–close significance: state switches whose
         # contact force stays below a small fraction of a typical block
         # weight are label churn (contact-force indeterminacy), not physics
-        densities = np.array(
-            [system.material_of(i).density for i in range(system.n_blocks)]
-        )
         self._force_tol = 1e-3 * float(
-            np.median(densities * system.areas) * self.controls.gravity
+            np.median(densities_all * system.areas) * self.controls.gravity
         )
         #: stage post-condition checker (level "off" = no-op)
         self.contracts = StageContracts(
@@ -195,11 +185,8 @@ class EngineBase:
         :class:`ModuleTimes` ledger, kernel launches attributed to
         ``module`` on the virtual device, and — when tracing is enabled
         — a span carrying both the wall and the modelled device seconds.
-
-        This replaces the former nested ``times.measure`` +
-        ``device.region`` pair; with the tracer disabled it does exactly
-        that work and nothing more (overhead pinned by
-        ``tests/obs/test_overhead.py``).
+        With the tracer disabled the span costs nothing (overhead
+        pinned by ``tests/obs/test_overhead.py``).
         """
         tracer = self.tracer
         traced = tracer.enabled
@@ -271,14 +258,14 @@ class EngineBase:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def _assemble(
+    def _plan_assembly(
         self,
         diag_idx: np.ndarray,
-        diag_blocks: np.ndarray,
         off_rows: np.ndarray,
         off_cols: np.ndarray,
-        off_blocks: np.ndarray,
-    ) -> BlockMatrix:
+    ) -> AssemblyPlan:
+        """Run the assembler's symbolic phase for one contribution
+        pattern and record what one assembly of it costs this preset."""
         raise NotImplementedError
 
     def _check_interpenetration(
@@ -560,7 +547,7 @@ class EngineBase:
         self.metrics.inc("open_close.sweeps")
         return driver.sweep(d, prev_normal_force)
 
-    def _assemble_cached(
+    def _assemble(
         self,
         diag_idx: np.ndarray,
         diag_blocks: np.ndarray,
@@ -568,21 +555,17 @@ class EngineBase:
         off_cols: np.ndarray,
         off_blocks: np.ndarray,
     ) -> BlockMatrix:
-        """Assemble, reusing the symbolic phase when the pattern repeats.
+        """Assemble one sweep's matrix, symbolic phase once per pattern.
 
-        On a cache hit (exact :meth:`AssemblyPlan.matches` comparison of
-        the contribution pattern) only the numeric phase runs; the
-        plan's captured kernel-launch ledger is replayed on the virtual
-        device so the modelled seconds are bit-identical to a full
-        assembly, and the ``assembly.symbolic_reuse`` counter is bumped.
-        On a miss the subclass assembler runs normally while its
-        launches are captured into a fresh plan. ``controls.
-        symbolic_reuse = False`` bypasses the cache entirely.
+        When the contribution pattern equals the kept plan's (exact
+        :meth:`AssemblyPlan.matches` comparison) the plan's captured
+        kernel-launch ledger is replayed on the virtual device, so the
+        modelled seconds are bit-identical to a first assembly, and the
+        ``assembly.symbolic_reuse`` counter is bumped. Otherwise the
+        preset's :meth:`_plan_assembly` builds a new plan while its
+        launches are captured. Either way the matrix comes from the
+        plan's numeric phase.
         """
-        if not self.controls.symbolic_reuse:
-            return self._assemble(
-                diag_idx, diag_blocks, off_rows, off_cols, off_blocks
-            )
         plan = self._assembly_plan
         if (
             plan is not None
@@ -591,19 +574,14 @@ class EngineBase:
         ):
             self.metrics.inc("assembly.symbolic_reuse")
             plan.replay(self.device)
-            return plan.assemble(diag_blocks, off_blocks)
-        n0 = len(self.device.records)
-        matrix = self._assemble(
-            diag_idx, diag_blocks, off_rows, off_cols, off_blocks
-        )
-        self._assembly_plan = AssemblyPlan.build(
-            self.system.n_blocks, diag_idx, off_rows, off_cols,
-            launches=tuple(
+        else:
+            n0 = len(self.device.records)
+            plan = self._plan_assembly(diag_idx, off_rows, off_cols)
+            plan.launches = tuple(
                 (r.name, r.counters) for r in self.device.records[n0:]
-            ),
-            diag_mode=self._assembly_diag_mode,
-        )
-        return matrix
+            )
+            self._assembly_plan = plan
+        return plan.assemble(diag_blocks, off_blocks)
 
     def _run_one_step(
         self,
@@ -645,7 +623,7 @@ class EngineBase:
             # proactive symbolic-assembly invalidation: the transfer
             # layer knows whether the contact-set topology moved; if it
             # did, the cached plan cannot match and is dropped up front
-            # (the exact pattern compare in _assemble_cached remains the
+            # (the exact pattern compare in _assemble remains the
             # correctness gate either way)
             if self._plan_contacts is None or topology_changed(
                 self._plan_contacts, contacts,
@@ -676,7 +654,7 @@ class EngineBase:
                      f_contact) = self._build_nondiagonal(
                         contacts, normal_force
                     )
-                    matrix = self._assemble_cached(
+                    matrix = self._assemble(
                         np.concatenate([diag_idx, c_diag_idx]),
                         np.concatenate([diag_blocks, c_diag_blocks]),
                         rows, cols, blocks,

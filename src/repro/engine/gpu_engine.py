@@ -22,14 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.assembly.categories import N_CATEGORIES, classify_categories
-from repro.assembly.global_matrix import assemble_gpu
+from repro.assembly.symbolic import AssemblyPlan
 from repro.contact.broad_phase import broad_phase_pairs
 from repro.contact.contact_set import VV2, ContactSet
 from repro.contact.initialization import initialize_contacts_classified
 from repro.contact.narrow_phase import narrow_phase
 from repro.contact.transfer import transfer_contacts
-from repro.core.blocks import BlockSystem
-from repro.core.state import SimulationControls
 from repro.engine.base import EngineBase
 from repro.engine.physics import contact_system, diagonal_system
 from repro.gpu.counters import KernelCounters
@@ -43,24 +41,6 @@ class GpuEngine(EngineBase):
     """GPU pipeline with the data-classification framework (paper Fig. 2)."""
 
     default_profile: DeviceProfile = K40
-
-    # assemble_gpu sums diagonal duplicates in stable-sorted segment
-    # order; the cached AssemblyPlan must replay the same order
-    _assembly_diag_mode: str = "segment"
-
-    def __init__(
-        self,
-        system: BlockSystem,
-        controls: SimulationControls | None = None,
-        profile: DeviceProfile | None = None,
-        fault_injector=None,
-        tracer=None,
-        metrics=None,
-    ) -> None:
-        super().__init__(
-            system, controls, profile, fault_injector,
-            tracer=tracer, metrics=metrics,
-        )
 
     # ------------------------------------------------------------------
     def _detect_contacts(self) -> ContactSet:
@@ -134,10 +114,9 @@ class GpuEngine(EngineBase):
                 )
         return contact_system(self.system, contacts, normal_force)
 
-    def _assemble(self, diag_idx, diag_blocks, off_rows, off_cols, off_blocks):
-        return assemble_gpu(
-            self.system.n_blocks, diag_idx, diag_blocks,
-            off_rows, off_cols, off_blocks, self.device,
+    def _plan_assembly(self, diag_idx, off_rows, off_cols):
+        return AssemblyPlan.build(
+            self.system.n_blocks, diag_idx, off_rows, off_cols, self.device
         )
 
     def _check_interpenetration(self, contacts: ContactSet, d, prev_normal_force):

@@ -17,14 +17,12 @@ whole pipeline onto the device.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.assembly.global_matrix import BS, assemble_serial
+from repro.assembly.global_matrix import BS
 from repro.contact.contact_set import ContactSet
 from repro.core.blocks import BlockSystem
 from repro.core.state import SimulationControls
 from repro.engine.gpu_engine import GpuEngine
-from repro.engine.physics import contact_system, diagonal_system
+from repro.engine.serial_engine import CpuStages
 from repro.gpu.counters import KernelCounters
 from repro.gpu.device import DeviceProfile, E5620, K40
 from repro.gpu.kernel import RoutedVirtualDevice
@@ -57,12 +55,10 @@ def _transfer(device, name: str, nbytes: float) -> None:
     )
 
 
-class HybridEngine(GpuEngine):
-    """Hybrid pipeline: GPU detection/solve/check, CPU build/update."""
-
-    # the hybrid build stage runs assemble_serial on the CPU, so the
-    # cached plan replays the scatter-add diagonal order
-    _assembly_diag_mode: str = "scatter"
+class HybridEngine(CpuStages, GpuEngine):
+    """Hybrid pipeline: GPU detection/solve/check, CPU build/update
+    (:class:`~repro.engine.serial_engine.CpuStages`, priced on the CPU
+    profile through the ``serial_`` route)."""
 
     def __init__(
         self,
@@ -98,58 +94,14 @@ class HybridEngine(GpuEngine):
         _transfer(self.device, "d2h_contacts", contacts.m * 88.0)
         return contacts
 
-    # ------------------------------------------------------------------
-    # CPU modules (serial formulations, priced on the CPU profile)
-    # ------------------------------------------------------------------
-    def _build_diagonal(self):
-        out = diagonal_system(self.system, self.controls, self.dt, self.sim_time)
-        n = self.system.n_blocks
-        self.device.launch(
-            "serial_diagonal_build",
-            KernelCounters(
-                flops=700.0 * n,
-                global_bytes_read=400.0 * n,
-                global_bytes_written=36.0 * 8 * n,
-                threads=1, warps=1,
-            ),
-        )
-        return out
-
-    def _build_nondiagonal(self, contacts, normal_force):
-        out = contact_system(self.system, contacts, normal_force)
-        m = contacts.m
-        self.device.launch(
-            "serial_nondiagonal_build",
-            KernelCounters(
-                flops=(3 * 36 * 4 + 200.0) * m,
-                global_bytes_read=500.0 * m,
-                global_bytes_written=3 * 36.0 * 8 * m,
-                threads=1, warps=1,
-            ),
-        )
-        return out
-
-    def _assemble(self, diag_idx, diag_blocks, off_rows, off_cols, off_blocks):
-        matrix = assemble_serial(
-            self.system.n_blocks, diag_idx, diag_blocks,
-            off_rows, off_cols, off_blocks,
-        )
-        total = diag_idx.size + off_rows.size
-        self.device.launch(
-            "serial_scatter_assembly",
-            KernelCounters(
-                flops=36.0 * total,
-                global_bytes_read=36.0 * 8 * total,
-                global_bytes_written=36.0 * 8 * total,
-                threads=1, warps=1,
-            ),
-        )
+    def _plan_assembly(self, diag_idx, off_rows, off_cols):
+        plan = super()._plan_assembly(diag_idx, off_rows, off_cols)
         # ship the assembled system to the device for the GPU solve;
         # this happens inside every open–close iteration — the transfer
         # the paper's design eliminates
-        nnz_bytes = (matrix.n + 2 * matrix.n_offdiag) * BS * BS * 8.0
-        _transfer(self.device, "h2d_matrix", nnz_bytes + matrix.n * BS * 8.0)
-        return matrix
+        nnz_bytes = (plan.n + 2 * plan.out_rows.size) * BS * BS * 8.0
+        _transfer(self.device, "h2d_matrix", nnz_bytes + plan.n * BS * 8.0)
+        return plan
 
     def _check_interpenetration(self, contacts, d, prev_normal_force):
         # solution comes down for the CPU-side bookkeeping, state flags
@@ -160,19 +112,6 @@ class HybridEngine(GpuEngine):
         )
         _transfer(self.device, "d2h_states", contacts.m * 9.0)
         return update
-
-    def _update_data(self, d):
-        self._apply_geometry_update(d)
-        v = self.system.vertices.shape[0]
-        self.device.launch(
-            "serial_data_update",
-            KernelCounters(
-                flops=30.0 * v,
-                global_bytes_read=16.0 * v,
-                global_bytes_written=16.0 * v,
-                threads=1, warps=1,
-            ),
-        )
 
     # ------------------------------------------------------------------
     def transfer_time(self) -> float:

@@ -1,52 +1,99 @@
 """The Fig.-1 serial pipeline (the paper's CPU baseline).
 
 Module implementations are deliberately the *serial* formulations:
-upper-triangular pure-Python broad phase, scatter-add assembly, and a
-per-contact interpenetration check whose modelled cost is the branchy
-single-core loop (the loop itself survives as
-:func:`repro.engine.physics.update_contact_states_serial`, the reference
-implementation the equivalence tests pin the vectorised open–close
-driver against). The physics is identical to the GPU engine's (the
-pipeline-equivalence tests verify it); the modelled cost is charged to
-the single-core E5620 profile.
+upper-triangular pure-Python broad phase, assembly charged as one
+single-core scatter loop, and a per-contact interpenetration check whose
+modelled cost is the branchy single-core loop (the loop itself survives
+as :func:`repro.engine.physics.update_contact_states_serial`, the
+reference implementation the equivalence tests pin the vectorised
+open–close driver against). The physics is identical to the GPU engine's
+(the pipeline-equivalence tests verify it); the modelled cost is charged
+to the single-core E5620 profile.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.assembly.global_matrix import BlockMatrix, assemble_serial
+from repro.assembly.symbolic import AssemblyPlan
 from repro.contact.broad_phase import broad_phase_pairs_python
 from repro.contact.contact_set import ContactSet
 from repro.contact.initialization import initialize_contacts_unclassified
 from repro.contact.narrow_phase import narrow_phase
 from repro.contact.transfer import transfer_contacts
-from repro.core.blocks import BlockSystem
-from repro.core.state import SimulationControls
 from repro.engine.base import EngineBase
 from repro.engine.physics import contact_system, diagonal_system
 from repro.gpu.counters import KernelCounters
 from repro.gpu.device import DeviceProfile, E5620
 
 
-class SerialEngine(EngineBase):
+class CpuStages(EngineBase):
+    """Matrix building, assembly and data updating as single-core loops
+    on the ``serial_*`` ledger (the stages :class:`SerialEngine` and the
+    hybrid pipeline both run on the CPU)."""
+
+    def _build_diagonal(self):
+        out = diagonal_system(self.system, self.controls, self.dt, self.sim_time)
+        n = self.system.n_blocks
+        self.device.launch(
+            "serial_diagonal_build",
+            KernelCounters(
+                flops=700.0 * n,  # mass integrals + elastic + fixed springs
+                global_bytes_read=400.0 * n,
+                global_bytes_written=36.0 * 8 * n,
+                threads=1, warps=1,
+            ),
+        )
+        return out
+
+    def _build_nondiagonal(self, contacts, normal_force):
+        out = contact_system(self.system, contacts, normal_force)
+        m = contacts.m
+        self.device.launch(
+            "serial_nondiagonal_build",
+            KernelCounters(
+                flops=(3 * 36 * 4 + 200.0) * m,
+                global_bytes_read=500.0 * m,
+                global_bytes_written=3 * 36.0 * 8 * m,
+                threads=1, warps=1,
+            ),
+        )
+        return out
+
+    def _plan_assembly(self, diag_idx, off_rows, off_cols):
+        plan = AssemblyPlan.build(
+            self.system.n_blocks, diag_idx, off_rows, off_cols
+        )
+        total = diag_idx.size + off_rows.size
+        self.device.launch(
+            "serial_scatter_assembly",
+            KernelCounters(
+                flops=36.0 * total,
+                global_bytes_read=36.0 * 8 * total,
+                global_bytes_written=36.0 * 8 * total,
+                threads=1, warps=1,
+            ),
+        )
+        return plan
+
+    def _update_data(self, d):
+        self._apply_geometry_update(d)
+        v = self.system.vertices.shape[0]
+        self.device.launch(
+            "serial_data_update",
+            KernelCounters(
+                flops=30.0 * v,
+                global_bytes_read=16.0 * v,
+                global_bytes_written=16.0 * v,
+                threads=1, warps=1,
+            ),
+        )
+
+
+class SerialEngine(CpuStages):
     """Serial CPU pipeline (paper Fig. 1)."""
 
     default_profile: DeviceProfile = E5620
-
-    def __init__(
-        self,
-        system: BlockSystem,
-        controls: SimulationControls | None = None,
-        profile: DeviceProfile | None = None,
-        fault_injector=None,
-        tracer=None,
-        metrics=None,
-    ) -> None:
-        super().__init__(
-            system, controls, profile, fault_injector,
-            tracer=tracer, metrics=metrics,
-        )
 
     # ------------------------------------------------------------------
     def _detect_contacts(self) -> ContactSet:
@@ -106,52 +153,6 @@ class SerialEngine(EngineBase):
             ),
         )
 
-    # ------------------------------------------------------------------
-    def _build_diagonal(self):
-        out = diagonal_system(self.system, self.controls, self.dt, self.sim_time)
-        n = self.system.n_blocks
-        self.device.launch(
-            "serial_diagonal_build",
-            KernelCounters(
-                flops=700.0 * n,  # mass integrals + elastic + fixed springs
-                global_bytes_read=400.0 * n,
-                global_bytes_written=36.0 * 8 * n,
-                threads=1, warps=1,
-            ),
-        )
-        return out
-
-    def _build_nondiagonal(self, contacts, normal_force):
-        out = contact_system(self.system, contacts, normal_force)
-        m = contacts.m
-        self.device.launch(
-            "serial_nondiagonal_build",
-            KernelCounters(
-                flops=(3 * 36 * 4 + 200.0) * m,
-                global_bytes_read=500.0 * m,
-                global_bytes_written=3 * 36.0 * 8 * m,
-                threads=1, warps=1,
-            ),
-        )
-        return out
-
-    def _assemble(self, diag_idx, diag_blocks, off_rows, off_cols, off_blocks):
-        matrix = assemble_serial(
-            self.system.n_blocks, diag_idx, diag_blocks,
-            off_rows, off_cols, off_blocks,
-        )
-        total = diag_idx.size + off_rows.size
-        self.device.launch(
-            "serial_scatter_assembly",
-            KernelCounters(
-                flops=36.0 * total,
-                global_bytes_read=36.0 * 8 * total,
-                global_bytes_written=36.0 * 8 * total,
-                threads=1, warps=1,
-            ),
-        )
-        return matrix
-
     def _check_interpenetration(self, contacts, d, prev_normal_force):
         # the vectorised driver sweep (its per-contact scalar twin,
         # update_contact_states_serial, survives as the independent
@@ -168,16 +169,3 @@ class SerialEngine(EngineBase):
             ),
         )
         return update
-
-    def _update_data(self, d):
-        self._apply_geometry_update(d)
-        v = self.system.vertices.shape[0]
-        self.device.launch(
-            "serial_data_update",
-            KernelCounters(
-                flops=30.0 * v,
-                global_bytes_read=16.0 * v,
-                global_bytes_written=16.0 * v,
-                threads=1, warps=1,
-            ),
-        )

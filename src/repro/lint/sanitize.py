@@ -51,7 +51,7 @@ class RaceFinding:
     ----------
     kernel:
         Name of the instrumented scatter site (e.g.
-        ``"assemble_gpu.diag_segment_write"``).
+        ``"assemble.diag_segment_write"``).
     stage:
         Pipeline stage active when the scatter ran.
     step:

@@ -83,6 +83,36 @@ def segment_boundaries(sorted_keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new_seg).astype(np.int64)
 
 
+def charge_segmented_reduce(
+    device: VirtualDevice,
+    n: int,
+    row_items: int,
+    itemsize: int,
+    n_segments: int,
+) -> None:
+    """Record one :func:`segmented_reduce` launch on ``device``.
+
+    The launch depends on the segment layout alone — an ``(n,
+    row_items)`` array of ``itemsize``-byte entries in ``n_segments``
+    segments, all scalar counts — so the Fig.-4 assembler's symbolic
+    phase charges it without holding the payloads.
+    """
+    row_bytes = itemsize * row_items
+    device.launch(
+        "segmented_reduce",
+        KernelCounters(
+            flops=float(n * row_items),
+            global_bytes_read=n * row_bytes + n_segments * 8,
+            global_bytes_written=n_segments * row_bytes,
+            global_txn_read=coalesced_transactions(n, row_bytes),
+            global_txn_written=coalesced_transactions(n_segments, row_bytes),
+            shared_accesses=2.0 * n,
+            threads=n,
+            warps=max(1, n // WARP_SIZE),
+        ),
+    )
+
+
 def segmented_reduce(
     values: np.ndarray,
     starts: np.ndarray,
@@ -92,7 +122,9 @@ def segmented_reduce(
 
     ``values`` may be 1-D (scalar entries) or 2-D (one row per entry, e.g.
     flattened 6x6 sub-matrices in the Fig.-4 assembler); rows within a
-    segment are summed element-wise.
+    segment are summed element-wise. Raises ``ValueError`` unless
+    ``starts`` begins at 0, increases strictly and stays below
+    ``len(values)``.
     """
     values = np.asarray(values)
     if values.ndim not in (1, 2):
@@ -102,26 +134,12 @@ def segmented_reduce(
         return values[:0]
     if starts[0] != 0:  # lint: sync-ok[validation-gate] -- segment layout check, raises before launch
         raise ValueError("starts[0] must be 0")
-    if np.any(np.diff(starts) <= 0) or starts[-1] >= max(1, values.shape[0]):  # lint: sync-ok[validation-gate] -- segment layout check, raises before launch
-        # lint: sync-ok[validation-gate] -- segment layout check, raises before launch
-        if values.shape[0] > 0 and (
-            np.any(np.diff(starts) <= 0) or starts[-1] >= values.shape[0]
-        ):
-            raise ValueError("starts must be strictly increasing and in range")
+    if np.any(np.diff(starts) <= 0) or starts[-1] >= values.shape[0]:  # lint: sync-ok[validation-gate] -- segment layout check, raises before launch
+        raise ValueError("starts must be strictly increasing and in range")
     if device is not None and values.size:
-        row_bytes = values.itemsize * (values.shape[1] if values.ndim == 2 else 1)
-        n = values.shape[0]
-        device.launch(
-            "segmented_reduce",
-            KernelCounters(
-                flops=float(values.size),
-                global_bytes_read=n * row_bytes + starts.size * 8,
-                global_bytes_written=starts.size * row_bytes,
-                global_txn_read=coalesced_transactions(n, row_bytes),
-                global_txn_written=coalesced_transactions(starts.size, row_bytes),
-                shared_accesses=2.0 * n,
-                threads=n,
-                warps=max(1, n // WARP_SIZE),
-            ),
+        charge_segmented_reduce(
+            device, values.shape[0],
+            values.shape[1] if values.ndim == 2 else 1,
+            values.itemsize, starts.size,
         )
     return segment_sum(values, starts, axis=0)

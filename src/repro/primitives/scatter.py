@@ -11,7 +11,7 @@ reviewed module that a backend shim can swap wholesale.
 
 Every wrapper is a **pure pass-through**: no virtual-device launches,
 no counter updates, no copies — the call sites' modelled costs and
-bit-exact results (the ``diag_mode`` replay contract, the domain
+bit-exact results (the assembler's segment sums, the domain
 bit-identity pins) are unchanged by routing through this seam.
 
 The two *compiled* operators at the bottom (:class:`BlockRowProduct`,
@@ -57,8 +57,10 @@ def segment_sum(
     ``values``: the concatenated per-segment data, shape ``(n, ...)``;
     ``starts``: 1-D segment start offsets into the reduced axis (the
     CSR-style ``indptr[:-1]`` convention of ``np.add.reduceat``).
-    Returns one row per segment, shape ``(len(starts), ...)``, summed
-    in NumPy's deterministic left-to-right order.
+    Returns one row per segment, shape ``(len(starts), ...)``. The
+    order is NumPy's and deterministic, but not left to right: each
+    segment is its first entry plus the pairwise sum of the rest
+    (their plain running sum when there are fewer than eight).
     """
     return np.add.reduceat(values, starts, axis=axis)
 

@@ -11,7 +11,7 @@ Reference formats reproduce the baselines:
 
 * :mod:`repro.spmv.csr_ref` — scalar CSR ("cuSPARSE-like"), including the
   full-matrix recovery cost the paper charges to that path;
-* :mod:`repro.spmv.formats` — BCSR and ELL.
+* :mod:`repro.spmv.formats` — BCSR.
 
 The reference kernels compute with NumPy; the HSBCSR kernel runs its two
 stages as compiled sparse products over its own index arrays
@@ -22,8 +22,7 @@ and a left-to-right Python oracle in the tests.
 
 from repro.spmv.hsbcsr import HSBCSRMatrix, TwoStageOperator, hsbcsr_spmv
 from repro.spmv.csr_ref import CSRMatrix, csr_spmv
-from repro.spmv.formats import BCSRMatrix, bcsr_spmv, ELLMatrix, ell_spmv
-from repro.spmv.sell import SELLMatrix, sell_spmv
+from repro.spmv.formats import BCSRMatrix, bcsr_spmv
 from repro.spmv.synthetic import synthetic_block_matrix, slope_like_sparsity
 
 __all__ = [
@@ -34,10 +33,6 @@ __all__ = [
     "csr_spmv",
     "BCSRMatrix",
     "bcsr_spmv",
-    "ELLMatrix",
-    "ell_spmv",
-    "SELLMatrix",
-    "sell_spmv",
     "synthetic_block_matrix",
     "slope_like_sparsity",
 ]

@@ -1,11 +1,8 @@
-"""Reference block/ELL SpMV formats (the related-work baselines).
+"""Reference block SpMV format (the related-work baseline).
 
-* **BCSR** — block CSR of the *full* matrix: exploits blockiness (one
-  column index per 6x6 block) but not symmetry, so it stores and streams
-  twice the non-diagonal data HSBCSR does.
-* **ELL** — scalar ELLPACK: rows padded to the maximum row length; robust
-  and perfectly coalesced but wasteful when row lengths vary (DDA contact
-  counts per block vary a lot — the motivation for sliced variants).
+**BCSR** — block CSR of the *full* matrix: exploits blockiness (one
+column index per 6x6 block) but not symmetry, so it stores and streams
+twice the non-diagonal data HSBCSR does.
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ import numpy as np
 from repro.assembly.global_matrix import BS, BlockMatrix
 from repro.gpu.counters import KernelCounters
 from repro.gpu.kernel import VirtualDevice
-from repro.gpu.memory import coalesced_transactions, gather_transactions
+from repro.gpu.memory import coalesced_transactions
 from repro.gpu.warp import WARP_SIZE
 from repro.primitives.scatter import segment_sum
 from repro.util.validation import check_array
@@ -84,73 +81,3 @@ def bcsr_spmv(
             ),
         )
     return y.reshape(-1)
-
-
-@dataclass
-class ELLMatrix:
-    """Scalar ELLPACK of the full symmetric matrix."""
-
-    n_rows: int
-    width: int           # max row length (padding target)
-    indices: np.ndarray  # (n_rows, width), padded with the row index
-    data: np.ndarray     # (n_rows, width), padded with zeros
-
-    @classmethod
-    def from_block_matrix(cls, a: BlockMatrix) -> "ELLMatrix":
-        csr = a.to_scipy_csr()
-        indptr, indices, data = csr.indptr, csr.indices, csr.data
-        n_rows = a.n * BS
-        lengths = np.diff(indptr)
-        # padding width is a host-side allocation parameter
-        width = int(lengths.max()) if n_rows else 0  # lint: sync-ok[alloc-size] -- padding width is a host allocation parameter
-        eidx = np.tile(np.arange(n_rows)[:, None], (1, width))
-        edata = np.zeros((n_rows, width))
-        # one thread per CSR entry: row-local slot = entry index minus the
-        # row start, masked fill replaces the former per-row Python loop
-        mask = np.arange(width)[None, :] < lengths[:, None]
-        eidx[mask] = indices
-        edata[mask] = data
-        return cls(n_rows, width, eidx.astype(np.int64), edata)
-
-    @property
-    def storage_bytes(self) -> int:
-        return int(self.indices.nbytes + self.data.nbytes)
-
-    @property
-    def fill_ratio(self) -> float:
-        """Useful entries / stored entries (1.0 = no padding waste)."""
-        if self.data.size == 0:
-            return 1.0
-        # host-side storage statistic, not on the solve path
-        return float(np.count_nonzero(self.data)) / self.data.size  # lint: sync-ok[cost-model] -- host-side storage statistic
-
-
-def ell_spmv(
-    a: ELLMatrix, x: np.ndarray, device: VirtualDevice | None = None
-) -> np.ndarray:
-    """``y = A x`` with the thread-per-row ELL kernel model.
-
-    ``x`` has shape ``(n_rows,)``; returns ``y`` of the same shape.
-    """
-    x = check_array("x", x, dtype=np.float64, shape=(a.n_rows,))
-    y = np.einsum("rw,rw->r", a.data, x[a.indices])
-    if device is not None:
-        stored = a.n_rows * a.width
-        device.launch(
-            "ell_spmv",
-            KernelCounters(
-                # zero-padded entries still execute their multiply-add
-                flops=2.0 * stored,
-                global_bytes_read=stored * (8 + 8),
-                global_bytes_written=a.n_rows * 8,
-                global_txn_read=coalesced_transactions(stored, 16),
-                global_txn_written=coalesced_transactions(a.n_rows, 8),
-                # scattered scalar x gathers, like CSR's
-                texture_bytes=32.0
-                * float(gather_transactions(a.indices.ravel(), 8,
-                                            transaction_bytes=32)),
-                threads=a.n_rows,
-                warps=max(1, a.n_rows // WARP_SIZE),
-            ),
-        )
-    return y

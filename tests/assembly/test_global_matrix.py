@@ -3,12 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.assembly.global_matrix import (
-    BS,
-    BlockMatrix,
-    assemble_gpu,
-    assemble_serial,
-)
+from repro.assembly.global_matrix import BS, BlockMatrix, assemble_gpu
+from repro.gpu.device import K40
+from repro.gpu.kernel import VirtualDevice
 
 
 def random_contributions(rng, n, q, m):
@@ -92,49 +89,55 @@ class TestBlockMatrix:
 
 
 class TestAssembleSerial:
+    """The one assembler the way the CPU presets call it: no device."""
+
     def test_matches_dense_reference(self, rng):
         args = random_contributions(rng, n=6, q=20, m=30)
-        bm = assemble_serial(6, *args)
+        bm = assemble_gpu(6, *args)
         np.testing.assert_allclose(bm.to_dense(), dense_reference(6, *args), atol=1e-12)
 
     def test_duplicate_pairs_summed(self):
         blk = np.ones((2, BS, BS))
-        bm = assemble_serial(
-            3,
+        args = (
             np.zeros(0, dtype=np.int64), np.zeros((0, BS, BS)),
             np.array([0, 0], dtype=np.int64),
             np.array([1, 1], dtype=np.int64),
             blk,
         )
+        bm = assemble_gpu(3, *args)
         assert bm.n_offdiag == 1
         np.testing.assert_allclose(bm.blocks[0], 2.0)
+        np.testing.assert_allclose(bm.to_dense(), dense_reference(3, *args))
 
     def test_lower_orientation_transposed(self, rng):
         blk = rng.normal(size=(1, BS, BS))
-        bm = assemble_serial(
-            3,
+        args = (
             np.zeros(0, dtype=np.int64), np.zeros((0, BS, BS)),
             np.array([2], dtype=np.int64),
             np.array([0], dtype=np.int64),
             blk,
         )
+        bm = assemble_gpu(3, *args)
         assert bm.rows[0] == 0 and bm.cols[0] == 2
         np.testing.assert_allclose(bm.blocks[0], blk[0].T)
+        np.testing.assert_allclose(bm.to_dense(), dense_reference(3, *args))
 
     def test_diag_only(self, rng):
         diag_idx = np.array([1, 1, 0], dtype=np.int64)
         diag_blocks = rng.normal(size=(3, BS, BS))
-        bm = assemble_serial(
-            2, diag_idx, diag_blocks,
+        args = (
+            diag_idx, diag_blocks,
             np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
             np.zeros((0, BS, BS)),
         )
+        bm = assemble_gpu(2, *args)
         np.testing.assert_allclose(bm.diag[1], diag_blocks[0] + diag_blocks[1])
         assert bm.n_offdiag == 0
+        np.testing.assert_allclose(bm.to_dense(), dense_reference(2, *args))
 
     def test_rejects_row_eq_col(self):
         with pytest.raises(ValueError, match="row == col"):
-            assemble_serial(
+            assemble_gpu(
                 2,
                 np.zeros(0, dtype=np.int64), np.zeros((0, BS, BS)),
                 np.array([1], dtype=np.int64), np.array([1], dtype=np.int64),
@@ -142,19 +145,27 @@ class TestAssembleSerial:
             )
 
 
+def assert_same_matrix(a: BlockMatrix, b: BlockMatrix):
+    np.testing.assert_array_equal(a.diag, b.diag)
+    np.testing.assert_array_equal(a.rows, b.rows)
+    np.testing.assert_array_equal(a.cols, b.cols)
+    np.testing.assert_array_equal(a.blocks, b.blocks)
+
+
 class TestAssembleGpu:
+    """The same assembler recording its Fig.-4 kernels on a device."""
+
     def test_matches_serial(self, rng, device):
         args = random_contributions(rng, n=8, q=25, m=40)
-        serial = assemble_serial(8, *args)
         gpu = assemble_gpu(8, *args, device=device)
-        np.testing.assert_allclose(gpu.to_dense(), serial.to_dense(), atol=1e-12)
+        assert_same_matrix(gpu, assemble_gpu(8, *args))
+        np.testing.assert_allclose(gpu.to_dense(), dense_reference(8, *args), atol=1e-12)
         assert device.launches() > 0
 
     def test_works_without_device(self, rng):
         args = random_contributions(rng, n=5, q=10, m=12)
         gpu = assemble_gpu(5, *args)
-        serial = assemble_serial(5, *args)
-        np.testing.assert_allclose(gpu.to_dense(), serial.to_dense(), atol=1e-12)
+        np.testing.assert_allclose(gpu.to_dense(), dense_reference(5, *args), atol=1e-12)
 
     def test_empty_offdiag(self, rng):
         bm = assemble_gpu(
@@ -165,12 +176,23 @@ class TestAssembleGpu:
         )
         assert bm.n_offdiag == 0
 
+    def test_rejects_payload_shape(self, rng):
+        diag_idx, diag_blocks, rows, cols, blocks = random_contributions(
+            rng, n=4, q=5, m=6
+        )
+        with pytest.raises(ValueError, match="diag_blocks"):
+            assemble_gpu(4, diag_idx, diag_blocks[:-1], rows, cols, blocks)
+        with pytest.raises(ValueError, match="off_blocks"):
+            assemble_gpu(4, diag_idx, diag_blocks, rows, cols, blocks[:-1])
+        with pytest.raises(ValueError, match="off_cols"):
+            assemble_gpu(4, diag_idx, diag_blocks, rows, cols[:-1], blocks)
+
     @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=9999))
     @settings(max_examples=25, deadline=None)
     def test_property_gpu_equals_serial(self, m, seed):
         rng = np.random.default_rng(seed)
         n = 7
         args = random_contributions(rng, n=n, q=n, m=m)
-        a = assemble_serial(n, *args).to_dense()
-        b = assemble_gpu(n, *args).to_dense()
-        np.testing.assert_allclose(a, b, atol=1e-10)
+        gpu = assemble_gpu(n, *args, device=VirtualDevice(K40))
+        assert_same_matrix(gpu, assemble_gpu(n, *args))
+        np.testing.assert_allclose(gpu.to_dense(), dense_reference(n, *args), atol=1e-10)

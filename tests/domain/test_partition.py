@@ -140,9 +140,3 @@ class TestStatsAndAdjacency:
         i, j = adjacency_pairs(system, contacts=contacts)
         pairs = set(zip(i.tolist(), j.tolist()))
         assert pairs == {(0, 1), (1, 2), (2, 3)}
-
-    def test_gpu_multi_reexport_is_same_object(self):
-        import repro.domain as domain
-        import repro.gpu.multi as multi
-
-        assert multi.PartitionStats is domain.PartitionStats

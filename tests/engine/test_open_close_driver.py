@@ -7,12 +7,14 @@ per-contact scalar loop
 the independent reference. These tests pin the two against each other
 on both meshed models across all four engines, and pin the
 symbolic-assembly reuse to be bit-invisible (identical states and
-identical modelled device time with the cache on or off).
+identical modelled device time whether the plan is reused or rebuilt
+every sweep).
 """
 
 import numpy as np
 import pytest
 
+from repro.assembly.symbolic import AssemblyPlan
 from repro.contact.open_close import OpenCloseDriver
 from repro.core.materials import JointMaterial
 from repro.core.state import SimulationControls
@@ -96,14 +98,16 @@ def test_engine_sweep_counter(engine_cls):
 
 @pytest.mark.parametrize("engine_cls", ENGINES)
 @pytest.mark.parametrize("case", ["slope", "rocks"])
-def test_symbolic_reuse_is_bit_invisible(engine_cls, case):
-    """Reuse on vs off: same states/forces/geometry, same modelled time."""
+def test_symbolic_reuse_is_bit_invisible(engine_cls, case, monkeypatch):
+    """Plan reused vs rebuilt every sweep: same states/forces/geometry,
+    same modelled time."""
     system_a, controls_a = make_case(case)
     system_b, controls_b = make_case(case)
-    controls_b.symbolic_reuse = False
     eng_a = engine_cls(system_a, controls_a)
     eng_b = engine_cls(system_b, controls_b)
     eng_a.run(steps=3)
+    # no plan ever matches: every sweep of eng_b runs the symbolic phase
+    monkeypatch.setattr(AssemblyPlan, "matches", lambda self, *pattern: False)
     eng_b.run(steps=3)
 
     np.testing.assert_array_equal(

@@ -55,6 +55,15 @@ class TestSegmentedReduce:
             segmented_reduce(np.ones(4), np.array([1, 2], dtype=np.int64))
         with pytest.raises(ValueError):
             segmented_reduce(np.ones(4), np.array([0, 0], dtype=np.int64))
+        with pytest.raises(ValueError, match="in range"):
+            segmented_reduce(np.ones(4), np.array([0, 4], dtype=np.int64))
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 36)])
+    def test_rejects_segments_of_empty_values(self, shape):
+        """No rows but a segment start: the documented ValueError, not
+        NumPy's reduceat IndexError."""
+        with pytest.raises(ValueError, match="in range"):
+            segmented_reduce(np.zeros(shape), np.array([0], dtype=np.int64))
 
     def test_assembly_idiom_matches_bincount(self, rng):
         # the Fig-4 idiom: sort contributions by key, reduce runs

@@ -3,7 +3,7 @@ import pytest
 
 from repro.assembly.global_matrix import BS
 from repro.spmv.csr_ref import CSRMatrix, csr_spmv
-from repro.spmv.formats import BCSRMatrix, ELLMatrix, bcsr_spmv, ell_spmv
+from repro.spmv.formats import BCSRMatrix, bcsr_spmv
 from repro.spmv.synthetic import synthetic_block_matrix
 
 
@@ -56,30 +56,6 @@ class TestBCSR:
         assert device.launches() == 1
 
 
-class TestELL:
-    def test_matches_scipy(self, matrix, rng):
-        e = ELLMatrix.from_block_matrix(matrix)
-        x = rng.normal(size=matrix.n * BS)
-        np.testing.assert_allclose(
-            ell_spmv(e, x), matrix.to_scipy_csr() @ x, rtol=1e-12
-        )
-
-    def test_width_is_max_row_length(self, matrix):
-        e = ELLMatrix.from_block_matrix(matrix)
-        csr = matrix.to_scipy_csr()
-        assert e.width == int(np.diff(csr.indptr).max())
-
-    def test_fill_ratio_below_one_for_irregular(self, matrix):
-        e = ELLMatrix.from_block_matrix(matrix)
-        assert 0 < e.fill_ratio <= 1.0
-
-    def test_padding_costs_flops(self, matrix, device, rng):
-        e = ELLMatrix.from_block_matrix(matrix)
-        ell_spmv(e, rng.normal(size=matrix.n * BS), device)
-        c = device.total_counters
-        assert c.flops == pytest.approx(2.0 * e.n_rows * e.width)
-
-
 class TestFormatComparison:
     def test_all_formats_agree(self, rng):
         a = synthetic_block_matrix(20, 45, seed=11)
@@ -91,7 +67,6 @@ class TestFormatComparison:
             "hsbcsr": hsbcsr_spmv(HSBCSRMatrix.from_block_matrix(a), x),
             "csr": csr_spmv(CSRMatrix.from_block_matrix(a), x),
             "bcsr": bcsr_spmv(BCSRMatrix.from_block_matrix(a), x),
-            "ell": ell_spmv(ELLMatrix.from_block_matrix(a), x),
         }
         for name, y in results.items():
             np.testing.assert_allclose(y, expect, rtol=1e-10, err_msg=name)

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from repro.assembly.global_matrix import BS
 from repro.spmv.csr_ref import CSRMatrix, csr_spmv
-from repro.spmv.formats import BCSRMatrix, ELLMatrix, bcsr_spmv, ell_spmv
+from repro.spmv.formats import BCSRMatrix, bcsr_spmv
 from repro.spmv.hsbcsr import HSBCSRMatrix, hsbcsr_spmv
-from repro.spmv.sell import SELLMatrix, sell_spmv
 from repro.spmv.synthetic import synthetic_block_matrix
 
 
@@ -19,7 +18,7 @@ from repro.spmv.synthetic import synthetic_block_matrix
     st.integers(min_value=0, max_value=999),
 )
 @settings(max_examples=25, deadline=None)
-def test_property_all_five_formats_agree(n, m_req, seed):
+def test_property_all_formats_agree(n, m_req, seed):
     m = min(m_req, n * (n - 1) // 2)
     a = synthetic_block_matrix(n, m, seed=seed)
     x = np.random.default_rng(seed + 7).normal(size=n * BS)
@@ -28,8 +27,6 @@ def test_property_all_five_formats_agree(n, m_req, seed):
         hsbcsr_spmv(HSBCSRMatrix.from_block_matrix(a), x),
         csr_spmv(CSRMatrix.from_block_matrix(a), x),
         bcsr_spmv(BCSRMatrix.from_block_matrix(a), x),
-        ell_spmv(ELLMatrix.from_block_matrix(a), x),
-        sell_spmv(SELLMatrix.from_block_matrix(a), x),
     ]
     for y in ys:
         np.testing.assert_allclose(y, reference, rtol=1e-9, atol=1e-9)
@@ -54,12 +51,6 @@ class TestStorageClaims:
         idx_h = (h.rows.nbytes + h.cols.nbytes + h.row_up_i.nbytes
                  + h.row_low_i.nbytes + h.row_low_p.nbytes)
         assert idx_h < 0.25 * c.indices.nbytes
-
-    def test_sell_between_csr_and_ell(self, matrix):
-        e = ELLMatrix.from_block_matrix(matrix)
-        s = SELLMatrix.from_block_matrix(matrix, c=32, sigma=512)
-        c = CSRMatrix.from_block_matrix(matrix)
-        assert c.data.nbytes <= s.data.nbytes <= e.data.nbytes
 
     def _times(self, n, m, seed=3):
         from repro.gpu.device import K40

@@ -49,8 +49,7 @@ class TestExamples:
             "spmv_showcase.py", ["--n", "200", "--m", "700"], capsys
         )
         assert "correctness OK" in out
-        assert "HSBCSR" in out
-        assert "SELL" in out
+        assert "HSBCSR" in out and "BCSR (full)" in out
 
     def test_preconditioner_study(self, capsys):
         out = run_example("preconditioner_study.py", ["--steps", "2"], capsys)
