@@ -49,19 +49,18 @@ def _percentiles(samples_s: list[float]) -> dict:
 
 def run_request_campaign(root: Path, *, faulted: bool) -> dict:
     """Latency + throughput of REQUESTS submit/status pairs."""
-    from repro.service import chaosnet
-    from repro.service.chaosnet import NetFaultPlan
+    from repro.service.chaos import NetFaultInjector, NetFaultPlan
     from repro.service.http import BackgroundServer, ServiceConfig
     from repro.service.netclient import ClientRetry, ServiceClient
     from repro.service.spec import JobSpec
 
     if faulted:
-        chaosnet.install(NetFaultPlan(
+        NetFaultInjector.install(NetFaultPlan(
             seed=SEED, rate=NET_FAULT_RATE, max_faults=REQUESTS,
             latency_s=0.01, slow_delay_s=0.002,
         ))
     else:
-        chaosnet.install(None)
+        NetFaultInjector.install(None)
     config = ServiceConfig(
         rate_capacity=4.0 * REQUESTS, rate_refill_per_s=4.0 * REQUESTS,
         max_queue_depth=4 * REQUESTS, shed_queue_depth=8 * REQUESTS,
@@ -85,7 +84,7 @@ def run_request_campaign(root: Path, *, faulted: bool) -> dict:
         wall = time.perf_counter() - start
     finally:
         server.stop()
-        chaosnet.install(None)
+        NetFaultInjector.install(None)
     n_http = 2 * REQUESTS + client.stats["retries"]
     return {
         "pairs": REQUESTS,

@@ -19,10 +19,10 @@ signature "detected and recovered" the chaos tests look for.
 Checkpoint-file corruption is not a stage output, so it is exposed as
 the standalone helper :func:`corrupt_checkpoint_file`.
 
-This module perturbs the *numeric* pipeline. Its durability-layer
-sibling, :mod:`repro.service.chaosio`, perturbs the batch service's
+This module perturbs the *numeric* pipeline. Its service-layer
+sibling, :mod:`repro.service.chaos`, perturbs the batch service's
 *storage* operations (torn writes, crashed renames, ``ENOSPC``, stale
-locks) and shares this module's :class:`FaultSpec` registry idiom and
+locks) and its HTTP responses, and shares this module's :class:`FaultSpec` registry idiom and
 :func:`derive_seed` fault-plan plumbing.
 """
 
@@ -39,7 +39,7 @@ def derive_seed(seed: int, *tokens) -> int:
     """Derive a stable child seed from a root seed and string tokens.
 
     The shared fault-plan plumbing of the two chaos layers: the engine
-    injector, the storage injector (:mod:`repro.service.chaosio`), and
+    injector, the service injectors (:mod:`repro.service.chaos`), and
     the retry-policy jitter all fan one user-facing seed out into
     independent per-component streams through this function, so two
     runs with equal configuration perturb identically while components

@@ -9,7 +9,7 @@ the next process to trip over.
 
 Every durability-relevant operation in this module is also a *chaos
 hook*: when a storage fault plan is armed
-(:mod:`repro.service.chaosio`), :func:`write_json_atomic`,
+(:mod:`repro.service.chaos`), the atomic writers,
 :func:`read_json`, and :func:`locked_fd` consult the process-wide
 injector and may suffer a torn write, a simulated crash before or
 after the rename, ``ENOSPC``, a planted stale lock, or injected IO
@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import shutil
 import tempfile
 import time
 from pathlib import Path
@@ -78,9 +79,9 @@ def _chaos():
     if _io_chaos is None and not _env_checked:
         _env_checked = True
         if os.environ.get(CHAOS_PLAN_ENV):
-            from repro.service.chaosio import install_from_env
+            from repro.service.chaos import IOFaultInjector
 
-            install_from_env()
+            IOFaultInjector.install_from_env()
     return _io_chaos
 
 
@@ -189,22 +190,21 @@ def locked_fd(
                 os.unlink(sidecar)
 
 
-def write_json_atomic(path: str | Path, obj) -> Path:
-    """Write ``obj`` as JSON to ``path`` atomically and durably.
+def _replace_atomic(path: Path, mode: str, write_payload) -> Path:
+    """The one atomic-replace protocol behind every durable write.
 
-    The payload lands in a temporary file in the same directory
-    (fsynced) and is renamed into place, after which the *parent
-    directory* is fsynced too — so concurrent readers see either the
-    old file or the complete new one, and a crash immediately after
-    the rename cannot lose the directory entry.
+    ``write_payload(fh)`` fills a temporary file in ``path``'s
+    directory, which is fsynced and renamed into place, after which the
+    *parent directory* is fsynced too — so concurrent readers see
+    either the old file or the complete new one, and a crash
+    immediately after the rename cannot lose the directory entry.
 
-    Under an armed fault plan (:mod:`repro.service.chaosio`) this is
-    the primary chaos hook: the write may raise
-    :class:`~repro.service.chaosio.ChaosIOError` after leaving the
+    Under an armed fault plan (:mod:`repro.service.chaos`) this is the
+    primary chaos hook: the write may raise
+    :class:`~repro.service.chaos.ChaosIOError` after leaving the
     destination torn, untouched, or — for ``crash_after_rename`` —
     fully written even though the caller saw a failure.
     """
-    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     chaos = _chaos()
     fault = chaos.on_write(path) if chaos is not None else None
@@ -212,8 +212,8 @@ def write_json_atomic(path: str | Path, obj) -> Path:
         dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
+        with os.fdopen(fd, mode) as fh:
+            write_payload(fh)
             fh.flush()
             if fault == "torn_write":
                 # a crash mid-write of a non-atomic overwrite: expose a
@@ -235,81 +235,32 @@ def write_json_atomic(path: str | Path, obj) -> Path:
     return path
 
 
-def write_text_atomic(path: str | Path, text: str) -> Path:
-    """Write ``text`` to ``path`` atomically and durably.
-
-    Same tmp-file + fsync + ``os.replace`` + directory-fsync protocol
-    as :func:`write_json_atomic` (including the chaos hook), for the
-    service's non-JSON records — queue tickets, marker files.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    chaos = _chaos()
-    fault = chaos.on_write(path) if chaos is not None else None
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+def write_json_atomic(path: str | Path, obj) -> Path:
+    """Write ``obj`` as JSON to ``path`` atomically and durably
+    (:func:`_replace_atomic`, chaos write hook included)."""
+    return _replace_atomic(
+        Path(path), "w",
+        lambda fh: json.dump(obj, fh, indent=2, sort_keys=True),
     )
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-            fh.flush()
-            if fault == "torn_write":
-                size = fh.tell()
-                os.ftruncate(fh.fileno(), max(1, size // 2))
-            os.fsync(fh.fileno())
-        if fault == "crash_before_rename":
-            os.unlink(tmp)
-            chaos.raise_fault(fault, path)
-        os.replace(tmp, path)
-        if fault in ("torn_write", "crash_after_rename"):
-            chaos.raise_fault(fault, path)
-        _fsync_dir(path.parent)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-    return path
+
+
+def write_text_atomic(path: str | Path, text: str) -> Path:
+    """Write ``text`` to ``path`` atomically and durably — the
+    :func:`_replace_atomic` protocol for the service's non-JSON
+    records (queue tickets, marker files)."""
+    return _replace_atomic(Path(path), "w", lambda fh: fh.write(text))
 
 
 def copy_file_atomic(src: str | Path, dst: str | Path) -> Path:
-    """Copy ``src`` to ``dst`` atomically and durably.
-
-    The bytes land in a temporary file next to ``dst`` (fsynced), are
-    renamed into place, and the parent directory is fsynced — the
+    """Copy ``src`` to ``dst`` atomically and durably — the
     result-store variant of :func:`write_json_atomic` for payloads that
-    already exist on disk. The chaos write hook applies to ``dst``.
-    """
-    src, dst = Path(src), Path(dst)
-    dst.parent.mkdir(parents=True, exist_ok=True)
-    chaos = _chaos()
-    fault = chaos.on_write(dst) if chaos is not None else None
-    fd, tmp = tempfile.mkstemp(
-        dir=dst.parent, prefix=f".{dst.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as fh, open(src, "rb") as sf:
-            while True:
-                chunk = sf.read(1 << 20)
-                if not chunk:
-                    break
-                fh.write(chunk)
-            fh.flush()
-            if fault == "torn_write":
-                size = fh.tell()
-                os.ftruncate(fh.fileno(), max(1, size // 2))
-            os.fsync(fh.fileno())
-        if fault == "crash_before_rename":
-            os.unlink(tmp)
-            chaos.raise_fault(fault, dst)
-        os.replace(tmp, dst)
-        if fault in ("torn_write", "crash_after_rename"):
-            chaos.raise_fault(fault, dst)
-        _fsync_dir(dst.parent)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-    return dst
+    already exist on disk. The chaos write hook applies to ``dst``."""
+
+    def copy(fh) -> None:
+        with open(src, "rb") as sf:
+            shutil.copyfileobj(sf, fh, 1 << 20)
+
+    return _replace_atomic(Path(dst), "wb", copy)
 
 
 def read_json(path: str | Path):

@@ -26,9 +26,14 @@ orchestrates them on top of the per-run survival primitives from
 * :class:`~repro.service.journal.Journal` — the append-only job-event
   trail ``python -m repro batch audit`` replays to prove exactly-once
   completion, and ``batch soak`` ends every chaos campaign with;
-* :class:`~repro.service.chaosio.IOFaultPlan` — the seeded storage
-  fault injector (torn writes, crashed renames, ``ENOSPC``, stale
-  locks) the durability claims are tested under;
+* :mod:`repro.service.chaos` — the one seeded fault-injection module:
+  :class:`~repro.service.chaos.IOFaultPlan` arms the storage seam
+  (torn writes, crashed renames, ``ENOSPC``, stale locks) the
+  durability claims are tested under, and
+  :class:`~repro.service.chaos.NetFaultPlan` the network seam
+  (connection resets, slow-loris, truncated responses, latency) the
+  service claims are tested under via
+  ``python -m repro batch soak --api``;
 * :class:`~repro.service.client.BatchClient` — the programmatic facade
   behind the ``python -m repro batch`` CLI;
 * :class:`~repro.service.http.HttpJobService` — the asyncio HTTP/JSON
@@ -37,15 +42,15 @@ orchestrates them on top of the per-run survival primitives from
   per-tenant rate limits, deadline propagation, and SIGTERM graceful
   drain (docs/service-api.md);
 * :class:`~repro.service.netclient.ServiceClient` — the retrying HTTP
-  client that absorbs transport faults with seeded backoff;
-* :class:`~repro.service.chaosnet.NetFaultPlan` — the seeded network
-  fault injector (connection resets, slow-loris, truncated responses,
-  latency) the service claims are tested under, via
-  ``python -m repro batch soak --api``.
+  client that absorbs transport faults with seeded backoff.
 """
 
-from repro.service.chaosio import IOFaultInjector, IOFaultPlan
-from repro.service.chaosnet import NetFaultInjector, NetFaultPlan
+from repro.service.chaos import (
+    IOFaultInjector,
+    IOFaultPlan,
+    NetFaultInjector,
+    NetFaultPlan,
+)
 from repro.service.client import BatchClient
 from repro.service.http import BackgroundServer, HttpJobService, ServiceConfig
 from repro.service.journal import Journal

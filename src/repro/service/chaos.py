@@ -1,0 +1,483 @@
+"""Seeded fault injection for the batch service — storage and network.
+
+:mod:`repro.engine.chaos` makes the *numeric* resilience story
+testable; this module does the same for the *durability* and *service*
+stories. One plan base (:class:`FaultPlan`) and one injector core
+(:class:`FaultInjector`) carry everything the two seams share — seed,
+rate, armed faults, budget, validation, JSON round-trip, the seeded
+draw, counts, metrics, and per-process arming; the seams themselves
+add only what is theirs:
+
+* **Storage** (:class:`IOFaultPlan` / :class:`IOFaultInjector`,
+  faults in :data:`IO_FAULT_REGISTRY`) is consulted by the hooks in
+  :mod:`repro.io.batch_io` on every atomic write, JSON read, and lock
+  acquisition the batch service performs.
+* **Network** (:class:`NetFaultPlan` / :class:`NetFaultInjector`,
+  faults in :data:`NET_FAULT_REGISTRY`) is consulted by the HTTP
+  server (:mod:`repro.service.http`) on every request: the moment the
+  batch core is driven remotely a whole family of failures appears
+  that storage chaos cannot model.
+
+The service's robustness claims — exactly-once completion under
+``python -m repro batch audit``, idempotent resubmission, retrying
+clients — must hold with both seams armed.
+
+Arming is per-process: call ``IOFaultInjector.install(plan)`` /
+``NetFaultInjector.install(plan)`` programmatically, or set
+``REPRO_IO_FAULT_PLAN`` / ``REPRO_NET_FAULT_PLAN`` to a plan file path
+(written with :meth:`FaultPlan.save`). Every process that touches
+``batch_io`` — scheduler and workers, fork or spawn — arms its storage
+seam lazily on first use; the server process arms its network seam on
+startup via ``NetFaultInjector.install_from_env()``. Decisions are
+drawn from a private RNG seeded via
+:func:`repro.engine.chaos.derive_seed`, so a plan is deterministic per
+operation (or request) sequence. Health endpoints are never faulted —
+an operator probing a chaos-soaked server must still be able to tell
+it is alive.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import errno
+import json
+import os
+import time
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import ClassVar
+
+import numpy as np
+
+from repro.engine.chaos import FaultSpec, derive_seed
+from repro.io.batch_io import CHAOS_PLAN_ENV
+
+#: Environment variable naming a JSON net-fault-plan file.
+NET_PLAN_ENV = "REPRO_NET_FAULT_PLAN"
+
+#: Every injectable storage fault, in the engine chaos registry idiom.
+#: ``stage`` names the hooked operation class instead of a pipeline
+#: stage; ``description`` says what the fault does, what it models and
+#: what callers must tolerate; ``detector`` names the mechanism that
+#: must absorb it.
+IO_FAULT_REGISTRY: dict[str, FaultSpec] = {
+    spec.name: spec
+    for spec in (
+        FaultSpec(
+            "torn_write", "write",
+            "replace the destination with a truncated payload and fail "
+            "the write — models a crash mid-write of a non-atomic "
+            "overwrite; readers must treat the torn file as missing",
+            "read_json corrupt-file handling / crash reclassification",
+        ),
+        FaultSpec(
+            "crash_before_rename", "write",
+            "write and fsync the tmp file but never rename it, and fail "
+            "the write — models a crash in the rename window; the "
+            "previous file content survives untouched",
+            "missing-outcome crash detection / lease expiry",
+        ),
+        FaultSpec(
+            "crash_after_rename", "write",
+            "complete the rename but report failure to the caller — "
+            "models a crash after the rename but before the caller "
+            "observed success; tests idempotency: the write took effect "
+            "although its issuer believes it did not",
+            "idempotent rewrites / journal audit",
+        ),
+        FaultSpec(
+            "enospc", "write",
+            "raise OSError(ENOSPC) before writing anything",
+            "retry policy / scheduler restart",
+        ),
+        FaultSpec(
+            "stale_lock", "lock",
+            "plant a pre-aged sidecar lockfile next to the target and "
+            "force sidecar locking, exercising the stale-takeover path "
+            "of repro.io.batch_io.locked_fd under load",
+            "locked_fd stale-age takeover",
+        ),
+        FaultSpec(
+            "io_latency", "write",
+            "sleep a seeded few milliseconds before the operation "
+            "(applies to writes, reads, and locks) — models a slow "
+            "disk; surfaces ordering assumptions that only hold when "
+            "IO is instant",
+            "lease TTL margins / poll loops",
+        ),
+    )
+}
+
+#: Every injectable network fault, same idiom; ``stage`` names the
+#: request phase the fault lands in, ``detector`` the client/server
+#: mechanism that must absorb it.
+NET_FAULT_REGISTRY: dict[str, FaultSpec] = {
+    spec.name: spec
+    for spec in (
+        FaultSpec(
+            "conn_reset", "response",
+            "abort the connection without a response; a seeded coin "
+            "decides whether the abort lands before the request is "
+            "processed (the request is lost) or after (the request took "
+            "effect but the response is lost — the case idempotent "
+            "resubmission exists for)",
+            "client retry + content-hash idempotent resubmission",
+        ),
+        FaultSpec(
+            "slow_loris", "response",
+            "dribble the response out a few bytes at a time with "
+            "seeded inter-chunk delays — models a pathologically slow "
+            "peer; a client with a sane socket timeout gives up and "
+            "retries, a patient one eventually gets the full payload",
+            "client socket timeout + retry budget",
+        ),
+        FaultSpec(
+            "truncated_response", "response",
+            "send the status line, the headers and half the body, then "
+            "close — models a mid-transfer failure; clients must treat "
+            "the partial body as no response at all",
+            "client treats a short read as no response and retries",
+        ),
+        FaultSpec(
+            "net_latency", "request",
+            "sleep a seeded few milliseconds before handling; surfaces "
+            "deadline/timeout assumptions that only hold when the "
+            "network is instant",
+            "per-request deadlines / Retry-After backoff",
+        ),
+    )
+}
+
+#: Storage faults applicable per hooked operation.
+_OP_FAULTS = {
+    "write": (
+        "torn_write", "crash_before_rename", "crash_after_rename",
+        "enospc", "io_latency",
+    ),
+    "read": ("io_latency",),
+    "lock": ("stale_lock", "io_latency"),
+}
+
+#: Path substrings never perturbed: the job-event journal is the audit
+#: ground truth, fault-plan files must stay loadable, and the metrics
+#: snapshots are the operator's eyes on the chaos itself.
+PROTECTED_PATHS = ("journal", "chaos-plan", "/metrics/")
+
+#: Request paths never perturbed: liveness probes must stay truthful.
+PROTECTED_ROUTES = ("/healthz", "/readyz")
+
+
+class ChaosIOError(OSError):
+    """An injected storage fault (carries the fault name)."""
+
+    def __init__(self, fault: str, path, os_errno: int | None = None):
+        if os_errno is not None:
+            super().__init__(os_errno, f"injected {fault}", str(path))
+        else:
+            super().__init__(f"injected {fault}: {path}")
+        self.fault = fault
+
+
+@dataclass(frozen=True)
+class FaultPlan:
+    """Declarative description of a fault campaign (seam-independent).
+
+    Attributes
+    ----------
+    seed:
+        Root seed; the injector's RNG stream derives from it.
+    rate:
+        Per-eligible-operation injection probability in [0, 1].
+    faults:
+        Registry names to arm; ``None`` arms every fault.
+    max_faults:
+        Total injection budget (0 = unlimited).
+    """
+
+    seed: int = 0
+    rate: float = 0.05
+    faults: tuple[str, ...] | None = None
+    max_faults: int = 0
+
+    #: The seam's fault registry and its name in error messages.
+    REGISTRY: ClassVar[dict[str, FaultSpec]]
+    SEAM: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.rate <= 1.0):
+            raise ValueError(f"rate must be in [0, 1], got {self.rate}")
+        unknown = [n for n in self.faults or () if n not in self.REGISTRY]
+        if unknown:
+            raise ValueError(
+                f"unknown {self.SEAM} fault(s) {unknown}; "
+                f"known: {sorted(self.REGISTRY)}"
+            )
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, list):  # e.g. from JSON: keep plans hashable
+                object.__setattr__(self, f.name, tuple(value))
+
+    def armed_faults(self) -> tuple[str, ...]:
+        return self.faults if self.faults is not None else tuple(self.REGISTRY)
+
+    def to_dict(self) -> dict:
+        return {
+            k: list(v) if isinstance(v, tuple) else v
+            for k, v in dataclasses.asdict(self).items()
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ValueError(
+                f"unknown {cls.__name__} field(s): {sorted(unknown)}"
+            )
+        return cls(**d)
+
+    def save(self, path: str | Path) -> Path:
+        """Write the plan as JSON (plain write — plans are never faulted)."""
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # lint: lock-ok[chaos-plan] -- plan files are the chaos layer's
+        # own input, written before arming, deliberately un-faulted
+        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
+        return path
+
+    @classmethod
+    def load(cls, path: str | Path):
+        return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+@dataclass
+class FaultInjector:
+    """Seeded per-process decision engine (seam-independent core)."""
+
+    plan: FaultPlan
+    counts: dict[str, int] = field(default_factory=dict)
+    #: Optional MetricsRegistry; when bound, every injection bumps
+    #: ``<METRIC>`` (and ``<METRIC>.<name>``).
+    metrics = None
+
+    #: Per-seam constants: the plan class, the ``derive_seed`` token of
+    #: the RNG stream, the metrics counter, the plan-file env variable.
+    PLAN: ClassVar[type[FaultPlan]]
+    STREAM: ClassVar[str]
+    METRIC: ClassVar[str]
+    ENV: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        self._rng = np.random.default_rng(
+            derive_seed(self.plan.seed, self.STREAM)
+        )
+        self._armed = self.plan.armed_faults()
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
+
+    def bind_metrics(self, registry) -> None:
+        self.metrics = registry
+
+    def _protected(self, target: str) -> bool:
+        raise NotImplementedError
+
+    def _draw(self, target: str, candidates: list[str]) -> str | None:
+        """Pick a fault for one operation, or ``None`` (the usual case)."""
+        if self.plan.max_faults and self.total >= self.plan.max_faults:
+            return None
+        if self._protected(target) or not candidates:
+            return None
+        if self._rng.random() >= self.plan.rate:
+            return None
+        fault = str(self._rng.choice(candidates))
+        self.counts[fault] = self.counts.get(fault, 0) + 1
+        if self.metrics is not None:
+            self.metrics.inc(self.METRIC)
+            self.metrics.inc(f"{self.METRIC}.{fault}")
+        return fault
+
+    def _uniform(self, upper: float) -> float:
+        """Seeded duration in ``[0, upper)`` for the latency faults."""
+        return float(self._rng.uniform(0.0, upper))
+
+    # process-wide arming
+    @classmethod
+    def _arm(cls, injector) -> None:
+        raise NotImplementedError
+
+    @classmethod
+    def install(cls, plan):
+        """Arm (or, with ``None``, disarm) this seam's process injector."""
+        injector = None if plan is None else cls(plan)
+        cls._arm(injector)
+        return injector
+
+    @classmethod
+    def install_from_env(cls):
+        """Arm from the seam's plan-file env var (disarm when unset)."""
+        plan_path = os.environ.get(cls.ENV)
+        return cls.install(cls.PLAN.load(plan_path) if plan_path else None)
+
+
+@dataclass(frozen=True)
+class IOFaultPlan(FaultPlan):
+    """Storage fault campaign.
+
+    Attributes (beyond :class:`FaultPlan`)
+    ----------
+    paths:
+        Path substrings to restrict injection to (empty = all paths).
+    latency_s:
+        Upper bound of the seeded ``io_latency`` sleep.
+    """
+
+    paths: tuple[str, ...] = ()
+    latency_s: float = 0.002
+
+    REGISTRY = IO_FAULT_REGISTRY
+    SEAM = "io"
+
+
+@dataclass
+class IOFaultInjector(FaultInjector):
+    """The injector behind the :mod:`repro.io.batch_io` hooks
+    (``batch.io_faults`` metrics)."""
+
+    PLAN = IOFaultPlan
+    STREAM = "chaosio"
+    METRIC = "batch.io_faults"
+    ENV = CHAOS_PLAN_ENV
+
+    def _protected(self, target: str) -> bool:
+        if any(token in target for token in PROTECTED_PATHS):
+            return True
+        paths = self.plan.paths
+        return bool(paths) and not any(t in target for t in paths)
+
+    def decide(self, op: str, path: Path) -> str | None:
+        return self._draw(
+            str(path), [f for f in self._armed if f in _OP_FAULTS[op]]
+        )
+
+    # hook entry points (called by repro.io.batch_io)
+    def on_write(self, path: Path) -> str | None:
+        """Decide a write fault; latency/ENOSPC act here, the structural
+        faults are returned for the atomic-replace protocol to act out."""
+        fault = self.decide("write", path)
+        if fault == "io_latency":
+            self._sleep()
+            return None
+        if fault == "enospc":
+            raise ChaosIOError("enospc", path, os_errno=errno.ENOSPC)
+        return fault
+
+    def on_read(self, path: Path) -> None:
+        if self.decide("read", path) == "io_latency":
+            self._sleep()
+
+    def on_lock(self, path: Path) -> None:
+        fault = self.decide("lock", path)
+        if fault == "io_latency":
+            self._sleep()
+        elif fault == "stale_lock":
+            self._plant_stale_lock(path)
+
+    def raise_fault(self, fault: str, path: Path) -> None:
+        """Raise the caller-visible error for a structural write fault."""
+        raise ChaosIOError(fault, path)
+
+    def _sleep(self) -> None:
+        time.sleep(self._uniform(self.plan.latency_s))
+
+    def _plant_stale_lock(self, path: Path) -> None:
+        """Leave a long-abandoned sidecar for the acquisition to absorb."""
+        from repro.io import batch_io
+
+        batch_io.set_force_sidecar(True)
+        sidecar = str(path) + ".lock"
+        ancient = time.time() - 3600.0
+        try:
+            # lint: lock-ok[chaos-injection] -- deliberately plants the
+            # stale sidecar the takeover protocol must absorb
+            fd = os.open(sidecar, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            os.close(fd)
+            os.utime(sidecar, (ancient, ancient))
+        except OSError:
+            # a real holder (or an earlier plant) is present, or the
+            # plant itself failed: chaos must never crash the hook
+            return
+
+    @classmethod
+    def _arm(cls, injector) -> None:
+        from repro.io import batch_io
+
+        batch_io.set_io_chaos(injector)
+        if injector is None:
+            batch_io.set_force_sidecar(False)
+
+
+@dataclass(frozen=True)
+class NetFaultPlan(FaultPlan):
+    """Network fault campaign (``rate`` is per request).
+
+    Attributes (beyond :class:`FaultPlan`)
+    ----------
+    latency_s:
+        Upper bound of the seeded ``net_latency`` sleep.
+    slow_chunk:
+        Bytes per write while acting out ``slow_loris``.
+    slow_delay_s:
+        Upper bound of the seeded sleep between slow-loris chunks.
+    """
+
+    rate: float = 0.1
+    latency_s: float = 0.05
+    slow_chunk: int = 64
+    slow_delay_s: float = 0.05
+
+    REGISTRY = NET_FAULT_REGISTRY
+    SEAM = "net"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.slow_chunk < 1:
+            raise ValueError(f"slow_chunk must be >= 1, got {self.slow_chunk}")
+
+
+@dataclass
+class NetFaultInjector(FaultInjector):
+    """The injector the HTTP server consults (``http.net_faults``
+    metrics)."""
+
+    PLAN = NetFaultPlan
+    STREAM = "chaosnet"
+    METRIC = "http.net_faults"
+    ENV = NET_PLAN_ENV
+
+    #: Process-wide armed injector (None = clean path), mirroring the
+    #: storage seam's per-process arming model; the HTTP server reads it.
+    armed: ClassVar["NetFaultInjector | None"] = None
+
+    def _protected(self, target: str) -> bool:
+        return any(target.startswith(route) for route in PROTECTED_ROUTES)
+
+    def decide(self, path: str) -> str | None:
+        return self._draw(path, list(self._armed))
+
+    def reset_before_handling(self) -> bool:
+        """Seeded coin for ``conn_reset``: abort before (request lost)
+        or after (request processed, response lost) handling."""
+        return bool(self._rng.random() < 0.5)
+
+    def latency(self) -> float:
+        """Seeded sleep duration for ``net_latency``."""
+        return self._uniform(self.plan.latency_s)
+
+    def slow_delay(self) -> float:
+        """Seeded inter-chunk sleep for ``slow_loris``."""
+        return self._uniform(self.plan.slow_delay_s)
+
+    @classmethod
+    def _arm(cls, injector) -> None:
+        NetFaultInjector.armed = injector

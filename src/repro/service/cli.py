@@ -153,7 +153,7 @@ def build_batch_parser() -> argparse.ArgumentParser:
         "network soak (--api)",
         "drive the campaign through the HTTP front-end: N independent "
         "scheduler processes share the queue while network faults "
-        "(chaosnet) are injected alongside the storage ones",
+        "are injected alongside the storage ones",
     )
     api.add_argument("--api", action="store_true",
                      help="submit/cancel/poll through the HTTP server "
@@ -162,7 +162,7 @@ def build_batch_parser() -> argparse.ArgumentParser:
                      help="independent scheduler processes on the queue")
     api.add_argument("--net-fault-rate", type=float, default=0.08,
                      help="network fault probability per HTTP request "
-                          "(0 disables chaosnet)")
+                          "(0 disables the network chaos seam)")
     api.add_argument("--sigterm-drains", type=int, default=1,
                      help="mid-campaign graceful server drains+restarts")
     k.add_argument("--json", action="store_true", dest="as_json")
@@ -220,27 +220,24 @@ def batch_main(argv: list[str] | None = None) -> int:
     args = build_batch_parser().parse_args(argv)
     client = BatchClient(args.batch_dir)
 
+    def log(msg: str) -> None:
+        """Progress lines go to stderr (``--quiet`` drops them)."""
+        if not getattr(args, "quiet", False):
+            print(msg, file=sys.stderr)
+
     if args.command == "submit":
         spec = spec_from_args(args)
-        retry = None
-        if args.backoff or args.attempt_deadline is not None:
-            retry = RetryPolicy(
-                max_attempts=args.max_retries + 1,
-                backoff_s=args.backoff,
-                attempt_deadline_s=args.attempt_deadline,
-            )
-        record = client.submit(
-            spec, priority=args.priority, max_retries=args.max_retries,
-            retry=retry,
+        retry = RetryPolicy(
+            max_attempts=args.max_retries + 1,
+            backoff_s=args.backoff,
+            attempt_deadline_s=args.attempt_deadline,
         )
+        record = client.submit(spec, priority=args.priority, retry=retry)
         print(f"submitted {record.job_id} "
               f"(spec {spec.spec_hash()[:12]}, priority {record.priority})")
         return 0
 
     if args.command == "run":
-        log = (lambda msg: None) if args.quiet else (
-            lambda msg: print(msg, file=sys.stderr)
-        )
         tallies = client.run(
             n_workers=args.workers, job_timeout=args.job_timeout,
             trace=args.trace, log=log,
@@ -345,33 +342,25 @@ def batch_main(argv: list[str] | None = None) -> int:
     if args.command == "soak":
         from repro.service.soak import run_api_soak, run_soak
 
-        log = (lambda msg: None) if args.quiet else (
-            lambda msg: print(msg, file=sys.stderr)
-        )
-        jobs = args.jobs if args.jobs is not None else (
-            120 if args.api else 24
-        )
-        steps = args.steps if args.steps is not None else (
-            2 if args.api else 3
+        campaign = dict(
+            jobs=args.jobs if args.jobs is not None else (
+                120 if args.api else 24
+            ),
+            steps=args.steps if args.steps is not None else (
+                2 if args.api else 3
+            ),
+            seed=args.seed, workers=args.workers, fault_rate=args.fault_rate,
+            scheduler_kills=args.scheduler_kills, lease_ttl=args.lease_ttl,
+            log=log,
         )
         if args.api:
             summary = run_api_soak(
-                args.batch_dir,
-                jobs=jobs, seed=args.seed, schedulers=args.schedulers,
-                workers=args.workers, fault_rate=args.fault_rate,
+                args.batch_dir, schedulers=args.schedulers,
                 net_fault_rate=args.net_fault_rate,
-                scheduler_kills=args.scheduler_kills,
-                sigterm_drains=args.sigterm_drains,
-                lease_ttl=args.lease_ttl, steps=steps, log=log,
+                sigterm_drains=args.sigterm_drains, **campaign,
             )
         else:
-            summary = run_soak(
-                args.batch_dir,
-                jobs=jobs, seed=args.seed, workers=args.workers,
-                fault_rate=args.fault_rate,
-                scheduler_kills=args.scheduler_kills,
-                lease_ttl=args.lease_ttl, steps=steps, log=log,
-            )
+            summary = run_soak(args.batch_dir, **campaign)
         clean_drains = all(
             d["exit_code"] == 0 for d in summary.get("drains", [])
         )
@@ -422,9 +411,6 @@ def batch_main(argv: list[str] | None = None) -> int:
             rate_refill_per_s=args.rate_refill,
             drain_grace_s=args.drain_grace,
         )
-        return run_server(
-            args.batch_dir, config,
-            log=lambda msg: print(msg, file=sys.stderr),
-        )
+        return run_server(args.batch_dir, config, log=log)
 
     raise AssertionError(f"unhandled command {args.command!r}")

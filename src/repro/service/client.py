@@ -25,7 +25,7 @@ from pathlib import Path
 from repro.io.batch_io import read_json
 from repro.service.pool import WorkerPool
 from repro.service.queue import JobQueue
-from repro.service.spec import JobRecord, JobSpec
+from repro.service.spec import JobRecord, JobSpec, RetryPolicy
 from repro.service.store import ResultStore
 
 
@@ -55,21 +55,19 @@ class BatchClient:
         spec: JobSpec,
         *,
         priority: int = 0,
-        max_retries: int = 1,
-        retry=None,
+        retry: RetryPolicy | None = None,
         tenant: str = "",
     ) -> JobRecord:
         """Enqueue one job; returns its record (state ``queued``).
 
         Submission never consults the cache — the scheduler does, at
         claim time, so ``status`` after a run shows the hit explicitly.
-        ``retry`` attaches a :class:`~repro.service.spec.RetryPolicy`
-        (backoff, attempt deadline, quarantine budget); without one the
-        legacy ``max_retries`` knob applies.
+        ``retry`` is the job's :class:`~repro.service.spec.RetryPolicy`
+        (attempt budget, backoff, attempt deadline); ``None`` means the
+        default policy.
         """
         return self.queue.submit(
-            spec, priority=priority, max_retries=max_retries, retry=retry,
-            tenant=tenant,
+            spec, priority=priority, retry=retry, tenant=tenant
         )
 
     def run(
@@ -118,44 +116,13 @@ class BatchClient:
         return self.queue.cancel(self._job_id(job))
 
     # ------------------------------------------------------------------
-    def status(self) -> dict:
-        """Batch overview: per-state counts, queue-depth buckets, cache
-        stats, and per-job rows carrying lease/epoch detail.
-
-        Torn records (a storage fault landed mid-save) are re-read once
-        before being reported: transiently torn files usually heal
-        within milliseconds, and the ones that do not appear both in
-        ``counts["unreadable"]`` and as explicit ``state="unreadable"``
-        job rows rather than vanishing or raising.
-        """
-        records = self.queue.records()
-        now = time.time()
-        jobs = []
-        for r in records:
-            lease = self.queue.leases.peek(r.job_id)
-            jobs.append({
-                "job_id": r.job_id,
-                "state": r.state,
-                "model": r.spec.load or r.spec.model,
-                "engine": r.spec.engine,
-                "steps": r.spec.steps,
-                "priority": r.priority,
-                "tenant": r.tenant,
-                "attempts": r.attempts,
-                "cached": r.cached,
-                "error": r.error,
-                "spec_hash": r.spec.spec_hash()[:12],
-                "lease_epoch": r.lease_epoch,
-                "not_before": r.not_before,
-                "lease": None if lease is None else {
-                    "owner": lease.owner,
-                    "epoch": lease.epoch,
-                    "age_s": max(0.0, now - lease.renewed_at),
-                    "expired": lease.expired(now),
-                },
-            })
-        for job_id in self.queue.unreadable_ids():
-            jobs.append({
+    def job_row(self, job_id: str, record: JobRecord | None) -> dict:
+        """One job's status row — the shape ``status()["jobs"]`` and the
+        HTTP ``GET /v1/jobs/<id>`` both serve. ``record=None`` renders
+        the torn-record row: the job exists, its record file does not
+        parse (a storage fault landed mid-save and has not healed)."""
+        if record is None:
+            return {
                 "job_id": job_id,
                 "state": "unreadable",
                 "model": None, "engine": None, "steps": None,
@@ -164,12 +131,57 @@ class BatchClient:
                 "error": "record file torn (unreadable after retry)",
                 "spec_hash": None, "lease_epoch": None,
                 "not_before": None, "lease": None,
-            })
+            }
+        lease = self.queue.leases.peek(job_id)
+        now = time.time()
         return {
-            "counts": self.queue.counts(),
-            "queue": self.queue.depths(),
+            "job_id": job_id,
+            "state": record.state,
+            "model": record.spec.load or record.spec.model,
+            "engine": record.spec.engine,
+            "steps": record.spec.steps,
+            "priority": record.priority,
+            "tenant": record.tenant,
+            "attempts": record.attempts,
+            "cached": record.cached,
+            "error": record.error,
+            "spec_hash": record.spec.spec_hash()[:12],
+            "lease_epoch": record.lease_epoch,
+            "not_before": record.not_before,
+            "lease": None if lease is None else {
+                "owner": lease.owner,
+                "epoch": lease.epoch,
+                "age_s": max(0.0, now - lease.renewed_at),
+                "expired": lease.expired(now),
+            },
+        }
+
+    def job(self, job_id: str) -> dict | None:
+        """Status row of one job; ``None`` when no such record exists."""
+        record = self.queue.load_record_retry(job_id)
+        if record is None and not self.queue.record_unreadable(job_id):
+            return None
+        return self.job_row(job_id, record)
+
+    def status(self) -> dict:
+        """Batch overview: per-state counts, queue-depth buckets, cache
+        stats, and per-job rows carrying lease/epoch detail.
+
+        Everything derives from one :meth:`JobQueue.scan`, so each
+        record file is parsed once per call. Torn records (a storage
+        fault landed mid-save) are re-read once before being reported:
+        transiently torn files usually heal within milliseconds, and
+        the ones that do not appear both in ``counts["unreadable"]``
+        and as explicit ``state="unreadable"`` job rows rather than
+        vanishing or raising.
+        """
+        scan = records, unreadable = self.queue.scan()
+        return {
+            "counts": self.queue.counts(scan),
+            "queue": self.queue.depths(scan),
             "cache": self.store.stats(),
-            "jobs": jobs,
+            "jobs": [self.job_row(r.job_id, r) for r in records]
+            + [self.job_row(job_id, None) for job_id in unreadable],
         }
 
     def result(self, job: str | JobRecord) -> dict | None:

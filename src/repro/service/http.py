@@ -11,7 +11,7 @@ PR-6 lease/epoch machinery cannot recover.
 Stdlib only (``asyncio`` streams + a minimal HTTP/1.1 parser). One
 connection carries one request (``Connection: close``), which keeps the
 failure model identical to the chaos faults injected by
-:mod:`repro.service.chaosnet`.
+:mod:`repro.service.chaos`.
 
 Endpoints
 ---------
@@ -77,7 +77,7 @@ from pathlib import Path
 
 from repro.io.batch_io import locked_fd, read_json, write_json_atomic
 from repro.obs.metrics import MetricsRegistry
-from repro.service import chaosnet
+from repro.service.chaos import NetFaultInjector
 from repro.service.client import BatchClient
 from repro.service.spec import JobSpec, JobState, RetryPolicy
 
@@ -163,6 +163,15 @@ class _Response(Exception):
         self.payload = payload
         self.headers = dict(headers or {})
 
+    @classmethod
+    def backoff(cls, status: int, error: str, retry_after: str | None = None):
+        """A retriable rejection: the ``retriable`` payload flag plus the
+        ``Retry-After`` hint :mod:`repro.service.netclient` honours."""
+        return cls(
+            status, {"error": error, "retriable": True},
+            {} if retry_after is None else {"Retry-After": retry_after},
+        )
+
 
 _REASONS = {
     200: "OK", 201: "Created", 202: "Accepted", 400: "Bad Request",
@@ -198,7 +207,7 @@ class HttpJobService:
             "http.net_faults", "http.drains",
         ):
             self.metrics.counter(name)
-        injector = chaosnet.get_net_chaos()
+        injector = NetFaultInjector.armed
         if injector is not None:
             injector.bind_metrics(self.metrics)
         self.draining = False
@@ -323,13 +332,17 @@ class HttpJobService:
     # connection handling
     # ------------------------------------------------------------------
     async def _handle(self, reader, writer) -> None:
-        injector = chaosnet.get_net_chaos()
+        injector = NetFaultInjector.armed
         try:
             method, path, query, headers, body = await asyncio.wait_for(
                 self._read_request(reader), timeout=15.0
             )
-        except (asyncio.TimeoutError, _Response, OSError,
-                asyncio.IncompleteReadError):
+        except _Response as resp:
+            # a request too malformed to route still gets its answer:
+            # a bare close would read as a transport fault and be retried
+            await self._send(writer, resp.status, resp.payload, resp.headers)
+            return
+        except (asyncio.TimeoutError, OSError, asyncio.IncompleteReadError):
             writer.close()
             return
         self.metrics.inc("http.requests")
@@ -347,12 +360,17 @@ class HttpJobService:
             )
         finally:
             self.inflight -= 1
-        klass = f"http.responses.{status // 100}xx"
-        self.metrics.inc(klass)
         self._requests_since_flush += 1
         if self._requests_since_flush >= self.config.metrics_flush_every:
             self._requests_since_flush = 0
             self._flush_metrics()
+        await self._send(writer, status, payload, extra, fault, injector)
+
+    async def _send(
+        self, writer, status, payload, extra, fault=None, injector=None
+    ) -> None:
+        """Serialise and write one response (acting out ``fault``)."""
+        self.metrics.inc(f"http.responses.{status // 100}xx")
         blob = json.dumps(payload, sort_keys=True).encode()
         head = [
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
@@ -386,8 +404,11 @@ class HttpJobService:
             pass  # the peer gave up first; nothing to unwind
 
     async def _read_request(self, reader):
-        head = await reader.readuntil(b"\r\n\r\n")
-        if len(head) > _MAX_HEADER_BYTES:
+        try:
+            head = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.LimitOverrunError:
+            head = None  # no header terminator within the stream limit
+        if head is None or len(head) > _MAX_HEADER_BYTES:
             raise _Response(413, {"error": "headers too large"})
         lines = head.decode("latin-1").split("\r\n")
         try:
@@ -402,7 +423,12 @@ class HttpJobService:
             headers[name.strip().lower()] = value.strip()
         parsed = urllib.parse.urlsplit(target)
         query = dict(urllib.parse.parse_qsl(parsed.query))
-        length = int(headers.get("content-length", "0") or 0)
+        try:
+            length = int(headers.get("content-length", "0") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _Response(400, {"error": "bad Content-Length header"})
         if length > _MAX_BODY_BYTES:
             raise _Response(413, {"error": "body too large"})
         body = {}
@@ -432,32 +458,21 @@ class HttpJobService:
                 return 200, self.metrics.snapshot(), {}
             if self.draining:
                 self.metrics.inc("http.shed")
-                raise _Response(
-                    503, {"error": "draining", "retriable": True},
-                    {"Retry-After": "1"},
-                )
+                raise _Response.backoff(503, "draining", "1")
             if self.inflight > self.config.max_inflight:
                 self.metrics.inc("http.shed")
-                raise _Response(
-                    429, {"error": "too many in-flight requests",
-                          "retriable": True},
-                    {"Retry-After": "1"},
-                )
+                raise _Response.backoff(429, "too many in-flight requests", "1")
             shed = self._shed_reason()
             if shed is not None:
                 self.metrics.inc("http.shed")
-                raise _Response(
-                    503, {"error": f"overloaded: {shed}", "retriable": True},
-                    {"Retry-After": "2"},
-                )
+                raise _Response.backoff(503, f"overloaded: {shed}", "2")
             tenant = headers.get("x-tenant", "default")
             wait = self._bucket(tenant).take()
             if wait > 0.0:
                 self.metrics.inc("http.rate_limited")
-                raise _Response(
-                    429, {"error": f"rate limited (tenant {tenant!r})",
-                          "retriable": True},
-                    {"Retry-After": f"{math.ceil(wait * 10) / 10:g}"},
+                raise _Response.backoff(
+                    429, f"rate limited (tenant {tenant!r})",
+                    f"{math.ceil(wait * 10) / 10:g}",
                 )
             deadline_s = None
             if "x-deadline-s" in headers:
@@ -480,9 +495,8 @@ class HttpJobService:
                 )
             except asyncio.TimeoutError as err:
                 self.metrics.inc("http.deadline_exceeded")
-                raise _Response(
-                    504, {"error": f"deadline of {budget:g}s exceeded",
-                          "retriable": True},
+                raise _Response.backoff(
+                    504, f"deadline of {budget:g}s exceeded"
                 ) from err
         except _Response as resp:
             return resp.status, resp.payload, resp.headers
@@ -542,26 +556,18 @@ class HttpJobService:
         except (TypeError, ValueError) as err:
             raise _Response(400, {"error": f"bad spec: {err}"}) from err
         priority = int(body.get("priority", 0))
-        retry = None
-        if body.get("retry") is not None:
-            try:
-                retry = RetryPolicy.from_dict(body["retry"])
-            except (TypeError, ValueError) as err:
-                raise _Response(400, {"error": f"bad retry: {err}"}) from err
-        if deadline_s is not None:
+        try:
+            retry = RetryPolicy.from_dict(body.get("retry") or {})
+        except (TypeError, ValueError) as err:
+            raise _Response(400, {"error": f"bad retry: {err}"}) from err
+        if deadline_s is not None and (
+            retry.attempt_deadline_s is None
+            or retry.attempt_deadline_s > deadline_s
+        ):
             # propagate the caller's budget into the scheduler: each
             # attempt gets at most the request deadline (unless the job
             # already asked for something tighter)
-            base = retry or RetryPolicy()
-            if (
-                base.attempt_deadline_s is None
-                or base.attempt_deadline_s > deadline_s
-            ):
-                retry = dataclasses.replace(
-                    base, attempt_deadline_s=deadline_s
-                )
-            else:
-                retry = base
+            retry = dataclasses.replace(retry, attempt_deadline_s=deadline_s)
         # admission gate on the *fresh* depth (the cached one that feeds
         # load shedding may be up to half a second stale — fine for a
         # shed heuristic, wrong for an accept/reject boundary)
@@ -569,10 +575,7 @@ class HttpJobService:
         self._depth_cache = (time.monotonic(), depth)
         if depth >= self.config.max_queue_depth:
             self.metrics.inc("http.shed")
-            raise _Response(
-                429, {"error": "queue full", "retriable": True},
-                {"Retry-After": "2"},
-            )
+            raise _Response.backoff(429, "queue full", "2")
         spec_hash = spec.spec_hash()
         dedup = bool(body.get("dedup", True))
         entry_path = self.dedup_dir / f"{spec_hash}.json"
@@ -609,47 +612,18 @@ class HttpJobService:
             "deduplicated": False,
         }, {}
 
-    def _job_row(self, job_id):
-        record = self.queue.load_record_retry(job_id)
-        if record is None:
-            if self.queue.record_unreadable(job_id):
-                # torn by a storage fault and not yet healed: the job
-                # exists — report it as such instead of erroring
-                return {
-                    "job_id": job_id, "state": "unreadable",
-                    "error": "record file torn (retried once)",
-                }
-            return None
-        lease = self.queue.leases.peek(job_id)
-        now = time.time()
-        return {
-            "job_id": record.job_id,
-            "state": record.state,
-            "priority": record.priority,
-            "tenant": record.tenant,
-            "attempts": record.attempts,
-            "cached": record.cached,
-            "error": record.error,
-            "spec_hash": record.spec.spec_hash(),
-            "lease_epoch": record.lease_epoch,
-            "not_before": record.not_before,
-            "lease": None if lease is None else {
-                "owner": lease.owner, "epoch": lease.epoch,
-                "age_s": max(0.0, now - lease.renewed_at),
-                "expired": lease.expired(now),
-            },
-        }
+    def _row(self, job_id) -> dict:
+        """The job's status row (``BatchClient.job``), or a 404."""
+        row = self.client.job(job_id)
+        if row is None:
+            raise _Response(404, {"error": f"unknown job {job_id}"})
+        return row
 
     def _job_status(self, job_id):
-        row = self._job_row(job_id)
-        if row is None:
-            raise _Response(404, {"error": f"unknown job {job_id}"})
-        return 200, row, {}
+        return 200, self._row(job_id), {}
 
     def _job_result(self, job_id):
-        row = self._job_row(job_id)
-        if row is None:
-            raise _Response(404, {"error": f"unknown job {job_id}"})
+        row = self._row(job_id)
         outcome = self.client.result(job_id)
         if row["state"] not in JobState.TERMINAL or (
             outcome is None and row["state"] == "unreadable"
@@ -660,11 +634,9 @@ class HttpJobService:
                      "result": outcome}, {}
 
     def _cancel(self, job_id):
-        row = self._job_row(job_id)
-        if row is None:
-            raise _Response(404, {"error": f"unknown job {job_id}"})
+        row = self._row(job_id)
         cancelled = self.client.cancel(job_id)
-        fresh = self._job_row(job_id) or row
+        fresh = self.client.job(job_id) or row
         return 200, {
             "job_id": job_id,
             "cancelled": bool(cancelled),
@@ -687,8 +659,7 @@ class HttpJobService:
         timeout_s = min(timeout_s, self.config.long_poll_max_s)
         if deadline_s is not None:
             timeout_s = min(timeout_s, max(0.0, deadline_s - 0.1))
-        known = self.queue.load_record_retry(job_id) is not None \
-            or self.queue.record_unreadable(job_id)
+        known = self.client.job(job_id) is not None
         deadline = time.monotonic() + timeout_s
         while True:
             events, _torn = await asyncio.to_thread(self.queue.journal.events)
@@ -719,7 +690,7 @@ def run_server(
     Installs SIGTERM/SIGINT handlers that trigger the graceful drain;
     returns 0 after a clean drain.
     """
-    chaosnet.install_from_env()
+    NetFaultInjector.install_from_env()
 
     async def _main() -> int:
         service = HttpJobService(root, config, log=log)

@@ -19,7 +19,7 @@ Design constraints:
   one torn trailing line; :meth:`Journal.events` skips unparseable
   lines and reports how many it skipped;
 * **never chaos-faulted** — the storage fault injector
-  (:mod:`repro.service.chaosio`) explicitly excludes journal paths;
+  (:mod:`repro.service.chaos`) explicitly excludes journal paths;
   ground truth must stay trustworthy while everything around it burns.
 """
 

@@ -27,7 +27,7 @@ delay elapses.
 Before spawning anything the pool consults the :class:`ResultStore`:
 a spec whose hash is already cached completes instantly as a cache hit
 with zero steps executed. The scheduler also tolerates the storage
-chaos layer (:mod:`repro.service.chaosio`): an injected IO fault while
+chaos layer (:mod:`repro.service.chaos`): an injected IO fault while
 claiming or finishing abandons that one slot — the job's lease expires
 and recovery requeues it — instead of taking the whole drain down.
 """
@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.io.batch_io import read_json, write_json_atomic
+from repro.io.batch_io import get_io_chaos, read_json, write_json_atomic
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
 from repro.service.queue import JobQueue
 from repro.service.spec import JobRecord, JobState
@@ -109,8 +109,6 @@ class WorkerPool:
         # durability counters live queue-side (recover/finalize) and in
         # the storage injector; bind them to this registry
         self.queue.metrics = self.metrics
-        from repro.io.batch_io import get_io_chaos
-
         injector = get_io_chaos()
         if injector is not None:
             injector.bind_metrics(self.metrics)
@@ -256,16 +254,14 @@ class WorkerPool:
                 record.job_id, JobState.CANCELLED, epoch=epoch
             )
             current = final or self.queue.load_record(record.job_id)
-            if current is not None and current.state == JobState.CANCELLED:
-                write_json_atomic(
-                    self._scratch(record) / "outcome-final.json",
-                    {"status": "cancelled"},
-                )
-                self._tally("cancelled")
-                self._log(f"{record.job_id}: cancelled before dispatch")
-            else:
-                self._tally("fenced")
-            self.queue.ack(ticket)
+            cancelled = (
+                current is not None and current.state == JobState.CANCELLED
+            )
+            self._settle(
+                current if cancelled else None, record, ticket,
+                {"status": "cancelled"},
+                "cancelled", "cancelled before dispatch",
+            )
             return None
         # Consult the cache on *every* dispatch, retries included: a
         # job recovered after a scheduler crash still short-circuits
@@ -284,23 +280,15 @@ class WorkerPool:
                 record.job_id, JobState.SUCCEEDED,
                 epoch=epoch, mutate=_mark_cached,
             )
-            if final is None:
-                self._tally("fenced")
-                self.queue.ack(ticket)
-                return None
             outcome = dict(
                 cached, status="succeeded", cached=True,
                 steps_executed=0, spec_hash=spec_hash,
             )
-            write_json_atomic(
-                self._scratch(record) / "outcome-final.json", outcome
-            )
-            self.queue.ack(ticket)
-            self._tally("cache_hits")
-            self._tally("succeeded")
-            if cached.get("metrics"):
-                self.job_metrics[record.job_id] = cached["metrics"]
-            self._log(f"{record.job_id}: cache hit ({spec_hash[:12]})")
+            if self._settle(
+                final, record, ticket, outcome,
+                "succeeded", f"cache hit ({spec_hash[:12]})",
+            ):
+                self._tally("cache_hits")
             return None
         attempt = record.attempts
         record.attempts += 1
@@ -326,10 +314,10 @@ class WorkerPool:
         record.worker_pid = process.pid
         self.queue.save_record(record)
         self._tally("dispatched")
-        policy = record.policy()
         timeout = (
-            policy.attempt_deadline_s
-            if policy.attempt_deadline_s is not None else self.job_timeout
+            record.retry.attempt_deadline_s
+            if record.retry.attempt_deadline_s is not None
+            else self.job_timeout
         )
         deadline = None if timeout is None else time.time() + timeout
         self._log(
@@ -339,6 +327,31 @@ class WorkerPool:
         return _Slot(
             process, record, ticket, outcome_path, time.time(), epoch, deadline
         )
+
+    def _settle(
+        self, final: JobRecord | None, record: JobRecord, ticket: str,
+        outcome: dict, tally: str, note: str,
+    ) -> bool:
+        """Act on a terminal transition's verdict — the one place a job's
+        ``outcome-final.json`` is written and its ticket retired.
+
+        ``final`` is what :meth:`JobQueue.finalize` returned: ``None``
+        means the write was fenced (the record is already terminal, or
+        our claim was superseded and the new owner decides the job's
+        fate), so nothing is published. Either way the ticket is acked.
+        Returns whether the outcome was published.
+        """
+        if final is None:
+            self._tally("fenced")
+            self.queue.ack(ticket)
+            return False
+        write_json_atomic(self._scratch(record) / "outcome-final.json", outcome)
+        self.queue.ack(ticket)
+        self._tally(tally)
+        if outcome.get("metrics"):
+            self.job_metrics[record.job_id] = outcome["metrics"]
+        self._log(f"{record.job_id}: {note}")
+        return True
 
     def _finish(self, slot: _Slot, *, timed_out: bool = False) -> None:
         """Classify a finished attempt and route it (ack/retry/fail).
@@ -381,38 +394,30 @@ class WorkerPool:
             )
             if final is None:
                 # our claim was superseded; the new owner completes it
-                self._tally("fenced")
-                self.queue.ack(slot.ticket)
                 self._log(f"{record.job_id}: success discarded (fenced)")
-                return
-            cache_entry = {
-                k: v for k, v in outcome.items()
-                if k not in ("status", "attempt", "pid", "epoch")
-            }
-            # The entry describes the whole computation, not the final
-            # attempt: a success resumed from a checkpoint reports only
-            # the tail it integrated, so make the global step count the
-            # authoritative one before caching.
-            total = (
-                cache_entry.get("resumed_from", 0)
-                + cache_entry.get("steps_executed", 0)
-            )
-            cache_entry.update(
-                steps_executed=total, resumed_from=0, total_steps=total
-            )
-            self.store.put(spec_hash, cache_entry, state_stem=state_stem)
-            write_json_atomic(
-                self._scratch(record) / "outcome-final.json",
+            else:
+                cache_entry = {
+                    k: v for k, v in outcome.items()
+                    if k not in ("status", "attempt", "pid", "epoch")
+                }
+                # The entry describes the whole computation, not the final
+                # attempt: a success resumed from a checkpoint reports only
+                # the tail it integrated, so make the global step count the
+                # authoritative one before caching.
+                total = (
+                    cache_entry.get("resumed_from", 0)
+                    + cache_entry.get("steps_executed", 0)
+                )
+                cache_entry.update(
+                    steps_executed=total, resumed_from=0, total_steps=total
+                )
+                self.store.put(spec_hash, cache_entry, state_stem=state_stem)
+            self._settle(
+                final, record, slot.ticket,
                 dict(outcome, spec_hash=spec_hash, cached=False),
-            )
-            self.queue.ack(slot.ticket)
-            self._tally("succeeded")
-            if outcome.get("metrics"):
-                self.job_metrics[record.job_id] = outcome["metrics"]
-            self._log(
-                f"{record.job_id}: succeeded "
-                f"({outcome.get('steps_executed', '?')} steps, "
-                f"attempt {record.attempts})"
+                "succeeded",
+                f"succeeded ({outcome.get('steps_executed', '?')} steps, "
+                f"attempt {record.attempts})",
             )
         else:
             record.attempt_log.append(outcome)
@@ -435,28 +440,25 @@ class WorkerPool:
     def _retry_or_fail(self, slot: _Slot, error: str) -> None:
         record = slot.record
         job_id = record.job_id
-        policy = record.policy()
+        policy = record.retry
+
+        def _mark_failed(rec: JobRecord) -> None:
+            rec.error = error
+            rec.attempts = record.attempts
+            rec.attempt_log = record.attempt_log
+
         if self.queue.is_cancelled(job_id):
             # cancelled while (or just before) the attempt ran: never retry
-            def _mark(rec: JobRecord) -> None:
-                rec.error = error
-                rec.attempts = record.attempts
-                rec.attempt_log = record.attempt_log
-
-            final = self.queue.finalize(
-                job_id, JobState.CANCELLED, epoch=slot.epoch, mutate=_mark
+            self._settle(
+                self.queue.finalize(
+                    job_id, JobState.CANCELLED,
+                    epoch=slot.epoch, mutate=_mark_failed,
+                ),
+                record, slot.ticket,
+                {"status": "cancelled", "error": error,
+                 "attempts": record.attempts},
+                "cancelled", f"cancelled; not retrying ({error})",
             )
-            if final is not None:
-                write_json_atomic(
-                    self._scratch(record) / "outcome-final.json",
-                    {"status": "cancelled", "error": error,
-                     "attempts": record.attempts},
-                )
-                self._tally("cancelled")
-                self._log(f"{job_id}: cancelled; not retrying ({error})")
-            else:
-                self._tally("fenced")
-            self.queue.ack(slot.ticket)
         elif record.attempts < policy.max_attempts:
             delay = policy.delay(job_id, record.attempts)
             with self.queue.locked_record(job_id):
@@ -495,35 +497,19 @@ class WorkerPool:
                 JobState.QUARANTINED if self._poisoned(record)
                 else JobState.FAILED
             )
-
-            def _mark_failed(rec: JobRecord) -> None:
-                rec.error = error
-                rec.attempts = record.attempts
-                rec.attempt_log = record.attempt_log
-
             final = self.queue.finalize(
                 job_id, state, epoch=slot.epoch, mutate=_mark_failed
             )
-            if final is None:
-                self._tally("fenced")
-                self.queue.ack(slot.ticket)
-                return
-            if state == JobState.QUARANTINED:
+            if final is not None and state == JobState.QUARANTINED:
                 self.queue.journal.append(
                     "quarantined", job_id,
                     error=error, attempts=record.attempts,
                 )
-            write_json_atomic(
-                self._scratch(record) / "outcome-final.json",
+            self._settle(
+                final, record, slot.ticket,
                 {"status": state, "error": error,
                  "attempts": record.attempts,
                  "attempt_log": record.attempt_log},
-            )
-            self.queue.ack(slot.ticket)
-            self._tally(
-                "quarantined" if state == JobState.QUARANTINED else "failed"
-            )
-            self._log(
-                f"{job_id}: {state} after {record.attempts} "
-                f"attempt(s): {error}"
+                state,
+                f"{state} after {record.attempts} attempt(s): {error}",
             )

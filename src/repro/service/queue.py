@@ -38,7 +38,9 @@ into a terminal state funnels through :meth:`JobQueue.finalize`, which
 re-reads the record under the per-job lock, rejects the transition when
 the record is already terminal or the caller's fencing epoch has been
 superseded (a *fenced* zombie write), and appends the single
-``completed`` event to the journal. ``python -m repro batch audit``
+``completed`` event to the journal (``claim`` and ``cancel``, which
+already hold the lock over a record they just checked, run the same
+transition body). ``python -m repro batch audit``
 replays the journal against the records to prove the invariants held.
 
 Cancellation is a tombstone file (``cancelled/<job_id>``) rather than a
@@ -129,27 +131,23 @@ class JobQueue:
         spec,
         *,
         priority: int = 0,
-        max_retries: int = 1,
         retry: RetryPolicy | None = None,
         tenant: str = "",
     ) -> JobRecord:
         """Enqueue a :class:`JobSpec`; returns the new record.
 
-        ``retry`` attaches a full :class:`RetryPolicy`; when omitted the
-        legacy ``max_retries`` knob maps to
-        ``RetryPolicy(max_attempts=max_retries + 1)``. ``tenant`` is a
+        ``retry`` is the job's :class:`RetryPolicy` (``None`` = the
+        default policy: one retry, no backoff). ``tenant`` is a
         free-form quota label recorded on the record (the HTTP layer's
         rate-limit bucket key); it never affects the spec hash.
         """
         if not (0 <= priority <= MAX_PRIORITY):
             raise ValueError(f"priority must be in [0, {MAX_PRIORITY}], got {priority}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         seq = self._next_seq()
         job_id = f"j{seq:06d}-{spec.spec_hash()[:8]}"
         record = JobRecord(
             job_id=job_id, spec=spec, priority=priority,
-            max_retries=max_retries, retry=retry, tenant=tenant,
+            retry=retry or RetryPolicy(), tenant=tenant,
         )
         self.save_record(record)
         ticket = self.queued_dir / self._ticket_name(priority, seq, job_id)
@@ -169,6 +167,18 @@ class JobQueue:
     # ------------------------------------------------------------------
     # claim / ack / requeue
     # ------------------------------------------------------------------
+    def _queued(self) -> list[str]:
+        """Runnable ticket names, in dispatch order.
+
+        Dot-files are not tickets: ``write_text_atomic`` stages a new
+        ticket as a ``.<name>.<random>.tmp`` sibling inside this very
+        directory, and a claimer that renamed the staging file away
+        would fail the submitter's ``os.replace`` and orphan the job.
+        """
+        return sorted(
+            n for n in os.listdir(self.queued_dir) if not n.startswith(".")
+        )
+
     def claim(self) -> tuple[JobRecord, str] | None:
         """Atomically take the highest-priority claimable ticket.
 
@@ -187,9 +197,14 @@ class JobQueue:
         are put back and skipped for this call.
         """
         deferred: set[str] = set()
+
+        def defer(name: str) -> None:
+            # lint: lock-ok[rename-as-claim] -- returning the claim
+            os.rename(self.claimed_dir / name, self.queued_dir / name)
+            deferred.add(name)
+
         while True:
-            tickets = sorted(p.name for p in self.queued_dir.iterdir())
-            candidates = [t for t in tickets if t not in deferred]
+            candidates = [t for t in self._queued() if t not in deferred]
             if not candidates:
                 return None
             for name in candidates:
@@ -207,11 +222,7 @@ class JobQueue:
                     if record is None and self.record_unreadable(job_id):
                         # torn record (storage fault): never consume the
                         # ticket — defer it so a later heal can still run
-                        # lint: lock-ok[rename-as-claim] -- returning the claim
-                        os.rename(
-                            self.claimed_dir / name, self.queued_dir / name
-                        )
-                        deferred.add(name)
+                        defer(name)
                         continue
                     if record is None or record.state in JobState.TERMINAL:
                         # cancelled-and-gone while queued: consume
@@ -220,24 +231,12 @@ class JobQueue:
                         continue
                     if self.is_cancelled(job_id):
                         # tombstone beat the record update: finalise it
-                        record.state = JobState.CANCELLED
-                        record.finished_at = time.time()
-                        self.save_record(record)
-                        self.journal.append(
-                            "completed", job_id,
-                            status=JobState.CANCELLED,
-                            epoch=record.lease_epoch,
-                        )
+                        self._complete(record, JobState.CANCELLED)
                         (self.claimed_dir / name).unlink(missing_ok=True)
-                        self.leases.release(job_id)
                         continue
                     if record.not_before > time.time():
                         # retry backoff still pending: put it back
-                        # lint: lock-ok[rename-as-claim] -- returning the claim
-                        os.rename(
-                            self.claimed_dir / name, self.queued_dir / name
-                        )
-                        deferred.add(name)
+                        defer(name)
                         continue
                     record.lease_epoch += 1
                     self.save_record(record)
@@ -371,17 +370,23 @@ class JobQueue:
                 if self.metrics is not None:
                     self.metrics.inc("batch.fenced_writes")
                 return None
-            record.state = state
-            record.finished_at = time.time()
-            record.worker_pid = None
-            if mutate is not None:
-                mutate(record)
-            self.save_record(record)
-            self.leases.release(job_id)
-            self.journal.append(
-                "completed", job_id, status=state, epoch=record.lease_epoch
-            )
-            return record
+            return self._complete(record, state, mutate)
+
+    def _complete(self, record: JobRecord, state: str, mutate=None) -> JobRecord:
+        """The terminal transition itself: state, verified save, lease
+        release, and the single ``completed`` journal event. The caller
+        holds the per-job lock and has checked the record is live."""
+        record.state = state
+        record.finished_at = time.time()
+        record.worker_pid = None
+        if mutate is not None:
+            mutate(record)
+        self.save_record(record)
+        self.leases.release(record.job_id)
+        self.journal.append(
+            "completed", record.job_id, status=state, epoch=record.lease_epoch
+        )
+        return record
 
     # ------------------------------------------------------------------
     # cancellation
@@ -410,14 +415,7 @@ class JobQueue:
         with self.locked_record(job_id):
             record = self.load_record(job_id)
             if record is not None and record.state == JobState.QUEUED:
-                record.state = JobState.CANCELLED
-                record.finished_at = time.time()
-                self.save_record(record)
-                self.leases.release(job_id)
-                self.journal.append(
-                    "completed", job_id,
-                    status=JobState.CANCELLED, epoch=record.lease_epoch,
-                )
+                self._complete(record, JobState.CANCELLED)
         return True
 
     # ------------------------------------------------------------------
@@ -449,10 +447,8 @@ class JobQueue:
         d = read_json(self.jobs_dir / f"{job_id}.json")
         return None if d is None else JobRecord.from_dict(d)
 
-    def load_record_retry(
-        self, job_id: str, *, retries: int = 1, delay: float = 0.05
-    ) -> JobRecord | None:
-        """Load a record, retrying briefly when it reads as torn.
+    def load_record_retry(self, job_id: str) -> JobRecord | None:
+        """Load a record, retrying once (50 ms later) when it reads as torn.
 
         A record that is mid-verified-save (another process between the
         torn first write and its read-back-repair retry) is *transiently*
@@ -462,10 +458,8 @@ class JobQueue:
         window that usually heals itself within milliseconds.
         """
         record = self.load_record(job_id)
-        for _ in range(retries):
-            if record is not None or not self.record_unreadable(job_id):
-                break
-            time.sleep(delay)
+        if record is None and (self.jobs_dir / f"{job_id}.json").exists():
+            time.sleep(0.05)
             record = self.load_record(job_id)
         return record
 
@@ -480,68 +474,70 @@ class JobQueue:
         path = self.jobs_dir / f"{job_id}.json"
         return path.exists() and read_json(path) is None
 
-    def records(self) -> list[JobRecord]:
-        """Every readable job record, in submit order.
+    def scan(self) -> tuple[list[JobRecord], list[str]]:
+        """One pass over ``jobs/``: ``(records, unreadable_ids)``.
 
-        A record that reads as torn is re-read once
-        (:meth:`load_record_retry`) before being skipped, so a
+        ``records`` is every readable job record in submit order;
+        ``unreadable_ids`` names the record files that exist but are
+        torn even after one retry read (:meth:`load_record_retry`), so a
         concurrent verified save does not make the job flicker out of
-        observer listings.
+        observer listings. Every observer view (:meth:`records`,
+        :meth:`counts`, :meth:`depths`, ``BatchClient.status``) derives
+        from this one walk, so each record file is parsed once per view.
         """
-        out = []
+        records, unreadable = [], []
         for path in sorted(self.jobs_dir.glob("*.json")):
             record = self.load_record_retry(path.stem)
             if record is not None:
-                out.append(record)
-        return out
+                records.append(record)
+            elif path.exists():
+                unreadable.append(path.stem)
+        return records, unreadable
 
-    def unreadable_ids(self) -> list[str]:
-        """Job ids whose record file is torn even after a retry read."""
-        out = []
-        for path in sorted(self.jobs_dir.glob("*.json")):
-            if self.load_record_retry(path.stem) is None and path.exists():
-                out.append(path.stem)
-        return out
+    def records(self) -> list[JobRecord]:
+        """Every readable job record, in submit order."""
+        return self.scan()[0]
 
-    def counts(self) -> dict[str, int]:
-        """Job count per lifecycle state.
+    def counts(self, scan=None) -> dict[str, int]:
+        """Job count per lifecycle state (of ``scan``, default a fresh one).
 
         A record file that exists but cannot be parsed even after one
         retry read (torn by a storage fault) is counted under
         ``"unreadable"`` — a non-terminal bucket, so drain checks keep
         waiting for it instead of declaring the job gone.
         """
+        records, unreadable = scan or self.scan()
         out = {state: 0 for state in JobState.ALL}
-        for path in sorted(self.jobs_dir.glob("*.json")):
-            record = self.load_record_retry(path.stem)
-            if record is None:
-                if path.exists():
-                    out["unreadable"] = out.get("unreadable", 0) + 1
-            else:
-                out[record.state] = out.get(record.state, 0) + 1
+        for record in records:
+            out[record.state] = out.get(record.state, 0) + 1
+        if unreadable:
+            out["unreadable"] = len(unreadable)
         return out
 
     def pending(self) -> int:
         """Tickets currently claimable."""
-        return sum(1 for _ in self.queued_dir.iterdir())
+        return len(self._queued())
 
-    def depths(self) -> dict:
+    def depths(self, scan=None) -> dict:
         """Queue-depth view: ticket counts by lane and priority band.
 
         ``queued``/``claimed`` count tickets in each lane;
         ``by_priority`` buckets the queued tickets by their priority
-        (decoded from the ticket name, so no record reads are needed);
-        ``deferred`` counts queued tickets whose record carries a
-        future ``not_before`` (retry backoff pending); ``unreadable``
+        (decoded from the ticket name); ``deferred`` counts queued
+        tickets whose record (in ``scan``, default a fresh one) carries
+        a future ``not_before`` (retry backoff pending); ``unreadable``
         is the torn-record bucket; ``oldest_queued_age_s`` is the age
         of the longest-waiting ticket (backlog latency signal).
         """
+        records, unreadable = scan or self.scan()
+        not_before = {r.job_id: r.not_before for r in records}
         by_priority: dict[str, int] = {}
         deferred = 0
         oldest: float | None = None
         now = time.time()
-        for ticket in self.queued_dir.iterdir():
-            prio_part, _, rest = ticket.name.partition("-")
+        for name in self._queued():
+            ticket = self.queued_dir / name
+            prio_part, _, rest = name.partition("-")
             try:
                 priority = MAX_PRIORITY - int(prio_part)
             except ValueError:
@@ -555,14 +551,13 @@ class JobQueue:
             if oldest is None or age > oldest:
                 oldest = age
             job_id = rest.split("-", 1)[1] if "-" in rest else rest
-            record = self.load_record(job_id)
-            if record is not None and record.not_before > now:
+            if not_before.get(job_id, 0.0) > now:
                 deferred += 1
         return {
             "queued": sum(by_priority.values()),
             "claimed": sum(1 for _ in self.claimed_dir.iterdir()),
             "by_priority": dict(sorted(by_priority.items())),
             "deferred": deferred,
-            "unreadable": len(self.unreadable_ids()),
+            "unreadable": len(unreadable),
             "oldest_queued_age_s": oldest,
         }

@@ -4,7 +4,7 @@
 command: it submits a seeded mixed-priority campaign (clean jobs,
 crash-then-recover jobs, duplicate specs for cache hits, poison jobs
 destined for quarantine), arms the storage fault injector
-(:mod:`repro.service.chaosio`), runs scheduler rounds in *child
+(:mod:`repro.service.chaos`), runs scheduler rounds in *child
 processes* and SIGKILLs some of them mid-drain — orphaning their
 daemon workers, which keep heartbeating until their attempt ends, the
 genuine zombie scenario lease fencing exists for — then keeps starting
@@ -41,11 +41,18 @@ from pathlib import Path
 import numpy as np
 
 from repro.engine.chaos import derive_seed
-from repro.io.batch_io import CHAOS_PLAN_ENV
 from repro.service.audit import audit_journal
-from repro.service.chaosio import IOFaultPlan
+from repro.service.chaos import (
+    IOFaultInjector,
+    IOFaultPlan,
+    NetFaultInjector,
+    NetFaultPlan,
+)
 from repro.service.client import BatchClient
+from repro.service.pool import WorkerPool, _start_method
+from repro.service.queue import JobQueue
 from repro.service.spec import JobSpec, JobState, RetryPolicy
+from repro.service.store import ResultStore
 
 
 def build_job_mix(
@@ -95,30 +102,132 @@ def build_job_mix(
     return mix
 
 
-def _scheduler_round(
+def _scheduler_pool(
     root: str, workers: int, lease_ttl: float, job_timeout: float
-) -> None:
-    """One scheduler process: recover, drain, exit.
+) -> WorkerPool:
+    """The pool of one scheduler child process.
 
-    Runs as a forked child, so the chaos layer is re-armed explicitly —
+    Runs in a forked child, so the chaos layer is re-armed explicitly —
     the parent deliberately keeps *itself* unfaulted (it submits jobs
     and audits), and a forked child inherits that decision unless it
     re-reads the environment.
     """
-    from repro.service import chaosio
-    from repro.service.pool import WorkerPool
-    from repro.service.queue import JobQueue
-    from repro.service.store import ResultStore
-
-    chaosio.install_from_env()
+    IOFaultInjector.install_from_env()
     base = Path(root)
-    queue = JobQueue(base / "queue", lease_ttl=lease_ttl)
-    store = ResultStore(base / "store")
-    pool = WorkerPool(
-        queue, store, base / "scratch",
+    return WorkerPool(
+        JobQueue(base / "queue", lease_ttl=lease_ttl),
+        ResultStore(base / "store"),
+        base / "scratch",
         n_workers=workers, job_timeout=job_timeout,
     )
-    pool.run()
+
+
+def _scheduler_round(*pool_args) -> None:
+    """One scheduler process: recover, drain, exit."""
+    _scheduler_pool(*pool_args).run()
+
+
+def _scheduler_service(*pool_args) -> None:
+    """Long-lived scheduler child: drain, linger, drain — until SIGTERM.
+
+    Unlike :func:`_scheduler_round` (which exits when the queue is
+    momentarily empty) this keeps polling, because in an API campaign
+    jobs arrive *while* schedulers run. SIGTERM flips the pool's
+    graceful-drain hook: in-flight attempts finish, nothing new is
+    claimed, and the process exits 0 with its tickets either done or
+    still cleanly queued for the survivors.
+    """
+    stop = threading.Event()
+    signal.signal(signal.SIGTERM, lambda *_: stop.set())
+    pool = _scheduler_pool(*pool_args)
+    while not stop.is_set():
+        pool.run(stop=stop.is_set)
+        stop.wait(0.25)
+
+
+def _server_process(root: str, config_dict: dict) -> None:
+    """HTTP server child: storage-clean, network-chaotic.
+
+    The server must never tear the batch directory itself — its writes
+    (dedup index, info file, metrics) ride the same atomic helpers the
+    queue uses, and keeping it storage-clean pins the blame: any torn
+    record in an API soak came from a scheduler under storage chaos,
+    any lost response from the server under network chaos
+    (``run_server`` arms that seam from the environment).
+    """
+    from repro.service.http import ServiceConfig, run_server
+
+    IOFaultInjector.install(None)
+    raise SystemExit(run_server(root, ServiceConfig.from_dict(config_dict)))
+
+
+class _Campaign:
+    """What every soak shares: a chaos-clean driver whose children are
+    armed through the environment, child spawning, the drain check, and
+    the audited summary."""
+
+    def __init__(
+        self, root, seed: int, fault_rate: float, net_fault_rate: float, log
+    ) -> None:
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+        self.log = log or (lambda msg: None)
+        # The driver submits and audits; it must stay chaos-clean even
+        # though it sets the env plans for its children — disarm
+        # explicitly rather than relying on batch_io's lazy one-shot env
+        # check, which only protects a driver that touched batch_io
+        # before the env was set.
+        IOFaultInjector.install(None)
+        NetFaultInjector.install(None)
+        self.client = BatchClient(self.root)  # submits / observes / counts
+        self.t0 = time.time()
+        self.ctx = multiprocessing.get_context(_start_method())
+        self.io_plan = (
+            IOFaultPlan(seed=seed, rate=fault_rate) if fault_rate > 0 else None
+        )
+        self.net_plan = (
+            NetFaultPlan(
+                seed=seed, rate=net_fault_rate,
+                latency_s=0.02, slow_delay_s=0.005,
+            ) if net_fault_rate > 0 else None
+        )
+        for plan, injector, name in (
+            (self.io_plan, IOFaultInjector, "chaos-plan.json"),
+            (self.net_plan, NetFaultInjector, "net-chaos-plan.json"),
+        ):
+            if plan is not None:
+                os.environ[injector.ENV] = str(plan.save(self.root / name))
+        self.log(
+            f"armed chaos: storage rate {fault_rate}, network rate "
+            f"{net_fault_rate}"
+        )
+
+    def disarm(self) -> None:
+        """Stop exporting the fault plans to new child processes."""
+        os.environ.pop(IOFaultInjector.ENV, None)
+        os.environ.pop(NetFaultInjector.ENV, None)
+
+    def spawn(self, target, *args):
+        proc = self.ctx.Process(target=target, args=(str(self.root), *args))
+        proc.start()
+        return proc
+
+    @staticmethod
+    def open_jobs(counts: dict) -> int:
+        """Jobs not yet terminal (the torn-record bucket included)."""
+        return sum(
+            n for state, n in counts.items() if state not in JobState.TERMINAL
+        )
+
+    def summary(self, **fields) -> dict:
+        """The campaign tail: final counts plus the ``final=True`` audit
+        that is every soak's pass criterion."""
+        return {
+            **fields,
+            "duration_s": time.time() - self.t0,
+            "counts": self.client.queue.counts(),
+            "audit": audit_journal(self.root, final=True),
+        }
 
 
 def run_soak(
@@ -143,10 +252,8 @@ def run_soak(
     final audit runs with ``final=True``: zero violations is the pass
     criterion.
     """
-    log = log or (lambda msg: None)
-    root = Path(root)
-    client = BatchClient(root)
-    t0 = time.time()
+    campaign = _Campaign(root, seed, fault_rate, 0.0, log)
+    client, log = campaign.client, campaign.log
 
     mix = build_job_mix(jobs, seed, steps=steps)
     submitted = [
@@ -162,27 +269,15 @@ def run_soak(
         if jobs >= 10 else []
     )
 
-    plan = None
-    if fault_rate > 0:
-        plan = IOFaultPlan(seed=seed, rate=fault_rate)
-        plan_path = plan.save(root / "chaos-plan.json")
-        os.environ[CHAOS_PLAN_ENV] = str(plan_path)
-        log(f"armed storage chaos plan (rate {fault_rate})")
-
-    ctx = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    )
     kills_left = scheduler_kills
     rounds = kills = 0
     drained = False
     try:
         while rounds < max_rounds:
             rounds += 1
-            proc = ctx.Process(
-                target=_scheduler_round,
-                args=(str(root), workers, lease_ttl, job_timeout),
+            proc = campaign.spawn(
+                _scheduler_round, workers, lease_ttl, job_timeout
             )
-            proc.start()
             if kills_left > 0:
                 time.sleep(float(rng.uniform(0.4, 1.2)))
                 if proc.is_alive():
@@ -190,17 +285,12 @@ def run_soak(
                     kills += 1
                     log(f"round {rounds}: scheduler SIGKILLed (pid {proc.pid})")
                 kills_left -= 1
-                proc.join()
-            else:
-                proc.join()
+            proc.join()
             if rounds == 1:
                 for job_id in cancel_ids:
                     client.cancel(job_id)  # False when already past queued
             counts = client.queue.counts()
-            open_jobs = sum(
-                n for state, n in counts.items()
-                if state not in JobState.TERMINAL
-            )
+            open_jobs = campaign.open_jobs(counts)
             log(f"round {rounds}: {open_jobs} job(s) still open ({counts})")
             if open_jobs == 0:
                 drained = True
@@ -208,75 +298,23 @@ def run_soak(
             # give orphaned leases time to expire before the next round
             time.sleep(lease_ttl * 0.6)
     finally:
-        os.environ.pop(CHAOS_PLAN_ENV, None)
+        campaign.disarm()
 
-    report = audit_journal(root, final=True)
-    return {
-        "jobs": jobs,
-        "seed": seed,
-        "rounds": rounds,
-        "scheduler_kills": kills,
-        "cancelled": cancel_ids,
-        "drained": drained,
-        "duration_s": time.time() - t0,
-        "counts": client.queue.counts(),
-        "fault_plan": None if plan is None else plan.to_dict(),
-        "audit": report,
-    }
+    plan = campaign.io_plan
+    return campaign.summary(
+        jobs=jobs,
+        seed=seed,
+        rounds=rounds,
+        scheduler_kills=kills,
+        cancelled=cancel_ids,
+        drained=drained,
+        fault_plan=None if plan is None else plan.to_dict(),
+    )
 
 
 # ----------------------------------------------------------------------
 # network soak: the same campaign driven through the HTTP front-end
 # ----------------------------------------------------------------------
-def _server_process(root: str, config_dict: dict) -> None:
-    """HTTP server child: storage-clean, network-chaotic.
-
-    The server must never tear the batch directory itself — its writes
-    (dedup index, info file, metrics) ride the same atomic helpers the
-    queue uses, and keeping it storage-clean pins the blame: any torn
-    record in an API soak came from a scheduler under ``chaosio``, any
-    lost response from the server under ``chaosnet``.
-    """
-    from repro.service import chaosio, chaosnet
-    from repro.service.http import ServiceConfig, run_server
-
-    chaosio.install(None)
-    chaosnet.install_from_env()
-    raise SystemExit(run_server(root, ServiceConfig.from_dict(config_dict)))
-
-
-def _scheduler_service(
-    root: str, workers: int, lease_ttl: float, job_timeout: float
-) -> None:
-    """Long-lived scheduler child: drain, linger, drain — until SIGTERM.
-
-    Unlike :func:`_scheduler_round` (which exits when the queue is
-    momentarily empty) this keeps polling, because in an API campaign
-    jobs arrive *while* schedulers run. SIGTERM flips the pool's
-    graceful-drain hook: in-flight attempts finish, nothing new is
-    claimed, and the process exits 0 with its tickets either done or
-    still cleanly queued for the survivors.
-    """
-    from repro.service import chaosio
-    from repro.service.pool import WorkerPool
-    from repro.service.queue import JobQueue
-    from repro.service.store import ResultStore
-
-    chaosio.install_from_env()
-    stop = threading.Event()
-    signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    base = Path(root)
-    queue = JobQueue(base / "queue", lease_ttl=lease_ttl)
-    store = ResultStore(base / "store")
-    pool = WorkerPool(
-        queue, store, base / "scratch",
-        n_workers=workers, job_timeout=job_timeout,
-    )
-    while not stop.is_set():
-        pool.run(stop=stop.is_set)
-        stop.wait(0.25)
-
-
 def run_api_soak(
     root: str | Path,
     *,
@@ -304,44 +342,11 @@ def run_api_soak(
     SIGKILLed (replacements are spawned). Returns the summary; the
     embedded final audit is the pass criterion.
     """
-    from repro.service import chaosio, chaosnet
     from repro.service.http import ServiceConfig, wait_for_server
     from repro.service.netclient import ClientRetry, ServiceClient
 
-    log = log or (lambda msg: None)
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    # The driver submits over HTTP and audits at the end; it must stay
-    # chaos-clean even though it sets the env plans for its children —
-    # and unlike the classic soak it may not touch batch_io before the
-    # env is set, so disarm explicitly rather than relying on the lazy
-    # one-shot env check.
-    chaosio.install(None)
-    chaosnet.install(None)
-    client_side = BatchClient(root)  # observer for fallback/final counts
-    t0 = time.time()
-
-    if fault_rate > 0:
-        io_plan = IOFaultPlan(seed=seed, rate=fault_rate)
-        os.environ[CHAOS_PLAN_ENV] = str(
-            io_plan.save(root / "chaos-plan.json")
-        )
-    else:
-        io_plan = None
-    if net_fault_rate > 0:
-        net_plan = chaosnet.NetFaultPlan(
-            seed=seed, rate=net_fault_rate,
-            latency_s=0.02, slow_delay_s=0.005,
-        )
-        os.environ[chaosnet.NET_PLAN_ENV] = str(
-            net_plan.save(root / "net-chaos-plan.json")
-        )
-    else:
-        net_plan = None
-    log(
-        f"armed chaos: storage rate {fault_rate}, network rate "
-        f"{net_fault_rate}"
-    )
+    campaign = _Campaign(root, seed, fault_rate, net_fault_rate, log)
+    root, log = campaign.root, campaign.log
 
     config = ServiceConfig(
         # headroom over the defaults: a soak hammers one tenant
@@ -351,27 +356,25 @@ def run_api_soak(
         shed_lease_expired_rate=1e9,  # scheduler kills are the *point*
         drain_grace_s=10.0,
     )
-    ctx = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods()
-        else "spawn"
-    )
 
     def spawn_server():
-        proc = ctx.Process(
-            target=_server_process, args=(str(root), config.to_dict())
-        )
-        proc.start()
+        proc = campaign.spawn(_server_process, config.to_dict())
         info = wait_for_server(root, timeout=30.0)
         log(f"server up: pid {proc.pid} on {info['host']}:{info['port']}")
         return proc
 
     def spawn_scheduler():
-        proc = ctx.Process(
-            target=_scheduler_service,
-            args=(str(root), workers, lease_ttl, job_timeout),
+        return campaign.spawn(
+            _scheduler_service, workers, lease_ttl, job_timeout
         )
-        proc.start()
-        return proc
+
+    def drain_server(proc) -> dict:
+        td = time.monotonic()
+        os.kill(proc.pid, signal.SIGTERM)
+        proc.join(timeout=config.drain_grace_s + 15.0)
+        return {
+            "drain_s": time.monotonic() - td, "exit_code": proc.exitcode,
+        }
 
     def new_client():
         return ServiceClient.from_root(
@@ -415,17 +418,10 @@ def run_api_soak(
 
         for n in range(sigterm_drains):
             time.sleep(float(rng.uniform(0.5, 1.5)))
-            td = time.monotonic()
-            os.kill(server.pid, signal.SIGTERM)
-            server.join(timeout=config.drain_grace_s + 15.0)
-            drain = {
-                "drain_s": time.monotonic() - td,
-                "exit_code": server.exitcode,
-            }
-            drains.append(drain)
+            drains.append(drain_server(server))
             log(
-                f"server drain {n + 1}: exit {drain['exit_code']} "
-                f"in {drain['drain_s']:.2f}s"
+                f"server drain {n + 1}: exit {drains[-1]['exit_code']} "
+                f"in {drains[-1]['drain_s']:.2f}s"
             )
             server = spawn_server()
             client = new_client()
@@ -446,12 +442,8 @@ def run_api_soak(
             try:
                 counts = client.jobs()["counts"]
             except Exception:  # noqa: BLE001 - restart window / giveup
-                counts = client_side.queue.counts()
-            open_jobs = sum(
-                n for state, n in counts.items()
-                if state not in JobState.TERMINAL
-            )
-            if open_jobs == 0:
+                counts = campaign.client.queue.counts()
+            if campaign.open_jobs(counts) == 0:
                 drained = True
                 break
             time.sleep(1.0)
@@ -466,36 +458,23 @@ def run_api_soak(
             if proc.is_alive():  # pragma: no cover - stuck attempt
                 proc.terminate()
                 proc.join()
-        final_drain = None
         if server.is_alive():
-            td = time.monotonic()
-            os.kill(server.pid, signal.SIGTERM)
-            server.join(timeout=config.drain_grace_s + 15.0)
-            final_drain = {
-                "drain_s": time.monotonic() - td,
-                "exit_code": server.exitcode,
-            }
-        if final_drain is not None:
-            drains.append(final_drain)
-        os.environ.pop(CHAOS_PLAN_ENV, None)
-        os.environ.pop(chaosnet.NET_PLAN_ENV, None)
+            drains.append(drain_server(server))
+        campaign.disarm()
 
-    report = audit_journal(root, final=True)
-    return {
-        "mode": "api",
-        "jobs": jobs,
-        "seed": seed,
-        "schedulers": schedulers,
-        "distinct_jobs": len(distinct),
-        "dedup_hits": dedup_hits,
-        "cancelled": cancelled,
-        "scheduler_kills": kills,
-        "drains": drains,
-        "drained": drained,
-        "duration_s": time.time() - t0,
-        "counts": client_side.queue.counts(),
-        "client_stats": client.stats,
-        "io_fault_plan": None if io_plan is None else io_plan.to_dict(),
-        "net_fault_plan": None if net_plan is None else net_plan.to_dict(),
-        "audit": report,
-    }
+    io_plan, net_plan = campaign.io_plan, campaign.net_plan
+    return campaign.summary(
+        mode="api",
+        jobs=jobs,
+        seed=seed,
+        schedulers=schedulers,
+        distinct_jobs=len(distinct),
+        dedup_hits=dedup_hits,
+        cancelled=cancelled,
+        scheduler_kills=kills,
+        drains=drains,
+        drained=drained,
+        client_stats=client.stats,
+        io_fault_plan=None if io_plan is None else io_plan.to_dict(),
+        net_fault_plan=None if net_plan is None else net_plan.to_dict(),
+    )

@@ -245,8 +245,7 @@ class JobRecord:
     #: Free-form tenant label (HTTP rate-limit bucket / quota key).
     #: Scheduling metadata, not workload — deliberately *not* hashed.
     tenant: str = ""
-    max_retries: int = 1
-    retry: RetryPolicy | None = None
+    retry: RetryPolicy = field(default_factory=RetryPolicy)
     attempts: int = 0
     lease_epoch: int = 0
     not_before: float = 0.0
@@ -258,23 +257,20 @@ class JobRecord:
     error: str | None = None
     attempt_log: list[dict] = field(default_factory=list)
 
-    def policy(self) -> RetryPolicy:
-        """The effective retry policy (legacy ``max_retries`` mapped in)."""
-        if self.retry is not None:
-            return self.retry
-        return RetryPolicy(max_attempts=self.max_retries + 1)
-
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
         d["spec"] = self.spec.to_dict()
-        if self.retry is not None:
-            d["retry"] = self.retry.to_dict()
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "JobRecord":
         d = dict(d)
         d["spec"] = JobSpec.from_dict(d["spec"])
-        if d.get("retry") is not None:
-            d["retry"] = RetryPolicy.from_dict(d["retry"])
+        # record files written before the retry budget became one policy
+        # carry a ``max_retries`` count and possibly a null ``retry``
+        legacy = d.pop("max_retries", 1)
+        d["retry"] = (
+            RetryPolicy.from_dict(d["retry"]) if d.get("retry") is not None
+            else RetryPolicy(max_attempts=legacy + 1)
+        )
         return cls(**d)

@@ -135,15 +135,9 @@ class Heartbeat:
             pass  # journaling is evidence, never a reason to crash
 
 
-def attempt_checkpoint_dir(
-    scratch: Path, attempt: int, epoch: int | None = None
-) -> Path:
-    """Checkpoint directory for one attempt (epoch-stamped when leased)."""
-    if epoch is None:
-        name = f"attempt-{attempt:03d}"
-    else:
-        name = f"attempt-e{epoch:04d}-{attempt:03d}"
-    return Path(scratch) / "checkpoints" / name
+def attempt_checkpoint_dir(scratch: Path, attempt: int, epoch: int) -> Path:
+    """Checkpoint directory for one attempt (epoch-stamped)."""
+    return Path(scratch) / "checkpoints" / f"attempt-e{epoch:04d}-{attempt:03d}"
 
 
 def find_resume_point(scratch: str | Path):
@@ -177,8 +171,8 @@ def run_job(
     scratch: str | Path,
     attempt: int,
     *,
+    epoch: int,
     trace: bool = False,
-    epoch: int | None = None,
 ) -> dict:
     """Execute one attempt of a job; returns the outcome dict.
 
@@ -212,6 +206,9 @@ def run_job(
         injector = KillSwitch(spec.kill_at_step, resume_offset, inner=injector)
     from repro.engine.resilience import SimulationError
 
+    failed = {
+        "status": "failed", "attempt": attempt, "resumed_from": resume_offset,
+    }
     try:
         result, engine, summary = execute_spec(
             spec,
@@ -224,18 +221,14 @@ def run_job(
     except SimulationError as err:
         report = getattr(err, "report", None)
         return {
-            "status": "failed",
-            "attempt": attempt,
-            "resumed_from": resume_offset,
+            **failed,
             "error": type(err).__name__,
             "message": str(err),
             "rollbacks": report.rollbacks if report is not None else 0,
         }
     except Exception as err:  # noqa: BLE001 - the boundary must not leak
         return {
-            "status": "failed",
-            "attempt": attempt,
-            "resumed_from": resume_offset,
+            **failed,
             "error": type(err).__name__,
             "message": "".join(
                 traceback.format_exception_only(type(err), err)
@@ -243,11 +236,7 @@ def run_job(
         }
     from repro.io.model_io import save_system
 
-    stem = (
-        f"final-attempt-{attempt:03d}" if epoch is None
-        else f"final-e{epoch:04d}-attempt-{attempt:03d}"
-    )
-    state_stem = scratch / stem
+    state_stem = scratch / f"final-e{epoch:04d}-attempt-{attempt:03d}"
     save_system(engine.system, state_stem)
     summary["status"] = "succeeded"
     summary["attempt"] = attempt
@@ -261,7 +250,7 @@ def run_job(
 
 def worker_entry(
     spec_dict: dict, scratch: str, attempt: int, outcome_path: str,
-    trace: bool = False, lease_info: dict | None = None,
+    trace: bool, lease_info: dict,
 ) -> None:
     """``multiprocessing`` target: run one attempt, write the outcome.
 
@@ -271,19 +260,14 @@ def worker_entry(
     already-checked injector state, and every worker must run its own
     seeded stream, fork or spawn alike.
     """
-    from repro.service import chaosio
+    from repro.service.chaos import IOFaultInjector
 
-    chaosio.install_from_env()
-    epoch = None
-    heartbeat = None
-    if lease_info is not None:
-        epoch = int(lease_info["epoch"])
-        heartbeat = Heartbeat(lease_info).start()
+    IOFaultInjector.install_from_env()
+    epoch = int(lease_info["epoch"])
+    heartbeat = Heartbeat(lease_info).start()
     spec = JobSpec.from_dict(spec_dict)
-    outcome = run_job(spec, scratch, attempt, trace=trace, epoch=epoch)
-    if heartbeat is not None:
-        heartbeat.stop()
+    outcome = run_job(spec, scratch, attempt, epoch=epoch, trace=trace)
+    heartbeat.stop()
     outcome["pid"] = os.getpid()
-    if epoch is not None:
-        outcome["epoch"] = epoch
+    outcome["epoch"] = epoch
     write_json_atomic(outcome_path, outcome)

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.io.batch_io import read_json, write_json_atomic
-from repro.service import BatchClient, JobSpec, JobState, WorkerPool
+from repro.service import BatchClient, JobSpec, JobState, RetryPolicy, WorkerPool
 
 
 def healthy_spec(i: int) -> JobSpec:
@@ -37,7 +37,7 @@ def batch(tmp_path_factory):
     """Run the 4-job batch once; the tests dissect the aftermath."""
     root = tmp_path_factory.mktemp("batch")
     client = BatchClient(root)
-    killer_record = client.submit(KILLER, max_retries=1)
+    killer_record = client.submit(KILLER)
     healthy_records = [client.submit(healthy_spec(i)) for i in range(3)]
     tallies = client.run(n_workers=2)
     return client, killer_record, healthy_records, tallies
@@ -135,7 +135,7 @@ class TestEngineFailureRetry:
             inject_faults=1, fault_names=("solution_nan",), fault_step=1,
             tag="faulty",
         )
-        record = client.submit(faulty, max_retries=1)
+        record = client.submit(faulty)
         tallies = client.run(n_workers=1)
         assert tallies["quarantined"] == 1
         assert tallies["retried"] == 1
@@ -214,7 +214,7 @@ class TestCancellationTombstone:
             model="wall", engine="serial", steps=4, dynamic=True,
             kill_at_step=1, tag="doomed",
         )
-        record = client.submit(doomed, max_retries=3)
+        record = client.submit(doomed, retry=RetryPolicy(max_attempts=4))
         (client.queue.cancelled_dir / record.job_id).touch()
         # tombstone-only (no record rewrite): claim still consumes it
         tallies = client.run(n_workers=1)

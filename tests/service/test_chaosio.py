@@ -6,14 +6,21 @@ import json
 import pytest
 
 from repro.io import batch_io
-from repro.io.batch_io import read_json, write_json_atomic
-from repro.service.chaosio import (
+from repro.io.batch_io import (
+    copy_file_atomic,
+    read_json,
+    write_json_atomic,
+    write_text_atomic,
+)
+from repro.service.chaos import (
     ChaosIOError,
     IOFaultInjector,
     IOFaultPlan,
     IO_FAULT_REGISTRY,
-    install,
 )
+
+install = IOFaultInjector.install
+install_from_env = IOFaultInjector.install_from_env
 
 
 @pytest.fixture(autouse=True)
@@ -158,10 +165,73 @@ class TestWriteFaultSemantics:
         assert batch_io.get_io_chaos().counts.get("stale_lock", 0) >= 1
 
 
+def _copy(target, data: bytes):
+    src = target.parent.parent / "src.bin"
+    src.write_bytes(data)
+    return copy_file_atomic(src, target)
+
+
+#: writer name -> (write(target, data), bytes that ``data`` becomes on
+#: disk) — all three ride the one atomic-replace protocol, so each
+#: structural fault must leave the same destination state whichever
+#: writer issued it.
+WRITERS = {
+    "json": (lambda t, d: write_json_atomic(t, d.decode()),
+             lambda d: json.dumps(d.decode()).encode()),
+    "text": (lambda t, d: write_text_atomic(t, d.decode()), lambda d: d),
+    "copy": (_copy, lambda d: d),
+}
+OLD, NEW = b"old " * 64, b"new record " * 64
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+class TestEveryAtomicWriter:
+    """The four structural write faults, through each atomic writer."""
+
+    @pytest.fixture
+    def target(self, tmp_path):
+        (tmp_path / "jobs").mkdir()
+        return tmp_path / "jobs" / "r.dat"
+
+    @staticmethod
+    def fail(fault, writer, target):
+        """Write NEW under ``fault``; return (error, NEW's on-disk form)."""
+        write, on_disk = WRITERS[writer]
+        install(plan(faults=(fault,)))
+        with pytest.raises(ChaosIOError) as err:
+            write(target, NEW)
+        install(None)
+        assert err.value.fault == fault
+        assert list(target.parent.glob(".*.tmp")) == []  # no tmp litter
+        return err.value, on_disk(NEW)
+
+    def test_clean_write_round_trips(self, writer, target):
+        write, on_disk = WRITERS[writer]
+        assert write(target, NEW) == target
+        assert target.read_bytes() == on_disk(NEW)
+
+    def test_torn_write(self, writer, target):
+        _err, full = self.fail("torn_write", writer, target)
+        assert target.read_bytes() == full[: len(full) // 2]
+
+    def test_crash_before_rename(self, writer, target):
+        write, on_disk = WRITERS[writer]
+        write(target, OLD)
+        self.fail("crash_before_rename", writer, target)
+        assert target.read_bytes() == on_disk(OLD)  # old content survives
+
+    def test_crash_after_rename(self, writer, target):
+        _err, full = self.fail("crash_after_rename", writer, target)
+        assert target.read_bytes() == full  # landed despite the error
+
+    def test_enospc(self, writer, target):
+        err, _full = self.fail("enospc", writer, target)
+        assert err.errno == errno.ENOSPC
+        assert not target.exists()
+
+
 class TestEnvArming:
     def test_install_from_env_arms_lazily(self, tmp_path, monkeypatch):
-        from repro.service.chaosio import install_from_env
-
         p = plan(faults=("enospc",))
         path = p.save(tmp_path / "chaos-plan.json")
         monkeypatch.setenv(batch_io.CHAOS_PLAN_ENV, str(path))
@@ -171,8 +241,6 @@ class TestEnvArming:
             write_json_atomic(tmp_path / "jobs" / "x.json", {})
 
     def test_unset_env_disarms(self, monkeypatch):
-        from repro.service.chaosio import install_from_env
-
         monkeypatch.delenv(batch_io.CHAOS_PLAN_ENV, raising=False)
         assert install_from_env() is None
         assert batch_io.get_io_chaos() is None

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.service import chaosnet
-from repro.service.chaosnet import (
+from repro.service.chaos import (
     NET_FAULT_REGISTRY,
+    NET_PLAN_ENV,
     NetFaultInjector,
     NetFaultPlan,
 )
@@ -16,7 +16,7 @@ from repro.service.spec import JobSpec
 @pytest.fixture(autouse=True)
 def _clean_injector():
     yield
-    chaosnet.install(None)
+    NetFaultInjector.install(None)
 
 
 class TestPlan:
@@ -39,11 +39,11 @@ class TestPlan:
     def test_env_arming(self, tmp_path, monkeypatch):
         plan = NetFaultPlan(seed=4, rate=0.2)
         path = plan.save(tmp_path / "net.json")
-        monkeypatch.setenv(chaosnet.NET_PLAN_ENV, str(path))
-        injector = chaosnet.install_from_env()
+        monkeypatch.setenv(NET_PLAN_ENV, str(path))
+        injector = NetFaultInjector.install_from_env()
         assert injector is not None and injector.plan == plan
-        monkeypatch.delenv(chaosnet.NET_PLAN_ENV)
-        assert chaosnet.install_from_env() is None
+        monkeypatch.delenv(NET_PLAN_ENV)
+        assert NetFaultInjector.install_from_env() is None
 
 
 class TestInjector:
@@ -78,7 +78,7 @@ class TestFaultsThroughServer:
 
     @pytest.mark.parametrize("fault", sorted(NET_FAULT_REGISTRY))
     def test_client_retries_through(self, tmp_path, fault):
-        chaosnet.install(NetFaultPlan(
+        NetFaultInjector.install(NetFaultPlan(
             seed=11, rate=0.5, faults=(fault,), max_faults=4,
             latency_s=0.01, slow_delay_s=0.005,
         ))
@@ -103,11 +103,11 @@ class TestFaultsThroughServer:
             assert client.healthz()["ok"] is True
         finally:
             server.stop()
-            injector = chaosnet.get_net_chaos()
+            injector = NetFaultInjector.armed
             assert injector is not None and injector.total >= 1
 
     def test_injections_land_in_server_metrics(self, tmp_path):
-        chaosnet.install(NetFaultPlan(seed=3, rate=1.0,
+        NetFaultInjector.install(NetFaultPlan(seed=3, rate=1.0,
                                       faults=("net_latency",),
                                       latency_s=0.001))
         server = BackgroundServer(tmp_path / "b").start()

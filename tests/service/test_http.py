@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import socket
 import time
 import urllib.request
 
@@ -135,6 +136,55 @@ class TestLifecycle:
         snap = client.metrics()
         assert snap["counters"]["http.requests"] >= 1
         assert snap["counters"]["http.submitted"] == 1
+
+
+def raw_exchange(server, request: bytes) -> tuple[int, dict]:
+    """Send raw bytes; return (status, JSON body) of whatever came back."""
+    with socket.create_connection((server.host, server.port), timeout=5) as s:
+        s.sendall(request)
+        reply = b""
+        while chunk := s.recv(65536):
+            reply += chunk
+    assert reply, "connection closed without a response"
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestMalformedRequests:
+    """A request too malformed to route still gets its status + JSON
+    error — never a bare connection close, which a retrying client
+    would read as a transport fault."""
+
+    @pytest.mark.parametrize("request_bytes, status, error", [
+        (b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 5\r\n\r\n{nope",
+         400, "body is not JSON"),
+        (b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 9999999\r\n\r\n",
+         413, "body too large"),
+        (b"GET / HTTP/1.1\r\nX-Pad: " + b"a" * 20_000 + b"\r\n\r\n",
+         413, "headers too large"),
+        (b"GET / HTTP/1.1\r\nX-Pad: " + b"a" * 70_000,  # no terminator
+         413, "headers too large"),
+        (b"GARBAGE\r\n\r\n", 400, "bad request line"),
+        (b"POST /v1/jobs HTTP/1.1\r\nContent-Length: xx\r\n\r\n",
+         400, "bad Content-Length header"),
+        (b"POST /v1/jobs HTTP/1.1\r\nContent-Length: -4\r\n\r\n",
+         400, "bad Content-Length header"),
+    ], ids=["not-json", "body-too-large", "headers-too-large",
+            "headers-unterminated", "bad-request-line",
+            "content-length-not-int", "content-length-negative"])
+    def test_error_response_is_sent(self, served, request_bytes, status, error):
+        server, client, _root = served
+        before = client.metrics()["counters"]["http.responses.4xx"]
+        assert raw_exchange(server, request_bytes) == (status, {"error": error})
+        after = client.metrics()["counters"]["http.responses.4xx"]
+        assert after == before + 1
+
+    def test_client_sees_400_after_exactly_one_request(self, served):
+        _server, client, _root = served
+        with pytest.raises(ServiceError) as err:
+            client.request("POST", "/v1/jobs", body=["not", "an", "object"])
+        assert err.value.status == 400
+        assert client.stats == {"requests": 1, "retries": 0, "giveups": 0}
 
 
 class TestAdmissionControl:

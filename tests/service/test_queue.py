@@ -91,6 +91,19 @@ class TestClaimAtomicity:
         assert queue.claim() is None  # the cancelled ticket was consumed
 
 
+    def test_a_ticket_being_staged_is_not_claimable(self, queue):
+        """``write_text_atomic`` stages a ticket as a dot-prefixed tmp file
+        inside ``queued/``; a claimer that took it would fail the
+        submitter's rename (HTTP 500 ``FileNotFoundError``) and orphan
+        the job."""
+        staging = queue.queued_dir / ".999-0000000001-j000001-abcd1234.x1.tmp"
+        staging.write_text("j000001-abcd1234")
+        assert queue.claim() is None
+        assert queue.pending() == 0
+        assert queue.depths()["queued"] == 0
+        assert staging.exists()
+
+
 class TestRecovery:
     def test_killed_scheduler_tickets_requeued_on_open(self, tmp_path):
         """Claimed-but-never-acked work survives a scheduler death."""
@@ -191,18 +204,18 @@ class TestTornRecords:
     """A torn record write must never silently lose the job."""
 
     def test_save_record_heals_a_torn_write(self, queue):
-        from repro.service import chaosio
+        from repro.service.chaos import IOFaultInjector, IOFaultPlan
 
         record = queue.submit(spec("healed"))
-        plan = chaosio.IOFaultPlan(
+        plan = IOFaultPlan(
             seed=0, rate=1.0, faults=("torn_write",), max_faults=1
         )
-        chaosio.install(plan)
+        IOFaultInjector.install(plan)
         try:
             record.state = JobState.RUNNING
             queue.save_record(record)  # first write torn, retry verified
         finally:
-            chaosio.install(None)
+            IOFaultInjector.install(None)
         reloaded = queue.load_record(record.job_id)
         assert reloaded is not None
         assert reloaded.state == JobState.RUNNING
@@ -239,6 +252,66 @@ class TestTornRecords:
         path.write_bytes(good)
         got = q2.claim()
         assert got is not None and got[0].job_id == record.job_id
+
+
+class TestStatusScan:
+    """``BatchClient.status()`` serves rows, counts and the unreadable
+    bucket from one walk of ``jobs/``."""
+
+    def test_each_record_is_parsed_once_per_status(self, tmp_path, monkeypatch):
+        from repro.service import queue as queue_mod
+        from repro.service.client import BatchClient
+
+        client = BatchClient(tmp_path / "b")
+        q = client.queue
+        done, waiting, torn = (q.submit(spec(t)) for t in ("a", "b", "c"))
+        q.claim()
+        q.finalize(done.job_id, JobState.SUCCEEDED)
+        torn_path = q.jobs_dir / f"{torn.job_id}.json"
+        torn_path.write_bytes(torn_path.read_bytes()[:40])
+
+        reads: dict[str, int] = {}
+        sleeps: list[float] = []
+        real_read = queue_mod.read_json
+
+        def counting_read(path):
+            reads[Path(path).stem] = reads.get(Path(path).stem, 0) + 1
+            return real_read(path)
+
+        monkeypatch.setattr(queue_mod, "read_json", counting_read)
+        monkeypatch.setattr(queue_mod.time, "sleep", sleeps.append)
+        status = client.status()
+
+        # readable records: one parse each; the torn one: the first read
+        # plus its single retry read after one 50 ms pause — not per view
+        assert reads == {done.job_id: 1, waiting.job_id: 1, torn.job_id: 2}
+        assert sleeps == [0.05]
+
+        assert status["counts"] == {
+            "queued": 1, "running": 0, "succeeded": 1, "failed": 0,
+            "cancelled": 0, "quarantined": 0, "unreadable": 1,
+        }
+        depths = status["queue"]
+        assert (depths["queued"], depths["claimed"], depths["deferred"],
+                depths["unreadable"]) == (2, 1, 0, 1)
+        h = spec("a").spec_hash()[:12]
+        assert status["jobs"][0] == {
+            "job_id": done.job_id, "state": "succeeded", "model": "wall",
+            "engine": "serial", "steps": 2, "priority": 0, "tenant": "",
+            "attempts": 0, "cached": False, "error": None, "spec_hash": h,
+            "lease_epoch": 1, "not_before": 0.0, "lease": None,
+        }
+        assert [(r["job_id"], r["state"]) for r in status["jobs"][1:]] == [
+            (waiting.job_id, "queued"), (torn.job_id, "unreadable"),
+        ]
+        assert status["jobs"][2] == {
+            "job_id": torn.job_id, "state": "unreadable",
+            "model": None, "engine": None, "steps": None, "priority": None,
+            "tenant": None, "attempts": None, "cached": False,
+            "error": "record file torn (unreadable after retry)",
+            "spec_hash": None, "lease_epoch": None, "not_before": None,
+            "lease": None,
+        }
 
 
 class TestCancellation:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from repro.service.spec import JobRecord, JobSpec, JobState
+from repro.service.spec import JobRecord, JobSpec, JobState, RetryPolicy
 
 BASE = JobSpec(
     model="slope", engine="serial", steps=10, time_step=2e-3,
@@ -116,7 +116,8 @@ class TestJobRecord:
     def test_round_trip(self):
         record = JobRecord(
             job_id="j000001-abcd1234", spec=BASE, priority=5,
-            max_retries=2, attempts=1, state=JobState.RUNNING,
+            retry=RetryPolicy(max_attempts=3), attempts=1,
+            state=JobState.RUNNING,
             attempt_log=[{"attempt": 0, "crash": True}],
         )
         rebuilt = JobRecord.from_dict(record.to_dict())

@@ -22,7 +22,7 @@ def spec(steps: int) -> JobSpec:
 
 def seed_attempt0(scratch: Path, steps: int = 2) -> dict:
     """Run a short attempt 0 so the scratch dir has real checkpoints."""
-    outcome = run_job(spec(steps), scratch, 0)
+    outcome = run_job(spec(steps), scratch, 0, epoch=1)
     assert outcome["status"] == "succeeded"
     return outcome
 
