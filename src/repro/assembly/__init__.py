@@ -23,6 +23,7 @@ from repro.assembly.submatrices import (
     initial_stress_vector,
 )
 from repro.assembly.contact_springs import (
+    SpringGeometry,
     normal_spring_vectors,
     shear_spring_vectors,
     contact_contributions,
@@ -41,6 +42,7 @@ __all__ = [
     "point_load_vector",
     "fixed_point_contribution",
     "initial_stress_vector",
+    "SpringGeometry",
     "normal_spring_vectors",
     "shear_spring_vectors",
     "contact_contributions",

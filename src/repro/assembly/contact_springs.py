@@ -18,9 +18,16 @@ and the penalty energy ``p/2 d_n^2`` contributes ``p e e^T`` to ``K_ii``,
 d0 g`` to the load vectors. Shear springs use the projection onto the edge
 tangent; slide-state contacts get a Mohr–Coulomb friction force pair
 instead of a shear spring. All functions are vectorised over contacts.
+
+Both linearisations depend on block geometry alone, which is constant
+for a whole time step (vertices move only in data updating), so they
+are computed once per contact table into a :class:`SpringGeometry` that
+every open–close sweep's matrix build and state update then reads.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +40,13 @@ OPEN, SLIDE, LOCK = 0, 1, 2
 
 def _check_batch(name: str, arr: np.ndarray, m: int) -> np.ndarray:
     return check_array(name, arr, dtype=np.float64, shape=(m, 2))
+
+
+def _edge_length(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    length = np.hypot(e2[:, 0] - e1[:, 0], e2[:, 1] - e1[:, 1])
+    if np.any(length <= 0.0):  # lint: sync-ok[validation-gate] -- raises on degenerate input before any launch
+        raise ValueError("degenerate contact edge")
+    return length
 
 
 def normal_spring_vectors(
@@ -59,9 +73,7 @@ def normal_spring_vectors(
     e2 = _check_batch("e2", e2, m)
     ci = _check_batch("ci", ci, m)
     cj = _check_batch("cj", cj, m)
-    length = np.hypot(e2[:, 0] - e1[:, 0], e2[:, 1] - e1[:, 1])
-    if np.any(length <= 0.0):  # lint: sync-ok[validation-gate] -- raises on degenerate input before any launch
-        raise ValueError("degenerate contact edge")
+    length = _edge_length(e1, e2)
     s0 = (e1[:, 0] - p1[:, 0]) * (e2[:, 1] - p1[:, 1]) - (
         e2[:, 0] - p1[:, 0]
     ) * (e1[:, 1] - p1[:, 1])
@@ -106,9 +118,7 @@ def shear_spring_vectors(
     cj = _check_batch("cj", cj, m)
     r = check_array("ratios", ratios, dtype=np.float64, shape=(m,))
     edge = e2 - e1
-    length = np.hypot(edge[:, 0], edge[:, 1])
-    if np.any(length <= 0.0):  # lint: sync-ok[validation-gate] -- raises on degenerate input before any launch
-        raise ValueError("degenerate contact edge")
+    length = _edge_length(e1, e2)
     tangent = edge / length[:, None]
     t_p1 = displacement_matrix(p1, ci)
     contact_pt = e1 + r[:, None] * edge
@@ -118,13 +128,41 @@ def shear_spring_vectors(
     return e_s, g_s, tangent
 
 
+@dataclass(frozen=True)
+class SpringGeometry:
+    """The spring linearisation of one contact table, ``m`` rows.
+
+    ``e, g`` / ``e_s, g_s`` are the ``(m, 6)`` normal / shear vectors of
+    blocks ``i`` / ``j``, ``d0`` the ``(m,)`` initial normal gaps and
+    ``length`` the ``(m,)`` contact edge lengths.
+    """
+
+    e: np.ndarray
+    g: np.ndarray
+    d0: np.ndarray
+    length: np.ndarray
+    e_s: np.ndarray
+    g_s: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        p1: np.ndarray,
+        e1: np.ndarray,
+        e2: np.ndarray,
+        ratios: np.ndarray,
+        ci: np.ndarray,
+        cj: np.ndarray,
+    ) -> "SpringGeometry":
+        """Linearise ``m`` contacts given as ``(m, 2)`` point arrays
+        (see :func:`normal_spring_vectors`) and ``(m,)`` edge ratios."""
+        e, g, d0, length = normal_spring_vectors(p1, e1, e2, ci, cj)
+        e_s, g_s, _ = shear_spring_vectors(p1, e1, e2, ratios, ci, cj)
+        return cls(e, g, d0, length, e_s, g_s)
+
+
 def contact_contributions(
-    p1: np.ndarray,
-    e1: np.ndarray,
-    e2: np.ndarray,
-    ratios: np.ndarray,
-    ci: np.ndarray,
-    cj: np.ndarray,
+    geometry: SpringGeometry,
     states: np.ndarray,
     pn: np.ndarray,
     ps: np.ndarray,
@@ -135,6 +173,8 @@ def contact_contributions(
 
     Parameters
     ----------
+    geometry:
+        The contact table's :class:`SpringGeometry` (``m`` rows).
     states:
         ``(m,)`` int: OPEN (no springs), SLIDE (normal spring + friction
         force pair), LOCK (normal + shear springs).
@@ -152,7 +192,7 @@ def contact_contributions(
         ``(m, 6, 6)`` stiffness contributions (``K_ji = K_ij^T`` is
         implied by symmetry) and ``(m, 6)`` load contributions.
     """
-    m = p1.shape[0]
+    m = geometry.d0.shape[0]
     states = check_array("states", states, shape=(m,))
     pn = check_array("pn", pn, dtype=np.float64, shape=(m,))
     ps = check_array("ps", ps, dtype=np.float64, shape=(m,))
@@ -168,7 +208,8 @@ def contact_contributions(
         return kii, kjj, kij, fi, fj
 
     closed = states != OPEN
-    e, g, d0, _ = normal_spring_vectors(p1, e1, e2, ci, cj)
+    e, g, d0 = geometry.e, geometry.g, geometry.d0
+    e_s, g_s = geometry.e_s, geometry.g_s
     w = np.where(closed, pn, 0.0)
     kii += w[:, None, None] * np.einsum("mi,mj->mij", e, e)
     kjj += w[:, None, None] * np.einsum("mi,mj->mij", g, g)
@@ -178,7 +219,6 @@ def contact_contributions(
 
     locked = states == LOCK
     if locked.any():  # lint: sync-ok[stage-skip] -- host decides whether to launch the locked-shear kernel
-        e_s, g_s, _ = shear_spring_vectors(p1, e1, e2, ratios, ci, cj)
         ws = np.where(locked, ps, 0.0)
         kii += ws[:, None, None] * np.einsum("mi,mj->mij", e_s, e_s)
         kjj += ws[:, None, None] * np.einsum("mi,mj->mij", g_s, g_s)
@@ -186,7 +226,6 @@ def contact_contributions(
 
     sliding = states == SLIDE
     if sliding.any():  # lint: sync-ok[stage-skip] -- host decides whether to launch the sliding-shear kernel
-        e_s, g_s, _ = shear_spring_vectors(p1, e1, e2, ratios, ci, cj)
         # friction opposes sliding: force pair along -+ tangent
         mag = np.where(sliding, fric * sgn, 0.0)
         fi -= mag[:, None] * e_s

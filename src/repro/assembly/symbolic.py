@@ -281,5 +281,4 @@ class AssemblyPlan:
     def replay(self, device: VirtualDevice) -> None:
         """Re-record the captured launch ledger (scalar count) on
         ``device`` so modelled seconds match a from-scratch assembly."""
-        for name, counters in self.launches:
-            device.launch(name, counters)
+        device.replay(self.launches)

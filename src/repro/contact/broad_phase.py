@@ -9,8 +9,9 @@ which covers every unordered pair exactly once (for odd ``n``; for even
 an ``m x m`` tile whose ``2m - 1`` distinct AABBs live in shared memory.
 
 :func:`gpu_pair_mapping` exposes the mapping itself (tested for exact
-coverage); :func:`broad_phase_pairs` performs the real AABB tests
-vectorised and records the tiled kernel's modelled cost.
+coverage) and is the specification :func:`broad_phase_pairs` is tested
+against; the latter performs the real AABB tests on that grid and
+records the tiled kernel's modelled cost.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.gpu.counters import KernelCounters
 from repro.gpu.kernel import VirtualDevice
@@ -52,24 +54,18 @@ def gpu_pair_mapping(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _aabb_overlap(
-    aabbs: np.ndarray, i: np.ndarray, j: np.ndarray, margin: float
-) -> np.ndarray:
-    a, b = aabbs[i], aabbs[j]
-    return (
-        (a[:, 0] <= b[:, 2] + margin)
-        & (b[:, 0] <= a[:, 2] + margin)
-        & (a[:, 1] <= b[:, 3] + margin)
-        & (b[:, 1] <= a[:, 3] + margin)
-    )
-
-
 def broad_phase_pairs(
     aabbs: np.ndarray,
     margin: float,
     device: VirtualDevice | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Overlapping block pairs ``(i, j)`` with ``i < j`` (GPU-style).
+
+    The four interval tests run directly on the ``(n, n // 2)`` grid of
+    :func:`gpu_pair_mapping` — row side broadcast, column side a window
+    over the wrap-extended coordinates — so neither a pair index nor an
+    AABB row is gathered; ``(i, j)`` are formed for the hits only, in
+    the mapping's row-major order.
 
     Parameters
     ----------
@@ -83,32 +79,53 @@ def broad_phase_pairs(
     aabbs = check_array("aabbs", aabbs, dtype=np.float64, shape=(None, 4))
     check_positive("margin", margin, strict=False)
     n = aabbs.shape[0]
-    i, j = gpu_pair_mapping(n)
-    hits = _aabb_overlap(aabbs, i, j, margin) if i.size else np.zeros(0, bool)
-    if device is not None and n >= 2:
-        tests = i.size
-        tiles = math.ceil(n / TILE) * math.ceil(max(1, n // 2) / TILE)
+    if n < 2:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    half = n // 2
+
+    def columns(values: np.ndarray) -> np.ndarray:
+        # entry (row, k) reads block (row + k + 1) mod n
+        wrapped = np.concatenate([values[1:], values[:half]])
+        return sliding_window_view(wrapped, half)
+
+    x0, y0 = aabbs[:, 0], aabbs[:, 1]
+    x1, y1 = aabbs[:, 2] + margin, aabbs[:, 3] + margin
+    hits = (
+        (x0[:, None] <= columns(x1))
+        & (columns(x0) <= x1[:, None])
+        & (y0[:, None] <= columns(y1))
+        & (columns(y0) <= y1[:, None])
+    )
+    if n % 2 == 0:
+        # column half-1 enumerates each diametral pair twice; keep the
+        # copy whose row is the smaller id
+        hits[half:, half - 1] = False
+    # stream compaction: the hit count is the one scalar the host learns
+    rows, ks = np.nonzero(hits)
+    n_hits = rows.size
+    if device is not None:
+        tests = n * (n - 1) // 2
+        tiles = math.ceil(n / TILE) * math.ceil(half / TILE)
         device.launch(
             "broad_phase_tiled",
             KernelCounters(
                 flops=8.0 * tests,
                 # each m x m tile loads 2m-1 distinct AABBs once
                 global_bytes_read=tiles * (2 * TILE - 1) * 32.0,
-                global_bytes_written=float(np.count_nonzero(hits)) * 8.0,
+                global_bytes_written=n_hits * 8.0,
                 global_txn_read=tiles
                 * coalesced_transactions(2 * TILE - 1, 32),
-                global_txn_written=coalesced_transactions(
-                    int(np.count_nonzero(hits)), 8
-                ),
+                global_txn_written=coalesced_transactions(n_hits, 8),
                 shared_accesses=2.0 * tests,
                 threads=tests,
                 warps=max(1, tests // WARP_SIZE),
                 branch_regions=max(1, tests // WARP_SIZE),
                 divergent_branch_regions=max(1, tests // WARP_SIZE)
-                * min(1.0, 2.0 * float(np.mean(hits)) if hits.size else 0.0),
+                * min(1.0, 2.0 * (n_hits / tests)),
             ),
         )
-    return i[hits], j[hits]
+    cols = (rows + ks + 1) % n
+    return np.minimum(rows, cols), np.maximum(rows, cols)
 
 
 def broad_phase_pairs_python(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.assembly.contact_springs import OPEN
+from repro.assembly.contact_springs import OPEN, SpringGeometry
 from repro.core.blocks import BlockSystem
 from repro.util.validation import check_array
 
@@ -126,6 +126,12 @@ class ContactSet:
             c[self.block_i],
             c[self.block_j],
         )
+
+    def spring_geometry(self, system: BlockSystem) -> SpringGeometry:
+        """The table's spring linearisation at the system's current
+        coordinates — valid until data updating moves the vertices."""
+        p1, e1, e2, ci, cj = self.geometry(system)
+        return SpringGeometry.build(p1, e1, e2, self.ratio, ci, cj)
 
     def keys(self, n_vertices: int) -> np.ndarray:
         """Unique transfer keys ``(vertex, e1, e2)`` packed into int64.

@@ -5,22 +5,22 @@ normal penetration and tangential displacement after every solve and
 switches its state (OPEN / SLIDE / LOCK) until no significant switch
 remains. The contact *geometry* — the spring linearisation vectors
 ``e``, ``g``, ``e_s``, ``g_s``, the initial gap ``d0`` and the edge
-length — is constant for the whole step (vertices only move in data
-updating, after the iteration converges), so the driver factors the
-sweep into:
+length, one :class:`~repro.assembly.contact_springs.SpringGeometry` —
+is constant for the whole step (vertices only move in data updating,
+after the iteration converges), so the driver factors the sweep into:
 
-* :meth:`OpenCloseDriver.build` — one vectorised precomputation per
-  step of everything displacement-independent, including the friction
-  cohesion term and the tensile-capacity term;
+* :meth:`OpenCloseDriver.build` — everything displacement-independent:
+  the step's spring geometry plus the friction cohesion term and the
+  tensile-capacity term derived from it;
 * :meth:`OpenCloseDriver.sweep` — array-wide state classification
   (open/sliding/reversal masks), batched spring sign and lock updates,
   and a single convergence reduction, per open–close iteration.
 
 The sweep evaluates the *same* einsum formulation as the GPU engine's
 restructured kernel always has, so the engines share one numeric path;
-the per-contact scalar loop survives as
-:func:`repro.engine.physics.update_contact_states_serial`, the
-independent reference the equivalence tests pin the driver against.
+the per-contact scalar loop survives as the test oracle in
+``tests/engine/oracles.py``, the independent reference the
+equivalence tests pin the driver against.
 Virtual-GPU launch metering stays with the engines — the driver does
 the arithmetic, the engines charge their own kernels — so modelled
 time is unchanged by this vectorisation.
@@ -36,8 +36,7 @@ from repro.assembly.contact_springs import (
     LOCK,
     OPEN,
     SLIDE,
-    normal_spring_vectors,
-    shear_spring_vectors,
+    SpringGeometry,
 )
 from repro.contact.contact_set import ContactSet
 from repro.core.blocks import DOF, BlockSystem
@@ -101,14 +100,9 @@ class OpenCloseDriver:
         the driver reads them afresh on every call.
     n_blocks:
         Block count (``d`` reshapes to ``(n_blocks, 6)``).
-    e, g:
-        ``(m, 6)`` normal-spring linearisation vectors (blocks i / j).
-    es, gs:
-        ``(m, 6)`` shear-spring linearisation vectors.
-    d0:
-        ``(m,)`` initial normal gaps.
-    length:
-        ``(m,)`` contact edge lengths.
+    geometry:
+        The table's :class:`~repro.assembly.contact_springs.
+        SpringGeometry` (shared with the step's matrix builds).
     tan_phi:
         Joint friction coefficient (scalar).
     cohesion_term:
@@ -123,12 +117,7 @@ class OpenCloseDriver:
 
     contacts: ContactSet
     n_blocks: int
-    e: np.ndarray
-    g: np.ndarray
-    es: np.ndarray
-    gs: np.ndarray
-    d0: np.ndarray
-    length: np.ndarray
+    geometry: SpringGeometry
     tan_phi: float
     cohesion_term: np.ndarray
     tension_term: np.ndarray
@@ -140,40 +129,29 @@ class OpenCloseDriver:
         cls,
         system: BlockSystem,
         contacts: ContactSet,
+        geometry: SpringGeometry | None = None,
         *,
         tension_tolerance: float = 0.0,
         force_tolerance: float = 0.0,
     ) -> "OpenCloseDriver":
         """Precompute the displacement-independent sweep state.
 
-        One vectorised pass over all ``m`` contacts: spring vectors
-        ``(m, 6)``, gaps/lengths ``(m,)``, and the cohesion and tensile
+        ``geometry`` is the table's spring linearisation when the caller
+        already holds it (the engines, once per step); otherwise it is
+        built here. On top of it come the ``(m,)`` cohesion and tensile
         terms of the friction/opening thresholds.
         """
-        m = contacts.m
+        if geometry is None:
+            geometry = contacts.spring_geometry(system)
         jm = system.joint_material
-        if m == 0:
-            z2 = np.zeros((0, DOF))
-            z1 = np.zeros(0)
-            return cls(
-                contacts=contacts, n_blocks=system.n_blocks,
-                e=z2, g=z2.copy(), es=z2.copy(), gs=z2.copy(),
-                d0=z1, length=z1.copy(), tan_phi=jm.tan_phi,
-                cohesion_term=z1.copy(), tension_term=z1.copy(),
-                tension_tolerance=tension_tolerance,
-                force_tolerance=force_tolerance,
-            )
-        p1, e1, e2, ci, cj = contacts.geometry(system)
-        e, g, d0, length = normal_spring_vectors(p1, e1, e2, ci, cj)
-        es, gs, _ = shear_spring_vectors(p1, e1, e2, contacts.ratio, ci, cj)
         return cls(
             contacts=contacts,
             n_blocks=system.n_blocks,
-            e=e, g=g, es=es, gs=gs, d0=d0, length=length,
+            geometry=geometry,
             tan_phi=jm.tan_phi,
-            cohesion_term=jm.cohesion * length,
+            cohesion_term=jm.cohesion * geometry.length,
             tension_term=(
-                jm.tensile_strength * length
+                jm.tensile_strength * geometry.length
                 / np.maximum(contacts.pn, 1e-300)
             ),
             tension_tolerance=tension_tolerance,
@@ -203,14 +181,15 @@ class OpenCloseDriver:
         db = d.reshape(self.n_blocks, DOF)
         di = db[contacts.block_i]
         dj = db[contacts.block_j]
+        geo = self.geometry
         dn = (
-            self.d0
-            + np.einsum("mk,mk->m", self.e, di)
-            + np.einsum("mk,mk->m", self.g, dj)
+            geo.d0
+            + np.einsum("mk,mk->m", geo.e, di)
+            + np.einsum("mk,mk->m", geo.g, dj)
         )
         ds = (
-            np.einsum("mk,mk->m", self.es, di)
-            + np.einsum("mk,mk->m", self.gs, dj)
+            np.einsum("mk,mk->m", geo.e_s, di)
+            + np.einsum("mk,mk->m", geo.g_s, dj)
         )
 
         normal_force = np.maximum(0.0, -contacts.pn * dn)

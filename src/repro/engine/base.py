@@ -19,6 +19,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from repro.assembly.contact_springs import SpringGeometry
 from repro.assembly.global_matrix import BlockMatrix
 from repro.assembly.symbolic import AssemblyPlan
 from repro.contact.contact_set import KIND_NAMES, ContactSet
@@ -109,7 +110,7 @@ class EngineBase:
         self._prev_solution = np.zeros(system.n_dof)
         self._current_step = 0
         self._contacts = ContactSet.empty()
-        #: vectorised open–close driver, rebuilt per contact table
+        #: vectorised open–close driver of the current loop-2 attempt
         self._oc_driver: OpenCloseDriver | None = None
         #: cached symbolic assembly and the contact table it served
         self._assembly_plan: AssemblyPlan | None = None
@@ -254,7 +255,10 @@ class EngineBase:
         raise NotImplementedError
 
     def _build_nondiagonal(
-        self, contacts: ContactSet, normal_force: np.ndarray
+        self,
+        contacts: ContactSet,
+        normal_force: np.ndarray,
+        geometry: SpringGeometry | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
 
@@ -517,35 +521,19 @@ class EngineBase:
     # ------------------------------------------------------------------
     # open–close driver + symbolic assembly reuse
     # ------------------------------------------------------------------
-    def _make_open_close_driver(
-        self, contacts: ContactSet
-    ) -> OpenCloseDriver:
-        """Build the vectorised open–close driver (per-step hook)."""
-        return OpenCloseDriver.build(
-            self.system, contacts, force_tolerance=self._force_tol
-        )
-
     def _oc_sweep(
-        self,
-        contacts: ContactSet,
-        d: np.ndarray,
-        prev_normal_force: np.ndarray | None,
+        self, d: np.ndarray, prev_normal_force: np.ndarray | None
     ) -> StateUpdate:
         """One open–close sweep over all contacts simultaneously.
 
-        The driver's displacement-independent geometry precomputation is
-        amortised across the sweeps of a step: it is rebuilt only when
-        the engine hands over a *new* contact table (each step's
-        detection, and each loop-2 retry, produces one; vertices never
-        move between the sweeps of a single step). Every sweep bumps the
+        :meth:`_step_impl` builds the driver once per loop-2 attempt,
+        over that attempt's copy of the step's contact table and the
+        step's one spring geometry (vertices never move between the
+        attempts or sweeps of a step). Every sweep bumps the
         ``open_close.sweeps`` counter.
         """
-        driver = self._oc_driver
-        if driver is None or driver.contacts is not contacts:
-            driver = self._make_open_close_driver(contacts)
-            self._oc_driver = driver
         self.metrics.inc("open_close.sweeps")
-        return driver.sweep(d, prev_normal_force)
+        return self._oc_driver.sweep(d, prev_normal_force)
 
     def _assemble(
         self,
@@ -575,11 +563,9 @@ class EngineBase:
             self.metrics.inc("assembly.symbolic_reuse")
             plan.replay(self.device)
         else:
-            n0 = len(self.device.records)
+            n0 = self.device.launches()
             plan = self._plan_assembly(diag_idx, off_rows, off_cols)
-            plan.launches = tuple(
-                (r.name, r.counters) for r in self.device.records[n0:]
-            )
+            plan.launches = self.device.launches_since(n0)
             self._assembly_plan = plan
         return plan.assemble(diag_blocks, off_blocks)
 
@@ -614,11 +600,31 @@ class EngineBase:
             saved_velocities = self.system.velocities.copy()
             ctx = StepContext(step=step, dt=self.dt, retries=retry)
             # ---- contact detection ----------------------------------
+            # detection and the spring linearisation read block geometry
+            # only, and that moves in data updating alone: they run on
+            # the first attempt, a retry replays the detection launches
+            # and starts from a fresh copy of the detected table
             with self._stage(times, "contact_detection", step):
-                contacts = self._detect_contacts()
-            contacts = self._inject("contact_detection", contacts, step)
+                if retry == 0:
+                    n0 = self.device.launches()
+                    detected = self._detect_contacts()
+                    detection = self.device.launches_since(n0)
+                    step_geometry = detected.spring_geometry(self.system)
+                else:
+                    self.device.replay(detection)
+                table = detected.copy()
+            contacts = self._inject("contact_detection", table, step)
             self.contracts.check_contacts(
                 self.system, contacts, previous=self._contacts, context=ctx
+            )
+            # a fault that replaced the table brings its own geometry
+            geometry = (
+                step_geometry if contacts is table
+                else contacts.spring_geometry(self.system)
+            )
+            self._oc_driver = OpenCloseDriver.build(
+                self.system, contacts, geometry,
+                force_tolerance=self._force_tol,
             )
             # proactive symbolic-assembly invalidation: the transfer
             # layer knows whether the contact-set topology moved; if it
@@ -652,7 +658,7 @@ class EngineBase:
                 with self._stage(times, "nondiagonal_matrix_building", step):
                     (c_diag_idx, c_diag_blocks, rows, cols, blocks,
                      f_contact) = self._build_nondiagonal(
-                        contacts, normal_force
+                        contacts, normal_force, geometry
                     )
                     matrix = self._assemble(
                         np.concatenate([diag_idx, c_diag_idx]),

@@ -78,7 +78,9 @@ class GpuEngine(EngineBase):
         )
         return out
 
-    def _build_nondiagonal(self, contacts: ContactSet, normal_force):
+    def _build_nondiagonal(
+        self, contacts: ContactSet, normal_force, geometry=None
+    ):
         # third data classification: categories C1..C5, one uniform kernel
         # per category (the framework's divergence-avoidance step)
         m = contacts.m
@@ -112,7 +114,7 @@ class GpuEngine(EngineBase):
                         divergent_branch_regions=0.0,  # uniform category
                     ),
                 )
-        return contact_system(self.system, contacts, normal_force)
+        return contact_system(self.system, contacts, normal_force, geometry)
 
     def _plan_assembly(self, diag_idx, off_rows, off_cols):
         return AssemblyPlan.build(
@@ -123,7 +125,7 @@ class GpuEngine(EngineBase):
         # the vectorised open–close driver IS the restructured kernel's
         # formulation; the sweep amortises the spring-geometry
         # precomputation across the open–close iterations of the step
-        update = self._oc_sweep(contacts, d, prev_normal_force)
+        update = self._oc_sweep(d, prev_normal_force)
         m = contacts.m
         if m:
             # restructured-branch kernel (Section III.D): computation is

@@ -10,12 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.assembly.contact_springs import (
-    LOCK,
-    OPEN,
-    SLIDE,
+    SpringGeometry,
     contact_contributions,
-    normal_spring_vectors,
-    shear_spring_vectors,
 )
 from repro.contact.open_close import OpenCloseDriver, StateUpdate
 from repro.assembly.submatrices import (
@@ -106,6 +102,7 @@ def contact_system(
     system: BlockSystem,
     contacts: ContactSet,
     normal_force: np.ndarray,
+    geometry: SpringGeometry | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Contact contributions in assembly-stream form.
 
@@ -114,6 +111,9 @@ def contact_system(
     normal_force:
         Per-contact compressive normal force from the previous open–close
         iteration (drives the friction magnitude of SLIDE contacts).
+    geometry:
+        The table's spring linearisation when the caller already holds
+        it (the engines build it once per step); built here otherwise.
 
     Returns
     -------
@@ -126,13 +126,12 @@ def contact_system(
     if m == 0:
         z = np.zeros(0, dtype=np.int64)
         return z, np.zeros((0, DOF, DOF)), z.copy(), z.copy(), np.zeros((0, DOF, DOF)), f
-    p1, e1, e2, ci, cj = contacts.geometry(system)
+    if geometry is None:
+        geometry = contacts.spring_geometry(system)
     jm = system.joint_material
-    _, _, _, length = normal_spring_vectors(p1, e1, e2, ci, cj)
-    friction = normal_force * jm.tan_phi + jm.cohesion * length
+    friction = normal_force * jm.tan_phi + jm.cohesion * geometry.length
     kii, kjj, kij, fi, fj = contact_contributions(
-        p1, e1, e2, contacts.ratio, ci, cj,
-        contacts.state, contacts.pn, contacts.ps,
+        geometry, contacts.state, contacts.pn, contacts.ps,
         friction, contacts.shear_sign,
     )
     diag_idx = np.concatenate([contacts.block_i, contacts.block_j])
@@ -168,9 +167,9 @@ def update_contact_states(
       -> SLIDE (with the shear direction's sign), else LOCK.
 
     One-shot convenience over :class:`~repro.contact.open_close.
-    OpenCloseDriver`: the engines build the driver once per step and
-    call :meth:`~repro.contact.open_close.OpenCloseDriver.sweep` per
-    open–close iteration, amortising the geometry precomputation.
+    OpenCloseDriver`: the engines build one spring geometry per step
+    and call :meth:`~repro.contact.open_close.OpenCloseDriver.sweep`
+    per open–close iteration.
     """
     driver = OpenCloseDriver.build(
         system, contacts,
@@ -178,86 +177,3 @@ def update_contact_states(
         force_tolerance=force_tolerance,
     )
     return driver.sweep(d, prev_normal_force)
-
-
-def update_contact_states_serial(
-    system: BlockSystem,
-    contacts: ContactSet,
-    d: np.ndarray,
-    *,
-    tension_tolerance: float = 0.0,
-    prev_normal_force: np.ndarray | None = None,
-    force_tolerance: float = 0.0,
-) -> StateUpdate:
-    """Per-contact Python loop version of :func:`update_contact_states`.
-
-    The serial engine's interpenetration check — the branchy CPU code of
-    the paper's Section III.D example, kept as an independent
-    implementation so the pipeline-equivalence test is meaningful.
-    """
-    m = contacts.m
-    states = np.empty(m, dtype=np.int64)
-    signs = contacts.shear_sign.copy()
-    nforce = np.zeros(m)
-    prev_nf = np.zeros(m) if prev_normal_force is None else prev_normal_force
-    changed = 0
-    significant = 0
-    max_pen = 0.0
-    jm = system.joint_material
-    db = d.reshape(system.n_blocks, DOF)
-    verts = system.vertices
-    cents = system.centroids
-    for k in range(m):
-        one = slice(k, k + 1)
-        p1 = verts[contacts.vertex_idx[one]]
-        e1 = verts[contacts.e1_idx[one]]
-        e2 = verts[contacts.e2_idx[one]]
-        ci = cents[contacts.block_i[one]]
-        cj = cents[contacts.block_j[one]]
-        e, g, d0, length = normal_spring_vectors(p1, e1, e2, ci, cj)
-        es, gs, _ = shear_spring_vectors(
-            p1, e1, e2, contacts.ratio[one], ci, cj
-        )
-        di = db[contacts.block_i[k]]
-        dj = db[contacts.block_j[k]]
-        dn = float(d0[0] + e[0] @ di + g[0] @ dj)
-        ds = float(es[0] @ di + gs[0] @ dj)
-        cap = 0.0
-        if contacts.state[k] != OPEN:
-            cap = (
-                jm.tensile_strength * float(length[0])
-                / max(contacts.pn[k], 1e-300)
-            )
-        if dn > tension_tolerance + cap:
-            new = OPEN
-        else:
-            n_f = max(0.0, -contacts.pn[k] * dn)
-            nforce[k] = n_f
-            limit = n_f * jm.tan_phi + jm.cohesion * float(length[0])
-            if abs(contacts.ps[k] * ds) > limit:
-                ds_sign = 1.0 if ds >= 0 else -1.0
-                if (
-                    contacts.state[k] == SLIDE
-                    and ds_sign != contacts.shear_sign[k]
-                ):
-                    new = LOCK  # anti-chatter: direction reversal sticks
-                else:
-                    new = SLIDE
-                    signs[k] = ds_sign
-            else:
-                new = LOCK
-        if dn < 0 and -dn > max_pen:
-            max_pen = -dn
-        states[k] = new
-        if new != contacts.state[k]:
-            changed += 1
-            if max(prev_nf[k], nforce[k]) > force_tolerance:
-                significant += 1
-    return StateUpdate(
-        states=states,
-        shear_sign=signs,
-        normal_force=nforce,
-        changed=changed,
-        significant_changes=significant,
-        max_penetration=max_pen,
-    )

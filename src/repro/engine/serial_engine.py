@@ -4,9 +4,9 @@ Module implementations are deliberately the *serial* formulations:
 upper-triangular pure-Python broad phase, assembly charged as one
 single-core scatter loop, and a per-contact interpenetration check whose
 modelled cost is the branchy single-core loop (the loop itself survives
-as :func:`repro.engine.physics.update_contact_states_serial`, the
-reference implementation the equivalence tests pin the vectorised
-open–close driver against). The physics is identical to the GPU engine's
+as the test oracle ``tests/engine/oracles.py``, the reference the
+equivalence tests pin the vectorised open–close driver against). The
+physics is identical to the GPU engine's
 (the pipeline-equivalence tests verify it); the modelled cost is charged
 to the single-core E5620 profile.
 """
@@ -46,8 +46,8 @@ class CpuStages(EngineBase):
         )
         return out
 
-    def _build_nondiagonal(self, contacts, normal_force):
-        out = contact_system(self.system, contacts, normal_force)
+    def _build_nondiagonal(self, contacts, normal_force, geometry=None):
+        out = contact_system(self.system, contacts, normal_force, geometry)
         m = contacts.m
         self.device.launch(
             "serial_nondiagonal_build",
@@ -154,11 +154,9 @@ class SerialEngine(CpuStages):
         )
 
     def _check_interpenetration(self, contacts, d, prev_normal_force):
-        # the vectorised driver sweep (its per-contact scalar twin,
-        # update_contact_states_serial, survives as the independent
-        # reference the equivalence tests pin against); the modelled
-        # cost stays the single-core per-contact loop below
-        update = self._oc_sweep(contacts, d, prev_normal_force)
+        # the vectorised driver sweep; the modelled cost stays the
+        # single-core per-contact loop below
+        update = self._oc_sweep(d, prev_normal_force)
         self.device.launch(
             "serial_interpenetration_check",
             KernelCounters(

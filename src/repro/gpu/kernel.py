@@ -121,6 +121,21 @@ class VirtualDevice:
         """Number of kernel launches recorded."""
         return len(self.records)
 
+    def launches_since(
+        self, start: int
+    ) -> tuple[tuple[str, KernelCounters], ...]:
+        """``(name, counters)`` of every launch recorded after the first
+        ``start`` — the slice :meth:`replay` re-records."""
+        return tuple((r.name, r.counters) for r in self.records[start:])
+
+    def replay(
+        self, launches: tuple[tuple[str, KernelCounters], ...]
+    ) -> None:
+        """Record a captured launch slice again, so work whose result is
+        reused still costs its modelled seconds."""
+        for name, counters in launches:
+            self.launch(name, counters)
+
     def reset(self) -> None:
         """Clear the ledger (the profile is kept)."""
         self.records.clear()

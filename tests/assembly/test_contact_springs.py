@@ -5,6 +5,7 @@ from repro.assembly.contact_springs import (
     LOCK,
     OPEN,
     SLIDE,
+    SpringGeometry,
     contact_contributions,
     normal_spring_vectors,
     shear_spring_vectors,
@@ -97,7 +98,7 @@ class TestShearSpringVectors:
 class TestContactContributions:
     def _contrib(self, states, fric=0.0, sgn=1.0, pn=100.0, ps=40.0):
         return contact_contributions(
-            P1, E1, E2, R, CI, CJ,
+            SpringGeometry.build(P1, E1, E2, R, CI, CJ),
             np.array([states]),
             np.array([pn]),
             np.array([ps]),
@@ -128,7 +129,7 @@ class TestContactContributions:
         # penetrating vertex: load should push block i up (+y), block j down
         p_pen = np.array([[1.0, -0.02]])
         _, _, _, fi, fj = contact_contributions(
-            p_pen, E1, E2, R, CI, CJ,
+            SpringGeometry.build(p_pen, E1, E2, R, CI, CJ),
             np.array([LOCK]), np.array([100.0]), np.array([40.0]),
             np.array([0.0]), np.array([1.0]),
         )
@@ -153,8 +154,10 @@ class TestContactContributions:
 
     def test_empty_batch(self):
         out = contact_contributions(
-            np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2)),
-            np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2)),
+            SpringGeometry.build(
+                np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2)),
+                np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2)),
+            ),
             np.zeros(0, dtype=int), np.zeros(0), np.zeros(0),
             np.zeros(0), np.zeros(0),
         )
@@ -169,14 +172,17 @@ class TestContactContributions:
         cj = np.vstack([CJ, CJ])
         states = np.array([LOCK, SLIDE])
         out_batch = contact_contributions(
-            p1, e1, e2, r, ci, cj, states,
+            SpringGeometry.build(p1, e1, e2, r, ci, cj), states,
             np.array([100.0, 100.0]), np.array([40.0, 40.0]),
             np.array([0.0, 2.0]), np.array([1.0, 1.0]),
         )
         for k in range(2):
             out_one = contact_contributions(
-                p1[k : k + 1], e1[k : k + 1], e2[k : k + 1], r[k : k + 1],
-                ci[k : k + 1], cj[k : k + 1], states[k : k + 1],
+                SpringGeometry.build(
+                    p1[k : k + 1], e1[k : k + 1], e2[k : k + 1],
+                    r[k : k + 1], ci[k : k + 1], cj[k : k + 1],
+                ),
+                states[k : k + 1],
                 np.array([100.0]), np.array([40.0]),
                 np.array([0.0, 2.0])[k : k + 1], np.array([1.0]),
             )

@@ -2,9 +2,8 @@
 
 The driver (:class:`repro.contact.open_close.OpenCloseDriver`) is the
 one numeric path every engine's interpenetration check now runs; the
-per-contact scalar loop
-(:func:`repro.engine.physics.update_contact_states_serial`) survives as
-the independent reference. These tests pin the two against each other
+per-contact scalar loop (``oracles.update_contact_states_serial``,
+beside this file) survives as the independent reference. These tests pin the two against each other
 on both meshed models across all four engines, and pin the
 symbolic-assembly reuse to be bit-invisible (identical states and
 identical modelled device time whether the plan is reused or rebuilt
@@ -14,6 +13,10 @@ every sweep).
 import numpy as np
 import pytest
 
+from repro.assembly.contact_springs import (
+    normal_spring_vectors,
+    shear_spring_vectors,
+)
 from repro.assembly.symbolic import AssemblyPlan
 from repro.contact.open_close import OpenCloseDriver
 from repro.core.materials import JointMaterial
@@ -21,12 +24,12 @@ from repro.core.state import SimulationControls
 from repro.engine.domain_engine import DomainEngine
 from repro.engine.gpu_engine import GpuEngine
 from repro.engine.hybrid_engine import HybridEngine
-from repro.engine.physics import update_contact_states_serial
 from repro.engine.serial_engine import SerialEngine
 from repro.meshing.slope_models import (
     build_falling_rocks_model,
     build_slope_model,
 )
+from oracles import update_contact_states_serial
 
 ENGINES = [SerialEngine, GpuEngine, HybridEngine, DomainEngine]
 
@@ -81,6 +84,33 @@ def test_driver_matches_scalar_reference(engine_cls, case):
     assert vec.max_penetration == pytest.approx(
         ref.max_penetration, rel=1e-9, abs=1e-15
     )
+
+
+@pytest.mark.parametrize("case", ["slope", "rocks"])
+def test_spring_geometry_row_is_the_single_contact_linearisation(case):
+    """The batched geometry the engines share, sliced to one row, is
+    exactly what the scalar oracle computes for that contact alone."""
+    system, controls = make_case(case)
+    eng = GpuEngine(system, controls)
+    eng.run(steps=2)
+    contacts = eng._contacts
+    geometry = contacts.spring_geometry(eng.system)
+    p1, e1, e2, ci, cj = contacts.geometry(eng.system)
+    for k in range(contacts.m):
+        one = slice(k, k + 1)
+        e, g, d0, length = normal_spring_vectors(
+            p1[one], e1[one], e2[one], ci[one], cj[one]
+        )
+        e_s, g_s, _ = shear_spring_vectors(
+            p1[one], e1[one], e2[one], contacts.ratio[one], ci[one], cj[one]
+        )
+        for name, single in (
+            ("e", e), ("g", g), ("d0", d0), ("length", length),
+            ("e_s", e_s), ("g_s", g_s),
+        ):
+            np.testing.assert_array_equal(
+                getattr(geometry, name)[one], single, err_msg=f"{name}[{k}]"
+            )
 
 
 @pytest.mark.parametrize("engine_cls", ENGINES)

@@ -10,8 +10,8 @@ from repro.engine.physics import (
     contact_system,
     diagonal_system,
     update_contact_states,
-    update_contact_states_serial,
 )
+from oracles import update_contact_states_serial
 
 SQ = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
