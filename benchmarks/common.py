@@ -120,12 +120,12 @@ def representative_step_matrix(joint_spacing: float = 10.0, seed: int = 3):
     contacts = engine._detect_contacts()
     contacts.state[:] = LOCK
     diag_idx, diag_blocks, f = engine._build_diagonal()
-    cdi, cdb, rows, cols, blocks, fc = engine._build_nondiagonal(
-        contacts, np.zeros(contacts.m)
+    geometry = contacts.spring_geometry(system)
+    w, ws, fc = engine._build_nondiagonal(
+        contacts, np.zeros(contacts.m), geometry
     )
     matrix = engine._assemble(
-        np.concatenate([diag_idx, cdi]),
-        np.concatenate([diag_blocks, cdb]),
-        rows, cols, blocks,
+        np.concatenate([diag_idx, contacts.block_i, contacts.block_j]),
+        diag_blocks, contacts, geometry, w, ws,
     )
     return matrix, f + fc

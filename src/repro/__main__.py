@@ -259,10 +259,12 @@ def run_main(argv: list[str] | None = None) -> int:
         f"max displacement: {result.max_total_displacement():.3e} m"
     )
     degraded = sum(1 for s in result.steps if s.solver_rung > 0)
-    if degraded:
+    skipped = engine.metrics.counter("solver.rungs_skipped").value
+    if degraded or skipped:
         print(
             f"solver fallback engaged on {degraded}/{result.n_steps} steps "
-            f"(max rung {result.max_solver_rung})"
+            f"(max rung {result.max_solver_rung}); {skipped} rung solves "
+            f"skipped as already decided"
         )
     if result.rollbacks:
         print(f"checkpoint rollbacks: {result.rollbacks}")

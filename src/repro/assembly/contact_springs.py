@@ -161,6 +161,90 @@ class SpringGeometry:
         return cls(e, g, d0, length, e_s, g_s)
 
 
+def spring_blocks(
+    a: np.ndarray,
+    b: np.ndarray,
+    w: np.ndarray,
+    a_s: np.ndarray,
+    b_s: np.ndarray,
+    ws: np.ndarray | None,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """The spring 6x6 block of every row: ``(0.0 + w a b^T) + ws a_s b_s^T``.
+
+    ``a, b`` / ``a_s, b_s`` are ``(r, 6)`` normal / shear vectors, ``w``
+    / ``ws`` the ``(r,)`` weights; ``ws=None`` skips the shear term (no
+    spring locked). The ``+ 0.0`` is the accumulation into a zeroed
+    block — it turns a ``-0.0`` product into ``+0.0`` and is part of
+    the pinned bit pattern. ``out`` / ``scratch`` are optional
+    ``(r, 6, 6)`` work arrays; the result is ``out``.
+    """
+    out = np.einsum("ri,rj->rij", a, b, out=out)
+    out *= w[:, None, None]
+    out += 0.0
+    if ws is not None:
+        scratch = np.einsum("ri,rj->rij", a_s, b_s, out=scratch)
+        scratch *= ws[:, None, None]
+        out += scratch
+    return out
+
+
+def spring_stiffness(
+    geometry: SpringGeometry, w: np.ndarray, ws: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(kii, kjj, kij)``: every contact's ``(m, 6, 6)`` blocks under
+    the :func:`spring_loads` weights ``w`` / ``ws``."""
+    e, g, e_s, g_s = geometry.e, geometry.g, geometry.e_s, geometry.g_s
+    return (
+        spring_blocks(e, e, w, e_s, e_s, ws),
+        spring_blocks(g, g, w, g_s, g_s, ws),
+        spring_blocks(e, g, w, e_s, g_s, ws),
+    )
+
+
+def spring_loads(
+    geometry: SpringGeometry,
+    states: np.ndarray,
+    pn: np.ndarray,
+    ps: np.ndarray,
+    friction_force: np.ndarray,
+    shear_sign: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+    """Spring weights and per-contact loads ``(w, ws, fi, fj)``.
+
+    ``w = where(state != OPEN, pn, 0)`` and ``ws = where(state == LOCK,
+    ps, 0)`` are the ``(m,)`` normal / shear spring weights (``ws`` is
+    ``None`` when no spring is locked); ``fi, fj`` the ``(m, 6)`` load
+    contributions. Parameters as for :func:`contact_contributions`.
+    """
+    m = geometry.d0.shape[0]
+    states = check_array("states", states, shape=(m,))
+    pn = check_array("pn", pn, dtype=np.float64, shape=(m,))
+    ps = check_array("ps", ps, dtype=np.float64, shape=(m,))
+    fric = check_array("friction_force", friction_force, dtype=np.float64, shape=(m,))
+    sgn = check_array("shear_sign", shear_sign, dtype=np.float64, shape=(m,))
+
+    w = np.where(states != OPEN, pn, 0.0)
+    fi = np.zeros((m, 6))
+    fj = np.zeros((m, 6))
+    fi -= (w * geometry.d0)[:, None] * geometry.e
+    fj -= (w * geometry.d0)[:, None] * geometry.g
+
+    ws = None
+    locked = states == LOCK
+    if locked.any():  # lint: sync-ok[stage-skip] -- host decides whether to launch the locked-shear kernel
+        ws = np.where(locked, ps, 0.0)
+
+    sliding = states == SLIDE
+    if sliding.any():  # lint: sync-ok[stage-skip] -- host decides whether to launch the sliding-shear kernel
+        # friction opposes sliding: force pair along -+ tangent
+        mag = np.where(sliding, fric * sgn, 0.0)
+        fi -= mag[:, None] * geometry.e_s
+        fj -= mag[:, None] * geometry.g_s
+    return w, ws, fi, fj
+
+
 def contact_contributions(
     geometry: SpringGeometry,
     states: np.ndarray,
@@ -190,44 +274,12 @@ def contact_contributions(
     -------
     (kii, kjj, kij, fi, fj)
         ``(m, 6, 6)`` stiffness contributions (``K_ji = K_ij^T`` is
-        implied by symmetry) and ``(m, 6)`` load contributions.
+        implied by symmetry) and ``(m, 6)`` load contributions. The
+        materialising reference: the engines sum the same blocks
+        straight into ``K`` (:meth:`repro.assembly.symbolic.
+        AssemblyPlan.bind`).
     """
-    m = geometry.d0.shape[0]
-    states = check_array("states", states, shape=(m,))
-    pn = check_array("pn", pn, dtype=np.float64, shape=(m,))
-    ps = check_array("ps", ps, dtype=np.float64, shape=(m,))
-    fric = check_array("friction_force", friction_force, dtype=np.float64, shape=(m,))
-    sgn = check_array("shear_sign", shear_sign, dtype=np.float64, shape=(m,))
-
-    kii = np.zeros((m, 6, 6))
-    kjj = np.zeros((m, 6, 6))
-    kij = np.zeros((m, 6, 6))
-    fi = np.zeros((m, 6))
-    fj = np.zeros((m, 6))
-    if m == 0:
-        return kii, kjj, kij, fi, fj
-
-    closed = states != OPEN
-    e, g, d0 = geometry.e, geometry.g, geometry.d0
-    e_s, g_s = geometry.e_s, geometry.g_s
-    w = np.where(closed, pn, 0.0)
-    kii += w[:, None, None] * np.einsum("mi,mj->mij", e, e)
-    kjj += w[:, None, None] * np.einsum("mi,mj->mij", g, g)
-    kij += w[:, None, None] * np.einsum("mi,mj->mij", e, g)
-    fi -= (w * d0)[:, None] * e
-    fj -= (w * d0)[:, None] * g
-
-    locked = states == LOCK
-    if locked.any():  # lint: sync-ok[stage-skip] -- host decides whether to launch the locked-shear kernel
-        ws = np.where(locked, ps, 0.0)
-        kii += ws[:, None, None] * np.einsum("mi,mj->mij", e_s, e_s)
-        kjj += ws[:, None, None] * np.einsum("mi,mj->mij", g_s, g_s)
-        kij += ws[:, None, None] * np.einsum("mi,mj->mij", e_s, g_s)
-
-    sliding = states == SLIDE
-    if sliding.any():  # lint: sync-ok[stage-skip] -- host decides whether to launch the sliding-shear kernel
-        # friction opposes sliding: force pair along -+ tangent
-        mag = np.where(sliding, fric * sgn, 0.0)
-        fi -= mag[:, None] * e_s
-        fj -= mag[:, None] * g_s
-    return kii, kjj, kij, fi, fj
+    w, ws, fi, fj = spring_loads(
+        geometry, states, pn, ps, friction_force, shear_sign
+    )
+    return (*spring_stiffness(geometry, w, ws), fi, fj)

@@ -24,6 +24,15 @@ that line:
   first entry plus the pairwise sum of the rest. A pure-Python loop
   reproduces it bit for bit (``tests/assembly/test_symbolic.py``).
 
+Between the open–close sweeps of one loop-2 attempt not even the
+payloads are free: every contact block is ``w a b^T + ws a_s b_s^T``
+over the step's spring vectors, and only the weights follow the contact
+states. :meth:`AssemblyPlan.bind` gathers the *vectors* into assembly
+order once; :meth:`BoundAssembly.assemble` forms each sorted row's block
+from the sweep's weights, in segment-aligned chunks, straight into the
+same segment sums — same blocks, same order, same bits, without the
+``(m, 6, 6)`` contribution arrays, their concatenation or their gather.
+
 An engine keeps the plan of the last pattern it saw: a sweep whose
 pattern :meth:`AssemblyPlan.matches` it runs the numeric phase only and
 :meth:`AssemblyPlan.replay` re-records the captured launches, so the
@@ -49,6 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.assembly.contact_springs import SpringGeometry, spring_blocks
 from repro.assembly.global_matrix import BS, BlockMatrix
 from repro.gpu.counters import KernelCounters
 from repro.gpu.kernel import VirtualDevice
@@ -65,6 +75,10 @@ from repro.util.validation import check_array
 
 #: Bytes of one 6x6 float64 sub-matrix payload.
 _BLOCK_BYTES = BS * BS * 8
+
+#: Rows per chunk of a bound numeric phase: two ~0.6 MB work blocks
+#: instead of two stream-sized ones (11 MB each at 12 k contacts).
+_CHUNK_ROWS = 2048
 
 
 @dataclass
@@ -255,30 +269,169 @@ class AssemblyPlan:
                                   shape=(q, BS, BS))
         off_blocks = check_array("off_blocks", off_blocks, dtype=np.float64,
                                  shape=(m, BS, BS))
-        diag = np.zeros((self.n, BS, BS))
-        sums = segmented_reduce(
-            diag_blocks[self.diag_perm].reshape(q, BS * BS), self.diag_starts
-        )
-        scatter_check("assemble.diag_segment_write", self.diag_out)
-        diag[self.diag_out] = sums.reshape(self.diag_out.size, BS, BS)
         b = np.where(
             self.swap[:, None, None],
             off_blocks.transpose(0, 2, 1),
             off_blocks,
         )
-        summed = segmented_reduce(
-            b[self.perm].reshape(m, BS * BS), self.starts
+        return self._matrix(
+            segmented_reduce(
+                diag_blocks[self.diag_perm].reshape(q, BS * BS),
+                self.diag_starts,
+            ),
+            segmented_reduce(b[self.perm].reshape(m, BS * BS), self.starts),
         )
+
+    def _matrix(self, diag_sums: np.ndarray, pair_sums: np.ndarray) -> BlockMatrix:
+        """Write the ``(d, 36)`` / ``(s, 36)`` segment sums out as ``K``
+        (fresh arrays; the sanitizer sees both segment writes)."""
+        diag = np.zeros((self.n, BS, BS))
+        scatter_check("assemble.diag_segment_write", self.diag_out)
+        diag[self.diag_out] = diag_sums.reshape(self.diag_out.size, BS, BS)
         scatter_check("assemble.offdiag_segment_write", self.ukey)
         return BlockMatrix(
             self.n,
             diag,
             self.out_rows,
             self.out_cols,
-            summed.reshape(self.ukey.size, BS, BS),
+            pair_sums.reshape(self.ukey.size, BS, BS),
+        )
+
+    def bind(self, geometry: SpringGeometry) -> "BoundAssembly":
+        """Bind the plan to one contact table's spring geometry.
+
+        For the engines' stream layout — ``diag_idx`` is the
+        contact-independent (static) rows, then ``block_i``, then
+        ``block_j``; the pair pattern is ``(block_i, block_j)`` —
+        gather the ``(m, 6)`` spring vectors into assembly order: the
+        diagonal stream's ``(e, e)`` / ``(g, g)`` rows through
+        ``diag_perm``, then the pair stream's ``(e, g)`` — ``(g, e)``
+        where ``swap`` — through ``perm``.
+        """
+        m = self.off_rows.shape[0]
+        n_static = self.diag_idx.shape[0] - 2 * m
+        contacts = geometry.d0.shape[0]
+        if n_static < 0 or contacts != m:
+            raise ValueError(
+                f"plan of {self.diag_idx.shape[0]} diagonal and {m} pair "
+                f"rows does not fit a table of {contacts} contacts"
+            )
+        src, swap = self.diag_perm, self.swap[:, None]
+        pad = np.zeros((n_static, BS))
+
+        def in_order(i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            diag = np.concatenate([pad, i, j])[src]
+            return (
+                np.concatenate([diag, np.where(swap, j, i)[self.perm]]),
+                np.concatenate([diag, np.where(swap, i, j)[self.perm]]),
+            )
+
+        rows = np.arange(m)
+        static = np.flatnonzero(src < n_static)
+        return BoundAssembly(
+            self, geometry,
+            *in_order(geometry.e, geometry.g),
+            *in_order(geometry.e_s, geometry.g_s),
+            # static rows: any weight will do, their blocks are overwritten
+            contact=np.concatenate(
+                [np.concatenate([np.zeros_like(src[:n_static]), rows, rows])[src],
+                 self.perm]
+            ),
+            static=static,
+            static_src=src[static],
         )
 
     def replay(self, device: VirtualDevice) -> None:
         """Re-record the captured launch ledger (scalar count) on
         ``device`` so modelled seconds match a from-scratch assembly."""
         device.replay(self.launches)
+
+
+@dataclass
+class BoundAssembly:
+    """An :class:`AssemblyPlan` bound to one table's spring geometry
+    (:meth:`AssemblyPlan.bind`); valid for exactly that ``plan`` and
+    that ``geometry`` object.
+
+    ``a, b, a_s, b_s`` are the ``(q + m, 6)`` normal / shear vectors of
+    the sorted diagonal stream followed by the sorted pair stream,
+    ``contact`` the ``(q + m,)`` weight index of each row, ``static``
+    the positions of the rows that take the contact-independent block
+    ``static_src`` instead.
+    """
+
+    plan: AssemblyPlan
+    geometry: SpringGeometry
+    a: np.ndarray
+    b: np.ndarray
+    a_s: np.ndarray
+    b_s: np.ndarray
+    contact: np.ndarray
+    static: np.ndarray
+    static_src: np.ndarray
+
+    def __post_init__(self) -> None:
+        # segment-aligned runs of about _CHUNK_ROWS rows: (row0, row1,
+        # seg0, seg1, local starts, static0, static1) each
+        plan, r = self.plan, self.contact.shape[0]
+        starts = np.concatenate(
+            [plan.diag_starts, plan.diag_idx.shape[0] + plan.starts]
+        )
+        first = np.searchsorted(
+            starts, np.arange(-(-r // _CHUNK_ROWS)) * _CHUNK_ROWS
+        )
+        seg = np.concatenate([first, np.full(1, starts.shape[0])])
+        row = np.concatenate([starts, np.full(1, r)])[seg]
+        edges = np.stack([row, seg, np.searchsorted(self.static, row)], axis=1)
+        edges = edges.tolist()  # lint: sync-ok[chunk-layout] -- the host sizes the chunk launches, once per binding
+        self.chunks = [
+            (r0, r1, s0, s1, starts[s0:s1] - r0, t0, t1)
+            for (r0, s0, t0), (r1, s1, t1) in zip(edges, edges[1:])
+            if r1 > r0
+        ]
+        self.work = np.empty(
+            (2, max((c[1] - c[0] for c in self.chunks), default=0), BS, BS)
+        )
+
+    def assemble(
+        self,
+        static_blocks: np.ndarray,
+        w: np.ndarray,
+        ws: np.ndarray | None,
+    ) -> BlockMatrix:
+        """The numeric phase of one sweep.
+
+        ``static_blocks`` is the ``(q - 2 m, 6, 6)`` static diagonal
+        rows; ``w`` / ``ws`` are the ``(m,)`` spring weights of
+        :func:`~repro.assembly.contact_springs.spring_loads`. Chunk by
+        chunk: form the rows' blocks, overwrite the static rows, sum the
+        segments. Equals ``plan.assemble`` on the materialised stream
+        bit for bit.
+        """
+        m = self.geometry.d0.shape[0]
+        static_blocks = check_array(
+            "static_blocks", static_blocks, dtype=np.float64,
+            shape=(self.plan.diag_idx.shape[0] - 2 * m, BS, BS),
+        )
+        w = check_array("w", w, dtype=np.float64, shape=(m,))
+        if ws is not None:
+            ws = check_array("ws", ws, dtype=np.float64, shape=(m,))
+        if m == 0:  # no weight for the static rows to read: nothing to form
+            return self.plan.assemble(static_blocks, np.zeros((0, BS, BS)))
+        d = self.plan.diag_out.size
+        sums = np.empty((d + self.plan.ukey.size, BS * BS))
+        for r0, r1, s0, s1, starts, t0, t1 in self.chunks:
+            c = self.contact[r0:r1]
+            blocks = spring_blocks(
+                self.a[r0:r1], self.b[r0:r1], w[c],
+                self.a_s[r0:r1], self.b_s[r0:r1],
+                None if ws is None else ws[c],
+                out=self.work[0, : r1 - r0], scratch=self.work[1, : r1 - r0],
+            )
+            blocks[self.static[t0:t1] - r0] = static_blocks[
+                self.static_src[t0:t1]
+            ]
+            sums[s0:s1] = segmented_reduce(
+                blocks.reshape(r1 - r0, BS * BS), starts
+            )
+        return self.plan._matrix(sums[:d], sums[d:])

@@ -267,6 +267,7 @@ def distributed_pcg(
 
     z = m.apply(r)
     p = z.copy()
+    step = np.empty(n)  # alpha * p, then alpha * ap: no per-iteration array
     rz = float(r @ z)  # lint: sync-ok[cg-convergence] -- one ordered all-reduce scalar per iteration
     exchanger.allreduce()
     for it in range(1, max_iterations + 1):
@@ -281,8 +282,8 @@ def distributed_pcg(
                 breakdown=True,
             ))
         alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(p, alpha, out=step)
+        r -= np.multiply(ap, alpha, out=step)
         for d in range(exchanger.dmap.n_domains):
             exchanger.devices[d].launch(
                 "cg_vector_ops", vector_ops[d], module="equation_solving",
@@ -299,7 +300,8 @@ def distributed_pcg(
         rz_new = float(r @ z)  # lint: sync-ok[cg-convergence] -- one ordered all-reduce scalar per iteration
         exchanger.allreduce()
         beta = rz_new / rz
-        p = z + beta * p
+        p *= beta  # p = z + beta * p, in place (p never aliases z)
+        p += z
         rz = rz_new
     return _observe(metrics, CGResult(
         x=exchanger.gather(_split(exchanger, x), solution=True),

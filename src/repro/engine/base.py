@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.assembly.contact_springs import SpringGeometry
 from repro.assembly.global_matrix import BlockMatrix
-from repro.assembly.symbolic import AssemblyPlan
+from repro.assembly.symbolic import AssemblyPlan, BoundAssembly
 from repro.contact.contact_set import KIND_NAMES, ContactSet
 from repro.contact.open_close import OpenCloseDriver, StateUpdate
 from repro.contact.transfer import topology_changed
@@ -97,7 +97,8 @@ class EngineBase:
         for name in (
             *(f"contacts.{k}" for k in KIND_NAMES),
             "contact_transfer.hits", "contact_transfer.misses",
-            "solver.rung_escalations", "engine.rollbacks",
+            "solver.rung_escalations", "solver.rungs_skipped",
+            "engine.rollbacks",
             "contracts.violations", "engine.steps",
             "open_close.sweeps", "assembly.symbolic_reuse",
         ):
@@ -112,9 +113,11 @@ class EngineBase:
         self._contacts = ContactSet.empty()
         #: vectorised open–close driver of the current loop-2 attempt
         self._oc_driver: OpenCloseDriver | None = None
-        #: cached symbolic assembly and the contact table it served
+        #: cached symbolic assembly, the contact table it served and its
+        #: binding to the current attempt's spring geometry
         self._assembly_plan: AssemblyPlan | None = None
         self._plan_contacts: ContactSet | None = None
+        self._bound_assembly: BoundAssembly | None = None
         #: cached HSBCSR sparsity structure shared across solves
         self._solver_structure: HSBCSRMatrix | None = None
         bbox = np.array(
@@ -259,7 +262,9 @@ class EngineBase:
         contacts: ContactSet,
         normal_force: np.ndarray,
         geometry: SpringGeometry | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """Charge one sweep's non-diagonal build and return what it
+        changes: :func:`repro.engine.physics.contact_loads`."""
         raise NotImplementedError
 
     def _plan_assembly(
@@ -418,13 +423,17 @@ class EngineBase:
         cp.restore(self)
 
     def _solve_with_fallback(
-        self, matrix: BlockMatrix, rhs: np.ndarray
+        self, matrix: BlockMatrix, rhs: np.ndarray, first_rung: int = 0
     ) -> tuple[CGResult, int, int]:
         """One equation solve, escalating through the fallback ladder.
 
         Walks :func:`repro.engine.resilience.solver_ladder` — configured
-        preconditioner, stronger preconditioner, cold restart — and stops
-        at the first converged rung. Returns ``(result, rung,
+        preconditioner, stronger preconditioner, cold restart — from
+        ``first_rung`` (the rung an earlier sweep of this loop-2 attempt
+        had to climb to) and stops at the first converged rung. A cold
+        restart directly after a warm solve with the same preconditioner
+        is skipped while the warm start is still the zero vector: it
+        would be the same solve. Returns ``(result, rung,
         total_cg_iterations)``; when every rung fails the last result is
         returned (``converged=False``) and loop 2 takes over with a
         dt-halving.
@@ -439,26 +448,39 @@ class EngineBase:
         operand = self._solver_operand(matrix)
         total_iters = 0
         res: CGResult | None = None
-        rung = 0
-        for rung, (name, warm) in enumerate(ladder):
+        skipped = first_rung  # rungs an earlier sweep climbed past
+        warm_tried = None
+        for rung in range(first_rung, len(ladder)):
+            name, warm = ladder[rung]
+            if (
+                not warm
+                and name == warm_tried
+                and not self._prev_solution.any()  # lint: sync-ok[stage-skip] -- host decides whether the cold restart differs from the warm solve just run
+            ):
+                skipped += 1
+                continue
             try:
                 pre = self._make_rung_preconditioner(name, matrix)
-            except Exception:
+            except (ValueError, ZeroDivisionError, np.linalg.LinAlgError):
                 continue  # rung unbuildable (e.g. ILU on a zero pivot)
             res = self._pcg(
                 operand, rhs, self._prev_solution if warm else None, pre
             )
+            warm_tried = name if warm else None
             total_iters += res.iterations
             if res.converged:
-                if rung > 0:
+                if rung > first_rung:
                     self.metrics.inc("solver.rung_escalations")
-                return res, rung, total_iters
+                break
         if res is None:  # every rung failed to even construct
             raise SolverBreakdown(
                 "no preconditioner on the fallback ladder could be built",
                 StepContext(step=-1, dt=self.dt, cause="cg_breakdown"),
             )
-        self.metrics.inc("solver.ladder_exhausted")
+        if skipped:
+            self.metrics.inc("solver.rungs_skipped", skipped)
+        if not res.converged:
+            self.metrics.inc("solver.ladder_exhausted")
         return res, rung, total_iters
 
     def _make_rung_preconditioner(self, name: str, matrix: BlockMatrix):
@@ -539,35 +561,49 @@ class EngineBase:
         self,
         diag_idx: np.ndarray,
         diag_blocks: np.ndarray,
-        off_rows: np.ndarray,
-        off_cols: np.ndarray,
-        off_blocks: np.ndarray,
+        contacts: ContactSet,
+        geometry: SpringGeometry,
+        w: np.ndarray,
+        ws: np.ndarray | None,
     ) -> BlockMatrix:
         """Assemble one sweep's matrix, symbolic phase once per pattern.
 
-        When the contribution pattern equals the kept plan's (exact
-        :meth:`AssemblyPlan.matches` comparison) the plan's captured
-        kernel-launch ledger is replayed on the virtual device, so the
-        modelled seconds are bit-identical to a first assembly, and the
-        ``assembly.symbolic_reuse`` counter is bumped. Otherwise the
-        preset's :meth:`_plan_assembly` builds a new plan while its
+        ``diag_idx`` is the attempt's diagonal pattern — the rows of
+        ``diag_blocks``, then ``contacts.block_i``, then
+        ``contacts.block_j`` — and ``w`` / ``ws`` the sweep's spring
+        weights. When the contribution pattern equals the kept plan's
+        (exact :meth:`AssemblyPlan.matches` comparison) the plan's
+        captured kernel-launch ledger is replayed on the virtual device,
+        so the modelled seconds are bit-identical to a first assembly,
+        and the ``assembly.symbolic_reuse`` counter is bumped. Otherwise
+        the preset's :meth:`_plan_assembly` builds a new plan while its
         launches are captured. Either way the matrix comes from the
-        plan's numeric phase.
+        numeric phase of the plan bound to ``geometry`` (re-bound
+        whenever the plan or the geometry object is a new one).
         """
         plan = self._assembly_plan
         if (
             plan is not None
             and plan.n == self.system.n_blocks
-            and plan.matches(diag_idx, off_rows, off_cols)
+            and plan.matches(diag_idx, contacts.block_i, contacts.block_j)
         ):
             self.metrics.inc("assembly.symbolic_reuse")
             plan.replay(self.device)
         else:
             n0 = self.device.launches()
-            plan = self._plan_assembly(diag_idx, off_rows, off_cols)
+            plan = self._plan_assembly(
+                diag_idx, contacts.block_i, contacts.block_j
+            )
             plan.launches = self.device.launches_since(n0)
             self._assembly_plan = plan
-        return plan.assemble(diag_blocks, off_blocks)
+        bound = self._bound_assembly
+        if (
+            bound is None
+            or bound.plan is not plan
+            or bound.geometry is not geometry
+        ):
+            bound = self._bound_assembly = plan.bind(geometry)
+        return bound.assemble(diag_blocks, w, ws)
 
     def _run_one_step(
         self,
@@ -642,6 +678,9 @@ class EngineBase:
             with self._stage(times, "diagonal_matrix_building", step):
                 diag_idx, diag_blocks, f_base = self._build_diagonal()
 
+            diag_idx = np.concatenate(
+                [diag_idx, contacts.block_i, contacts.block_j]
+            )
             normal_force = contacts.pn * np.maximum(
                 0.0, contacts.normal_disp
             )
@@ -651,27 +690,28 @@ class EngineBase:
             converged = True
             oc_converged = False
             step_rung = 0
+            # the rung the attempt's last solve needed: a sweep starts
+            # where the one before it had to climb to
+            first_rung = 0
             max_pen = 0.0
             for oc in range(controls.max_open_close_iterations):
                 oc_iters = oc + 1
                 # ---- non-diagonal building --------------------------
                 with self._stage(times, "nondiagonal_matrix_building", step):
-                    (c_diag_idx, c_diag_blocks, rows, cols, blocks,
-                     f_contact) = self._build_nondiagonal(
+                    w, ws, f_contact = self._build_nondiagonal(
                         contacts, normal_force, geometry
                     )
                     matrix = self._assemble(
-                        np.concatenate([diag_idx, c_diag_idx]),
-                        np.concatenate([diag_blocks, c_diag_blocks]),
-                        rows, cols, blocks,
+                        diag_idx, diag_blocks, contacts, geometry, w, ws
                     )
                 matrix = self._inject("matrix_assembly", matrix, step)
                 self.contracts.check_matrix(matrix, context=ctx)
                 # ---- equation solving --------------------------------
                 with self._stage(times, "equation_solving", step):
                     res, rung, iters = self._solve_with_fallback(
-                        matrix, f_base + f_contact
+                        matrix, f_base + f_contact, first_rung
                     )
+                first_rung = rung
                 res = self._inject("equation_solving", res, step)
                 if res.converged:
                     self.contracts.check_solution(
@@ -722,6 +762,9 @@ class EngineBase:
                         contacts.pn, 1e-300
                     )
                 self._contacts = contacts
+                # bound to the geometry that is about to move (and ~5 MB
+                # at 12 k contacts the next detection need not sit on)
+                self._bound_assembly = None
                 with self._stage(times, "data_updating", step):
                     self._update_data(d)
                 self.contracts.check_geometry(self.system, context=ctx)

@@ -29,7 +29,7 @@ from repro.contact.initialization import initialize_contacts_classified
 from repro.contact.narrow_phase import narrow_phase
 from repro.contact.transfer import transfer_contacts
 from repro.engine.base import EngineBase
-from repro.engine.physics import contact_system, diagonal_system
+from repro.engine.physics import contact_loads, diagonal_system
 from repro.gpu.counters import KernelCounters
 from repro.gpu.device import DeviceProfile, K40
 from repro.gpu.memory import coalesced_transactions
@@ -114,7 +114,7 @@ class GpuEngine(EngineBase):
                         divergent_branch_regions=0.0,  # uniform category
                     ),
                 )
-        return contact_system(self.system, contacts, normal_force, geometry)
+        return contact_loads(self.system, contacts, normal_force, geometry)
 
     def _plan_assembly(self, diag_idx, off_rows, off_cols):
         return AssemblyPlan.build(

@@ -11,7 +11,8 @@ import numpy as np
 
 from repro.assembly.contact_springs import (
     SpringGeometry,
-    contact_contributions,
+    spring_loads,
+    spring_stiffness,
 )
 from repro.contact.open_close import OpenCloseDriver, StateUpdate
 from repro.assembly.submatrices import (
@@ -98,6 +99,36 @@ def diagonal_system(
     )
 
 
+def contact_loads(
+    system: BlockSystem,
+    contacts: ContactSet,
+    normal_force: np.ndarray,
+    geometry: SpringGeometry | None = None,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """What one open–close sweep changes: ``(w, ws, f)``.
+
+    ``w`` / ``ws`` are the ``(m,)`` normal / shear spring weights of
+    :func:`~repro.assembly.contact_springs.spring_loads` (``ws`` is
+    ``None`` when no spring is locked) — with the step's spring geometry
+    they determine every contact block of ``K`` — and ``f`` the global
+    load contribution of the contact springs. Parameters as for
+    :func:`contact_system`.
+    """
+    n = system.n_blocks
+    if geometry is None:
+        geometry = contacts.spring_geometry(system)
+    jm = system.joint_material
+    friction = normal_force * jm.tan_phi + jm.cohesion * geometry.length
+    w, ws, fi, fj = spring_loads(
+        geometry, contacts.state, contacts.pn, contacts.ps,
+        friction, contacts.shear_sign,
+    )
+    f = np.zeros(n * DOF)
+    np.add.at(f.reshape(n, DOF), contacts.block_i, fi)
+    np.add.at(f.reshape(n, DOF), contacts.block_j, fj)
+    return w, ws, f
+
+
 def contact_system(
     system: BlockSystem,
     contacts: ContactSet,
@@ -105,6 +136,10 @@ def contact_system(
     geometry: SpringGeometry | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Contact contributions in assembly-stream form.
+
+    The materialising reference of the engines' bound assembly
+    (:meth:`repro.assembly.symbolic.AssemblyPlan.bind`), which sums the
+    same blocks without forming them per contact.
 
     Parameters
     ----------
@@ -120,27 +155,13 @@ def contact_system(
     (diag_idx, diag_blocks, off_rows, off_cols, off_blocks, f)
         ``f`` is the global load contribution of the contact springs.
     """
-    m = contacts.m
-    n = system.n_blocks
-    f = np.zeros(n * DOF)
-    if m == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return z, np.zeros((0, DOF, DOF)), z.copy(), z.copy(), np.zeros((0, DOF, DOF)), f
     if geometry is None:
         geometry = contacts.spring_geometry(system)
-    jm = system.joint_material
-    friction = normal_force * jm.tan_phi + jm.cohesion * geometry.length
-    kii, kjj, kij, fi, fj = contact_contributions(
-        geometry, contacts.state, contacts.pn, contacts.ps,
-        friction, contacts.shear_sign,
-    )
-    diag_idx = np.concatenate([contacts.block_i, contacts.block_j])
-    diag_blocks = np.concatenate([kii, kjj])
-    np.add.at(f.reshape(n, DOF), contacts.block_i, fi)
-    np.add.at(f.reshape(n, DOF), contacts.block_j, fj)
+    w, ws, f = contact_loads(system, contacts, normal_force, geometry)
+    kii, kjj, kij = spring_stiffness(geometry, w, ws)
     return (
-        diag_idx,
-        diag_blocks,
+        np.concatenate([contacts.block_i, contacts.block_j]),
+        np.concatenate([kii, kjj]),
         contacts.block_i.copy(),
         contacts.block_j.copy(),
         kij,

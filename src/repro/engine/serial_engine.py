@@ -22,7 +22,7 @@ from repro.contact.initialization import initialize_contacts_unclassified
 from repro.contact.narrow_phase import narrow_phase
 from repro.contact.transfer import transfer_contacts
 from repro.engine.base import EngineBase
-from repro.engine.physics import contact_system, diagonal_system
+from repro.engine.physics import contact_loads, diagonal_system
 from repro.gpu.counters import KernelCounters
 from repro.gpu.device import DeviceProfile, E5620
 
@@ -47,7 +47,7 @@ class CpuStages(EngineBase):
         return out
 
     def _build_nondiagonal(self, contacts, normal_force, geometry=None):
-        out = contact_system(self.system, contacts, normal_force, geometry)
+        out = contact_loads(self.system, contacts, normal_force, geometry)
         m = contacts.m
         self.device.launch(
             "serial_nondiagonal_build",

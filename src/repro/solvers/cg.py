@@ -151,6 +151,7 @@ def pcg(
 
     z = m.apply(r, device)
     p = z.copy()
+    step = np.empty(n)  # alpha * p, then alpha * ap: no per-iteration array
     rz = float(r @ z)  # lint: sync-ok[cg-convergence] -- one fused-dot scalar per iteration
     vector_ops = _vector_ops_counters(n, 5)  # same ledger entry every iteration
     for it in range(1, max_iterations + 1):
@@ -163,13 +164,15 @@ def pcg(
                                               residuals=residuals,
                                               breakdown=True))
         alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(p, alpha, out=step)
+        r -= np.multiply(ap, alpha, out=step)
         if device is not None:
             device.launch("cg_vector_ops", vector_ops)
-        # the residual norm rides the same fused pass as the x/r
-        # updates (the ops=5 launch above): axpy, axpy, dot — one
-        # kernel, one scalar back to the host per iteration
+        # the host runs the two axpys above, the residual dot below and
+        # the direction update at the bottom of the loop as separate
+        # in-place NumPy passes; what the ledger prices is the launch
+        # above — one kernel of five fused axpy/dot-style passes per
+        # iteration — and one scalar back to the host per reduction
         rel = math.sqrt(float(r @ r)) / b_norm  # lint: sync-ok[cg-convergence] -- one fused-dot scalar per iteration
         residuals.append(rel)
         if rel < tol:
@@ -179,7 +182,8 @@ def pcg(
         z = m.apply(r, device)
         rz_new = float(r @ z)  # lint: sync-ok[cg-convergence] -- one fused-dot scalar per iteration
         beta = rz_new / rz
-        p = z + beta * p
+        p *= beta  # p = z + beta * p, in place (p never aliases z)
+        p += z
         rz = rz_new
     return _observe(metrics, CGResult(x=x, iterations=max_iterations,
                                       converged=False, residuals=residuals))

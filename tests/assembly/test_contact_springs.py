@@ -9,6 +9,7 @@ from repro.assembly.contact_springs import (
     contact_contributions,
     normal_spring_vectors,
     shear_spring_vectors,
+    spring_blocks,
 )
 
 # Canonical setup: vertex of block i touching the top edge of block j.
@@ -188,3 +189,42 @@ class TestContactContributions:
             )
             for a, b in zip(out_batch, out_one):
                 np.testing.assert_allclose(a[k], b[0], atol=1e-12)
+
+
+class TestSpringBlocks:
+    """The one place the spring-block arithmetic lives, held to the
+    formula written out — scale *after* the outer product, accumulate
+    into zeros — through the sign bit."""
+
+    @staticmethod
+    def _written_out(a, b, w, a_s, b_s, ws):
+        out = np.zeros((a.shape[0], 6, 6))
+        out += w[:, None, None] * (a[:, :, None] * b[:, None, :])
+        if ws is not None:
+            out += ws[:, None, None] * (a_s[:, :, None] * b_s[:, None, :])
+        return out
+
+    @pytest.mark.parametrize("shear", [False, True])
+    @pytest.mark.parametrize("rows", [0, 1, 257])
+    def test_equals_written_out_formula(self, rows, shear):
+        rng = np.random.default_rng(rows)
+        a, b, a_s, b_s = (
+            rng.standard_normal((rows, 6)) * 10.0 ** rng.integers(-3, 4, (rows, 1))
+            for _ in range(4)
+        )
+        w = np.where(rng.random(rows) < 0.3, 0.0, rng.random(rows) * 1e9)
+        ws = rng.random(rows) * 1e8 if shear else None
+        expected = self._written_out(a, b, w, a_s, b_s, ws)
+        for work in (
+            {},
+            dict(out=np.full((rows, 6, 6), np.nan),
+                 scratch=np.full((rows, 6, 6), np.nan)),
+        ):
+            got = spring_blocks(a, b, w, a_s, b_s, ws, **work)
+            np.testing.assert_array_equal(
+                got.view(np.uint64), expected.view(np.uint64)
+            )
+        if rows > 1:
+            assert np.signbit(w[:, None, None] * (a[:, :, None] * b[:, None, :]))[
+                w == 0.0
+            ].any()

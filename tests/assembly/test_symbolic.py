@@ -1,4 +1,7 @@
-"""The one assembler: summation order, launch replay, and invalidation."""
+"""The one assembler: summation order, launch replay, invalidation, and
+the bound numeric phase the engines run held to the materialising one."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +16,24 @@ from repro import (
     SimulationControls,
     build_falling_rocks_model,
 )
+from repro.assembly.contact_springs import (
+    LOCK,
+    OPEN,
+    SLIDE,
+    SpringGeometry,
+    contact_contributions,
+    spring_loads,
+    spring_stiffness,
+)
 from repro.assembly.global_matrix import BS, assemble_gpu
 from repro.assembly.symbolic import AssemblyPlan
 from repro.contact.contact_set import VE, ContactSet
 from repro.contact.transfer import topology_changed
+from repro.engine.chaos import FaultInjector
+from repro.engine.physics import contact_system
 from repro.gpu.device import K40
 from repro.gpu.kernel import VirtualDevice
+from repro.meshing.slope_models import build_brick_wall, build_slope_model
 
 
 def contribution_stream(seed, n=7, q=24, m=40):
@@ -134,8 +149,9 @@ def streams(draw):
 
 
 @pytest.fixture(scope="module")
-def rocks_stream():
-    """The contribution stream of one falling-rocks open–close sweep."""
+def rocks_sweep():
+    """One falling-rocks open–close sweep: the system and the arguments
+    of the engines' ``_assemble`` hook."""
     system = build_falling_rocks_model(
         slope_height=40.0, slope_angle_deg=42.0, rock_size=2.5,
         n_rock_rows=3, n_rock_cols=5,
@@ -143,16 +159,21 @@ def rocks_stream():
     )
     engine = GpuEngine(system, SimulationControls(time_step=2e-3, dynamic=True))
     engine.run(steps=2)
-    contacts = engine._detect_contacts()
-    diag_idx, diag_blocks, _ = engine._build_diagonal()
-    c_idx, c_blocks, rows, cols, blocks, _ = engine._build_nondiagonal(
-        contacts, contacts.pn * np.maximum(0.0, contacts.normal_disp)
+    _, sweep = assemble_sweep(engine)
+    assert sweep[2].m > 0
+    return system, sweep
+
+
+@pytest.fixture(scope="module")
+def rocks_stream(rocks_sweep):
+    """The same sweep as a materialised contribution stream."""
+    system, (diag_idx, diag_blocks, contacts, geometry, _, _) = rocks_sweep
+    _, c_blocks, rows, cols, blocks, _ = contact_system(
+        system, contacts,
+        contacts.pn * np.maximum(0.0, contacts.normal_disp), geometry,
     )
-    assert contacts.m > 0
     return (
-        system,
-        np.concatenate([diag_idx, c_idx]),
-        np.concatenate([diag_blocks, c_blocks]),
+        system, diag_idx, np.concatenate([diag_blocks, c_blocks]),
         rows, cols, blocks,
     )
 
@@ -177,17 +198,295 @@ class TestSummationOrder:
             n, *contributions,
         )
 
-    def test_presets_assemble_identical_matrix(self, rocks_stream):
-        """Serial, hybrid and gpu presets: bit-identical K, one stream."""
-        system, *contributions = rocks_stream
+    def test_presets_assemble_identical_matrix(
+        self, rocks_sweep, rocks_stream
+    ):
+        """Serial, hybrid and gpu presets: bit-identical K, one sweep —
+        the K its materialised stream sums to."""
+        system, sweep = rocks_sweep
+        _, *contributions = rocks_stream
         serial, hybrid, gpu = (
-            cls(system.copy())._assemble(*contributions)
+            cls(system.copy())._assemble(*sweep)
             for cls in (SerialEngine, HybridEngine, GpuEngine)
         )
         for other in (hybrid, gpu):
             assert_same_matrix(
                 serial, other.diag, other.rows, other.cols, other.blocks
             )
+        assert_same_bits(serial, assemble_gpu(system.n_blocks, *contributions))
+
+
+def assemble_sweep(engine):
+    """One sweep's ``K`` through the engine's own hooks, with the
+    arguments the sweep was assembled from."""
+    contacts = engine._detect_contacts()
+    diag_idx, diag_blocks, _ = engine._build_diagonal()
+    geometry = contacts.spring_geometry(engine.system)
+    w, ws, _ = engine._build_nondiagonal(
+        contacts, contacts.pn * np.maximum(0.0, contacts.normal_disp),
+        geometry,
+    )
+    args = (
+        np.concatenate([diag_idx, contacts.block_i, contacts.block_j]),
+        diag_blocks, contacts, geometry, w, ws,
+    )
+    return engine._assemble(*args), args
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def assert_same_bits(matrix, ref):
+    """Equal through the sign bit (``array_equal`` lets ``-0.0`` pass)."""
+    np.testing.assert_array_equal(bits(matrix.diag), bits(ref.diag))
+    np.testing.assert_array_equal(matrix.rows, ref.rows)
+    np.testing.assert_array_equal(matrix.cols, ref.cols)
+    np.testing.assert_array_equal(bits(matrix.blocks), bits(ref.blocks))
+
+
+def spring_table(n, m, seed, states=None, pairs=None):
+    """``m`` random contacts between ``n`` blocks: geometry with exact
+    zeros and both signs (so ``0 * negative`` products occur), block
+    pairs in both orientations, states mixed unless given."""
+    rng = np.random.default_rng(seed)
+
+    def vectors():
+        v = rng.standard_normal((m, BS))
+        v[rng.random((m, BS)) < 0.2] = 0.0
+        return v
+
+    geometry = SpringGeometry(
+        vectors(), vectors(), rng.standard_normal(m), rng.random(m) + 0.1,
+        vectors(), vectors(),
+    )
+    if pairs is None:
+        block_i = rng.integers(0, n, size=m)
+        block_j = (block_i + 1 + rng.integers(0, n - 1, size=m)) % n
+    else:
+        block_i, block_j = (np.asarray(p, dtype=np.int64) for p in pairs)
+    if states is None:
+        states = rng.integers(0, 3, size=m)
+    return (
+        geometry, block_i, block_j, np.broadcast_to(states, (m,)).copy(),
+        rng.random(m) + 1.0, rng.random(m) + 1.0,
+        rng.standard_normal((n, BS, BS)),
+    )
+
+
+def both_ways(n, geometry, block_i, block_j, states, pn, ps, static):
+    """``(bound, reference)``: the plan bound to the geometry, and the
+    materialised ``contact_contributions`` stream through
+    ``plan.assemble``."""
+    m = block_i.size
+    plan = AssemblyPlan.build(
+        n, np.concatenate([np.arange(n), block_i, block_j]), block_i, block_j
+    )
+    loads = (np.zeros(m), np.ones(m))
+    w, ws, _, _ = spring_loads(geometry, states, pn, ps, *loads)
+    kii, kjj, kij, _, _ = contact_contributions(
+        geometry, states, pn, ps, *loads
+    )
+    return (
+        plan.bind(geometry).assemble(static, w, ws),
+        plan.assemble(np.concatenate([static, kii, kjj]), kij),
+    )
+
+
+class TestBoundAssembly:
+    """``plan.bind(geometry).assemble(static, w, ws)`` — what the
+    engines run every sweep — equals ``contact_contributions`` ->
+    ``plan.assemble`` to the sign bit."""
+
+    @pytest.mark.parametrize("states", [OPEN, SLIDE, LOCK, None])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_materialising_reference(self, states, seed):
+        # 7 blocks, 60 contacts: duplicate pairs in both orientations
+        # and diagonal segments of 1 + ~17 rows (first + pairwise(rest))
+        table = spring_table(7, 60, seed, states)
+        _, block_i, block_j, *_ = table
+        assert (block_i > block_j).any() and (block_i < block_j).any()
+        assert np.bincount(np.concatenate([block_i, block_j])).min() >= 8
+        bound, ref = both_ways(7, *table)
+        assert_same_bits(bound, ref)
+
+    @pytest.mark.parametrize("pairs", [
+        ([], []),                        # m = 0: static rows only
+        ([2], [0]),                      # one contact, swapped
+        ([0], [2]),                      # one contact, upper
+        ([1, 3, 1, 3, 1], [3, 1, 3, 1, 3]),  # one pair, five times
+    ])
+    def test_edge_tables(self, pairs):
+        table = spring_table(4, len(pairs[0]), 5, pairs=pairs)
+        bound, ref = both_ways(4, *table)
+        assert_same_bits(bound, ref)
+        assert bound.n_offdiag == min(1, len(pairs[0]))
+
+    def test_chunked_streams(self, monkeypatch):
+        """Many segment-aligned chunks, and a segment longer than one."""
+        monkeypatch.setattr("repro.assembly.symbolic._CHUNK_ROWS", 16)
+        table = spring_table(30, 400, 6)
+        binding = AssemblyPlan.build(
+            30, np.concatenate([np.arange(30), table[1], table[2]]),
+            table[1], table[2],
+        ).bind(table[0])
+        assert len(binding.chunks) > 20
+        assert binding.work.shape[1] > 16
+        bound, ref = both_ways(30, *table)
+        assert_same_bits(bound, ref)
+
+    def test_negative_zero_is_normalised(self):
+        """An OPEN contact's ``0 * negative`` is ``-0.0``; accumulated
+        into a zeroed block it is ``+0.0`` — the bit the ``+ 0.0`` in
+        ``spring_blocks`` keeps (pairs met once, so no sum hides it)."""
+        table = spring_table(3, 2, 7, OPEN, pairs=([0, 2], [1, 1]))
+        geometry = table[0]
+        naive = 0.0 * np.einsum("mi,mj->mij", geometry.e, geometry.g)
+        assert np.signbit(naive).any()
+        bound, ref = both_ways(3, *table)
+        assert not np.signbit(bound.blocks).any()
+        assert_same_bits(bound, ref)
+
+    def test_rejects_a_table_the_plan_was_not_built_for(self):
+        geometry, block_i, block_j, *_ = spring_table(5, 9, 8)
+        plan = AssemblyPlan.build(
+            5, np.concatenate([np.arange(5), block_i, block_j]),
+            block_i, block_j,
+        )
+        with pytest.raises(ValueError, match="does not fit"):
+            plan.bind(spring_table(5, 8, 8)[0])
+        short = AssemblyPlan.build(5, block_i, block_i, block_j)
+        with pytest.raises(ValueError, match="does not fit"):
+            short.bind(geometry)
+
+    def test_binding_and_one_sweep_stay_small(self):
+        """12 k contacts: the bound vectors (~5 MB) and two chunk-sized
+        work blocks — never the stream-sized ``(q, 6, 6)`` payloads
+        (the materialising path peaks above 30 MB here)."""
+        n, m = 1089, 12353
+        geometry, block_i, block_j, states, pn, ps, static = spring_table(
+            n, m, 9
+        )
+        plan = AssemblyPlan.build(
+            n, np.concatenate([np.arange(n), block_i, block_j]),
+            block_i, block_j,
+        )
+        w, ws, _, _ = spring_loads(
+            geometry, states, pn, ps, np.zeros(m), np.ones(m)
+        )
+        tracemalloc.start()
+        try:
+            plan.bind(geometry).assemble(static, w, ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+
+class CheckedEngine(GpuEngine):
+    """Holds every sweep's matrix to the materialising reference at the
+    system's *current* coordinates, and records which binding made it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.bindings = []
+        self.forget_plan_at = ()
+
+    def _assemble(self, diag_idx, diag_blocks, contacts, geometry, w, ws):
+        if len(self.bindings) in self.forget_plan_at:
+            self._assembly_plan = None
+        matrix = super()._assemble(
+            diag_idx, diag_blocks, contacts, geometry, w, ws
+        )
+        kii, kjj, kij = spring_stiffness(
+            contacts.spring_geometry(self.system), w, ws
+        )
+        assert_same_bits(matrix, assemble_gpu(
+            self.system.n_blocks, diag_idx,
+            np.concatenate([diag_blocks, kii, kjj]),
+            contacts.block_i, contacts.block_j, kij,
+        ))
+        bound = self._bound_assembly
+        assert bound.plan is self._assembly_plan
+        assert bound.geometry is geometry
+        self.bindings.append((bound, bound.plan, bound.geometry, contacts.m))
+        return matrix
+
+
+class TestRebinding:
+    """A stale binding is never used: every sweep's matrix matches the
+    reference built from scratch at that sweep's geometry."""
+
+    def slope(self, **kwargs):
+        return CheckedEngine(
+            build_slope_model(joint_spacing=6.0, seed=0),
+            SimulationControls(
+                time_step=2e-3, dynamic=False, penalty_scale=50.0, **kwargs
+            ),
+        )
+
+    def test_new_geometry_same_plan_after_data_updating(self):
+        engine = CheckedEngine(
+            build_brick_wall(rows=3, cols=3),
+            SimulationControls(time_step=1e-3, dynamic=True),
+        )
+        engine.run(steps=2)
+        (b0, p0, g0, _), (b1, p1, g1, _) = (
+            engine.bindings[0], engine.bindings[-1]
+        )
+        # the wall's contact topology does not move, so step 1 reuses
+        # step 0's plan — with a binding to step 1's geometry
+        assert p1 is p0 and b1 is not b0 and g1 is not g0
+        assert not np.array_equal(g0.d0, g1.d0)
+        # within a step the binding is made once
+        assert len({id(b) for b, *_ in engine.bindings}) == 2
+
+    def test_new_plan_same_geometry(self):
+        engine = self.slope()
+        engine.forget_plan_at = (2,)  # between two sweeps of attempt 0
+        engine.run(steps=1)
+        (b1, p1, g1, _), (b2, p2, g2, _) = engine.bindings[1:3]
+        assert g2 is g1 and p2 is not p1 and b2 is not b1
+
+    def test_fault_replaced_contact_table(self):
+        engine = CheckedEngine(
+            build_slope_model(joint_spacing=6.0, seed=0),
+            SimulationControls(
+                time_step=2e-3, dynamic=False, penalty_scale=50.0,
+                contract_level="off",
+            ),
+            fault_injector=FaultInjector(["contact_duplicate"], start_step=1),
+        )
+        engine.run(steps=2)
+        sizes = [m for *_, m in engine.bindings]
+        grown = sizes.index(max(sizes))
+        assert sizes[grown] == sizes[0] + 1
+        # the duplicated table got its own plan, geometry and binding
+        before, after = engine.bindings[grown - 1], engine.bindings[grown]
+        assert all(a is not b for a, b in zip(before[:3], after[:3]))
+
+
+@pytest.mark.parametrize("fault", ["matrix_nan", "matrix_desymmetrize"])
+def test_fault_in_one_sweeps_matrix_does_not_reach_the_next(fault):
+    """The chaos faults corrupt a sweep's ``K`` in place; the next
+    sweep's comes out of the same binding in fresh arrays."""
+    engine = GpuEngine(
+        build_slope_model(joint_spacing=6.0, seed=0),
+        SimulationControls(time_step=2e-3, dynamic=False, penalty_scale=50.0),
+    )
+    first, args = assemble_sweep(engine)
+    clean = (bits(first.diag).copy(), bits(first.blocks).copy())
+    binding = engine._bound_assembly
+    FaultInjector([fault]).perturb("matrix_assembly", first, step=0)
+    assert not np.array_equal(bits(first.diag), clean[0])
+
+    second = engine._assemble(*args)
+    assert engine._bound_assembly is binding
+    np.testing.assert_array_equal(bits(second.diag), clean[0])
+    np.testing.assert_array_equal(bits(second.blocks), clean[1])
+    for ours in (second.diag, second.blocks):
+        for theirs in (first.diag, first.blocks, args[1], binding.work):
+            assert not np.shares_memory(ours, theirs)
 
 
 class TestPlanBitIdentity:

@@ -44,13 +44,11 @@ def engine_with_artifacts(level="full"):
     contacts = eng._detect_contacts()
     diag_idx, diag_blocks, f_base = eng._build_diagonal()
     normal_force = contacts.pn * np.maximum(0.0, contacts.normal_disp)
-    (c_idx, c_blocks, rows, cols, blocks, f_c) = eng._build_nondiagonal(
-        contacts, normal_force
-    )
+    geometry = contacts.spring_geometry(eng.system)
+    w, ws, f_c = eng._build_nondiagonal(contacts, normal_force, geometry)
     matrix = eng._assemble(
-        np.concatenate([diag_idx, c_idx]),
-        np.concatenate([diag_blocks, c_blocks]),
-        rows, cols, blocks,
+        np.concatenate([diag_idx, contacts.block_i, contacts.block_j]),
+        diag_blocks, contacts, geometry, w, ws,
     )
     return eng, contacts, matrix, f_base + f_c
 

@@ -156,13 +156,95 @@ class TestFallbackLadder:
         assert flaky.rungs_seen[1] == ("ssor", True)
 
     def test_cold_restart_rung(self, monkeypatch):
-        # fail rungs 0 and 1: rung 2 must drop the warm start
-        flaky = FlakyPCG(fail_from=0, fail_count=2)
+        # fail rungs 0 and 1 of step 2's solve (calls 0-1 are step 0's
+        # two sweeps, call 2 is step 1): the warm start is a real
+        # solution by then, so rung 2 must drop it
+        flaky = FlakyPCG(fail_from=3, fail_count=2)
         monkeypatch.setattr(engine_base, "pcg", flaky)
         engine = GpuEngine(stacked(), controls())
+        result = engine.run(steps=3)
+        assert result.steps[2].solver_rung == 2
+        assert flaky.rungs_seen[5] == ("ssor", False)
+        assert engine.metrics.counter("solver.rungs_skipped").value == 0
+
+    #: ``FlakyPCG`` window -> the solves the engine must make, in order,
+    #: over two steps of the stacked pair (step 0 sweeps twice, step 1
+    #: once; ``_prev_solution`` is the zero vector throughout step 0).
+    #: columns: fail_from, fail_count, solver_fallback, calls,
+    #: step 0 (retries, solver_rung), rungs_skipped, rung_escalations
+    LADDER_MEMORY = {
+        # (i) rung 0 fails in sweep 0 -> sweep 1 starts at rung 1;
+        # (ii) the next step starts at rung 0 again
+        "a failed rung is not retried in the same attempt": (
+            0, 1, True,
+            [("bj", True), ("ssor", True), ("ssor", True), ("bj", True)],
+            (0, 1), 1, 1,
+        ),
+        # (iii) rungs 0 and 1 fail on a zero warm start -> the cold
+        # restart would be rung 1 again, so the attempt ends there;
+        # (ii) the next loop-2 attempt starts at rung 0 again
+        "a cold restart from a zero warm start is not run": (
+            0, 2, True,
+            [("bj", True), ("ssor", True), ("bj", True), ("bj", True),
+             ("bj", True)],
+            (1, 0), 1, 0,
+        ),
+        # both at once: the retry forgets attempt 0's ladder, climbs on
+        # its own failure and remembers that for its second sweep
+        "the memory is per attempt": (
+            0, 3, True,
+            [("bj", True), ("ssor", True), ("bj", True), ("ssor", True),
+             ("ssor", True), ("bj", True)],
+            (1, 1), 2, 1,
+        ),
+        # (v) without the ladder there is nothing to remember or skip
+        "ladder off": (
+            0, 1, False,
+            [("bj", True), ("bj", True), ("bj", True), ("bj", True)],
+            (1, 0), 0, 0,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", LADDER_MEMORY)
+    def test_ladder_memory(self, case, monkeypatch):
+        (fail_from, fail_count, fallback, calls, step0, skipped,
+         escalations) = self.LADDER_MEMORY[case]
+        flaky = FlakyPCG(fail_from=fail_from, fail_count=fail_count)
+        monkeypatch.setattr(engine_base, "pcg", flaky)
+        engine = GpuEngine(stacked(), controls(solver_fallback=fallback))
         result = engine.run(steps=2)
+        assert flaky.rungs_seen == calls
+        assert (result.steps[0].retries, result.steps[0].solver_rung) == step0
+        counters = engine.metrics.snapshot()["counters"]
+        assert counters["solver.rungs_skipped"] == skipped
+        assert counters["solver.rung_escalations"] == escalations
+
+    def _unbuildable_rung_1(self, monkeypatch, error):
+        """Rung 0 fails to converge and rung 1's constructor raises."""
+        flaky = FlakyPCG(fail_from=0, fail_count=1)
+        monkeypatch.setattr(engine_base, "pcg", flaky)
+        real = engine_base.make_preconditioner
+        built = []
+
+        def construct(name, matrix, device=None):
+            built.append(name)
+            if built.count("ssor") == 1 and name == "ssor":
+                raise error("planted")
+            return real(name, matrix, device)
+
+        monkeypatch.setattr(engine_base, "make_preconditioner", construct)
+        return GpuEngine(stacked(), controls()), flaky
+
+    def test_unbuildable_rung_is_skipped(self, monkeypatch):
+        engine, flaky = self._unbuildable_rung_1(monkeypatch, ZeroDivisionError)
+        result = engine.run(steps=1)
         assert result.steps[0].solver_rung == 2
-        assert flaky.rungs_seen[2] == ("ssor", False)
+        assert flaky.rungs_seen[:2] == [("bj", True), ("ssor", False)]
+
+    def test_programming_error_in_a_rung_propagates(self, monkeypatch):
+        engine, _ = self._unbuildable_rung_1(monkeypatch, TypeError)
+        with pytest.raises(TypeError, match="planted"):
+            engine.run(steps=1)
 
     def test_ladder_disabled_burns_dt_halving(self, monkeypatch):
         flaky = FlakyPCG(fail_from=0, fail_count=1)

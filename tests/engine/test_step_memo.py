@@ -25,11 +25,14 @@ from repro.engine.chaos import FaultInjector
 from repro.engine.domain_engine import DomainEngine
 from repro.engine.gpu_engine import GpuEngine
 from repro.engine.hybrid_engine import HybridEngine
+from repro.engine.resilience import solver_ladder
 from repro.engine.serial_engine import SerialEngine
 from repro.meshing.slope_models import (
     build_falling_rocks_model,
     build_slope_model,
 )
+from repro.solvers.cg import pcg
+from repro.solvers.preconditioners import make_preconditioner
 
 ENGINES = {
     "serial": SerialEngine,
@@ -150,21 +153,27 @@ _GPU_FLOATS = [
     dict(max_displacement=6.487825612385473e-08,
          max_penetration=2.5697553276728085e-08),
 ]
+#: The ledger of the same run. Re-recorded when the fallback ladder
+#: began to remember the rung an attempt needs (see
+#: ``test_memoised_step_reproduces_parent``); at 6026fe3 the three
+#: single-device presets read 0.43690543454465425 s / 12621 launches,
+#: 0.07161430392810565 / 13228 and 0.1250562283376913 / 12789. The
+#: domain preset's own device never carried the solve: unchanged.
 PARENT = {
     "serial": dict(
-        total_time="0.43690543454465425", launches=12621, floats=_CPU_FLOATS,
-        kernels="49d0f922910a09b77563726f87cc5499"
-                "e427d36239589b1dcad173d885fe0cf6",
+        total_time="0.4353662992113247", launches=11551, floats=_CPU_FLOATS,
+        kernels="aafd80e04f3c2ee857c5b406c7d0e602"
+                "c38850b2ec19688889d402424a3aab78",
     ),
     "gpu": dict(
-        total_time="0.07161430392810565", launches=13228, floats=_GPU_FLOATS,
-        kernels="f98235f211edc82970848aeeb3fbe694"
-                "d2a71beda9f9c2f0b57c07ca3106d2a4",
+        total_time="0.06617355568300747", launches=12158, floats=_GPU_FLOATS,
+        kernels="061c0ec93b4f8d3cabe1db2101f803ea"
+                "564586cc13e6e4b9493b26a4e9d68f26",
     ),
     "hybrid": dict(
-        total_time="0.1250562283376913", launches=12789, floats=_GPU_FLOATS,
-        kernels="2789a03b1d54ede4fa01f88d05d43f9c"
-                "2b2950487885d02063926c9e90f2ffd7",
+        total_time="0.11961548009259321", launches=11719, floats=_GPU_FLOATS,
+        kernels="91deb431f678616303c56d4c94918182"
+                "00eebce4926ba15802ab95743c9cc76c",
     ),
     "domain": dict(
         total_time="0.06998914454467038", launches=148, floats=_CPU_FLOATS,
@@ -176,6 +185,16 @@ PARENT = {
 
 @pytest.mark.parametrize("preset", ENGINES)
 def test_memoised_step_reproduces_parent(preset):
+    """Final vertices and every ``StepRecord`` field are still the ones
+    recorded before the detection memo — and before the ladder memory.
+    The ledger is the smaller one the ladder memory leaves: in attempt 0
+    of step 0 block-Jacobi hits the 200-iteration cap in sweep 3, SSOR-AI
+    converges, and sweeps 4-6 start at SSOR-AI (111 + 103 + 95
+    iterations) instead of first trying block-Jacobi (which converged
+    there, 192 + 180 + 151); loop 2 rejects that attempt either way (its
+    open-close iteration does not settle), so nothing accepted moves.
+    CG iterations over the run: 2464 -> 2250, 38 solves both ways.
+    """
     engine = _retrying_engine(preset)
     result = engine.run(2)
     pin = PARENT[preset]
@@ -318,3 +337,111 @@ def test_fault_in_one_attempt_does_not_leak_into_the_next():
         )
     assert result.steps[0].retries >= 1
     assert _vertices_sha(engine) == PARENT_VERTICES
+
+
+# ----------------------------------------------------------------------
+# the solves the ladder memory leaves out could not have mattered
+# ----------------------------------------------------------------------
+class SkipRecorder:
+    """Engine mix-in: every rung solve the ladder did not run, as
+    ``(attempt, rung, matrix, rhs, x0)`` — replayable by hand."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.attempt = 0
+        self.accepted = set()
+        self.skipped = []
+        self.kept = {}
+
+    def _build_diagonal(self):  # runs once per loop-2 attempt
+        self.attempt += 1
+        return super()._build_diagonal()
+
+    def _update_data(self, d):  # only an accepted attempt gets here
+        self.accepted.add(self.attempt)
+        super()._update_data(d)
+
+    def _solve_with_fallback(self, matrix, rhs, first_rung=0):
+        before = self.metrics.counter("solver.rungs_skipped").value
+        res, rung, iters = super()._solve_with_fallback(
+            matrix, rhs, first_rung
+        )
+        n = self.metrics.counter("solver.rungs_skipped").value - before
+        # by memory: the rungs below the first; by the zero-warm-start
+        # rule: the cold restart after the last rung tried
+        rungs = list(range(first_rung)) + [rung] * (n - first_rung)
+        for r in rungs:
+            self.skipped.append(
+                (self.attempt, r, matrix, rhs, self._prev_solution.copy())
+            )
+            self.kept[len(self.skipped) - 1] = res
+        return res, rung, iters
+
+
+def _replay(engine, rung, matrix, rhs, x0):
+    """One ladder rung's solve, by hand, off the engine's ledger."""
+    name, warm = solver_ladder(engine.controls.preconditioner)[rung]
+    return pcg(
+        matrix, rhs, x0=x0 if warm else None,
+        preconditioner=make_preconditioner(name, matrix),
+        tol=engine.controls.cg_tolerance,
+        max_iterations=engine.controls.cg_max_iterations,
+    )
+
+
+def _capped(preset, cap, engine_cls):
+    engine = _retrying_engine(preset, engine_cls)
+    engine.controls.cg_max_iterations = cap
+    return engine
+
+
+@pytest.mark.parametrize("preset", ["serial", "gpu"])
+def test_skipped_solves_replayed_by_hand_are_the_discarded_ones(preset):
+    """With the iteration cap at 100 the 89-block model does what the
+    1089-block benchmark model does at 200: attempt 0 exhausts the
+    ladder on a zero warm start, attempt 1 climbs to SSOR-AI in its
+    first sweep and stays there. Every rung solve left out is run here
+    by hand on the same operand and warm start: the block-Jacobi solves
+    hit the cap again (the ladder would have thrown them away) and the
+    cold restart is the warm solve it follows, bit for bit."""
+
+    class Recorder(SkipRecorder, ENGINES[preset]):
+        pass
+
+    engine = _capped(preset, 100, Recorder)
+    engine.run(2)
+    counters = engine.metrics.snapshot()["counters"]
+    assert counters["solver.rungs_skipped"] == len(engine.skipped) == 5
+    assert [(a, r) for a, r, *_ in engine.skipped] == [
+        (1, 2), (2, 0), (2, 0), (2, 0), (2, 0),
+    ]
+    for k, (attempt, rung, matrix, rhs, x0) in enumerate(engine.skipped):
+        res = _replay(engine, rung, matrix, rhs, x0)
+        assert not res.converged and res.iterations == 100
+        if rung == 2:  # the cold restart: the warm solve over again
+            kept = engine.kept[k]
+            assert not x0.any()
+            np.testing.assert_array_equal(res.x, kept.x)
+            assert res.residuals == kept.residuals
+
+
+@pytest.mark.parametrize("preset", ENGINES)
+def test_run_without_the_ladder_memory_ends_in_the_same_place(preset):
+    """The same capped run against an engine whose every solve starts
+    at rung 0: same accepted steps, same final state, more iterations."""
+
+    class Amnesiac(ENGINES[preset]):
+        def _solve_with_fallback(self, matrix, rhs, first_rung=0):
+            return super()._solve_with_fallback(matrix, rhs, 0)
+
+    ours = _capped(preset, 100, None)
+    theirs = _capped(preset, 100, Amnesiac)
+    result, reference = ours.run(2), theirs.run(2)
+    assert result.steps == reference.steps
+    assert _vertices_sha(ours) == _vertices_sha(theirs)
+    np.testing.assert_array_equal(ours._prev_solution, theirs._prev_solution)
+    iterations = [
+        e.metrics.snapshot()["histograms"]["cg.iterations"]["sum"]
+        for e in (ours, theirs)
+    ]
+    assert iterations[0] == iterations[1] - 400

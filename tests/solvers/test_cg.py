@@ -118,3 +118,78 @@ class TestPreconditionerOrdering:
             assert res.converged
             times[name] = dev.total_time
         assert times["bj"] < times["ilu"]
+
+
+def allocating_pcg(a, b, x0, m, tol, max_iterations):
+    """The iteration with a fresh array per statement (``p = z + beta *
+    p``, ``x = x + alpha * p``): what the in-place loops of ``pcg`` and
+    ``distributed_pcg`` must reproduce bit for bit."""
+    from repro.spmv.hsbcsr import hsbcsr_spmv
+
+    h = HSBCSRMatrix.from_block_matrix(a)
+    x = np.zeros(b.size) if x0 is None else x0.copy()
+    b_norm = float(np.sqrt(b @ b))
+    r = b - hsbcsr_spmv(h, x)
+    z = m.apply(r, None)
+    p = z.copy()
+    rz = float(r @ z)
+    residuals = []
+    for _ in range(max_iterations):
+        ap = hsbcsr_spmv(h, p)
+        alpha = rz / float(p @ ap)
+        x = x + alpha * p
+        r = r - alpha * ap
+        residuals.append(float(np.sqrt(r @ r)) / b_norm)
+        if residuals[-1] < tol:
+            break
+        z = m.apply(r, None)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x, residuals
+
+
+class TestInPlaceIteration:
+    """Table-I matrix and preconditioners: the allocation-free loops
+    equal the allocating formulation, serial and on four domains."""
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("name", ["bj", "ssor", "ilu"])
+    def test_equals_allocating_reference(self, name, warm):
+        from repro.domain.assembly import split_matrix
+        from repro.domain.halo import (
+            DomainMap, HaloExchanger, build_exchange_plan, make_domain_devices,
+        )
+        from repro.domain.solve import (
+            distributed_pcg, make_domain_preconditioner,
+        )
+        from repro.gpu.device import K40
+
+        a = synthetic_block_matrix(40, 110, seed=2, coupling=0.6)
+        rng = np.random.default_rng(0)
+        b = a.matvec(rng.normal(size=a.n * BS))
+        x0 = rng.normal(size=a.n * BS) if warm else None
+        x, residuals = allocating_pcg(
+            a, b, x0, make_preconditioner(name, a), 1e-10, 1000
+        )
+        assert 2 < len(residuals) < 1000
+
+        serial = pcg(a, b, x0=x0, preconditioner=make_preconditioner(name, a),
+                     tol=1e-10, max_iterations=1000)
+        dmap = DomainMap.from_labels(np.arange(a.n, dtype=np.int64) * 4 // a.n, 4)
+        plan = build_exchange_plan(dmap, a.rows, a.cols)
+        exchanger = HaloExchanger(dmap, plan, make_domain_devices(4, K40))
+        domains = split_matrix(a, dmap, plan)
+        distributed = distributed_pcg(
+            domains, exchanger, b, x0=x0,
+            preconditioner=make_domain_preconditioner(
+                name, a, domains, exchanger
+            ),
+            tol=1e-10, max_iterations=1000,
+        )
+        for res in (serial, distributed):
+            assert res.converged and res.iterations == len(residuals)
+            assert res.residuals == residuals
+            np.testing.assert_array_equal(res.x, x)
+        if warm:  # the caller's warm start is not the iterate
+            assert not np.shares_memory(serial.x, x0)

@@ -48,6 +48,16 @@ class TestMain:
         assert "equation_solving" in out
         assert "CG iterations total" in out
 
+    def test_summary_counts_the_ladder(self, capsys):
+        # attempt 0 of this step escalates once, then starts three
+        # sweeps at the remembered rung; loop 2 rejects the attempt
+        main(["--model", "slope", "--steps", "1", "--dt", "2e-3",
+              "--no-render"])
+        assert (
+            "solver fallback engaged on 0/1 steps (max rung 0); "
+            "3 rung solves skipped"
+        ) in capsys.readouterr().out
+
     def test_render_included_by_default(self, capsys):
         main(["--model", "wall", "--steps", "1", "--dynamic"])
         out = capsys.readouterr().out
