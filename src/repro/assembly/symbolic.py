@@ -44,12 +44,10 @@ targets on every call (:func:`~repro.lint.sanitize.scatter_check`), so
 a planted ``scatter_duplicate_index`` fault is detected with or without
 reuse.
 
-Invalidation is belt and braces: the engine proactively drops its plan
-when the contact transfer layer reports a topology change
-(:func:`repro.contact.transfer.topology_changed`), and
-:meth:`AssemblyPlan.matches` exactly compares the incoming index
-pattern before any reuse, so a stale plan can never produce a wrong
-matrix — only a rebuild.
+Invalidation is one exact gate: :meth:`AssemblyPlan.matches` compares
+the incoming index pattern before any reuse, so a stale plan can never
+produce a wrong matrix — only a rebuild — and a plan survives every
+step whose block pairs did not move, whatever the contact keys did.
 """
 
 from __future__ import annotations

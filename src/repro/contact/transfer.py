@@ -22,33 +22,6 @@ from repro.primitives.radix_sort import radix_sort_pairs
 from repro.primitives.sorted_search import sorted_search
 
 
-def topology_changed(
-    previous: ContactSet,
-    current: ContactSet,
-    n_vertices: int,
-) -> bool:
-    """Did the contact-set *topology* change between two contact tables?
-
-    Compares the ``(m,)`` block pairs and packed contact-data keys
-    (vertex, edge indices) row for row — states, forces and penalties
-    are ignored, because they change the assembled matrix's *values*,
-    never its sparsity. The engines use this as the proactive
-    invalidation signal for cached symbolic assembly: a matching
-    topology means the contribution pattern of
-    :func:`repro.engine.physics.contact_system` is unchanged and the
-    :class:`~repro.assembly.symbolic.AssemblyPlan` may be reused.
-    """
-    if previous.m != current.m:
-        return True
-    return not (
-        np.array_equal(previous.block_i, current.block_i)
-        and np.array_equal(previous.block_j, current.block_j)
-        and np.array_equal(
-            previous.keys(n_vertices), current.keys(n_vertices)
-        )
-    )
-
-
 def transfer_contacts(
     previous: ContactSet,
     current: ContactSet,

@@ -13,7 +13,7 @@ construction); this module *splits* the assembled matrix into one
 * a local owned x owned :class:`BlockMatrix` plus an extended
   (owned + ghost) one — the operands of the domain-decomposed
   preconditioners (block-Jacobi across domains, overlapping additive
-  Schwarz).
+  Schwarz), cut on first access: the default ladder never reads them.
 
 The three pieces are held as one
 :class:`~repro.spmv.hsbcsr.TwoStageOperator` — the same kernel
@@ -25,7 +25,8 @@ reproduces the global product bit-for-bit on the owned rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,11 +57,9 @@ class DomainMatrix:
         diagonal = the owned diagonal blocks.
     m_up, m_low:
         Entry counts of the two halves (scalars; what the ledger prices).
-    local:
-        Owned x owned coupling as a local-index :class:`BlockMatrix`.
-    extended:
-        Owned+ghost coupling (slot indices) — the overlapping-Schwarz
-        operand.
+    source:
+        ``(matrix, dmap, plan)`` this split was cut from — what
+        :attr:`local` and :attr:`extended` are built from when first read.
     """
 
     domain: int
@@ -69,8 +68,45 @@ class DomainMatrix:
     op: TwoStageOperator
     m_up: int
     m_low: int
-    local: BlockMatrix
-    extended: BlockMatrix
+    source: tuple = field(repr=False)
+    #: ``[device, records]`` once :func:`domain_spmv` has charged a device
+    _cost: list = field(default_factory=list, init=False, repr=False)
+
+    @cached_property
+    def local(self) -> BlockMatrix:
+        """Owned x owned coupling as a local-index :class:`BlockMatrix`."""
+        matrix, dmap, _ = self.source
+        rows, cols = matrix.rows, matrix.cols
+        both = np.flatnonzero(
+            (dmap.labels[rows] == self.domain)
+            & (dmap.labels[cols] == self.domain)
+        )
+        return BlockMatrix(
+            n=self.n_local,
+            diag=matrix.diag[dmap.owned[self.domain]],
+            rows=dmap.local[rows[both]],
+            cols=dmap.local[cols[both]],
+            blocks=matrix.blocks[both],
+        )
+
+    @cached_property
+    def extended(self) -> BlockMatrix:
+        """Owned+ghost coupling (slot indices) — the overlapping-Schwarz
+        operand."""
+        matrix, dmap, plan = self.source
+        rows, cols = matrix.rows, matrix.cols
+        slot = plan.slots[self.domain]
+        halo_ids = np.concatenate(
+            [dmap.owned[self.domain], plan.ghosts[self.domain]]
+        )
+        ext_sel = np.flatnonzero((slot[rows] >= 0) & (slot[cols] >= 0))
+        return _submatrix(
+            self.n_ext,
+            matrix.diag[halo_ids],
+            slot[rows[ext_sel]],
+            slot[cols[ext_sel]],
+            matrix.blocks[ext_sel],
+        )
 
 
 def _submatrix(
@@ -131,25 +167,6 @@ def split_matrix(
                 matrix.diag[own], np.arange(n_local, dtype=np.int64), n_ext
             ),
         )
-
-        both = np.flatnonzero((row_lab == d) & (col_lab == d))
-        local = BlockMatrix(
-            n=n_local,
-            diag=matrix.diag[own],
-            rows=dmap.local[rows[both]],
-            cols=dmap.local[cols[both]],
-            blocks=matrix.blocks[both],
-        )
-        halo_ids = np.concatenate([own, ghost])
-        ext_sel = np.flatnonzero((slot[rows] >= 0) & (slot[cols] >= 0)) \
-            if rows.size else rows
-        extended = _submatrix(
-            n_ext,
-            matrix.diag[halo_ids],
-            slot[rows[ext_sel]],
-            slot[cols[ext_sel]],
-            matrix.blocks[ext_sel],
-        )
         out.append(DomainMatrix(
             domain=d,
             n_local=n_local,
@@ -157,8 +174,7 @@ def split_matrix(
             op=op,
             m_up=up_sel.size,
             m_low=low_sel.size,
-            local=local,
-            extended=extended,
+            source=(matrix, dmap, plan),
         ))
     return out
 
@@ -173,16 +189,22 @@ def domain_spmv(dm: DomainMatrix, x_ext: np.ndarray, device=None) -> np.ndarray:
     """
     y = dm.op(x_ext)
     if device is not None:
-        _record_cost(dm, device)
+        # priced on the first charge, recorded on every one
+        priced_on, records = dm._cost or (None, ())
+        if priced_on is not device:
+            records = _price_spmv(dm, device)
+            dm._cost[:] = device, records
+        device.record(records)
     return y
 
 
-def _record_cost(dm: DomainMatrix, device) -> None:
-    """Meter the per-domain SpMV with HSBCSR-style launches."""
+def _price_spmv(dm: DomainMatrix, device) -> tuple:
+    """The per-domain SpMV's HSBCSR-style launches, priced on ``device``."""
     m = dm.m_up + dm.m_low
     n = dm.n_local
+    priced = []
     if m:
-        device.launch(
+        priced.append(device.price(
             "domain_spmv_offdiag",
             KernelCounters(
                 flops=2.0 * m * BS * BS,
@@ -197,8 +219,8 @@ def _record_cost(dm: DomainMatrix, device) -> None:
                 warps=max(1, m * BS // WARP_SIZE),
             ),
             module="equation_solving",
-        )
-    device.launch(
+        ))
+    priced.append(device.price(
         "domain_spmv_diag",
         KernelCounters(
             flops=2.0 * n * BS * BS,
@@ -212,4 +234,5 @@ def _record_cost(dm: DomainMatrix, device) -> None:
             warps=max(1, n * BS // WARP_SIZE),
         ),
         module="equation_solving",
-    )
+    ))
+    return tuple(priced)

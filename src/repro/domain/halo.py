@@ -183,6 +183,12 @@ class HaloExchanger:
     meters the latency-bound scalar reductions. With one domain no
     transfer is charged (the data never leaves the device). ``inject``
     is the chaos hook applied to the gathered solution buffer.
+
+    Everything an exchange or an all-reduce charges depends on the plan
+    alone, so it is priced here, once: per device the ``pcie_allreduce``
+    record and the ``pcie_halo_send`` / ``pcie_halo_recv`` records in
+    ``plan.sends`` order, the exchange's byte total, and per send the
+    source rows and target slots. The calls then only record.
     """
 
     dmap: DomainMap
@@ -193,24 +199,40 @@ class HaloExchanger:
     _dof: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        n_domains = self.dmap.n_domains
         self._dof = tuple(
             (self.dmap.owned[d][:, None] * BS
              + np.arange(BS, dtype=np.int64)).reshape(-1)
-            for d in range(self.dmap.n_domains)
+            for d in range(n_domains)
         )
+        self._allreduce = [self._price(d, "pcie_allreduce", 8.0)
+                           for d in range(n_domains)]
+        self._exchange: list[list] = [[] for _ in range(n_domains)]
+        self._moves: list[tuple] = []
+        self._halo_bytes = 0.0
+        for src, dst, ids in self.plan.sends:
+            nbytes = float(ids.size * BS * 8)
+            self._exchange[src] += self._price(src, "pcie_halo_send", nbytes)
+            self._exchange[dst] += self._price(dst, "pcie_halo_recv", nbytes)
+            self._halo_bytes += nbytes
+            self._moves.append(
+                (src, self.dmap.local[ids], dst, self.plan.slots[dst][ids])
+            )
 
     # ------------------------------------------------------------------
-    def _launch(self, d: int, name: str, nbytes: float) -> None:
+    def _price(self, d: int, name: str, nbytes: float) -> tuple:
+        """Device ``d``'s ledger entry for one ``nbytes`` transfer, priced
+        (a 0- or 1-tuple for :meth:`VirtualDevice.record`)."""
         if self.dmap.n_domains == 1:
-            return  # a single device: nothing crosses a PCIe boundary
-        self.devices[d].launch(
+            return ()  # a single device: nothing crosses a PCIe boundary
+        return (self.devices[d].price(
             name,
             KernelCounters(
                 global_bytes_read=float(nbytes),
                 global_txn_read=float(nbytes) / 128.0,
             ),
             module="halo_exchange",
-        )
+        ),)
 
     # ------------------------------------------------------------------
     def scatter(self, x: np.ndarray) -> list:
@@ -218,7 +240,9 @@ class HaloExchanger:
         segments = []
         for d in range(self.dmap.n_domains):
             seg = x[self._dof[d]]
-            self._launch(d, "pcie_scatter_owned", float(seg.nbytes))
+            self.devices[d].record(
+                self._price(d, "pcie_scatter_owned", seg.nbytes)
+            )
             segments.append(seg)
         return segments
 
@@ -231,7 +255,9 @@ class HaloExchanger:
         out = np.empty(self.dmap.labels.size * BS)
         for d in range(self.dmap.n_domains):
             out[self._dof[d]] = segments[d]
-            self._launch(d, "pcie_gather_owned", float(segments[d].nbytes))
+            self.devices[d].record(
+                self._price(d, "pcie_gather_owned", segments[d].nbytes)
+            )
         if solution and self.inject is not None:
             out = self.inject(out)
         return out
@@ -250,19 +276,20 @@ class HaloExchanger:
             ext = np.empty((own.size + ghost.size) * BS)
             ext[: own.size * BS] = segments[d]
             extended.append(ext)
-        for src, dst, ids in self.plan.sends:
-            buf = segments[src].reshape(-1, BS)[self.dmap.local[ids]]
-            nbytes = float(buf.nbytes)
-            self._launch(src, "pcie_halo_send", nbytes)
-            self._launch(dst, "pcie_halo_recv", nbytes)
-            if self.metrics is not None:
-                self.metrics.inc("domain.halo_bytes", nbytes)
-            target = self.plan.slots[dst][ids]
-            extended[dst].reshape(-1, BS)[target] = buf
+        for src, rows, dst, slots in self._moves:
+            extended[dst].reshape(-1, BS)[slots] = (
+                segments[src].reshape(-1, BS)[rows]
+            )
+        self.record(self._exchange)
+        if self.metrics is not None and self._moves:
+            self.metrics.inc("domain.halo_bytes", self._halo_bytes)
         return extended
 
-    def allreduce(self, n_scalars: int = 1) -> None:
-        """Meter one latency-bound all-reduce of ``n_scalars`` doubles."""
-        nbytes = float(n_scalars * 8)
-        for d in range(self.dmap.n_domains):
-            self._launch(d, "pcie_allreduce", nbytes)
+    def allreduce(self) -> None:
+        """Meter one latency-bound all-reduce of one double."""
+        self.record(self._allreduce)
+
+    def record(self, priced: list) -> None:
+        """Append ``priced[d]`` (priced records) to device ``d``'s ledger."""
+        for device, records in zip(self.devices, priced):
+            device.record(records)

@@ -13,6 +13,12 @@ series — with three distributed substitutions:
   latency-bound ``pcie_allreduce`` on every device;
 * vector updates are metered per domain at their local lengths.
 
+Every launch an iteration charges has a size fixed by the split and the
+exchange plan, so each is priced once (:meth:`VirtualDevice.price` — at
+the exchanger's, the preconditioner's or the solve's construction, the
+SpMV's on its first charge) and the loop only records the shared
+records: same ledger, record for record, without per-iteration pricing.
+
 Because the canonical-order reductions see bit-identical operand
 arrays and the distributed SpMV is bit-identical on owned rows, the
 whole iteration — and therefore the returned solution, iteration
@@ -76,6 +82,19 @@ def _dist_spmv(
     ])
 
 
+def _price_vector_ops(
+    exchanger: HaloExchanger, name: str, lengths: list, ops: int
+) -> list:
+    """Per device, the priced ``name`` launch of ``ops`` fused passes over
+    ``lengths[d]`` — what :meth:`HaloExchanger.record` appends."""
+    return [
+        (device.price(
+            name, _vector_ops_counters(n, ops), module="equation_solving"
+        ),)
+        for device, n in zip(exchanger.devices, lengths)
+    ]
+
+
 class DistributedPreconditioner:
     """A single-device preconditioner running inside the distributed solve.
 
@@ -93,25 +112,22 @@ class DistributedPreconditioner:
         self.exchanger = exchanger
         self.local = local
         self.name = getattr(base, "name", "?")
-        self._n_loc = [own.size * BS for own in exchanger.dmap.owned]
-        self._local_counters = [
-            _vector_ops_counters(n_loc, 2) for n_loc in self._n_loc
-        ]
+        n_loc = [own.size * BS for own in exchanger.dmap.owned]
+        if local:
+            self._cost = _price_vector_ops(
+                exchanger, "precond_apply_local", n_loc, 2
+            )
+        else:
+            self._cost = [
+                exchanger._price(d, "pcie_precond_gather", n * 8)
+                + exchanger._price(d, "pcie_precond_scatter", n * 8)
+                for d, n in enumerate(n_loc)
+            ]
 
     def apply(self, r: np.ndarray, device=None) -> np.ndarray:
         """Apply to ``(n_dof,)`` and return the same shape."""
         z = self.base.apply(r, None)
-        ex = self.exchanger
-        for d, n_loc in enumerate(self._n_loc):
-            if self.local:
-                ex.devices[d].launch(
-                    "precond_apply_local",
-                    self._local_counters[d],
-                    module="equation_solving",
-                )
-            else:
-                ex._launch(d, "pcie_precond_gather", float(n_loc * 8))
-                ex._launch(d, "pcie_precond_scatter", float(n_loc * 8))
+        self.exchanger.record(self._cost)
         return z
 
 
@@ -128,6 +144,8 @@ class DomainBlockJacobi:
     def __init__(self, domains: list, exchanger: HaloExchanger) -> None:
         self.exchanger = exchanger
         self._solve = [_factorize(dm.local) for dm in domains]
+        n_loc = [idx.size for idx in exchanger._dof]
+        self._cost = _price_vector_ops(exchanger, "domain_bj_solve", n_loc, 6)
 
     def apply(self, r: np.ndarray, device=None) -> np.ndarray:
         """Apply to ``(n_dof,)`` and return the same shape."""
@@ -136,11 +154,7 @@ class DomainBlockJacobi:
         for d in range(ex.dmap.n_domains):
             idx = ex._dof[d]
             z[idx] = self._solve[d](r[idx])
-            ex.devices[d].launch(
-                "domain_bj_solve",
-                _vector_ops_counters(idx.size, 6),
-                module="equation_solving",
-            )
+        ex.record(self._cost)
         return z
 
 
@@ -159,6 +173,9 @@ class AdditiveSchwarz:
         self.exchanger = exchanger
         self._solve = [_factorize(dm.extended) for dm in domains]
         self._n_local = [dm.n_local for dm in domains]
+        self._cost = _price_vector_ops(
+            exchanger, "schwarz_solve", [dm.n_ext * BS for dm in domains], 8
+        )
 
     def apply(self, r: np.ndarray, device=None) -> np.ndarray:
         """Apply to ``(n_dof,)`` and return the same shape."""
@@ -168,11 +185,7 @@ class AdditiveSchwarz:
         for d in range(ex.dmap.n_domains):
             z_ext = self._solve[d](extended[d])
             z[ex._dof[d]] = z_ext[: self._n_local[d] * BS]
-            ex.devices[d].launch(
-                "schwarz_solve",
-                _vector_ops_counters(extended[d].size, 8),
-                module="equation_solving",
-            )
+        ex.record(self._cost)
         return z
 
 
@@ -238,7 +251,9 @@ def distributed_pcg(
         m = DistributedPreconditioner(
             IdentityPreconditioner(), exchanger, True
         )
-    vector_ops = [_vector_ops_counters(dm.n_local * BS, 5) for dm in domains]
+    vector_ops = _price_vector_ops(
+        exchanger, "cg_vector_ops", [dm.n_local * BS for dm in domains], 5
+    )
 
     x = np.zeros(n) if x0 is None else check_array("x0", x0, dtype=np.float64,
                                                    shape=(n,)).copy()
@@ -284,10 +299,7 @@ def distributed_pcg(
         alpha = rz / pap
         x += np.multiply(p, alpha, out=step)
         r -= np.multiply(ap, alpha, out=step)
-        for d in range(exchanger.dmap.n_domains):
-            exchanger.devices[d].launch(
-                "cg_vector_ops", vector_ops[d], module="equation_solving",
-            )
+        exchanger.record(vector_ops)
         rel = float(np.linalg.norm(r)) / b_norm  # lint: sync-ok[cg-convergence] -- one ordered all-reduce scalar per iteration
         exchanger.allreduce()
         residuals.append(rel)

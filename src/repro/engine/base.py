@@ -24,7 +24,6 @@ from repro.assembly.global_matrix import BlockMatrix
 from repro.assembly.symbolic import AssemblyPlan, BoundAssembly
 from repro.contact.contact_set import KIND_NAMES, ContactSet
 from repro.contact.open_close import OpenCloseDriver, StateUpdate
-from repro.contact.transfer import topology_changed
 from repro.core.blocks import DOF, BlockSystem
 from repro.core.displacement import displacement_matrix, update_geometry
 from repro.core.state import SimulationControls
@@ -113,10 +112,9 @@ class EngineBase:
         self._contacts = ContactSet.empty()
         #: vectorised open–close driver of the current loop-2 attempt
         self._oc_driver: OpenCloseDriver | None = None
-        #: cached symbolic assembly, the contact table it served and its
-        #: binding to the current attempt's spring geometry
+        #: cached symbolic assembly and its binding to the current
+        #: attempt's spring geometry
         self._assembly_plan: AssemblyPlan | None = None
-        self._plan_contacts: ContactSet | None = None
         self._bound_assembly: BoundAssembly | None = None
         #: cached HSBCSR sparsity structure shared across solves
         self._solver_structure: HSBCSRMatrix | None = None
@@ -662,18 +660,6 @@ class EngineBase:
                 self.system, contacts, geometry,
                 force_tolerance=self._force_tol,
             )
-            # proactive symbolic-assembly invalidation: the transfer
-            # layer knows whether the contact-set topology moved; if it
-            # did, the cached plan cannot match and is dropped up front
-            # (the exact pattern compare in _assemble remains the
-            # correctness gate either way)
-            if self._plan_contacts is None or topology_changed(
-                self._plan_contacts, contacts,
-                self.system.vertices.shape[0],
-            ):
-                self._assembly_plan = None
-            self._plan_contacts = contacts
-
             # ---- diagonal building (contact-independent) ------------
             with self._stage(times, "diagonal_matrix_building", step):
                 diag_idx, diag_blocks, f_base = self._build_diagonal()

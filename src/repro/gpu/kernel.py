@@ -9,21 +9,30 @@ query per pipeline module.
 Kernels may be attributed to a pipeline module either by a ``module=`` kwarg
 on :meth:`launch` or by running inside a :meth:`VirtualDevice.region`
 context (the engines use regions so substrate code stays module-agnostic).
+
+``launch`` is two verbs in one call: :meth:`VirtualDevice.price` turns
+``(name, counters)`` into a :class:`KernelRecord` (module and profile
+resolved, seconds computed) without touching the ledger, and
+:meth:`VirtualDevice.record` appends priced records. A loop that issues
+the same kernels over the same sizes prices them once and records the
+same objects every pass — which is why a record is immutable: one
+object may stand at many ledger positions.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.gpu.counters import KernelCounters
 from repro.gpu.device import DeviceProfile, K40
 
 
-@dataclass
-class KernelRecord:
-    """One recorded kernel launch."""
+class KernelRecord(NamedTuple):
+    """One priced kernel launch — immutable, because :meth:`record` may
+    put one object at many ledger positions. A tuple, not a frozen
+    dataclass: that constructor costs every ``launch`` 0.45 us more."""
 
     name: str
     module: str | None
@@ -62,11 +71,32 @@ class VirtualDevice:
         module: str | None = None,
     ) -> float:
         """Record a kernel launch; returns the modelled time in seconds."""
+        priced = self.price(name, counters, module=module)
+        self.records.append(priced)
+        return priced.seconds
+
+    def price(
+        self,
+        name: str,
+        counters: KernelCounters,
+        *,
+        module: str | None = None,
+    ) -> KernelRecord:
+        """What :meth:`launch` would record now, without recording it:
+        the module comes from the region stack unless given, the seconds
+        from the profile that prices kernels of this name."""
         if module is None and self._region_stack:
             module = self._region_stack[-1]
-        seconds = self.profile.kernel_time(counters)
-        self.records.append(KernelRecord(name, module, counters, seconds))
-        return seconds
+        seconds = self._profile_for(name).kernel_time(counters)
+        return KernelRecord(name, module, counters, seconds)
+
+    def record(self, priced: Iterable[KernelRecord]) -> None:
+        """Append already-priced launches to the ledger, in order."""
+        self.records.extend(priced)
+
+    def _profile_for(self, name: str) -> DeviceProfile:
+        """The profile that prices kernel ``name`` (here: the device's)."""
+        return self.profile
 
     @contextmanager
     def region(self, module: str) -> Iterator[None]:
@@ -158,20 +188,8 @@ class RoutedVirtualDevice(VirtualDevice):
         super().__init__(profile=profile)
         self.routes = dict(routes)
 
-    def launch(
-        self,
-        name: str,
-        counters: KernelCounters,
-        *,
-        module: str | None = None,
-    ) -> float:
-        if module is None and self._region_stack:
-            module = self._region_stack[-1]
-        profile = self.profile
+    def _profile_for(self, name: str) -> DeviceProfile:
         for prefix, routed in self.routes.items():
             if name.startswith(prefix):
-                profile = routed
-                break
-        seconds = profile.kernel_time(counters)
-        self.records.append(KernelRecord(name, module, counters, seconds))
-        return seconds
+                return routed
+        return self.profile

@@ -27,8 +27,6 @@ from repro.assembly.contact_springs import (
 )
 from repro.assembly.global_matrix import BS, assemble_gpu
 from repro.assembly.symbolic import AssemblyPlan
-from repro.contact.contact_set import VE, ContactSet
-from repro.contact.transfer import topology_changed
 from repro.engine.chaos import FaultInjector
 from repro.engine.physics import contact_system
 from repro.gpu.device import K40
@@ -465,6 +463,32 @@ class TestRebinding:
         before, after = engine.bindings[grown - 1], engine.bindings[grown]
         assert all(a is not b for a, b in zip(before[:3], after[:3]))
 
+    def test_changed_block_pairs_miss_the_plan_kept_across_steps(self):
+        """The wall's plan is kept from step to step; a contact dropped
+        in step 1 changes the block pairs, and ``plan.matches`` alone
+        makes that a miss (and the restored table after it another) —
+        every sweep's matrix still the reference's."""
+        engine = CheckedEngine(
+            build_brick_wall(rows=3, cols=3),
+            SimulationControls(
+                time_step=1e-3, dynamic=True, contract_level="off"
+            ),
+            fault_injector=FaultInjector(["contact_drop"], start_step=1),
+        )
+        engine.run(steps=4)
+        sizes = [m for *_, m in engine.bindings]
+        plans = [plan for _, plan, *_ in engine.bindings]
+        dropped = [k for k, m in enumerate(sizes) if m == sizes[0] - 1]
+        assert dropped and set(sizes) == {sizes[0], sizes[0] - 1}
+        misses = [
+            k for k, plan in enumerate(plans)
+            if k == 0 or plan is not plans[k - 1]
+        ]
+        assert misses == [0, dropped[0], dropped[-1] + 1]
+        assert engine.metrics.counter("assembly.symbolic_reuse").value == (
+            len(plans) - 3
+        )
+
 
 @pytest.mark.parametrize("fault", ["matrix_nan", "matrix_desymmetrize"])
 def test_fault_in_one_sweeps_matrix_does_not_reach_the_next(fault):
@@ -568,29 +592,3 @@ class TestInvalidation:
         swapped[0], swapped[1] = swapped[1], swapped[0]
         if not np.array_equal(swapped, off_rows):
             assert not plan.matches(diag_idx, swapped, off_cols)
-
-    def test_topology_changed(self):
-        def table(block_j, vertex_idx):
-            m = len(block_j)
-            return ContactSet(
-                block_i=np.zeros(m, dtype=np.int64),
-                block_j=np.asarray(block_j, dtype=np.int64),
-                vertex_idx=np.asarray(vertex_idx, dtype=np.int64),
-                e1_idx=np.arange(m, dtype=np.int64) + 10,
-                e2_idx=np.arange(m, dtype=np.int64) + 20,
-                kind=np.full(m, VE, dtype=np.int64),
-            )
-
-        a = table([1, 2], [3, 4])
-        same = table([1, 2], [3, 4])
-        assert not topology_changed(a, same, 100)
-        # state flips alone are not topology
-        same.state[:] = 2
-        same.pn[:] = 5.0
-        assert not topology_changed(a, same, 100)
-        # different pair count
-        assert topology_changed(a, table([1], [3]), 100)
-        # different block pair
-        assert topology_changed(a, table([1, 3], [3, 4]), 100)
-        # same blocks, different contact data (vertex index)
-        assert topology_changed(a, table([1, 2], [3, 5]), 100)

@@ -134,6 +134,34 @@ class TestHaloExchanger:
         )
         assert metrics.counter("domain.halo_bytes").value == expected
         assert expected > 0
+        # every exchange meters the same plan again
+        ex.exchange(ex.scatter(x))
+        ex.exchange(ex.scatter(x))
+        assert metrics.counter("domain.halo_bytes").value == 3 * expected
+
+    def test_exchange_ledger_follows_the_send_list(self, matrix):
+        _, plan, ex = setup(matrix, 3)
+        ex.exchange(ex.scatter(np.ones(N * BS)))
+        for d, dev in enumerate(ex.devices):
+            moved = [
+                (r.name, r.counters.global_bytes_read)
+                for r in dev.records if r.name.startswith("pcie_halo_")
+            ]
+            assert moved == [
+                ("pcie_halo_send" if src == d else "pcie_halo_recv",
+                 ids.size * BS * 8.0)
+                for src, dst, ids in plan.sends if d in (src, dst)
+            ]
+
+    def test_single_domain_charges_no_transfer(self, matrix):
+        metrics = MetricsRegistry()
+        _, plan, ex = setup(matrix, 1, metrics=metrics)
+        x = np.ones(N * BS)
+        ex.allreduce()
+        ex.gather(ex.exchange(ex.scatter(x)), solution=True)
+        assert plan.sends == ()
+        assert ex.devices[0].records == []
+        assert "domain.halo_bytes" not in metrics.snapshot()["counters"]
 
     def test_transfers_priced_on_every_device(self, matrix):
         _, _, ex = setup(matrix, 2)

@@ -181,6 +181,12 @@ PARENT = {
                 "4b47e14baa023f63369d397c3f6d10ed",
     ),
 }
+#: The two domain devices of the domain preset, which do carry the
+#: solve: ``(launches(), repr(total_time))`` recorded at 4aa70ac, the
+#: last commit that priced every one of those launches at its call.
+PARENT_DOMAIN_DEVICES = [
+    (21030, "0.2616828313332884"), (21030, "0.25962303666667436"),
+]
 
 
 @pytest.mark.parametrize("preset", ENGINES)
@@ -211,6 +217,10 @@ def test_memoised_step_reproduces_parent(preset):
         for ints, floats in zip(PARENT_STEPS, pin["floats"])
     ]
     assert [dataclasses.asdict(s) for s in result.steps] == expected
+    if preset == "domain":
+        assert [
+            (d.launches(), repr(d.total_time)) for d in engine.domain_devices
+        ] == PARENT_DOMAIN_DEVICES
 
 
 @pytest.mark.parametrize("preset", ENGINES)
