@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=("gpu", "serial", "hybrid", "domain"),
                    default="gpu")
     p.add_argument("--profile", choices=("k40", "k20"), default="k40",
-                   help="GPU device profile (gpu engine only)")
+                   help="GPU device profile (gpu and hybrid engines)")
     p.add_argument("--n-domains", type=int, default=2, metavar="N",
                    help="domain count for --engine domain (the "
                         "decomposed path is bit-identical to serial "
@@ -183,10 +183,8 @@ def run_main(argv: list[str] | None = None) -> int:
     """The ``run`` subcommand: one foreground simulation."""
     args = build_parser().parse_args(argv)
     from repro.core.state import ResilienceControls, SimulationControls
-    from repro.engine.gpu_engine import GpuEngine
-    from repro.engine.hybrid_engine import HybridEngine
-    from repro.engine.serial_engine import SerialEngine
-    from repro.gpu.device import K20, K40
+    from repro.engine.runner import make_engine, make_fault_injector
+    from repro.obs.tracer import Tracer
     from repro.util.tables import Table
 
     system = build_system(args)
@@ -205,40 +203,13 @@ def run_main(argv: list[str] | None = None) -> int:
             solver_fallback=not args.no_solver_fallback,
         ),
     )
-    injector = None
-    if args.inject_faults is not None or args.fault_names:
-        from repro.engine.chaos import FaultInjector
-
-        injector = FaultInjector(
-            faults=args.fault_names,
-            seed=args.inject_faults or 0,
-            start_step=args.fault_step,
-        )
-    from repro.obs.tracer import Tracer
-
+    # the namespace is duck-typed like a JobSpec here too (engine,
+    # profile, n_domains and the fault knobs): one preset factory
+    injector = make_fault_injector(args)
     tracer = Tracer(enabled=args.trace_path is not None)
-    gpu_profile = K20 if args.profile == "k20" else K40
-    if args.engine == "serial":
-        engine = SerialEngine(
-            system, controls, fault_injector=injector, tracer=tracer
-        )
-    elif args.engine == "domain":
-        from repro.engine.domain_engine import DomainEngine
-
-        engine = DomainEngine(
-            system, controls, n_domains=args.n_domains,
-            fault_injector=injector, tracer=tracer,
-        )
-    elif args.engine == "hybrid":
-        engine = HybridEngine(
-            system, controls, profile=gpu_profile, fault_injector=injector,
-            tracer=tracer,
-        )
-    else:
-        engine = GpuEngine(
-            system, controls, profile=gpu_profile, fault_injector=injector,
-            tracer=tracer,
-        )
+    engine = make_engine(
+        args, system, controls, fault_injector=injector, tracer=tracer
+    )
     result = engine.run(steps=args.steps)
     if args.trace_path:
         path = tracer.write(args.trace_path)

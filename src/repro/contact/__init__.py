@@ -18,7 +18,6 @@ The paper's contact-detection module has four parts (Section III.B):
 from repro.contact.contact_set import ContactSet, VE, VV1, VV2
 from repro.contact.broad_phase import (
     broad_phase_pairs,
-    broad_phase_pairs_python,
     gpu_pair_mapping,
 )
 from repro.contact.narrow_phase import narrow_phase
@@ -34,7 +33,6 @@ __all__ = [
     "VV1",
     "VV2",
     "broad_phase_pairs",
-    "broad_phase_pairs_python",
     "gpu_pair_mapping",
     "narrow_phase",
     "transfer_contacts",

@@ -128,40 +128,9 @@ def broad_phase_pairs(
     return np.minimum(rows, cols), np.maximum(rows, cols)
 
 
-def broad_phase_pairs_python(
-    aabbs: np.ndarray, margin: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pure-Python upper-triangular broad phase (the serial baseline).
-
-    ``aabbs`` has shape ``(n, 4)``; produces the same 1-D pair arrays as
-    :func:`broad_phase_pairs` (possibly in a different order; both are
-    sorted before return).
-    """
-    aabbs = check_array("aabbs", aabbs, dtype=np.float64, shape=(None, 4))
-    n = aabbs.shape[0]
-    out_i, out_j = [], []
-    # deliberately loop-based: the documented serial reference the
-    # vectorised broad phase is verified against
-    for i in range(n):  # lint: host-ok[DDA001]
-        xi0, yi0, xi1, yi1 = aabbs[i]
-        for j in range(i + 1, n):  # lint: host-ok[DDA001]
-            xj0, yj0, xj1, yj1 = aabbs[j]
-            if (
-                xi0 <= xj1 + margin
-                and xj0 <= xi1 + margin
-                and yi0 <= yj1 + margin
-                and yj0 <= yi1 + margin
-            ):
-                out_i.append(i)
-                out_j.append(j)
-    return (
-        np.asarray(out_i, dtype=np.int64),
-        np.asarray(out_j, dtype=np.int64),
-    )
-
-
 def sort_pairs(i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical (row-major) ordering of a pair list, for comparisons.
+    """Canonical (row-major) ordering of a pair list: the order the
+    serial double loop emits, which the serial preset detects in.
 
     ``i`` and ``j`` are matching 1-D index arrays; returns them reordered.
     """

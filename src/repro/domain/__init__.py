@@ -7,10 +7,10 @@ topology; :mod:`repro.domain.halo` builds ownership maps, ghost lists
 and the metered halo-exchange step; :mod:`repro.domain.assembly`
 extracts per-domain submatrices (local block matrix + boundary coupling
 entries) from the globally assembled :class:`~repro.assembly
-.global_matrix.BlockMatrix`; and :mod:`repro.domain.solve` runs a
-distributed preconditioned CG (all-reduced dot products, one ghost
-exchange per iteration) that is bit-identical to the single-device
-:func:`repro.solvers.cg.pcg` for the block-local preconditioners.
+.global_matrix.BlockMatrix`; and :mod:`repro.domain.solve` is the
+distributed operand of the one PCG loop, :func:`repro.solvers.cg.pcg`
+(all-reduced dot products, one ghost exchange per iteration) — bit-
+identical to the single-device solve for every registry preconditioner.
 
 The engine-facing entry point is
 :class:`repro.engine.domain_engine.DomainEngine`.

@@ -1,8 +1,9 @@
-"""Distributed preconditioned CG across domains.
+"""The distributed solve: an operand of the one PCG loop.
 
-:func:`distributed_pcg` mirrors :func:`repro.solvers.cg.pcg` statement
-for statement — same early returns, same breakdown test, same residual
-series — with three distributed substitutions:
+There is no second CG loop. :func:`repro.solvers.cg.pcg` iterates over
+an operand, and :class:`DistributedOperand` is the multi-device one —
+same early returns, same breakdown test, same residual series — with
+three distributed substitutions:
 
 * the SpMV is the per-domain :func:`repro.domain.assembly.domain_spmv`
   preceded by one ghost (halo) exchange, its owned rows gathered back
@@ -15,8 +16,8 @@ series — with three distributed substitutions:
 
 Every launch an iteration charges has a size fixed by the split and the
 exchange plan, so each is priced once (:meth:`VirtualDevice.price` — at
-the exchanger's, the preconditioner's or the solve's construction, the
-SpMV's on its first charge) and the loop only records the shared
+the exchanger's, the preconditioner's or the operand's construction,
+the SpMV's on its first charge) and the loop only records the shared
 records: same ledger, record for record, without per-iteration pricing.
 
 Because the canonical-order reductions see bit-identical operand
@@ -28,12 +29,13 @@ for the gathered cross-domain ones (``ssor``/``ilu``/``neumann``).
 
 Two genuinely domain-decomposed preconditioners are additionally
 available for iteration-count studies (they change the iteration, so
-they are opt-in, never the bit-identical default):
+they are opt-in, never the bit-identical default; construct them
+directly and pass them to ``pcg``):
 
-``domain_bj``
+:class:`DomainBlockJacobi`
     Block-Jacobi across domains — exact solve of each domain's
     owned x owned submatrix, no communication in the application.
-``schwarz``
+:class:`AdditiveSchwarz`
     Overlapping additive Schwarz (restricted variant) — exact solve of
     each domain's owned+ghost extended submatrix, one extra halo
     exchange per application.
@@ -46,16 +48,12 @@ import numpy as np
 from repro.assembly.global_matrix import BS, BlockMatrix
 from repro.domain.assembly import domain_spmv
 from repro.domain.halo import HaloExchanger
-from repro.solvers.cg import CGResult, _observe, _vector_ops_counters
-from repro.solvers.preconditioners import make_preconditioner
-from repro.util.validation import check_array
+from repro.solvers.cg import _vector_ops_counters
+from repro.solvers.preconditioners import IdentityPreconditioner, Preconditioner
 
 #: Preconditioners whose application is block-local, hence identical
 #: per domain: distributing them costs no communication.
 BLOCK_LOCAL = ("none", "jacobi", "bj")
-
-#: The domain-decomposed (non-bit-identical, opt-in) preconditioners.
-DOMAIN_NAMES = ("domain_bj", "schwarz")
 
 
 def _split(exchanger: HaloExchanger, x: np.ndarray) -> list:
@@ -69,17 +67,6 @@ def _assemble(exchanger: HaloExchanger, segments: list) -> np.ndarray:
     for d in range(exchanger.dmap.n_domains):
         out[exchanger._dof[d]] = segments[d]
     return out
-
-
-def _dist_spmv(
-    domains: list, exchanger: HaloExchanger, v: np.ndarray
-) -> np.ndarray:
-    """Distributed ``A @ v``: ``(n_dof,)``, one halo exchange."""
-    extended = exchanger.exchange(_split(exchanger, v))
-    return _assemble(exchanger, [
-        domain_spmv(dm, extended[dm.domain], exchanger.devices[dm.domain])
-        for dm in domains
-    ])
 
 
 def _price_vector_ops(
@@ -107,13 +94,12 @@ class DistributedPreconditioner:
     the base's single-device application.
     """
 
-    def __init__(self, base, exchanger: HaloExchanger, local: bool) -> None:
+    def __init__(self, base: Preconditioner, exchanger: HaloExchanger) -> None:
         self.base = base
         self.exchanger = exchanger
-        self.local = local
-        self.name = getattr(base, "name", "?")
+        self.name = base.name
         n_loc = [own.size * BS for own in exchanger.dmap.owned]
-        if local:
+        if base.name in BLOCK_LOCAL:
             self._cost = _price_vector_ops(
                 exchanger, "precond_apply_local", n_loc, 2
             )
@@ -199,123 +185,61 @@ def _factorize(a: BlockMatrix):
     return lu.solve
 
 
-def make_domain_preconditioner(
-    name: str,
-    matrix: BlockMatrix,
-    domains: list,
-    exchanger: HaloExchanger,
-):
-    """Preconditioner for the distributed solve, by ladder name.
+class DistributedOperand:
+    """The multi-device counterpart of :class:`repro.solvers.cg
+    .DeviceOperand` (same attributes, same six calls).
 
-    Returns an object with a scalar-free ``apply((n_dof,)) -> (n_dof,)``
-    method. Single-device names wrap the registry construction
-    (bit-identical application); :data:`DOMAIN_NAMES` build the
-    domain-decomposed variants.
+    ``domains`` are the :class:`~repro.domain.assembly.DomainMatrix`
+    splits of ``A`` and ``exchanger`` the matching
+    :class:`~repro.domain.halo.HaloExchanger`. ``device`` is ``None``:
+    a single-device preconditioner is built and applied unmetered, and
+    :meth:`wrap` charges what running it across the domains costs.
     """
-    if name == "domain_bj":
-        return DomainBlockJacobi(domains, exchanger)
-    if name == "schwarz":
-        return AdditiveSchwarz(domains, exchanger)
-    base = make_preconditioner(name, matrix, None)
-    return DistributedPreconditioner(base, exchanger, name in BLOCK_LOCAL)
 
+    device = None
 
-def distributed_pcg(
-    domains: list,
-    exchanger: HaloExchanger,
-    b: np.ndarray,
-    x0: np.ndarray | None = None,
-    preconditioner=None,
-    *,
-    tol: float = 1e-8,
-    max_iterations: int = 200,
-    metrics=None,
-) -> CGResult:
-    """Solve ``A x = b`` by distributed PCG; ``b`` has shape ``(6 n,)``.
-
-    Mirrors :func:`repro.solvers.cg.pcg` exactly (see module
-    docstring); ``domains`` are the :class:`~repro.domain.assembly
-    .DomainMatrix` splits of ``A`` and ``exchanger`` the matching
-    :class:`~repro.domain.halo.HaloExchanger`.
-    """
-    n = exchanger.dmap.labels.size * BS
-    b = check_array("b", b, dtype=np.float64, shape=(n,))
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-    m = preconditioner
-    if m is None:
-        from repro.solvers.preconditioners import IdentityPreconditioner
-
-        m = DistributedPreconditioner(
-            IdentityPreconditioner(), exchanger, True
+    def __init__(self, domains: list, exchanger: HaloExchanger) -> None:
+        self.domains = domains
+        self.exchanger = exchanger
+        self.n_dof = exchanger.dmap.labels.size * BS
+        self._vector_ops = _price_vector_ops(
+            exchanger, "cg_vector_ops", [dm.n_local * BS for dm in domains], 5
         )
-    vector_ops = _price_vector_ops(
-        exchanger, "cg_vector_ops", [dm.n_local * BS for dm in domains], 5
-    )
 
-    x = np.zeros(n) if x0 is None else check_array("x0", x0, dtype=np.float64,
-                                                   shape=(n,)).copy()
-    # initial distribution of the operands to the domain devices
-    exchanger.scatter(b)
-    exchanger.scatter(x)
-    # CG's scalar coefficients live on the host by design: one word per
-    # ordered (deterministic all-reduce) reduction per iteration
-    b_norm = float(np.linalg.norm(b))  # lint: sync-ok[cg-convergence] -- one ordered all-reduce scalar per iteration
-    exchanger.allreduce()
-    if b_norm == 0.0:
-        return _observe(metrics, CGResult(
-            x=exchanger.gather(_split(exchanger, np.zeros(n)), solution=True),
-            iterations=0, converged=True,
-        ))
+    def wrap(self, preconditioner=None):
+        """A :class:`Preconditioner` metered per domain
+        (:class:`DistributedPreconditioner`); the domain-decomposed ones
+        already apply to the ``(n_dof,)`` canonical vector as they are."""
+        if preconditioner is None:
+            preconditioner = IdentityPreconditioner()
+        if not isinstance(preconditioner, Preconditioner):
+            return preconditioner
+        return DistributedPreconditioner(preconditioner, self.exchanger)
 
-    r = b - _dist_spmv(domains, exchanger, x)
-    residuals: list[float] = []
-    rel = float(np.linalg.norm(r)) / b_norm  # lint: sync-ok[cg-convergence] -- one ordered all-reduce scalar per iteration
-    exchanger.allreduce()
-    if rel < tol:
-        return _observe(metrics, CGResult(
-            x=exchanger.gather(_split(exchanger, x), solution=True),
-            iterations=0, converged=True, residuals=[],
-        ))
+    def begin(self, b: np.ndarray, x: np.ndarray) -> None:
+        """Initial distribution of the ``(n_dof,)`` operands to the
+        domain devices."""
+        self.exchanger.scatter(b)
+        self.exchanger.scatter(x)
 
-    z = m.apply(r)
-    p = z.copy()
-    step = np.empty(n)  # alpha * p, then alpha * ap: no per-iteration array
-    rz = float(r @ z)  # lint: sync-ok[cg-convergence] -- one ordered all-reduce scalar per iteration
-    exchanger.allreduce()
-    for it in range(1, max_iterations + 1):
-        ap = _dist_spmv(domains, exchanger, p)
-        pap = float(p @ ap)  # lint: sync-ok[cg-convergence] -- one ordered all-reduce scalar per iteration
-        exchanger.allreduce()
-        if pap <= 0.0:
-            # matrix not SPD along p (defensive): report breakdown
-            return _observe(metrics, CGResult(
-                x=exchanger.gather(_split(exchanger, x), solution=True),
-                iterations=it, converged=False, residuals=residuals,
-                breakdown=True,
-            ))
-        alpha = rz / pap
-        x += np.multiply(p, alpha, out=step)
-        r -= np.multiply(ap, alpha, out=step)
-        exchanger.record(vector_ops)
-        rel = float(np.linalg.norm(r)) / b_norm  # lint: sync-ok[cg-convergence] -- one ordered all-reduce scalar per iteration
-        exchanger.allreduce()
-        residuals.append(rel)
-        if rel < tol:
-            return _observe(metrics, CGResult(
-                x=exchanger.gather(_split(exchanger, x), solution=True),
-                iterations=it, converged=True, residuals=residuals,
-            ))
-        z = m.apply(r)
-        rz_new = float(r @ z)  # lint: sync-ok[cg-convergence] -- one ordered all-reduce scalar per iteration
-        exchanger.allreduce()
-        beta = rz_new / rz
-        p *= beta  # p = z + beta * p, in place (p never aliases z)
-        p += z
-        rz = rz_new
-    return _observe(metrics, CGResult(
-        x=exchanger.gather(_split(exchanger, x), solution=True),
-        iterations=max_iterations, converged=False, residuals=residuals,
-    ))
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """Distributed ``A @ v``: ``(n_dof,)``, one halo exchange."""
+        ex = self.exchanger
+        extended = ex.exchange(_split(ex, v))
+        return _assemble(ex, [
+            domain_spmv(dm, extended[dm.domain], ex.devices[dm.domain])
+            for dm in self.domains
+        ])
+
+    def reduced(self) -> None:
+        """One ordered (deterministic all-reduce) scalar per reduction."""
+        self.exchanger.allreduce()
+
+    def vector_ops(self) -> None:
+        self.exchanger.record(self._vector_ops)
+
+    def finish(self, x: np.ndarray) -> np.ndarray:
+        """Gather the ``(n_dof,)`` solution — the transfer the
+        ``halo_corrupt`` chaos fault corrupts."""
+        ex = self.exchanger
+        return ex.gather(_split(ex, x), solution=True)

@@ -1,15 +1,25 @@
-"""The two DDA pipelines.
+"""The DDA pipeline and its four presets.
+
+:class:`~repro.engine.base.EngineBase` owns the paper's three nested
+loops and the resilience layer; a preset is a set of hooks on it — what
+each stage is charged as, and what the one PCG loop iterates over:
 
 * :class:`~repro.engine.serial_engine.SerialEngine` — the paper's Fig. 1:
-  the original serial pipeline (pure-Python broad phase, per-contact state
-  loops), whose modelled time is charged to the E5620 CPU profile.
+  every stage charged as a single-core loop on the E5620 CPU profile.
 * :class:`~repro.engine.gpu_engine.GpuEngine` — the paper's Fig. 2: the
-  restructured data-classification pipeline, fully vectorised, every
-  kernel recorded on a virtual K20/K40.
+  restructured data-classification pipeline, every kernel recorded on a
+  virtual K20/K40.
+* :class:`~repro.engine.hybrid_engine.HybridEngine` — the ref-[10]
+  CPU/GPU split with PCIe transfers metered.
+* :class:`~repro.engine.domain_engine.DomainEngine` — the serial preset
+  with the solve distributed across per-domain device ledgers.
 
-Both engines integrate the same physics (`repro.engine.physics`) and
-produce the same trajectories — the pipeline-equivalence property the
-paper relies on when comparing runtimes.
+All four run the same vectorised NumPy numerics (`repro.engine.physics`,
+one assembler, one open–close driver, one CG loop) and produce the same
+trajectories — the pipeline-equivalence property the paper relies on
+when comparing runtimes; they differ in what they charge. The
+pure-Python loops of the original serial code survive as test oracles
+(``tests/engine/oracles.py``, ``tests/contact/broad_phase_oracle.py``).
 """
 
 from repro.engine.physics import (

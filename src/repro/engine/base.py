@@ -47,7 +47,7 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.gpu.device import DeviceProfile, K40
 from repro.gpu.kernel import VirtualDevice
 from repro.lint.sanitize import ScatterSanitizer, sanitized
-from repro.solvers.cg import CGResult, pcg
+from repro.solvers.cg import CGResult, DeviceOperand, pcg
 from repro.solvers.preconditioners import make_preconditioner
 from repro.spmv.hsbcsr import HSBCSRMatrix
 from repro.util.timing import ModuleTimes
@@ -458,11 +458,14 @@ class EngineBase:
                 skipped += 1
                 continue
             try:
-                pre = self._make_rung_preconditioner(name, matrix)
+                pre = make_preconditioner(name, matrix, operand.device)
             except (ValueError, ZeroDivisionError, np.linalg.LinAlgError):
                 continue  # rung unbuildable (e.g. ILU on a zero pivot)
-            res = self._pcg(
-                operand, rhs, self._prev_solution if warm else None, pre
+            res = pcg(
+                operand, rhs, self._prev_solution if warm else None, pre,
+                tol=controls.cg_tolerance,
+                max_iterations=controls.cg_max_iterations,
+                metrics=self.metrics,
             )
             warm_tried = name if warm else None
             total_iters += res.iterations
@@ -471,9 +474,11 @@ class EngineBase:
                     self.metrics.inc("solver.rung_escalations")
                 break
         if res is None:  # every rung failed to even construct
+            step = self._current_step
             raise SolverBreakdown(
-                "no preconditioner on the fallback ladder could be built",
-                StepContext(step=-1, dt=self.dt, cause="cg_breakdown"),
+                f"step {step}: no preconditioner on the fallback ladder "
+                "could be built",
+                StepContext(step=step, dt=self.dt, cause="cg_breakdown"),
             )
         if skipped:
             self.metrics.inc("solver.rungs_skipped", skipped)
@@ -481,62 +486,28 @@ class EngineBase:
             self.metrics.inc("solver.ladder_exhausted")
         return res, rung, total_iters
 
-    def _make_rung_preconditioner(self, name: str, matrix: BlockMatrix):
-        """Build one fallback-ladder rung's preconditioner (solver hook).
+    def _solver_operand(self, matrix: BlockMatrix) -> DeviceOperand:
+        """What :func:`~repro.solvers.cg.pcg` iterates over for this
+        solve — the one solver hook.
 
-        Subclasses substituting a distributed solve override this
-        together with :meth:`_pcg`; only construction failures here are
-        treated as "rung unbuildable" by the ladder walk.
-        """
-        return make_preconditioner(name, matrix, self.device)
-
-    def _solver_operand(
-        self, matrix: BlockMatrix
-    ) -> BlockMatrix | HSBCSRMatrix:
-        """Prepare the SpMV operand handed to :meth:`_pcg` (solver hook).
-
-        The base engines solve through the HSBCSR kernel, so the
-        :class:`BlockMatrix` is converted here — once per solve, outside
-        the fallback-ladder walk — *reusing the cached sparsity
-        structure* (index arrays, stage-2 reduction indices, launch-cost
-        counters) whenever the pattern matches the previous solve's,
-        which is every open–close sweep after the first and usually
-        every consecutive step too. The reuse gate is an exact pattern
-        comparison inside :meth:`HSBCSRMatrix.from_block_matrix`, so a
-        stale cache can only cost a rebuild, never a wrong product.
-        :class:`~repro.engine.domain_engine.DomainEngine` overrides this
-        to pass the BlockMatrix through unchanged (its distributed
-        solve splits the matrix itself).
+        The base engines solve through the HSBCSR kernel on their one
+        device, so the :class:`BlockMatrix` is converted here — once per
+        solve, outside the fallback-ladder walk — *reusing the cached
+        sparsity structure* (index arrays, stage-2 reduction indices,
+        launch-cost counters) whenever the pattern matches the previous
+        solve's, which is every open–close sweep after the first and
+        usually every consecutive step too. The reuse gate is an exact
+        pattern comparison inside :meth:`HSBCSRMatrix.from_block_matrix`,
+        so a stale cache can only cost a rebuild, never a wrong product.
+        :class:`~repro.engine.domain_engine.DomainEngine` returns the
+        matrix split across its domain devices instead (a
+        :class:`~repro.domain.solve.DistributedOperand`: same calls).
         """
         h = HSBCSRMatrix.from_block_matrix(
             matrix, structure=self._solver_structure
         )
         self._solver_structure = h
-        return h
-
-    def _pcg(
-        self,
-        matrix: BlockMatrix | HSBCSRMatrix,
-        rhs: np.ndarray,
-        x0: np.ndarray | None,
-        preconditioner,
-    ) -> CGResult:
-        """Run one ladder rung's CG solve (solver hook).
-
-        ``matrix`` is whatever :meth:`_solver_operand` prepared — the
-        prebuilt :class:`HSBCSRMatrix` for the base engines.
-        """
-        controls = self.controls
-        return pcg(
-            matrix,
-            rhs,
-            x0=x0,
-            preconditioner=preconditioner,
-            tol=controls.cg_tolerance,
-            max_iterations=controls.cg_max_iterations,
-            device=self.device,
-            metrics=self.metrics,
-        )
+        return DeviceOperand(h, self.device)
 
     # ------------------------------------------------------------------
     # open–close driver + symbolic assembly reuse

@@ -9,14 +9,14 @@ equation solve is distributed across ``n_domains`` per-domain
 1. at construction the blocks are partitioned once via
    :func:`repro.domain.partition.partition_blocks` (graph partition
    over the contact topology, spatial-stripe fallback);
-2. per assembled matrix, :func:`repro.domain.assembly.split_matrix`
-   extracts the per-domain operands and
-   :func:`repro.domain.halo.build_exchange_plan` the ghost lists;
-3. the solve is :func:`repro.domain.solve.distributed_pcg` — one halo
-   exchange per iteration, ordered (deterministic) all-reduced dot
-   products — plugged into the fallback ladder through the
-   :meth:`~repro.engine.base.EngineBase._make_rung_preconditioner` /
-   :meth:`~repro.engine.base.EngineBase._pcg` hooks.
+2. per solve, :func:`repro.domain.halo.build_exchange_plan` lists the
+   ghosts and :func:`repro.domain.assembly.split_matrix` extracts the
+   per-domain operands;
+3. the solve is the one :func:`repro.solvers.cg.pcg` loop over a
+   :class:`repro.domain.solve.DistributedOperand` — one halo exchange
+   per iteration, ordered (deterministic) all-reduced dot products —
+   handed to the shared fallback ladder through the one solver hook,
+   :meth:`~repro.engine.base.EngineBase._solver_operand`.
 
 Because every substituted reduction is performed in canonical block
 order, results are **bit-identical** to the serial engine at every
@@ -47,10 +47,9 @@ from repro.domain.halo import (
     make_domain_devices,
 )
 from repro.domain.partition import partition_blocks
-from repro.domain.solve import distributed_pcg, make_domain_preconditioner
+from repro.domain.solve import DistributedOperand
 from repro.engine.serial_engine import SerialEngine
 from repro.gpu.device import DeviceProfile
-from repro.solvers.cg import CGResult
 
 
 class DomainEngine(SerialEngine):
@@ -87,8 +86,6 @@ class DomainEngine(SerialEngine):
         self.metrics.gauge("domain.cut_fraction").set(
             self.partition_stats.cut_fraction
         )
-        self._split_for: BlockMatrix | None = None
-        self._split_cache = None
 
     # ------------------------------------------------------------------
     # partition-aware stage overrides
@@ -102,56 +99,24 @@ class DomainEngine(SerialEngine):
         return contacts
 
     # ------------------------------------------------------------------
-    # distributed solve (fallback-ladder hooks)
+    # distributed solve (the solver hook)
     # ------------------------------------------------------------------
     def _halo_inject(self, buffer: np.ndarray) -> np.ndarray:
         """Chaos hook over the gathered solution transfer buffer."""
         return self._inject("halo_exchange", buffer, self._current_step)
 
-    def _ensure_split(self, matrix: BlockMatrix):
-        """Per-domain operands for ``matrix``, cached per matrix object."""
-        if matrix is not self._split_for:
-            plan = build_exchange_plan(self.dmap, matrix.rows, matrix.cols)
-            exchanger = HaloExchanger(
-                self.dmap, plan, self.domain_devices,
-                metrics=self.metrics, inject=self._halo_inject,
-            )
-            domains = split_matrix(matrix, self.dmap, plan)
-            self._split_for = matrix
-            self._split_cache = (domains, exchanger)
-        return self._split_cache
-
-    def _solver_operand(self, matrix: BlockMatrix) -> BlockMatrix:
-        """Distributed solves consume the :class:`BlockMatrix` itself.
-
-        The split into per-domain operands happens in
-        :meth:`_ensure_split` (keyed on the matrix object), so the base
-        class's HSBCSR conversion is skipped entirely.
-        """
-        return matrix
-
-    def _make_rung_preconditioner(self, name: str, matrix: BlockMatrix):
-        domains, exchanger = self._ensure_split(matrix)
-        return make_domain_preconditioner(name, matrix, domains, exchanger)
-
-    def _pcg(
-        self,
-        matrix: BlockMatrix,
-        rhs: np.ndarray,
-        x0: np.ndarray | None,
-        preconditioner,
-    ) -> CGResult:
-        domains, exchanger = self._ensure_split(matrix)
-        controls = self.controls
-        return distributed_pcg(
-            domains,
-            exchanger,
-            rhs,
-            x0=x0,
-            preconditioner=preconditioner,
-            tol=controls.cg_tolerance,
-            max_iterations=controls.cg_max_iterations,
-            metrics=self.metrics,
+    def _solver_operand(self, matrix: BlockMatrix):
+        """``matrix`` split across the domain devices: exchange plan,
+        exchanger (everything the plan fixes priced here) and per-domain
+        operands, once per solve — every ladder rung iterates over the
+        same split."""
+        plan = build_exchange_plan(self.dmap, matrix.rows, matrix.cols)
+        exchanger = HaloExchanger(
+            self.dmap, plan, self.domain_devices,
+            metrics=self.metrics, inject=self._halo_inject,
+        )
+        return DistributedOperand(
+            split_matrix(matrix, self.dmap, plan), exchanger
         )
 
     # ------------------------------------------------------------------

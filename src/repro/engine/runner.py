@@ -1,11 +1,13 @@
 """Spec-to-engine entry point shared by the CLI and the batch service.
 
 A :class:`~repro.service.spec.JobSpec` (or anything duck-typed like it:
-the CLI's argparse namespace also qualifies via :func:`spec_from_args`)
-names a workload, an engine, and controls; this module turns that into
-a ready engine and runs it — optionally resuming from a previously
-persisted checkpoint, which is how a retried batch job continues where
-its crashed predecessor stopped instead of recomputing from step 0.
+``python -m repro run`` passes its argparse namespace straight to
+:func:`build_system_from_spec`, :func:`make_fault_injector` and
+:func:`make_engine`) names a workload, an engine, and controls; this
+module turns that into a ready engine and runs it — optionally resuming
+from a previously persisted checkpoint, which is how a retried batch job
+continues where its crashed predecessor stopped instead of recomputing
+from step 0.
 """
 
 from __future__ import annotations
@@ -66,34 +68,25 @@ def make_engine(spec, system, controls, fault_injector=None,
     from repro.gpu.device import K20, K40
 
     profile = K20 if spec.profile == "k20" else K40
-    obs = dict(tracer=tracer, metrics=metrics)
+    common = dict(fault_injector=fault_injector, tracer=tracer, metrics=metrics)
     if spec.engine == "serial":
         from repro.engine.serial_engine import SerialEngine
 
-        return SerialEngine(
-            system, controls, fault_injector=fault_injector, **obs
-        )
+        return SerialEngine(system, controls, **common)
     if spec.engine == "hybrid":
         from repro.engine.hybrid_engine import HybridEngine
 
-        return HybridEngine(
-            system, controls, profile=profile,
-            fault_injector=fault_injector, **obs,
-        )
+        return HybridEngine(system, controls, profile=profile, **common)
     if spec.engine == "domain":
         from repro.engine.domain_engine import DomainEngine
 
         return DomainEngine(
             system, controls,
-            n_domains=getattr(spec, "n_domains", 2) or 2,
-            fault_injector=fault_injector, **obs,
+            n_domains=getattr(spec, "n_domains", 2) or 2, **common,
         )
     from repro.engine.gpu_engine import GpuEngine
 
-    return GpuEngine(
-        system, controls, profile=profile,
-        fault_injector=fault_injector, **obs,
-    )
+    return GpuEngine(system, controls, profile=profile, **common)
 
 
 def make_fault_injector(spec):

@@ -1,14 +1,17 @@
 """The Fig.-1 serial pipeline (the paper's CPU baseline).
 
-Module implementations are deliberately the *serial* formulations:
-upper-triangular pure-Python broad phase, assembly charged as one
-single-core scatter loop, and a per-contact interpenetration check whose
-modelled cost is the branchy single-core loop (the loop itself survives
-as the test oracle ``tests/engine/oracles.py``, the reference the
-equivalence tests pin the vectorised open–close driver against). The
-physics is identical to the GPU engine's
-(the pipeline-equivalence tests verify it); the modelled cost is charged
-to the single-core E5620 profile.
+The *modelled cost* of every stage is the serial formulation's —
+upper-triangular broad phase, assembly charged as one single-core
+scatter loop, a per-contact interpenetration check charged as the
+branchy single-core loop — on the single-core E5620 profile. The
+*numerics* are the shared vectorised kernels: the broad phase is
+:func:`repro.contact.broad_phase.broad_phase_pairs` sorted into the
+double loop's pair order, the interpenetration check the vectorised
+open–close driver. The loops themselves survive as test oracles
+(``tests/contact/broad_phase_oracle.py``, ``tests/engine/oracles.py``),
+the references the equivalence tests pin the vectorised forms against.
+The physics is identical to the GPU engine's (the pipeline-equivalence
+tests verify it).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.assembly.symbolic import AssemblyPlan
-from repro.contact.broad_phase import broad_phase_pairs_python
+from repro.contact.broad_phase import broad_phase_pairs, sort_pairs
 from repro.contact.contact_set import ContactSet
 from repro.contact.initialization import initialize_contacts_unclassified
 from repro.contact.narrow_phase import narrow_phase
@@ -98,7 +101,11 @@ class SerialEngine(CpuStages):
     # ------------------------------------------------------------------
     def _detect_contacts(self) -> ContactSet:
         system = self.system
-        i, j = broad_phase_pairs_python(system.aabbs, self.contact_threshold)
+        # the vectorised kernel, uncharged, in the serial double loop's
+        # lexicographic pair order
+        i, j = sort_pairs(
+            *broad_phase_pairs(system.aabbs, self.contact_threshold)
+        )
         n = system.n_blocks
         # serial cost: n(n-1)/2 AABB tests, ~8 flops and 64 bytes each
         tests = n * (n - 1) / 2.0

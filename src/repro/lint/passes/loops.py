@@ -7,7 +7,7 @@ kernel costs. The rule is heuristic (static analysis cannot know an
 iterable's length): it flags loops whose iterable *names* a data axis —
 ``range(n_contacts)``, ``range(len(pairs))``, ``range(a.shape[0])``,
 direct iteration over an array-ish name — and trusts ``# lint: host-ok``
-for the deliberate serial baselines (e.g. the pure-Python broad phase).
+for the deliberate host-side loops (e.g. ``BlockMatrix.to_dense``).
 """
 
 from __future__ import annotations

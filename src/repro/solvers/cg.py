@@ -9,7 +9,11 @@ The driver mirrors the paper's solver setup:
   solution of the previous step is the initial value of the PCG iterative
   step");
 * iteration count is capped at 200; DDA reacts to non-convergence by
-  shrinking the physical time step, which the engine implements.
+  shrinking the physical time step, which the engine implements;
+* the loop is the only one: what differs between one device and several
+  (where the SpMV runs, what a reduction costs, how the solution comes
+  back) sits behind the operand it iterates over
+  (:class:`DeviceOperand`).
 """
 
 from __future__ import annotations
@@ -71,19 +75,52 @@ def _vector_ops_counters(n: int, ops: int) -> KernelCounters:
     )
 
 
-def _observe(metrics, res: CGResult) -> CGResult:
-    """Record solve outcome on ``metrics`` (no-op when ``metrics`` is None)."""
-    if metrics is not None:
-        metrics.histogram("cg.iterations").observe(res.iterations)
-        if res.breakdown:
-            metrics.inc("cg.breakdowns")
-        elif not res.converged:
-            metrics.inc("cg.non_convergence")
-    return res
+class DeviceOperand:
+    """What :func:`pcg` iterates over on one device: the HSBCSR SpMV.
+
+    An operand is every place a solve depends on *where* it runs —
+    ``n_dof`` (scalar unknown count), ``device`` (what preconditioners
+    are built and applied on; ``None`` = unmetered) and the six calls
+    below — so the iteration is written once. The multi-device operand
+    is :class:`repro.domain.solve.DistributedOperand`.
+    """
+
+    def __init__(self, h: HSBCSRMatrix, device: VirtualDevice | None) -> None:
+        self.h = h
+        self.device = device
+        self.n_dof = h.n * BS
+        # same ledger entry every iteration
+        self._vector_ops = _vector_ops_counters(self.n_dof, 5)
+
+    def wrap(self, preconditioner: Preconditioner | None) -> Preconditioner:
+        """The preconditioner as this operand applies it (identity if
+        omitted)."""
+        if preconditioner is None:
+            return IdentityPreconditioner()
+        return preconditioner
+
+    def begin(self, b: np.ndarray, x: np.ndarray) -> None:
+        """Place the ``(n_dof,)`` right-hand side and first iterate."""
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """``A @ v`` for ``(n_dof,)`` ``v``."""
+        return hsbcsr_spmv(self.h, v, self.device)
+
+    def reduced(self) -> None:
+        """One scalar reduction reached the host."""
+
+    def vector_ops(self) -> None:
+        """Charge one iteration's fused vector pass."""
+        if self.device is not None:
+            self.device.launch("cg_vector_ops", self._vector_ops)
+
+    def finish(self, x: np.ndarray) -> np.ndarray:
+        """The ``(n_dof,)`` solution as the caller receives it."""
+        return x
 
 
 def pcg(
-    a: BlockMatrix | HSBCSRMatrix,
+    a: BlockMatrix | HSBCSRMatrix | DeviceOperand,
     b: np.ndarray,
     x0: np.ndarray | None = None,
     preconditioner: Preconditioner | None = None,
@@ -99,91 +136,107 @@ def pcg(
     ----------
     a:
         The symmetric positive-definite system, half-stored. A
-        :class:`BlockMatrix` is converted to HSBCSR once up front.
+        :class:`BlockMatrix` is converted to HSBCSR once up front and
+        solved on ``device``; an operand (anything with
+        :class:`DeviceOperand`'s attributes and calls) is iterated over
+        as it is — the loop is the same one.
     b:
         Right-hand side, shape ``(6 n,)``.
     x0:
         Warm-start iterate of the same shape (previous step's solution);
         zero if omitted.
     preconditioner:
-        Any :class:`Preconditioner`; identity if omitted.
+        Any :class:`Preconditioner`; identity if omitted. The operand
+        decides how it is applied (:meth:`DeviceOperand.wrap`).
     tol:
         Relative-residual convergence tolerance (``||r|| / ||b||``).
     max_iterations:
         Iteration cap (the paper's 200).
     device:
-        Optional virtual device; SpMV, preconditioner applications, and
-        vector work are all recorded.
+        Optional virtual device for a matrix ``a``; SpMV, preconditioner
+        applications, and vector work are all recorded. An operand
+        carries its own.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; the solve
         records its iteration count on the ``cg.iterations`` histogram
         and bumps ``cg.breakdowns`` / ``cg.non_convergence`` counters.
     """
-    h = a if isinstance(a, HSBCSRMatrix) else HSBCSRMatrix.from_block_matrix(a)
-    n = h.n * BS
+    if isinstance(a, BlockMatrix):
+        a = HSBCSRMatrix.from_block_matrix(a)
+    if isinstance(a, HSBCSRMatrix):
+        a = DeviceOperand(a, device)
+    elif device is not None:
+        raise ValueError("an operand carries its own device; pass device=None")
+    n = a.n_dof
     b = check_array("b", b, dtype=np.float64, shape=(n,))
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-    m = preconditioner if preconditioner is not None else IdentityPreconditioner()
-    if isinstance(m, IdentityPreconditioner) and m.n is None:
-        m.n = h.n
+    m = a.wrap(preconditioner)
+    residuals: list[float] = []
+
+    def done(x, iterations, converged, breakdown=False) -> CGResult:
+        if metrics is not None:
+            metrics.histogram("cg.iterations").observe(iterations)
+            if breakdown:
+                metrics.inc("cg.breakdowns")
+            elif not converged:
+                metrics.inc("cg.non_convergence")
+        return CGResult(a.finish(x), iterations, converged, residuals, breakdown)
 
     x = np.zeros(n) if x0 is None else check_array("x0", x0, dtype=np.float64,
                                                    shape=(n,)).copy()
+    a.begin(b, x)
     # CG's scalar coefficients live on the host by design: one word per
-    # reduction per iteration, matching the real kernel pipeline. All
-    # norms go through the same fused-dot form sqrt(v @ v) — one batched
-    # reduction kernel per crossing, bitwise-identical to
-    # np.linalg.norm on contiguous float64 (both reduce via dot)
+    # reduction per iteration, matching the real kernel pipeline (on
+    # several devices each is an ordered, deterministic all-reduce, which
+    # `reduced` meters). All norms go through the same fused-dot form
+    # sqrt(v @ v) — one batched reduction kernel per crossing,
+    # bitwise-identical to np.linalg.norm on contiguous float64 (both
+    # reduce via dot)
     b_norm = math.sqrt(float(b @ b))  # lint: sync-ok[cg-convergence] -- one fused-dot scalar per iteration
+    a.reduced()
     if b_norm == 0.0:
-        return _observe(metrics, CGResult(x=np.zeros(n), iterations=0,
-                                          converged=True))
+        return done(np.zeros(n), 0, True)
 
-    r = b - hsbcsr_spmv(h, x, device)
-    residuals: list[float] = []
+    r = b - a.matvec(x)
     rel = math.sqrt(float(r @ r)) / b_norm  # lint: sync-ok[cg-convergence] -- one fused-dot scalar per iteration
+    a.reduced()
     if rel < tol:
-        return _observe(metrics, CGResult(x=x, iterations=0, converged=True,
-                                          residuals=[]))
+        return done(x, 0, True)
 
-    z = m.apply(r, device)
+    z = m.apply(r, a.device)
     p = z.copy()
     step = np.empty(n)  # alpha * p, then alpha * ap: no per-iteration array
     rz = float(r @ z)  # lint: sync-ok[cg-convergence] -- one fused-dot scalar per iteration
-    vector_ops = _vector_ops_counters(n, 5)  # same ledger entry every iteration
+    a.reduced()
     for it in range(1, max_iterations + 1):
-        ap = hsbcsr_spmv(h, p, device)
+        ap = a.matvec(p)
         pap = float(p @ ap)  # lint: sync-ok[cg-convergence] -- one fused-dot scalar per iteration
+        a.reduced()
         if pap <= 0.0:
             # matrix not SPD along p (defensive): report breakdown
-            return _observe(metrics, CGResult(x=x, iterations=it,
-                                              converged=False,
-                                              residuals=residuals,
-                                              breakdown=True))
+            return done(x, it, False, breakdown=True)
         alpha = rz / pap
         x += np.multiply(p, alpha, out=step)
         r -= np.multiply(ap, alpha, out=step)
-        if device is not None:
-            device.launch("cg_vector_ops", vector_ops)
+        a.vector_ops()
         # the host runs the two axpys above, the residual dot below and
         # the direction update at the bottom of the loop as separate
         # in-place NumPy passes; what the ledger prices is the launch
         # above — one kernel of five fused axpy/dot-style passes per
         # iteration — and one scalar back to the host per reduction
         rel = math.sqrt(float(r @ r)) / b_norm  # lint: sync-ok[cg-convergence] -- one fused-dot scalar per iteration
+        a.reduced()
         residuals.append(rel)
         if rel < tol:
-            return _observe(metrics, CGResult(x=x, iterations=it,
-                                              converged=True,
-                                              residuals=residuals))
-        z = m.apply(r, device)
+            return done(x, it, True)
+        z = m.apply(r, a.device)
         rz_new = float(r @ z)  # lint: sync-ok[cg-convergence] -- one fused-dot scalar per iteration
+        a.reduced()
         beta = rz_new / rz
         p *= beta  # p = z + beta * p, in place (p never aliases z)
         p += z
         rz = rz_new
-    return _observe(metrics, CGResult(x=x, iterations=max_iterations,
-                                      converged=False, residuals=residuals))
+    return done(x, max_iterations, False)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from broad_phase_oracle import broad_phase_pairs_python
 from repro.contact.broad_phase import (
     TILE,
     broad_phase_pairs,
-    broad_phase_pairs_python,
     gpu_pair_mapping,
     sort_pairs,
 )

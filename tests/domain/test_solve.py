@@ -12,9 +12,9 @@ from repro.domain.halo import (
     make_domain_devices,
 )
 from repro.domain.solve import (
-    DOMAIN_NAMES,
-    distributed_pcg,
-    make_domain_preconditioner,
+    AdditiveSchwarz,
+    DistributedOperand,
+    DomainBlockJacobi,
 )
 from repro.gpu.counters import KernelCounters
 from repro.gpu.device import K40
@@ -27,6 +27,9 @@ from repro.spmv.synthetic import synthetic_block_matrix
 
 N, M = 14, 24
 
+#: The domain-decomposed (non-bit-identical, opt-in) preconditioners.
+DOMAIN_NAMES = {"domain_bj": DomainBlockJacobi, "schwarz": AdditiveSchwarz}
+
 
 def setup(matrix, n_domains, metrics=None):
     labels = np.arange(matrix.n, dtype=np.int64) * n_domains // matrix.n
@@ -37,6 +40,19 @@ def setup(matrix, n_domains, metrics=None):
     )
     domains = split_matrix(matrix, dmap, plan)
     return domains, exchanger
+
+
+def solve_distributed(domains, exchanger, b, **kwargs):
+    """The one loop over the distributed operand."""
+    return pcg(DistributedOperand(domains, exchanger), b, **kwargs)
+
+
+def preconditioner_for(name, matrix, domains, exchanger):
+    """The opt-in domain preconditioners are constructed directly; every
+    registry name is the single-device object, which the operand wraps."""
+    if name in DOMAIN_NAMES:
+        return DOMAIN_NAMES[name](domains, exchanger)
+    return make_preconditioner(name, matrix)
 
 
 class TestDomainSpmv:
@@ -82,7 +98,7 @@ class TestDistributedPcg:
         rng = np.random.default_rng(2)
         b = rng.normal(size=N * BS)
         ref = pcg(HSBCSRMatrix.from_block_matrix(matrix), b, tol=1e-10)
-        res = distributed_pcg(domains, ex, b, tol=1e-10)
+        res = solve_distributed(domains, ex, b, tol=1e-10)
         assert res.iterations == ref.iterations
         assert res.converged and ref.converged
         np.testing.assert_array_equal(res.x, ref.x)
@@ -98,8 +114,8 @@ class TestDistributedPcg:
             HSBCSRMatrix.from_block_matrix(matrix), b,
             preconditioner=make_preconditioner(name, matrix), tol=1e-10,
         )
-        pre = make_domain_preconditioner(name, matrix, domains, ex)
-        res = distributed_pcg(domains, ex, b, preconditioner=pre, tol=1e-10)
+        pre = preconditioner_for(name, matrix, domains, ex)
+        res = solve_distributed(domains, ex, b, preconditioner=pre, tol=1e-10)
         assert res.iterations == ref.iterations
         np.testing.assert_array_equal(res.x, ref.x)
         assert res.residuals == ref.residuals
@@ -111,14 +127,14 @@ class TestDistributedPcg:
         b = rng.normal(size=N * BS)
         x0 = rng.normal(size=N * BS)
         ref = pcg(HSBCSRMatrix.from_block_matrix(matrix), b, x0=x0, tol=1e-10)
-        res = distributed_pcg(domains, ex, b, x0=x0, tol=1e-10)
+        res = solve_distributed(domains, ex, b, x0=x0, tol=1e-10)
         assert res.iterations == ref.iterations
         np.testing.assert_array_equal(res.x, ref.x)
 
     def test_zero_rhs_short_circuits(self):
         matrix = synthetic_block_matrix(N, M, seed=1)
         domains, ex = setup(matrix, 2)
-        res = distributed_pcg(domains, ex, np.zeros(N * BS))
+        res = solve_distributed(domains, ex, np.zeros(N * BS))
         assert res.converged
         assert res.iterations == 0
         np.testing.assert_array_equal(res.x, 0.0)
@@ -127,18 +143,18 @@ class TestDistributedPcg:
         matrix = synthetic_block_matrix(N, M, seed=1)
         domains, ex = setup(matrix, 2)
         with pytest.raises(ValueError):
-            distributed_pcg(domains, ex, np.zeros(3))
+            solve_distributed(domains, ex, np.zeros(3))
         with pytest.raises(ValueError, match="tol"):
-            distributed_pcg(domains, ex, np.ones(N * BS), tol=0.0)
+            solve_distributed(domains, ex, np.ones(N * BS), tol=0.0)
         with pytest.raises(ValueError, match="max_iterations"):
-            distributed_pcg(domains, ex, np.ones(N * BS), max_iterations=0)
+            solve_distributed(domains, ex, np.ones(N * BS), max_iterations=0)
 
     def test_observes_metrics(self):
         metrics = MetricsRegistry()
         matrix = synthetic_block_matrix(N, M, seed=1)
         domains, ex = setup(matrix, 2, metrics=metrics)
         rng = np.random.default_rng(0)
-        distributed_pcg(domains, ex, rng.normal(size=N * BS), metrics=metrics)
+        solve_distributed(domains, ex, rng.normal(size=N * BS), metrics=metrics)
         assert metrics.counter("domain.halo_bytes").value > 0
 
 
@@ -149,10 +165,10 @@ class TestDomainPreconditioners:
         rng = np.random.default_rng(2)
         b = rng.normal(size=N * BS)
         pre = (
-            make_domain_preconditioner(name, matrix, domains, ex)
+            preconditioner_for(name, matrix, domains, ex)
             if name is not None else None
         )
-        return distributed_pcg(domains, ex, b, preconditioner=pre, tol=1e-10)
+        return solve_distributed(domains, ex, b, preconditioner=pre, tol=1e-10)
 
     def test_domain_bj_converges_and_accelerates(self):
         plain = self.solve_with(None)
@@ -178,7 +194,7 @@ class TestDomainPreconditioners:
 # the priced solve leaves the ledger per-call launches would have left
 # ----------------------------------------------------------------------
 class LaunchOracle:
-    """``distributed_pcg``'s control flow replayed with one plain
+    """``pcg``'s control flow over the operand replayed with one plain
     ``launch`` per kernel on fresh devices — counters rebuilt at every
     call, the way the solve metered itself before it priced once."""
 
@@ -310,9 +326,9 @@ def priced_solve(name, n_domains, matrix=None, rhs=None, **kwargs):
     domains, ex = setup(matrix, n_domains)
     pre = (
         None if name == "none"
-        else make_domain_preconditioner(name, matrix, domains, ex)
+        else preconditioner_for(name, matrix, domains, ex)
     )
-    res = distributed_pcg(domains, ex, rhs, preconditioner=pre, **kwargs)
+    res = solve_distributed(domains, ex, rhs, preconditioner=pre, **kwargs)
     oracle = LaunchOracle(domains, ex, name).solve(res, not rhs.any())
     return res, ex.devices, oracle
 

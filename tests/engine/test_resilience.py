@@ -14,6 +14,7 @@ import repro.engine.base as engine_base
 from repro.core.blocks import Block, BlockSystem
 from repro.core.materials import BlockMaterial
 from repro.core.state import ResilienceControls, SimulationControls
+from repro.engine.domain_engine import DomainEngine
 from repro.engine.gpu_engine import GpuEngine
 from repro.engine.hybrid_engine import HybridEngine
 from repro.engine.resilience import (
@@ -261,6 +262,67 @@ class TestFallbackLadder:
         with pytest.raises(SolverBreakdown) as exc_info:
             engine.run(steps=1)
         assert exc_info.value.context.cause == "cg_breakdown"
+
+
+@pytest.mark.parametrize("preset", ["gpu", "domain"])
+class TestNoRungCouldBeBuilt:
+    """Every ladder rung failing to *construct* is a typed, recoverable
+    failure of the step it happened in — on both presets, which share
+    the one ``except`` around ``make_preconditioner``."""
+
+    PRESETS = {"gpu": (GpuEngine, {}), "domain": (DomainEngine, {"n_domains": 2})}
+
+    def _engine(self, preset, monkeypatch, heals_after, **resilience):
+        """Step 2's constructions raise what a non-positive diagonal
+        raises, until the run has rolled back ``heals_after`` times."""
+        engine_cls, kwargs = self.PRESETS[preset]
+        engine = engine_cls(stacked(), controls(**resilience), **kwargs)
+        real = engine_base.make_preconditioner
+
+        def construct(name, matrix, device=None):
+            rollbacks = engine.metrics.counter("engine.rollbacks").value
+            if engine._current_step == 2 and rollbacks < heals_after:
+                raise ValueError("planted: non-positive diagonal")
+            return real(name, matrix, device)
+
+        monkeypatch.setattr(engine_base, "make_preconditioner", construct)
+        return engine
+
+    def test_typed_error_names_the_failing_step(self, preset, monkeypatch):
+        engine = self._engine(preset, monkeypatch, heals_after=1)
+        with pytest.raises(SolverBreakdown, match="could be built") as exc_info:
+            engine.run(steps=4)
+        err = exc_info.value
+        assert err.context.step == 2
+        assert err.context.cause == "cg_breakdown"
+        assert "step 2" in str(err)
+        assert err.report.context.step == 2
+        assert err.report.steps_completed == 2
+
+    def test_one_failing_step_is_rolled_back(self, preset, monkeypatch):
+        engine = self._engine(
+            preset, monkeypatch, heals_after=1, checkpoint_every=1
+        )
+        result = engine.run(steps=4)
+        assert result.failure is None and result.n_steps == 4
+        assert result.rollbacks == 1
+        assert engine.metrics.counter("engine.rollbacks").value == 1
+        (note,) = [w for w in result.warnings if w.guard == "rollback"]
+        assert note.step == 2
+        assert "rolled back to step 2 after SolverBreakdown: step 2:" in (
+            note.message
+        )
+
+    def test_persistent_failure_ends_typed(self, preset, monkeypatch):
+        engine = self._engine(
+            preset, monkeypatch, heals_after=10,
+            checkpoint_every=1, max_rollbacks=2,
+        )
+        with pytest.raises(SolverBreakdown, match="could be built") as exc_info:
+            engine.run(steps=4)
+        assert exc_info.value.context.step == 2
+        assert exc_info.value.report.rollbacks == 2
+        assert engine.metrics.counter("engine.rollbacks").value == 2
 
 
 # ----------------------------------------------------------------------

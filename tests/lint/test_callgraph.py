@@ -316,7 +316,11 @@ def test_closure_module_coverage_pin():
 
     A resolver change that grows or shrinks this set is a reviewable
     event, not an invisible coverage drift — update the pin with the
-    reason in the commit.
+    reason in the commit. (PR 19: ``solvers/polynomial.py`` left — its
+    only closure member was ``NeumannPreconditioner.__init__``, reached
+    through ``make_preconditioner``, which kernel-path ``domain/solve.py``
+    no longer calls; every preset's preconditioners are now constructed
+    by the engine, as the single-device presets' always were.)
     """
     program = real_program()
     covered = sorted(
@@ -335,7 +339,6 @@ def test_closure_module_coverage_pin():
         "geometry/tolerances.py",
         "lint/sanitize.py",
         "obs/metrics.py",
-        "solvers/polynomial.py",
         "solvers/preconditioners.py",
         "util/rng.py",
         "util/validation.py",

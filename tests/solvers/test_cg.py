@@ -122,8 +122,8 @@ class TestPreconditionerOrdering:
 
 def allocating_pcg(a, b, x0, m, tol, max_iterations):
     """The iteration with a fresh array per statement (``p = z + beta *
-    p``, ``x = x + alpha * p``): what the in-place loops of ``pcg`` and
-    ``distributed_pcg`` must reproduce bit for bit."""
+    p``, ``x = x + alpha * p``): what the in-place loop of ``pcg`` must
+    reproduce bit for bit over either operand."""
     from repro.spmv.hsbcsr import hsbcsr_spmv
 
     h = HSBCSRMatrix.from_block_matrix(a)
@@ -150,8 +150,8 @@ def allocating_pcg(a, b, x0, m, tol, max_iterations):
 
 
 class TestInPlaceIteration:
-    """Table-I matrix and preconditioners: the allocation-free loops
-    equal the allocating formulation, serial and on four domains."""
+    """Table-I matrix and preconditioners: the allocation-free loop
+    equals the allocating formulation, serial and on four domains."""
 
     @pytest.mark.parametrize("warm", [False, True])
     @pytest.mark.parametrize("name", ["bj", "ssor", "ilu"])
@@ -160,9 +160,7 @@ class TestInPlaceIteration:
         from repro.domain.halo import (
             DomainMap, HaloExchanger, build_exchange_plan, make_domain_devices,
         )
-        from repro.domain.solve import (
-            distributed_pcg, make_domain_preconditioner,
-        )
+        from repro.domain.solve import DistributedOperand
         from repro.gpu.device import K40
 
         a = synthetic_block_matrix(40, 110, seed=2, coupling=0.6)
@@ -180,11 +178,9 @@ class TestInPlaceIteration:
         plan = build_exchange_plan(dmap, a.rows, a.cols)
         exchanger = HaloExchanger(dmap, plan, make_domain_devices(4, K40))
         domains = split_matrix(a, dmap, plan)
-        distributed = distributed_pcg(
-            domains, exchanger, b, x0=x0,
-            preconditioner=make_domain_preconditioner(
-                name, a, domains, exchanger
-            ),
+        distributed = pcg(
+            DistributedOperand(domains, exchanger), b, x0=x0,
+            preconditioner=make_preconditioner(name, a),
             tol=1e-10, max_iterations=1000,
         )
         for res in (serial, distributed):
@@ -193,3 +189,119 @@ class TestInPlaceIteration:
             np.testing.assert_array_equal(res.x, x)
         if warm:  # the caller's warm start is not the iterate
             assert not np.shares_memory(serial.x, x0)
+
+
+class RecordingOperand:
+    """A dense NumPy matrix behind the operand protocol, logging every
+    call ``pcg`` makes — nothing else of an operand is defined here, so
+    the loop reaching outside the protocol is an ``AttributeError``."""
+
+    device = None
+
+    def __init__(self, dense):
+        self.dense = dense
+        self.n_dof = dense.shape[0]
+        self.calls = []
+
+    def wrap(self, preconditioner):
+        assert preconditioner is None
+        self.calls.append("wrap")
+        return self
+
+    def apply(self, r, device):  # the wrapped (identity) preconditioner
+        assert device is self.device
+        self.calls.append("apply")
+        return r.copy()
+
+    def begin(self, b, x):
+        self.calls.append("begin")
+
+    def matvec(self, v):
+        self.calls.append("matvec")
+        return self.dense @ v
+
+    def reduced(self):
+        self.calls.append("reduced")
+
+    def vector_ops(self):
+        self.calls.append("vector_ops")
+
+    def finish(self, x):
+        self.calls.append("finish")
+        return x
+
+
+def expected_calls(res, zero_rhs):
+    """The sequence ``tests/domain/test_solve.py::LaunchOracle.solve``
+    encodes for the distributed ledger, as operand calls."""
+    calls = ["wrap", "begin", "reduced"]  # ||b||
+    if not zero_rhs:
+        calls += ["matvec", "reduced"]  # initial residual
+    if not zero_rhs and (res.iterations or not res.converged):
+        calls += ["apply", "reduced"]  # r @ z
+        for it in range(1, res.iterations + 1):
+            last = it == res.iterations
+            calls += ["matvec", "reduced"]  # p @ Ap
+            if last and res.breakdown:
+                break
+            calls += ["vector_ops", "reduced"]  # ||r||
+            if last and res.converged:
+                break
+            calls += ["apply", "reduced"]  # r @ z
+    return calls + ["finish"]
+
+
+class TestOperandProtocol:
+    """``pcg`` depends on nothing outside the operand protocol."""
+
+    @pytest.fixture
+    def dense(self, system):
+        return system[0].to_scipy_csr().toarray()
+
+    def test_converges_to_the_dense_solution(self, dense, system):
+        _, _, b = system
+        operand = RecordingOperand(dense)
+        res = pcg(operand, b, tol=1e-12, max_iterations=500)
+        assert res.converged and res.iterations > 2
+        np.testing.assert_allclose(
+            res.x, np.linalg.solve(dense, b), rtol=1e-8, atol=1e-9
+        )
+        assert operand.calls == expected_calls(res, zero_rhs=False)
+
+    def test_zero_rhs_exit(self, dense):
+        operand = RecordingOperand(dense)
+        res = pcg(operand, np.zeros(operand.n_dof))
+        assert res.converged and res.iterations == 0
+        assert operand.calls == ["wrap", "begin", "reduced", "finish"]
+        assert operand.calls == expected_calls(res, zero_rhs=True)
+
+    def test_converged_at_iteration_zero_exit(self, dense, system):
+        _, x_true, b = system
+        operand = RecordingOperand(dense)
+        res = pcg(operand, b, x0=x_true, tol=1e-6)
+        assert res.converged and res.iterations == 0
+        assert operand.calls == [
+            "wrap", "begin", "reduced", "matvec", "reduced", "finish",
+        ]
+        assert operand.calls == expected_calls(res, zero_rhs=False)
+
+    def test_breakdown_exit(self, dense, system):
+        _, _, b = system
+        operand = RecordingOperand(-dense)
+        res = pcg(operand, b)
+        assert res.breakdown and not res.converged and res.iterations == 1
+        assert "vector_ops" not in operand.calls
+        assert operand.calls == expected_calls(res, zero_rhs=False)
+
+    def test_iteration_cap_exit(self, dense, system):
+        _, _, b = system
+        operand = RecordingOperand(dense)
+        res = pcg(operand, b, tol=1e-16, max_iterations=3)
+        assert (res.iterations, res.converged) == (3, False)
+        assert operand.calls.count("vector_ops") == 3
+        assert operand.calls == expected_calls(res, zero_rhs=False)
+
+    def test_an_operand_carries_its_own_device(self, dense, system, device):
+        _, _, b = system
+        with pytest.raises(ValueError, match="device"):
+            pcg(RecordingOperand(dense), b, device=device)

@@ -83,6 +83,43 @@ class TestMain:
         assert "K20" in capsys.readouterr().out
 
 
+#: ``--engine`` value -> (class, device profile, domain count) built
+#: from ``--profile k20 --n-domains 3`` — what the CLI's own preset
+#: chain built before it was routed through ``engine.runner``.
+PRESETS = {
+    "gpu": ("GpuEngine", "Tesla K20", None),
+    "serial": ("SerialEngine", "Xeon E5620 (1 core, serial)", None),
+    "hybrid": ("HybridEngine", "Tesla K20", None),
+    "domain": ("DomainEngine", "Xeon E5620 (1 core, serial)", 3),
+}
+
+
+@pytest.mark.parametrize("engine", PRESETS)
+def test_engine_flag_builds_the_preset(engine, monkeypatch, capsys):
+    from repro.engine.base import EngineBase
+
+    built = []
+    run = EngineBase.run
+
+    def recording_run(self, steps, **kwargs):
+        built.append(self)
+        return run(self, steps, **kwargs)
+
+    monkeypatch.setattr(EngineBase, "run", recording_run)
+    rc = main(["--model", "wall", "--steps", "1", "--dynamic", "--no-render",
+               "--engine", engine, "--profile", "k20", "--n-domains", "3",
+               "--fault", "solution_nan", "--fault-step", "5"])
+    assert rc == 0
+    (made,) = built
+    assert (
+        type(made).__name__,
+        made.device.profile.name,
+        getattr(made, "n_domains", None),
+    ) == PRESETS[engine]
+    assert made.fault_injector.pending == ["solution_nan"]
+    assert made.tracer.enabled is False
+
+
 class TestSubcommands:
     """The subcommand restructure must not break any legacy flag."""
 
