@@ -181,7 +181,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def run_main(argv: list[str] | None = None) -> int:
     """The ``run`` subcommand: one foreground simulation."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.n_domains < 1:
+        parser.error(f"--n-domains must be >= 1, got {args.n_domains}")
     from repro.core.state import ResilienceControls, SimulationControls
     from repro.engine.runner import make_engine, make_fault_injector
     from repro.obs.tracer import Tracer

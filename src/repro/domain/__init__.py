@@ -3,11 +3,13 @@
 The paper's stated next step ("applying these efforts to ... multiple
 GPUs") as a runnable path: :mod:`repro.domain.partition` splits blocks
 across ``n_domains`` virtual devices with a graph partition over the contact
-topology; :mod:`repro.domain.halo` builds ownership maps, ghost lists
-and the metered halo-exchange step; :mod:`repro.domain.assembly`
-extracts per-domain submatrices (local block matrix + boundary coupling
-entries) from the globally assembled :class:`~repro.assembly
-.global_matrix.BlockMatrix`; and :mod:`repro.domain.solve` is the
+topology; :mod:`repro.domain.halo` builds ownership maps, ghost lists,
+the layout of the stacked extended vector and the metered halo exchange
+(one gather into that vector); :mod:`repro.domain.assembly` splits the
+globally assembled :class:`~repro.assembly.global_matrix.BlockMatrix`
+across the domains as one stacked kernel — the global HSBCSR operator
+reading each row's operands from its owner's slots, five compiled
+products at any domain count; and :mod:`repro.domain.solve` is the
 distributed operand of the one PCG loop, :func:`repro.solvers.cg.pcg`
 (all-reduced dot products, one ghost exchange per iteration) — bit-
 identical to the single-device solve for every registry preconditioner.

@@ -1,32 +1,36 @@
-"""Per-domain submatrix extraction from a global :class:`BlockMatrix`.
+"""The domain split of a global :class:`BlockMatrix`: one stacked kernel.
 
 Assembly stays global (bit-identical to the serial engine by
-construction); this module *splits* the assembled matrix into one
-:class:`DomainMatrix` per domain:
+construction); this module *splits* the assembled matrix across the
+domains as one :class:`DomainSplit`. Domain ``d``'s share is
 
-* the diagonal blocks of the owned rows;
-* the **up phase** — every stored upper entry whose row is owned, kept
-  in the global (row, col) sort order;
-* the **low phase** — every stored upper entry whose column is owned
-  (its transpose contributes to an owned row), with the (col, row)
-  gather permutation of the HSBCSR SpMV;
-* a local owned x owned :class:`BlockMatrix` plus an extended
-  (owned + ghost) one — the operands of the domain-decomposed
-  preconditioners (block-Jacobi across domains, overlapping additive
-  Schwarz), cut on first access: the default ladder never reads them.
+* the diagonal blocks of the rows it owns;
+* the **up phase** — every stored upper entry whose row it owns;
+* the **low phase** — every stored upper entry whose column it owns
+  (its transpose contributes to an owned row);
 
-The three pieces are held as one
-:class:`~repro.spmv.hsbcsr.TwoStageOperator` — the same kernel
-:func:`repro.spmv.hsbcsr.hsbcsr_spmv` runs. Because each phase's entries
-are an order-preserving subset of the global HSBCSR traversal and the
-kernel sums strictly left to right (up, low, diagonal), ``domain_spmv``
-reproduces the global product bit-for-bit on the owned rows.
+and the shares are not cut apart: the split is the global HSBCSR kernel
+(:class:`~repro.spmv.hsbcsr.TwoStageOperator`, the one
+:func:`repro.spmv.hsbcsr.hsbcsr_spmv` runs) with every stage-1 gather
+re-pointed from the canonical vector into the *owning domain's* slot
+range of the stacked extended vector (:class:`~repro.domain.halo
+.ExchangePlan`). The operator is block-diagonal over the domains — a
+row reads only its own device's owned and ghost slots — while entry
+order, stage-2 segments and the left-to-right summation (up, low,
+diagonal) are the global traversal's, so every row of the distributed
+product equals the global product bit for bit, in the same five
+compiled products at any domain count.
+
+A local owned x owned :class:`BlockMatrix` and an extended
+(owned + ghost) one — the operands of the domain-decomposed
+preconditioners (block-Jacobi across domains, overlapping additive
+Schwarz) — are cut from the split's source matrix on request: the
+default ladder never reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,77 +39,84 @@ from repro.domain.halo import DomainMap, ExchangePlan
 from repro.gpu.counters import KernelCounters
 from repro.gpu.memory import coalesced_transactions
 from repro.gpu.warp import WARP_SIZE
-from repro.primitives.scatter import BlockRowProduct, GatherSegmentSum
-from repro.spmv.hsbcsr import TwoStageOperator, segment_indptr
+from repro.spmv.hsbcsr import TwoStageOperator
 
 
 @dataclass(frozen=True)
-class DomainMatrix:
-    """One domain's operands for the distributed SpMV and solves.
+class DomainSplit:
+    """Every domain's operands for the distributed SpMV and solves.
 
     Attributes
     ----------
-    domain:
-        Domain index (scalar).
-    n_local, n_ext:
-        Owned / owned+ghost block counts (scalars).
+    matrix, dmap, plan:
+        What the split was cut from: the global matrix, the ownership
+        map and the exchange plan of the matrix's sparsity pattern.
     op:
-        The two-stage kernel over this domain's entries: up half =
-        entries with owned row (global (row, col) order, gathering the
-        column's extended-vector slot), low half = entries with owned
-        column (gathering the row's slot, summed in (col, row) order),
-        diagonal = the owned diagonal blocks.
+        The stacked two-stage kernel, ``(n_ext*6,)`` stacked extended
+        vector to canonical ``(n*6,)``: upper entry ``(i, j)`` gathers
+        ``j``'s slot in the range of ``i``'s owner, its transpose in the
+        lower half ``i``'s slot in the range of ``j``'s owner, diagonal
+        block ``i`` its owner's slot of ``i``.
     m_up, m_low:
-        Entry counts of the two halves (scalars; what the ledger prices).
-    source:
-        ``(matrix, dmap, plan)`` this split was cut from — what
-        :attr:`local` and :attr:`extended` are built from when first read.
+        ``(n_domains,)`` entry counts of each domain's two halves (with
+        the owned block counts, what the ledger prices).
     """
 
-    domain: int
-    n_local: int
-    n_ext: int
+    matrix: BlockMatrix
+    dmap: DomainMap
+    plan: ExchangePlan
     op: TwoStageOperator
-    m_up: int
-    m_low: int
-    source: tuple = field(repr=False)
-    #: ``[device, records]`` once :func:`domain_spmv` has charged a device
-    _cost: list = field(default_factory=list, init=False, repr=False)
+    m_up: np.ndarray
+    m_low: np.ndarray
 
-    @cached_property
-    def local(self) -> BlockMatrix:
-        """Owned x owned coupling as a local-index :class:`BlockMatrix`."""
-        matrix, dmap, _ = self.source
-        rows, cols = matrix.rows, matrix.cols
+    def matches(self, matrix: BlockMatrix, dmap: DomainMap) -> bool:
+        """Whether ``matrix`` under ``dmap`` has exactly the ownership and
+        ``(m,)`` sparsity pattern this split was cut for (the reuse gate)."""
+        mine = self.matrix
+        return (
+            dmap is self.dmap
+            and matrix.n == mine.n
+            and np.array_equal(matrix.rows, mine.rows)  # lint: sync-ok[structure-reuse] -- host checks cached sparsity before reuse
+            and np.array_equal(matrix.cols, mine.cols)
+        )
+
+    def with_values(self, matrix: BlockMatrix) -> "DomainSplit":
+        """The split of a matrix that :meth:`matches`: plan, gathers and
+        stage-2 operators shared, only the payloads re-read."""
+        op = self.op.with_values(
+            matrix.diag, matrix.blocks, matrix.blocks.transpose(0, 2, 1)
+        )
+        return replace(self, matrix=matrix, op=op)
+
+    def local(self, d: int) -> BlockMatrix:
+        """Domain ``d``'s owned x owned coupling as a local-index
+        :class:`BlockMatrix`."""
+        a, dmap = self.matrix, self.dmap
         both = np.flatnonzero(
-            (dmap.labels[rows] == self.domain)
-            & (dmap.labels[cols] == self.domain)
+            (dmap.labels[a.rows] == d) & (dmap.labels[a.cols] == d)
         )
         return BlockMatrix(
-            n=self.n_local,
-            diag=matrix.diag[dmap.owned[self.domain]],
-            rows=dmap.local[rows[both]],
-            cols=dmap.local[cols[both]],
-            blocks=matrix.blocks[both],
+            n=dmap.owned[d].size,
+            diag=a.diag[dmap.owned[d]],
+            rows=dmap.local[a.rows[both]],
+            cols=dmap.local[a.cols[both]],
+            blocks=a.blocks[both],
         )
 
-    @cached_property
-    def extended(self) -> BlockMatrix:
-        """Owned+ghost coupling (slot indices) — the overlapping-Schwarz
-        operand."""
-        matrix, dmap, plan = self.source
-        rows, cols = matrix.rows, matrix.cols
-        slot = plan.slots[self.domain]
-        halo_ids = np.concatenate(
-            [dmap.owned[self.domain], plan.ghosts[self.domain]]
-        )
-        ext_sel = np.flatnonzero((slot[rows] >= 0) & (slot[cols] >= 0))
+    def extended(self, d: int) -> BlockMatrix:
+        """Domain ``d``'s owned+ghost coupling (indices within its slot
+        range) — the overlapping-Schwarz operand."""
+        a, plan = self.matrix, self.plan
+        lo = plan.offsets[d]
+        ids = plan.ext_ids[lo : plan.offsets[d + 1]]
+        slot = plan.slots[d]
+        held = np.flatnonzero((slot[a.rows] >= 0) & (slot[a.cols] >= 0))
         return _submatrix(
-            self.n_ext,
-            matrix.diag[halo_ids],
-            slot[rows[ext_sel]],
-            slot[cols[ext_sel]],
-            matrix.blocks[ext_sel],
+            ids.size,
+            a.diag[ids],
+            slot[a.rows[held]] - lo,
+            slot[a.cols[held]] - lo,
+            a.blocks[held],
         )
 
 
@@ -128,80 +139,36 @@ def _submatrix(
 
 def split_matrix(
     matrix: BlockMatrix, dmap: DomainMap, plan: ExchangePlan
-) -> list:
-    """Split a global matrix into per-domain operands (list, n_domains).
+) -> DomainSplit:
+    """Split a global matrix across the domains of ``dmap``.
 
-    Each phase keeps its entries as an order-preserving subset of the
-    global HSBCSR traversal, so the distributed SpMV is bit-identical
-    on owned rows.
+    The global kernel's ``(m,)`` entry order and stage 2 are kept; stage
+    1 alone moves, each gather into the slot range of the domain that
+    owns the entry's output row — so the distributed SpMV maps the
+    ``(n_ext*6,)`` stacked extended vector to the canonical ``(n*6,)``
+    product bit-identically on every row and never reads another
+    domain's slots.
     """
-    rows, cols = matrix.rows, matrix.cols
-    row_lab = dmap.labels[rows] if rows.size else rows
-    col_lab = dmap.labels[cols] if cols.size else cols
-    out = []
-    for d in range(dmap.n_domains):
-        own = dmap.owned[d]
-        ghost = plan.ghosts[d]
-        slot = plan.slots[d]
-        n_local = own.size
-        n_ext = n_local + ghost.size
-
-        up_sel = np.flatnonzero(row_lab == d)
-        low_sel = np.flatnonzero(col_lab == d)
-        op = TwoStageOperator(
-            BlockRowProduct(matrix.blocks[up_sel], slot[cols[up_sel]], n_ext),
-            GatherSegmentSum(
-                segment_indptr(dmap.local[rows[up_sel]], n_local),
-                np.arange(up_sel.size, dtype=np.int64),
-            ),
-            BlockRowProduct(
-                matrix.blocks[low_sel].transpose(0, 2, 1),
-                slot[rows[low_sel]],
-                n_ext,
-            ),
-            GatherSegmentSum(
-                segment_indptr(dmap.local[cols[low_sel]], n_local),
-                np.lexsort((rows[low_sel], cols[low_sel])),
-            ),
-            BlockRowProduct(
-                matrix.diag[own], np.arange(n_local, dtype=np.int64), n_ext
-            ),
-        )
-        out.append(DomainMatrix(
-            domain=d,
-            n_local=n_local,
-            n_ext=n_ext,
-            op=op,
-            m_up=up_sel.size,
-            m_low=low_sel.size,
-            source=(matrix, dmap, plan),
-        ))
-    return out
+    rows, cols, labels = matrix.rows, matrix.cols, dmap.labels
+    row_lab, col_lab = labels[rows], labels[cols]
+    every = np.arange(matrix.n, dtype=np.int64)
+    op = TwoStageOperator.from_block_matrix(matrix, gather=(
+        plan.slots[row_lab, cols],
+        plan.slots[col_lab, rows],
+        plan.slots[labels, every],
+        plan.ext_ids.size,
+    ))
+    return DomainSplit(
+        matrix, dmap, plan, op,
+        m_up=np.bincount(row_lab, minlength=dmap.n_domains),
+        m_low=np.bincount(col_lab, minlength=dmap.n_domains),
+    )
 
 
-def domain_spmv(dm: DomainMatrix, x_ext: np.ndarray, device=None) -> np.ndarray:
-    """Owned rows of ``A @ x``: ``(n_local*6,)`` from ``(n_ext*6,)``.
-
-    Calls the same :class:`~repro.spmv.hsbcsr.TwoStageOperator` kernel
-    as :func:`repro.spmv.hsbcsr.hsbcsr_spmv` on this domain's
-    order-preserving subset of the entries, so for refreshed ghosts the
-    result equals the global SpMV restricted to owned rows, bit for bit.
-    """
-    y = dm.op(x_ext)
-    if device is not None:
-        # priced on the first charge, recorded on every one
-        priced_on, records = dm._cost or (None, ())
-        if priced_on is not device:
-            records = _price_spmv(dm, device)
-            dm._cost[:] = device, records
-        device.record(records)
-    return y
-
-
-def _price_spmv(dm: DomainMatrix, device) -> tuple:
-    """The per-domain SpMV's HSBCSR-style launches, priced on ``device``."""
-    m = dm.m_up + dm.m_low
-    n = dm.n_local
+def price_spmv(m: int, n: int, device) -> tuple:
+    """One domain's share of the SpMV — scalar counts ``m`` off-diagonal
+    entries (both halves) and ``n`` owned blocks — as HSBCSR-style
+    launches priced on its ``device``."""
     priced = []
     if m:
         priced.append(device.price(

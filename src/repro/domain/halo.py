@@ -1,11 +1,17 @@
 """Ownership maps, ghost lists, and the metered halo exchange.
 
-The distributed solve keeps one DOF segment per domain (the blocks that
-domain owns, in ascending global order). Every stored off-diagonal
-entry ``(i, j)`` of the global matrix couples two blocks; when they
-live in different domains each side needs the other's DOF during SpMV,
-so those blocks become *ghosts*: replicated read-only copies refreshed
-by one halo exchange per CG iteration.
+Each domain owns a set of blocks (ascending global order). Every stored
+off-diagonal entry ``(i, j)`` of the global matrix couples two blocks;
+when they live in different domains each side needs the other's DOF
+during SpMV, so those blocks become *ghosts*: replicated read-only
+copies refreshed by one halo exchange per CG iteration.
+
+The devices' extended vectors are held as **one stacked vector** laid
+out ``owned_0, ghosts_0, owned_1, ghosts_1, ...`` — a layout the
+:class:`ExchangePlan` owns (``ext_ids`` / ``offsets`` / ``slots``) — and
+the canonical ``(n_dof,)`` vector *is* every owner's resident segment,
+so an exchange is a single gather ``v.reshape(n, 6)[plan.ext_ids]``;
+the planned sends only price.
 
 All data movement between the per-domain
 :class:`~repro.gpu.kernel.VirtualDevice` ledgers is metered through
@@ -16,7 +22,7 @@ totals accumulate into the ``domain.halo_bytes`` metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,17 +107,24 @@ class ExchangePlan:
     ghosts:
         Per-domain sorted ``(g_d,)`` global ids of ghost blocks.
     slots:
-        Per-domain ``(n_blocks,)`` map from global block id to the slot
-        in that domain's extended vector (owned first, then ghosts;
-        ``-1`` where absent).
+        ``(n_domains, n_blocks)`` slot of each global block in each
+        domain's range of the stacked extended vector (owned first,
+        then ghosts; ``-1`` where absent).
     sends:
         Directed transfers ``(src, dst, (k,) global ids)`` — the owned
         blocks ``src`` ships to ``dst`` every exchange.
+    ext_ids:
+        ``(n_ext,)`` global block id each stacked slot holds:
+        ``owned_0, ghosts_0, owned_1, ghosts_1, ...``.
+    offsets:
+        ``(n_domains+1,)`` bounds of each domain's slot range.
     """
 
     ghosts: tuple
-    slots: tuple
+    slots: np.ndarray
     sends: tuple
+    ext_ids: np.ndarray
+    offsets: np.ndarray
 
 
 def build_exchange_plan(
@@ -126,7 +139,9 @@ def build_exchange_plan(
     labels = dmap.labels
     row_lab = labels[rows] if rows.size else rows
     col_lab = labels[cols] if cols.size else cols
-    ghosts, slots, sends = [], [], []
+    ghosts, ext_ids, sends = [], [], []
+    slots = np.full((dmap.n_domains, labels.size), -1, dtype=np.int64)
+    offsets = np.zeros(dmap.n_domains + 1, dtype=np.int64)
     for d in range(dmap.n_domains):
         if rows.size:
             need = np.concatenate([
@@ -136,18 +151,19 @@ def build_exchange_plan(
         else:
             need = np.empty(0, dtype=np.int64)
         ghost = np.unique(need)
-        own = dmap.owned[d]
-        slot = np.full(labels.size, -1, dtype=np.int64)
-        slot[own] = np.arange(own.size, dtype=np.int64)
-        slot[ghost] = own.size + np.arange(ghost.size, dtype=np.int64)
+        held = np.concatenate([dmap.owned[d], ghost])
+        offsets[d + 1] = offsets[d] + held.size
+        slots[d, held] = np.arange(offsets[d], offsets[d + 1])
         ghosts.append(ghost)
-        slots.append(slot)
+        ext_ids.append(held)
         ghost_lab = labels[ghost]
         for src in range(dmap.n_domains):
             ids = ghost[ghost_lab == src] if ghost.size else ghost  # lint: sync-ok[empty-batch] -- per-source ghost selection, empty exchange skipped
             if ids.size:
                 sends.append((src, d, ids))
-    return ExchangePlan(tuple(ghosts), tuple(slots), tuple(sends))
+    return ExchangePlan(
+        tuple(ghosts), slots, tuple(sends), np.concatenate(ext_ids), offsets
+    )
 
 
 def ghost_contacts(
@@ -174,21 +190,24 @@ def ghost_contacts(
 
 @dataclass
 class HaloExchanger:
-    """Moves boundary DOF segments between per-domain devices.
+    """Meters the boundary DOF the per-domain devices trade.
 
-    Owns the per-solve communication: ``scatter`` splits a global
-    ``(n_dof,)`` vector into per-domain owned segments, ``exchange``
-    refreshes ghost values (one call per CG iteration), ``gather``
-    collects owned segments back into global order, and ``allreduce``
-    meters the latency-bound scalar reductions. With one domain no
-    transfer is charged (the data never leaves the device). ``inject``
-    is the chaos hook applied to the gathered solution buffer.
+    Owns the per-solve communication: ``scatter`` distributes a global
+    ``(n_dof,)`` vector to its owners, ``exchange`` refreshes ghost
+    values (one call per CG iteration), ``gather`` collects the owned
+    segments back, and ``allreduce`` meters the latency-bound scalar
+    reductions. With one domain no transfer is charged (the data never
+    leaves the device). ``inject`` is the chaos hook applied to the
+    gathered solution buffer.
 
-    Everything an exchange or an all-reduce charges depends on the plan
-    alone, so it is priced here, once: per device the ``pcie_allreduce``
-    record and the ``pcie_halo_send`` / ``pcie_halo_recv`` records in
-    ``plan.sends`` order, the exchange's byte total, and per send the
-    source rows and target slots. The calls then only record.
+    The canonical vector is every owner's resident segment, so
+    ``scatter`` and ``gather`` move nothing and ``exchange`` is one
+    gather into the stacked extended vector. Everything they and an
+    all-reduce charge depends on the plan alone, so it is priced here,
+    once: per device the ``pcie_allreduce``, ``pcie_scatter_owned`` and
+    ``pcie_gather_owned`` records, the ``pcie_halo_send`` /
+    ``pcie_halo_recv`` records in ``plan.sends`` order and the
+    exchange's byte total. The calls then only record.
     """
 
     dmap: DomainMap
@@ -196,28 +215,23 @@ class HaloExchanger:
     devices: list
     metrics: object = None
     inject: object = None
-    _dof: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        n_domains = self.dmap.n_domains
-        self._dof = tuple(
-            (self.dmap.owned[d][:, None] * BS
-             + np.arange(BS, dtype=np.int64)).reshape(-1)
-            for d in range(n_domains)
-        )
+        domains = range(self.dmap.n_domains)
+        owned = [float(own.size * BS * 8) for own in self.dmap.owned]
         self._allreduce = [self._price(d, "pcie_allreduce", 8.0)
-                           for d in range(n_domains)]
-        self._exchange: list[list] = [[] for _ in range(n_domains)]
-        self._moves: list[tuple] = []
+                           for d in domains]
+        self._scatter = [self._price(d, "pcie_scatter_owned", owned[d])
+                         for d in domains]
+        self._gather = [self._price(d, "pcie_gather_owned", owned[d])
+                        for d in domains]
+        self._exchange: list[tuple] = [() for _ in domains]
         self._halo_bytes = 0.0
         for src, dst, ids in self.plan.sends:
             nbytes = float(ids.size * BS * 8)
             self._exchange[src] += self._price(src, "pcie_halo_send", nbytes)
             self._exchange[dst] += self._price(dst, "pcie_halo_recv", nbytes)
             self._halo_bytes += nbytes
-            self._moves.append(
-                (src, self.dmap.local[ids], dst, self.plan.slots[dst][ids])
-            )
 
     # ------------------------------------------------------------------
     def _price(self, d: int, name: str, nbytes: float) -> tuple:
@@ -235,55 +249,36 @@ class HaloExchanger:
         ),)
 
     # ------------------------------------------------------------------
-    def scatter(self, x: np.ndarray) -> list:
-        """Split ``(n_dof,)`` into per-domain owned ``(n_d*6,)`` segments."""
-        segments = []
-        for d in range(self.dmap.n_domains):
-            seg = x[self._dof[d]]
-            self.devices[d].record(
-                self._price(d, "pcie_scatter_owned", seg.nbytes)
-            )
-            segments.append(seg)
-        return segments
+    def scatter(self, x: np.ndarray) -> np.ndarray:
+        """Meter the distribution of ``(n_dof,)`` ``x`` to its owners."""
+        self.record(self._scatter)
+        return x
 
-    def gather(self, segments: list, *, solution: bool = False) -> np.ndarray:
-        """Collect owned segments into the ``(n_dof,)`` global vector.
+    def gather(self, x: np.ndarray, *, solution: bool = False) -> np.ndarray:
+        """Meter the collection of the owned segments of ``(n_dof,)`` ``x``.
 
-        With ``solution=True`` the chaos hook sees the assembled buffer
-        (the ``halo_corrupt`` fault corrupts exactly this transfer).
+        With ``solution=True`` the chaos hook sees the buffer the caller
+        receives (the ``halo_corrupt`` fault corrupts exactly this
+        transfer).
         """
-        out = np.empty(self.dmap.labels.size * BS)
-        for d in range(self.dmap.n_domains):
-            out[self._dof[d]] = segments[d]
-            self.devices[d].record(
-                self._price(d, "pcie_gather_owned", segments[d].nbytes)
-            )
+        self.record(self._gather)
         if solution and self.inject is not None:
-            out = self.inject(out)
-        return out
+            x = self.inject(x)
+        return x
 
-    def exchange(self, segments: list) -> list:
-        """Refresh ghosts: per-domain extended ``(n_ext_d*6,)`` vectors.
+    def exchange(self, v: np.ndarray) -> np.ndarray:
+        """Refresh ghosts: the stacked extended ``(n_ext*6,)`` vector of
+        canonical ``(n_dof,)`` ``v``.
 
-        The owned segment fills the front of each extended vector;
-        every planned send copies boundary DOF from owner to ghost slot,
-        metered on both devices and in ``domain.halo_bytes``.
+        Every slot reads its block from the owner's resident segment;
+        each planned send is metered on both devices and in
+        ``domain.halo_bytes``.
         """
-        extended = []
-        for d in range(self.dmap.n_domains):
-            own = self.dmap.owned[d]
-            ghost = self.plan.ghosts[d]
-            ext = np.empty((own.size + ghost.size) * BS)
-            ext[: own.size * BS] = segments[d]
-            extended.append(ext)
-        for src, rows, dst, slots in self._moves:
-            extended[dst].reshape(-1, BS)[slots] = (
-                segments[src].reshape(-1, BS)[rows]
-            )
+        ext = v.reshape(-1, BS)[self.plan.ext_ids].reshape(-1)
         self.record(self._exchange)
-        if self.metrics is not None and self._moves:
+        if self.metrics is not None and self.plan.sends:
             self.metrics.inc("domain.halo_bytes", self._halo_bytes)
-        return extended
+        return ext
 
     def allreduce(self) -> None:
         """Meter one latency-bound all-reduce of one double."""

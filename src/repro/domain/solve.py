@@ -5,20 +5,23 @@ an operand, and :class:`DistributedOperand` is the multi-device one —
 same early returns, same breakdown test, same residual series — with
 three distributed substitutions:
 
-* the SpMV is the per-domain :func:`repro.domain.assembly.domain_spmv`
-  preceded by one ghost (halo) exchange, its owned rows gathered back
-  in canonical block order;
+* the SpMV is one ghost (halo) exchange — a gather into the stacked
+  extended vector — and the stacked kernel of
+  :func:`repro.domain.assembly.split_matrix`, whose rows come out in
+  canonical block order: five compiled products at any domain count;
 * every scalar reduction (the two CG dot products and the residual
   norm) is computed as an *ordered* reduction over the canonical
   global vector — the deterministic all-reduce — and metered as a
   latency-bound ``pcie_allreduce`` on every device;
 * vector updates are metered per domain at their local lengths.
 
-Every launch an iteration charges has a size fixed by the split and the
+Every launch a solve charges has a size fixed by the split and the
 exchange plan, so each is priced once (:meth:`VirtualDevice.price` — at
-the exchanger's, the preconditioner's or the operand's construction,
-the SpMV's on its first charge) and the loop only records the shared
-records: same ledger, record for record, without per-iteration pricing.
+the exchanger's, the preconditioner's or the operand's construction)
+and the loop only records the shared records: same ledger, record for
+record, without per-iteration pricing. An operand outlives its solve:
+:meth:`DistributedOperand.with_values` re-reads the payloads of a matrix
+with the same sparsity pattern and shares everything else.
 
 Because the canonical-order reductions see bit-identical operand
 arrays and the distributed SpMV is bit-identical on owned rows, the
@@ -43,10 +46,12 @@ directly and pass them to ``pcg``):
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.assembly.global_matrix import BS, BlockMatrix
-from repro.domain.assembly import domain_spmv
+from repro.domain.assembly import DomainSplit, price_spmv
 from repro.domain.halo import HaloExchanger
 from repro.solvers.cg import _vector_ops_counters
 from repro.solvers.preconditioners import IdentityPreconditioner, Preconditioner
@@ -54,19 +59,6 @@ from repro.solvers.preconditioners import IdentityPreconditioner, Preconditioner
 #: Preconditioners whose application is block-local, hence identical
 #: per domain: distributing them costs no communication.
 BLOCK_LOCAL = ("none", "jacobi", "bj")
-
-
-def _split(exchanger: HaloExchanger, x: np.ndarray) -> list:
-    """Resident per-domain owned segments of ``(n_dof,)`` (no transfer)."""
-    return [x[idx] for idx in exchanger._dof]
-
-
-def _assemble(exchanger: HaloExchanger, segments: list) -> np.ndarray:
-    """Canonical ``(n_dof,)`` vector from resident segments (no transfer)."""
-    out = np.empty(exchanger.dmap.labels.size * BS)
-    for d in range(exchanger.dmap.n_domains):
-        out[exchanger._dof[d]] = segments[d]
-    return out
 
 
 def _price_vector_ops(
@@ -127,21 +119,25 @@ class DomainBlockJacobi:
 
     name = "domain_bj"
 
-    def __init__(self, domains: list, exchanger: HaloExchanger) -> None:
+    def __init__(self, split: DomainSplit, exchanger: HaloExchanger) -> None:
         self.exchanger = exchanger
-        self._solve = [_factorize(dm.local) for dm in domains]
-        n_loc = [idx.size for idx in exchanger._dof]
-        self._cost = _price_vector_ops(exchanger, "domain_bj_solve", n_loc, 6)
+        owned = exchanger.dmap.owned
+        self._solve = [
+            _factorize(split.local(d)) for d in range(exchanger.dmap.n_domains)
+        ]
+        self._cost = _price_vector_ops(
+            exchanger, "domain_bj_solve", [own.size * BS for own in owned], 6
+        )
 
     def apply(self, r: np.ndarray, device=None) -> np.ndarray:
         """Apply to ``(n_dof,)`` and return the same shape."""
         ex = self.exchanger
-        z = np.empty_like(r)
-        for d in range(ex.dmap.n_domains):
-            idx = ex._dof[d]
-            z[idx] = self._solve[d](r[idx])
+        rb = r.reshape(-1, BS)
+        z = np.empty_like(rb)
+        for own, solve in zip(ex.dmap.owned, self._solve):
+            z[own] = solve(rb[own].reshape(-1)).reshape(-1, BS)
         ex.record(self._cost)
-        return z
+        return z.reshape(-1)
 
 
 class AdditiveSchwarz:
@@ -155,24 +151,27 @@ class AdditiveSchwarz:
 
     name = "schwarz"
 
-    def __init__(self, domains: list, exchanger: HaloExchanger) -> None:
+    def __init__(self, split: DomainSplit, exchanger: HaloExchanger) -> None:
         self.exchanger = exchanger
-        self._solve = [_factorize(dm.extended) for dm in domains]
-        self._n_local = [dm.n_local for dm in domains]
+        extended = [
+            split.extended(d) for d in range(exchanger.dmap.n_domains)
+        ]
+        self._solve = [_factorize(a) for a in extended]
         self._cost = _price_vector_ops(
-            exchanger, "schwarz_solve", [dm.n_ext * BS for dm in domains], 8
+            exchanger, "schwarz_solve", [a.n * BS for a in extended], 8
         )
 
     def apply(self, r: np.ndarray, device=None) -> np.ndarray:
         """Apply to ``(n_dof,)`` and return the same shape."""
         ex = self.exchanger
-        extended = ex.exchange(_split(ex, r))
-        z = np.empty_like(r)
-        for d in range(ex.dmap.n_domains):
-            z_ext = self._solve[d](extended[d])
-            z[ex._dof[d]] = z_ext[: self._n_local[d] * BS]
+        ext = ex.exchange(r).reshape(-1, BS)
+        bounds = ex.plan.offsets
+        z = np.empty_like(r).reshape(-1, BS)
+        for d, own in enumerate(ex.dmap.owned):
+            z_ext = self._solve[d](ext[bounds[d] : bounds[d + 1]].reshape(-1))
+            z[own] = z_ext[: own.size * BS].reshape(-1, BS)
         ex.record(self._cost)
-        return z
+        return z.reshape(-1)
 
 
 def _factorize(a: BlockMatrix):
@@ -189,22 +188,36 @@ class DistributedOperand:
     """The multi-device counterpart of :class:`repro.solvers.cg
     .DeviceOperand` (same attributes, same six calls).
 
-    ``domains`` are the :class:`~repro.domain.assembly.DomainMatrix`
-    splits of ``A`` and ``exchanger`` the matching
-    :class:`~repro.domain.halo.HaloExchanger`. ``device`` is ``None``:
-    a single-device preconditioner is built and applied unmetered, and
-    :meth:`wrap` charges what running it across the domains costs.
+    ``split`` is the :class:`~repro.domain.assembly.DomainSplit` of ``A``
+    and ``exchanger`` the :class:`~repro.domain.halo.HaloExchanger` over
+    the same plan. ``device`` is ``None``: a single-device preconditioner
+    is built and applied unmetered, and :meth:`wrap` charges what running
+    it across the domains costs.
     """
 
     device = None
 
-    def __init__(self, domains: list, exchanger: HaloExchanger) -> None:
-        self.domains = domains
+    def __init__(self, split: DomainSplit, exchanger: HaloExchanger) -> None:
+        self.split = split
         self.exchanger = exchanger
         self.n_dof = exchanger.dmap.labels.size * BS
+        n_local = [own.size for own in exchanger.dmap.owned]
+        m = (split.m_up + split.m_low).tolist()  # lint: sync-ok[alloc-size] -- per-domain entry counts size the priced launches, once per pattern
+        self._spmv = [
+            price_spmv(m_d, n_d, device)
+            for m_d, n_d, device in zip(m, n_local, exchanger.devices)
+        ]
         self._vector_ops = _price_vector_ops(
-            exchanger, "cg_vector_ops", [dm.n_local * BS for dm in domains], 5
+            exchanger, "cg_vector_ops", [n * BS for n in n_local], 5
         )
+
+    def with_values(self, matrix: BlockMatrix) -> "DistributedOperand":
+        """The operand of a ``matrix`` its split
+        :meth:`~repro.domain.assembly.DomainSplit.matches`: exchanger,
+        priced records and index arrays shared, payloads re-read."""
+        other = copy.copy(self)
+        other.split = self.split.with_values(matrix)
+        return other
 
     def wrap(self, preconditioner=None):
         """A :class:`Preconditioner` metered per domain
@@ -223,13 +236,11 @@ class DistributedOperand:
         self.exchanger.scatter(x)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Distributed ``A @ v``: ``(n_dof,)``, one halo exchange."""
-        ex = self.exchanger
-        extended = ex.exchange(_split(ex, v))
-        return _assemble(ex, [
-            domain_spmv(dm, extended[dm.domain], ex.devices[dm.domain])
-            for dm in self.domains
-        ])
+        """Distributed ``A @ v``: ``(n_dof,)``, one halo exchange, then
+        every domain's rows in one call of the stacked kernel."""
+        y = self.split.op(self.exchanger.exchange(v))
+        self.exchanger.record(self._spmv)
+        return y
 
     def reduced(self) -> None:
         """One ordered (deterministic all-reduce) scalar per reduction."""
@@ -241,5 +252,4 @@ class DistributedOperand:
     def finish(self, x: np.ndarray) -> np.ndarray:
         """Gather the ``(n_dof,)`` solution — the transfer the
         ``halo_corrupt`` chaos fault corrupts."""
-        ex = self.exchanger
-        return ex.gather(_split(ex, x), solution=True)
+        return self.exchanger.gather(x, solution=True)

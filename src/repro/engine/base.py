@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
+from typing import Any
 
 import numpy as np
 
@@ -116,8 +117,9 @@ class EngineBase:
         #: attempt's spring geometry
         self._assembly_plan: AssemblyPlan | None = None
         self._bound_assembly: BoundAssembly | None = None
-        #: cached HSBCSR sparsity structure shared across solves
-        self._solver_structure: HSBCSRMatrix | None = None
+        #: what ``_solver_operand`` kept of the last solve's sparsity
+        #: structure (here the HSBCSR matrix), shared across solves
+        self._solver_structure: Any = None
         bbox = np.array(
             [
                 system.vertices[:, 0].min(), system.vertices[:, 1].min(),

@@ -9,13 +9,16 @@ equation solve is distributed across ``n_domains`` per-domain
 1. at construction the blocks are partitioned once via
    :func:`repro.domain.partition.partition_blocks` (graph partition
    over the contact topology, spatial-stripe fallback);
-2. per solve, :func:`repro.domain.halo.build_exchange_plan` lists the
-   ghosts and :func:`repro.domain.assembly.split_matrix` extracts the
-   per-domain operands;
+2. per sparsity pattern, :func:`repro.domain.halo.build_exchange_plan`
+   lists the ghosts and lays out the stacked extended vector and
+   :func:`repro.domain.assembly.split_matrix` re-points the global SpMV
+   kernel into it; the sweeps of an attempt (same pattern, new values)
+   re-read the payloads only;
 3. the solve is the one :func:`repro.solvers.cg.pcg` loop over a
    :class:`repro.domain.solve.DistributedOperand` — one halo exchange
-   per iteration, ordered (deterministic) all-reduced dot products —
-   handed to the shared fallback ladder through the one solver hook,
+   and one stacked SpMV per iteration at any domain count, ordered
+   (deterministic) all-reduced dot products — handed to the shared
+   fallback ladder through the one solver hook,
    :meth:`~repro.engine.base.EngineBase._solver_operand`.
 
 Because every substituted reduction is performed in canonical block
@@ -106,18 +109,28 @@ class DomainEngine(SerialEngine):
         return self._inject("halo_exchange", buffer, self._current_step)
 
     def _solver_operand(self, matrix: BlockMatrix):
-        """``matrix`` split across the domain devices: exchange plan,
-        exchanger (everything the plan fixes priced here) and per-domain
-        operands, once per solve — every ladder rung iterates over the
-        same split."""
-        plan = build_exchange_plan(self.dmap, matrix.rows, matrix.cols)
-        exchanger = HaloExchanger(
-            self.dmap, plan, self.domain_devices,
-            metrics=self.metrics, inject=self._halo_inject,
-        )
-        return DistributedOperand(
-            split_matrix(matrix, self.dmap, plan), exchanger
-        )
+        """``matrix`` split across the domain devices — every ladder rung
+        iterates over the same split. Exchange plan, exchanger
+        (everything the plan fixes priced there), split and priced SpMV
+        are built once per sparsity pattern: like the single-device
+        structure, the last operand is kept, and while the pattern
+        matches exactly (every open–close sweep of an attempt after the
+        first) only the payloads are re-read. A stale one can only cost
+        a rebuild, never a wrong product."""
+        kept = self._solver_structure
+        if kept is not None and kept.split.matches(matrix, self.dmap):
+            operand = kept.with_values(matrix)
+        else:
+            plan = build_exchange_plan(self.dmap, matrix.rows, matrix.cols)
+            exchanger = HaloExchanger(
+                self.dmap, plan, self.domain_devices,
+                metrics=self.metrics, inject=self._halo_inject,
+            )
+            operand = DistributedOperand(
+                split_matrix(matrix, self.dmap, plan), exchanger
+            )
+        self._solver_structure = operand
+        return operand
 
     # ------------------------------------------------------------------
     @property

@@ -81,8 +81,8 @@ def make_engine(spec, system, controls, fault_injector=None,
         from repro.engine.domain_engine import DomainEngine
 
         return DomainEngine(
-            system, controls,
-            n_domains=getattr(spec, "n_domains", 2) or 2, **common,
+            system, controls, n_domains=getattr(spec, "n_domains", 2),
+            **common,
         )
     from repro.engine.gpu_engine import GpuEngine
 

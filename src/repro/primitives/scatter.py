@@ -106,10 +106,15 @@ class BlockRowProduct:
             shape=(m * b, n_in * b),
         )
 
+    @property
+    def index(self) -> np.ndarray:
+        """The ``(m,)`` gather: block of ``x`` each payload block multiplies."""
+        return self._op.indices
+
     def with_blocks(self, blocks: np.ndarray) -> "BlockRowProduct":
         """Same gather structure, new ``(m, b, b)`` payload."""
         n_in = self._op.shape[1] // self._shape[1]
-        return BlockRowProduct(blocks, self._op.indices, n_in)
+        return BlockRowProduct(blocks, self.index, n_in)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return (self._op @ x).reshape(self._shape)

@@ -33,11 +33,13 @@ executes exactly these stages as compiled sparse products gathered
 through ``rc`` / ``row_up_i`` / ``row_low_i`` / ``row_low_p`` (the
 :mod:`repro.primitives.scatter` seam), over the block payload and a
 per-matrix transposed copy of it. It is the one implementation behind
-:func:`hsbcsr_spmv`, SSOR-AI's triangular halves and
-:func:`repro.domain.assembly.domain_spmv`. Every sum runs strictly left
-to right (each 6-term dot, each segment, then up + low + diagonal), so
-order-preserving subsets of the entries — the per-domain splits —
-reproduce the global product bit for bit.
+:func:`hsbcsr_spmv`, SSOR-AI's triangular halves and the distributed
+SpMV (:func:`repro.domain.assembly.split_matrix`: the same operator with
+stage 1 gathering ``(n_ext*6,)`` stacked per-domain slots instead of the
+``(n*6,)`` canonical vector). Every sum runs strictly left to right
+(each 6-term dot, each segment, then up + low + diagonal), so wherever a
+gathered slot holds the value of the block it stands for, the product
+is the global one bit for bit.
 """
 
 from __future__ import annotations
@@ -89,8 +91,9 @@ class TwoStageOperator:
     ``A_k^T x_i`` (the transposed payload) in the lower. Stage 2
     (``*_reduce``): the results are summed into the output block row
     whose segment holds them, the lower half reading its segments
-    through the ``row_low_p`` permutation. The diagonal blocks multiply
-    the leading ``n_out`` blocks of the input.
+    through the ``row_low_p`` permutation. Diagonal block ``i``
+    multiplies the input block its gather index names (block ``i`` of
+    the canonical vector, unless re-pointed).
     """
 
     up_product: BlockRowProduct
@@ -100,22 +103,35 @@ class TwoStageOperator:
     diag_product: BlockRowProduct
 
     @classmethod
-    def from_block_matrix(cls, a: BlockMatrix) -> "TwoStageOperator":
+    def from_block_matrix(
+        cls, a: BlockMatrix, gather: tuple | None = None
+    ) -> "TwoStageOperator":
         """The kernel of a whole half-stored matrix; its stage-2 operators
         carry the HSBCSR index arrays (``row_up_i``; ``row_low_i`` and
-        ``row_low_p``) they were derived with."""
+        ``row_low_p``) they were derived with.
+
+        ``gather`` re-points stage 1 at another input layout:
+        ``(up (m,), low (m,), diag (n,), n_in)`` — the input block each
+        upper entry, each transposed entry and each diagonal block
+        multiplies, and the input's block length. The default is the
+        canonical vector, ``(cols, rows, arange(n), n)``; the domain
+        split passes slots of its stacked extended vector.
+        """
+        up, low, diag, n_in = gather or (
+            a.cols, a.rows, np.arange(a.n, dtype=np.int64), a.n
+        )
         # lower triangle: entry (j, i) for each upper (i, j); sorted by
         # (col, row) of the upper — i.e. by the lower entry's row
         row_low_p = np.lexsort((a.rows, a.cols)).astype(np.int64)
         return cls(
-            BlockRowProduct(a.blocks, a.cols, a.n),
+            BlockRowProduct(a.blocks, up, n_in),
             GatherSegmentSum(
                 segment_indptr(a.rows, a.n),
                 np.arange(a.n_offdiag, dtype=np.int64),
             ),
-            BlockRowProduct(a.blocks.transpose(0, 2, 1), a.rows, a.n),
+            BlockRowProduct(a.blocks.transpose(0, 2, 1), low, n_in),
             GatherSegmentSum(segment_indptr(a.cols, a.n), row_low_p),
-            BlockRowProduct(a.diag, np.arange(a.n, dtype=np.int64), a.n),
+            BlockRowProduct(a.diag, diag, n_in),
         )
 
     def with_values(

@@ -27,7 +27,8 @@ def run(engine_cls, **kw):
 
 
 class TestBitIdenticalPin:
-    @pytest.mark.parametrize("n_domains", [1, 2, 4])
+    # 14 blocks: at 20 domains six of them own nothing
+    @pytest.mark.parametrize("n_domains", [1, 2, 4, 8, 20])
     def test_identical_to_serial_engine(self, n_domains):
         serial, ref = run(SerialEngine)
         domain, res = run(DomainEngine, n_domains=n_domains)
@@ -58,6 +59,93 @@ class TestBitIdenticalPin:
         np.testing.assert_array_equal(a.system.vertices, b.system.vertices)
         assert res_a.total_cg_iterations == res_b.total_cg_iterations
         assert a.halo_bytes == b.halo_bytes
+
+
+class TestSplitKeptAcrossSolves:
+    """The exchange plan, exchanger and split live as long as the
+    sparsity pattern: built once per run of equal ``(rows, cols)``, never
+    once per solve."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        from repro.engine import domain_engine
+
+        built = []
+        build = domain_engine.build_exchange_plan
+
+        def counted(dmap, rows, cols):
+            built.append((rows.tobytes(), cols.tobytes()))
+            return build(dmap, rows, cols)
+
+        monkeypatch.setattr(domain_engine, "build_exchange_plan", counted)
+        return built
+
+    def test_one_plan_per_pattern_on_a_slope_step(self, monkeypatch):
+        from repro import build_slope_model
+
+        built = self.counting(monkeypatch)
+        eng = DomainEngine(
+            build_slope_model(joint_spacing=8.0, seed=0),
+            SimulationControls(
+                time_step=2e-3, dynamic=False, gravity=9.81,
+                penalty_scale=50.0, preconditioner="bj",
+            ),
+            n_domains=4,
+        )
+        presented = []
+        solver_operand = eng._solver_operand
+
+        def recording(matrix):
+            presented.append((matrix.rows.tobytes(), matrix.cols.tobytes()))
+            return solver_operand(matrix)
+
+        monkeypatch.setattr(eng, "_solver_operand", recording)
+        eng.run(steps=1)
+        assert len(presented) > 20  # a step is dozens of solves ...
+        changes = [
+            new for old, new in zip([None, *presented], presented)
+            if new != old
+        ]
+        assert built == changes  # ... and one plan per pattern they show
+        assert len(built) == len(set(presented)) < len(presented) / 20
+
+    def test_a_changed_pattern_is_never_multiplied_through_a_kept_split(
+        self, monkeypatch
+    ):
+        from repro.assembly.global_matrix import BS, BlockMatrix
+        from repro.spmv.hsbcsr import HSBCSRMatrix, hsbcsr_spmv
+        from repro.spmv.synthetic import synthetic_block_matrix
+
+        built = self.counting(monkeypatch)
+        eng = DomainEngine(build_brick_wall(3, 4), controls(), n_domains=4)
+        n = eng.system.n_blocks
+        a = synthetic_block_matrix(n, 30, seed=1)
+        keep = np.arange(30) != 7
+        dropped = BlockMatrix(
+            n=n, diag=a.diag, rows=a.rows[keep], cols=a.cols[keep],
+            blocks=a.blocks[keep],
+        )
+        revalued = BlockMatrix(
+            n=n, diag=2.0 * a.diag, rows=a.rows.copy(), cols=a.cols.copy(),
+            blocks=-a.blocks,
+        )
+        x = np.random.default_rng(0).normal(size=n * BS)
+        plans = []
+        for matrix, n_built in (
+            (a, 1), (revalued, 1), (a, 1),   # sweeps: values only
+            (dropped, 2),                    # a contact pair opened
+            (a, 3), (revalued, 3),           # a rollback brought it back
+        ):
+            operand = eng._solver_operand(matrix)
+            assert len(built) == n_built
+            assert operand.split.matrix is matrix
+            np.testing.assert_array_equal(
+                operand.matvec(x),
+                hsbcsr_spmv(HSBCSRMatrix.from_block_matrix(matrix), x),
+            )
+            plans.append(operand.split.plan)
+        assert plans[0] is plans[1] is plans[2]
+        assert plans[4] is plans[5] is not plans[0]
 
 
 class TestObservability:

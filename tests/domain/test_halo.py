@@ -72,11 +72,31 @@ class TestExchangePlan:
         for d in range(2):
             own = dmap.owned[d]
             slot = plan.slots[d]
-            np.testing.assert_array_equal(slot[own], np.arange(own.size))
+            lo = plan.offsets[d]
+            np.testing.assert_array_equal(slot[own], lo + np.arange(own.size))
             np.testing.assert_array_equal(
                 slot[plan.ghosts[d]],
-                own.size + np.arange(plan.ghosts[d].size),
+                lo + own.size + np.arange(plan.ghosts[d].size),
             )
+
+    @pytest.mark.parametrize("n_domains", [1, 2, 3, 8])
+    def test_stacked_layout_is_owned_then_ghosts_per_domain(
+        self, matrix, n_domains
+    ):
+        dmap, plan, _ = setup(matrix, n_domains)
+        np.testing.assert_array_equal(plan.ext_ids, np.concatenate([
+            ids for d in range(n_domains)
+            for ids in (dmap.owned[d], plan.ghosts[d])
+        ]))
+        assert plan.offsets[0] == 0 and plan.offsets[-1] == plan.ext_ids.size
+        for d in range(n_domains):
+            lo, hi = plan.offsets[d], plan.offsets[d + 1]
+            held = plan.slots[d] >= 0
+            # the map and the layout are inverse on the domain's range
+            np.testing.assert_array_equal(
+                plan.slots[d][plan.ext_ids[lo:hi]], np.arange(lo, hi)
+            )
+            assert held.sum() == hi - lo
 
     def test_sends_ship_exactly_the_ghosts(self, matrix):
         dmap, plan, _ = setup(matrix, 3)
@@ -114,15 +134,19 @@ class TestHaloExchanger:
         dmap, plan, ex = setup(matrix, 2)
         rng = np.random.default_rng(1)
         x = rng.normal(size=N * BS)
-        extended = ex.exchange(ex.scatter(x))
+        ext = ex.exchange(ex.scatter(x)).reshape(-1, BS)
         xb = x.reshape(N, BS)
         for d in range(2):
-            ext = extended[d].reshape(-1, BS)
-            np.testing.assert_array_equal(ext[: dmap.owned[d].size],
-                                          xb[dmap.owned[d]])
+            lo = plan.offsets[d]
+            np.testing.assert_array_equal(
+                ext[lo : lo + dmap.owned[d].size], xb[dmap.owned[d]]
+            )
             np.testing.assert_array_equal(
                 ext[plan.slots[d][plan.ghosts[d]]], xb[plan.ghosts[d]]
             )
+        # every slot, owned or ghost, holds its owner's value
+        np.testing.assert_array_equal(ext, xb[plan.ext_ids])
+        assert not np.shares_memory(ext, x)
 
     def test_halo_bytes_metered(self, matrix):
         metrics = MetricsRegistry()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.assembly.global_matrix import BS, BlockMatrix
-from repro.domain.assembly import domain_spmv, split_matrix
+from repro.domain.assembly import split_matrix
 from repro.domain.halo import (
     DomainMap,
     HaloExchanger,
@@ -38,67 +38,60 @@ def setup(matrix, n_domains, metrics=None):
     exchanger = HaloExchanger(
         dmap, plan, make_domain_devices(n_domains, K40), metrics=metrics
     )
-    domains = split_matrix(matrix, dmap, plan)
-    return domains, exchanger
+    split = split_matrix(matrix, dmap, plan)
+    return split, exchanger
 
 
-def solve_distributed(domains, exchanger, b, **kwargs):
+def solve_distributed(split, exchanger, b, **kwargs):
     """The one loop over the distributed operand."""
-    return pcg(DistributedOperand(domains, exchanger), b, **kwargs)
+    return pcg(DistributedOperand(split, exchanger), b, **kwargs)
 
 
-def preconditioner_for(name, matrix, domains, exchanger):
+def preconditioner_for(name, matrix, split, exchanger):
     """The opt-in domain preconditioners are constructed directly; every
     registry name is the single-device object, which the operand wraps."""
     if name in DOMAIN_NAMES:
-        return DOMAIN_NAMES[name](domains, exchanger)
+        return DOMAIN_NAMES[name](split, exchanger)
     return make_preconditioner(name, matrix)
 
 
 class TestDomainSpmv:
-    @pytest.mark.parametrize("n_domains", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_domains", [1, 2, 3, 4, 8])
     def test_bitwise_equal_to_global_spmv(self, n_domains):
         matrix = synthetic_block_matrix(N, M, seed=3)
-        domains, ex = setup(matrix, n_domains)
+        split, ex = setup(matrix, n_domains)
         rng = np.random.default_rng(5)
         x = rng.normal(size=N * BS)
         ref = hsbcsr_spmv(HSBCSRMatrix.from_block_matrix(matrix), x)
-        extended = ex.exchange(ex.scatter(x))
-        y = np.empty_like(x)
-        for dm in domains:
-            y[ex._dof[dm.domain]] = domain_spmv(dm, extended[dm.domain])
+        y = split.op(ex.exchange(ex.scatter(x)))
         np.testing.assert_array_equal(y, ref)
 
     def test_empty_offdiag(self):
         matrix = synthetic_block_matrix(4, 0, seed=0)
-        domains, ex = setup(matrix, 2)
+        split, ex = setup(matrix, 2)
         x = np.arange(4.0 * BS)
         ref = hsbcsr_spmv(HSBCSRMatrix.from_block_matrix(matrix), x)
-        extended = ex.exchange(ex.scatter(x))
-        y = np.empty_like(x)
-        for dm in domains:
-            y[ex._dof[dm.domain]] = domain_spmv(dm, extended[dm.domain])
+        y = split.op(ex.exchange(ex.scatter(x)))
         np.testing.assert_array_equal(y, ref)
 
     def test_cost_recorded_on_device(self):
         matrix = synthetic_block_matrix(N, M, seed=3)
-        domains, ex = setup(matrix, 2)
-        x = np.ones(N * BS)
-        extended = ex.exchange(ex.scatter(x))
-        domain_spmv(domains[0], extended[0], ex.devices[0])
-        times = ex.devices[0].time_by_module()
-        assert times.get("equation_solving", 0.0) > 0.0
+        split, ex = setup(matrix, 2)
+        DistributedOperand(split, ex).matvec(np.ones(N * BS))
+        for device in ex.devices:
+            times = device.time_by_module()
+            assert times.get("equation_solving", 0.0) > 0.0
 
 
 class TestDistributedPcg:
     @pytest.mark.parametrize("n_domains", [1, 2, 4])
     def test_identity_bit_identical_to_serial(self, n_domains):
         matrix = synthetic_block_matrix(N, M, seed=11)
-        domains, ex = setup(matrix, n_domains)
+        split, ex = setup(matrix, n_domains)
         rng = np.random.default_rng(2)
         b = rng.normal(size=N * BS)
         ref = pcg(HSBCSRMatrix.from_block_matrix(matrix), b, tol=1e-10)
-        res = solve_distributed(domains, ex, b, tol=1e-10)
+        res = solve_distributed(split, ex, b, tol=1e-10)
         assert res.iterations == ref.iterations
         assert res.converged and ref.converged
         np.testing.assert_array_equal(res.x, ref.x)
@@ -107,68 +100,68 @@ class TestDistributedPcg:
     @pytest.mark.parametrize("name", ["jacobi", "bj", "ssor"])
     def test_wrapped_preconditioners_bit_identical(self, name):
         matrix = synthetic_block_matrix(N, M, seed=11)
-        domains, ex = setup(matrix, 3)
+        split, ex = setup(matrix, 3)
         rng = np.random.default_rng(2)
         b = rng.normal(size=N * BS)
         ref = pcg(
             HSBCSRMatrix.from_block_matrix(matrix), b,
             preconditioner=make_preconditioner(name, matrix), tol=1e-10,
         )
-        pre = preconditioner_for(name, matrix, domains, ex)
-        res = solve_distributed(domains, ex, b, preconditioner=pre, tol=1e-10)
+        pre = preconditioner_for(name, matrix, split, ex)
+        res = solve_distributed(split, ex, b, preconditioner=pre, tol=1e-10)
         assert res.iterations == ref.iterations
         np.testing.assert_array_equal(res.x, ref.x)
         assert res.residuals == ref.residuals
 
     def test_warm_start_bit_identical(self):
         matrix = synthetic_block_matrix(N, M, seed=11)
-        domains, ex = setup(matrix, 2)
+        split, ex = setup(matrix, 2)
         rng = np.random.default_rng(4)
         b = rng.normal(size=N * BS)
         x0 = rng.normal(size=N * BS)
         ref = pcg(HSBCSRMatrix.from_block_matrix(matrix), b, x0=x0, tol=1e-10)
-        res = solve_distributed(domains, ex, b, x0=x0, tol=1e-10)
+        res = solve_distributed(split, ex, b, x0=x0, tol=1e-10)
         assert res.iterations == ref.iterations
         np.testing.assert_array_equal(res.x, ref.x)
 
     def test_zero_rhs_short_circuits(self):
         matrix = synthetic_block_matrix(N, M, seed=1)
-        domains, ex = setup(matrix, 2)
-        res = solve_distributed(domains, ex, np.zeros(N * BS))
+        split, ex = setup(matrix, 2)
+        res = solve_distributed(split, ex, np.zeros(N * BS))
         assert res.converged
         assert res.iterations == 0
         np.testing.assert_array_equal(res.x, 0.0)
 
     def test_validation(self):
         matrix = synthetic_block_matrix(N, M, seed=1)
-        domains, ex = setup(matrix, 2)
+        split, ex = setup(matrix, 2)
         with pytest.raises(ValueError):
-            solve_distributed(domains, ex, np.zeros(3))
+            solve_distributed(split, ex, np.zeros(3))
         with pytest.raises(ValueError, match="tol"):
-            solve_distributed(domains, ex, np.ones(N * BS), tol=0.0)
+            solve_distributed(split, ex, np.ones(N * BS), tol=0.0)
         with pytest.raises(ValueError, match="max_iterations"):
-            solve_distributed(domains, ex, np.ones(N * BS), max_iterations=0)
+            solve_distributed(split, ex, np.ones(N * BS), max_iterations=0)
 
     def test_observes_metrics(self):
         metrics = MetricsRegistry()
         matrix = synthetic_block_matrix(N, M, seed=1)
-        domains, ex = setup(matrix, 2, metrics=metrics)
+        split, ex = setup(matrix, 2, metrics=metrics)
         rng = np.random.default_rng(0)
-        solve_distributed(domains, ex, rng.normal(size=N * BS), metrics=metrics)
+        solve_distributed(split, ex, rng.normal(size=N * BS), metrics=metrics)
         assert metrics.counter("domain.halo_bytes").value > 0
 
 
 class TestDomainPreconditioners:
     def solve_with(self, name, n_domains=3):
         matrix = synthetic_block_matrix(N, M, seed=11, coupling=0.4)
-        domains, ex = setup(matrix, n_domains)
+        split, ex = setup(matrix, n_domains)
         rng = np.random.default_rng(2)
         b = rng.normal(size=N * BS)
         pre = (
-            preconditioner_for(name, matrix, domains, ex)
+            preconditioner_for(name, matrix, split, ex)
             if name is not None else None
         )
-        return solve_distributed(domains, ex, b, preconditioner=pre, tol=1e-10)
+        return solve_distributed(split, ex, b, preconditioner=pre, tol=1e-10)
 
     def test_domain_bj_converges_and_accelerates(self):
         plain = self.solve_with(None)
@@ -198,12 +191,13 @@ class LaunchOracle:
     ``launch`` per kernel on fresh devices — counters rebuilt at every
     call, the way the solve metered itself before it priced once."""
 
-    def __init__(self, domains, exchanger, preconditioner):
-        self.domains = domains
+    def __init__(self, split, exchanger, preconditioner):
+        self.split = split
         self.dmap, self.plan = exchanger.dmap, exchanger.plan
         self.preconditioner = preconditioner
         self.devices = make_domain_devices(self.dmap.n_domains, K40)
         self.n_loc = [own.size * BS for own in self.dmap.owned]
+        self.n_ext = np.diff(self.plan.offsets).tolist()
 
     def transfer(self, d, name, nbytes):
         if self.dmap.n_domains > 1:
@@ -234,10 +228,11 @@ class LaunchOracle:
 
     def spmv(self):
         self.exchange()
-        for dm in self.domains:
-            m, n = dm.m_up + dm.m_low, dm.n_local
+        for d, own in enumerate(self.dmap.owned):
+            m = int(self.split.m_up[d] + self.split.m_low[d])
+            n = own.size
             if m:
-                self.compute(dm.domain, "domain_spmv_offdiag", KernelCounters(
+                self.compute(d, "domain_spmv_offdiag", KernelCounters(
                     flops=2.0 * m * 36,
                     global_bytes_read=m * 36 * 8.0 + m * 8.0,
                     global_bytes_written=n * 6 * 8.0,
@@ -249,7 +244,7 @@ class LaunchOracle:
                     threads=m * 6,
                     warps=max(1, m * 6 // 32),
                 ))
-            self.compute(dm.domain, "domain_spmv_diag", KernelCounters(
+            self.compute(d, "domain_spmv_diag", KernelCounters(
                 flops=2.0 * n * 36,
                 global_bytes_read=n * 36 * 8.0 + n * 6 * 8.0,
                 global_bytes_written=n * 6 * 8.0,
@@ -278,7 +273,7 @@ class LaunchOracle:
         else:
             self.exchange()
             self.vector_ops(
-                "schwarz_solve", [dm.n_ext * BS for dm in self.domains], 8
+                "schwarz_solve", [n * BS for n in self.n_ext], 8
             )
 
     def solve(self, res, zero_rhs):
@@ -323,13 +318,13 @@ def priced_solve(name, n_domains, matrix=None, rhs=None, **kwargs):
         matrix = synthetic_block_matrix(N, M, seed=11, coupling=0.4)
     if rhs is None:
         rhs = np.random.default_rng(2).normal(size=matrix.n * BS)
-    domains, ex = setup(matrix, n_domains)
+    split, ex = setup(matrix, n_domains)
     pre = (
         None if name == "none"
-        else preconditioner_for(name, matrix, domains, ex)
+        else preconditioner_for(name, matrix, split, ex)
     )
-    res = solve_distributed(domains, ex, rhs, preconditioner=pre, **kwargs)
-    oracle = LaunchOracle(domains, ex, name).solve(res, not rhs.any())
+    res = solve_distributed(split, ex, rhs, preconditioner=pre, **kwargs)
+    oracle = LaunchOracle(split, ex, name).solve(res, not rhs.any())
     return res, ex.devices, oracle
 
 

@@ -177,9 +177,9 @@ class TestInPlaceIteration:
         dmap = DomainMap.from_labels(np.arange(a.n, dtype=np.int64) * 4 // a.n, 4)
         plan = build_exchange_plan(dmap, a.rows, a.cols)
         exchanger = HaloExchanger(dmap, plan, make_domain_devices(4, K40))
-        domains = split_matrix(a, dmap, plan)
+        split = split_matrix(a, dmap, plan)
         distributed = pcg(
-            DistributedOperand(domains, exchanger), b, x0=x0,
+            DistributedOperand(split, exchanger), b, x0=x0,
             preconditioner=make_preconditioner(name, a),
             tol=1e-10, max_iterations=1000,
         )

@@ -4,7 +4,8 @@
 — each 6-term dot from ``0.0``, each segment from ``0.0``, then
 ``(up + low) + diagonal`` — so a pure-Python loop over the HSBCSR index
 arrays must reproduce it *bitwise*, and every caller (``hsbcsr_spmv``,
-SSOR-AI's triangular halves, ``domain_spmv``) inherits that order.
+SSOR-AI's triangular halves, the stacked domain split) inherits that
+order.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro import (
     build_falling_rocks_model,
 )
 from repro.assembly.global_matrix import BS, BlockMatrix
-from repro.domain.assembly import domain_spmv, split_matrix
+from repro.domain.assembly import split_matrix
 from repro.domain.halo import (
     DomainMap,
     HaloExchanger,
@@ -168,7 +169,7 @@ def test_ssor_halves_bit_equal_to_scatter_add_reference(rocks_matrix, x_rocks):
     assert np.isfinite(z).all() and float(x_rocks @ z) > 0.0
 
 
-@pytest.mark.parametrize("n_domains", [1, 2, 4])
+@pytest.mark.parametrize("n_domains", [1, 2, 4, 8])
 def test_domain_spmv_equals_hsbcsr_on_owned_rows(
     rocks_matrix, x_rocks, n_domains
 ):
@@ -179,10 +180,10 @@ def test_domain_spmv_equals_hsbcsr_on_owned_rows(
     plan = build_exchange_plan(dmap, a.rows, a.cols)
     ex = HaloExchanger(dmap, plan, make_domain_devices(n_domains, K40))
     ref = hsbcsr_spmv(HSBCSRMatrix.from_block_matrix(a), x_rocks)
-    extended = ex.exchange(ex.scatter(x_rocks))
-    for dm in split_matrix(a, dmap, plan):
+    y = split_matrix(a, dmap, plan).op(ex.exchange(ex.scatter(x_rocks)))
+    for own in dmap.owned:
         np.testing.assert_array_equal(
-            domain_spmv(dm, extended[dm.domain]), ref[ex._dof[dm.domain]]
+            y.reshape(a.n, BS)[own], ref.reshape(a.n, BS)[own]
         )
 
 

@@ -120,6 +120,33 @@ def test_engine_flag_builds_the_preset(engine, monkeypatch, capsys):
     assert made.tracer.enabled is False
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_n_domains_below_one_is_a_usage_error(count, capsys):
+    """``--n-domains 0`` used to run two domains without saying so."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--model", "wall", "--steps", "1", "--no-render",
+              "--engine", "domain", "--n-domains", count])
+    assert exit_info.value.code == 2
+    assert f"--n-domains must be >= 1, got {count}" in capsys.readouterr().err
+
+
+def test_make_engine_defaults_to_two_domains():
+    """A spec without ``n_domains`` (a ``JobSpec``) still gets 2; one that
+    names a count gets exactly that count or ``partition_blocks``' error."""
+    from types import SimpleNamespace
+
+    from repro.core.state import SimulationControls
+    from repro.engine.runner import make_engine
+    from repro.meshing.slope_models import build_brick_wall
+
+    spec = SimpleNamespace(engine="domain", profile="k40")
+    system = build_brick_wall(2, 2)
+    assert make_engine(spec, system, SimulationControls()).n_domains == 2
+    spec.n_domains = 0
+    with pytest.raises(ValueError, match="n_domains must be >= 1, got 0"):
+        make_engine(spec, system, SimulationControls())
+
+
 class TestSubcommands:
     """The subcommand restructure must not break any legacy flag."""
 
