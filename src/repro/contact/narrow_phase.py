@@ -20,6 +20,14 @@ radix-sort partition primitive, and the result table stores the contacts
 grouped by kind in successive array segments, exactly as the paper's
 framework requires ("valid data will be stored in a successive array").
 
+The candidate rows are a pure function of the pair lists and the block
+topology, so they are expanded once into a :class:`CandidatePlan` that
+the engines keep across steps behind an exact gate
+(:meth:`CandidatePlan.matches`). The modelled distance-judgment kernel
+still judges every row, as the paper's does; the host measures only the
+rows a conservative two-level bounding-box cull cannot rule out (see
+:data:`CULL_SLACK_ULPS` for why a culled row can never be ``near``).
+
 Simplification vs Shi's full narrow phase (documented in DESIGN.md): the
 angle judgment uses the antiparallel-edge and entrance-edge rules only;
 Shi's additional sector-overlap tests for concave corners are not needed
@@ -29,6 +37,7 @@ for the convex blocks the generators produce.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +50,7 @@ from repro.gpu.kernel import VirtualDevice
 from repro.gpu.memory import coalesced_transactions, gather_transactions
 from repro.gpu.warp import WARP_SIZE
 from repro.primitives.compact import partition_by_label
+from repro.primitives.scatter import segment_max, segment_min
 from repro.util.validation import check_array, check_positive
 
 #: Projection-parameter band treated as "interior of the edge" for VE.
@@ -48,6 +58,29 @@ T_INTERIOR = 0.05
 
 #: Angle tolerance (degrees) for the VV1 antiparallel-edge judgment.
 VV1_ANGLE_TOL_DEG = 3.0
+
+#: The cull keeps a row when its vertex lies inside the edge's bounding
+#: box inflated by ``reach = threshold + slack``, with ``slack`` this many
+#: ulps of ``M + threshold`` (``M`` the largest coordinate magnitude).
+#: A culled row cannot pass ``dist < threshold`` *in the arithmetic of*
+#: :func:`~repro.geometry.distance.point_segment_distance`. Take the
+#: vertex right of the box, ``p_x > fl(hi + reach)`` with
+#: ``hi = max(a_x, b_x)``, and ``u = eps / 2``:
+#:
+#: * ``fl(hi + reach) >= hi + reach - u (M + reach)``;
+#: * ``closest = a + t * ab`` with ``t`` clipped to ``[0, 1]`` exactly:
+#:   three roundings (``b - a``, ``t * ab``, the sum) move ``closest_x``
+#:   at most ``6 u M`` beyond ``hi``;
+#: * ``dx = fl(p_x - closest_x)`` loses a factor ``1 - u`` and
+#:   ``hypot(dx, dy) >= |dx|`` up to one more ulp,
+#:
+#: so ``dist >= reach - 7 u M - 4 u reach``, which stays at or above
+#: ``threshold`` once ``slack >= 7 u M + 6 u (threshold + slack)``; 16 ulps
+#: (``32 u``) of ``M + threshold`` is more than three times that. The
+#: other three sides are symmetric, and the block AABB contains every
+#: edge box exactly (``min`` / ``max`` do not round), so level 1 only ever
+#: drops rows level 2 would drop.
+CULL_SLACK_ULPS = 16
 
 
 def _expand_candidates(
@@ -88,30 +121,162 @@ def _edge_endpoint_indices(
     return a, b
 
 
-def _adjacent_vertex_indices(
-    system: BlockSystem, v_idx: np.ndarray, vblock: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Global indices of each vertex's CCW predecessor and successor."""
-    counts = np.diff(system.offsets)
-    off = system.offsets[vblock]
-    local = v_idx - off
-    prev = off + (local - 1) % counts[vblock]
-    nxt = off + (local + 1) % counts[vblock]
-    return prev, nxt
+@dataclass(frozen=True)
+class CandidatePlan:
+    """The candidate rows of one pair list, expanded once.
+
+    A *slot* is one (directed pair, vertex) couple. Its rows — the
+    vertex against every edge of the target block, in edge order — are
+    consecutive and rows ascend with slots, so the rows of a slot are
+    exactly the rows that compete for "nearest edge wins". Row ``r`` of
+    slot ``s = slot_of_row[r]`` measures vertex ``slot_vertex[s]``
+    against the edge that starts at vertex ``r + edge_shift[s]``. Per
+    row the plan keeps those 4 bytes; everything else is per slot, per
+    vertex or per pair.
+
+    The plan depends on the pair lists and ``system.offsets`` only, never
+    on coordinates: :meth:`matches` compares all three exactly, so a kept
+    plan can only cost a rebuild, never a wrong contact table.
+    """
+
+    #: what the plan was built for (the gate)
+    pairs_i: np.ndarray
+    pairs_j: np.ndarray
+    offsets: np.ndarray
+    #: ``(V,)`` per vertex: its CCW successor and predecessor (edge ``k``
+    #: runs from vertex ``k`` to ``next_vertex[k]``) and its block
+    next_vertex: np.ndarray
+    prev_vertex: np.ndarray
+    vertex_block: np.ndarray
+    #: ``(S,)`` per slot: global vertex index, the target block, and the
+    #: target block's first vertex minus the slot's first row
+    slot_vertex: np.ndarray
+    slot_eblock: np.ndarray
+    edge_shift: np.ndarray
+    #: ``(total,)`` per row: the owning slot, int32
+    slot_of_row: np.ndarray
+    #: number of candidate rows
+    total: int
+    #: read transactions of the distance-judgment kernel's three gathers
+    #: (vertex, edge start, edge end) over all ``total`` rows
+    txn_read: float
+
+    @classmethod
+    def build(
+        cls, system: BlockSystem, pairs_i: np.ndarray, pairs_j: np.ndarray
+    ) -> "CandidatePlan":
+        """Validate the pair lists and expand their candidate rows.
+
+        Raises :class:`ValueError` naming the first offending pair when
+        an id lies outside ``0 <= i < j < n_blocks`` or a pair repeats
+        (a repeated pair would double its contacts).
+        """
+        pairs_i = check_array("pairs_i", pairs_i, dtype=np.int64, ndim=1)
+        pairs_j = check_array(
+            "pairs_j", pairs_j, dtype=np.int64, shape=(pairs_i.shape[0],)
+        )
+        n = system.n_blocks
+        key = pairs_i * np.int64(n) + pairs_j
+        order = np.argsort(key, kind="stable")
+        repeats = np.zeros(key.size, dtype=bool)
+        repeats[order[1:]] = key[order[1:]] == key[order[:-1]]
+        bad = np.flatnonzero(
+            (pairs_i < 0) | (pairs_i >= pairs_j) | (pairs_j >= n) | repeats
+        )
+        if bad.size:  # lint: sync-ok[input-validation] -- pair lists are rejected on the host, once per plan
+            k = bad[0]
+            raise ValueError(
+                f"pair {k} is ({pairs_i[k]}, {pairs_j[k]}): block ids must "
+                f"satisfy 0 <= i < j < n_blocks = {n} and no pair may repeat"
+            )
+        offsets = system.offsets
+        next_vertex = np.arange(1, offsets[-1] + 1, dtype=np.int64)
+        next_vertex[offsets[1:] - 1] = offsets[:-1]
+        prev_vertex = np.empty_like(next_vertex)
+        prev_vertex[next_vertex] = np.arange(next_vertex.size)
+        _, eblock, v_idx, e_local, _ = _expand_candidates(
+            system, pairs_i, pairs_j
+        )
+        total = v_idx.size
+        a_idx, b_idx = _edge_endpoint_indices(system, eblock, e_local)
+        txn_read = (
+            float(gather_transactions(v_idx, 16))
+            + float(gather_transactions(a_idx, 16))
+            + float(gather_transactions(b_idx, 16))
+        )
+        # a slot's rows are consecutive: it opens wherever edge 0 comes up
+        is_open = e_local == 0
+        opens = np.flatnonzero(is_open)
+        slot_eblock = eblock[opens]
+        # the plan outlives the step, so its one per-row array is as
+        # narrow as its range allows: 4 bytes a row
+        # lint: host-ok[DDA003,DDA006] -- storage width of a kept index, not arithmetic precision
+        slot_of_row = (np.cumsum(is_open) - 1).astype(np.int32)
+        return cls(
+            pairs_i=pairs_i.copy(),
+            pairs_j=pairs_j.copy(),
+            offsets=offsets.copy(),
+            next_vertex=next_vertex,
+            prev_vertex=prev_vertex,
+            vertex_block=system.block_of_vertex(),
+            slot_vertex=v_idx[opens],
+            slot_eblock=slot_eblock,
+            edge_shift=offsets[slot_eblock] - opens,
+            slot_of_row=slot_of_row,
+            total=total,
+            txn_read=txn_read,
+        )
+
+    def matches(
+        self, system: BlockSystem, pairs_i: np.ndarray, pairs_j: np.ndarray
+    ) -> bool:
+        """Exact gate: the same pair lists over the same block topology.
+
+        Three integer array comparisons, and *total* — the rows are a
+        function of nothing else, and the lists the plan holds were
+        validated when it was built, so a hit needs no second look.
+        """
+        return bool(
+            np.array_equal(pairs_i, self.pairs_i)
+            and np.array_equal(pairs_j, self.pairs_j)
+            and np.array_equal(system.offsets, self.offsets)
+        )
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal ``keys``."""
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return first
+
+
+def _inside(p: np.ndarray, box: np.ndarray) -> np.ndarray:
+    """Rows of ``(N, 2)`` points inside their ``(N, 4)`` boxes
+    ``(x_lo, y_lo, x_hi, y_hi)``, borders included. A NaN on either
+    side reads as outside."""
+    x, y = p[:, 0], p[:, 1]
+    return (
+        (x >= box[:, 0]) & (y >= box[:, 1])
+        & (x <= box[:, 2]) & (y <= box[:, 3])
+    )
 
 
 def _angle_between(
-    d1: np.ndarray, d2: np.ndarray, floor: float = 1e-300
+    d1: np.ndarray,
+    d2: np.ndarray,
+    floor: float = 1e-300,
+    norms: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Angle in radians between paired direction vectors (rows).
 
     Pairs whose norm product falls below ``floor`` (degenerate direction
     from coincident vertices) return ``pi/2`` — maximally non-parallel,
-    so they can never pass an antiparallel-edge judgment.
+    so they can never pass an antiparallel-edge judgment. ``norms`` are
+    the rows' ``(|d1|, |d2|)`` when the caller already has them.
     """
-    n1 = np.linalg.norm(d1, axis=1)
-    n2 = np.linalg.norm(d2, axis=1)
-    prod = n1 * n2
+    if norms is None:
+        norms = np.linalg.norm(d1, axis=1), np.linalg.norm(d2, axis=1)
+    prod = norms[0] * norms[1]
     cosv = np.einsum("ij,ij->i", d1, d2) / np.maximum(prod, floor)
     cosv = np.where(prod <= floor, 0.0, cosv)
     return np.arccos(np.clip(cosv, -1.0, 1.0))
@@ -126,6 +291,7 @@ def narrow_phase(
     *,
     vv1_angle_tol_deg: float = VV1_ANGLE_TOL_DEG,
     tol: Tolerances | None = None,
+    candidates: CandidatePlan | None = None,
 ) -> ContactSet:
     """Detect and classify contacts for the given broad-phase pairs.
 
@@ -134,7 +300,8 @@ def narrow_phase(
     system:
         The block system (current geometry).
     pairs_i, pairs_j:
-        Broad-phase survivor pairs, ``i < j``.
+        Broad-phase survivor pairs, ``0 <= i < j < n_blocks``, no pair
+        twice (:class:`ValueError` otherwise).
     threshold:
         Contact distance ``rho``: candidates farther than this are
         abandoned.
@@ -144,6 +311,18 @@ def narrow_phase(
         Scale-relative tolerances for degeneracy judgments (zero-length
         edges, coincident vertices). Derived from the system's bounding
         box when omitted.
+    candidates:
+        The :class:`CandidatePlan` of these pair lists, when the caller
+        kept one (the engines do, across steps); built on the spot when
+        omitted. A plan built for other lists is a :class:`ValueError`.
+
+    The distance judgment is charged for every candidate row — the
+    modelled kernel judges them all — while the host gathers and measures
+    only the rows that survive two bounding-box tests at
+    ``reach = threshold + slack`` (:data:`CULL_SLACK_ULPS`): the vertex
+    against the target block's box, one test per slot, then against its
+    own edge's box. Neither test can drop a row the judgment would keep,
+    so the table, and every ledger record, is the un-culled one's.
 
     Returns
     -------
@@ -154,30 +333,65 @@ def narrow_phase(
         inherit the previous step's states).
     """
     check_positive("threshold", threshold)
-    pairs_i = check_array("pairs_i", pairs_i, dtype=np.int64, ndim=1)
-    pairs_j = check_array("pairs_j", pairs_j, dtype=np.int64, shape=(pairs_i.shape[0],))
+    if candidates is None:
+        candidates = CandidatePlan.build(system, pairs_i, pairs_j)
+    elif not candidates.matches(system, pairs_i, pairs_j):
+        raise ValueError(
+            "candidates was built for other pair lists or another block "
+            "topology; rebuild it with CandidatePlan.build"
+        )
+    plan = candidates
     if tol is None:
         tol = Tolerances.from_points(system.vertices)
     eps_len = tol.eps_length
-    vblock, eblock, v_idx, e_local, dpair = _expand_candidates(
-        system, pairs_i, pairs_j
-    )
-    total = v_idx.size
+    total = plan.total
     if total == 0:
         return ContactSet.empty()
 
-    a_idx, b_idx = _edge_endpoint_indices(system, eblock, e_local)
     verts = system.vertices
-    p1 = verts[v_idx]
-    pa = verts[a_idx]
-    pb = verts[b_idx]
+    nxt = plan.next_vertex
+    # NaN coordinates are kept out of the scale and of the block boxes,
+    # so one bad vertex culls only its own rows, as its NaN distance does
+    known = ~np.isnan(verts)
+    magnitude = np.max(np.abs(verts), where=known, initial=0.0)
+    reach = threshold + CULL_SLACK_ULPS * np.finfo(np.float64).eps * (
+        magnitude + threshold
+    )
+
+    # ---- cull, level 1: each slot's vertex against the target block's
+    # box ---------------------------------------------------------------
+    starts = plan.offsets[:-1]
+    box = np.concatenate(
+        [
+            segment_min(np.where(known, verts, np.inf), starts) - reach,
+            segment_max(np.where(known, verts, -np.inf), starts) + reach,
+        ],
+        axis=1,
+    )
+    p_slot = verts[plan.slot_vertex]
+    slot_in = _inside(p_slot, box[plan.slot_eblock])
+    rows = np.flatnonzero(slot_in[plan.slot_of_row])
+
+    # ---- cull, level 2: the vertex against its own edge's box ---------
+    p_next = verts[nxt]
+    edge_box = np.concatenate(
+        [np.minimum(verts, p_next) - reach, np.maximum(verts, p_next) + reach],
+        axis=1,
+    )
+    slot = plan.slot_of_row[rows]
+    a_idx = rows + plan.edge_shift[slot]
+    edge_in = _inside(p_slot[slot], edge_box[a_idx])
+    slot, a_idx = slot[edge_in], a_idx[edge_in]
 
     # ---- distance judgment (kernel 1) -------------------------------
-    dist, t = point_segment_distance(p1, pa, pb)
+    pa = verts[a_idx]
+    pb = p_next[a_idx]
+    dist, t = point_segment_distance(p_slot[slot], pa, pb)
     # zero-length edges (coincident consecutive vertices) can never be a
     # contact entrance edge; abandon those candidates outright
     edge_len = np.hypot(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
     near = (dist < threshold) & (edge_len > eps_len)
+    n_near = int(np.count_nonzero(near))  # lint: sync-ok[empty-batch] -- the near count prices the launch and decides the early-out
     if device is not None:
         device.launch(
             "narrow_distance_judgment",
@@ -185,37 +399,39 @@ def narrow_phase(
                 flops=14.0 * total,
                 global_bytes_read=total * 6 * 8,
                 global_bytes_written=total * 2 * 8,
-                global_txn_read=float(gather_transactions(v_idx, 16))
-                + float(gather_transactions(a_idx, 16))
-                + float(gather_transactions(b_idx, 16)),
+                global_txn_read=plan.txn_read,
                 global_txn_written=coalesced_transactions(total, 16),
                 threads=total,
                 warps=max(1, total // WARP_SIZE),
                 branch_regions=max(1, total // WARP_SIZE),
+                # a sum of 0/1 is exact: this is near.mean() over all rows
                 divergent_branch_regions=max(1, total // WARP_SIZE)
-                * min(1.0, 2.0 * float(near.mean())),
+                * min(1.0, 2.0 * (n_near / total)),
             ),
         )
-    keep = np.flatnonzero(near)
-    if keep.size == 0:  # lint: sync-ok[empty-batch] -- early-out when no candidate pairs survive
+    if n_near == 0:
         return ContactSet.empty()
-    vblock, eblock, v_idx = vblock[keep], eblock[keep], v_idx[keep]
-    e_local, dpair = e_local[keep], dpair[keep]
-    a_idx, b_idx = a_idx[keep], b_idx[keep]
-    dist, t = dist[keep], t[keep]
 
-    # ---- one contact per (directed pair, vertex): nearest edge wins --
-    group = dpair * np.int64(verts.shape[0]) + v_idx
-    order = np.lexsort((dist, group))
-    g_sorted = group[order]
-    first = np.ones(g_sorted.size, dtype=bool)
-    first[1:] = g_sorted[1:] != g_sorted[:-1]
-    best = order[first]
+    # ---- one contact per slot (directed pair, vertex): nearest edge
+    # wins, ties to the lowest edge. Survivors ascend by row, hence by
+    # slot: a slot's survivors are one run, and its winner is the first
+    # row of the run at the run's minimum -------------------------------
+    keep = np.flatnonzero(near)
+    slot_k, dist_k = slot[keep], dist[keep]
+    runs = np.flatnonzero(_run_starts(slot_k))
+    nearest = segment_min(dist_k, runs)
+    at_min = np.flatnonzero(
+        dist_k == np.repeat(nearest, np.diff(runs, append=keep.size))
+    )
+    # cull -> near -> winner, composed before any column is gathered
+    best = keep[at_min[_run_starts(slot_k[at_min])]]
 
-    vblock, eblock, v_idx = vblock[best], eblock[best], v_idx[best]
-    e_local = e_local[best]
-    a_idx, b_idx = a_idx[best], b_idx[best]
-    dist, t = dist[best], t[best]
+    slot = slot[best]
+    v_idx, eblock = plan.slot_vertex[slot], plan.slot_eblock[slot]
+    vblock = plan.vertex_block[v_idx]
+    a_idx = a_idx[best]
+    b_idx = nxt[a_idx]
+    t = t[best]
     m = v_idx.size
 
     interior = (t > T_INTERIOR) & (t < 1.0 - T_INTERIOR)
@@ -229,8 +445,8 @@ def narrow_phase(
     drop = np.zeros(m, dtype=bool)
     if vv.size:  # lint: sync-ok[empty-batch] -- vertex-vertex fixup only for non-empty selections
         w_idx = np.where(t[vv] < 0.5, a_idx[vv], b_idx[vv])
-        w_prev, w_next = _adjacent_vertex_indices(system, w_idx, eblock[vv])
-        v_prev, v_next = _adjacent_vertex_indices(system, v_idx[vv], vblock[vv])
+        w_prev, w_next = plan.prev_vertex[w_idx], nxt[w_idx]
+        v_prev, v_next = plan.prev_vertex[v_idx[vv]], nxt[v_idx[vv]]
         pw = verts[w_idx]
         pv = verts[v_idx[vv]]
         # candidate edges of B at w (CCW): incoming (w_prev -> w),
@@ -244,12 +460,17 @@ def narrow_phase(
         # directions (coincident adjacent vertices) read as pi/2, never VV1
         angle_floor = eps_len * eps_len
         ang_tol = math.radians(vv1_angle_tol_deg)
+        # four directions, four norms: negation is exact, |-d| = |d|
+        n_in, n_out, nv_in, nv_out = (
+            np.linalg.norm(d, axis=1) for d in (d_in, d_out, dv_in, dv_out)
+        )
+        neg_in, neg_out = -d_in, -d_out
         ang = np.stack(
             [
-                _angle_between(dv_in, -d_in, angle_floor),
-                _angle_between(dv_in, -d_out, angle_floor),
-                _angle_between(dv_out, -d_in, angle_floor),
-                _angle_between(dv_out, -d_out, angle_floor),
+                _angle_between(dv_in, neg_in, angle_floor, (nv_in, n_in)),
+                _angle_between(dv_in, neg_out, angle_floor, (nv_in, n_out)),
+                _angle_between(dv_out, neg_in, angle_floor, (nv_out, n_in)),
+                _angle_between(dv_out, neg_out, angle_floor, (nv_out, n_out)),
             ],
             axis=1,
         )

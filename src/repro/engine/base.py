@@ -24,6 +24,7 @@ from repro.assembly.contact_springs import SpringGeometry
 from repro.assembly.global_matrix import BlockMatrix
 from repro.assembly.symbolic import AssemblyPlan, BoundAssembly
 from repro.contact.contact_set import KIND_NAMES, ContactSet
+from repro.contact.narrow_phase import CandidatePlan
 from repro.contact.open_close import OpenCloseDriver, StateUpdate
 from repro.core.blocks import DOF, BlockSystem
 from repro.core.displacement import displacement_matrix, update_geometry
@@ -55,6 +56,15 @@ from repro.util.timing import ModuleTimes
 
 #: Maximum times a step is retried with a halved time step (loop 2).
 MAX_STEP_RETRIES = 10
+
+#: Why loop 2 can throw an attempt away (``StepContext.cause``); one
+#: ``engine.step_rejected.<cause>`` counter each.
+REJECTION_CAUSES = (
+    "cg_non_convergence",
+    "cg_breakdown",
+    "open_close_oscillation",
+    "max_displacement",
+)
 
 #: Pipeline module -> contract-ledger stage for sanitizer findings (both
 #: matrix-building modules report as "matrix_assembly", matching the
@@ -101,6 +111,9 @@ class EngineBase:
             "engine.rollbacks",
             "contracts.violations", "engine.steps",
             "open_close.sweeps", "assembly.symbolic_reuse",
+            "contact.candidate_plan_reuse",
+            *(f"engine.step_rejected.{c}" for c in REJECTION_CAUSES),
+            "engine.rejected_cg_iterations",
         ):
             self.metrics.counter(name)
         self.metrics.histogram("cg.iterations")
@@ -113,6 +126,8 @@ class EngineBase:
         self._contacts = ContactSet.empty()
         #: vectorised open–close driver of the current loop-2 attempt
         self._oc_driver: OpenCloseDriver | None = None
+        #: the narrow phase's candidate rows for the last pair list
+        self._candidate_plan: CandidatePlan | None = None
         #: cached symbolic assembly and its binding to the current
         #: attempt's spring geometry
         self._assembly_plan: AssemblyPlan | None = None
@@ -252,7 +267,31 @@ class EngineBase:
     # module hooks implemented by subclasses
     # ------------------------------------------------------------------
     def _detect_contacts(self) -> ContactSet:
+        """This step's contact table, with the previous step's states
+        transferred in. Reads block geometry only; the narrow phase gets
+        its candidate rows from :meth:`_narrow_candidates`."""
         raise NotImplementedError
+
+    def _narrow_candidates(
+        self, pairs_i: np.ndarray, pairs_j: np.ndarray
+    ) -> CandidatePlan:
+        """The narrow phase's candidate rows for this step's pair list.
+
+        The kept plan when the broad phase returned the list it was
+        built for (exact :meth:`CandidatePlan.matches` comparison; the
+        ``contact.candidate_plan_reuse`` counter is bumped), a newly
+        built and kept one otherwise. The rows depend on the pair list
+        and the block topology only, so nothing else — a rollback, a
+        restored checkpoint — can make a kept plan stale.
+        """
+        plan = self._candidate_plan
+        if plan is not None and plan.matches(self.system, pairs_i, pairs_j):
+            self.metrics.inc("contact.candidate_plan_reuse")
+        else:
+            plan = self._candidate_plan = CandidatePlan.build(
+                self.system, pairs_i, pairs_j
+            )
+        return plan
 
     def _build_diagonal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -759,6 +798,8 @@ class EngineBase:
                 cause = "max_displacement"
             # halve the physical time and redo (the paper's rule for both
             # non-convergence and over-large displacement)
+            self.metrics.inc(f"engine.step_rejected.{cause}")
+            self.metrics.inc("engine.rejected_cg_iterations", cg_total)
             self.system.velocities = saved_velocities
             self.dt *= 0.5
         context = StepContext(

@@ -44,13 +44,17 @@ class GpuEngine(EngineBase):
 
     # ------------------------------------------------------------------
     def _detect_contacts(self) -> ContactSet:
+        """Broad phase, narrow phase, transfer, classified initialisation,
+        every kernel charged to the device. The narrow phase's candidate
+        rows are the kept :class:`~repro.contact.narrow_phase.CandidatePlan`
+        while the broad phase keeps returning the same pair list."""
         system = self.system
         i, j = broad_phase_pairs(
             system.aabbs, self.contact_threshold, self.device
         )
         contacts = narrow_phase(
             system, i, j, self.contact_threshold, self.device,
-            tol=self.tolerances,
+            tol=self.tolerances, candidates=self._narrow_candidates(i, j),
         )
         contacts = transfer_contacts(
             self._contacts, contacts, system.vertices.shape[0], self.device,

@@ -18,6 +18,10 @@ class StepRecord:
 
     ``dt`` is the time step the accepted attempt actually integrated
     with (not the grown value carried into the next step).
+    ``cg_iterations`` counts the accepted attempt only: what the
+    ``retries`` rejected attempts before it burned is in the
+    ``engine.rejected_cg_iterations`` counter, by cause in
+    ``engine.step_rejected.<cause>``.
     ``solver_rung`` is the highest fallback-ladder rung the step needed
     (0 = the configured preconditioner converged every solve); nonzero
     values flag solver degradation long before a run fails outright.

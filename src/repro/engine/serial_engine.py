@@ -100,6 +100,10 @@ class SerialEngine(CpuStages):
 
     # ------------------------------------------------------------------
     def _detect_contacts(self) -> ContactSet:
+        """The serial pipeline's detection: the same vectorised kernels
+        as the GPU preset, uncharged, under analytic ``serial_*`` costs;
+        the narrow phase's candidate rows come from the same kept
+        :class:`~repro.contact.narrow_phase.CandidatePlan`."""
         system = self.system
         # the vectorised kernel, uncharged, in the serial double loop's
         # lexicographic pair order
@@ -117,7 +121,8 @@ class SerialEngine(CpuStages):
             ),
         )
         contacts = narrow_phase(
-            system, i, j, self.contact_threshold, tol=self.tolerances
+            system, i, j, self.contact_threshold, tol=self.tolerances,
+            candidates=self._narrow_candidates(i, j),
         )
         self._charge_serial_narrow(i.size, contacts.m)
         contacts = transfer_contacts(

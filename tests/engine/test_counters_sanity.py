@@ -92,3 +92,54 @@ class TestLedgerSanity:
         result, _ = gpu_run
         total = result.device.total_counters
         assert total.divergent_branch_regions <= total.branch_regions
+
+
+class TestRejectedAttempts:
+    """Loop 2's thrown-away attempts are counted by cause, with the CG
+    iterations they burned (``StepRecord.cg_iterations`` is the accepted
+    attempt only)."""
+
+    def test_rejections_by_cause_and_discarded_iterations(self):
+        from repro.meshing.slope_models import build_slope_model
+
+        engine = GpuEngine(
+            build_slope_model(joint_spacing=5.0, seed=0),
+            SimulationControls(
+                time_step=2e-3, dynamic=False, gravity=9.81,
+                penalty_scale=50.0, preconditioner="bj",
+            ),
+        )
+        result = engine.run(steps=3)
+        snap = engine.metrics.snapshot()
+        counters = snap["counters"]
+        by_cause = {
+            name.rsplit(".", 1)[1]: n
+            for name, n in counters.items()
+            if name.startswith("engine.step_rejected.")
+        }
+        assert by_cause == {
+            "cg_non_convergence": 0, "cg_breakdown": 0,
+            "open_close_oscillation": 5, "max_displacement": 0,
+        }
+        assert sum(by_cause.values()) == counters["engine.step_retries"]
+        assert [s.retries for s in result.steps] == [4, 0, 1]
+        # total and accepted iterations no longer disagree silently
+        accepted = sum(s.cg_iterations for s in result.steps)
+        discarded = counters["engine.rejected_cg_iterations"]
+        assert (accepted, discarded) == (287, 2186)
+        assert accepted + discarded == snap["histograms"]["cg.iterations"]["sum"]
+
+    def test_a_starved_solver_is_the_named_cause(self):
+        engine = SerialEngine(
+            build_brick_wall(2, 2),
+            SimulationControls(
+                time_step=1e-3, dynamic=True,
+                cg_tolerance=1e-300, cg_max_iterations=5,
+            ),
+        )
+        (record,) = engine.run(steps=1).steps
+        counters = engine.metrics.snapshot()["counters"]
+        assert record.retries == 6
+        assert counters["engine.step_rejected.cg_non_convergence"] == 6
+        assert counters["engine.step_rejected.open_close_oscillation"] == 0
+        assert counters["engine.rejected_cg_iterations"] == 63
