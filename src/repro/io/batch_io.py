@@ -12,9 +12,9 @@ hook*: when a storage fault plan is armed
 (:mod:`repro.service.chaos`), the atomic writers,
 :func:`read_json`, and :func:`locked_fd` consult the process-wide
 injector and may suffer a torn write, a simulated crash before or
-after the rename, ``ENOSPC``, a planted stale lock, or injected IO
-latency. With no plan armed the hooks are a single ``is None`` check,
-so the clean path pays nothing measurable.
+after the rename, ``ENOSPC``, or injected IO latency — on the same code
+path a clean process runs. With no plan armed the hooks are a single
+``is None`` check, so the clean path pays nothing measurable.
 """
 
 from __future__ import annotations
@@ -42,17 +42,9 @@ except ImportError:  # pragma: no cover - POSIX
 #: scheduler without any explicit plumbing.
 CHAOS_PLAN_ENV = "REPRO_IO_FAULT_PLAN"
 
-#: Age (seconds) past which an O_EXCL sidecar lockfile is considered
-#: abandoned by a crashed holder and may be taken over.
-LOCK_STALE_AFTER = 10.0
-
 #: Process-wide storage fault injector (None = clean path).
 _io_chaos = None
 _env_checked = False
-#: When True, :func:`locked_fd` uses the O_EXCL sidecar protocol even
-#: where ``flock`` is available — set by tests and by the ``stale_lock``
-#: chaos fault so the takeover path is exercisable on every platform.
-_force_sidecar = False
 
 
 def set_io_chaos(injector) -> None:
@@ -65,12 +57,6 @@ def set_io_chaos(injector) -> None:
 def get_io_chaos():
     """The armed injector, or ``None`` when the process is clean."""
     return _io_chaos
-
-
-def set_force_sidecar(enabled: bool) -> None:
-    """Route :func:`locked_fd` through the O_EXCL sidecar protocol."""
-    global _force_sidecar
-    _force_sidecar = bool(enabled)
 
 
 def _chaos():
@@ -109,25 +95,19 @@ def _fsync_dir(dirpath: Path) -> None:
 
 
 @contextlib.contextmanager
-def locked_fd(
-    path: str | Path, mode: int = 0o644, stale_after: float = LOCK_STALE_AFTER
-):
+def locked_fd(path: str | Path, mode: int = 0o644):
     """Open ``path`` read-write under an exclusive lock; yields the fd.
 
     Serialises the read-modify-write cycles behind the queue's submit
     counter, the per-job record transitions, and the result cache's
-    hit/miss counters: ``flock`` on POSIX, ``msvcrt.locking`` on
-    Windows, and an ``O_EXCL`` sidecar lockfile (create + spin)
-    anywhere else. The lock is never silently skipped, so concurrent
-    writers cannot allocate duplicate sequence numbers or lose counter
+    hit/miss counters with the platform's advisory lock: ``flock`` on
+    POSIX, ``msvcrt.locking`` on Windows. The lock is never silently
+    skipped — a platform with neither raises — so concurrent writers
+    cannot allocate duplicate sequence numbers or lose counter
     increments on any platform.
 
-    The sidecar protocol tolerates a crashed holder: a sidecar older
-    than ``stale_after`` seconds is *taken over*. Takeover is
-    race-checked — the contender renames the stale sidecar to a unique
-    name first (exactly one racer wins the rename; losers keep
-    spinning) and then competes in the normal ``O_EXCL`` create, so two
-    takeover attempts can never both hold the lock.
+    A crashed holder needs no takeover: the kernel drops the lock with
+    the holder's descriptor.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -135,12 +115,11 @@ def locked_fd(
     if chaos is not None:
         chaos.on_lock(path)
     fd = os.open(path, os.O_RDWR | os.O_CREAT, mode)
-    sidecar = None
     msvcrt_locked = False
     try:
-        if fcntl is not None and not _force_sidecar:
+        if fcntl is not None:
             fcntl.flock(fd, fcntl.LOCK_EX)
-        elif msvcrt is not None and not _force_sidecar:  # pragma: no cover
+        elif msvcrt is not None:  # pragma: no cover
             while True:
                 os.lseek(fd, 0, os.SEEK_SET)
                 try:
@@ -149,35 +128,8 @@ def locked_fd(
                     break
                 except OSError:
                     time.sleep(0.01)
-        else:  # O_EXCL sidecar protocol
-            sidecar = str(path) + ".lock"
-            while True:
-                try:
-                    os.close(
-                        os.open(sidecar, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                    )
-                    break
-                except FileExistsError:
-                    try:
-                        age = time.time() - os.stat(sidecar).st_mtime
-                    except OSError:
-                        continue  # holder released it; retry the create
-                    if age > stale_after:
-                        # Stale takeover: rename wins for exactly one
-                        # contender; everyone else re-enters the spin
-                        # and competes in the O_EXCL create above.
-                        claim = (
-                            f"{sidecar}.stale.{os.getpid()}"
-                            f".{time.monotonic_ns()}"
-                        )
-                        try:
-                            os.rename(sidecar, claim)
-                        except OSError:
-                            continue
-                        with contextlib.suppress(OSError):
-                            os.unlink(claim)
-                        continue
-                    time.sleep(0.005)
+        else:  # pragma: no cover - no supported platform lands here
+            raise RuntimeError(f"no fcntl or msvcrt: cannot lock {path}")
         yield fd
     finally:
         if msvcrt_locked:  # pragma: no cover - Windows
@@ -185,9 +137,6 @@ def locked_fd(
                 os.lseek(fd, 0, os.SEEK_SET)
                 msvcrt.locking(fd, msvcrt.LK_UNLCK, 1)
         os.close(fd)
-        if sidecar is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(sidecar)
 
 
 def _replace_atomic(path: Path, mode: str, write_payload) -> Path:

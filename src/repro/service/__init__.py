@@ -28,7 +28,7 @@ orchestrates them on top of the per-run survival primitives from
   completion, and ``batch soak`` ends every chaos campaign with;
 * :mod:`repro.service.chaos` — the one seeded fault-injection module:
   :class:`~repro.service.chaos.IOFaultPlan` arms the storage seam
-  (torn writes, crashed renames, ``ENOSPC``, stale locks) the
+  (torn writes, crashed renames, ``ENOSPC``, IO latency) the
   durability claims are tested under, and
   :class:`~repro.service.chaos.NetFaultPlan` the network seam
   (connection resets, slow-loris, truncated responses, latency) the

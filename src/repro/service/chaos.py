@@ -11,7 +11,9 @@ add only what is theirs:
 * **Storage** (:class:`IOFaultPlan` / :class:`IOFaultInjector`,
   faults in :data:`IO_FAULT_REGISTRY`) is consulted by the hooks in
   :mod:`repro.io.batch_io` on every atomic write, JSON read, and lock
-  acquisition the batch service performs.
+  acquisition the batch service performs. A fault perturbs the path
+  the product runs (``io_latency`` lands on every lock acquisition);
+  it never selects a different implementation.
 * **Network** (:class:`NetFaultPlan` / :class:`NetFaultInjector`,
   faults in :data:`NET_FAULT_REGISTRY`) is consulted by the HTTP
   server (:mod:`repro.service.http`) on every request: the moment the
@@ -50,7 +52,7 @@ from typing import ClassVar
 import numpy as np
 
 from repro.engine.chaos import FaultSpec, derive_seed
-from repro.io.batch_io import CHAOS_PLAN_ENV
+from repro.io.batch_io import CHAOS_PLAN_ENV, set_io_chaos
 
 #: Environment variable naming a JSON net-fault-plan file.
 NET_PLAN_ENV = "REPRO_NET_FAULT_PLAN"
@@ -89,13 +91,6 @@ IO_FAULT_REGISTRY: dict[str, FaultSpec] = {
             "enospc", "write",
             "raise OSError(ENOSPC) before writing anything",
             "retry policy / scheduler restart",
-        ),
-        FaultSpec(
-            "stale_lock", "lock",
-            "plant a pre-aged sidecar lockfile next to the target and "
-            "force sidecar locking, exercising the stale-takeover path "
-            "of repro.io.batch_io.locked_fd under load",
-            "locked_fd stale-age takeover",
         ),
         FaultSpec(
             "io_latency", "write",
@@ -155,7 +150,7 @@ _OP_FAULTS = {
         "enospc", "io_latency",
     ),
     "read": ("io_latency",),
-    "lock": ("stale_lock", "io_latency"),
+    "lock": ("io_latency",),
 }
 
 #: Path substrings never perturbed: the job-event journal is the audit
@@ -377,11 +372,8 @@ class IOFaultInjector(FaultInjector):
             self._sleep()
 
     def on_lock(self, path: Path) -> None:
-        fault = self.decide("lock", path)
-        if fault == "io_latency":
+        if self.decide("lock", path) == "io_latency":
             self._sleep()
-        elif fault == "stale_lock":
-            self._plant_stale_lock(path)
 
     def raise_fault(self, fault: str, path: Path) -> None:
         """Raise the caller-visible error for a structural write fault."""
@@ -390,31 +382,9 @@ class IOFaultInjector(FaultInjector):
     def _sleep(self) -> None:
         time.sleep(self._uniform(self.plan.latency_s))
 
-    def _plant_stale_lock(self, path: Path) -> None:
-        """Leave a long-abandoned sidecar for the acquisition to absorb."""
-        from repro.io import batch_io
-
-        batch_io.set_force_sidecar(True)
-        sidecar = str(path) + ".lock"
-        ancient = time.time() - 3600.0
-        try:
-            # lint: lock-ok[chaos-injection] -- deliberately plants the
-            # stale sidecar the takeover protocol must absorb
-            fd = os.open(sidecar, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            os.close(fd)
-            os.utime(sidecar, (ancient, ancient))
-        except OSError:
-            # a real holder (or an earlier plant) is present, or the
-            # plant itself failed: chaos must never crash the hook
-            return
-
     @classmethod
     def _arm(cls, injector) -> None:
-        from repro.io import batch_io
-
-        batch_io.set_io_chaos(injector)
-        if injector is None:
-            batch_io.set_force_sidecar(False)
+        set_io_chaos(injector)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from pathlib import Path
 from repro.io.batch_io import read_json
 from repro.service.pool import WorkerPool
 from repro.service.queue import JobQueue
-from repro.service.spec import JobRecord, JobSpec, RetryPolicy
+from repro.service.spec import JobRecord, JobSpec, JobState, RetryPolicy
 from repro.service.store import ResultStore
 
 
@@ -185,9 +185,13 @@ class BatchClient:
         }
 
     def result(self, job: str | JobRecord) -> dict | None:
-        """Final outcome of one job (``None`` while non-terminal)."""
-        path = self.scratch_root / self._job_id(job) / "outcome-final.json"
-        return read_json(path)
+        """Final outcome of one job; ``None`` while non-terminal (an attempt
+        that died between publish and save leaves an outcome, not a result)."""
+        job_id = self._job_id(job)
+        record = self.queue.load_record(job_id)
+        if record is None or record.state not in JobState.TERMINAL:
+            return None
+        return read_json(self.scratch_root / job_id / "outcome-final.json")
 
     def results(self) -> dict[str, dict | None]:
         """Final outcomes of every known job, keyed by job id."""

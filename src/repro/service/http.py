@@ -624,14 +624,11 @@ class HttpJobService:
 
     def _job_result(self, job_id):
         row = self._row(job_id)
-        outcome = self.client.result(job_id)
-        if row["state"] not in JobState.TERMINAL or (
-            outcome is None and row["state"] == "unreadable"
-        ):
-            return 202, {"job_id": job_id, "state": row["state"],
-                         "result": None}, {}
-        return 200, {"job_id": job_id, "state": row["state"],
-                     "result": outcome}, {}
+        done = row["state"] in JobState.TERMINAL
+        return (200 if done else 202), {
+            "job_id": job_id, "state": row["state"],
+            "result": self.client.result(job_id) if done else None,
+        }, {}
 
     def _cancel(self, job_id):
         row = self._row(job_id)

@@ -19,7 +19,7 @@ probe with something that is provable from the filesystem alone:
   hazard. The next claim bumps the epoch, so anything the previous
   owner still writes is identifiable as stale and rejected.
 
-Lease mutations are serialised through a per-job sidecar lock
+Lease mutations are serialised through a per-job lock file
 (:func:`repro.io.batch_io.locked_fd`), closing the read-verify-write
 race between a takeover's acquire and a zombie's renewal.
 """

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.engine.chaos import derive_seed
 from repro.service.http import wait_for_server
-from repro.service.spec import JobSpec, JobState
+from repro.service.spec import JobSpec, JobState, backoff_delay, check_backoff
 
 
 class ServiceError(Exception):
@@ -69,20 +69,11 @@ class ClientRetry:
     def __post_init__(self) -> None:
         if self.attempts < 1:
             raise ValueError(f"attempts must be >= 1, got {self.attempts}")
-        if self.backoff_s < 0 or self.backoff_max_s < 0:
-            raise ValueError("backoff delays must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
+        check_backoff(self)
 
     def delay(self, attempt: int, rng) -> float:
         """Backoff before retry ``attempt`` (1-based), with seeded jitter."""
-        base = min(
-            self.backoff_max_s,
-            self.backoff_s * self.backoff_factor ** max(0, attempt - 1),
-        )
-        return float(base * (1.0 + self.jitter * rng.random()))
+        return backoff_delay(self, attempt, rng.random())
 
 
 #: Status codes that mean "try again later", per the server contract.

@@ -246,21 +246,10 @@ class WorkerPool:
         """Start one attempt (or complete instantly from the cache)."""
         epoch = record.lease_epoch
         if self.queue.is_cancelled(record.job_id):
-            # tombstone landed between submit and claim: drop the job.
-            # finalize() returns None both when cancel() already finalised
-            # the record itself (count it cancelled) and when another
-            # owner superseded our claim (a genuinely fenced write).
-            final = self.queue.finalize(
-                record.job_id, JobState.CANCELLED, epoch=epoch
-            )
-            current = final or self.queue.load_record(record.job_id)
-            cancelled = (
-                current is not None and current.state == JobState.CANCELLED
-            )
+            # tombstone landed between submit and claim: drop the job
             self._settle(
-                current if cancelled else None, record, ticket,
-                {"status": "cancelled"},
-                "cancelled", "cancelled before dispatch",
+                record, ticket, JobState.CANCELLED, {"status": "cancelled"},
+                "cancelled before dispatch", epoch=epoch,
             )
             return None
         # Consult the cache on *every* dispatch, retries included: a
@@ -276,17 +265,14 @@ class WorkerPool:
                 rec.cached = True
                 rec.attempt_log.append({"cached": True, "spec_hash": spec_hash})
 
-            final = self.queue.finalize(
-                record.job_id, JobState.SUCCEEDED,
-                epoch=epoch, mutate=_mark_cached,
-            )
             outcome = dict(
                 cached, status="succeeded", cached=True,
                 steps_executed=0, spec_hash=spec_hash,
             )
             if self._settle(
-                final, record, ticket, outcome,
-                "succeeded", f"cache hit ({spec_hash[:12]})",
+                record, ticket, JobState.SUCCEEDED, outcome,
+                f"cache hit ({spec_hash[:12]})",
+                epoch=epoch, mutate=_mark_cached,
             ):
                 self._tally("cache_hits")
             return None
@@ -329,29 +315,46 @@ class WorkerPool:
         )
 
     def _settle(
-        self, final: JobRecord | None, record: JobRecord, ticket: str,
-        outcome: dict, tally: str, note: str,
-    ) -> bool:
-        """Act on a terminal transition's verdict — the one place a job's
-        ``outcome-final.json`` is written and its ticket retired.
+        self, record: JobRecord, ticket: str, state: str, outcome: dict,
+        note: str, *, epoch: int, mutate=None,
+    ) -> JobRecord | None:
+        """Make a terminal transition and act on its verdict — the one
+        place a job's ``outcome-final.json`` is written and its ticket
+        retired.
 
-        ``final`` is what :meth:`JobQueue.finalize` returned: ``None``
-        means the write was fenced (the record is already terminal, or
-        our claim was superseded and the new owner decides the job's
-        fate), so nothing is published. Either way the ticket is acked.
-        Returns whether the outcome was published.
+        The outcome is :meth:`JobQueue.finalize`'s ``publish`` step: it
+        lands under the per-job lock, after the fencing check and before
+        ``state`` is saved, so whoever reads the terminal state finds
+        the result. A fenced transition (the record is already terminal,
+        or our claim was superseded and the new owner decides the job's
+        fate) publishes nothing — unless :meth:`JobQueue.cancel`, which
+        has no scratch directory to publish into, finalised the record
+        under our claim. Either way the ticket is acked. Returns the
+        final record, or ``None`` when fenced.
         """
+        path = self.scratch_root / record.job_id / "outcome-final.json"
+        final = self.queue.finalize(
+            record.job_id, state, epoch=epoch, mutate=mutate,
+            publish=lambda _record: write_json_atomic(path, outcome),
+        )
+        if final is None and state == JobState.CANCELLED:
+            current = self.queue.load_record(record.job_id)
+            if (
+                current is not None
+                and current.state == JobState.CANCELLED
+                and current.lease_epoch == epoch
+            ):
+                write_json_atomic(path, outcome)
+                final = current
+        self.queue.ack(ticket)
         if final is None:
             self._tally("fenced")
-            self.queue.ack(ticket)
-            return False
-        write_json_atomic(self._scratch(record) / "outcome-final.json", outcome)
-        self.queue.ack(ticket)
-        self._tally(tally)
+            return None
+        self._tally(state)
         if outcome.get("metrics"):
             self.job_metrics[record.job_id] = outcome["metrics"]
         self._log(f"{record.job_id}: {note}")
-        return True
+        return final
 
     def _finish(self, slot: _Slot, *, timed_out: bool = False) -> None:
         """Classify a finished attempt and route it (ack/retry/fail).
@@ -388,8 +391,11 @@ class WorkerPool:
                 rec.attempts = record.attempts
                 rec.attempt_log = record.attempt_log
 
-            final = self.queue.finalize(
-                record.job_id, JobState.SUCCEEDED,
+            final = self._settle(
+                record, slot.ticket, JobState.SUCCEEDED,
+                dict(outcome, spec_hash=spec_hash, cached=False),
+                f"succeeded ({outcome.get('steps_executed', '?')} steps, "
+                f"attempt {record.attempts})",
                 epoch=slot.epoch, mutate=_log_attempt,
             )
             if final is None:
@@ -412,13 +418,6 @@ class WorkerPool:
                     steps_executed=total, resumed_from=0, total_steps=total
                 )
                 self.store.put(spec_hash, cache_entry, state_stem=state_stem)
-            self._settle(
-                final, record, slot.ticket,
-                dict(outcome, spec_hash=spec_hash, cached=False),
-                "succeeded",
-                f"succeeded ({outcome.get('steps_executed', '?')} steps, "
-                f"attempt {record.attempts})",
-            )
         else:
             record.attempt_log.append(outcome)
             self._retry_or_fail(
@@ -450,14 +449,11 @@ class WorkerPool:
         if self.queue.is_cancelled(job_id):
             # cancelled while (or just before) the attempt ran: never retry
             self._settle(
-                self.queue.finalize(
-                    job_id, JobState.CANCELLED,
-                    epoch=slot.epoch, mutate=_mark_failed,
-                ),
-                record, slot.ticket,
+                record, slot.ticket, JobState.CANCELLED,
                 {"status": "cancelled", "error": error,
                  "attempts": record.attempts},
-                "cancelled", f"cancelled; not retrying ({error})",
+                f"cancelled; not retrying ({error})",
+                epoch=slot.epoch, mutate=_mark_failed,
             )
         elif record.attempts < policy.max_attempts:
             delay = policy.delay(job_id, record.attempts)
@@ -497,19 +493,16 @@ class WorkerPool:
                 JobState.QUARANTINED if self._poisoned(record)
                 else JobState.FAILED
             )
-            final = self.queue.finalize(
-                job_id, state, epoch=slot.epoch, mutate=_mark_failed
+            final = self._settle(
+                record, slot.ticket, state,
+                {"status": state, "error": error,
+                 "attempts": record.attempts,
+                 "attempt_log": record.attempt_log},
+                f"{state} after {record.attempts} attempt(s): {error}",
+                epoch=slot.epoch, mutate=_mark_failed,
             )
             if final is not None and state == JobState.QUARANTINED:
                 self.queue.journal.append(
                     "quarantined", job_id,
                     error=error, attempts=record.attempts,
                 )
-            self._settle(
-                final, record, slot.ticket,
-                {"status": state, "error": error,
-                 "attempts": record.attempts,
-                 "attempt_log": record.attempt_log},
-                state,
-                f"{state} after {record.attempts} attempt(s): {error}",
-            )

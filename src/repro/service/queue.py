@@ -344,6 +344,7 @@ class JobQueue:
         *,
         epoch: int | None = None,
         mutate=None,
+        publish=None,
     ) -> JobRecord | None:
         """Move a job into a terminal state, exactly once.
 
@@ -353,8 +354,9 @@ class JobQueue:
         fencing epoch has moved past it (the caller is a zombie whose
         claim was superseded; its write is *fenced* and journalled as
         such). ``mutate(record)`` may apply extra fields (error text,
-        cache flags) before the save. Returns the updated record, or
-        ``None`` when the transition was rejected.
+        cache flags) before the save, and ``publish(record)`` lands the
+        job's result ahead of it (:meth:`_complete`). Returns the updated
+        record, or ``None`` when the transition was rejected.
         """
         if state not in JobState.TERMINAL:
             raise ValueError(f"finalize() requires a terminal state, got {state!r}")
@@ -370,17 +372,24 @@ class JobQueue:
                 if self.metrics is not None:
                     self.metrics.inc("batch.fenced_writes")
                 return None
-            return self._complete(record, state, mutate)
+            return self._complete(record, state, mutate, publish)
 
-    def _complete(self, record: JobRecord, state: str, mutate=None) -> JobRecord:
-        """The terminal transition itself: state, verified save, lease
-        release, and the single ``completed`` journal event. The caller
-        holds the per-job lock and has checked the record is live."""
+    def _complete(
+        self, record: JobRecord, state: str, mutate=None, publish=None
+    ) -> JobRecord:
+        """The terminal transition itself: result, state, verified save,
+        lease release, and the single ``completed`` journal event. The
+        caller holds the per-job lock and has checked the record is
+        live. ``publish`` runs *before* the save, so no reader ever sees
+        a terminal state whose result has not landed; if it raises, the
+        record stays live and the job is recovered like any crash."""
         record.state = state
         record.finished_at = time.time()
         record.worker_pid = None
         if mutate is not None:
             mutate(record)
+        if publish is not None:
+            publish(record)
         self.save_record(record)
         self.leases.release(record.job_id)
         self.journal.append(

@@ -46,6 +46,28 @@ class JobState:
     TERMINAL = (SUCCEEDED, FAILED, CANCELLED, QUARANTINED)
 
 
+def check_backoff(policy) -> None:
+    """Validate the backoff fields of a job- or client-side retry policy."""
+    if policy.backoff_s < 0 or policy.backoff_max_s < 0:
+        raise ValueError("backoff delays must be >= 0")
+    if policy.backoff_factor < 1.0:
+        raise ValueError(
+            f"backoff_factor must be >= 1, got {policy.backoff_factor}"
+        )
+    if policy.jitter < 0:
+        raise ValueError(f"jitter must be >= 0, got {policy.jitter}")
+
+
+def backoff_delay(policy, attempt: int, u: float) -> float:
+    """The one backoff formula: the capped exponential delay before retry
+    ``attempt`` (1-based), jittered by the caller's seeded ``u`` in [0, 1)."""
+    base = min(
+        policy.backoff_max_s,
+        policy.backoff_s * policy.backoff_factor ** max(0, attempt - 1),
+    )
+    return float(base * (1.0 + policy.jitter * u))
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Per-job retry behaviour, as data the scheduler enforces.
@@ -86,14 +108,7 @@ class RetryPolicy:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.backoff_s < 0 or self.backoff_max_s < 0:
-            raise ValueError("backoff delays must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
+        check_backoff(self)
         if self.attempt_deadline_s is not None and self.attempt_deadline_s <= 0:
             raise ValueError("attempt_deadline_s must be > 0")
 
@@ -102,12 +117,8 @@ class RetryPolicy:
         failed attempts — exponential with seeded jitter."""
         if self.backoff_s == 0.0:
             return 0.0
-        base = min(
-            self.backoff_max_s,
-            self.backoff_s * self.backoff_factor ** max(0, attempt - 1),
-        )
         rng = np.random.default_rng(derive_seed(self.seed, job_id, attempt))
-        return float(base * (1.0 + self.jitter * rng.random()))
+        return backoff_delay(self, attempt, rng.random())
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -1,13 +1,14 @@
-"""batch_io durability primitives: atomic writes, locks, stale takeover."""
+"""batch_io durability primitives: atomic writes and the one lock."""
 
 import json
+import multiprocessing
 import os
 import stat
 import threading
 import time
 
-from repro.io import batch_io
 from repro.io.batch_io import locked_fd, read_json, write_json_atomic
+from repro.service.chaos import IOFaultInjector, IOFaultPlan
 
 
 class TestAtomicWrite:
@@ -45,95 +46,89 @@ class TestAtomicWrite:
         assert read_json(torn) is None
 
 
+def _bump(counter, times):
+    """``times`` read-modify-write increments of the integer in ``counter``."""
+    for _ in range(times):
+        with locked_fd(counter) as fd:
+            raw = os.read(fd, 32)
+            value = int(raw) + 1 if raw.strip() else 1
+            os.lseek(fd, 0, os.SEEK_SET)
+            os.ftruncate(fd, 0)
+            os.write(fd, str(value).encode())
+
+
+def _bump_under_chaos(counter, times, seed):
+    """Child process: every lock acquisition draws a storage fault."""
+    IOFaultInjector.install(IOFaultPlan(seed=seed, rate=1.0))
+    _bump(counter, times)
+
+
+def _hold_until_killed(target, holding):
+    """Child process: take the lock, say so, and never release it."""
+    with locked_fd(target):
+        holding.set()
+        time.sleep(60.0)
+
+
+#: fresh interpreters: each child arms (or not) its own process injector
+SPAWN = multiprocessing.get_context("spawn")
+
+
 class TestLockedFd:
     def test_serialises_read_modify_write(self, tmp_path):
         counter = tmp_path / "seq"
         n_threads, n_incr = 8, 25
-
-        def bump():
-            for _ in range(n_incr):
-                with locked_fd(counter) as fd:
-                    raw = os.read(fd, 32)
-                    value = int(raw) + 1 if raw.strip() else 1
-                    os.lseek(fd, 0, os.SEEK_SET)
-                    os.ftruncate(fd, 0)
-                    os.write(fd, str(value).encode())
-
-        threads = [threading.Thread(target=bump) for _ in range(n_threads)]
+        threads = [
+            threading.Thread(target=_bump, args=(counter, n_incr))
+            for _ in range(n_threads)
+        ]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
         assert int(counter.read_text()) == n_threads * n_incr
 
+    def test_excludes_across_processes_under_an_armed_plan(self, tmp_path):
+        """A fault perturbs the lock, it never swaps it: processes that
+        each draw a fault on every acquisition lose no increment."""
+        counter = tmp_path / "jobs" / "seq"
+        n_procs, n_incr = 4, 50
+        procs = [
+            SPAWN.Process(target=_bump_under_chaos, args=(counter, n_incr, k))
+            for k in range(n_procs)
+        ]
+        for p in procs:
+            p.start()
+        try:
+            for p in procs:
+                p.join(timeout=60)
+                assert p.exitcode == 0
+        finally:
+            for p in procs:
+                p.kill()  # no child outlives a failed run
+        assert int(counter.read_text()) == n_procs * n_incr
 
-class TestSidecarStaleTakeover:
-    """Regression: a crashed holder's sidecar must not wedge the queue."""
-
-    def setup_method(self):
-        batch_io.set_force_sidecar(True)
-
-    def teardown_method(self):
-        batch_io.set_force_sidecar(False)
-
-    def test_fresh_sidecar_blocks_until_released(self, tmp_path):
+    def test_killed_holder_does_not_wedge_the_lock(self, tmp_path):
+        """A crashed holder needs no takeover: the kernel drops its lock."""
         target = tmp_path / "seq"
-        sidecar = str(target) + ".lock"
-        os.close(os.open(sidecar, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-        acquired = threading.Event()
+        holding = SPAWN.Event()
+        holder = SPAWN.Process(target=_hold_until_killed, args=(target, holding))
+        holder.start()
+        try:
+            assert holding.wait(30.0)
+            acquired = threading.Event()
 
-        def contend():
-            with locked_fd(target, stale_after=10.0):
-                acquired.set()
+            def contend():
+                with locked_fd(target):
+                    acquired.set()
 
-        t = threading.Thread(target=contend, daemon=True)
-        t.start()
-        assert not acquired.wait(0.15)  # a live holder is respected
-        os.unlink(sidecar)  # the holder releases
-        assert acquired.wait(2.0)
-        t.join()
-
-    def test_stale_sidecar_is_taken_over(self, tmp_path):
-        target = tmp_path / "seq"
-        sidecar = str(target) + ".lock"
-        os.close(os.open(sidecar, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-        ancient = time.time() - 3600.0
-        os.utime(sidecar, (ancient, ancient))
-        start = time.monotonic()
-        with locked_fd(target, stale_after=1.0) as fd:
-            assert fd >= 0
-        assert time.monotonic() - start < 5.0  # no spin-until-timeout
-        # the takeover left no .stale litter and released the sidecar
-        litter = [p.name for p in tmp_path.iterdir() if ".stale." in p.name]
-        assert litter == []
-        assert not os.path.exists(sidecar)
-
-    def test_concurrent_takeovers_yield_exactly_one_holder_at_a_time(
-        self, tmp_path
-    ):
-        """N contenders racing a stale sidecar: mutual exclusion holds."""
-        target = tmp_path / "seq"
-        sidecar = str(target) + ".lock"
-        os.close(os.open(sidecar, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-        ancient = time.time() - 3600.0
-        os.utime(sidecar, (ancient, ancient))
-        in_section = []
-        overlaps = []
-        gate = threading.Lock()
-
-        def contend():
-            with locked_fd(target, stale_after=0.5):
-                with gate:
-                    if in_section:
-                        overlaps.append(True)
-                    in_section.append(1)
-                time.sleep(0.01)
-                with gate:
-                    in_section.pop()
-
-        threads = [threading.Thread(target=contend) for _ in range(6)]
-        for t in threads:
+            t = threading.Thread(target=contend, daemon=True)
             t.start()
-        for t in threads:
-            t.join()
-        assert overlaps == []
+            assert not acquired.wait(0.15)  # a live holder is respected
+            holder.kill()
+            assert acquired.wait(1.0)
+            t.join(timeout=5)
+        finally:
+            holder.kill()
+            holder.join(timeout=5)
+        assert not holder.is_alive()

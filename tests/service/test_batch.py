@@ -274,3 +274,61 @@ class TestStatusSurface:
         states = {row["job_id"]: row["state"] for row in status["jobs"]}
         assert JobState.QUARANTINED in states.values()
         assert json.dumps(status)  # JSON-serialisable for --json
+
+
+class TestResultVisibility:
+    def test_terminal_state_never_precedes_its_result(self, tmp_path):
+        """A reader that sees a job succeeded / failed / quarantined
+        finds its result: the outcome is published inside the terminal
+        transition, not after it."""
+        import threading
+
+        client = BatchClient(tmp_path / "b")
+        reader = BatchClient(tmp_path / "b")
+        job_ids = [
+            client.submit(JobSpec(
+                model="wall", engine="serial", steps=2, time_step=1e-3,
+                dynamic=True, tag=f"visible-{i}",
+            )).job_id
+            for i in range(20)
+        ]
+        settled = (JobState.SUCCEEDED, JobState.FAILED, JobState.QUARANTINED)
+        pending, bare = set(job_ids), []
+        drained = threading.Event()
+
+        def poll():
+            while pending:
+                last_pass = drained.is_set()
+                for job_id in sorted(pending):
+                    row = reader.job(job_id)
+                    if row is None or row["state"] not in settled:
+                        continue
+                    if reader.result(job_id) is None:
+                        bare.append((job_id, row["state"]))
+                    pending.discard(job_id)
+                if last_pass:
+                    break
+                time.sleep(0.001)
+
+        t = threading.Thread(target=poll, daemon=True)
+        t.start()
+        try:
+            tallies = client.run(n_workers=2)
+        finally:
+            drained.set()
+        t.join(timeout=30)
+        assert not t.is_alive()
+        assert tallies["succeeded"] == 20
+        assert pending == set()
+        assert bare == []
+
+    def test_outcome_of_a_live_job_is_not_a_result(self, tmp_path):
+        """An attempt that died between publishing and saving the
+        terminal state leaves an outcome file behind a live record."""
+        client = BatchClient(tmp_path / "b")
+        record = client.submit(healthy_spec(0))
+        write_json_atomic(
+            client.scratch_root / record.job_id / "outcome-final.json",
+            {"status": "succeeded"},
+        )
+        assert client.result(record) is None

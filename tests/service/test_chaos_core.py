@@ -1,6 +1,6 @@
-"""The shared chaos core: both seams replay the decision streams their
-separate pre-merge modules produced, and each shared protocol is
-defined once."""
+"""The shared chaos core: both seams replay pinned decision streams
+(the network seam's is still its separate pre-merge module's), and each
+shared protocol is defined once."""
 
 import ast
 from pathlib import Path
@@ -15,8 +15,7 @@ from repro.service.chaos import (
 
 IO_CODES = {
     ".": None, "T": "torn_write", "B": "crash_before_rename",
-    "A": "crash_after_rename", "E": "enospc", "S": "stale_lock",
-    "L": "io_latency",
+    "A": "crash_after_rename", "E": "enospc", "L": "io_latency",
 }
 NET_CODES = {
     ".": None, "R": "conn_reset", "S": "slow_loris",
@@ -24,13 +23,16 @@ NET_CODES = {
 }
 
 #: First 200 decisions of IOFaultInjector(IOFaultPlan(seed=0, rate=0.3))
-#: over IO_OPS x IO_PATHS, recorded at the last commit that had a
-#: separate storage-chaos module.
+#: over IO_OPS x IO_PATHS. Re-recorded when the lock-swapping fault was
+#: deleted: a ``lock`` operation now chooses among one candidate instead
+#: of two and a one-candidate choice draws nothing, so the stream equals
+#: the pre-merge module's up to the first faulted lock (decision 22) and
+#: differs in 65 of the 200 after it. The network stream is untouched.
 IO_STREAM = (
-    "TL..........AL.....A..L.B...T....L.E.....LSA.....L"
-    "....SB...E.LS...S..L...L.T......L....T..SB..L....."
-    "....TLL......L....L......L.A....B.....L......L...."
-    "L..........L....L..L...L....S.T..L....T...L..E...."
+    "TL..........AL.....A..L.L.L..L....L.E.....LB.L...."
+    "..T..EB....LLE.....L.B...LT......E.....L..A....L.."
+    "......L...LT......L...L........TA...B....L......L."
+    "....L............T.L....L.E.....LL....TL....L..L.."
 )
 IO_OPS = ("write", "read", "lock", "write")
 IO_PATHS = (

@@ -29,7 +29,6 @@ def clean_chaos():
     install(None)
     yield
     install(None)
-    batch_io.set_force_sidecar(False)
 
 
 def plan(**kwargs) -> IOFaultPlan:
@@ -153,16 +152,6 @@ class TestWriteFaultSemantics:
             write_json_atomic(target, {"v": 1})
         assert err.value.errno == errno.ENOSPC
         assert not target.exists()
-
-    def test_stale_lock_is_absorbed_by_takeover(self, tmp_path):
-        """A planted ancient sidecar must not deadlock locked_fd."""
-        install(plan(faults=("stale_lock",)))
-        counter = tmp_path / "jobs" / "seq"
-        with batch_io.locked_fd(counter) as fd:
-            assert fd >= 0
-        # the fault forced sidecar mode and planted a stale lock; the
-        # acquisition above had to take it over to succeed
-        assert batch_io.get_io_chaos().counts.get("stale_lock", 0) >= 1
 
 
 def _copy(target, data: bytes):

@@ -97,13 +97,26 @@ class TestAuditCleanFlow:
         queue.requeue(ticket)
         claimed2, ticket2 = queue.claim()
         assert claimed2.lease_epoch == stale_epoch + 1
-        # the zombie's late completion is fenced...
+        published = []
+
+        def publish(rec):
+            on_disk = queue.load_record(rec.job_id)
+            published.append((rec.state, on_disk.state in JobState.TERMINAL))
+
+        # the zombie's late completion is fenced (and publishes nothing)...
         assert queue.finalize(
-            record.job_id, JobState.FAILED, epoch=stale_epoch
+            record.job_id, JobState.FAILED, epoch=stale_epoch, publish=publish
         ) is None
-        # ...and the live owner completes exactly once
+        assert published == []
+        # ...and the live owner completes exactly once, its result
+        # landing before the terminal state is saved
         queue.finalize(record.job_id, JobState.SUCCEEDED,
-                       epoch=claimed2.lease_epoch)
+                       epoch=claimed2.lease_epoch, publish=publish)
+        assert published == [(JobState.SUCCEEDED, False)]
+        assert queue.finalize(
+            record.job_id, JobState.SUCCEEDED, publish=publish
+        ) is None  # already terminal: nothing left to publish
+        assert len(published) == 1
         queue.ack(ticket2)
         report = audit_journal(root, final=True)
         assert report["ok"], report["violations"]

@@ -11,6 +11,7 @@ from repro.service.netclient import (
     ServiceError,
     ServiceUnavailable,
 )
+from repro.service.spec import RetryPolicy
 
 
 class TestClientRetry:
@@ -31,6 +32,48 @@ class TestClientRetry:
         # exponential up to the cap, jitter never exceeding 1+jitter
         assert all(d <= 0.5 * 1.5 for d in delays_a)
         assert delays_a[0] < delays_a[-1]
+
+    def test_one_backoff_formula_serves_both_policies(self):
+        """``RetryPolicy`` and ``ClientRetry`` share one formula and one
+        validation; the delays are the ones each computed on its own
+        (recorded before the merge), bit for bit."""
+        pinned = {
+            0: (
+                ["0x1.9b3f2260f15bap-4", "0x1.a30337be92f54p-3",
+                 "0x1.f1368a9904527p-2", "0x1.d9a51106ecc4dp-1",
+                 "0x1.b0ef96153f387p+0", "0x1.dddafce4d0d70p+1",
+                 "0x1.a229dfa53a758p+2", "0x1.c6917d5bd6d6cp+3"],
+                ["0x1.9b3a158fbf1eap-5", "0x1.0055b47d1b369p-3",
+                 "0x1.b886d95a8cb0cp-3", "0x1.2ed438b796772p-1",
+                 "0x1.29d21aeba309fp+0", "0x1.0764ee6c3f13bp+1",
+                 "0x1.7b652fd37029ap+1", "0x1.3540cd5a05e4ep+1"],
+            ),
+            7: (
+                ["0x1.e91e4d6929d32p-4", "0x1.bc2b353971c20p-3",
+                 "0x1.d9e56a0fbd41dp-2", "0x1.a0a3355eb7e55p-1",
+                 "0x1.b9992e0310ca0p+0", "0x1.c1f84ff4ce48dp+1",
+                 "0x1.fbacde36219a4p+2", "0x1.e72e958e82644p+3"],
+                ["0x1.bf63070e4c6bap-5", "0x1.16b7808f68d35p-3",
+                 "0x1.f56f3861a129dp-3", "0x1.17487e664e915p-1",
+                 "0x1.2730fc30f20b4p+0", "0x1.a5cdfcc3fe36dp+0",
+                 "0x1.42ebd55ab3408p+1", "0x1.2aac6426c9633p+1"],
+            ),
+        }
+        for seed, (job_side, client_side) in pinned.items():
+            policy = RetryPolicy(max_attempts=9, backoff_s=0.1, seed=seed)
+            assert [
+                policy.delay("j000001-abc", n).hex() for n in range(1, 9)
+            ] == job_side
+            rng = np.random.default_rng(
+                derive_seed(seed, "netclient", "127.0.0.1", 8080)
+            )
+            retry = ClientRetry(seed=seed)
+            assert [
+                retry.delay(n, rng).hex() for n in range(1, 9)
+            ] == client_side
+        for cls in (RetryPolicy, ClientRetry):
+            with pytest.raises(ValueError, match="jitter"):
+                cls(jitter=-0.1)
 
 
 class TestErrorTaxonomy:
