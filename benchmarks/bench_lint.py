@@ -51,7 +51,7 @@ def bench_linter() -> dict:
             code: min(times) for code, times in sorted(per_pass.items())
         },
         "counts_by_code": report.counts_by_code(),
-        "new_findings": len(report.new_findings),
+        "new_findings": len(report.findings),
         "sync_points": len(report.sync_points),
     }
 

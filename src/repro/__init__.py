@@ -9,7 +9,7 @@ Analysis Method Pipeline on the GPU"* (Xiao et al., 2017) in pure Python:
 * :mod:`repro.primitives` — GPU data-parallel primitives (scan, radix sort,
   stream compaction, sorted search) the paper's pipeline is built from,
 * :mod:`repro.spmv` — the paper's HSBCSR sparse block-symmetric SpMV plus
-  CSR / BCSR / ELL reference formats,
+  CSR / BCSR reference formats,
 * :mod:`repro.solvers` — PCG with Block-Jacobi, SSOR approximate-inverse and
   ILU(0) preconditioners,
 * :mod:`repro.core`, :mod:`repro.assembly`, :mod:`repro.contact`,
@@ -69,7 +69,6 @@ _EXPORTS = {
     "build_falling_rocks_model": "repro.meshing.slope_models",
     "build_voronoi_rubble": "repro.meshing.voronoi",
     "HybridEngine": "repro.engine.hybrid_engine",
-    "run_until_static": "repro.engine.drivers",
     "render_system": "repro.io.ascii_art",
     "save_system": "repro.io.model_io",
     "load_system": "repro.io.model_io",

@@ -186,6 +186,7 @@ def run_main(argv: list[str] | None = None) -> int:
     if args.n_domains < 1:
         parser.error(f"--n-domains must be >= 1, got {args.n_domains}")
     from repro.core.state import ResilienceControls, SimulationControls
+    from repro.engine.base import REJECTION_CAUSES
     from repro.engine.runner import make_engine, make_fault_injector
     from repro.obs.tracer import Tracer
     from repro.util.tables import Table
@@ -228,9 +229,18 @@ def run_main(argv: list[str] | None = None) -> int:
         table.add_row([module, wall, modeled.get(module, sum(modeled.values())
                        if module == "total" else 0.0)])
     print(table)
+    counter = engine.metrics.counter
+    rejected = {
+        cause: counter(f"engine.step_rejected.{cause}").value
+        for cause in REJECTION_CAUSES
+    }
+    causes = ", ".join(f"{n} {cause}" for cause, n in rejected.items() if n)
     print(
-        f"CG iterations total: {result.total_cg_iterations}; "
-        f"max displacement: {result.max_total_displacement():.3e} m"
+        f"CG iterations total: {result.total_cg_iterations} in accepted "
+        f"attempts, {counter('engine.rejected_cg_iterations').value} in "
+        f"{sum(rejected.values())} rejected"
+        + (f" ({causes})" if causes else "")
+        + f"; max displacement: {result.max_total_displacement():.3e} m"
     )
     degraded = sum(1 for s in result.steps if s.solver_rung > 0)
     skipped = engine.metrics.counter("solver.rungs_skipped").value

@@ -14,17 +14,8 @@ from repro.analysis.topology import (
     load_path_depth,
     unanchored_blocks,
 )
-from repro.analysis.forces import contact_forces, ContactForces
-from repro.analysis.strength_reduction import (
-    factor_of_safety,
-    SafetyFactorResult,
-)
 
 __all__ = [
-    "contact_forces",
-    "ContactForces",
-    "factor_of_safety",
-    "SafetyFactorResult",
     "contact_graph",
     "contact_clusters",
     "coordination_numbers",

@@ -20,12 +20,6 @@ order, stage-2 segments and the left-to-right summation (up, low,
 diagonal) are the global traversal's, so every row of the distributed
 product equals the global product bit for bit, in the same five
 compiled products at any domain count.
-
-A local owned x owned :class:`BlockMatrix` and an extended
-(owned + ghost) one — the operands of the domain-decomposed
-preconditioners (block-Jacobi across domains, overlapping additive
-Schwarz) — are cut from the split's source matrix on request: the
-default ladder never reads them.
 """
 
 from __future__ import annotations
@@ -34,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.assembly.global_matrix import BS, BlockMatrix, _canonical_offdiag
+from repro.assembly.global_matrix import BS, BlockMatrix
 from repro.domain.halo import DomainMap, ExchangePlan
 from repro.gpu.counters import KernelCounters
 from repro.gpu.memory import coalesced_transactions
@@ -87,54 +81,6 @@ class DomainSplit:
             matrix.diag, matrix.blocks, matrix.blocks.transpose(0, 2, 1)
         )
         return replace(self, matrix=matrix, op=op)
-
-    def local(self, d: int) -> BlockMatrix:
-        """Domain ``d``'s owned x owned coupling as a local-index
-        :class:`BlockMatrix`."""
-        a, dmap = self.matrix, self.dmap
-        both = np.flatnonzero(
-            (dmap.labels[a.rows] == d) & (dmap.labels[a.cols] == d)
-        )
-        return BlockMatrix(
-            n=dmap.owned[d].size,
-            diag=a.diag[dmap.owned[d]],
-            rows=dmap.local[a.rows[both]],
-            cols=dmap.local[a.cols[both]],
-            blocks=a.blocks[both],
-        )
-
-    def extended(self, d: int) -> BlockMatrix:
-        """Domain ``d``'s owned+ghost coupling (indices within its slot
-        range) — the overlapping-Schwarz operand."""
-        a, plan = self.matrix, self.plan
-        lo = plan.offsets[d]
-        ids = plan.ext_ids[lo : plan.offsets[d + 1]]
-        slot = plan.slots[d]
-        held = np.flatnonzero((slot[a.rows] >= 0) & (slot[a.cols] >= 0))
-        return _submatrix(
-            ids.size,
-            a.diag[ids],
-            slot[a.rows[held]] - lo,
-            slot[a.cols[held]] - lo,
-            a.blocks[held],
-        )
-
-
-def _submatrix(
-    n: int,
-    diag: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    blocks: np.ndarray,
-) -> BlockMatrix:
-    """Canonicalised :class:`BlockMatrix` from relabelled ``(m,)`` entries."""
-    strict = rows != cols
-    r, c, b = _canonical_offdiag(rows[strict], cols[strict], blocks[strict])
-    order = np.argsort(r * n + c, kind="stable")
-    return BlockMatrix(
-        n=n, diag=diag.copy(), rows=r[order], cols=c[order],
-        blocks=b[order],
-    )
 
 
 def split_matrix(

@@ -29,19 +29,6 @@ whole iteration — and therefore the returned solution, iteration
 count, and residual series — equals the single-device solve exactly
 for the block-local preconditioners (``none``/``jacobi``/``bj``) and
 for the gathered cross-domain ones (``ssor``/``ilu``/``neumann``).
-
-Two genuinely domain-decomposed preconditioners are additionally
-available for iteration-count studies (they change the iteration, so
-they are opt-in, never the bit-identical default; construct them
-directly and pass them to ``pcg``):
-
-:class:`DomainBlockJacobi`
-    Block-Jacobi across domains — exact solve of each domain's
-    owned x owned submatrix, no communication in the application.
-:class:`AdditiveSchwarz`
-    Overlapping additive Schwarz (restricted variant) — exact solve of
-    each domain's owned+ghost extended submatrix, one extra halo
-    exchange per application.
 """
 
 from __future__ import annotations
@@ -109,81 +96,6 @@ class DistributedPreconditioner:
         return z
 
 
-class DomainBlockJacobi:
-    """Block-Jacobi across domains: exact owned x owned solves.
-
-    Applies ``z_d = A_dd^{-1} r_d`` independently per domain on the
-    ``(n_dof,)`` residual — no communication, but the dropped
-    inter-domain coupling costs CG iterations as the cut grows.
-    """
-
-    name = "domain_bj"
-
-    def __init__(self, split: DomainSplit, exchanger: HaloExchanger) -> None:
-        self.exchanger = exchanger
-        owned = exchanger.dmap.owned
-        self._solve = [
-            _factorize(split.local(d)) for d in range(exchanger.dmap.n_domains)
-        ]
-        self._cost = _price_vector_ops(
-            exchanger, "domain_bj_solve", [own.size * BS for own in owned], 6
-        )
-
-    def apply(self, r: np.ndarray, device=None) -> np.ndarray:
-        """Apply to ``(n_dof,)`` and return the same shape."""
-        ex = self.exchanger
-        rb = r.reshape(-1, BS)
-        z = np.empty_like(rb)
-        for own, solve in zip(ex.dmap.owned, self._solve):
-            z[own] = solve(rb[own].reshape(-1)).reshape(-1, BS)
-        ex.record(self._cost)
-        return z.reshape(-1)
-
-
-class AdditiveSchwarz:
-    """Restricted overlapping additive Schwarz across domains.
-
-    Each application refreshes the ghost halo of the residual (one
-    metered exchange), solves every domain's owned+ghost extended
-    submatrix exactly, and keeps the owned part (the restricted
-    variant, which needs no weighting of the overlap).
-    """
-
-    name = "schwarz"
-
-    def __init__(self, split: DomainSplit, exchanger: HaloExchanger) -> None:
-        self.exchanger = exchanger
-        extended = [
-            split.extended(d) for d in range(exchanger.dmap.n_domains)
-        ]
-        self._solve = [_factorize(a) for a in extended]
-        self._cost = _price_vector_ops(
-            exchanger, "schwarz_solve", [a.n * BS for a in extended], 8
-        )
-
-    def apply(self, r: np.ndarray, device=None) -> np.ndarray:
-        """Apply to ``(n_dof,)`` and return the same shape."""
-        ex = self.exchanger
-        ext = ex.exchange(r).reshape(-1, BS)
-        bounds = ex.plan.offsets
-        z = np.empty_like(r).reshape(-1, BS)
-        for d, own in enumerate(ex.dmap.owned):
-            z_ext = self._solve[d](ext[bounds[d] : bounds[d + 1]].reshape(-1))
-            z[own] = z_ext[: own.size * BS].reshape(-1, BS)
-        ex.record(self._cost)
-        return z.reshape(-1)
-
-
-def _factorize(a: BlockMatrix):
-    """Exact solver ``f(rhs) -> x`` for one ``(6n x 6n)`` submatrix."""
-    if a.n == 0:
-        return lambda rhs: rhs.copy()
-    from scipy.sparse.linalg import splu
-
-    lu = splu(a.to_scipy_csr().tocsc())
-    return lu.solve
-
-
 class DistributedOperand:
     """The multi-device counterpart of :class:`repro.solvers.cg
     .DeviceOperand` (same attributes, same six calls).
@@ -221,12 +133,9 @@ class DistributedOperand:
 
     def wrap(self, preconditioner=None):
         """A :class:`Preconditioner` metered per domain
-        (:class:`DistributedPreconditioner`); the domain-decomposed ones
-        already apply to the ``(n_dof,)`` canonical vector as they are."""
+        (:class:`DistributedPreconditioner`)."""
         if preconditioner is None:
             preconditioner = IdentityPreconditioner()
-        if not isinstance(preconditioner, Preconditioner):
-            return preconditioner
         return DistributedPreconditioner(preconditioner, self.exchanger)
 
     def begin(self, b: np.ndarray, x: np.ndarray) -> None:

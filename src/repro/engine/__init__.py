@@ -58,10 +58,8 @@ from repro.engine.results import SimulationResult, StepRecord
 from repro.engine.serial_engine import SerialEngine
 from repro.engine.gpu_engine import GpuEngine
 from repro.engine.hybrid_engine import HybridEngine
-from repro.engine.drivers import run_until_static
 
 __all__ = [
-    "run_until_static",
     "HybridEngine",
     "diagonal_system",
     "contact_system",

@@ -375,7 +375,7 @@ class EngineBase:
             manager.take(self, step=0)
         self._monitor.reset()
         # counts accumulate across runs on the checker; diff at the end
-        # so each run (and each run_until_static burst) reports its own
+        # so each run reports its own
         violations_before = self.contracts.violations.copy()
         rollbacks = 0
         step = 0

@@ -137,58 +137,3 @@ class SimulationResult:
             writer.writerow(fields)
             for s in self.steps:
                 writer.writerow([getattr(s, f) for f in fields])
-
-    def merge(self, other: "SimulationResult") -> "SimulationResult":
-        """Concatenate a continuation run's records onto this one.
-
-        Used by :func:`run_until_static`, which runs in bursts. Module
-        times and the device ledger of ``other`` are appended; snapshots
-        and displacements are taken from ``other`` (the later state).
-        """
-        import dataclasses
-
-        offset = len(self.steps)
-        renumbered = [
-            dataclasses.replace(s, step=s.step + offset) for s in other.steps
-        ]
-        merged = SimulationResult(
-            module_times=self.module_times,
-            device=self.device,
-            metrics=self.metrics if self.metrics is not None else other.metrics,
-            steps=self.steps + renumbered,
-            snapshots=self.snapshots
-            + [(st + offset, c) for st, c in other.snapshots],
-            displacements=other.displacements
-            if other.displacements is not None
-            else self.displacements,
-            warnings=self.warnings
-            + [
-                dataclasses.replace(w, step=w.step + offset)
-                for w in other.warnings
-            ],
-            failure=other.failure if other.failure is not None else self.failure,
-            rollbacks=self.rollbacks + other.rollbacks,
-            contract_violations={
-                stage: self.contract_violations.get(stage, 0)
-                + other.contract_violations.get(stage, 0)
-                for stage in {
-                    *self.contract_violations, *other.contract_violations
-                }
-            },
-        )
-        if other.failure is not None:
-            # renumber the report into the merged step space
-            context = other.failure.context
-            if context is not None:
-                context = dataclasses.replace(
-                    context, step=context.step + offset
-                )
-            merged.failure = dataclasses.replace(
-                other.failure,
-                context=context,
-                steps_completed=offset + other.failure.steps_completed,
-            )
-        for module, seconds in other.module_times.times.items():
-            if other.module_times is not self.module_times:
-                merged.module_times.add(module, seconds)
-        return merged

@@ -15,18 +15,6 @@ package makes that discipline machine-checked:
 See ``docs/static-analysis.md`` for the rule catalogue and workflow.
 """
 
-from repro.lint.framework import (
-    Finding,
-    LintReport,
-    load_baseline,
-    run_lint,
-    write_baseline,
-)
+from repro.lint.framework import Finding, LintReport, run_lint
 
-__all__ = [
-    "Finding",
-    "LintReport",
-    "load_baseline",
-    "run_lint",
-    "write_baseline",
-]
+__all__ = ["Finding", "LintReport", "run_lint"]

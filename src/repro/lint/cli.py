@@ -1,8 +1,8 @@
 """The ``python -m repro lint`` subcommand.
 
-Exit status is 0 only when no *non-baselined* finding remains — the CI
-contract. ``--write-baseline`` grandfathers the current findings;
-``--baseline`` consumes such a file on later runs.
+Exit status is 0 only when no finding remains — the CI contract. An
+inline ``# lint: <rule>-ok[...] -- reason`` annotation is the one way to
+silence a finding.
 """
 
 from __future__ import annotations
@@ -12,16 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.lint.framework import (
-    default_root,
-    load_baseline,
-    run_lint,
-    stale_baseline_count,
-    write_baseline,
-)
-
-#: Baseline auto-loaded from the working directory when present.
-DEFAULT_BASELINE = "lint-baseline.json"
+from repro.lint.framework import default_root, run_lint
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,11 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(e.g. DDA001,DDA004)")
     p.add_argument("--json", action="store_true", dest="as_json",
                    help="machine-readable report on stdout")
-    p.add_argument("--baseline", metavar="FILE",
-                   help="grandfather findings listed in FILE (default: "
-                        f"./{DEFAULT_BASELINE} when it exists)")
-    p.add_argument("--write-baseline", metavar="FILE", dest="write_baseline",
-                   help="write current findings to FILE and exit 0")
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule catalogue and exit")
     p.add_argument("--sync-inventory", metavar="FILE", nargs="?",
@@ -74,34 +60,8 @@ def lint_main(argv: list[str] | None = None) -> int:
                   f"known: {sorted(ALL_CODES)}", file=sys.stderr)
             return 2
 
-    baseline = None
-    baseline_path = args.baseline
-    if baseline_path is None and Path(DEFAULT_BASELINE).is_file():
-        baseline_path = DEFAULT_BASELINE
-    if baseline_path is not None and args.write_baseline is None:
-        baseline = load_baseline(baseline_path)
-
     root = Path(args.root) if args.root else default_root()
-    report = run_lint(
-        root, select=select, paths=args.paths or None, baseline=baseline
-    )
-
-    if args.write_baseline:
-        pruned = 0
-        out_path = Path(args.write_baseline)
-        if out_path.is_file():
-            # rewriting an existing baseline prunes entries no current
-            # finding matches — a stale entry must not mask a future
-            # regression with the same (file, code, message) key
-            pruned = stale_baseline_count(
-                load_baseline(out_path), report.findings
-            )
-        path = write_baseline(args.write_baseline, report.findings)
-        print(f"baseline written: {path} "
-              f"({len(report.findings)} finding(s), "
-              f"{pruned} stale entr{'y' if pruned == 1 else 'ies'} "
-              "pruned)", file=sys.stderr)
-        return 0
+    report = run_lint(root, select=select, paths=args.paths or None)
 
     if args.sync_inventory is not None:
         inventory = json.dumps(report.sync_inventory(), indent=2)
@@ -116,19 +76,17 @@ def lint_main(argv: list[str] | None = None) -> int:
                 f"({len(report.sync_points)} point(s))",
                 file=sys.stderr,
             )
-        return 1 if report.new_findings else 0
+        return 1 if report.findings else 0
 
     if args.as_json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
         for finding in report.findings:
             print(finding.render())
-        new = len(report.new_findings)
-        grandfathered = len(report.findings) - new
         print(
-            f"{new} finding(s) ({grandfathered} baselined) in "
+            f"{len(report.findings)} finding(s) in "
             f"{report.files_scanned} file(s), "
             f"{report.runtime_s * 1e3:.0f} ms",
             file=sys.stderr,
         )
-    return 1 if report.new_findings else 0
+    return 1 if report.findings else 0

@@ -3,9 +3,8 @@
 A *pass* is a small AST visitor producing :class:`Finding` records; this
 module provides what every pass shares — the parsed-module wrapper with
 ``# lint:`` annotation handling, the kernel-path and service-path
-configuration, the file walker, the whole-program call graph driver
-(:mod:`repro.lint.callgraph`), and the baseline file for grandfathered
-findings.
+configuration, the file walker and the whole-program call graph driver
+(:mod:`repro.lint.callgraph`).
 
 Annotation syntax (on the flagged line or the line directly above; for
 a decorated ``def``, anywhere in the decorator stack or directly above
@@ -28,17 +27,11 @@ Three annotation tokens exist:
 * ``lock-ok[reason]`` — acknowledges a direct filesystem mutation on
   the service path (rule DDA008), e.g. the queue's rename-as-claim
   protocol where the rename *is* the atomicity mechanism.
-
-Baselines grandfather pre-existing findings without suppression
-comments: entries are keyed by ``(file, code, message)`` — deliberately
-*not* by line number, so unrelated edits above a finding don't
-invalidate the baseline — and matched with multiplicity.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import time
 from dataclasses import dataclass, field, replace
 from collections import Counter
@@ -131,10 +124,7 @@ class Finding:
     code:
         Rule id (``DDA001``..``DDA008``).
     message:
-        Human explanation, stable across unrelated edits (it is part of
-        the baseline key).
-    baselined:
-        ``True`` when a baseline entry grandfathers this finding.
+        Human explanation.
     function:
         Dotted qualname of the enclosing function, when known.
     via:
@@ -151,14 +141,9 @@ class Finding:
     line: int
     code: str
     message: str
-    baselined: bool = False
     function: str | None = None
     via: tuple[tuple[str, int, str], ...] = ()
     suppress_lines: tuple[int, ...] = ()
-
-    def key(self) -> tuple[str, str, str]:
-        """Baseline identity (line numbers excluded — drift-proof)."""
-        return (self.file, self.code, self.message)
 
     def to_dict(self) -> dict:
         return {
@@ -166,7 +151,6 @@ class Finding:
             "line": self.line,
             "code": self.code,
             "message": self.message,
-            "baselined": self.baselined,
             "function": self.function,
             "via": [
                 {"file": f, "line": ln, "function": fn}
@@ -175,15 +159,11 @@ class Finding:
         }
 
     def render(self) -> str:
-        tag = " [baselined]" if self.baselined else ""
         closure = ""
         if self.via:
             f, ln, fn = self.via[0]
             closure = f" [kernel closure via {f}:{ln} ({fn})]"
-        return (
-            f"{self.file}:{self.line}: {self.code} {self.message}"
-            f"{closure}{tag}"
-        )
+        return f"{self.file}:{self.line}: {self.code} {self.message}{closure}"
 
 
 @dataclass(frozen=True)
@@ -434,11 +414,6 @@ class LintReport:
     runtime_s: float = 0.0
     pass_runtime_s: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def new_findings(self) -> list[Finding]:
-        """Findings not grandfathered by the baseline."""
-        return [f for f in self.findings if not f.baselined]
-
     def counts_by_code(self) -> dict[str, int]:
         out: Counter[str] = Counter(f.code for f in self.findings)
         return dict(sorted(out.items()))
@@ -454,7 +429,6 @@ class LintReport:
                 for code in sorted(self.pass_runtime_s)
             },
             "counts": self.counts_by_code(),
-            "new": len(self.new_findings),
             "findings": [f.to_dict() for f in self.findings],
         }
 
@@ -500,63 +474,6 @@ def walk_files(root: Path, paths: list[str] | None = None) -> list[Path]:
 
 
 # ----------------------------------------------------------------------
-# baseline round-trip
-# ----------------------------------------------------------------------
-
-def write_baseline(path: str | Path, findings: list[Finding]) -> Path:
-    """Persist ``findings`` as a grandfather baseline (JSON)."""
-    path = Path(path)
-    entries = [
-        {"file": f.file, "code": f.code, "message": f.message}
-        for f in sorted(findings, key=lambda f: (f.file, f.code, f.line))
-    ]
-    path.write_text(
-        json.dumps({"version": 1, "findings": entries}, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    return path
-
-
-def load_baseline(path: str | Path) -> Counter:
-    """Baseline keys with multiplicity (see :meth:`Finding.key`)."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if data.get("version") != 1:
-        raise ValueError(f"{path}: unsupported baseline version")
-    return Counter(
-        (e["file"], e["code"], e["message"]) for e in data["findings"]
-    )
-
-
-def stale_baseline_count(
-    baseline: Counter, findings: list[Finding]
-) -> int:
-    """How many baseline entries no longer match any current finding.
-
-    Multiplicity-aware: a baseline with two identical entries against
-    one surviving finding counts one stale entry. ``--write-baseline``
-    reports this so a shrinking baseline is visible (and a stale one
-    cannot silently keep masking regressions).
-    """
-    current: Counter = Counter(f.key() for f in findings)
-    stale = baseline - current
-    return sum(stale.values())
-
-
-def apply_baseline(
-    findings: list[Finding], baseline: Counter
-) -> list[Finding]:
-    """Mark findings matched by the baseline (multiplicity-aware)."""
-    budget = Counter(baseline)
-    out = []
-    for f in findings:
-        if budget[f.key()] > 0:
-            budget[f.key()] -= 1
-            f = replace(f, baselined=True)
-        out.append(f)
-    return out
-
-
-# ----------------------------------------------------------------------
 # the driver
 # ----------------------------------------------------------------------
 
@@ -574,7 +491,6 @@ def run_lint(
     *,
     select: set[str] | None = None,
     paths: list[str] | None = None,
-    baseline: Counter | None = None,
 ) -> LintReport:
     """Run every (selected) pass over every file under ``root``.
 
@@ -593,8 +509,6 @@ def run_lint(
         Restrict to these rule codes (default: all registered passes).
     paths:
         Restrict to these files/directories (relative to ``root``).
-    baseline:
-        Grandfathered finding keys from :func:`load_baseline`.
     """
     from repro.lint.callgraph import build_program
     from repro.lint.passes import ALL_PASSES
@@ -676,8 +590,6 @@ def run_lint(
             )
 
     findings.sort(key=lambda f: (f.file, f.line, f.code))
-    if baseline:
-        findings = apply_baseline(findings, baseline)
     return LintReport(
         root=str(root),
         findings=findings,

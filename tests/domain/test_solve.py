@@ -1,4 +1,4 @@
-"""Distributed SpMV and PCG: bit-identity and the domain preconditioners."""
+"""Distributed SpMV and PCG: bit-identity and the priced ledger."""
 
 import numpy as np
 import pytest
@@ -11,11 +11,7 @@ from repro.domain.halo import (
     build_exchange_plan,
     make_domain_devices,
 )
-from repro.domain.solve import (
-    AdditiveSchwarz,
-    DistributedOperand,
-    DomainBlockJacobi,
-)
+from repro.domain.solve import DistributedOperand
 from repro.gpu.counters import KernelCounters
 from repro.gpu.device import K40
 from repro.gpu.memory import coalesced_transactions
@@ -26,9 +22,6 @@ from repro.spmv.hsbcsr import HSBCSRMatrix, hsbcsr_spmv
 from repro.spmv.synthetic import synthetic_block_matrix
 
 N, M = 14, 24
-
-#: The domain-decomposed (non-bit-identical, opt-in) preconditioners.
-DOMAIN_NAMES = {"domain_bj": DomainBlockJacobi, "schwarz": AdditiveSchwarz}
 
 
 def setup(matrix, n_domains, metrics=None):
@@ -45,14 +38,6 @@ def setup(matrix, n_domains, metrics=None):
 def solve_distributed(split, exchanger, b, **kwargs):
     """The one loop over the distributed operand."""
     return pcg(DistributedOperand(split, exchanger), b, **kwargs)
-
-
-def preconditioner_for(name, matrix, split, exchanger):
-    """The opt-in domain preconditioners are constructed directly; every
-    registry name is the single-device object, which the operand wraps."""
-    if name in DOMAIN_NAMES:
-        return DOMAIN_NAMES[name](split, exchanger)
-    return make_preconditioner(name, matrix)
 
 
 class TestDomainSpmv:
@@ -107,7 +92,7 @@ class TestDistributedPcg:
             HSBCSRMatrix.from_block_matrix(matrix), b,
             preconditioner=make_preconditioner(name, matrix), tol=1e-10,
         )
-        pre = preconditioner_for(name, matrix, split, ex)
+        pre = make_preconditioner(name, matrix)
         res = solve_distributed(split, ex, b, preconditioner=pre, tol=1e-10)
         assert res.iterations == ref.iterations
         np.testing.assert_array_equal(res.x, ref.x)
@@ -151,38 +136,6 @@ class TestDistributedPcg:
         assert metrics.counter("domain.halo_bytes").value > 0
 
 
-class TestDomainPreconditioners:
-    def solve_with(self, name, n_domains=3):
-        matrix = synthetic_block_matrix(N, M, seed=11, coupling=0.4)
-        split, ex = setup(matrix, n_domains)
-        rng = np.random.default_rng(2)
-        b = rng.normal(size=N * BS)
-        pre = (
-            preconditioner_for(name, matrix, split, ex)
-            if name is not None else None
-        )
-        return solve_distributed(split, ex, b, preconditioner=pre, tol=1e-10)
-
-    def test_domain_bj_converges_and_accelerates(self):
-        plain = self.solve_with(None)
-        bj = self.solve_with("domain_bj")
-        assert bj.converged
-        assert bj.iterations <= plain.iterations
-
-    def test_schwarz_converges_no_slower_than_domain_bj(self):
-        bj = self.solve_with("domain_bj")
-        schwarz = self.solve_with("schwarz")
-        assert schwarz.converged
-        # overlap can only add coupling information
-        assert schwarz.iterations <= bj.iterations
-
-    def test_single_domain_exact_solve_in_one_iteration(self):
-        # with one domain, domain_bj is an exact inverse: 1 iteration
-        res = self.solve_with("domain_bj", n_domains=1)
-        assert res.converged
-        assert res.iterations == 1
-
-
 # ----------------------------------------------------------------------
 # the priced solve leaves the ledger per-call launches would have left
 # ----------------------------------------------------------------------
@@ -197,7 +150,6 @@ class LaunchOracle:
         self.preconditioner = preconditioner
         self.devices = make_domain_devices(self.dmap.n_domains, K40)
         self.n_loc = [own.size * BS for own in self.dmap.owned]
-        self.n_ext = np.diff(self.plan.offsets).tolist()
 
     def transfer(self, d, name, nbytes):
         if self.dmap.n_domains > 1:
@@ -264,17 +216,10 @@ class LaunchOracle:
         name = self.preconditioner
         if name in ("none", "bj"):
             self.vector_ops("precond_apply_local", self.n_loc, 2)
-        elif name == "ssor":
+        else:
             for d, n in enumerate(self.n_loc):
                 self.transfer(d, "pcie_precond_gather", n * 8)
                 self.transfer(d, "pcie_precond_scatter", n * 8)
-        elif name == "domain_bj":
-            self.vector_ops("domain_bj_solve", self.n_loc, 6)
-        else:
-            self.exchange()
-            self.vector_ops(
-                "schwarz_solve", [n * BS for n in self.n_ext], 8
-            )
 
     def solve(self, res, zero_rhs):
         self.owned("pcie_scatter_owned")  # b
@@ -309,7 +254,7 @@ def ledger(device):
     ]
 
 
-PRECONDITIONERS = ["none", "bj", "ssor", "domain_bj", "schwarz"]
+PRECONDITIONERS = ["none", "bj", "ssor"]
 
 
 def priced_solve(name, n_domains, matrix=None, rhs=None, **kwargs):
@@ -319,10 +264,7 @@ def priced_solve(name, n_domains, matrix=None, rhs=None, **kwargs):
     if rhs is None:
         rhs = np.random.default_rng(2).normal(size=matrix.n * BS)
     split, ex = setup(matrix, n_domains)
-    pre = (
-        None if name == "none"
-        else preconditioner_for(name, matrix, split, ex)
-    )
+    pre = None if name == "none" else make_preconditioner(name, matrix)
     res = solve_distributed(split, ex, rhs, preconditioner=pre, **kwargs)
     oracle = LaunchOracle(split, ex, name).solve(res, not rhs.any())
     return res, ex.devices, oracle
@@ -348,11 +290,7 @@ class TestPricedLedger:
         res, devices, oracle = priced_solve(
             name, n_domains, tol=1e-12, max_iterations=2
         )
-        # with one domain the domain solves are an exact inverse
-        exact = name in DOMAIN_NAMES and n_domains == 1
-        assert (res.iterations, res.converged) == (
-            (1, True) if exact else (2, False)
-        )
+        assert (res.iterations, res.converged) == (2, False)
         assert_same_ledgers(devices, oracle)
 
     def test_zero_rhs_exit(self, name, n_domains):

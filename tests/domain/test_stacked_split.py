@@ -208,10 +208,8 @@ def test_same_pattern_shares_everything_but_the_payloads(n_domains):
     np.testing.assert_array_equal(hit.matvec(x), reference(other, x))
     # the kept operand still multiplies by its own values
     np.testing.assert_array_equal(kept.matvec(x), reference(matrix, x))
-    # the opt-in preconditioner operands are cut from the new values
-    np.testing.assert_array_equal(
-        hit.split.local(0).diag, other.diag[kept.split.dmap.owned[0]]
-    )
+    owned = kept.split.dmap.owned[0]
+    np.testing.assert_array_equal(hit.split.matrix.diag[owned], other.diag[owned])
 
 
 def test_any_other_pattern_or_ownership_misses():

@@ -190,6 +190,14 @@ class TestDiagnostics:
         assert len(r.snapshots) == 3  # steps 5, 10, final
         assert r.snapshots[0][0] == 5
 
+    def test_to_csv(self, tmp_path):
+        r = GpuEngine(drop_system(), dyn_controls()).run(steps=3)
+        path = tmp_path / "steps.csv"
+        r.to_csv(path)
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith("step,dt,cg_iterations")
+        assert len(lines) == 4
+
     def test_module_times_cover_pipeline(self):
         e = GpuEngine(drop_system(), dyn_controls())
         r = e.run(steps=3)

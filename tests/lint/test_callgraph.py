@@ -288,15 +288,10 @@ def test_nested_function_attribution(tmp_path):
 # real-package pins
 # ----------------------------------------------------------------------
 
-def test_domain_is_kernel_path_and_dda3d_stays_out():
+def test_domain_is_kernel_path():
     program = real_program()
     assert program.in_closure("domain/solve.py", MODULE_SCOPE)
     assert program.in_closure("domain/partition.py", MODULE_SCOPE)
-    # the 3-D prototype package is host-side analysis code: nothing in
-    # it is reachable from the 2-D device pipeline
-    assert not any(
-        rel.startswith("dda3d/") for rel, _ in program.closure
-    )
 
 
 def test_closure_covers_known_host_helpers():

@@ -53,10 +53,17 @@ class TestMain:
         # sweeps at the remembered rung; loop 2 rejects the attempt
         main(["--model", "slope", "--steps", "1", "--dt", "2e-3",
               "--no-render"])
+        out = capsys.readouterr().out
         assert (
             "solver fallback engaged on 0/1 steps (max rung 0); "
             "3 rung solves skipped"
-        ) in capsys.readouterr().out
+        ) in out
+        # the solve is reported whole: what the thrown-away attempts
+        # burned stands next to the accepted attempt's count
+        assert (
+            "CG iterations total: 62 in accepted attempts, 1956 in 4 "
+            "rejected (4 open_close_oscillation);"
+        ) in out
 
     def test_render_included_by_default(self, capsys):
         main(["--model", "wall", "--steps", "1", "--dynamic"])

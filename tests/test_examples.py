@@ -69,9 +69,3 @@ class TestExamples:
     def test_seismic_sliding_quick(self, capsys):
         out = run_example("seismic_sliding.py", ["--quick"], capsys)
         assert "Newmark" in out
-
-    def test_dda3d_demo(self, capsys):
-        out = run_example(
-            "dda3d_demo.py", ["--tower", "2", "--steps", "100"], capsys
-        )
-        assert "3-D demo OK" in out
