@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import bsr_matrix
 
 from repro.gpu.kernel import VirtualDevice
 from repro.primitives.scatter import scatter_add
@@ -107,8 +108,6 @@ class BlockMatrix:
 
     def to_scipy_csr(self):
         """Full (symmetric) matrix as ``scipy.sparse.csr_matrix``."""
-        from scipy.sparse import bsr_matrix
-
         idx_i = np.concatenate([np.arange(self.n), self.rows, self.cols])
         idx_j = np.concatenate([np.arange(self.n), self.cols, self.rows])
         data = np.concatenate(

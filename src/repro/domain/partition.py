@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from repro.core.blocks import BlockSystem
 
@@ -90,9 +92,6 @@ def _is_connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
         return True
     if i.size == 0:
         return False
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     adj = coo_matrix(
         (np.ones(i.size, dtype=np.float64), (i, j)), shape=(n, n)
     )

@@ -16,32 +16,39 @@ import time
 from pathlib import Path
 
 from repro.core.state import ResilienceControls, SimulationControls
+from repro.engine.chaos import FaultInjector
+from repro.engine.gpu_engine import GpuEngine
+from repro.engine.hybrid_engine import HybridEngine
+from repro.engine.resilience import CheckpointCorrupt
 from repro.engine.results import SimulationResult
+from repro.engine.serial_engine import SerialEngine
+from repro.gpu.device import K20, K40
 from repro.io.batch_io import summarize_result
+from repro.io.model_io import load_checkpoint, load_system
+from repro.meshing.slope_models import (
+    build_brick_wall,
+    build_falling_rocks_model,
+    build_slope_model,
+)
+from repro.util.timing import ModuleTimes
 
 
 def build_system_from_spec(spec):
     """Build (or load) the :class:`BlockSystem` a spec names."""
     if getattr(spec, "load", None):
-        from repro.io.model_io import load_system
-
         return load_system(spec.load)
     if spec.model == "slope":
-        from repro.meshing.slope_models import build_slope_model
-
         return build_slope_model(joint_spacing=spec.size, seed=spec.seed)
     if spec.model == "rocks":
-        from repro.meshing.slope_models import build_falling_rocks_model
-
         return build_falling_rocks_model(n_rock_rows=3, n_rock_cols=8)
     if spec.model == "rubble":
+        # deferred: ``scipy.spatial`` costs more to load than the rest
+        # of this module's closure together
         from repro.meshing.voronoi import build_voronoi_rubble
 
         return build_voronoi_rubble(
             n_blocks=max(4, int(200.0 / spec.size)), seed=spec.seed
         )
-    from repro.meshing.slope_models import build_brick_wall
-
     return build_brick_wall(rows=4, cols=6)
 
 
@@ -65,27 +72,21 @@ def controls_from_spec(
 def make_engine(spec, system, controls, fault_injector=None,
                 tracer=None, metrics=None):
     """Instantiate the engine a spec names."""
-    from repro.gpu.device import K20, K40
-
     profile = K20 if spec.profile == "k20" else K40
     common = dict(fault_injector=fault_injector, tracer=tracer, metrics=metrics)
     if spec.engine == "serial":
-        from repro.engine.serial_engine import SerialEngine
-
         return SerialEngine(system, controls, **common)
     if spec.engine == "hybrid":
-        from repro.engine.hybrid_engine import HybridEngine
-
         return HybridEngine(system, controls, profile=profile, **common)
     if spec.engine == "domain":
+        # deferred: ``repro.domain`` brings ``scipy.sparse.csgraph`` and
+        # through it ``scipy.linalg``, 0.12 s only a domain run uses
         from repro.engine.domain_engine import DomainEngine
 
         return DomainEngine(
             system, controls, n_domains=getattr(spec, "n_domains", 2),
             **common,
         )
-    from repro.engine.gpu_engine import GpuEngine
-
     return GpuEngine(system, controls, profile=profile, **common)
 
 
@@ -95,8 +96,6 @@ def make_fault_injector(spec):
         spec, "fault_names", None
     ):
         return None
-    from repro.engine.chaos import FaultInjector
-
     return FaultInjector(
         faults=list(spec.fault_names) if spec.fault_names else None,
         seed=spec.inject_faults or 0,
@@ -111,9 +110,6 @@ def newest_valid_checkpoint(checkpoint_dir: str | Path):
     worker) are skipped, so a retry falls back to the newest checkpoint
     that *survives* rather than giving up.
     """
-    from repro.engine.resilience import CheckpointCorrupt
-    from repro.io.model_io import load_checkpoint
-
     checkpoint_dir = Path(checkpoint_dir)
     if not checkpoint_dir.is_dir():
         return None
@@ -170,8 +166,6 @@ def execute_spec(
     if remaining > 0:
         result = engine.run(steps=remaining)
     else:  # a checkpoint already covers the whole run
-        from repro.util.timing import ModuleTimes
-
         result = SimulationResult(
             module_times=ModuleTimes(), device=engine.device,
             metrics=engine.metrics,

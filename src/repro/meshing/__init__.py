@@ -8,6 +8,11 @@ boundary + joints (:mod:`repro.meshing.arrangement`), and extract the
 bounded faces as blocks (:mod:`repro.meshing.block_cutter`).
 :mod:`repro.meshing.slope_models` assembles ready-to-run Case-1-like and
 Case-2-like systems at any scale.
+
+:mod:`repro.meshing.voronoi` is exported lazily (PEP 562): it is the only
+importer of ``scipy.spatial``, which costs more to load than the rest of
+an engine process's imports together, so it loads when a Voronoi model
+is built and not before.
 """
 
 from repro.meshing.arrangement import PlanarArrangement, extract_faces
@@ -18,7 +23,11 @@ from repro.meshing.slope_models import (
     build_slope_model,
     build_falling_rocks_model,
 )
-from repro.meshing.voronoi import build_voronoi_rubble, voronoi_cells
+
+_LAZY = {
+    "build_voronoi_rubble": "repro.meshing.voronoi",
+    "voronoi_cells": "repro.meshing.voronoi",
+}
 
 __all__ = [
     "build_voronoi_rubble",
@@ -32,3 +41,17 @@ __all__ = [
     "build_slope_model",
     "build_falling_rocks_model",
 ]
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        import importlib
+
+        value = getattr(importlib.import_module(_LAZY[name]), name)
+        globals()[name] = value  # cache for subsequent lookups
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return __all__

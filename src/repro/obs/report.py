@@ -12,8 +12,9 @@ job counts, journal event tallies, cache hit rates, and the merged
 counters of every scheduler and HTTP-server process that persisted a
 metrics snapshot under ``<dir>/metrics/`` — storage faults injected
 and absorbed (``batch.io_faults.*``), lease expiries and fenced zombie
-writes, HTTP request/shed/rate-limit/drain tallies and injected
-network faults (``http.*``).
+writes, modules a worker had to import after its fork
+(``batch.worker_late_imports``), HTTP request/shed/rate-limit/drain
+tallies and injected network faults (``http.*``).
 
 ::
 

@@ -24,6 +24,7 @@ from ``0.0`` — so a pure-Python loop reproduces them bit for bit.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import bsr_array, csr_array
 
 __all__ = [
     "scatter_add",
@@ -96,8 +97,6 @@ class BlockRowProduct:
     """
 
     def __init__(self, blocks: np.ndarray, index: np.ndarray, n_in: int) -> None:
-        from scipy.sparse import bsr_array
-
         m, b = blocks.shape[0], blocks.shape[1]
         self._shape = (m, b)
         self._op = bsr_array(
@@ -135,8 +134,6 @@ class GatherSegmentSum:
     """
 
     def __init__(self, indptr: np.ndarray, gather: np.ndarray) -> None:
-        from scipy.sparse import csr_array
-
         self.indptr, self.gather = indptr, gather
         m = gather.size
         self._op = csr_array(

@@ -37,6 +37,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from pathlib import Path
 
 from repro.io.batch_io import get_io_chaos, read_json, write_json_atomic
@@ -103,7 +104,7 @@ class WorkerPool:
         for name in (
             "batch.cache_hits", "batch.cache_misses",
             "batch.lease_expired", "batch.fenced_writes",
-            "batch.io_faults",
+            "batch.io_faults", "batch.worker_late_imports",
         ):
             self.metrics.counter(name)
         # durability counters live queue-side (recover/finalize) and in
@@ -190,7 +191,12 @@ class WorkerPool:
                     break
                 time.sleep(self.poll_interval)
                 continue  # cache hits or pending backoffs; refill
-            time.sleep(self.poll_interval)
+            # wake when a worker exits, not a tick later; the timeout
+            # keeps deadlines and ``stop`` polled at the same interval
+            wait(
+                [slot.process.sentinel for slot in active],
+                timeout=self.poll_interval,
+            )
             still_active = []
             for slot in active:
                 if slot.process.is_alive():
@@ -366,6 +372,10 @@ class WorkerPool:
         """
         record, process = slot.record, slot.process
         outcome = read_json(slot.outcome_path)
+        if outcome is not None:
+            self.metrics.inc(
+                "batch.worker_late_imports", outcome.get("late_imports", 0)
+            )
         if timed_out:
             record.attempt_log.append(
                 {"attempt": record.attempts - 1, "crash": True,
@@ -404,7 +414,9 @@ class WorkerPool:
             else:
                 cache_entry = {
                     k: v for k, v in outcome.items()
-                    if k not in ("status", "attempt", "pid", "epoch")
+                    if k not in (
+                        "status", "attempt", "pid", "epoch", "late_imports"
+                    )
                 }
                 # The entry describes the whole computation, not the final
                 # attempt: a success resumed from a checkpoint reports only

@@ -279,7 +279,16 @@ def run_soak(
                 _scheduler_round, workers, lease_ttl, job_timeout
             )
             if kills_left > 0:
-                time.sleep(float(rng.uniform(0.4, 1.2)))
+                # kill on progress the journal shows, not on a wall-clock
+                # guess at this host's job latency: once the round has
+                # claimed a seeded number of tickets (at least one per
+                # worker), work is in flight
+                journal = client.queue.journal
+                target = journal.count("claimed") + int(
+                    rng.integers(workers, 3 * workers + 1)
+                )
+                while proc.is_alive() and journal.count("claimed") < target:
+                    time.sleep(0.01)
                 if proc.is_alive():
                     os.kill(proc.pid, signal.SIGKILL)
                     kills += 1

@@ -32,16 +32,23 @@ newest valid checkpoint and continues from there.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import traceback
 from pathlib import Path
 
+from repro.engine.resilience import SimulationError
 from repro.engine.runner import (
     execute_spec,
     make_fault_injector,
     newest_valid_checkpoint,
 )
 from repro.io.batch_io import read_json, write_json_atomic
+from repro.io.model_io import save_system
+from repro.obs.tracer import Tracer
+from repro.service.chaos import IOFaultInjector
+from repro.service.journal import Journal
+from repro.service.lease import LeaseStore
 from repro.service.spec import JobSpec
 
 #: Exit code of the kill-switch (mirrors SIGKILL's 128+9 convention).
@@ -85,8 +92,6 @@ class Heartbeat:
     """
 
     def __init__(self, lease_info: dict) -> None:
-        from repro.service.lease import LeaseStore
-
         self.store = LeaseStore(lease_info["root"], ttl=lease_info["ttl"])
         self.job_id = lease_info["job_id"]
         self.epoch = int(lease_info["epoch"])
@@ -125,8 +130,6 @@ class Heartbeat:
     def _journal(self, event: str, **fields) -> None:
         if self.journal_root is None:
             return
-        from repro.service.journal import Journal
-
         try:
             Journal(self.journal_root).append(
                 event, self.job_id, epoch=self.epoch, **fields
@@ -184,8 +187,6 @@ def run_job(
     option, not part of the spec, so it never perturbs the content hash
     the result cache keys on.
     """
-    from repro.obs.tracer import Tracer
-
     scratch = Path(scratch)
     tracer = Tracer(enabled=trace)
     resume_cp, resume_offset = None, 0
@@ -204,8 +205,6 @@ def run_job(
     )
     if arm_kill:
         injector = KillSwitch(spec.kill_at_step, resume_offset, inner=injector)
-    from repro.engine.resilience import SimulationError
-
     failed = {
         "status": "failed", "attempt": attempt, "resumed_from": resume_offset,
     }
@@ -234,8 +233,6 @@ def run_job(
                 traceback.format_exception_only(type(err), err)
             ).strip(),
         }
-    from repro.io.model_io import save_system
-
     state_stem = scratch / f"final-e{epoch:04d}-attempt-{attempt:03d}"
     save_system(engine.system, state_stem)
     summary["status"] = "succeeded"
@@ -259,9 +256,14 @@ def worker_entry(
     layer is re-armed explicitly: a forked child inherits the parent's
     already-checked injector state, and every worker must run its own
     seeded stream, fork or spawn alike.
-    """
-    from repro.service.chaos import IOFaultInjector
 
+    ``late_imports`` in the outcome counts the modules this process
+    loaded between here and the outcome write: 0 for a forked worker,
+    which inherits this module's closure from the scheduler, unless the
+    spec selects one of the two imports :mod:`repro.engine.runner`
+    defers (a ``rubble`` model, the ``domain`` engine).
+    """
+    n_modules = len(sys.modules)
     IOFaultInjector.install_from_env()
     epoch = int(lease_info["epoch"])
     heartbeat = Heartbeat(lease_info).start()
@@ -270,4 +272,5 @@ def worker_entry(
     heartbeat.stop()
     outcome["pid"] = os.getpid()
     outcome["epoch"] = epoch
+    outcome["late_imports"] = len(sys.modules) - n_modules
     write_json_atomic(outcome_path, outcome)

@@ -66,6 +66,21 @@ class TestSchedulerMetrics:
         assert counters["batch.dispatched"] == 1
         assert counters["batch.succeeded"] == 1
 
+    def test_late_imports_reach_attempt_log_and_report(self, tmp_path):
+        from repro.obs.report import build_service_report, render_service_report
+
+        client = BatchClient(tmp_path / "b")
+        record = client.submit(spec())
+        client.run(n_workers=1)
+        (attempt,) = client.queue.load_record(record.job_id).attempt_log
+        assert attempt["late_imports"] == 0
+        # a property of the attempt's process, not of the computation
+        assert "late_imports" not in client.store.lookup(spec().spec_hash())
+        counters = client.last_run_metrics["counters"]
+        assert counters["batch.worker_late_imports"] == 0
+        report = render_service_report(build_service_report(client.root))
+        assert "batch.worker_late_imports" in report
+
     def test_cache_hit_still_reports_job_metrics(self, tmp_path):
         client = BatchClient(tmp_path / "b")
         client.submit(spec())

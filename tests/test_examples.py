@@ -65,6 +65,20 @@ class TestExamples:
         assert "rubble pile" in out
         assert (tmp_path / "results" / "rubble_steps.csv").exists()
 
+    def test_rubble_builder_import_routes_agree(self):
+        """The example imports the module, ``docs/usage.md`` the package's
+        lazy export, the README the top-level one: one function."""
+        import repro
+        import repro.meshing
+        from repro.meshing.voronoi import build_voronoi_rubble
+
+        assert "repro.meshing.voronoi import build_voronoi_rubble" in (
+            EXAMPLES / "rubble_collapse.py"
+        ).read_text(encoding="utf-8")
+        assert repro.meshing.build_voronoi_rubble is build_voronoi_rubble
+        assert repro.build_voronoi_rubble is build_voronoi_rubble
+        assert "build_voronoi_rubble" in repro.meshing.__all__
+
     @pytest.mark.slow
     def test_seismic_sliding_quick(self, capsys):
         out = run_example("seismic_sliding.py", ["--quick"], capsys)

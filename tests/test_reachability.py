@@ -140,6 +140,17 @@ def test_every_module_is_reached_or_backs_a_named_claim():
     assert problems(REPO / "src", DESIGN) == []
 
 
+def test_voronoi_is_reached_through_the_runner_not_its_package():
+    """``repro.meshing`` exports the Voronoi builders lazily (no import
+    statement), so the spec runner's ``rubble`` branch is what keeps
+    ``repro.meshing.voronoi`` product code."""
+    files = module_files(REPO / "src")
+    voronoi = "repro.meshing.voronoi"
+    assert voronoi not in imported_modules(files, files["repro.meshing"])
+    assert voronoi in imported_modules(files, files["repro.engine.runner"])
+    assert voronoi in reached_modules(files)
+
+
 def test_planted_unreached_module_is_reported_by_name(tmp_path):
     shutil.copytree(
         REPO / "src", tmp_path / "src",
