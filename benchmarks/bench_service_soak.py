@@ -81,7 +81,8 @@ def bench_recovery(scratch: Path) -> dict:
         del q1
 
         start = time.perf_counter()
-        q2 = JobQueue(root)  # recover() runs on open
+        q2 = JobQueue(root)
+        q2.recover()
         got = q2.claim()
         latencies.append(time.perf_counter() - start)
         assert got is not None and got[0].job_id == record.job_id

@@ -7,7 +7,7 @@ invocation keeps working) builds one of the bundled workloads (or loads
 a saved model), runs the chosen pipeline in the foreground, and prints
 the per-module time report plus an ASCII rendering of the final state.
 ``--trace out.json`` records a per-step span trace (Chrome/Perfetto
-format, or JSON-lines with a ``.jsonl`` suffix); ``--metrics`` prints
+trace-event JSON); ``--metrics`` prints
 the engine's metrics snapshot after the run.
 
 ``batch`` is the batch simulation service (:mod:`repro.service`):
@@ -24,9 +24,10 @@ modelled seconds, speedup) from a trace file written by ``--trace``,
 or — given a batch directory — the service operator view (queue
 depths, journal tallies, merged ``batch.*``/``http.*`` counters).
 
-``lint`` runs the device-path static analyzer (:mod:`repro.lint`):
-rules DDA001-DDA005 over the kernel-path modules, with ``--json``
-machine output and a grandfathering baseline. The dynamic counterpart,
+``lint`` runs the static analyzer (:mod:`repro.lint`): rules DDA001
+and DDA003-DDA008 over the kernel-path modules, their call-graph
+closure and the service path, with ``--json`` machine output and a
+``--sync-inventory`` report. The dynamic counterpart,
 the scatter-write race sanitizer, is armed on ``run`` with
 ``--sanitize``.
 
@@ -102,9 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the ASCII rendering of the final state")
     obs = p.add_argument_group("observability")
     obs.add_argument("--trace", metavar="PATH", dest="trace_path",
-                     help="write a span trace: Chrome/Perfetto trace-event "
-                          "JSON, or JSON-lines when PATH ends in .jsonl "
-                          "(render with 'python -m repro report PATH')")
+                     help="write a span trace as Chrome/Perfetto "
+                          "trace-event JSON (render with 'python -m repro "
+                          "report PATH')")
     obs.add_argument("--metrics", action="store_true", dest="show_metrics",
                      help="print the metrics snapshot (contact classes, CG "
                           "iteration histogram, fallback/rollback counters) "

@@ -12,30 +12,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: Per-guard policies of the health monitor.
-GUARD_POLICIES = ("fail_fast", "rollback", "warn", "off")
-
-
 @dataclass
 class ResilienceControls:
     """Knobs of the resilience layer (:mod:`repro.engine.resilience`).
+
+    The layer's fixed settings (checkpoint ring size, rollback dt factor,
+    health-guard thresholds and policies) are module constants there.
 
     Attributes
     ----------
     checkpoint_every:
         Take a full-state checkpoint every this many accepted steps
         (``0`` disables checkpointing — and with it rollback recovery).
-    keep_checkpoints:
-        In-memory checkpoint ring size.
     checkpoint_dir:
         If set, persist every checkpoint to this directory as
         ``checkpoint_<step>.npz`` with an integrity checksum.
     max_rollbacks:
         Fatal-failure rollbacks allowed per ``run()`` before giving up.
-    rollback_dt_factor:
-        The restored checkpoint's ``dt`` is multiplied by this after a
-        rollback, so the deterministic retry takes a different (safer)
-        trajectory.
     solver_fallback:
         Escalate through the preconditioner ladder on PCG failure
         before burning a loop-2 dt-halving.
@@ -43,74 +36,27 @@ class ResilienceControls:
         ``"raise"`` propagates the typed :class:`SimulationError`;
         ``"partial"`` returns the accepted prefix of the run as a
         partial result with an attached ``FailureReport``.
-    guard_finite / guard_penetration / guard_energy / guard_oscillation:
-        Health-guard policies, each one of ``fail_fast`` (raise, no
-        rollback), ``rollback`` (raise, recoverable), ``warn`` (record
-        a warning and continue), ``off``.
-    penetration_factor:
-        Penetration guard threshold as a multiple of the engine's
-        contact threshold.
-    energy_factor:
-        Kinetic-energy guard: trips when energy grows by more than this
-        factor in one accepted step (and exceeds the model's natural
-        energy scale).
-    oscillation_streak:
-        Open–close guard: trips after this many consecutive accepted
-        steps whose open–close iteration hit the loop-3 cap.
     """
 
     checkpoint_every: int = 0
-    keep_checkpoints: int = 2
     checkpoint_dir: str | None = None
     max_rollbacks: int = 3
-    rollback_dt_factor: float = 0.5
     solver_fallback: bool = True
     on_failure: str = "raise"
-    guard_finite: str = "rollback"
-    guard_penetration: str = "warn"
-    guard_energy: str = "warn"
-    guard_oscillation: str = "warn"
-    penetration_factor: float = 10.0
-    energy_factor: float = 100.0
-    oscillation_streak: int = 5
 
     def __post_init__(self) -> None:
         if self.checkpoint_every < 0:
             raise ValueError(
                 f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
             )
-        if self.keep_checkpoints < 1:
-            raise ValueError(
-                f"keep_checkpoints must be >= 1, got {self.keep_checkpoints}"
-            )
         if self.max_rollbacks < 0:
             raise ValueError(
                 f"max_rollbacks must be >= 0, got {self.max_rollbacks}"
-            )
-        if not (0.0 < self.rollback_dt_factor <= 1.0):
-            raise ValueError(
-                "rollback_dt_factor must be in (0, 1], got "
-                f"{self.rollback_dt_factor}"
             )
         if self.on_failure not in ("raise", "partial"):
             raise ValueError(
                 f"on_failure must be 'raise' or 'partial', got "
                 f"{self.on_failure!r}"
-            )
-        for name in ("guard_finite", "guard_penetration", "guard_energy",
-                     "guard_oscillation"):
-            policy = getattr(self, name)
-            if policy not in GUARD_POLICIES:
-                raise ValueError(
-                    f"{name} must be one of {GUARD_POLICIES}, got {policy!r}"
-                )
-        if self.penetration_factor <= 0 or self.energy_factor <= 1.0:
-            raise ValueError(
-                "penetration_factor must be > 0 and energy_factor > 1"
-            )
-        if self.oscillation_streak < 1:
-            raise ValueError(
-                f"oscillation_streak must be >= 1, got {self.oscillation_streak}"
             )
 
 
@@ -157,7 +103,7 @@ class SimulationControls:
         loads every block by ``-rho a`` per unit area). ``None`` = no
         shaking.
     resilience:
-        Checkpoint/rollback, solver-fallback, and health-guard knobs
+        Checkpoint/rollback and solver-fallback knobs
         (:class:`ResilienceControls`).
     contract_level:
         Stage-contract checking level (:mod:`repro.engine.contracts`):

@@ -96,7 +96,7 @@ def _is_connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
         (np.ones(i.size, dtype=np.float64), (i, j)), shape=(n, n)
     )
     n_components, _ = connected_components(adj, directed=False)
-    return bool(n_components == 1)  # lint: host-ok[DDA002] -- scalar component count, host-side planning
+    return bool(n_components == 1)
 
 
 def _fiedler_order(

@@ -31,6 +31,7 @@ from repro.core.displacement import displacement_matrix, update_geometry
 from repro.core.state import SimulationControls
 from repro.engine.contracts import StageContracts
 from repro.engine.resilience import (
+    ROLLBACK_DT_FACTOR,
     Checkpoint,
     CheckpointManager,
     FailureReport,
@@ -162,7 +163,6 @@ class EngineBase:
             * self._model_size
         )
         self._monitor = HealthMonitor(
-            self.controls.resilience,
             contact_threshold=self.contact_threshold,
             energy_scale=energy_scale,
         )
@@ -176,7 +176,6 @@ class EngineBase:
         self.contracts = StageContracts(
             self.controls.contract_level,
             contact_threshold=self.contact_threshold,
-            penetration_factor=self.controls.resilience.penetration_factor,
         )
         #: scatter-write race sanitizer (:mod:`repro.lint.sanitize`);
         #: ``None`` unless ``controls.sanitize`` opted in
@@ -368,10 +367,7 @@ class EngineBase:
         start_centroids = self.system.centroids.copy()
         manager: CheckpointManager | None = None
         if rcontrols.checkpoint_every > 0:
-            manager = CheckpointManager(
-                keep=rcontrols.keep_checkpoints,
-                persist_dir=rcontrols.checkpoint_dir,
-            )
+            manager = CheckpointManager(persist_dir=rcontrols.checkpoint_dir)
             manager.take(self, step=0)
         self._monitor.reset()
         # counts accumulate across runs on the checker; diff at the end
@@ -393,7 +389,7 @@ class EngineBase:
                     rollbacks += 1
                     self.metrics.inc("engine.rollbacks")
                     self.restore_checkpoint(cp)
-                    self.dt = cp.dt * rcontrols.rollback_dt_factor
+                    self.dt = cp.dt * ROLLBACK_DT_FACTOR
                     self._monitor.reset()
                     # drop the steps the rollback un-did
                     del result.steps[cp.step:]
@@ -788,8 +784,8 @@ class EngineBase:
                     solver_rung=step_rung,
                     oc_converged=oc_converged,
                 )
-                # health guards run on the freshly-updated state; a fatal
-                # guard raises NumericalBlowup for the run loop to handle
+                # health guards run on the freshly-updated state; a
+                # non-finite state raises NumericalBlowup for the run loop
                 guard_warnings = self._monitor.after_step(self.system, record)
                 if warnings is not None:
                     warnings.extend(guard_warnings)

@@ -107,12 +107,12 @@ FAULT_REGISTRY: dict[str, FaultSpec] = {
         FaultSpec(
             "solution_nan", "equation_solving",
             "overwrite one solution-vector entry with NaN",
-            "contracts.finite_solution (cheap) / guard_finite",
+            "contracts.finite_solution (cheap) / health guard finite",
         ),
         FaultSpec(
             "solution_inf", "equation_solving",
             "overwrite one solution-vector entry with +inf",
-            "contracts.finite_solution (cheap) / guard_finite",
+            "contracts.finite_solution (cheap) / health guard finite",
         ),
         FaultSpec(
             "halo_corrupt", "halo_exchange",
@@ -281,7 +281,7 @@ class FaultInjector:
         victim = int(self._rng.integers(buffer.size))
         # large but finite: slips past the cheap finiteness contract and
         # is caught by the full-level true-residual check
-        buffer[victim] += 1e6 * (1.0 + float(np.abs(buffer).max()))  # lint: host-ok[DDA002]
+        buffer[victim] += 1e6 * (1.0 + float(np.abs(buffer).max()))
         return buffer, f"corrupted halo-gather buffer entry {victim}"
 
     # ------------------------------------------------------------------

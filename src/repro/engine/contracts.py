@@ -38,10 +38,18 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.engine.resilience import SimulationError, StepContext
+from repro.engine.resilience import (
+    PENETRATION_FACTOR,
+    SimulationError,
+    StepContext,
+)
 
 #: Valid contract levels, in increasing strictness/cost.
 CONTRACT_LEVELS = ("off", "cheap", "full")
+
+#: ``full`` residual check: the true relative residual may exceed the
+#: solver's reported one by at most this factor.
+RESIDUAL_SLACK = 1e3
 
 #: Stage names used in violation bookkeeping (match the module names of
 #: the paper's pipeline / the engines' timing regions).
@@ -108,8 +116,6 @@ class StageContracts:
         level: str = "off",
         *,
         contact_threshold: float = 0.0,
-        penetration_factor: float = 10.0,
-        residual_slack: float = 1e3,
     ) -> None:
         if level not in CONTRACT_LEVELS:
             raise ValueError(
@@ -117,8 +123,6 @@ class StageContracts:
             )
         self.level = level
         self.contact_threshold = float(contact_threshold)
-        self.penetration_factor = float(penetration_factor)
-        self.residual_slack = float(residual_slack)
         #: per-stage violation counts (accumulated across runs; the run
         #: loop diffs against a snapshot to report per-run counts)
         self.violations: Counter[str] = Counter()
@@ -418,7 +422,7 @@ class StageContracts:
 
         cheap: finite solution and finite reported residuals.
         full: recompute the true relative residual ``|rhs - K d| / |rhs|``
-        and require it within ``residual_slack`` of the reported one — a
+        and require it within :data:`RESIDUAL_SLACK` of the reported one — a
         solver reporting convergence on a corrupted solution is exactly
         the silent failure contracts exist to catch.
         """
@@ -444,12 +448,12 @@ class StageContracts:
         if rhs_norm == 0.0:
             return
         actual = float(np.linalg.norm(rhs - matrix.matvec(res.x))) / rhs_norm
-        bound = self.residual_slack * max(reported, 1e-14)
+        bound = RESIDUAL_SLACK * max(reported, 1e-14)
         if actual > bound and actual > 1e-6:
             self._fail(
                 stage, "residual_mismatch",
                 f"true relative residual {actual:.3e} exceeds "
-                f"{self.residual_slack:g}x the reported {reported:.3e}",
+                f"{RESIDUAL_SLACK:g}x the reported {reported:.3e}",
                 context=context,
             )
 
@@ -467,7 +471,8 @@ class StageContracts:
 
         cheap: state codes valid, sliding signs in {-1, +1}, normal
         forces finite and non-negative, penetration finite.
-        full: penetration bounded by ``penetration_factor`` times the
+        full: penetration bounded by
+        :data:`~repro.engine.resilience.PENETRATION_FACTOR` times the
         detection threshold (deeper means the spring update lost the
         contact physics).
         """
@@ -507,12 +512,12 @@ class StageContracts:
         if (
             self.full
             and self.contact_threshold > 0
-            and max_pen > self.penetration_factor * self.contact_threshold
+            and max_pen > PENETRATION_FACTOR * self.contact_threshold
         ):
             self._fail(
                 stage, "penetration_bound",
                 f"max penetration {max_pen:.3e} exceeds "
-                f"{self.penetration_factor:g}x the contact threshold",
+                f"{PENETRATION_FACTOR:g}x the contact threshold",
                 context=context,
             )
 

@@ -57,16 +57,15 @@ def _transfer(device, name: str, nbytes: float) -> None:
 
 class HybridEngine(CpuStages, GpuEngine):
     """Hybrid pipeline: GPU detection/solve/check, CPU build/update
-    (:class:`~repro.engine.serial_engine.CpuStages`, priced on the CPU
-    profile through the ``serial_`` route)."""
+    (:class:`~repro.engine.serial_engine.CpuStages`, priced on the
+    :data:`~repro.gpu.device.E5620` host through the ``serial_`` route,
+    transfers on :data:`PCIE` through the ``pcie_`` route)."""
 
     def __init__(
         self,
         system: BlockSystem,
         controls: SimulationControls | None = None,
         profile: DeviceProfile | None = None,
-        cpu_profile: DeviceProfile | None = None,
-        pcie_profile: DeviceProfile | None = None,
         fault_injector=None,
         tracer=None,
         metrics=None,
@@ -77,10 +76,7 @@ class HybridEngine(CpuStages, GpuEngine):
         )
         self.device = RoutedVirtualDevice(
             profile or K40,
-            routes={
-                "serial_": cpu_profile or E5620,
-                "pcie_": pcie_profile or PCIE,
-            },
+            routes={"serial_": E5620, "pcie_": PCIE},
         )
 
     # ------------------------------------------------------------------

@@ -13,10 +13,11 @@ failures and the machinery to survive them:
 * a :func:`solver_ladder` describing the escalation sequence the engine
   walks through *before* burning a loop-2 dt-halving (configured
   preconditioner → stronger preconditioner → cold restart);
-* a :class:`HealthMonitor` running per-step guards (NaN/Inf, deep
-  penetration, kinetic-energy blow-up, open–close oscillation streaks)
-  under per-guard policies (``fail_fast`` / ``rollback`` / ``warn`` /
-  ``off``);
+* a :class:`HealthMonitor` running per-step guards, each with one fixed
+  response: a NaN/Inf state raises a recoverable
+  :class:`NumericalBlowup` (the run loop rolls back), while deep
+  penetration, a kinetic-energy blow-up and an open–close oscillation
+  streak are recorded as :class:`HealthWarning` s;
 * :class:`Checkpoint` / :class:`CheckpointManager` — periodic full-state
   snapshots the engine rolls back to when a fatal failure strikes, kept
   in memory and optionally persisted via :mod:`repro.io.model_io` with
@@ -34,8 +35,26 @@ import numpy as np
 
 from repro.contact.contact_set import ContactSet
 from repro.core.blocks import BlockSystem
-from repro.core.state import ResilienceControls
 from repro.solvers.preconditioners import stronger_preconditioner
+
+#: In-memory checkpoint ring size (:class:`CheckpointManager`).
+KEEP_CHECKPOINTS = 2
+
+#: A rollback restores the checkpoint's ``dt`` times this, so the
+#: deterministic retry takes a different (safer) trajectory.
+ROLLBACK_DT_FACTOR = 0.5
+
+#: Penetration guard threshold — and the ``full`` contract's penetration
+#: bound — as a multiple of the engine's contact threshold.
+PENETRATION_FACTOR = 10.0
+
+#: Energy guard: warns when kinetic energy grows by more than this
+#: factor in one accepted step (and exceeds the model's energy scale).
+ENERGY_FACTOR = 100.0
+
+#: Oscillation guard: warns after this many consecutive accepted steps
+#: whose open–close iteration hit the loop-3 cap.
+OSCILLATION_STREAK = 5
 
 # ----------------------------------------------------------------------
 # failure context and taxonomy
@@ -113,7 +132,10 @@ class SolverBreakdown(SimulationError):
 
 
 class NumericalBlowup(SimulationError):
-    """A health guard tripped after data updating (NaN, energy, ...)."""
+    """The state went non-finite after data updating (guard ``finite``).
+
+    Recoverable: the run loop rolls back to the last checkpoint.
+    """
 
     def __init__(
         self,
@@ -121,12 +143,9 @@ class NumericalBlowup(SimulationError):
         context: StepContext | None = None,
         *,
         guard: str = "",
-        policy: str = "fail_fast",
     ) -> None:
         super().__init__(message, context)
         self.guard = guard
-        self.policy = policy
-        self.recoverable = policy == "rollback"
 
 
 class CheckpointCorrupt(SimulationError):
@@ -227,23 +246,24 @@ def kinetic_energy(system: BlockSystem) -> float:
 
 
 class HealthMonitor:
-    """Per-step guards run after the data-updating module.
+    """Per-step guards run after the data-updating module, each with
+    one fixed response:
 
-    Each guard either appends a :class:`HealthWarning` (policy ``warn``)
-    or raises :class:`NumericalBlowup` (policies ``fail_fast`` /
-    ``rollback``; the policy rides on the exception so the run loop
-    knows whether a checkpoint rollback is wanted). Policy ``off``
-    disables a guard entirely.
+    * ``finite`` — NaN/Inf in vertices, velocities or stresses: raises a
+      recoverable :class:`NumericalBlowup`, so the run loop rolls back;
+    * ``penetration`` — max penetration above :data:`PENETRATION_FACTOR`
+      × the contact threshold: warns;
+    * ``energy`` — kinetic energy above :data:`ENERGY_FACTOR` × the
+      previous step's and above ``energy_scale``: warns;
+    * ``oscillation`` — :data:`OSCILLATION_STREAK` consecutive accepted
+      steps whose open–close iteration hit the loop-3 cap: warns.
+
+    A warning is a :class:`HealthWarning`; the run continues.
     """
 
     def __init__(
-        self,
-        controls: ResilienceControls,
-        *,
-        contact_threshold: float,
-        energy_scale: float,
+        self, *, contact_threshold: float, energy_scale: float
     ) -> None:
-        self.controls = controls
         self.contact_threshold = contact_threshold
         #: absolute kinetic-energy floor below which the blow-up guard
         #: stays silent (settling noise is not a blow-up)
@@ -253,7 +273,7 @@ class HealthMonitor:
     def reset(self) -> None:
         """Clear cross-step guard state (after a rollback or a new run)."""
         self._prev_ke: float | None = None
-        self._oscillation_streak = 0
+        self._unsettled_steps = 0
 
     # ------------------------------------------------------------------
     def after_step(self, system: BlockSystem, record) -> list[HealthWarning]:
@@ -261,91 +281,64 @@ class HealthMonitor:
 
         ``record`` is the step's :class:`~repro.engine.results.StepRecord`.
         Returns the warnings emitted; raises :class:`NumericalBlowup` on
-        a fatal guard.
+        a non-finite state.
         """
-        c = self.controls
+        if not (
+            np.isfinite(system.vertices).all()
+            and np.isfinite(system.velocities).all()
+            and np.isfinite(system.stresses).all()
+        ):
+            raise NumericalBlowup(
+                "health guard 'finite': non-finite values in "
+                "vertices/velocities/stresses",
+                StepContext(
+                    step=record.step, dt=record.dt, retries=record.retries,
+                    max_penetration=record.max_penetration, cause="finite",
+                ),
+                guard="finite",
+            )
         warnings: list[HealthWarning] = []
 
-        if c.guard_finite != "off":
-            bad = not (
-                np.isfinite(system.vertices).all()
-                and np.isfinite(system.velocities).all()
-                and np.isfinite(system.stresses).all()
-            )
-            if bad:
-                self._emit(
-                    "finite",
-                    "non-finite values in vertices/velocities/stresses",
-                    c.guard_finite, record, warnings,
-                )
+        def warn(guard: str, message: str, value: float) -> None:
+            warnings.append(HealthWarning(
+                step=record.step, guard=guard, message=message, value=value,
+            ))
 
-        if c.guard_penetration != "off":
-            limit = c.penetration_factor * self.contact_threshold
-            if record.max_penetration > limit:
-                self._emit(
-                    "penetration",
-                    f"max penetration {record.max_penetration:.3e} m exceeds "
-                    f"{c.penetration_factor:g} x contact threshold "
-                    f"({limit:.3e} m)",
-                    c.guard_penetration, record, warnings,
-                    value=record.max_penetration,
-                )
+        limit = PENETRATION_FACTOR * self.contact_threshold
+        if record.max_penetration > limit:
+            warn(
+                "penetration",
+                f"max penetration {record.max_penetration:.3e} m exceeds "
+                f"{PENETRATION_FACTOR:g} x contact threshold ({limit:.3e} m)",
+                record.max_penetration,
+            )
 
         ke = kinetic_energy(system)
-        if c.guard_energy != "off" and self._prev_ke is not None:
-            if ke > c.energy_factor * self._prev_ke and ke > self.energy_scale:
-                self._emit(
+        if self._prev_ke is not None:
+            if ke > ENERGY_FACTOR * self._prev_ke and ke > self.energy_scale:
+                warn(
                     "energy",
                     f"kinetic energy jumped {ke / max(self._prev_ke, 1e-300):.1f}x "
                     f"in one step ({self._prev_ke:.3e} -> {ke:.3e} J)",
-                    c.guard_energy, record, warnings, value=ke,
+                    ke,
                 )
         if np.isfinite(ke):
             self._prev_ke = ke
 
-        if c.guard_oscillation != "off":
-            if record.oc_converged:
-                self._oscillation_streak = 0
-            else:
-                self._oscillation_streak += 1
-                if self._oscillation_streak >= c.oscillation_streak:
-                    streak = self._oscillation_streak
-                    self._oscillation_streak = 0
-                    self._emit(
-                        "oscillation",
-                        f"open-close iteration failed to settle for "
-                        f"{streak} consecutive accepted steps",
-                        c.guard_oscillation, record, warnings,
-                        value=float(streak),
-                    )
+        if record.oc_converged:
+            self._unsettled_steps = 0
+        else:
+            self._unsettled_steps += 1
+            if self._unsettled_steps >= OSCILLATION_STREAK:
+                streak = self._unsettled_steps
+                self._unsettled_steps = 0
+                warn(
+                    "oscillation",
+                    f"open-close iteration failed to settle for "
+                    f"{streak} consecutive accepted steps",
+                    float(streak),
+                )
         return warnings
-
-    # ------------------------------------------------------------------
-    def _emit(
-        self,
-        guard: str,
-        message: str,
-        policy: str,
-        record,
-        warnings: list[HealthWarning],
-        *,
-        value: float = 0.0,
-    ) -> None:
-        if policy == "warn":
-            warnings.append(
-                HealthWarning(step=record.step, guard=guard,
-                              message=message, value=value)
-            )
-            return
-        raise NumericalBlowup(
-            f"health guard '{guard}': {message}",
-            StepContext(
-                step=record.step, dt=record.dt, retries=record.retries,
-                max_penetration=record.max_penetration, cause=guard,
-            ),
-            guard=guard,
-            policy=policy,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -417,19 +410,15 @@ class Checkpoint:
 
 
 class CheckpointManager:
-    """A bounded in-memory ring of checkpoints, optionally persisted.
+    """A ring of the :data:`KEEP_CHECKPOINTS` newest checkpoints, kept in
+    memory and optionally persisted.
 
     ``persist_dir`` writes every checkpoint through
     :func:`repro.io.model_io.save_checkpoint` (npz + SHA-256 integrity
     checksum) so an external supervisor can restart a killed process.
     """
 
-    def __init__(
-        self, *, keep: int = 2, persist_dir=None
-    ) -> None:
-        if keep < 1:
-            raise ValueError(f"keep must be >= 1, got {keep}")
-        self.keep = keep
+    def __init__(self, *, persist_dir=None) -> None:
         self.persist_dir = persist_dir
         self._ring: list[Checkpoint] = []
 
@@ -444,7 +433,7 @@ class CheckpointManager:
         """Capture and retain a checkpoint after ``step`` accepted steps."""
         cp = Checkpoint.capture(engine, step)
         self._ring.append(cp)
-        del self._ring[: -self.keep]
+        del self._ring[:-KEEP_CHECKPOINTS]
         if self.persist_dir is not None:
             from pathlib import Path
 

@@ -11,7 +11,7 @@ a decorated ``def``, anywhere in the decorator stack or directly above
 it)::
 
     for i in range(n):  # lint: host-ok -- documented serial baseline
-    # lint: host-ok[DDA002] -- key-bits inference needs keys.max()
+    y = x.astype(np.float32)  # lint: host-ok[DDA003] -- precision ablation
     rz = float(r @ z)  # lint: sync-ok[cg-convergence] -- host decides
     os.rename(src, dst)  # lint: lock-ok[rename-as-claim] -- atomic
 
@@ -22,8 +22,7 @@ Three annotation tokens exist:
   only the listed rules. It does **not** silence DDA007 or DDA008.
 * ``sync-ok[reason]`` — acknowledges an implicit device→host sync
   point (rule DDA007). The reason is mandatory; the site still appears
-  in the sync-point inventory. A ``sync-ok`` also covers DDA002 on the
-  same line (it is the strictly more informative annotation).
+  in the sync-point inventory.
 * ``lock-ok[reason]`` — acknowledges a direct filesystem mutation on
   the service path (rule DDA008), e.g. the queue's rename-as-claim
   protocol where the rename *is* the atomicity mechanism.
@@ -40,7 +39,7 @@ from typing import Iterable, Iterator
 import re
 
 #: Modules whose code runs (conceptually) on the device: rules DDA001,
-#: DDA002, DDA003, DDA005, DDA006 and DDA007 apply here — and, through
+#: DDA003, DDA005, DDA006 and DDA007 apply here — and, through
 #: the call-graph closure, to every function transitively reachable
 #: from here (DDA005 excepted: docstring style stays per-module).
 #: Directory entries end in "/" and match by prefix; file entries match
@@ -70,7 +69,7 @@ SERVICE_PATH = (
 #: host-side by design.
 MODULE_EXEMPTIONS: dict[str, tuple[frozenset[str], str]] = {
     "spmv/synthetic.py": (
-        frozenset({"DDA001", "DDA002", "DDA006", "DDA007"}),
+        frozenset({"DDA001", "DDA006", "DDA007"}),
         "host-side workload generator: builds benchmark matrices, "
         "never runs in a kernel-recorded region",
     ),
@@ -318,9 +317,6 @@ class SourceModule:
                 elif token == "sync-ok":
                     reason = arg or why
                     self.sync_annotations[lineno] = reason
-                    # a sync-ok is the more informative DDA002
-                    # suppression: the transfer is acknowledged
-                    self._add_suppression(lineno, frozenset({"DDA002"}))
                 elif token == "lock-ok":
                     self.lock_annotations[lineno] = arg or why
 

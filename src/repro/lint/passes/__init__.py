@@ -1,7 +1,6 @@
 """Rule registry: one pass per ``DDAxxx`` code."""
 
 from repro.lint.passes.loops import LoopPass
-from repro.lint.passes.transfers import TransferPass
 from repro.lint.passes.dtypes import DtypePass
 from repro.lint.passes.rng import RngPass
 from repro.lint.passes.docstrings import DocstringPass
@@ -12,7 +11,6 @@ from repro.lint.passes.service_locks import ServiceLockPass
 #: Every registered pass, in rule-code order.
 ALL_PASSES = (
     LoopPass(),
-    TransferPass(),
     DtypePass(),
     RngPass(),
     DocstringPass(),

@@ -1,9 +1,9 @@
 """DDA006 — Array-API portability of every ``np.*`` call on the device
 path.
 
-ROADMAP item 1 plans a pluggable array backend (``repro.core.xp``
-dispatching to NumPy or CuPy). That shim can only work if the
-device-reachable code sticks to NumPy surface that the backend can
+The kernel closure is meant to run under a strict Array-API namespace
+(NumPy or CuPy behind one ``xp``). That only works if the
+device-reachable code sticks to NumPy surface such a namespace can
 actually provide. This rule checks every ``np.``/``numpy.`` call in
 kernel-path modules *and* in the call-graph kernel closure against two
 vendored tables:

@@ -3,9 +3,10 @@
 A real device backend executes kernel launches asynchronously; the
 queue only drains when the host *needs* a value — ``.item()``,
 ``float(...)`` of a reduction, an array (element) in an ``if``/``while``
-test. Each such site is a pipeline stall, and the future ``repro.core.xp``
-backend must either fence it deliberately or restructure it away. This
-pass finds them all and demands an explicit, reasoned annotation::
+test. Each such site is a pipeline stall, and a strict Array-API
+namespace backend must either fence it deliberately or restructure it
+away. This pass finds them all and demands an explicit, reasoned
+annotation::
 
     rz = float(r @ z)  # lint: sync-ok[cg-convergence] -- host loop decides
 
@@ -15,6 +16,11 @@ Unlike the generic ``host-ok`` (which DDA007 deliberately ignores), a
 or not, lands in the machine-readable sync-point inventory
 (``repro lint --sync-inventory``), the exhaustive worklist of host
 decision points for the backend shim.
+
+Expressions inside a ``device.launch(...)`` / ``KernelCounters(...)``
+call (and the transaction-counting helpers) are exempt: they *are* the
+virtual-GPU cost model, host code by design, not the simulated data
+path.
 
 The pass also runs a light intra-function taint: a name assigned from a
 truthiness-relevant NumPy call (``np.flatnonzero``, ``np.unique``, a
@@ -34,10 +40,18 @@ from repro.lint.framework import (
     SourceModule,
     SyncPoint,
 )
-from repro.lint.passes.transfers import (
-    REDUCTION_ATTRS,
-    _is_model_call,
-)
+
+#: Method names whose call result is a device-side reduction.
+REDUCTION_ATTRS = frozenset({
+    "sum", "min", "max", "mean", "prod", "dot", "norm",
+    "count_nonzero", "all", "any", "trace",
+})
+
+#: Calls whose argument subtree is cost-model context, not data path.
+MODEL_CALL_NAMES = frozenset({
+    "KernelCounters", "coalesced_transactions", "strided_transactions",
+    "gather_transactions", "launch",
+})
 
 #: np.* functions whose result, used as a truth value, forces a sync.
 NP_PREDICATES = frozenset({
@@ -51,6 +65,15 @@ NP_TAINTING = frozenset({
     "flatnonzero", "nonzero", "argwhere", "unique", "where",
     "intersect1d", "setdiff1d", "union1d",
 })
+
+
+def _is_model_call(node: ast.Call) -> bool:
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id in MODEL_CALL_NAMES
+    if isinstance(func, ast.Attribute):
+        return func.attr in MODEL_CALL_NAMES
+    return False
 
 
 def _np_call_name(node: ast.Call) -> str | None:

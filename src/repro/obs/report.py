@@ -134,7 +134,7 @@ def build_service_report(root: str | Path) -> dict:
     from repro.service.store import ResultStore
 
     root = Path(root)
-    queue = JobQueue(root / "queue", recover=False)
+    queue = JobQueue(root / "queue")
     store = ResultStore(root / "store")
     snap_paths = sorted((root / "metrics").glob("*.json"))
     snaps = [read_json(p) or {} for p in snap_paths]
@@ -220,7 +220,7 @@ def report_main(argv: list[str] | None = None) -> int:
                     "the service operator view from a batch directory.",
     )
     p.add_argument("trace", metavar="TRACE_OR_DIR",
-                   help="trace file written by --trace (.json or .jsonl), "
+                   help="Chrome trace file written by --trace, "
                         "or a batch directory (queue + store + metrics)")
     p.add_argument("--json", action="store_true", dest="as_json",
                    help="emit the report as JSON instead of a table")

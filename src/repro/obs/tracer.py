@@ -7,17 +7,12 @@ seconds and the virtual-device *modelled* seconds charged inside it, so
 one trace answers both of the paper's questions: where does the wall
 clock go, and where would the device clock go.
 
-Two export formats:
-
-* **JSON-lines** (``*.jsonl``) — one ``{"type": "span", ...}`` object
-  per line after a ``{"type": "meta", ...}`` header; trivially
-  greppable and streamable;
-* **Chrome trace-event JSON** (anything else, conventionally
-  ``*.json``) — loads directly in ``chrome://tracing`` or
-  `Perfetto <https://ui.perfetto.dev>`_. Wall-clock spans render on one
-  track and the modelled device time on a second track (a synthetic
-  clock accumulated from the modelled seconds), so the two timelines
-  can be compared visually.
+The export format is Chrome trace-event JSON (conventionally
+``*.json``): it loads directly in ``chrome://tracing`` or
+`Perfetto <https://ui.perfetto.dev>`_, and :meth:`Tracer.load` reads it
+back. Wall-clock spans render on one track and the modelled device time
+on a second track (a synthetic clock accumulated from the modelled
+seconds), so the two timelines can be compared visually.
 
 Overhead discipline: the engines consult ``tracer.enabled`` *before*
 doing any per-span work, and the shared :data:`NULL_TRACER` singleton
@@ -177,36 +172,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # export
     # ------------------------------------------------------------------
-    def write(self, path: str | Path) -> Path:
-        """Write the trace; ``*.jsonl`` → JSON-lines, else trace-event JSON."""
-        path = Path(path)
-        if path.suffix == ".jsonl":
-            return self.to_jsonl(path)
-        return self.to_chrome(path)
-
-    def to_jsonl(self, path: str | Path) -> Path:
-        path = Path(path)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(json.dumps(
-                {"type": "meta", **self.meta}, default=_json_safe
-            ) + "\n")
-            for s in self.spans:
-                fh.write(json.dumps(
-                    {
-                        "type": "span",
-                        "name": s.name,
-                        "step": s.step,
-                        "start": s.start,
-                        "wall_s": s.wall_s,
-                        "device_s": s.device_s,
-                        "extras": s.extras,
-                    },
-                    default=_json_safe,
-                ) + "\n")
-        return path
-
     def to_chrome_dict(self) -> dict:
         """The trace as a ``chrome://tracing`` / Perfetto event dict.
 
@@ -249,7 +214,8 @@ class Tracer:
             "otherData": dict(self.meta),
         }
 
-    def to_chrome(self, path: str | Path) -> Path:
+    def write(self, path: str | Path) -> Path:
+        """Write the trace as Chrome trace-event JSON (:meth:`to_chrome_dict`)."""
         path = Path(path)
         if path.parent != Path(""):
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -262,45 +228,18 @@ class Tracer:
     # ------------------------------------------------------------------
     @classmethod
     def load(cls, path: str | Path) -> "Tracer":
-        """Read a trace written by :meth:`write` (either format)."""
-        path = Path(path)
-        text = path.read_text()
-        first = text.lstrip()[:1]
-        if first == "{" and '"traceEvents"' in text[:4096]:
-            return cls._from_chrome(json.loads(text))
-        return cls._from_jsonl(text)
+        """Read a trace written by :meth:`write`.
 
-    @classmethod
-    def _from_jsonl(cls, text: str) -> "Tracer":
-        tracer = cls()
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            kind = obj.get("type")
-            if kind == "meta":
-                tracer.meta = {k: v for k, v in obj.items() if k != "type"}
-            elif kind == "span":
-                tracer.spans.append(SpanRecord(
-                    name=obj["name"],
-                    step=int(obj.get("step", -1)),
-                    start=float(obj.get("start", 0.0)),
-                    wall_s=float(obj.get("wall_s", 0.0)),
-                    device_s=float(obj.get("device_s", 0.0)),
-                    extras=dict(obj.get("extras", {})),
-                ))
-            else:
-                raise ValueError(f"unrecognised trace line type {kind!r}")
-        return tracer
-
-    @classmethod
-    def _from_chrome(cls, obj: dict) -> "Tracer":
+        Only the wall-clock track (``tid 1``) carries the authoritative
+        spans; ``tid 2`` re-renders the same modelled time on a
+        synthetic clock and is skipped.
+        """
+        obj = json.loads(Path(path).read_text())
+        if not isinstance(obj, dict) or "traceEvents" not in obj:
+            raise ValueError(f"{path} is not a Chrome trace-event file")
         tracer = cls()
         tracer.meta = dict(obj.get("otherData", {}))
-        for ev in obj.get("traceEvents", []):
-            # only the wall-clock track carries the authoritative spans;
-            # tid 2 re-renders the same modelled time on a synthetic clock
+        for ev in obj["traceEvents"]:
             if ev.get("ph") != "X" or ev.get("tid") != 1:
                 continue
             args = dict(ev.get("args", {}))

@@ -62,7 +62,7 @@ def audit_journal(root: str | Path, *, final: bool = False) -> dict:
     ``warnings`` (crash artefacts), per-event counts, and ``ok``.
     """
     root = Path(root)
-    queue = JobQueue(root / "queue", recover=False)
+    queue = JobQueue(root / "queue")
     journal = Journal(queue.root / "journal")
     events, torn = journal.events()
     records = {r.job_id: r for r in queue.records()}

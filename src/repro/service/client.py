@@ -34,14 +34,9 @@ class BatchClient:
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        # recover=False: a client open must be a pure *observer*. Any
-        # number of submit/status/results/cancel invocations may run
-        # while another process is draining the queue; recovering here
-        # would steal the live runner's claimed tickets and spawn
-        # duplicate executions. Orphan recovery happens where it is
-        # safe — at the start of WorkerPool.run(), gated on claimant
-        # liveness.
-        self.queue = JobQueue(self.root / "queue", recover=False)
+        # opening the queue never recovers (see JobQueue), so a client
+        # stays a pure observer while another process drains the queue
+        self.queue = JobQueue(self.root / "queue")
         self.store = ResultStore(self.root / "store")
         self.scratch_root = self.root / "scratch"
         self.scratch_root.mkdir(parents=True, exist_ok=True)

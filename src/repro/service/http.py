@@ -92,6 +92,13 @@ SERVICE_JOB_ID = "-"
 _MAX_HEADER_BYTES = 16 * 1024
 _MAX_BODY_BYTES = 1024 * 1024
 
+#: Handler budget when the request carries no X-Deadline-S.
+DEFAULT_TIMEOUT_S = 30.0
+#: Longest long-poll wait the events endpoint will hold.
+LONG_POLL_MAX_S = 30.0
+#: Persist the metrics snapshot every this many requests (and on drain).
+METRICS_FLUSH_EVERY = 50
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -110,14 +117,8 @@ class ServiceConfig:
     #: Token bucket per tenant: burst capacity and steady refill.
     rate_capacity: float = 50.0
     rate_refill_per_s: float = 25.0
-    #: Handler budget when the request carries no X-Deadline-S.
-    default_timeout_s: float = 30.0
-    #: Longest long-poll wait the events endpoint will hold.
-    long_poll_max_s: float = 30.0
     #: How long a drain waits for in-flight requests before exiting.
     drain_grace_s: float = 10.0
-    #: Persist the metrics snapshot every N requests (and on drain).
-    metrics_flush_every: int = 50
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -361,7 +362,7 @@ class HttpJobService:
         finally:
             self.inflight -= 1
         self._requests_since_flush += 1
-        if self._requests_since_flush >= self.config.metrics_flush_every:
+        if self._requests_since_flush >= METRICS_FLUSH_EVERY:
             self._requests_since_flush = 0
             self._flush_metrics()
         await self._send(writer, status, payload, extra, fault, injector)
@@ -486,7 +487,7 @@ class HttpJobService:
                     raise _Response(400, {"error": "deadline must be > 0"})
             budget = (
                 deadline_s if deadline_s is not None
-                else self.config.default_timeout_s
+                else DEFAULT_TIMEOUT_S
             )
             try:
                 return await asyncio.wait_for(
@@ -653,7 +654,7 @@ class HttpJobService:
             timeout_s = float(query.get("timeout", 0.0))
         except ValueError as err:
             raise _Response(400, {"error": "bad since/timeout"}) from err
-        timeout_s = min(timeout_s, self.config.long_poll_max_s)
+        timeout_s = min(timeout_s, LONG_POLL_MAX_S)
         if deadline_s is not None:
             timeout_s = min(timeout_s, max(0.0, deadline_s - 0.1))
         known = self.client.job(job_id) is not None

@@ -70,6 +70,9 @@ class _Slot:
 class WorkerPool:
     """Drains a job queue with ``n_workers`` isolated worker processes."""
 
+    #: Scheduling tick [s]: idle polling, deadline and ``stop`` checks.
+    poll_interval = 0.02
+
     def __init__(
         self,
         queue: JobQueue,
@@ -77,7 +80,6 @@ class WorkerPool:
         scratch_root: str | Path,
         *,
         n_workers: int = 2,
-        poll_interval: float = 0.02,
         job_timeout: float | None = None,
         trace: bool = False,
         log=None,
@@ -88,7 +90,6 @@ class WorkerPool:
         self.store = store
         self.scratch_root = Path(scratch_root)
         self.n_workers = n_workers
-        self.poll_interval = poll_interval
         self.job_timeout = job_timeout
         #: when True, each successful attempt writes a Chrome-format
         #: trace into its scratch dir (pool-level knob — deliberately

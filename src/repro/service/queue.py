@@ -29,6 +29,10 @@ falls out of the layout: a killed scheduler leaves its tickets in
 ``claimed/`` and its leases stop renewing; :meth:`JobQueue.recover`
 returns every claimed ticket whose lease is missing or expired to
 ``queued/``. No pid probing — pids are recycled, lease files are not.
+Opening a queue never recovers: any number of observers (clients, the
+HTTP server, the auditor) may open it while a live scheduler drains it,
+so recovery runs in one place, at the start of :meth:`WorkerPool.run
+<repro.service.pool.WorkerPool.run>`.
 Freshly claimed tickets get a short mtime grace window so a concurrent
 recover cannot steal a ticket in the instant between the claim rename
 and its lease write.
@@ -86,7 +90,6 @@ class JobQueue:
         self,
         root: str | Path,
         *,
-        recover: bool = True,
         lease_ttl: float = DEFAULT_TTL,
     ) -> None:
         self.root = Path(root)
@@ -106,8 +109,6 @@ class JobQueue:
         #: Optional MetricsRegistry (bound by the pool): recover and
         #: finalize bump ``batch.lease_expired`` / ``batch.fenced_writes``.
         self.metrics = None
-        if recover:
-            self.recover()
 
     # ------------------------------------------------------------------
     # submit

@@ -390,7 +390,6 @@ def test_rollback_with_a_plan_in_place():
             rocks_controls(
                 resilience=ResilienceControls(
                     checkpoint_every=2, max_rollbacks=2,
-                    guard_finite="rollback",
                 ),
             ),
         )

@@ -18,6 +18,10 @@ from repro.engine.domain_engine import DomainEngine
 from repro.engine.gpu_engine import GpuEngine
 from repro.engine.hybrid_engine import HybridEngine
 from repro.engine.resilience import (
+    ENERGY_FACTOR,
+    KEEP_CHECKPOINTS,
+    OSCILLATION_STREAK,
+    PENETRATION_FACTOR,
     Checkpoint,
     CheckpointCorrupt,
     CheckpointManager,
@@ -95,6 +99,10 @@ class TestTaxonomy:
                     CheckpointCorrupt):
             assert issubclass(cls, SimulationError)
             assert issubclass(cls, RuntimeError)
+        # recoverability is fixed per class: a blow-up rolls back, a
+        # corrupt checkpoint cannot be rolled back to
+        assert NumericalBlowup("x", guard="finite").recoverable
+        assert not CheckpointCorrupt("x").recoverable
 
     def test_context_carried_and_described(self):
         ctx = StepContext(step=7, dt=1e-4, retries=3,
@@ -105,11 +113,6 @@ class TestTaxonomy:
         text = err.context.describe()
         assert "step 7" in text and "cg_breakdown" in text
         assert "1.000e-01" in text  # last residual
-
-    def test_blowup_policy_controls_recoverability(self):
-        assert NumericalBlowup("x", policy="rollback").recoverable
-        assert not NumericalBlowup("x", policy="fail_fast").recoverable
-        assert not CheckpointCorrupt("x").recoverable
 
     def test_step_rejection_carries_context(self):
         c = SimulationControls(
@@ -362,12 +365,19 @@ def _record(step=0, oc_converged=True, max_penetration=0.0):
 
 
 class TestHealthMonitor:
-    def make(self, **kwargs):
-        rc = ResilienceControls(**kwargs)
-        return HealthMonitor(rc, contact_threshold=1e-3, energy_scale=1.0)
+    """The fixed guard table: ``finite`` raises a recoverable error,
+    ``penetration`` / ``energy`` / ``oscillation`` warn and never raise."""
+
+    def make(self):
+        return HealthMonitor(contact_threshold=1e-3, energy_scale=1.0)
+
+    def test_thresholds(self):
+        assert (PENETRATION_FACTOR, ENERGY_FACTOR, OSCILLATION_STREAK) == (
+            10.0, 100.0, 5,
+        )
 
     def test_finite_guard_raises(self):
-        monitor = self.make(guard_finite="rollback")
+        monitor = self.make()
         system = BlockSystem([Block(SQ, MAT)])
         system.velocities[0, 0] = np.nan
         with pytest.raises(NumericalBlowup) as exc_info:
@@ -376,7 +386,7 @@ class TestHealthMonitor:
         assert exc_info.value.recoverable
 
     def test_penetration_guard_warns(self):
-        monitor = self.make(guard_penetration="warn", penetration_factor=10.0)
+        monitor = self.make()
         system = BlockSystem([Block(SQ, MAT)])
         warnings = monitor.after_step(
             system, _record(max_penetration=0.5)  # >> 10 x 1e-3
@@ -384,36 +394,41 @@ class TestHealthMonitor:
         assert [w.guard for w in warnings] == ["penetration"]
 
     def test_energy_guard_trips_on_blowup(self):
-        monitor = self.make(guard_energy="fail_fast", energy_factor=100.0)
+        monitor = self.make()
         system = BlockSystem([Block(SQ, MAT)])
         system.velocities[0, :2] = 0.01
         monitor.after_step(system, _record(step=0))  # establishes baseline
         system.velocities[0, :2] = 100.0  # 1e8x energy jump, above floor
-        with pytest.raises(NumericalBlowup) as exc_info:
-            monitor.after_step(system, _record(step=1))
-        assert exc_info.value.guard == "energy"
-        assert not exc_info.value.recoverable  # fail_fast
+        warnings = monitor.after_step(system, _record(step=1))  # no raise
+        assert [w.guard for w in warnings] == ["energy"]
+        assert "jumped 100000000.0x" in warnings[0].message
 
     def test_energy_guard_silent_below_floor(self):
-        monitor = self.make(guard_energy="fail_fast", energy_factor=100.0)
+        monitor = self.make()
         system = BlockSystem([Block(SQ, MAT)])
         system.velocities[0, :2] = 1e-8
         monitor.after_step(system, _record(step=0))
         system.velocities[0, :2] = 1e-5  # huge ratio, negligible energy
         assert monitor.after_step(system, _record(step=1)) == []
 
-    def test_oscillation_streak(self):
-        monitor = self.make(guard_oscillation="warn", oscillation_streak=3)
+    def test_oscillation_guard_warns_after_five_unsettled_steps(self):
+        monitor = self.make()
         system = BlockSystem([Block(SQ, MAT)])
         warnings = []
-        for step in range(3):
+        for step in range(4):
             warnings += monitor.after_step(
                 system, _record(step=step, oc_converged=False)
             )
-        assert [w.guard for w in warnings] == ["oscillation"]
+        assert warnings == []
         # a converged step resets the streak
-        monitor.after_step(system, _record(step=3, oc_converged=True))
-        assert monitor._oscillation_streak == 0
+        monitor.after_step(system, _record(step=4, oc_converged=True))
+        for step in range(5, 10):
+            warnings += monitor.after_step(
+                system, _record(step=step, oc_converged=False)
+            )  # never raises
+        assert [(w.guard, w.step, w.value) for w in warnings] == [
+            ("oscillation", 9, 5.0)
+        ]
 
     def test_kinetic_energy(self):
         system = BlockSystem([Block(SQ, MAT)])
@@ -448,17 +463,17 @@ class TestCheckpoint:
 
     def test_manager_ring_bounded(self):
         engine = GpuEngine(stacked(), controls())
-        manager = CheckpointManager(keep=2)
+        manager = CheckpointManager()
         for step in range(5):
             manager.take(engine, step=step)
-        assert len(manager) == 2
+        assert len(manager) == KEEP_CHECKPOINTS == 2
         assert manager.latest.step == 4
 
     def test_manager_persists(self, tmp_path):
         from repro.io.model_io import load_checkpoint
 
         engine = GpuEngine(stacked(), controls())
-        manager = CheckpointManager(keep=1, persist_dir=tmp_path)
+        manager = CheckpointManager(persist_dir=tmp_path)
         manager.take(engine, step=3)
         cp = load_checkpoint(tmp_path / "checkpoint_00000003.npz")
         assert cp.step == 3
@@ -518,8 +533,7 @@ class TestEndToEndRecovery:
     def test_nan_injection_triggers_rollback_recovery(self, monkeypatch):
         engine = GpuEngine(
             stacked(),
-            controls(checkpoint_every=1, max_rollbacks=2,
-                     guard_finite="rollback"),
+            controls(checkpoint_every=1, max_rollbacks=2),
         )
         original = engine._update_data
         poisoned = {"armed": True}
@@ -536,18 +550,22 @@ class TestEndToEndRecovery:
         assert result.rollbacks == 1
         assert np.isfinite(engine.system.velocities).all()
 
-    def test_fail_fast_guard_skips_rollback(self, monkeypatch):
+    def test_non_recoverable_error_skips_rollback(self, monkeypatch):
         engine = GpuEngine(
             stacked(),
-            controls(checkpoint_every=1, max_rollbacks=5,
-                     guard_finite="fail_fast"),
+            controls(checkpoint_every=1, max_rollbacks=5),
         )
         original = engine._update_data
 
-        def poison(d):
+        def corrupt(d):
             original(d)
-            engine.system.velocities[0, 0] = np.nan
+            if engine.sim_time > 3e-3:
+                raise CheckpointCorrupt("planted non-recoverable failure")
 
-        monkeypatch.setattr(engine, "_update_data", poison)
-        with pytest.raises(NumericalBlowup):
+        monkeypatch.setattr(engine, "_update_data", corrupt)
+        with pytest.raises(CheckpointCorrupt) as exc_info:
             engine.run(steps=5)
+        # a checkpoint was there to roll back to, and was not used
+        assert exc_info.value.report.steps_completed >= 1
+        assert exc_info.value.report.rollbacks == 0
+        assert engine.metrics.snapshot()["counters"]["engine.rollbacks"] == 0

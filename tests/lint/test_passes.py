@@ -1,4 +1,4 @@
-"""Per-pass fixtures for the DDA001-DDA005 static rules.
+"""Per-pass fixtures for the DDA001 and DDA003-DDA005 static rules.
 
 The interprocedural rules (DDA006-DDA008) and the call-graph closure
 live in ``test_new_passes.py`` / ``test_callgraph.py``.
@@ -39,8 +39,8 @@ def codes_at(report, rel: str) -> list[str]:
 # ----------------------------------------------------------------------
 
 def test_pass_registry_well_formed():
-    assert len(ALL_PASSES) == 8
-    assert ALL_CODES == {f"DDA00{i}" for i in range(1, 9)}
+    assert len(ALL_PASSES) == 7
+    assert ALL_CODES == {"DDA001"} | {f"DDA00{i}" for i in range(3, 9)}
     for p in ALL_PASSES:
         assert p.code in ALL_CODES
         assert p.name and p.description
@@ -80,10 +80,10 @@ def test_dda001_ignores_small_fixed_loops_and_host_modules(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# DDA002 — hidden host transfers
+# hidden host transfers are DDA007 sync points
 # ----------------------------------------------------------------------
 
-def test_dda002_flags_hidden_transfers(tmp_path):
+def test_dda007_flags_hidden_transfers(tmp_path):
     root = corpus(tmp_path, {"assembly/k.py": (
         "def f(a, k):\n"
         "    x = a.tolist()\n"
@@ -93,20 +93,9 @@ def test_dda002_flags_hidden_transfers(tmp_path):
         "        pass\n"
         "    return x, y, z\n"
     )})
-    report = run_lint(root, select={"DDA002"})
-    assert codes_at(report, "assembly/k.py") == ["DDA002"] * 4
-
-
-def test_dda002_exempts_cost_model_context(tmp_path):
-    # expressions feeding the virtual-GPU launch model are the model,
-    # not the simulated data path
-    root = corpus(tmp_path, {"gpu/k.py": (
-        "def f(device, a):\n"
-        "    device.launch('k', KernelCounters(flops=int(a.sum())))\n"
-        "    return coalesced_transactions(int(a[0]), 8)\n"
-    )})
-    report = run_lint(root, select={"DDA002"})
-    assert not report.findings
+    report = run_lint(root, select={"DDA007"})
+    assert codes_at(report, "assembly/k.py") == ["DDA007"] * 4
+    assert [f.line for f in report.findings] == [2, 3, 4, 5]
 
 
 # ----------------------------------------------------------------------
@@ -210,27 +199,29 @@ def test_dda005_accepts_any_shape_marker(tmp_path):
 
 def test_bare_host_ok_suppresses_all_codes(tmp_path):
     root = corpus(tmp_path, {"contact/k.py": (
+        "import numpy as np\n"
         "def f(a, n):\n"
         "    # lint: host-ok -- documented serial reference\n"
         "    for i in range(n):\n"
         "        pass\n"
-        "    x = float(a.sum())  # lint: host-ok -- boundary by contract\n"
+        "    x = a.astype(np.float32)  # lint: host-ok -- precision ablation\n"
         "    return x\n"
     )})
-    report = run_lint(root, select={"DDA001", "DDA002"})
+    report = run_lint(root, select={"DDA001", "DDA003"})
     assert not report.findings
 
 
 def test_scoped_host_ok_suppresses_only_listed_codes(tmp_path):
     src = (
         "import numpy as np\n"
-        "def f(a):\n"
-        "    return float(a.astype(np.float32).sum())"
-        "  # lint: host-ok[DDA002]\n"
+        "def f(a, n):\n"
+        "    for i in range(n):  # lint: host-ok[DDA001]\n"
+        "        pass\n"
+        "    return a.astype(np.float32)  # lint: host-ok[DDA001]\n"
     )
     root = corpus(tmp_path, {"spmv/k.py": src})
-    report = run_lint(root, select={"DDA002", "DDA003"})
-    # DDA002 silenced by the scoped comment; DDA003 still fires
+    report = run_lint(root, select={"DDA001", "DDA003"})
+    # DDA001 silenced by the scoped comment; DDA003 still fires
     assert codes_at(report, "spmv/k.py") == ["DDA003"]
 
 
@@ -240,7 +231,7 @@ def test_suppression_map_covers_line_above(tmp_path):
     module = SourceModule(tmp_path, path)
     assert module.suppressed(2, "DDA001")  # line under the comment
     assert module.suppressed(1, "DDA001")  # the comment line itself
-    assert not module.suppressed(2, "DDA002")  # scoped: other codes live
+    assert not module.suppressed(2, "DDA003")  # scoped: other codes live
 
 
 def test_module_exemptions_match_real_entries(tmp_path):

@@ -80,7 +80,7 @@ class TestMain:
         assert "equation_solving" in out
 
     def test_json_flag(self, tmp_path, capsys):
-        path = _trace().write(tmp_path / "t.jsonl")
+        path = _trace().write(tmp_path / "t.json")
         assert report_main([str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["steps"] == 2

@@ -60,7 +60,7 @@ def root(tmp_path):
 
 @pytest.fixture
 def queue(root) -> JobQueue:
-    return JobQueue(root / "queue", recover=False)
+    return JobQueue(root / "queue")
 
 
 def kinds(report: dict) -> set[str]:
@@ -246,7 +246,7 @@ class TestAuditCli:
         assert report["ok"] is True
         assert report["event_counts"]["completed"] == 1
         # plant a second completion: the audit must now fail
-        queue = JobQueue(tmp_path / "b" / "queue", recover=False)
+        queue = JobQueue(tmp_path / "b" / "queue")
         job_id = queue.records()[0].job_id
         queue.journal.append("completed", job_id,
                              status=JobState.SUCCEEDED, epoch=1)

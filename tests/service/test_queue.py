@@ -65,7 +65,7 @@ class TestClaimAtomicity:
         lock = threading.Lock()
 
         def drain():
-            q = JobQueue(root, recover=False)
+            q = JobQueue(root)
             while True:
                 got = q.claim()
                 if got is None:
@@ -104,28 +104,58 @@ class TestClaimAtomicity:
         assert staging.exists()
 
 
-class TestRecovery:
-    def test_killed_scheduler_tickets_requeued_on_open(self, tmp_path):
-        """Claimed-but-never-acked work survives a scheduler death."""
-        root = tmp_path / "q"
-        q1 = JobQueue(root)
-        record = q1.submit(spec("orphan"))
-        claimed, ticket = q1.claim()
-        claimed.state = JobState.RUNNING
-        q1.save_record(claimed)
-        assert q1.pending() == 0
-        # the scheduler dies without acking: its lease stops renewing
-        # and its claimed ticket ages past the claim grace window
-        q1.leases.expire(record.job_id)
-        old = time.time() - 5.0
-        os.utime(q1.claimed_dir / ticket, (old, old))
-        del q1
+def _orphan_claim(root, tag: str):
+    """Submit and claim one job, then let its claimant die: the lease
+    stops renewing and the claimed ticket ages past the grace window."""
+    q = JobQueue(root)
+    record = q.submit(spec(tag))
+    claimed, ticket = q.claim()
+    claimed.state = JobState.RUNNING
+    q.save_record(claimed)
+    q.leases.expire(record.job_id)
+    old = time.time() - 5.0
+    os.utime(q.claimed_dir / ticket, (old, old))
+    return claimed, ticket
 
-        q2 = JobQueue(root)  # recover() runs on open
+
+class TestRecovery:
+    def test_opening_a_queue_never_recovers(self, tmp_path):
+        """An expired claim stays claimed through any number of opens —
+        observers (clients, the server, the auditor) open the queue while
+        a scheduler drains it — until ``recover()`` or ``pool.run()``."""
+        from repro.service.pool import WorkerPool
+        from repro.service.store import ResultStore
+
+        root = tmp_path / "q"
+        claimed, ticket = _orphan_claim(root, "orphan")
+        for _ in range(2):
+            q = JobQueue(root)
+            assert q.pending() == 0
+            assert (q.claimed_dir / ticket).exists()
+            assert q.load_record(claimed.job_id).state == JobState.RUNNING
+        assert q.recover() == 1
+        assert q.pending() == 1
+
+        # the pool's drain is the product's recovery point
+        _orphan_claim(tmp_path / "p", "orphan")
+        q = JobQueue(tmp_path / "p")
+        pool = WorkerPool(q, ResultStore(tmp_path / "store"), tmp_path / "s")
+        stats = pool.run(stop=lambda: True)  # recover, then claim nothing
+        assert stats["dispatched"] == 0
+        assert q.pending() == 1
+        assert not any(q.claimed_dir.iterdir())
+
+    def test_killed_scheduler_tickets_requeued_on_open(self, tmp_path):
+        """Claimed-but-never-acked work survives a scheduler death: the
+        next scheduler's ``recover()`` requeues it."""
+        root = tmp_path / "q"
+        claimed, _ticket = _orphan_claim(root, "orphan")
+        q2 = JobQueue(root)
+        assert q2.recover() == 1
         assert q2.pending() == 1
         got = q2.claim()
         assert got is not None
-        assert got[0].job_id == record.job_id
+        assert got[0].job_id == claimed.job_id
         assert got[0].state == JobState.QUEUED
         assert got[0].worker_pid is None
         # the re-claim superseded the dead scheduler's fencing epoch
@@ -140,6 +170,7 @@ class TestRecovery:
         q1.save_record(record)
         # scheduler died after saving the record but before ack
         q2 = JobQueue(root)
+        q2.recover()
         assert q2.pending() == 0
         assert q2.claim() is None
 
@@ -155,7 +186,8 @@ class TestRecovery:
         old = time.time() - 5.0
         os.utime(q1.claimed_dir / ticket, (old, old))
         assert q1.leases.alive(record.job_id)
-        q2 = JobQueue(root)  # recover() runs on open
+        q2 = JobQueue(root)
+        assert q2.recover() == 0
         assert q2.pending() == 0  # the ticket was not stolen
         reloaded = q2.load_record(record.job_id)
         assert reloaded.state == JobState.RUNNING
@@ -245,7 +277,8 @@ class TestTornRecords:
         path.write_bytes(good[: len(good) // 2])
         del q1
 
-        q2 = JobQueue(root)  # recover() must keep the job visible
+        q2 = JobQueue(root)
+        q2.recover()  # must keep the job visible
         assert q2.pending() == 1
         assert path.exists()
         assert q2.counts().get("unreadable") == 1
@@ -342,7 +375,7 @@ class TestCancellation:
 
 def _fairness_scheduler(root: str, done_dir: str, wid: int) -> None:
     """One competing scheduler process: claim, finalize, ack — to empty."""
-    queue = JobQueue(root, recover=False)
+    queue = JobQueue(root)
     queue.owner = f"sched-fair-{wid}"
     claimed = 0
     while True:

@@ -198,16 +198,6 @@ class TestObservabilityFlags:
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
         assert "equation_solving" in names
 
-    def test_trace_jsonl_format(self, tmp_path):
-        import json
-
-        trace = tmp_path / "run.jsonl"
-        rc = main(["--model", "wall", "--steps", "1", "--dynamic",
-                   "--no-render", "--trace", str(trace)])
-        assert rc == 0
-        first = json.loads(trace.read_text().splitlines()[0])
-        assert first["type"] == "meta"
-
     def test_metrics_flag_prints_snapshot(self, capsys):
         rc = main(["--model", "wall", "--steps", "1", "--dynamic",
                    "--no-render", "--metrics"])
@@ -230,7 +220,7 @@ class TestObservabilityFlags:
     def test_report_json_flag(self, tmp_path, capsys):
         import json
 
-        trace = tmp_path / "run.jsonl"
+        trace = tmp_path / "run.json"
         main(["--model", "wall", "--steps", "1", "--dynamic",
               "--no-render", "--trace", str(trace)])
         capsys.readouterr()

@@ -170,8 +170,7 @@ class TestResilienceFaultInjection:
 
         engine = GpuEngine(
             self._stacked(),
-            self._controls(checkpoint_every=1, max_rollbacks=2,
-                           guard_finite="rollback"),
+            self._controls(checkpoint_every=1, max_rollbacks=2),
         )
         original = engine._update_data
         armed = {"on": True}
