@@ -122,17 +122,6 @@ class BlockMatrix:
         ).tocsr()
 
 
-def _canonical_offdiag(
-    rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Map arbitrary (i, j) contributions to upper-triangle orientation."""
-    swap = rows > cols
-    r = np.where(swap, cols, rows)
-    c = np.where(swap, rows, cols)
-    b = np.where(swap[:, None, None], blocks.transpose(0, 2, 1), blocks)
-    return r, c, b
-
-
 def assemble_gpu(
     n: int,
     diag_idx: np.ndarray,

@@ -8,7 +8,7 @@ the layout of the stacked extended vector and the metered halo exchange
 (one gather into that vector); :mod:`repro.domain.assembly` splits the
 globally assembled :class:`~repro.assembly.global_matrix.BlockMatrix`
 across the domains as one stacked kernel — the global HSBCSR operator
-reading each row's operands from its owner's slots, five compiled
+reading each row's operands from its owner's slots, two compiled
 products at any domain count; and :mod:`repro.domain.solve` is the
 distributed operand of the one PCG loop, :func:`repro.solvers.cg.pcg`
 (all-reduced dot products, one ghost exchange per iteration) — bit-

@@ -18,7 +18,7 @@ range of the stacked extended vector (:class:`~repro.domain.halo
 row reads only its own device's owned and ghost slots — while entry
 order, stage-2 segments and the left-to-right summation (up, low,
 diagonal) are the global traversal's, so every row of the distributed
-product equals the global product bit for bit, in the same five
+product equals the global product bit for bit, in the same two
 compiled products at any domain count.
 """
 
@@ -77,10 +77,7 @@ class DomainSplit:
     def with_values(self, matrix: BlockMatrix) -> "DomainSplit":
         """The split of a matrix that :meth:`matches`: plan, gathers and
         stage-2 operators shared, only the payloads re-read."""
-        op = self.op.with_values(
-            matrix.diag, matrix.blocks, matrix.blocks.transpose(0, 2, 1)
-        )
-        return replace(self, matrix=matrix, op=op)
+        return replace(self, matrix=matrix, op=self.op.with_values(matrix))
 
 
 def split_matrix(

@@ -8,7 +8,7 @@ three distributed substitutions:
 * the SpMV is one ghost (halo) exchange — a gather into the stacked
   extended vector — and the stacked kernel of
   :func:`repro.domain.assembly.split_matrix`, whose rows come out in
-  canonical block order: five compiled products at any domain count;
+  canonical block order: two compiled products at any domain count;
 * every scalar reduction (the two CG dot products and the residual
   norm) is computed as an *ordered* reduction over the canonical
   global vector — the deterministic all-reduce — and metered as a

@@ -15,8 +15,8 @@ context (the engines use regions so substrate code stays module-agnostic).
 resolved, seconds computed) without touching the ledger, and
 :meth:`VirtualDevice.record` appends priced records. A loop that issues
 the same kernels over the same sizes prices them once and records the
-same objects every pass — which is why a record is immutable: one
-object may stand at many ledger positions.
+same objects every pass (:class:`PricedLaunches`) — which is why a
+record is immutable: one object may stand at many ledger positions.
 """
 
 from __future__ import annotations
@@ -169,6 +169,26 @@ class VirtualDevice:
     def reset(self) -> None:
         """Clear the ledger (the profile is kept)."""
         self.records.clear()
+
+
+class PricedLaunches:
+    """``(name, counters)`` launches a loop repeats at fixed sizes:
+    :meth:`record` appends what :meth:`VirtualDevice.launch` would, but
+    prices them only when the device or its region (a record carries
+    its module) differs from the last call's."""
+
+    def __init__(self, *launches: tuple[str, KernelCounters]) -> None:
+        self.launches = launches
+        self._device: VirtualDevice | None = None
+        self._module: str | None = None
+        self._priced: tuple[KernelRecord, ...] = ()
+
+    def record(self, device: VirtualDevice) -> None:
+        module = device._region_stack[-1] if device._region_stack else None
+        if device is not self._device or module != self._module:
+            self._device, self._module = device, module
+            self._priced = tuple(device.price(*launch) for launch in self.launches)
+        device.record(self._priced)
 
 
 class RoutedVirtualDevice(VirtualDevice):

@@ -527,10 +527,6 @@ class Program:
         """Is function ``qualname`` of module ``rel`` kernel-reachable?"""
         return (rel, qualname) in self.closure
 
-    def closure_members(self) -> list[FuncKey]:
-        """Every (module, qualname) in the kernel closure, sorted."""
-        return sorted(self.closure)
-
     def entry_chain(
         self, key: FuncKey, *, max_hops: int = 6
     ) -> list[tuple[str, int, str]]:

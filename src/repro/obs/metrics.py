@@ -21,7 +21,6 @@ Design constraints:
 
 from __future__ import annotations
 
-import json
 import math
 
 #: Default histogram bucket upper bounds (inclusive), tuned for CG
@@ -155,9 +154,6 @@ class MetricsRegistry:
             },
             "histograms": hists,
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
     def render(self) -> str:
         """Human-readable text rendering of :meth:`snapshot`."""

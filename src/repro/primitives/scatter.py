@@ -16,15 +16,16 @@ bit-identity pins) are unchanged by routing through this seam.
 
 The two *compiled* operators at the bottom (:class:`BlockRowProduct`,
 :class:`GatherSegmentSum`) are the stage-1 / stage-2 halves of the
-HSBCSR two-stage SpMV, run as SciPy BSR / CSR products. Both sum
-strictly left to right — each 6-term dot, then each segment, starting
-from ``0.0`` — so a pure-Python loop reproduces them bit for bit.
+HSBCSR two-stage SpMV: each call is one SciPy BSR / CSR matvec kernel
+(the ``_sparsetools`` loops behind ``@``, no other module names them)
+into a zeroed output. Both sum strictly left to right — each 6-term
+dot, then each segment, from ``0.0`` — as a pure-Python loop does.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import bsr_array, csr_array
+from scipy.sparse._sparsetools import bsr_matvec, csr_matvecs
 
 __all__ = [
     "scatter_add",
@@ -97,26 +98,27 @@ class BlockRowProduct:
     """
 
     def __init__(self, blocks: np.ndarray, index: np.ndarray, n_in: int) -> None:
-        m, b = blocks.shape[0], blocks.shape[1]
-        self._shape = (m, b)
-        self._op = bsr_array(
-            (np.ascontiguousarray(blocks), index,
-             np.arange(m + 1, dtype=np.int64)),
-            shape=(m * b, n_in * b),
-        )
+        self.blocks = np.ascontiguousarray(blocks, dtype=np.float64)
+        self.index = np.ascontiguousarray(index, dtype=np.int64)
+        self.n_in, (m, b) = n_in, self.blocks.shape[:2]
+        self._shape, self._x_shape = (m, b), (n_in * b,)
+        self._row_of = np.arange(m + 1, dtype=np.int64)  # block k: row k
 
-    @property
-    def index(self) -> np.ndarray:
-        """The ``(m,)`` gather: block of ``x`` each payload block multiplies."""
-        return self._op.indices
+    def rows(self, start: int, stop: int | None) -> "BlockRowProduct":
+        """Output rows ``[start, stop)``: views of this payload and gather."""
+        rows = slice(start, stop)
+        return BlockRowProduct(self.blocks[rows], self.index[rows], self.n_in)
 
     def with_blocks(self, blocks: np.ndarray) -> "BlockRowProduct":
         """Same gather structure, new ``(m, b, b)`` payload."""
-        n_in = self._op.shape[1] // self._shape[1]
-        return BlockRowProduct(blocks, self.index, n_in)
+        return BlockRowProduct(blocks, self.index, self.n_in)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return (self._op @ x).reshape(self._shape)
+        if x.shape != self._x_shape:
+            raise ValueError(f"x: expected shape {self._x_shape}, got {x.shape}")
+        (m, b), y = self._shape, np.zeros(self._shape)
+        bsr_matvec(m, self.n_in, b, b, self._row_of, self.index, self.blocks, x, y)
+        return y
 
 
 class GatherSegmentSum:
@@ -124,21 +126,23 @@ class GatherSegmentSum:
 
     ``indptr``: ``(n+1,)`` int64 CSR-style segment bounds (empty
     segments allowed — they yield ``0.0``); ``gather``: ``(m,)`` int64
-    row of ``v`` read at each segment position (``arange(m)`` when
-    ``v`` is already in segment order). Calling it with ``v`` of
-    shape ``(m, b)`` returns ``(n, b)``; segment ``i`` is
-    ``v[gather[indptr[i]]] + v[gather[indptr[i]+1]] + ...`` summed
-    left to right. Structure only: one instance serves every
-    value-only rebuild of the same sparsity pattern; the two index
-    arrays stay readable as ``.indptr`` / ``.gather``.
+    row of ``v``, below ``m``, read at each segment position
+    (``arange(m)`` when ``v`` is already in segment order). Calling it
+    with ``v`` of shape ``(rows >= m, b)`` returns ``(n, b)``; segment
+    ``i`` is ``v[gather[indptr[i]]] + v[gather[indptr[i]+1]] + ...``
+    summed left to right. Structure only: one instance serves every
+    value-only rebuild of the same sparsity pattern.
     """
 
     def __init__(self, indptr: np.ndarray, gather: np.ndarray) -> None:
-        self.indptr, self.gather = indptr, gather
-        m = gather.size
-        self._op = csr_array(
-            (np.ones(m), gather, indptr), shape=(indptr.size - 1, m)
-        )
+        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        self.gather = np.ascontiguousarray(gather, dtype=np.int64)
+        self._ones = np.ones(self.gather.size)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        return self._op @ v
+        m, n = self.gather.size, self.indptr.size - 1
+        if v.ndim != 2 or len(v) < m:
+            raise ValueError(f"v: expected at least {m} rows, got {v.shape}")
+        y = np.zeros((n, v.shape[1]))
+        csr_matvecs(n, m, v.shape[1], self.indptr, self.gather, self._ones, v, y)
+        return y

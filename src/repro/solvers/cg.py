@@ -25,11 +25,11 @@ import numpy as np
 
 from repro.assembly.global_matrix import BS, BlockMatrix
 from repro.gpu.counters import KernelCounters
-from repro.gpu.kernel import VirtualDevice
+from repro.gpu.kernel import PricedLaunches, VirtualDevice
 from repro.gpu.memory import coalesced_transactions
 from repro.gpu.warp import WARP_SIZE
 from repro.solvers.preconditioners import Preconditioner, IdentityPreconditioner
-from repro.spmv.hsbcsr import HSBCSRMatrix, hsbcsr_spmv
+from repro.spmv.hsbcsr import HSBCSRMatrix, record_spmv
 from repro.util.validation import check_array
 
 
@@ -89,8 +89,10 @@ class DeviceOperand:
         self.h = h
         self.device = device
         self.n_dof = h.n * BS
-        # same ledger entry every iteration
-        self._vector_ops = _vector_ops_counters(self.n_dof, 5)
+        # priced once per solve (per device and region, like the SpMV's
+        # launches) and recorded as is every iteration
+        ops = _vector_ops_counters(self.n_dof, 5)
+        self._vector_ops = PricedLaunches(("cg_vector_ops", ops))
 
     def wrap(self, preconditioner: Preconditioner | None) -> Preconditioner:
         """The preconditioner as this operand applies it (identity if
@@ -103,8 +105,11 @@ class DeviceOperand:
         """Place the ``(n_dof,)`` right-hand side and first iterate."""
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """``A @ v`` for ``(n_dof,)`` ``v``."""
-        return hsbcsr_spmv(self.h, v, self.device)
+        """``A @ v`` for ``(n_dof,)`` float64 ``v`` (:func:`pcg` checked it)."""
+        y = self.h.op(v)
+        if self.device is not None:
+            record_spmv(self.h, self.device)
+        return y
 
     def reduced(self) -> None:
         """One scalar reduction reached the host."""
@@ -112,7 +117,7 @@ class DeviceOperand:
     def vector_ops(self) -> None:
         """Charge one iteration's fused vector pass."""
         if self.device is not None:
-            self.device.launch("cg_vector_ops", self._vector_ops)
+            self._vector_ops.record(self.device)
 
     def finish(self, x: np.ndarray) -> np.ndarray:
         """The ``(n_dof,)`` solution as the caller receives it."""

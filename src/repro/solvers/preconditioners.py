@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.assembly.global_matrix import BS, BlockMatrix
 from repro.gpu.counters import KernelCounters
-from repro.gpu.kernel import VirtualDevice
+from repro.gpu.kernel import PricedLaunches, VirtualDevice
 from repro.gpu.memory import coalesced_transactions
 from repro.gpu.warp import WARP_SIZE
 from repro.solvers.triangular import (
@@ -65,8 +65,17 @@ class JacobiPreconditioner(Preconditioner):
         if np.any(d <= 0.0):
             raise ValueError("Jacobi preconditioner needs a positive diagonal")
         self.inv_diag = 1.0 / d
+        n = d.size
+        self._apply = PricedLaunches(("jacobi_apply", KernelCounters(
+            flops=1.0 * n,
+            global_bytes_read=2.0 * n * 8,
+            global_bytes_written=n * 8.0,
+            global_txn_read=coalesced_transactions(2 * n, 8),
+            global_txn_written=coalesced_transactions(n, 8),
+            threads=n,
+            warps=max(1, n // WARP_SIZE),
+        )))
         if device is not None:
-            n = d.size
             device.launch(
                 "jacobi_construct",
                 KernelCounters(
@@ -81,22 +90,10 @@ class JacobiPreconditioner(Preconditioner):
             )
 
     def apply(self, r: np.ndarray, device: VirtualDevice | None = None) -> np.ndarray:
-        r = check_array("r", r, dtype=np.float64, shape=(self.inv_diag.size,))
+        """``M^{-1} r`` for ``(n*6,)`` float64 ``r`` (``pcg`` checked it)."""
         if device is not None:
-            n = r.size
-            device.launch(
-                "jacobi_apply",
-                KernelCounters(
-                    flops=1.0 * n,
-                    global_bytes_read=2.0 * n * 8,
-                    global_bytes_written=n * 8.0,
-                    global_txn_read=coalesced_transactions(2 * n, 8),
-                    global_txn_written=coalesced_transactions(n, 8),
-                    threads=n,
-                    warps=max(1, n // WARP_SIZE),
-                ),
-            )
-        return self.inv_diag * r
+            self._apply.record(device)
+        return self.inv_diag * np.reshape(r, self.inv_diag.shape)
 
 
 class BlockJacobiPreconditioner(Preconditioner):
@@ -107,7 +104,7 @@ class BlockJacobiPreconditioner(Preconditioner):
     def __init__(self, a: BlockMatrix, device: VirtualDevice | None = None) -> None:
         self.n = a.n
         self.inv_blocks = np.linalg.inv(a.diag)
-        self._apply_counters = KernelCounters(
+        self._apply = PricedLaunches(("bj_apply", KernelCounters(
             flops=2.0 * self.n * BS * BS,
             global_bytes_read=self.n * (BS * BS + BS) * 8.0,
             global_bytes_written=self.n * BS * 8.0,
@@ -117,7 +114,7 @@ class BlockJacobiPreconditioner(Preconditioner):
             global_txn_written=coalesced_transactions(self.n * BS, 8),
             threads=self.n * BS,
             warps=max(1, self.n * BS // WARP_SIZE),
-        )
+        )))
         if device is not None:
             # one small dense inversion per block (LU of 6x6: ~2/3*6^3 flops)
             device.launch(
@@ -134,10 +131,10 @@ class BlockJacobiPreconditioner(Preconditioner):
             )
 
     def apply(self, r: np.ndarray, device: VirtualDevice | None = None) -> np.ndarray:
-        r = check_array("r", r, dtype=np.float64, shape=(self.n * BS,))
+        """``M^{-1} r`` for ``(n*6,)`` float64 ``r`` (``pcg`` checked it)."""
         z = np.einsum("nij,nj->ni", self.inv_blocks, r.reshape(self.n, BS))
         if device is not None:
-            device.launch("bj_apply", self._apply_counters)
+            self._apply.record(device)
         return z.reshape(-1)
 
 
@@ -169,7 +166,7 @@ class SSORAIPreconditioner(Preconditioner):
         self.inv_diag = np.linalg.inv(a.diag)
         self.scale = omega * (2.0 - omega)
         m = a.n_offdiag
-        self._apply_counters = KernelCounters(
+        self._apply = PricedLaunches(("ssor_ai_apply", KernelCounters(
             # two triangular SpMVs + three block-diagonal products
             flops=2.0 * (2 * m * BS * BS) + 3.0 * 2 * a.n * BS * BS,
             global_bytes_read=(m + 3 * a.n) * BS * BS * 8.0
@@ -182,7 +179,7 @@ class SSORAIPreconditioner(Preconditioner):
             texture_bytes=2.0 * m * BS * 8,
             threads=max(a.n, m) * BS,
             warps=max(1, max(a.n, m) * BS // WARP_SIZE),
-        )
+        )))
         if device is not None:
             # beyond the block inversions, SSOR-AI stages the scaled
             # triangular operators (reads the off-diagonal blocks once)
@@ -208,8 +205,8 @@ class SSORAIPreconditioner(Preconditioner):
         return np.einsum("nij,nj->ni", self.inv_diag, xb)
 
     def apply(self, r: np.ndarray, device: VirtualDevice | None = None) -> np.ndarray:
+        """``M^{-1} r`` for ``(n*6,)`` float64 ``r`` (``pcg`` checked it)."""
         a = self.a
-        r = check_array("r", r, dtype=np.float64, shape=(a.n * BS,))
         rb = r.reshape(a.n, BS)
         # W^T r = D^{-1} r - w D^{-1} L D^{-1} r
         t = self._dinv(rb)
@@ -220,7 +217,7 @@ class SSORAIPreconditioner(Preconditioner):
         u = self._dinv(dwt)
         z = u - self.omega * self._dinv(self.op.upper(u.reshape(-1)))
         if device is not None:
-            device.launch("ssor_ai_apply", self._apply_counters)
+            self._apply.record(device)
         return (self.scale * z).reshape(-1)
 
 

@@ -29,29 +29,29 @@ The SpMV (paper Figs. 8/9) runs in two stages plus the diagonal pass:
 3. the diagonal blocks multiply and accumulate.
 
 The index arrays are what the *host runs*: :class:`TwoStageOperator`
-executes exactly these stages as compiled sparse products gathered
-through ``rc`` / ``row_up_i`` / ``row_low_i`` / ``row_low_p`` (the
-:mod:`repro.primitives.scatter` seam), over the block payload and a
-per-matrix transposed copy of it. It is the one implementation behind
-:func:`hsbcsr_spmv`, SSOR-AI's triangular halves and the distributed
-SpMV (:func:`repro.domain.assembly.split_matrix`: the same operator with
-stage 1 gathering ``(n_ext*6,)`` stacked per-domain slots instead of the
-``(n*6,)`` canonical vector). Every sum runs strictly left to right
-(each 6-term dot, each segment, then up + low + diagonal), so wherever a
-gathered slot holds the value of the block it stands for, the product
-is the global one bit for bit.
+executes these stages as two compiled calls (the
+:mod:`repro.primitives.scatter` seam) gathered through ``rc`` /
+``row_up_i`` / ``row_low_i`` / ``row_low_p``. It is the one
+implementation behind :func:`hsbcsr_spmv`, SSOR-AI's triangular halves
+and the distributed SpMV (:func:`repro.domain.assembly.split_matrix`:
+stage 1 gathers stacked per-domain slots instead of the canonical
+vector). Every sum runs strictly left to right (each 6-term dot, each
+segment, then up + low + diagonal), so wherever a gathered slot holds
+the value of the block it stands for, the product is the global one bit
+for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from repro.assembly.global_matrix import BS, BlockMatrix
 from repro.gpu.counters import KernelCounters
-from repro.gpu.kernel import VirtualDevice
-from repro.gpu.memory import coalesced_transactions, gather_transactions
+from repro.gpu.kernel import PricedLaunches, VirtualDevice
+from repro.gpu.memory import coalesced_transactions
 from repro.gpu.warp import WARP_SIZE
 from repro.primitives.scatter import BlockRowProduct, GatherSegmentSum
 from repro.util.validation import check_array
@@ -84,23 +84,21 @@ def segment_indptr(targets: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TwoStageOperator:
-    """The two-stage half-stored block kernel over explicit index arrays.
+    """The two-stage half-stored block kernel, in two compiled calls.
 
-    Stage 1 (``*_product``): entry ``k`` of a half multiplies the input
-    block its gather index names — ``A_k x_j`` in the upper half,
-    ``A_k^T x_i`` (the transposed payload) in the lower. Stage 2
-    (``*_reduce``): the results are summed into the output block row
-    whose segment holds them, the lower half reading its segments
-    through the ``row_low_p`` permutation. Diagonal block ``i``
-    multiplies the input block its gather index names (block ``i`` of
-    the canonical vector, unless re-pointed).
+    ``stage1``, over the one payload ``[A_k | A_k^T | D_i]``: each row
+    multiplies the input block its gather names — ``x_j`` for row ``k``,
+    ``x_i`` for row ``m + k``, block ``i`` for diagonal row ``2m + i``.
+    ``stage2``: segments ``[0, n)`` sum the upper results over
+    ``row_up_i``, ``[n, 2n)`` the lower ones through ``row_low_p`` over
+    ``row_low_i`` (``up_reduce`` and ``low_reduce``, stacked). The
+    ``*_product`` halves are row ranges of stage 1 (views).
     """
 
-    up_product: BlockRowProduct
+    stage1: BlockRowProduct
+    stage2: GatherSegmentSum
     up_reduce: GatherSegmentSum
-    low_product: BlockRowProduct
     low_reduce: GatherSegmentSum
-    diag_product: BlockRowProduct
 
     @classmethod
     def from_block_matrix(
@@ -117,34 +115,41 @@ class TwoStageOperator:
         canonical vector, ``(cols, rows, arange(n), n)``; the domain
         split passes slots of its stacked extended vector.
         """
+        m, n = a.n_offdiag, a.n
         up, low, diag, n_in = gather or (
-            a.cols, a.rows, np.arange(a.n, dtype=np.int64), a.n
+            a.cols, a.rows, np.arange(n, dtype=np.int64), n
         )
+        up_ptr, low_ptr = segment_indptr(a.rows, n), segment_indptr(a.cols, n)
         # lower triangle: entry (j, i) for each upper (i, j); sorted by
         # (col, row) of the upper — i.e. by the lower entry's row
         row_low_p = np.lexsort((a.rows, a.cols)).astype(np.int64)
+        ident = np.arange(m, dtype=np.int64)
         return cls(
-            BlockRowProduct(a.blocks, up, n_in),
+            BlockRowProduct(_payload(a), np.concatenate([up, low, diag]), n_in),
             GatherSegmentSum(
-                segment_indptr(a.rows, a.n),
-                np.arange(a.n_offdiag, dtype=np.int64),
+                np.concatenate([up_ptr, low_ptr[1:] + m]),
+                np.concatenate([ident, row_low_p + m]),
             ),
-            BlockRowProduct(a.blocks.transpose(0, 2, 1), low, n_in),
-            GatherSegmentSum(segment_indptr(a.cols, a.n), row_low_p),
-            BlockRowProduct(a.diag, diag, n_in),
+            GatherSegmentSum(up_ptr, ident),
+            GatherSegmentSum(low_ptr, row_low_p),
         )
 
-    def with_values(
-        self, diag: np.ndarray, up_blocks: np.ndarray, low_blocks: np.ndarray
-    ) -> "TwoStageOperator":
-        """Same structure (gathers, stage-2 operators), new payloads."""
-        return TwoStageOperator(
-            self.up_product.with_blocks(up_blocks),
-            self.up_reduce,
-            self.low_product.with_blocks(low_blocks),
-            self.low_reduce,
-            self.diag_product.with_blocks(diag),
-        )
+    def with_values(self, a: BlockMatrix) -> "TwoStageOperator":
+        """Same structure, the payload of ``a`` (same sparsity pattern)."""
+        return replace(self, stage1=self.stage1.with_blocks(_payload(a)))
+
+    @cached_property
+    def up_product(self) -> BlockRowProduct:
+        return self.stage1.rows(0, self.up_reduce.gather.size)
+
+    @cached_property
+    def low_product(self) -> BlockRowProduct:
+        m = self.up_reduce.gather.size
+        return self.stage1.rows(m, 2 * m)
+
+    @cached_property
+    def diag_product(self) -> BlockRowProduct:
+        return self.stage1.rows(2 * self.up_reduce.gather.size, None)
 
     def upper(self, x: np.ndarray) -> np.ndarray:
         """Upper-half product ``(n_out, 6)`` from ``(n_in*6,)``."""
@@ -156,10 +161,16 @@ class TwoStageOperator:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Full product ``(n_out*6,)``: up, then low, then diagonal."""
-        y = self.upper(x)
-        y += self.lower(x)
-        y += self.diag_product(x)
+        v = self.stage1(x)
+        s, d = self.stage2(v), v[2 * self.up_reduce.gather.size :]
+        y = s[: len(d)] + s[len(d) :]
+        y += d
         return y.reshape(-1)
+
+
+def _payload(a: BlockMatrix) -> np.ndarray:
+    """``(2m+n, 6, 6)`` stage-1 payload: blocks, transposes, diagonal."""
+    return np.concatenate([a.blocks, a.blocks.transpose(0, 2, 1), a.diag])
 
 
 @dataclass
@@ -176,9 +187,8 @@ class HSBCSRMatrix:
     row_low_i: np.ndarray     # (n+1,) indptr over rows of the implied lower
     row_low_p: np.ndarray     # (m,) upper-storage position of each lower entry
     op: TwoStageOperator      # the host kernel over the arrays above
-    # launch-cost counters, computed once per sparsity pattern and
-    # shared across value-only rebuilds (the solver sparsity reuse path)
-    _cost: tuple | None = None
+    # the SpMV's launches: once per sparsity pattern, shared by rebuilds
+    _cost: PricedLaunches | None = None
 
     @classmethod
     def from_block_matrix(
@@ -210,9 +220,7 @@ class HSBCSRMatrix:
             and np.array_equal(structure.cols, a.cols)
         ):
             rows, cols, cost = structure.rows, structure.cols, structure._cost
-            op = structure.op.with_values(
-                a.diag, a.blocks, a.blocks.transpose(0, 2, 1)
-            )
+            op = structure.op.with_values(a)
         else:
             rows, cols, cost = a.rows.copy(), a.cols.copy(), None
             op = TwoStageOperator.from_block_matrix(a)
@@ -268,36 +276,31 @@ def hsbcsr_spmv(
     x = check_array("x", x, dtype=np.float64, shape=(a.n * BS,))
     y = a.op(x)
     if device is not None:
-        _record_cost(a, device)
+        record_spmv(a, device)
     return y
 
 
-def _record_cost(a: HSBCSRMatrix, device: VirtualDevice) -> None:
+def record_spmv(a: HSBCSRMatrix, device: VirtualDevice) -> None:
     """Record the three-kernel launch sequence of the HSBCSR SpMV.
 
-    The counters depend only on the matrix *structure* (shapes, nnz,
-    padded slice widths), so they are built once per structure and
-    replayed from the cache on every subsequent SpMV — the modelled
-    seconds are bit-identical to rebuilding them each call.
+    The counters depend only on the matrix *structure* (its shape, nnz,
+    padded slice widths), so they are built once per structure, and
+    priced once per device and region (:class:`PricedLaunches`) — the
+    ledger is record for record what launching them each call writes.
     """
     if a._cost is None:
-        a._cost = tuple(_cost_launches(a))
-    for name, counters in a._cost:
-        device.launch(name, counters)
+        a._cost = PricedLaunches(*_cost_launches(a))
+    a._cost.record(device)
 
 
 def _cost_launches(a: HSBCSRMatrix) -> list[tuple[str, KernelCounters]]:
     """Build the ``(name, counters)`` ledger (scalar metadata only)."""
     launches: list[tuple[str, KernelCounters]] = []
-
-    def launch(name: str, counters: KernelCounters) -> None:
-        launches.append((name, counters))
-
     m, n = a.n_offdiag, a.n
     if m:
         # stage 1: slice reads coalesced; x segments through texture; the
         # Fig-8 shared reduction is conflict-free by construction
-        launch(
+        launches.append((
             "hsbcsr_stage1",
             KernelCounters(
                 flops=4.0 * m * BS * BS,          # up and low multiplies
@@ -317,9 +320,9 @@ def _cost_launches(a: HSBCSRMatrix) -> list[tuple[str, KernelCounters]]:
                 threads=m * BS,
                 warps=max(1, m * BS // WARP_SIZE),
             ),
-        )
+        ))
         # stage 2: up_res coalesced 48-thread row groups; low_res texture
-        launch(
+        launches.append((
             "hsbcsr_stage2",
             KernelCounters(
                 flops=2.0 * (2 * m * BS),
@@ -333,9 +336,9 @@ def _cost_launches(a: HSBCSRMatrix) -> list[tuple[str, KernelCounters]]:
                 threads=n * BS,
                 warps=max(1, n * BS // WARP_SIZE),
             ),
-        )
+        ))
     # stage 3: diagonal multiply-accumulate
-    launch(
+    launches.append((
         "hsbcsr_diag",
         KernelCounters(
             flops=2.0 * n * BS * BS,
@@ -348,5 +351,5 @@ def _cost_launches(a: HSBCSRMatrix) -> list[tuple[str, KernelCounters]]:
             threads=n * BS,
             warps=max(1, n * BS // WARP_SIZE),
         ),
-    )
+    ))
     return launches

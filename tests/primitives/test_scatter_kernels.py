@@ -1,0 +1,180 @@
+"""The compiled SpMV operators of the scatter seam, held to SciPy.
+
+:class:`BlockRowProduct` and :class:`GatherSegmentSum` call SciPy's
+private BSR / CSR matvec kernels directly. Each must stay bit-equal —
+sign of zero included — to the public ``bsr_array @ x`` /
+``csr_array @ v`` it replaces and to a pure-Python left-to-right loop,
+so a SciPy release that renames, re-signs or re-orders those kernels
+fails here rather than moving an iterate.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import bsr_array, csr_array
+
+from repro.primitives.scatter import BlockRowProduct, GatherSegmentSum
+from repro.solvers.preconditioners import SSORAIPreconditioner
+from repro.spmv.hsbcsr import TwoStageOperator
+from repro.spmv.synthetic import synthetic_block_matrix
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+
+def bits(a) -> np.ndarray:
+    """The float64 bit patterns of ``a``: ``-0.0`` differs from ``0.0``."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def assert_bits_equal(a, b) -> None:
+    assert np.shape(a) == np.shape(b)
+    np.testing.assert_array_equal(bits(a), bits(b))
+
+
+def oracle_stage1(blocks, index, x, b):
+    """Row ``k``: ``blocks[k] @ x[index[k]]``, each dot from ``0.0``."""
+    xb = x.reshape(-1, b).tolist()
+    out = []
+    for blk, j in zip(blocks.tolist(), index.tolist()):
+        row = []
+        for coeffs in blk:
+            acc = 0.0
+            for c, v in zip(coeffs, xb[j]):
+                acc += c * v
+            row.append(acc)
+        out.append(row)
+    return np.array(out, dtype=np.float64).reshape(len(out), b)
+
+
+def oracle_stage2(v, indptr, gather):
+    """Segment sums of ``v[gather[p]]`` from ``0.0``, left to right."""
+    rows = v.tolist()
+    out = []
+    for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
+        acc = [0.0] * v.shape[1]
+        for p in range(lo, hi):
+            acc = [s + t for s, t in zip(acc, rows[gather[p]])]
+        out.append(acc)
+    return np.array(out, dtype=np.float64).reshape(len(out), v.shape[1])
+
+
+def signed_values(rng, shape):
+    """Wide-ranging values with exact zeros of both signs mixed in."""
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+    zeros = rng.random(shape) < 0.2
+    values[zeros] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zeros]
+    return values
+
+
+@st.composite
+def stage1_case(draw):
+    b = draw(st.sampled_from([1, 2, 6]))
+    m = draw(st.integers(0, 12))
+    n_in = draw(st.integers(1, 7))          # need not equal m or any n_out
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (
+        signed_values(rng, (m, b, b)),
+        rng.integers(0, n_in, size=m).astype(np.int64),
+        n_in,
+        signed_values(rng, (n_in * b,)),
+    )
+
+
+@st.composite
+def stage2_case(draw):
+    b = draw(st.sampled_from([1, 6]))
+    n = draw(st.integers(0, 8))
+    counts = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    m = sum(counts)                         # zero counts: empty segments
+    extra = draw(st.integers(0, 3))         # rows of v no segment reads
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    return indptr, rng.permutation(m).astype(np.int64), signed_values(
+        rng, (m + extra, b)
+    )
+
+
+@given(stage1_case())
+@settings(max_examples=80, deadline=None)
+def test_block_row_product_is_public_bsr_and_left_to_right(case):
+    blocks, index, n_in, x = case
+    m, b = blocks.shape[0], blocks.shape[1]
+    y = BlockRowProduct(blocks, index, n_in)(x)
+    public = bsr_array(
+        (blocks, index, np.arange(m + 1)), shape=(m * b, n_in * b)
+    ) @ x
+    assert_bits_equal(y, public.reshape(m, b))
+    assert_bits_equal(y, oracle_stage1(blocks, index, x, b))
+
+
+@given(stage2_case())
+@settings(max_examples=80, deadline=None)
+def test_gather_segment_sum_is_public_csr_and_left_to_right(case):
+    indptr, gather, v = case
+    m = gather.size
+    y = GatherSegmentSum(indptr, gather)(v)
+    public = csr_array(
+        (np.ones(m), gather, indptr), shape=(indptr.size - 1, m)
+    ) @ v[:m]
+    assert_bits_equal(y, public)
+    assert_bits_equal(y, oracle_stage2(v, indptr, gather))
+
+
+def test_negative_zero_products_sum_to_positive_zero():
+    # every product is -0.0; a sum started at 0.0 stays +0.0
+    blocks = -np.ones((2, 6, 6))
+    y = BlockRowProduct(blocks, np.array([0, 1]), 2)(np.zeros(12))
+    assert_bits_equal(y, np.zeros((2, 6)))
+    s = GatherSegmentSum(np.array([0, 2]), np.array([1, 0]))(
+        np.full((2, 6), -0.0)
+    )
+    assert_bits_equal(s, np.zeros((1, 6)))
+
+
+def test_no_contacts():
+    blocks = np.zeros((0, 6, 6))
+    y = BlockRowProduct(blocks, np.zeros(0, dtype=np.int64), 3)(np.ones(18))
+    assert y.shape == (0, 6)
+    s = GatherSegmentSum(np.zeros(4, dtype=np.int64), np.zeros(0, np.int64))(y)
+    assert_bits_equal(s, np.zeros((3, 6)))
+
+
+def test_a_call_never_reads_past_its_input():
+    product = BlockRowProduct(np.ones((2, 6, 6)), np.array([0, 2]), 3)
+    with pytest.raises(ValueError, match="x"):
+        product(np.ones(12))
+    reduce = GatherSegmentSum(np.array([0, 1, 3]), np.array([2, 0, 1]))
+    with pytest.raises(ValueError, match="rows"):
+        reduce(np.ones((2, 6)))
+
+
+def test_operator_halves_are_views_of_the_one_stacked_call(rng):
+    a = synthetic_block_matrix(14, 30, seed=4)
+    x = rng.normal(size=a.n * 6)
+    op = TwoStageOperator.from_block_matrix(a)
+    m, n = a.n_offdiag, a.n
+    v = op.stage1(x)
+    s = op.stage2(v)
+    assert v.shape == (2 * m + n, 6) and s.shape == (2 * n, 6)
+    assert_bits_equal(op.upper(x), s[:n])
+    assert_bits_equal(op.lower(x), s[n:])
+    assert_bits_equal(op.diag_product(x), v[2 * m :])
+    assert_bits_equal(op(x), ((s[:n] + s[n:]) + v[2 * m :]).reshape(-1))
+    # one payload: the halves are row ranges of it, not copies
+    for half in (op.up_product, op.low_product, op.diag_product):
+        assert np.shares_memory(half.blocks, op.stage1.blocks)
+        assert np.shares_memory(half.index, op.stage1.index)
+    ssor = SSORAIPreconditioner(a).op
+    assert_bits_equal(ssor.upper(x), s[:n])
+    assert_bits_equal(ssor.lower(x), s[n:])
+
+
+def test_only_the_seam_names_the_private_kernels():
+    naming = sorted(
+        str(p.relative_to(SRC)) for p in SRC.rglob("*.py")
+        if "_sparsetools" in p.read_text(encoding="utf-8")
+    )
+    assert naming == ["primitives/scatter.py"]
