@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.assembly.contact_springs import OPEN, SpringGeometry
 from repro.core.blocks import BlockSystem
+from repro.primitives.scatter import GatherSegmentSum
 from repro.util.validation import check_array
 
 #: Contact kinds (the paper's first/second classification outcomes).
@@ -100,6 +101,7 @@ class ContactSet:
                 )
         if m and np.any(self.block_i == self.block_j):  # lint: sync-ok[validation-gate] -- rejects self-contacts at construction
             raise ValueError("self-contact (block_i == block_j) is not allowed")
+        self._load_sum: dict = {}  # shared with every copy: see load_sum
 
     # ------------------------------------------------------------------
     @property
@@ -132,6 +134,16 @@ class ContactSet:
         coordinates — valid until data updating moves the vertices."""
         p1, e1, e2, ci, cj = self.geometry(system)
         return SpringGeometry.build(p1, e1, e2, self.ratio, ci, cj)
+
+    def load_sum(self, n_blocks: int) -> GatherSegmentSum:
+        """Sums ``(2m, k)`` per-contact loads — on ``block_i``, then on
+        ``block_j`` — into ``(n_blocks, k)`` per-block totals, bit for bit
+        as two ``np.add.at`` calls would. Built on first use by the table
+        or any :meth:`copy` of it, for all of them: endpoints never change."""
+        if not self._load_sum:
+            ends = np.concatenate([self.block_i, self.block_j])
+            self._load_sum["sum"] = GatherSegmentSum.scatter(ends, n_blocks)
+        return self._load_sum["sum"]
 
     def keys(self, n_vertices: int) -> np.ndarray:
         """Unique transfer keys ``(vertex, e1, e2)`` packed into int64.
@@ -167,5 +179,7 @@ class ContactSet:
         )
 
     def copy(self) -> "ContactSet":
-        """Deep copy."""
-        return self.select(np.arange(self.m))
+        """Deep copy (the :meth:`load_sum` structure is shared)."""
+        out = self.select(np.arange(self.m))
+        out._load_sum = self._load_sum
+        return out

@@ -11,8 +11,9 @@ across the domains as one stacked kernel — the global HSBCSR operator
 reading each row's operands from its owner's slots, two compiled
 products at any domain count; and :mod:`repro.domain.solve` is the
 distributed operand of the one PCG loop, :func:`repro.solvers.cg.pcg`
-(all-reduced dot products, one ghost exchange per iteration) — bit-
-identical to the single-device solve for every registry preconditioner.
+(one ghost exchange per iteration, hidden behind the interior product;
+``r·r`` and ``r·z`` in one all-reduce) — bit-identical to the
+single-device solve for every registry preconditioner.
 
 The engine-facing entry point is
 :class:`repro.engine.domain_engine.DomainEngine`.

@@ -79,6 +79,19 @@ class DomainSplit:
         stage-2 operators shared, only the payloads re-read."""
         return replace(self, matrix=matrix, op=self.op.with_values(matrix))
 
+    def interior(self) -> np.ndarray:
+        """``(n,)`` bool: the rows whose every stage-1 gather reads an
+        owned slot of their domain — what a device multiplies while its
+        ghosts are in flight. The others are its boundary rows."""
+        n, labels, offsets = self.matrix.n, self.dmap.labels, self.plan.offsets
+        # the output row of each stage-1 row, and where its owner's
+        # owned slots end (its ghosts follow them)
+        row = np.concatenate([self.matrix.rows, self.matrix.cols, np.arange(n)])
+        owned_end = offsets[:-1] + np.bincount(labels, minlength=offsets.size - 1)
+        interior = np.ones(n, dtype=bool)
+        interior[row[self.op.stage1.index >= owned_end[labels[row]]]] = False
+        return interior
+
 
 def split_matrix(
     matrix: BlockMatrix, dmap: DomainMap, plan: ExchangePlan
@@ -108,10 +121,31 @@ def split_matrix(
     )
 
 
-def price_spmv(m: int, n: int, device) -> tuple:
-    """One domain's share of the SpMV — scalar counts ``m`` off-diagonal
-    entries (both halves) and ``n`` owned blocks — as HSBCSR-style
-    launches priced on its ``device``."""
+def price_spmv(split: DomainSplit, devices: list) -> tuple[list, list]:
+    """Two ``(n_domains,)`` lists: each domain's share of the SpMV as
+    HSBCSR-style launches priced on its device, and the scalar seconds of
+    the part it runs before its ghosts arrive — the off-diagonal entries
+    of its interior rows (:meth:`DomainSplit.interior`), its diagonal."""
+    labels, nd = split.dmap.labels, len(devices)
+    interior = split.interior()
+    # the output row of every entry of both halves
+    ends = np.concatenate([split.matrix.rows, split.matrix.cols])
+    counts = np.stack([
+        split.m_up + split.m_low, np.bincount(labels, minlength=nd),
+        np.bincount(labels[ends][interior[ends]], minlength=nd),
+        np.bincount(labels[interior], minlength=nd),
+    ], axis=1)
+    spmv, hidden = [], []
+    for device, (m, n, m_in, n_in) in zip(devices, counts.tolist()):  # lint: sync-ok[alloc-size] -- per-domain entry counts size the priced launches, once per pattern
+        spmv.append(_price(m, n, device))
+        off_in = _price(m_in, n_in, device)[:-1]  # its diagonal is spmv's
+        hidden.append(sum(r.seconds for r in off_in) + spmv[-1][-1].seconds)
+    return spmv, hidden
+
+
+def _price(m: int, n: int, device) -> tuple:
+    """``m`` off-diagonal entries (both halves) into ``n`` owned rows,
+    then those rows' diagonal blocks, priced on ``device``."""
     priced = []
     if m:
         priced.append(device.price(

@@ -11,17 +11,15 @@ out ``owned_0, ghosts_0, owned_1, ghosts_1, ...`` — a layout the
 :class:`ExchangePlan` owns (``ext_ids`` / ``offsets`` / ``slots``) — and
 the canonical ``(n_dof,)`` vector *is* every owner's resident segment,
 so an exchange is a single gather ``v.reshape(n, 6)[plan.ext_ids]``;
-the planned sends only price.
-
-All data movement between the per-domain
-:class:`~repro.gpu.kernel.VirtualDevice` ledgers is metered through
-``pcie_*`` kernel launches on a dedicated transfer profile (the same
-idiom as the hybrid engine's host<->device transfers), and the byte
-totals accumulate into the ``domain.halo_bytes`` metric.
+the planned sends only price. They are metered as ``pcie_*`` launches
+on a dedicated transfer profile, less what each device's independent
+work hides (:meth:`HaloExchanger.overlapped`), and their bytes
+accumulate into the ``domain.halo_bytes`` metric.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,28 +164,6 @@ def build_exchange_plan(
     )
 
 
-def ghost_contacts(
-    dmap: DomainMap, block_i: np.ndarray, block_j: np.ndarray
-) -> tuple[tuple, int]:
-    """Per-domain contact lists with cut contacts duplicated.
-
-    ``block_i``/``block_j`` are the ``(m,)`` contact endpoints. Returns
-    ``(per_domain, n_cut)``: ``per_domain[d]`` holds the ascending
-    indices of contacts touching domain ``d`` (a contact crossing a
-    boundary appears on both owners — the ghost-contact duplication the
-    projection charges for), and ``n_cut`` is the scalar count of
-    crossing contacts.
-    """
-    lab_i = dmap.labels[block_i]
-    lab_j = dmap.labels[block_j]
-    per_domain = tuple(
-        np.flatnonzero((lab_i == d) | (lab_j == d))
-        for d in range(dmap.n_domains)
-    )
-    n_cut = int(np.count_nonzero(lab_i != lab_j))  # lint: sync-ok[partition-stats] -- scalar partition statistic
-    return per_domain, n_cut
-
-
 @dataclass
 class HaloExchanger:
     """Meters the boundary DOF the per-domain devices trade.
@@ -196,18 +172,15 @@ class HaloExchanger:
     ``(n_dof,)`` vector to its owners, ``exchange`` refreshes ghost
     values (one call per CG iteration), ``gather`` collects the owned
     segments back, and ``allreduce`` meters the latency-bound scalar
-    reductions. With one domain no transfer is charged (the data never
-    leaves the device). ``inject`` is the chaos hook applied to the
-    gathered solution buffer.
+    reductions. With one domain no transfer is charged. ``inject`` is
+    the chaos hook applied to the gathered solution buffer.
 
     The canonical vector is every owner's resident segment, so
     ``scatter`` and ``gather`` move nothing and ``exchange`` is one
-    gather into the stacked extended vector. Everything they and an
-    all-reduce charge depends on the plan alone, so it is priced here,
-    once: per device the ``pcie_allreduce``, ``pcie_scatter_owned`` and
-    ``pcie_gather_owned`` records, the ``pcie_halo_send`` /
-    ``pcie_halo_recv`` records in ``plan.sends`` order and the
-    exchange's byte total. The calls then only record.
+    gather into the stacked extended vector. What they charge depends
+    on the plan alone and is priced here, once — the ``pcie_halo_send``
+    / ``pcie_halo_recv`` records in ``plan.sends`` order, in full until
+    :meth:`overlapped` hides part of them; the calls then only record.
     """
 
     dmap: DomainMap
@@ -219,8 +192,9 @@ class HaloExchanger:
     def __post_init__(self) -> None:
         domains = range(self.dmap.n_domains)
         owned = [float(own.size * BS * 8) for own in self.dmap.owned]
-        self._allreduce = [self._price(d, "pcie_allreduce", 8.0)
-                           for d in domains]
+        self._allreduce = {words: [
+            self._price(d, "pcie_allreduce", 8.0 * words) for d in domains
+        ] for words in (1, 2)}
         self._scatter = [self._price(d, "pcie_scatter_owned", owned[d])
                          for d in domains]
         self._gather = [self._price(d, "pcie_gather_owned", owned[d])
@@ -280,9 +254,26 @@ class HaloExchanger:
             self.metrics.inc("domain.halo_bytes", self._halo_bytes)
         return ext
 
-    def allreduce(self) -> None:
-        """Meter one latency-bound all-reduce of one double."""
-        self.record(self._allreduce)
+    def overlapped(self, hidden: list) -> "HaloExchanger":
+        """This exchanger with device ``d``'s transfers overlapping
+        ``hidden[d]`` seconds of its own work. Posted in plan order, they
+        complete one after another: what completes within ``hidden[d]``
+        costs nothing, the rest is waited on — ``max(0, halo - hidden)``
+        per exchange, every record keeping its bytes."""
+        other = copy.copy(self)
+        other._exchange = []
+        for records, budget in zip(self._exchange, hidden):
+            exposed = []
+            for r in records:
+                cover = min(r.seconds, budget)
+                budget -= cover
+                exposed.append(r._replace(seconds=r.seconds - cover))
+            other._exchange.append(tuple(exposed))
+        return other
+
+    def allreduce(self, words: int = 1) -> None:
+        """Meter one latency-bound all-reduce of ``words`` (1, 2) doubles."""
+        self.record(self._allreduce[words])
 
     def record(self, priced: list) -> None:
         """Append ``priced[d]`` (priced records) to device ``d``'s ledger."""

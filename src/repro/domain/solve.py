@@ -1,34 +1,26 @@
 """The distributed solve: an operand of the one PCG loop.
 
-There is no second CG loop. :func:`repro.solvers.cg.pcg` iterates over
-an operand, and :class:`DistributedOperand` is the multi-device one —
-same early returns, same breakdown test, same residual series — with
-three distributed substitutions:
+:func:`repro.solvers.cg.pcg` iterates over an operand, and
+:class:`DistributedOperand` is the multi-device one. The host computes
+exactly what one device does; the ledgers meter the schedule a
+multi-device CG runs:
 
-* the SpMV is one ghost (halo) exchange — a gather into the stacked
-  extended vector — and the stacked kernel of
-  :func:`repro.domain.assembly.split_matrix`, whose rows come out in
-  canonical block order: two compiled products at any domain count;
-* every scalar reduction (the two CG dot products and the residual
-  norm) is computed as an *ordered* reduction over the canonical
-  global vector — the deterministic all-reduce — and metered as a
-  latency-bound ``pcie_allreduce`` on every device;
+* the SpMV posts one halo exchange, multiplies the interior rows and
+  the diagonal while it is in flight, then the boundary rows — a device
+  pays only the transfers its interior product does not cover;
+* ``r·r`` and ``r·z`` share one two-word all-reduce after ``z = M r``
+  (pipelined order: a passing convergence test leaves that application
+  in flight, metered but not computed); ``p·Ap`` and ``b·b`` are their
+  own; every reduction is ordered over the canonical vector;
 * vector updates are metered per domain at their local lengths.
 
-Every launch a solve charges has a size fixed by the split and the
-exchange plan, so each is priced once (:meth:`VirtualDevice.price` — at
-the exchanger's, the preconditioner's or the operand's construction)
-and the loop only records the shared records: same ledger, record for
-record, without per-iteration pricing. An operand outlives its solve:
-:meth:`DistributedOperand.with_values` re-reads the payloads of a matrix
-with the same sparsity pattern and shares everything else.
-
-Because the canonical-order reductions see bit-identical operand
-arrays and the distributed SpMV is bit-identical on owned rows, the
-whole iteration — and therefore the returned solution, iteration
-count, and residual series — equals the single-device solve exactly
-for the block-local preconditioners (``none``/``jacobi``/``bj``) and
-for the gathered cross-domain ones (``ssor``/``ilu``/``neumann``).
+Every launch has a size fixed by the split and the exchange plan, so it
+is priced once and the loop only records the shared records;
+:meth:`DistributedOperand.with_values` shares them across matrices with
+the same sparsity pattern. The distributed SpMV is bit-identical on
+owned rows and the reductions see the same arrays, so solution,
+iteration count and residual series equal the single-device solve for
+every registry preconditioner.
 """
 
 from __future__ import annotations
@@ -92,13 +84,17 @@ class DistributedPreconditioner:
     def apply(self, r: np.ndarray, device=None) -> np.ndarray:
         """Apply to ``(n_dof,)`` and return the same shape."""
         z = self.base.apply(r, None)
-        self.exchanger.record(self._cost)
+        self.metered()
         return z
+
+    def metered(self) -> None:
+        """Charge one application on every domain, as :meth:`apply` does."""
+        self.exchanger.record(self._cost)
 
 
 class DistributedOperand:
     """The multi-device counterpart of :class:`repro.solvers.cg
-    .DeviceOperand` (same attributes, same six calls).
+    .DeviceOperand` (same attributes, same seven calls).
 
     ``split`` is the :class:`~repro.domain.assembly.DomainSplit` of ``A``
     and ``exchanger`` the :class:`~repro.domain.halo.HaloExchanger` over
@@ -111,17 +107,12 @@ class DistributedOperand:
 
     def __init__(self, split: DomainSplit, exchanger: HaloExchanger) -> None:
         self.split = split
-        self.exchanger = exchanger
         self.n_dof = exchanger.dmap.labels.size * BS
-        n_local = [own.size for own in exchanger.dmap.owned]
-        m = (split.m_up + split.m_low).tolist()  # lint: sync-ok[alloc-size] -- per-domain entry counts size the priced launches, once per pattern
-        self._spmv = [
-            price_spmv(m_d, n_d, device)
-            for m_d, n_d, device in zip(m, n_local, exchanger.devices)
-        ]
-        self._vector_ops = _price_vector_ops(
-            exchanger, "cg_vector_ops", [n * BS for n in n_local], 5
-        )
+        self._spmv, hidden = price_spmv(split, exchanger.devices)
+        self.exchanger = exchanger.overlapped(hidden)
+        self._vector_ops = _price_vector_ops(exchanger, "cg_vector_ops", [
+            own.size * BS for own in exchanger.dmap.owned
+        ], 5)
 
     def with_values(self, matrix: BlockMatrix) -> "DistributedOperand":
         """The operand of a ``matrix`` its split
@@ -145,15 +136,24 @@ class DistributedOperand:
         self.exchanger.scatter(x)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Distributed ``A @ v``: ``(n_dof,)``, one halo exchange, then
-        every domain's rows in one call of the stacked kernel."""
+        """Distributed ``A @ v``: ``(n_dof,)``, one halo exchange (what
+        the interior product leaves of it metered), then every domain's
+        rows in one call of the stacked kernel."""
         y = self.split.op(self.exchanger.exchange(v))
         self.exchanger.record(self._spmv)
         return y
 
-    def reduced(self) -> None:
-        """One ordered (deterministic all-reduce) scalar per reduction."""
-        self.exchanger.allreduce()
+    def reduced(self, words: int = 1) -> None:
+        """One ordered (deterministic) all-reduce of ``words`` scalars."""
+        self.exchanger.allreduce(words)
+
+    def converged(self, preconditioner) -> None:
+        """Charge the application and fused all-reduce a passing test
+        leaves in flight (the host skips the application: its result is
+        never read). One device overlaps nothing and speculates nothing."""
+        if self.exchanger.dmap.n_domains > 1:
+            preconditioner.metered()
+            self.reduced(2)
 
     def vector_ops(self) -> None:
         self.exchanger.record(self._vector_ops)

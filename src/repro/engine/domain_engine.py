@@ -15,22 +15,19 @@ equation solve is distributed across ``n_domains`` per-domain
    kernel into it; the sweeps of an attempt (same pattern, new values)
    re-read the payloads only;
 3. the solve is the one :func:`repro.solvers.cg.pcg` loop over a
-   :class:`repro.domain.solve.DistributedOperand` — one halo exchange
-   and one stacked SpMV per iteration at any domain count, ordered
-   (deterministic) all-reduced dot products — handed to the shared
-   fallback ladder through the one solver hook,
+   :class:`repro.domain.solve.DistributedOperand` (one halo exchange
+   hidden behind the interior product and one stacked SpMV per
+   iteration; ordered all-reduces, ``r·r`` with ``r·z``), reached
+   through the one solver hook,
    :meth:`~repro.engine.base.EngineBase._solver_operand`.
 
-Because every substituted reduction is performed in canonical block
-order, results are **bit-identical** to the serial engine at every
-domain count (the ``tests/domain`` pin enforces this), while the
-ledger records what the decomposition would cost for real: halo bytes
-(``domain.halo_bytes``), cut contacts (``domain.cut_contacts``), and
-imbalance (``domain.imbalance``).
-
-Stage contracts, chaos faults (including ``halo_corrupt``, which
-corrupts the gathered solution transfer), spans/metrics, and the
-scatter sanitizer all apply unchanged through :class:`EngineBase`.
+Every reduction runs in canonical block order, so results are
+**bit-identical** to the serial engine at every domain count (the
+``tests/domain`` pin), while the ledgers record what the decomposition
+would cost: halo bytes (``domain.halo_bytes``), cut contacts
+(``domain.cut_contacts``), imbalance (``domain.imbalance``). Contracts,
+chaos faults (``halo_corrupt`` corrupts the gathered solution), spans,
+metrics and the sanitizer apply unchanged through :class:`EngineBase`.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ from repro.domain.halo import (
     DomainMap,
     HaloExchanger,
     build_exchange_plan,
-    ghost_contacts,
     make_domain_devices,
 )
 from repro.domain.partition import partition_blocks
@@ -95,10 +91,8 @@ class DomainEngine(SerialEngine):
     # ------------------------------------------------------------------
     def _detect_contacts(self) -> ContactSet:
         contacts = super()._detect_contacts()
-        _, n_cut = ghost_contacts(
-            self.dmap, contacts.block_i, contacts.block_j
-        )
-        self.metrics.gauge("domain.cut_contacts").set(float(n_cut))
+        cut = self.labels[contacts.block_i] != self.labels[contacts.block_j]
+        self.metrics.gauge("domain.cut_contacts").set(float(np.count_nonzero(cut)))  # lint: sync-ok[partition-stats] -- scalar partition statistic
         return contacts
 
     # ------------------------------------------------------------------

@@ -123,10 +123,8 @@ def contact_loads(
         geometry, contacts.state, contacts.pn, contacts.ps,
         friction, contacts.shear_sign,
     )
-    f = np.zeros(n * DOF)
-    np.add.at(f.reshape(n, DOF), contacts.block_i, fi)
-    np.add.at(f.reshape(n, DOF), contacts.block_j, fj)
-    return w, ws, f
+    f = contacts.load_sum(n)(np.concatenate([fi, fj]))
+    return w, ws, f.reshape(-1)
 
 
 def contact_system(

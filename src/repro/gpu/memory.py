@@ -95,46 +95,11 @@ def shared_bank_conflicts(
 ) -> int:
     """Extra serialized shared-memory cycles for a warp-structured access.
 
-    ``word_indices`` are per-thread 4-byte-word offsets into shared memory.
-    Lanes in the same warp mapping to the same bank *at different words*
-    serialize; broadcast of the identical word is conflict-free.
-
-    Returns the total number of extra access cycles across all warps
-    (0 == conflict-free, the design target of the paper's Fig. 8 scheme).
-    """
-    idx = check_array("word_indices", word_indices, ndim=1)
-    if idx.size == 0:
-        return 0
-    idx = idx.astype(np.int64)
-    pad = (-idx.size) % warp_size
-    if pad:
-        idx = np.concatenate([idx, np.repeat(idx[-1], pad)])
-    lanes = idx.reshape(-1, warp_size)
-    extra = 0
-    bank = lanes % banks
-    # deliberately loop-based: the reference implementation the _fast
-    # variant is verified against in tests
-    for w in range(lanes.shape[0]):  # lint: host-ok[DDA001]
-        # per bank: number of *distinct words* accessed; cycles = max over banks
-        words_by_bank: dict[int, set[int]] = {}
-        for b, word in zip(bank[w], lanes[w]):
-            words_by_bank.setdefault(int(b), set()).add(int(word))
-        cycles = max(len(v) for v in words_by_bank.values())
-        extra += cycles - 1
-    return extra
-
-
-def shared_bank_conflicts_fast(
-    word_indices: np.ndarray,
-    warp_size: int = WARP_SIZE,
-    banks: int = SHARED_BANKS,
-) -> int:
-    """Vectorised variant of :func:`shared_bank_conflicts`.
-
-    ``word_indices`` is 1-D; returns a scalar cycle count. Identical
-    semantics, used by kernels on large launches where the
-    per-warp Python loop would dominate. Kept separate so the simple
-    implementation can verify it in tests.
+    ``word_indices`` are 1-D per-thread 4-byte-word offsets into shared
+    memory. Lanes in the same warp mapping to the same bank *at different
+    words* serialize; broadcast of the identical word is conflict-free.
+    Returns the scalar total of extra cycles across all warps (0 ==
+    conflict-free, the design target of the paper's Fig. 8 scheme).
     """
     idx = check_array("word_indices", word_indices, ndim=1)
     if idx.size == 0:
@@ -155,11 +120,7 @@ def shared_bank_conflicts_fast(
     new_word[1:] = flat[1:] != flat[:-1]
     # count distinct words per (warp, bank) group
     wb = (np.arange(n_warps)[:, None] * banks + bank).ravel()[order]
-    counts = np.zeros(n_warps * banks, dtype=np.int64)
-    # deferred: primitives.reduce imports this module (cycle)
-    from repro.primitives.scatter import scatter_add
-
-    scatter_add(counts, wb[new_word], 1)
+    counts = np.bincount(wb[new_word], minlength=n_warps * banks)
     cycles = counts.reshape(n_warps, banks).max(axis=1)
     # conflict counters are host-side model outputs by contract
     return int((cycles - 1).clip(min=0).sum())  # lint: sync-ok[cost-model] -- conflict counters are host-side model outputs

@@ -87,6 +87,13 @@ def segment_max(
     return np.maximum.reduceat(values, starts, axis=axis)
 
 
+def segment_indptr(targets: np.ndarray, n: int) -> np.ndarray:
+    """``(n+1,)`` CSR-style bounds of the entries adding into each of ``n`` rows."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(targets, minlength=n), out=indptr[1:])
+    return indptr
+
+
 class BlockRowProduct:
     """Compiled stage 1: one dense block per output block row.
 
@@ -138,6 +145,13 @@ class GatherSegmentSum:
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.gather = np.ascontiguousarray(gather, dtype=np.int64)
         self._ones = np.ones(self.gather.size)
+
+    @classmethod
+    def scatter(cls, targets: np.ndarray, n: int) -> "GatherSegmentSum":
+        """``np.add.at(np.zeros((n, b)), targets, v)`` bit for bit, for
+        ``(m,)`` int64 ``targets`` below ``n``: the rows of ``v`` stably
+        sorted by target, each segment summed left to right."""
+        return cls(segment_indptr(targets, n), np.argsort(targets, kind="stable"))
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         m, n = self.gather.size, self.indptr.size - 1

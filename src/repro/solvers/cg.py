@@ -80,7 +80,7 @@ class DeviceOperand:
 
     An operand is every place a solve depends on *where* it runs —
     ``n_dof`` (scalar unknown count), ``device`` (what preconditioners
-    are built and applied on; ``None`` = unmetered) and the six calls
+    are built and applied on; ``None`` = unmetered) and the seven calls
     below — so the iteration is written once. The multi-device operand
     is :class:`repro.domain.solve.DistributedOperand`.
     """
@@ -111,8 +111,11 @@ class DeviceOperand:
             record_spmv(self.h, self.device)
         return y
 
-    def reduced(self) -> None:
-        """One scalar reduction reached the host."""
+    def reduced(self, words: int = 1) -> None:
+        """One reduction of ``words`` scalars reached the host."""
+
+    def converged(self, preconditioner: Preconditioner) -> None:
+        """The convergence test passed; one device has nothing in flight."""
 
     def vector_ops(self) -> None:
         """Charge one iteration's fused vector pass."""
@@ -193,13 +196,11 @@ def pcg(
     x = np.zeros(n) if x0 is None else check_array("x0", x0, dtype=np.float64,
                                                    shape=(n,)).copy()
     a.begin(b, x)
-    # CG's scalar coefficients live on the host by design: one word per
-    # reduction per iteration, matching the real kernel pipeline (on
-    # several devices each is an ordered, deterministic all-reduce, which
-    # `reduced` meters). All norms go through the same fused-dot form
-    # sqrt(v @ v) — one batched reduction kernel per crossing,
-    # bitwise-identical to np.linalg.norm on contiguous float64 (both
-    # reduce via dot)
+    # CG's scalar coefficients live on the host by design (on several
+    # devices each reduction is an ordered all-reduce `reduced` meters;
+    # r·r and r·z share one, z = M r running before the convergence test
+    # that `converged` ends). Norms use the fused-dot form sqrt(v @ v),
+    # bitwise-identical to np.linalg.norm on contiguous float64
     b_norm = math.sqrt(float(b @ b))  # lint: sync-ok[cg-convergence] -- one fused-dot scalar per iteration
     a.reduced()
     if b_norm == 0.0:
@@ -207,15 +208,15 @@ def pcg(
 
     r = b - a.matvec(x)
     rel = math.sqrt(float(r @ r)) / b_norm  # lint: sync-ok[cg-convergence] -- one fused-dot scalar per iteration
-    a.reduced()
     if rel < tol:
+        a.converged(m)
         return done(x, 0, True)
 
     z = m.apply(r, a.device)
     p = z.copy()
     step = np.empty(n)  # alpha * p, then alpha * ap: no per-iteration array
     rz = float(r @ z)  # lint: sync-ok[cg-convergence] -- one fused-dot scalar per iteration
-    a.reduced()
+    a.reduced(2)
     for it in range(1, max_iterations + 1):
         ap = a.matvec(p)
         pap = float(p @ ap)  # lint: sync-ok[cg-convergence] -- one fused-dot scalar per iteration
@@ -227,19 +228,17 @@ def pcg(
         x += np.multiply(p, alpha, out=step)
         r -= np.multiply(ap, alpha, out=step)
         a.vector_ops()
-        # the host runs the two axpys above, the residual dot below and
-        # the direction update at the bottom of the loop as separate
-        # in-place NumPy passes; what the ledger prices is the launch
-        # above — one kernel of five fused axpy/dot-style passes per
-        # iteration — and one scalar back to the host per reduction
+        # the ledger prices the host's separate in-place passes (two
+        # axpys, the residual dot, the direction update) as one kernel of
+        # five fused axpy/dot-style passes per iteration
         rel = math.sqrt(float(r @ r)) / b_norm  # lint: sync-ok[cg-convergence] -- one fused-dot scalar per iteration
-        a.reduced()
         residuals.append(rel)
         if rel < tol:
+            a.converged(m)
             return done(x, it, True)
         z = m.apply(r, a.device)
         rz_new = float(r @ z)  # lint: sync-ok[cg-convergence] -- one fused-dot scalar per iteration
-        a.reduced()
+        a.reduced(2)
         beta = rz_new / rz
         p *= beta  # p = z + beta * p, in place (p never aliases z)
         p += z

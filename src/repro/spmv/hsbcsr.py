@@ -53,7 +53,7 @@ from repro.gpu.counters import KernelCounters
 from repro.gpu.kernel import PricedLaunches, VirtualDevice
 from repro.gpu.memory import coalesced_transactions
 from repro.gpu.warp import WARP_SIZE
-from repro.primitives.scatter import BlockRowProduct, GatherSegmentSum
+from repro.primitives.scatter import BlockRowProduct, GatherSegmentSum, segment_indptr
 from repro.util.validation import check_array
 
 #: Slice lengths are padded to a multiple of this (GPU alignment).
@@ -73,13 +73,6 @@ def _slice_blocks(blocks: np.ndarray, align: int) -> np.ndarray:
         # slice s holds row s of every block, blocks in storage order
         data[:, : m * BS] = blocks.transpose(1, 0, 2).reshape(BS, m * BS)
     return data
-
-
-def segment_indptr(targets: np.ndarray, n: int) -> np.ndarray:
-    """``(n+1,)`` CSR-style bounds of the entries adding into each of ``n`` rows."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(targets, minlength=n), out=indptr[1:])
-    return indptr
 
 
 @dataclass(frozen=True)

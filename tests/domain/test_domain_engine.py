@@ -159,7 +159,14 @@ class TestObservability:
         eng, _ = run(DomainEngine, n_domains=2)
         assert eng.metrics.gauge("domain.imbalance").value >= 1.0
         assert 0.0 <= eng.metrics.gauge("domain.cut_fraction").value <= 1.0
-        assert eng.metrics.gauge("domain.cut_contacts").value >= 1.0
+        # contacts whose two blocks live on different domains
+        contacts = eng._contacts
+        crossing = sum(
+            eng.labels[i] != eng.labels[j]
+            for i, j in zip(contacts.block_i, contacts.block_j)
+        )
+        assert crossing >= 1
+        assert eng.metrics.gauge("domain.cut_contacts").value == crossing
 
     def test_domain_device_times(self):
         eng, _ = run(DomainEngine, n_domains=3)

@@ -8,7 +8,6 @@ from repro.domain.halo import (
     DomainMap,
     HaloExchanger,
     build_exchange_plan,
-    ghost_contacts,
     make_domain_devices,
 )
 from repro.gpu.device import K40
@@ -108,18 +107,6 @@ class TestExchangePlan:
         for src, dst, ids in plan.sends:
             assert src != dst
             assert np.all(dmap.labels[ids] == src)
-
-
-class TestGhostContacts:
-    def test_cut_contacts_duplicated_on_both_owners(self):
-        labels = np.array([0, 0, 1, 1], dtype=np.int64)
-        dmap = DomainMap.from_labels(labels, 2)
-        block_i = np.array([0, 1, 2], dtype=np.int64)
-        block_j = np.array([1, 2, 3], dtype=np.int64)
-        per_domain, n_cut = ghost_contacts(dmap, block_i, block_j)
-        assert n_cut == 1  # only contact 1-2 crosses
-        np.testing.assert_array_equal(per_domain[0], [0, 1])
-        np.testing.assert_array_equal(per_domain[1], [1, 2])
 
 
 class TestHaloExchanger:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from repro.assembly.contact_springs import LOCK, OPEN, SLIDE
+from repro.assembly.contact_springs import LOCK, OPEN, SLIDE, spring_loads
 from repro.contact.contact_set import VE, ContactSet
 from repro.core.blocks import Block, BlockSystem, DOF
 from repro.core.materials import BlockMaterial, JointMaterial
 from repro.core.state import SimulationControls
 from repro.engine.physics import (
+    contact_loads,
     contact_system,
     diagonal_system,
     update_contact_states,
@@ -115,6 +116,53 @@ class TestContactSystem:
         out = contact_system(s, ContactSet.empty(), np.zeros(0))
         assert out[0].size == 0
         assert np.all(out[5] == 0.0)
+
+
+class TestContactLoads:
+    """The per-block sum of the contact loads is two ``np.add.at`` calls
+    (every ``fi`` in table order, then every ``fj``), bit for bit."""
+
+    @staticmethod
+    def by_add_at(system, contacts, normal_force):
+        geometry = contacts.spring_geometry(system)
+        jm = system.joint_material
+        friction = normal_force * jm.tan_phi + jm.cohesion * geometry.length
+        _, _, fi, fj = spring_loads(
+            geometry, contacts.state, contacts.pn, contacts.ps, friction,
+            contacts.shear_sign,
+        )
+        f = np.zeros((system.n_blocks, DOF))
+        np.add.at(f, contacts.block_i, fi)
+        np.add.at(f, contacts.block_j, fj)
+        return f.reshape(-1)
+
+    @pytest.mark.parametrize("rows", [0, 1, 12, 40])
+    @pytest.mark.parametrize("states", [(OPEN,), (LOCK,), (OPEN, LOCK, SLIDE)])
+    def test_bit_equal_to_add_at(self, rows, states, rng):
+        s = stacked_system(gap=0.0)
+        # two blocks, up to 40 rows: every target repeats
+        cs = contact_on_top(s).select(rng.integers(0, 2, size=rows))
+        cs.state[:] = rng.choice(states, size=rows)
+        cs.shear_sign[:] = rng.choice([-1.0, 1.0], size=rows)
+        cs.normal_disp[:] = rng.normal(0.0, 1e-4, size=rows)
+        normal_force = cs.pn * np.maximum(0.0, cs.normal_disp)
+        _, _, f = contact_loads(s, cs, normal_force)
+        expected = self.by_add_at(s, cs, normal_force)
+        assert f.shape == (s.n_dof,)
+        np.testing.assert_array_equal(f.view(np.uint64), expected.view(np.uint64))
+
+    def test_built_once_per_table(self):
+        """A step copies its detected table for every attempt: the first
+        copy to sum loads builds the structure for the table and all its
+        copies; another row set is another table."""
+        s = stacked_system()
+        cs = contact_on_top(s)
+        first, second = cs.copy(), cs.copy()
+        built = first.load_sum(s.n_blocks)
+        assert first.load_sum(s.n_blocks) is built
+        assert cs.load_sum(s.n_blocks) is built
+        assert second.load_sum(s.n_blocks) is built
+        assert cs.select(np.array([1, 0])).load_sum(s.n_blocks) is not built
 
 
 class TestUpdateContactStates:

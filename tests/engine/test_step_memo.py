@@ -182,10 +182,15 @@ PARENT = {
     ),
 }
 #: The two domain devices of the domain preset, which do carry the
-#: solve: ``(launches(), repr(total_time))`` recorded at 4aa70ac, the
-#: last commit that priced every one of those launches at its call.
+#: solve: ``(launches(), repr(total_time))``. Recorded at 4aa70ac, the
+#: last commit that priced every one of those launches at its call, and
+#: re-recorded when the halo exchange began to hide behind the interior
+#: product and r·r / r·z to share one all-reduce: with every ``pcie_*``
+#: record and the converged exits' speculative preconditioner
+#: applications dropped, both ledgers still equal 4aa70ac's (8 641
+#: records, 0.16221491199998414 and 0.16015906133334976 s).
 PARENT_DOMAIN_DEVICES = [
-    (21030, "0.2616828313332884"), (21030, "0.25962303666667436"),
+    (18820, "0.20713066799997804"), (18820, "0.2050670133333571"),
 ]
 
 

@@ -123,6 +123,28 @@ def test_gather_segment_sum_is_public_csr_and_left_to_right(case):
     assert_bits_equal(y, oracle_stage2(v, indptr, gather))
 
 
+@st.composite
+def scatter_case(draw):
+    """Targets with repeats (few rows, many entries) or none at all."""
+    b = draw(st.sampled_from([1, 6]))
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.integers(0, n, size=m).astype(np.int64), n, signed_values(
+        rng, (m, b)
+    )
+
+
+@given(scatter_case())
+@settings(max_examples=80, deadline=None)
+def test_scatter_is_np_add_at_bit_for_bit(case):
+    targets, n, v = case
+    expected = np.zeros((n, v.shape[1]))
+    np.add.at(expected, targets, v)
+    got = GatherSegmentSum.scatter(targets, n)(v)
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 def test_negative_zero_products_sum_to_positive_zero():
     # every product is -0.0; a sum started at 0.0 stays +0.0
     blocks = -np.ones((2, 6, 6))

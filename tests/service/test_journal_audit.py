@@ -1,7 +1,9 @@
 """Journal + auditor: the evidence trail and the invariants it proves."""
 
 import json
+import multiprocessing
 import os
+import signal
 
 import pytest
 
@@ -213,6 +215,40 @@ class TestAuditWarnings:
         report = audit_journal(root, final=True)
         assert report["ok"]
         assert "unjournalled_completion" in warning_kinds(report)
+
+    def test_a_kill_between_save_and_append_is_only_a_warning(self, root, queue):
+        """``JobQueue._complete`` saves the terminal record, then journals
+        it: a process SIGKILLed in between leaves exactly one
+        ``unjournalled_completion`` warning and a passing audit."""
+        record = queue.submit(spec("killed"))
+        claimed, _ticket = queue.claim()
+
+        def finalize_and_die_before_the_append():
+            append = queue.journal.append
+
+            def dying(event, *args, **kwargs):
+                if event == "completed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return append(event, *args, **kwargs)
+
+            queue.journal.append = dying
+            queue.finalize(record.job_id, JobState.SUCCEEDED,
+                           epoch=claimed.lease_epoch)
+
+        child = multiprocessing.get_context("fork").Process(
+            target=finalize_and_die_before_the_append
+        )
+        child.start()
+        child.join(timeout=60)
+        assert not child.is_alive()
+        assert child.exitcode == -signal.SIGKILL
+        assert queue.load_record(record.job_id).state == JobState.SUCCEEDED
+        report = audit_journal(root, final=True)
+        assert report["ok"], report["violations"]
+        assert "completed" not in report["event_counts"]
+        assert [
+            (w["kind"], w["job_id"]) for w in report["warnings"]
+        ] == [("unjournalled_completion", record.job_id)]
 
     def test_torn_lines_are_a_warning(self, root, queue):
         queue.submit(spec("torn"))

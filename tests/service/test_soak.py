@@ -40,9 +40,16 @@ class TestSoakCampaign:
         terminal = sum(counts[s] for s in JobState.TERMINAL)
         assert terminal == 10
         assert counts[JobState.SUCCEEDED] >= 1
-        # the kill actually happened and the journal recorded real events
+        # the kill actually happened and the journal recorded real events:
+        # every job's completion, unless the kill landed between its
+        # record save and its journal append — the window the audit
+        # reports as a warning (test_journal_audit.py pins it)
         assert summary["scheduler_kills"] == 1
-        assert audit["event_counts"]["completed"] == audit["jobs"]
+        unjournalled = [
+            w for w in audit["warnings"] if w["kind"] == "unjournalled_completion"
+        ]
+        assert len(unjournalled) <= summary["scheduler_kills"]
+        assert audit["event_counts"]["completed"] + len(unjournalled) == audit["jobs"]
 
 
 @pytest.mark.slow
