@@ -24,12 +24,10 @@ modelled seconds, speedup) from a trace file written by ``--trace``,
 or — given a batch directory — the service operator view (queue
 depths, journal tallies, merged ``batch.*``/``http.*`` counters).
 
-``lint`` runs the static analyzer (:mod:`repro.lint`): rules DDA001
-and DDA003-DDA008 over the kernel-path modules, their call-graph
+``lint`` runs the static analyzer (:mod:`repro.lint`): rules DDA001,
+DDA004 and DDA006-DDA008 over the kernel-path modules, their call-graph
 closure and the service path, with ``--json`` machine output and a
-``--sync-inventory`` report. The dynamic counterpart,
-the scatter-write race sanitizer, is armed on ``run`` with
-``--sanitize``.
+``--sync-inventory`` report.
 
 Examples
 --------
@@ -48,7 +46,6 @@ Examples
     python -m repro batch audit --dir results/soak --final
     python -m repro report results/soak
     python -m repro lint --json
-    python -m repro run --model slope --steps 5 --sanitize
 """
 
 from __future__ import annotations
@@ -110,11 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print the metrics snapshot (contact classes, CG "
                           "iteration histogram, fallback/rollback counters) "
                           "after the run")
-    obs.add_argument("--sanitize", action="store_true",
-                     help="arm the scatter-write race sanitizer: "
-                          "instrumented scatter kernels verify their "
-                          "destination indices are duplicate-free "
-                          "(python -m repro lint covers the static rules)")
     res = p.add_argument_group("resilience (long-run survival)")
     res.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
                      help="full-state checkpoint every N accepted steps "
@@ -199,7 +191,6 @@ def run_main(argv: list[str] | None = None) -> int:
         dynamic=args.dynamic,
         preconditioner=args.preconditioner,
         contract_level=args.contracts,
-        sanitize=args.sanitize,
         resilience=ResilienceControls(
             checkpoint_every=args.checkpoint_every,
             checkpoint_dir=args.checkpoint_dir,
@@ -264,14 +255,6 @@ def run_main(argv: list[str] | None = None) -> int:
             for stage, count in sorted(result.contract_violations.items())
         )
         print(f"contract violations caught: {counts}")
-    if engine.sanitizer is not None:
-        print(
-            f"sanitizer: {engine.sanitizer.checks} scatter checks, "
-            f"{len(engine.sanitizer.findings)} race(s)",
-            file=sys.stderr,
-        )
-        for race in engine.sanitizer.findings:
-            print(f"race [{race.stage}]: {race.message()}", file=sys.stderr)
     if injector is not None:
         for fault in injector.injected:
             print(

@@ -210,7 +210,6 @@ class CandidatePlan:
         slot_eblock = eblock[opens]
         # the plan outlives the step, so its one per-row array is as
         # narrow as its range allows: 4 bytes a row
-        # lint: host-ok[DDA003,DDA006] -- storage width of a kept index, not arithmetic precision
         slot_of_row = (np.cumsum(is_open) - 1).astype(np.int32)
         return cls(
             pairs_i=pairs_i.copy(),

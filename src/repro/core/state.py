@@ -111,12 +111,6 @@ class SimulationControls:
         O(m) invariant scans at every stage boundary), ``"full"``
         (adds residual verification, lost-contact cross-checks, and
         polygon-simplicity checks).
-    sanitize:
-        Arm the scatter-write race sanitizer
-        (:mod:`repro.lint.sanitize`): instrumented scatter kernels check
-        their destination indices for undeclared duplicates, and a race
-        raises a recoverable contract violation. Off by default (the
-        disabled fast path is one pointer test per scatter site).
     """
 
     time_step: float = 1e-3
@@ -133,7 +127,6 @@ class SimulationControls:
     base_acceleration: object = None
     resilience: ResilienceControls = field(default_factory=ResilienceControls)
     contract_level: str = "off"
-    sanitize: bool = False
 
     def __post_init__(self) -> None:
         if self.time_step <= 0:

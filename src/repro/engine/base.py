@@ -49,7 +49,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.gpu.device import DeviceProfile, K40
 from repro.gpu.kernel import VirtualDevice
-from repro.lint.sanitize import ScatterSanitizer, sanitized
 from repro.solvers.cg import CGResult, DeviceOperand, pcg
 from repro.solvers.preconditioners import make_preconditioner
 from repro.spmv.hsbcsr import HSBCSRMatrix
@@ -66,14 +65,6 @@ REJECTION_CAUSES = (
     "open_close_oscillation",
     "max_displacement",
 )
-
-#: Pipeline module -> contract-ledger stage for sanitizer findings (both
-#: matrix-building modules report as "matrix_assembly", matching the
-#: stage names :class:`~repro.engine.contracts.StageContracts` uses).
-_SANITIZER_STAGE = {
-    "diagonal_matrix_building": "matrix_assembly",
-    "nondiagonal_matrix_building": "matrix_assembly",
-}
 
 
 class EngineBase:
@@ -177,17 +168,6 @@ class EngineBase:
             self.controls.contract_level,
             contact_threshold=self.contact_threshold,
         )
-        #: scatter-write race sanitizer (:mod:`repro.lint.sanitize`);
-        #: ``None`` unless ``controls.sanitize`` opted in
-        self.sanitizer: ScatterSanitizer | None = None
-        if self.controls.sanitize:
-            self.metrics.counter("lint.races")
-            self.metrics.counter("lint.scatter_checks")
-            self.sanitizer = ScatterSanitizer(
-                metrics=self.metrics,
-                contracts=self.contracts,
-                fault_injector=self.fault_injector,
-            )
 
     def _inject(self, stage: str, payload, step: int):
         """Chaos-harness hook: possibly corrupt a stage output."""
@@ -213,8 +193,6 @@ class EngineBase:
             n0 = len(device.records)
             start = tracer.now()
         t0 = time.perf_counter()
-        if self.sanitizer is not None:
-            self.sanitizer.stage = _SANITIZER_STAGE.get(module, module)
         self._current_step = step
         device._region_stack.append(module)
         try:
@@ -378,7 +356,7 @@ class EngineBase:
         while step < steps:
             step_start = tracer.now() if tracer.enabled else 0.0
             try:
-                record = self._run_one_step(step, times, result.warnings)
+                record = self._step_impl(step, times, result.warnings)
             except SimulationError as err:
                 cp = manager.latest if manager is not None else None
                 if (
@@ -610,23 +588,6 @@ class EngineBase:
         ):
             bound = self._bound_assembly = plan.bind(geometry)
         return bound.assemble(diag_blocks, w, ws)
-
-    def _run_one_step(
-        self,
-        step: int,
-        times: ModuleTimes,
-        warnings: list[HealthWarning] | None = None,
-    ) -> StepRecord:
-        sanitizer = self.sanitizer
-        if sanitizer is None:
-            return self._step_impl(step, times, warnings)
-        # arm the module-level scatter hooks for the duration of the
-        # step; a detected race raises a recoverable ContractViolation
-        # that the run loop's rollback machinery handles like any other
-        # corrupted stage output
-        sanitizer.step = step
-        with sanitized(sanitizer):
-            return self._step_impl(step, times, warnings)
 
     def _step_impl(
         self,

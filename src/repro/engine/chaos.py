@@ -120,13 +120,6 @@ FAULT_REGISTRY: dict[str, FaultSpec] = {
             "buffer (domain-decomposed engine only)",
             "contracts.residual_mismatch (full)",
         ),
-        FaultSpec(
-            "scatter_duplicate_index", "scatter_write",
-            "duplicate one destination index in a scatter kernel's "
-            "shadow view (the sanitizer's copy; downstream data stays "
-            "clean)",
-            "lint.sanitize scatter_race (requires sanitize=True)",
-        ),
     )
 }
 
@@ -283,21 +276,6 @@ class FaultInjector:
         # is caught by the full-level true-residual check
         buffer[victim] += 1e6 * (1.0 + float(np.abs(buffer).max()))
         return buffer, f"corrupted halo-gather buffer entry {victim}"
-
-    # ------------------------------------------------------------------
-    # scatter-write faults (payload: the sanitizer's shadow copy of a
-    # kernel's destination-index array)
-    # ------------------------------------------------------------------
-    def _apply_scatter_duplicate_index(self, targets, engine):
-        if targets.size < 2:
-            return targets, None
-        targets = targets.copy()
-        victim = int(self._rng.integers(1, targets.size))
-        targets[victim] = targets[victim - 1]
-        return targets, (
-            f"duplicated scatter destination {victim - 1} into slot "
-            f"{victim}"
-        )
 
 
 def corrupt_checkpoint_file(path: str | Path) -> Path:

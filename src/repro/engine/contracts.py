@@ -59,10 +59,6 @@ STAGES = (
     "equation_solving",
     "interpenetration_checking",
     "data_updating",
-    # virtual stage of the scatter-write race sanitizer: races found
-    # inside a pipeline module are attributed to that module's stage,
-    # but races from standalone primitive calls land here
-    "scatter_write",
     # virtual stage of the domain-decomposed engine's halo transfers:
     # the halo_corrupt chaos fault perturbs the gathered solution
     # buffer here; detection happens at the equation_solving contract

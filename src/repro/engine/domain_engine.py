@@ -26,8 +26,8 @@ Every reduction runs in canonical block order, so results are
 ``tests/domain`` pin), while the ledgers record what the decomposition
 would cost: halo bytes (``domain.halo_bytes``), cut contacts
 (``domain.cut_contacts``), imbalance (``domain.imbalance``). Contracts,
-chaos faults (``halo_corrupt`` corrupts the gathered solution), spans,
-metrics and the sanitizer apply unchanged through :class:`EngineBase`.
+chaos faults (``halo_corrupt`` corrupts the gathered solution), spans
+and metrics apply unchanged through :class:`EngineBase`.
 """
 
 from __future__ import annotations

@@ -1,16 +1,13 @@
-"""Device-path static analysis and dynamic race sanitizing.
+"""Device-path static analysis.
 
-The paper's contribution is *discipline* on the device path: conflict-free
-sort+scan assembly (Fig. 4), vectorised kernels measured with divergence
-and transaction counters, and minimised host<->device transmissions. This
-package makes that discipline machine-checked:
-
-* :mod:`repro.lint.framework` + :mod:`repro.lint.passes` — AST-based
-  static passes (rules ``DDA001``–``DDA005``) over the kernel-path
-  modules, run via ``python -m repro lint``;
-* :mod:`repro.lint.sanitize` — an opt-in shadow-memory scatter-write
-  race sanitizer for the virtual GPU, enabled with
-  ``SimulationControls.sanitize`` / ``--sanitize``.
+The paper's contribution is *discipline* on the device path: vectorised
+kernels measured with divergence and transaction counters, and minimised
+host<->device transmissions. This package makes that discipline
+machine-checked: :mod:`repro.lint.framework` + :mod:`repro.lint.passes`
+are AST-based static passes (rules ``DDA001``, ``DDA004`` and
+``DDA006``–``DDA008``) over the kernel-path modules, their call-graph
+closure (:mod:`repro.lint.callgraph`) and the service path, run via
+``python -m repro lint``. No engine imports this package.
 
 See ``docs/static-analysis.md`` for the rule catalogue and workflow.
 """

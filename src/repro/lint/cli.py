@@ -18,7 +18,8 @@ from repro.lint.framework import default_root, run_lint
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="python -m repro lint",
-        description="Device-path static analysis (rules DDA001, DDA003-DDA008).",
+        description="Device-path static analysis (rules DDA001, DDA004, "
+                    "DDA006-DDA008).",
     )
     p.add_argument("paths", nargs="*", metavar="PATH",
                    help="files/directories to lint (relative to --root; "

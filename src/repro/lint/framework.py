@@ -6,12 +6,10 @@ module provides what every pass shares — the parsed-module wrapper with
 configuration, the file walker and the whole-program call graph driver
 (:mod:`repro.lint.callgraph`).
 
-Annotation syntax (on the flagged line or the line directly above; for
-a decorated ``def``, anywhere in the decorator stack or directly above
-it)::
+Annotation syntax (on the flagged line or the line directly above)::
 
     for i in range(n):  # lint: host-ok -- documented serial baseline
-    y = x.astype(np.float32)  # lint: host-ok[DDA003] -- precision ablation
+    np.add.at(out, idx, v)  # lint: host-ok[DDA006] -- reference oracle
     rz = float(r @ z)  # lint: sync-ok[cg-convergence] -- host decides
     os.rename(src, dst)  # lint: lock-ok[rename-as-claim] -- atomic
 
@@ -39,9 +37,8 @@ from typing import Iterable, Iterator
 import re
 
 #: Modules whose code runs (conceptually) on the device: rules DDA001,
-#: DDA003, DDA005, DDA006 and DDA007 apply here — and, through
-#: the call-graph closure, to every function transitively reachable
-#: from here (DDA005 excepted: docstring style stays per-module).
+#: DDA006 and DDA007 apply here — and, through the call-graph closure,
+#: to every function transitively reachable from here.
 #: Directory entries end in "/" and match by prefix; file entries match
 #: exactly.
 KERNEL_PATH = (
@@ -131,9 +128,6 @@ class Finding:
         ``(file, line, qualname)`` from the nearest caller back toward
         the kernel-path call site that makes this code device-reachable.
         Empty for findings inside :data:`KERNEL_PATH` modules.
-    suppress_lines:
-        Extra lines whose annotations also silence this finding (the
-        decorator stack of a flagged ``def``). Not serialised.
     """
 
     file: str
@@ -142,7 +136,6 @@ class Finding:
     message: str
     function: str | None = None
     via: tuple[tuple[str, int, str], ...] = ()
-    suppress_lines: tuple[int, ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -223,9 +216,8 @@ class LintPass:
     def finding(self, module: "SourceModule", node: ast.AST,
                 message: str, function: str | None = None) -> Finding:
         return Finding(
-            file=module.rel, line=anchor_line(node),
+            file=module.rel, line=getattr(node, "lineno", 1),
             code=self.code, message=message, function=function,
-            suppress_lines=decorator_lines(node),
         )
 
 
@@ -244,42 +236,6 @@ def walk_scoped(
     yield node, label
     for child in ast.iter_child_nodes(node):
         yield from walk_scoped(child, label)
-
-
-def anchor_line(node: ast.AST) -> int:
-    """The line a finding for ``node`` anchors to.
-
-    For function/class definitions this is the ``def``/``class``
-    keyword line, never a decorator line: on Python >= 3.8
-    ``node.lineno`` already points at the keyword, and on older ASTs
-    (where ``lineno`` named the first decorator) the last decorator's
-    end is used to recover the keyword line.
-    """
-    line = getattr(node, "lineno", 1)
-    decorators = getattr(node, "decorator_list", None)
-    if decorators:
-        last = decorators[-1]
-        end = getattr(last, "end_lineno", None) or last.lineno
-        if line <= last.lineno:  # pragma: no cover - legacy AST layout
-            return end + 1
-    return line
-
-
-def decorator_lines(node: ast.AST) -> tuple[int, ...]:
-    """Lines of ``node``'s decorator stack plus the line above it.
-
-    A suppression comment above the decorators of a flagged ``def``
-    must silence the finding even though the finding itself anchors at
-    the ``def`` keyword — these are the extra candidate lines.
-    """
-    decorators = getattr(node, "decorator_list", None)
-    if not decorators:
-        return ()
-    first = min(d.lineno for d in decorators)
-    last = max(
-        (getattr(d, "end_lineno", None) or d.lineno) for d in decorators
-    )
-    return tuple(range(first - 1, last + 1))
 
 
 class SourceModule:
@@ -355,24 +311,13 @@ class SourceModule:
         """
         if code in SELF_GOVERNED:
             return False
-        return self._suppressed_at((line, line - 1), code)
-
-    def _suppressed_at(self, lines: Iterable[int], code: str) -> bool:
-        for candidate in lines:
+        for candidate in (line, line - 1):
             if candidate not in self.suppressions:
                 continue
             codes = self.suppressions[candidate]
             if codes is _ALL_CODES or code in codes:
                 return True
         return False
-
-    def finding_suppressed(self, finding: Finding) -> bool:
-        """Full suppression check for one finding (incl. decorator
-        stack lines for findings anchored at a decorated ``def``)."""
-        if finding.code in SELF_GOVERNED:
-            return False
-        lines = (finding.line, finding.line - 1, *finding.suppress_lines)
-        return self._suppressed_at(lines, finding.code)
 
     def annotation_reason(
         self, kind: str, line: int
@@ -551,7 +496,7 @@ def run_lint(
                 )
             if isinstance(item, SyncPoint):
                 sync_points.append(item)
-            elif not module.finding_suppressed(item):
+            elif not module.suppressed(item.line, item.code):
                 findings.append(item)
 
     for module in lint_modules:

@@ -1,9 +1,7 @@
 """Rule registry: one pass per ``DDAxxx`` code."""
 
 from repro.lint.passes.loops import LoopPass
-from repro.lint.passes.dtypes import DtypePass
 from repro.lint.passes.rng import RngPass
-from repro.lint.passes.docstrings import DocstringPass
 from repro.lint.passes.array_api import ArrayApiPass
 from repro.lint.passes.sync_points import SyncPointPass
 from repro.lint.passes.service_locks import ServiceLockPass
@@ -11,9 +9,7 @@ from repro.lint.passes.service_locks import ServiceLockPass
 #: Every registered pass, in rule-code order.
 ALL_PASSES = (
     LoopPass(),
-    DtypePass(),
     RngPass(),
-    DocstringPass(),
     ArrayApiPass(),
     SyncPointPass(),
     ServiceLockPass(),

@@ -19,7 +19,6 @@ from repro.gpu.counters import KernelCounters
 from repro.gpu.kernel import VirtualDevice
 from repro.gpu.memory import coalesced_transactions, gather_transactions
 from repro.gpu.warp import WARP_SIZE
-from repro.lint.sanitize import scatter_check
 from repro.primitives.radix_sort import radix_sort_pairs
 from repro.primitives.scan import exclusive_scan
 from repro.util.validation import check_array
@@ -42,7 +41,6 @@ def stream_compact(
     mask = check_array("mask", mask, ndim=1).astype(bool)
     positions = exclusive_scan(mask.astype(np.int64), device)
     keep = np.flatnonzero(mask)
-    scatter_check("compact.scatter", positions[keep])
     if device is not None and mask.size:
         n, k = mask.size, keep.size
         device.launch(

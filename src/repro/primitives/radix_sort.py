@@ -19,7 +19,6 @@ from repro.gpu.counters import KernelCounters
 from repro.gpu.kernel import VirtualDevice
 from repro.gpu.memory import coalesced_transactions, gather_transactions
 from repro.gpu.warp import WARP_SIZE
-from repro.lint.sanitize import active_sanitizer, scatter_check
 from repro.util.validation import check_array
 
 #: Digit width used by the launch model (Kepler-era sorts use 4–8 bits).
@@ -129,17 +128,15 @@ def radix_sort_pairs(
     for shift in range(0, bits, digit_bits):
         digits = (cur >> shift) & mask
         order = np.argsort(digits, kind="stable")
-        if device is not None or active_sanitizer() is not None:
-            # the pass's actual scatter destinations feed both the
-            # coalescing model and the race sanitizer
+        if device is not None:
+            # the pass's actual scatter destinations feed the coalescing
+            # model
             dest = np.empty_like(order)
             dest[order] = np.arange(order.size)
-            scatter_check(f"radix_pass{shift // digit_bits}.scatter", dest)
-            if device is not None:
-                for i, c in enumerate(
-                    _pass_counters(cur, dest, value_bytes, digit_bits)
-                ):
-                    device.launch(f"radix_pass{shift // digit_bits}[{i}]", c)
+            for i, c in enumerate(
+                _pass_counters(cur, dest, value_bytes, digit_bits)
+            ):
+                device.launch(f"radix_pass{shift // digit_bits}[{i}]", c)
         cur = cur[order]
         perm = perm[order]
     return cur, perm

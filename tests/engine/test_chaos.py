@@ -39,11 +39,9 @@ def stacked() -> BlockSystem:
 def chaos_controls(**over) -> SimulationControls:
     res = dict(checkpoint_every=1, max_rollbacks=10)
     res.update(over.pop("resilience", {}))
-    # sanitize=True arms the scatter-write race sanitizer so the
-    # scatter_duplicate_index fault (stage "scatter_write") is applicable
     return SimulationControls(
         time_step=1e-3, dynamic=True, max_displacement_ratio=0.05,
-        contract_level="full", sanitize=True,
+        contract_level="full",
         resilience=ResilienceControls(**res), **over,
     )
 

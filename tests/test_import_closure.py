@@ -1,6 +1,6 @@
 """Gate: a process imports what its run uses, before the run, once.
 
-Three states, each checked in a fresh interpreter (tier-1's own imports
+Four states, each checked in a fresh interpreter (tier-1's own imports
 would mask every one of them):
 
 * ``scipy.spatial`` is absent from a process that builds no Voronoi
@@ -13,7 +13,9 @@ would mask every one of them):
   the fork. The two exceptions are the imports ``engine/runner.py``
   defers behind the spec field that selects them — a ``rubble`` worker
   loads ``scipy.spatial``, a ``domain`` worker ``scipy.sparse.csgraph``
-  — and the scheduler never holds either.
+  — and the scheduler never holds either;
+* an engine process never loads the linter: ``repro.lint`` is a
+  development tool, and nothing on the run path imports it.
 
 Each check is then run against a copy of ``src`` with one late (or
 eager) import planted, and must fail: the guards can fire.
@@ -49,6 +51,13 @@ import repro.meshing, repro.meshing.voronoi
 assert top_level is build_voronoi_rubble is repro.meshing.voronoi.build_voronoi_rubble
 assert {"build_voronoi_rubble", "voronoi_cells"} <= set(dir(repro.meshing))
 assert build_voronoi_rubble(n_blocks=6, seed=0).n_blocks >= 4
+"""
+
+NO_LINT = """
+import sys
+import repro.engine.runner
+lint = sorted(m for m in sys.modules if m.split(".")[:2] == ["repro", "lint"])
+assert not lint, f"engine process imports the linter: {lint}"
 """
 
 # argv: engine preset
@@ -132,6 +141,10 @@ def test_lazy_voronoi_exports_load_it_on_demand():
     passes(LAZY_EXPORTS)
 
 
+def test_engine_process_never_loads_the_linter():
+    passes(NO_LINT)
+
+
 @pytest.mark.parametrize("engine", ["serial", "gpu", "hybrid", "domain"])
 def test_engine_run_imports_nothing(engine):
     passes(ENGINE_RUN, engine)
@@ -163,14 +176,22 @@ PLANTS = {
         (NO_SPATIAL,),
         "scipy.spatial loaded eagerly",
     ),
+    "engine_imports_lint": (
+        "primitives/compact.py",
+        "from repro.primitives.radix_sort import radix_sort_pairs\n",
+        "import repro.lint\n",
+        (NO_LINT,),
+        "engine process imports the linter",
+    ),
 }
 
 
 @pytest.mark.parametrize("plant", sorted(PLANTS))
 def test_a_planted_import_fails_its_check(plant, tmp_path):
     """Each guard fires: one import planted in a copy of ``src`` — late
-    in the worker path, late in ``engine.run``, eager in the package —
-    turns the matching check red and names what it found."""
+    in the worker path, late in ``engine.run``, eager in the package, the
+    linter on the kernel path — turns the matching check red and names
+    what it found."""
     path, anchor, planted, run, message = PLANTS[plant]
     src = tmp_path / "src"
     shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))

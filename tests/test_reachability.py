@@ -164,9 +164,9 @@ def test_planted_unreached_module_is_reported_by_name(tmp_path):
 
 def test_row_whose_consumer_does_not_import_the_module_fails():
     consumer = table_rows(DESIGN)["repro.solvers.precision"]
-    doctored = DESIGN.replace(consumer, "benchmarks/bench_lint.py")
+    doctored = DESIGN.replace(consumer, "benchmarks/bench_pipeline_smoke.py")
     assert problems(REPO / "src", doctored) == [
-        "repro.solvers.precision: consumer benchmarks/bench_lint.py "
+        "repro.solvers.precision: consumer benchmarks/bench_pipeline_smoke.py "
         "does not import it"
     ]
     missing = DESIGN.replace(consumer, "benchmarks/bench_gone.py")
