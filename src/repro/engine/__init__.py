@@ -1,8 +1,10 @@
 """The DDA pipeline and its four presets.
 
 :class:`~repro.engine.base.EngineBase` owns the paper's three nested
-loops and the resilience layer; a preset is a set of hooks on it — what
-each stage is charged as, and what the one PCG loop iterates over:
+loops, the resilience layer and the shared stage bodies; a preset is a
+:class:`~repro.engine.base.Charges` table (what each shared stage
+records), the detection hook ``_detect_contacts`` and the solver hook
+``_solver_operand`` (what the one PCG loop iterates over):
 
 * :class:`~repro.engine.serial_engine.SerialEngine` — the paper's Fig. 1:
   every stage charged as a single-core loop on the E5620 CPU profile.

@@ -1,9 +1,10 @@
 """Shared engine machinery: the three nested loops of the DDA pipeline.
 
-Subclasses provide the per-module implementations (serial or GPU-style);
-this base class owns loop 1 (time stepping), loop 2 (maximum-displacement
+This base class owns loop 1 (time stepping), loop 2 (maximum-displacement
 step control) and loop 3 (open–close iteration), the adaptive time step,
-and the bookkeeping that Tables II/III report.
+the stage bodies, and the bookkeeping that Tables II/III report. A preset
+supplies its :class:`Charges` table (what each shared stage records on
+the device), its contact detection and, optionally, its solver operand.
 
 Wrapped around all three loops sits the resilience layer
 (:mod:`repro.engine.resilience`): a solver fallback ladder tried before
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from repro.core.blocks import DOF, BlockSystem
 from repro.core.displacement import displacement_matrix, update_geometry
 from repro.core.state import SimulationControls
 from repro.engine.contracts import StageContracts
+from repro.engine.physics import contact_loads, diagonal_system
 from repro.engine.resilience import (
     ROLLBACK_DT_FACTOR,
     Checkpoint,
@@ -66,12 +68,31 @@ REJECTION_CAUSES = (
     "max_displacement",
 )
 
+#: ``charge(device, size)``: record one stage's launches on ``device``.
+Charge = Callable[[VirtualDevice, Any], None]
+
+
+class Charges(NamedTuple):
+    """A preset's cost table: what each shared stage body records after
+    running the physics. The ``size`` is the block count, the sweep's
+    :class:`ContactSet`, the new :class:`AssemblyPlan` (no charge: the
+    Fig.-4 kernels run on the device and charge themselves), the
+    contact count and the vertex count, in field order."""
+
+    diagonal: Charge
+    nondiagonal: Charge
+    assembly: Charge | None
+    interpenetration: Charge
+    update: Charge
+
 
 class EngineBase:
-    """Common driver for both pipelines. Not instantiated directly."""
+    """Common driver for every pipeline. Not instantiated directly."""
 
     #: Device profile subclasses charge their kernels to.
     default_profile: DeviceProfile = K40
+    #: What the shared stage bodies record, per preset.
+    charges: Charges
 
     def __init__(
         self,
@@ -241,7 +262,7 @@ class EngineBase:
             )
 
     # ------------------------------------------------------------------
-    # module hooks implemented by subclasses
+    # stage hooks: detection per preset, the rest read ``charges``
     # ------------------------------------------------------------------
     def _detect_contacts(self) -> ContactSet:
         """This step's contact table, with the previous step's states
@@ -271,7 +292,11 @@ class EngineBase:
         return plan
 
     def _build_diagonal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        raise NotImplementedError
+        """The contact-independent blocks and loads:
+        :func:`repro.engine.physics.diagonal_system`."""
+        out = diagonal_system(self.system, self.controls, self.dt, self.sim_time)
+        self.charges.diagonal(self.device, self.system.n_blocks)
+        return out
 
     def _build_nondiagonal(
         self,
@@ -281,7 +306,8 @@ class EngineBase:
     ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
         """Charge one sweep's non-diagonal build and return what it
         changes: :func:`repro.engine.physics.contact_loads`."""
-        raise NotImplementedError
+        self.charges.nondiagonal(self.device, contacts)
+        return contact_loads(self.system, contacts, normal_force, geometry)
 
     def _plan_assembly(
         self,
@@ -291,18 +317,34 @@ class EngineBase:
     ) -> AssemblyPlan:
         """Run the assembler's symbolic phase for one contribution
         pattern and record what one assembly of it costs this preset."""
-        raise NotImplementedError
+        charge = self.charges.assembly
+        plan = AssemblyPlan.build(
+            self.system.n_blocks, diag_idx, off_rows, off_cols,
+            self.device if charge is None else None,
+        )
+        if charge is not None:
+            charge(self.device, plan)
+        return plan
 
     def _check_interpenetration(
         self,
         contacts: ContactSet,
         d: np.ndarray,
         prev_normal_force: np.ndarray,
-    ):
-        raise NotImplementedError
+    ) -> StateUpdate:
+        """One open–close sweep over all contacts simultaneously, charged.
 
-    def _update_data(self, d: np.ndarray) -> None:
-        raise NotImplementedError
+        The vectorised driver is the restructured kernel's formulation
+        (Section III.D) on every preset. :meth:`_step_impl` builds it
+        once per loop-2 attempt, over that attempt's copy of the step's
+        contact table and the step's one spring geometry (vertices never
+        move between the attempts or sweeps of a step). Every sweep
+        bumps the ``open_close.sweeps`` counter.
+        """
+        self.metrics.inc("open_close.sweeps")
+        update = self._oc_driver.sweep(d, prev_normal_force)
+        self.charges.interpenetration(self.device, contacts.m)
+        return update
 
     # ------------------------------------------------------------------
     # the three nested loops
@@ -525,22 +567,8 @@ class EngineBase:
         return DeviceOperand(h, self.device)
 
     # ------------------------------------------------------------------
-    # open–close driver + symbolic assembly reuse
+    # symbolic assembly reuse
     # ------------------------------------------------------------------
-    def _oc_sweep(
-        self, d: np.ndarray, prev_normal_force: np.ndarray | None
-    ) -> StateUpdate:
-        """One open–close sweep over all contacts simultaneously.
-
-        :meth:`_step_impl` builds the driver once per loop-2 attempt,
-        over that attempt's copy of the step's contact table and the
-        step's one spring geometry (vertices never move between the
-        attempts or sweeps of a step). Every sweep bumps the
-        ``open_close.sweeps`` counter.
-        """
-        self.metrics.inc("open_close.sweeps")
-        return self._oc_driver.sweep(d, prev_normal_force)
-
     def _assemble(
         self,
         diag_idx: np.ndarray,
@@ -775,7 +803,7 @@ class EngineBase:
         )
 
     # ------------------------------------------------------------------
-    # helpers shared by the subclasses
+    # the solution applied: loop-2 control and data updating
     # ------------------------------------------------------------------
     def _max_vertex_displacement(self, d: np.ndarray) -> float:
         """Largest displacement of any vertex under the solution ``d``."""
@@ -787,8 +815,9 @@ class EngineBase:
         disp = np.einsum("vij,vj->vi", t, db[owner])
         return float(np.hypot(disp[:, 0], disp[:, 1]).max())
 
-    def _apply_geometry_update(self, d: np.ndarray) -> None:
-        """Move vertices, fixed/load points, velocities; refresh caches.
+    def _update_data(self, d: np.ndarray) -> None:
+        """Move vertices, fixed/load points, velocities; refresh caches;
+        charge the update.
 
         Vectorised over all vertices (one pass of the exact-rotation
         update of :func:`repro.core.displacement.update_geometry`, whose
@@ -831,3 +860,4 @@ class EngineBase:
             if sel.any():
                 system.stresses[sel] += db[sel, 3:6] @ mat.elastic_matrix().T
         system._refresh_cache()
+        self.charges.update(self.device, system.vertices.shape[0])

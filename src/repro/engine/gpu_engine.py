@@ -22,27 +22,117 @@ from __future__ import annotations
 import numpy as np
 
 from repro.assembly.categories import N_CATEGORIES, classify_categories
-from repro.assembly.symbolic import AssemblyPlan
 from repro.contact.broad_phase import broad_phase_pairs
 from repro.contact.contact_set import VV2, ContactSet
 from repro.contact.initialization import initialize_contacts_classified
 from repro.contact.narrow_phase import narrow_phase
 from repro.contact.transfer import transfer_contacts
-from repro.engine.base import EngineBase
-from repro.engine.physics import contact_loads, diagonal_system
+from repro.engine.base import Charges, EngineBase
 from repro.gpu.counters import KernelCounters
-from repro.gpu.device import DeviceProfile, K40
 from repro.gpu.memory import coalesced_transactions
 from repro.gpu.warp import WARP_SIZE
 from repro.primitives.compact import partition_by_label
 
 
+def _diagonal(device, n):
+    device.launch(
+        "diag_submatrix_build",
+        KernelCounters(
+            flops=700.0 * n,
+            global_bytes_read=400.0 * n,
+            global_bytes_written=(36.0 + 6.0) * 8 * n,
+            global_txn_read=coalesced_transactions(n * 50, 8),
+            global_txn_written=coalesced_transactions(n * 42, 8),
+            threads=n * 6,
+            warps=max(1, n * 6 // WARP_SIZE),
+        ),
+    )
+
+
+def _nondiagonal(device, contacts: ContactSet):
+    # third data classification: categories C1..C5, one uniform kernel
+    # per category (the framework's divergence-avoidance step)
+    if not contacts.m:
+        return
+    categories = classify_categories(
+        contacts.prev_state, contacts.state, contacts.kind == VV2
+    )
+    perm, offsets = partition_by_label(categories, N_CATEGORIES, device)
+    counts = np.diff(offsets)
+    for cat, count in enumerate(counts[:-1]):  # abandoned excluded
+        if count == 0:
+            continue
+        device.launch(
+            f"nondiag_build_C{cat + 1}",
+            KernelCounters(
+                flops=(3 * 36 * 4 + 120.0) * float(count),
+                global_bytes_read=500.0 * float(count),
+                global_bytes_written=3 * 36.0 * 8 * float(count),
+                global_txn_read=coalesced_transactions(int(count) * 63, 8),
+                global_txn_written=coalesced_transactions(int(count) * 108, 8),
+                texture_bytes=96.0 * float(count),
+                threads=float(count) * 6,
+                warps=max(1, int(count) * 6 // WARP_SIZE),
+                branch_regions=max(1, int(count) // WARP_SIZE),
+                divergent_branch_regions=0.0,  # uniform category
+            ),
+        )
+
+
+def _interpenetration(device, m):
+    # restructured-branch kernel (Section III.D): computation is unified,
+    # branching happens only at register writes, so the only divergence
+    # left is the final predicated stores
+    if not m:
+        return
+    device.launch(
+        "interpenetration_check_restructured",
+        KernelCounters(
+            flops=180.0 * m,
+            global_bytes_read=300.0 * m,
+            global_bytes_written=24.0 * m,
+            global_txn_read=coalesced_transactions(m * 38, 8),
+            global_txn_written=coalesced_transactions(m * 3, 8),
+            texture_bytes=96.0 * m,
+            threads=m,
+            warps=max(1, m // WARP_SIZE),
+            branch_regions=3.0 * max(1, m // WARP_SIZE),
+            divergent_branch_regions=0.3 * max(1, m // WARP_SIZE),
+        ),
+    )
+
+
+def _update(device, v):
+    device.launch(
+        "data_update",
+        KernelCounters(
+            flops=30.0 * v,
+            global_bytes_read=(16.0 + 56.0) * v,
+            global_bytes_written=16.0 * v,
+            global_txn_read=coalesced_transactions(v * 9, 8),
+            global_txn_written=coalesced_transactions(v * 2, 8),
+            threads=v,
+            warps=max(1, v // WARP_SIZE),
+        ),
+    )
+
+
+#: The Fig.-2 kernels; assembly is the Fig.-4 scheme charging itself.
+GPU_CHARGES = Charges(
+    diagonal=_diagonal,
+    nondiagonal=_nondiagonal,
+    assembly=None,
+    interpenetration=_interpenetration,
+    update=_update,
+)
+
+
 class GpuEngine(EngineBase):
-    """GPU pipeline with the data-classification framework (paper Fig. 2)."""
+    """GPU pipeline with the data-classification framework (paper Fig. 2),
+    on the :data:`~repro.gpu.device.K40` profile unless told otherwise."""
 
-    default_profile: DeviceProfile = K40
+    charges = GPU_CHARGES
 
-    # ------------------------------------------------------------------
     def _detect_contacts(self) -> ContactSet:
         """Broad phase, narrow phase, transfer, classified initialisation,
         every kernel charged to the device. The narrow phase's candidate
@@ -62,108 +152,4 @@ class GpuEngine(EngineBase):
         )
         return initialize_contacts_classified(
             system, contacts, self.controls.penalty_scale, self.device
-        )
-
-    # ------------------------------------------------------------------
-    def _build_diagonal(self):
-        out = diagonal_system(self.system, self.controls, self.dt, self.sim_time)
-        n = self.system.n_blocks
-        self.device.launch(
-            "diag_submatrix_build",
-            KernelCounters(
-                flops=700.0 * n,
-                global_bytes_read=400.0 * n,
-                global_bytes_written=(36.0 + 6.0) * 8 * n,
-                global_txn_read=coalesced_transactions(n * 50, 8),
-                global_txn_written=coalesced_transactions(n * 42, 8),
-                threads=n * 6,
-                warps=max(1, n * 6 // WARP_SIZE),
-            ),
-        )
-        return out
-
-    def _build_nondiagonal(
-        self, contacts: ContactSet, normal_force, geometry=None
-    ):
-        # third data classification: categories C1..C5, one uniform kernel
-        # per category (the framework's divergence-avoidance step)
-        m = contacts.m
-        if m:
-            categories = classify_categories(
-                contacts.prev_state, contacts.state, contacts.kind == VV2
-            )
-            perm, offsets = partition_by_label(
-                categories, N_CATEGORIES, self.device
-            )
-            counts = np.diff(offsets)
-            for cat, count in enumerate(counts[:-1]):  # abandoned excluded
-                if count == 0:
-                    continue
-                self.device.launch(
-                    f"nondiag_build_C{cat + 1}",
-                    KernelCounters(
-                        flops=(3 * 36 * 4 + 120.0) * float(count),
-                        global_bytes_read=500.0 * float(count),
-                        global_bytes_written=3 * 36.0 * 8 * float(count),
-                        global_txn_read=coalesced_transactions(
-                            int(count) * 63, 8
-                        ),
-                        global_txn_written=coalesced_transactions(
-                            int(count) * 108, 8
-                        ),
-                        texture_bytes=96.0 * float(count),
-                        threads=float(count) * 6,
-                        warps=max(1, int(count) * 6 // WARP_SIZE),
-                        branch_regions=max(1, int(count) // WARP_SIZE),
-                        divergent_branch_regions=0.0,  # uniform category
-                    ),
-                )
-        return contact_loads(self.system, contacts, normal_force, geometry)
-
-    def _plan_assembly(self, diag_idx, off_rows, off_cols):
-        return AssemblyPlan.build(
-            self.system.n_blocks, diag_idx, off_rows, off_cols, self.device
-        )
-
-    def _check_interpenetration(self, contacts: ContactSet, d, prev_normal_force):
-        # the vectorised open–close driver IS the restructured kernel's
-        # formulation; the sweep amortises the spring-geometry
-        # precomputation across the open–close iterations of the step
-        update = self._oc_sweep(d, prev_normal_force)
-        m = contacts.m
-        if m:
-            # restructured-branch kernel (Section III.D): computation is
-            # unified, branching happens only at register writes, so the
-            # only divergence left is the final predicated stores
-            self.device.launch(
-                "interpenetration_check_restructured",
-                KernelCounters(
-                    flops=180.0 * m,
-                    global_bytes_read=300.0 * m,
-                    global_bytes_written=24.0 * m,
-                    global_txn_read=coalesced_transactions(m * 38, 8),
-                    global_txn_written=coalesced_transactions(m * 3, 8),
-                    texture_bytes=96.0 * m,
-                    threads=m,
-                    warps=max(1, m // WARP_SIZE),
-                    branch_regions=3.0 * max(1, m // WARP_SIZE),
-                    divergent_branch_regions=0.3 * max(1, m // WARP_SIZE),
-                ),
-            )
-        return update
-
-    def _update_data(self, d):
-        self._apply_geometry_update(d)
-        v = self.system.vertices.shape[0]
-        self.device.launch(
-            "data_update",
-            KernelCounters(
-                flops=30.0 * v,
-                global_bytes_read=(16.0 + 56.0) * v,
-                global_bytes_written=16.0 * v,
-                global_txn_read=coalesced_transactions(v * 9, 8),
-                global_txn_written=coalesced_transactions(v * 2, 8),
-                threads=v,
-                warps=max(1, v // WARP_SIZE),
-            ),
         )

@@ -19,12 +19,10 @@ from __future__ import annotations
 
 from repro.assembly.global_matrix import BS
 from repro.contact.contact_set import ContactSet
-from repro.core.blocks import BlockSystem
-from repro.core.state import SimulationControls
-from repro.engine.gpu_engine import GpuEngine
-from repro.engine.serial_engine import CpuStages
+from repro.engine.gpu_engine import GPU_CHARGES, GpuEngine
+from repro.engine.serial_engine import CPU_CHARGES
 from repro.gpu.counters import KernelCounters
-from repro.gpu.device import DeviceProfile, E5620, K40
+from repro.gpu.device import DeviceProfile, E5620
 from repro.gpu.kernel import RoutedVirtualDevice
 
 #: PCIe 2.0 x16 era transfer profile (the hardware of ref [10]):
@@ -55,33 +53,33 @@ def _transfer(device, name: str, nbytes: float) -> None:
     )
 
 
-class HybridEngine(CpuStages, GpuEngine):
+def _assembly(device, plan):
+    """The CPU scatter, then the assembled system shipped to the device
+    for the GPU solve — inside every open–close iteration, the transfer
+    the paper's design eliminates."""
+    CPU_CHARGES.assembly(device, plan)
+    nnz_bytes = (plan.n + 2 * plan.out_rows.size) * BS * BS * 8.0
+    _transfer(device, "h2d_matrix", nnz_bytes + plan.n * BS * 8.0)
+
+
+class HybridEngine(GpuEngine):
     """Hybrid pipeline: GPU detection/solve/check, CPU build/update
-    (:class:`~repro.engine.serial_engine.CpuStages`, priced on the
+    (:data:`~repro.engine.serial_engine.CPU_CHARGES`, priced on the
     :data:`~repro.gpu.device.E5620` host through the ``serial_`` route,
     transfers on :data:`PCIE` through the ``pcie_`` route)."""
 
-    def __init__(
-        self,
-        system: BlockSystem,
-        controls: SimulationControls | None = None,
-        profile: DeviceProfile | None = None,
-        fault_injector=None,
-        tracer=None,
-        metrics=None,
-    ) -> None:
-        super().__init__(
-            system, controls, profile or K40, fault_injector,
-            tracer=tracer, metrics=metrics,
-        )
+    charges = CPU_CHARGES._replace(
+        assembly=_assembly,
+        interpenetration=GPU_CHARGES.interpenetration,
+    )
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.device = RoutedVirtualDevice(
-            profile or K40,
-            routes={"serial_": E5620, "pcie_": PCIE},
+            self.device.profile, routes={"serial_": E5620, "pcie_": PCIE}
         )
 
-    # ------------------------------------------------------------------
     # GPU modules, bracketed by transfers
-    # ------------------------------------------------------------------
     def _detect_contacts(self) -> ContactSet:
         v = self.system.vertices.shape[0]
         _transfer(self.device, "h2d_geometry", v * 16.0)
@@ -89,15 +87,6 @@ class HybridEngine(CpuStages, GpuEngine):
         # contact table comes back to the host for the CPU matrix build
         _transfer(self.device, "d2h_contacts", contacts.m * 88.0)
         return contacts
-
-    def _plan_assembly(self, diag_idx, off_rows, off_cols):
-        plan = super()._plan_assembly(diag_idx, off_rows, off_cols)
-        # ship the assembled system to the device for the GPU solve;
-        # this happens inside every open–close iteration — the transfer
-        # the paper's design eliminates
-        nnz_bytes = (plan.n + 2 * plan.out_rows.size) * BS * BS * 8.0
-        _transfer(self.device, "h2d_matrix", nnz_bytes + plan.n * BS * 8.0)
-        return plan
 
     def _check_interpenetration(self, contacts, d, prev_normal_force):
         # solution comes down for the CPU-side bookkeeping, state flags
@@ -109,7 +98,6 @@ class HybridEngine(CpuStages, GpuEngine):
         _transfer(self.device, "d2h_states", contacts.m * 9.0)
         return update
 
-    # ------------------------------------------------------------------
     def transfer_time(self) -> float:
         """Total modelled seconds spent on PCIe transfers."""
         return sum(

@@ -260,8 +260,10 @@ def worker_entry(
     ``late_imports`` in the outcome counts the modules this process
     loaded between here and the outcome write: 0 for a forked worker,
     which inherits this module's closure from the scheduler, unless the
-    spec selects one of the two imports :mod:`repro.engine.runner`
-    defers (a ``rubble`` model, the ``domain`` engine).
+    spec selects a ``rubble`` model, whose import
+    :mod:`repro.engine.runner` defers. (Its other deferred import, the
+    ``domain`` engine, serves ``python -m repro run --engine domain``;
+    no job spec names that engine.)
     """
     n_modules = len(sys.modules)
     IOFaultInjector.install_from_env()

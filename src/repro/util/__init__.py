@@ -13,7 +13,7 @@ from repro.util.validation import (
 from repro.util.hashing import canonical_json, content_hash, short_hash
 from repro.util.rng import make_rng
 from repro.util.tables import Table
-from repro.util.timing import WallTimer, ModuleTimes
+from repro.util.timing import ModuleTimes
 
 __all__ = [
     "check_array",
@@ -29,6 +29,5 @@ __all__ = [
     "short_hash",
     "make_rng",
     "Table",
-    "WallTimer",
     "ModuleTimes",
 ]

@@ -1,4 +1,4 @@
-"""Wall-clock timing helpers and the per-module time ledger.
+"""The per-module time ledger.
 
 The paper reports per-module times for the six pipeline stages (Tables II
 and III). :class:`ModuleTimes` is the ledger both engines fill in — once
@@ -7,10 +7,7 @@ with real wall-clock seconds and once with virtual-device modelled seconds.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
 #: Canonical module names, in the paper's Table II/III row order.
 PIPELINE_MODULES = (
@@ -21,23 +18,6 @@ PIPELINE_MODULES = (
     "interpenetration_checking",
     "data_updating",
 )
-
-
-class WallTimer:
-    """A context-manager stopwatch accumulating into ``.seconds``."""
-
-    def __init__(self) -> None:
-        self.seconds = 0.0
-        self._t0: float | None = None
-
-    def __enter__(self) -> "WallTimer":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        assert self._t0 is not None
-        self.seconds += time.perf_counter() - self._t0
-        self._t0 = None
 
 
 @dataclass
@@ -60,37 +40,10 @@ class ModuleTimes:
             )
         self.times[module] += float(seconds)
 
-    @contextmanager
-    def measure(self, module: str) -> Iterator[None]:
-        """Context manager that wall-clock-times a block into ``module``."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(module, time.perf_counter() - t0)
-
     @property
     def total(self) -> float:
         """Sum over all modules."""
         return sum(self.times.values())
-
-    def speedup_over(self, other: "ModuleTimes") -> dict[str, float]:
-        """Per-module ``other/self`` time ratios (``self`` is the faster one).
-
-        Modules where self took zero time map to ``float('inf')`` if the
-        baseline spent time there, else ``1.0``.
-        """
-        out: dict[str, float] = {}
-        for m in PIPELINE_MODULES:
-            mine, theirs = self.times[m], other.times[m]
-            if mine == 0.0:
-                out[m] = float("inf") if theirs > 0.0 else 1.0
-            else:
-                out[m] = theirs / mine
-        out["total"] = (
-            other.total / self.total if self.total > 0 else float("inf")
-        )
-        return out
 
     def as_rows(self) -> list[tuple[str, float]]:
         """Rows in the paper's table order plus a total row."""

@@ -28,9 +28,9 @@ class TestBuildReport:
         cd = report["modules"]["contact_detection"]
         assert cd["spans"] == 2
         assert cd["wall_s"] == pytest.approx(0.2)
-        assert cd["speedup"] == pytest.approx(10.0)
+        assert cd["wall_modelled_ratio"] == pytest.approx(10.0)
         assert report["total"]["wall_s"] == pytest.approx(1.0)
-        assert report["total"]["speedup"] == pytest.approx(1.0 / 0.22)
+        assert report["total"]["wall_modelled_ratio"] == pytest.approx(1.0 / 0.22)
 
     def test_step_aggregates(self):
         report = build_report(_trace())
@@ -56,7 +56,7 @@ class TestBuildReport:
         tr = Tracer()
         tr.add("contact_detection", start=0.0, wall_s=0.1, device_s=0.0)
         report = build_report(tr)
-        assert report["modules"]["contact_detection"]["speedup"] is None
+        assert report["modules"]["contact_detection"]["wall_modelled_ratio"] is None
 
     def test_report_is_json_safe(self):
         json.dumps(build_report(_trace()))

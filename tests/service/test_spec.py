@@ -93,6 +93,7 @@ class TestValidation:
         [
             {"model": "nonsense"},
             {"engine": "tpu"},
+            {"engine": "domain"},  # a CLI preset, not a service engine
             {"profile": "h100"},
             {"steps": 0},
             {"time_step": 0.0},

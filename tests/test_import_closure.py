@@ -10,10 +10,12 @@ would mask every one of them):
   import lands inside a timed run;
 * a forked worker reports ``late_imports == 0``: ``service/worker.py``'s
   top-level imports are its closure, and the scheduler held them before
-  the fork. The two exceptions are the imports ``engine/runner.py``
-  defers behind the spec field that selects them — a ``rubble`` worker
-  loads ``scipy.spatial``, a ``domain`` worker ``scipy.sparse.csgraph``
-  — and the scheduler never holds either;
+  the fork. The exception is a ``rubble`` worker, which loads
+  ``scipy.spatial`` where ``engine/runner.py`` builds the model; the
+  runner's other deferred import, ``repro.engine.domain_engine``
+  (``scipy.sparse.csgraph``), serves ``python -m repro run --engine
+  domain``, since no job spec names that engine. The scheduler holds
+  neither;
 * an engine process never loads the linter: ``repro.lint`` is a
   development tool, and nothing on the run path imports it.
 
@@ -104,8 +106,8 @@ with tempfile.TemporaryDirectory() as root:
     for engine, model in pairs:
         record = drain(batch, pool, engine=engine, model=model)
         (attempt,) = record.attempt_log
-        # the two deferred closures load in the worker that uses them
-        deferred = model == "rubble" or engine == "domain"
+        # the deferred Voronoi closure loads in the worker that uses it
+        deferred = model == "rubble"
         assert (attempt["late_imports"] > 0) == deferred, (
             f"{engine}/{model}: late_imports {attempt['late_imports']}"
         )

@@ -1,20 +1,6 @@
-import time
-
 import pytest
 
-from repro.util.timing import PIPELINE_MODULES, ModuleTimes, WallTimer
-
-
-class TestWallTimer:
-    def test_accumulates(self):
-        t = WallTimer()
-        with t:
-            time.sleep(0.01)
-        first = t.seconds
-        assert first >= 0.009
-        with t:
-            time.sleep(0.01)
-        assert t.seconds > first
+from repro.util.timing import PIPELINE_MODULES, ModuleTimes
 
 
 class TestModuleTimes:
@@ -32,25 +18,6 @@ class TestModuleTimes:
         mt.add("equation_solving", 2.0)
         mt.add("contact_detection", 1.0)
         assert mt.total == pytest.approx(3.0)
-
-    def test_measure_context(self):
-        mt = ModuleTimes()
-        with mt.measure("data_updating"):
-            time.sleep(0.005)
-        assert mt.times["data_updating"] >= 0.004
-
-    def test_speedup_over(self):
-        fast, slow = ModuleTimes(), ModuleTimes()
-        fast.add("equation_solving", 1.0)
-        slow.add("equation_solving", 50.0)
-        sp = fast.speedup_over(slow)
-        assert sp["equation_solving"] == pytest.approx(50.0)
-        assert sp["contact_detection"] == 1.0  # both zero
-
-    def test_speedup_infinite_when_self_zero(self):
-        fast, slow = ModuleTimes(), ModuleTimes()
-        slow.add("data_updating", 5.0)
-        assert fast.speedup_over(slow)["data_updating"] == float("inf")
 
     def test_as_rows_order_and_total(self):
         mt = ModuleTimes()
