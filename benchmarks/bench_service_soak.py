@@ -2,13 +2,15 @@
 
 Three measurements over the lease-fenced batch service:
 
-* ``clean`` — a fault-free campaign: the baseline jobs/s of the queue +
-  worker-pool + result-cache path. The durability layer (leases,
-  heartbeats, journal appends, dir fsyncs) rides along, so this number
-  *is* the taxed clean path the acceptance bar compares against.
-* ``faulted`` — the same seeded campaign with the storage chaos plan
-  armed and one scheduler round SIGKILLed mid-drain. Reports the
-  drain/audit verdict and the wall-clock overhead ratio vs clean.
+* ``clean`` — the ``clean`` soak scenario, a fault-free campaign: the
+  baseline jobs/s of the queue + worker-pool + result-cache path. The
+  durability layer (leases, heartbeats, journal appends, dir fsyncs)
+  rides along, so this number *is* the taxed clean path the acceptance
+  bar compares against.
+* ``faulted`` — the ``storage`` scenario: the same seeded campaign with
+  the storage chaos plan armed and one scheduler SIGKILLed with work in
+  flight. Reports the drain/audit verdict and the wall-clock overhead
+  ratio vs clean.
 * ``recovery`` — the orphan re-claim latency: how long a reopening
   queue takes to notice a dead claimant's expired lease and hand the
   ticket to a new owner (median of several trials).
@@ -30,27 +32,22 @@ from benchmarks.common import bench_arg_parser, write_bench_json
 
 #: Jobs per campaign (small: CI runs this).
 JOBS = 12
-#: Simulation steps per soak job.
-STEPS = 2
-WORKERS = 2
 SEED = 0
 #: Orphan re-claim trials (median is reported).
 RECOVERY_TRIALS = 5
 
 
-def run_campaign(root: Path, *, fault_rate: float, kills: int) -> dict:
+def run_campaign(root: Path, scenario: str) -> dict:
     from repro.service.soak import run_soak
 
-    summary = run_soak(
-        root, jobs=JOBS, seed=SEED, workers=WORKERS, steps=STEPS,
-        fault_rate=fault_rate, scheduler_kills=kills, lease_ttl=1.5,
-    )
+    summary = run_soak(root, scenario, jobs=JOBS, seed=SEED)
     wall = summary["duration_s"]
     return {
+        "scenario": scenario,
         "jobs": summary["jobs"],
+        "steps": summary["steps"],
         "wall_s": wall,
         "jobs_per_s": summary["jobs"] / wall if wall else None,
-        "rounds": summary["rounds"],
         "scheduler_kills": summary["scheduler_kills"],
         "drained": summary["drained"],
         "audit_ok": summary["audit"]["ok"],
@@ -98,16 +95,14 @@ def main(argv=None) -> int:
     args = bench_arg_parser(__doc__).parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="bench-soak-") as tmp:
         scratch = Path(tmp)
-        clean = run_campaign(scratch / "clean", fault_rate=0.0, kills=0)
-        faulted = run_campaign(scratch / "faulted", fault_rate=0.03, kills=1)
+        clean = run_campaign(scratch / "clean", "clean")
+        faulted = run_campaign(scratch / "faulted", "storage")
         recovery = bench_recovery(scratch)
     overhead = (
         faulted["wall_s"] / clean["wall_s"] if clean["wall_s"] else None
     )
     payload = {
         "jobs": JOBS,
-        "steps": STEPS,
-        "workers": WORKERS,
         "seed": SEED,
         "clean": clean,
         "faulted": faulted,
@@ -121,8 +116,7 @@ def main(argv=None) -> int:
         f"{'PASS' if clean['audit_ok'] else 'FAIL'}"
     )
     print(
-        f"faulted: {faulted['jobs']} jobs in {faulted['wall_s']:.2f} s "
-        f"over {faulted['rounds']} round(s), "
+        f"faulted: {faulted['jobs']} jobs in {faulted['wall_s']:.2f} s, "
         f"{faulted['scheduler_kills']} kill(s), audit "
         f"{'PASS' if faulted['audit_ok'] else 'FAIL'}, "
         f"overhead x{overhead:.2f}"

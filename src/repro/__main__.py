@@ -15,8 +15,8 @@ submit jobs to a persistent queue, drain it with a crash-isolated
 worker pool, and inspect cached results. ``batch serve`` exposes the
 directory over HTTP/JSON (idempotent submits, deadlines, backpressure;
 docs/service-api.md). ``batch soak`` runs a chaos campaign (storage
-faults + scheduler kills; ``--api`` drives it through the HTTP server
-with network faults armed too) and ``batch audit`` replays the
+faults + a scheduler kill; ``--scenario api`` drives it through the
+HTTP server with network faults armed too) and ``batch audit`` replays the
 job-event journal to prove exactly-once completion.
 
 ``report`` renders a paper-style per-module table (measured vs
@@ -41,8 +41,8 @@ Examples
     python -m repro batch submit --dir results/batch --model slope
     python -m repro batch run --dir results/batch --workers 2
     python -m repro batch serve --dir results/batch --port 8080
-    python -m repro batch soak --dir results/soak --jobs 24 --seed 0
-    python -m repro batch soak --dir results/netsoak --api --schedulers 2
+    python -m repro batch soak --dir results/soak --scenario storage
+    python -m repro batch soak --dir results/netsoak --scenario api
     python -m repro batch audit --dir results/soak --final
     python -m repro report results/soak
     python -m repro lint --json

@@ -25,7 +25,8 @@ orchestrates them on top of the per-run survival primitives from
   quarantined when every attempt dies identically);
 * :class:`~repro.service.journal.Journal` — the append-only job-event
   trail ``python -m repro batch audit`` replays to prove exactly-once
-  completion, and ``batch soak`` ends every chaos campaign with;
+  completion, and ``batch soak`` (one driver over the scenario table
+  :data:`repro.service.soak.SCENARIOS`) ends every chaos campaign with;
 * :mod:`repro.service.chaos` — the one seeded fault-injection module:
   :class:`~repro.service.chaos.IOFaultPlan` arms the storage seam
   (torn writes, crashed renames, ``ENOSPC``, IO latency) the
@@ -33,7 +34,7 @@ orchestrates them on top of the per-run survival primitives from
   :class:`~repro.service.chaos.NetFaultPlan` the network seam
   (connection resets, slow-loris, truncated responses, latency) the
   service claims are tested under via
-  ``python -m repro batch soak --api``;
+  ``python -m repro batch soak --scenario api``;
 * :class:`~repro.service.client.BatchClient` — the programmatic facade
   behind the ``python -m repro batch`` CLI;
 * :class:`~repro.service.http.HttpJobService` — the asyncio HTTP/JSON

@@ -6,17 +6,18 @@ Verbs over a shared batch directory::
     python -m repro batch run    --dir results/batch --workers 2
     python -m repro batch status --dir results/batch [--json]
     python -m repro batch results --dir results/batch [--json] [JOB_ID ...]
-    python -m repro batch soak   --dir results/soak --jobs 24 --seed 0
-    python -m repro batch soak   --dir results/soak --api --schedulers 2
+    python -m repro batch soak   --dir results/soak --scenario storage
+    python -m repro batch soak   --dir results/netsoak --scenario api
     python -m repro batch audit  --dir results/soak [--final] [--json]
     python -m repro batch serve  --dir results/batch --port 8080
 
 Every verb is a separate process invocation: submit from one shell, run
 from another, kill the runner and run again — the on-disk queue and
 result cache carry the state across. ``soak`` runs a full chaos
-campaign (storage faults + scheduler kills; with ``--api`` the whole
-campaign is driven through the HTTP front-end with network faults
-injected too) and ``audit`` replays the job-event journal to prove the
+campaign, one row of :data:`repro.service.soak.SCENARIOS` (``storage``:
+storage faults + a scheduler kill; ``api``: the same driven through the
+HTTP front-end with network faults and a server drain too; ``clean``:
+no faults) and ``audit`` replays the job-event journal to prove the
 exactly-once invariants held. ``serve`` exposes the directory over
 HTTP/JSON (see :mod:`repro.service.http` and docs/service-api.md).
 """
@@ -27,7 +28,9 @@ import argparse
 import json
 import sys
 
+from repro.service.audit import audit_journal, format_report
 from repro.service.client import BatchClient
+from repro.service.soak import SCENARIOS, run_soak
 from repro.service.spec import ENGINES, JobSpec, MODELS, PROFILES, RetryPolicy
 from repro.util.tables import Table
 
@@ -132,39 +135,15 @@ def build_batch_parser() -> argparse.ArgumentParser:
 
     k = sub.add_parser(
         "soak",
-        help="chaos campaign: storage faults + scheduler kills + audit",
+        help="chaos campaign: faults + scheduler kills + final audit",
     )
     add_dir(k)
-    k.add_argument("--jobs", type=int, default=None,
-                   help="campaign size (default 24; 120 with --api)")
+    k.add_argument("--scenario", choices=tuple(SCENARIOS), default="storage",
+                   help="clean (no faults), storage (storage faults + a "
+                        "scheduler kill) or api (the same through the HTTP "
+                        "server, plus network faults and a server drain)")
+    k.add_argument("--jobs", type=int, default=24, help="campaign size")
     k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--workers", type=int, default=2)
-    k.add_argument("--steps", type=int, default=None,
-                   help="simulation steps per soak job "
-                        "(default 3; 2 with --api)")
-    k.add_argument("--fault-rate", type=float, default=0.03,
-                   help="storage fault probability per IO operation "
-                        "(0 disables the chaos layer)")
-    k.add_argument("--scheduler-kills", type=int, default=1,
-                   help="how many scheduler rounds to SIGKILL mid-drain")
-    k.add_argument("--lease-ttl", type=float, default=2.0,
-                   help="lease time-to-live for the campaign's schedulers")
-    api = k.add_argument_group(
-        "network soak (--api)",
-        "drive the campaign through the HTTP front-end: N independent "
-        "scheduler processes share the queue while network faults "
-        "are injected alongside the storage ones",
-    )
-    api.add_argument("--api", action="store_true",
-                     help="submit/cancel/poll through the HTTP server "
-                          "instead of the in-process queue")
-    api.add_argument("--schedulers", type=int, default=2,
-                     help="independent scheduler processes on the queue")
-    api.add_argument("--net-fault-rate", type=float, default=0.08,
-                     help="network fault probability per HTTP request "
-                          "(0 disables the network chaos seam)")
-    api.add_argument("--sigterm-drains", type=int, default=1,
-                     help="mid-campaign graceful server drains+restarts")
     k.add_argument("--json", action="store_true", dest="as_json")
     k.add_argument("--quiet", action="store_true")
 
@@ -178,16 +157,12 @@ def build_batch_parser() -> argparse.ArgumentParser:
     v.add_argument("--port", type=int, default=0,
                    help="0 picks an ephemeral port (written to "
                         "<dir>/http.json)")
-    v.add_argument("--max-inflight", type=int, default=64,
-                   help="concurrent requests before fail-fast 429s")
     v.add_argument("--max-queue-depth", type=int, default=512,
                    help="submits are rejected (429) past this backlog")
     v.add_argument("--rate-capacity", type=float, default=50.0,
                    help="per-tenant token-bucket burst capacity")
     v.add_argument("--rate-refill", type=float, default=25.0,
                    help="per-tenant token refill per second")
-    v.add_argument("--drain-grace", type=float, default=10.0, metavar="SEC",
-                   help="SIGTERM drain budget for in-flight requests")
     return p
 
 
@@ -330,8 +305,6 @@ def batch_main(argv: list[str] | None = None) -> int:
         return 1
 
     if args.command == "audit":
-        from repro.service.audit import audit_journal, format_report
-
         report = audit_journal(args.batch_dir, final=args.final)
         if args.as_json:
             print(json.dumps(report, indent=2, sort_keys=True))
@@ -340,61 +313,31 @@ def batch_main(argv: list[str] | None = None) -> int:
         return 0 if report["ok"] else 1
 
     if args.command == "soak":
-        from repro.service.soak import run_api_soak, run_soak
-
-        campaign = dict(
-            jobs=args.jobs if args.jobs is not None else (
-                120 if args.api else 24
-            ),
-            steps=args.steps if args.steps is not None else (
-                2 if args.api else 3
-            ),
-            seed=args.seed, workers=args.workers, fault_rate=args.fault_rate,
-            scheduler_kills=args.scheduler_kills, lease_ttl=args.lease_ttl,
-            log=log,
+        summary = run_soak(
+            args.batch_dir, args.scenario,
+            jobs=args.jobs, seed=args.seed, log=log,
         )
-        if args.api:
-            summary = run_api_soak(
-                args.batch_dir, schedulers=args.schedulers,
-                net_fault_rate=args.net_fault_rate,
-                sigterm_drains=args.sigterm_drains, **campaign,
-            )
-        else:
-            summary = run_soak(args.batch_dir, **campaign)
-        clean_drains = all(
-            d["exit_code"] == 0 for d in summary.get("drains", [])
-        )
+        clean_drains = all(d["exit_code"] == 0 for d in summary["drains"])
         if args.as_json:
             print(json.dumps(summary, indent=2, sort_keys=True))
         else:
-            from repro.service.audit import format_report
-
+            drains = ", ".join(
+                f"exit {d['exit_code']} in {d['drain_s']:.2f}s"
+                for d in summary["drains"]
+            ) or "none"
             counts = ", ".join(
                 f"{s}={n}" for s, n in summary["counts"].items() if n
             )
-            if args.api:
-                drains = ", ".join(
-                    f"exit {d['exit_code']} in {d['drain_s']:.2f}s"
-                    for d in summary["drains"]
-                ) or "none"
-                print(
-                    f"api soak: {summary['jobs']} jobs "
-                    f"({summary['distinct_jobs']} distinct, "
-                    f"{summary['dedup_hits']} dedup hits) over "
-                    f"{summary['schedulers']} scheduler(s), "
-                    f"{summary['scheduler_kills']} scheduler kill(s), "
-                    f"drained={summary['drained']} "
-                    f"in {summary['duration_s']:.1f}s"
-                )
-                print(f"server drains: {drains}")
+            print(
+                f"{summary['scenario']} soak: {summary['jobs']} jobs "
+                f"({summary['distinct_jobs']} distinct), "
+                f"{summary['scheduler_kills']} scheduler kill(s), "
+                f"drained={summary['drained']} "
+                f"in {summary['duration_s']:.1f}s"
+            )
+            print(f"server drains: {drains}")
+            if summary["client_stats"]:
                 print(f"client transport: {summary['client_stats']}")
-            else:
-                print(
-                    f"soak: {summary['jobs']} jobs, {summary['rounds']} "
-                    f"round(s), {summary['scheduler_kills']} scheduler "
-                    f"kill(s), drained={summary['drained']} "
-                    f"in {summary['duration_s']:.1f}s"
-                )
             print(f"final states: {counts}")
             print(format_report(summary["audit"]))
         ok = summary["drained"] and summary["audit"]["ok"] and clean_drains
@@ -405,11 +348,9 @@ def batch_main(argv: list[str] | None = None) -> int:
 
         config = ServiceConfig(
             host=args.host, port=args.port,
-            max_inflight=args.max_inflight,
             max_queue_depth=args.max_queue_depth,
             rate_capacity=args.rate_capacity,
             rate_refill_per_s=args.rate_refill,
-            drain_grace_s=args.drain_grace,
         )
         return run_server(args.batch_dir, config, log=log)
 

@@ -38,7 +38,7 @@ The robustness envelope
   duplicate execution. Failed/cancelled jobs release their dedup entry
   so an explicit re-request forks a fresh job.
 * **Admission control.** In-flight requests are bounded
-  (``max_inflight``); a submit against a queue deeper than
+  (:data:`MAX_INFLIGHT`); a submit against a queue deeper than
   ``max_queue_depth`` is rejected — both with ``429`` and a
   ``Retry-After`` hint, the contract the retrying client
   (:mod:`repro.service.netclient`) honours.
@@ -56,7 +56,7 @@ The robustness envelope
   scheduler enforces the caller's budget end-to-end.
 * **Graceful drain.** SIGTERM flips ``/readyz`` to 503, stops
   accepting connections, lets in-flight requests finish within
-  ``drain_grace_s``, persists the metrics snapshot, journals the drain,
+  :data:`DRAIN_GRACE_S`, persists the metrics snapshot, journals the drain,
   and exits 0. Queued jobs are untouched — schedulers keep draining
   them — so a rolling server restart is invisible to the campaign.
 """
@@ -79,6 +79,7 @@ from repro.io.batch_io import locked_fd, read_json, write_json_atomic
 from repro.obs.metrics import MetricsRegistry
 from repro.service.chaos import NetFaultInjector
 from repro.service.client import BatchClient
+from repro.service.queue import MAX_PRIORITY
 from repro.service.spec import JobSpec, JobState, RetryPolicy
 
 #: Written next to the queue once the server is listening; removed on
@@ -94,6 +95,10 @@ _MAX_BODY_BYTES = 1024 * 1024
 
 #: Handler budget when the request carries no X-Deadline-S.
 DEFAULT_TIMEOUT_S = 30.0
+#: Concurrent requests admitted before fail-fast 429s.
+MAX_INFLIGHT = 64
+#: How long a drain waits for in-flight requests before exiting [s].
+DRAIN_GRACE_S = 10.0
 #: Longest long-poll wait the events endpoint will hold.
 LONG_POLL_MAX_S = 30.0
 #: Persist the metrics snapshot every this many requests (and on drain).
@@ -106,8 +111,6 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; the bound port lands in http.json
-    #: Concurrent requests admitted before fail-fast 429s.
-    max_inflight: int = 64
     #: Submits are rejected (429) when this many tickets are queued.
     max_queue_depth: int = 512
     #: All non-health traffic is shed (503) past this queue depth.
@@ -117,8 +120,6 @@ class ServiceConfig:
     #: Token bucket per tenant: burst capacity and steady refill.
     rate_capacity: float = 50.0
     rate_refill_per_s: float = 25.0
-    #: How long a drain waits for in-flight requests before exiting.
-    drain_grace_s: float = 10.0
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -259,7 +260,7 @@ class HttpJobService:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        deadline = time.monotonic() + self.config.drain_grace_s
+        deadline = time.monotonic() + DRAIN_GRACE_S
         while self.inflight > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.02)
         drain_s = time.monotonic() - t0
@@ -460,7 +461,7 @@ class HttpJobService:
             if self.draining:
                 self.metrics.inc("http.shed")
                 raise _Response.backoff(503, "draining", "1")
-            if self.inflight > self.config.max_inflight:
+            if self.inflight > MAX_INFLIGHT:
                 self.metrics.inc("http.shed")
                 raise _Response.backoff(429, "too many in-flight requests", "1")
             shed = self._shed_reason()
@@ -556,7 +557,12 @@ class HttpJobService:
             spec = JobSpec.from_dict(body.get("spec") or {})
         except (TypeError, ValueError) as err:
             raise _Response(400, {"error": f"bad spec: {err}"}) from err
-        priority = int(body.get("priority", 0))
+        try:
+            priority = int(body.get("priority", 0))
+            if not 0 <= priority <= MAX_PRIORITY:
+                raise ValueError(f"must be in [0, {MAX_PRIORITY}]")
+        except (TypeError, ValueError) as err:
+            raise _Response(400, {"error": f"bad priority: {err}"}) from err
         try:
             retry = RetryPolicy.from_dict(body.get("retry") or {})
         except (TypeError, ValueError) as err:
@@ -654,6 +660,8 @@ class HttpJobService:
             timeout_s = float(query.get("timeout", 0.0))
         except ValueError as err:
             raise _Response(400, {"error": "bad since/timeout"}) from err
+        if since < 0:
+            raise _Response(400, {"error": "since must be >= 0"})
         timeout_s = min(timeout_s, LONG_POLL_MAX_S)
         if deadline_s is not None:
             timeout_s = min(timeout_s, max(0.0, deadline_s - 0.1))

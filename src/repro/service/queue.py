@@ -421,10 +421,17 @@ class JobQueue:
         (self.cancelled_dir / job_id).touch()
         # Finalise only if the job is still queued *after* the tombstone
         # landed; a pool that claimed it in between owns the record and
-        # honours the tombstone through its own paths.
+        # honours the tombstone through its own paths. A claimed record
+        # still reads ``queued`` until its dispatch saves ``running``, so
+        # the ticket's lane decides: the claim's rename moves it out of
+        # ``queued/`` before the claimer takes this lock.
+        suffix = f"-{job_id}"
         with self.locked_record(job_id):
             record = self.load_record(job_id)
-            if record is not None and record.state == JobState.QUEUED:
+            if (
+                record is not None and record.state == JobState.QUEUED
+                and any(n.endswith(suffix) for n in os.listdir(self.queued_dir))
+            ):
                 self._complete(record, JobState.CANCELLED)
         return True
 

@@ -1,32 +1,37 @@
-"""Soak campaign: storage faults + process kills, ended by the auditor.
+"""Soak campaign: one seeded chaos campaign, three scenarios, one audit.
 
-``python -m repro batch soak`` drives the whole durability story in one
-command: it submits a seeded mixed-priority campaign (clean jobs,
-crash-then-recover jobs, duplicate specs for cache hits, poison jobs
-destined for quarantine), arms the storage fault injector
-(:mod:`repro.service.chaos`), runs scheduler rounds in *child
-processes* and SIGKILLs some of them mid-drain — orphaning their
+``python -m repro batch soak --scenario NAME`` drives the whole
+durability story in one command. Every scenario runs the same body: it
+arms the fault plans, starts :data:`SCHEDULERS` long-lived scheduler
+*child processes* on the queue, submits a seeded mixed-priority
+campaign (clean jobs, crash-then-recover jobs, duplicate specs for
+cache hits, poison jobs destined for quarantine) and cancels two of
+them, SIGKILLs a scheduler that holds work in flight — orphaning its
 daemon workers, which keep heartbeating until their attempt ends, the
-genuine zombie scenario lease fencing exists for — then keeps starting
-fresh rounds until the queue drains, and finally hands the directory
-to :func:`repro.service.audit.audit_journal` with ``final=True``.
+genuine zombie scenario lease fencing exists for — waits until no job
+is open, and hands the directory to
+:func:`repro.service.audit.audit_journal` with ``final=True``.
 
-The campaign is seeded end to end: the job mix, the fault plan, and
-the kill schedule all derive from one ``--seed`` via
+:data:`SCENARIOS` holds what differs between campaigns:
+
+* ``clean`` — no faults, no kill: the baseline throughput;
+* ``storage`` — the storage fault injector
+  (:mod:`repro.service.chaos`) armed in every scheduler and worker,
+  plus one scheduler kill;
+* ``api`` — the campaign goes through the HTTP front-end
+  (:mod:`repro.service.http`) by a retrying
+  :class:`~repro.service.netclient.ServiceClient` with *both* chaos
+  layers armed — storage faults in the schedulers, network faults in
+  the server — plus one SIGTERM graceful drain and restart of the
+  server. The network may lie, the disks may tear, processes may die,
+  and the journal must still show exactly-once completion.
+
+The campaign is seeded end to end: the job mix, the fault plans, the
+cancellations and the kill point all derive from one ``seed`` via
 :func:`repro.engine.chaos.derive_seed`, so a soak that passes (zero
 audit violations) passes reproducibly. The *timings* of kills vary
 with machine load, which is the point — the invariants must hold for
 every interleaving, and the auditor checks invariants, not traces.
-
-The network variant (``python -m repro batch soak --api``) layers the
-HTTP front-end on top: jobs are submitted, cancelled, and polled
-through :mod:`repro.service.http` by a retrying
-:class:`~repro.service.netclient.ServiceClient` while *both* chaos
-layers are armed — storage faults in the scheduler processes, network
-faults in the server — plus one mid-campaign SIGTERM graceful drain and
-restart of the server and a SIGKILL of a scheduler. The same final
-audit gates it: the network may lie, the disks may tear, processes may
-die, and the journal must still show exactly-once completion.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ import os
 import signal
 import threading
 import time
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,10 +56,55 @@ from repro.service.chaos import (
     NetFaultPlan,
 )
 from repro.service.client import BatchClient
+from repro.service.http import (
+    DRAIN_GRACE_S,
+    ServiceConfig,
+    run_server,
+    wait_for_server,
+)
+from repro.service.netclient import ClientRetry, ServiceClient
 from repro.service.pool import WorkerPool, _start_method
 from repro.service.queue import JobQueue
 from repro.service.spec import JobSpec, JobState, RetryPolicy
 from repro.service.store import ResultStore
+
+#: Long-lived scheduler processes sharing the queue.
+SCHEDULERS = 2
+#: Worker processes per scheduler.
+WORKERS = 2
+#: Lease time-to-live of the campaign's schedulers [s].
+LEASE_TTL = 1.5
+#: Per-attempt wall-clock budget [s].
+JOB_TIMEOUT_S = 120.0
+#: The campaign stops waiting for the queue to drain after this [s].
+MAX_WAIT_S = 900.0
+#: Driver poll interval: drain check, kill point, scheduler liveness [s].
+POLL_S = 0.2
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """What one soak campaign varies; the rest are the constants above."""
+
+    #: ``"queue"`` submits in-process; ``"http"`` through a served API.
+    transport: str
+    #: Simulation steps per job.
+    steps: int
+    #: Storage fault probability per IO operation (0 disarms the seam).
+    fault_rate: float
+    #: Network fault probability per HTTP request (0 disarms the seam).
+    net_fault_rate: float
+    #: Schedulers SIGKILLed while they hold work in flight.
+    scheduler_kills: int
+    #: Mid-campaign SIGTERM drains and restarts of the HTTP server.
+    server_drains: int
+
+
+SCENARIOS = {
+    "clean": Scenario("queue", 3, 0.0, 0.0, 0, 0),
+    "storage": Scenario("queue", 3, 0.03, 0.0, 1, 0),
+    "api": Scenario("http", 2, 0.03, 0.08, 1, 1),
+}
 
 
 def build_job_mix(
@@ -102,44 +154,28 @@ def build_job_mix(
     return mix
 
 
-def _scheduler_pool(
-    root: str, workers: int, lease_ttl: float, job_timeout: float
-) -> WorkerPool:
-    """The pool of one scheduler child process.
-
-    Runs in a forked child, so the chaos layer is re-armed explicitly —
-    the parent deliberately keeps *itself* unfaulted (it submits jobs
-    and audits), and a forked child inherits that decision unless it
-    re-reads the environment.
-    """
-    IOFaultInjector.install_from_env()
-    base = Path(root)
-    return WorkerPool(
-        JobQueue(base / "queue", lease_ttl=lease_ttl),
-        ResultStore(base / "store"),
-        base / "scratch",
-        n_workers=workers, job_timeout=job_timeout,
-    )
-
-
-def _scheduler_round(*pool_args) -> None:
-    """One scheduler process: recover, drain, exit."""
-    _scheduler_pool(*pool_args).run()
-
-
-def _scheduler_service(*pool_args) -> None:
+def _scheduler_service(root: str) -> None:
     """Long-lived scheduler child: drain, linger, drain — until SIGTERM.
 
-    Unlike :func:`_scheduler_round` (which exits when the queue is
-    momentarily empty) this keeps polling, because in an API campaign
-    jobs arrive *while* schedulers run. SIGTERM flips the pool's
-    graceful-drain hook: in-flight attempts finish, nothing new is
-    claimed, and the process exits 0 with its tickets either done or
-    still cleanly queued for the survivors.
+    It keeps polling because jobs may arrive while it runs, and each
+    ``pool.run`` starts by recovering tickets whose lease expired, so a
+    killed sibling's orphans are picked up here. The chaos layer is
+    re-armed from the environment: the driver keeps *itself* unfaulted,
+    and a forked child inherits that decision unless it re-reads the
+    environment. SIGTERM flips the pool's graceful-drain hook: in-flight
+    attempts finish, nothing new is claimed, and the process exits 0
+    with its tickets either done or still cleanly queued.
     """
+    IOFaultInjector.install_from_env()
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    pool = _scheduler_pool(*pool_args)
+    base = Path(root)
+    pool = WorkerPool(
+        JobQueue(base / "queue", lease_ttl=LEASE_TTL),
+        ResultStore(base / "store"),
+        base / "scratch",
+        n_workers=WORKERS, job_timeout=JOB_TIMEOUT_S,
+    )
     while not stop.is_set():
         pool.run(stop=stop.is_set)
         stop.wait(0.25)
@@ -155,207 +191,66 @@ def _server_process(root: str, config_dict: dict) -> None:
     any lost response from the server under network chaos
     (``run_server`` arms that seam from the environment).
     """
-    from repro.service.http import ServiceConfig, run_server
-
     IOFaultInjector.install(None)
     raise SystemExit(run_server(root, ServiceConfig.from_dict(config_dict)))
 
 
-class _Campaign:
-    """What every soak shares: a chaos-clean driver whose children are
-    armed through the environment, child spawning, the drain check, and
-    the audited summary."""
+def _open_jobs(counts: dict) -> int:
+    """Jobs not yet terminal (the torn-record bucket included)."""
+    return sum(n for state, n in counts.items() if state not in JobState.TERMINAL)
 
-    def __init__(
-        self, root, seed: int, fault_rate: float, net_fault_rate: float, log
-    ) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.log = log or (lambda msg: None)
-        # The driver submits and audits; it must stay chaos-clean even
-        # though it sets the env plans for its children — disarm
-        # explicitly rather than relying on batch_io's lazy one-shot env
-        # check, which only protects a driver that touched batch_io
-        # before the env was set.
-        IOFaultInjector.install(None)
-        NetFaultInjector.install(None)
-        self.client = BatchClient(self.root)  # submits / observes / counts
-        self.t0 = time.time()
-        self.ctx = multiprocessing.get_context(_start_method())
-        self.io_plan = (
-            IOFaultPlan(seed=seed, rate=fault_rate) if fault_rate > 0 else None
-        )
-        self.net_plan = (
-            NetFaultPlan(
-                seed=seed, rate=net_fault_rate,
-                latency_s=0.02, slow_delay_s=0.005,
-            ) if net_fault_rate > 0 else None
-        )
-        for plan, injector, name in (
-            (self.io_plan, IOFaultInjector, "chaos-plan.json"),
-            (self.net_plan, NetFaultInjector, "net-chaos-plan.json"),
-        ):
-            if plan is not None:
-                os.environ[injector.ENV] = str(plan.save(self.root / name))
-        self.log(
-            f"armed chaos: storage rate {fault_rate}, network rate "
-            f"{net_fault_rate}"
-        )
 
-    def disarm(self) -> None:
-        """Stop exporting the fault plans to new child processes."""
-        os.environ.pop(IOFaultInjector.ENV, None)
-        os.environ.pop(NetFaultInjector.ENV, None)
-
-    def spawn(self, target, *args):
-        proc = self.ctx.Process(target=target, args=(str(self.root), *args))
-        proc.start()
-        return proc
-
-    @staticmethod
-    def open_jobs(counts: dict) -> int:
-        """Jobs not yet terminal (the torn-record bucket included)."""
-        return sum(
-            n for state, n in counts.items() if state not in JobState.TERMINAL
-        )
-
-    def summary(self, **fields) -> dict:
-        """The campaign tail: final counts plus the ``final=True`` audit
-        that is every soak's pass criterion."""
-        return {
-            **fields,
-            "duration_s": time.time() - self.t0,
-            "counts": self.client.queue.counts(),
-            "audit": audit_journal(self.root, final=True),
-        }
+def _busy_owners(queue: JobQueue) -> set[str]:
+    """Owners (``sched-<pid>``) of the live leases: who has work in flight."""
+    leases = (queue.leases.peek(p.stem) for p in queue.leases.root.glob("*.json"))
+    return {lease.owner for lease in leases if lease and not lease.expired()}
 
 
 def run_soak(
     root: str | Path,
+    scenario: str = "storage",
     *,
     jobs: int = 24,
     seed: int = 0,
-    workers: int = 2,
-    fault_rate: float = 0.03,
-    scheduler_kills: int = 1,
-    lease_ttl: float = 2.0,
-    steps: int = 3,
-    max_rounds: int = 30,
-    job_timeout: float = 120.0,
     log=None,
 ) -> dict:
-    """Run one full soak campaign; returns the summary + audit report.
+    """Run one soak campaign of ``SCENARIOS[scenario]``; returns its summary.
 
-    ``scheduler_kills`` scheduler rounds are SIGKILLed mid-drain; the
-    remaining rounds run to completion. ``fault_rate`` arms the storage
-    chaos plan for every scheduler/worker process (0 disables it). The
-    final audit runs with ``final=True``: zero violations is the pass
-    criterion.
+    The summary's ``audit`` is the ``final=True`` audit: ``drained`` and
+    zero violations are the pass criterion, with every server drain
+    exiting 0.
     """
-    campaign = _Campaign(root, seed, fault_rate, 0.0, log)
-    client, log = campaign.client, campaign.log
+    sc = SCENARIOS[scenario]
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    log = log or (lambda msg: None)
+    t0 = time.time()
+    # The driver submits and audits; it must stay chaos-clean even
+    # though it sets the env plans for its children — disarm explicitly
+    # rather than relying on batch_io's lazy one-shot env check, which
+    # only protects a driver that touched batch_io before the env was set.
+    IOFaultInjector.install(None)
+    NetFaultInjector.install(None)
+    batch = BatchClient(root)
+    journal = batch.queue.journal
+    io_plan = IOFaultPlan(seed=seed, rate=sc.fault_rate) if sc.fault_rate else None
+    net_plan = NetFaultPlan(
+        seed=seed, rate=sc.net_fault_rate, latency_s=0.02, slow_delay_s=0.005,
+    ) if sc.net_fault_rate else None
+    for plan, injector, name in (
+        (io_plan, IOFaultInjector, "chaos-plan.json"),
+        (net_plan, NetFaultInjector, "net-chaos-plan.json"),
+    ):
+        if plan is not None:
+            os.environ[injector.ENV] = str(plan.save(root / name))
+    log(f"scenario {scenario}: {sc}")
 
-    mix = build_job_mix(jobs, seed, steps=steps)
-    submitted = [
-        client.queue.submit(spec, priority=priority, retry=retry)
-        for spec, priority, retry in mix
-    ]
-    log(f"submitted {len(submitted)} jobs (seed {seed})")
+    ctx = multiprocessing.get_context(_start_method())
 
-    rng = np.random.default_rng(derive_seed(seed, "soak-driver"))
-    cancel_ids = (
-        [submitted[i].job_id
-         for i in rng.choice(len(submitted), size=2, replace=False)]
-        if jobs >= 10 else []
-    )
-
-    kills_left = scheduler_kills
-    rounds = kills = 0
-    drained = False
-    try:
-        while rounds < max_rounds:
-            rounds += 1
-            proc = campaign.spawn(
-                _scheduler_round, workers, lease_ttl, job_timeout
-            )
-            if kills_left > 0:
-                # kill on progress the journal shows, not on a wall-clock
-                # guess at this host's job latency: once the round has
-                # claimed a seeded number of tickets (at least one per
-                # worker), work is in flight
-                journal = client.queue.journal
-                target = journal.count("claimed") + int(
-                    rng.integers(workers, 3 * workers + 1)
-                )
-                while proc.is_alive() and journal.count("claimed") < target:
-                    time.sleep(0.01)
-                if proc.is_alive():
-                    os.kill(proc.pid, signal.SIGKILL)
-                    kills += 1
-                    log(f"round {rounds}: scheduler SIGKILLed (pid {proc.pid})")
-                kills_left -= 1
-            proc.join()
-            if rounds == 1:
-                for job_id in cancel_ids:
-                    client.cancel(job_id)  # False when already past queued
-            counts = client.queue.counts()
-            open_jobs = campaign.open_jobs(counts)
-            log(f"round {rounds}: {open_jobs} job(s) still open ({counts})")
-            if open_jobs == 0:
-                drained = True
-                break
-            # give orphaned leases time to expire before the next round
-            time.sleep(lease_ttl * 0.6)
-    finally:
-        campaign.disarm()
-
-    plan = campaign.io_plan
-    return campaign.summary(
-        jobs=jobs,
-        seed=seed,
-        rounds=rounds,
-        scheduler_kills=kills,
-        cancelled=cancel_ids,
-        drained=drained,
-        fault_plan=None if plan is None else plan.to_dict(),
-    )
-
-
-# ----------------------------------------------------------------------
-# network soak: the same campaign driven through the HTTP front-end
-# ----------------------------------------------------------------------
-def run_api_soak(
-    root: str | Path,
-    *,
-    jobs: int = 120,
-    seed: int = 0,
-    schedulers: int = 2,
-    workers: int = 2,
-    fault_rate: float = 0.03,
-    net_fault_rate: float = 0.08,
-    scheduler_kills: int = 1,
-    sigterm_drains: int = 1,
-    lease_ttl: float = 2.0,
-    steps: int = 2,
-    job_timeout: float = 120.0,
-    max_wait_s: float = 900.0,
-    log=None,
-) -> dict:
-    """Drive a mixed campaign through the HTTP API under double chaos.
-
-    ``schedulers`` independent scheduler processes share the queue via
-    lease fencing while one HTTP server process fields a retrying
-    client's submits/cancels/polls. Mid-campaign the server takes
-    ``sigterm_drains`` SIGTERM graceful drains (it must exit 0 and come
-    back without losing a job) and ``scheduler_kills`` schedulers are
-    SIGKILLed (replacements are spawned). Returns the summary; the
-    embedded final audit is the pass criterion.
-    """
-    from repro.service.http import ServiceConfig, wait_for_server
-    from repro.service.netclient import ClientRetry, ServiceClient
-
-    campaign = _Campaign(root, seed, fault_rate, net_fault_rate, log)
-    root, log = campaign.root, campaign.log
+    def spawn(target, *args):
+        proc = ctx.Process(target=target, args=(str(root), *args))
+        proc.start()
+        return proc
 
     config = ServiceConfig(
         # headroom over the defaults: a soak hammers one tenant
@@ -363,101 +258,99 @@ def run_api_soak(
         max_queue_depth=max(512, jobs * 4),
         shed_queue_depth=max(1024, jobs * 8),
         shed_lease_expired_rate=1e9,  # scheduler kills are the *point*
-        drain_grace_s=10.0,
     )
 
     def spawn_server():
-        proc = campaign.spawn(_server_process, config.to_dict())
+        proc = spawn(_server_process, config.to_dict())
         info = wait_for_server(root, timeout=30.0)
         log(f"server up: pid {proc.pid} on {info['host']}:{info['port']}")
-        return proc
-
-    def spawn_scheduler():
-        return campaign.spawn(
-            _scheduler_service, workers, lease_ttl, job_timeout
+        return proc, ServiceClient.from_root(
+            root, tenant="soak", timeout=5.0,
+            retry=ClientRetry(attempts=12, backoff_s=0.05, seed=seed),
         )
 
     def drain_server(proc) -> dict:
         td = time.monotonic()
         os.kill(proc.pid, signal.SIGTERM)
-        proc.join(timeout=config.drain_grace_s + 15.0)
-        return {
-            "drain_s": time.monotonic() - td, "exit_code": proc.exitcode,
-        }
+        proc.join(timeout=DRAIN_GRACE_S + 15.0)
+        return {"drain_s": time.monotonic() - td, "exit_code": proc.exitcode}
 
-    def new_client():
-        return ServiceClient.from_root(
-            root, tenant="soak",
-            timeout=5.0,
-            retry=ClientRetry(attempts=12, backoff_s=0.05, seed=seed),
-        )
+    # the scenario's transport: in-process, or the served API (whose
+    # client is replaced with the server on every restart; ``spent``
+    # keeps the retired clients' transport stats)
+    http = sc.transport == "http"
+    server = client = None
+    spent: Counter = Counter()
 
-    rng = np.random.default_rng(derive_seed(seed, "api-soak-driver"))
-    mix = build_job_mix(jobs, seed, steps=steps)
-    server = spawn_server()
-    scheds = [spawn_scheduler() for _ in range(schedulers)]
-    log(f"{schedulers} scheduler(s) up: {[p.pid for p in scheds]}")
-    client = new_client()
+    def submit(spec, priority, retry) -> str:
+        if http:
+            return client.submit(spec, priority=priority, retry=retry)["job_id"]
+        return batch.submit(spec, priority=priority, retry=retry).job_id
 
+    def cancel(job_id: str) -> bool:
+        return client.cancel(job_id)["cancelled"] if http else batch.cancel(job_id)
+
+    def counts() -> dict:
+        try:
+            return client.jobs()["counts"] if http else batch.queue.counts()
+        except Exception:  # noqa: BLE001 - restart window / giveup
+            return batch.queue.counts()
+
+    rng = np.random.default_rng(derive_seed(seed, "soak-driver"))
+
+    def next_kill_at() -> int:
+        # kill on progress the journal shows, not on a wall-clock guess
+        # at this host's job latency: once a seeded number of tickets (at
+        # least one per worker) has been claimed, work is in flight
+        return journal.count("claimed") + int(rng.integers(WORKERS, 3 * WORKERS + 1))
+
+    kill_at = next_kill_at()
+    scheds = [spawn(_scheduler_service) for _ in range(SCHEDULERS)]
+    log(f"{SCHEDULERS} scheduler(s) up: {[p.pid for p in scheds]}")
     drains: list[dict] = []
     kills = 0
     drained = False
     try:
-        job_ids: list[str] = []
-        dedup_hits = 0
-        for spec, priority, retry in mix:
-            resp = client.submit(spec, priority=priority, retry=retry)
-            job_ids.append(resp["job_id"])
-            if resp.get("deduplicated"):
-                dedup_hits += 1
+        if http:
+            server, client = spawn_server()
+        job_ids = [
+            submit(spec, priority, retry)
+            for spec, priority, retry in build_job_mix(jobs, seed, steps=sc.steps)
+        ]
         distinct = sorted(set(job_ids))
-        log(
-            f"submitted {len(job_ids)} jobs over HTTP "
-            f"({len(distinct)} distinct, {dedup_hits} dedup hits, "
-            f"{client.stats['retries']} transport retries)"
-        )
+        log(f"submitted {len(job_ids)} jobs ({len(distinct)} distinct)")
 
-        cancelled: list[str] = []
-        if jobs >= 10:
-            for i in rng.choice(len(distinct), size=2, replace=False):
-                resp = client.cancel(distinct[int(i)])
-                if resp.get("cancelled"):
-                    cancelled.append(distinct[int(i)])
-            log(f"cancelled via API: {cancelled or 'none (already claimed)'}")
+        picks = rng.choice(len(distinct), size=2, replace=False) if jobs >= 10 else []
+        cancelled = [distinct[i] for i in picks if cancel(distinct[i])]
+        log(f"cancelled: {cancelled}")
 
-        for n in range(sigterm_drains):
-            time.sleep(float(rng.uniform(0.5, 1.5)))
+        for n in range(sc.server_drains):
             drains.append(drain_server(server))
-            log(
-                f"server drain {n + 1}: exit {drains[-1]['exit_code']} "
-                f"in {drains[-1]['drain_s']:.2f}s"
-            )
-            server = spawn_server()
-            client = new_client()
+            log(f"server drain {n + 1}: exit {drains[-1]['exit_code']} "
+                f"in {drains[-1]['drain_s']:.2f}s")
+            spent.update(client.stats)
+            server, client = spawn_server()
 
-        for _ in range(scheduler_kills):
-            victim = int(rng.integers(0, len(scheds)))
-            proc = scheds[victim]
-            if proc.is_alive():
-                os.kill(proc.pid, signal.SIGKILL)
-                proc.join()
-                kills += 1
-                log(f"scheduler SIGKILLed (pid {proc.pid}); spawning "
-                    "replacement")
-            scheds[victim] = spawn_scheduler()
-
-        deadline = time.monotonic() + max_wait_s
+        deadline = time.monotonic() + MAX_WAIT_S
         while time.monotonic() < deadline:
-            try:
-                counts = client.jobs()["counts"]
-            except Exception:  # noqa: BLE001 - restart window / giveup
-                counts = campaign.client.queue.counts()
-            if campaign.open_jobs(counts) == 0:
+            if _open_jobs(counts()) == 0:
                 drained = True
                 break
-            time.sleep(1.0)
-        log(f"campaign drained={drained} "
-            f"(client stats: {client.stats})")
+            for i, proc in enumerate(scheds):
+                if not proc.is_alive():  # killed below, or a storage fault
+                    log(f"scheduler {proc.pid} exited {proc.exitcode}; respawning")
+                    scheds[i] = spawn(_scheduler_service)
+            if kills < sc.scheduler_kills and journal.count("claimed") >= kill_at:
+                busy = _busy_owners(batch.queue)
+                for proc in scheds:
+                    if f"sched-{proc.pid}" in busy:
+                        os.kill(proc.pid, signal.SIGKILL)
+                        proc.join()
+                        kills += 1
+                        kill_at = next_kill_at()
+                        break
+            time.sleep(POLL_S)
+        log(f"campaign drained={drained}")
     finally:
         for proc in scheds:
             if proc.is_alive():
@@ -467,23 +360,28 @@ def run_api_soak(
             if proc.is_alive():  # pragma: no cover - stuck attempt
                 proc.terminate()
                 proc.join()
-        if server.is_alive():
+        if server is not None and server.is_alive():
             drains.append(drain_server(server))
-        campaign.disarm()
+        if client is not None:
+            spent.update(client.stats)
+        os.environ.pop(IOFaultInjector.ENV, None)
+        os.environ.pop(NetFaultInjector.ENV, None)
 
-    io_plan, net_plan = campaign.io_plan, campaign.net_plan
-    return campaign.summary(
-        mode="api",
-        jobs=jobs,
-        seed=seed,
-        schedulers=schedulers,
-        distinct_jobs=len(distinct),
-        dedup_hits=dedup_hits,
-        cancelled=cancelled,
-        scheduler_kills=kills,
-        drains=drains,
-        drained=drained,
-        client_stats=client.stats,
-        io_fault_plan=None if io_plan is None else io_plan.to_dict(),
-        net_fault_plan=None if net_plan is None else net_plan.to_dict(),
-    )
+    return {
+        "scenario": scenario,
+        "jobs": jobs,
+        "seed": seed,
+        "steps": sc.steps,
+        "distinct_jobs": len(distinct),
+        "dedup_hits": len(job_ids) - len(distinct),
+        "cancelled": cancelled,
+        "scheduler_kills": kills,
+        "drains": drains,
+        "drained": drained,
+        "client_stats": dict(spent),
+        "io_fault_plan": None if io_plan is None else io_plan.to_dict(),
+        "net_fault_plan": None if net_plan is None else net_plan.to_dict(),
+        "duration_s": time.time() - t0,
+        "counts": batch.queue.counts(),
+        "audit": audit_journal(root, final=True),
+    }

@@ -207,6 +207,32 @@ class TestCancellationTombstone:
         assert pool.stats["cancelled"] == 1
         assert client.queue.claim() is None  # the ticket was retired
 
+    def test_cancel_after_the_dispatch_check_completes_once(
+        self, tmp_path, monkeypatch
+    ):
+        """A cancel landing between dispatch's tombstone check and its
+        ``running`` save leaves the claimed record to the pool, so the
+        attempt's own completion is the job's only one."""
+        client = BatchClient(tmp_path / "b")
+        record = client.submit(healthy_spec(0))
+        pool = WorkerPool(client.queue, client.store, client.scratch_root)
+        claimed = client.queue.claim()
+        look = client.queue.is_cancelled
+
+        def look_then_cancel(job_id):
+            seen = look(job_id)  # no tombstone yet...
+            assert client.cancel(job_id)  # ...then the user cancels
+            return seen
+
+        monkeypatch.setattr(client.queue, "is_cancelled", look_then_cancel)
+        slot = pool._dispatch(*claimed)
+        monkeypatch.undo()
+        slot.process.join(timeout=60)
+        assert not slot.process.is_alive()
+        pool._finish(slot)
+        assert client.queue.journal.count("completed") == 1
+        assert client.queue.load_record(record.job_id).state in JobState.TERMINAL
+
     def test_cancelled_job_is_not_retried(self, tmp_path):
         """A tombstone seen at finish time suppresses the retry."""
         client = BatchClient(tmp_path / "b")

@@ -120,6 +120,21 @@ class TestLifecycle:
         assert err.value.status == 400
         assert client.stats["requests"] == before + 1  # not retried
 
+    @pytest.mark.parametrize("priority", ["abc", 5000, -1])
+    def test_bad_priority_400s(self, served, priority):
+        _server, client, _root = served
+        with pytest.raises(ServiceError) as err:
+            client.submit(spec("prio"), priority=priority)
+        assert err.value.status == 400
+
+    @pytest.mark.parametrize("since", [-1, -5])
+    def test_negative_events_cursor_400s(self, served, since):
+        _server, client, _root = served
+        job_id = client.submit(spec("cursor"))["job_id"]
+        with pytest.raises(ServiceError) as err:
+            client.events(job_id, since=since)
+        assert err.value.status == 400
+
     def test_long_poll_events(self, served):
         _server, client, _root = served
         job_id = client.submit(spec("events"))["job_id"]

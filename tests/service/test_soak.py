@@ -27,56 +27,35 @@ class TestJobMix:
 
 @pytest.mark.slow
 class TestSoakCampaign:
-    def test_small_campaign_drains_with_clean_audit(self, tmp_path):
-        summary = run_soak(
-            tmp_path / "soak",
-            jobs=10, seed=0, workers=2, steps=2,
-            fault_rate=0.02, scheduler_kills=1, lease_ttl=1.5,
-        )
+    @pytest.mark.parametrize("scenario", ["storage", "api"])
+    def test_small_campaign_drains_with_clean_audit(self, tmp_path, scenario):
+        summary = run_soak(tmp_path / "soak", scenario, jobs=10, seed=0)
+        assert summary["scenario"] == scenario
         assert summary["drained"], summary["counts"]
         audit = summary["audit"]
         assert audit["ok"], audit["violations"]
+        # every distinct job reached a terminal state (an API submit of a
+        # duplicate spec dedup-hits the first job)
         counts = summary["counts"]
         terminal = sum(counts[s] for s in JobState.TERMINAL)
-        assert terminal == 10
+        assert terminal == summary["distinct_jobs"]
         assert counts[JobState.SUCCEEDED] >= 1
-        # the kill actually happened and the journal recorded real events:
-        # every job's completion, unless the kill landed between its
-        # record save and its journal append — the window the audit
-        # reports as a warning (test_journal_audit.py pins it)
+        # the kill happened, on a scheduler holding work in flight: its
+        # lease expired and a survivor recovered the ticket
         assert summary["scheduler_kills"] == 1
+        assert audit["event_counts"]["lease_expired"] >= summary["scheduler_kills"]
+        # the journal recorded every job's completion, unless the kill
+        # landed between its record save and its journal append — the
+        # window the audit reports as a warning (test_journal_audit.py
+        # pins it)
         unjournalled = [
             w for w in audit["warnings"] if w["kind"] == "unjournalled_completion"
         ]
         assert len(unjournalled) <= summary["scheduler_kills"]
         assert audit["event_counts"]["completed"] + len(unjournalled) == audit["jobs"]
-
-
-@pytest.mark.slow
-class TestApiSoakCampaign:
-    def test_small_api_campaign_survives_both_fault_planes(self, tmp_path):
-        from repro.service.soak import run_api_soak
-
-        summary = run_api_soak(
-            tmp_path / "apisoak",
-            jobs=8, seed=0, schedulers=2, workers=1, steps=1,
-            fault_rate=0.02, net_fault_rate=0.05,
-            scheduler_kills=1, sigterm_drains=1,
-            lease_ttl=1.5, max_wait_s=300.0,
-        )
-        assert summary["mode"] == "api"
-        assert summary["drained"], summary["counts"]
-        audit = summary["audit"]
-        assert audit["ok"], audit["violations"]
-        # every distinct spec reached a terminal state through the API
-        counts = summary["counts"]
-        terminal = sum(counts[s] for s in JobState.TERMINAL)
-        assert terminal == summary["distinct_jobs"]
-        # the mid-campaign SIGTERM drain and the final shutdown were
-        # both graceful (exit 0), and the replacement server finished
-        # the campaign
+        # the mid-campaign SIGTERM drain and the final shutdown were both
+        # graceful (exit 0), and the retrying client never gave up
         drains = summary["drains"]
-        assert len(drains) == 2
+        assert len(drains) == (2 if scenario == "api" else 0)
         assert all(d["exit_code"] == 0 for d in drains)
-        # the retrying client never gave up on a request
-        assert summary["client_stats"]["giveups"] == 0
+        assert summary["client_stats"].get("giveups", 0) == 0
