@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from repro.gpu.counters import KernelCounters
 from repro.gpu.warp import WARP_SIZE
 from repro.util.validation import check_array, check_positive
 
@@ -41,6 +42,23 @@ def coalesced_transactions(
     if n_elements < 0:
         raise ValueError(f"n_elements must be >= 0, got {n_elements}")
     return math.ceil(n_elements * elem_bytes / transaction_bytes)
+
+
+def streamed(
+    reads: int, writes: int, flops: float, threads: int, **extra: float
+) -> KernelCounters:
+    """A kernel that reads ``reads`` and writes ``writes`` 8-byte words,
+    fully coalesced, on ``threads`` threads; ``extra`` counters as given."""
+    return KernelCounters(
+        flops=flops,
+        global_bytes_read=8.0 * reads,
+        global_bytes_written=8.0 * writes,
+        global_txn_read=coalesced_transactions(reads, 8),
+        global_txn_written=coalesced_transactions(writes, 8),
+        threads=threads,
+        warps=max(1, threads // WARP_SIZE),
+        **extra,
+    )
 
 
 def strided_transactions(

@@ -13,11 +13,13 @@ The driver mirrors the paper's solver setup:
 * the loop is the only one: what differs between one device and several
   (where the SpMV runs, what a reduction costs, how the solution comes
   back) sits behind the operand it iterates over
-  (:class:`DeviceOperand`).
+  (:class:`DeviceOperand`); on one device a launch ends where the host
+  reads a scalar, four launches per block-Jacobi iteration.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -26,10 +28,14 @@ import numpy as np
 from repro.assembly.global_matrix import BS, BlockMatrix
 from repro.gpu.counters import KernelCounters
 from repro.gpu.kernel import PricedLaunches, VirtualDevice
-from repro.gpu.memory import coalesced_transactions
+from repro.gpu.memory import coalesced_transactions, streamed
 from repro.gpu.warp import WARP_SIZE
-from repro.solvers.preconditioners import Preconditioner, IdentityPreconditioner
-from repro.spmv.hsbcsr import HSBCSRMatrix, record_spmv
+from repro.solvers.preconditioners import (
+    BlockJacobiPreconditioner,
+    IdentityPreconditioner,
+    Preconditioner,
+)
+from repro.spmv.hsbcsr import HSBCSRMatrix, spmv_launches
 from repro.util.validation import check_array
 
 
@@ -75,6 +81,13 @@ def _vector_ops_counters(n: int, ops: int) -> KernelCounters:
     )
 
 
+def _dot(n: int) -> KernelCounters:
+    """A dot product inside a launch that holds one operand: the other is
+    read once."""
+    return KernelCounters(flops=2.0 * n, global_bytes_read=8.0 * n,
+                          global_txn_read=coalesced_transactions(n, 8))
+
+
 class DeviceOperand:
     """What :func:`pcg` iterates over on one device: the HSBCSR SpMV.
 
@@ -83,23 +96,51 @@ class DeviceOperand:
     are built and applied on; ``None`` = unmetered) and the seven calls
     below — so the iteration is written once. The multi-device operand
     is :class:`repro.domain.solve.DistributedOperand`.
+
+    A launch ends exactly where the host reads a scalar: an iteration is
+    ``cg_direction``, the SpMV's two stages (``p·Ap`` in the second), then
+    ``cg_update`` (``x += αp``, ``r −= αAp``, ``r·r``; for block-local
+    block-Jacobi ``z = M r`` and ``r·z`` too). Any other preconditioner
+    records its application after it, ``r·z`` in its last launch. The
+    initial residual is the SpMV and the update kernel.
     """
 
     def __init__(self, h: HSBCSRMatrix, device: VirtualDevice | None) -> None:
         self.h = h
         self.device = device
-        self.n_dof = h.n * BS
-        # priced once per solve (per device and region, like the SpMV's
-        # launches) and recorded as is every iteration
-        ops = _vector_ops_counters(self.n_dof, 5)
-        self._vector_ops = PricedLaunches(("cg_vector_ops", ops))
+        self.n_dof = n = h.n * BS
+        if device is not None:
+            stage1, (name, stage2) = spmv_launches(h).launches
+            self._iteration = PricedLaunches(  # p = z + βp, then the SpMV
+                ("cg_direction", streamed(2 * n, n, 2.0 * n, n)),
+                stage1,
+                (name, stage2 + _dot(n)),
+            )
 
     def wrap(self, preconditioner: Preconditioner | None) -> Preconditioner:
         """The preconditioner as this operand applies it (identity if
-        omitted)."""
+        omitted); prices the solve's update kernel."""
         if preconditioner is None:
-            return IdentityPreconditioner()
-        return preconditioner
+            preconditioner = IdentityPreconditioner()
+        if self.device is None:
+            return preconditioner
+        n, applied = self.n_dof, copy.copy(preconditioner)
+        # two axpys and r·r (x p r Ap in, x r out); block-Jacobi adds its
+        # 6x6 block per six unknowns, z = M r and r·z, reading back neither
+        if isinstance(preconditioner, BlockJacobiPreconditioner):
+            update = streamed((4 + BS) * n, 3 * n, (8.0 + 2 * BS) * n, n)
+            applied.launches = PricedLaunches()
+        else:
+            update = streamed(4 * n, 2 * n, 6.0 * n, n)
+            if preconditioner.launches.launches:
+                *head, (name, last) = preconditioner.launches.launches
+                applied.launches = PricedLaunches(*head, (name, last + _dot(n)))
+        self._update = PricedLaunches(("cg_update", update))
+        # the next product's launches: the initial residual's, then an
+        # iteration's (matvec)
+        spmv = spmv_launches(self.h).launches
+        self._next = PricedLaunches(*spmv, *self._update.launches)
+        return applied
 
     def begin(self, b: np.ndarray, x: np.ndarray) -> None:
         """Place the ``(n_dof,)`` right-hand side and first iterate."""
@@ -108,7 +149,8 @@ class DeviceOperand:
         """``A @ v`` for ``(n_dof,)`` float64 ``v`` (:func:`pcg` checked it)."""
         y = self.h.op(v)
         if self.device is not None:
-            record_spmv(self.h, self.device)
+            self._next.record(self.device)
+            self._next = self._iteration
         return y
 
     def reduced(self, words: int = 1) -> None:
@@ -118,9 +160,9 @@ class DeviceOperand:
         """The convergence test passed; one device has nothing in flight."""
 
     def vector_ops(self) -> None:
-        """Charge one iteration's fused vector pass."""
+        """Charge one iteration's update kernel."""
         if self.device is not None:
-            self._vector_ops.record(self.device)
+            self._update.record(self.device)
 
     def finish(self, x: np.ndarray) -> np.ndarray:
         """The ``(n_dof,)`` solution as the caller receives it."""
@@ -228,9 +270,8 @@ def pcg(
         x += np.multiply(p, alpha, out=step)
         r -= np.multiply(ap, alpha, out=step)
         a.vector_ops()
-        # the ledger prices the host's separate in-place passes (two
-        # axpys, the residual dot, the direction update) as one kernel of
-        # five fused axpy/dot-style passes per iteration
+        # one device prices the host's in-place passes as launches that
+        # end where the host reads a scalar (DeviceOperand)
         rel = math.sqrt(float(r @ r)) / b_norm  # lint: sync-ok[cg-convergence] -- one fused-dot scalar per iteration
         residuals.append(rel)
         if rel < tol:

@@ -24,10 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.assembly.global_matrix import BS, BlockMatrix
-from repro.gpu.counters import KernelCounters
 from repro.gpu.kernel import PricedLaunches, VirtualDevice
-from repro.gpu.memory import coalesced_transactions
-from repro.gpu.warp import WARP_SIZE
+from repro.gpu.memory import streamed
 from repro.solvers.preconditioners import Preconditioner
 
 
@@ -51,33 +49,16 @@ class NeumannPreconditioner(Preconditioner):
         self.order = order
         self.inv_diag = np.linalg.inv(a.diag)
         m, k = a.n_offdiag, order
-        self._apply = PricedLaunches(("neumann_apply", KernelCounters(
-            flops=(k * (2 * 2 * m + 2 * a.n) + 2 * a.n) * BS * BS * 1.0,
-            global_bytes_read=(k * m + (k + 1) * a.n) * BS * BS * 8.0,
-            global_bytes_written=a.n * BS * 8.0,
-            global_txn_read=coalesced_transactions(
-                (k * m + (k + 1) * a.n) * BS * BS, 8
-            ),
-            global_txn_written=coalesced_transactions(a.n * BS, 8),
-            texture_bytes=2.0 * k * m * BS * 8,
-            threads=max(a.n, m) * BS,
-            warps=max(1, max(a.n, m) * BS // WARP_SIZE),
+        self.launches = PricedLaunches(("neumann_apply", streamed(
+            (k * m + (k + 1) * a.n) * BS * BS, a.n * BS,
+            (k * (2 * 2 * m + 2 * a.n) + 2 * a.n) * BS * BS * 1.0,
+            max(a.n, m) * BS, texture_bytes=2.0 * k * m * BS * 8,
         )))
         if device is not None:
-            device.launch(
-                "neumann_construct",
-                KernelCounters(
-                    flops=(2.0 / 3.0) * BS**3 * a.n,
-                    global_bytes_read=a.n * BS * BS * 8.0,
-                    global_bytes_written=a.n * BS * BS * 8.0,
-                    global_txn_read=coalesced_transactions(a.n * BS * BS, 8),
-                    global_txn_written=coalesced_transactions(
-                        a.n * BS * BS, 8
-                    ),
-                    threads=a.n * BS,
-                    warps=max(1, a.n * BS // WARP_SIZE),
-                ),
-            )
+            device.launch("neumann_construct", streamed(
+                a.n * BS * BS, a.n * BS * BS, (2.0 / 3.0) * BS**3 * a.n,
+                a.n * BS,
+            ))
 
     def _offdiag_apply(self, xb: np.ndarray) -> np.ndarray:
         """(A - D) x using both stored triangles."""
@@ -104,5 +85,5 @@ class NeumannPreconditioner(Preconditioner):
         for _ in range(self.order):
             z = base - self._dinv(self._offdiag_apply(z))
         if device is not None:
-            self._apply.record(device)
+            self.launches.record(device)
         return z.reshape(-1)

@@ -14,21 +14,24 @@ import numpy as np
 from repro.assembly.global_matrix import BS, BlockMatrix
 from repro.gpu.counters import KernelCounters
 from repro.gpu.kernel import PricedLaunches, VirtualDevice
-from repro.gpu.memory import coalesced_transactions
+from repro.gpu.memory import coalesced_transactions, streamed
 from repro.gpu.warp import WARP_SIZE
 from repro.solvers.triangular import (
     ilu0_factorize,
     level_schedule,
     sparse_triangular_solve,
+    tss_counters,
 )
 from repro.spmv.hsbcsr import TwoStageOperator
 from repro.util.validation import check_array
 
 
 class Preconditioner:
-    """Interface: ``apply(r)`` returns ``M^{-1} r``."""
+    """Interface: ``apply(r)`` returns ``M^{-1} r``; ``launches`` is what
+    one application records on a device (none for the identity)."""
 
     name = "base"
+    launches = PricedLaunches()
 
     def apply(self, r: np.ndarray, device: VirtualDevice | None = None) -> np.ndarray:
         raise NotImplementedError
@@ -66,33 +69,16 @@ class JacobiPreconditioner(Preconditioner):
             raise ValueError("Jacobi preconditioner needs a positive diagonal")
         self.inv_diag = 1.0 / d
         n = d.size
-        self._apply = PricedLaunches(("jacobi_apply", KernelCounters(
-            flops=1.0 * n,
-            global_bytes_read=2.0 * n * 8,
-            global_bytes_written=n * 8.0,
-            global_txn_read=coalesced_transactions(2 * n, 8),
-            global_txn_written=coalesced_transactions(n, 8),
-            threads=n,
-            warps=max(1, n // WARP_SIZE),
-        )))
+        self.launches = PricedLaunches(
+            ("jacobi_apply", streamed(2 * n, n, 1.0 * n, n))
+        )
         if device is not None:
-            device.launch(
-                "jacobi_construct",
-                KernelCounters(
-                    flops=1.0 * n,
-                    global_bytes_read=n * 8.0,
-                    global_bytes_written=n * 8.0,
-                    global_txn_read=coalesced_transactions(n, 8),
-                    global_txn_written=coalesced_transactions(n, 8),
-                    threads=n,
-                    warps=max(1, n // WARP_SIZE),
-                ),
-            )
+            device.launch("jacobi_construct", streamed(n, n, 1.0 * n, n))
 
     def apply(self, r: np.ndarray, device: VirtualDevice | None = None) -> np.ndarray:
         """``M^{-1} r`` for ``(n*6,)`` float64 ``r`` (``pcg`` checked it)."""
         if device is not None:
-            self._apply.record(device)
+            self.launches.record(device)
         return self.inv_diag * np.reshape(r, self.inv_diag.shape)
 
 
@@ -104,37 +90,22 @@ class BlockJacobiPreconditioner(Preconditioner):
     def __init__(self, a: BlockMatrix, device: VirtualDevice | None = None) -> None:
         self.n = a.n
         self.inv_blocks = np.linalg.inv(a.diag)
-        self._apply = PricedLaunches(("bj_apply", KernelCounters(
-            flops=2.0 * self.n * BS * BS,
-            global_bytes_read=self.n * (BS * BS + BS) * 8.0,
-            global_bytes_written=self.n * BS * 8.0,
-            global_txn_read=coalesced_transactions(
-                self.n * (BS * BS + BS), 8
-            ),
-            global_txn_written=coalesced_transactions(self.n * BS, 8),
-            threads=self.n * BS,
-            warps=max(1, self.n * BS // WARP_SIZE),
+        self.launches = PricedLaunches(("bj_apply", streamed(
+            self.n * (BS * BS + BS), self.n * BS, 2.0 * self.n * BS * BS,
+            self.n * BS,
         )))
         if device is not None:
             # one small dense inversion per block (LU of 6x6: ~2/3*6^3 flops)
-            device.launch(
-                "bj_construct",
-                KernelCounters(
-                    flops=(2.0 / 3.0) * BS**3 * a.n + 2.0 * BS * BS * a.n,
-                    global_bytes_read=a.n * BS * BS * 8.0,
-                    global_bytes_written=a.n * BS * BS * 8.0,
-                    global_txn_read=coalesced_transactions(a.n * BS * BS, 8),
-                    global_txn_written=coalesced_transactions(a.n * BS * BS, 8),
-                    threads=a.n * BS,
-                    warps=max(1, a.n * BS // WARP_SIZE),
-                ),
-            )
+            device.launch("bj_construct", streamed(
+                a.n * BS * BS, a.n * BS * BS,
+                (2.0 / 3.0) * BS**3 * a.n + 2.0 * BS * BS * a.n, a.n * BS,
+            ))
 
     def apply(self, r: np.ndarray, device: VirtualDevice | None = None) -> np.ndarray:
         """``M^{-1} r`` for ``(n*6,)`` float64 ``r`` (``pcg`` checked it)."""
         z = np.einsum("nij,nj->ni", self.inv_blocks, r.reshape(self.n, BS))
         if device is not None:
-            self._apply.record(device)
+            self.launches.record(device)
         return z.reshape(-1)
 
 
@@ -166,7 +137,7 @@ class SSORAIPreconditioner(Preconditioner):
         self.inv_diag = np.linalg.inv(a.diag)
         self.scale = omega * (2.0 - omega)
         m = a.n_offdiag
-        self._apply = PricedLaunches(("ssor_ai_apply", KernelCounters(
+        self.launches = PricedLaunches(("ssor_ai_apply", KernelCounters(
             # two triangular SpMVs + three block-diagonal products
             flops=2.0 * (2 * m * BS * BS) + 3.0 * 2 * a.n * BS * BS,
             global_bytes_read=(m + 3 * a.n) * BS * BS * 8.0
@@ -183,23 +154,11 @@ class SSORAIPreconditioner(Preconditioner):
         if device is not None:
             # beyond the block inversions, SSOR-AI stages the scaled
             # triangular operators (reads the off-diagonal blocks once)
-            device.launch(
-                "ssor_ai_construct",
-                KernelCounters(
-                    flops=(2.0 / 3.0) * BS**3 * a.n
-                    + BS * BS * (a.n + 2.0 * m),
-                    global_bytes_read=(a.n + m) * BS * BS * 8.0,
-                    global_bytes_written=(a.n + m) * BS * BS * 8.0,
-                    global_txn_read=coalesced_transactions(
-                        (a.n + m) * BS * BS, 8
-                    ),
-                    global_txn_written=coalesced_transactions(
-                        (a.n + m) * BS * BS, 8
-                    ),
-                    threads=(a.n + m) * BS,
-                    warps=max(1, (a.n + m) * BS // WARP_SIZE),
-                ),
-            )
+            device.launch("ssor_ai_construct", streamed(
+                (a.n + m) * BS * BS, (a.n + m) * BS * BS,
+                (2.0 / 3.0) * BS**3 * a.n + BS * BS * (a.n + 2.0 * m),
+                (a.n + m) * BS,
+            ))
 
     def _dinv(self, xb: np.ndarray) -> np.ndarray:
         return np.einsum("nij,nj->ni", self.inv_diag, xb)
@@ -217,7 +176,7 @@ class SSORAIPreconditioner(Preconditioner):
         u = self._dinv(dwt)
         z = u - self.omega * self._dinv(self.op.upper(u.reshape(-1)))
         if device is not None:
-            self._apply.record(device)
+            self.launches.record(device)
         return (self.scale * z).reshape(-1)
 
 
@@ -235,6 +194,14 @@ class ILU0Preconditioner(Preconditioner):
         self.lower_levels = level_schedule(self.indptr, self.indices, lower=True)
         self.upper_levels = level_schedule(self.indptr, self.indices, lower=False)
         self.n_rows = a.n * BS
+        row_of = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+        self.launches = PricedLaunches(*(  # the lower, then the upper solve
+            ("tss_levelsync", tss_counters(
+                self.n_rows, int(np.count_nonzero(tri)), int(lv.max()) + 1
+            ))
+            for tri, lv in ((self.indices < row_of, self.lower_levels),
+                            (self.indices > row_of, self.upper_levels))
+        ))
         if device is not None:
             nnz = self.indices.size
             # sequential-ish factorisation: modelled as a level sweep with
@@ -261,14 +228,15 @@ class ILU0Preconditioner(Preconditioner):
         r = check_array("r", r, dtype=np.float64, shape=(self.n_rows,))
         y = sparse_triangular_solve(
             self.indptr, self.indices, self.lu, r,
-            lower=True, unit_diagonal=True,
-            device=device, levels=self.lower_levels,
+            lower=True, unit_diagonal=True, levels=self.lower_levels,
         )
-        return sparse_triangular_solve(
+        z = sparse_triangular_solve(
             self.indptr, self.indices, self.lu, y,
-            lower=False, unit_diagonal=False,
-            device=device, levels=self.upper_levels,
+            lower=False, unit_diagonal=False, levels=self.upper_levels,
         )
+        if device is not None:
+            self.launches.record(device)
+        return z
 
 
 _REGISTRY = {

@@ -98,6 +98,28 @@ def level_schedule(
     return level
 
 
+def tss_counters(n: int, nnz_tri: int, n_levels: int) -> KernelCounters:
+    """One level-scheduled solve (``n`` rows, ``nnz_tri`` strict triangle
+    entries, ``n_levels`` levels) as cuSPARSE-style csrsv runs it: ONE
+    kernel whose levels synchronize in-kernel through global atomics, a
+    dependent round-trip through L2 each rather than a host launch. That
+    makes TSS ~an order of magnitude slower than SpMV at DDA-like level
+    depths, instead of three orders."""
+    return KernelCounters(
+        flops=2.0 * nnz_tri + n,
+        global_bytes_read=nnz_tri * 12.0 + n * 8,
+        global_bytes_written=n * 8.0,
+        global_txn_read=coalesced_transactions(max(1, nnz_tri), 12),
+        global_txn_written=coalesced_transactions(n, 8),
+        texture_bytes=nnz_tri * 8.0,  # x gathers
+        threads=max(1, n),
+        warps=max(1, n // WARP_SIZE),
+        # ~25 ns of dependency latency per level (12.5 atomic ops at the
+        # 2 ns atomic cost)
+        atomic_ops=12.5 * n_levels,
+    )
+
+
 def sparse_triangular_solve(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -163,26 +185,5 @@ def sparse_triangular_solve(
         x[rows_here] = (b[rows_here] - s[rows_here]) / diag_vals[rows_here]
 
     if device is not None:
-        nnz_tri = tri_rows.size
-        # cuSPARSE-style csrsv: ONE kernel; levels synchronize in-kernel
-        # through global atomics/flags. Each level costs a dependent
-        # round-trip through L2 (modelled as atomics), not a host launch —
-        # this is what makes TSS ~an order of magnitude slower than SpMV
-        # at DDA-like level depths, instead of three orders.
-        device.launch(
-            "tss_levelsync",
-            KernelCounters(
-                flops=2.0 * nnz_tri + n,
-                global_bytes_read=nnz_tri * 12.0 + n * 8,
-                global_bytes_written=n * 8.0,
-                global_txn_read=coalesced_transactions(max(1, nnz_tri), 12),
-                global_txn_written=coalesced_transactions(n, 8),
-                texture_bytes=nnz_tri * 8.0,  # x gathers
-                threads=max(1, n),
-                warps=max(1, n // WARP_SIZE),
-                # ~25 ns of dependency latency per level (12.5 atomic ops
-                # at the 2 ns atomic cost)
-                atomic_ops=12.5 * n_levels,
-            ),
-        )
+        device.launch("tss_levelsync", tss_counters(n, tri_rows.size, n_levels))
     return x

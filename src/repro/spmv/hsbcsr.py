@@ -18,15 +18,18 @@ Storage (paper Fig. 6/7):
 * ``row_low_p`` — for each lower-triangle entry (in (col, row) order), the
   position of its transposed source block in the upper storage.
 
-The SpMV (paper Figs. 8/9) runs in two stages plus the diagonal pass:
+The SpMV (paper Figs. 8/9) runs in two stages, two launches:
 
 1. every stored block ``A_k`` (row i, col j) computes
    ``up_res[k] = A_k x_j`` (shared-memory reduction, bank-conflict-free)
-   and ``low_res[k] = A_k^T x_i`` (register accumulation across slices);
+   and ``low_res[k] = A_k^T x_i`` (register accumulation across slices),
+   and every diagonal block ``diag_res[i] = D_i x_i`` — the paper's
+   separate diagonal pass, joined to stage 1 here (an extension beyond
+   Fig. 9);
 2. ``up_res`` is segment-summed by ``row_up_i`` (coalesced — six-row
    integer reads by 48-thread groups) and ``low_res`` gathered through
    ``row_low_p`` (texture path) and segment-summed by ``row_low_i``;
-3. the diagonal blocks multiply and accumulate.
+   each row then adds up + low + ``diag_res``.
 
 The index arrays are what the *host runs*: :class:`TwoStageOperator`
 executes these stages as two compiled calls (the
@@ -259,90 +262,78 @@ def hsbcsr_spmv(
     """``y = A x`` using the two-stage HSBCSR kernel.
 
     ``x`` has shape ``(6 n,)``; returns ``y`` of the same shape. The
-    host runs ``a.op`` — stage 1 gathered through ``rc``, stage 2 over
-    ``row_up_i`` / ``row_low_i`` / ``row_low_p``, then the diagonal —
-    while the modelled cost is priced from the sliced payload: the
-    coalesced slice reads, the texture-path vector gathers, the
-    bank-conflict-free shared reduction of Fig. 8, and the
+    host runs ``a.op`` — stage 1 gathered through ``rc`` (the diagonal
+    rows included), stage 2 over ``row_up_i`` / ``row_low_i`` /
+    ``row_low_p`` — while the modelled cost is priced from the sliced
+    payload: the coalesced slice reads, the texture-path vector gathers,
+    the bank-conflict-free shared reduction of Fig. 8, and the
     regular/irregular stage-2 reductions of Fig. 9.
     """
     x = check_array("x", x, dtype=np.float64, shape=(a.n * BS,))
     y = a.op(x)
     if device is not None:
-        record_spmv(a, device)
+        spmv_launches(a).record(device)
     return y
 
 
-def record_spmv(a: HSBCSRMatrix, device: VirtualDevice) -> None:
-    """Record the three-kernel launch sequence of the HSBCSR SpMV.
+def spmv_launches(a: HSBCSRMatrix) -> PricedLaunches:
+    """The SpMV's two launches, stage 1 then stage 2, priced once per
+    device and region (:class:`PricedLaunches`) — the ledger is record
+    for record what launching them each call writes.
 
     The counters depend only on the matrix *structure* (its shape, nnz,
-    padded slice widths), so they are built once per structure, and
-    priced once per device and region (:class:`PricedLaunches`) — the
-    ledger is record for record what launching them each call writes.
+    padded slice widths), so they are built once per structure and
+    shared by value-only rebuilds.
     """
     if a._cost is None:
         a._cost = PricedLaunches(*_cost_launches(a))
-    a._cost.record(device)
+    return a._cost
 
 
 def _cost_launches(a: HSBCSRMatrix) -> list[tuple[str, KernelCounters]]:
     """Build the ``(name, counters)`` ledger (scalar metadata only)."""
-    launches: list[tuple[str, KernelCounters]] = []
     m, n = a.n_offdiag, a.n
-    if m:
-        # stage 1: slice reads coalesced; x segments through texture; the
+    return [
+        # stage 1 over [A_k | A_k^T | D_i]: slice reads coalesced; the
+        # input blocks through texture (x_j: 48-byte runs, two 32-byte
+        # segments each; x_i repeats along a block row — the (row, col)
+        # sort — so its fetches hit cache; the diagonal's x_i once); the
         # Fig-8 shared reduction is conflict-free by construction
-        launches.append((
+        (
             "hsbcsr_stage1",
             KernelCounters(
-                flops=4.0 * m * BS * BS,          # up and low multiplies
-                global_bytes_read=a.nd_data.nbytes / BS * 1.0 * BS,
-                global_bytes_written=2.0 * m * BS * 8,
+                flops=4.0 * m * BS * BS + 2.0 * n * BS * BS,  # up, low, diag
+                global_bytes_read=float(a.nd_data.nbytes + a.d_data.nbytes),
+                global_bytes_written=(2 * m + n) * BS * 8.0,
                 global_txn_read=coalesced_transactions(
                     a.nd_data.shape[1] * BS, 8
                 )
+                + coalesced_transactions(a.d_data.shape[1] * BS, 8)
                 + 2 * coalesced_transactions(m, 8),  # rc indices
-                global_txn_written=coalesced_transactions(2 * m * BS, 8),
-                # x_j and x_i gathers: 48-byte contiguous block runs (two
-                # 32-byte texture segments per block); x_i repeats along a
-                # block row (the (row, col) sort), so its fetches hit cache
-                texture_bytes=2.0 * m * BS * 8 + 1.0 * m * BS * 8,
+                global_txn_written=coalesced_transactions((2 * m + n) * BS, 8),
+                texture_bytes=(3.0 * m + n) * BS * 8,
                 shared_accesses=2.0 * m * BS,     # Fig-8 reduction
                 shared_bank_conflict_extra=0.0,
-                threads=m * BS,
-                warps=max(1, m * BS // WARP_SIZE),
+                threads=(m + n) * BS,
+                warps=max(1, (m + n) * BS // WARP_SIZE),
             ),
-        ))
-        # stage 2: up_res coalesced 48-thread row groups; low_res texture
-        launches.append((
+        ),
+        # stage 2, per row: up_res summed in coalesced 48-thread row
+        # groups, low_res gathered through texture, then up + low + diag
+        (
             "hsbcsr_stage2",
             KernelCounters(
-                flops=2.0 * (2 * m * BS),
-                global_bytes_read=m * BS * 8 + 2 * (n + 1) * 8 + m * 8,
+                flops=2.0 * (2 * m * BS) + 2.0 * n * BS,
+                global_bytes_read=(m + n) * BS * 8 + 2 * (n + 1) * 8 + m * 8,
                 global_bytes_written=n * BS * 8,
                 global_txn_read=coalesced_transactions(m * BS, 8)
-                + coalesced_transactions(2 * (n + 1) + m, 8),
+                + coalesced_transactions(2 * (n + 1) + m, 8)
+                + coalesced_transactions(n * BS, 8),  # diag_res
                 global_txn_written=coalesced_transactions(n * BS, 8),
                 texture_bytes=float(m * BS * 8),  # low_res gathered
                 shared_accesses=2.0 * m * BS / 8.0,
                 threads=n * BS,
                 warps=max(1, n * BS // WARP_SIZE),
             ),
-        ))
-    # stage 3: diagonal multiply-accumulate
-    launches.append((
-        "hsbcsr_diag",
-        KernelCounters(
-            flops=2.0 * n * BS * BS,
-            global_bytes_read=a.d_data.nbytes * 1.0 + n * BS * 8,
-            global_bytes_written=n * BS * 8,
-            global_txn_read=coalesced_transactions(a.d_data.shape[1] * BS, 8)
-            + coalesced_transactions(n * BS, 8),
-            global_txn_written=coalesced_transactions(n * BS, 8),
-            texture_bytes=float(n * BS * 8),
-            threads=n * BS,
-            warps=max(1, n * BS // WARP_SIZE),
         ),
-    ))
-    return launches
+    ]

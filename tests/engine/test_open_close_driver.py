@@ -164,22 +164,24 @@ def test_symbolic_reuse_is_bit_invisible(engine_cls, case, monkeypatch):
 #: model, recorded at commit 4aa70ac. There the plan was also dropped
 #: whenever the packed contact *keys* moved — three symbolic phases for
 #: one block-pair pattern; a hit replays what the miss launched, so the
-#: ledger below is the same either way.
+#: ledger below is the same either way. The three single-device ledgers
+#: were re-recorded when a CG iteration became four launches; with every
+#: CG-iteration record dropped on both sides they equal commit 6090d60's.
 ROCKS_VERTICES = (
     "5d182b36c591c4ed687be764464394c4ebefb30cef0dc5cb4eaa724430bbcb82"
 )
 ROCKS_LEDGER = {
     SerialEngine: (
-        "0.00925439466666667", 464,
-        "32842fa70f25b7ec80e9274fb4a7f36aa9b55661212c01bc6e5d83a0ff88a98d",
+        "0.009184558666666663", 391,
+        "5f6d35605921d3a54ba35e6dcc1f7dd788b85b24814193c31562a6c2a51012f6",
     ),
     GpuEngine: (
-        "0.003309637087145968", 644,
-        "f12f341528729dea30ef7b43d9f7ff3b4a02cecc06a1150bbd17bec77af30165",
+        "0.002942191901960787", 571,
+        "b7047e3bba84cd70ce00209749c0be38fb62dad505418b8608824533ab267b1f",
     ),
     HybridEngine: (
-        "0.0064623006361655575", 547,
-        "044c8cc21faf8ff5ff7bf25f9c95b0aa7d545b4421d75cdc66382f19060ec260",
+        "0.006094855450980406", 474,
+        "613bbb71802289d26c434be77e0f3d8234da86abc0715ee5bb9c9e718d9a9317",
     ),
     DomainEngine: (
         "0.006063377333333333", 63,

@@ -157,23 +157,27 @@ _GPU_FLOATS = [
 #: began to remember the rung an attempt needs (see
 #: ``test_memoised_step_reproduces_parent``); at 6026fe3 the three
 #: single-device presets read 0.43690543454465425 s / 12621 launches,
-#: 0.07161430392810565 / 13228 and 0.1250562283376913 / 12789. The
-#: domain preset's own device never carried the solve: unchanged.
+#: 0.07161430392810565 / 13228 and 0.1250562283376913 / 12789. Re-recorded
+#: again when a single-device CG iteration became four launches: with
+#: every CG-iteration record (``hsbcsr_*``, ``cg_*``, ``bj_apply``,
+#: ``ssor_ai_apply``) dropped on both sides, the three ledgers equal
+#: commit 6090d60's (186 / 793 / 354 records). The domain preset's own
+#: device never carried the solve: unchanged.
 PARENT = {
     "serial": dict(
-        total_time="0.4353662992113247", launches=11551, floats=_CPU_FLOATS,
-        kernels="aafd80e04f3c2ee857c5b406c7d0e602"
-                "c38850b2ec19688889d402424a3aab78",
+        total_time="0.42238297921135937", launches=9736, floats=_CPU_FLOATS,
+        kernels="a7c963d0a62bb3cfad27374c3a96dd05"
+                "04f0b7c6175912b1c7d5f8384cd12d86",
     ),
     "gpu": dict(
-        total_time="0.06617355568300747", launches=12158, floats=_GPU_FLOATS,
-        kernels="061c0ec93b4f8d3cabe1db2101f803ea"
-                "564586cc13e6e4b9493b26a4e9d68f26",
+        total_time="0.05679333457189102", launches=10343, floats=_GPU_FLOATS,
+        kernels="b399fbf4c7ff6f84b720a695884366cb"
+                "68db69b42fef50fd1cba4606091d7912",
     ),
     "hybrid": dict(
-        total_time="0.11961548009259321", launches=11719, floats=_GPU_FLOATS,
-        kernels="91deb431f678616303c56d4c94918182"
-                "00eebce4926ba15802ab95743c9cc76c",
+        total_time="0.11023525898148005", launches=9904, floats=_GPU_FLOATS,
+        kernels="b9367e259a6b52d3a18e6f4a9572ec54"
+                "ff615c333dade8512502bba8face65fb",
     ),
     "domain": dict(
         total_time="0.06998914454467038", launches=148, floats=_CPU_FLOATS,

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from repro.assembly.global_matrix import BS
-from repro.solvers.cg import pcg
+from repro.gpu.device import K40
+from repro.gpu.kernel import VirtualDevice
+from repro.solvers.cg import DeviceOperand, pcg
 from repro.solvers.preconditioners import (
     BlockJacobiPreconditioner,
     ILU0Preconditioner,
     SSORAIPreconditioner,
     make_preconditioner,
 )
-from repro.spmv.hsbcsr import HSBCSRMatrix
+from repro.spmv.hsbcsr import HSBCSRMatrix, hsbcsr_spmv
 from repro.spmv.synthetic import synthetic_block_matrix
 
 
@@ -120,12 +122,92 @@ class TestPreconditionerOrdering:
         assert times["bj"] < times["ilu"]
 
 
+#: What one device records, as kernel names: the initial residual (the
+#: SpMV, then the update kernel) and one iteration.
+RESIDUAL = ["hsbcsr_stage1", "hsbcsr_stage2", "cg_update"]
+ITERATION = ["cg_direction", "hsbcsr_stage1", "hsbcsr_stage2", "cg_update"]
+
+
+class ReadLog(DeviceOperand):
+    """Logs the last launch recorded when each scalar reaches the host."""
+
+    def wrap(self, preconditioner):
+        self.reads = []
+        return super().wrap(preconditioner)
+
+    def reduced(self, words=1):
+        records = self.device.records
+        self.reads.append((words, records[-1].name if records else None))
+
+
+class TestIterationLedger:
+    """One device's ledger ends a launch exactly where the host reads a
+    scalar: ``p·Ap`` after stage 2, ``r·r`` with ``r·z`` after the update
+    kernel (block-Jacobi) or the application that forms ``r·z``."""
+
+    def solve(self, system, name, device):
+        a, _, b = system
+        operand = ReadLog(HSBCSRMatrix.from_block_matrix(a), device)
+        res = pcg(operand, b, preconditioner=make_preconditioner(name, a),
+                  tol=1e-10, max_iterations=500)
+        assert res.converged and res.iterations > 3
+        return res, operand.reads, [r.name for r in device.records]
+
+    def test_a_bj_iteration_is_four_launches(self, system, device):
+        res, reads, names = self.solve(system, "bj", device)
+        assert names == RESIDUAL + ITERATION * res.iterations
+        assert device.launches() == 4 * res.iterations + 3
+        # b·b, then r·r with r·z; per iteration p·Ap, then r·r with r·z
+        # (the converged exit reads r·r alone)
+        assert reads == [(1, None), (2, "cg_update")] + [
+            (1, "hsbcsr_stage2"), (2, "cg_update"),
+        ] * (res.iterations - 1) + [(1, "hsbcsr_stage2")]
+
+    def test_ssor_ai_adds_its_apply_launch(self, system, device):
+        res, reads, names = self.solve(system, "ssor", device)
+        # the converged exit applies no preconditioner
+        assert names == RESIDUAL + ["ssor_ai_apply"] + (
+            ITERATION + ["ssor_ai_apply"]
+        ) * (res.iterations - 1) + ITERATION
+        assert device.launches() == 5 * res.iterations + 3
+        assert reads[1:3] == [(2, "ssor_ai_apply"), (1, "hsbcsr_stage2")]
+
+    def test_kernels_are_their_parts_without_the_round_trips(
+        self, system, device
+    ):
+        a, _, b = system
+        n = a.n * BS
+        self.solve(system, "bj", device)
+        cg = {r.name: r.counters for r in device.records}
+        # the parts, each a kernel reading its operands from memory
+        probe = VirtualDevice(K40)
+        hsbcsr_spmv(HSBCSRMatrix.from_block_matrix(a), b, probe)
+        BlockJacobiPreconditioner(a).apply(b, probe)
+        _, spmv_stage2, bj = (r.counters for r in probe.records)
+        # stage 2 adds the p·Ap partial: p read once, a multiply-add
+        assert cg["hsbcsr_stage2"].global_bytes_read == (
+            spmv_stage2.global_bytes_read + 8 * n
+        )
+        assert cg["hsbcsr_stage2"].flops == spmv_stage2.flops + 2 * n
+        # update = (x += αp, r −= αAp, r·r: x p r Ap in, x r out)
+        #        + bj_apply (M r in, z out) + r·z (r z in),
+        # less the r and z round trips: r read back by bj_apply and r·z,
+        # z by r·z
+        update = cg["cg_update"]
+        assert update.global_bytes_read == (
+            8 * 4 * n + bj.global_bytes_read + 8 * 2 * n - 8 * 3 * n
+        )
+        assert update.global_bytes_written == 8 * 2 * n + bj.global_bytes_written
+        assert update.flops == 6 * n + bj.flops + 2 * n
+        # the direction pass p = z + βp: z and p in, p out
+        assert cg["cg_direction"].global_bytes_read == 8 * 2 * n
+        assert cg["cg_direction"].global_bytes_written == 8 * n
+
+
 def allocating_pcg(a, b, x0, m, tol, max_iterations):
     """The iteration with a fresh array per statement (``p = z + beta *
     p``, ``x = x + alpha * p``): what the in-place loop of ``pcg`` must
     reproduce bit for bit over either operand."""
-    from repro.spmv.hsbcsr import hsbcsr_spmv
-
     h = HSBCSRMatrix.from_block_matrix(a)
     x = np.zeros(b.size) if x0 is None else x0.copy()
     b_norm = float(np.sqrt(b @ b))

@@ -72,13 +72,14 @@ class TestHSBCSRSpmv:
         x = rng.normal(size=5 * BS)
         np.testing.assert_allclose(hsbcsr_spmv(h, x), a.matvec(x), rtol=1e-12)
 
-    def test_records_three_kernels(self, small_matrix, device, rng):
+    def test_records_two_kernels(self, small_matrix, device, rng):
         h = HSBCSRMatrix.from_block_matrix(small_matrix)
         hsbcsr_spmv(h, rng.normal(size=small_matrix.n * BS), device)
-        names = list(device.time_by_kernel())
-        assert "hsbcsr_stage1" in names
-        assert "hsbcsr_stage2" in names
-        assert "hsbcsr_diag" in names
+        stage1, stage2 = device.records
+        assert (stage1.name, stage2.name) == ("hsbcsr_stage1", "hsbcsr_stage2")
+        # stage 1 multiplies the upper, transposed and diagonal blocks
+        m, n = small_matrix.n_offdiag, small_matrix.n
+        assert stage1.counters.flops == 4 * m * 36 + 2 * n * 36
 
     def test_linear(self, small_matrix, rng):
         h = HSBCSRMatrix.from_block_matrix(small_matrix)
