@@ -35,8 +35,8 @@ same segment sums — same blocks, same order, same bits, without the
 
 An engine keeps the plan of the last pattern it saw: a sweep whose
 pattern :meth:`AssemblyPlan.matches` it runs the numeric phase only and
-:meth:`AssemblyPlan.replay` re-records the captured launches, so the
-modelled device seconds do not depend on whether the plan was reused —
+records the plan's captured launch records again, so the modelled
+device seconds do not depend on whether the plan was reused —
 the ledger stays an honest model of the paper's per-sweep assembly
 pipeline. A sweep with a new pattern builds a new plan and runs the
 same numeric phase.
@@ -56,7 +56,7 @@ import numpy as np
 from repro.assembly.contact_springs import SpringGeometry, spring_blocks
 from repro.assembly.global_matrix import BS, BlockMatrix
 from repro.gpu.counters import KernelCounters
-from repro.gpu.kernel import VirtualDevice
+from repro.gpu.kernel import KernelRecord, VirtualDevice
 from repro.gpu.memory import coalesced_transactions, gather_transactions
 from repro.gpu.warp import WARP_SIZE
 from repro.primitives.radix_sort import radix_sort_pairs
@@ -103,9 +103,10 @@ class AssemblyPlan:
     out_rows, out_cols:
         ``(s,)`` output block coordinates, sorted and unique.
     launches:
-        The ``(name, counters)`` kernel-launch sequence one assembly of
-        this pattern costs, as captured by the engine that built the
-        plan; :meth:`replay` re-records it on each reuse.
+        The priced kernel records one assembly of this pattern costs,
+        as captured by the engine that built the plan
+        (:meth:`~repro.gpu.kernel.VirtualDevice.launches_since`); the
+        engine records them again on each reuse.
     """
 
     n: int
@@ -121,7 +122,7 @@ class AssemblyPlan:
     ukey: np.ndarray
     out_rows: np.ndarray
     out_cols: np.ndarray
-    launches: tuple[tuple[str, KernelCounters], ...] = ()
+    launches: tuple[KernelRecord, ...] = ()
 
     @classmethod
     def build(
@@ -332,11 +333,6 @@ class AssemblyPlan:
             static=static,
             static_src=src[static],
         )
-
-    def replay(self, device: VirtualDevice) -> None:
-        """Re-record the captured launch ledger (scalar count) on
-        ``device`` so modelled seconds match a from-scratch assembly."""
-        device.replay(self.launches)
 
 
 @dataclass

@@ -127,12 +127,3 @@ def broad_phase_pairs(
     cols = (rows + ks + 1) % n
     return np.minimum(rows, cols), np.maximum(rows, cols)
 
-
-def sort_pairs(i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical (row-major) ordering of a pair list: the order the
-    serial double loop emits, which the serial preset detects in.
-
-    ``i`` and ``j`` are matching 1-D index arrays; returns them reordered.
-    """
-    order = np.lexsort((j, i))
-    return i[order], j[order]

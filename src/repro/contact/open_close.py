@@ -110,9 +110,8 @@ class OpenCloseDriver:
     tension_term:
         ``(m,)`` tensile opening capacity ``T0 L / p_n`` applied to
         previously-closed contacts.
-    tension_tolerance / force_tolerance:
-        Scalars: the geometric opening tolerance and the significance
-        noise floor (see :class:`StateUpdate`).
+    force_tolerance:
+        The significance noise floor (see :class:`StateUpdate`).
     """
 
     contacts: ContactSet
@@ -121,7 +120,6 @@ class OpenCloseDriver:
     tan_phi: float
     cohesion_term: np.ndarray
     tension_term: np.ndarray
-    tension_tolerance: float = 0.0
     force_tolerance: float = 0.0
 
     @classmethod
@@ -131,7 +129,6 @@ class OpenCloseDriver:
         contacts: ContactSet,
         geometry: SpringGeometry | None = None,
         *,
-        tension_tolerance: float = 0.0,
         force_tolerance: float = 0.0,
     ) -> "OpenCloseDriver":
         """Precompute the displacement-independent sweep state.
@@ -154,7 +151,6 @@ class OpenCloseDriver:
                 jm.tensile_strength * geometry.length
                 / np.maximum(contacts.pn, 1e-300)
             ),
-            tension_tolerance=tension_tolerance,
             force_tolerance=force_tolerance,
         )
 
@@ -201,7 +197,7 @@ class OpenCloseDriver:
         tension_cap = np.where(
             contacts.state != OPEN, self.tension_term, 0.0
         )
-        open_now = dn > self.tension_tolerance + tension_cap
+        open_now = dn > tension_cap
         sliding = (~open_now) & (np.abs(shear_force) > friction_limit)
         # anti-chatter rule: a contact that was already sliding and now
         # wants to slide the *other* way re-locks instead (its sliding

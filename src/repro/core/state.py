@@ -80,18 +80,15 @@ class SimulationControls:
         model's half-diagonal.
     penalty_scale:
         Contact spring stiffness as a multiple of (average Young's
-        modulus x unit depth); DDA practice is 10–100x E.
-    fixed_point_penalty_scale:
-        Penalty for fixed points, usually the same magnitude.
+        modulus x unit depth); DDA practice is 10–100x E. Fixed points
+        use the same magnitude
+        (:data:`repro.engine.physics.FIXED_POINT_PENALTY_SCALE`).
     max_open_close_iterations:
         Loop-3 bound per step (6 is Shi's classic limit).
     cg_tolerance:
         Relative residual for the PCG solver.
     cg_max_iterations:
         Iteration cap; exceeding it halves the time step (paper, §IV.A).
-    contact_distance_factor:
-        Narrow-phase candidate threshold as a fraction of the average
-        block diameter.
     preconditioner:
         ``"bj"`` (block Jacobi), ``"ssor"`` (SSOR approximate inverse),
         ``"ilu"`` (ILU(0)), ``"jacobi"`` (scalar diagonal), ``"neumann"``
@@ -118,11 +115,9 @@ class SimulationControls:
     gravity: float = 9.81
     max_displacement_ratio: float = 0.01
     penalty_scale: float = 50.0
-    fixed_point_penalty_scale: float = 50.0
     max_open_close_iterations: int = 6
     cg_tolerance: float = 1e-8
     cg_max_iterations: int = 200
-    contact_distance_factor: float = 0.05
     preconditioner: str = "bj"
     base_acceleration: object = None
     resilience: ResilienceControls = field(default_factory=ResilienceControls)
@@ -138,8 +133,8 @@ class SimulationControls:
                 "max_displacement_ratio must be in (0, 1], got "
                 f"{self.max_displacement_ratio}"
             )
-        if self.penalty_scale <= 0 or self.fixed_point_penalty_scale <= 0:
-            raise ValueError("penalty scales must be > 0")
+        if self.penalty_scale <= 0:
+            raise ValueError("penalty_scale must be > 0")
         if self.max_open_close_iterations < 1:
             raise ValueError("max_open_close_iterations must be >= 1")
         if self.cg_max_iterations < 1:

@@ -1,9 +1,9 @@
 """The DDA pipeline and its four presets.
 
 :class:`~repro.engine.base.EngineBase` owns the paper's three nested
-loops, the resilience layer and the shared stage bodies; a preset is a
-:class:`~repro.engine.base.Charges` table (what each shared stage
-records), the detection hook ``_detect_contacts`` and the solver hook
+loops, the resilience layer and the six stage bodies; a preset is a
+:class:`~repro.engine.base.Charges` table (what each stage records) and
+a device profile, and the domain preset adds the solver hook
 ``_solver_operand`` (what the one PCG loop iterates over):
 
 * :class:`~repro.engine.serial_engine.SerialEngine` — the paper's Fig. 1:
@@ -17,11 +17,12 @@ records), the detection hook ``_detect_contacts`` and the solver hook
   with the solve distributed across per-domain device ledgers.
 
 All four run the same vectorised NumPy numerics (`repro.engine.physics`,
-one assembler, one open–close driver, one CG loop) and produce the same
-trajectories — the pipeline-equivalence property the paper relies on
-when comparing runtimes; they differ in what they charge. The
-pure-Python loops of the original serial code survive as test oracles
-(``tests/engine/oracles.py``, ``tests/contact/broad_phase_oracle.py``).
+one assembler, one open–close driver, one CG loop) and produce
+bit-equal step records and vertices — the pipeline-equivalence property
+the paper relies on when comparing runtimes; they differ in what they
+charge. The pure-Python loops of the original serial code survive as
+test oracles (``tests/engine/oracles.py``,
+``tests/contact/broad_phase_oracle.py``).
 """
 
 from repro.engine.physics import (

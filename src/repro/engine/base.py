@@ -4,7 +4,7 @@ This base class owns loop 1 (time stepping), loop 2 (maximum-displacement
 step control) and loop 3 (open–close iteration), the adaptive time step,
 the stage bodies, and the bookkeeping that Tables II/III report. A preset
 supplies its :class:`Charges` table (what each shared stage records on
-the device), its contact detection and, optionally, its solver operand.
+the device) and, optionally, its solver operand.
 
 Wrapped around all three loops sits the resilience layer
 (:mod:`repro.engine.resilience`): a solver fallback ladder tried before
@@ -24,9 +24,12 @@ import numpy as np
 from repro.assembly.contact_springs import SpringGeometry
 from repro.assembly.global_matrix import BlockMatrix
 from repro.assembly.symbolic import AssemblyPlan, BoundAssembly
+from repro.contact.broad_phase import broad_phase_pairs
 from repro.contact.contact_set import KIND_NAMES, ContactSet
-from repro.contact.narrow_phase import CandidatePlan
+from repro.contact.initialization import initialize_contacts_classified
+from repro.contact.narrow_phase import CandidatePlan, narrow_phase
 from repro.contact.open_close import OpenCloseDriver, StateUpdate
+from repro.contact.transfer import transfer_contacts
 from repro.core.blocks import DOF, BlockSystem
 from repro.core.displacement import displacement_matrix, update_geometry
 from repro.core.state import SimulationControls
@@ -59,6 +62,10 @@ from repro.util.timing import ModuleTimes
 #: Maximum times a step is retried with a halved time step (loop 2).
 MAX_STEP_RETRIES = 10
 
+#: Contact distance ``rho`` (the narrow phase's candidate threshold) as
+#: a fraction of the mean block diameter.
+CONTACT_DISTANCE_FACTOR = 0.05
+
 #: Why loop 2 can throw an attempt away (``StepContext.cause``); one
 #: ``engine.step_rejected.<cause>`` counter each.
 REJECTION_CAUSES = (
@@ -73,12 +80,22 @@ Charge = Callable[[VirtualDevice, Any], None]
 
 
 class Charges(NamedTuple):
-    """A preset's cost table: what each shared stage body records after
-    running the physics. The ``size`` is the block count, the sweep's
-    :class:`ContactSet`, the new :class:`AssemblyPlan` (no charge: the
-    Fig.-4 kernels run on the device and charge themselves), the
-    contact count and the vertex count, in field order."""
+    """A preset's cost table: what each stage body records after running
+    the physics. The ``size`` each entry receives:
 
+    * ``detection`` — ``(system, n_pairs, m_previous, m)``: the block
+      system, the broad phase's pair count, the previous step's and
+      this step's contact counts;
+    * ``diagonal`` — the block count; ``nondiagonal`` — the sweep's
+      :class:`ContactSet`; ``assembly`` — the new :class:`AssemblyPlan`;
+      ``interpenetration`` — the contact count; ``update`` — the vertex
+      count.
+
+    ``None`` for detection or assembly: the stage's kernels run on the
+    device and charge themselves (the classified detection kernels, the
+    Fig.-4 assembly)."""
+
+    detection: Charge | None
     diagonal: Charge
     nondiagonal: Charge
     assembly: Charge | None
@@ -163,7 +180,7 @@ class EngineBase:
         #: scale-relative tolerances derived from the model bounding box
         self.tolerances = Tolerances.from_points(system.vertices)
         mean_diam = float(np.sqrt(system.areas.mean()))
-        self.contact_threshold = self.controls.contact_distance_factor * mean_diam
+        self.contact_threshold = CONTACT_DISTANCE_FACTOR * mean_diam
         densities_all = np.array(
             [m.density for m in system.materials]
         )[system.material_id]
@@ -262,13 +279,31 @@ class EngineBase:
             )
 
     # ------------------------------------------------------------------
-    # stage hooks: detection per preset, the rest read ``charges``
+    # stage bodies: the physics once, the cost read from ``charges``
     # ------------------------------------------------------------------
     def _detect_contacts(self) -> ContactSet:
         """This step's contact table, with the previous step's states
-        transferred in. Reads block geometry only; the narrow phase gets
-        its candidate rows from :meth:`_narrow_candidates`."""
-        raise NotImplementedError
+        transferred in: broad phase, narrow phase over the candidate
+        rows of :meth:`_narrow_candidates`, transfer, classified
+        initialisation. Reads block geometry only."""
+        charge = self.charges.detection
+        system = self.system
+        device = self.device if charge is None else None
+        i, j = broad_phase_pairs(system.aabbs, self.contact_threshold, device)
+        contacts = narrow_phase(
+            system, i, j, self.contact_threshold, device,
+            tol=self.tolerances, candidates=self._narrow_candidates(i, j),
+        )
+        contacts = transfer_contacts(
+            self._contacts, contacts, system.vertices.shape[0], device,
+            metrics=self.metrics,
+        )
+        contacts = initialize_contacts_classified(
+            system, contacts, self.controls.penalty_scale, device
+        )
+        if charge is not None:
+            charge(self.device, (system, i.size, self._contacts.m, contacts.m))
+        return contacts
 
     def _narrow_candidates(
         self, pairs_i: np.ndarray, pairs_j: np.ndarray
@@ -585,9 +620,10 @@ class EngineBase:
         ``contacts.block_j`` — and ``w`` / ``ws`` the sweep's spring
         weights. When the contribution pattern equals the kept plan's
         (exact :meth:`AssemblyPlan.matches` comparison) the plan's
-        captured kernel-launch ledger is replayed on the virtual device,
-        so the modelled seconds are bit-identical to a first assembly,
-        and the ``assembly.symbolic_reuse`` counter is bumped. Otherwise
+        captured launch records are recorded again — on the device and
+        in the stage region that priced them — so the modelled seconds
+        are bit-identical to a first assembly, and the
+        ``assembly.symbolic_reuse`` counter is bumped. Otherwise
         the preset's :meth:`_plan_assembly` builds a new plan while its
         launches are captured. Either way the matrix comes from the
         numeric phase of the plan bound to ``geometry`` (re-bound
@@ -600,7 +636,7 @@ class EngineBase:
             and plan.matches(diag_idx, contacts.block_i, contacts.block_j)
         ):
             self.metrics.inc("assembly.symbolic_reuse")
-            plan.replay(self.device)
+            self.device.record(plan.launches)
         else:
             n0 = self.device.launches()
             plan = self._plan_assembly(
@@ -633,8 +669,8 @@ class EngineBase:
             # ---- contact detection ----------------------------------
             # detection and the spring linearisation read block geometry
             # only, and that moves in data updating alone: they run on
-            # the first attempt, a retry replays the detection launches
-            # and starts from a fresh copy of the detected table
+            # the first attempt, a retry records the detection's priced
+            # launches again and starts from a fresh copy of the table
             with self._stage(times, "contact_detection", step):
                 if retry == 0:
                     n0 = self.device.launches()
@@ -642,7 +678,7 @@ class EngineBase:
                     detection = self.device.launches_since(n0)
                     step_geometry = detected.spring_geometry(self.system)
                 else:
-                    self.device.replay(detection)
+                    self.device.record(detection)
                 table = detected.copy()
             contacts = self._inject("contact_detection", table, step)
             self.contracts.check_contacts(

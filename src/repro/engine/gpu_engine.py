@@ -22,11 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.assembly.categories import N_CATEGORIES, classify_categories
-from repro.contact.broad_phase import broad_phase_pairs
 from repro.contact.contact_set import VV2, ContactSet
-from repro.contact.initialization import initialize_contacts_classified
-from repro.contact.narrow_phase import narrow_phase
-from repro.contact.transfer import transfer_contacts
 from repro.engine.base import Charges, EngineBase
 from repro.gpu.counters import KernelCounters
 from repro.gpu.memory import coalesced_transactions
@@ -117,8 +113,9 @@ def _update(device, v):
     )
 
 
-#: The Fig.-2 kernels; assembly is the Fig.-4 scheme charging itself.
+#: The Fig.-2 kernels; detection and the Fig.-4 assembly charge themselves.
 GPU_CHARGES = Charges(
+    detection=None,
     diagonal=_diagonal,
     nondiagonal=_nondiagonal,
     assembly=None,
@@ -132,24 +129,3 @@ class GpuEngine(EngineBase):
     on the :data:`~repro.gpu.device.K40` profile unless told otherwise."""
 
     charges = GPU_CHARGES
-
-    def _detect_contacts(self) -> ContactSet:
-        """Broad phase, narrow phase, transfer, classified initialisation,
-        every kernel charged to the device. The narrow phase's candidate
-        rows are the kept :class:`~repro.contact.narrow_phase.CandidatePlan`
-        while the broad phase keeps returning the same pair list."""
-        system = self.system
-        i, j = broad_phase_pairs(
-            system.aabbs, self.contact_threshold, self.device
-        )
-        contacts = narrow_phase(
-            system, i, j, self.contact_threshold, self.device,
-            tol=self.tolerances, candidates=self._narrow_candidates(i, j),
-        )
-        contacts = transfer_contacts(
-            self._contacts, contacts, system.vertices.shape[0], self.device,
-            metrics=self.metrics,
-        )
-        return initialize_contacts_classified(
-            system, contacts, self.controls.penalty_scale, self.device
-        )

@@ -69,6 +69,7 @@ class HybridEngine(GpuEngine):
     transfers on :data:`PCIE` through the ``pcie_`` route)."""
 
     charges = CPU_CHARGES._replace(
+        detection=GPU_CHARGES.detection,
         assembly=_assembly,
         interpenetration=GPU_CHARGES.interpenetration,
     )

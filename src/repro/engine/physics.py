@@ -27,6 +27,10 @@ from repro.contact.contact_set import ContactSet
 from repro.core.blocks import DOF, BlockSystem
 from repro.core.state import SimulationControls
 
+#: Fixed-point spring stiffness as a multiple of the mean Young's modulus
+#: (the contact penalty's usual magnitude).
+FIXED_POINT_PENALTY_SCALE = 50.0
+
 
 def diagonal_system(
     system: BlockSystem,
@@ -74,7 +78,7 @@ def diagonal_system(
 
     # --- sparse boundary-condition terms (few points) ----------------
     mean_young = float(np.mean([m.young for m in system.materials]))
-    fixed_penalty = controls.fixed_point_penalty_scale * mean_young
+    fixed_penalty = FIXED_POINT_PENALTY_SCALE * mean_young
     from repro.core.displacement import displacement_matrix
 
     for (b, x, y), (ax_, ay_) in zip(
@@ -172,7 +176,6 @@ def update_contact_states(
     contacts: ContactSet,
     d: np.ndarray,
     *,
-    tension_tolerance: float = 0.0,
     prev_normal_force: np.ndarray | None = None,
     force_tolerance: float = 0.0,
 ) -> StateUpdate:
@@ -181,7 +184,7 @@ def update_contact_states(
     Evaluates each contact's post-solve normal penetration ``d_n`` and
     tangential displacement ``d_s``:
 
-    * ``d_n`` above the tension tolerance -> OPEN;
+    * ``d_n`` above the tensile capacity (zero for open contacts) -> OPEN;
     * otherwise closed; Mohr–Coulomb: ``|p_s d_s| > N tan(phi) + c L``
       -> SLIDE (with the shear direction's sign), else LOCK.
 
@@ -191,8 +194,6 @@ def update_contact_states(
     per open–close iteration.
     """
     driver = OpenCloseDriver.build(
-        system, contacts,
-        tension_tolerance=tension_tolerance,
-        force_tolerance=force_tolerance,
+        system, contacts, force_tolerance=force_tolerance,
     )
     return driver.sweep(d, prev_normal_force)

@@ -151,20 +151,11 @@ class VirtualDevice:
         """Number of kernel launches recorded."""
         return len(self.records)
 
-    def launches_since(
-        self, start: int
-    ) -> tuple[tuple[str, KernelCounters], ...]:
-        """``(name, counters)`` of every launch recorded after the first
-        ``start`` — the slice :meth:`replay` re-records."""
-        return tuple((r.name, r.counters) for r in self.records[start:])
-
-    def replay(
-        self, launches: tuple[tuple[str, KernelCounters], ...]
-    ) -> None:
-        """Record a captured launch slice again, so work whose result is
-        reused still costs its modelled seconds."""
-        for name, counters in launches:
-            self.launch(name, counters)
+    def launches_since(self, start: int) -> tuple[KernelRecord, ...]:
+        """The priced records of every launch after the first ``start``:
+        a slice :meth:`record` may append again, on this device and in
+        the region that priced it, when the work it costs is reused."""
+        return tuple(self.records[start:])
 
     def reset(self) -> None:
         """Clear the ledger (the profile is kept)."""

@@ -1,6 +1,6 @@
 """``python -m repro report`` — paper-style tables from traces and dirs.
 
-Given a trace file written by ``--trace`` (either format), renders the
+Given a Chrome trace file written by ``--trace``, renders the
 Table-II/III-style per-module report: measured wall seconds, modelled
 device seconds, and the measured/modelled speedup column, plus the
 step-level aggregates (steps, CG iterations, open–close iterations,

@@ -24,10 +24,8 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 
 def _json_safe(value):
@@ -113,36 +111,6 @@ class Tracer:
                 extras={k: _json_safe(v) for k, v in extras.items()},
             )
         )
-
-    @contextmanager
-    def span(
-        self, name: str, *, step: int = -1, device=None, **extras
-    ) -> Iterator[None]:
-        """Context manager measuring a block into one span.
-
-        With ``device`` (a :class:`~repro.gpu.kernel.VirtualDevice`),
-        the modelled seconds of every kernel launched inside the block
-        are charged to the span's ``device_s``.
-        """
-        if not self.enabled:
-            yield
-            return
-        n0 = len(device.records) if device is not None else 0
-        start = self.now()
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            wall = time.perf_counter() - t0
-            device_s = (
-                sum(r.seconds for r in device.records[n0:])
-                if device is not None
-                else 0.0
-            )
-            self.add(
-                name, step=step, start=start, wall_s=wall,
-                device_s=device_s, **extras,
-            )
 
     # ------------------------------------------------------------------
     # aggregation

@@ -1,4 +1,4 @@
-"""The one assembler: summation order, launch replay, invalidation, and
+"""The one assembler: summation order, launch reuse, invalidation, and
 the bound numeric phase the engines run held to the materialising one."""
 
 import tracemalloc
@@ -559,21 +559,24 @@ class TestPlanBitIdentity:
 
 class TestLaunchReplay:
     def test_replay_reproduces_ledger(self):
+        """A reused plan's captured records, recorded again, leave the
+        ledger a second assembly would: same records, same seconds."""
         n, diag_idx, diag_blocks, off_rows, off_cols, off_blocks = (
             contribution_stream(1)
         )
-        dev_a = VirtualDevice(K40)
-        assemble_gpu(
-            n, diag_idx, diag_blocks, off_rows, off_cols, off_blocks, dev_a
-        )
+        reused, rerun = VirtualDevice(K40), VirtualDevice(K40)
+        for dev in (reused, rerun):
+            assemble_gpu(
+                n, diag_idx, diag_blocks, off_rows, off_cols, off_blocks, dev
+            )
         plan = AssemblyPlan.build(n, diag_idx, off_rows, off_cols)
-        plan.launches = tuple((r.name, r.counters) for r in dev_a.records)
-        dev_b = VirtualDevice(K40)
-        plan.replay(dev_b)
-        assert [r.name for r in dev_b.records] == [
-            r.name for r in dev_a.records
-        ]
-        assert dev_b.total_time == dev_a.total_time
+        plan.launches = reused.launches_since(0)
+        reused.record(plan.launches)
+        assemble_gpu(
+            n, diag_idx, diag_blocks, off_rows, off_cols, off_blocks, rerun
+        )
+        assert reused.launches_since(0) == rerun.launches_since(0)
+        assert repr(reused.total_time) == repr(rerun.total_time)
 
 
 class TestInvalidation:

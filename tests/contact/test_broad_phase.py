@@ -11,9 +11,14 @@ from repro.contact.broad_phase import (
     TILE,
     broad_phase_pairs,
     gpu_pair_mapping,
-    sort_pairs,
 )
 from repro.gpu.counters import KernelCounters
+
+
+def _lexsorted(i, j):
+    """A pair list in row-major order, the double loop's."""
+    order = np.lexsort((j, i))
+    return i[order], j[order]
 
 
 def random_aabbs(rng, n, world=10.0, size=1.0):
@@ -51,8 +56,8 @@ class TestGpuPairMapping:
 class TestBroadPhase:
     def test_matches_python_reference(self, rng, device):
         aabbs = random_aabbs(rng, 40)
-        gi, gj = sort_pairs(*broad_phase_pairs(aabbs, 0.1, device))
-        pi, pj = sort_pairs(*broad_phase_pairs_python(aabbs, 0.1))
+        gi, gj = _lexsorted(*broad_phase_pairs(aabbs, 0.1, device))
+        pi, pj = _lexsorted(*broad_phase_pairs_python(aabbs, 0.1))
         np.testing.assert_array_equal(gi, pi)
         np.testing.assert_array_equal(gj, pj)
         assert device.launches() == 1
@@ -83,8 +88,8 @@ class TestBroadPhase:
     def test_property_gpu_equals_python(self, n, seed):
         rng = np.random.default_rng(seed)
         aabbs = random_aabbs(rng, n, world=5.0, size=2.0)
-        gi, gj = sort_pairs(*broad_phase_pairs(aabbs, 0.05))
-        pi, pj = sort_pairs(*broad_phase_pairs_python(aabbs, 0.05))
+        gi, gj = _lexsorted(*broad_phase_pairs(aabbs, 0.05))
+        pi, pj = _lexsorted(*broad_phase_pairs_python(aabbs, 0.05))
         np.testing.assert_array_equal(gi, pi)
         np.testing.assert_array_equal(gj, pj)
 

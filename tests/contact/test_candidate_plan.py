@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from narrow_phase_oracle import narrow_phase_oracle
 from test_narrow_phase_properties import random_scene
 
-import repro.engine.gpu_engine
+import repro.engine.base
 from repro.contact.broad_phase import broad_phase_pairs
 from repro.contact.narrow_phase import CandidatePlan, narrow_phase
 from repro.core.blocks import Block, BlockSystem
@@ -147,7 +147,7 @@ def test_long_run_equals_the_oracle_across_plan_rebuilds(monkeypatch):
     gate both hits and misses, and every detection equals the oracle."""
     plans = []
     monkeypatch.setattr(
-        repro.engine.gpu_engine, "narrow_phase", checked_narrow_phase(plans)
+        repro.engine.base, "narrow_phase", checked_narrow_phase(plans)
     )
     engine = GpuEngine(rocks(3, 8), rocks_controls(time_step=5e-3))
     steps = 280

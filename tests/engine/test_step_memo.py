@@ -1,14 +1,14 @@
 """Once-per-step contact work: the detection memo and its assumptions.
 
 ``EngineBase._step_impl`` runs the preset's ``_detect_contacts()`` on
-the first loop-2 attempt only; a retry replays the captured launch
-slice and starts from a fresh copy of the detected table. That is valid
-because detection reads block geometry and the previous step's accepted
-contacts, neither of which a retry changes — these tests hold it to
-that: detection is a pure function of what the memo assumes, a step
-with retries reproduces the pre-memo engine bit for bit, the ledger
-still shows one detection per attempt, and fault injection still acts
-on (only) the attempt it fires in.
+the first loop-2 attempt only; a retry records the captured slice of
+priced launches again and starts from a fresh copy of the detected
+table. That is valid because detection reads block geometry and the
+previous step's accepted contacts, neither of which a retry changes —
+these tests hold it to that: detection is a pure function of what the
+memo assumes, a step with retries reproduces the pre-memo engine bit for
+bit, the ledger still shows one detection per attempt, and fault
+injection still acts on (only) the attempt it fires in.
 """
 
 import copy
@@ -70,7 +70,7 @@ def _smoke(case):
 
 def _detect_on_scratch(engine):
     """One ``_detect_contacts()`` on a scratch ledger: the table's
-    fields and the ``(name, counters)`` slice it recorded."""
+    fields and the priced records it left there."""
     live = engine.device
     engine.device = copy.copy(live)  # same profile(s) and routes
     engine.device.records = []
@@ -127,32 +127,28 @@ def _vertices_sha(engine) -> str:
 
 
 #: Recorded at commit 6026fe3 — the last one that re-ran detection on
-#: every attempt — from ``_retrying_engine(preset).run(2)``.
+#: every attempt — from ``_retrying_engine(preset).run(2)``. The two
+#: float fields are the same on every preset since detection became one
+#: body for every preset; before, serial/domain read
+#: 1.0967855456953091e-07 / 1.660210011524069e-08 and
+#: 6.48782561238547e-08 / 2.569755327672807e-08: their pair list, sorted
+#: into the serial double loop's order, reached the assembler in another
+#: order than gpu/hybrid's.
 PARENT_STEPS = [
     dict(step=0, dt=0.000125, cg_iterations=62, open_close_iterations=4,
-         n_contacts=877, n_offdiag_blocks=281, retries=4, solver_rung=0,
+         n_contacts=877, n_offdiag_blocks=281,
+         max_displacement=1.096785545695309e-07,
+         max_penetration=1.6602100115240683e-08, retries=4, solver_rung=0,
          oc_converged=True),
     dict(step=1, dt=9.375e-05, cg_iterations=54, open_close_iterations=3,
-         n_contacts=877, n_offdiag_blocks=281, retries=1, solver_rung=0,
+         n_contacts=877, n_offdiag_blocks=281,
+         max_displacement=6.487825612385473e-08,
+         max_penetration=2.5697553276728085e-08, retries=1, solver_rung=0,
          oc_converged=True),
 ]
 PARENT_VERTICES = (
     "fdae49f021f1efc74ec20c7690a7563c9ca7ada3997affc0dc761b713dc61d6b"
 )
-#: serial/domain and gpu/hybrid differ in the last digit of the two
-#: float fields (their assemblers sum contributions in different order)
-_CPU_FLOATS = [
-    dict(max_displacement=1.0967855456953091e-07,
-         max_penetration=1.660210011524069e-08),
-    dict(max_displacement=6.48782561238547e-08,
-         max_penetration=2.569755327672807e-08),
-]
-_GPU_FLOATS = [
-    dict(max_displacement=1.096785545695309e-07,
-         max_penetration=1.6602100115240683e-08),
-    dict(max_displacement=6.487825612385473e-08,
-         max_penetration=2.5697553276728085e-08),
-]
 #: The ledger of the same run. Re-recorded when the fallback ladder
 #: began to remember the rung an attempt needs (see
 #: ``test_memoised_step_reproduces_parent``); at 6026fe3 the three
@@ -165,22 +161,22 @@ _GPU_FLOATS = [
 #: device never carried the solve: unchanged.
 PARENT = {
     "serial": dict(
-        total_time="0.42238297921135937", launches=9736, floats=_CPU_FLOATS,
+        total_time="0.42238297921135937", launches=9736,
         kernels="a7c963d0a62bb3cfad27374c3a96dd05"
                 "04f0b7c6175912b1c7d5f8384cd12d86",
     ),
     "gpu": dict(
-        total_time="0.05679333457189102", launches=10343, floats=_GPU_FLOATS,
+        total_time="0.05679333457189102", launches=10343,
         kernels="b399fbf4c7ff6f84b720a695884366cb"
                 "68db69b42fef50fd1cba4606091d7912",
     ),
     "hybrid": dict(
-        total_time="0.11023525898148005", launches=9904, floats=_GPU_FLOATS,
+        total_time="0.11023525898148005", launches=9904,
         kernels="b9367e259a6b52d3a18e6f4a9572ec54"
                 "ff615c333dade8512502bba8face65fb",
     ),
     "domain": dict(
-        total_time="0.06998914454467038", launches=148, floats=_CPU_FLOATS,
+        total_time="0.06998914454467038", launches=148,
         kernels="74d2470e3f785813ab519157d89bf34c"
                 "4b47e14baa023f63369d397c3f6d10ed",
     ),
@@ -221,11 +217,7 @@ def test_memoised_step_reproduces_parent(preset):
     assert _sha("\n".join(r.name for r in device.records).encode()) == (
         pin["kernels"]
     )
-    expected = [
-        {**ints, **floats}
-        for ints, floats in zip(PARENT_STEPS, pin["floats"])
-    ]
-    assert [dataclasses.asdict(s) for s in result.steps] == expected
+    assert [dataclasses.asdict(s) for s in result.steps] == PARENT_STEPS
     if preset == "domain":
         assert [
             (d.launches(), repr(d.total_time)) for d in engine.domain_devices

@@ -142,6 +142,8 @@ class TestPriceAndRecord:
         assert recorded.total_counters == launched.total_counters
         assert recorded.counters_by_module() == launched.counters_by_module()
         assert recorded.launches_since(1) == launched.launches_since(1)
+        # the slice is the priced records themselves, ready to record again
+        assert recorded.launches_since(2 * k - 1) == shared
 
     def test_a_record_is_immutable(self, kind):
         priced = DEVICES[kind]().price("k", WORK, module="m")

@@ -69,6 +69,19 @@ class TestTracedRun:
         assert traced_dev == pytest.approx(result.device.total_time,
                                            rel=1e-9)
 
+    def test_span_device_seconds_are_the_stage_records(self, engine_cls):
+        tr = Tracer()
+        eng = engine_cls(stacked(), controls(), tracer=tr)
+        result = eng.run(steps=3)
+        by_module = result.device.time_by_module()
+        summ = tr.module_summary()
+        assert set(summ) == set(by_module)
+        for module, seconds in by_module.items():
+            assert seconds > 0.0
+            assert summ[module]["device_s"] == pytest.approx(
+                seconds, rel=1e-12
+            )
+
     def test_tracer_meta_stamped(self, engine_cls):
         tr = Tracer()
         eng = engine_cls(stacked(), controls(), tracer=tr)

@@ -1,4 +1,4 @@
-"""Unit tests for the span tracer and its two export formats."""
+"""Unit tests for the span tracer and its Chrome trace-event export."""
 
 import json
 
@@ -21,21 +21,11 @@ class TestRecording:
     def test_disabled_tracer_records_nothing(self):
         tr = Tracer(enabled=False)
         tr.add("x", start=0.0, wall_s=1.0)
-        with tr.span("y"):
-            pass
         assert tr.spans == []
 
     def test_null_tracer_is_disabled(self):
         assert NULL_TRACER.enabled is False
         assert NULL_TRACER.spans == []
-
-    def test_span_context_manager_measures(self):
-        tr = Tracer()
-        with tr.span("equation_solving", step=1, cg_iterations=12):
-            pass
-        (s,) = tr.spans
-        assert s.wall_s >= 0.0
-        assert s.extras["cg_iterations"] == 12
 
     def test_numpy_extras_become_json_safe(self):
         tr = Tracer()
@@ -116,15 +106,3 @@ class TestExportRoundTrip:
         assert len(dev) == 2
         # back-to-back: second device span starts where the first ended
         assert dev[1]["ts"] == pytest.approx(dev[0]["ts"] + dev[0]["dur"])
-
-    def test_span_with_device_charges_modelled_seconds(self):
-        from repro.gpu.counters import KernelCounters
-        from repro.gpu.device import K40
-        from repro.gpu.kernel import VirtualDevice
-
-        device = VirtualDevice(K40)
-        tr = Tracer()
-        with tr.span("contact_detection", device=device):
-            device.launch("k", KernelCounters(flops=1e9, threads=1024,
-                                              warps=32))
-        assert tr.spans[0].device_s > 0.0
