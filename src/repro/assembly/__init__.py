@@ -26,7 +26,6 @@ from repro.assembly.contact_springs import (
     SpringGeometry,
     normal_spring_vectors,
     shear_spring_vectors,
-    contact_contributions,
 )
 from repro.assembly.global_matrix import (
     BlockMatrix,
@@ -45,7 +44,6 @@ __all__ = [
     "SpringGeometry",
     "normal_spring_vectors",
     "shear_spring_vectors",
-    "contact_contributions",
     "BlockMatrix",
     "assemble_gpu",
     "classify_categories",

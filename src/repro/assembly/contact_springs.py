@@ -213,10 +213,16 @@ def spring_loads(
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
     """Spring weights and per-contact loads ``(w, ws, fi, fj)``.
 
+    ``states`` is ``(m,)`` int: OPEN (no springs), SLIDE (normal spring
+    + friction force pair), LOCK (normal + shear springs); ``pn`` /
+    ``ps`` the normal / shear penalties, ``friction_force`` the
+    Mohr–Coulomb force magnitude (SLIDE only) and ``shear_sign`` the ±1
+    sliding direction along the edge tangent, all ``(m,)``.
+
     ``w = where(state != OPEN, pn, 0)`` and ``ws = where(state == LOCK,
     ps, 0)`` are the ``(m,)`` normal / shear spring weights (``ws`` is
     ``None`` when no spring is locked); ``fi, fj`` the ``(m, 6)`` load
-    contributions. Parameters as for :func:`contact_contributions`.
+    contributions.
     """
     m = geometry.d0.shape[0]
     states = check_array("states", states, shape=(m,))
@@ -243,43 +249,3 @@ def spring_loads(
         fi -= mag[:, None] * geometry.e_s
         fj -= mag[:, None] * geometry.g_s
     return w, ws, fi, fj
-
-
-def contact_contributions(
-    geometry: SpringGeometry,
-    states: np.ndarray,
-    pn: np.ndarray,
-    ps: np.ndarray,
-    friction_force: np.ndarray,
-    shear_sign: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Full per-contact stiffness and load contributions.
-
-    Parameters
-    ----------
-    geometry:
-        The contact table's :class:`SpringGeometry` (``m`` rows).
-    states:
-        ``(m,)`` int: OPEN (no springs), SLIDE (normal spring + friction
-        force pair), LOCK (normal + shear springs).
-    pn, ps:
-        Normal and shear penalty stiffnesses per contact.
-    friction_force:
-        Magnitude of the Mohr–Coulomb friction force per contact
-        (used only for SLIDE contacts).
-    shear_sign:
-        ±1 sliding direction along the edge tangent per contact.
-
-    Returns
-    -------
-    (kii, kjj, kij, fi, fj)
-        ``(m, 6, 6)`` stiffness contributions (``K_ji = K_ij^T`` is
-        implied by symmetry) and ``(m, 6)`` load contributions. The
-        materialising reference: the engines sum the same blocks
-        straight into ``K`` (:meth:`repro.assembly.symbolic.
-        AssemblyPlan.bind`).
-    """
-    w, ws, fi, fj = spring_loads(
-        geometry, states, pn, ps, friction_force, shear_sign
-    )
-    return (*spring_stiffness(geometry, w, ws), fi, fj)

@@ -32,6 +32,8 @@ order once; :meth:`BoundAssembly.assemble` forms each sorted row's block
 from the sweep's weights, in segment-aligned chunks, straight into the
 same segment sums — same blocks, same order, same bits, without the
 ``(m, 6, 6)`` contribution arrays, their concatenation or their gather.
+An OPEN contact's blocks are exact zeros, so only the segments where two
+nonzero rows meet are formed at all; the ledger still prices every row.
 
 An engine keeps the plan of the last pattern it saw: a sweep whose
 pattern :meth:`AssemblyPlan.matches` it runs the numeric phase only and
@@ -320,7 +322,6 @@ class AssemblyPlan:
             )
 
         rows = np.arange(m)
-        static = np.flatnonzero(src < n_static)
         return BoundAssembly(
             self, geometry,
             *in_order(geometry.e, geometry.g),
@@ -330,8 +331,9 @@ class AssemblyPlan:
                 [np.concatenate([np.zeros_like(src[:n_static]), rows, rows])[src],
                  self.perm]
             ),
-            static=static,
-            static_src=src[static],
+            static_of=np.concatenate(
+                [np.where(src < n_static, src, -1), np.full(m, -1)]
+            ),
         )
 
 
@@ -343,9 +345,9 @@ class BoundAssembly:
 
     ``a, b, a_s, b_s`` are the ``(q + m, 6)`` normal / shear vectors of
     the sorted diagonal stream followed by the sorted pair stream,
-    ``contact`` the ``(q + m,)`` weight index of each row, ``static``
-    the positions of the rows that take the contact-independent block
-    ``static_src`` instead.
+    ``contact`` the ``(q + m,)`` weight index of each row and
+    ``static_of`` the contact-independent block a static row takes
+    instead (``-1`` on contact rows).
     """
 
     plan: AssemblyPlan
@@ -355,31 +357,52 @@ class BoundAssembly:
     a_s: np.ndarray
     b_s: np.ndarray
     contact: np.ndarray
-    static: np.ndarray
-    static_src: np.ndarray
+    static_of: np.ndarray
 
     def __post_init__(self) -> None:
-        # segment-aligned runs of about _CHUNK_ROWS rows: (row0, row1,
-        # seg0, seg1, local starts, static0, static1) each
         plan, r = self.plan, self.contact.shape[0]
-        starts = np.concatenate(
-            [plan.diag_starts, plan.diag_idx.shape[0] + plan.starts]
-        )
+        q, m = plan.diag_idx.shape[0], plan.off_rows.shape[0]
+        # the stream's segments: start row, length, and each row's segment
+        self.seg_start = starts = np.concatenate([plan.diag_starts, q + plan.starts])
+        bounds = np.concatenate([starts, np.full(1, r)])
+        self.seg_len = np.diff(bounds)
+        self.seg_of = np.repeat(np.arange(starts.size), self.seg_len)
+        # segment-aligned runs of about _CHUNK_ROWS rows: (row0, row1,
+        # seg0, seg1, local starts) each
         first = np.searchsorted(
             starts, np.arange(-(-r // _CHUNK_ROWS)) * _CHUNK_ROWS
         )
         seg = np.concatenate([first, np.full(1, starts.shape[0])])
-        row = np.concatenate([starts, np.full(1, r)])[seg]
-        edges = np.stack([row, seg, np.searchsorted(self.static, row)], axis=1)
-        edges = edges.tolist()  # lint: sync-ok[chunk-layout] -- the host sizes the chunk launches, once per binding
+        edges = np.stack([bounds[seg], seg], axis=1).tolist()  # lint: sync-ok[chunk-layout] -- the host sizes the chunk launches, once per binding
         self.chunks = [
-            (r0, r1, s0, s1, starts[s0:s1] - r0, t0, t1)
-            for (r0, s0, t0), (r1, s1, t1) in zip(edges, edges[1:])
+            (r0, r1, s0, s1, starts[s0:s1] - r0)
+            for (r0, s0), (r1, s1) in zip(edges, edges[1:])
             if r1 > r0
         ]
         self.work = np.empty(
             (2, max((c[1] - c[0] for c in self.chunks), default=0), BS, BS)
         )
+        # the static rows, and each contact's i-i, j-j and pair rows
+        self.static = np.flatnonzero(self.static_of >= 0)
+        at = np.empty(r, dtype=np.int64)
+        at[np.concatenate([plan.diag_perm, q + plan.perm])] = np.arange(r)
+        self.contact_rows = np.stack(
+            [at[q - 2 * m : q - m], at[q - m : q], at[q:]], axis=1
+        )
+        g = self.geometry  # zero weights form +0.0 from finite vectors only
+        self.finite = all(np.isfinite(v).all() for v in (g.e, g.g, g.e_s, g.g_s))
+
+    def _form(self, rows, static_blocks: np.ndarray, w: np.ndarray, ws) -> np.ndarray:
+        """The ``(k, 36)`` blocks of stream ``rows`` (slice or indices), in ``work``."""
+        c = self.contact[rows]
+        blocks = spring_blocks(
+            self.a[rows], self.b[rows], w[c],
+            self.a_s[rows], self.b_s[rows], None if ws is None else ws[c],
+            out=self.work[0, : c.size], scratch=self.work[1, : c.size],
+        )
+        s = self.static_of[rows]
+        blocks[s >= 0] = static_blocks[s[s >= 0]]
+        return blocks.reshape(c.size, BS * BS)
 
     def assemble(
         self,
@@ -391,10 +414,18 @@ class BoundAssembly:
 
         ``static_blocks`` is the ``(q - 2 m, 6, 6)`` static diagonal
         rows; ``w`` / ``ws`` are the ``(m,)`` spring weights of
-        :func:`~repro.assembly.contact_springs.spring_loads`. Chunk by
-        chunk: form the rows' blocks, overwrite the static rows, sum the
-        segments. Equals ``plan.assemble`` on the materialised stream
-        bit for bit.
+        :func:`~repro.assembly.contact_springs.spring_loads`. Equals
+        ``plan.assemble`` on the materialised stream bit for bit.
+
+        A row whose weights are both zero holds an exact ``+0.0`` block
+        (finite vectors), and a segment sum's adds turn ``-0.0`` into
+        ``+0.0`` and keep every other value. So a segment with no
+        nonzero row (static rows count as nonzero) is ``+0.0``, one with
+        a single nonzero row is that row's block (``+ 0.0`` when the
+        segment is longer), and only segments with two or more are
+        formed and summed, chunk by chunk, their zero rows kept in place
+        so the summation order is the full stream's. Non-finite spring
+        vectors, or no zero weight, form every row.
         """
         m = self.geometry.d0.shape[0]
         static_blocks = check_array(
@@ -407,19 +438,34 @@ class BoundAssembly:
         if m == 0:  # no weight for the static rows to read: nothing to form
             return self.plan.assemble(static_blocks, np.zeros((0, BS, BS)))
         d = self.plan.diag_out.size
-        sums = np.empty((d + self.plan.ukey.size, BS * BS))
-        for r0, r1, s0, s1, starts, t0, t1 in self.chunks:
-            c = self.contact[r0:r1]
-            blocks = spring_blocks(
-                self.a[r0:r1], self.b[r0:r1], w[c],
-                self.a_s[r0:r1], self.b_s[r0:r1],
-                None if ws is None else ws[c],
-                out=self.work[0, : r1 - r0], scratch=self.work[1, : r1 - r0],
-            )
-            blocks[self.static[t0:t1] - r0] = static_blocks[
-                self.static_src[t0:t1]
-            ]
-            sums[s0:s1] = segmented_reduce(
-                blocks.reshape(r1 - r0, BS * BS), starts
+        sums = np.zeros((self.seg_start.size, BS * BS))
+        dense = np.ones(sums.shape[0], dtype=bool)
+        live = (w != 0.0) if ws is None else (w != 0.0) | (ws != 0.0)
+        if self.finite and not live.all():  # lint: sync-ok[stage-skip] -- host skips the bookkeeping when no row is zero
+            rows = np.concatenate([self.static, self.contact_rows[live].ravel()])
+            seg = self.seg_of[rows]
+            count = np.bincount(seg, minlength=dense.size)
+            one = count[seg] == 1
+            rows, seg = rows[one], seg[one]
+            step = self.work.shape[1]
+            for k in range(0, rows.size, step):  # lint: host-ok[DDA001] -- one launch per work block
+                sums[seg[k : k + step]] = self._form(
+                    rows[k : k + step], static_blocks, w, ws
+                )
+            sums[seg[self.seg_len[seg] > 1]] += 0.0
+            dense = count >= 2
+        for r0, r1, s0, s1, starts in self.chunks:
+            seg = s0 + np.flatnonzero(dense[s0:s1])
+            rows = slice(r0, r1)  # every segment: the rows as they lie
+            if seg.size < s1 - s0:  # lint: sync-ok[stage-skip] -- host sizes the chunk's launch
+                if not seg.size:  # lint: sync-ok[stage-skip] -- nothing in this chunk to form
+                    continue
+                lens = self.seg_len[seg]
+                ends = np.cumsum(lens)
+                starts = ends - lens
+                rows = np.repeat(self.seg_start[seg] - starts, lens)
+                rows += np.arange(ends[-1])
+            sums[seg] = segmented_reduce(
+                self._form(rows, static_blocks, w, ws), starts
             )
         return self.plan._matrix(sums[:d], sums[d:])

@@ -28,9 +28,8 @@ test oracles (``tests/engine/oracles.py``,
 from repro.engine.physics import (
     diagonal_system,
     contact_system,
-    update_contact_states,
-    StateUpdate,
 )
+from repro.contact.open_close import StateUpdate
 from repro.engine.resilience import (
     Checkpoint,
     CheckpointCorrupt,
@@ -66,7 +65,6 @@ __all__ = [
     "HybridEngine",
     "diagonal_system",
     "contact_system",
-    "update_contact_states",
     "StateUpdate",
     "SimulationResult",
     "StepRecord",

@@ -583,14 +583,12 @@ class EngineBase:
         solve — the one solver hook.
 
         The base engines solve through the HSBCSR kernel on their one
-        device, so the :class:`BlockMatrix` is converted here — once per
-        solve, outside the fallback-ladder walk — *reusing the cached
-        sparsity structure* (index arrays, stage-2 reduction indices,
-        launch-cost counters) whenever the pattern matches the previous
-        solve's, which is every open–close sweep after the first and
-        usually every consecutive step too. The reuse gate is an exact
-        pattern comparison inside :meth:`HSBCSRMatrix.from_block_matrix`,
-        so a stale cache can only cost a rebuild, never a wrong product.
+        device: the :class:`BlockMatrix` is converted once per solve,
+        outside the fallback-ladder walk, sharing the previous solve's
+        index arrays and launch costs when the exact pattern gate of
+        :meth:`HSBCSRMatrix.from_block_matrix` passes (every open–close
+        sweep after the first, usually every next step too); the host
+        product skips the all-zero blocks the launches still price.
         :class:`~repro.engine.domain_engine.DomainEngine` returns the
         matrix split across its domain devices instead (a
         :class:`~repro.domain.solve.DistributedOperand`: same calls).

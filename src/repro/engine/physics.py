@@ -1,4 +1,4 @@
-"""Shared DDA step physics: system contributions and the open–close rule.
+"""Shared DDA step physics: the system contributions.
 
 Both engines call these functions; the engines differ in *how* the work is
 scheduled (serial loops vs classified vectorised kernels), not in what is
@@ -14,7 +14,6 @@ from repro.assembly.contact_springs import (
     spring_loads,
     spring_stiffness,
 )
-from repro.contact.open_close import OpenCloseDriver, StateUpdate
 from repro.assembly.submatrices import (
     body_force_vector,
     elastic_submatrix,
@@ -169,31 +168,3 @@ def contact_system(
         kij,
         f,
     )
-
-
-def update_contact_states(
-    system: BlockSystem,
-    contacts: ContactSet,
-    d: np.ndarray,
-    *,
-    prev_normal_force: np.ndarray | None = None,
-    force_tolerance: float = 0.0,
-) -> StateUpdate:
-    """The open–close rule, vectorised (the GPU engine's restructured form).
-
-    Evaluates each contact's post-solve normal penetration ``d_n`` and
-    tangential displacement ``d_s``:
-
-    * ``d_n`` above the tensile capacity (zero for open contacts) -> OPEN;
-    * otherwise closed; Mohr–Coulomb: ``|p_s d_s| > N tan(phi) + c L``
-      -> SLIDE (with the shear direction's sign), else LOCK.
-
-    One-shot convenience over :class:`~repro.contact.open_close.
-    OpenCloseDriver`: the engines build one spring geometry per step
-    and call :meth:`~repro.contact.open_close.OpenCloseDriver.sweep`
-    per open–close iteration.
-    """
-    driver = OpenCloseDriver.build(
-        system, contacts, force_tolerance=force_tolerance,
-    )
-    return driver.sweep(d, prev_normal_force)

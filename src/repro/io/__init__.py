@@ -2,7 +2,7 @@
 
 from repro.io.model_io import save_system, load_system
 from repro.io.reporting import ComparisonReport, paper_vs_measured_table
-from repro.io.ascii_art import render_system, render_snapshots
+from repro.io.ascii_art import render_system
 from repro.io.batch_io import (
     read_json,
     summarize_result,
@@ -18,5 +18,4 @@ __all__ = [
     "ComparisonReport",
     "paper_vs_measured_table",
     "render_system",
-    "render_snapshots",
 ]

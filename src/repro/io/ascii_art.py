@@ -76,29 +76,3 @@ def render_system(
     rows = raster.reshape(height, width)
     return "\n".join("".join(row) for row in rows[::-1])
 
-
-def render_snapshots(
-    snapshots: list[tuple[int, "np.ndarray"]],
-    system: BlockSystem,
-    *,
-    width: int = 60,
-    height: int = 18,
-) -> str:
-    """Render centroid snapshots as dot fields in a common window.
-
-    A lighter-weight companion to :func:`render_system` for motion
-    sequences: every snapshot becomes one frame of centroid markers.
-    """
-    all_pts = np.concatenate([c for _, c in snapshots])
-    lo = all_pts.min(axis=0)
-    hi = all_pts.max(axis=0)
-    span = np.maximum(hi - lo, 1e-9)
-    frames = []
-    for step, centroids in snapshots:
-        grid = np.full((height, width), " ", dtype="<U1")
-        u = ((centroids[:, 0] - lo[0]) / span[0] * (width - 1)).astype(int)
-        v = ((centroids[:, 1] - lo[1]) / span[1] * (height - 1)).astype(int)
-        grid[np.clip(v, 0, height - 1), np.clip(u, 0, width - 1)] = "o"
-        body = "\n".join("".join(row) for row in grid[::-1])
-        frames.append(f"-- step {step} --\n{body}")
-    return "\n\n".join(frames)

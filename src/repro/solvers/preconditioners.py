@@ -22,7 +22,7 @@ from repro.solvers.triangular import (
     sparse_triangular_solve,
     tss_counters,
 )
-from repro.spmv.hsbcsr import TwoStageOperator
+from repro.spmv.hsbcsr import ZeroSkippingOperator
 from repro.util.validation import check_array
 
 
@@ -131,8 +131,9 @@ class SSORAIPreconditioner(Preconditioner):
             raise ValueError(f"omega must be in (0, 2), got {omega}")
         self.a = a
         # the strict upper / lower triangular SpMVs are the two halves of
-        # the HSBCSR kernel (the operators the construct launch stages)
-        self.op = TwoStageOperator.from_block_matrix(a)
+        # the HSBCSR kernel (the operators the construct launch stages);
+        # the host skips the all-zero blocks the launches still price
+        self.op = ZeroSkippingOperator.of(a)
         self.omega = omega
         self.inv_diag = np.linalg.inv(a.diag)
         self.scale = omega * (2.0 - omega)

@@ -42,6 +42,10 @@ vector). Every sum runs strictly left to right (each 6-term dot, each
 segment, then up + low + diagonal), so wherever a gathered slot holds
 the value of the block it stands for, the product is the global one bit
 for bit.
+
+The same order lets the host drop an all-zero block, whose terms add
+nothing: :class:`HSBCSRMatrix` and SSOR-AI run a
+:class:`ZeroSkippingOperator`, while the ledger prices every block.
 """
 
 from __future__ import annotations
@@ -169,20 +173,75 @@ def _payload(a: BlockMatrix) -> np.ndarray:
     return np.concatenate([a.blocks, a.blocks.transpose(0, 2, 1), a.diag])
 
 
+@dataclass(frozen=True)
+class ZeroSkippingOperator(TwoStageOperator):
+    """The :class:`TwoStageOperator` of the off-diagonal blocks of
+    ``matrix`` that are not all zero (``keep``; ``skips`` if one is).
+
+    Each dot and each segment sums from ``0.0``, so on a finite input an
+    all-zero block (``-0.0`` entries included) adds only ``+0.0`` terms
+    to sums that are never ``-0.0``: dropping it changes no bit of the
+    product or of either half. A non-finite input (``0 * inf`` is NaN)
+    runs the operator of every stored block, built on first use.
+    """
+
+    matrix: BlockMatrix | None = None
+    keep: np.ndarray | None = None
+    skips: bool = False
+
+    @classmethod
+    def of(cls, a: BlockMatrix, like: "ZeroSkippingOperator | None" = None):
+        """The operator of ``a``; ``like``, one of the same stored
+        pattern, lends its structure if it kept the same blocks."""
+        keep = a.blocks.reshape(a.n_offdiag, BS * BS).any(axis=1)
+        nonzero = a if keep.all() else replace(  # lint: sync-ok[structure-reuse] -- host sizes the payload once per matrix
+            a, rows=a.rows[keep], cols=a.cols[keep], blocks=a.blocks[keep]
+        )
+        if like is not None and np.array_equal(like.keep, keep):  # lint: sync-ok[structure-reuse] -- host checks which blocks the kept structure dropped
+            op, stage1 = like, like.stage1.with_blocks(_payload(nonzero))
+        else:
+            op = TwoStageOperator.from_block_matrix(nonzero)
+            stage1 = op.stage1
+        return cls(stage1, op.stage2, op.up_reduce, op.low_reduce, a, keep,
+                   nonzero is not a)
+
+    def with_values(self, a: BlockMatrix) -> "ZeroSkippingOperator":
+        return self.of(a, like=self)
+
+    @cached_property
+    def full(self) -> TwoStageOperator:
+        return TwoStageOperator.from_block_matrix(self.matrix)
+
+    def _for(self, x: np.ndarray):
+        if self.skips and not np.isfinite(x).all():  # lint: sync-ok[stage-skip] -- host picks the payload a product runs on
+            return self.full
+        return super()
+
+    def upper(self, x: np.ndarray) -> np.ndarray:
+        return self._for(x).upper(x)
+
+    def lower(self, x: np.ndarray) -> np.ndarray:
+        return self._for(x).lower(x)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self._for(x).__call__(x)
+
+
 @dataclass
 class HSBCSRMatrix:
-    """A :class:`BlockMatrix` converted to the HSBCSR layout."""
+    """A :class:`BlockMatrix` converted to the HSBCSR layout; the sliced
+    payloads are derived from ``matrix`` when first read."""
 
     n: int
     n_offdiag: int
-    d_data: np.ndarray        # (6, pad(n*6))
-    nd_data: np.ndarray       # (6, pad(m*6))
     rows: np.ndarray          # (m,) block row per upper entry
     cols: np.ndarray          # (m,) block col per upper entry
     row_up_i: np.ndarray      # (n+1,) indptr over rows of the upper storage
     row_low_i: np.ndarray     # (n+1,) indptr over rows of the implied lower
     row_low_p: np.ndarray     # (m,) upper-storage position of each lower entry
-    op: TwoStageOperator      # the host kernel over the arrays above
+    matrix: BlockMatrix
+    op: ZeroSkippingOperator  # the host kernel of matrix
+    align: int = SLICE_ALIGN
     # the SpMV's launches: once per sparsity pattern, shared by rebuilds
     _cost: PricedLaunches | None = None
 
@@ -198,43 +257,38 @@ class HSBCSRMatrix:
 
         ``structure`` optionally names a previously-built matrix with
         the same ``(n,)`` dimensions and identical ``(m,)`` sparsity
-        pattern: its index arrays, the operator's structure half and
-        any cached cost counters are shared instead of re-derived, so
-        only the payloads are rebuilt. The pattern is verified exactly;
+        pattern: its index arrays, any cached cost counters and — when
+        the same blocks are all zero — the operator's structure half are
+        shared instead of re-derived. The pattern is verified exactly;
         a mismatch falls back to a full build.
         """
-        m = a.n_offdiag
-        d_data = _slice_blocks(a.diag, align)
-        nd_data = _slice_blocks(a.blocks, align)
         if (
             structure is not None  # lint: sync-ok[structure-reuse] -- host checks cached sparsity before reuse
             and structure.n == a.n
-            and structure.n_offdiag == m
-            and structure.d_data.shape == d_data.shape
-            and structure.nd_data.shape == nd_data.shape
+            and structure.n_offdiag == a.n_offdiag
+            and structure.align == align
             and np.array_equal(structure.rows, a.rows)
             and np.array_equal(structure.cols, a.cols)
         ):
-            rows, cols, cost = structure.rows, structure.cols, structure._cost
-            op = structure.op.with_values(a)
-        else:
-            rows, cols, cost = a.rows.copy(), a.cols.copy(), None
-            op = TwoStageOperator.from_block_matrix(a)
+            return replace(structure, matrix=a, op=structure.op.with_values(a))
         return cls(
-            n=a.n,
-            n_offdiag=m,
-            d_data=d_data,
-            nd_data=nd_data,
-            rows=rows,
-            cols=cols,
-            row_up_i=op.up_reduce.indptr,
-            row_low_i=op.low_reduce.indptr,
-            row_low_p=op.low_reduce.gather,
-            op=op,
-            _cost=cost,
+            a.n, a.n_offdiag, a.rows.copy(), a.cols.copy(),
+            segment_indptr(a.rows, a.n), segment_indptr(a.cols, a.n),
+            # lower triangle: entry (j, i) for each upper (i, j), sorted
+            # by the lower entry's row
+            np.lexsort((a.rows, a.cols)).astype(np.int64),
+            a, ZeroSkippingOperator.of(a), align,
         )
 
     # ------------------------------------------------------------------
+    @cached_property
+    def d_data(self) -> np.ndarray:  # (6, pad(n*6))
+        return _slice_blocks(self.matrix.diag, self.align)
+
+    @cached_property
+    def nd_data(self) -> np.ndarray:  # (6, pad(m*6))
+        return _slice_blocks(self.matrix.blocks, self.align)
+
     @property
     def storage_bytes(self) -> int:
         """Bytes of block data + indices actually stored."""
@@ -293,6 +347,7 @@ def spmv_launches(a: HSBCSRMatrix) -> PricedLaunches:
 def _cost_launches(a: HSBCSRMatrix) -> list[tuple[str, KernelCounters]]:
     """Build the ``(name, counters)`` ledger (scalar metadata only)."""
     m, n = a.n_offdiag, a.n
+    nd_width, d_width = _pad_to(m * BS, a.align), _pad_to(n * BS, a.align)
     return [
         # stage 1 over [A_k | A_k^T | D_i]: slice reads coalesced; the
         # input blocks through texture (x_j: 48-byte runs, two 32-byte
@@ -303,12 +358,10 @@ def _cost_launches(a: HSBCSRMatrix) -> list[tuple[str, KernelCounters]]:
             "hsbcsr_stage1",
             KernelCounters(
                 flops=4.0 * m * BS * BS + 2.0 * n * BS * BS,  # up, low, diag
-                global_bytes_read=float(a.nd_data.nbytes + a.d_data.nbytes),
+                global_bytes_read=BS * 8.0 * (nd_width + d_width),  # sliced
                 global_bytes_written=(2 * m + n) * BS * 8.0,
-                global_txn_read=coalesced_transactions(
-                    a.nd_data.shape[1] * BS, 8
-                )
-                + coalesced_transactions(a.d_data.shape[1] * BS, 8)
+                global_txn_read=coalesced_transactions(nd_width * BS, 8)
+                + coalesced_transactions(d_width * BS, 8)
                 + 2 * coalesced_transactions(m, 8),  # rc indices
                 global_txn_written=coalesced_transactions((2 * m + n) * BS, 8),
                 texture_bytes=(3.0 * m + n) * BS * 8,

@@ -10,7 +10,7 @@ from repro.util.validation import (
     ReproError,
     ShapeError,
 )
-from repro.util.hashing import canonical_json, content_hash, short_hash
+from repro.util.hashing import canonical_json, content_hash
 from repro.util.rng import make_rng
 from repro.util.tables import Table
 from repro.util.timing import ModuleTimes
@@ -26,7 +26,6 @@ __all__ = [
     "ShapeError",
     "canonical_json",
     "content_hash",
-    "short_hash",
     "make_rng",
     "Table",
     "ModuleTimes",

@@ -33,7 +33,3 @@ def content_hash(obj) -> str:
     """SHA-256 hex digest of the canonical JSON form of ``obj``."""
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
-
-def short_hash(obj, length: int = 12) -> str:
-    """Truncated :func:`content_hash` for human-facing identifiers."""
-    return content_hash(obj)[:length]

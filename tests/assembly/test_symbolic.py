@@ -1,12 +1,15 @@
 """The one assembler: summation order, launch reuse, invalidation, and
 the bound numeric phase the engines run held to the materialising one."""
 
+import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from spring_reference import contact_contributions
 
 from repro import (
     GpuEngine,
@@ -21,7 +24,6 @@ from repro.assembly.contact_springs import (
     OPEN,
     SLIDE,
     SpringGeometry,
-    contact_contributions,
     spring_loads,
     spring_stiffness,
 )
@@ -379,6 +381,156 @@ class TestBoundAssembly:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+def int_bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def zero_aware_and_materialised(n, geometry, block_i, block_j, states, pn, ps,
+                                static, chunk=None):
+    """``(binding, its sweep, the materialised stream through
+    plan.assemble)`` for one table; ``chunk`` overrides the chunk rows."""
+    m = block_i.size
+    plan = AssemblyPlan.build(
+        n, np.concatenate([np.arange(n), block_i, block_j]), block_i, block_j
+    )
+    with mock.patch("repro.assembly.symbolic._CHUNK_ROWS", chunk or 2048):
+        binding = plan.bind(geometry)
+    with np.errstate(invalid="ignore"):  # 0 * inf on non-finite tables
+        w, ws, _, _ = spring_loads(
+            geometry, states, pn, ps, np.zeros(m), np.ones(m)
+        )
+        kii, kjj, kij = spring_stiffness(geometry, w, ws)
+        return (
+            binding,
+            binding.assemble(static, w, ws),
+            plan.assemble(np.concatenate([static, kii, kjj]), kij),
+        )
+
+
+def assert_same_int_bits(matrix, ref):
+    np.testing.assert_array_equal(int_bits(matrix.diag), int_bits(ref.diag))
+    np.testing.assert_array_equal(matrix.rows, ref.rows)
+    np.testing.assert_array_equal(matrix.cols, ref.cols)
+    np.testing.assert_array_equal(int_bits(matrix.blocks), int_bits(ref.blocks))
+
+
+def few_blocks_table(seed, n, m, states):
+    """``m`` contacts among blocks ``0..n-1`` of ``n + 1`` (the last has
+    none, so its diagonal segment is its static row alone); weights zero
+    for OPEN contacts and for some closed ones (``pn = 0``), static
+    blocks holding ``-0.0`` entries."""
+    rng = np.random.default_rng(seed)
+    geometry = spring_table(n, m, seed)[0]
+    block_i = rng.integers(0, n, size=m)
+    block_j = (block_i + 1 + rng.integers(0, n - 1, size=m)) % n
+    if isinstance(states, str):
+        states = {
+            "open": np.full(m, OPEN),
+            "lock": np.full(m, LOCK),
+            "mixed": rng.integers(0, 3, size=m),
+            "few": np.where(rng.random(m) < 0.15, rng.choice([SLIDE, LOCK], m), OPEN),
+        }[states]
+    pn = rng.random(m) + 1.0
+    pn[rng.random(m) < 0.1] = 0.0
+    static = rng.standard_normal((n + 1, BS, BS))
+    static[rng.random(static.shape) < 0.2] = -0.0
+    return (n + 1, geometry, block_i, block_j, np.asarray(states),
+            pn, rng.random(m) + 1.0, static)
+
+
+@st.composite
+def zero_aware_sweeps(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    n, geometry, *rest = few_blocks_table(
+        seed,
+        draw(st.integers(2, 5)),
+        draw(st.sampled_from([0, 1, 5, 12, 40])),
+        draw(st.sampled_from(["open", "lock", "mixed", "few"])),
+    )
+    m = geometry.d0.size
+    if m and draw(st.booleans()):  # a non-finite spring vector
+        e = geometry.e.copy()
+        e[draw(st.integers(0, m - 1)), draw(st.integers(0, BS - 1))] = draw(
+            st.sampled_from([np.inf, -np.inf, np.nan])
+        )
+        geometry = dataclasses.replace(geometry, e=e)
+    return (n, geometry, *rest, draw(st.sampled_from([4, 16, 2048])))
+
+
+class TestZeroAwareSweep:
+    """The bound sweep skips the exactly-zero rows of OPEN contacts yet
+    equals the materialised stream through ``plan.assemble`` — every
+    bit, ``-0.0`` and NaN included."""
+
+    @given(zero_aware_sweeps())
+    @settings(max_examples=120, deadline=None)
+    def test_equals_materialised_stream(self, case):
+        _, got, ref = zero_aware_and_materialised(*case)
+        assert_same_int_bits(got, ref)
+
+    @pytest.mark.parametrize("closed", [
+        [],                            # all OPEN
+        [17],                          # one: singleton pair segment
+        [0, 39],                       # two, at the ends
+        [3, 8, 9, 16, 24, 31, 32],     # pairwise-block boundaries
+        list(range(40)),               # all closed
+    ])
+    def test_long_segments_with_zero_rows_anywhere(self, closed):
+        """Blocks 0 and 1 share 40 contacts: diagonal segments of 41 rows
+        and a 40-row pair segment, so NumPy's pairwise sum (>= 8 rows,
+        unrolled in eights) runs over zero rows at these positions."""
+        states = np.full(40, OPEN)
+        states[closed] = LOCK
+        n, geometry, bi, bj, states, pn, ps, static = few_blocks_table(
+            1, 2, 40, states
+        )
+        pn[:] = 1.0  # every closed contact's weight nonzero
+        binding, got, ref = zero_aware_and_materialised(
+            n, geometry, bi, bj, states, pn, ps, static
+        )
+        assert binding.seg_len.max() >= 16
+        assert_same_int_bits(got, ref)
+
+    def test_negative_zero_static_entries(self):
+        """A static ``-0.0`` stays ``-0.0`` on a length-1 segment (the
+        contact-free block) and becomes ``+0.0`` on a longer segment of
+        zero rows, as the segment sum's adds make it."""
+        n, geometry, bi, bj, states, pn, ps, static = few_blocks_table(
+            2, 3, 12, "open"
+        )
+        static[:] = -0.0
+        _, got, ref = zero_aware_and_materialised(
+            n, geometry, bi, bj, states, pn, ps, static
+        )
+        assert_same_int_bits(got, ref)
+        assert np.signbit(got.diag[-1]).all()
+        assert not np.signbit(got.diag[:-1]).any()
+        assert not np.signbit(got.blocks).any()
+
+    def test_no_contacts(self):
+        binding, got, ref = zero_aware_and_materialised(
+            *few_blocks_table(3, 2, 0, "open")
+        )
+        assert got.n_offdiag == 0
+        assert_same_int_bits(got, ref)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_vectors_form_every_row(self, bad):
+        """``0 * inf`` is NaN: an OPEN contact's block is not zero, so
+        the binding forms every row and NaN lands where it always did."""
+        n, geometry, bi, bj, states, pn, ps, static = few_blocks_table(
+            4, 3, 12, "few"
+        )
+        e = geometry.e.copy()
+        e[states == OPEN] = bad
+        binding, got, ref = zero_aware_and_materialised(
+            n, dataclasses.replace(geometry, e=e), bi, bj, states, pn, ps, static
+        )
+        assert not binding.finite
+        assert np.isnan(ref.diag).any()
+        assert_same_int_bits(got, ref)
 
 
 class CheckedEngine(GpuEngine):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.blocks import Block, BlockSystem
 from repro.core.materials import BlockMaterial
+from repro.contact.open_close import StateUpdate
 from repro.core.state import ResilienceControls, SimulationControls
 from repro.engine.chaos import FaultInjector
 from repro.engine.contracts import (
@@ -15,7 +16,6 @@ from repro.engine.contracts import (
     StageContracts,
 )
 from repro.engine.gpu_engine import GpuEngine
-from repro.engine.physics import StateUpdate
 from repro.engine.serial_engine import SerialEngine
 from repro.meshing.slope_models import build_brick_wall
 from repro.solvers.cg import CGResult

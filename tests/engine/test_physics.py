@@ -6,15 +6,21 @@ from repro.contact.contact_set import VE, ContactSet
 from repro.core.blocks import Block, BlockSystem, DOF
 from repro.core.materials import BlockMaterial, JointMaterial
 from repro.core.state import SimulationControls
+from repro.contact.open_close import OpenCloseDriver
 from repro.engine.physics import (
     contact_loads,
     contact_system,
     diagonal_system,
-    update_contact_states,
 )
 from oracles import update_contact_states_serial
 
 SQ = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
+def update_contact_states(system, contacts, d, *, prev_normal_force=None):
+    """One open–close sweep of a fresh driver: the vectorised rule."""
+    driver = OpenCloseDriver.build(system, contacts)
+    return driver.sweep(d, prev_normal_force)
 
 
 def stacked_system(gap=0.01, joint=None):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro.core.blocks import Block, BlockSystem
-from repro.io.ascii_art import GLYPHS, render_snapshots, render_system
+from repro.io.ascii_art import GLYPHS, render_system
 
 SQ = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -47,16 +47,3 @@ class TestRenderSystem:
     def test_invalid_bounds(self, two_blocks):
         with pytest.raises(ValueError):
             render_system(two_blocks, bounds=np.array([1.0, 0.0, 1.0, 2.0]))
-
-
-class TestRenderSnapshots:
-    def test_frames(self):
-        system = BlockSystem([Block(SQ)])
-        snaps = [
-            (0, np.array([[0.5, 0.5]])),
-            (10, np.array([[0.5, 2.5]])),
-        ]
-        out = render_snapshots(snaps, system, width=20, height=8)
-        assert "-- step 0 --" in out
-        assert "-- step 10 --" in out
-        assert out.count("o") == 2
