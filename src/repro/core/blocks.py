@@ -15,13 +15,14 @@ import numpy as np
 
 from repro.core.materials import BlockMaterial, JointMaterial
 from repro.geometry.polygon import (
-    ensure_ccw,
+    next_vertices,
     polygon_aabb,
     polygon_area,
     polygon_centroid,
     polygon_second_moments,
+    shoelace,
 )
-from repro.geometry.tolerances import Tolerances
+from repro.geometry.tolerances import bbox_diagonal
 from repro.primitives.scatter import segment_max, segment_min, segment_sum
 from repro.util.validation import ShapeError, check_array
 
@@ -42,27 +43,33 @@ class Block:
     material: BlockMaterial = field(default_factory=BlockMaterial)
 
     def __post_init__(self) -> None:
+        # one pass: one validation, one successor copy for the edge gaps
+        # and the shoelace, one signed area (recomputed only if reversed)
         v = check_array("vertices", self.vertices, dtype=np.float64,
                         shape=(None, 2), finite=True)
-        # drop coincident consecutive vertices (zero-length edges) before
-        # orientation/area: scale-relative, so a millimetre-scale block is
-        # cleaned exactly like a kilometre-scale one
         if v.shape[0] >= 2:
-            tol = Tolerances.from_points(v, rel=1e-12)
-            gap = np.hypot(*(v - np.roll(v, 1, axis=0)).T)
-            keep = gap > tol.eps_length
-            if not keep.all():
+            # drop coincident consecutive vertices (zero-length edges),
+            # scale-relatively: a millimetre block is cleaned like a km one
+            span = v.max(axis=0) - v.min(axis=0)
+            eps = 1e-12 * bbox_diagonal(span, v)
+            nxt = next_vertices(v)
+            gap = np.hypot(*(nxt - v).T)  # gap[i]: edge i -> i + 1
+            if not gap.min() > eps:
+                # vertex i stays when the edge arriving at it has length
+                keep = np.concatenate((gap[-1:], gap[:-1])) > eps
                 if keep.sum() < 3:
-                    raise ShapeError(
-                        "block polygon collapses to fewer than 3 distinct "
-                        "vertices"
-                    )
+                    raise ShapeError("block polygon collapses to fewer "
+                                     "than 3 distinct vertices")
                 v = v[keep]
-        self.vertices = ensure_ccw(v)
-        span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
-        if abs(polygon_area(self.vertices)) < max(
-            1e-14, 1e-12 * float(span @ span)
-        ):
+                span, nxt = v.max(axis=0) - v.min(axis=0), next_vertices(v)
+        if v.shape[0] < 3:
+            raise ShapeError(f"polygon needs >= 3 vertices, got {v.shape[0]}")
+        area = shoelace(v, nxt)
+        if not area > 0.0:
+            v = v[::-1].copy()
+            area = shoelace(v, next_vertices(v))
+        self.vertices = v
+        if abs(area) < max(1e-14, 1e-12 * float(span @ span)):
             raise ShapeError("block polygon has (near-)zero area")
 
     @property
@@ -163,10 +170,7 @@ class BlockSystem:
         (verified against them in the tests); runs every time step, so
         the per-block Python loop it replaces was a measured hot spot.
         """
-        n = self.n_blocks
         v = self.vertices
-        counts = np.diff(self.offsets)
-        owner = np.repeat(np.arange(n), counts)
         # next vertex within each block (CCW roll)
         nxt = np.arange(v.shape[0]) + 1
         nxt[self.offsets[1:] - 1] = self.offsets[:-1]
@@ -230,12 +234,9 @@ class BlockSystem:
         owning block index. Edge ``k`` of block ``i`` runs CCW, so the
         block's material lies to its left.
         """
-        starts = self.vertices
-        ends = np.empty_like(starts)
-        for i in range(self.n_blocks):
-            lo, hi = self.offsets[i], self.offsets[i + 1]
-            ends[lo:hi] = np.roll(self.vertices[lo:hi], -1, axis=0)
-        return starts, ends, self.block_of_vertex()
+        nxt = np.arange(self.vertices.shape[0]) + 1
+        nxt[self.offsets[1:] - 1] = self.offsets[:-1]
+        return self.vertices, self.vertices[nxt], self.block_of_vertex()
 
     # ------------------------------------------------------------------
     # boundary conditions
@@ -281,16 +282,6 @@ class BlockSystem:
             Block(self.block_vertices(i).copy(), self.material_of(i))
             for i in range(self.n_blocks)
         ]
-
-    def copy(self) -> "BlockSystem":
-        """Deep copy (geometry, velocities, and boundary conditions)."""
-        out = BlockSystem(self.to_blocks(), self.joint_material)
-        out.velocities = self.velocities.copy()
-        out.stresses = self.stresses.copy()
-        out.fixed_points = list(self.fixed_points)
-        out.fixed_anchors = list(self.fixed_anchors)
-        out.load_points = list(self.load_points)
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

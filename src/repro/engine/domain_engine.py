@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import domain
 from repro.assembly.global_matrix import BlockMatrix
 from repro.contact.contact_set import ContactSet
 from repro.core.blocks import BlockSystem
@@ -45,7 +46,6 @@ from repro.domain.halo import (
     build_exchange_plan,
     make_domain_devices,
 )
-from repro.domain.partition import partition_blocks
 from repro.domain.solve import DistributedOperand
 from repro.engine.serial_engine import SerialEngine
 from repro.gpu.device import DeviceProfile
@@ -70,7 +70,7 @@ class DomainEngine(SerialEngine):
             tracer=tracer, metrics=metrics,
         )
         self.n_domains = int(n_domains)
-        self.labels, self.partition_stats = partition_blocks(
+        self.labels, self.partition_stats = domain.partition_blocks(
             system, self.n_domains,
             margin=self.contact_threshold, method=partition_method,
         )

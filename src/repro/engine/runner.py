@@ -17,6 +17,7 @@ from pathlib import Path
 
 from repro.core.state import ResilienceControls, SimulationControls
 from repro.engine.chaos import FaultInjector
+from repro.engine.domain_engine import DomainEngine
 from repro.engine.gpu_engine import GpuEngine
 from repro.engine.hybrid_engine import HybridEngine
 from repro.engine.resilience import CheckpointCorrupt
@@ -79,10 +80,6 @@ def make_engine(spec, system, controls, fault_injector=None,
     if spec.engine == "hybrid":
         return HybridEngine(system, controls, profile=profile, **common)
     if spec.engine == "domain":
-        # deferred: ``repro.domain`` brings ``scipy.sparse.csgraph`` and
-        # through it ``scipy.linalg``, 0.12 s only a domain run uses
-        from repro.engine.domain_engine import DomainEngine
-
         return DomainEngine(
             system, controls, n_domains=getattr(spec, "n_domains", 2),
             **common,

@@ -19,12 +19,20 @@ def _vertices(poly: np.ndarray) -> np.ndarray:
     return poly
 
 
+def next_vertices(p: np.ndarray) -> np.ndarray:
+    """Each vertex's successor around the loop, from two slices."""
+    return np.concatenate((p[1:], p[:1]))
+
+
+def shoelace(p: np.ndarray, nxt: np.ndarray) -> float:
+    """Signed area of the validated loop ``p`` with successors ``nxt``."""
+    return 0.5 * float(np.sum(p[:, 0] * nxt[:, 1] - nxt[:, 0] * p[:, 1]))
+
+
 def polygon_area(poly: np.ndarray) -> float:
     """Signed area via the shoelace formula (positive for CCW order)."""
     p = _vertices(poly)
-    x, y = p[:, 0], p[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    return 0.5 * float(np.sum(x * yn - xn * y))
+    return shoelace(p, next_vertices(p))
 
 
 def is_ccw(poly: np.ndarray) -> bool:
@@ -35,7 +43,7 @@ def is_ccw(poly: np.ndarray) -> bool:
 def ensure_ccw(poly: np.ndarray) -> np.ndarray:
     """Return the polygon with CCW orientation (reversed copy if needed)."""
     p = _vertices(poly)
-    return p if is_ccw(p) else p[::-1].copy()
+    return p if shoelace(p, next_vertices(p)) > 0.0 else p[::-1].copy()
 
 
 def polygon_centroid(poly: np.ndarray) -> np.ndarray:
@@ -47,7 +55,7 @@ def polygon_centroid(poly: np.ndarray) -> np.ndarray:
     """
     p = _vertices(poly)
     x, y = p[:, 0], p[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    xn, yn = next_vertices(x), next_vertices(y)
     cross = x * yn - xn * y
     a = 0.5 * np.sum(cross)
     span = p.max(axis=0) - p.min(axis=0)
@@ -68,7 +76,7 @@ def polygon_second_moments(poly: np.ndarray) -> tuple[float, float, float]:
     """
     p = ensure_ccw(poly)
     x, y = p[:, 0], p[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    xn, yn = next_vertices(x), next_vertices(y)
     cross = x * yn - xn * y
     a = 0.5 * np.sum(cross)
     cx = np.sum((x + xn) * cross) / (6.0 * a)
@@ -111,7 +119,7 @@ def point_in_polygon(poly: np.ndarray, points: np.ndarray) -> np.ndarray:
     p = _vertices(poly)
     q = check_array("points", points, dtype=np.float64, shape=(None, 2))
     x1, y1 = p[:, 0], p[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    x2, y2 = next_vertices(x1), next_vertices(y1)
     px = q[:, 0][:, None]
     py = q[:, 1][:, None]
     # edge straddles the horizontal ray?

@@ -91,13 +91,7 @@ class Tolerances:
         good = coords[np.isfinite(coords).all(axis=1)]
         if good.shape[0] == 0:  # lint: sync-ok[setup] -- one-time host-side tolerance derivation
             return cls(1.0, rel)
-        span = good.max(axis=0) - good.min(axis=0)
-        diag = float(np.sqrt(np.sum(span * span)))
-        if not (np.isfinite(diag) and diag > 0.0):
-            diag = float(np.max(np.abs(good)))  # lint: sync-ok[setup] -- one-time host-side tolerance derivation
-        if not (np.isfinite(diag) and diag > 0.0):
-            diag = 1.0
-        return cls(diag, rel)
+        return cls(bbox_diagonal(good.max(axis=0) - good.min(axis=0), good), rel)
 
     @classmethod
     def from_segments(
@@ -106,3 +100,13 @@ class Tolerances:
         """Tolerances scaled to the extent of ``(n, 4)`` segment rows."""
         segs = np.asarray(segments, dtype=np.float64).reshape(-1, 4)
         return cls.from_points(segs.reshape(-1, 2), rel)
+
+
+def bbox_diagonal(span: np.ndarray, points: np.ndarray) -> float:
+    """Diagonal of the box ``span`` of finite ``points``, as in ``from_points``."""
+    diag = float(np.sqrt(np.sum(span * span)))
+    if not (np.isfinite(diag) and diag > 0.0):
+        diag = float(np.max(np.abs(points)))  # lint: sync-ok[setup] -- one-time host-side tolerance derivation
+    if not (np.isfinite(diag) and diag > 0.0):
+        diag = 1.0
+    return diag

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.geometry.polygon import next_vertices, shoelace
 from repro.geometry.segments import segment_intersections, split_segments_at_points
 from repro.util.validation import check_array
 
@@ -161,10 +162,6 @@ def extract_faces(
         if len(loop) < 3:
             continue
         pts = arr.points[np.asarray(loop, dtype=np.int64)]
-        x, y = pts[:, 0], pts[:, 1]
-        area = 0.5 * float(
-            np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-        )
-        if area > min_area:
+        if shoelace(pts, next_vertices(pts)) > min_area:
             faces.append(pts.copy())
     return faces

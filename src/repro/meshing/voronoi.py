@@ -17,7 +17,7 @@ from scipy.spatial import Voronoi
 
 from repro.core.blocks import Block, BlockSystem
 from repro.core.materials import BlockMaterial, JointMaterial
-from repro.geometry.polygon import polygon_area
+from repro.geometry.polygon import polygon_area, polygon_centroid
 from repro.util.rng import make_rng
 from repro.util.validation import check_positive
 
@@ -54,8 +54,6 @@ def voronoi_cells(
     for _ in range(max(0, relax) + 1):
         cells = _cells_for_points(pts, width, height)
         # Lloyd: move each seed to its cell centroid
-        from repro.geometry.polygon import polygon_centroid
-
         pts = np.array([polygon_centroid(c) for c in cells])
     return cells
 
@@ -111,8 +109,6 @@ def build_voronoi_rubble(
     blocks = []
     for poly in cells:
         if shrink > 0.0:
-            from repro.geometry.polygon import polygon_centroid
-
             c = polygon_centroid(poly)
             poly = c + (poly - c) * (1.0 - shrink)
         blocks.append(Block(poly, mat))

@@ -261,9 +261,8 @@ def worker_entry(
     loaded between here and the outcome write: 0 for a forked worker,
     which inherits this module's closure from the scheduler, unless the
     spec selects a ``rubble`` model, whose import
-    :mod:`repro.engine.runner` defers. (Its other deferred import, the
-    ``domain`` engine, serves ``python -m repro run --engine domain``;
-    no job spec names that engine.)
+    :mod:`repro.engine.runner` defers. (A ``DomainEngine`` loads its
+    partitioner when constructed; no job spec names that engine.)
     """
     n_modules = len(sys.modules)
     IOFaultInjector.install_from_env()

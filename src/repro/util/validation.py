@@ -172,8 +172,9 @@ def validate_model_arrays(
     duplicate blocks, and boundary-condition block indices. Raises
     :class:`ModelValidationError` naming the first offending block.
     """
-    # lazy import: geometry.tolerances is a leaf, but keep this module
-    # importable without dragging geometry in at import time
+    # lazy import: geometry imports this module, so it cannot be a
+    # top-level import here
+    from repro.geometry.polygon import next_vertices, shoelace
     from repro.geometry.tolerances import Tolerances
 
     offsets = np.asarray(offsets)
@@ -237,10 +238,9 @@ def validate_model_arrays(
     seen: dict[bytes, int] = {}
     for b in range(n_blocks):
         poly = vertices[offsets[b] : offsets[b + 1]]
-        x, y = poly[:, 0], poly[:, 1]
-        area2 = float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+        area = shoelace(poly, next_vertices(poly))
         span = poly.max(axis=0) - poly.min(axis=0)
-        if abs(area2) <= max(2e-14, 2e-12 * float(span @ span)):
+        if abs(area) <= max(1e-14, 1e-12 * float(span @ span)):
             raise ModelValidationError(
                 "polygon has (near-)zero area", block=b
             )

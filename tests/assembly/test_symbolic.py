@@ -1,6 +1,7 @@
 """The one assembler: summation order, launch reuse, invalidation, and
 the bound numeric phase the engines run held to the materialising one."""
 
+import copy
 import dataclasses
 import tracemalloc
 from unittest import mock
@@ -206,7 +207,7 @@ class TestSummationOrder:
         system, sweep = rocks_sweep
         _, *contributions = rocks_stream
         serial, hybrid, gpu = (
-            cls(system.copy())._assemble(*sweep)
+            cls(copy.deepcopy(system))._assemble(*sweep)
             for cls in (SerialEngine, HybridEngine, GpuEngine)
         )
         for other in (hybrid, gpu):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -92,10 +94,12 @@ class TestBlockSystem:
         assert s.load_points == [(1, 2.5, 0.5, 0.0, -10.0)]
 
     def test_copy_independent(self):
+        """A system shares no state with its deep copy, which is how the
+        tests hand each engine a system of its own."""
         s = self._two_blocks()
         s.fix_block(0)
         s.velocities[1, 0] = 3.0
-        c = s.copy()
+        c = copy.deepcopy(s)
         c.vertices[0, 0] = 99.0
         c.velocities[1, 0] = 0.0
         assert s.vertices[0, 0] == 0.0

@@ -1,21 +1,24 @@
 """Gate: a process imports what its run uses, before the run, once.
 
-Four states, each checked in a fresh interpreter (tier-1's own imports
+Five states, each checked in a fresh interpreter (tier-1's own imports
 would mask every one of them):
 
 * ``scipy.spatial`` is absent from a process that builds no Voronoi
   model — it costs more to load than the rest of an engine process's
   imports together — and the lazy exports still bring it in;
+* importing the four preset modules loads no ``scipy.sparse.csgraph``
+  (``repro.domain`` exports its partitioner lazily), and constructing a
+  ``DomainEngine`` loads it, before ``engine.run``;
 * ``engine.run`` adds no module to ``sys.modules`` on any preset, so no
   import lands inside a timed run;
 * a forked worker reports ``late_imports == 0``: ``service/worker.py``'s
   top-level imports are its closure, and the scheduler held them before
   the fork. The exception is a ``rubble`` worker, which loads
   ``scipy.spatial`` where ``engine/runner.py`` builds the model; the
-  runner's other deferred import, ``repro.engine.domain_engine``
-  (``scipy.sparse.csgraph``), serves ``python -m repro run --engine
-  domain``, since no job spec names that engine. The scheduler holds
-  neither;
+  domain partitioner (``scipy.sparse.csgraph``) loads where a
+  ``DomainEngine`` is constructed, which serves ``python -m repro run
+  --engine domain``, since no job spec names that engine. The scheduler
+  holds neither;
 * an engine process never loads the linter: ``repro.lint`` is a
   development tool, and nothing on the run path imports it.
 
@@ -40,6 +43,17 @@ import repro.engine.hybrid_engine, repro.engine.domain_engine
 import repro.meshing.slope_models
 assert "scipy.sparse" in sys.modules
 assert "scipy.spatial" not in sys.modules, "scipy.spatial loaded eagerly"
+"""
+
+DOMAIN_DEFERRED = """
+import sys
+import repro.engine.serial_engine, repro.engine.gpu_engine
+import repro.engine.hybrid_engine, repro.engine.domain_engine
+assert "scipy.sparse.csgraph" not in sys.modules, "scipy.sparse.csgraph loaded eagerly"
+from repro.engine.domain_engine import DomainEngine
+from repro.meshing import build_brick_wall
+engine = DomainEngine(build_brick_wall(rows=2, cols=2), n_domains=2)
+assert "scipy.sparse.csgraph" in sys.modules
 """
 
 LAZY_EXPORTS = """
@@ -139,6 +153,10 @@ def test_engine_process_never_loads_scipy_spatial():
     passes(NO_SPATIAL)
 
 
+def test_domain_partitioner_loads_with_the_engine():
+    passes(DOMAIN_DEFERRED)
+
+
 def test_lazy_voronoi_exports_load_it_on_demand():
     passes(LAZY_EXPORTS)
 
@@ -178,6 +196,13 @@ PLANTS = {
         (NO_SPATIAL,),
         "scipy.spatial loaded eagerly",
     ),
+    "eager_partition": (
+        "domain/__init__.py",
+        "\n__all__ = [",
+        "from repro.domain.partition import partition_blocks\n",
+        (DOMAIN_DEFERRED,),
+        "scipy.sparse.csgraph loaded eagerly",
+    ),
     "engine_imports_lint": (
         "primitives/compact.py",
         "from repro.primitives.radix_sort import radix_sort_pairs\n",
@@ -191,7 +216,7 @@ PLANTS = {
 @pytest.mark.parametrize("plant", sorted(PLANTS))
 def test_a_planted_import_fails_its_check(plant, tmp_path):
     """Each guard fires: one import planted in a copy of ``src`` — late
-    in the worker path, late in ``engine.run``, eager in the package, the
+    in the worker path, late in ``engine.run``, eager in a package, the
     linter on the kernel path — turns the matching check red and names
     what it found."""
     path, anchor, planted, run, message = PLANTS[plant]
