@@ -23,7 +23,7 @@ Quickstart::
 
     from repro import build_slope_model, GpuEngine, SimulationControls
 
-    system = build_slope_model(rows=8, cols=12, seed=0)
+    system = build_slope_model(joint_spacing=5.0, seed=0)
     engine = GpuEngine(system, SimulationControls(time_step=1e-3))
     result = engine.run(steps=50)
     print(result.module_times)

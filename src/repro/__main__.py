@@ -1,6 +1,6 @@
 """Command-line runner: ``python -m repro``.
 
-Three subcommands share the entry point:
+Four subcommands share the entry point:
 
 ``run`` (the default — bare flags are routed to it, so every historical
 invocation keeps working) builds one of the bundled workloads (or loads
@@ -12,12 +12,12 @@ the engine's metrics snapshot after the run.
 
 ``batch`` is the batch simulation service (:mod:`repro.service`):
 submit jobs to a persistent queue, drain it with a crash-isolated
-worker pool, and inspect cached results. ``batch serve`` exposes the
-directory over HTTP/JSON (idempotent submits, deadlines, backpressure;
-docs/service-api.md). ``batch soak`` runs a chaos campaign (storage
-faults + a scheduler kill; ``--scenario api`` drives it through the
-HTTP server with network faults armed too) and ``batch audit`` replays the
-job-event journal to prove exactly-once completion.
+worker pool, and inspect cached results; its verbs are listed in
+:mod:`repro.service.cli`. ``run`` and ``batch submit`` take the same
+16 options that describe a run
+(:func:`repro.service.spec.add_run_options`), and ``run`` executes
+them through :func:`repro.engine.runner.execute_spec`, the function a
+batch worker calls.
 
 ``report`` renders a paper-style per-module table (measured vs
 modelled seconds, speedup) from a trace file written by ``--trace``,
@@ -39,12 +39,7 @@ Examples
     python -m repro run --model slope --trace results/run.json --metrics
     python -m repro report results/run.json
     python -m repro batch submit --dir results/batch --model slope
-    python -m repro batch run --dir results/batch --workers 2
-    python -m repro batch serve --dir results/batch --port 8080
-    python -m repro batch soak --dir results/soak --scenario storage
-    python -m repro batch soak --dir results/netsoak --scenario api
-    python -m repro batch audit --dir results/soak --final
-    python -m repro report results/soak
+    python -m repro report results/batch
     python -m repro lint --json
 """
 
@@ -53,14 +48,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-#: Subcommands accepted as the first CLI token; anything else is
-#: treated as legacy ``run`` flags.
-SUBCOMMANDS = ("run", "batch", "report", "lint")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core.state import ON_FAILURE
+    from repro.engine.runner import RUN_ENGINES
+    from repro.service.spec import add_run_options
+
     p = argparse.ArgumentParser(
         prog="python -m repro",
         description="Run the GPU-pipeline DDA reproduction on a workload.",
@@ -68,32 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
                "foreground simulation; 'batch' is the batch service "
                "(python -m repro batch --help).",
     )
-    src = p.add_mutually_exclusive_group()
-    src.add_argument(
-        "--model", choices=("slope", "rocks", "wall", "rubble"),
-        default="wall", help="bundled workload to build",
-    )
-    src.add_argument("--load", metavar="STEM",
-                     help="load a model saved with repro.io.save_system")
-    p.add_argument("--engine", choices=("gpu", "serial", "hybrid", "domain"),
-                   default="gpu")
-    p.add_argument("--profile", choices=("k40", "k20"), default="k40",
-                   help="GPU device profile (gpu and hybrid engines)")
+    res, _ = add_run_options(p, engines=RUN_ENGINES, engine="gpu")
     p.add_argument("--n-domains", type=int, default=2, metavar="N",
                    help="domain count for --engine domain (the "
                         "decomposed path is bit-identical to serial "
                         "at every N)")
-    p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--dt", type=float, default=1e-3, help="time step [s]")
-    p.add_argument("--dynamic", action="store_true",
-                   help="keep velocities between steps (Case-2 mode)")
-    p.add_argument(
-        "--preconditioner", default="bj",
-        choices=("none", "jacobi", "bj", "ssor", "ilu"),
-    )
-    p.add_argument("--size", type=float, default=6.0,
-                   help="slope joint spacing / rubble block scale")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--save", metavar="STEM",
                    help="save the final state with repro.io.save_system")
     p.add_argument("--no-render", action="store_true",
@@ -107,48 +78,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print the metrics snapshot (contact classes, CG "
                           "iteration histogram, fallback/rollback counters) "
                           "after the run")
-    res = p.add_argument_group("resilience (long-run survival)")
-    res.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
-                     help="full-state checkpoint every N accepted steps "
-                          "(0 = off; enables rollback recovery)")
     res.add_argument("--checkpoint-dir", metavar="DIR",
                      help="persist checkpoints (npz + checksum) to DIR")
-    res.add_argument("--max-rollbacks", type=int, default=3, metavar="N",
-                     help="fatal-failure rollbacks allowed per run")
-    res.add_argument("--on-failure", choices=("raise", "partial"),
-                     default="raise",
+    res.add_argument("--on-failure", choices=ON_FAILURE, default="raise",
                      help="'partial' returns the accepted prefix with a "
                           "failure report instead of raising")
     res.add_argument("--no-solver-fallback", action="store_true",
                      help="disable the preconditioner fallback ladder")
-    res.add_argument("--contracts", choices=("off", "cheap", "full"),
-                     default="off", dest="contracts",
-                     help="stage-contract checking level "
-                          "(post-condition checks at every pipeline stage)")
-    chaos = p.add_argument_group("chaos harness (fault injection)")
-    chaos.add_argument("--inject-faults", type=int, metavar="SEED",
-                       dest="inject_faults", default=None,
-                       help="inject every registered fault class once, "
-                            "deterministically from SEED (pair with "
-                            "--contracts and --checkpoint-every to "
-                            "exercise detection + recovery)")
-    chaos.add_argument("--fault", action="append", dest="fault_names",
-                       metavar="NAME", default=None,
-                       help="restrict injection to this fault class "
-                            "(repeatable; see repro.engine.chaos."
-                            "FAULT_REGISTRY)")
-    chaos.add_argument("--fault-step", type=int, default=1, metavar="N",
-                       help="first step eligible for injection (default 1, "
-                            "so a checkpoint exists to roll back to)")
     return p
-
-
-def build_system(args: argparse.Namespace):
-    # the argparse namespace is duck-typed like a JobSpec (model, load,
-    # size, seed), so the batch service's runner does the work
-    from repro.engine.runner import build_system_from_spec
-
-    return build_system_from_spec(args)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -178,35 +115,23 @@ def run_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.n_domains < 1:
         parser.error(f"--n-domains must be >= 1, got {args.n_domains}")
-    from repro.core.state import ResilienceControls, SimulationControls
     from repro.engine.base import REJECTION_CAUSES
-    from repro.engine.runner import make_engine, make_fault_injector
+    from repro.engine.runner import execute_spec
     from repro.obs.tracer import Tracer
     from repro.util.tables import Table
 
-    system = build_system(args)
-    print(f"model: {system}", file=sys.stderr)
-    controls = SimulationControls(
-        time_step=args.dt,
-        dynamic=args.dynamic,
-        preconditioner=args.preconditioner,
-        contract_level=args.contracts,
-        resilience=ResilienceControls(
-            checkpoint_every=args.checkpoint_every,
+    # the namespace passes for a JobSpec (same names): the batch
+    # worker's path to the engine, plus the run-only resilience values
+    tracer = Tracer(enabled=args.trace_path is not None)
+    result, engine, _ = execute_spec(
+        args, tracer=tracer, resilience=dict(
             checkpoint_dir=args.checkpoint_dir,
-            max_rollbacks=args.max_rollbacks,
             on_failure=args.on_failure,
             solver_fallback=not args.no_solver_fallback,
         ),
     )
-    # the namespace is duck-typed like a JobSpec here too (engine,
-    # profile, n_domains and the fault knobs): one preset factory
-    injector = make_fault_injector(args)
-    tracer = Tracer(enabled=args.trace_path is not None)
-    engine = make_engine(
-        args, system, controls, fault_injector=injector, tracer=tracer
-    )
-    result = engine.run(steps=args.steps)
+    system, injector = engine.system, engine.fault_injector
+    print(f"model: {system}", file=sys.stderr)
     if args.trace_path:
         path = tracer.write(args.trace_path)
         print(f"trace written: {path}", file=sys.stderr)

@@ -12,6 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+#: Stage-contract checking levels, in increasing strictness/cost.
+CONTRACT_LEVELS = ("off", "cheap", "full")
+#: What a run (CLI or job spec) may name; ``neumann`` is controls-only.
+PRECONDITIONERS = ("none", "jacobi", "bj", "ssor", "ilu")
+#: What a run does with a failure it cannot recover from.
+ON_FAILURE = ("raise", "partial")
+
+
 @dataclass
 class ResilienceControls:
     """Knobs of the resilience layer (:mod:`repro.engine.resilience`).
@@ -53,9 +61,9 @@ class ResilienceControls:
             raise ValueError(
                 f"max_rollbacks must be >= 0, got {self.max_rollbacks}"
             )
-        if self.on_failure not in ("raise", "partial"):
+        if self.on_failure not in ON_FAILURE:
             raise ValueError(
-                f"on_failure must be 'raise' or 'partial', got "
+                f"on_failure must be one of {ON_FAILURE}, got "
                 f"{self.on_failure!r}"
             )
 
@@ -139,7 +147,7 @@ class SimulationControls:
             raise ValueError("max_open_close_iterations must be >= 1")
         if self.cg_max_iterations < 1:
             raise ValueError("cg_max_iterations must be >= 1")
-        known = ("bj", "ssor", "ilu", "jacobi", "neumann", "none")
+        known = PRECONDITIONERS + ("neumann",)
         if self.preconditioner not in known:
             raise ValueError(
                 f"preconditioner must be one of {known}, "
@@ -154,8 +162,8 @@ class SimulationControls:
                 "resilience must be a ResilienceControls, got "
                 f"{type(self.resilience).__name__}"
             )
-        if self.contract_level not in ("off", "cheap", "full"):
+        if self.contract_level not in CONTRACT_LEVELS:
             raise ValueError(
-                "contract_level must be 'off', 'cheap', or 'full', got "
+                f"contract_level must be one of {CONTRACT_LEVELS}, got "
                 f"{self.contract_level!r}"
             )

@@ -38,14 +38,12 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.state import CONTRACT_LEVELS
 from repro.engine.resilience import (
     PENETRATION_FACTOR,
     SimulationError,
     StepContext,
 )
-
-#: Valid contract levels, in increasing strictness/cost.
-CONTRACT_LEVELS = ("off", "cheap", "full")
 
 #: ``full`` residual check: the true relative residual may exceed the
 #: solver's reported one by at most this factor.

@@ -60,7 +60,6 @@ class DomainEngine(SerialEngine):
         controls: SimulationControls | None = None,
         profile: DeviceProfile | None = None,
         n_domains: int = 2,
-        partition_method: str = "auto",
         fault_injector=None,
         tracer=None,
         metrics=None,
@@ -71,8 +70,7 @@ class DomainEngine(SerialEngine):
         )
         self.n_domains = int(n_domains)
         self.labels, self.partition_stats = domain.partition_blocks(
-            system, self.n_domains,
-            margin=self.contact_threshold, method=partition_method,
+            system, self.n_domains, margin=self.contact_threshold
         )
         self.dmap = DomainMap.from_labels(self.labels, self.n_domains)
         self.domain_devices = make_domain_devices(

@@ -1,13 +1,13 @@
 """Spec-to-engine entry point shared by the CLI and the batch service.
 
-A :class:`~repro.service.spec.JobSpec` (or anything duck-typed like it:
-``python -m repro run`` passes its argparse namespace straight to
-:func:`build_system_from_spec`, :func:`make_fault_injector` and
-:func:`make_engine`) names a workload, an engine, and controls; this
-module turns that into a ready engine and runs it — optionally resuming
-from a previously persisted checkpoint, which is how a retried batch job
-continues where its crashed predecessor stopped instead of recomputing
-from step 0.
+A :class:`~repro.service.spec.JobSpec` names a workload, an engine, and
+controls; :func:`execute_spec` turns it into a ready engine and runs it
+— optionally resuming from a previously persisted checkpoint, which is
+how a retried batch job continues where its crashed predecessor stopped
+instead of recomputing from step 0. ``python -m repro run`` passes its
+argparse namespace instead: its dests are the JobSpec field names
+(:func:`repro.service.spec.add_run_options`), plus the run-only
+``n_domains``.
 """
 
 from __future__ import annotations
@@ -33,10 +33,18 @@ from repro.meshing.slope_models import (
 )
 from repro.util.timing import ModuleTimes
 
+#: ``--model`` values: the workloads :func:`build_system_from_spec` builds.
+MODELS = ("slope", "rocks", "wall", "rubble")
+#: ``--engine`` values a job spec may name; ``repro run`` adds ``domain``.
+ENGINES = ("gpu", "serial", "hybrid")
+RUN_ENGINES = ENGINES + ("domain",)
+#: ``--profile`` values and the device profile each names.
+PROFILES = {"k40": K40, "k20": K20}
+
 
 def build_system_from_spec(spec):
     """Build (or load) the :class:`BlockSystem` a spec names."""
-    if getattr(spec, "load", None):
+    if spec.load:
         return load_system(spec.load)
     if spec.model == "slope":
         return build_slope_model(joint_spacing=spec.size, seed=spec.seed)
@@ -53,10 +61,10 @@ def build_system_from_spec(spec):
     return build_brick_wall(rows=4, cols=6)
 
 
-def controls_from_spec(
-    spec, *, checkpoint_dir: str | Path | None = None
-) -> SimulationControls:
-    """Simulation controls for a spec (checkpoints go to the job dir)."""
+def controls_from_spec(spec, **resilience) -> SimulationControls:
+    """The controls a spec names (building them is how a ``JobSpec``
+    checks its control fields); ``resilience`` sets the
+    :class:`ResilienceControls` fields a spec does not carry."""
     return SimulationControls(
         time_step=spec.time_step,
         dynamic=spec.dynamic,
@@ -64,8 +72,8 @@ def controls_from_spec(
         contract_level=spec.contracts,
         resilience=ResilienceControls(
             checkpoint_every=spec.checkpoint_every,
-            checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
             max_rollbacks=spec.max_rollbacks,
+            **resilience,
         ),
     )
 
@@ -73,25 +81,21 @@ def controls_from_spec(
 def make_engine(spec, system, controls, fault_injector=None,
                 tracer=None, metrics=None):
     """Instantiate the engine a spec names."""
-    profile = K20 if spec.profile == "k20" else K40
     common = dict(fault_injector=fault_injector, tracer=tracer, metrics=metrics)
     if spec.engine == "serial":
         return SerialEngine(system, controls, **common)
-    if spec.engine == "hybrid":
-        return HybridEngine(system, controls, profile=profile, **common)
     if spec.engine == "domain":
         return DomainEngine(
             system, controls, n_domains=getattr(spec, "n_domains", 2),
             **common,
         )
-    return GpuEngine(system, controls, profile=profile, **common)
+    preset = HybridEngine if spec.engine == "hybrid" else GpuEngine
+    return preset(system, controls, profile=PROFILES[spec.profile], **common)
 
 
 def make_fault_injector(spec):
     """Chaos injector for a spec's fault knobs (``None`` when clean)."""
-    if getattr(spec, "inject_faults", None) is None and not getattr(
-        spec, "fault_names", None
-    ):
+    if spec.inject_faults is None and not spec.fault_names:
         return None
     return FaultInjector(
         faults=list(spec.fault_names) if spec.fault_names else None,
@@ -126,7 +130,7 @@ def newest_valid_checkpoint(checkpoint_dir: str | Path):
 def execute_spec(
     spec,
     *,
-    checkpoint_dir: str | Path | None = None,
+    resilience: dict | None = None,
     resume_checkpoint=None,
     resume_offset: int = 0,
     fault_injector=None,
@@ -135,6 +139,8 @@ def execute_spec(
 ):
     """Run a spec end to end; returns ``(result, engine, summary)``.
 
+    ``resilience`` goes to :func:`controls_from_spec` (a worker's
+    ``checkpoint_dir``; ``repro run``'s three run-only resilience flags).
     With ``resume_checkpoint`` set, the engine restores it and
     integrates only the remaining ``spec.steps - resume_offset`` steps
     (``resume_offset`` is the checkpoint's *global* accepted-step index
@@ -149,7 +155,7 @@ def execute_spec(
     if fault_injector is None:
         fault_injector = make_fault_injector(spec)
     system = build_system_from_spec(spec)
-    controls = controls_from_spec(spec, checkpoint_dir=checkpoint_dir)
+    controls = controls_from_spec(spec, **(resilience or {}))
     engine = make_engine(
         spec, system, controls, fault_injector=fault_injector,
         tracer=tracer, metrics=metrics,
@@ -160,7 +166,7 @@ def execute_spec(
         resumed_from = resume_offset
     remaining = spec.steps - resumed_from
     start = time.perf_counter()
-    if remaining > 0:
+    if remaining > 0 or resume_checkpoint is None:
         result = engine.run(steps=remaining)
     else:  # a checkpoint already covers the whole run
         result = SimulationResult(

@@ -116,21 +116,13 @@ def build_slope_model(
     material: BlockMaterial | None = None,
     joint_material: JointMaterial | None = None,
     fix_base_band: float | None = None,
-    rows: int | None = None,
-    cols: int | None = None,
 ) -> BlockSystem:
     """Case-1-like static slope-stability model.
 
     The cross-section is cut by two joint sets — one dipping out of the
     slope face, one roughly perpendicular — and blocks whose centroid lies
     in the base band are fixed (the far-field boundary).
-
-    ``rows``/``cols`` offer a deterministic shortcut: when both are given
-    the joint spacing is derived so the rock mass has roughly that many
-    courses and columns (useful for size-controlled benches).
     """
-    if rows is not None and cols is not None:
-        joint_spacing = min(height / rows, width / cols)
     check_positive("joint_spacing", joint_spacing)
     domain = _slope_domain(width, height, slope_angle_deg, toe_height)
     bounds = np.array([0.0, 0.0, width, height])

@@ -25,13 +25,15 @@ HTTP/JSON (see :mod:`repro.service.http` and docs/service-api.md).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from repro.service.audit import audit_journal, format_report
 from repro.service.client import BatchClient
+from repro.service.http import ServiceConfig, run_server
 from repro.service.soak import SCENARIOS, run_soak
-from repro.service.spec import ENGINES, JobSpec, MODELS, PROFILES, RetryPolicy
+from repro.service.spec import JobSpec, RetryPolicy, add_run_options
 from repro.util.tables import Table
 
 
@@ -51,26 +53,8 @@ def build_batch_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("submit", help="enqueue one job")
     add_dir(s)
-    src = s.add_mutually_exclusive_group()
-    src.add_argument("--model", choices=MODELS, default="wall")
-    src.add_argument("--load", metavar="STEM",
-                     help="load a model saved with repro.io.save_system")
-    s.add_argument("--engine", choices=ENGINES, default="serial")
-    s.add_argument("--profile", choices=PROFILES, default="k40")
-    s.add_argument("--steps", type=int, default=20)
-    s.add_argument("--dt", type=float, default=1e-3)
-    s.add_argument("--dynamic", action="store_true")
-    s.add_argument("--preconditioner", default="bj",
-                   choices=("none", "jacobi", "bj", "ssor", "ilu"))
-    s.add_argument("--size", type=float, default=6.0)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--contracts", choices=("off", "cheap", "full"),
-                   default="off")
-    s.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
-                   help="checkpoint cadence; also the retry resume "
-                        "granularity (0 = restart retries from scratch)")
-    s.add_argument("--max-rollbacks", type=int, default=3)
-    s.add_argument("--tag", default="", help="free-form label (hashed)")
+    _, chaos = add_run_options(s)
+    s.add_argument("--tag", help="free-form label (hashed)")
     s.add_argument("--priority", type=int, default=0,
                    help="0-999; higher runs sooner (FIFO within a priority)")
     s.add_argument("--max-retries", type=int, default=1,
@@ -83,13 +67,7 @@ def build_batch_parser() -> argparse.ArgumentParser:
                        metavar="SEC",
                        help="per-attempt wall-clock budget (overrides the "
                             "pool's --job-timeout for this job)")
-    chaos = s.add_argument_group("chaos harness")
-    chaos.add_argument("--inject-faults", type=int, metavar="SEED",
-                       default=None)
-    chaos.add_argument("--fault", action="append", dest="fault_names",
-                       metavar="NAME", default=None)
-    chaos.add_argument("--fault-step", type=int, default=1, metavar="N")
-    chaos.add_argument("--kill-at-step", type=int, default=None, metavar="N",
+    chaos.add_argument("--kill-at-step", type=int, metavar="N",
                        help="hard-kill the worker process at this step "
                             "(crash-isolation testing)")
     chaos.add_argument("--kill-once", action="store_true",
@@ -157,38 +135,23 @@ def build_batch_parser() -> argparse.ArgumentParser:
     v.add_argument("--port", type=int, default=0,
                    help="0 picks an ephemeral port (written to "
                         "<dir>/http.json)")
-    v.add_argument("--max-queue-depth", type=int, default=512,
+    v.add_argument("--max-queue-depth", type=int,
+                   default=ServiceConfig.max_queue_depth,
                    help="submits are rejected (429) past this backlog")
-    v.add_argument("--rate-capacity", type=float, default=50.0,
+    v.add_argument("--rate-capacity", type=float,
+                   default=ServiceConfig.rate_capacity,
                    help="per-tenant token-bucket burst capacity")
-    v.add_argument("--rate-refill", type=float, default=25.0,
+    v.add_argument("--rate-refill", type=float,
+                   default=ServiceConfig.rate_refill_per_s,
                    help="per-tenant token refill per second")
     return p
 
 
 def spec_from_args(args: argparse.Namespace) -> JobSpec:
     """Build the JobSpec a ``batch submit`` invocation describes."""
-    return JobSpec(
-        model=args.model,
-        load=args.load,
-        engine=args.engine,
-        profile=args.profile,
-        steps=args.steps,
-        time_step=args.dt,
-        dynamic=args.dynamic,
-        preconditioner=args.preconditioner,
-        size=args.size,
-        seed=args.seed,
-        contracts=args.contracts,
-        checkpoint_every=args.checkpoint_every,
-        max_rollbacks=args.max_rollbacks,
-        inject_faults=args.inject_faults,
-        fault_names=tuple(args.fault_names) if args.fault_names else None,
-        fault_step=args.fault_step,
-        kill_at_step=args.kill_at_step,
-        kill_once=args.kill_once,
-        tag=args.tag,
-    )
+    return JobSpec(**{
+        f.name: getattr(args, f.name) for f in dataclasses.fields(JobSpec)
+    })
 
 
 def batch_main(argv: list[str] | None = None) -> int:
@@ -201,7 +164,11 @@ def batch_main(argv: list[str] | None = None) -> int:
             print(msg, file=sys.stderr)
 
     if args.command == "submit":
-        spec = spec_from_args(args)
+        try:
+            spec = spec_from_args(args)
+        except ValueError as err:
+            print(f"bad spec: {err}", file=sys.stderr)
+            return 2
         retry = RetryPolicy(
             max_attempts=args.max_retries + 1,
             backoff_s=args.backoff,
@@ -344,8 +311,6 @@ def batch_main(argv: list[str] | None = None) -> int:
         return 0 if ok else 1
 
     if args.command == "serve":
-        from repro.service.http import ServiceConfig, run_server
-
         config = ServiceConfig(
             host=args.host, port=args.port,
             max_queue_depth=args.max_queue_depth,

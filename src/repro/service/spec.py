@@ -17,18 +17,19 @@ workers on a reproducible fault.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.state import CONTRACT_LEVELS, PRECONDITIONERS
 from repro.engine.chaos import derive_seed
+from repro.engine.runner import (
+    ENGINES, MODELS, PROFILES, controls_from_spec, make_fault_injector,
+)
 from repro.util.hashing import content_hash
-
-MODELS = ("slope", "rocks", "wall", "rubble")
-ENGINES = ("gpu", "serial", "hybrid")
-PROFILES = ("k40", "k20")
 
 
 class JobState:
@@ -132,28 +133,17 @@ class RetryPolicy:
 class JobSpec:
     """One simulation run, declaratively.
 
-    Attributes
-    ----------
-    model:
-        Bundled workload (``slope``/``rocks``/``wall``/``rubble``),
-        ignored when ``load`` is set.
-    load:
-        Stem of a model saved with :func:`repro.io.save_system`.
-    engine / profile:
-        Pipeline (``gpu``/``serial``/``hybrid``) and GPU device profile.
-    steps / time_step / dynamic / preconditioner / size / seed:
-        Mirror the ``python -m repro run`` flags.
-    contracts:
-        Stage-contract level (``off``/``cheap``/``full``).
-    checkpoint_every:
-        Checkpoint cadence in accepted steps. Doubles as the retry
-        granularity: a crashed worker's next attempt resumes from the
-        newest valid on-disk checkpoint. ``0`` disables both.
-    max_rollbacks:
-        In-run rollback budget (within one worker attempt).
-    inject_faults / fault_names / fault_step:
-        Chaos-harness knobs (:class:`repro.engine.chaos.FaultInjector`).
-        Part of the hash — a faulted run is a different computation.
+    The first 16 fields are the options ``python -m repro run`` and
+    ``batch submit`` share: :func:`add_run_options` declares each once,
+    with its help text, under the field's name (``--dt`` is
+    ``time_step``). ``load`` wins over ``model``. Besides its own range
+    checks, a spec is valid when the run can build its fault injector
+    and its controls; an invalid one raises ``ValueError`` here, at
+    submit. In the service ``checkpoint_every`` doubles as the retry
+    granularity (a crashed worker's next attempt resumes from the
+    newest valid on-disk checkpoint), and the fault knobs are part of
+    the hash — a faulted run is a different computation.
+
     kill_at_step:
         Test/chaos knob: hard-kill the worker process (``os._exit``)
         when this accepted step is reached, simulating a segfault or
@@ -189,25 +179,26 @@ class JobSpec:
     tag: str = ""
 
     def __post_init__(self) -> None:
+        if self.fault_names is not None and not isinstance(self.fault_names, tuple):
+            # normalise lists (e.g. from JSON) so the hash is stable
+            object.__setattr__(self, "fault_names", tuple(self.fault_names))
         if self.load is None and self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if self.profile not in PROFILES:
-            raise ValueError(f"profile must be one of {PROFILES}, got {self.profile!r}")
+            raise ValueError(
+                f"profile must be one of {tuple(PROFILES)}, got {self.profile!r}"
+            )
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.time_step <= 0:
-            raise ValueError(f"time_step must be > 0, got {self.time_step}")
-        if self.contracts not in ("off", "cheap", "full"):
-            raise ValueError(f"contracts must be off/cheap/full, got {self.contracts!r}")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
+        if self.size <= 0:
+            raise ValueError(f"size must be > 0, got {self.size}")
         if self.kill_at_step is not None and self.kill_at_step < 0:
             raise ValueError("kill_at_step must be >= 0")
-        if self.fault_names is not None and not isinstance(self.fault_names, tuple):
-            # normalise lists (e.g. from JSON) so the hash is stable
-            object.__setattr__(self, "fault_names", tuple(self.fault_names))
+        # the rest: what the run builds from them checks them
+        make_fault_injector(self)
+        controls_from_spec(self)
 
     def to_dict(self) -> dict:
         """JSON-safe dict; round-trips through :meth:`from_dict`."""
@@ -217,17 +208,81 @@ class JobSpec:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "JobSpec":
-        """Rebuild a spec; unknown keys raise (schema drift detector)."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+    def from_dict(cls, d: dict, *, check: bool = True) -> "JobSpec":
+        """Rebuild a spec; unknown keys raise (schema drift detector).
+        ``check=False`` skips the value checks, for a stored record: it
+        was checked at submit, perhaps by a version that accepted more."""
+        fields = dataclasses.fields(cls)
+        unknown = set(d) - {f.name for f in fields}
         if unknown:
             raise ValueError(f"unknown JobSpec field(s): {sorted(unknown)}")
-        return cls(**d)
+        if check:
+            return cls(**d)
+        spec = object.__new__(cls)
+        spec.__dict__.update({f.name: f.default for f in fields}, **d)
+        if spec.fault_names is not None:
+            spec.__dict__["fault_names"] = tuple(spec.fault_names)
+        return spec
 
     def spec_hash(self) -> str:
         """Content hash over *every* field — the result-cache key."""
         return content_hash(self.to_dict())
+
+
+def add_run_options(
+    parser: argparse.ArgumentParser,
+    *,
+    engines: tuple[str, ...] = ENGINES,
+    engine: str = JobSpec.engine,
+):
+    """Add the options that describe a run, for ``python -m repro run``
+    and ``batch submit`` alike: each stores the :class:`JobSpec` field it
+    sets (``--dt`` stores ``time_step``) and every field defaults to the
+    spec's default, so a namespace passes for a spec. ``run`` adds the
+    ``domain`` engine and defaults to ``gpu``. Returns the resilience and
+    chaos argument groups, for the options one command adds to them."""
+    parser.set_defaults(**{**dataclasses.asdict(JobSpec()), "engine": engine})
+    src = parser.add_mutually_exclusive_group()
+    src.add_argument("--model", choices=MODELS, help="bundled workload to build")
+    src.add_argument("--load", metavar="STEM",
+                     help="load a model saved with repro.io.save_system")
+    parser.add_argument("--engine", choices=engines)
+    parser.add_argument("--profile", choices=PROFILES,
+                        help="GPU device profile (gpu and hybrid engines)")
+    parser.add_argument("--steps", type=int)
+    parser.add_argument("--dt", type=float, dest="time_step", metavar="DT",
+                        help="time step [s]")
+    parser.add_argument("--dynamic", action="store_true",
+                        help="keep velocities between steps (Case-2 mode)")
+    parser.add_argument("--preconditioner", choices=PRECONDITIONERS)
+    parser.add_argument("--size", type=float,
+                        help="slope joint spacing / rubble block scale")
+    parser.add_argument("--seed", type=int)
+    res = parser.add_argument_group("resilience (long-run survival)")
+    res.add_argument("--checkpoint-every", type=int, metavar="N",
+                     help="full-state checkpoint every N accepted steps "
+                          "(0 = off; enables rollback recovery, and a "
+                          "retried batch job resumes from the newest)")
+    res.add_argument("--max-rollbacks", type=int, metavar="N",
+                     help="fatal-failure rollbacks allowed per run")
+    res.add_argument("--contracts", choices=CONTRACT_LEVELS,
+                     help="stage-contract checking level "
+                          "(post-condition checks at every pipeline stage)")
+    chaos = parser.add_argument_group("chaos harness (fault injection)")
+    chaos.add_argument("--inject-faults", type=int, metavar="SEED",
+                       help="inject every registered fault class once, "
+                            "deterministically from SEED (pair with "
+                            "--contracts and --checkpoint-every to "
+                            "exercise detection + recovery)")
+    chaos.add_argument("--fault", action="append", dest="fault_names",
+                       metavar="NAME",
+                       help="restrict injection to this fault class "
+                            "(repeatable; see repro.engine.chaos."
+                            "FAULT_REGISTRY)")
+    chaos.add_argument("--fault-step", type=int, metavar="N",
+                       help="first step eligible for injection (default 1, "
+                            "so a checkpoint exists to roll back to)")
+    return res, chaos
 
 
 @dataclass
@@ -276,7 +331,7 @@ class JobRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "JobRecord":
         d = dict(d)
-        d["spec"] = JobSpec.from_dict(d["spec"])
+        d["spec"] = JobSpec.from_dict(d["spec"], check=False)
         # record files written before the retry budget became one policy
         # carry a ``max_retries`` count and possibly a null ``retry``
         legacy = d.pop("max_retries", 1)

@@ -194,11 +194,12 @@ def run_job(
         found = find_resume_point(scratch)
         if found is not None and found[1] < spec.steps:
             resume_cp, resume_offset = found
-    cp_dir = None
+    resilience: dict[str, str] = {}
     if spec.checkpoint_every > 0:
         cp_dir = attempt_checkpoint_dir(scratch, attempt, epoch)
         cp_dir.mkdir(parents=True, exist_ok=True)
         write_json_atomic(cp_dir / "offset.json", {"offset": resume_offset})
+        resilience["checkpoint_dir"] = str(cp_dir)
     injector = make_fault_injector(spec)
     arm_kill = spec.kill_at_step is not None and not (
         spec.kill_once and attempt > 0
@@ -211,7 +212,7 @@ def run_job(
     try:
         result, engine, summary = execute_spec(
             spec,
-            checkpoint_dir=cp_dir,
+            resilience=resilience,
             resume_checkpoint=resume_cp,
             resume_offset=resume_offset,
             fault_injector=injector,
@@ -268,7 +269,8 @@ def worker_entry(
     IOFaultInjector.install_from_env()
     epoch = int(lease_info["epoch"])
     heartbeat = Heartbeat(lease_info).start()
-    spec = JobSpec.from_dict(spec_dict)
+    # the record's spec, checked when it was submitted
+    spec = JobSpec.from_dict(spec_dict, check=False)
     outcome = run_job(spec, scratch, attempt, epoch=epoch, trace=trace)
     heartbeat.stop()
     outcome["pid"] = os.getpid()

@@ -44,11 +44,22 @@ class TestBitIdenticalPin:
         assert res.total_cg_iterations == ref.total_cg_iterations
         assert res.n_steps == ref.n_steps == STEPS
 
-    def test_stripe_partition_also_identical(self):
+    def test_stripe_partition_also_identical(self, monkeypatch):
+        # the engine partitions with method="auto", which picks the graph
+        # method on this connected wall: force the stripe path
+        import repro.domain
+        from repro.domain.partition import partition_blocks
+
+        calls = []
+
+        def stripe(system, n_domains, **kwargs):
+            calls.append(kwargs)
+            return partition_blocks(system, n_domains, method="stripe", **kwargs)
+
+        monkeypatch.setattr(repro.domain, "partition_blocks", stripe)
         serial, _ = run(SerialEngine)
-        domain, _ = run(
-            DomainEngine, n_domains=2, partition_method="stripe"
-        )
+        domain, _ = run(DomainEngine, n_domains=2)
+        assert calls == [{"margin": domain.contact_threshold}]
         np.testing.assert_array_equal(
             domain.system.vertices, serial.system.vertices
         )

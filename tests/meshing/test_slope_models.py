@@ -60,10 +60,6 @@ class TestSlopeModel:
         # blocks tile the domain: areas sum to the domain area
         assert s.areas.sum() == pytest.approx(domain_area, rel=0.02)
 
-    def test_rows_cols_shortcut(self):
-        s = build_slope_model(rows=4, cols=8, seed=0)
-        assert s.n_blocks > 8
-
     def test_infeasible_geometry_rejected(self):
         with pytest.raises(ValueError, match="infeasible"):
             build_slope_model(width=5.0, height=40.0, slope_angle_deg=30.0)

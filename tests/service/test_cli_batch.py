@@ -75,3 +75,38 @@ def test_cancel_queued_job(tmp_path, capsys):
     status = json.loads(capsys.readouterr().out)
     assert status["counts"]["cancelled"] == 1
     assert main(["batch", "cancel", "--dir", batch_dir, "nope"]) == 1
+
+
+def test_submit_rejects_a_spec_the_run_would_reject(tmp_path, capsys):
+    batch_dir = tmp_path / "batch"
+    rc = main(["batch", "submit", "--dir", str(batch_dir), "--model", "wall",
+               "--engine", "serial", "--steps", "2", "--max-rollbacks", "-1"])
+    assert rc != 0
+    assert "bad spec: max_rollbacks must be >= 0" in capsys.readouterr().err
+    assert not list(batch_dir.glob("queue/jobs/*.json"))
+    assert not list(batch_dir.glob("queue/tickets/queued/*"))
+
+
+def test_directory_holding_a_record_submit_now_rejects(tmp_path, capsys):
+    """Before submit checked every field, a spec the run rejects was
+    stored (here ``preconditioner="bogus"``): such a directory still
+    drains, renders and audits."""
+    batch_dir = tmp_path / "batch"
+    main(["batch", "submit", "--dir", str(batch_dir), "--model", "wall",
+          "--engine", "serial", "--steps", "2"])
+    (path,) = (batch_dir / "queue" / "jobs").glob("*.json")
+    record = json.loads(path.read_text())
+    record["spec"]["preconditioner"] = "bogus"
+    path.write_text(json.dumps(record))
+    capsys.readouterr()
+
+    assert main(["batch", "run", "--dir", str(batch_dir), "--quiet"]) == 1
+    assert "quarantined 1" in capsys.readouterr().out
+    assert main(["batch", "status", "--dir", str(batch_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "quarantined=1" in out
+    assert "preconditioner must be one of" in out
+    assert main(["batch", "audit", "--dir", str(batch_dir), "--final"]) == 0
+    capsys.readouterr()
+    assert main(["report", str(batch_dir)]) == 0
+    assert capsys.readouterr().out

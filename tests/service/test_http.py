@@ -120,6 +120,28 @@ class TestLifecycle:
         assert err.value.status == 400
         assert client.stats["requests"] == before + 1  # not retried
 
+    @pytest.mark.parametrize("body", [
+        {"preconditioner": "bogus", "steps": 2},
+        {"max_rollbacks": -1, "steps": 2},
+        {"size": 0.0, "steps": 2},
+        {"fault_names": ["no_such_fault"], "steps": 2},
+    ])
+    def test_spec_the_run_would_reject_400s_and_leaves_no_trace(
+        self, served, body
+    ):
+        """These specs used to be accepted (201), then burned two worker
+        attempts failing the same way and ended quarantined."""
+        _server, client, root = served
+        with pytest.raises(ServiceError) as err:
+            client.submit(body)
+        assert err.value.status == 400
+        assert err.value.payload["error"].startswith("bad spec: ")
+        queue = BatchClient(root).queue
+        assert not list(queue.jobs_dir.glob("*.json"))
+        assert not list(queue.queued_dir.iterdir())
+        events, _ = queue.journal.events()
+        assert [e for e in events if e["job_id"] != "-"] == []
+
     @pytest.mark.parametrize("priority", ["abc", 5000, -1])
     def test_bad_priority_400s(self, served, priority):
         _server, client, _root = served

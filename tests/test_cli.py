@@ -1,9 +1,9 @@
 """Tests for the ``python -m repro`` command-line runner."""
 
-import numpy as np
 import pytest
 
-from repro.__main__ import build_parser, build_system, main
+from repro.__main__ import build_parser, main
+from repro.engine.runner import build_system_from_spec
 
 
 class TestParser:
@@ -26,7 +26,7 @@ class TestBuildSystem:
     @pytest.mark.parametrize("model", ["wall", "rocks", "rubble"])
     def test_bundled_models(self, model):
         args = build_parser().parse_args(["--model", model])
-        system = build_system(args)
+        system = build_system_from_spec(args)
         assert system.n_blocks > 1
 
     def test_load_roundtrip(self, tmp_path):
@@ -35,7 +35,7 @@ class TestBuildSystem:
 
         save_system(build_brick_wall(2, 2), tmp_path / "m")
         args = build_parser().parse_args(["--load", str(tmp_path / "m")])
-        system = build_system(args)
+        system = build_system_from_spec(args)
         assert system.n_blocks == 6  # base + 2 bricks + 3 offset pieces
 
 
