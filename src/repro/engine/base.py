@@ -67,12 +67,14 @@ MAX_STEP_RETRIES = 10
 CONTACT_DISTANCE_FACTOR = 0.05
 
 #: Why loop 2 can throw an attempt away (``StepContext.cause``); one
-#: ``engine.step_rejected.<cause>`` counter each.
+#: ``engine.step_rejected.<cause>`` counter each, the last one created
+#: when it first fires (a run the rule leaves alone keeps its snapshot).
 REJECTION_CAUSES = (
     "cg_non_convergence",
     "cg_breakdown",
     "open_close_oscillation",
     "max_displacement",
+    "open_close_divergence",
 )
 
 #: ``charge(device, size)``: record one stage's launches on ``device``.
@@ -142,7 +144,7 @@ class EngineBase:
             "contracts.violations", "engine.steps",
             "open_close.sweeps", "assembly.symbolic_reuse",
             "contact.candidate_plan_reuse",
-            *(f"engine.step_rejected.{c}" for c in REJECTION_CAUSES),
+            *(f"engine.step_rejected.{c}" for c in REJECTION_CAUSES[:-1]),
             "engine.rejected_cg_iterations",
         ):
             self.metrics.counter(name)
@@ -695,24 +697,16 @@ class EngineBase:
             with self._stage(times, "diagonal_matrix_building", step):
                 diag_idx, diag_blocks, f_base = self._build_diagonal()
 
-            diag_idx = np.concatenate(
-                [diag_idx, contacts.block_i, contacts.block_j]
-            )
-            normal_force = contacts.pn * np.maximum(
-                0.0, contacts.normal_disp
-            )
+            diag_idx = np.concatenate([diag_idx, contacts.block_i, contacts.block_j])
+            normal_force = contacts.pn * np.maximum(0.0, contacts.normal_disp)
             d = np.zeros(self.system.n_dof)
-            cg_total = 0
-            oc_iters = 0
-            converged = True
-            oc_converged = False
-            step_rung = 0
-            # the rung the attempt's last solve needed: a sweep starts
-            # where the one before it had to climb to
-            first_rung = 0
+            # first_rung, the rung the attempt's last solve needed: a
+            # sweep starts where the one before it had to climb to
+            cg_total = step_rung = first_rung = 0
+            converged, oc_converged = True, False
             max_pen = 0.0
+            changes: list[int] = []  # significant changes, one per sweep
             for oc in range(controls.max_open_close_iterations):
-                oc_iters = oc + 1
                 # ---- non-diagonal building --------------------------
                 with self._stage(times, "nondiagonal_matrix_building", step):
                     w, ws, f_contact = self._build_nondiagonal(
@@ -739,34 +733,38 @@ class EngineBase:
                 last_res = res
                 if not res.converged:
                     converged = False
-                    cause = (
-                        "cg_breakdown" if res.breakdown
-                        else "cg_non_convergence"
-                    )
+                    cause = "cg_breakdown" if res.breakdown else "cg_non_convergence"
                     break
                 d = res.x
                 # ---- interpenetration checking ------------------------
                 with self._stage(times, "interpenetration_checking", step):
-                    update = self._check_interpenetration(
-                        contacts, d, normal_force
-                    )
+                    update = self._check_interpenetration(contacts, d, normal_force)
                 self.contracts.check_state_update(contacts, update, context=ctx)
                 max_pen = update.max_penetration
                 contacts.state = update.states
                 contacts.shear_sign = update.shear_sign
                 normal_force = update.normal_force
+                changes.append(update.significant_changes)
                 if update.significant_changes == 0:
                     oc_converged = True
                     break
-
-            # open–close oscillation (states still switching after the cap)
-            # is treated like CG non-convergence: shrink the physical time
-            # and redo the step (Shi's rule). On the last allowed retry the
-            # result is accepted anyway so a marginal oscillation cannot
-            # wedge the run.
+                # sweep 1 only closes the fresh table: a count that rose
+                # twice running from sweep 2 on, with sweeps left, diverges
+                if (
+                    3 <= oc < controls.max_open_close_iterations - 1
+                    and retry < MAX_STEP_RETRIES
+                    and changes[-3] < changes[-2] < changes[-1]
+                ):
+                    cause = "open_close_divergence"
+                    break
+            else:
+                cause = "open_close_oscillation"
+            # states diverging, or still switching at the cap, are treated
+            # like CG non-convergence: shrink the physical time and redo the
+            # step (Shi's rule). The last allowed retry is accepted anyway
+            # so a marginal oscillation cannot wedge the run.
             if converged and not oc_converged and retry < MAX_STEP_RETRIES:
                 converged = False
-                cause = "open_close_oscillation"
 
             # ---- loop 2: maximum displacement control ----------------
             max_disp = self._max_vertex_displacement(d)
@@ -792,7 +790,7 @@ class EngineBase:
                     step=step,
                     dt=accepted_dt,
                     cg_iterations=cg_total,
-                    open_close_iterations=oc_iters,
+                    open_close_iterations=len(changes),
                     n_contacts=contacts.m,
                     n_offdiag_blocks=int(
                         np.unique(

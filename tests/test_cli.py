@@ -49,20 +49,22 @@ class TestMain:
         assert "CG iterations total" in out
 
     def test_summary_counts_the_ladder(self, capsys):
-        # attempt 0 of this step escalates once, then starts three
-        # sweeps at the remembered rung; loop 2 rejects the attempt
+        # attempt 0 of this step escalates once in sweep 3 and starts
+        # sweep 4 at the remembered rung; loop 2 gives it up there, its
+        # count diverging (three skipped before it stopped at sweep 4)
         main(["--model", "slope", "--steps", "1", "--dt", "2e-3",
               "--no-render"])
         out = capsys.readouterr().out
         assert (
             "solver fallback engaged on 0/1 steps (max rung 0); "
-            "3 rung solves skipped"
+            "1 rung solves skipped"
         ) in out
         # the solve is reported whole: what the thrown-away attempts
-        # burned stands next to the accepted attempt's count
+        # burned stands next to the accepted attempt's count (1956 in 4,
+        # all open_close_oscillation, before two stopped at sweep 4)
         assert (
-            "CG iterations total: 62 in accepted attempts, 1956 in 4 "
-            "rejected (4 open_close_oscillation);"
+            "CG iterations total: 62 in accepted attempts, 1535 in 4 "
+            "rejected (2 open_close_oscillation, 2 open_close_divergence);"
         ) in out
 
     def test_render_included_by_default(self, capsys):
