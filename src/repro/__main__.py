@@ -83,8 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     res.add_argument("--on-failure", choices=ON_FAILURE, default="raise",
                      help="'partial' returns the accepted prefix with a "
                           "failure report instead of raising")
-    res.add_argument("--no-solver-fallback", action="store_true",
-                     help="disable the preconditioner fallback ladder")
     return p
 
 
@@ -127,7 +125,6 @@ def run_main(argv: list[str] | None = None) -> int:
         args, tracer=tracer, resilience=dict(
             checkpoint_dir=args.checkpoint_dir,
             on_failure=args.on_failure,
-            solver_fallback=not args.no_solver_fallback,
         ),
     )
     system, injector = engine.system, engine.fault_injector

@@ -66,7 +66,7 @@ class BlockMatrix:
         if m:
             if not (self.rows < self.cols).all():  # lint: sync-ok[validation-gate] -- structure check at construction, raises before use
                 raise ValueError("off-diagonal entries must satisfy row < col")
-            if self.rows.max() >= self.n or self.cols.max() >= self.n:  # lint: sync-ok[validation-gate] -- structure check at construction, raises before use
+            if self.cols.max() >= self.n or self.rows.min() < 0:  # lint: sync-ok[validation-gate] -- structure check at construction, raises before use
                 raise ValueError("block index out of range")
             key = self.rows * self.n + self.cols
             if np.any(np.diff(key) <= 0):  # lint: sync-ok[validation-gate] -- structure check at construction, raises before use

@@ -37,9 +37,6 @@ class ResilienceControls:
         ``checkpoint_<step>.npz`` with an integrity checksum.
     max_rollbacks:
         Fatal-failure rollbacks allowed per ``run()`` before giving up.
-    solver_fallback:
-        Escalate through the preconditioner ladder on PCG failure
-        before burning a loop-2 dt-halving.
     on_failure:
         ``"raise"`` propagates the typed :class:`SimulationError`;
         ``"partial"`` returns the accepted prefix of the run as a
@@ -49,7 +46,6 @@ class ResilienceControls:
     checkpoint_every: int = 0
     checkpoint_dir: str | None = None
     max_rollbacks: int = 3
-    solver_fallback: bool = True
     on_failure: str = "raise"
 
     def __post_init__(self) -> None:

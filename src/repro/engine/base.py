@@ -531,9 +531,7 @@ class EngineBase:
         dt-halving.
         """
         controls = self.controls
-        ladder = solver_ladder(
-            controls.preconditioner, controls.resilience.solver_fallback
-        )
+        ladder = solver_ladder(controls.preconditioner)
         # the SpMV operand is prepared once, outside the ladder walk —
         # every rung solves the same system, only the preconditioner
         # changes

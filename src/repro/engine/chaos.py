@@ -64,9 +64,9 @@ class FaultSpec:
     description:
         What the perturbation does.
     detector:
-        The contract/guard expected to catch it (documentation for the
-        fault-matrix test; the test asserts detection, not the
-        detector's identity).
+        The contract expected to catch it first, as
+        ``contracts.<name> (<level>)``; the fault-matrix test asserts
+        that this contract is the one that fired.
     """
 
     name: str
@@ -86,7 +86,7 @@ FAULT_REGISTRY: dict[str, FaultSpec] = {
         ),
         FaultSpec(
             "contact_duplicate", "contact_detection",
-            "append a duplicate of an existing contact row",
+            "insert a duplicate of a contact row next to it",
             "contracts.duplicate_contact (cheap)",
         ),
         FaultSpec(
@@ -227,7 +227,9 @@ class FaultInjector:
         if contacts.m == 0:
             return contacts, None
         victim = int(self._rng.integers(contacts.m))
-        idx = np.concatenate([np.arange(contacts.m), [victim]])
+        # the copy sits next to its source, so the table stays grouped
+        # by kind and only the duplicate-key contract can object
+        idx = np.insert(np.arange(contacts.m), victim, victim)
         return contacts.select(idx), f"duplicated contact row {victim}"
 
     def _apply_spring_sign_flip(self, contacts, engine):

@@ -14,7 +14,7 @@ Three levels, wired through ``SimulationControls.contract_level``:
     No checks (the default; zero overhead).
 ``cheap``
     O(m)/O(n) vectorised scans: index ranges, dedup, finite entries,
-    sign constraints, block-structure conformance, state-code validity.
+    sign constraints, state-code validity.
     Designed to stay under a few percent of step cost.
 ``full``
     Everything in ``cheap`` plus the expensive cross-checks: contact
@@ -29,6 +29,12 @@ checkpoint/rollback machinery treats it exactly like any other fatal
 step failure. Per-stage violation counts accumulate in
 :attr:`StageContracts.violations` and are surfaced on
 :class:`~repro.engine.results.SimulationResult`.
+
+A contract stays only while it catches a defect nothing else catches
+first: ``tests/engine/test_contracts.py`` plants one per contract and
+health guard in a live run, and ``docs/robustness.md`` says what catches
+the defects of the deleted ones (the ``ContactSet`` and ``BlockMatrix``
+constructors, ``positive_area`` and the ``finite`` health guard).
 """
 
 from __future__ import annotations
@@ -157,8 +163,8 @@ class StageContracts:
     ) -> None:
         """Contact-table consistency after detection + transfer + init.
 
-        cheap: index ranges, no self-contact, kind/state codes, kinds
-        grouped in VE/VV1/VV2 order, deduplicated transfer keys, finite
+        cheap: index ranges, kind/state codes, kinds grouped in
+        VE/VV1/VV2 order, deduplicated transfer keys, finite
         non-negative penalties, ratio in [0, 1].
         full: vertex/edge ownership and the lost-closed-contact scan —
         a previously *closed* VE contact whose vertex still sits well
@@ -189,12 +195,6 @@ class StageContracts:
                     f"{name} out of range [0, {n})",
                     indices=bad, context=context,
                 )
-        bad = np.flatnonzero(contacts.block_i == contacts.block_j)
-        if bad.size:
-            self._fail(
-                stage, "self_contact", "contact pairs a block with itself",
-                indices=bad, context=context,
-            )
         for name in ("vertex_idx", "e1_idx", "e2_idx"):
             arr = getattr(contacts, name)
             bad = np.flatnonzero((arr < 0) | (arr >= nv))
@@ -325,47 +325,17 @@ class StageContracts:
     def check_matrix(self, matrix, *, context: StepContext | None = None) -> None:
         """Assembled-matrix conformance.
 
-        cheap: 6x6 block-structure conformance, strictly-upper sorted
-        unique off-diagonal coordinates, finite entries, positive
-        diagonal entries of every diagonal block (an SPD necessary
-        condition), symmetric diagonal blocks (the stored-upper-triangle
-        format makes global symmetry equivalent to diagonal-block
-        symmetry).
+        cheap: finite entries, positive diagonal entries of every
+        diagonal block (an SPD necessary condition), symmetric diagonal
+        blocks (the stored-upper-triangle format makes global symmetry
+        equivalent to diagonal-block symmetry). The block structure and
+        the off-diagonal coordinates are the constructor's to check.
         full: same checks — the matrix scans are already O(nnz).
         """
         if not self.enabled:
             return
         stage = "matrix_assembly"
         d = matrix.diag
-        n = matrix.n
-        if d.shape != (n, 6, 6) or (
-            matrix.blocks.size and matrix.blocks.shape[1:] != (6, 6)
-        ):
-            self._fail(
-                stage, "block_structure",
-                f"expected (n, 6, 6) diagonal and (k, 6, 6) off-diagonal "
-                f"blocks, got {d.shape} and {matrix.blocks.shape}",
-                context=context,
-            )
-        if matrix.rows.size:
-            if (
-                np.any(matrix.rows >= matrix.cols)
-                or np.any(matrix.rows < 0)
-                or np.any(matrix.cols >= n)
-            ):
-                self._fail(
-                    stage, "offdiag_coordinates",
-                    "off-diagonal blocks must be strictly upper-triangular "
-                    "with indices in range",
-                    context=context,
-                )
-            key = matrix.rows.astype(np.int64) * n + matrix.cols
-            if np.any(np.diff(key) <= 0):
-                self._fail(
-                    stage, "offdiag_ordering",
-                    "off-diagonal blocks not sorted/unique by (row, col)",
-                    context=context,
-                )
         bad = np.flatnonzero(~np.isfinite(d).all(axis=(1, 2)))
         if bad.size:
             self._fail(
@@ -523,20 +493,13 @@ class StageContracts:
     ) -> None:
         """Geometry sanity after the data-updating stage.
 
-        cheap: finite vertices/centroids, strictly positive finite block
-        areas (a sign flip means a block inverted).
+        cheap: strictly positive finite block areas (a sign flip means
+        a block inverted; a non-finite vertex makes its area non-finite).
         full: every block polygon stays simple (non-self-intersecting).
         """
         if not self.enabled:
             return
         stage = "data_updating"
-        if not np.isfinite(system.vertices).all():
-            bad = np.flatnonzero(~np.isfinite(system.vertices).all(axis=1))
-            self._fail(
-                stage, "finite_vertices",
-                "non-finite vertex coordinates after update",
-                indices=bad, context=context,
-            )
         bad = np.flatnonzero(
             ~np.isfinite(system.areas) | (system.areas <= 0.0)
         )

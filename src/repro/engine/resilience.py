@@ -207,9 +207,7 @@ class FailureReport:
 # ----------------------------------------------------------------------
 
 
-def solver_ladder(
-    preconditioner: str, enabled: bool = True
-) -> list[tuple[str, bool]]:
+def solver_ladder(preconditioner: str) -> list[tuple[str, bool]]:
     """The escalation rungs tried before a loop-2 dt-halving.
 
     Returns ``(preconditioner_name, warm_start)`` pairs:
@@ -220,12 +218,8 @@ def solver_ladder(
       :func:`repro.solvers.preconditioners.stronger_preconditioner`;
     * rung 2 — the stronger preconditioner with a cold start
       (``x0=None``), discarding a possibly-poisoned warm start.
-
-    With ``enabled=False`` only rung 0 is returned (legacy behaviour).
     """
     ladder = [(preconditioner, True)]
-    if not enabled:
-        return ladder
     stronger = stronger_preconditioner(preconditioner)
     if stronger != preconditioner:
         ladder.append((stronger, True))
@@ -353,8 +347,8 @@ class Checkpoint:
     Captures everything the three loops read: geometry, velocities,
     stresses, boundary conditions (fixed/load points move with their
     blocks), the carried contact set with its normal/shear memory, the
-    adaptive ``dt``, accumulated ``sim_time``, the PCG warm-start
-    vector, and (when the engine owns one) the RNG state.
+    adaptive ``dt``, accumulated ``sim_time`` and the PCG warm-start
+    vector.
     """
 
     step: int
@@ -368,13 +362,11 @@ class Checkpoint:
     fixed_anchors: list[tuple[float, float]]
     load_points: list[tuple[int, float, float, float, float]]
     contacts: ContactSet
-    rng_state: dict | None = None
 
     @classmethod
     def capture(cls, engine, step: int) -> "Checkpoint":
         """Snapshot ``engine`` after ``step`` accepted steps."""
         system = engine.system
-        rng = getattr(engine, "rng", None)
         return cls(
             step=step,
             dt=engine.dt,
@@ -387,7 +379,6 @@ class Checkpoint:
             fixed_anchors=list(system.fixed_anchors),
             load_points=list(system.load_points),
             contacts=engine._contacts.copy(),
-            rng_state=rng.bit_generator.state if rng is not None else None,
         )
 
     def restore(self, engine) -> None:
@@ -404,9 +395,6 @@ class Checkpoint:
         engine._contacts = self.contacts.copy()
         engine.dt = self.dt
         engine.sim_time = self.sim_time
-        rng = getattr(engine, "rng", None)
-        if rng is not None and self.rng_state is not None:
-            rng.bit_generator.state = self.rng_state
 
 
 class CheckpointManager:

@@ -167,8 +167,6 @@ def save_checkpoint(cp, path: str | Path) -> Path:
             [int(b), float(x), float(y), float(fx), float(fy)]
             for b, x, y, fx, fy in cp.load_points
         ],
-        # numpy bit-generator states are plain nested dicts of ints
-        "rng_state": cp.rng_state,
     }
     arrays = {
         "vertices": cp.vertices,
@@ -248,7 +246,6 @@ def load_checkpoint(path: str | Path):
                 for b, x, y, fx, fy in header["load_points"]
             ],
             contacts=contacts,
-            rng_state=header.get("rng_state"),
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise CheckpointCorrupt(

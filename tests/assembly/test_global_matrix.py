@@ -78,14 +78,16 @@ class TestBlockMatrix:
             )
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="range"):
-            BlockMatrix(
-                2,
-                np.zeros((2, BS, BS)),
-                np.array([0], dtype=np.int64),
-                np.array([5], dtype=np.int64),
-                np.zeros((1, BS, BS)),
-            )
+        # row < col holds for both: a column past n, a negative row
+        for row, col in ((0, 5), (-1, 1)):
+            with pytest.raises(ValueError, match="range"):
+                BlockMatrix(
+                    2,
+                    np.zeros((2, BS, BS)),
+                    np.array([row], dtype=np.int64),
+                    np.array([col], dtype=np.int64),
+                    np.zeros((1, BS, BS)),
+                )
 
 
 class TestAssembleSerial:

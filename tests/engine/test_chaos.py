@@ -1,10 +1,13 @@
 """Chaos harness: the fault matrix.
 
 Every fault class in ``FAULT_REGISTRY`` is injected into a live run and
-must be (a) actually applied, (b) detected by a stage contract, and
-(c) recovered by checkpoint rollback so the run still completes — never
-silently absorbed into a wrong-but-plausible trajectory.
+must be (a) actually applied, (b) detected first by the stage contract
+its ``detector`` names, and (c) recovered by checkpoint rollback so the
+run still completes — never silently absorbed into a wrong-but-plausible
+trajectory.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -101,10 +104,13 @@ def test_fault_detected_and_recovered(fault, engine_cls):
     rec = injector.injected[0]
     assert rec.name == fault
     assert rec.stage == FAULT_REGISTRY[fault].stage
-    # (b) detected: a contract violation was recorded, not absorbed
+    # (b) detected, first, by the contract the registry names
     assert sum(result.contract_violations.values()) >= 1, (
         f"{fault} was silently absorbed"
     )
+    detector = re.match(r"contracts\.(\w+)", FAULT_REGISTRY[fault].detector)[1]
+    first = next(w for w in result.warnings if w.guard == "rollback")
+    assert f":{detector}] " in first.message, first.message
     # (c) recovered: rollback happened and the run still completed
     assert result.rollbacks >= 1
     assert result.failure is None

@@ -138,7 +138,6 @@ class TestFallbackLadder:
             ("bj", True), ("ssor", True), ("ssor", False),
         ]
         assert solver_ladder("ilu") == [("ilu", True), ("ilu", False)]
-        assert solver_ladder("bj", enabled=False) == [("bj", True)]
 
     def test_strength_order(self):
         assert stronger_preconditioner("none") == "jacobi"
@@ -174,13 +173,13 @@ class TestFallbackLadder:
     #: ``FlakyPCG`` window -> the solves the engine must make, in order,
     #: over two steps of the stacked pair (step 0 sweeps twice, step 1
     #: once; ``_prev_solution`` is the zero vector throughout step 0).
-    #: columns: fail_from, fail_count, solver_fallback, calls,
+    #: columns: fail_from, fail_count, calls,
     #: step 0 (retries, solver_rung), rungs_skipped, rung_escalations
     LADDER_MEMORY = {
         # (i) rung 0 fails in sweep 0 -> sweep 1 starts at rung 1;
         # (ii) the next step starts at rung 0 again
         "a failed rung is not retried in the same attempt": (
-            0, 1, True,
+            0, 1,
             [("bj", True), ("ssor", True), ("ssor", True), ("bj", True)],
             (0, 1), 1, 1,
         ),
@@ -188,7 +187,7 @@ class TestFallbackLadder:
         # restart would be rung 1 again, so the attempt ends there;
         # (ii) the next loop-2 attempt starts at rung 0 again
         "a cold restart from a zero warm start is not run": (
-            0, 2, True,
+            0, 2,
             [("bj", True), ("ssor", True), ("bj", True), ("bj", True),
              ("bj", True)],
             (1, 0), 1, 0,
@@ -196,26 +195,20 @@ class TestFallbackLadder:
         # both at once: the retry forgets attempt 0's ladder, climbs on
         # its own failure and remembers that for its second sweep
         "the memory is per attempt": (
-            0, 3, True,
+            0, 3,
             [("bj", True), ("ssor", True), ("bj", True), ("ssor", True),
              ("ssor", True), ("bj", True)],
             (1, 1), 2, 1,
-        ),
-        # (v) without the ladder there is nothing to remember or skip
-        "ladder off": (
-            0, 1, False,
-            [("bj", True), ("bj", True), ("bj", True), ("bj", True)],
-            (1, 0), 0, 0,
         ),
     }
 
     @pytest.mark.parametrize("case", LADDER_MEMORY)
     def test_ladder_memory(self, case, monkeypatch):
-        (fail_from, fail_count, fallback, calls, step0, skipped,
+        (fail_from, fail_count, calls, step0, skipped,
          escalations) = self.LADDER_MEMORY[case]
         flaky = FlakyPCG(fail_from=fail_from, fail_count=fail_count)
         monkeypatch.setattr(engine_base, "pcg", flaky)
-        engine = GpuEngine(stacked(), controls(solver_fallback=fallback))
+        engine = GpuEngine(stacked(), controls())
         result = engine.run(steps=2)
         assert flaky.rungs_seen == calls
         assert (result.steps[0].retries, result.steps[0].solver_rung) == step0
@@ -249,14 +242,6 @@ class TestFallbackLadder:
         engine, _ = self._unbuildable_rung_1(monkeypatch, TypeError)
         with pytest.raises(TypeError, match="planted"):
             engine.run(steps=1)
-
-    def test_ladder_disabled_burns_dt_halving(self, monkeypatch):
-        flaky = FlakyPCG(fail_from=0, fail_count=1)
-        monkeypatch.setattr(engine_base, "pcg", flaky)
-        engine = GpuEngine(stacked(), controls(solver_fallback=False))
-        result = engine.run(steps=2)
-        assert result.steps[0].retries == 1
-        assert result.steps[0].solver_rung == 0
 
     def test_breakdown_classified(self, monkeypatch):
         flaky = FlakyPCG(fail_from=0, fail_count=10_000, breakdown=True)
@@ -333,12 +318,12 @@ class TestNoRungCouldBeBuilt:
 # ----------------------------------------------------------------------
 class TestAcceptedDtRecording:
     def test_recorded_dt_is_integrated_dt(self, monkeypatch):
-        # force one rejection on step 3's first solve (ladder off): the
-        # step then integrates the halved dt, and the record must show
-        # that dt — not the regrown value carried into step 4
-        flaky = FlakyPCG(fail_from=3, fail_count=1)
+        # force one rejection on step 3's first solve (all three rungs
+        # fail): the step then integrates the halved dt, and the record
+        # must show that dt — not the regrown value carried into step 4
+        flaky = FlakyPCG(fail_from=3, fail_count=3)
         monkeypatch.setattr(engine_base, "pcg", flaky)
-        engine = GpuEngine(stacked(), controls(solver_fallback=False))
+        engine = GpuEngine(stacked(), controls())
         result = engine.run(steps=6)
         retried = [st for st in result.steps if st.retries == 1]
         assert len(retried) == 1
@@ -479,6 +464,34 @@ class TestCheckpoint:
         assert cp.step == 3
         np.testing.assert_array_equal(cp.vertices, engine.system.vertices)
 
+    def test_header_key_no_longer_read_is_ignored(self, tmp_path):
+        """Older files carry a header key this version no longer writes
+        (an RNG state, always null: no engine owned an RNG)."""
+        import json
+
+        from repro.io.model_io import (
+            _checkpoint_digest,
+            load_checkpoint,
+            save_checkpoint,
+        )
+
+        engine = GpuEngine(stacked(), controls())
+        engine.run(steps=2)
+        path = save_checkpoint(engine.checkpoint(step=2), tmp_path / "cp")
+        with np.load(path) as data:
+            header = json.loads(str(data["__header__"]))
+            arrays = {k: data[k] for k in data.files if not k.startswith("__")}
+        header["retired_key"] = None
+        header_json = json.dumps(header, sort_keys=True)
+        np.savez_compressed(
+            path, __header__=np.array(header_json),
+            __checksum__=np.array(_checkpoint_digest(header_json, arrays)),
+            **arrays,
+        )
+        cp = load_checkpoint(path)
+        assert cp.step == 2
+        np.testing.assert_array_equal(cp.vertices, engine.system.vertices)
+
 
 # ----------------------------------------------------------------------
 # end-to-end recovery (the acceptance scenario) — all three engines
@@ -488,23 +501,21 @@ class TestEndToEndRecovery:
     def test_transient_fault_rolls_back_and_completes(
         self, engine_cls, monkeypatch
     ):
-        # Fault window: every solve fails from call 12 until one full
-        # step has exhausted its retries (ladder off => 1 call per
-        # attempt, 11 attempts), then the fault heals. Without the
-        # resilience layer this run died with a RuntimeError.
-        retries = engine_base.MAX_STEP_RETRIES + 1
-        flaky = FlakyPCG(fail_from=6, fail_count=retries)
+        # Fault window: every solve fails from call 6 until one full
+        # step has exhausted its retries (3 ladder rungs per attempt,
+        # 11 attempts), then the fault heals. Without the resilience
+        # layer this run died with a RuntimeError.
+        window = 3 * (engine_base.MAX_STEP_RETRIES + 1)
+        flaky = FlakyPCG(fail_from=6, fail_count=window)
         monkeypatch.setattr(engine_base, "pcg", flaky)
         engine = engine_cls(
-            stacked(),
-            controls(checkpoint_every=2, max_rollbacks=2,
-                     solver_fallback=False),
+            stacked(), controls(checkpoint_every=2, max_rollbacks=2),
         )
         result = engine.run(steps=10)
         assert result.failure is None
         assert result.n_steps == 10
         assert result.rollbacks >= 1
-        assert flaky.failed == retries  # the whole window was consumed
+        assert flaky.failed == window  # the whole window was consumed
         rollback_notes = [w for w in result.warnings if w.guard == "rollback"]
         assert rollback_notes and "rolled back to step" in rollback_notes[0].message
         # renumbering stayed contiguous through the rollback
@@ -519,7 +530,7 @@ class TestEndToEndRecovery:
         engine = engine_cls(
             stacked(),
             controls(checkpoint_every=2, max_rollbacks=1,
-                     solver_fallback=False, on_failure="partial"),
+                     on_failure="partial"),
         )
         result = engine.run(steps=10)
         assert result.is_partial

@@ -122,7 +122,7 @@ def test_run_reaches_the_engine_through_execute_spec(
     cp_dir = tmp_path / "cp"
     rc = main(["--model", "wall", "--steps", "2", "--dynamic", "--no-render",
                "--checkpoint-every", "1", "--checkpoint-dir", str(cp_dir),
-               "--on-failure", "partial", "--no-solver-fallback"])
+               "--on-failure", "partial"])
     assert rc == 0
     ((spec, kwargs, engine),) = calls
     assert (spec.engine, spec.steps, spec.time_step) == ("gpu", 2, 1e-3)
@@ -130,8 +130,8 @@ def test_run_reaches_the_engine_through_execute_spec(
     resilience = engine.controls.resilience
     assert (
         resilience.checkpoint_every, resilience.checkpoint_dir,
-        resilience.on_failure, resilience.solver_fallback,
-    ) == (1, str(cp_dir), "partial", False)
+        resilience.on_failure,
+    ) == (1, str(cp_dir), "partial")
     assert list(cp_dir.glob("checkpoint_*.npz"))
     assert "CG iterations total" in capsys.readouterr().out
 
