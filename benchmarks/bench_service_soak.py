@@ -57,6 +57,7 @@ def run_campaign(root: Path, scenario: str) -> dict:
 
 def bench_recovery(scratch: Path) -> dict:
     """Median latency from queue reopen to orphan ticket re-claimed."""
+    from repro.io.batch_io import write_json_atomic
     from repro.service.queue import JobQueue
     from repro.service.spec import JobSpec, JobState
 
@@ -70,10 +71,14 @@ def bench_recovery(scratch: Path) -> dict:
         claimed, ticket = q1.claim()
         claimed.state = JobState.RUNNING
         q1.save_record(claimed)
-        # the claimant dies: its lease stops renewing and its claimed
-        # ticket ages past the claim grace window
-        q1.leases.expire(record.job_id)
+        # the claimant dies: its lease ages past its ttl and its
+        # claimed ticket past the claim grace window
         old = time.time() - 5.0
+        lease = q1.leases.peek(record.job_id)
+        write_json_atomic(
+            q1.leases.path(record.job_id),
+            {**lease.to_dict(), "renewed_at": old - lease.ttl},
+        )
         os.utime(q1.claimed_dir / ticket, (old, old))
         del q1
 

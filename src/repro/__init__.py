@@ -51,9 +51,6 @@ _EXPORTS = {
     "Checkpoint": "repro.engine.resilience",
     "ContractViolation": "repro.engine.contracts",
     "StageContracts": "repro.engine.contracts",
-    "FaultInjector": "repro.engine.chaos",
-    "FAULT_REGISTRY": "repro.engine.chaos",
-    "corrupt_checkpoint_file": "repro.engine.chaos",
     "Tolerances": "repro.geometry.tolerances",
     "ModelValidationError": "repro.util.validation",
     "save_checkpoint": "repro.io.model_io",

@@ -14,7 +14,7 @@ the engine's metrics snapshot after the run.
 submit jobs to a persistent queue, drain it with a crash-isolated
 worker pool, and inspect cached results; its verbs are listed in
 :mod:`repro.service.cli`. ``run`` and ``batch submit`` take the same
-16 options that describe a run
+13 options that describe a run
 (:func:`repro.service.spec.add_run_options`), and ``run`` executes
 them through :func:`repro.engine.runner.execute_spec`, the function a
 batch worker calls.
@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
                "foreground simulation; 'batch' is the batch service "
                "(python -m repro batch --help).",
     )
-    res, _ = add_run_options(p, engines=RUN_ENGINES, engine="gpu")
+    res = add_run_options(p, engines=RUN_ENGINES, engine="gpu")
     p.add_argument("--n-domains", type=int, default=2, metavar="N",
                    help="domain count for --engine domain (the "
                         "decomposed path is bit-identical to serial "
@@ -127,7 +127,7 @@ def run_main(argv: list[str] | None = None) -> int:
             on_failure=args.on_failure,
         ),
     )
-    system, injector = engine.system, engine.fault_injector
+    system = engine.system
     print(f"model: {system}", file=sys.stderr)
     if args.trace_path:
         path = tracer.write(args.trace_path)
@@ -177,26 +177,6 @@ def run_main(argv: list[str] | None = None) -> int:
             for stage, count in sorted(result.contract_violations.items())
         )
         print(f"contract violations caught: {counts}")
-    if injector is not None:
-        for fault in injector.injected:
-            print(
-                f"injected [step {fault.step}, {fault.stage}] "
-                f"{fault.name}: {fault.detail}",
-                file=sys.stderr,
-            )
-        if injector.pending:
-            print(
-                f"faults never applicable: {injector.pending}",
-                file=sys.stderr,
-            )
-        detected = sum(result.contract_violations.values())
-        if injector.injected and detected < len(injector.injected):
-            print(
-                f"CHAOS: only {detected}/{len(injector.injected)} injected "
-                "faults were caught by contracts (silent absorption?)",
-                file=sys.stderr,
-            )
-            return 2
     for warning in result.warnings:
         print(
             f"warning [step {warning.step}, {warning.guard}]: "

@@ -173,7 +173,7 @@ class HaloExchanger:
     values (one call per CG iteration), ``gather`` collects the owned
     segments back, and ``allreduce`` meters the latency-bound scalar
     reductions. With one domain no transfer is charged. ``inject`` is
-    the chaos hook applied to the gathered solution buffer.
+    the fault seam applied to the gathered solution buffer.
 
     The canonical vector is every owner's resident segment, so
     ``scatter`` and ``gather`` move nothing and ``exchange`` is one
@@ -231,9 +231,8 @@ class HaloExchanger:
     def gather(self, x: np.ndarray, *, solution: bool = False) -> np.ndarray:
         """Meter the collection of the owned segments of ``(n_dof,)`` ``x``.
 
-        With ``solution=True`` the chaos hook sees the buffer the caller
-        receives (the ``halo_corrupt`` fault corrupts exactly this
-        transfer).
+        With ``solution=True`` the ``inject`` hook (the engines' fault
+        seam) sees the buffer the caller receives.
         """
         self.record(self._gather)
         if solution and self.inject is not None:

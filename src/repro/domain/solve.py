@@ -160,5 +160,5 @@ class DistributedOperand:
 
     def finish(self, x: np.ndarray) -> np.ndarray:
         """Gather the ``(n_dof,)`` solution — the transfer the
-        ``halo_corrupt`` chaos fault corrupts."""
+        engines' fault seam sees."""
         return self.exchanger.gather(x, solution=True)

@@ -49,13 +49,6 @@ from repro.engine.contracts import (
     ContractViolation,
     StageContracts,
 )
-from repro.engine.chaos import (
-    FAULT_REGISTRY,
-    FaultInjector,
-    FaultSpec,
-    InjectedFault,
-    corrupt_checkpoint_file,
-)
 from repro.engine.results import SimulationResult, StepRecord
 from repro.engine.serial_engine import SerialEngine
 from repro.engine.gpu_engine import GpuEngine
@@ -85,9 +78,4 @@ __all__ = [
     "CONTRACT_LEVELS",
     "ContractViolation",
     "StageContracts",
-    "FAULT_REGISTRY",
-    "FaultInjector",
-    "FaultSpec",
-    "InjectedFault",
-    "corrupt_checkpoint_file",
 ]

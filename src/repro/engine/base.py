@@ -124,8 +124,9 @@ class EngineBase:
     ) -> None:
         self.system = system
         self.controls = controls or SimulationControls()
-        #: chaos harness hook (:class:`repro.engine.chaos.FaultInjector`);
-        #: ``None`` in production runs
+        #: stage-output seam: an object whose ``perturb(stage, payload,
+        #: step=, engine=)`` sees every stage output (a batch worker's
+        #: kill switch, the tests' defect planter); ``None`` otherwise
         self.fault_injector = fault_injector
         #: span recorder (:class:`repro.obs.tracer.Tracer`); the shared
         #: disabled singleton unless the caller wants a trace

@@ -2,8 +2,8 @@
 
 Every stage of the DDA pipeline hands a well-defined artefact to the
 next — a contact table, an assembled stiffness matrix, a solution
-vector, an open–close state update, updated geometry. A bug (or an
-injected fault; see :mod:`repro.engine.chaos`) in one stage surfaces
+vector, an open–close state update, updated geometry. A bug (or a
+planted defect; see ``tests/engine/test_contracts.py``) in one stage surfaces
 many stages later as a mysterious solver breakdown or a drifting block.
 This module pins the hand-over invariants down as *contracts* checked at
 the stage boundary, so corruption is caught where it enters.
@@ -64,8 +64,8 @@ STAGES = (
     "interpenetration_checking",
     "data_updating",
     # virtual stage of the domain-decomposed engine's halo transfers:
-    # the halo_corrupt chaos fault perturbs the gathered solution
-    # buffer here; detection happens at the equation_solving contract
+    # the gathered solution buffer passes the fault seam here;
+    # detection happens at the equation_solving contract
     "halo_exchange",
 )
 

@@ -26,8 +26,9 @@ Every reduction runs in canonical block order, so results are
 ``tests/domain`` pin), while the ledgers record what the decomposition
 would cost: halo bytes (``domain.halo_bytes``), cut contacts
 (``domain.cut_contacts``), imbalance (``domain.imbalance``). Contracts,
-chaos faults (``halo_corrupt`` corrupts the gathered solution), spans
-and metrics apply unchanged through :class:`EngineBase`.
+the fault seam (which also sees the gathered solution, stage
+``halo_exchange``), spans and metrics apply unchanged through
+:class:`EngineBase`.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class DomainEngine(SerialEngine):
     # distributed solve (the solver hook)
     # ------------------------------------------------------------------
     def _halo_inject(self, buffer: np.ndarray) -> np.ndarray:
-        """Chaos hook over the gathered solution transfer buffer."""
+        """Fault seam over the gathered solution transfer buffer."""
         return self._inject("halo_exchange", buffer, self._current_step)
 
     def _solver_operand(self, matrix: BlockMatrix):

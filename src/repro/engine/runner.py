@@ -16,7 +16,6 @@ import time
 from pathlib import Path
 
 from repro.core.state import ResilienceControls, SimulationControls
-from repro.engine.chaos import FaultInjector
 from repro.engine.domain_engine import DomainEngine
 from repro.engine.gpu_engine import GpuEngine
 from repro.engine.hybrid_engine import HybridEngine
@@ -93,17 +92,6 @@ def make_engine(spec, system, controls, fault_injector=None,
     return preset(system, controls, profile=PROFILES[spec.profile], **common)
 
 
-def make_fault_injector(spec):
-    """Chaos injector for a spec's fault knobs (``None`` when clean)."""
-    if spec.inject_faults is None and not spec.fault_names:
-        return None
-    return FaultInjector(
-        faults=list(spec.fault_names) if spec.fault_names else None,
-        seed=spec.inject_faults or 0,
-        start_step=spec.fault_step,
-    )
-
-
 def newest_valid_checkpoint(checkpoint_dir: str | Path):
     """Newest loadable checkpoint in a directory, or ``None``.
 
@@ -148,12 +136,11 @@ def execute_spec(
     tracks the offset across attempts). The returned summary dict (see
     :func:`repro.io.batch_io.summarize_result`) records
     ``resumed_from`` so callers can tell a fresh run from a
-    continuation. Engine failures propagate as
+    continuation. ``fault_injector`` is the engines' stage-output seam
+    (a batch worker's kill switch). Engine failures propagate as
     :class:`~repro.engine.resilience.SimulationError` — callers decide
     the retry policy.
     """
-    if fault_injector is None:
-        fault_injector = make_fault_injector(spec)
     system = build_system_from_spec(spec)
     controls = controls_from_spec(spec, **(resilience or {}))
     engine = make_engine(

@@ -1,9 +1,9 @@
 """DDA004 — no unseeded or legacy RNG outside ``util/rng.py``.
 
-Reproducibility rule: every stochastic choice (mesh jitter, chaos fault
-targets, benchmark workloads) must come from an explicitly seeded
+Reproducibility rule: every stochastic choice (mesh jitter, service
+fault decisions, benchmark workloads) must come from an explicitly seeded
 generator so two runs with equal configuration are bit-identical — the
-batch service's result cache and the chaos fault matrix both rely on it.
+batch service's result cache and the seeded soak campaigns rely on it.
 The legacy global ``np.random.*`` API (hidden mutable global state) and
 the stdlib ``random`` module are banned everywhere; ``default_rng()``
 must receive a seed expression.

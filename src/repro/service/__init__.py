@@ -6,7 +6,7 @@ orchestrates them on top of the per-run survival primitives from
 :mod:`repro.engine.resilience`:
 
 * :class:`~repro.service.spec.JobSpec` — a declarative, content-hashed
-  description of one run (model, engine, steps, controls, chaos knobs);
+  description of one run (model, engine, steps, controls, crash knobs);
 * :class:`~repro.service.queue.JobQueue` — a persistent on-disk queue
   with atomic rename-based claim/ack, priority ordering, and
   lease-based orphan recovery after a killed scheduler;

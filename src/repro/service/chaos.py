@@ -1,8 +1,9 @@
 """Seeded fault injection for the batch service — storage and network.
 
-:mod:`repro.engine.chaos` makes the *numeric* resilience story
-testable; this module does the same for the *durability* and *service*
-stories. One plan base (:class:`FaultPlan`) and one injector core
+The stage contracts and rollback keep the *numeric* pipeline honest
+(``tests/engine/test_contracts.py`` plants a defect for each guard);
+this module makes the *durability* and *service* stories testable. One
+plan base (:class:`FaultPlan`) and one injector core
 (:class:`FaultInjector`) carry everything the two seams share — seed,
 rate, armed faults, budget, validation, JSON round-trip, the seeded
 draw, counts, metrics, and per-process arming; the seams themselves
@@ -32,7 +33,7 @@ Arming is per-process: call ``IOFaultInjector.install(plan)`` /
 seam lazily on first use; the server process arms its network seam on
 startup via ``NetFaultInjector.install_from_env()``. Decisions are
 drawn from a private RNG seeded via
-:func:`repro.engine.chaos.derive_seed`, so a plan is deterministic per
+:func:`repro.util.rng.derive_seed`, so a plan is deterministic per
 operation (or request) sequence. Health endpoints are never faulted —
 an operator probing a chaos-soaked server must still be able to tell
 it is alive.
@@ -51,15 +52,27 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.engine.chaos import FaultSpec, derive_seed
 from repro.io.batch_io import CHAOS_PLAN_ENV, set_io_chaos
+from repro.util.rng import derive_seed
 
 #: Environment variable naming a JSON net-fault-plan file.
 NET_PLAN_ENV = "REPRO_NET_FAULT_PLAN"
 
-#: Every injectable storage fault, in the engine chaos registry idiom.
-#: ``stage`` names the hooked operation class instead of a pipeline
-#: stage; ``description`` says what the fault does, what it models and
+
+@dataclass(frozen=True)
+class FaultSpec:
+    """One injectable fault class: its registry key (also the plan
+    spelling), the operation class or request phase it lands in, what
+    it does, and the mechanism that must absorb it."""
+
+    name: str
+    stage: str
+    description: str
+    detector: str
+
+
+#: Every injectable storage fault. ``stage`` names the hooked operation
+#: class; ``description`` says what the fault does, what it models and
 #: what callers must tolerate; ``detector`` names the mechanism that
 #: must absorb it.
 IO_FAULT_REGISTRY: dict[str, FaultSpec] = {

@@ -53,7 +53,7 @@ def build_batch_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("submit", help="enqueue one job")
     add_dir(s)
-    _, chaos = add_run_options(s)
+    add_run_options(s)
     s.add_argument("--tag", help="free-form label (hashed)")
     s.add_argument("--priority", type=int, default=0,
                    help="0-999; higher runs sooner (FIFO within a priority)")
@@ -67,10 +67,10 @@ def build_batch_parser() -> argparse.ArgumentParser:
                        metavar="SEC",
                        help="per-attempt wall-clock budget (overrides the "
                             "pool's --job-timeout for this job)")
-    chaos.add_argument("--kill-at-step", type=int, metavar="N",
-                       help="hard-kill the worker process at this step "
-                            "(crash-isolation testing)")
-    chaos.add_argument("--kill-once", action="store_true",
+    crash = s.add_argument_group("worker crash (crash-isolation testing)")
+    crash.add_argument("--kill-at-step", type=int, metavar="N",
+                       help="hard-kill the worker process at this step")
+    crash.add_argument("--kill-once", action="store_true",
                        help="with --kill-at-step: only the first attempt "
                             "dies; retries sail past the kill step")
 

@@ -121,13 +121,6 @@ class ServiceConfig:
     rate_capacity: float = 50.0
     rate_refill_per_s: float = 25.0
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ServiceConfig":
-        return cls(**d)
-
 
 class TokenBucket:
     """Continuous-refill token bucket (one per tenant)."""

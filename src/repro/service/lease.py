@@ -121,21 +121,3 @@ class LeaseStore:
         """Drop the lease (job reached a terminal state or was requeued)."""
         self.path(job_id).unlink(missing_ok=True)
         self._lock(job_id).unlink(missing_ok=True)
-
-    # ------------------------------------------------------------------
-    def alive(self, job_id: str, now: float | None = None) -> bool:
-        """True when a current, unexpired lease exists for ``job_id``."""
-        lease = self.peek(job_id)
-        return lease is not None and not lease.expired(now)
-
-    def expire(self, job_id: str) -> None:
-        """Force-expire a lease (test/chaos helper): age it past its ttl."""
-        lease = self.peek(job_id)
-        if lease is None:
-            return
-        aged = Lease(
-            lease.job_id, lease.epoch, lease.owner,
-            time.time() - 2.0 * self.ttl - 1.0, lease.ttl,
-        )
-        with locked_fd(self._lock(job_id)):
-            write_json_atomic(self.path(job_id), aged.to_dict())

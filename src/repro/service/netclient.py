@@ -17,7 +17,7 @@ raises :class:`ServiceUnavailable` carrying the last failure.
 
 Stdlib transport (``http.client``) with one connection per request
 (``Connection: close``), matching the server. Retry delays are seeded
-via :func:`repro.engine.chaos.derive_seed`, so a campaign's retry
+via :func:`repro.util.rng.derive_seed`, so a campaign's retry
 schedule is reproducible.
 """
 
@@ -33,9 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine.chaos import derive_seed
 from repro.service.http import wait_for_server
 from repro.service.spec import JobSpec, JobState, backoff_delay, check_backoff
+from repro.util.rng import derive_seed
 
 
 class ServiceError(Exception):

@@ -28,7 +28,7 @@ is open, and hands the directory to
 
 The campaign is seeded end to end: the job mix, the fault plans, the
 cancellations and the kill point all derive from one ``seed`` via
-:func:`repro.engine.chaos.derive_seed`, so a soak that passes (zero
+:func:`repro.util.rng.derive_seed`, so a soak that passes (zero
 audit violations) passes reproducibly. The *timings* of kills vary
 with machine load, which is the point — the invariants must hold for
 every interleaving, and the auditor checks invariants, not traces.
@@ -47,7 +47,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine.chaos import derive_seed
 from repro.service.audit import audit_journal
 from repro.service.chaos import (
     IOFaultInjector,
@@ -67,6 +66,7 @@ from repro.service.pool import WorkerPool, _start_method
 from repro.service.queue import JobQueue
 from repro.service.spec import JobSpec, JobState, RetryPolicy
 from repro.service.store import ResultStore
+from repro.util.rng import derive_seed
 
 #: Long-lived scheduler processes sharing the queue.
 SCHEDULERS = 2
@@ -181,7 +181,7 @@ def _scheduler_service(root: str) -> None:
         stop.wait(0.25)
 
 
-def _server_process(root: str, config_dict: dict) -> None:
+def _server_process(root: str, config: ServiceConfig) -> None:
     """HTTP server child: storage-clean, network-chaotic.
 
     The server must never tear the batch directory itself — its writes
@@ -192,7 +192,7 @@ def _server_process(root: str, config_dict: dict) -> None:
     (``run_server`` arms that seam from the environment).
     """
     IOFaultInjector.install(None)
-    raise SystemExit(run_server(root, ServiceConfig.from_dict(config_dict)))
+    raise SystemExit(run_server(root, config))
 
 
 def _open_jobs(counts: dict) -> int:
@@ -261,7 +261,7 @@ def run_soak(
     )
 
     def spawn_server():
-        proc = spawn(_server_process, config.to_dict())
+        proc = spawn(_server_process, config)
         info = wait_for_server(root, timeout=30.0)
         log(f"server up: pid {proc.pid} on {info['host']}:{info['port']}")
         return proc, ServiceClient.from_root(

@@ -25,11 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.state import CONTRACT_LEVELS, PRECONDITIONERS
-from repro.engine.chaos import derive_seed
-from repro.engine.runner import (
-    ENGINES, MODELS, PROFILES, controls_from_spec, make_fault_injector,
-)
+from repro.engine.runner import ENGINES, MODELS, PROFILES, controls_from_spec
 from repro.util.hashing import content_hash
+from repro.util.rng import derive_seed
 
 
 class JobState:
@@ -88,7 +86,7 @@ class RetryPolicy:
         Fractional seeded jitter: the delay is scaled by a factor drawn
         uniformly from ``[1, 1 + jitter]``. Deterministic per
         ``(seed, job_id, attempt)`` via
-        :func:`repro.engine.chaos.derive_seed`.
+        :func:`repro.util.rng.derive_seed`.
     seed:
         Root seed of the jitter stream.
     attempt_deadline_s:
@@ -133,16 +131,15 @@ class RetryPolicy:
 class JobSpec:
     """One simulation run, declaratively.
 
-    The first 16 fields are the options ``python -m repro run`` and
+    The first 13 fields are the options ``python -m repro run`` and
     ``batch submit`` share: :func:`add_run_options` declares each once,
     with its help text, under the field's name (``--dt`` is
     ``time_step``). ``load`` wins over ``model``. Besides its own range
-    checks, a spec is valid when the run can build its fault injector
-    and its controls; an invalid one raises ``ValueError`` here, at
-    submit. In the service ``checkpoint_every`` doubles as the retry
-    granularity (a crashed worker's next attempt resumes from the
-    newest valid on-disk checkpoint), and the fault knobs are part of
-    the hash — a faulted run is a different computation.
+    checks, a spec is valid when the run can build its controls; an
+    invalid one raises ``ValueError`` here, at submit. In the service
+    ``checkpoint_every`` doubles as the retry granularity (a crashed
+    worker's next attempt resumes from the newest valid on-disk
+    checkpoint).
 
     kill_at_step:
         Test/chaos knob: hard-kill the worker process (``os._exit``)
@@ -171,17 +168,11 @@ class JobSpec:
     contracts: str = "off"
     checkpoint_every: int = 0
     max_rollbacks: int = 3
-    inject_faults: int | None = None
-    fault_names: tuple[str, ...] | None = None
-    fault_step: int = 1
     kill_at_step: int | None = None
     kill_once: bool = False
     tag: str = ""
 
     def __post_init__(self) -> None:
-        if self.fault_names is not None and not isinstance(self.fault_names, tuple):
-            # normalise lists (e.g. from JSON) so the hash is stable
-            object.__setattr__(self, "fault_names", tuple(self.fault_names))
         if self.load is None and self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.engine not in ENGINES:
@@ -196,16 +187,12 @@ class JobSpec:
             raise ValueError(f"size must be > 0, got {self.size}")
         if self.kill_at_step is not None and self.kill_at_step < 0:
             raise ValueError("kill_at_step must be >= 0")
-        # the rest: what the run builds from them checks them
-        make_fault_injector(self)
+        # the rest: the controls the run builds from them check them
         controls_from_spec(self)
 
     def to_dict(self) -> dict:
         """JSON-safe dict; round-trips through :meth:`from_dict`."""
-        d = dataclasses.asdict(self)
-        if d["fault_names"] is not None:
-            d["fault_names"] = list(d["fault_names"])
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict, *, check: bool = True) -> "JobSpec":
@@ -220,8 +207,6 @@ class JobSpec:
             return cls(**d)
         spec = object.__new__(cls)
         spec.__dict__.update({f.name: f.default for f in fields}, **d)
-        if spec.fault_names is not None:
-            spec.__dict__["fault_names"] = tuple(spec.fault_names)
         return spec
 
     def spec_hash(self) -> str:
@@ -239,8 +224,8 @@ def add_run_options(
     and ``batch submit`` alike: each stores the :class:`JobSpec` field it
     sets (``--dt`` stores ``time_step``) and every field defaults to the
     spec's default, so a namespace passes for a spec. ``run`` adds the
-    ``domain`` engine and defaults to ``gpu``. Returns the resilience and
-    chaos argument groups, for the options one command adds to them."""
+    ``domain`` engine and defaults to ``gpu``. Returns the resilience
+    argument group, for the options ``run`` adds to it."""
     parser.set_defaults(**{**dataclasses.asdict(JobSpec()), "engine": engine})
     src = parser.add_mutually_exclusive_group()
     src.add_argument("--model", choices=MODELS, help="bundled workload to build")
@@ -268,21 +253,7 @@ def add_run_options(
     res.add_argument("--contracts", choices=CONTRACT_LEVELS,
                      help="stage-contract checking level "
                           "(post-condition checks at every pipeline stage)")
-    chaos = parser.add_argument_group("chaos harness (fault injection)")
-    chaos.add_argument("--inject-faults", type=int, metavar="SEED",
-                       help="inject every registered fault class once, "
-                            "deterministically from SEED (pair with "
-                            "--contracts and --checkpoint-every to "
-                            "exercise detection + recovery)")
-    chaos.add_argument("--fault", action="append", dest="fault_names",
-                       metavar="NAME",
-                       help="restrict injection to this fault class "
-                            "(repeatable; see repro.engine.chaos."
-                            "FAULT_REGISTRY)")
-    chaos.add_argument("--fault-step", type=int, metavar="N",
-                       help="first step eligible for injection (default 1, "
-                            "so a checkpoint exists to roll back to)")
-    return res, chaos
+    return res
 
 
 @dataclass
@@ -331,7 +302,12 @@ class JobRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "JobRecord":
         d = dict(d)
-        d["spec"] = JobSpec.from_dict(d["spec"], check=False)
+        # a spec stored by an older version may carry fields retired
+        # since (the engine fault knobs); the record drops them
+        names = {f.name for f in dataclasses.fields(JobSpec)}
+        d["spec"] = JobSpec.from_dict(
+            {k: v for k, v in d["spec"].items() if k in names}, check=False
+        )
         # record files written before the retry budget became one policy
         # carry a ``max_retries`` count and possibly a null ``retry``
         legacy = d.pop("max_retries", 1)

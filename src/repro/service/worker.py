@@ -38,11 +38,7 @@ import traceback
 from pathlib import Path
 
 from repro.engine.resilience import SimulationError
-from repro.engine.runner import (
-    execute_spec,
-    make_fault_injector,
-    newest_valid_checkpoint,
-)
+from repro.engine.runner import execute_spec, newest_valid_checkpoint
 from repro.io.batch_io import read_json, write_json_atomic
 from repro.io.model_io import save_system
 from repro.obs.tracer import Tracer
@@ -58,25 +54,22 @@ FENCED_EXIT_CODE = 143
 
 
 class KillSwitch:
-    """Chaos injector that hard-kills the worker at a global step.
+    """Stage-output hook that hard-kills the worker at a global step.
 
     Stands in for the failures no in-process handler survives (segfault
     in a native kernel, OOM kill): ``os._exit`` skips ``finally``
     blocks, ``atexit`` hooks, and the outcome write, exactly like a
-    real crash. Wraps an optional inner injector so a spec can combine
-    data-corruption faults with a crash.
+    real crash. It rides the engines' ``fault_injector`` seam and
+    passes every payload through untouched.
     """
 
-    def __init__(self, kill_at_step: int, offset: int = 0, inner=None) -> None:
+    def __init__(self, kill_at_step: int, offset: int = 0) -> None:
         self.kill_at_step = kill_at_step
         self.offset = offset
-        self.inner = inner
 
     def perturb(self, stage: str, payload, *, step: int, engine=None):
         if self.offset + step >= self.kill_at_step:
             os._exit(KILL_EXIT_CODE)
-        if self.inner is not None:
-            return self.inner.perturb(stage, payload, step=step, engine=engine)
         return payload
 
 
@@ -200,12 +193,9 @@ def run_job(
         cp_dir.mkdir(parents=True, exist_ok=True)
         write_json_atomic(cp_dir / "offset.json", {"offset": resume_offset})
         resilience["checkpoint_dir"] = str(cp_dir)
-    injector = make_fault_injector(spec)
-    arm_kill = spec.kill_at_step is not None and not (
-        spec.kill_once and attempt > 0
-    )
-    if arm_kill:
-        injector = KillSwitch(spec.kill_at_step, resume_offset, inner=injector)
+    injector = None
+    if spec.kill_at_step is not None and not (spec.kill_once and attempt > 0):
+        injector = KillSwitch(spec.kill_at_step, resume_offset)
     failed = {
         "status": "failed", "attempt": attempt, "resumed_from": resume_offset,
     }

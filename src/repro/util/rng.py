@@ -2,10 +2,14 @@
 
 Every stochastic component of the package (workload generators, property
 tests, synthetic matrices) takes a seed and builds its generator through
-:func:`make_rng` so that runs are exactly reproducible.
+:func:`make_rng` so that runs are exactly reproducible; components that
+fan one seed out into independent streams derive the child seeds with
+:func:`derive_seed`.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 
@@ -32,3 +36,18 @@ def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return [np.random.default_rng(s) for s in rng.bit_generator.seed_seq.spawn(n)]
+
+
+def derive_seed(seed: int, *tokens) -> int:
+    """Derive a stable child seed from a root seed and string tokens.
+
+    The service's fault injectors (:mod:`repro.service.chaos`), the soak
+    driver, the retrying client and the retry-policy jitter all fan one
+    user-facing seed out into independent per-component streams through
+    this function, so two runs with equal configuration draw identically
+    while components never share a stream. SHA-256-based, so it is
+    stable across processes and Python versions (unlike ``hash``).
+    """
+    payload = repr((int(seed), tuple(str(t) for t in tokens)))
+    digest = hashlib.sha256(payload.encode()).digest()
+    return int.from_bytes(digest[:8], "little")

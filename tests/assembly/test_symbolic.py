@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from planting import DROP_ONE_CLOSED, PLANTED, Planter
 from spring_reference import contact_contributions
 
 from repro import (
@@ -30,7 +31,6 @@ from repro.assembly.contact_springs import (
 )
 from repro.assembly.global_matrix import BS, assemble_gpu
 from repro.assembly.symbolic import AssemblyPlan
-from repro.engine.chaos import FaultInjector
 from repro.engine.physics import contact_system
 from repro.gpu.device import K40
 from repro.gpu.kernel import VirtualDevice
@@ -606,8 +606,8 @@ class TestRebinding:
                 time_step=2e-3, dynamic=False, penalty_scale=50.0,
                 contract_level="off",
             ),
-            fault_injector=FaultInjector(["contact_duplicate"], start_step=1),
         )
+        Planter(engine, PLANTED["duplicate_contact"], step=1)
         engine.run(steps=2)
         sizes = [m for *_, m in engine.bindings]
         grown = sizes.index(max(sizes))
@@ -626,8 +626,8 @@ class TestRebinding:
             SimulationControls(
                 time_step=1e-3, dynamic=True, contract_level="off"
             ),
-            fault_injector=FaultInjector(["contact_drop"], start_step=1),
         )
+        Planter(engine, DROP_ONE_CLOSED, step=1)
         engine.run(steps=4)
         sizes = [m for *_, m in engine.bindings]
         plans = [plan for _, plan, *_ in engine.bindings]
@@ -643,10 +643,14 @@ class TestRebinding:
         )
 
 
-@pytest.mark.parametrize("fault", ["matrix_nan", "matrix_desymmetrize"])
+#: a NaN diagonal entry, a desymmetrised diagonal block
+MATRIX_FAULTS = {"matrix_nan": "finite_diag", "matrix_desymmetrize": "symmetry"}
+
+
+@pytest.mark.parametrize("fault", list(MATRIX_FAULTS))
 def test_fault_in_one_sweeps_matrix_does_not_reach_the_next(fault):
-    """The chaos faults corrupt a sweep's ``K`` in place; the next
-    sweep's comes out of the same binding in fresh arrays."""
+    """The planted matrix defects corrupt a sweep's ``K`` in place; the
+    next sweep's comes out of the same binding in fresh arrays."""
     engine = GpuEngine(
         build_slope_model(joint_spacing=6.0, seed=0),
         SimulationControls(time_step=2e-3, dynamic=False, penalty_scale=50.0),
@@ -654,7 +658,7 @@ def test_fault_in_one_sweeps_matrix_does_not_reach_the_next(fault):
     first, args = assemble_sweep(engine)
     clean = (bits(first.diag).copy(), bits(first.blocks).copy())
     binding = engine._bound_assembly
-    FaultInjector([fault]).perturb("matrix_assembly", first, step=0)
+    PLANTED[MATRIX_FAULTS[fault]].plant(engine, first)
     assert not np.array_equal(bits(first.diag), clean[0])
 
     second = engine._assemble(*args)

@@ -1,35 +1,53 @@
-"""Chaos harness: the fault matrix.
+"""The retired engine fault registry, fault by fault.
 
-Every fault class in ``FAULT_REGISTRY`` is injected into a live run and
-must be (a) actually applied, (b) detected first by the stage contract
-its ``detector`` names, and (c) recovered by checkpoint rollback so the
-run still completes — never silently absorbed into a wrong-but-plausible
-trajectory.
+The product once carried its own registry of eight stage faults, an
+injector and three run options. Each fault is now planted as the
+:mod:`planting` row that replaced it (:data:`RETIRED`), through the
+engines' one fault seam, and must still be (a) planted, (b) caught first
+by the guard the registry named, and (c) rolled back so the run
+completes — never silently absorbed into a wrong-but-plausible
+trajectory. A corrupted checkpoint file, the one fault outside a stage,
+is planted by :func:`corrupt_checkpoint_file`.
 """
-
-import re
 
 import numpy as np
 import pytest
+from planting import DROP_ONE_CLOSED, PLANTED, Planter, Row, guard_of
 
+from repro.__main__ import build_parser
 from repro.core.blocks import Block, BlockSystem
 from repro.core.materials import BlockMaterial
 from repro.core.state import ResilienceControls, SimulationControls
-from repro.engine.chaos import (
-    FAULT_REGISTRY,
-    FaultInjector,
-    InjectedFault,
-    corrupt_checkpoint_file,
-)
 from repro.engine.contracts import STAGES
 from repro.engine.domain_engine import DomainEngine
 from repro.engine.gpu_engine import GpuEngine
 from repro.engine.resilience import CheckpointCorrupt
 from repro.engine.serial_engine import SerialEngine
 from repro.io.model_io import load_checkpoint
+from repro.service.cli import build_batch_parser
 
 SQ = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 MAT = BlockMaterial(young=1e9)
+
+#: retired fault -> the row that plants it now
+RETIRED = {
+    "contact_drop": DROP_ONE_CLOSED,
+    "contact_duplicate": PLANTED["duplicate_contact"],
+    "spring_sign_flip": PLANTED["penalty_sign"],
+    "matrix_desymmetrize": PLANTED["symmetry"],
+    "matrix_nan": PLANTED["finite_diag"],
+    "solution_nan": PLANTED["finite_solution"],
+    "solution_inf": Row(
+        "cheap", "equation_solving",
+        lambda engine, res: res.x.__setitem__(0, np.inf),
+        guard="finite_solution",
+    ),
+    "halo_corrupt": PLANTED["halo_gather"],
+}
+
+
+def row_guard(row: Row) -> str:
+    return row.guard or next(n for n, r in PLANTED.items() if r is row)
 
 
 def stacked() -> BlockSystem:
@@ -49,68 +67,83 @@ def chaos_controls(**over) -> SimulationControls:
     )
 
 
+class SchedulePlanter(Planter):
+    """Plants several rows, each once, in order: at each stage visit
+    the first pending row of that stage."""
+
+    def __init__(self, engine, rows, *, step):
+        super().__init__(engine, rows[0], step=step)
+        self.pending = list(rows)
+
+    def perturb(self, stage, payload, *, step, engine):
+        if step < self.step:
+            return payload
+        for row in self.pending:
+            if row.stage == stage:
+                self.pending.remove(row)
+                self.planted.append(step)
+                replaced = row.plant(engine, payload)
+                return payload if replaced is None else replaced
+        return payload
+
+
 # ----------------------------------------------------------------------
-# registry hygiene
+# the map
 # ----------------------------------------------------------------------
 
 def test_registry_well_formed():
-    assert FAULT_REGISTRY, "registry must not be empty"
-    for name, spec in FAULT_REGISTRY.items():
-        assert spec.name == name
-        assert spec.stage in STAGES
-        assert hasattr(FaultInjector(), f"_apply_{name}")
+    guards = {guard_of(name) for name in PLANTED}
+    for fault, row in RETIRED.items():
+        assert row.stage in STAGES, fault
+        assert row_guard(row) in guards, fault
 
 
 def test_unknown_fault_rejected():
-    with pytest.raises(ValueError, match="unknown fault"):
-        FaultInjector(["cosmic_ray"])
+    """The retired fault options are unknown to both commands."""
+    for parser in (build_parser(), build_batch_parser()):
+        prefix = [] if parser.prog == "python -m repro" else ["submit"]
+        for argv in (["--inject-faults", "7"], ["--fault", "solution_nan"],
+                     ["--fault-step", "1"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args([*prefix, *argv])
 
 
 # ----------------------------------------------------------------------
 # the fault matrix
 # ----------------------------------------------------------------------
 
-def _domain2(system, controls, fault_injector=None):
+def _domain2(system, controls):
     """Two-domain decomposed engine (the only engine with a halo)."""
-    return DomainEngine(
-        system, controls, n_domains=2, fault_injector=fault_injector
-    )
+    return DomainEngine(system, controls, n_domains=2)
 
 
 def _fault_matrix():
     """(fault, engine factory) pairs: halo faults need a DomainEngine."""
-    params = []
-    for fault in sorted(FAULT_REGISTRY):
-        if FAULT_REGISTRY[fault].stage == "halo_exchange":
+    for fault in sorted(RETIRED):
+        if RETIRED[fault].stage == "halo_exchange":
             engines = [("DomainEngine2", _domain2)]
         else:
             engines = [
                 ("SerialEngine", SerialEngine), ("GpuEngine", GpuEngine)
             ]
-        params.extend(
-            pytest.param(fault, factory, id=f"{fault}-{label}")
-            for label, factory in engines
-        )
-    return params
+        for label, factory in engines:
+            yield pytest.param(fault, factory, id=f"{fault}-{label}")
 
 
 @pytest.mark.parametrize("fault, engine_cls", _fault_matrix())
 def test_fault_detected_and_recovered(fault, engine_cls):
-    injector = FaultInjector([fault], seed=3, start_step=1)
-    eng = engine_cls(stacked(), chaos_controls(), fault_injector=injector)
+    row = RETIRED[fault]
+    eng = engine_cls(stacked(), chaos_controls())
+    planter = Planter(eng, row, step=1)
     result = eng.run(steps=4)
-    # (a) applied: the perturbation actually landed on a stage output
-    assert injector.injected, f"{fault} was never applicable in 4 steps"
-    rec = injector.injected[0]
-    assert rec.name == fault
-    assert rec.stage == FAULT_REGISTRY[fault].stage
-    # (b) detected, first, by the contract the registry names
+    # (a) planted: the defect actually landed on a stage output
+    assert planter.planted, f"{fault} was never planted in 4 steps"
+    # (b) detected, first, by the guard the registry named
     assert sum(result.contract_violations.values()) >= 1, (
         f"{fault} was silently absorbed"
     )
-    detector = re.match(r"contracts\.(\w+)", FAULT_REGISTRY[fault].detector)[1]
     first = next(w for w in result.warnings if w.guard == "rollback")
-    assert f":{detector}] " in first.message, first.message
+    assert f":{row_guard(row)}] " in first.message, first.message
     # (c) recovered: rollback happened and the run still completed
     assert result.rollbacks >= 1
     assert result.failure is None
@@ -120,74 +153,73 @@ def test_fault_detected_and_recovered(fault, engine_cls):
 
 def test_multi_fault_schedule_drains_sequentially():
     # the DomainEngine runs every stage — including halo_exchange — so
-    # it is the one engine on which the full registry can drain
-    injector = FaultInjector(seed=11, start_step=1)  # all faults
+    # it is the one engine on which every retired fault can be planted
     eng = _domain2(
-        stacked(),
-        chaos_controls(resilience=dict(max_rollbacks=30)),
-        fault_injector=injector,
+        stacked(), chaos_controls(resilience=dict(max_rollbacks=30))
     )
+    planter = SchedulePlanter(eng, list(RETIRED.values()), step=1)
     result = eng.run(steps=5)
-    assert injector.exhausted, f"still pending: {injector.pending}"
-    names = [f.name for f in injector.injected]
-    assert sorted(names) == sorted(FAULT_REGISTRY)
-    # halo_corrupt fires *inside* the solve whose CGResult the next
-    # pending solution fault perturbs at the equation_solving boundary,
-    # so those two injections share one detected violation — hence -1.
-    assert sum(result.contract_violations.values()) >= len(FAULT_REGISTRY) - 1
-    assert result.rollbacks >= len(FAULT_REGISTRY) - 1
+    assert not planter.pending, f"still pending: {planter.pending}"
+    assert len(planter.planted) == len(RETIRED)
+    # the halo row plants *inside* the solve whose CGResult the next
+    # pending solution row corrupts at the equation_solving boundary,
+    # so those two share one detected violation — hence -1.
+    assert sum(result.contract_violations.values()) >= len(RETIRED) - 1
+    assert result.rollbacks >= len(RETIRED) - 1
     assert result.failure is None
     assert result.n_steps == 5
 
 
 def test_unrecoverable_without_checkpoints_reports_cleanly():
     """No checkpointing: the violation must surface as a typed failure."""
-    injector = FaultInjector(["matrix_nan"], seed=0, start_step=0)
     eng = GpuEngine(
         stacked(),
         chaos_controls(
             resilience=dict(checkpoint_every=0, on_failure="partial")
         ),
-        fault_injector=injector,
     )
+    Planter(eng, RETIRED["matrix_nan"], step=0)
     result = eng.run(steps=3)
     assert result.failure is not None
     assert result.failure.error == "ContractViolation"
     assert "finite_diag" in result.failure.message
 
 
-# ----------------------------------------------------------------------
-# determinism
-# ----------------------------------------------------------------------
-
 def test_injection_is_deterministic():
     def run():
-        injector = FaultInjector(
-            ["contact_duplicate", "solution_nan"], seed=42, start_step=1
+        eng = GpuEngine(stacked(), chaos_controls())
+        planter = SchedulePlanter(
+            eng, [RETIRED["contact_duplicate"], RETIRED["solution_nan"]],
+            step=1,
         )
-        eng = GpuEngine(stacked(), chaos_controls(), fault_injector=injector)
         result = eng.run(steps=4)
-        return injector.injected, eng.system.centroids.copy(), result
+        return planter.planted, eng.system.centroids.copy(), result
 
-    injected_a, centroids_a, result_a = run()
-    injected_b, centroids_b, result_b = run()
-    assert injected_a == injected_b
+    planted_a, centroids_a, result_a = run()
+    planted_b, centroids_b, result_b = run()
+    assert planted_a == planted_b
     np.testing.assert_array_equal(centroids_a, centroids_b)
     assert result_a.contract_violations == result_b.contract_violations
     assert result_a.rollbacks == result_b.rollbacks
-
-
-def test_injected_fault_records_are_frozen():
-    rec = InjectedFault("contact_drop", "contact_detection", 3, "x")
-    with pytest.raises(AttributeError):
-        rec.step = 4
 
 
 # ----------------------------------------------------------------------
 # checkpoint corruption (the non-stage fault)
 # ----------------------------------------------------------------------
 
+def corrupt_checkpoint_file(path):
+    """Flip one byte in the middle of a persisted checkpoint file (bit
+    rot, a torn write)."""
+    data = bytearray(path.read_bytes())
+    if not data:
+        raise ValueError(f"{path}: empty file")
+    data[len(data) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
 def test_checkpoint_corruption_detected(tmp_path):
+    """Loading a corrupted checkpoint raises CheckpointCorrupt (the
+    SHA-256 digest no longer matches), never silently wrong state."""
     eng = GpuEngine(
         stacked(),
         chaos_controls(

@@ -1,38 +1,37 @@
 """Stage contracts and health guards: every guard fires, and fires first.
 
-:data:`PLANTED` holds one defect per contract :mod:`repro.engine.contracts`
-raises and per health guard of :class:`~repro.engine.resilience.HealthMonitor`.
-Each row corrupts the stage output its guard reads, once, in a live
-:class:`GpuEngine` run, and the guard must be the first thing that
+:data:`planting.PLANTED` holds one defect per contract
+:mod:`repro.engine.contracts` raises and per health guard of
+:class:`~repro.engine.resilience.HealthMonitor`, plus one in the domain
+engine's halo transfer. Each row corrupts the stage output its guard
+reads, once, in a live run, and the guard must be the first thing that
 objects — at the row's level, while the level below raises no
-:class:`ContractViolation` for the same defect. A new contract cannot
-land without a row. The unit tests after the table drive the checkers
-directly on hand-made artifacts.
+:class:`ContractViolation` for the same defect; with a checkpoint each
+step, the run rolls back past every contract row's defect and ends. A
+new contract cannot land without a row. The unit tests after the table
+drive the checkers directly on hand-made artifacts.
 """
 
 import inspect
 import re
 import time
-from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
+from planting import HEALTH_GUARDS, PLANTED, Planter, guard_of
 
-from repro.assembly.contact_springs import OPEN
-from repro.contact.contact_set import VV2
+from repro.contact.open_close import StateUpdate
 from repro.core.blocks import Block, BlockSystem
 from repro.core.materials import BlockMaterial
-from repro.contact.open_close import StateUpdate
 from repro.core.state import ResilienceControls, SimulationControls
 from repro.engine import contracts as contracts_module
-from repro.engine.chaos import FaultInjector
 from repro.engine.contracts import (
     CONTRACT_LEVELS,
     ContractViolation,
     StageContracts,
 )
 from repro.engine.gpu_engine import GpuEngine
-from repro.engine.resilience import OSCILLATION_STREAK, NumericalBlowup
+from repro.engine.resilience import NumericalBlowup
 from repro.engine.serial_engine import SerialEngine
 from repro.meshing.slope_models import build_brick_wall
 from repro.solvers.cg import CGResult
@@ -71,206 +70,23 @@ def engine_with_artifacts(level="full"):
 
 
 # ----------------------------------------------------------------------
-# the planted-defect table
+# the planted-defect table (tests/planting.py)
 # ----------------------------------------------------------------------
 
-#: Step whose stage output a row corrupts (earlier steps run clean, so
-#: the guards that compare against the previous step have one).
-PLANT_STEP = 2
+def planted_run(name: str, level: str, engine=None, **resilience):
+    """Run the 3x3 wall at ``level`` with row ``name``'s defect planted,
+    on ``engine`` (default: the row's).
 
-#: The health guards, next to the contracts the source raises.
-HEALTH_GUARDS = ("finite", "penetration", "energy", "oscillation")
-
-
-class Row(NamedTuple):
-    """One planted defect.
-
-    ``plant(engine, payload)`` corrupts the output of ``stage`` in place
-    or returns a replacement. Contact, matrix and solution outputs come
-    through ``EngineBase._inject``, the state update from
-    ``_check_interpenetration`` and the updated ``BlockSystem`` after
-    ``_update_data``. A health guard's row runs at ``off``.
+    Returns ``(error, result)``, exactly one of them ``None``: without a
+    checkpoint (the default) the first failure ends the run.
     """
-
-    level: str
-    stage: str
-    plant: Callable
-    #: steps the run lasts; the defect is planted on each from
-    #: PLANT_STEP on when ``once`` is false
-    steps: int = PLANT_STEP + 1
-    once: bool = True
-
-
-def _put(field, value, at=0):
-    """Plant ``payload.<field>[at] = value(engine, payload)``."""
-    def plant(engine, payload):
-        getattr(payload, field)[at] = value(engine, payload)
-    return plant
-
-
-def _set(**values):
-    """Plant scalar attributes of the payload."""
-    def plant(engine, payload):
-        for name, value in values.items():
-            setattr(payload, name, value(engine, payload))
-    return plant
-
-
-def _const(value):
-    return lambda engine, payload: value
-
-
-def _rows(rows):
-    """Select the payload's contact rows ``rows(payload)`` as a new table."""
-    return lambda engine, contacts: contacts.select(rows(contacts))
-
-
-def _deep_penetration(engine, update):
-    """A sweep reporting 100x the threshold, and ending the attempt."""
-    update.max_penetration = 100.0 * engine.contact_threshold
-    update.significant_changes = 0
-
-
-#: vertices of a bowtie with positive signed area, in brick units
-BOWTIE = np.array([[0.0, 0.0], [1.0, 0.0], [0.25, 0.5], [0.75, 0.5]])
-
-
-def _reshape_block(shape):
-    """Rewrite block 1's polygon as ``shape(its vertices)``."""
-    def plant(engine, system):
-        lo, hi = system.offsets[1], system.offsets[2]
-        system.vertices[lo:hi] = shape(system.vertices[lo:hi])
-        system._refresh_cache()
-    return plant
-
-
-#: guard -> the defect that guard alone must catch first
-PLANTED = {
-    # ---- contact detection: the table handed to assembly ------------
-    "block_index_range": Row("cheap", "contact_detection", _put(
-        "block_i", lambda e, c: e.system.n_blocks)),
-    "vertex_index_range": Row("cheap", "contact_detection", _put(
-        "vertex_idx", lambda e, c: e.system.vertices.shape[0])),
-    "kind_code": Row("cheap", "contact_detection", _put(
-        "kind", _const(7), at=-1)),
-    "kind_grouping": Row("cheap", "contact_detection", _put(
-        "kind", _const(VV2))),
-    "state_code": Row("cheap", "contact_detection", _put(
-        "state", _const(9))),
-    "duplicate_contact": Row("cheap", "contact_detection", _rows(
-        lambda c: np.insert(np.arange(c.m), 0, 0))),
-    "penalty_sign": Row("cheap", "contact_detection", _put(
-        "pn", _const(-1.0))),
-    "ratio_range": Row("cheap", "contact_detection", _put(
-        "ratio", _const(1.5))),
-    # a vertex of the edge's own block, an edge end on the vertex's:
-    # every index in range and every key still unique
-    "vertex_ownership": Row("full", "contact_detection", _put(
-        "vertex_idx", lambda e, c: c.e1_idx[0])),
-    "edge_ownership": Row("full", "contact_detection", _put(
-        "e1_idx", lambda e, c: c.vertex_idx[0])),
-    "lost_closed_contact": Row("full", "contact_detection", _rows(
-        lambda c: np.flatnonzero(c.state == OPEN))),
-    # ---- matrix assembly: the BlockMatrix handed to the solver -------
-    "finite_diag": Row("cheap", "matrix_assembly", _put(
-        "diag", _const(np.nan), at=(0, 0, 0))),
-    "finite_offdiag": Row("cheap", "matrix_assembly", _put(
-        "blocks", _const(np.inf), at=(0, 0, 0))),
-    "spd_diagonal": Row("cheap", "matrix_assembly", _put(
-        "diag", _const(-1.0), at=(0, 0, 0))),
-    "symmetry": Row("cheap", "matrix_assembly", _put(
-        "diag", lambda e, k: k.diag[0, 0, 1] + 1.0 + abs(k.diag[0]).max(),
-        at=(0, 0, 1))),
-    # ---- equation solving: the CGResult ------------------------------
-    "finite_solution": Row("cheap", "equation_solving", _put(
-        "x", _const(np.nan))),
-    "finite_residual": Row("cheap", "equation_solving", _put(
-        "residuals", _const(np.nan), at=-1)),
-    # large but finite: only the recomputed residual can object
-    "residual_mismatch": Row("full", "equation_solving", _put(
-        "x", lambda e, r: r.x[0] + 1e6 * (1.0 + abs(r.x).max()))),
-    # ---- interpenetration checking: the StateUpdate ------------------
-    "shear_sign": Row("cheap", "interpenetration_checking", _put(
-        "shear_sign", _const(0.5))),
-    "normal_force_sign": Row("cheap", "interpenetration_checking", _put(
-        "normal_force", _const(-1.0))),
-    "finite_penetration": Row("cheap", "interpenetration_checking", _set(
-        max_penetration=_const(np.nan))),
-    "penetration_bound": Row(
-        "full", "interpenetration_checking", _deep_penetration),
-    # ---- data updating: the moved BlockSystem ------------------------
-    "positive_area": Row("cheap", "data_updating", _reshape_block(
-        lambda v: v[::-1].copy())),
-    "simple_polygon": Row("full", "data_updating", _reshape_block(
-        lambda v: v.min(axis=0) + BOWTIE)),
-    # ---- health guards, after data updating --------------------------
-    "finite": Row("off", "data_updating", _put(
-        "velocities", _const(np.nan), at=(0, 0))),
-    "penetration": Row("off", "interpenetration_checking", _deep_penetration),
-    "energy": Row("off", "data_updating", _put(
-        "velocities", lambda e, s: s.velocities[:, :2] + 1e3,
-        at=(slice(None), slice(0, 2)))),
-    # a streak: every sweep of OSCILLATION_STREAK steps keeps switching
-    "oscillation": Row(
-        "off", "interpenetration_checking",
-        _set(significant_changes=lambda e, u: max(u.significant_changes, 1)),
-        steps=PLANT_STEP + OSCILLATION_STREAK, once=False,
-    ),
-}
-
-
-class Planter:
-    """Plants one row into a live engine.
-
-    It stands in for the fault injector (the ``_inject`` hook) and wraps
-    the two stage methods whose outputs ``_inject`` does not see.
-    """
-
-    def __init__(self, engine, row: Row) -> None:
-        self.row = row
-        self.planted = 0
-        engine.fault_injector = self
-        check, update = engine._check_interpenetration, engine._update_data
-
-        def check_interpenetration(contacts, d, normal_force):
-            return self.perturb(
-                "interpenetration_checking", check(contacts, d, normal_force),
-                step=engine._current_step, engine=engine,
-            )
-
-        def update_data(d):
-            update(d)
-            self.perturb(
-                "data_updating", engine.system,
-                step=engine._current_step, engine=engine,
-            )
-
-        engine._check_interpenetration = check_interpenetration
-        engine._update_data = update_data
-
-    def perturb(self, stage, payload, *, step, engine):
-        row = self.row
-        if (
-            stage != row.stage
-            or step < PLANT_STEP
-            or (row.once and self.planted)
-        ):
-            return payload
-        self.planted += 1
-        replaced = row.plant(engine, payload)
-        return payload if replaced is None else replaced
-
-
-def run_planted(guard: str, level: str):
-    """Run the 3x3 wall at ``level`` with ``guard``'s defect planted.
-
-    No checkpoint is taken, so the first failure ends the run: returns
-    ``(error, result)``, exactly one of them ``None``.
-    """
-    row = PLANTED[guard]
-    engine = GpuEngine(
+    row = PLANTED[name]
+    engine = (engine or row.engine)(
         build_brick_wall(rows=3, cols=3),
-        SimulationControls(time_step=1e-3, dynamic=True, contract_level=level),
+        SimulationControls(
+            time_step=1e-3, dynamic=True, contract_level=level,
+            resilience=ResilienceControls(**resilience),
+        ),
     )
     planter = Planter(engine, row)
     try:
@@ -280,7 +96,7 @@ def run_planted(guard: str, level: str):
         error, result = err, None
     else:
         error = None
-    assert planter.planted, f"{guard}'s defect was never planted"
+    assert planter.planted, f"{name}'s defect was never planted"
     return error, result
 
 
@@ -291,13 +107,15 @@ def raised_contract_names() -> set[str]:
 
 
 def test_every_guard_has_a_planted_defect():
-    assert set(PLANTED) == raised_contract_names() | set(HEALTH_GUARDS)
+    assert {guard_of(name) for name in PLANTED} == (
+        raised_contract_names() | set(HEALTH_GUARDS)
+    )
 
 
-@pytest.mark.parametrize("guard", sorted(PLANTED))
-def test_planted_defect_is_caught_first_by_its_guard(guard):
-    level = PLANTED[guard].level
-    error, result = run_planted(guard, level)
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_planted_defect_is_caught_first_by_its_guard(name):
+    guard, level = guard_of(name), PLANTED[name].level
+    error, result = planted_run(name, level)
     if guard == "finite":
         assert isinstance(error, NumericalBlowup) and error.guard == guard
     elif guard in HEALTH_GUARDS:  # the guards that warn
@@ -309,8 +127,39 @@ def test_planted_defect_is_caught_first_by_its_guard(guard):
     if level == "off":
         return
     below = CONTRACT_LEVELS[CONTRACT_LEVELS.index(level) - 1]
-    error, _ = run_planted(guard, below)
+    error, _ = planted_run(name, below)
     assert not isinstance(error, ContractViolation), error
+
+
+def _recovery_cases():
+    """Every contract row on the GPU and serial presets; the halo row
+    on the two-domain engine it is planted in."""
+    for name in sorted(PLANTED):
+        if PLANTED[name].level == "off":
+            continue
+        presets = (
+            [("DomainEngine", PLANTED[name].engine)]
+            if PLANTED[name].stage == "halo_exchange"
+            else [("GpuEngine", GpuEngine), ("SerialEngine", SerialEngine)]
+        )
+        for label, engine in presets:
+            yield pytest.param(name, engine, id=f"{name}-{label}")
+
+
+@pytest.mark.parametrize("name, engine", _recovery_cases())
+def test_planted_defect_is_rolled_back(name, engine):
+    """With a checkpoint each step the violation rolls the run back,
+    the retried step runs clean, and the run ends."""
+    row = PLANTED[name]
+    error, result = planted_run(
+        name, row.level, engine, checkpoint_every=1, max_rollbacks=3
+    )
+    assert error is None, error
+    assert result.failure is None
+    assert result.n_steps == row.steps
+    assert result.rollbacks >= 1
+    first = next(w for w in result.warnings if w.guard == "rollback")
+    assert f":{guard_of(name)}]" in first.message, first.message
 
 
 # ----------------------------------------------------------------------
@@ -561,14 +410,12 @@ def test_geometry_self_intersection_detected():
 # ----------------------------------------------------------------------
 
 def test_violations_surface_in_result():
-    injector = FaultInjector(["matrix_nan"], seed=1, start_step=1)
     eng = GpuEngine(
-        stacked(),
-        controls("cheap", checkpoint_every=1, max_rollbacks=5),
-        fault_injector=injector,
+        stacked(), controls("cheap", checkpoint_every=1, max_rollbacks=5)
     )
+    planter = Planter(eng, PLANTED["finite_diag"], step=1)
     result = eng.run(steps=3)
-    assert injector.injected, "fault never fired"
+    assert planter.planted, "defect never planted"
     assert result.contract_violations.get("matrix_assembly", 0) >= 1
     assert result.rollbacks >= 1
     assert result.failure is None

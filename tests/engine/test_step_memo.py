@@ -17,11 +17,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from planting import DROP_ONE_CLOSED, PLANTED, Planter
 
 from repro.core.blocks import Block, BlockSystem
 from repro.core.materials import BlockMaterial
 from repro.core.state import ResilienceControls, SimulationControls
-from repro.engine.chaos import FaultInjector
 from repro.engine.domain_engine import DomainEngine
 from repro.engine.gpu_engine import GpuEngine
 from repro.engine.hybrid_engine import HybridEngine
@@ -266,17 +266,17 @@ def test_one_detection_per_step_one_ledger_slice_per_attempt(preset):
 # ----------------------------------------------------------------------
 # fault injection acts on the attempt's copy, and only on it
 # ----------------------------------------------------------------------
-class AttemptInjector(FaultInjector):
-    """Holds its contact-detection faults back until loop-2 attempt
-    ``attempt`` of ``start_step``."""
+class AttemptPlanter(Planter):
+    """Holds its contact-detection defect back until loop-2 attempt
+    ``attempt`` of step ``step``."""
 
-    def __init__(self, faults, *, start_step, attempt):
-        super().__init__(faults=faults, start_step=start_step)
+    def __init__(self, engine, row, *, step, attempt):
+        super().__init__(engine, row, step=step)
         self.attempt = attempt
         self.visits = 0
 
-    def perturb(self, stage, payload, *, step, engine=None):
-        if stage == "contact_detection" and step == self.start_step:
+    def perturb(self, stage, payload, *, step, engine):
+        if stage == "contact_detection" and step == self.step:
             self.visits += 1
             if self.visits <= self.attempt:
                 return payload
@@ -313,19 +313,16 @@ def test_contact_drop_on_a_retry_is_injected_and_caught():
     """A drop armed for the first retry of step 1 hits that attempt's
     copy of the table, ``check_contacts`` (level full) rejects it, and
     the run rolls back and recovers."""
-    injector = AttemptInjector(["contact_drop"], start_step=1, attempt=1)
     controls = SimulationControls(
         time_step=5e-3, dynamic=True, max_displacement_ratio=1e-6,
         contract_level="full",
         resilience=ResilienceControls(checkpoint_every=1),
     )
-    engine = TableRecorder(
-        _stacked_blocks(), controls, fault_injector=injector
-    )
+    engine = TableRecorder(_stacked_blocks(), controls)
+    planter = AttemptPlanter(engine, DROP_ONE_CLOSED, step=1, attempt=1)
     result = engine.run(3)
 
-    (fault,) = injector.injected
-    assert (fault.name, fault.step) == ("contact_drop", 1)
+    assert planter.planted == [1]
     assert result.rollbacks == 1
     assert result.contract_violations == {"contact_detection": 1}
     assert result.failure is None and len(result.steps) == 3
@@ -338,16 +335,15 @@ def test_contact_drop_on_a_retry_is_injected_and_caught():
 
 
 def test_fault_in_one_attempt_does_not_leak_into_the_next():
-    """``spring_sign_flip`` corrupts its table in place. Fired in
-    attempt 0 of step 0 (which loop 2 rejects either way), every later
-    attempt must still start from the pristine table — and the run must
-    end exactly where the clean one does."""
-    injector = AttemptInjector(["spring_sign_flip"], start_step=0, attempt=0)
-    engine = _retrying_engine("gpu", TableRecorder, fault_injector=injector)
+    """The ``penalty_sign`` defect corrupts its table in place. Planted
+    in attempt 0 of step 0 (which loop 2 rejects either way), every
+    later attempt must still start from the pristine table — and the
+    run must end exactly where the clean one does."""
+    engine = _retrying_engine("gpu", TableRecorder)
+    planter = AttemptPlanter(engine, PLANTED["penalty_sign"], step=0, attempt=0)
     result = engine.run(2)
 
-    (fault,) = injector.injected
-    assert (fault.name, fault.step) == ("spring_sign_flip", 0)
+    assert planter.planted == [0]
     first, *later = engine.tables
     assert (first.pn < 0).sum() == 1
     assert len({id(t) for t in engine.tables}) == len(engine.tables)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from planting import PLANTED, Planter
 
 from repro.core.blocks import Block, BlockSystem
 from repro.core.materials import BlockMaterial
@@ -139,9 +140,6 @@ class TestMetricsFromRun:
 
 class TestFaultedRunMetrics:
     def test_rollbacks_and_violations_counted(self):
-        from repro.engine.chaos import FaultInjector
-
-        injector = FaultInjector(["matrix_nan"], seed=3, start_step=1)
         eng = GpuEngine(
             stacked(),
             controls(
@@ -150,8 +148,8 @@ class TestFaultedRunMetrics:
                     checkpoint_every=1, max_rollbacks=10
                 ),
             ),
-            fault_injector=injector,
         )
+        Planter(eng, PLANTED["finite_diag"], step=1)
         result = eng.run(steps=4)
         assert result.rollbacks >= 1
         counters = result.metrics.snapshot()["counters"]

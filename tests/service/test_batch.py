@@ -13,9 +13,13 @@ import json
 import os
 import time
 
+import numpy as np
 import pytest
+from lease_helpers import expire
 
 from repro.io.batch_io import read_json, write_json_atomic
+from repro.io.model_io import save_system
+from repro.meshing.slope_models import build_brick_wall
 from repro.service import BatchClient, JobSpec, JobState, RetryPolicy, WorkerPool
 
 
@@ -124,16 +128,18 @@ class TestResubmissionHitsCache:
 
 class TestEngineFailureRetry:
     def test_fault_injected_job_fails_without_crashing(self, tmp_path):
-        """A NaN-injecting chaos fault fails the job through the typed
-        SimulationError path: the worker exits cleanly with a failure
-        outcome (no crash), is retried, and — failing identically both
-        times — ends up quarantined."""
+        """A NaN planted in a stored model's velocities fails the job
+        through the typed SimulationError path (no time step converges):
+        the worker exits cleanly with a failure outcome (no crash), is
+        retried, and — failing identically both times — ends up
+        quarantined."""
+        system = build_brick_wall(rows=2, cols=2)
+        system.velocities[-1, 0] = np.nan
+        save_system(system, tmp_path / "nan-velocity")
         client = BatchClient(tmp_path / "b")
         faulty = JobSpec(
-            model="wall", engine="serial", steps=6, dynamic=True,
-            contracts="full",  # detection turns the fault into a typed error
-            inject_faults=1, fault_names=("solution_nan",), fault_step=1,
-            tag="faulty",
+            load=str(tmp_path / "nan-velocity"), engine="serial", steps=2,
+            dynamic=True, tag="faulty",
         )
         record = client.submit(faulty)
         tallies = client.run(n_workers=1)
@@ -145,6 +151,7 @@ class TestEngineFailureRetry:
         # both attempts reported a structured failure, not a crash
         for attempt in reloaded.attempt_log:
             assert attempt["status"] == "failed"
+            assert attempt["error"] == "StepRejected"
             assert "crash" not in attempt
 
 
@@ -186,7 +193,7 @@ class TestConcurrentClientSafety:
         claimed.state = JobState.RUNNING
         client.queue.save_record(claimed)
         # simulate a dead scheduler: lease expired, ticket past grace
-        client.queue.leases.expire(record.job_id)
+        expire(client.queue.leases, record.job_id)
         old = time.time() - 5.0
         os.utime(client.queue.claimed_dir / ticket, (old, old))
         tallies = client.run(n_workers=1)

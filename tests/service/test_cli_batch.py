@@ -110,3 +110,44 @@ def test_directory_holding_a_record_submit_now_rejects(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", str(batch_dir)]) == 0
     assert capsys.readouterr().out
+
+
+#: The spec of a job record exactly as ``batch submit --model wall
+#: --engine serial --steps 2 --dynamic --tag older`` stored it before the
+#: engine fault fields were retired: three keys today's JobSpec lacks.
+OLDER_SPEC = {
+    "checkpoint_every": 0, "contracts": "off", "dynamic": True,
+    "engine": "serial", "fault_names": None, "fault_step": 1,
+    "inject_faults": None, "kill_at_step": None, "kill_once": False,
+    "load": None, "max_rollbacks": 3, "model": "wall",
+    "preconditioner": "bj", "profile": "k40", "seed": 0, "size": 6.0,
+    "steps": 2, "tag": "older", "time_step": 0.001,
+}
+
+
+def test_directory_holding_a_record_with_retired_fields(tmp_path, capsys):
+    """A record stored with the three retired spec keys loads without
+    them, and its directory drains, renders and audits."""
+    from repro.service import BatchClient, JobSpec
+
+    batch_dir = tmp_path / "batch"
+    main(["batch", "submit", "--dir", str(batch_dir), "--model", "wall",
+          "--engine", "serial", "--steps", "2"])
+    (path,) = (batch_dir / "queue" / "jobs").glob("*.json")
+    record = json.loads(path.read_text())
+    record["spec"] = OLDER_SPEC
+    path.write_text(json.dumps(record))
+    (loaded,) = BatchClient(batch_dir).queue.records()
+    assert loaded.spec == JobSpec(
+        model="wall", engine="serial", steps=2, dynamic=True, tag="older"
+    )
+    capsys.readouterr()
+
+    assert main(["batch", "run", "--dir", str(batch_dir), "--quiet"]) == 0
+    assert "succeeded 1" in capsys.readouterr().out
+    assert main(["batch", "status", "--dir", str(batch_dir)]) == 0
+    assert "succeeded" in capsys.readouterr().out
+    assert main(["batch", "audit", "--dir", str(batch_dir), "--final"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert main(["report", str(batch_dir)]) == 0
+    assert "batch.succeeded" in capsys.readouterr().out

@@ -124,6 +124,7 @@ class TestLifecycle:
         {"preconditioner": "bogus", "steps": 2},
         {"max_rollbacks": -1, "steps": 2},
         {"size": 0.0, "steps": 2},
+        # a field retired since: unknown now
         {"fault_names": ["no_such_fault"], "steps": 2},
     ])
     def test_spec_the_run_would_reject_400s_and_leaves_no_trace(
@@ -277,6 +278,54 @@ class TestAdmissionControl:
         )["job_id"]
         record = BatchClient(root).queue.load_record(job_id)
         assert record.retry.attempt_deadline_s == 3.0
+
+
+def _call(url: str, body: dict | None = None):
+    """One raw request: ``(status, payload, headers)``, errors included."""
+    data = None if body is None else json.dumps(body).encode()
+    req = urllib.request.Request(
+        url, data=data, headers={"Content-Type": "application/json"}
+    )
+    try:
+        with urllib.request.urlopen(req) as resp:
+            return resp.status, json.loads(resp.read()), resp.headers
+    except urllib.error.HTTPError as err:
+        return err.code, json.loads(err.read()), err.headers
+
+
+class TestLoadShedding:
+    @pytest.mark.parametrize("rule", ["queue_depth", "lease_expired_rate"])
+    def test_shed_server_refuses_work_but_stays_healthy(self, tmp_path, rule):
+        """Past either shedding threshold ``/readyz`` and submits answer
+        503 with the reason, and ``/healthz`` still answers 200."""
+        root = tmp_path / "b"
+        queue = BatchClient(root).queue
+        if rule == "queue_depth":
+            config = ServiceConfig(shed_queue_depth=1)
+            queue.submit(spec("one"))
+            queue.submit(spec("two"))
+            reason = "queue depth 2 > 1"
+        else:
+            config = ServiceConfig(shed_lease_expired_rate=1.0)
+            # two claimants lost their leases within the last minute
+            queue.journal.append("lease_expired", "j000001-dead")
+            queue.journal.append("lease_expired", "j000002-dead")
+            reason = "lease_expired rate 2/min > 1/min"
+        server = BackgroundServer(root, config).start()
+        base = f"http://{server.host}:{server.port}"
+        try:
+            status, payload, _ = _call(f"{base}/readyz")
+            assert (status, payload["reason"]) == (503, reason)
+            status, payload, headers = _call(
+                f"{base}/v1/jobs", {"spec": spec("three").to_dict()}
+            )
+            assert (status, payload["error"]) == (503, f"overloaded: {reason}")
+            assert headers["Retry-After"] == "2"
+            status, payload, _ = _call(f"{base}/healthz")
+            assert status == 200 and payload["ok"] is True
+        finally:
+            server.stop()
+        assert len(queue.records()) == (2 if rule == "queue_depth" else 0)
 
 
 class TestDrain:

@@ -6,6 +6,7 @@ import os
 import signal
 
 import pytest
+from lease_helpers import expire
 
 from repro.service.audit import audit_journal, format_report
 from repro.service.journal import Journal
@@ -95,7 +96,7 @@ class TestAuditCleanFlow:
         claimed, ticket = queue.claim()
         stale_epoch = claimed.lease_epoch
         # the lease expires; a second scheduler re-claims at a new epoch
-        queue.leases.expire(record.job_id)
+        expire(queue.leases, record.job_id)
         queue.requeue(ticket)
         claimed2, ticket2 = queue.claim()
         assert claimed2.lease_epoch == stale_epoch + 1

@@ -1,6 +1,7 @@
 """LeaseStore: acquire/renew/fence semantics behind worker liveness."""
 
 import pytest
+from lease_helpers import alive, expire
 
 from repro.service.lease import Lease, LeaseStore
 
@@ -17,7 +18,7 @@ class TestAcquireRenew:
         assert peeked is not None
         assert (peeked.epoch, peeked.owner) == (1, "sched-a")
         assert not peeked.expired()
-        assert store.alive("j1")
+        assert alive(store, "j1")
         assert lease.ttl == 5.0
 
     def test_renew_refreshes_timestamp(self, store):
@@ -30,7 +31,7 @@ class TestAcquireRenew:
         store.acquire("j1", 1, "sched-a")
         store.release("j1")
         assert store.peek("j1") is None
-        assert not store.alive("j1")
+        assert not alive(store, "j1")
 
 
 class TestFencing:
@@ -56,11 +57,11 @@ class TestFencing:
 class TestExpiry:
     def test_expire_helper_ages_past_ttl(self, store):
         store.acquire("j1", 3, "sched-a")
-        store.expire("j1")
+        expire(store, "j1")
         lease = store.peek("j1")
         assert lease is not None
         assert lease.expired()
-        assert not store.alive("j1")
+        assert not alive(store, "j1")
         # epoch and owner survive: recovery can journal who abandoned it
         assert (lease.epoch, lease.owner) == (3, "sched-a")
 
@@ -68,15 +69,15 @@ class TestExpiry:
         """A stalled-then-resumed worker may renew an expired-but-not-
         superseded lease; fencing only kicks in once someone re-claims."""
         store.acquire("j1", 1, "sched-a")
-        store.expire("j1")
+        expire(store, "j1")
         assert store.renew("j1", 1, "sched-a") is True
-        assert store.alive("j1")
+        assert alive(store, "j1")
 
     def test_torn_lease_file_reads_as_absent(self, store, tmp_path):
         store.acquire("j1", 1, "sched-a")
         store.path("j1").write_text('{"job_id": "j1", "unknown_fie')
         assert store.peek("j1") is None
-        assert not store.alive("j1")
+        assert not alive(store, "j1")
 
 
 class TestLeaseValue:

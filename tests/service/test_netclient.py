@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.engine.chaos import derive_seed
 from repro.service.http import BackgroundServer, ServiceConfig
 from repro.service.netclient import (
     ClientRetry,
@@ -12,6 +11,7 @@ from repro.service.netclient import (
     ServiceUnavailable,
 )
 from repro.service.spec import RetryPolicy
+from repro.util.rng import derive_seed
 
 
 class TestClientRetry:

@@ -6,6 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
+from lease_helpers import alive, expire
 
 from repro.service.queue import JobQueue
 from repro.service.spec import JobSpec, JobState
@@ -112,7 +113,7 @@ def _orphan_claim(root, tag: str):
     claimed, ticket = q.claim()
     claimed.state = JobState.RUNNING
     q.save_record(claimed)
-    q.leases.expire(record.job_id)
+    expire(q.leases, record.job_id)
     old = time.time() - 5.0
     os.utime(q.claimed_dir / ticket, (old, old))
     return claimed, ticket
@@ -185,7 +186,7 @@ class TestRecovery:
         # age the ticket past the grace window: only the lease protects it
         old = time.time() - 5.0
         os.utime(q1.claimed_dir / ticket, (old, old))
-        assert q1.leases.alive(record.job_id)
+        assert alive(q1.leases, record.job_id)
         q2 = JobQueue(root)
         assert q2.recover() == 0
         assert q2.pending() == 0  # the ticket was not stolen
@@ -269,7 +270,7 @@ class TestTornRecords:
         q1 = JobQueue(root)
         record = q1.submit(spec("torn-orphan"))
         claimed, ticket = q1.claim()
-        q1.leases.expire(record.job_id)
+        expire(q1.leases, record.job_id)
         old = time.time() - 5.0
         os.utime(q1.claimed_dir / ticket, (old, old))
         path = q1.jobs_dir / f"{record.job_id}.json"

@@ -30,9 +30,6 @@ VARIATIONS = {
     "contracts": "full",
     "checkpoint_every": 3,
     "max_rollbacks": 5,
-    "inject_faults": 7,
-    "fault_names": ("solution_nan",),
-    "fault_step": 2,
     "kill_at_step": 4,
     "kill_once": True,
     "tag": "other",
@@ -78,13 +75,6 @@ class TestHashing:
             capture_output=True, text=True, env=env, check=True,
         )
         assert out.stdout.strip() == BASE.spec_hash()
-
-    def test_fault_names_list_normalised_to_tuple(self):
-        """JSON has no tuples; a list round-trip must not change the hash."""
-        spec = dataclasses.replace(BASE, fault_names=("solution_nan",))
-        from_json = JobSpec.from_dict(spec.to_dict())
-        assert from_json.fault_names == ("solution_nan",)
-        assert from_json.spec_hash() == spec.spec_hash()
 
 
 class TestValidation:

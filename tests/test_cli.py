@@ -116,8 +116,7 @@ def test_engine_flag_builds_the_preset(engine, monkeypatch, capsys):
 
     monkeypatch.setattr(EngineBase, "run", recording_run)
     rc = main(["--model", "wall", "--steps", "1", "--dynamic", "--no-render",
-               "--engine", engine, "--profile", "k20", "--n-domains", "3",
-               "--fault", "solution_nan", "--fault-step", "5"])
+               "--engine", engine, "--profile", "k20", "--n-domains", "3"])
     assert rc == 0
     (made,) = built
     assert (
@@ -125,7 +124,7 @@ def test_engine_flag_builds_the_preset(engine, monkeypatch, capsys):
         made.device.profile.name,
         getattr(made, "n_domains", None),
     ) == PRESETS[engine]
-    assert made.fault_injector.pending == ["solution_nan"]
+    assert made.fault_injector is None
     assert made.tracer.enabled is False
 
 
