@@ -13,6 +13,10 @@ The paper's contact-detection module has four parts (Section III.B):
 * **contact initialisation** — per-kind parameter setup, run either as
   uniform per-category kernels (classified) or as one divergent kernel
   (the ablation baseline of the paper's Nsight measurement).
+
+An engine keeps the broad phase's pairs and the narrow phase's culled
+rows across steps behind a skin (:mod:`repro.contact.skin`); every
+table and every priced launch is a fresh detection's.
 """
 
 from repro.contact.contact_set import ContactSet, VE, VV1, VV2

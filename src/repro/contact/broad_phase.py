@@ -11,7 +11,10 @@ an ``m x m`` tile whose ``2m - 1`` distinct AABBs live in shared memory.
 :func:`gpu_pair_mapping` exposes the mapping itself (tested for exact
 coverage) and is the specification :func:`broad_phase_pairs` is tested
 against; the latter performs the real AABB tests on that grid and
-records the tiled kernel's modelled cost.
+records the tiled kernel's modelled cost (:func:`record_broad_phase`).
+:func:`overlapping_pairs` runs the same four tests on a given pair list,
+keeping its order: a superset found at a wider margin yields, at the
+narrower one, the list :func:`broad_phase_pairs` returns.
 """
 
 from __future__ import annotations
@@ -102,28 +105,54 @@ def broad_phase_pairs(
         hits[half:, half - 1] = False
     # stream compaction: the hit count is the one scalar the host learns
     rows, ks = np.nonzero(hits)
-    n_hits = rows.size
     if device is not None:
-        tests = n * (n - 1) // 2
-        tiles = math.ceil(n / TILE) * math.ceil(half / TILE)
-        device.launch(
-            "broad_phase_tiled",
-            KernelCounters(
-                flops=8.0 * tests,
-                # each m x m tile loads 2m-1 distinct AABBs once
-                global_bytes_read=tiles * (2 * TILE - 1) * 32.0,
-                global_bytes_written=n_hits * 8.0,
-                global_txn_read=tiles
-                * coalesced_transactions(2 * TILE - 1, 32),
-                global_txn_written=coalesced_transactions(n_hits, 8),
-                shared_accesses=2.0 * tests,
-                threads=tests,
-                warps=max(1, tests // WARP_SIZE),
-                branch_regions=max(1, tests // WARP_SIZE),
-                divergent_branch_regions=max(1, tests // WARP_SIZE)
-                * min(1.0, 2.0 * (n_hits / tests)),
-            ),
-        )
+        record_broad_phase(device, n, rows.size)
     cols = (rows + ks + 1) % n
     return np.minimum(rows, cols), np.maximum(rows, cols)
 
+
+def record_broad_phase(device: VirtualDevice, n: int, n_hits: int) -> None:
+    """Record the tiled ``n x (n/2)`` kernel of an ``n``-block broad
+    phase that found ``n_hits`` overlapping pairs (none below two
+    blocks: there is no pair to test)."""
+    if n < 2:
+        return
+    tests = n * (n - 1) // 2
+    tiles = math.ceil(n / TILE) * math.ceil((n // 2) / TILE)
+    device.launch(
+        "broad_phase_tiled",
+        KernelCounters(
+            flops=8.0 * tests,
+            # each m x m tile loads 2m-1 distinct AABBs once
+            global_bytes_read=tiles * (2 * TILE - 1) * 32.0,
+            global_bytes_written=n_hits * 8.0,
+            global_txn_read=tiles * coalesced_transactions(2 * TILE - 1, 32),
+            global_txn_written=coalesced_transactions(n_hits, 8),
+            shared_accesses=2.0 * tests,
+            threads=tests,
+            warps=max(1, tests // WARP_SIZE),
+            branch_regions=max(1, tests // WARP_SIZE),
+            divergent_branch_regions=max(1, tests // WARP_SIZE)
+            * min(1.0, 2.0 * (n_hits / tests)),
+        ),
+    )
+
+
+def overlapping_pairs(
+    aabbs: np.ndarray, margin: float, pairs_i: np.ndarray, pairs_j: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of ``(pairs_i, pairs_j)`` whose boxes overlap at
+    ``margin``, in their given order.
+
+    The four interval tests of :func:`broad_phase_pairs` on the same
+    values (each test is symmetric in the two blocks), so a pair passes
+    here exactly when it is a hit there.
+    """
+    x0, y0 = aabbs[:, 0], aabbs[:, 1]
+    x1, y1 = aabbs[:, 2] + margin, aabbs[:, 3] + margin
+    i, j = pairs_i, pairs_j
+    keep = (
+        (x0[i] <= x1[j]) & (x0[j] <= x1[i])
+        & (y0[i] <= y1[j]) & (y0[j] <= y1[i])
+    )
+    return i[keep], j[keep]

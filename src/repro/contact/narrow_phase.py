@@ -25,8 +25,10 @@ topology, so they are expanded once into a :class:`CandidatePlan` that
 the engines keep across steps behind an exact gate
 (:meth:`CandidatePlan.matches`). The modelled distance-judgment kernel
 still judges every row, as the paper's does; the host measures only the
-rows a conservative two-level bounding-box cull cannot rule out (see
-:data:`CULL_SLACK_ULPS` for why a culled row can never be ``near``).
+rows a conservative two-level bounding-box cull (:func:`cull_rows`)
+cannot rule out (see :data:`CULL_SLACK_ULPS` for why a culled row can
+never be ``near``). A caller may cull once at a wider reach and hand the
+kept rows to many calls (:mod:`repro.contact.skin`).
 
 Simplification vs Shi's full narrow phase (documented in DESIGN.md): the
 angle judgment uses the antiparallel-edge and entrance-edge rules only;
@@ -80,7 +82,40 @@ VV1_ANGLE_TOL_DEG = 3.0
 #: other three sides are symmetric, and the block AABB contains every
 #: edge box exactly (``min`` / ``max`` do not round), so level 1 only ever
 #: drops rows level 2 would drop.
+#:
+#: The same slack bounds the rounding of the skin gate
+#: (:meth:`repro.contact.skin.KeptCandidates.holds`): rows culled at
+#: ``R = fl(reach_ref + skin)`` on reference vertices ``v_ref`` keep
+#: every row the cull at ``reach`` keeps on ``v``, and pairs found at
+#: margin ``fl(threshold + skin)`` on the reference boxes keep every pair
+#: found at ``threshold``, while ``2 d + max(reach - reach_ref, 0) +
+#: slack < skin`` in floating point, with ``d = max fl(|v - v_ref|)``,
+#: ``M`` the larger coordinate magnitude of ``v`` and ``v_ref``, ``T = M
+#: + threshold + skin`` and ``slack`` this many ulps of ``T``. In exact
+#: arithmetic a vertex and a box side (a ``min`` / ``max`` of vertices)
+#: each move at most ``d' = max |v - v_ref| <= d (1 + 2u)``, so a kept
+#: test ``p <= fl(hi + reach)`` gives ``p_ref - hi_ref <= reach + 2 d' +
+#: u (M + reach)``, and ``p_ref <= fl(hi_ref + R)`` holds once that is
+#: at most ``R - u (M + R)``. The roundings add up to ``u (10 M + 4
+#: threshold + 2 skin)`` (``2 d' - 2 d <= 8 u M``; the pair test loses
+#: less), and evaluating the gate itself at most ``3 u T`` more:
+#: ``13 u T``, under the ``32 u T`` of the slack. A NaN makes ``d`` NaN
+#: and the gate false.
 CULL_SLACK_ULPS = 16
+
+
+def cull_reach(vertices: np.ndarray, threshold: float) -> float:
+    """``threshold`` plus the cull's slack (:data:`CULL_SLACK_ULPS`) at
+    the scale of ``vertices``."""
+    return threshold + CULL_SLACK_ULPS * np.finfo(np.float64).eps * (
+        coordinate_magnitude(vertices) + threshold
+    )
+
+
+def coordinate_magnitude(vertices: np.ndarray) -> float:
+    """The largest ``|coordinate|`` of ``vertices``, NaNs left out (so
+    one bad vertex does not move the scale everyone else is culled at)."""
+    return np.max(np.abs(vertices), where=~np.isnan(vertices), initial=0.0)
 
 
 def _expand_candidates(
@@ -281,6 +316,42 @@ def _angle_between(
     return np.arccos(np.clip(cosv, -1.0, 1.0))
 
 
+def cull_rows(
+    vertices: np.ndarray, plan: CandidatePlan, reach: float
+) -> np.ndarray:
+    """The rows of ``plan`` whose vertex lies within ``reach`` of the
+    target block's box (level 1, one test per slot) and of its own
+    edge's box (level 2), ascending.
+
+    NaN coordinates are kept out of the block boxes, so one bad vertex
+    culls only its own rows, as its NaN distance does.
+    """
+    known = ~np.isnan(vertices)
+    box = np.concatenate(
+        [
+            segment_min(np.where(known, vertices, np.inf), plan.offsets[:-1])
+            - reach,
+            segment_max(np.where(known, vertices, -np.inf), plan.offsets[:-1])
+            + reach,
+        ],
+        axis=1,
+    )
+    p_slot = vertices[plan.slot_vertex]
+    slot_in = _inside(p_slot, box[plan.slot_eblock])
+    rows = np.flatnonzero(slot_in[plan.slot_of_row])
+    p_next = vertices[plan.next_vertex]
+    edge_box = np.concatenate(
+        [
+            np.minimum(vertices, p_next) - reach,
+            np.maximum(vertices, p_next) + reach,
+        ],
+        axis=1,
+    )
+    slot = plan.slot_of_row[rows]
+    edge_in = _inside(p_slot[slot], edge_box[rows + plan.edge_shift[slot]])
+    return rows[edge_in]
+
+
 def narrow_phase(
     system: BlockSystem,
     pairs_i: np.ndarray,
@@ -291,6 +362,7 @@ def narrow_phase(
     vv1_angle_tol_deg: float = VV1_ANGLE_TOL_DEG,
     tol: Tolerances | None = None,
     candidates: CandidatePlan | None = None,
+    rows: np.ndarray | None = None,
 ) -> ContactSet:
     """Detect and classify contacts for the given broad-phase pairs.
 
@@ -314,6 +386,10 @@ def narrow_phase(
         The :class:`CandidatePlan` of these pair lists, when the caller
         kept one (the engines do, across steps); built on the spot when
         omitted. A plan built for other lists is a :class:`ValueError`.
+    rows:
+        Ascending rows of ``candidates`` to measure, a superset of the
+        rows :func:`cull_rows` keeps at :func:`cull_reach` (a cull at a
+        wider reach, kept across steps); that cull when omitted.
 
     The distance judgment is charged for every candidate row — the
     modelled kernel judges them all — while the host gathers and measures
@@ -349,43 +425,15 @@ def narrow_phase(
 
     verts = system.vertices
     nxt = plan.next_vertex
-    # NaN coordinates are kept out of the scale and of the block boxes,
-    # so one bad vertex culls only its own rows, as its NaN distance does
-    known = ~np.isnan(verts)
-    magnitude = np.max(np.abs(verts), where=known, initial=0.0)
-    reach = threshold + CULL_SLACK_ULPS * np.finfo(np.float64).eps * (
-        magnitude + threshold
-    )
-
-    # ---- cull, level 1: each slot's vertex against the target block's
-    # box ---------------------------------------------------------------
-    starts = plan.offsets[:-1]
-    box = np.concatenate(
-        [
-            segment_min(np.where(known, verts, np.inf), starts) - reach,
-            segment_max(np.where(known, verts, -np.inf), starts) + reach,
-        ],
-        axis=1,
-    )
-    p_slot = verts[plan.slot_vertex]
-    slot_in = _inside(p_slot, box[plan.slot_eblock])
-    rows = np.flatnonzero(slot_in[plan.slot_of_row])
-
-    # ---- cull, level 2: the vertex against its own edge's box ---------
-    p_next = verts[nxt]
-    edge_box = np.concatenate(
-        [np.minimum(verts, p_next) - reach, np.maximum(verts, p_next) + reach],
-        axis=1,
-    )
+    if rows is None:
+        rows = cull_rows(verts, plan, cull_reach(verts, threshold))
     slot = plan.slot_of_row[rows]
     a_idx = rows + plan.edge_shift[slot]
-    edge_in = _inside(p_slot[slot], edge_box[a_idx])
-    slot, a_idx = slot[edge_in], a_idx[edge_in]
 
     # ---- distance judgment (kernel 1) -------------------------------
     pa = verts[a_idx]
-    pb = p_next[a_idx]
-    dist, t = point_segment_distance(p_slot[slot], pa, pb)
+    pb = verts[nxt[a_idx]]
+    dist, t = point_segment_distance(verts[plan.slot_vertex[slot]], pa, pb)
     # zero-length edges (coincident consecutive vertices) can never be a
     # contact entrance edge; abandon those candidates outright
     edge_len = np.hypot(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])

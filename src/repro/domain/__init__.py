@@ -19,14 +19,6 @@ The engine-facing entry point is
 :class:`repro.engine.domain_engine.DomainEngine`.
 """
 
+from repro.domain.partition import PartitionStats, partition_blocks
+
 __all__ = ["PartitionStats", "partition_blocks"]
-
-
-def __getattr__(name: str):
-    # PEP 562, as repro.meshing exports Voronoi: the partitioner brings
-    # scipy.sparse.csgraph and scipy.linalg, which only a DomainEngine needs
-    if name in __all__:
-        from repro.domain import partition
-
-        return getattr(partition, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

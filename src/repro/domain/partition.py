@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from repro.core.blocks import BlockSystem
 
@@ -84,19 +82,18 @@ def adjacency_pairs(
 
 
 def _is_connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
-    """Whether the ``n``-node graph with edges ``(i, j)`` is connected.
-
-    Scalar result; uses the sparse union-find in scipy's csgraph.
-    """
-    if n <= 1:
-        return True
-    if i.size == 0:
-        return False
-    adj = coo_matrix(
-        (np.ones(i.size, dtype=np.float64), (i, j)), shape=(n, n)
-    )
-    n_components, _ = connected_components(adj, directed=False)
-    return bool(n_components == 1)
+    """Whether the ``n``-node graph with edges ``(i, j)`` is connected:
+    a breadth-first sweep from node 0, one frontier per pass."""
+    src, dst = np.concatenate([i, j]), np.concatenate([j, i])
+    seen = np.zeros(n, dtype=bool)
+    frontier = seen.copy()
+    seen[:1] = frontier[:1] = True
+    while frontier.any():  # lint: sync-ok[host-graph-build] -- partition planning, once per run
+        reached = np.zeros(n, dtype=bool)
+        reached[dst[frontier[src]]] = True
+        frontier = reached & ~seen
+        seen |= frontier
+    return bool(seen.all())  # lint: sync-ok[host-graph-build] -- partition planning, once per run
 
 
 def _fiedler_order(

@@ -24,11 +24,10 @@ import numpy as np
 from repro.assembly.contact_springs import SpringGeometry
 from repro.assembly.global_matrix import BlockMatrix
 from repro.assembly.symbolic import AssemblyPlan, BoundAssembly
-from repro.contact.broad_phase import broad_phase_pairs
 from repro.contact.contact_set import KIND_NAMES, ContactSet
 from repro.contact.initialization import initialize_contacts_classified
-from repro.contact.narrow_phase import CandidatePlan, narrow_phase
 from repro.contact.open_close import OpenCloseDriver, StateUpdate
+from repro.contact.skin import KeptCandidates
 from repro.contact.transfer import transfer_contacts
 from repro.core.blocks import DOF, BlockSystem
 from repro.core.displacement import displacement_matrix, update_geometry
@@ -145,6 +144,7 @@ class EngineBase:
             "contracts.violations", "engine.steps",
             "open_close.sweeps", "assembly.symbolic_reuse",
             "contact.candidate_plan_reuse",
+            "contact.skin_reuse", "contact.skin_rebuilds",
             *(f"engine.step_rejected.{c}" for c in REJECTION_CAUSES[:-1]),
             "engine.rejected_cg_iterations",
         ):
@@ -159,8 +159,6 @@ class EngineBase:
         self._contacts = ContactSet.empty()
         #: vectorised open–close driver of the current loop-2 attempt
         self._oc_driver: OpenCloseDriver | None = None
-        #: the narrow phase's candidate rows for the last pair list
-        self._candidate_plan: CandidatePlan | None = None
         #: cached symbolic assembly and its binding to the current
         #: attempt's spring geometry
         self._assembly_plan: AssemblyPlan | None = None
@@ -184,6 +182,8 @@ class EngineBase:
         self.tolerances = Tolerances.from_points(system.vertices)
         mean_diam = float(np.sqrt(system.areas.mean()))
         self.contact_threshold = CONTACT_DISTANCE_FACTOR * mean_diam
+        #: broad-phase pairs and narrow-phase rows kept across steps
+        self._candidates = KeptCandidates(self.contact_threshold, self.metrics)
         densities_all = np.array(
             [m.density for m in system.materials]
         )[system.material_id]
@@ -286,16 +286,14 @@ class EngineBase:
     # ------------------------------------------------------------------
     def _detect_contacts(self) -> ContactSet:
         """This step's contact table, with the previous step's states
-        transferred in: broad phase, narrow phase over the candidate
-        rows of :meth:`_narrow_candidates`, transfer, classified
-        initialisation. Reads block geometry only."""
+        transferred in: broad and narrow phase over the candidates
+        :class:`~repro.contact.skin.KeptCandidates` keeps across steps,
+        transfer, classified initialisation. Reads block geometry only."""
         charge = self.charges.detection
         system = self.system
         device = self.device if charge is None else None
-        i, j = broad_phase_pairs(system.aabbs, self.contact_threshold, device)
-        contacts = narrow_phase(
-            system, i, j, self.contact_threshold, device,
-            tol=self.tolerances, candidates=self._narrow_candidates(i, j),
+        n_pairs, contacts = self._candidates.detect(
+            system, device, tol=self.tolerances
         )
         contacts = transfer_contacts(
             self._contacts, contacts, system.vertices.shape[0], device,
@@ -305,29 +303,8 @@ class EngineBase:
             system, contacts, self.controls.penalty_scale, device
         )
         if charge is not None:
-            charge(self.device, (system, i.size, self._contacts.m, contacts.m))
+            charge(self.device, (system, n_pairs, self._contacts.m, contacts.m))
         return contacts
-
-    def _narrow_candidates(
-        self, pairs_i: np.ndarray, pairs_j: np.ndarray
-    ) -> CandidatePlan:
-        """The narrow phase's candidate rows for this step's pair list.
-
-        The kept plan when the broad phase returned the list it was
-        built for (exact :meth:`CandidatePlan.matches` comparison; the
-        ``contact.candidate_plan_reuse`` counter is bumped), a newly
-        built and kept one otherwise. The rows depend on the pair list
-        and the block topology only, so nothing else — a rollback, a
-        restored checkpoint — can make a kept plan stale.
-        """
-        plan = self._candidate_plan
-        if plan is not None and plan.matches(self.system, pairs_i, pairs_j):
-            self.metrics.inc("contact.candidate_plan_reuse")
-        else:
-            plan = self._candidate_plan = CandidatePlan.build(
-                self.system, pairs_i, pairs_j
-            )
-        return plan
 
     def _build_diagonal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The contact-independent blocks and loads:

@@ -513,14 +513,17 @@ class StageContracts:
         if not self.full:
             return
         from repro.geometry.tolerances import Tolerances
-        from repro.util.validation import polygon_is_simple
+        from repro.util.validation import non_simple_blocks
 
         tol = Tolerances.from_points(system.vertices, rel=1e-12)
-        for b in range(system.n_blocks):
-            poly = system.block_vertices(b)
-            if not polygon_is_simple(poly, eps_area=tol.eps_area):
-                self._fail(
-                    stage, "simple_polygon",
-                    "block polygon self-intersects after update",
-                    indices=[b], context=context,
-                )
+        bad = np.flatnonzero(
+            non_simple_blocks(
+                system.vertices, system.offsets, eps_area=tol.eps_area
+            )
+        )
+        if bad.size:
+            self._fail(
+                stage, "simple_polygon",
+                "block polygon self-intersects after update",
+                indices=[int(bad[0])], context=context,
+            )

@@ -108,38 +108,49 @@ class ModelValidationError(ReproError, ValueError):
         self.block = block
 
 
-def _segments_properly_cross(a1, b1, a2, b2, eps_area: float) -> bool:
-    """True if segments (a1,b1) and (a2,b2) cross at interior points.
+def non_simple_blocks(
+    vertices: np.ndarray, offsets: np.ndarray, *, eps_area: float
+) -> np.ndarray:
+    """``(n_blocks,)`` mask of the polygons two of whose non-adjacent
+    edges properly cross, in one vectorised pass over every such edge
+    pair of every block.
 
-    Orientation-sign test; crossings within ``eps_area`` (an absolute
-    twice-area tolerance, pre-scaled by the caller) of an endpoint do
-    not count, so shared polygon vertices are not flagged.
+    A crossing is an orientation-sign test; crossings within
+    ``eps_area`` (an absolute twice-area tolerance, pre-scaled by the
+    caller) of an endpoint do not count, so shared polygon vertices are
+    not flagged. Vertices must be finite (both callers reject a
+    non-finite one first).
     """
 
     def cross(o, p, q):
-        return (p[0] - o[0]) * (q[1] - o[1]) - (q[0] - o[0]) * (p[1] - o[1])
+        return (p[..., 0] - o[..., 0]) * (q[..., 1] - o[..., 1]) - (
+            q[..., 0] - o[..., 0]
+        ) * (p[..., 1] - o[..., 1])
 
-    d1 = cross(a2, b2, a1)
-    d2 = cross(a2, b2, b1)
-    d3 = cross(a1, b1, a2)
-    d4 = cross(a1, b1, b2)
-    if min(abs(d1), abs(d2), abs(d3), abs(d4)) <= eps_area:
-        return False
-    return (d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0)
-
-
-def polygon_is_simple(poly: np.ndarray, *, eps_area: float) -> bool:
-    """True if no two non-adjacent edges of ``poly`` properly cross."""
-    n = poly.shape[0]
-    a = poly
-    b = np.roll(poly, -1, axis=0)
-    for i in range(n):
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
-                continue  # adjacent through the wrap-around edge
-            if _segments_properly_cross(a[i], b[i], a[j], b[j], eps_area):
-                return False
-    return True
+    counts = np.diff(offsets)
+    bad = np.zeros(counts.size, dtype=bool)
+    for c in np.unique(counts):
+        blocks = np.flatnonzero(counts == c)
+        # edge pairs (i, j), j >= i + 2, less the wrap-around pair (0, c-1)
+        i, j = np.triu_indices(c, k=2)
+        keep = ~((i == 0) & (j == c - 1))
+        i, j = i[keep], j[keep]
+        start = offsets[blocks][:, None]
+        # about 2**16 (block, edge pair) couples at a time: a polygon of
+        # thousands of vertices must not cost gigabytes of temporaries
+        step = max(1, 2**16 // blocks.size)
+        for k in range(0, i.size, step):
+            ik, jk = i[k : k + step], j[k : k + step]
+            a1, b1 = vertices[start + ik], vertices[start + ik + 1]
+            a2, b2 = vertices[start + jk], vertices[start + (jk + 1) % c]
+            d1, d2 = cross(a2, b2, a1), cross(a2, b2, b1)
+            d3, d4 = cross(a1, b1, a2), cross(a1, b1, b2)
+            clear = np.abs([d1, d2, d3, d4]).min(axis=0) > eps_area
+            crosses = (
+                clear & ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+            )
+            bad[blocks] |= crosses.any(axis=1)
+    return bad
 
 
 def _canonical_polygon_key(poly: np.ndarray, eps_length: float) -> bytes:
@@ -235,6 +246,7 @@ def validate_model_arrays(
                     block=int(bad[0]),
                 )
     tol = Tolerances.from_points(vertices, rel=1e-12)
+    non_simple = non_simple_blocks(vertices, offsets, eps_area=tol.eps_area)
     seen: dict[bytes, int] = {}
     for b in range(n_blocks):
         poly = vertices[offsets[b] : offsets[b + 1]]
@@ -244,7 +256,7 @@ def validate_model_arrays(
             raise ModelValidationError(
                 "polygon has (near-)zero area", block=b
             )
-        if not polygon_is_simple(poly, eps_area=tol.eps_area):
+        if non_simple[b]:
             raise ModelValidationError(
                 "polygon is non-simple (self-intersecting)", block=b
             )

@@ -26,9 +26,10 @@ from hypothesis import strategies as st
 from narrow_phase_oracle import narrow_phase_oracle
 from test_narrow_phase_properties import random_scene
 
-import repro.engine.base
+import repro.contact.skin
 from repro.contact.broad_phase import broad_phase_pairs
 from repro.contact.narrow_phase import CandidatePlan, narrow_phase
+from repro.contact.skin import KeptCandidates
 from repro.core.blocks import Block, BlockSystem
 from repro.core.materials import JointMaterial
 from repro.core.state import ResilienceControls, SimulationControls
@@ -126,10 +127,11 @@ def checked_narrow_phase(log):
     """A stand-in for the engines' ``narrow_phase`` that also runs the
     oracle on the same inputs and compares table and launches."""
 
-    def run(system, i, j, threshold, device, *, tol, candidates):
+    def run(system, i, j, threshold, device, *, tol, candidates, rows):
         start = len(device.records)
         got = narrow_phase(
-            system, i, j, threshold, device, tol=tol, candidates=candidates
+            system, i, j, threshold, device,
+            tol=tol, candidates=candidates, rows=rows,
         )
         scratch = VirtualDevice(device.profile)
         want = narrow_phase_oracle(system, i, j, threshold, scratch, tol=tol)
@@ -147,7 +149,7 @@ def test_long_run_equals_the_oracle_across_plan_rebuilds(monkeypatch):
     gate both hits and misses, and every detection equals the oracle."""
     plans = []
     monkeypatch.setattr(
-        repro.engine.base, "narrow_phase", checked_narrow_phase(plans)
+        repro.contact.skin, "narrow_phase", checked_narrow_phase(plans)
     )
     engine = GpuEngine(rocks(3, 8), rocks_controls(time_step=5e-3))
     steps = 280
@@ -272,26 +274,40 @@ class TestGate:
     def engine(self):
         return GpuEngine(rocks(3, 8), rocks_controls())
 
+    @staticmethod
+    def detect(engine):
+        """One detection through the engine's kept candidates; its plan."""
+        kept = engine._candidates
+        kept.detect(engine.system, None, tol=engine.tolerances)
+        return kept.plan
+
     def test_same_lists_in_fresh_arrays_share_the_plan(self):
         engine = self.engine()
-        i, j = broad_phase_pairs(engine.system.aabbs, engine.contact_threshold)
-        plan = engine._narrow_candidates(i, j)
-        assert engine._narrow_candidates(i.copy(), j.copy()) is plan
+        plan = self.detect(engine)
+        assert self.detect(engine) is plan
         assert engine.metrics.counter("contact.candidate_plan_reuse").value == 1
         # the plan holds its own copy of the lists: scribbling on the
         # caller's arrays cannot make a stale plan match
+        i, j = broad_phase_pairs(engine.system.aabbs, engine.contact_threshold)
+        plan = CandidatePlan.build(engine.system, i, j)
         i[0] += 1
         assert plan.pairs_i[0] == i[0] - 1
 
     def test_changed_lists_rebuild(self):
         engine = self.engine()
-        system = engine.system
-        i, j = broad_phase_pairs(system.aabbs, engine.contact_threshold)
-        plan = engine._narrow_candidates(i, j)
-        flip = np.arange(i.size)[::-1]
-        permuted = engine._narrow_candidates(i[flip], j[flip])
+        kept = engine._candidates
+        plan = self.detect(engine)
+        # the exact list is the kept superset's pairs in the superset's
+        # order: reversing the superset reverses the list
+        flip = np.arange(kept.pairs_i.size)[::-1]
+        kept.pairs_i, kept.pairs_j = kept.pairs_i[flip], kept.pairs_j[flip]
+        permuted = self.detect(engine)
         assert permuted is not plan and permuted.total == plan.total
-        dropped = engine._narrow_candidates(i[1:], j[1:])
+        first = (kept.pairs_i == plan.pairs_i[0]) & (
+            kept.pairs_j == plan.pairs_j[0]
+        )
+        kept.pairs_i, kept.pairs_j = kept.pairs_i[~first], kept.pairs_j[~first]
+        dropped = self.detect(engine)
         assert dropped is not permuted and dropped.total < plan.total
         assert engine.metrics.counter("contact.candidate_plan_reuse").value == 0
 
@@ -333,11 +349,12 @@ def test_plan_is_lean_on_the_1089_block_slope():
 # the plan inside the engines
 # ----------------------------------------------------------------------
 class RebuildEveryStep:
-    """Mixin: forget the kept plan before every detection."""
+    """Mixin: forget the kept candidates (superset, plan and rows)
+    before every detection."""
 
-    def _narrow_candidates(self, pairs_i, pairs_j):
-        self._candidate_plan = None
-        return super()._narrow_candidates(pairs_i, pairs_j)
+    def _detect_contacts(self):
+        self._candidates = KeptCandidates(self.contact_threshold, self.metrics)
+        return super()._detect_contacts()
 
 
 def run_state(engine, result):
@@ -408,9 +425,9 @@ def test_restored_checkpoint_with_a_plan_in_place():
     engine.run(steps=4)
     snapshot = engine.checkpoint(step=4)
     engine.run(steps=3)
-    kept = engine._candidate_plan
+    kept = engine._candidates.plan
     engine.restore_checkpoint(snapshot)
-    assert engine._candidate_plan is kept  # nothing to invalidate
+    assert engine._candidates.plan is kept  # nothing to invalidate
     got = engine.run(steps=6)
     assert engine.system.vertices.tobytes() == fresh.system.vertices.tobytes()
     assert [dataclasses.astuple(s) for s in got.steps] == [

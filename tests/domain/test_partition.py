@@ -140,3 +140,28 @@ class TestStatsAndAdjacency:
         i, j = adjacency_pairs(system, contacts=contacts)
         pairs = set(zip(i.tolist(), j.tolist()))
         assert pairs == {(0, 1), (1, 2), (2, 3)}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_connectivity_agrees_with_scipy(seed):
+    """The breadth-first sweep says what scipy's union-find says: a
+    random tree plus a few random edges, with one tree edge cut on odd
+    seeds (which the extra edges may or may not bridge)."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    from repro.domain.partition import _is_connected
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    child = rng.permutation(np.arange(1, n))
+    parent = (rng.random(n - 1) * child).astype(np.int64)
+    if seed % 2:
+        cut = rng.integers(n - 1)
+        child, parent = np.delete(child, cut), np.delete(parent, cut)
+    extra = rng.integers(0, n, size=(2, int(rng.integers(0, 3))))
+    i = np.concatenate([parent, extra[0]])
+    j = np.concatenate([child, extra[1]])
+    adj = coo_matrix((np.ones(i.size), (i, j)), shape=(n, n))
+    components, _ = connected_components(adj, directed=False)
+    assert _is_connected(n, i, j) == (components == 1)

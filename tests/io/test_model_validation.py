@@ -8,6 +8,7 @@ from repro.core.materials import BlockMaterial
 from repro.io.model_io import load_system, save_system
 from repro.util.validation import (
     ModelValidationError,
+    non_simple_blocks,
     validate_model_arrays,
     validate_system,
 )
@@ -78,6 +79,65 @@ def test_self_intersecting_polygon():
     with pytest.raises(ModelValidationError, match="non-simple") as exc:
         validate_model_arrays(v, o)
     assert exc.value.block == 1
+
+
+def polygon_is_simple(poly, eps_area):
+    """The per-block scan :func:`non_simple_blocks` replaced, kept as its
+    oracle: every non-adjacent edge pair, one Python test each."""
+
+    def cross(o, p, q):
+        return (p[0] - o[0]) * (q[1] - o[1]) - (q[0] - o[0]) * (p[1] - o[1])
+
+    n, a, b = poly.shape[0], poly, np.roll(poly, -1, axis=0)
+    for i in range(n):
+        for j in range(i + 2, n):
+            if i == 0 and j == n - 1:
+                continue  # adjacent through the wrap-around edge
+            d = (cross(a[j], b[j], a[i]), cross(a[j], b[j], b[i]),
+                 cross(a[i], b[i], a[j]), cross(a[i], b[i], b[j]))
+            if min(map(abs, d)) <= eps_area:
+                continue
+            if (d[0] > 0) != (d[1] > 0) and (d[2] > 0) != (d[3] > 0):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_vectorised_simplicity_scan_equals_the_per_block_one(seed):
+    """Random star-shaped (simple) and shuffled (mostly crossing)
+    polygons of 3 to 12 vertices, some snapped to a grid so crossings
+    graze endpoints: the mask is the per-block verdict, block by block."""
+    rng = np.random.default_rng(seed)
+    polys = []
+    for k in range(60):
+        c = int(rng.integers(3, 13))
+        angle = np.sort(rng.uniform(0, 2 * np.pi, c))
+        if k % 2:
+            angle = rng.permutation(angle)
+        poly = rng.uniform(0.5, 2.0, (c, 1)) * np.stack(
+            [np.cos(angle), np.sin(angle)], axis=1
+        )
+        if k % 3 == 0:
+            poly = np.round(poly * 4) / 4
+        polys.append(poly + rng.uniform(-50, 50, 2))
+    vertices, offsets = arrays(*polys)
+    eps_area = 1e-9
+    want = [not polygon_is_simple(p, eps_area) for p in polys]
+    got = non_simple_blocks(vertices, offsets, eps_area=eps_area)
+    assert got.tolist() == want
+    assert 0 < sum(want) < len(want)
+
+
+def test_simplicity_scan_of_a_large_polygon_runs_in_chunks():
+    """A 600-vertex circle (179 100 edge pairs, six chunks) is
+    simple; swapping two vertices makes it cross."""
+    angle = np.linspace(0.0, 2 * np.pi, 600, endpoint=False)
+    circle = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    crossed = circle.copy()
+    crossed[[10, 300]] = crossed[[300, 10]]
+    vertices, offsets = arrays(circle, crossed + 5.0)
+    got = non_simple_blocks(vertices, offsets, eps_area=1e-12)
+    assert got.tolist() == [False, True]
 
 
 def test_duplicate_blocks():
