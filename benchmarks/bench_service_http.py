@@ -7,7 +7,7 @@ Three measurements over the asyncio HTTP front-end (repro.service.http):
   the admission-controlled baseline: every request still pays the
   token bucket, the depth gate, and the journal append on submit.
 * ``faulted`` — the same seeded request mix with the network chaos
-  plan armed (all four fault classes). Reports the client-observed
+  plan armed (both fault classes). Reports the client-observed
   latency tax, the retry count the transport absorbed, and that zero
   requests were given up on.
 * ``drain`` — graceful-shutdown latency: the wall-clock from the
@@ -57,7 +57,7 @@ def run_request_campaign(root: Path, *, faulted: bool) -> dict:
     if faulted:
         NetFaultInjector.install(NetFaultPlan(
             seed=SEED, rate=NET_FAULT_RATE, max_faults=REQUESTS,
-            latency_s=0.01, slow_delay_s=0.002,
+            latency_s=0.01,
         ))
     else:
         NetFaultInjector.install(None)

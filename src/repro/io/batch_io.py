@@ -11,10 +11,10 @@ Every durability-relevant operation in this module is also a *chaos
 hook*: when a storage fault plan is armed
 (:mod:`repro.service.chaos`), the atomic writers,
 :func:`read_json`, and :func:`locked_fd` consult the process-wide
-injector and may suffer a torn write, a simulated crash before or
-after the rename, ``ENOSPC``, or injected IO latency — on the same code
-path a clean process runs. With no plan armed the hooks are a single
-``is None`` check, so the clean path pays nothing measurable.
+injector and may suffer ``ENOSPC``, a simulated crash after the rename,
+or injected IO latency — on the same code path a clean process runs.
+With no plan armed the hooks are a single ``is None`` check, so the
+clean path pays nothing measurable.
 """
 
 from __future__ import annotations
@@ -75,10 +75,9 @@ def _fsync_dir(dirpath: Path) -> None:
     """fsync a directory so a just-renamed entry survives a crash.
 
     ``os.replace`` makes the *file* atomic, but the new directory entry
-    itself lives in the parent directory's metadata — a power loss (or
-    the chaos layer's simulated one) right after the rename can roll
-    the entry back unless the directory fd is fsynced too. No-op on
-    platforms without directory fds (Windows).
+    itself lives in the parent directory's metadata — a power loss right
+    after the rename can roll the entry back unless the directory fd is
+    fsynced too. No-op on platforms without directory fds (Windows).
     """
     if os.name != "posix":  # pragma: no cover - Windows
         return
@@ -146,13 +145,15 @@ def _replace_atomic(path: Path, mode: str, write_payload) -> Path:
     directory, which is fsynced and renamed into place, after which the
     *parent directory* is fsynced too — so concurrent readers see
     either the old file or the complete new one, and a crash
-    immediately after the rename cannot lose the directory entry.
+    immediately after the rename cannot lose the directory entry. A
+    failure at any step before the rename leaves the destination
+    untouched and no temp file behind; a failure after it leaves the
+    new content in place.
 
     Under an armed fault plan (:mod:`repro.service.chaos`) this is the
-    primary chaos hook: the write may raise
-    :class:`~repro.service.chaos.ChaosIOError` after leaving the
-    destination torn, untouched, or — for ``crash_after_rename`` —
-    fully written even though the caller saw a failure.
+    primary chaos hook: ``crash_after_rename`` raises
+    :class:`~repro.service.chaos.ChaosIOError` after the rename, so
+    the write lands although the caller saw a failure.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     chaos = _chaos()
@@ -164,17 +165,9 @@ def _replace_atomic(path: Path, mode: str, write_payload) -> Path:
         with os.fdopen(fd, mode) as fh:
             write_payload(fh)
             fh.flush()
-            if fault == "torn_write":
-                # a crash mid-write of a non-atomic overwrite: expose a
-                # truncated payload to every later reader
-                size = fh.tell()
-                os.ftruncate(fh.fileno(), max(1, size // 2))
             os.fsync(fh.fileno())
-        if fault == "crash_before_rename":
-            os.unlink(tmp)
-            chaos.raise_fault(fault, path)
         os.replace(tmp, path)
-        if fault in ("torn_write", "crash_after_rename"):
+        if fault == "crash_after_rename":
             chaos.raise_fault(fault, path)
         _fsync_dir(path.parent)
     except BaseException:
@@ -217,9 +210,10 @@ def read_json(path: str | Path):
 
     A missing or corrupt file is how the scheduler *detects* a crashed
     worker (the outcome never landed), so both cases map to ``None``
-    rather than raising. Torn files left behind by the chaos layer's
-    ``torn_write`` fault take the same path — a durability fault must
-    degrade into a detected crash, never into wrong data.
+    rather than raising — a durability fault must degrade into a
+    detected crash, never into wrong data. A job record that does not
+    parse therefore reads as absent, and the final audit reports its
+    job as lost.
     """
     chaos = _chaos()
     if chaos is not None:

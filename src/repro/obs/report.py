@@ -170,7 +170,7 @@ def render_service_report(report: dict) -> str:
     lines.append(
         f"queue  : {depths['queued']} queued "
         f"({depths['deferred']} in backoff), "
-        f"{depths['claimed']} claimed, {depths['unreadable']} unreadable"
+        f"{depths['claimed']} claimed"
         + (f", oldest waiting {age:.1f}s" if age is not None else "")
     )
     lines.append(

@@ -29,10 +29,10 @@ orchestrates them on top of the per-run survival primitives from
   :data:`repro.service.soak.SCENARIOS`) ends every chaos campaign with;
 * :mod:`repro.service.chaos` — the one seeded fault-injection module:
   :class:`~repro.service.chaos.IOFaultPlan` arms the storage seam
-  (torn writes, crashed renames, ``ENOSPC``, IO latency) the
-  durability claims are tested under, and
-  :class:`~repro.service.chaos.NetFaultPlan` the network seam
-  (connection resets, slow-loris, truncated responses, latency) the
+  (``ENOSPC``, a crash after the rename, IO latency — the three
+  outcomes of the atomic replace) the durability claims are tested
+  under, and :class:`~repro.service.chaos.NetFaultPlan` the network
+  seam (connection resets, latency) the
   service claims are tested under via
   ``python -m repro batch soak --scenario api``;
 * :class:`~repro.service.client.BatchClient` — the programmatic facade

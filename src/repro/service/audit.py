@@ -27,13 +27,12 @@ Hard invariants (any breach is a *violation*; the audit fails):
     terminal.
 ``unsubmitted_activity``
     Events reference a job that was never submitted and has no record.
-``lost_job`` / ``stuck_job`` / ``torn_record`` (``--final`` only)
+``lost_job`` / ``stuck_job`` (``--final`` only)
     After a campaign has fully drained, every submitted job must have a
     readable record in exactly one terminal state: a missing record is
-    a lost job, a non-terminal record is a stuck one, and a record file
-    that exists but cannot be parsed is a torn write that the verified
-    save path failed to repair. (Before ``--final``, a torn record is a
-    warning — the owning writer's retry may still heal it.)
+    a lost job, and a non-terminal record is a stuck one. A record file
+    that does not parse reads as missing (:func:`~repro.io.batch_io.
+    read_json`), so its job is lost too.
 
 Soft findings (*warnings*; reported but not fatal):
 
@@ -49,7 +48,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.io.batch_io import read_json
 from repro.service.journal import Journal
 from repro.service.queue import JobQueue
 from repro.service.spec import JobState
@@ -173,27 +171,8 @@ def audit_journal(root: str | Path, *, final: bool = False) -> dict:
                 f"campaign drained but the record is {record.state!r}",
             )
 
-    torn_records = {
-        path.stem
-        for path in sorted(queue.jobs_dir.glob("*.json"))
-        if read_json(path) is None
-    }
-    for job_id in sorted(torn_records):
-        if final:
-            violation(
-                "torn_record", job_id,
-                "record file exists but is unreadable (torn write "
-                "never repaired)",
-            )
-        else:
-            warning(
-                "torn_record", job_id,
-                "record file currently unreadable (torn write; a "
-                "verified save may still repair it)",
-            )
-
     if final:
-        for job_id in sorted(submitted - set(records) - torn_records):
+        for job_id in sorted(submitted - set(records)):
             violation(
                 "lost_job", job_id,
                 "submitted but no record exists",

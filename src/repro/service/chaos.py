@@ -21,6 +21,12 @@ add only what is theirs:
   batch core is driven remotely a whole family of failures appears
   that storage chaos cannot model.
 
+A fault is registered only when it produces an outcome that no other
+fault produces and that the product's own protocol can really suffer:
+the storage faults are the three outcomes of the atomic replace (a
+reader never sees a torn file, so no fault fakes one), the network
+faults a lost request or response and a late success.
+
 The service's robustness claims — exactly-once completion under
 ``python -m repro batch audit``, idempotent resubmission, retrying
 clients — must hold with both seams armed.
@@ -79,38 +85,28 @@ IO_FAULT_REGISTRY: dict[str, FaultSpec] = {
     spec.name: spec
     for spec in (
         FaultSpec(
-            "torn_write", "write",
-            "replace the destination with a truncated payload and fail "
-            "the write — models a crash mid-write of a non-atomic "
-            "overwrite; readers must treat the torn file as missing",
-            "read_json corrupt-file handling / crash reclassification",
-        ),
-        FaultSpec(
-            "crash_before_rename", "write",
-            "write and fsync the tmp file but never rename it, and fail "
-            "the write — models a crash in the rename window; the "
-            "previous file content survives untouched",
-            "missing-outcome crash detection / lease expiry",
-        ),
-        FaultSpec(
             "crash_after_rename", "write",
             "complete the rename but report failure to the caller — "
-            "models a crash after the rename but before the caller "
-            "observed success; tests idempotency: the write took effect "
-            "although its issuer believes it did not",
+            "the protocol's *error, effect landed* outcome: a crash "
+            "after os.replace, before the caller observed success; the "
+            "write took effect although its issuer believes it did not",
             "idempotent rewrites / journal audit",
         ),
         FaultSpec(
             "enospc", "write",
-            "raise OSError(ENOSPC) before writing anything",
+            "raise OSError(ENOSPC) before writing anything — the "
+            "protocol's *error, no effect* outcome, which every failure "
+            "before os.replace (a full disk, a crash mid-write or "
+            "before the rename) reduces to: the destination keeps its "
+            "old content and no temp file survives",
             "retry policy / scheduler restart",
         ),
         FaultSpec(
             "io_latency", "write",
             "sleep a seeded few milliseconds before the operation "
-            "(applies to writes, reads, and locks) — models a slow "
-            "disk; surfaces ordering assumptions that only hold when "
-            "IO is instant",
+            "(applies to writes, reads, and locks) — the *success, "
+            "late* outcome of a slow disk; surfaces ordering "
+            "assumptions that only hold when IO is instant",
             "lease TTL margins / poll loops",
         ),
     )
@@ -128,29 +124,16 @@ NET_FAULT_REGISTRY: dict[str, FaultSpec] = {
             "decides whether the abort lands before the request is "
             "processed (the request is lost) or after (the request took "
             "effect but the response is lost — the case idempotent "
-            "resubmission exists for)",
+            "resubmission exists for). A response cut mid-body or a "
+            "read that times out reaches the client as the same "
+            "transport error, so this one fault stands for them",
             "client retry + content-hash idempotent resubmission",
         ),
         FaultSpec(
-            "slow_loris", "response",
-            "dribble the response out a few bytes at a time with "
-            "seeded inter-chunk delays — models a pathologically slow "
-            "peer; a client with a sane socket timeout gives up and "
-            "retries, a patient one eventually gets the full payload",
-            "client socket timeout + retry budget",
-        ),
-        FaultSpec(
-            "truncated_response", "response",
-            "send the status line, the headers and half the body, then "
-            "close — models a mid-transfer failure; clients must treat "
-            "the partial body as no response at all",
-            "client treats a short read as no response and retries",
-        ),
-        FaultSpec(
             "net_latency", "request",
-            "sleep a seeded few milliseconds before handling; surfaces "
-            "deadline/timeout assumptions that only hold when the "
-            "network is instant",
+            "sleep a seeded few milliseconds before handling — the "
+            "*success, late* outcome; surfaces deadline/timeout "
+            "assumptions that only hold when the network is instant",
             "per-request deadlines / Retry-After backoff",
         ),
     )
@@ -158,10 +141,7 @@ NET_FAULT_REGISTRY: dict[str, FaultSpec] = {
 
 #: Storage faults applicable per hooked operation.
 _OP_FAULTS = {
-    "write": (
-        "torn_write", "crash_before_rename", "crash_after_rename",
-        "enospc", "io_latency",
-    ),
+    "write": ("crash_after_rename", "enospc", "io_latency"),
     "read": ("io_latency",),
     "lock": ("io_latency",),
 }
@@ -370,8 +350,9 @@ class IOFaultInjector(FaultInjector):
 
     # hook entry points (called by repro.io.batch_io)
     def on_write(self, path: Path) -> str | None:
-        """Decide a write fault; latency/ENOSPC act here, the structural
-        faults are returned for the atomic-replace protocol to act out."""
+        """Decide a write fault; latency/ENOSPC act here, and
+        ``crash_after_rename`` is returned for the atomic-replace
+        protocol to act out after its rename."""
         fault = self.decide("write", path)
         if fault == "io_latency":
             self._sleep()
@@ -389,7 +370,7 @@ class IOFaultInjector(FaultInjector):
             self._sleep()
 
     def raise_fault(self, fault: str, path: Path) -> None:
-        """Raise the caller-visible error for a structural write fault."""
+        """Raise the caller-visible error for ``crash_after_rename``."""
         raise ChaosIOError(fault, path)
 
     def _sleep(self) -> None:
@@ -408,24 +389,13 @@ class NetFaultPlan(FaultPlan):
     ----------
     latency_s:
         Upper bound of the seeded ``net_latency`` sleep.
-    slow_chunk:
-        Bytes per write while acting out ``slow_loris``.
-    slow_delay_s:
-        Upper bound of the seeded sleep between slow-loris chunks.
     """
 
     rate: float = 0.1
     latency_s: float = 0.05
-    slow_chunk: int = 64
-    slow_delay_s: float = 0.05
 
     REGISTRY = NET_FAULT_REGISTRY
     SEAM = "net"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.slow_chunk < 1:
-            raise ValueError(f"slow_chunk must be >= 1, got {self.slow_chunk}")
 
 
 @dataclass
@@ -456,10 +426,6 @@ class NetFaultInjector(FaultInjector):
     def latency(self) -> float:
         """Seeded sleep duration for ``net_latency``."""
         return self._uniform(self.plan.latency_s)
-
-    def slow_delay(self) -> float:
-        """Seeded inter-chunk sleep for ``slow_loris``."""
-        return self._uniform(self.plan.slow_delay_s)
 
     @classmethod
     def _arm(cls, injector) -> None:

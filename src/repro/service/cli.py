@@ -218,8 +218,7 @@ def batch_main(argv: list[str] | None = None) -> int:
         print(
             f"queue: {depths['queued']} queued "
             f"({depths['deferred']} in backoff), "
-            f"{depths['claimed']} claimed, "
-            f"{depths['unreadable']} unreadable"
+            f"{depths['claimed']} claimed"
             + (f", oldest waiting {age:.1f}s" if age is not None else "")
         )
         print(f"cache: {cache['hits']} hits, {cache['misses']} misses")

@@ -111,22 +111,10 @@ class BatchClient:
         return self.queue.cancel(self._job_id(job))
 
     # ------------------------------------------------------------------
-    def job_row(self, job_id: str, record: JobRecord | None) -> dict:
+    def job_row(self, record: JobRecord) -> dict:
         """One job's status row — the shape ``status()["jobs"]`` and the
-        HTTP ``GET /v1/jobs/<id>`` both serve. ``record=None`` renders
-        the torn-record row: the job exists, its record file does not
-        parse (a storage fault landed mid-save and has not healed)."""
-        if record is None:
-            return {
-                "job_id": job_id,
-                "state": "unreadable",
-                "model": None, "engine": None, "steps": None,
-                "priority": None, "tenant": None, "attempts": None,
-                "cached": False,
-                "error": "record file torn (unreadable after retry)",
-                "spec_hash": None, "lease_epoch": None,
-                "not_before": None, "lease": None,
-            }
+        HTTP ``GET /v1/jobs/<id>`` both serve."""
+        job_id = record.job_id
         lease = self.queue.leases.peek(job_id)
         now = time.time()
         return {
@@ -153,30 +141,22 @@ class BatchClient:
 
     def job(self, job_id: str) -> dict | None:
         """Status row of one job; ``None`` when no such record exists."""
-        record = self.queue.load_record_retry(job_id)
-        if record is None and not self.queue.record_unreadable(job_id):
-            return None
-        return self.job_row(job_id, record)
+        record = self.queue.load_record(job_id)
+        return None if record is None else self.job_row(record)
 
     def status(self) -> dict:
         """Batch overview: per-state counts, queue-depth buckets, cache
         stats, and per-job rows carrying lease/epoch detail.
 
-        Everything derives from one :meth:`JobQueue.scan`, so each
-        record file is parsed once per call. Torn records (a storage
-        fault landed mid-save) are re-read once before being reported:
-        transiently torn files usually heal within milliseconds, and
-        the ones that do not appear both in ``counts["unreadable"]``
-        and as explicit ``state="unreadable"`` job rows rather than
-        vanishing or raising.
+        Everything derives from one :meth:`JobQueue.records` walk, so
+        each record file is parsed once per call.
         """
-        scan = records, unreadable = self.queue.scan()
+        records = self.queue.records()
         return {
-            "counts": self.queue.counts(scan),
-            "queue": self.queue.depths(scan),
+            "counts": self.queue.counts(records),
+            "queue": self.queue.depths(records),
             "cache": self.store.stats(),
-            "jobs": [self.job_row(r.job_id, r) for r in records]
-            + [self.job_row(job_id, None) for job_id in unreadable],
+            "jobs": [self.job_row(r) for r in records],
         }
 
     def result(self, job: str | JobRecord) -> dict | None:

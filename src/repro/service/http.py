@@ -359,12 +359,10 @@ class HttpJobService:
         if self._requests_since_flush >= METRICS_FLUSH_EVERY:
             self._requests_since_flush = 0
             self._flush_metrics()
-        await self._send(writer, status, payload, extra, fault, injector)
+        await self._send(writer, status, payload, extra, fault)
 
-    async def _send(
-        self, writer, status, payload, extra, fault=None, injector=None
-    ) -> None:
-        """Serialise and write one response (acting out ``fault``)."""
+    async def _send(self, writer, status, payload, extra, fault=None) -> None:
+        """Serialise and write one response (acting out ``conn_reset``)."""
         self.metrics.inc(f"http.responses.{status // 100}xx")
         blob = json.dumps(payload, sort_keys=True).encode()
         head = [
@@ -382,18 +380,8 @@ class HttpJobService:
                 # client's idempotent resubmission absorbs this
                 writer.transport.abort()
                 return
-            if fault == "truncated_response":
-                writer.write(raw[: max(1, len(raw) - len(blob) // 2 - 1)])
-                await writer.drain()
-            elif fault == "slow_loris":
-                chunk = injector.plan.slow_chunk
-                for i in range(0, len(raw), chunk):
-                    writer.write(raw[i:i + chunk])
-                    await writer.drain()
-                    await asyncio.sleep(injector.slow_delay())
-            else:
-                writer.write(raw)
-                await writer.drain()
+            writer.write(raw)
+            await writer.drain()
             writer.close()
         except (OSError, ConnectionError):
             pass  # the peer gave up first; nothing to unwind
@@ -583,7 +571,7 @@ class HttpJobService:
             if dedup:
                 entry = read_json(entry_path)
                 if entry is not None:
-                    record = self.queue.load_record_retry(entry["job_id"])
+                    record = self.queue.load_record(entry["job_id"])
                     if record is not None and record.state not in (
                         JobState.FAILED, JobState.CANCELLED
                     ):

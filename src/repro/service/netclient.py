@@ -2,9 +2,9 @@
 
 :class:`ServiceClient` is the caller-side half of the robustness
 contract :mod:`repro.service.http` publishes: every verb maps to one
-HTTP request, and every transport failure the network chaos layer can
-inject (connection reset, truncated body, slow-loris stall, plain
-latency) is absorbed by a bounded seeded-backoff retry loop. The server
+HTTP request, and every transport failure — a connection reset (the
+network chaos layer's fault), a truncated body, a read that times out —
+is absorbed by a bounded seeded-backoff retry loop. The server
 makes retrying *safe* — submits are idempotent by spec hash, cancels
 and reads are naturally so — which is why the client may retry every
 verb without a per-verb whitelist.

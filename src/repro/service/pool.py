@@ -472,10 +472,6 @@ class WorkerPool:
             delay = policy.delay(job_id, record.attempts)
             with self.queue.locked_record(job_id):
                 current = self.queue.load_record(job_id)
-                if current is None and self.queue.record_unreadable(job_id):
-                    # torn record (storage fault): heal it from the
-                    # claimant's in-memory copy rather than dropping it
-                    current = record
                 if (
                     current is None
                     or current.state in JobState.TERMINAL

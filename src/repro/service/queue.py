@@ -78,8 +78,8 @@ MAX_PRIORITY = 999
 #: lease write. Kept well under any sane ttl.
 CLAIM_GRACE = 1.0
 
-#: Record saves are read-back verified and retried this many times —
-#: a torn record write that went unrepaired would orphan the job.
+#: A record save that raises is retried this many times before the
+#: error surfaces — a record that never lands orphans its job.
 SAVE_RETRIES = 3
 
 
@@ -220,11 +220,6 @@ class JobQueue:
                 job_id = name.split("-", 2)[2]
                 with self.locked_record(job_id):
                     record = self.load_record(job_id)
-                    if record is None and self.record_unreadable(job_id):
-                        # torn record (storage fault): never consume the
-                        # ticket — defer it so a later heal can still run
-                        defer(name)
-                        continue
                     if record is None or record.state in JobState.TERMINAL:
                         # cancelled-and-gone while queued: consume
                         (self.claimed_dir / name).unlink(missing_ok=True)
@@ -284,12 +279,7 @@ class JobQueue:
         for ticket in sorted(self.claimed_dir.iterdir()):
             job_id = ticket.name.split("-", 2)[2]
             record = self.load_record(job_id)
-            unreadable = record is None and self.record_unreadable(job_id)
-            if record is None and not unreadable:
-                ticket.unlink(missing_ok=True)
-                self.leases.release(job_id)
-                continue
-            if record is not None and record.state in JobState.TERMINAL:
+            if record is None or record.state in JobState.TERMINAL:
                 ticket.unlink(missing_ok=True)
                 self.leases.release(job_id)
                 continue
@@ -315,19 +305,14 @@ class JobQueue:
                     self.metrics.inc("batch.lease_expired")
             with self.locked_record(job_id):
                 record = self.load_record(job_id)
-                if record is None and not self.record_unreadable(job_id):
+                if record is None or record.state in JobState.TERMINAL:
                     ticket.unlink(missing_ok=True)
                     self.leases.release(job_id)
                     continue
-                if record is not None and record.state in JobState.TERMINAL:
-                    ticket.unlink(missing_ok=True)
-                    self.leases.release(job_id)
-                    continue
-                if record is not None and record.state == JobState.RUNNING:
+                if record.state == JobState.RUNNING:
                     record.state = JobState.QUEUED
                     record.worker_pid = None
                     self.save_record(record)
-                # a torn (unreadable) record keeps its ticket: requeue
             try:
                 self.requeue(ticket.name, reason="lease_expired")
             except FileNotFoundError:
@@ -439,114 +424,67 @@ class JobQueue:
     # records
     # ------------------------------------------------------------------
     def save_record(self, record: JobRecord) -> None:
-        """Persist ``record`` with read-back verification.
+        """Persist ``record``, retrying a write that raises.
 
-        The record file is the one artifact whose loss orphans a job,
-        so the atomic write is verified by re-reading it; a torn or
-        failed write (storage fault) is retried :data:`SAVE_RETRIES`
-        times before the error is allowed to surface.
+        The record file is the one artifact whose loss orphans a job.
+        The atomic write leaves either the old record or the new one,
+        so a write that raised (storage fault) is simply retried
+        :data:`SAVE_RETRIES` times before the error is allowed to
+        surface.
         """
         path = self.jobs_dir / f"{record.job_id}.json"
         payload = record.to_dict()
-        last: OSError = OSError(f"record write failed: {path}")
-        for _ in range(SAVE_RETRIES):
+        for attempt in range(SAVE_RETRIES):
             try:
                 write_json_atomic(path, payload)
-            except OSError as exc:
-                last = exc
-                continue
-            if read_json(path) is not None:
                 return
-            last = OSError(f"record write torn: {path}")
-        raise last
+            except OSError:
+                if attempt == SAVE_RETRIES - 1:
+                    raise
 
     def load_record(self, job_id: str) -> JobRecord | None:
         d = read_json(self.jobs_dir / f"{job_id}.json")
         return None if d is None else JobRecord.from_dict(d)
 
-    def load_record_retry(self, job_id: str) -> JobRecord | None:
-        """Load a record, retrying once (50 ms later) when it reads as torn.
-
-        A record that is mid-verified-save (another process between the
-        torn first write and its read-back-repair retry) is *transiently*
-        unreadable; observer paths (``batch status``, the HTTP status
-        endpoint) re-read once after a short pause before reporting the
-        torn-record bucket, instead of surfacing a scary error for a
-        window that usually heals itself within milliseconds.
-        """
-        record = self.load_record(job_id)
-        if record is None and (self.jobs_dir / f"{job_id}.json").exists():
-            time.sleep(0.05)
-            record = self.load_record(job_id)
-        return record
-
-    def record_unreadable(self, job_id: str) -> bool:
-        """True when the record file exists but cannot be parsed.
-
-        Distinguishes a *torn* record (storage fault landed on the last
-        save and its writer died before the verified-save retry) from a
-        genuinely absent one: torn records must keep their ticket so
-        the job stays visible instead of silently disappearing.
-        """
-        path = self.jobs_dir / f"{job_id}.json"
-        return path.exists() and read_json(path) is None
-
-    def scan(self) -> tuple[list[JobRecord], list[str]]:
-        """One pass over ``jobs/``: ``(records, unreadable_ids)``.
-
-        ``records`` is every readable job record in submit order;
-        ``unreadable_ids`` names the record files that exist but are
-        torn even after one retry read (:meth:`load_record_retry`), so a
-        concurrent verified save does not make the job flicker out of
-        observer listings. Every observer view (:meth:`records`,
-        :meth:`counts`, :meth:`depths`, ``BatchClient.status``) derives
-        from this one walk, so each record file is parsed once per view.
-        """
-        records, unreadable = [], []
-        for path in sorted(self.jobs_dir.glob("*.json")):
-            record = self.load_record_retry(path.stem)
-            if record is not None:
-                records.append(record)
-            elif path.exists():
-                unreadable.append(path.stem)
-        return records, unreadable
-
     def records(self) -> list[JobRecord]:
-        """Every readable job record, in submit order."""
-        return self.scan()[0]
+        """Every job record, in submit order — one pass over ``jobs/``.
 
-    def counts(self, scan=None) -> dict[str, int]:
-        """Job count per lifecycle state (of ``scan``, default a fresh one).
-
-        A record file that exists but cannot be parsed even after one
-        retry read (torn by a storage fault) is counted under
-        ``"unreadable"`` — a non-terminal bucket, so drain checks keep
-        waiting for it instead of declaring the job gone.
+        Every observer view (:meth:`counts`, :meth:`depths`,
+        ``BatchClient.status``) can derive from one such walk, so each
+        record file is parsed once per view. A record file that does
+        not parse reads as absent (:func:`read_json`).
         """
-        records, unreadable = scan or self.scan()
+        loaded = (
+            self.load_record(path.stem)
+            for path in sorted(self.jobs_dir.glob("*.json"))
+        )
+        return [record for record in loaded if record is not None]
+
+    def counts(self, records=None) -> dict[str, int]:
+        """Job count per lifecycle state (of ``records``, default a
+        fresh :meth:`records` walk)."""
         out = {state: 0 for state in JobState.ALL}
-        for record in records:
+        for record in self.records() if records is None else records:
             out[record.state] = out.get(record.state, 0) + 1
-        if unreadable:
-            out["unreadable"] = len(unreadable)
         return out
 
     def pending(self) -> int:
         """Tickets currently claimable."""
         return len(self._queued())
 
-    def depths(self, scan=None) -> dict:
+    def depths(self, records=None) -> dict:
         """Queue-depth view: ticket counts by lane and priority band.
 
         ``queued``/``claimed`` count tickets in each lane;
         ``by_priority`` buckets the queued tickets by their priority
         (decoded from the ticket name); ``deferred`` counts queued
-        tickets whose record (in ``scan``, default a fresh one) carries
-        a future ``not_before`` (retry backoff pending); ``unreadable``
-        is the torn-record bucket; ``oldest_queued_age_s`` is the age
-        of the longest-waiting ticket (backlog latency signal).
+        tickets whose record (in ``records``, default a fresh walk)
+        carries a future ``not_before`` (retry backoff pending);
+        ``oldest_queued_age_s`` is the age of the longest-waiting ticket
+        (backlog latency signal).
         """
-        records, unreadable = scan or self.scan()
+        if records is None:
+            records = self.records()
         not_before = {r.job_id: r.not_before for r in records}
         by_priority: dict[str, int] = {}
         deferred = 0
@@ -575,6 +513,5 @@ class JobQueue:
             "claimed": sum(1 for _ in self.claimed_dir.iterdir()),
             "by_priority": dict(sorted(by_priority.items())),
             "deferred": deferred,
-            "unreadable": len(unreadable),
             "oldest_queued_age_s": oldest,
         }

@@ -23,7 +23,7 @@ is open, and hands the directory to
   :class:`~repro.service.netclient.ServiceClient` with *both* chaos
   layers armed — storage faults in the schedulers, network faults in
   the server — plus one SIGTERM graceful drain and restart of the
-  server. The network may lie, the disks may tear, processes may die,
+  server. The network may lie, the disks may fail, processes may die,
   and the journal must still show exactly-once completion.
 
 The campaign is seeded end to end: the job mix, the fault plans, the
@@ -186,8 +186,8 @@ def _server_process(root: str, config: ServiceConfig) -> None:
 
     The server must never tear the batch directory itself — its writes
     (dedup index, info file, metrics) ride the same atomic helpers the
-    queue uses, and keeping it storage-clean pins the blame: any torn
-    record in an API soak came from a scheduler under storage chaos,
+    queue uses, and keeping it storage-clean pins the blame: any failed
+    write in an API soak came from a scheduler under storage chaos,
     any lost response from the server under network chaos
     (``run_server`` arms that seam from the environment).
     """
@@ -196,7 +196,7 @@ def _server_process(root: str, config: ServiceConfig) -> None:
 
 
 def _open_jobs(counts: dict) -> int:
-    """Jobs not yet terminal (the torn-record bucket included)."""
+    """Jobs not yet terminal."""
     return sum(n for state, n in counts.items() if state not in JobState.TERMINAL)
 
 
@@ -235,7 +235,7 @@ def run_soak(
     journal = batch.queue.journal
     io_plan = IOFaultPlan(seed=seed, rate=sc.fault_rate) if sc.fault_rate else None
     net_plan = NetFaultPlan(
-        seed=seed, rate=sc.net_fault_rate, latency_s=0.02, slow_delay_s=0.005,
+        seed=seed, rate=sc.net_fault_rate, latency_s=0.02,
     ) if sc.net_fault_rate else None
     for plan, injector, name in (
         (io_plan, IOFaultInjector, "chaos-plan.json"),

@@ -7,6 +7,10 @@ import stat
 import threading
 import time
 
+import pytest
+from atomic_writers import NEW, OLD, WRITERS
+
+from repro.io import batch_io
 from repro.io.batch_io import locked_fd, read_json, write_json_atomic
 from repro.service.chaos import IOFaultInjector, IOFaultPlan
 
@@ -44,6 +48,95 @@ class TestAtomicWrite:
         torn = tmp_path / "torn.json"
         torn.write_text(json.dumps({"a": 1})[:-4])
         assert read_json(torn) is None
+
+
+class _Crash(OSError):
+    """The error a crash point raises."""
+
+
+class _CrashingFile:
+    """The temp file the atomic writer fills, crashing at one step:
+    ``write`` lands half of its first chunk before raising, ``flush``
+    raises before flushing."""
+
+    def __init__(self, fh, step):
+        self._fh, self._step = fh, step
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        if self._step == "write":
+            self._fh.write(data[: len(data) // 2])
+            raise _Crash("crash mid-write")
+        return self._fh.write(data)
+
+    def flush(self):
+        if self._step == "flush":
+            raise _Crash("crash at flush")
+        self._fh.flush()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def _arm_crash(monkeypatch, step):
+    """Make the atomic-replace protocol raise at ``step``."""
+    real_fdopen, real_fsync = os.fdopen, os.fsync
+    if step in ("write", "flush"):
+        monkeypatch.setattr(
+            batch_io.os, "fdopen",
+            lambda fd, mode: _CrashingFile(real_fdopen(fd, mode), step),
+        )
+    elif step == "fsync":
+        def fsync(fd):
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                raise _Crash("crash at fsync")
+            real_fsync(fd)
+
+        monkeypatch.setattr(batch_io.os, "fsync", fsync)
+    elif step == "replace":
+        def replace(src, dst):
+            raise _Crash("crash at os.replace")
+
+        monkeypatch.setattr(batch_io.os, "replace", replace)
+    else:
+        def fsync_dir(dirpath):
+            raise _Crash("crash at the directory fsync")
+
+        monkeypatch.setattr(batch_io, "_fsync_dir", fsync_dir)
+
+
+#: Each step of the atomic-replace protocol, and whose content a crash
+#: there leaves at the destination.
+CRASH_POINTS = {
+    "write": OLD, "flush": OLD, "fsync": OLD, "replace": OLD,
+    "fsync_dir": NEW,
+}
+
+
+@pytest.mark.parametrize("step", list(CRASH_POINTS))
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_a_crash_at_any_step_leaves_old_or_new(tmp_path, monkeypatch,
+                                               writer, step):
+    """The crash-point oracle: whichever step of the protocol fails, the
+    destination holds the whole old content or the whole new one — never
+    a torn file — and no temp sibling survives."""
+    write, on_disk = WRITERS[writer]
+    (tmp_path / "jobs").mkdir()
+    target = tmp_path / "jobs" / "r.dat"
+    write(target, OLD)
+    _arm_crash(monkeypatch, step)
+    with pytest.raises(_Crash):
+        write(target, NEW)
+    monkeypatch.undo()
+    assert target.read_bytes() == on_disk(CRASH_POINTS[step])
+    if writer == "json":
+        assert read_json(target) == CRASH_POINTS[step].decode()
+    assert [p.name for p in target.parent.iterdir()] == ["r.dat"]
 
 
 def _bump(counter, times):

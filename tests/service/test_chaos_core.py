@@ -1,6 +1,5 @@
-"""The shared chaos core: both seams replay pinned decision streams
-(the network seam's is still its separate pre-merge module's), and each
-shared protocol is defined once."""
+"""The shared chaos core: both seams replay pinned decision streams,
+and each shared protocol is defined once."""
 
 import ast
 from pathlib import Path
@@ -14,25 +13,23 @@ from repro.service.chaos import (
 )
 
 IO_CODES = {
-    ".": None, "T": "torn_write", "B": "crash_before_rename",
-    "A": "crash_after_rename", "E": "enospc", "L": "io_latency",
+    ".": None, "A": "crash_after_rename", "E": "enospc", "L": "io_latency",
 }
-NET_CODES = {
-    ".": None, "R": "conn_reset", "S": "slow_loris",
-    "T": "truncated_response", "L": "net_latency",
-}
+NET_CODES = {".": None, "R": "conn_reset", "L": "net_latency"}
 
 #: First 200 decisions of IOFaultInjector(IOFaultPlan(seed=0, rate=0.3))
 #: over IO_OPS x IO_PATHS. Re-recorded when the lock-swapping fault was
-#: deleted: a ``lock`` operation now chooses among one candidate instead
-#: of two and a one-candidate choice draws nothing, so the stream equals
-#: the pre-merge module's up to the first faulted lock (decision 22) and
-#: differs in 65 of the 200 after it. The network stream is untouched.
+#: deleted (a ``lock`` operation chooses among one candidate, and a
+#: one-candidate choice draws nothing), and again when ``torn_write``
+#: and ``crash_before_rename`` were deleted: a ``write`` now chooses
+#: among three candidates instead of five, which still takes one draw,
+#: so every ``.`` stayed where it was and only the letters of 19 write
+#: decisions changed.
 IO_STREAM = (
-    "TL..........AL.....A..L.L.L..L....L.E.....LB.L...."
-    "..T..EB....LLE.....L.B...LT......E.....L..A....L.."
-    "......L...LT......L...L........TA...B....L......L."
-    "....L............T.L....L.E.....LL....TL....L..L.."
+    "AL..........EL.....E..L.L.L..L....L.L.....LE.L...."
+    "..A..LA....LLL.....L.E...LA......E.....L..E....L.."
+    "......L...LA......L...L........AE...A....L......L."
+    "....L............A.L....L.L.....LL....AL....L..L.."
 )
 IO_OPS = ("write", "read", "lock", "write")
 IO_PATHS = (
@@ -42,23 +39,25 @@ IO_PATHS = (
 )
 
 #: First 200 decisions of NetFaultInjector(NetFaultPlan(seed=0, rate=0.3))
-#: over NET_ROUTES, recorded at the same commit; NET_DRAWS are the
-#: follow-up draws in order (conn_reset -> reset_before_handling(),
-#: net_latency -> latency(), slow_loris -> slow_delay(); 12 decimals).
+#: over NET_ROUTES; NET_DRAWS are the follow-up draws in order
+#: (conn_reset -> reset_before_handling(), net_latency -> latency(); 12
+#: decimals). Re-recorded when ``slow_loris`` and ``truncated_response``
+#: were deleted: the stream forks at the first deleted fault, whose
+#: inter-chunk delays no longer draw.
 NET_STREAM = (
-    ".......TL....S......L...T..RLR....R.T........R.R.."
-    "..............R.T...TS...S..L....SRR...S.........."
-    ".R..L.......L..............L.L...R.....S.........."
-    "...TS.....R...T.L.R......SL......R......S......S.R"
+    ".......L.....L.......L..R..LLR...L..R.....L..R...."
+    "............R.L.L.RR.....R.R..R....R............R."
+    ".L........L..............LL....R....R............."
+    "L.R..L....L...L.L..L.L......R......R......R.R....L"
 )
 NET_DRAWS = [
-    0.037292081361, 0.035876664789, 0.021822172165, False, 0.001955853799,
-    False, True, True, True, False, 0.023813275657, 0.020934631935,
-    0.000107690161, 0.046127923425, True, False, 0.012146401815, True,
-    0.011153692374, 0.024627242704, 0.049299672873, 0.024349839812, False,
-    0.007409687451, 0.0402941364, True, 0.016489906406, True,
-    0.018187169012, 0.049049833661, False, 0.026227186291, 0.019554570803,
-    True,
+    0.009225054872, 0.040836887636, 0.041569299187, True, 0.013114827369,
+    0.001955853799, False, 0.035657770933, False, 0.007165002289, False,
+    False, 0.040840702167, 0.018164303394, False, False, False, True, True,
+    True, True, 0.011153692374, 0.024627242704, 0.049299672873,
+    0.024349839812, False, True, 0.007311600085, False, 0.010695497813,
+    0.00843709598, 0.018256669995, 0.042809393216, 0.018187169012,
+    0.049049833661, False, False, True, True, 0.0343312194,
 ]
 NET_ROUTES = (
     "/v1/jobs", "/v1/jobs/j1", "/healthz", "/v1/jobs/j1/result",
@@ -67,8 +66,8 @@ NET_ROUTES = (
 
 
 class TestPinnedDecisionStreams:
-    """Seeded soaks must replay the same faults across the merge: same
-    ``derive_seed`` tokens, same draw order."""
+    """Seeded soaks replay the same faults: same ``derive_seed`` tokens,
+    same draw order."""
 
     def test_storage_stream(self):
         inj = IOFaultInjector(IOFaultPlan(seed=0, rate=0.3))
@@ -84,7 +83,6 @@ class TestPinnedDecisionStreams:
         follow_up = {
             "conn_reset": inj.reset_before_handling,
             "net_latency": lambda: round(inj.latency(), 12),
-            "slow_loris": lambda: round(inj.slow_delay(), 12),
         }
         faults, draws = [], []
         for i in range(200):

@@ -1,17 +1,12 @@
 """Storage fault injector: determinism, budget, fault semantics."""
 
 import errno
-import json
 
 import pytest
+from atomic_writers import NEW, OLD, WRITERS
 
 from repro.io import batch_io
-from repro.io.batch_io import (
-    copy_file_atomic,
-    read_json,
-    write_json_atomic,
-    write_text_atomic,
-)
+from repro.io.batch_io import read_json, write_json_atomic
 from repro.service.chaos import (
     ChaosIOError,
     IOFaultInjector,
@@ -39,7 +34,7 @@ def plan(**kwargs) -> IOFaultPlan:
 
 class TestPlan:
     def test_roundtrip_via_file(self, tmp_path):
-        p = plan(faults=("torn_write", "enospc"), paths=("jobs",),
+        p = plan(faults=("crash_after_rename", "enospc"), paths=("jobs",),
                  max_faults=5, latency_s=0.01)
         path = p.save(tmp_path / "plan.json")
         assert IOFaultPlan.load(path) == p
@@ -98,42 +93,30 @@ class TestDecisions:
         assert inj.decide("write", tmp_path / "leases" / "j.json") is not None
 
     def test_op_gating(self, tmp_path):
-        # torn_write is a write fault: a read-only arming never fires
-        inj = IOFaultInjector(plan(faults=("torn_write",)))
+        # enospc is a write fault: a read-only arming never fires
+        inj = IOFaultInjector(plan(faults=("enospc",)))
         for _ in range(20):
             assert inj.decide("read", tmp_path / "jobs" / "j.json") is None
-        assert inj.decide("write", tmp_path / "jobs" / "j.json") == "torn_write"
+        assert inj.decide("write", tmp_path / "jobs" / "j.json") == "enospc"
 
 
 class TestWriteFaultSemantics:
-    """What each structural fault leaves on disk, via write_json_atomic."""
+    """What each write fault leaves on disk, via write_json_atomic."""
 
     def arm(self, fault: str) -> IOFaultInjector:
         return install(plan(faults=(fault,)))
 
-    def test_torn_write_leaves_unreadable_file(self, tmp_path):
-        self.arm("torn_write")
-        target = tmp_path / "jobs" / "r.json"
-        with pytest.raises(ChaosIOError) as err:
-            write_json_atomic(target, {"k": list(range(50))})
-        assert err.value.fault == "torn_write"
-        assert target.exists()
-        with pytest.raises(ValueError):
-            json.loads(target.read_text())
-        # the reader contract: torn degrades to missing, never wrong data
-        install(None)
-        assert read_json(target) is None
-
     def test_crash_before_rename_preserves_old_content(self, tmp_path):
+        # enospc is the write fault that fires before the rename
         target = tmp_path / "jobs" / "r.json"
         write_json_atomic(target, {"v": 1})
-        self.arm("crash_before_rename")
+        self.arm("enospc")
         with pytest.raises(ChaosIOError):
             write_json_atomic(target, {"v": 2})
         install(None)
         assert read_json(target) == {"v": 1}
         # no tmp litter either
-        assert list(target.parent.glob("*.tmp")) == []
+        assert list(target.parent.glob(".*.tmp")) == []
 
     def test_crash_after_rename_lands_despite_error(self, tmp_path):
         target = tmp_path / "jobs" / "r.json"
@@ -154,28 +137,10 @@ class TestWriteFaultSemantics:
         assert not target.exists()
 
 
-def _copy(target, data: bytes):
-    src = target.parent.parent / "src.bin"
-    src.write_bytes(data)
-    return copy_file_atomic(src, target)
-
-
-#: writer name -> (write(target, data), bytes that ``data`` becomes on
-#: disk) — all three ride the one atomic-replace protocol, so each
-#: structural fault must leave the same destination state whichever
-#: writer issued it.
-WRITERS = {
-    "json": (lambda t, d: write_json_atomic(t, d.decode()),
-             lambda d: json.dumps(d.decode()).encode()),
-    "text": (lambda t, d: write_text_atomic(t, d.decode()), lambda d: d),
-    "copy": (_copy, lambda d: d),
-}
-OLD, NEW = b"old " * 64, b"new record " * 64
-
-
 @pytest.mark.parametrize("writer", sorted(WRITERS))
 class TestEveryAtomicWriter:
-    """The four structural write faults, through each atomic writer."""
+    """The write faults that raise, through each atomic writer: each
+    must leave the same destination state whichever writer issued it."""
 
     @pytest.fixture
     def target(self, tmp_path):
@@ -199,14 +164,10 @@ class TestEveryAtomicWriter:
         assert write(target, NEW) == target
         assert target.read_bytes() == on_disk(NEW)
 
-    def test_torn_write(self, writer, target):
-        _err, full = self.fail("torn_write", writer, target)
-        assert target.read_bytes() == full[: len(full) // 2]
-
     def test_crash_before_rename(self, writer, target):
         write, on_disk = WRITERS[writer]
         write(target, OLD)
-        self.fail("crash_before_rename", writer, target)
+        self.fail("enospc", writer, target)  # raises before the rename
         assert target.read_bytes() == on_disk(OLD)  # old content survives
 
     def test_crash_after_rename(self, writer, target):

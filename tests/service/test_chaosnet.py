@@ -25,8 +25,6 @@ class TestPlan:
             NetFaultPlan(faults=("wormhole",))
         with pytest.raises(ValueError, match="rate"):
             NetFaultPlan(rate=1.5)
-        with pytest.raises(ValueError, match="slow_chunk"):
-            NetFaultPlan(slow_chunk=0)
 
     def test_roundtrips_through_json(self, tmp_path):
         plan = NetFaultPlan(seed=9, rate=0.3, faults=("conn_reset",),
@@ -80,7 +78,7 @@ class TestFaultsThroughServer:
     def test_client_retries_through(self, tmp_path, fault):
         NetFaultInjector.install(NetFaultPlan(
             seed=11, rate=0.5, faults=(fault,), max_faults=4,
-            latency_s=0.01, slow_delay_s=0.005,
+            latency_s=0.01,
         ))
         server = BackgroundServer(tmp_path / "b").start()
         client = ServiceClient(

@@ -1,13 +1,17 @@
 """Journal + auditor: the evidence trail and the invariants it proves."""
 
+import inspect
 import json
 import multiprocessing
 import os
+import re
 import signal
+from typing import Callable, NamedTuple
 
 import pytest
 from lease_helpers import expire
 
+from repro.service import audit as audit_module
 from repro.service.audit import audit_journal, format_report
 from repro.service.journal import Journal
 from repro.service.queue import JobQueue
@@ -126,85 +130,141 @@ class TestAuditCleanFlow:
         assert report["event_counts"]["fenced"] == 1
 
 
+def plant_double_completion(queue):
+    record = queue.submit(spec("dup"))
+    claimed, _ticket = queue.claim()
+    queue.finalize(record.job_id, JobState.SUCCEEDED,
+                   epoch=claimed.lease_epoch)
+    # a broken scheduler completes it a second time
+    queue.journal.append("completed", record.job_id,
+                         status=JobState.SUCCEEDED, epoch=claimed.lease_epoch)
+
+
+def plant_stale_completion(queue):
+    record = queue.submit(spec("zombie"))
+    claimed, _ticket = queue.claim()
+    # a second claim supersedes the first...
+    queue.journal.append("claimed", record.job_id,
+                         epoch=claimed.lease_epoch + 1, owner="sched-b")
+    # ...but the *old* epoch completes the job (fencing failed)
+    record.state = JobState.SUCCEEDED
+    queue.save_record(record)
+    queue.journal.append("completed", record.job_id,
+                         status=JobState.SUCCEEDED, epoch=claimed.lease_epoch)
+
+
+def plant_duplicate_claim_epoch(queue):
+    record = queue.submit(spec("twin"))
+    queue.journal.append("claimed", record.job_id, epoch=1, owner="a")
+    queue.journal.append("claimed", record.job_id, epoch=1, owner="b")
+
+
+def plant_state_mismatch(queue):
+    record = queue.submit(spec("liar"))
+    record.state = JobState.FAILED
+    queue.save_record(record)
+    queue.journal.append("completed", record.job_id,
+                         status=JobState.SUCCEEDED, epoch=1)
+
+
+def plant_unsubmitted_activity(queue):
+    queue.journal.append("claimed", "j-ghost", epoch=1, owner="a")
+
+
+def plant_stuck_job(queue):
+    queue.submit(spec("stuck"))  # stays queued
+
+
+def plant_lost_job(queue):
+    record = queue.submit(spec("lost"))
+    os.unlink(queue.jobs_dir / f"{record.job_id}.json")
+
+
+def plant_corrupt_record(queue):
+    record = queue.submit(spec("corrupt"))
+    path = queue.jobs_dir / f"{record.job_id}.json"
+    path.write_bytes(path.read_bytes()[:40])
+
+
+class Row(NamedTuple):
+    """One planted defect: the violation kind it must raise alone, and
+    whether it shows only at ``--final`` (before, it is work in flight)."""
+
+    kind: str
+    final: bool
+    plant: Callable[[JobQueue], None]
+
+
+#: The audit's planted-defect table: one row per violation kind
+#: ``audit_journal`` raises, plus a record file that does not parse —
+#: it reads as absent, so its job is lost at ``--final``.
+PLANTED = {
+    "double_completion": Row("double_completion", False,
+                             plant_double_completion),
+    "stale_completion": Row("stale_completion", False,
+                            plant_stale_completion),
+    "duplicate_claim_epoch": Row("duplicate_claim_epoch", False,
+                                 plant_duplicate_claim_epoch),
+    "state_mismatch": Row("state_mismatch", False, plant_state_mismatch),
+    "unsubmitted_activity": Row("unsubmitted_activity", False,
+                                plant_unsubmitted_activity),
+    "stuck_job": Row("stuck_job", True, plant_stuck_job),
+    "lost_job": Row("lost_job", True, plant_lost_job),
+    "corrupt_record": Row("lost_job", True, plant_corrupt_record),
+}
+
+
+def test_every_violation_kind_has_a_planted_defect():
+    """Read from ``audit.py``'s source, so a new invariant needs a row."""
+    source = inspect.getsource(audit_module)
+    raised = set(re.findall(r'violation\(\s*"(\w+)"', source))
+    assert {row.kind for row in PLANTED.values()} == raised
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_planted_defect_is_the_only_violation(name, root, queue):
+    kind, final, plant = PLANTED[name]
+    plant(queue)
+    if final:
+        assert audit_journal(root)["violations"] == []
+    report = audit_journal(root, final=final)
+    assert not report["ok"]
+    assert kinds(report) == {kind}, report["violations"]
+
+
 class TestAuditViolations:
+    """Each violation kind by name, over the table's defects (the table
+    also requires that no other kind fires)."""
+
     def test_double_completion(self, root, queue):
-        record = queue.submit(spec("dup"))
-        claimed, ticket = queue.claim()
-        queue.finalize(record.job_id, JobState.SUCCEEDED,
-                       epoch=claimed.lease_epoch)
-        # a broken scheduler completes it a second time
-        queue.journal.append("completed", record.job_id,
-                             status=JobState.SUCCEEDED,
-                             epoch=claimed.lease_epoch)
+        plant_double_completion(queue)
         report = audit_journal(root)
         assert not report["ok"]
         assert "double_completion" in kinds(report)
 
     def test_stale_completion(self, root, queue):
-        record = queue.submit(spec("zombie"))
-        claimed, _ticket = queue.claim()
-        # a second claim supersedes the first...
-        queue.journal.append("claimed", record.job_id,
-                             epoch=claimed.lease_epoch + 1, owner="sched-b")
-        # ...but the *old* epoch completes the job (fencing failed)
-        record.state = JobState.SUCCEEDED
-        queue.save_record(record)
-        queue.journal.append("completed", record.job_id,
-                             status=JobState.SUCCEEDED,
-                             epoch=claimed.lease_epoch)
-        report = audit_journal(root)
-        assert "stale_completion" in kinds(report)
+        plant_stale_completion(queue)
+        assert "stale_completion" in kinds(audit_journal(root))
 
     def test_duplicate_claim_epoch(self, root, queue):
-        record = queue.submit(spec("twin"))
-        queue.journal.append("claimed", record.job_id, epoch=1, owner="a")
-        queue.journal.append("claimed", record.job_id, epoch=1, owner="b")
-        report = audit_journal(root)
-        assert "duplicate_claim_epoch" in kinds(report)
+        plant_duplicate_claim_epoch(queue)
+        assert "duplicate_claim_epoch" in kinds(audit_journal(root))
 
     def test_state_mismatch(self, root, queue):
-        record = queue.submit(spec("liar"))
-        record.state = JobState.FAILED
-        queue.save_record(record)
-        queue.journal.append("completed", record.job_id,
-                             status=JobState.SUCCEEDED, epoch=1)
-        report = audit_journal(root)
-        assert "state_mismatch" in kinds(report)
+        plant_state_mismatch(queue)
+        assert "state_mismatch" in kinds(audit_journal(root))
 
     def test_unsubmitted_activity(self, root, queue):
-        queue.journal.append("claimed", "j-ghost", epoch=1, owner="a")
-        report = audit_journal(root)
-        assert "unsubmitted_activity" in kinds(report)
+        plant_unsubmitted_activity(queue)
+        assert "unsubmitted_activity" in kinds(audit_journal(root))
 
     def test_final_flags_stuck_and_lost_jobs(self, root, queue):
-        stuck = queue.submit(spec("stuck"))  # stays queued
-        lost = queue.submit(spec("lost"))
-        os.unlink(queue.jobs_dir / f"{lost.job_id}.json")
+        plant_stuck_job(queue)
+        plant_lost_job(queue)
         report = audit_journal(root, final=True)
-        assert "stuck_job" in kinds(report)
-        assert "lost_job" in kinds(report)
+        assert kinds(report) == {"stuck_job", "lost_job"}
         # without --final the same directory merely looks in-flight
-        relaxed = audit_journal(root, final=False)
-        assert "stuck_job" not in kinds(relaxed)
-        assert stuck.job_id in {
-            v["job_id"] for v in report["violations"]
-        }
-
-
-class TestTornRecordAudit:
-    def test_torn_record_warns_then_fails_final(self, root, queue):
-        record = queue.submit(spec("torn"))
-        path = queue.jobs_dir / f"{record.job_id}.json"
-        good = path.read_bytes()
-        path.write_bytes(good[: len(good) // 2])
-        relaxed = audit_journal(root)
-        assert relaxed["ok"]  # the owner's retry may still heal it
-        assert "torn_record" in warning_kinds(relaxed)
-        report = audit_journal(root, final=True)
-        assert not report["ok"]
-        assert "torn_record" in kinds(report)
-        # torn is reported as torn, not double-counted as lost
-        assert "lost_job" not in kinds(report)
+        assert audit_journal(root, final=False)["ok"]
 
 
 class TestAuditWarnings:

@@ -1,5 +1,7 @@
 """Retrying client: seeded backoff, Retry-After, error taxonomy."""
 
+import socket
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,20 @@ class TestErrorTaxonomy:
         assert client.stats["requests"] == 3
         assert client.stats["giveups"] == 1
         assert isinstance(err.value.last, OSError)
+
+    def test_a_server_that_never_answers_times_out_and_retries(self):
+        # the kernel completes the handshake on a listening socket; no
+        # byte of a response ever comes back, so each attempt's read
+        # runs into the socket timeout
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            client = ServiceClient(
+                "127.0.0.1", listener.getsockname()[1], timeout=0.2,
+                retry=ClientRetry(attempts=3),
+            )
+            with pytest.raises(ServiceUnavailable) as err:
+                client.healthz()
+        assert isinstance(err.value.last, socket.timeout)
+        assert client.stats == {"requests": 3, "retries": 2, "giveups": 1}
 
     def test_4xx_is_not_retried(self, tmp_path):
         server = BackgroundServer(tmp_path / "b").start()

@@ -233,64 +233,9 @@ class TestBackoffDeferral:
         assert got is not None and got[0].job_id == ready.job_id
 
 
-class TestTornRecords:
-    """A torn record write must never silently lose the job."""
-
-    def test_save_record_heals_a_torn_write(self, queue):
-        from repro.service.chaos import IOFaultInjector, IOFaultPlan
-
-        record = queue.submit(spec("healed"))
-        plan = IOFaultPlan(
-            seed=0, rate=1.0, faults=("torn_write",), max_faults=1
-        )
-        IOFaultInjector.install(plan)
-        try:
-            record.state = JobState.RUNNING
-            queue.save_record(record)  # first write torn, retry verified
-        finally:
-            IOFaultInjector.install(None)
-        reloaded = queue.load_record(record.job_id)
-        assert reloaded is not None
-        assert reloaded.state == JobState.RUNNING
-
-    def test_claim_defers_a_torn_record_ticket(self, queue):
-        record = queue.submit(spec("torn"))
-        path = queue.jobs_dir / f"{record.job_id}.json"
-        good = path.read_bytes()
-        path.write_bytes(good[: len(good) // 2])  # torn mid-write
-        assert queue.record_unreadable(record.job_id)
-        assert queue.claim() is None  # deferred, not consumed
-        assert queue.pending() == 1
-        path.write_bytes(good)  # the owner's verified save heals it
-        got = queue.claim()
-        assert got is not None and got[0].job_id == record.job_id
-
-    def test_recover_requeues_torn_record_orphans(self, tmp_path):
-        root = tmp_path / "q"
-        q1 = JobQueue(root)
-        record = q1.submit(spec("torn-orphan"))
-        claimed, ticket = q1.claim()
-        expire(q1.leases, record.job_id)
-        old = time.time() - 5.0
-        os.utime(q1.claimed_dir / ticket, (old, old))
-        path = q1.jobs_dir / f"{record.job_id}.json"
-        good = path.read_bytes()
-        path.write_bytes(good[: len(good) // 2])
-        del q1
-
-        q2 = JobQueue(root)
-        q2.recover()  # must keep the job visible
-        assert q2.pending() == 1
-        assert path.exists()
-        assert q2.counts().get("unreadable") == 1
-        path.write_bytes(good)
-        got = q2.claim()
-        assert got is not None and got[0].job_id == record.job_id
-
-
 class TestStatusScan:
-    """``BatchClient.status()`` serves rows, counts and the unreadable
-    bucket from one walk of ``jobs/``."""
+    """``BatchClient.status()`` serves rows and counts from one walk of
+    ``jobs/``."""
 
     def test_each_record_is_parsed_once_per_status(self, tmp_path, monkeypatch):
         from repro.service import queue as queue_mod
@@ -305,7 +250,6 @@ class TestStatusScan:
         torn_path.write_bytes(torn_path.read_bytes()[:40])
 
         reads: dict[str, int] = {}
-        sleeps: list[float] = []
         real_read = queue_mod.read_json
 
         def counting_read(path):
@@ -313,21 +257,20 @@ class TestStatusScan:
             return real_read(path)
 
         monkeypatch.setattr(queue_mod, "read_json", counting_read)
-        monkeypatch.setattr(queue_mod.time, "sleep", sleeps.append)
         status = client.status()
 
-        # readable records: one parse each; the torn one: the first read
-        # plus its single retry read after one 50 ms pause — not per view
-        assert reads == {done.job_id: 1, waiting.job_id: 1, torn.job_id: 2}
-        assert sleeps == [0.05]
+        # one parse per record file, not per view; a record that does
+        # not parse reads as absent
+        assert reads == {done.job_id: 1, waiting.job_id: 1, torn.job_id: 1}
 
         assert status["counts"] == {
             "queued": 1, "running": 0, "succeeded": 1, "failed": 0,
-            "cancelled": 0, "quarantined": 0, "unreadable": 1,
+            "cancelled": 0, "quarantined": 0,
         }
         depths = status["queue"]
-        assert (depths["queued"], depths["claimed"], depths["deferred"],
-                depths["unreadable"]) == (2, 1, 0, 1)
+        assert (depths["queued"], depths["claimed"], depths["deferred"]) == (
+            2, 1, 0
+        )
         h = spec("a").spec_hash()[:12]
         assert status["jobs"][0] == {
             "job_id": done.job_id, "state": "succeeded", "model": "wall",
@@ -336,16 +279,8 @@ class TestStatusScan:
             "lease_epoch": 1, "not_before": 0.0, "lease": None,
         }
         assert [(r["job_id"], r["state"]) for r in status["jobs"][1:]] == [
-            (waiting.job_id, "queued"), (torn.job_id, "unreadable"),
+            (waiting.job_id, "queued"),
         ]
-        assert status["jobs"][2] == {
-            "job_id": torn.job_id, "state": "unreadable",
-            "model": None, "engine": None, "steps": None, "priority": None,
-            "tenant": None, "attempts": None, "cached": False,
-            "error": "record file torn (unreadable after retry)",
-            "spec_hash": None, "lease_epoch": None, "not_before": None,
-            "lease": None,
-        }
 
 
 class TestCancellation:
