@@ -46,7 +46,7 @@ def main() -> None:
             "application (ms)", "equation solving total (ms)",
         ],
     )
-    for name in ("bj", "ssor", "ilu", "neumann"):
+    for name in ("bj", "ssor", "ilu"):
         result, construct, apply_t, solving = run_with(name, args.steps)
         table.add_row([
             name.upper(),

@@ -25,7 +25,7 @@ or — given a batch directory — the service operator view (queue
 depths, journal tallies, merged ``batch.*``/``http.*`` counters).
 
 ``lint`` runs the static analyzer (:mod:`repro.lint`): rules DDA001,
-DDA004 and DDA006-DDA008 over the kernel-path modules, their call-graph
+DDA004, DDA007 and DDA008 over the kernel-path modules, their call-graph
 closure and the service path, with ``--json`` machine output and a
 ``--sync-inventory`` report.
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 #: Stage-contract checking levels, in increasing strictness/cost.
 CONTRACT_LEVELS = ("off", "cheap", "full")
-#: What a run (CLI or job spec) may name; ``neumann`` is controls-only.
-PRECONDITIONERS = ("none", "jacobi", "bj", "ssor", "ilu")
+#: The paper's three preconditioners, the names a run may give.
+PRECONDITIONERS = ("bj", "ssor", "ilu")
 #: What a run does with a failure it cannot recover from.
 ON_FAILURE = ("raise", "partial")
 
@@ -94,9 +94,8 @@ class SimulationControls:
     cg_max_iterations:
         Iteration cap; exceeding it halves the time step (paper, §IV.A).
     preconditioner:
-        ``"bj"`` (block Jacobi), ``"ssor"`` (SSOR approximate inverse),
-        ``"ilu"`` (ILU(0)), ``"jacobi"`` (scalar diagonal), ``"neumann"``
-        (polynomial extension), or ``"none"``.
+        ``"bj"`` (block Jacobi), ``"ssor"`` (SSOR approximate inverse)
+        or ``"ilu"`` (ILU(0)).
     base_acceleration:
         Optional seismic input: a callable ``t -> (ax, ay)`` [m/s^2]
         evaluated at each step's start time and applied as an extra
@@ -143,10 +142,9 @@ class SimulationControls:
             raise ValueError("max_open_close_iterations must be >= 1")
         if self.cg_max_iterations < 1:
             raise ValueError("cg_max_iterations must be >= 1")
-        known = PRECONDITIONERS + ("neumann",)
-        if self.preconditioner not in known:
+        if self.preconditioner not in PRECONDITIONERS:
             raise ValueError(
-                f"preconditioner must be one of {known}, "
+                f"preconditioner must be one of {PRECONDITIONERS}, "
                 f"got {self.preconditioner!r}"
             )
         if self.base_acceleration is not None and not callable(

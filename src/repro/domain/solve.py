@@ -36,8 +36,9 @@ from repro.solvers.cg import _vector_ops_counters
 from repro.solvers.preconditioners import IdentityPreconditioner, Preconditioner
 
 #: Preconditioners whose application is block-local, hence identical
-#: per domain: distributing them costs no communication.
-BLOCK_LOCAL = ("none", "jacobi", "bj")
+#: per domain: distributing them costs no communication (``none`` is
+#: the identity ``pcg`` applies when given no preconditioner).
+BLOCK_LOCAL = ("none", "bj")
 
 
 def _price_vector_ops(
@@ -56,9 +57,9 @@ def _price_vector_ops(
 class DistributedPreconditioner:
     """A single-device preconditioner running inside the distributed solve.
 
-    Block-local bases (``none``/``jacobi``/``bj``) apply independently
-    per domain — numerically unchanged, metered at local lengths. Cross-
-    domain bases (``ssor``/``ilu``/``neumann``) are applied gathered:
+    Block-local bases (``none``/``bj``) apply independently per domain
+    — numerically unchanged, metered at local lengths. Cross-domain
+    bases (``ssor``/``ilu``) are applied gathered:
     the canonical vector is collected, the base applied once, and the
     result redistributed — metered as a full gather+scatter per
     application. Either way the returned values are bit-identical to

@@ -19,7 +19,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="python -m repro lint",
         description="Device-path static analysis (rules DDA001, DDA004, "
-                    "DDA006-DDA008).",
+                    "DDA007, DDA008).",
     )
     p.add_argument("paths", nargs="*", metavar="PATH",
                    help="files/directories to lint (relative to --root; "

@@ -9,7 +9,7 @@ configuration, the file walker and the whole-program call graph driver
 Annotation syntax (on the flagged line or the line directly above)::
 
     for i in range(n):  # lint: host-ok -- documented serial baseline
-    np.add.at(out, idx, v)  # lint: host-ok[DDA006] -- reference oracle
+    for c in range(n_contacts):  # lint: host-ok[DDA001] -- oracle
     rz = float(r @ z)  # lint: sync-ok[cg-convergence] -- host decides
     os.rename(src, dst)  # lint: lock-ok[rename-as-claim] -- atomic
 
@@ -36,8 +36,8 @@ from pathlib import Path
 from typing import Iterable, Iterator
 import re
 
-#: Modules whose code runs (conceptually) on the device: rules DDA001,
-#: DDA006 and DDA007 apply here — and, through the call-graph closure,
+#: Modules whose code runs (conceptually) on the device: rules DDA001
+#: and DDA007 apply here — and, through the call-graph closure,
 #: to every function transitively reachable from here.
 #: Directory entries end in "/" and match by prefix; file entries match
 #: exactly.
@@ -66,14 +66,9 @@ SERVICE_PATH = (
 #: host-side by design.
 MODULE_EXEMPTIONS: dict[str, tuple[frozenset[str], str]] = {
     "spmv/synthetic.py": (
-        frozenset({"DDA001", "DDA006", "DDA007"}),
+        frozenset({"DDA001", "DDA007"}),
         "host-side workload generator: builds benchmark matrices, "
         "never runs in a kernel-recorded region",
-    ),
-    "primitives/scatter.py": (
-        frozenset({"DDA006"}),
-        "the seam itself: scatter_add/segment_sum wrap the raw ufunc "
-        "methods that DDA006 points every other module at",
     ),
     "io/batch_io.py": (
         frozenset({"DDA008"}),

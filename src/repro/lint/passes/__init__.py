@@ -2,7 +2,6 @@
 
 from repro.lint.passes.loops import LoopPass
 from repro.lint.passes.rng import RngPass
-from repro.lint.passes.array_api import ArrayApiPass
 from repro.lint.passes.sync_points import SyncPointPass
 from repro.lint.passes.service_locks import ServiceLockPass
 
@@ -10,7 +9,6 @@ from repro.lint.passes.service_locks import ServiceLockPass
 ALL_PASSES = (
     LoopPass(),
     RngPass(),
-    ArrayApiPass(),
     SyncPointPass(),
     ServiceLockPass(),
 )

@@ -1,13 +1,14 @@
-"""The blessed scatter / segmented-reduction seam (rule DDA006).
+"""The blessed scatter / segmented-reduction seam.
 
 NumPy's ufunc methods (``np.add.at``, ``np.add.reduceat``,
-``np.minimum.reduceat``...) are exactly where a NumPy→CuPy backend port
-gets subtle: CuPy covers them partially (``cupyx.scatter_add`` instead
-of ``np.add.at``), and on a real device an unordered atomic scatter is
-*not* bit-identical to NumPy's left-to-right semantics for
-non-associative float addition. Rule DDA006 therefore bans the raw
-ufunc methods on the device path and points every caller here — one
-reviewed module that a backend shim can swap wholesale.
+``np.minimum.reduceat``...) are exactly where a device port gets
+subtle: on a real device an unordered atomic scatter is *not*
+bit-identical to NumPy's left-to-right semantics for non-associative
+float addition. The device path therefore calls them only here — one
+reviewed module a backend shim can swap wholesale. This module is left
+out of the device path's reviewed NumPy surface
+(``tests/lint/test_device_numpy_surface.py``), so a raw ufunc method
+anywhere else on the device path is a new name that fails that test.
 
 Every wrapper is a **pure pass-through**: no virtual-device launches,
 no counter updates, no copies — the call sites' modelled costs and

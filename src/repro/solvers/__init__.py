@@ -20,7 +20,6 @@ paper notes DDA does, and reports iteration counts for the Fig.-5 series.
 from repro.solvers.cg import pcg, CGResult
 from repro.solvers.preconditioners import (
     Preconditioner,
-    JacobiPreconditioner,
     BlockJacobiPreconditioner,
     SSORAIPreconditioner,
     ILU0Preconditioner,
@@ -34,17 +33,14 @@ from repro.solvers.triangular import (
     level_schedule,
     ilu0_factorize,
 )
-from repro.solvers.polynomial import NeumannPreconditioner
 from repro.solvers.precision import cg_fixed_dtype, PrecisionResult
 
 __all__ = [
-    "NeumannPreconditioner",
     "cg_fixed_dtype",
     "PrecisionResult",
     "pcg",
     "CGResult",
     "Preconditioner",
-    "JacobiPreconditioner",
     "BlockJacobiPreconditioner",
     "SSORAIPreconditioner",
     "ILU0Preconditioner",

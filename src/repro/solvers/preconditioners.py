@@ -1,4 +1,4 @@
-"""PCG preconditioners: identity, Jacobi, BJ, SSOR-AI, ILU(0).
+"""PCG preconditioners: the paper's BJ, SSOR-AI and ILU(0), plus identity.
 
 Each preconditioner separates **construction** (once per solve — Table I
 column "Construction Time") from **application** (once per CG iteration —
@@ -38,48 +38,13 @@ class Preconditioner:
 
 
 class IdentityPreconditioner(Preconditioner):
-    """No preconditioning (plain CG).
-
-    The matrix argument is optional: the identity needs no data, so the
-    PCG driver can construct a standalone instance when no
-    preconditioner was supplied.
-    """
+    """No preconditioning (plain CG): what ``pcg`` applies when it is
+    given no preconditioner."""
 
     name = "none"
 
-    def __init__(
-        self,
-        a: BlockMatrix | None = None,
-        device: VirtualDevice | None = None,
-    ) -> None:
-        self.n = a.n if a is not None else None
-
     def apply(self, r: np.ndarray, device: VirtualDevice | None = None) -> np.ndarray:
         return r.copy()
-
-
-class JacobiPreconditioner(Preconditioner):
-    """Scalar diagonal inverse."""
-
-    name = "jacobi"
-
-    def __init__(self, a: BlockMatrix, device: VirtualDevice | None = None) -> None:
-        d = a.diag[:, np.arange(BS), np.arange(BS)].reshape(-1)
-        if np.any(d <= 0.0):
-            raise ValueError("Jacobi preconditioner needs a positive diagonal")
-        self.inv_diag = 1.0 / d
-        n = d.size
-        self.launches = PricedLaunches(
-            ("jacobi_apply", streamed(2 * n, n, 1.0 * n, n))
-        )
-        if device is not None:
-            device.launch("jacobi_construct", streamed(n, n, 1.0 * n, n))
-
-    def apply(self, r: np.ndarray, device: VirtualDevice | None = None) -> np.ndarray:
-        """``M^{-1} r`` for ``(n*6,)`` float64 ``r`` (``pcg`` checked it)."""
-        if device is not None:
-            self.launches.record(device)
-        return self.inv_diag * np.reshape(r, self.inv_diag.shape)
 
 
 class BlockJacobiPreconditioner(Preconditioner):
@@ -241,8 +206,6 @@ class ILU0Preconditioner(Preconditioner):
 
 
 _REGISTRY = {
-    "none": IdentityPreconditioner,
-    "jacobi": JacobiPreconditioner,
     "bj": BlockJacobiPreconditioner,
     "ssor": SSORAIPreconditioner,
     "ilu": ILU0Preconditioner,
@@ -251,7 +214,7 @@ _REGISTRY = {
 #: Preconditioners ordered by strength, weakest first — the escalation
 #: axis of the solver fallback ladder (see
 #: :func:`repro.engine.resilience.solver_ladder`).
-STRENGTH_ORDER = ("none", "jacobi", "neumann", "bj", "ssor", "ilu")
+STRENGTH_ORDER = ("bj", "ssor", "ilu")
 
 
 def stronger_preconditioner(name: str) -> str:
@@ -272,18 +235,13 @@ def make_preconditioner(
 ) -> Preconditioner:
     """Construct a preconditioner by name.
 
-    Known names: ``none``, ``jacobi``, ``bj``, ``ssor``, ``ilu``, and the
-    extension ``neumann`` (polynomial; see :mod:`repro.solvers.polynomial`).
+    Known names: ``bj``, ``ssor`` and ``ilu`` (:data:`STRENGTH_ORDER`).
     """
-    if name == "neumann":
-        from repro.solvers.polynomial import NeumannPreconditioner
-
-        return NeumannPreconditioner(a, device)
     try:
         cls = _REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown preconditioner {name!r}; known: "
-            f"{sorted(_REGISTRY) + ['neumann']}"
+            f"{STRENGTH_ORDER}"
         ) from None
     return cls(a, device)

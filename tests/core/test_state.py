@@ -36,5 +36,5 @@ class TestSimulationControls:
             SimulationControls(preconditioner="amg")
 
     def test_all_preconditioners_accepted(self):
-        for p in ("bj", "ssor", "ilu", "none"):
+        for p in ("bj", "ssor", "ilu"):
             assert SimulationControls(preconditioner=p).preconditioner == p

@@ -83,7 +83,7 @@ class TestDistributedPcg:
         np.testing.assert_array_equal(res.x, ref.x)
         assert res.residuals == ref.residuals
 
-    @pytest.mark.parametrize("name", ["jacobi", "bj", "ssor"])
+    @pytest.mark.parametrize("name", ["bj", "ssor", "ilu"])
     def test_wrapped_preconditioners_bit_identical(self, name):
         matrix = synthetic_block_matrix(N, M, seed=11)
         split, ex = setup(matrix, 3)

@@ -140,7 +140,6 @@ class TestFallbackLadder:
         assert solver_ladder("ilu") == [("ilu", True), ("ilu", False)]
 
     def test_strength_order(self):
-        assert stronger_preconditioner("none") == "jacobi"
         assert stronger_preconditioner("bj") == "ssor"
         assert stronger_preconditioner("ilu") == "ilu"
         assert stronger_preconditioner("mystery") == "mystery"

@@ -282,11 +282,12 @@ def test_closure_module_coverage_pin():
 
     A resolver change that grows or shrinks this set is a reviewable
     event, not an invisible coverage drift — update the pin with the
-    reason in the commit. (PR 19: ``solvers/polynomial.py`` left — its
-    only closure member was ``NeumannPreconditioner.__init__``, reached
-    through ``make_preconditioner``, which kernel-path ``domain/solve.py``
-    no longer calls; every preset's preconditioners are now constructed
-    by the engine, as the single-device presets' always were.)
+    reason in the commit. (PR 19: the polynomial preconditioner's module
+    left — its only closure member was that preconditioner's
+    constructor, reached through ``make_preconditioner``, which
+    kernel-path ``domain/solve.py`` no longer calls; every preset's
+    preconditioners are now constructed by the engine, as the
+    single-device presets' always were.)
     ``lint/sanitize.py`` left with the scatter sanitizer, and
     ``engine/contracts.py`` with it: its one closure member was
     ``ContractViolation.__init__``, reached only through the sanitizer's

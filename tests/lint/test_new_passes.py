@@ -1,8 +1,7 @@
 """Planted-violation fixtures for the interprocedural rules.
 
-DDA006 (Array-API portability), DDA007 (reasoned sync points), and
-DDA008 (service write discipline) each get one dirty and one clean
-snippet per behaviour, plus their annotation protocols — ``sync-ok`` /
+DDA007 (reasoned sync points) and DDA008 (service write discipline)
+each get one dirty and one clean snippet per behaviour, plus their annotation protocols — ``sync-ok`` /
 ``lock-ok`` demand a reason, and the generic ``host-ok`` deliberately
 cannot silence them.
 """
@@ -10,7 +9,6 @@ cannot silence them.
 from pathlib import Path
 
 from repro.lint.framework import run_lint
-from repro.lint.passes.array_api import ARRAY_API, CUPY_EQUIV, NONPORTABLE
 
 
 def corpus(tmp_path: Path, files: dict[str, str]) -> Path:
@@ -24,119 +22,6 @@ def corpus(tmp_path: Path, files: dict[str, str]) -> Path:
 
 def codes_at(report, rel: str) -> list[str]:
     return [f.code for f in report.findings if f.file == rel]
-
-
-# ----------------------------------------------------------------------
-# DDA006 — Array-API portability
-# ----------------------------------------------------------------------
-
-def test_dda006_tables_are_disjoint_and_nonempty():
-    assert ARRAY_API and CUPY_EQUIV and NONPORTABLE
-    assert not set(ARRAY_API) & CUPY_EQUIV
-    assert not set(ARRAY_API) & set(NONPORTABLE)
-    assert not CUPY_EQUIV & set(NONPORTABLE)
-
-
-def test_dda006_allows_tabled_calls(tmp_path):
-    root = corpus(tmp_path, {"spmv/k.py": (
-        "import numpy as np\n"
-        "def f(a, b):\n"
-        "    c = np.concatenate([a, b])\n"
-        "    d = np.bincount(a)\n"
-        "    e = np.linalg.norm(b)\n"
-        "    g = np.cumsum(a)\n"
-        "    return c, d, e, g\n"
-    )})
-    report = run_lint(root, select={"DDA006"})
-    assert not report.findings
-
-
-def test_dda006_flags_nonportable_with_rewrite_hint(tmp_path):
-    root = corpus(tmp_path, {"spmv/k.py": (
-        "import numpy as np\n"
-        "def f(a, g):\n"
-        "    return np.vectorize(g)(a)\n"
-    )})
-    report = run_lint(root, select={"DDA006"})
-    (finding,) = report.findings
-    assert finding.code == "DDA006"
-    assert finding.file == "spmv/k.py"
-    assert finding.line == 3
-    assert finding.function == "f"
-    assert "disguised Python loop" in finding.message
-
-
-def test_dda006_flags_ufunc_methods_toward_scatter_seam(tmp_path):
-    root = corpus(tmp_path, {"assembly/k.py": (
-        "import numpy as np\n"
-        "def f(out, idx, vals, starts):\n"
-        "    np.add.at(out, idx, vals)\n"
-        "    return np.maximum.reduceat(vals, starts)\n"
-    )})
-    report = run_lint(root, select={"DDA006"})
-    messages = [f.message for f in report.findings]
-    assert len(messages) == 2
-    assert "scatter_add" in messages[0]
-    assert "segment_sum" in messages[1]
-
-
-def test_dda006_flags_unknown_numpy_names(tmp_path):
-    root = corpus(tmp_path, {"spmv/k.py": (
-        "import numpy as np\n"
-        "def f(a):\n"
-        "    return np.totally_made_up(a)\n"
-    )})
-    report = run_lint(root, select={"DDA006"})
-    (finding,) = report.findings
-    assert "allowlist" in finding.message
-
-
-def test_dda006_flags_object_dtype_and_bad_methods(tmp_path):
-    root = corpus(tmp_path, {"primitives/k.py": (
-        "import numpy as np\n"
-        "def f(a):\n"
-        '    """``a`` is 1-D."""\n'
-        "    b = np.empty(3, dtype=object)\n"
-        "    a.tofile('x.bin')\n"
-        "    return b\n"
-    )})
-    report = run_lint(root, select={"DDA006"})
-    messages = sorted(f.message for f in report.findings)
-    assert len(messages) == 2
-    assert any("dtype=object" in m for m in messages)
-    assert any(".tofile()" in m for m in messages)
-
-
-def test_dda006_bad_method_names_skip_module_functions(tmp_path):
-    # json.dump shares a name with ndarray.dump; the import binding
-    # proves it is not an array method
-    root = corpus(tmp_path, {"gpu/k.py": (
-        "import json\n"
-        "def f(d, fh):\n"
-        "    json.dump(d, fh)\n"
-    )})
-    report = run_lint(root, select={"DDA006"})
-    assert not report.findings
-
-
-def test_dda006_respects_numpy_import_alias(tmp_path):
-    root = corpus(tmp_path, {"contact/k.py": (
-        "import numpy as xp\n"
-        "def f(a):\n"
-        "    return xp.vectorize(abs)(a)\n"
-    )})
-    report = run_lint(root, select={"DDA006"})
-    assert codes_at(report, "contact/k.py") == ["DDA006"]
-
-
-def test_dda006_ignores_host_modules_outside_closure(tmp_path):
-    root = corpus(tmp_path, {"util/h.py": (
-        "import numpy as np\n"
-        "def g(a):\n"
-        "    return np.vectorize(abs)(a)\n"
-    )})
-    report = run_lint(root, select={"DDA006"})
-    assert not report.findings
 
 
 # ----------------------------------------------------------------------

@@ -37,13 +37,6 @@ PLANTED = {
         "    return np.random.default_rng()\n",
         3,
     ),
-    "DDA006": (
-        "spmv/k.py",
-        "import numpy as np\n"
-        "def f(a, g):\n"
-        "    return np.vectorize(g)(a)\n",
-        3,
-    ),
     "DDA007": (
         "solvers/cg.py",
         "def f(r, z):\n"

@@ -6,7 +6,6 @@ from repro.solvers.preconditioners import (
     BlockJacobiPreconditioner,
     ILU0Preconditioner,
     IdentityPreconditioner,
-    JacobiPreconditioner,
     SSORAIPreconditioner,
     make_preconditioner,
 )
@@ -20,19 +19,11 @@ def matrix():
 
 class TestIdentity:
     def test_apply_is_copy(self, matrix, rng):
-        m = IdentityPreconditioner(matrix)
+        m = IdentityPreconditioner()
         r = rng.normal(size=matrix.n * BS)
         z = m.apply(r)
         np.testing.assert_array_equal(z, r)
         assert z is not r
-
-
-class TestJacobi:
-    def test_diag_inverse(self, matrix, rng):
-        m = JacobiPreconditioner(matrix)
-        r = rng.normal(size=matrix.n * BS)
-        d = np.diag(matrix.to_dense())
-        np.testing.assert_allclose(m.apply(r), r / d)
 
 
 class TestBlockJacobi:
@@ -111,7 +102,7 @@ class TestILU0:
 
 
 class TestFactory:
-    @pytest.mark.parametrize("name", ["none", "jacobi", "bj", "ssor", "ilu"])
+    @pytest.mark.parametrize("name", ["bj", "ssor", "ilu"])
     def test_all_constructible(self, matrix, name):
         m = make_preconditioner(name, matrix)
         assert m.name == name

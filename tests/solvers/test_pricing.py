@@ -17,7 +17,10 @@ from repro.gpu.device import E5620, K20, K40
 from repro.gpu.kernel import RoutedVirtualDevice, VirtualDevice
 from repro.primitives.scatter import BlockRowProduct, GatherSegmentSum
 from repro.solvers.cg import pcg
-from repro.solvers.preconditioners import make_preconditioner
+from repro.solvers.preconditioners import (
+    IdentityPreconditioner,
+    make_preconditioner,
+)
 from repro.spmv.hsbcsr import HSBCSRMatrix
 from repro.spmv.synthetic import synthetic_block_matrix
 
@@ -65,7 +68,10 @@ def system():
 
 def solve(a, b, device, preconditioner="bj", **kw):
     with device.region("equation_solving"):
-        pre = make_preconditioner(preconditioner, a, device)
+        pre = (
+            IdentityPreconditioner() if preconditioner == "none"
+            else make_preconditioner(preconditioner, a, device)
+        )
         return pcg(
             HSBCSRMatrix.from_block_matrix(a), b, preconditioner=pre,
             device=device, **kw,
@@ -73,7 +79,7 @@ def solve(a, b, device, preconditioner="bj", **kw):
 
 
 @pytest.mark.parametrize("kind", sorted(DEVICES))
-@pytest.mark.parametrize("preconditioner", ["none", "jacobi", "bj", "ssor"])
+@pytest.mark.parametrize("preconditioner", ["none", "bj", "ssor"])
 def test_a_solve_ledger_is_per_call_pricing(system, kind, preconditioner):
     a, b = system
     make, make_per_call = DEVICES[kind]
@@ -85,7 +91,7 @@ def test_a_solve_ledger_is_per_call_pricing(system, kind, preconditioner):
     assert {r.module for r in cached.records} == {"equation_solving"}
 
 
-@pytest.mark.parametrize("preconditioner", ["jacobi", "bj", "ssor", "neumann"])
+@pytest.mark.parametrize("preconditioner", ["bj", "ssor"])
 def test_an_apply_records_the_region_and_device_it_runs_under(
     system, preconditioner
 ):

@@ -35,8 +35,8 @@ CASES = [
     ),
     (
         ["--load", "results/m", "--engine", "gpu",
-         "--preconditioner", "none", "--contracts", "full"],
-        JobSpec(load="results/m", engine="gpu", preconditioner="none",
+         "--preconditioner", "ilu", "--contracts", "full"],
+        JobSpec(load="results/m", engine="gpu", preconditioner="ilu",
                 contracts="full"),
     ),
 ]
@@ -67,7 +67,7 @@ def test_both_parsers_describe_the_same_spec(argv, expected):
 ACCEPTED = {
     "--model": ("slope", "rocks", "wall", "rubble"),
     "--profile": ("k40", "k20"),
-    "--preconditioner": ("none", "jacobi", "bj", "ssor", "ilu"),
+    "--preconditioner": ("bj", "ssor", "ilu"),
     "--contracts": ("off", "cheap", "full"),
     "--engine": ("gpu", "serial", "hybrid"),
 }
