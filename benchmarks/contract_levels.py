@@ -4,7 +4,7 @@ Runs the harness's own ``rocks_dynamic`` and ``slope_static`` models
 and controls (``benchmarks/harness/workloads.py``: ``build_system``,
 ``controls_for``, seed 0) on the GPU preset with only
 ``contract_level`` changed. The levels alternate inside every round, in
-a rotated order, so slow drift on a shared host spreads over all three.
+a rotated order, so slow drift on a shared host spreads over both.
 Model building and engine construction stay outside the timed region.
 
     PYTHONPATH=src python -m benchmarks.contract_levels --rounds 5

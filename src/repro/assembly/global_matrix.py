@@ -77,11 +77,6 @@ class BlockMatrix:
         """Number of stored (upper) non-diagonal blocks."""
         return self.rows.shape[0]
 
-    @property
-    def nnz_scalar(self) -> int:
-        """Scalar non-zeros of the full (symmetric) matrix."""
-        return self.n * BS * BS + 2 * self.n_offdiag * BS * BS
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Reference ``A @ x`` (both triangles applied), NumPy only."""
         x = check_array("x", x, dtype=np.float64, shape=(self.n * BS,))

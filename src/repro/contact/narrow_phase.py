@@ -359,7 +359,6 @@ def narrow_phase(
     threshold: float,
     device: VirtualDevice | None = None,
     *,
-    vv1_angle_tol_deg: float = VV1_ANGLE_TOL_DEG,
     tol: Tolerances | None = None,
     candidates: CandidatePlan | None = None,
     rows: np.ndarray | None = None,
@@ -506,7 +505,7 @@ def narrow_phase(
         # VV1 judgment: any A-edge antiparallel to any B-edge; degenerate
         # directions (coincident adjacent vertices) read as pi/2, never VV1
         angle_floor = eps_len * eps_len
-        ang_tol = math.radians(vv1_angle_tol_deg)
+        ang_tol = math.radians(VV1_ANGLE_TOL_DEG)
         # four directions, four norms: negation is exact, |-d| = |d|
         n_in, n_out, nv_in, nv_out = (
             np.linalg.norm(d, axis=1) for d in (d_in, d_out, dv_in, dv_out)

@@ -16,10 +16,8 @@ import numpy as np
 from repro.core.materials import BlockMaterial, JointMaterial
 from repro.geometry.polygon import (
     next_vertices,
-    polygon_aabb,
     polygon_area,
     polygon_centroid,
-    polygon_second_moments,
     shoelace,
 )
 from repro.geometry.tolerances import bbox_diagonal
@@ -83,15 +81,6 @@ class Block:
     @property
     def centroid(self) -> np.ndarray:
         return polygon_centroid(self.vertices)
-
-    @property
-    def second_moments(self) -> tuple[float, float, float]:
-        """Central second moments ``(Sxx, Syy, Sxy)``."""
-        return polygon_second_moments(self.vertices)
-
-    @property
-    def aabb(self) -> np.ndarray:
-        return polygon_aabb(self.vertices)
 
 
 class BlockSystem:

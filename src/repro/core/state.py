@@ -10,10 +10,11 @@ which enlarges the inertia diagonal and restores conditioning.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-#: Stage-contract checking levels, in increasing strictness/cost.
-CONTRACT_LEVELS = ("off", "cheap", "full")
+#: Stage-contract checking levels: none, or every contract.
+CONTRACT_LEVELS = ("off", "full")
 #: The paper's three preconditioners, the names a run may give.
 PRECONDITIONERS = ("bj", "ssor", "ilu")
 #: What a run does with a failure it cannot recover from.
@@ -49,11 +50,12 @@ class ResilienceControls:
     on_failure: str = "raise"
 
     def __post_init__(self) -> None:
-        if self.checkpoint_every < 0:
+        # written so that a NaN fails too
+        if not self.checkpoint_every >= 0:
             raise ValueError(
                 f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
             )
-        if self.max_rollbacks < 0:
+        if not self.max_rollbacks >= 0:
             raise ValueError(
                 f"max_rollbacks must be >= 0, got {self.max_rollbacks}"
             )
@@ -107,10 +109,10 @@ class SimulationControls:
         (:class:`ResilienceControls`).
     contract_level:
         Stage-contract checking level (:mod:`repro.engine.contracts`):
-        ``"off"`` (default, zero overhead), ``"cheap"`` (vectorised
-        O(m) invariant scans at every stage boundary), ``"full"``
-        (adds residual verification, lost-contact cross-checks, and
-        polygon-simplicity checks).
+        ``"off"`` (default, zero overhead) or ``"full"`` (every
+        contract at every stage boundary: invariant scans, residual
+        verification, lost-contact cross-checks and polygon
+        simplicity).
     """
 
     time_step: float = 1e-3
@@ -127,8 +129,11 @@ class SimulationControls:
     contract_level: str = "off"
 
     def __post_init__(self) -> None:
-        if self.time_step <= 0:
-            raise ValueError(f"time_step must be > 0, got {self.time_step}")
+        # written so that a NaN fails too
+        if not 0 < self.time_step < math.inf:
+            raise ValueError(
+                f"time_step must be finite and > 0, got {self.time_step}"
+            )
         if self.gravity < 0:
             raise ValueError(f"gravity must be >= 0, got {self.gravity}")
         if not (0 < self.max_displacement_ratio <= 1):

@@ -8,20 +8,19 @@ many stages later as a mysterious solver breakdown or a drifting block.
 This module pins the hand-over invariants down as *contracts* checked at
 the stage boundary, so corruption is caught where it enters.
 
-Three levels, wired through ``SimulationControls.contract_level``:
+Two levels, wired through ``SimulationControls.contract_level``:
 
 ``off``
     No checks (the default; zero overhead).
-``cheap``
-    O(m)/O(n) vectorised scans: index ranges, dedup, finite entries,
-    sign constraints, state-code validity.
-    Designed to stay under a few percent of step cost.
 ``full``
-    Everything in ``cheap`` plus the expensive cross-checks: contact
-    ownership, the lost-closed-contact scan against the previous step's
-    table, true-residual verification of the solver's reported
-    convergence, penetration bounds, and polygon simplicity after the
-    geometry update.
+    Every contract: O(m)/O(n) vectorised scans (index ranges, dedup,
+    finite entries, sign constraints, state-code validity) and the
+    cross-checks (contact ownership, the lost-closed-contact scan
+    against the previous step's table, true-residual verification of
+    the solver's reported convergence, penetration bounds, and polygon
+    simplicity after the geometry update). On the brick wall and the
+    rocks lap the whole set costs what the scans alone cost, within
+    the run-to-run spread (``docs/robustness.md``).
 
 A violated contract raises :class:`ContractViolation` — a *recoverable*
 :class:`~repro.engine.resilience.SimulationError`, so the engine's
@@ -51,7 +50,7 @@ from repro.engine.resilience import (
     StepContext,
 )
 
-#: ``full`` residual check: the true relative residual may exceed the
+#: Residual check: the true relative residual may exceed the
 #: solver's reported one by at most this factor.
 RESIDUAL_SLACK = 1e3
 
@@ -132,10 +131,6 @@ class StageContracts:
     def enabled(self) -> bool:
         return self.level != "off"
 
-    @property
-    def full(self) -> bool:
-        return self.level == "full"
-
     def _fail(
         self,
         stage: str,
@@ -163,14 +158,13 @@ class StageContracts:
     ) -> None:
         """Contact-table consistency after detection + transfer + init.
 
-        cheap: index ranges, kind/state codes, kinds grouped in
-        VE/VV1/VV2 order, deduplicated transfer keys, finite
-        non-negative penalties, ratio in [0, 1].
-        full: vertex/edge ownership and the lost-closed-contact scan —
-        a previously *closed* VE contact whose vertex still sits well
-        inside the detection threshold must reappear against the same
-        block (dropping it silently loses a spring and the stored
-        contact forces).
+        Index ranges, kind/state codes, kinds grouped in VE/VV1/VV2
+        order, deduplicated transfer keys, finite non-negative
+        penalties, ratio in [0, 1], vertex/edge ownership and the
+        lost-closed-contact scan — a previously *closed* VE contact
+        whose vertex still sits well inside the detection threshold
+        must reappear against the same block (dropping it silently
+        loses a spring and the stored contact forces).
         """
         if not self.enabled:
             return
@@ -183,8 +177,7 @@ class StageContracts:
         nv = system.vertices.shape[0]
         if m == 0:
             # an empty table still has to answer for contacts it lost
-            if self.full:
-                self._check_lost_closed(system, contacts, previous, context)
+            self._check_lost_closed(system, contacts, previous, context)
             return
         for name in ("block_i", "block_j"):
             arr = getattr(contacts, name)
@@ -254,8 +247,6 @@ class StageContracts:
                 stage, "ratio_range", "edge ratio outside [0, 1]",
                 indices=bad, context=context,
             )
-        if not self.full:
-            return
         owner = system.block_of_vertex()
         bad = np.flatnonzero(owner[contacts.vertex_idx] != contacts.block_i)
         if bad.size:
@@ -277,7 +268,7 @@ class StageContracts:
         self._check_lost_closed(system, contacts, previous, context)
 
     def _check_lost_closed(self, system, contacts, previous, context) -> None:
-        """Full-level: closed contacts cannot vanish while still touching."""
+        """Closed contacts cannot vanish while still touching."""
         if previous is None or previous.m == 0 or self.contact_threshold <= 0:
             return
         from repro.assembly.contact_springs import OPEN
@@ -325,12 +316,11 @@ class StageContracts:
     def check_matrix(self, matrix, *, context: StepContext | None = None) -> None:
         """Assembled-matrix conformance.
 
-        cheap: finite entries, positive diagonal entries of every
-        diagonal block (an SPD necessary condition), symmetric diagonal
-        blocks (the stored-upper-triangle format makes global symmetry
+        Finite entries, positive diagonal entries of every diagonal
+        block (an SPD necessary condition), symmetric diagonal blocks
+        (the stored-upper-triangle format makes global symmetry
         equivalent to diagonal-block symmetry). The block structure and
         the off-diagonal coordinates are the constructor's to check.
-        full: same checks — the matrix scans are already O(nnz).
         """
         if not self.enabled:
             return
@@ -384,11 +374,11 @@ class StageContracts:
     ) -> None:
         """Solution-vector sanity after a *converged* solve.
 
-        cheap: finite solution and finite reported residuals.
-        full: recompute the true relative residual ``|rhs - K d| / |rhs|``
-        and require it within :data:`RESIDUAL_SLACK` of the reported one — a
-        solver reporting convergence on a corrupted solution is exactly
-        the silent failure contracts exist to catch.
+        Finite solution and finite reported residuals; then the true
+        relative residual ``|rhs - K d| / |rhs|`` must lie within
+        :data:`RESIDUAL_SLACK` of the reported one — a solver reporting
+        convergence on a corrupted solution is exactly the silent
+        failure contracts exist to catch.
         """
         if not self.enabled:
             return
@@ -406,8 +396,6 @@ class StageContracts:
                 stage, "finite_residual",
                 f"reported residual is {reported}", context=context,
             )
-        if not self.full:
-            return
         rhs_norm = float(np.linalg.norm(rhs))
         if rhs_norm == 0.0:
             return
@@ -433,9 +421,8 @@ class StageContracts:
     ) -> None:
         """Open–close state-update consistency.
 
-        cheap: state codes valid, sliding signs in {-1, +1}, normal
-        forces finite and non-negative, penetration finite.
-        full: penetration bounded by
+        State codes valid, sliding signs in {-1, +1}, normal forces
+        finite and non-negative, penetration finite and bounded by
         :data:`~repro.engine.resilience.PENETRATION_FACTOR` times the
         detection threshold (deeper means the spring update lost the
         contact physics).
@@ -474,8 +461,7 @@ class StageContracts:
                 f"max penetration is {max_pen}", context=context,
             )
         if (
-            self.full
-            and self.contact_threshold > 0
+            self.contact_threshold > 0
             and max_pen > PENETRATION_FACTOR * self.contact_threshold
         ):
             self._fail(
@@ -493,9 +479,9 @@ class StageContracts:
     ) -> None:
         """Geometry sanity after the data-updating stage.
 
-        cheap: strictly positive finite block areas (a sign flip means
-        a block inverted; a non-finite vertex makes its area non-finite).
-        full: every block polygon stays simple (non-self-intersecting).
+        Strictly positive finite block areas (a sign flip means a block
+        inverted; a non-finite vertex makes its area non-finite), and
+        every block polygon simple (non-self-intersecting).
         """
         if not self.enabled:
             return
@@ -510,8 +496,6 @@ class StageContracts:
                 "or collapsed)",
                 indices=bad, context=context,
             )
-        if not self.full:
-            return
         from repro.geometry.tolerances import Tolerances
         from repro.util.validation import non_simple_blocks
 

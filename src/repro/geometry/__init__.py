@@ -2,9 +2,9 @@
 
 DDA blocks are simple polygons; every pipeline stage leans on a small set
 of geometric primitives: signed area / centroid / second moments (stiffness
-and inertia integrals), point–segment distance (narrow-phase contact),
-segment intersection (block cutting), and axis-aligned bounding boxes
-(broad-phase contact). All kernels are vectorised over their first axis.
+and inertia integrals), point–segment distance (narrow-phase contact) and
+segment intersection (block cutting). All kernels are vectorised over
+their first axis.
 """
 
 from repro.geometry.polygon import (
@@ -13,7 +13,6 @@ from repro.geometry.polygon import (
     polygon_second_moments,
     ensure_ccw,
     is_ccw,
-    polygon_aabb,
     point_in_polygon,
 )
 from repro.geometry.distance import (
@@ -35,7 +34,6 @@ __all__ = [
     "polygon_second_moments",
     "ensure_ccw",
     "is_ccw",
-    "polygon_aabb",
     "point_in_polygon",
     "point_segment_distance",
     "point_point_distance",

@@ -93,12 +93,6 @@ def polygon_second_moments(poly: np.ndarray) -> tuple[float, float, float]:
     )
 
 
-def polygon_aabb(poly: np.ndarray) -> np.ndarray:
-    """Axis-aligned bounding box ``[xmin, ymin, xmax, ymax]``."""
-    p = _vertices(poly)
-    return np.concatenate([p.min(axis=0), p.max(axis=0)])
-
-
 def point_in_polygon(poly: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Even–odd (crossing-number) point-in-polygon test, vectorised.
 

@@ -114,10 +114,6 @@ class DeviceProfile:
         mem = c.total_global_bytes / (self.mem_bandwidth * self.efficiency)
         return compute + mem
 
-    def pipeline_time(self, counters: list[KernelCounters]) -> float:
-        """Sum of :meth:`kernel_time` over a sequence of launches."""
-        return sum(self.kernel_time(c) for c in counters)
-
 
 #: Tesla K20 (GK110): 13 SMX, 208 GB/s, 1.17 Tflop/s DP.
 K20 = DeviceProfile(

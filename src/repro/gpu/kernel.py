@@ -138,15 +138,6 @@ class VirtualDevice:
             out[r.name] = out.get(r.name, 0.0) + r.seconds
         return out
 
-    def counters_by_module(self) -> dict[str, KernelCounters]:
-        """Summed counters grouped by pipeline module."""
-        out: dict[str, KernelCounters] = {}
-        for r in self.records:
-            key = r.module or "other"
-            out.setdefault(key, KernelCounters())
-            out[key] += r.counters
-        return out
-
     def launches(self) -> int:
         """Number of kernel launches recorded."""
         return len(self.records)

@@ -136,6 +136,8 @@ def build_service_report(root: str | Path) -> dict:
     snap_paths = sorted((root / "metrics").glob("*.json"))
     snaps = [read_json(p) or {} for p in snap_paths]
     merged = merge_snapshots(*snaps) if snaps else {}
+    # one walk of jobs/ serves both views
+    records = queue.records()
     events, torn = queue.journal.events()
     event_counts: dict[str, int] = {}
     for event in events:
@@ -143,8 +145,8 @@ def build_service_report(root: str | Path) -> dict:
         event_counts[name] = event_counts.get(name, 0) + 1
     return {
         "root": str(root),
-        "counts": queue.counts(),
-        "queue": queue.depths(),
+        "counts": queue.counts(records),
+        "queue": queue.depths(records),
         "cache": store.stats(),
         "journal": {
             "events": len(events),

@@ -12,10 +12,10 @@ scatter coalescing) into the device ledger.
 """
 
 from repro.primitives.scan import exclusive_scan, inclusive_scan
-from repro.primitives.radix_sort import radix_sort_pairs, radix_sort_keys
+from repro.primitives.radix_sort import radix_sort_pairs
 from repro.primitives.reduce import device_reduce, segmented_reduce
 from repro.primitives.compact import stream_compact, partition_by_label
-from repro.primitives.sorted_search import sorted_search, lower_bound
+from repro.primitives.sorted_search import sorted_search
 from repro.primitives.scatter import (
     scatter_add,
     segment_max,
@@ -27,13 +27,11 @@ __all__ = [
     "exclusive_scan",
     "inclusive_scan",
     "radix_sort_pairs",
-    "radix_sort_keys",
     "device_reduce",
     "segmented_reduce",
     "stream_compact",
     "partition_by_label",
     "sorted_search",
-    "lower_bound",
     "scatter_add",
     "segment_sum",
     "segment_min",

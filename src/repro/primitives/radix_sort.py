@@ -140,20 +140,3 @@ def radix_sort_pairs(
         cur = cur[order]
         perm = perm[order]
     return cur, perm
-
-
-def radix_sort_keys(
-    keys: np.ndarray,
-    device: VirtualDevice | None = None,
-    *,
-    key_bits: int | None = None,
-    digit_bits: int = DEFAULT_DIGIT_BITS,
-) -> np.ndarray:
-    """Keys-only radix sort (see :func:`radix_sort_pairs`).
-
-    ``keys`` is 1-D non-negative integers; returns the sorted 1-D array.
-    """
-    sorted_keys, _ = radix_sort_pairs(
-        keys, None, device, key_bits=key_bits, digit_bits=digit_bits
-    )
-    return sorted_keys

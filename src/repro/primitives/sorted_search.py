@@ -22,18 +22,6 @@ from repro.util.validation import check_array
 HALF_WARP = 16
 
 
-def lower_bound(
-    haystack: np.ndarray,
-    needles: np.ndarray,
-    device: VirtualDevice | None = None,
-) -> np.ndarray:
-    """First position where each needle could be inserted keeping order.
-
-    ``haystack`` and ``needles`` are 1-D; returns one index per needle.
-    """
-    return sorted_search(haystack, needles, device, side="left")
-
-
 def sorted_search(
     haystack: np.ndarray,
     needles: np.ndarray,

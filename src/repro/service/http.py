@@ -105,6 +105,12 @@ LONG_POLL_MAX_S = 30.0
 METRICS_FLUSH_EVERY = 50
 
 
+def _reject_constant(name: str):
+    """JSON has no ``NaN`` or ``Infinity``: a body holding one is refused
+    before a NaN can slip past a range check."""
+    raise ValueError(f"{name} is not JSON")
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tunables of one HTTP front-end process."""
@@ -418,7 +424,9 @@ class HttpJobService:
         if length:
             raw = await reader.readexactly(length)
             try:
-                body = json.loads(raw.decode("utf-8"))
+                body = json.loads(
+                    raw.decode("utf-8"), parse_constant=_reject_constant
+                )
             except (ValueError, UnicodeDecodeError) as err:
                 raise _Response(400, {"error": "body is not JSON"}) from err
             if not isinstance(body, dict):
@@ -465,8 +473,10 @@ class HttpJobService:
                     raise _Response(
                         400, {"error": "bad X-Deadline-S header"}
                     ) from err
-                if deadline_s <= 0:
-                    raise _Response(400, {"error": "deadline must be > 0"})
+                if not 0 < deadline_s < math.inf:
+                    raise _Response(
+                        400, {"error": "deadline must be finite and > 0"}
+                    )
             budget = (
                 deadline_s if deadline_s is not None
                 else DEFAULT_TIMEOUT_S
@@ -643,6 +653,8 @@ class HttpJobService:
             raise _Response(400, {"error": "bad since/timeout"}) from err
         if since < 0:
             raise _Response(400, {"error": "since must be >= 0"})
+        if not math.isfinite(timeout_s):
+            raise _Response(400, {"error": "timeout must be finite"})
         timeout_s = min(timeout_s, LONG_POLL_MAX_S)
         if deadline_s is not None:
             timeout_s = min(timeout_s, max(0.0, deadline_s - 0.1))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -46,7 +47,12 @@ class JobState:
 
 
 def check_backoff(policy) -> None:
-    """Validate the backoff fields of a job- or client-side retry policy."""
+    """Validate the backoff fields of a job- or client-side retry policy
+    (a NaN slips past every comparison, so finiteness comes first)."""
+    values = (policy.backoff_s, policy.backoff_max_s, policy.backoff_factor,
+              policy.jitter)
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"backoff values must be finite, got {values}")
     if policy.backoff_s < 0 or policy.backoff_max_s < 0:
         raise ValueError("backoff delays must be >= 0")
     if policy.backoff_factor < 1.0:
@@ -103,13 +109,15 @@ class RetryPolicy:
     attempt_deadline_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
+        if not self.max_attempts >= 1:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
         check_backoff(self)
-        if self.attempt_deadline_s is not None and self.attempt_deadline_s <= 0:
-            raise ValueError("attempt_deadline_s must be > 0")
+        if self.attempt_deadline_s is not None and not (
+            0 < self.attempt_deadline_s < math.inf
+        ):
+            raise ValueError("attempt_deadline_s must be finite and > 0")
 
     def delay(self, job_id: str, attempt: int) -> float:
         """Backoff delay (seconds) before retrying after ``attempt``
@@ -123,8 +131,20 @@ class RetryPolicy:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RetryPolicy":
-        return cls(**d)
+    def from_dict(cls, d: dict, *, check: bool = True) -> "RetryPolicy":
+        """Rebuild a policy; ``check=False`` skips the value checks, for
+        a stored record a version that accepted more (a non-finite
+        backoff or deadline) may have written. A stored NaN deadline,
+        which no clock reaches, loads as ``None``: the pool's default."""
+        if check:
+            return cls(**d)
+        policy = object.__new__(cls)
+        policy.__dict__.update(
+            {f.name: f.default for f in dataclasses.fields(cls)}, **d
+        )
+        if policy.attempt_deadline_s != policy.attempt_deadline_s:  # NaN
+            policy.__dict__["attempt_deadline_s"] = None
+        return policy
 
 
 @dataclass(frozen=True)
@@ -181,11 +201,12 @@ class JobSpec:
             raise ValueError(
                 f"profile must be one of {tuple(PROFILES)}, got {self.profile!r}"
             )
-        if self.steps < 1:
+        # written so that a NaN fails too
+        if not self.steps >= 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.size <= 0:
-            raise ValueError(f"size must be > 0, got {self.size}")
-        if self.kill_at_step is not None and self.kill_at_step < 0:
+        if not 0 < self.size < math.inf:
+            raise ValueError(f"size must be finite and > 0, got {self.size}")
+        if self.kill_at_step is not None and not self.kill_at_step >= 0:
             raise ValueError("kill_at_step must be >= 0")
         # the rest: the controls the run builds from them check them
         controls_from_spec(self)
@@ -303,16 +324,19 @@ class JobRecord:
     def from_dict(cls, d: dict) -> "JobRecord":
         d = dict(d)
         # a spec stored by an older version may carry fields retired
-        # since (the engine fault knobs); the record drops them
+        # since (the engine fault knobs), which the record drops, or the
+        # retired ``cheap`` contract level, now a part of ``full``
         names = {f.name for f in dataclasses.fields(JobSpec)}
-        d["spec"] = JobSpec.from_dict(
-            {k: v for k, v in d["spec"].items() if k in names}, check=False
-        )
+        spec = {k: v for k, v in d["spec"].items() if k in names}
+        if spec.get("contracts") == "cheap":
+            spec["contracts"] = "full"
+        d["spec"] = JobSpec.from_dict(spec, check=False)
         # record files written before the retry budget became one policy
         # carry a ``max_retries`` count and possibly a null ``retry``
         legacy = d.pop("max_retries", 1)
         d["retry"] = (
-            RetryPolicy.from_dict(d["retry"]) if d.get("retry") is not None
+            RetryPolicy.from_dict(d["retry"], check=False)
+            if d.get("retry") is not None
             else RetryPolicy(max_attempts=legacy + 1)
         )
         return cls(**d)

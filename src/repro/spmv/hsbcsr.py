@@ -302,11 +302,6 @@ class HSBCSRMatrix:
             + self.row_low_p.nbytes
         )
 
-    def nd_view(self) -> np.ndarray:
-        """``(6, m, 6)`` view of the non-diagonal slice data."""
-        m = self.n_offdiag
-        return self.nd_data[:, : m * BS].reshape(BS, m, BS)
-
 
 def hsbcsr_spmv(
     a: HSBCSRMatrix,

@@ -3,7 +3,6 @@
 from repro.util.validation import (
     check_array,
     check_positive,
-    check_in_range,
     validate_model_arrays,
     validate_system,
     ModelValidationError,
@@ -18,7 +17,6 @@ from repro.util.timing import ModuleTimes
 __all__ = [
     "check_array",
     "check_positive",
-    "check_in_range",
     "validate_model_arrays",
     "validate_system",
     "ModelValidationError",

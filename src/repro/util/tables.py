@@ -72,14 +72,5 @@ class Table:
         out.append(sep)
         return "\n".join(out)
 
-    def to_markdown(self) -> str:
-        """Render as a GitHub-flavoured markdown table."""
-        out = [f"### {self.title}", ""]
-        out.append("| " + " | ".join(self.header) + " |")
-        out.append("|" + "|".join("---" for _ in self.header) + "|")
-        for row in self.rows:
-            out.append("| " + " | ".join(row) + " |")
-        return "\n".join(out)
-
     def __str__(self) -> str:
         return self.render()

@@ -294,17 +294,3 @@ def validate_system(system) -> None:
         fixed_points=system.fixed_points,
         load_points=system.load_points,
     )
-
-
-def check_in_range(
-    name: str, value: float, low: float, high: float, *, inclusive: bool = True
-) -> float:
-    """Validate a scalar lies in ``[low, high]`` (or the open interval)."""
-    value = float(value)
-    ok = low <= value <= high if inclusive else low < value < high
-    if not ok:
-        bracket = "[]" if inclusive else "()"
-        raise ShapeError(
-            f"{name}: must be in {bracket[0]}{low}, {high}{bracket[1]}, got {value}"
-        )
-    return value

@@ -53,10 +53,6 @@ class TestBlockMatrix:
         x = rng.normal(size=3 * BS)
         np.testing.assert_allclose(bm.to_scipy_csr() @ x, bm.matvec(x))
 
-    def test_nnz_scalar(self):
-        bm = self._simple()
-        assert bm.nnz_scalar == 3 * 36 + 2 * 36
-
     def test_rejects_lower_triangle(self):
         with pytest.raises(ValueError, match="row < col"):
             BlockMatrix(

@@ -131,7 +131,7 @@ def test_a_rollback_detects_like_a_fresh_detection():
     engine = CheckedGpu(
         build_brick_wall(rows=3, cols=3),
         SimulationControls(
-            time_step=1e-3, dynamic=True, contract_level=row.level,
+            time_step=1e-3, dynamic=True, contract_level="full",
             resilience=ResilienceControls(checkpoint_every=1, max_rollbacks=3),
         ),
     )

@@ -38,7 +38,7 @@ RETIRED = {
     "matrix_nan": PLANTED["finite_diag"],
     "solution_nan": PLANTED["finite_solution"],
     "solution_inf": Row(
-        "cheap", "equation_solving",
+        "equation_solving",
         lambda engine, res: res.x.__setitem__(0, np.inf),
         guard="finite_solution",
     ),

@@ -7,7 +7,6 @@ from repro.geometry.polygon import (
     ensure_ccw,
     is_ccw,
     point_in_polygon,
-    polygon_aabb,
     polygon_area,
     polygon_centroid,
     polygon_second_moments,
@@ -120,11 +119,6 @@ class TestSecondMoments:
 
 
 class TestAabbAndContainment:
-    def test_aabb(self):
-        np.testing.assert_allclose(
-            polygon_aabb(UNIT_SQUARE * 2 - 1), [-1, -1, 1, 1]
-        )
-
     def test_point_in_polygon(self):
         pts = np.array([[0.5, 0.5], [1.5, 0.5], [-0.1, 0.0]])
         np.testing.assert_array_equal(

@@ -67,10 +67,6 @@ class TestTimingModel:
         c = KernelCounters(flops=100.0, global_bytes_read=800.0)
         assert E5620.kernel_time(c) < K40.kernel_time(c)
 
-    def test_pipeline_time_sums(self):
-        c = KernelCounters(flops=1e9)
-        assert K40.pipeline_time([c, c]) == pytest.approx(2 * K40.kernel_time(c))
-
     def test_atomics_add_time(self):
         base = KernelCounters(flops=1e6)
         with_atomics = KernelCounters(flops=1e6, atomic_ops=1e6)

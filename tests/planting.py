@@ -37,10 +37,10 @@ class Row(NamedTuple):
     or returns a replacement. Contact, matrix, solution and halo outputs
     come through the fault seam, the state update from
     ``_check_interpenetration`` and the updated ``BlockSystem`` after
-    ``_update_data``. A health guard's row runs at ``off``.
+    ``_update_data``. A contract's row runs at ``full``, a health
+    guard's (:data:`HEALTH_GUARDS`) at ``off``.
     """
 
-    level: str
     stage: str
     plant: Callable
     #: steps the run lasts; the defect is planted on each from
@@ -111,76 +111,74 @@ def _reshape_block(shape):
 #: guard alone must catch first
 PLANTED = {
     # ---- contact detection: the table handed to assembly ------------
-    "block_index_range": Row("cheap", "contact_detection", _put(
+    "block_index_range": Row("contact_detection", _put(
         "block_i", lambda e, c: e.system.n_blocks)),
-    "vertex_index_range": Row("cheap", "contact_detection", _put(
+    "vertex_index_range": Row("contact_detection", _put(
         "vertex_idx", lambda e, c: e.system.vertices.shape[0])),
-    "kind_code": Row("cheap", "contact_detection", _put(
+    "kind_code": Row("contact_detection", _put(
         "kind", _const(7), at=-1)),
-    "kind_grouping": Row("cheap", "contact_detection", _put(
+    "kind_grouping": Row("contact_detection", _put(
         "kind", _const(VV2))),
-    "state_code": Row("cheap", "contact_detection", _put(
+    "state_code": Row("contact_detection", _put(
         "state", _const(9))),
-    "duplicate_contact": Row("cheap", "contact_detection", _rows(
+    "duplicate_contact": Row("contact_detection", _rows(
         lambda c: np.insert(np.arange(c.m), 0, 0))),
-    "penalty_sign": Row("cheap", "contact_detection", _put(
+    "penalty_sign": Row("contact_detection", _put(
         "pn", _const(-1.0))),
-    "ratio_range": Row("cheap", "contact_detection", _put(
+    "ratio_range": Row("contact_detection", _put(
         "ratio", _const(1.5))),
     # a vertex of the edge's own block, an edge end on the vertex's:
     # every index in range and every key still unique
-    "vertex_ownership": Row("full", "contact_detection", _put(
+    "vertex_ownership": Row("contact_detection", _put(
         "vertex_idx", lambda e, c: c.e1_idx[0])),
-    "edge_ownership": Row("full", "contact_detection", _put(
+    "edge_ownership": Row("contact_detection", _put(
         "e1_idx", lambda e, c: c.vertex_idx[0])),
-    "lost_closed_contact": Row("full", "contact_detection", _rows(
+    "lost_closed_contact": Row("contact_detection", _rows(
         lambda c: np.flatnonzero(c.state == OPEN))),
     # ---- matrix assembly: the BlockMatrix handed to the solver -------
-    "finite_diag": Row("cheap", "matrix_assembly", _put(
+    "finite_diag": Row("matrix_assembly", _put(
         "diag", _const(np.nan), at=(0, 0, 0))),
-    "finite_offdiag": Row("cheap", "matrix_assembly", _put(
+    "finite_offdiag": Row("matrix_assembly", _put(
         "blocks", _const(np.inf), at=(0, 0, 0))),
-    "spd_diagonal": Row("cheap", "matrix_assembly", _put(
+    "spd_diagonal": Row("matrix_assembly", _put(
         "diag", _const(-1.0), at=(0, 0, 0))),
-    "symmetry": Row("cheap", "matrix_assembly", _put(
+    "symmetry": Row("matrix_assembly", _put(
         "diag", lambda e, k: k.diag[0, 0, 1] + 1.0 + abs(k.diag[0]).max(),
         at=(0, 0, 1))),
     # ---- equation solving: the CGResult ------------------------------
-    "finite_solution": Row("cheap", "equation_solving", _put(
+    "finite_solution": Row("equation_solving", _put(
         "x", _const(np.nan))),
-    "finite_residual": Row("cheap", "equation_solving", _put(
+    "finite_residual": Row("equation_solving", _put(
         "residuals", _const(np.nan), at=-1)),
-    "residual_mismatch": Row(
-        "full", "equation_solving", lambda e, r: _far_off(e, r.x)),
+    "residual_mismatch": Row("equation_solving", lambda e, r: _far_off(e, r.x)),
     # ---- halo exchange: the gathered solution of a two-domain solve --
     "halo_gather": Row(
-        "full", "halo_exchange", _far_off, guard="residual_mismatch",
+        "halo_exchange", _far_off, guard="residual_mismatch",
         engine=functools.partial(DomainEngine, n_domains=2),
     ),
     # ---- interpenetration checking: the StateUpdate ------------------
-    "shear_sign": Row("cheap", "interpenetration_checking", _put(
+    "shear_sign": Row("interpenetration_checking", _put(
         "shear_sign", _const(0.5))),
-    "normal_force_sign": Row("cheap", "interpenetration_checking", _put(
+    "normal_force_sign": Row("interpenetration_checking", _put(
         "normal_force", _const(-1.0))),
-    "finite_penetration": Row("cheap", "interpenetration_checking", _set(
+    "finite_penetration": Row("interpenetration_checking", _set(
         max_penetration=_const(np.nan))),
-    "penetration_bound": Row(
-        "full", "interpenetration_checking", _deep_penetration),
+    "penetration_bound": Row("interpenetration_checking", _deep_penetration),
     # ---- data updating: the moved BlockSystem ------------------------
-    "positive_area": Row("cheap", "data_updating", _reshape_block(
+    "positive_area": Row("data_updating", _reshape_block(
         lambda v: v[::-1].copy())),
-    "simple_polygon": Row("full", "data_updating", _reshape_block(
+    "simple_polygon": Row("data_updating", _reshape_block(
         lambda v: v.min(axis=0) + BOWTIE)),
     # ---- health guards, after data updating --------------------------
-    "finite": Row("off", "data_updating", _put(
+    "finite": Row("data_updating", _put(
         "velocities", _const(np.nan), at=(0, 0))),
-    "penetration": Row("off", "interpenetration_checking", _deep_penetration),
-    "energy": Row("off", "data_updating", _put(
+    "penetration": Row("interpenetration_checking", _deep_penetration),
+    "energy": Row("data_updating", _put(
         "velocities", lambda e, s: s.velocities[:, :2] + 1e3,
         at=(slice(None), slice(0, 2)))),
     # a streak: every sweep of OSCILLATION_STREAK steps keeps switching
     "oscillation": Row(
-        "off", "interpenetration_checking",
+        "interpenetration_checking",
         _set(significant_changes=lambda e, u: max(u.significant_changes, 1)),
         steps=PLANT_STEP + OSCILLATION_STREAK, once=False,
     ),
@@ -189,7 +187,7 @@ PLANTED = {
 #: Not in the table: one closed vertex-edge contact silently dropped
 #: (``lost_closed_contact``'s row drops every closed one).
 DROP_ONE_CLOSED = Row(
-    "full", "contact_detection",
+    "contact_detection",
     _rows(lambda c: np.delete(np.arange(c.m), np.flatnonzero(
         (c.state != OPEN) & (c.kind == VE))[:1])),
     guard="lost_closed_contact",

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.primitives.radix_sort import radix_sort_keys, radix_sort_pairs
+from repro.primitives.radix_sort import radix_sort_pairs
 
 
 class TestRadixSortPairs:
@@ -71,9 +71,3 @@ class TestRadixSortPairs:
         sorted_keys, perm = radix_sort_pairs(keys)
         np.testing.assert_array_equal(sorted_keys, np.sort(keys))
         np.testing.assert_array_equal(np.sort(perm), np.arange(keys.size))
-
-
-class TestRadixSortKeys:
-    def test_matches_pairs(self, rng):
-        keys = rng.integers(0, 99, size=301)
-        np.testing.assert_array_equal(radix_sort_keys(keys), np.sort(keys))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.primitives.sorted_search import lower_bound, sorted_search
+from repro.primitives.sorted_search import sorted_search
 
 
 class TestSortedSearch:
@@ -25,12 +25,6 @@ class TestSortedSearch:
     def test_rejects_bad_side(self):
         with pytest.raises(ValueError, match="side"):
             sorted_search(np.array([1]), np.array([1]), side="middle")
-
-    def test_lower_bound_alias(self):
-        hay = np.array([10, 20, 30])
-        np.testing.assert_array_equal(
-            lower_bound(hay, np.array([20])), np.array([1])
-        )
 
     def test_contact_transfer_idiom(self, rng):
         # find each previous contact inside the current sorted contact keys

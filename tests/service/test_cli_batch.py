@@ -151,3 +151,56 @@ def test_directory_holding_a_record_with_retired_fields(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
     assert main(["report", str(batch_dir)]) == 0
     assert "batch.succeeded" in capsys.readouterr().out
+
+
+def test_directory_holding_a_record_at_the_retired_cheap_level(
+    tmp_path, capsys
+):
+    """A record stored at the ``cheap`` contract level, which ``full``
+    absorbed, runs at ``full``: without the mapping every attempt fails
+    to build its controls and the job ends quarantined."""
+    from repro.service import BatchClient
+
+    batch_dir = tmp_path / "batch"
+    main(["batch", "submit", "--dir", str(batch_dir), "--model", "wall",
+          "--engine", "serial", "--steps", "2", "--dynamic",
+          "--contracts", "full"])
+    (path,) = (batch_dir / "queue" / "jobs").glob("*.json")
+    record = json.loads(path.read_text())
+    record["spec"]["contracts"] = "cheap"
+    path.write_text(json.dumps(record))
+    (loaded,) = BatchClient(batch_dir).queue.records()
+    assert loaded.spec.contracts == "full"
+    capsys.readouterr()
+
+    assert main(["batch", "run", "--dir", str(batch_dir), "--quiet"]) == 0
+    assert "succeeded 1" in capsys.readouterr().out
+    assert main(["batch", "audit", "--dir", str(batch_dir), "--final"]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_directory_holding_a_record_with_non_finite_retry_values(
+    tmp_path, capsys
+):
+    """A submit now refuses a non-finite retry value, but a record stored
+    by a version that accepted one stays readable: it loads unchecked,
+    its NaN deadline as the pool's default, and the job drains."""
+    from repro.service import BatchClient
+
+    batch_dir = tmp_path / "batch"
+    main(["batch", "submit", "--dir", str(batch_dir), "--model", "wall",
+          "--engine", "serial", "--steps", "2", "--dynamic"])
+    (path,) = (batch_dir / "queue" / "jobs").glob("*.json")
+    record = json.loads(path.read_text())
+    record["retry"]["attempt_deadline_s"] = float("nan")
+    record["retry"]["backoff_max_s"] = float("inf")
+    path.write_text(json.dumps(record))
+    (loaded,) = BatchClient(batch_dir).queue.records()
+    assert loaded.retry.attempt_deadline_s is None
+    assert loaded.retry.backoff_max_s == float("inf")
+    capsys.readouterr()
+
+    assert main(["batch", "run", "--dir", str(batch_dir), "--quiet"]) == 0
+    assert "succeeded 1" in capsys.readouterr().out
+    assert main(["batch", "audit", "--dir", str(batch_dir), "--final"]) == 0
+    assert "PASS" in capsys.readouterr().out

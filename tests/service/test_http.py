@@ -15,7 +15,7 @@ from repro.service.http import (
     TokenBucket,
     read_server_info,
 )
-from repro.service.netclient import ServiceClient, ServiceError
+from repro.service.netclient import ClientRetry, ServiceClient, ServiceError
 from repro.service.spec import JobSpec, JobState
 
 
@@ -126,6 +126,8 @@ class TestLifecycle:
         {"size": 0.0, "steps": 2},
         # a field retired since: unknown now
         {"fault_names": ["no_such_fault"], "steps": 2},
+        # a contract level retired since: a part of "full" now
+        {"contracts": "cheap", "steps": 2},
     ])
     def test_spec_the_run_would_reject_400s_and_leaves_no_trace(
         self, served, body
@@ -278,6 +280,59 @@ class TestAdmissionControl:
         )["job_id"]
         record = BatchClient(root).queue.load_record(job_id)
         assert record.retry.attempt_deadline_s == 3.0
+
+
+class TestNonFiniteInputs:
+    """A NaN or infinity from outside fails every ``<= 0`` check it
+    meets, so each input checks finiteness: a 400, sent once, never a
+    retriable 504 or a stored deadline that never fires."""
+
+    @staticmethod
+    def once(server) -> ServiceClient:
+        return ServiceClient(
+            server.host, server.port, tenant="test",
+            retry=ClientRetry(attempts=1),
+        )
+
+    @pytest.mark.parametrize("deadline_s", [float("nan"), float("inf")])
+    def test_deadline_header(self, served, deadline_s):
+        server, _client, _root = served
+        client = self.once(server)
+        with pytest.raises(ServiceError) as err:
+            client.submit(spec("deadline"), deadline_s=deadline_s)
+        assert err.value.status == 400
+        assert "deadline must be finite" in err.value.payload["error"]
+
+    def test_events_timeout(self, served):
+        server, client, _root = served
+        job_id = client.submit(spec("events-nan"))["job_id"]
+        t0 = time.monotonic()
+        with pytest.raises(ServiceError) as err:
+            self.once(server).request(
+                "GET", f"/v1/jobs/{job_id}/events?timeout=nan",
+                deadline_s=2.0,
+            )
+        assert err.value.status == 400
+        assert time.monotonic() - t0 < 2.0  # no slot held to the deadline
+
+    @pytest.mark.parametrize("spec_kw, retry", [
+        ({"steps": float("nan")}, None),
+        ({"seed": float("nan")}, None),
+        ({"size": float("inf")}, None),
+        ({}, {"max_attempts": 2, "attempt_deadline_s": float("nan")}),
+        ({}, {"max_attempts": 2, "backoff_max_s": float("inf")}),
+    ])
+    def test_non_finite_body_value(self, served, spec_kw, retry):
+        """``json.dumps`` writes ``NaN``/``Infinity``, which JSON has not:
+        the body is refused before any field check (a NaN ``steps`` was a
+        500 from the spec hash, a NaN deadline was stored)."""
+        server, _client, root = served
+        body = {**spec("body-nan").to_dict(), **spec_kw}
+        with pytest.raises(ServiceError) as err:
+            self.once(server).submit(body, retry=retry)
+        assert err.value.status == 400
+        assert err.value.payload["error"] == "body is not JSON"
+        assert not list(BatchClient(root).queue.jobs_dir.glob("*.json"))
 
 
 def _call(url: str, body: dict | None = None):

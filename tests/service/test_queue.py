@@ -282,6 +282,33 @@ class TestStatusScan:
             (waiting.job_id, "queued"),
         ]
 
+    def test_each_record_is_parsed_once_per_report(self, tmp_path, monkeypatch):
+        """``repro report <batch-dir>`` reads ``jobs/`` once for both its
+        job counts and its queue depths."""
+        from repro.obs.report import build_service_report
+        from repro.service import queue as queue_mod
+
+        q = JobQueue(tmp_path / "b" / "queue")
+        done, waiting = (q.submit(spec(t)) for t in ("a", "b"))
+        q.claim()
+        q.finalize(done.job_id, JobState.SUCCEEDED)
+
+        reads: dict[str, int] = {}
+        real_read = queue_mod.read_json
+
+        def counting_read(path):
+            reads[Path(path).stem] = reads.get(Path(path).stem, 0) + 1
+            return real_read(path)
+
+        monkeypatch.setattr(queue_mod, "read_json", counting_read)
+        report = build_service_report(tmp_path / "b")
+
+        assert reads == {done.job_id: 1, waiting.job_id: 1}
+        assert (report["counts"]["succeeded"], report["counts"]["queued"]) == (
+            1, 1
+        )
+        assert report["queue"]["queued"] == 1
+
 
 class TestCancellation:
     def test_cancel_marks_queued_job(self, queue):

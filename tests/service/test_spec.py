@@ -7,12 +7,15 @@ import sys
 
 import pytest
 
+from repro.service.netclient import ClientRetry
 from repro.service.spec import JobRecord, JobSpec, JobState, RetryPolicy
+
+NAN, INF = float("nan"), float("inf")
 
 BASE = JobSpec(
     model="slope", engine="serial", steps=10, time_step=2e-3,
     dynamic=True, preconditioner="ssor", size=5.0, seed=3,
-    contracts="cheap", checkpoint_every=2, tag="base",
+    contracts="full", checkpoint_every=2, tag="base",
 )
 
 #: One changed value per JobSpec field — the hash must react to all.
@@ -27,7 +30,7 @@ VARIATIONS = {
     "preconditioner": "bj",
     "size": 6.0,
     "seed": 4,
-    "contracts": "full",
+    "contracts": "off",
     "checkpoint_every": 3,
     "max_rollbacks": 5,
     "kill_at_step": 4,
@@ -90,11 +93,34 @@ class TestValidation:
             {"contracts": "sometimes"},
             {"checkpoint_every": -1},
             {"kill_at_step": -2},
+            {"contracts": "cheap"},  # retired: a part of "full" now
+            {"time_step": NAN},
+            {"size": NAN},
+            {"steps": NAN},
+            {"kill_at_step": NAN},
+            {"checkpoint_every": NAN},
+            {"max_rollbacks": NAN},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             dataclasses.replace(BASE, **kwargs)
+
+    @pytest.mark.parametrize("value", [NAN, INF])
+    @pytest.mark.parametrize(
+        "field", ["backoff_s", "backoff_factor", "backoff_max_s", "jitter"]
+    )
+    @pytest.mark.parametrize("policy", [RetryPolicy, ClientRetry])
+    def test_non_finite_backoff_rejected(self, policy, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            policy(**{field: value})
+
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_non_finite_attempt_deadline_rejected(self, value):
+        with pytest.raises(ValueError, match="attempt_deadline_s"):
+            RetryPolicy.from_dict({"attempt_deadline_s": value})
+        with pytest.raises(ValueError, match="max_attempts"):
+            RetryPolicy(max_attempts=NAN)
 
     def test_unknown_field_rejected(self):
         d = BASE.to_dict()

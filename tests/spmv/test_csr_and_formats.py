@@ -22,7 +22,7 @@ class TestCSR:
 
     def test_nnz_counts_both_triangles(self, matrix):
         c = CSRMatrix.from_block_matrix(matrix)
-        assert c.nnz == matrix.nnz_scalar
+        assert c.nnz == (matrix.n + 2 * matrix.n_offdiag) * BS * BS
 
     def test_recovery_cost_recorded(self, matrix, device):
         CSRMatrix.from_block_matrix(matrix, device)

@@ -225,6 +225,26 @@ ROWS = [
     Row(r"solvers[./]polynomial", WIDE,
         "the paper's three preconditioners: bj, ssor, ilu", 41,
         plant="repro.solvers.polynomial"),
+    *rows(("lower_bound", "radix_sort_keys", "check_in_range",
+           "counters_by_module", "pipeline_time", "to_markdown",
+           "nd_view", "nnz_scalar", "polygon_aabb"), WIDE,
+          "the function each wrapped, which its tests now call", 42,
+          word=True),
+    Row("vv1_angle_tol_deg", WIDE,
+        "the module constant VV1_ANGLE_TOL_DEG", 42, word=True,
+        skip="tests/contact/narrow_phase_oracle.py"),
+    *rows((r"\.second_moments\b", r"\.aabb\b"), WIDE,
+          "geometry/polygon.py, on the block's vertices", 42),
+    *rows(('"off", "cheap", "full"', 'contract_level="cheap"',
+           r'StageContracts\("cheap"'), WIDE,
+          "one contract level, full", 42),
+    Row(r"self\.full\b", ("src/repro/engine",),
+        "one contract level, full", 42),
+    Row("--contracts cheap", (*WIDE, ".github", "README.md"),
+        "one contract level, full", 42),
+    Row(r'Row\("(off|cheap|full)"', ("tests",),
+        "one contract level, full (a health guard's row runs off)", 42,
+        plant='Row("full"'),
 ]
 
 
@@ -351,6 +371,6 @@ def test_planted_name_fails_its_row(row, tmp_path):
 
 def test_every_row_searches_real_paths():
     for row in ROWS:
-        assert row.replaced_by and 14 <= row.pr <= 41, row
+        assert row.replaced_by and 14 <= row.pr <= 42, row
         for entry in row.paths:
             assert _files(entry, REPO), (row.pattern, entry)

@@ -32,14 +32,6 @@ class TestTable:
         t.add_row([0.0])
         assert "| 0" in t.render()
 
-    def test_markdown(self):
-        t = Table("Demo", ["a", "b"])
-        t.add_row([1, 2])
-        md = t.to_markdown()
-        assert md.startswith("### Demo")
-        assert "| a | b |" in md
-        assert "| 1 | 2 |" in md
-
     def test_str_is_render(self):
         t = Table("Demo", ["a"])
         t.add_row([1])

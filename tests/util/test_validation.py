@@ -5,7 +5,6 @@ from repro.util.validation import (
     ReproError,
     ShapeError,
     check_array,
-    check_in_range,
     check_positive,
 )
 
@@ -71,10 +70,3 @@ class TestScalars:
     def test_positive_rejects_inf(self):
         with pytest.raises(ShapeError):
             check_positive("x", float("inf"))
-
-    def test_in_range_inclusive(self):
-        assert check_in_range("x", 1.0, 1.0, 2.0) == 1.0
-
-    def test_in_range_exclusive_rejects_boundary(self):
-        with pytest.raises(ShapeError):
-            check_in_range("x", 1.0, 1.0, 2.0, inclusive=False)
