@@ -12,9 +12,10 @@ same contract.
 
 Resolution is deliberately static and conservative:
 
-* ``import a.b as m`` / ``from a import b [as c]`` (including relative
-  imports and one-level ``__init__`` re-export chasing) bind local
-  names to modules, functions, or classes;
+* each file's imports bind local names to dotted names
+  (:attr:`~repro.lint.framework.SourceModule.bindings`; a relative
+  import is rejected at its line), which :meth:`Program.locate` maps to
+  modules, functions or classes, chasing ``__init__`` re-exports;
 * ``name(...)`` resolves through enclosing-function locals,
   module-level definitions, then import bindings;
 * ``m.f(...)`` resolves through module bindings ("calls through module
@@ -45,6 +46,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: (module rel path, dotted qualname) — the identity of one function.
 #: Module-level statements live under the pseudo-function ``<module>``.
 FuncKey = tuple[str, str]
+
+#: What a dotted name denotes: ("mod", rel), ("def", rel, qual) or
+#: ("cls", rel, qual).
+Target = tuple[str, ...]
 
 #: Qualname of the pseudo-function holding module-level statements.
 MODULE_SCOPE = "<module>"
@@ -81,20 +86,17 @@ class Provenance:
 
 
 class _ModuleIndex:
-    """Per-module symbol tables feeding the program-wide resolution."""
+    """Per-module definition tables feeding the program-wide resolution
+    (the import bindings are :attr:`SourceModule.bindings`)."""
 
     def __init__(self, module: "SourceModule") -> None:
         self.module = module
-        self.rel = module.rel
         #: dotted qualname -> def node (functions and methods)
         self.defs: dict[str, ast.AST] = {}
         #: class qualname -> {method name -> method qualname}
         self.classes: dict[str, dict[str, str]] = {}
         #: class qualname -> base-class name expressions (textual)
         self.class_bases: dict[str, list[ast.expr]] = {}
-        #: local name -> binding ("mod", rel) | ("def", qual) |
-        #: ("import", dotted, original) | ("ext", dotted)
-        self.bindings: dict[str, tuple] = {}
         self._collect(module.tree, prefix="")
 
     # ------------------------------------------------------------------
@@ -118,51 +120,18 @@ class _ModuleIndex:
                         self._collect(item, prefix=mqual + ".<locals>.")
                     else:
                         self._collect(item, prefix=qual + ".")
-            elif isinstance(child, ast.Import):
-                for alias in child.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    dotted = alias.name if alias.asname else (
-                        alias.name.split(".")[0]
-                    )
-                    self.bindings[local] = ("import", dotted, alias.name)
-            elif isinstance(child, ast.ImportFrom):
-                base = self._from_base(child)
-                for alias in child.names:
-                    if alias.name == "*":
-                        continue
-                    local = alias.asname or alias.name
-                    self.bindings[local] = (
-                        "from", base, alias.name
-                    )
-                self._collect(child, prefix=prefix)
             else:
                 self._collect(child, prefix=prefix)
-
-    def _from_base(self, node: ast.ImportFrom) -> str:
-        """Dotted base module of a ``from X import ...`` (absolute form)."""
-        if node.level == 0:
-            return node.module or ""
-        # relative import: resolve against this module's package
-        parts = self.rel.split("/")
-        if parts[-1] == "__init__.py":
-            pkg = parts[:-1]
-        else:
-            pkg = parts[:-1]
-        # level 1 = current package, each extra level pops one
-        pkg = pkg[: len(pkg) - (node.level - 1)] if node.level > 1 else pkg
-        dotted = ".".join(pkg)
-        if node.module:
-            dotted = f"{dotted}.{node.module}" if dotted else node.module
-        return dotted
 
 
 class Program:
     """The resolved whole-program call graph plus its kernel closure.
 
-    Build with :func:`build_program`; the two queries the framework
-    uses are :meth:`closure_defs_in` (top-most closure function nodes
-    in one non-kernel module) and :meth:`entry_chain` (provenance hops
-    back to the kernel-path seed, for finding attribution).
+    Build with :func:`build_program`. The framework asks for
+    :meth:`closure_defs_in` (top-most closure function nodes in one
+    non-kernel module) and :meth:`entry_chain` (provenance hops back to
+    the kernel-path seed, for finding attribution); :meth:`locate` is
+    the one answer to what an imported dotted name refers to.
     """
 
     def __init__(self, root: Path, modules: list["SourceModule"]) -> None:
@@ -193,69 +162,81 @@ class Program:
         self._compute_closure()
 
     # ------------------------------------------------------------------
-    # module / name resolution
+    # name resolution
     # ------------------------------------------------------------------
     def resolve_module(self, dotted: str) -> str | None:
-        """Map a dotted module name to a root-relative path (or None)."""
-        if not dotted:
-            return None
+        """Map a dotted module name to a root-relative path (or None).
+
+        A root that is a package (it holds ``__init__.py``) names its
+        modules ``<root>.a.b``; a root of loose modules names them
+        ``a.b``."""
         parts = dotted.split(".")
         if parts[0] == self.root_pkg:
             parts = parts[1:]
-        if not parts:
+        elif "__init__.py" in self.modules:
             return None
         for candidate in (
             "/".join(parts) + ".py",
-            "/".join(parts) + "/__init__.py",
+            "/".join([*parts, "__init__.py"]),
         ):
             if candidate in self.modules:
                 return candidate
         return None
 
-    def _resolve_from(
-        self, base: str, name: str, *, _seen: frozenset = frozenset()
-    ) -> tuple | None:
-        """Resolve ``from <base> import <name>`` to ("mod", rel) or
-        ("def", rel, qual), chasing one-level ``__init__`` re-exports."""
-        submodule = self.resolve_module(f"{base}.{name}")
-        if submodule is not None:
-            return ("mod", submodule)
-        rel = self.resolve_module(base)
+    def locate(self, dotted: str) -> tuple[str, str | None] | None:
+        """Where an imported dotted name lives: ``(rel, None)`` for a
+        module, ``(rel, name)`` for a name in one, ``None`` outside the
+        program. A name a package ``__init__`` imports is followed to
+        the module it names."""
+        rel = self.resolve_module(dotted)
+        if rel is not None:
+            return rel, None
+        base, _, name = dotted.rpartition(".")
+        rel = self.resolve_module(base) if base else None
         if rel is None:
             return None
+        target = self.modules[rel].bindings.get(name)
+        if rel.endswith("__init__.py") and target and target != dotted:
+            return self.locate(target)
+        return rel, name
+
+    def _target(
+        self, dotted: str, _seen: frozenset = frozenset()
+    ) -> Target | None:
+        """What a dotted name denotes: ``("mod", rel)``, ``("def", rel,
+        qual)``, ``("cls", rel, qual)``, or ``None`` outside the program.
+        Re-exports are chased through the defining module's imports."""
+        found = self.locate(dotted)
+        if found is None:
+            # ``a.b.Class.method``: a method of a class the prefix names
+            base, _, attr = dotted.rpartition(".")
+            owner = self._target(base) if base else None
+            if owner is None or owner[0] != "cls":
+                return None
+            method = self._class_method(owner[1], owner[2], attr)
+            return None if method is None else ("def", *method)
+        rel, name = found
+        if name is None:
+            return ("mod", rel)
         index = self.indexes[rel]
         if name in index.defs:
             return ("def", rel, name)
         if name in index.classes:
             return ("cls", rel, name)
-        # re-export chase through the target module's own imports
-        if name in index.bindings and (rel, name) not in _seen:
-            return self._resolve_binding(
-                rel, name, _seen=_seen | {(rel, name)}
-            )
-        return None
-
-    def _resolve_binding(
-        self, rel: str, name: str, *, _seen: frozenset = frozenset()
-    ) -> tuple | None:
-        """Resolve a local name binding in module ``rel``."""
-        index = self.indexes[rel]
-        binding = index.bindings.get(name)
-        if binding is None:
+        target = self.modules[rel].bindings.get(name)
+        if target is None or (rel, name) in _seen:
             return None
-        kind = binding[0]
-        if kind == "import":
-            _, dotted, full = binding
-            target = self.resolve_module(dotted)
-            if target is not None:
-                return ("mod", target)
-            # `import a.b.c` binds `a`; keep the full dotted path so
-            # attribute chains can walk into it
-            return ("pkg", dotted, full)
-        if kind == "from":
-            _, base, original = binding
-            return self._resolve_from(base, original, _seen=_seen)
-        return None
+        return self._target(target, _seen | {(rel, name)})
+
+    def _callable(self, target: Target | None) -> FuncKey | None:
+        """The function a call of ``target`` runs (a class runs its own
+        ``__init__``)."""
+        if target is None or target[0] == "mod":
+            return None
+        if target[0] == "def":
+            return (target[1], target[2])
+        init = self.indexes[target[1]].classes[target[2]].get("__init__")
+        return (target[1], init) if init else None
 
     # ------------------------------------------------------------------
     # edge construction
@@ -324,23 +305,13 @@ class Program:
     def _resolve_name_ref(
         self, rel: str, scope: str, name: str
     ) -> FuncKey | None:
-        index = self.indexes[rel]
         local = self._local_def(rel, scope, name)
         if local is not None:
             return (rel, local)
-        if name in index.classes:
-            init = index.classes[name].get("__init__")
-            return (rel, init) if init else None
-        binding = self._resolve_binding(rel, name)
-        if binding is None:
-            return None
-        if binding[0] == "def":
-            return (binding[1], binding[2])
-        if binding[0] == "cls":
-            target = self.indexes[binding[1]].classes[binding[2]]
-            init = target.get("__init__")
-            return (binding[1], init) if init else None
-        return None
+        if name in self.indexes[rel].classes:
+            return self._callable(("cls", rel, name))
+        target = self.modules[rel].bindings.get(name)
+        return self._callable(self._target(target)) if target else None
 
     def _class_method(
         self, rel: str, cls: str, method: str, *, _depth: int = 0
@@ -369,21 +340,12 @@ class Program:
         self, rel: str, node: ast.expr
     ) -> tuple[str, str] | None:
         """Resolve a base-class expression to (module rel, class qual)."""
-        if isinstance(node, ast.Name):
-            if node.id in self.indexes[rel].classes:
-                return (rel, node.id)
-            binding = self._resolve_binding(rel, node.id)
-            if binding is not None and binding[0] == "cls":
-                return (binding[1], binding[2])
-            return None
-        if isinstance(node, ast.Attribute) and isinstance(
-            node.value, ast.Name
-        ):
-            binding = self._resolve_binding(rel, node.value.id)
-            if binding is not None and binding[0] == "mod":
-                target = self.indexes[binding[1]]
-                if node.attr in target.classes:
-                    return (binding[1], node.attr)
+        if isinstance(node, ast.Name) and node.id in self.indexes[rel].classes:
+            return (rel, node.id)
+        dotted = self.modules[rel].resolve(node)
+        target = None if dotted is None else self._target(dotted)
+        if target is not None and target[0] == "cls":
+            return (target[1], target[2])
         return None
 
     def _resolve_callable(
@@ -396,10 +358,8 @@ class Program:
         attr = func.attr
         base = func.value
         if isinstance(base, ast.Name):
-            name = base.id
-            index = self.indexes[rel]
             # self.m() / cls.m(): resolve through the enclosing class
-            if name in ("self", "cls"):
+            if base.id in ("self", "cls"):
                 head = scope.split(".<locals>.")[0]  # "Class.method"
                 if "." in head:
                     cls = head.rsplit(".", 1)[0]
@@ -407,88 +367,18 @@ class Program:
                     if found is not None:
                         return found
                 return self._fallback(attr)
-            # Class.m() on a local or imported class
-            if name in index.classes:
-                found = self._class_method(rel, name, attr)
+            # Class.m() on a local class
+            if base.id in self.indexes[rel].classes:
+                found = self._class_method(rel, base.id, attr)
                 if found is not None:
                     return found
-            binding = self._resolve_binding(rel, name)
-            if binding is not None:
-                if binding[0] == "mod":
-                    return self._module_attr(binding[1], attr)
-                if binding[0] == "cls":
-                    return self._class_method(binding[1], binding[2], attr)
-                if binding[0] == "pkg":
-                    return None  # handled by the dotted-chain case below
-                if binding[0] == "def":
-                    return None  # function attribute (rare); no edge
-            if name in index.bindings:
-                # bound to an external import (np., math., ...):
-                # definitely not repo code — do NOT fall back
-                return None
-            return self._fallback(attr)
-        if isinstance(base, ast.Attribute):
-            dotted = self._dotted_name(func)
-            if dotted is not None:
-                resolved = self._resolve_dotted_call(rel, dotted)
-                if resolved is not None:
-                    return resolved
-                head = dotted.split(".", 1)[0]
-                if head in self.indexes[rel].bindings:
-                    return None  # rooted in an import; chain unresolved
-            return self._fallback(attr)
+        dotted = self.modules[rel].resolve(func)
+        if dotted is not None:
+            # rooted in an import: repo code, or external (np., math.)
+            # and definitely not to be guessed at by the fallback
+            return self._callable(self._target(dotted))
         # call on an arbitrary expression: unique-name fallback only
         return self._fallback(attr)
-
-    def _dotted_name(self, node: ast.expr) -> str | None:
-        parts: list[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if isinstance(node, ast.Name):
-            parts.append(node.id)
-            return ".".join(reversed(parts))
-        return None
-
-    def _resolve_dotted_call(self, rel: str, dotted: str) -> FuncKey | None:
-        """Resolve ``a.b.c.f()`` where ``a`` is an imported package."""
-        parts = dotted.split(".")
-        head, rest = parts[0], parts[1:]
-        binding = self.indexes[rel].bindings.get(head)
-        if binding is None or binding[0] != "import":
-            return None
-        _, _, full = binding
-        # `import a.b.c` binds `a`; the chain must spell a module path
-        # ending in the function name
-        for split in range(len(rest), 0, -1):
-            module_dotted = ".".join([head] + rest[: split - 1])
-            target = self.resolve_module(module_dotted)
-            if target is None:
-                continue
-            remaining = rest[split - 1:]
-            if len(remaining) == 1:
-                return self._module_attr(target, remaining[0])
-            if len(remaining) == 2:
-                found = self._class_method(target, remaining[0], remaining[1])
-                if found is not None:
-                    return found
-        return None
-
-    def _module_attr(self, rel: str, attr: str) -> FuncKey | None:
-        index = self.indexes.get(rel)
-        if index is None:
-            return None
-        if attr in index.defs:
-            return (rel, attr)
-        if attr in index.classes:
-            init = index.classes[attr].get("__init__")
-            if init is not None:
-                return (rel, init)
-            return None
-        binding = self._resolve_binding(rel, attr)
-        if binding is not None and binding[0] == "def":
-            return (binding[1], binding[2])
-        return None
 
     def _fallback(self, name: str) -> FuncKey | None:
         """Unique-name resolution for otherwise-opaque attribute calls."""
@@ -522,10 +412,6 @@ class Program:
                     continue
                 self.closure[site.callee] = Provenance(caller, site.line)
                 frontier.append(site.callee)
-
-    def in_closure(self, rel: str, qualname: str) -> bool:
-        """Is function ``qualname`` of module ``rel`` kernel-reachable?"""
-        return (rel, qualname) in self.closure
 
     def entry_chain(
         self, key: FuncKey, *, max_hops: int = 6

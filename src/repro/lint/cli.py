@@ -1,8 +1,9 @@
 """The ``python -m repro lint`` subcommand.
 
-Exit status is 0 only when no finding remains — the CI contract. An
-inline ``# lint: <rule>-ok[...] -- reason`` annotation is the one way to
-silence a finding.
+Exit status is 0 only when no finding remains — the CI contract — and
+2 for an unknown rule code or a file that does not parse or holds a
+relative import. An inline ``# lint: <rule>-ok[...] -- reason``
+annotation is the one way to silence a finding.
 """
 
 from __future__ import annotations
@@ -62,7 +63,11 @@ def lint_main(argv: list[str] | None = None) -> int:
             return 2
 
     root = Path(args.root) if args.root else default_root()
-    report = run_lint(root, select=select, paths=args.paths or None)
+    try:
+        report = run_lint(root, select=select, paths=args.paths or None)
+    except SyntaxError as exc:  # a file that does not parse or resolve
+        print(exc, file=sys.stderr)
+        return 2
 
     if args.sync_inventory is not None:
         inventory = json.dumps(report.sync_inventory(), indent=2)

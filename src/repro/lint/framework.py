@@ -2,9 +2,10 @@
 
 A *pass* is a small AST visitor producing :class:`Finding` records; this
 module provides what every pass shares — the parsed-module wrapper with
-``# lint:`` annotation handling, the kernel-path and service-path
-configuration, the file walker and the whole-program call graph driver
-(:mod:`repro.lint.callgraph`).
+its import bindings (rules match the dotted names calls resolve to, not
+how a file spells an import) and ``# lint:`` annotation handling, the
+kernel-path and service-path configuration, the file walker and the
+whole-program call graph driver (:mod:`repro.lint.callgraph`).
 
 Annotation syntax (on the flagged line or the line directly above)::
 
@@ -99,8 +100,6 @@ _ANNOTATION_RE = re.compile(
 #: Marker object: a bare ``host-ok`` suppresses every rule.
 _ALL_CODES = None
 
-_CODE_RE = re.compile(r"^[A-Z]{3}\d{3}$")
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -192,13 +191,11 @@ class LintPass:
     code: str = "DDA000"
     name: str = ""
     description: str = ""
-    #: Rules about device code only visit :data:`KERNEL_PATH` modules.
-    kernel_path_only: bool = True
-    #: Closure-aware rules additionally visit every function outside
-    #: the kernel path that the call graph proves device-reachable.
-    closure_aware: bool = False
-    #: Service-discipline rules only visit :data:`SERVICE_PATH` modules.
-    service_path_only: bool = False
+    #: What the rule visits: ``"kernel"`` — the :data:`KERNEL_PATH`
+    #: modules and every function the call graph proves they reach;
+    #: ``"program"`` — every module; ``"service"`` — the
+    #: :data:`SERVICE_PATH` modules.
+    scope: str = "kernel"
 
     def scan(
         self, module: "SourceModule", node: ast.AST
@@ -214,6 +211,22 @@ class LintPass:
             file=module.rel, line=getattr(node, "lineno", 1),
             code=self.code, message=message, function=function,
         )
+
+    def governed(self, module: "SourceModule", node: ast.AST, token: str,
+                 message: str, function: str | None) -> Iterator[Finding]:
+        """The ``sync-ok``/``lock-ok`` protocol of :data:`SELF_GOVERNED`
+        rules: a site without a ``token`` annotation is a finding with
+        ``message``, and so is an annotation that gives no reason."""
+        annotated, reason = module.annotation_reason(
+            token, getattr(node, "lineno", 1)
+        )
+        if annotated and reason is None:
+            message = (
+                f"{token} annotation gives no reason; write "
+                f"'# lint: {token}[reason]' or '# lint: {token} -- reason'"
+            )
+        if not annotated or reason is None:
+            yield self.finding(module, node, message, function)
 
 
 def walk_scoped(
@@ -270,6 +283,45 @@ class SourceModule:
                     self.sync_annotations[lineno] = reason
                 elif token == "lock-ok":
                     self.lock_annotations[lineno] = arg or why
+        #: local name -> the dotted name an import anywhere in the file
+        #: binds it to (``xp`` -> ``numpy``, ``replace`` -> ``os.replace``;
+        #: ``import a.b`` binds ``a`` -> ``a``)
+        self.bindings: dict[str, str] = {}
+        #: ``(dotted name, line)`` of everything an import statement
+        #: loads (``import a.b`` and ``from a import b`` load ``a.b``)
+        self.imports: list[tuple[str, int]] = []
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    local = alias.asname or alias.name.split(".")[0]
+                    self.bindings[local] = alias.name if alias.asname else local
+                    self.imports.append((alias.name, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                if node.level:
+                    # a SyntaxError, so callers handle it with a file
+                    # that does not parse
+                    raise SyntaxError(
+                        f"{self.rel}:{node.lineno}: relative import; the "
+                        "name resolver reads absolute imports only"
+                    )
+                for alias in node.names:
+                    if alias.name == "*":  # loads the module, binds no name
+                        self.imports.append((str(node.module), node.lineno))
+                        continue
+                    dotted = f"{node.module}.{alias.name}"
+                    self.bindings[alias.asname or alias.name] = dotted
+                    self.imports.append((dotted, node.lineno))
+
+    def resolve(self, node: ast.AST) -> str | None:
+        """The dotted name a ``Name``/``Attribute`` chain refers to
+        through this file's imports (``xp.random.seed`` ->
+        ``numpy.random.seed``); ``None`` when its head is not imported."""
+        if isinstance(node, ast.Attribute):
+            base = self.resolve(node.value)
+            return f"{base}.{node.attr}" if base else None
+        if isinstance(node, ast.Name):
+            return self.bindings.get(node.id)
+        return None
 
     def _add_suppression(
         self, lineno: int, codes: frozenset[str] | None
@@ -501,25 +553,20 @@ def run_lint(
             if module.rule_exempt(lint_pass.code):
                 continue
             t_pass = time.perf_counter()
-            if lint_pass.service_path_only:
+            if lint_pass.scope == "service":
                 if module.is_service_path():
                     consume(lint_pass.run(module), module)
-            elif lint_pass.kernel_path_only:
-                if module.is_kernel_path():
-                    consume(lint_pass.run(module), module)
-                elif lint_pass.closure_aware:
-                    for qual, node, chain in program.closure_defs_in(
-                        module.rel
-                    ):
-                        consume(
-                            lint_pass.scan(module, node),
-                            module,
-                            qualname=qual,
-                            top_name=getattr(node, "name", qual),
-                            via=tuple(chain),
-                        )
-            else:
+            elif lint_pass.scope == "program" or module.is_kernel_path():
                 consume(lint_pass.run(module), module)
+            else:  # a kernel rule visits the closure outside the path
+                for qual, node, chain in program.closure_defs_in(module.rel):
+                    consume(
+                        lint_pass.scan(module, node),
+                        module,
+                        qualname=qual,
+                        top_name=getattr(node, "name", qual),
+                        via=tuple(chain),
+                    )
             pass_runtime[lint_pass.code] = (
                 pass_runtime.get(lint_pass.code, 0.0)
                 + time.perf_counter() - t_pass

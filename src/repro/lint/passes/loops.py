@@ -86,7 +86,6 @@ class LoopPass(LintPass):
         "no Python for/while loops over block/contact/nonzero axes in "
         "kernel-path modules (vectorised numpy only)"
     )
-    closure_aware = True
 
     def scan(
         self, module: SourceModule, root: ast.AST

@@ -21,19 +21,10 @@ from repro.lint.framework import (
     SourceModule,
 )
 
-#: ``np.random`` attributes that are fine to reference anywhere.
+#: ``numpy.random`` attributes that are fine to reference anywhere.
 ALLOWED_NP_RANDOM = frozenset({
     "default_rng", "Generator", "SeedSequence", "BitGenerator", "PCG64",
 })
-
-
-def _is_np_random(node: ast.AST) -> bool:
-    return (
-        isinstance(node, ast.Attribute)
-        and node.attr == "random"
-        and isinstance(node.value, ast.Name)
-        and node.value.id in ("np", "numpy")
-    )
 
 
 class RngPass(LintPass):
@@ -43,34 +34,32 @@ class RngPass(LintPass):
         "no legacy np.random.* global-state API, stdlib random, or "
         "unseeded default_rng() outside util/rng.py"
     )
-    kernel_path_only = False
+    scope = "program"
 
     def run(self, module: SourceModule) -> Iterator[Finding]:
         if module.rel == RNG_HOME:
             return
+        for line in sorted(
+            {ln for name, ln in module.imports if name.split(".")[0] == "random"}
+        ):
+            yield Finding(
+                file=module.rel, line=line, code=self.code,
+                message="stdlib 'random' uses hidden global state; use "
+                        "repro.util.rng.make_rng(seed) instead",
+            )
         for node in ast.walk(module.tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                names = (
-                    [node.module] if isinstance(node, ast.ImportFrom)
-                    else [a.name for a in node.names]
-                )
-                if "random" in names:
+            if isinstance(node, (ast.Attribute, ast.Name)):
+                parts = (module.resolve(node) or "").split(".")
+                if (
+                    len(parts) == 3 and parts[:2] == ["numpy", "random"]
+                    and parts[2] not in ALLOWED_NP_RANDOM
+                ):
                     yield self.finding(
                         module, node,
-                        "stdlib 'random' uses hidden global state; use "
-                        "repro.util.rng.make_rng(seed) instead",
+                        f"legacy global-state API 'np.random.{parts[2]}'; "
+                        "use an explicitly seeded Generator "
+                        "(repro.util.rng.make_rng)",
                     )
-            elif (
-                isinstance(node, ast.Attribute)
-                and _is_np_random(node.value)
-                and node.attr not in ALLOWED_NP_RANDOM
-            ):
-                yield self.finding(
-                    module, node,
-                    f"legacy global-state API 'np.random.{node.attr}'; "
-                    "use an explicitly seeded Generator "
-                    "(repro.util.rng.make_rng)",
-                )
             elif isinstance(node, ast.Call):
                 func = node.func
                 is_default_rng = (

@@ -32,21 +32,27 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.framework import Finding, LintPass, SourceModule
+from repro.lint.framework import (
+    Finding,
+    LintPass,
+    SourceModule,
+    walk_scoped,
+)
 
 #: Write-opening modes for the builtin ``open``.
 WRITE_MODES = frozenset("wax+")
 
-#: ``os.``/``shutil.`` functions that mutate paths directly.
-RAW_MUTATORS: dict[tuple[str, str], str] = {
-    ("os", "replace"): "use write_json_atomic/write_text_atomic (they "
-                       "fsync the tmp file and the directory)",
-    ("os", "rename"): "use an atomic-write seam, or annotate a "
-                      "rename-as-claim protocol step with lock-ok",
-    ("shutil", "move"): "use copy_file_atomic + unlink",
-    ("shutil", "copyfile"): "use copy_file_atomic (fsynced)",
-    ("shutil", "copy"): "use copy_file_atomic (fsynced)",
-    ("shutil", "copy2"): "use copy_file_atomic (fsynced)",
+#: ``os``/``shutil`` functions that mutate paths directly, by the
+#: dotted name a call resolves to however it was imported.
+RAW_MUTATORS: dict[str, str] = {
+    "os.replace": "use write_json_atomic/write_text_atomic (they fsync "
+                  "the tmp file and the directory)",
+    "os.rename": "use an atomic-write seam, or annotate a rename-as-claim "
+                 "protocol step with lock-ok",
+    "shutil.move": "use copy_file_atomic + unlink",
+    "shutil.copyfile": "use copy_file_atomic (fsynced)",
+    "shutil.copy": "use copy_file_atomic (fsynced)",
+    "shutil.copy2": "use copy_file_atomic (fsynced)",
 }
 
 
@@ -77,15 +83,6 @@ def _os_open_flags(node: ast.Call) -> set[str]:
     return flags
 
 
-def _dotted_pair(node: ast.AST) -> tuple[str, str] | None:
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-    ):
-        return (node.value.id, node.attr)
-    return None
-
-
 class ServiceLockPass(LintPass):
     code = "DDA008"
     name = "service-write-discipline"
@@ -94,23 +91,14 @@ class ServiceLockPass(LintPass):
         "write_text_atomic/locked_fd/the O_APPEND journal; direct "
         "open-for-write or bare os.replace needs '# lint: lock-ok[...]'"
     )
-    kernel_path_only = False
-    service_path_only = True
+    scope = "service"
 
     def scan(
         self, module: SourceModule, root: ast.AST
     ) -> Iterator[Finding]:
-        yield from self._visit(module, root, None)
-
-    def _visit(
-        self, module: SourceModule, node: ast.AST, scope: str | None
-    ) -> Iterator[Finding]:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = node.name if scope is None else f"{scope}.{node.name}"
-        if isinstance(node, ast.Call):
-            yield from self._check_call(module, node, scope)
-        for child in ast.iter_child_nodes(node):
-            yield from self._visit(module, child, scope)
+        for node, function in walk_scoped(root):
+            if isinstance(node, ast.Call):
+                yield from self._check_call(module, node, function)
 
     def _check_call(
         self, module: SourceModule, node: ast.Call, scope: str | None
@@ -121,63 +109,44 @@ class ServiceLockPass(LintPass):
             mode = _mode_literal(node)
             if mode is None or any(c in WRITE_MODES for c in mode):
                 shown = "?" if mode is None else mode
-                yield from self._flag(
-                    module, node, scope,
+                yield from self.governed(
+                    module, node, "lock-ok",
                     f"direct open(..., {shown!r}) on the service path; "
                     "route the write through write_json_atomic/"
                     "write_text_atomic or locked_fd",
+                    scope,
                 )
             return
         # Path.write_text / Path.write_bytes
         if isinstance(func, ast.Attribute) and func.attr in (
             "write_text", "write_bytes"
         ):
-            yield from self._flag(
-                module, node, scope,
+            yield from self.governed(
+                module, node, "lock-ok",
                 f"'.{func.attr}()' writes without fsync or atomicity; "
                 "use write_text_atomic (tmp + fsync + replace)",
+                scope,
             )
             return
-        pair = _dotted_pair(func)
-        if pair in RAW_MUTATORS:
-            yield from self._flag(
-                module, node, scope,
-                f"bare '{pair[0]}.{pair[1]}' on the service path; "
-                f"{RAW_MUTATORS[pair]}",
+        name = module.resolve(func) or ""
+        if name in RAW_MUTATORS:
+            yield from self.governed(
+                module, node, "lock-ok",
+                f"bare '{name}' on the service path; {RAW_MUTATORS[name]}",
+                scope,
             )
             return
         # os.open(path, O_WRONLY/O_RDWR without O_APPEND)
-        if pair == ("os", "open"):
+        if name == "os.open":
             flags = _os_open_flags(node)
             if (
                 flags & {"O_WRONLY", "O_RDWR"}
                 and "O_APPEND" not in flags
             ):
-                yield from self._flag(
-                    module, node, scope,
+                yield from self.governed(
+                    module, node, "lock-ok",
                     "os.open for write without O_APPEND on the service "
                     "path; use the atomic-write seams or the O_APPEND "
                     "journal pattern",
+                    scope,
                 )
-
-    def _flag(
-        self, module: SourceModule, node: ast.AST,
-        scope: str | None, message: str,
-    ) -> Iterator[Finding]:
-        line = getattr(node, "lineno", 1)
-        annotated, reason = module.annotation_reason("lock-ok", line)
-        if not annotated:
-            yield Finding(
-                file=module.rel, line=line, code=self.code,
-                message=message, function=scope,
-            )
-        elif reason is None:
-            yield Finding(
-                file=module.rel, line=line, code=self.code,
-                message=(
-                    "lock-ok annotation gives no reason; write "
-                    "'# lint: lock-ok[reason]' or "
-                    "'# lint: lock-ok -- reason'"
-                ),
-                function=scope,
-            )

@@ -76,16 +76,11 @@ def _is_model_call(node: ast.Call) -> bool:
     return False
 
 
-def _np_call_name(node: ast.Call) -> str | None:
-    """``np.foo(...)`` / ``numpy.foo(...)`` -> ``"foo"``."""
-    func = node.func
-    if (
-        isinstance(func, ast.Attribute)
-        and isinstance(func.value, ast.Name)
-        and func.value.id in ("np", "numpy")
-    ):
-        return func.attr
-    return None
+def _numpy_function(module: SourceModule, node: ast.Call) -> str | None:
+    """``foo`` when ``node`` calls ``numpy.foo``, however it was
+    imported (``np.foo``, ``xp.foo``, ``from numpy import foo``)."""
+    head, _, name = (module.resolve(node.func) or "").partition(".")
+    return name if head == "numpy" else None
 
 
 def _is_dict_style(node: ast.Subscript) -> bool:
@@ -94,7 +89,9 @@ def _is_dict_style(node: ast.Subscript) -> bool:
     return isinstance(key, ast.Constant) and isinstance(key.value, str)
 
 
-def _test_evidence(test: ast.AST, tainted: set[str]) -> str | None:
+def _test_evidence(
+    module: SourceModule, test: ast.AST, tainted: set[str]
+) -> str | None:
     """Why a branch/loop test forces a device sync (or ``None``)."""
     if isinstance(test, ast.Name) and test.id in tainted:
         return f"truth-test of device-derived '{test.id}'"
@@ -102,7 +99,7 @@ def _test_evidence(test: ast.AST, tainted: set[str]) -> str | None:
         if isinstance(sub, ast.Subscript) and not _is_dict_style(sub):
             return "array subscript in test"
         if isinstance(sub, ast.Call):
-            np_name = _np_call_name(sub)
+            np_name = _numpy_function(module, sub)
             if np_name in NP_PREDICATES:
                 return f"'np.{np_name}(...)' in test"
             if (
@@ -122,7 +119,7 @@ def _test_evidence(test: ast.AST, tainted: set[str]) -> str | None:
     return None
 
 
-def _cast_evidence(arg: ast.AST) -> str | None:
+def _cast_evidence(module: SourceModule, arg: ast.AST) -> str | None:
     """Why ``float/int/bool(arg)`` pulls a device scalar to the host."""
     if isinstance(arg, ast.Subscript) and not _is_dict_style(arg):
         return "array subscript"
@@ -131,7 +128,7 @@ def _cast_evidence(arg: ast.AST) -> str | None:
             arg.func.attr in REDUCTION_ATTRS
         ):
             return f"device reduction '.{arg.func.attr}()'"
-        np_name = _np_call_name(arg)
+        np_name = _numpy_function(module, arg)
         if np_name in NP_PREDICATES:
             return f"'np.{np_name}(...)'"
     if isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.MatMult):
@@ -148,7 +145,6 @@ class SyncPointPass(LintPass):
         "'# lint: sync-ok[...]' annotation; all sites feed the "
         "--sync-inventory report"
     )
-    closure_aware = True
 
     def scan(
         self, module: SourceModule, root: ast.AST
@@ -165,13 +161,13 @@ class SyncPointPass(LintPass):
             scope = node.name if scope is None else f"{scope}.{node.name}"
             tainted = set()  # taint is per-function
         elif isinstance(node, ast.Assign):
-            tainted_name = self._taint_target(node)
+            tainted_name = self._taint_target(module, node)
             if tainted_name is not None:
                 tainted.add(tainted_name)
         if isinstance(node, ast.Call):
             yield from self._check_call(module, node, scope)
         elif isinstance(node, (ast.If, ast.IfExp, ast.While)):
-            evidence = _test_evidence(node.test, tainted)
+            evidence = _test_evidence(module, node.test, tainted)
             if evidence is not None:
                 kind = (
                     "loop-guard" if isinstance(node, ast.While)
@@ -184,14 +180,14 @@ class SyncPointPass(LintPass):
             yield from self._visit(module, child, scope, tainted)
 
     @staticmethod
-    def _taint_target(node: ast.Assign) -> str | None:
+    def _taint_target(module: SourceModule, node: ast.Assign) -> str | None:
         if len(node.targets) != 1 or not isinstance(
             node.targets[0], ast.Name
         ):
             return None
         value = node.value
         if isinstance(value, ast.Call):
-            np_name = _np_call_name(value)
+            np_name = _numpy_function(module, value)
             if np_name in NP_TAINTING:
                 return node.targets[0].id
         return None
@@ -214,7 +210,7 @@ class SyncPointPass(LintPass):
             and func.id in ("float", "int", "bool")
             and len(node.args) == 1
         ):
-            evidence = _cast_evidence(node.args[0])
+            evidence = _cast_evidence(module, node.args[0])
             if evidence is not None:
                 yield from self._emit(
                     module, node, "scalar-cast",
@@ -231,22 +227,9 @@ class SyncPointPass(LintPass):
             file=module.rel, line=line, kind=kind, detail=detail,
             function=scope, annotated=annotated, reason=reason,
         )
-        if not annotated:
-            yield Finding(
-                file=module.rel, line=line, code=self.code,
-                message=(
-                    f"implicit device-to-host sync ({kind}: {detail}); "
-                    "annotate '# lint: sync-ok[reason]' or restructure"
-                ),
-                function=scope,
-            )
-        elif reason is None:
-            yield Finding(
-                file=module.rel, line=line, code=self.code,
-                message=(
-                    "sync-ok annotation gives no reason; write "
-                    "'# lint: sync-ok[reason]' or "
-                    "'# lint: sync-ok -- reason'"
-                ),
-                function=scope,
-            )
+        yield from self.governed(
+            module, node, "sync-ok",
+            f"implicit device-to-host sync ({kind}: {detail}); "
+            "annotate '# lint: sync-ok[reason]' or restructure",
+            scope,
+        )

@@ -136,8 +136,8 @@ def test_closure_survives_import_cycles(tmp_path):
         ),
     })
     program = program_for(root)
-    assert program.in_closure("util/a.py", "ping")
-    assert program.in_closure("util/b.py", "pong")
+    assert ("util/a.py", "ping") in program.closure
+    assert ("util/b.py", "pong") in program.closure
     report = run_lint(root, select={"DDA001"})
     assert [f.file for f in report.findings] == ["util/b.py"]
 
@@ -165,7 +165,7 @@ def test_unreachable_helper_stays_out_of_closure(tmp_path):
         "util/h.py": HELPER,
     })
     program = program_for(root)
-    assert not program.in_closure("util/h.py", "helper")
+    assert ("util/h.py", "helper") not in program.closure
     report = run_lint(root, select={"DDA001"})
     assert not report.findings
 
@@ -187,7 +187,7 @@ def test_external_names_never_resolve(tmp_path):
         ),
     })
     program = program_for(root)
-    assert not program.in_closure("util/h.py", "ceil")
+    assert ("util/h.py", "ceil") not in program.closure
 
 
 # ----------------------------------------------------------------------
@@ -261,8 +261,8 @@ def test_nested_function_attribution(tmp_path):
 
 def test_domain_is_kernel_path():
     program = real_program()
-    assert program.in_closure("domain/solve.py", MODULE_SCOPE)
-    assert program.in_closure("domain/partition.py", MODULE_SCOPE)
+    assert ("domain/solve.py", MODULE_SCOPE) in program.closure
+    assert ("domain/partition.py", MODULE_SCOPE) in program.closure
 
 
 def test_closure_covers_known_host_helpers():
@@ -274,7 +274,7 @@ def test_closure_covers_known_host_helpers():
         ("geometry/tolerances.py", "Tolerances.from_points"),
         ("core/blocks.py", "BlockSystem.__init__"),
     ]:
-        assert program.in_closure(rel, qual), (rel, qual)
+        assert (rel, qual) in program.closure, (rel, qual)
 
 
 def test_closure_module_coverage_pin():

@@ -41,17 +41,6 @@ SURFACE = frozenset({
 })
 
 
-def _numpy_aliases(tree: ast.AST) -> set[str]:
-    """Local names bound to the numpy module (``import numpy as xp``)."""
-    aliases = {"numpy"}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            aliases.update(
-                a.asname or "numpy" for a in node.names if a.name == "numpy"
-            )
-    return aliases
-
-
 def _numpy_refs(node: ast.AST, aliases: set[str]):
     """``(name, line)`` for each ``np.<name>`` and ``np.<name>.<attr>``
     under ``node``; a longer chain counts as its first two parts."""
@@ -85,7 +74,7 @@ def device_numpy_surface(root: Path) -> dict[str, list[str]]:
             nodes = [module.tree]
         else:
             nodes = [node for _, node, _ in program.closure_defs_in(module.rel)]
-        aliases = _numpy_aliases(module.tree)
+        aliases = {n for n, to in module.bindings.items() if to == "numpy"}
         for node in nodes:
             for name, line in _numpy_refs(node, aliases):
                 sites.setdefault(name, []).append(f"{module.rel}:{line}")

@@ -44,9 +44,7 @@ def test_pass_registry_well_formed():
     for p in ALL_PASSES:
         assert p.code in ALL_CODES
         assert p.name and p.description
-        # a rule is either device-side (kernel path) or service-side,
-        # never both
-        assert not (p.kernel_path_only and p.service_path_only)
+        assert p.scope in ("kernel", "program", "service")
 
 
 # ----------------------------------------------------------------------

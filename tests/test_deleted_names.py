@@ -245,6 +245,24 @@ ROWS = [
     Row(r'Row\("(off|cheap|full)"', ("tests",),
         "one contract level, full (a health guard's row runs off)", 42,
         plant='Row("full"'),
+    *rows(("in_closure",), WIDE, "(rel, qual) in program.closure", 43,
+          word=True),
+    *rows(("_numpy_aliases", "defining_module", "_from_base",
+           "_resolve_from", "_resolve_binding", "_resolve_dotted_call",
+           "_module_attr", "_dotted_name"), WIDE,
+          "one name resolver: SourceModule.bindings and Program.locate",
+          43, word=True),
+    *rows(("_is_np_random", "_np_call_name", "_dotted_pair"), WIDE,
+          "rules match the names SourceModule.resolve gives", 43,
+          word=True),
+    *rows(("kernel_path_only", "closure_aware", "service_path_only"),
+          WIDE, "LintPass.scope", 43, word=True),
+    *rows(("_CODE_RE",), WIDE, "nothing: no code read it", 43, word=True),
+    Row(r"def _flag\(", ("src/repro/lint",),
+        "LintPass.governed, the one sync-ok/lock-ok protocol", 43),
+    Row(r"ast\.Import", ("tests/test_reachability.py",
+                         "tests/lint/test_device_numpy_surface.py"),
+        "SourceModule.imports and Program.locate", 43),
 ]
 
 
@@ -371,6 +389,6 @@ def test_planted_name_fails_its_row(row, tmp_path):
 
 def test_every_row_searches_real_paths():
     for row in ROWS:
-        assert row.replaced_by and 14 <= row.pr <= 42, row
+        assert row.replaced_by and 14 <= row.pr <= 43, row
         for entry in row.paths:
             assert _files(entry, REPO), (row.pattern, entry)

@@ -1,10 +1,11 @@
 """Gate: ``src/repro`` is what an entry point runs or a paper claim needs.
 
-An AST import walk from the four entry points (function-level imports
-included) must reach every module under ``src/repro``; a module it does
-not reach has to be a row of DESIGN.md's table *"Modules no entry point
-reaches"*, naming the paper claim it backs and a bench or test that
-exists and imports it.
+An import walk from the four entry points (function-level imports
+included, resolved by ``repro.lint``'s ``Program.locate``) must
+reach every module under ``src/repro``; a module it does not reach has
+to be a row of DESIGN.md's table *"Modules no entry point reaches"*,
+naming the paper claim it backs and a bench or test that exists and
+imports it.
 
 ``from package import name`` is resolved to the module that *defines*
 ``name``, not to everything the package ``__init__`` re-exports — so an
@@ -13,10 +14,15 @@ defines ``ALL_PASSES`` itself, which makes its imports (the registered
 passes) reached the moment the lint CLI asks for the registry.
 """
 
-import ast
 import re
 import shutil
+from functools import lru_cache
 from pathlib import Path
+
+import pytest
+
+from repro.lint.callgraph import build_program
+from repro.lint.framework import SourceModule, run_lint, walk_files
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -30,52 +36,27 @@ ENTRY_POINTS = (
 TABLE_HEADING = "Modules no entry point reaches"
 
 
+@lru_cache(maxsize=None)
+def program(root: Path):
+    return build_program(root, [SourceModule(root, p) for p in walk_files(root)])
+
+
+def dotted(rel: str) -> str:
+    """``engine/base.py`` -> ``repro.engine.base``; a package is keyed
+    by its own name."""
+    name = "repro/" + rel.removesuffix(".py").removesuffix("__init__")
+    return name.rstrip("/").replace("/", ".")
+
+
 def module_files(src: Path) -> dict[str, Path]:
-    """Dotted name -> file of every module under ``src/repro`` (a
-    package is keyed by its own name)."""
-    files = {}
-    for path in sorted((src / "repro").rglob("*.py")):
-        parts = path.relative_to(src).with_suffix("").parts
-        if parts[-1] == "__init__":
-            parts = parts[:-1]
-        files[".".join(parts)] = path
-    return files
-
-
-def imports(path: Path):
-    """``(module, name, bound_as)`` of every absolute import statement
-    anywhere in the file; ``name`` is ``None`` for ``import module``."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                yield alias.name, None, alias.asname or alias.name
-        elif isinstance(node, ast.ImportFrom):
-            assert node.level == 0, f"{path}: relative import"
-            for alias in node.names:
-                yield node.module, alias.name, alias.asname or alias.name
-
-
-def defining_module(files: dict[str, Path], module: str, name: str | None):
-    """The module under ``files`` that an import of ``module`` (or of
-    ``name`` from it) executes for its definitions; ``None`` when the
-    import leaves the package."""
-    if name is None or module not in files:
-        return module if module in files else None
-    if f"{module}.{name}" in files:
-        return f"{module}.{name}"
-    if files[module].name == "__init__.py":
-        for source, original, bound_as in imports(files[module]):
-            if bound_as == name and original is not None:
-                return defining_module(files, source, original)
-    return module
+    """Dotted name -> file of every module under ``src/repro``."""
+    return {dotted(rel): m.path for rel, m in program(src / "repro").modules.items()}
 
 
 def imported_modules(files: dict[str, Path], path: Path) -> set[str]:
-    targets = {
-        defining_module(files, module, name)
-        for module, name, _ in imports(path)
-    }
-    return targets - {None}
+    locate = program(files["repro"].parent).locate
+    found = [locate(name) for name, _ in SourceModule(path.parent, path).imports]
+    return {dotted(where[0]) for where in found if where}
 
 
 def reached_modules(files: dict[str, Path]) -> set[str]:
@@ -174,3 +155,21 @@ def test_row_whose_consumer_does_not_import_the_module_fails():
         "repro.solvers.precision: consumer benchmarks/bench_gone.py "
         "does not exist"
     ]
+
+
+
+def test_planted_relative_import_is_rejected_at_its_line(tmp_path):
+    """The gate and the lint run share one resolver: both reject a
+    relative import with its message, at its ``file:line``."""
+    src = tmp_path / "src"
+    shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    stub = src / "repro" / "util" / "planted_stub.py"
+    stub.write_text("import numpy as np\nfrom . import x\n", encoding="utf-8")
+    with pytest.raises(SyntaxError) as gate:
+        problems(src, DESIGN)
+    with pytest.raises(SyntaxError) as lint:
+        run_lint(src / "repro")
+    assert str(gate.value) == str(lint.value) == (
+        "util/planted_stub.py:2: relative import; the name resolver reads "
+        "absolute imports only"
+    )
