@@ -14,12 +14,11 @@ divergence-rate reduction.
 import numpy as np
 import pytest
 
-from benchmarks.common import RESULTS_DIR, case1_controls, scaled_case1_system
+from benchmarks.common import RESULTS_DIR
 from repro.contact.initialization import (
     initialize_contacts_classified,
     initialize_contacts_unclassified,
 )
-from repro.engine.gpu_engine import GpuEngine
 from repro.gpu.device import K40
 from repro.gpu.kernel import VirtualDevice
 from repro.io.reporting import ComparisonReport

@@ -10,8 +10,7 @@ so the figure can be re-plotted.
 import numpy as np
 import pytest
 
-from benchmarks.common import RESULTS_DIR, case1_controls, scaled_case1_system
-from repro.engine.gpu_engine import GpuEngine
+from benchmarks.common import RESULTS_DIR
 from repro.io.reporting import ComparisonReport
 from repro.solvers.cg import pcg
 from repro.solvers.preconditioners import make_preconditioner

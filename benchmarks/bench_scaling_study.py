@@ -8,7 +8,6 @@ the device. This is the quantitative justification for comparing the
 scaled Tables II/III against the paper's larger model.
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.common import RESULTS_DIR, case1_controls, scaled_case1_system

@@ -13,7 +13,6 @@ are so expensive that BJ and SSOR-AI win the total — the paper's stated
 conclusion ("BJ and SSOR-AI are more advisable for DDA").
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.common import RESULTS_DIR, representative_step_matrix

@@ -20,7 +20,7 @@ def run_with(preconditioner: str, steps: int):
     system = build_slope_model(joint_spacing=10.0, seed=3)
     controls = SimulationControls(
         time_step=2e-3, dynamic=False, gravity=9.81,
-        preconditioner=preconditioner, cg_tolerance=1e-8,
+        preconditioner=preconditioner,
     )
     engine = GpuEngine(system, controls)
     result = engine.run(steps=steps)

@@ -9,8 +9,6 @@ runs.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.assembly.submatrices import mass_integral_matrix
 from repro.core.blocks import BlockSystem
 

@@ -3,9 +3,10 @@
 Loop 1 (time stepping), loop 2 (maximum-allowed-displacement control: any
 block displacement beyond twice ``max_displacement_ratio * model_size``
 halves the step and repeats it), loop 3 (open–close iteration). The
-equation-solver controls mirror the paper: if PCG fails to converge in
-``cg_max_iterations`` (200), the physical time of the step is reduced,
-which enlarges the inertia diagonal and restores conditioning.
+equation solver follows the paper: if PCG fails to converge in 200
+iterations (:data:`repro.engine.base.CG_MAX_ITERATIONS`), the physical
+time of the step is reduced, which enlarges the inertia diagonal and
+restores conditioning.
 """
 
 from __future__ import annotations
@@ -89,12 +90,6 @@ class SimulationControls:
         modulus x unit depth); DDA practice is 10–100x E. Fixed points
         use the same magnitude
         (:data:`repro.engine.physics.FIXED_POINT_PENALTY_SCALE`).
-    max_open_close_iterations:
-        Loop-3 bound per step (6 is Shi's classic limit).
-    cg_tolerance:
-        Relative residual for the PCG solver.
-    cg_max_iterations:
-        Iteration cap; exceeding it halves the time step (paper, §IV.A).
     preconditioner:
         ``"bj"`` (block Jacobi), ``"ssor"`` (SSOR approximate inverse)
         or ``"ilu"`` (ILU(0)).
@@ -120,9 +115,6 @@ class SimulationControls:
     gravity: float = 9.81
     max_displacement_ratio: float = 0.01
     penalty_scale: float = 50.0
-    max_open_close_iterations: int = 6
-    cg_tolerance: float = 1e-8
-    cg_max_iterations: int = 200
     preconditioner: str = "bj"
     base_acceleration: object = None
     resilience: ResilienceControls = field(default_factory=ResilienceControls)
@@ -143,10 +135,6 @@ class SimulationControls:
             )
         if self.penalty_scale <= 0:
             raise ValueError("penalty_scale must be > 0")
-        if self.max_open_close_iterations < 1:
-            raise ValueError("max_open_close_iterations must be >= 1")
-        if self.cg_max_iterations < 1:
-            raise ValueError("cg_max_iterations must be >= 1")
         if self.preconditioner not in PRECONDITIONERS:
             raise ValueError(
                 f"preconditioner must be one of {PRECONDITIONERS}, "

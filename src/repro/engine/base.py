@@ -61,6 +61,15 @@ from repro.util.timing import ModuleTimes
 #: Maximum times a step is retried with a halved time step (loop 2).
 MAX_STEP_RETRIES = 10
 
+#: Loop-3 bound per step: Shi's classic limit of open–close sweeps.
+MAX_OPEN_CLOSE_ITERATIONS = 6
+
+#: Relative residual at which PCG stops.
+CG_TOLERANCE = 1e-8
+
+#: PCG iteration cap; exceeding it halves the time step (paper, §IV.A).
+CG_MAX_ITERATIONS = 200
+
 #: Contact distance ``rho`` (the narrow phase's candidate threshold) as
 #: a fraction of the mean block diameter.
 CONTACT_DISTANCE_FACTOR = 0.05
@@ -508,8 +517,7 @@ class EngineBase:
         returned (``converged=False``) and loop 2 takes over with a
         dt-halving.
         """
-        controls = self.controls
-        ladder = solver_ladder(controls.preconditioner)
+        ladder = solver_ladder(self.controls.preconditioner)
         # the SpMV operand is prepared once, outside the ladder walk —
         # every rung solves the same system, only the preconditioner
         # changes
@@ -533,8 +541,8 @@ class EngineBase:
                 continue  # rung unbuildable (e.g. ILU on a zero pivot)
             res = pcg(
                 operand, rhs, self._prev_solution if warm else None, pre,
-                tol=controls.cg_tolerance,
-                max_iterations=controls.cg_max_iterations,
+                tol=CG_TOLERANCE,
+                max_iterations=CG_MAX_ITERATIONS,
                 metrics=self.metrics,
             )
             warm_tried = name if warm else None
@@ -682,7 +690,7 @@ class EngineBase:
             converged, oc_converged = True, False
             max_pen = 0.0
             changes: list[int] = []  # significant changes, one per sweep
-            for oc in range(controls.max_open_close_iterations):
+            for oc in range(MAX_OPEN_CLOSE_ITERATIONS):
                 # ---- non-diagonal building --------------------------
                 with self._stage(times, "nondiagonal_matrix_building", step):
                     w, ws, f_contact = self._build_nondiagonal(
@@ -727,7 +735,7 @@ class EngineBase:
                 # sweep 1 only closes the fresh table: a count that rose
                 # twice running from sweep 2 on, with sweeps left, diverges
                 if (
-                    3 <= oc < controls.max_open_close_iterations - 1
+                    3 <= oc < MAX_OPEN_CLOSE_ITERATIONS - 1
                     and retry < MAX_STEP_RETRIES
                     and changes[-3] < changes[-2] < changes[-1]
                 ):

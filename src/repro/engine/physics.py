@@ -15,11 +15,7 @@ from repro.assembly.contact_springs import (
     spring_stiffness,
 )
 from repro.assembly.submatrices import (
-    body_force_vector,
-    elastic_submatrix,
     fixed_point_contribution,
-    inertia_contribution,
-    initial_stress_vector,
     point_load_vector,
 )
 from repro.contact.contact_set import ContactSet

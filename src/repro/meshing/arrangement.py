@@ -10,7 +10,7 @@ outer face has negative signed area and is discarded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from collections import Counter
 from pathlib import Path
 
 from repro.obs.tracer import Tracer
@@ -127,27 +128,20 @@ def build_service_report(root: str | Path) -> dict:
     """
     from repro.io.batch_io import read_json
     from repro.obs.metrics import merge_snapshots
+    from repro.service.client import overview
     from repro.service.queue import JobQueue
     from repro.service.store import ResultStore
 
     root = Path(root)
     queue = JobQueue(root / "queue")
-    store = ResultStore(root / "store")
     snap_paths = sorted((root / "metrics").glob("*.json"))
     snaps = [read_json(p) or {} for p in snap_paths]
     merged = merge_snapshots(*snaps) if snaps else {}
-    # one walk of jobs/ serves both views
-    records = queue.records()
     events, torn = queue.journal.events()
-    event_counts: dict[str, int] = {}
-    for event in events:
-        name = event.get("event", "?")
-        event_counts[name] = event_counts.get(name, 0) + 1
+    event_counts = Counter(event.get("event", "?") for event in events)
     return {
         "root": str(root),
-        "counts": queue.counts(records),
-        "queue": queue.depths(records),
-        "cache": store.stats(),
+        **overview(queue, ResultStore(root / "store"), queue.records()),
         "journal": {
             "events": len(events),
             "torn_lines": torn,
@@ -161,24 +155,10 @@ def build_service_report(root: str | Path) -> dict:
 
 def render_service_report(report: dict) -> str:
     """Text-render a :func:`build_service_report` payload."""
-    lines = [f"batch service report: {report['root']}"]
-    counts = ", ".join(
-        f"{state}={n}" for state, n in report["counts"].items() if n
-    ) or "empty"
-    depths = report["queue"]
-    cache = report["cache"]
-    lines.append(f"jobs   : {counts}")
-    age = depths.get("oldest_queued_age_s")
-    lines.append(
-        f"queue  : {depths['queued']} queued "
-        f"({depths['deferred']} in backoff), "
-        f"{depths['claimed']} claimed"
-        + (f", oldest waiting {age:.1f}s" if age is not None else "")
-    )
-    lines.append(
-        f"cache  : {cache.get('hits', 0)} hits, "
-        f"{cache.get('misses', 0)} misses"
-    )
+    from repro.service.client import render_overview
+
+    lines = [f"batch service report: {report['root']}",
+             *render_overview(report)]
     journal = report["journal"]
     lines.append(
         f"journal: {journal['events']} events"

@@ -46,6 +46,7 @@ Soft findings (*warnings*; reported but not fatal):
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 
 from repro.service.journal import Journal
@@ -66,12 +67,10 @@ def audit_journal(root: str | Path, *, final: bool = False) -> dict:
     records = {r.job_id: r for r in queue.records()}
 
     by_job: dict[str, list[dict]] = {}
-    event_counts: dict[str, int] = {}
     for event in events:
         job_id = event.get("job_id", "?")
         by_job.setdefault(job_id, []).append(event)
-        name = event.get("event", "?")
-        event_counts[name] = event_counts.get(name, 0) + 1
+    event_counts = Counter(event.get("event", "?") for event in events)
 
     violations: list[dict] = []
     warnings: list[dict] = []
@@ -178,17 +177,13 @@ def audit_journal(root: str | Path, *, final: bool = False) -> dict:
                 "submitted but no record exists",
             )
 
-    state_counts: dict[str, int] = {s: 0 for s in JobState.ALL}
-    for record in records.values():
-        state_counts[record.state] = state_counts.get(record.state, 0) + 1
-
     return {
         "ok": not violations,
         "jobs": len(records),
         "submitted": len(submitted),
         "events": len(events),
         "event_counts": dict(sorted(event_counts.items())),
-        "state_counts": state_counts,
+        "state_counts": queue.counts(records.values()),
         "violations": violations,
         "warnings": warnings,
     }

@@ -30,7 +30,7 @@ import json
 import sys
 
 from repro.service.audit import audit_journal, format_report
-from repro.service.client import BatchClient
+from repro.service.client import BatchClient, render_overview
 from repro.service.http import ServiceConfig, run_server
 from repro.service.soak import SCENARIOS, run_soak
 from repro.service.spec import JobSpec, RetryPolicy, add_run_options
@@ -208,20 +208,7 @@ def batch_main(argv: list[str] | None = None) -> int:
         if args.as_json:
             print(json.dumps(status, indent=2, sort_keys=True))
             return 0
-        counts = ", ".join(
-            f"{state}={n}" for state, n in status["counts"].items() if n
-        ) or "empty"
-        cache = status["cache"]
-        depths = status["queue"]
-        print(f"jobs: {counts}")
-        age = depths.get("oldest_queued_age_s")
-        print(
-            f"queue: {depths['queued']} queued "
-            f"({depths['deferred']} in backoff), "
-            f"{depths['claimed']} claimed"
-            + (f", oldest waiting {age:.1f}s" if age is not None else "")
-        )
-        print(f"cache: {cache['hits']} hits, {cache['misses']} misses")
+        print("\n".join(render_overview(status)))
         table = Table("batch jobs", ["job", "state", "model", "engine",
                                      "steps", "attempts", "note"])
         for row in status["jobs"]:
@@ -291,9 +278,6 @@ def batch_main(argv: list[str] | None = None) -> int:
                 f"exit {d['exit_code']} in {d['drain_s']:.2f}s"
                 for d in summary["drains"]
             ) or "none"
-            counts = ", ".join(
-                f"{s}={n}" for s, n in summary["counts"].items() if n
-            )
             print(
                 f"{summary['scenario']} soak: {summary['jobs']} jobs "
                 f"({summary['distinct_jobs']} distinct), "
@@ -304,7 +288,6 @@ def batch_main(argv: list[str] | None = None) -> int:
             print(f"server drains: {drains}")
             if summary["client_stats"]:
                 print(f"client transport: {summary['client_stats']}")
-            print(f"final states: {counts}")
             print(format_report(summary["audit"]))
         ok = summary["drained"] and summary["audit"]["ok"] and clean_drains
         return 0 if ok else 1

@@ -29,6 +29,30 @@ from repro.service.spec import JobRecord, JobSpec, JobState, RetryPolicy
 from repro.service.store import ResultStore
 
 
+def overview(queue: JobQueue, store: ResultStore, records: list[JobRecord]) -> dict:
+    """Job count per state, queue depths and cache counters of a batch
+    directory, from one :meth:`JobQueue.records` walk."""
+    return {
+        "counts": queue.counts(records),
+        "queue": queue.depths(records),
+        "cache": store.stats(),
+    }
+
+
+def render_overview(view: dict) -> list[str]:
+    """The text lines of an :func:`overview`."""
+    counts = ", ".join(f"{s}={n}" for s, n in view["counts"].items() if n)
+    depths, cache = view["queue"], view["cache"]
+    age = depths["oldest_queued_age_s"]
+    waiting = "" if age is None else f", oldest waiting {age:.1f}s"
+    return [
+        f"jobs: {counts or 'empty'}",
+        f"queue: {depths['queued']} queued ({depths['deferred']} in "
+        f"backoff), {depths['claimed']} claimed{waiting}",
+        f"cache: {cache['hits']} hits, {cache['misses']} misses",
+    ]
+
+
 class BatchClient:
     """Submit, schedule, and inspect batches of simulation jobs."""
 
@@ -145,17 +169,13 @@ class BatchClient:
         return None if record is None else self.job_row(record)
 
     def status(self) -> dict:
-        """Batch overview: per-state counts, queue-depth buckets, cache
-        stats, and per-job rows carrying lease/epoch detail.
-
-        Everything derives from one :meth:`JobQueue.records` walk, so
+        """The batch :func:`overview` plus per-job rows carrying
+        lease/epoch detail, from one :meth:`JobQueue.records` walk, so
         each record file is parsed once per call.
         """
         records = self.queue.records()
         return {
-            "counts": self.queue.counts(records),
-            "queue": self.queue.depths(records),
-            "cache": self.store.stats(),
+            **overview(self.queue, self.store, records),
             "jobs": [self.job_row(r) for r in records],
         }
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
-import tempfile
 from pathlib import Path
 
 from repro.io.batch_io import (

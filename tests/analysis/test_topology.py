@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from repro.analysis.topology import (
     contact_clusters,

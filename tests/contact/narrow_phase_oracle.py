@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from repro.contact.contact_set import ContactSet, VE, VV1, VV2
+from repro.contact.contact_set import ContactSet, VV1, VV2
 from repro.core.blocks import BlockSystem
 from repro.geometry.distance import point_segment_distance
 from repro.geometry.tolerances import Tolerances

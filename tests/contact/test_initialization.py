@@ -1,7 +1,6 @@
 import numpy as np
-import pytest
 
-from repro.contact.contact_set import VE, VV1, VV2, ContactSet
+from repro.contact.contact_set import ContactSet
 from repro.contact.initialization import (
     initialize_contacts_classified,
     initialize_contacts_unclassified,

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from repro.contact.contact_set import VE, VV1, VV2
 from repro.contact.narrow_phase import narrow_phase

@@ -1,7 +1,6 @@
 """Property-based tests of the narrow phase over random block scenes."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from repro.assembly.contact_springs import LOCK, OPEN, SLIDE
 from repro.contact.contact_set import VE, ContactSet

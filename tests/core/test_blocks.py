@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.blocks import DOF, Block, BlockSystem
-from repro.core.materials import BlockMaterial, JointMaterial
+from repro.core.materials import BlockMaterial
 from repro.geometry.polygon import polygon_second_moments
 from repro.util.validation import ShapeError
 

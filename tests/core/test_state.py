@@ -1,12 +1,13 @@
 import pytest
 
 from repro.core.state import SimulationControls
+from repro.engine.base import CG_MAX_ITERATIONS
 
 
 class TestSimulationControls:
     def test_defaults(self):
         c = SimulationControls()
-        assert c.cg_max_iterations == 200  # the paper's re-step threshold
+        assert CG_MAX_ITERATIONS == 200  # the paper's re-step threshold
         assert not c.dynamic
 
     def test_invalid_time_step(self):
@@ -26,10 +27,6 @@ class TestSimulationControls:
     def test_invalid_penalty(self):
         with pytest.raises(ValueError):
             SimulationControls(penalty_scale=-1.0)
-
-    def test_invalid_open_close(self):
-        with pytest.raises(ValueError):
-            SimulationControls(max_open_close_iterations=0)
 
     def test_invalid_preconditioner(self):
         with pytest.raises(ValueError, match="preconditioner"):

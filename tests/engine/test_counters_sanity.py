@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.engine.base as engine_base
 from repro.core.state import SimulationControls
 from repro.engine.gpu_engine import GpuEngine
 from repro.engine.serial_engine import SerialEngine
@@ -133,13 +134,12 @@ class TestRejectedAttempts:
         assert (accepted, discarded) == (287, 1934)
         assert accepted + discarded == snap["histograms"]["cg.iterations"]["sum"]
 
-    def test_a_starved_solver_is_the_named_cause(self):
+    def test_a_starved_solver_is_the_named_cause(self, monkeypatch):
+        monkeypatch.setattr(engine_base, "CG_TOLERANCE", 1e-300)
+        monkeypatch.setattr(engine_base, "CG_MAX_ITERATIONS", 5)
         engine = SerialEngine(
             build_brick_wall(2, 2),
-            SimulationControls(
-                time_step=1e-3, dynamic=True,
-                cg_tolerance=1e-300, cg_max_iterations=5,
-            ),
+            SimulationControls(time_step=1e-3, dynamic=True),
         )
         (record,) = engine.run(steps=1).steps
         counters = engine.metrics.snapshot()["counters"]

@@ -23,6 +23,7 @@ import pytest
 
 from repro.contact.open_close import OpenCloseDriver
 from repro.core.state import SimulationControls
+import repro.engine.base as engine_base
 from repro.engine.base import MAX_STEP_RETRIES
 from repro.engine.gpu_engine import GpuEngine
 from repro.meshing.slope_models import (
@@ -95,9 +96,9 @@ def test_the_last_retry_runs_every_sweep(monkeypatch, cap, cause):
         )
 
     monkeypatch.setattr(OpenCloseDriver, "sweep", rising)
+    monkeypatch.setattr(engine_base, "MAX_OPEN_CLOSE_ITERATIONS", cap)
     engine = GpuEngine(
-        build_brick_wall(2, 2),
-        SimulationControls(time_step=1e-3, max_open_close_iterations=cap),
+        build_brick_wall(2, 2), SimulationControls(time_step=1e-3)
     )
     (record,) = engine.run(1).steps
 

@@ -3,6 +3,7 @@ import pytest
 
 from repro.core.blocks import Block, BlockSystem
 from repro.core.materials import BlockMaterial, JointMaterial
+import repro.engine.base as engine_base
 from repro.core.state import SimulationControls
 from repro.engine.gpu_engine import GpuEngine
 
@@ -136,12 +137,13 @@ class TestStepControl:
         assert r.steps[-1].dt == pytest.approx(1e-3)
         assert all(st.dt <= 1e-3 + 1e-12 for st in r.steps)
 
-    def test_retry_exhaustion_raises(self):
+    def test_retry_exhaustion_raises(self, monkeypatch):
         # an unsolvable configuration: CG can't converge at any dt because
         # the tolerance is impossible
+        monkeypatch.setattr(engine_base, "CG_TOLERANCE", 1e-300)
+        monkeypatch.setattr(engine_base, "CG_MAX_ITERATIONS", 2)
         s = stacked(gap=0.0)
         c = SimulationControls(time_step=1e-3, dynamic=True,
-                               cg_tolerance=1e-300, cg_max_iterations=2,
                                max_displacement_ratio=0.05)
         e = GpuEngine(s, c)
         with pytest.raises(RuntimeError, match="no acceptable time step"):

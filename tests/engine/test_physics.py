@@ -4,7 +4,7 @@ import pytest
 from repro.assembly.contact_springs import LOCK, OPEN, SLIDE, spring_loads
 from repro.contact.contact_set import VE, ContactSet
 from repro.core.blocks import Block, BlockSystem, DOF
-from repro.core.materials import BlockMaterial, JointMaterial
+from repro.core.materials import JointMaterial
 from repro.core.state import SimulationControls
 from repro.contact.open_close import OpenCloseDriver
 from repro.engine.physics import (

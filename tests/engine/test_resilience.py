@@ -22,7 +22,6 @@ from repro.engine.resilience import (
     KEEP_CHECKPOINTS,
     OSCILLATION_STREAK,
     PENETRATION_FACTOR,
-    Checkpoint,
     CheckpointCorrupt,
     CheckpointManager,
     HealthMonitor,
@@ -114,10 +113,11 @@ class TestTaxonomy:
         assert "step 7" in text and "cg_breakdown" in text
         assert "1.000e-01" in text  # last residual
 
-    def test_step_rejection_carries_context(self):
+    def test_step_rejection_carries_context(self, monkeypatch):
+        monkeypatch.setattr(engine_base, "CG_TOLERANCE", 1e-300)
+        monkeypatch.setattr(engine_base, "CG_MAX_ITERATIONS", 2)
         c = SimulationControls(
-            time_step=1e-3, dynamic=True, cg_tolerance=1e-300,
-            cg_max_iterations=2, max_displacement_ratio=0.05,
+            time_step=1e-3, dynamic=True, max_displacement_ratio=0.05,
         )
         engine = GpuEngine(stacked(), c)
         with pytest.raises(StepRejected) as exc_info:

@@ -4,7 +4,6 @@ boundary conditions all round-trip; only the contact-state memory is
 rebuilt by transfer, which the first resumed step re-detects)."""
 
 import numpy as np
-import pytest
 
 from repro.core.blocks import Block, BlockSystem
 from repro.core.materials import BlockMaterial, JointMaterial

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from planting import DROP_ONE_CLOSED, PLANTED, Planter
 
+import repro.engine.base as engine_base
 from repro.core.blocks import Block, BlockSystem
 from repro.core.materials import BlockMaterial
 from repro.core.state import ResilienceControls, SimulationControls
@@ -402,19 +403,20 @@ def _replay(engine, rung, matrix, rhs, x0):
     return pcg(
         matrix, rhs, x0=x0 if warm else None,
         preconditioner=make_preconditioner(name, matrix),
-        tol=engine.controls.cg_tolerance,
-        max_iterations=engine.controls.cg_max_iterations,
+        tol=engine_base.CG_TOLERANCE,
+        max_iterations=engine_base.CG_MAX_ITERATIONS,
     )
 
 
-def _capped(preset, cap, engine_cls):
-    engine = _retrying_engine(preset, engine_cls)
-    engine.controls.cg_max_iterations = cap
-    return engine
+def _capped(monkeypatch, preset, cap, engine_cls):
+    monkeypatch.setattr(engine_base, "CG_MAX_ITERATIONS", cap)
+    return _retrying_engine(preset, engine_cls)
 
 
 @pytest.mark.parametrize("preset", ["serial", "gpu"])
-def test_skipped_solves_replayed_by_hand_are_the_discarded_ones(preset):
+def test_skipped_solves_replayed_by_hand_are_the_discarded_ones(
+    monkeypatch, preset
+):
     """With the iteration cap at 100 the 89-block model does what the
     1089-block benchmark model does at 200: attempt 0 exhausts the
     ladder on a zero warm start, attempt 1 climbs to SSOR-AI and stays
@@ -428,7 +430,7 @@ def test_skipped_solves_replayed_by_hand_are_the_discarded_ones(preset):
     class Recorder(SkipRecorder, ENGINES[preset]):
         pass
 
-    engine = _capped(preset, 100, Recorder)
+    engine = _capped(monkeypatch, preset, 100, Recorder)
     engine.run(2)
     counters = engine.metrics.snapshot()["counters"]
     assert counters["solver.rungs_skipped"] == len(engine.skipped) == 3
@@ -446,7 +448,9 @@ def test_skipped_solves_replayed_by_hand_are_the_discarded_ones(preset):
 
 
 @pytest.mark.parametrize("preset", ENGINES)
-def test_run_without_the_ladder_memory_ends_in_the_same_place(preset):
+def test_run_without_the_ladder_memory_ends_in_the_same_place(
+    monkeypatch, preset
+):
     """The same capped run against an engine whose every solve starts
     at rung 0: same accepted steps, same final state, more iterations."""
 
@@ -454,8 +458,8 @@ def test_run_without_the_ladder_memory_ends_in_the_same_place(preset):
         def _solve_with_fallback(self, matrix, rhs, first_rung=0):
             return super()._solve_with_fallback(matrix, rhs, 0)
 
-    ours = _capped(preset, 100, None)
-    theirs = _capped(preset, 100, Amnesiac)
+    ours = _capped(monkeypatch, preset, 100, None)
+    theirs = _capped(monkeypatch, preset, 100, Amnesiac)
     result, reference = ours.run(2), theirs.run(2)
     assert result.steps == reference.steps
     assert _vertices_sha(ours) == _vertices_sha(theirs)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.blocks import Block, BlockSystem
-from repro.core.materials import BlockMaterial
 from repro.io.model_io import load_system, save_system
 from repro.util.validation import (
     ModelValidationError,

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.obs.tracer import NULL_TRACER, SpanRecord, Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer
 
 
 class TestRecording:

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.service import BatchClient, JobSpec
 
 

@@ -7,8 +7,6 @@ from repro.gpu.kernel import VirtualDevice
 from repro.solvers.cg import DeviceOperand, pcg
 from repro.solvers.preconditioners import (
     BlockJacobiPreconditioner,
-    ILU0Preconditioner,
-    SSORAIPreconditioner,
     make_preconditioner,
 )
 from repro.spmv.hsbcsr import HSBCSRMatrix, hsbcsr_spmv

@@ -263,6 +263,14 @@ ROWS = [
     Row(r"ast\.Import", ("tests/test_reachability.py",
                          "tests/lint/test_device_numpy_surface.py"),
         "SourceModule.imports and Program.locate", 43),
+    *rows(("bench_service_soak", "bench_service_http"), (*WIDE, ".github"),
+          "batch soak --json (jobs/s, drains) and the harness's "
+          "service_http workload (request latency)", 44, word=True),
+    *rows((r"BENCH_service\.json", r"BENCH_http\.json"), (*WIDE, ".github"),
+          "batch soak --json and the harness's service_http workload", 44),
+    *rows(("max_open_close_iterations=", "cg_tolerance=", "cg_max_iterations="),
+          WIDE, "the engine/base.py constants MAX_OPEN_CLOSE_ITERATIONS, "
+          "CG_TOLERANCE and CG_MAX_ITERATIONS", 44),
 ]
 
 
@@ -389,6 +397,6 @@ def test_planted_name_fails_its_row(row, tmp_path):
 
 def test_every_row_searches_real_paths():
     for row in ROWS:
-        assert row.replaced_by and 14 <= row.pr <= 43, row
+        assert row.replaced_by and 14 <= row.pr <= 44, row
         for entry in row.paths:
             assert _files(entry, REPO), (row.pattern, entry)

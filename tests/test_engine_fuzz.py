@@ -7,7 +7,6 @@ the random generator produces.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
