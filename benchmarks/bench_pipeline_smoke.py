@@ -36,15 +36,13 @@ def run_engine(engine_name: str) -> dict:
     from repro.engine.gpu_engine import GpuEngine
     from repro.engine.hybrid_engine import HybridEngine
     from repro.engine.serial_engine import SerialEngine
-    from repro.obs.tracer import Tracer
 
     system = scaled_case1_system(joint_spacing=SPACING, seed=7)
     controls = case1_controls()
     cls = {
         "serial": SerialEngine, "gpu": GpuEngine, "hybrid": HybridEngine,
     }[engine_name]
-    tracer = Tracer(enabled=True)
-    engine = cls(system, controls, tracer=tracer)
+    engine = cls(system, controls)
     start = time.perf_counter()
     result = engine.run(steps=STEPS)
     wall_total = time.perf_counter() - start
@@ -55,10 +53,6 @@ def run_engine(engine_name: str) -> dict:
         "wall_seconds_per_module": dict(result.module_times.times),
         "modeled_seconds_per_module": result.modeled_module_times(),
         "total_cg_iterations": result.total_cg_iterations,
-        # span-derived view: per-module span counts plus wall/device
-        # seconds as the tracer attributed them (cross-check against
-        # the two ledgers above)
-        "trace_modules": tracer.module_summary(),
     }
 
 

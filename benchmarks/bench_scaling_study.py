@@ -33,16 +33,14 @@ def scaling():
             case1_controls(),
         )
         rs = s.run(steps=STEPS)
-        cpu = rs.device.time_by_module()
-        gpu = rg.device.time_by_module()
+        cpu = rs.modeled_module_times()
+        gpu = rg.modeled_module_times()
         points.append(
             dict(
                 n=g.system.n_blocks,
                 total=sum(cpu.values()) / sum(gpu.values()),
-                detection=cpu.get("contact_detection", 0.0)
-                / max(gpu.get("contact_detection", 1e-30), 1e-30),
-                solving=cpu.get("equation_solving", 0.0)
-                / max(gpu.get("equation_solving", 1e-30), 1e-30),
+                detection=cpu["contact_detection"] / gpu["contact_detection"],
+                solving=cpu["equation_solving"] / gpu["equation_solving"],
             )
         )
     report = ComparisonReport(

@@ -21,7 +21,12 @@ bench also reports the size used).
 import numpy as np
 import pytest
 
-from benchmarks.common import RESULTS_DIR, case1_controls, scaled_case1_system
+from benchmarks.common import (
+    RESULTS_DIR,
+    case1_controls,
+    modelled_per_step,
+    scaled_case1_system,
+)
 from repro.engine.gpu_engine import GpuEngine
 from repro.engine.serial_engine import SerialEngine
 from repro.gpu.device import K20, K40
@@ -54,38 +59,27 @@ STEPS = 2
 SPACING = 2.2
 
 
-def _per_step(result):
-    times = result.modeled_module_times()
-    out = {m: times.get(m, 0.0) / result.n_steps for m in PIPELINE_MODULES}
-    out["total"] = sum(out.values())
-    return out
-
-
-@pytest.fixture(scope="module")
-def case1_runs():
+def measure() -> dict:
+    """Modelled per-step times and final centroids of the three runs."""
     runs = {}
-    n_blocks = None
     for label, engine_cls, profile in (
         ("e5620", SerialEngine, None),
         ("k20", GpuEngine, K20),
         ("k40", GpuEngine, K40),
     ):
         system = scaled_case1_system(joint_spacing=SPACING, seed=7)
-        n_blocks = system.n_blocks
         engine = engine_cls(system, case1_controls(), profile=profile)
         result = engine.run(steps=STEPS)
         runs[label] = dict(
-            per_step=_per_step(result),
-            wall=result.module_times.total,
-            centroids=system.centroids.copy(),
+            per_step=modelled_per_step(result), centroids=system.centroids.copy()
         )
-    runs["n_blocks"] = n_blocks
-    _write_report(runs)
+        runs["n_blocks"] = system.n_blocks
     return runs
 
 
-def _write_report(runs) -> None:
-    report = ComparisonReport(
+def report(runs) -> str:
+    """The text of ``results/table_ii.txt``."""
+    table = ComparisonReport(
         "Table II", f"Case 1 per-module speed-ups (scaled: "
         f"{runs['n_blocks']} blocks, {STEPS} steps)"
     )
@@ -94,28 +88,32 @@ def _write_report(runs) -> None:
         gpu = runs[dev_label]["per_step"]
         for module in list(PIPELINE_MODULES) + ["total"]:
             measured = cpu[module] / gpu[module] if gpu[module] else float("inf")
-            report.add(
+            table.add(
                 f"{dev_label.upper()} {module} speed-up",
                 paper[module], round(measured, 2),
             )
-    report.add(
-        "measured wall-clock serial/GPU ratio", "",
-        round(runs["e5620"]["wall"] / runs["k40"]["wall"], 2),
-    )
     # absolute modelled per-step times (the tables' time columns)
     for label in ("e5620", "k20", "k40"):
-        report.add(
+        table.add(
             f"{label.upper()} modelled time per step (ms)", "",
             round(1e3 * runs[label]["per_step"]["total"], 3),
         )
-    report.note(
+    table.note(
         f"paper: 4361 blocks x 40000 steps; here {runs['n_blocks']} blocks "
         f"x {STEPS} steps — modelled speed-ups grow with block count "
         "(see bench_ablation output and EXPERIMENTS.md)"
     )
-    report.write(RESULTS_DIR)
+    return table.render()
+
+
+@pytest.fixture(scope="module")
+def case1_runs():
+    runs = measure()
+    text = report(runs)
+    (RESULTS_DIR / "table_ii.txt").write_text(text + "\n")
     print()
-    print(report.render())
+    print(text)
+    return runs
 
 
 def test_table2_trajectories_identical(case1_runs):

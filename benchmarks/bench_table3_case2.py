@@ -25,6 +25,7 @@ from benchmarks.common import (
     RESULTS_DIR,
     case1_controls,
     case2_controls,
+    modelled_per_step,
     scaled_case1_system,
     scaled_case2_system,
 )
@@ -48,15 +49,8 @@ STEPS = 4
 ROCK_ROWS, ROCK_COLS = 10, 20  # 200 rocks + 2 fixed blocks
 
 
-def _per_step(result):
-    times = result.modeled_module_times()
-    out = {m: times.get(m, 0.0) / result.n_steps for m in PIPELINE_MODULES}
-    out["total"] = sum(out.values())
-    return out
-
-
-@pytest.fixture(scope="module")
-def case2_runs():
+def measure() -> dict:
+    """Modelled per-step times, final centroids and mean CG iterations."""
     runs = {}
     for label, engine_cls, profile in (
         ("e5620", SerialEngine, None),
@@ -67,17 +61,17 @@ def case2_runs():
         engine = engine_cls(system, case2_controls(), profile=profile)
         result = engine.run(steps=STEPS)
         runs[label] = dict(
-            per_step=_per_step(result),
+            per_step=modelled_per_step(result),
             centroids=system.centroids.copy(),
             cg=result.mean_cg_iterations,
         )
         runs["n_blocks"] = system.n_blocks
-    _write_report(runs)
     return runs
 
 
-def _write_report(runs) -> None:
-    report = ComparisonReport(
+def report(runs) -> str:
+    """The text of ``results/table_iii.txt``."""
+    table = ComparisonReport(
         "Table III",
         f"Case 2 per-module speed-ups (scaled: {runs['n_blocks']} blocks, "
         f"{STEPS} steps)",
@@ -86,17 +80,25 @@ def _write_report(runs) -> None:
     gpu = runs["k40"]["per_step"]
     for module in list(PIPELINE_MODULES) + ["total"]:
         measured = cpu[module] / gpu[module] if gpu[module] else float("inf")
-        report.add(f"K40 {module} speed-up", PAPER_K40[module],
+        table.add(f"K40 {module} speed-up", PAPER_K40[module],
                    round(measured, 2))
-    report.add("mean CG iterations/step (dynamic is easy)", "",
+    table.add("mean CG iterations/step (dynamic is easy)", "",
                round(runs["k40"]["cg"], 2))
-    report.note(
+    table.note(
         f"paper: 1683 rocks x 80000 steps; here "
         f"{ROCK_ROWS * ROCK_COLS} rocks x {STEPS} steps"
     )
-    report.write(RESULTS_DIR)
+    return table.render()
+
+
+@pytest.fixture(scope="module")
+def case2_runs():
+    runs = measure()
+    text = report(runs)
+    (RESULTS_DIR / "table_iii.txt").write_text(text + "\n")
     print()
-    print(report.render())
+    print(text)
+    return runs
 
 
 def test_table3_trajectories_identical(case2_runs):
@@ -139,8 +141,8 @@ def test_table3_dynamic_speedup_below_static(case2_runs):
         scaled_case1_system(joint_spacing=2.8, seed=7), case1_controls()
     )
     rs = s.run(steps=2)
-    cpu1 = rs.device.time_by_module()
-    gpu1 = rg.device.time_by_module()
+    cpu1 = rs.modeled_module_times()
+    gpu1 = rg.modeled_module_times()
     sp1_solving = cpu1["equation_solving"] / gpu1["equation_solving"]
     assert sp2_solving < sp1_solving
 

@@ -90,6 +90,13 @@ def case2_controls(preconditioner: str = "bj") -> SimulationControls:
     )
 
 
+def modelled_per_step(result) -> dict[str, float]:
+    """A run's modelled seconds per step, by pipeline module and total."""
+    out = {m: s / result.n_steps for m, s in result.modeled_module_times().items()}
+    out["total"] = sum(out.values())
+    return out
+
+
 def scaled_case1_system(joint_spacing: float = 6.0, seed: int = 7):
     """A scaled Case-1 slope (block count grows as spacing shrinks)."""
     return build_slope_model(

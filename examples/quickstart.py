@@ -30,13 +30,10 @@ def main() -> None:
     print(f"largest block displacement: {result.max_total_displacement():.2e} m")
     print(f"contacts in final step: {result.steps[-1].n_contacts}")
 
-    print("\nmeasured wall-clock per pipeline module (s):")
-    for module, seconds in result.module_times.as_rows():
-        print(f"  {module:32s} {seconds:9.4f}")
-
-    print("\nmodelled Tesla K40 time per pipeline module (s):")
-    for module, seconds in sorted(result.modeled_module_times().items()):
-        print(f"  {module:32s} {seconds:9.6f}")
+    print("\nper pipeline module: measured wall (s), modelled Tesla K40 (s)")
+    times = result.module_times
+    for module, seconds in times.times.items():
+        print(f"  {module:32s} {seconds:9.4f} {times.modelled[module]:9.6f}")
 
     # the wall should still be standing: no block moved more than a brick
     assert result.max_total_displacement() < 1.0

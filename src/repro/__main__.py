@@ -115,8 +115,8 @@ def run_main(argv: list[str] | None = None) -> int:
         parser.error(f"--n-domains must be >= 1, got {args.n_domains}")
     from repro.engine.base import REJECTION_CAUSES
     from repro.engine.runner import execute_spec
+    from repro.obs.report import render_report, run_report
     from repro.obs.tracer import Tracer
-    from repro.util.tables import Table
 
     # the namespace passes for a JobSpec (same names): the batch
     # worker's path to the engine, plus the run-only resilience values
@@ -133,16 +133,9 @@ def run_main(argv: list[str] | None = None) -> int:
         path = tracer.write(args.trace_path)
         print(f"trace written: {path}", file=sys.stderr)
 
-    table = Table(
-        f"{args.engine} pipeline, {result.n_steps} steps "
-        f"({engine.device.profile.name})",
-        ["module", "wall s", "modelled s"],
-    )
-    modeled = result.modeled_module_times()
-    for module, wall in result.module_times.as_rows():
-        table.add_row([module, wall, modeled.get(module, sum(modeled.values())
-                       if module == "total" else 0.0)])
-    print(table)
+    print(render_report(run_report(result, {
+        "engine": type(engine).__name__, "profile": engine.device.profile.name,
+    })))
     counter = engine.metrics.counter
     rejected = {
         cause: counter(f"engine.step_rejected.{cause}").value

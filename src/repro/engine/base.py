@@ -14,6 +14,7 @@ periodic checkpoints the run rolls back to when a step fails fatally.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from contextlib import contextmanager
@@ -120,6 +121,9 @@ class EngineBase:
     default_profile: DeviceProfile = K40
     #: What the shared stage bodies record, per preset.
     charges: Charges
+    #: Device ledgers that run beside :attr:`device` in parallel (the
+    #: domain preset's per-domain devices).
+    _parallel_ledgers: tuple[VirtualDevice, ...] = ()
 
     def __init__(
         self,
@@ -229,19 +233,19 @@ class EngineBase:
 
     @contextmanager
     def _stage(self, times: ModuleTimes, module: str, step: int):
-        """One pipeline-stage measurement: wall clock into the
-        :class:`ModuleTimes` ledger, kernel launches attributed to
-        ``module`` on the virtual device, and — when tracing is enabled
-        — a span carrying both the wall and the modelled device seconds.
-        With the tracer disabled the span costs nothing (overhead
-        pinned by ``tests/obs/test_overhead.py``).
+        """One pipeline-stage measurement, the one producer of a stage's
+        time: launches are attributed to ``module``, and both clocks are
+        read once — the wall seconds, and the modelled seconds of the
+        device records the stage appended plus the most any one of
+        :attr:`_parallel_ledgers` recorded meanwhile (the critical path).
+        Both go into the run's :class:`ModuleTimes` and onto a traced span.
         """
         tracer = self.tracer
-        traced = tracer.enabled
         device = self.device
-        if traced:
-            n0 = len(device.records)
-            start = tracer.now()
+        records = device.records
+        n0 = len(records)
+        marks = [(d.records, len(d.records)) for d in self._parallel_ledgers]
+        start = tracer.now() if tracer.enabled else 0.0
         t0 = time.perf_counter()
         self._current_step = step
         device._region_stack.append(module)
@@ -250,11 +254,15 @@ class EngineBase:
         finally:
             device._region_stack.pop()
             wall = time.perf_counter() - t0
-            times.add(module, wall)
-            if traced:
+            modelled = sum(r.seconds for r in records[n0:]) + max(
+                (sum(r.seconds for r in recs[m:]) for recs, m in marks),
+                default=0.0,
+            )
+            times.add(module, wall, modelled)
+            if tracer.enabled:
                 tracer.add(
                     module, step=step, start=start, wall_s=wall,
-                    device_s=sum(r.seconds for r in device.records[n0:]),
+                    device_s=modelled,
                 )
 
     def _observe_step(self, record: StepRecord, step_start: float) -> None:
@@ -277,17 +285,8 @@ class EngineBase:
         tracer = self.tracer
         if tracer.enabled:
             tracer.add(
-                "step",
-                step=record.step,
-                start=step_start,
-                wall_s=tracer.now() - step_start,
-                dt=record.dt,
-                cg_iterations=record.cg_iterations,
-                open_close_iterations=record.open_close_iterations,
-                n_contacts=record.n_contacts,
-                retries=record.retries,
-                solver_rung=record.solver_rung,
-                max_displacement=record.max_displacement,
+                "step", start=step_start, wall_s=tracer.now() - step_start,
+                **dataclasses.asdict(record),
             )
 
     # ------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,9 +48,11 @@ class SimulationResult:
     Attributes
     ----------
     module_times:
-        Measured wall-clock seconds per pipeline module.
+        This run's seconds per pipeline module, measured wall clock and
+        modelled device (:class:`~repro.util.timing.ModuleTimes`).
     device:
-        The virtual device ledger (modelled times per kernel/module).
+        The engine's virtual device ledger (every launch, accumulating
+        across its runs).
     steps:
         One :class:`StepRecord` per accepted step.
     snapshots:
@@ -117,8 +120,8 @@ class SimulationResult:
         return float(np.linalg.norm(self.displacements, axis=1).max())
 
     def modeled_module_times(self) -> dict[str, float]:
-        """Virtual-device seconds per pipeline module."""
-        return self.device.time_by_module()
+        """This run's modelled device seconds per pipeline module."""
+        return self.module_times.modelled
 
     def to_csv(self, path) -> None:
         """Write the per-step records as CSV (one row per accepted step)."""
@@ -127,11 +130,7 @@ class SimulationResult:
 
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fields = [
-            "step", "dt", "cg_iterations", "open_close_iterations",
-            "n_contacts", "n_offdiag_blocks", "max_displacement",
-            "max_penetration", "retries", "solver_rung", "oc_converged",
-        ]
+        fields = [f.name for f in dataclasses.fields(StepRecord)]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(fields)

@@ -259,10 +259,7 @@ def summarize_result(
         "contract_violations": dict(result.contract_violations),
         "n_warnings": len(result.warnings),
         "wall_seconds": wall_seconds,
-        "module_times": {
-            module: seconds
-            for module, seconds in result.module_times.times.items()
-        },
+        "module_times": dict(result.module_times.times),
         "metrics": (
             result.metrics.snapshot()
             if getattr(result, "metrics", None) is not None

@@ -4,7 +4,9 @@ Given a Chrome trace file written by ``--trace``, renders the
 Table-II/III-style per-module report: measured wall seconds, modelled
 device seconds, and the measured/modelled speedup column, plus the
 step-level aggregates (steps, CG iterations, open–close iterations,
-contacts) carried on the ``"step"`` summary spans.
+contacts) carried on the ``"step"`` summary spans. ``python -m repro
+run`` prints the same table from its result's ledger
+(:func:`run_report`).
 
 Given a *batch directory* (the root a :class:`BatchClient` manages),
 renders the service operator view instead: queue depths and per-state
@@ -26,6 +28,7 @@ tallies and injected network faults (``http.*``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 from collections import Counter
 from pathlib import Path
@@ -37,7 +40,25 @@ from repro.util.timing import PIPELINE_MODULES
 
 def build_report(tracer: Tracer) -> dict:
     """Aggregate a trace into the report payload (JSON-safe)."""
-    summary = tracer.module_summary()
+    steps = [s.extras for s in tracer.step_spans()]
+    return module_report(tracer.module_summary(), steps, tracer.meta)
+
+
+def run_report(result, meta: dict) -> dict:
+    """The same payload from a run's ledger, ``result.module_times``
+    (``spans`` is ``None``: it sums invocations without counting them)."""
+    times = result.module_times
+    summary = {
+        m: {"spans": None, "wall_s": wall, "device_s": times.modelled[m]}
+        for m, wall in times.times.items()
+    }
+    steps = [dataclasses.asdict(s) for s in result.steps]
+    return module_report(summary, steps, meta)
+
+
+def module_report(summary: dict, steps: list[dict], meta: dict) -> dict:
+    """The report payload from per-module ``{spans, wall_s, device_s}``
+    totals and per-step :class:`~repro.engine.results.StepRecord` fields."""
     ordered = [m for m in PIPELINE_MODULES if m in summary]
     ordered += [m for m in sorted(summary) if m not in PIPELINE_MODULES]
     modules = {}
@@ -53,69 +74,61 @@ def build_report(tracer: Tracer) -> dict:
         }
     total_wall = sum(d["wall_s"] for d in summary.values())
     total_dev = sum(d["device_s"] for d in summary.values())
-    steps = tracer.step_spans()
-    step_totals = {
-        "steps": len(steps),
-        "cg_iterations": sum(
-            int(s.extras.get("cg_iterations", 0)) for s in steps
-        ),
-        "open_close_iterations": sum(
-            int(s.extras.get("open_close_iterations", 0)) for s in steps
-        ),
-        "max_contacts": max(
-            (int(s.extras.get("n_contacts", 0)) for s in steps), default=0
-        ),
-    }
     total_ratio = total_wall / total_dev if total_dev > 0.0 else None
     return {
-        "meta": dict(tracer.meta),
+        "meta": dict(meta),
         "modules": modules,
         "total": {
             "wall_s": total_wall,
             "modelled_s": total_dev,
             "wall_modelled_ratio": total_ratio,
         },
-        **step_totals,
+        "steps": len(steps),
+        "cg_iterations": sum(int(s.get("cg_iterations", 0)) for s in steps),
+        "open_close_iterations": sum(
+            int(s.get("open_close_iterations", 0)) for s in steps
+        ),
+        "max_contacts": max(
+            (int(s.get("n_contacts", 0)) for s in steps), default=0
+        ),
     }
 
 
 def render_report(report: dict) -> str:
-    """Text-render a :func:`build_report` payload as the module table."""
+    """Text-render a :func:`module_report` payload as the module table."""
     meta = report.get("meta", {})
     title_bits = [
         str(meta[k]) for k in ("engine", "model", "profile") if k in meta
     ]
-    title = (
-        f"per-module trace report ({', '.join(title_bits)})"
-        if title_bits else "per-module trace report"
-    )
+    title_bits.append(f"{report['steps']} steps")
     table = Table(
-        title,
+        f"per-module report ({', '.join(title_bits)})",
         ["module", "spans", "measured s", "modelled s",
          "speedup (wall/modelled)"],
     )
 
-    def ratio_cell(value):
-        return f"{value:.4g}x" if value is not None else "-"
+    def cell(value, fmt="{}"):
+        return "-" if value is None else fmt.format(value)
 
     for name, row in report["modules"].items():
         table.add_row([
-            name, row["spans"], row["wall_s"], row["modelled_s"],
-            ratio_cell(row["wall_modelled_ratio"]),
+            name, cell(row["spans"]), row["wall_s"], row["modelled_s"],
+            cell(row["wall_modelled_ratio"], "{:.4g}x"),
         ])
+    spans = [r["spans"] for r in report["modules"].values()]
     total = report["total"]
     table.add_row([
-        "total", sum(r["spans"] for r in report["modules"].values()),
-        total["wall_s"], total["modelled_s"], ratio_cell(total["wall_modelled_ratio"]),
+        "total", cell(None if None in spans else sum(spans)),
+        total["wall_s"], total["modelled_s"],
+        cell(total["wall_modelled_ratio"], "{:.4g}x"),
     ])
-    lines = [table.render()]
-    lines.append(
+    return "\n".join([
+        table.render(),
         f"steps: {report['steps']}; "
         f"CG iterations: {report['cg_iterations']}; "
         f"open-close iterations: {report['open_close_iterations']}; "
-        f"max contacts: {report['max_contacts']}"
-    )
-    return "\n".join(lines)
+        f"max contacts: {report['max_contacts']}",
+    ])
 
 
 def build_service_report(root: str | Path) -> dict:
@@ -205,23 +218,17 @@ def report_main(argv: list[str] | None = None) -> int:
                    help="emit the report as JSON instead of a table")
     args = p.parse_args(argv)
     if Path(args.trace).is_dir():
-        report = build_service_report(args.trace)
-        if args.as_json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(render_service_report(report))
-        return 0
-    try:
-        tracer = Tracer.load(args.trace)
-    except (OSError, ValueError, KeyError) as err:
-        print(f"cannot read trace {args.trace!r}: {err}")
-        return 1
-    report = build_report(tracer)
-    if not report["modules"]:
-        print(f"trace {args.trace!r} contains no module spans")
-        return 1
-    if args.as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        report, render = build_service_report(args.trace), render_service_report
     else:
-        print(render_report(report))
+        try:
+            tracer = Tracer.load(args.trace)
+        except (OSError, ValueError, KeyError) as err:
+            print(f"cannot read trace {args.trace!r}: {err}")
+            return 1
+        report, render = build_report(tracer), render_report
+        if not report["modules"]:
+            print(f"trace {args.trace!r} contains no module spans")
+            return 1
+    print(json.dumps(report, indent=2, sort_keys=True) if args.as_json
+          else render(report))
     return 0

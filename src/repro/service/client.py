@@ -121,18 +121,14 @@ class BatchClient:
         self.last_job_metrics = pool.aggregate_job_metrics()
         return tallies
 
-    @staticmethod
-    def _job_id(job: str | JobRecord) -> str:
-        return job.job_id if isinstance(job, JobRecord) else job
-
-    def cancel(self, job: str | JobRecord) -> bool:
+    def cancel(self, job_id: str) -> bool:
         """Cancel a queued job (running/terminal jobs are left alone).
 
         Cancellation is a tombstone consulted at claim, dispatch, and
         retry time (see :meth:`JobQueue.cancel`), so it holds even when
         a pool claims the job concurrently with this call.
         """
-        return self.queue.cancel(self._job_id(job))
+        return self.queue.cancel(job_id)
 
     # ------------------------------------------------------------------
     def job_row(self, record: JobRecord) -> dict:
@@ -181,13 +177,23 @@ class BatchClient:
 
     def result(self, job: str | JobRecord) -> dict | None:
         """Final outcome of one job; ``None`` while non-terminal (an attempt
-        that died between publish and save leaves an outcome, not a result)."""
-        job_id = self._job_id(job)
-        record = self.queue.load_record(job_id)
+        that died between publish and save leaves an outcome, not a result).
+        A terminal state is final, so a terminal :class:`JobRecord` is
+        used as read; a job id, or a record that may be stale, is loaded."""
+        record = job
+        if isinstance(record, str) or record.state not in JobState.TERMINAL:
+            record = self.queue.load_record(
+                record if isinstance(record, str) else record.job_id
+            )
         if record is None or record.state not in JobState.TERMINAL:
             return None
-        return read_json(self.scratch_root / job_id / "outcome-final.json")
+        return read_json(self.scratch_root / record.job_id / "outcome-final.json")
 
     def results(self) -> dict[str, dict | None]:
-        """Final outcomes of every known job, keyed by job id."""
-        return {r.job_id: self.result(r.job_id) for r in self.queue.records()}
+        """Final outcomes of every known job, keyed by job id, from one
+        :meth:`JobQueue.records` walk (a job it reads as non-terminal has
+        none yet)."""
+        return {
+            r.job_id: self.result(r) if r.state in JobState.TERMINAL else None
+            for r in self.queue.records()
+        }

@@ -610,32 +610,32 @@ class HttpJobService:
             "deduplicated": False,
         }, {}
 
-    def _row(self, job_id) -> dict:
-        """The job's status row (``BatchClient.job``), or a 404."""
-        row = self.client.job(job_id)
-        if row is None:
+    def _record(self, job_id):
+        """The job's record, or a 404."""
+        record = self.client.queue.load_record(job_id)
+        if record is None:
             raise _Response(404, {"error": f"unknown job {job_id}"})
-        return row
+        return record
 
     def _job_status(self, job_id):
-        return 200, self._row(job_id), {}
+        return 200, self.client.job_row(self._record(job_id)), {}
 
     def _job_result(self, job_id):
-        row = self._row(job_id)
-        done = row["state"] in JobState.TERMINAL
+        record = self._record(job_id)
+        done = record.state in JobState.TERMINAL
         return (200 if done else 202), {
-            "job_id": job_id, "state": row["state"],
-            "result": self.client.result(job_id) if done else None,
+            "job_id": job_id, "state": record.state,
+            "result": self.client.result(record) if done else None,
         }, {}
 
     def _cancel(self, job_id):
-        row = self._row(job_id)
+        record = self._record(job_id)
         cancelled = self.client.cancel(job_id)
-        fresh = self.client.job(job_id) or row
+        fresh = self.client.queue.load_record(job_id) or record
         return 200, {
             "job_id": job_id,
             "cancelled": bool(cancelled),
-            "state": fresh.get("state"),
+            "state": fresh.state,
         }, {}
 
     async def _events(self, job_id, query, deadline_s):

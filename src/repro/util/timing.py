@@ -1,8 +1,8 @@
 """The per-module time ledger.
 
 The paper reports per-module times for the six pipeline stages (Tables II
-and III). :class:`ModuleTimes` is the ledger both engines fill in — once
-with real wall-clock seconds and once with virtual-device modelled seconds.
+and III) on two clocks. :class:`ModuleTimes` is one run's ledger of both:
+measured wall-clock seconds and virtual-device modelled seconds.
 """
 
 from __future__ import annotations
@@ -20,33 +20,29 @@ PIPELINE_MODULES = (
 )
 
 
+def _zeros() -> dict[str, float]:
+    return dict.fromkeys(PIPELINE_MODULES, 0.0)
+
+
 @dataclass
 class ModuleTimes:
-    """Accumulated per-pipeline-module times, in seconds.
+    """One run's accumulated seconds per pipeline module, on both clocks.
 
-    Two instances are kept per run: measured wall-clock and modelled
-    device time (the virtual GPU / CPU cost model).
+    ``times`` holds the measured wall clock, ``modelled`` the
+    virtual-device seconds (the critical path where a preset runs
+    device ledgers in parallel). ``EngineBase._stage`` adds one
+    measurement of each per stage invocation.
     """
 
-    times: dict[str, float] = field(
-        default_factory=lambda: {m: 0.0 for m in PIPELINE_MODULES}
-    )
+    times: dict[str, float] = field(default_factory=_zeros)
+    modelled: dict[str, float] = field(default_factory=_zeros)
 
-    def add(self, module: str, seconds: float) -> None:
-        """Accumulate ``seconds`` into ``module`` (must be a known module)."""
+    def add(self, module: str, wall: float, modelled: float) -> None:
+        """Accumulate one stage invocation into ``module`` (must be a
+        known module)."""
         if module not in self.times:
             raise KeyError(
                 f"unknown pipeline module {module!r}; known: {PIPELINE_MODULES}"
             )
-        self.times[module] += float(seconds)
-
-    @property
-    def total(self) -> float:
-        """Sum over all modules."""
-        return sum(self.times.values())
-
-    def as_rows(self) -> list[tuple[str, float]]:
-        """Rows in the paper's table order plus a total row."""
-        rows = [(m, self.times[m]) for m in PIPELINE_MODULES]
-        rows.append(("total", self.total))
-        return rows
+        self.times[module] += float(wall)
+        self.modelled[module] += float(modelled)

@@ -1,5 +1,8 @@
 """Engine integration: spans and metrics from real pipeline runs."""
 
+import dataclasses
+from functools import partial
+
 import numpy as np
 import pytest
 from planting import PLANTED, Planter
@@ -7,7 +10,9 @@ from planting import PLANTED, Planter
 from repro.core.blocks import Block, BlockSystem
 from repro.core.materials import BlockMaterial
 from repro.core.state import ResilienceControls, SimulationControls
+from repro.engine.domain_engine import DomainEngine
 from repro.engine.gpu_engine import GpuEngine
+from repro.engine.hybrid_engine import HybridEngine
 from repro.engine.serial_engine import SerialEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
@@ -30,7 +35,9 @@ def controls(**over) -> SimulationControls:
     return SimulationControls(**defaults)
 
 
-@pytest.mark.parametrize("engine_cls", [SerialEngine, GpuEngine])
+@pytest.mark.parametrize(
+    "engine_cls", [SerialEngine, GpuEngine, HybridEngine, DomainEngine]
+)
 class TestTracedRun:
     def test_spans_cover_all_six_modules(self, engine_cls):
         tr = Tracer()
@@ -50,6 +57,8 @@ class TestTracedRun:
             assert span.extras["cg_iterations"] == rec.cg_iterations
             assert span.extras["n_contacts"] == rec.n_contacts
             assert span.extras["dt"] == pytest.approx(rec.dt)
+            # the span carries the whole record
+            assert {"step": span.step, **span.extras} == dataclasses.asdict(rec)
 
     def test_span_wall_consistent_with_module_times(self, engine_cls):
         tr = Tracer()
@@ -67,14 +76,16 @@ class TestTracedRun:
         traced_dev = sum(
             d["device_s"] for d in tr.module_summary().values()
         )
-        assert traced_dev == pytest.approx(result.device.total_time,
-                                           rel=1e-9)
+        assert traced_dev == pytest.approx(
+            sum(result.module_times.modelled.values()), rel=1e-12
+        )
 
     def test_span_device_seconds_are_the_stage_records(self, engine_cls):
         tr = Tracer()
         eng = engine_cls(stacked(), controls(), tracer=tr)
         result = eng.run(steps=3)
-        by_module = result.device.time_by_module()
+        by_module = result.module_times.modelled
+        assert result.modeled_module_times() == by_module
         summ = tr.module_summary()
         assert set(summ) == set(by_module)
         for module, seconds in by_module.items():
@@ -82,6 +93,25 @@ class TestTracedRun:
             assert summ[module]["device_s"] == pytest.approx(
                 seconds, rel=1e-12
             )
+
+    def test_second_run_reports_only_itself(self, engine_cls):
+        tr = Tracer()
+        eng = engine_cls(stacked(), controls(), tracer=tr)
+        first = eng.run(steps=2)
+        n_first = len(tr.spans)
+        second = eng.run(steps=2)
+        own = dict.fromkeys(PIPELINE_MODULES, 0.0)
+        for span in tr.spans[n_first:]:
+            if span.name != "step":
+                own[span.name] += span.device_s
+        modelled = second.modeled_module_times()
+        for module, seconds in own.items():
+            assert modelled[module] == pytest.approx(seconds, rel=1e-12)
+        if engine_cls is not DomainEngine:
+            # the one device ledger holds the two runs, nothing else
+            assert sum(first.modeled_module_times().values()) + sum(
+                modelled.values()
+            ) == pytest.approx(eng.device.total_time, rel=1e-12)
 
     def test_tracer_meta_stamped(self, engine_cls):
         tr = Tracer()
@@ -96,6 +126,26 @@ class TestTracedRun:
         engine_cls(s2, controls(), tracer=Tracer()).run(steps=4)
         np.testing.assert_array_equal(s1.vertices, s2.vertices)
         np.testing.assert_array_equal(s1.velocities, s2.velocities)
+
+
+@pytest.mark.parametrize("make", [
+    SerialEngine, GpuEngine, HybridEngine,
+    partial(DomainEngine, n_domains=1), partial(DomainEngine, n_domains=2),
+], ids=["serial", "gpu", "hybrid", "domain1", "domain2"])
+def test_ledger_is_the_harness_split(make):
+    """With one domain, or two that record alike in every stage (the
+    stacked pair's), a stage's busiest domain adds up to the busiest
+    domain's run total, so the run's ledger is the benchmark harness's
+    split; the sum of both domains would not be."""
+    from benchmarks.harness.lap import _modelled
+
+    eng = make(stacked(), controls())
+    result = eng.run(steps=3)
+    total, by_stage = _modelled(eng)
+    modelled = result.modeled_module_times()
+    assert sum(modelled.values()) == pytest.approx(total, rel=1e-12)
+    for module, seconds in modelled.items():
+        assert seconds == pytest.approx(by_stage[module], rel=1e-12)
 
 
 @pytest.mark.parametrize("engine_cls", [SerialEngine, GpuEngine])

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from lease_helpers import alive, expire
 
+from repro.io.batch_io import write_json_atomic
 from repro.service.queue import JobQueue
 from repro.service.spec import JobSpec, JobState
 
@@ -281,6 +282,39 @@ class TestStatusScan:
         assert [(r["job_id"], r["state"]) for r in status["jobs"][1:]] == [
             (waiting.job_id, "queued"),
         ]
+
+    def test_each_record_is_parsed_once_per_results(self, tmp_path, monkeypatch):
+        """``BatchClient.results()`` serves each outcome from the record
+        its one walk loaded."""
+        from repro.service import queue as queue_mod
+        from repro.service.client import BatchClient
+
+        client = BatchClient(tmp_path / "b")
+        q = client.queue
+        done, bare, waiting = (q.submit(spec(t)) for t in ("a", "b", "c"))
+        for record in (done, bare):
+            q.claim()
+            q.finalize(record.job_id, JobState.SUCCEEDED)
+        outcome = {"job_id": done.job_id, "ok": True}
+        write_json_atomic(
+            client.scratch_root / done.job_id / "outcome-final.json", outcome
+        )
+
+        reads: dict[str, int] = {}
+        real_read = queue_mod.read_json
+
+        def counting_read(path):
+            reads[Path(path).stem] = reads.get(Path(path).stem, 0) + 1
+            return real_read(path)
+
+        monkeypatch.setattr(queue_mod, "read_json", counting_read)
+        results = client.results()
+
+        assert reads == {done.job_id: 1, bare.job_id: 1, waiting.job_id: 1}
+        # a terminal job without a published outcome reads as None
+        assert results == {
+            done.job_id: outcome, bare.job_id: None, waiting.job_id: None,
+        }
 
     def test_each_record_is_parsed_once_per_report(self, tmp_path, monkeypatch):
         """``repro report <batch-dir>`` reads ``jobs/`` once for both its

@@ -1,12 +1,18 @@
-"""The checked-in ``results/BENCH_multi.json`` is what its bench writes today.
+"""The checked-in results are what their benches write today.
 
-Every payload field is deterministic except each curve's
-``wall_seconds``: halo bytes, modelled seconds, CG iterations and the
-final-vertex checksum at 1, 2, 4 and 8 domains. A change that moves any
-of them regenerates the file (≈ 3 s)::
+One row per recorded file: how to measure it afresh, how to read the
+recorded copy, and the command that regenerates it.
 
-    PYTHONPATH=src python -m benchmarks.bench_multi_gpu_projection \\
-        --json results/BENCH_multi.json
+* ``BENCH_multi.json`` — every payload field is deterministic except
+  each curve's ``wall_seconds``: halo bytes, modelled seconds, CG
+  iterations and the final-vertex checksum at 1, 2, 4 and 8 domains
+  (≈ 3 s).
+* ``table_ii.txt`` and ``table_iii.txt`` — the paper's Tables II and
+  III, rendered from modelled seconds and CG iterations alone (≈ 10 s
+  together).
+
+A change that moves any of them regenerates the file with the command
+its row names.
 """
 
 from __future__ import annotations
@@ -14,9 +20,26 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from benchmarks.bench_multi_gpu_projection import measure
+import pytest
 
-RECORDED = Path(__file__).resolve().parents[1] / "results" / "BENCH_multi.json"
+from benchmarks import (
+    bench_multi_gpu_projection,
+    bench_table2_case1,
+    bench_table3_case2,
+)
+
+RESULTS = Path(__file__).resolve().parents[1] / "results"
+
+
+def _multi_fresh() -> dict:
+    # a JSON round trip, so that tuples and floats compare as recorded
+    return _deterministic(
+        json.loads(json.dumps(bench_multi_gpu_projection.measure()))
+    )
+
+
+def _multi_recorded(text: str) -> dict:
+    return _deterministic(json.loads(text)["payload"])
 
 
 def _deterministic(payload: dict) -> dict:
@@ -25,17 +48,31 @@ def _deterministic(payload: dict) -> dict:
     return payload
 
 
-def test_recorded_multi_domain_bench_is_current():
-    # a JSON round trip, so that tuples and floats compare as recorded
-    fresh = _deterministic(json.loads(json.dumps(measure())))
-    recorded = _deterministic(json.loads(RECORDED.read_text())["payload"])
-    stale = {
-        g: {k: (v, recorded["curves"][g]["executable"][k])
-            for k, v in curve["executable"].items()
-            if v != recorded["curves"][g]["executable"][k]}
-        for g, curve in fresh["curves"].items()
-    }
-    assert fresh == recorded, (
-        "results/BENCH_multi.json is stale (fresh, recorded): regenerate "
-        "it with the command in this module's docstring", stale,
+def _table(bench):
+    return lambda: bench.report(bench.measure()) + "\n"
+
+
+#: file under results/ -> (fresh, recorded-from-text, regenerate command)
+RECORDED = {
+    "BENCH_multi.json": (
+        _multi_fresh, _multi_recorded,
+        "PYTHONPATH=src python -m benchmarks.bench_multi_gpu_projection "
+        "--json results/BENCH_multi.json",
+    ),
+    "table_ii.txt": (
+        _table(bench_table2_case1), str,
+        "PYTHONPATH=src python -m pytest -q benchmarks/bench_table2_case1.py",
+    ),
+    "table_iii.txt": (
+        _table(bench_table3_case2), str,
+        "PYTHONPATH=src python -m pytest -q benchmarks/bench_table3_case2.py",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDED)
+def test_recorded_result_is_current(name):
+    fresh, recorded, command = RECORDED[name]
+    assert fresh() == recorded((RESULTS / name).read_text()), (
+        f"results/{name} is stale: regenerate it with {command}"
     )

@@ -271,6 +271,26 @@ ROWS = [
     *rows(("max_open_close_iterations=", "cg_tolerance=", "cg_max_iterations="),
           WIDE, "the engine/base.py constants MAX_OPEN_CLOSE_ITERATIONS, "
           "CG_TOLERANCE and CG_MAX_ITERATIONS", 44),
+    *rows(("as_rows", r"module_times\.total\b", "trace_modules",
+           "ratio_cell"), WIDE,
+          "ModuleTimes.times and .modelled, one run's ledger on both "
+          "clocks, rendered by obs/report.py::render_report", 45),
+    Row(r"time_by_module\(", ("src/repro",),
+        "result.modeled_module_times(), filled by EngineBase._stage", 45,
+        skip="src/repro/gpu/kernel.py"),
+    Row(r"device\.records\[", ("src/repro/engine",),
+        "EngineBase._stage, both clocks once per invocation", 45,
+        plant="device.records[n0:]"),
+    *rows(("wall-clock serial/GPU ratio",), (*WIDE, "results"),
+          "nothing: a wall-clock row cannot be checked in", 45),
+    *rows((r"def _per_step\(", r"def _write_report\("),
+          ("benchmarks/bench_table2_case1.py",
+           "benchmarks/bench_table3_case2.py"),
+          "benchmarks/common.py::modelled_per_step and each table "
+          "bench's report()", 45),
+    *rows((r"def _row\(", r"def _job_id\("), ("src/repro/service",),
+          "one record load per request: HttpJobService._record and "
+          "BatchClient.result(record)", 45),
 ]
 
 
@@ -397,6 +417,6 @@ def test_planted_name_fails_its_row(row, tmp_path):
 
 def test_every_row_searches_real_paths():
     for row in ROWS:
-        assert row.replaced_by and 14 <= row.pr <= 44, row
+        assert row.replaced_by and 14 <= row.pr <= 45, row
         for entry in row.paths:
             assert _files(entry, REPO), (row.pattern, entry)
