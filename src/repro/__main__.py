@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.core.state import ON_FAILURE
@@ -113,7 +114,6 @@ def run_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.n_domains < 1:
         parser.error(f"--n-domains must be >= 1, got {args.n_domains}")
-    from repro.engine.base import REJECTION_CAUSES
     from repro.engine.runner import execute_spec
     from repro.obs.report import render_report, run_report
     from repro.obs.tracer import Tracer
@@ -136,16 +136,13 @@ def run_main(argv: list[str] | None = None) -> int:
     print(render_report(run_report(result, {
         "engine": type(engine).__name__, "profile": engine.device.profile.name,
     })))
-    counter = engine.metrics.counter
-    rejected = {
-        cause: counter(f"engine.step_rejected.{cause}").value
-        for cause in REJECTION_CAUSES
-    }
-    causes = ", ".join(f"{n} {cause}" for cause, n in rejected.items() if n)
+    rejected = result.rejected
+    tally = Counter(a.cause for a in rejected)  # in the order causes first fired
+    causes = ", ".join(f"{n} {cause}" for cause, n in tally.items())
     print(
         f"CG iterations total: {result.total_cg_iterations} in accepted "
-        f"attempts, {counter('engine.rejected_cg_iterations').value} in "
-        f"{sum(rejected.values())} rejected"
+        f"attempts, {sum(a.cg_iterations for a in rejected)} in "
+        f"{len(rejected)} rejected"
         + (f" ({causes})" if causes else "")
         + f"; max displacement: {result.max_total_displacement():.3e} m"
     )

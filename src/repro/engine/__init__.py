@@ -24,58 +24,3 @@ charge. The pure-Python loops of the original serial code survive as
 test oracles (``tests/engine/oracles.py``,
 ``tests/contact/broad_phase_oracle.py``).
 """
-
-from repro.engine.physics import (
-    diagonal_system,
-    contact_system,
-)
-from repro.contact.open_close import StateUpdate
-from repro.engine.resilience import (
-    Checkpoint,
-    CheckpointCorrupt,
-    CheckpointManager,
-    FailureReport,
-    HealthMonitor,
-    HealthWarning,
-    NumericalBlowup,
-    SimulationError,
-    SolverBreakdown,
-    StepContext,
-    StepRejected,
-    solver_ladder,
-)
-from repro.engine.contracts import (
-    CONTRACT_LEVELS,
-    ContractViolation,
-    StageContracts,
-)
-from repro.engine.results import SimulationResult, StepRecord
-from repro.engine.serial_engine import SerialEngine
-from repro.engine.gpu_engine import GpuEngine
-from repro.engine.hybrid_engine import HybridEngine
-
-__all__ = [
-    "HybridEngine",
-    "diagonal_system",
-    "contact_system",
-    "StateUpdate",
-    "SimulationResult",
-    "StepRecord",
-    "SerialEngine",
-    "GpuEngine",
-    "Checkpoint",
-    "CheckpointCorrupt",
-    "CheckpointManager",
-    "FailureReport",
-    "HealthMonitor",
-    "HealthWarning",
-    "NumericalBlowup",
-    "SimulationError",
-    "SolverBreakdown",
-    "StepContext",
-    "StepRejected",
-    "solver_ladder",
-    "CONTRACT_LEVELS",
-    "ContractViolation",
-    "StageContracts",
-]

@@ -48,12 +48,12 @@ from repro.engine.resilience import (
     StepRejected,
     solver_ladder,
 )
-from repro.engine.results import SimulationResult, StepRecord
+from repro.engine.results import Attempt, SimulationResult, StepRecord
 from repro.geometry.tolerances import Tolerances
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.gpu.device import DeviceProfile, K40
-from repro.gpu.kernel import VirtualDevice
+from repro.gpu.kernel import KernelRecord, VirtualDevice
 from repro.solvers.cg import CGResult, DeviceOperand, pcg
 from repro.solvers.preconditioners import make_preconditioner
 from repro.spmv.hsbcsr import HSBCSRMatrix
@@ -75,7 +75,7 @@ CG_MAX_ITERATIONS = 200
 #: a fraction of the mean block diameter.
 CONTACT_DISTANCE_FACTOR = 0.05
 
-#: Why loop 2 can throw an attempt away (``StepContext.cause``); one
+#: Why loop 2 can throw an attempt away (``Attempt.cause``); one
 #: ``engine.step_rejected.<cause>`` counter each, the last one created
 #: when it first fires (a run the rule leaves alone keeps its snapshot).
 REJECTION_CAUSES = (
@@ -85,6 +85,36 @@ REJECTION_CAUSES = (
     "max_displacement",
     "open_close_divergence",
 )
+
+
+def next_dt(dt: float, cause: str | None, time_step: float) -> float:
+    """Loop 2's dt policy: the dt after an attempt at ``dt`` that ended
+    with ``cause`` (``None``: accepted). An accept grows dt by half, up
+    to the configured ``time_step``; a rejection halves it (the paper's
+    rule for non-convergence and over-large displacement alike)."""
+    if cause is None:
+        return min(dt * 1.5, time_step)
+    return dt * 0.5
+
+
+class _Detected(NamedTuple):
+    """A step's contact detection, kept across its loop-2 attempts."""
+
+    table: ContactSet
+    launches: tuple[KernelRecord, ...]  # priced, replayed by a retry
+    geometry: SpringGeometry
+
+
+class _Trial(NamedTuple):
+    """What an attempt leaves besides its :class:`Attempt` record."""
+
+    detected: _Detected
+    contacts: ContactSet
+    d: np.ndarray
+    normal_force: np.ndarray
+    max_displacement: float
+    residuals: list[float]  # the last solve's, for a failure report
+
 
 #: ``charge(device, size)``: record one stage's launches on ``device``.
 Charge = Callable[[VirtualDevice, Any], None]
@@ -358,11 +388,10 @@ class EngineBase:
         """One open–close sweep over all contacts simultaneously, charged.
 
         The vectorised driver is the restructured kernel's formulation
-        (Section III.D) on every preset. :meth:`_step_impl` builds it
-        once per loop-2 attempt, over that attempt's copy of the step's
-        contact table and the step's one spring geometry (vertices never
-        move between the attempts or sweeps of a step). Every sweep
-        bumps the ``open_close.sweeps`` counter.
+        (Section III.D) on every preset. :meth:`_attempt` builds it over
+        its copy of the step's contact table and the step's one spring
+        geometry (vertices never move between the attempts or sweeps of
+        a step). Every sweep bumps the ``open_close.sweeps`` counter.
         """
         self.metrics.inc("open_close.sweeps")
         update = self._oc_driver.sweep(d, prev_normal_force)
@@ -421,7 +450,7 @@ class EngineBase:
         while step < steps:
             step_start = tracer.now() if tracer.enabled else 0.0
             try:
-                record = self._step_impl(step, times, result.warnings)
+                record = self._step_impl(step, result)
             except SimulationError as err:
                 cp = manager.latest if manager is not None else None
                 if (
@@ -452,7 +481,6 @@ class EngineBase:
                     )
                     step = cp.step
                     continue
-                result.rollbacks = rollbacks
                 report = FailureReport(
                     error=type(err).__name__,
                     message=str(err),
@@ -501,17 +529,17 @@ class EngineBase:
         cp.restore(self)
 
     def _solve_with_fallback(
-        self, matrix: BlockMatrix, rhs: np.ndarray, first_rung: int = 0
+        self, matrix: BlockMatrix, rhs: np.ndarray, x0: np.ndarray, first_rung: int = 0
     ) -> tuple[CGResult, int, int]:
         """One equation solve, escalating through the fallback ladder.
 
         Walks :func:`repro.engine.resilience.solver_ladder` — configured
         preconditioner, stronger preconditioner, cold restart — from
         ``first_rung`` (the rung an earlier sweep of this loop-2 attempt
-        had to climb to) and stops at the first converged rung. A cold
-        restart directly after a warm solve with the same preconditioner
-        is skipped while the warm start is still the zero vector: it
-        would be the same solve. Returns ``(result, rung,
+        had to climb to) and stops at the first converged rung. A warm
+        rung starts from ``x0``. A cold restart directly after a warm
+        solve with the same preconditioner is skipped while ``x0`` is the
+        zero vector: it would be the same solve. Returns ``(result, rung,
         total_cg_iterations)``; when every rung fails the last result is
         returned (``converged=False``) and loop 2 takes over with a
         dt-halving.
@@ -530,7 +558,7 @@ class EngineBase:
             if (
                 not warm
                 and name == warm_tried
-                and not self._prev_solution.any()  # lint: sync-ok[stage-skip] -- host decides whether the cold restart differs from the warm solve just run
+                and not x0.any()  # lint: sync-ok[stage-skip] -- host decides whether the cold restart differs from the warm solve just run
             ):
                 skipped += 1
                 continue
@@ -539,7 +567,7 @@ class EngineBase:
             except (ValueError, ZeroDivisionError, np.linalg.LinAlgError):
                 continue  # rung unbuildable (e.g. ILU on a zero pivot)
             res = pcg(
-                operand, rhs, self._prev_solution if warm else None, pre,
+                operand, rhs, x0 if warm else None, pre,
                 tol=CG_TOLERANCE,
                 max_iterations=CG_MAX_ITERATIONS,
                 metrics=self.metrics,
@@ -636,185 +664,188 @@ class EngineBase:
             bound = self._bound_assembly = plan.bind(geometry)
         return bound.assemble(diag_blocks, w, ws)
 
-    def _step_impl(
-        self,
-        step: int,
-        times: ModuleTimes,
-        warnings: list[HealthWarning] | None = None,
-    ) -> StepRecord:
-        controls = self.controls
-        last_res: CGResult | None = None
-        cause = "cg_non_convergence"
-        max_pen = 0.0
+    def _step_impl(self, step: int, result: SimulationResult) -> StepRecord:
+        """Loop 2: attempt the step until an attempt is accepted, or
+        raise once ``MAX_STEP_RETRIES`` dt-halvings are spent."""
+        times = result.module_times
+        detected = None
         for retry in range(MAX_STEP_RETRIES + 1):
             saved_velocities = self.system.velocities.copy()
-            ctx = StepContext(step=step, dt=self.dt, retries=retry)
-            # ---- contact detection ----------------------------------
-            # detection and the spring linearisation read block geometry
-            # only, and that moves in data updating alone: they run on
-            # the first attempt, a retry records the detection's priced
-            # launches again and starts from a fresh copy of the table
-            with self._stage(times, "contact_detection", step):
-                if retry == 0:
-                    n0 = self.device.launches()
-                    detected = self._detect_contacts()
-                    detection = self.device.launches_since(n0)
-                    step_geometry = detected.spring_geometry(self.system)
-                else:
-                    self.device.record(detection)
-                table = detected.copy()
-            contacts = self._inject("contact_detection", table, step)
-            self.contracts.check_contacts(
-                self.system, contacts, previous=self._contacts, context=ctx
-            )
-            # a fault that replaced the table brings its own geometry
-            geometry = (
-                step_geometry if contacts is table
-                else contacts.spring_geometry(self.system)
-            )
-            self._oc_driver = OpenCloseDriver.build(
-                self.system, contacts, geometry,
-                force_tolerance=self._force_tol,
-            )
-            # ---- diagonal building (contact-independent) ------------
-            with self._stage(times, "diagonal_matrix_building", step):
-                diag_idx, diag_blocks, f_base = self._build_diagonal()
-
-            diag_idx = np.concatenate([diag_idx, contacts.block_i, contacts.block_j])
-            normal_force = contacts.pn * np.maximum(0.0, contacts.normal_disp)
-            d = np.zeros(self.system.n_dof)
-            # first_rung, the rung the attempt's last solve needed: a
-            # sweep starts where the one before it had to climb to
-            cg_total = step_rung = first_rung = 0
-            converged, oc_converged = True, False
-            max_pen = 0.0
-            changes: list[int] = []  # significant changes, one per sweep
-            for oc in range(MAX_OPEN_CLOSE_ITERATIONS):
-                # ---- non-diagonal building --------------------------
-                with self._stage(times, "nondiagonal_matrix_building", step):
-                    w, ws, f_contact = self._build_nondiagonal(
-                        contacts, normal_force, geometry
-                    )
-                    matrix = self._assemble(
-                        diag_idx, diag_blocks, contacts, geometry, w, ws
-                    )
-                matrix = self._inject("matrix_assembly", matrix, step)
-                self.contracts.check_matrix(matrix, context=ctx)
-                # ---- equation solving --------------------------------
-                with self._stage(times, "equation_solving", step):
-                    res, rung, iters = self._solve_with_fallback(
-                        matrix, f_base + f_contact, first_rung
-                    )
-                first_rung = rung
-                res = self._inject("equation_solving", res, step)
-                if res.converged:
-                    self.contracts.check_solution(
-                        matrix, f_base + f_contact, res, context=ctx
-                    )
-                cg_total += iters
-                step_rung = max(step_rung, rung)
-                last_res = res
-                if not res.converged:
-                    converged = False
-                    cause = "cg_breakdown" if res.breakdown else "cg_non_convergence"
-                    break
-                d = res.x
-                # ---- interpenetration checking ------------------------
-                with self._stage(times, "interpenetration_checking", step):
-                    update = self._check_interpenetration(contacts, d, normal_force)
-                self.contracts.check_state_update(contacts, update, context=ctx)
-                max_pen = update.max_penetration
-                contacts.state = update.states
-                contacts.shear_sign = update.shear_sign
-                normal_force = update.normal_force
-                changes.append(update.significant_changes)
-                if update.significant_changes == 0:
-                    oc_converged = True
-                    break
-                # sweep 1 only closes the fresh table: a count that rose
-                # twice running from sweep 2 on, with sweeps left, diverges
-                if (
-                    3 <= oc < MAX_OPEN_CLOSE_ITERATIONS - 1
-                    and retry < MAX_STEP_RETRIES
-                    and changes[-3] < changes[-2] < changes[-1]
-                ):
-                    cause = "open_close_divergence"
-                    break
-            else:
-                cause = "open_close_oscillation"
-            # states diverging, or still switching at the cap, are treated
-            # like CG non-convergence: shrink the physical time and redo the
-            # step (Shi's rule). The last allowed retry is accepted anyway
-            # so a marginal oscillation cannot wedge the run.
-            if converged and not oc_converged and retry < MAX_STEP_RETRIES:
-                converged = False
-
-            # ---- loop 2: maximum displacement control ----------------
-            max_disp = self._max_vertex_displacement(d)
-            if converged and max_disp <= 2.0 * self._max_disp_allowed:
-                self._prev_solution = d.copy()
-                if contacts.m:
-                    # carry the converged normal compression as the contact
-                    # memory transferred into the next step
-                    contacts.normal_disp = normal_force / np.maximum(
-                        contacts.pn, 1e-300
-                    )
-                self._contacts = contacts
-                # bound to the geometry that is about to move (and ~5 MB
-                # at 12 k contacts the next detection need not sit on)
-                self._bound_assembly = None
-                with self._stage(times, "data_updating", step):
-                    self._update_data(d)
-                self.contracts.check_geometry(self.system, context=ctx)
-                accepted_dt = self.dt
-                self.sim_time += accepted_dt
-                self.dt = min(self.dt * 1.5, controls.time_step)
-                record = StepRecord(
-                    step=step,
-                    dt=accepted_dt,
-                    cg_iterations=cg_total,
-                    open_close_iterations=len(changes),
-                    n_contacts=contacts.m,
-                    n_offdiag_blocks=int(
-                        np.unique(
-                            np.minimum(contacts.block_i, contacts.block_j)
-                            * self.system.n_blocks
-                            + np.maximum(contacts.block_i, contacts.block_j)
-                        ).size
-                    ),
-                    max_displacement=max_disp,
-                    max_penetration=max_pen,
-                    retries=retry,
-                    solver_rung=step_rung,
-                    oc_converged=oc_converged,
-                )
+            attempt, trial = self._attempt(step, retry, times, detected)
+            if attempt.cause is None:
+                record = self._accept(attempt, trial, retry, times)
                 # health guards run on the freshly-updated state; a
                 # non-finite state raises NumericalBlowup for the run loop
-                guard_warnings = self._monitor.after_step(self.system, record)
-                if warnings is not None:
-                    warnings.extend(guard_warnings)
+                result.warnings.extend(self._monitor.after_step(self.system, record))
                 return record
-            if converged:
-                cause = "max_displacement"
-            # halve the physical time and redo (the paper's rule for both
-            # non-convergence and over-large displacement)
-            self.metrics.inc(f"engine.step_rejected.{cause}")
-            self.metrics.inc("engine.rejected_cg_iterations", cg_total)
+            # the one rejection branch: the counters tally the records
+            self.metrics.inc(f"engine.step_rejected.{attempt.cause}")
+            self.metrics.inc("engine.rejected_cg_iterations", attempt.cg_iterations)
+            result.rejected.append(attempt)
             self.system.velocities = saved_velocities
-            self.dt *= 0.5
-        context = StepContext(
-            step=step,
-            dt=self.dt,
-            retries=MAX_STEP_RETRIES,
-            cg_residuals=list(last_res.residuals) if last_res else [],
-            max_penetration=max_pen,
-            cause=cause,
-        )
-        error_cls = SolverBreakdown if cause == "cg_breakdown" else StepRejected
+            self.dt = next_dt(attempt.dt, attempt.cause, self.controls.time_step)
+            # the next attempt needs only the step's detection: the
+            # rejected contacts and solution go before it runs
+            detected, residuals = trial.detected, trial.residuals
+            del trial
+        error_cls = SolverBreakdown if attempt.cause == "cg_breakdown" else StepRejected
         raise error_cls(
-            f"step {step}: no acceptable time step after "
-            f"{MAX_STEP_RETRIES} halvings (dt={self.dt:.3e}, cause={cause})",
-            context,
+            f"step {step}: no acceptable time step after {MAX_STEP_RETRIES} "
+            f"halvings (dt={self.dt:.3e}, cause={attempt.cause})",
+            StepContext(
+                step=step, dt=self.dt, retries=MAX_STEP_RETRIES,
+                cg_residuals=list(residuals),
+                max_penetration=attempt.max_penetration, cause=attempt.cause,
+            ),
+        )
+
+    def _replay_detection(
+        self, step: int, times: ModuleTimes, detected: _Detected | None
+    ) -> tuple[ContactSet, _Detected]:
+        """A fresh copy of the step's contact table. Detection and the
+        spring linearisation read block geometry only, which moves in data
+        updating alone: they run on the step's first attempt (``detected``
+        is ``None``); a retry records the detection's priced launches."""
+        with self._stage(times, "contact_detection", step):
+            if detected is None:
+                n0 = self.device.launches()
+                table = self._detect_contacts()
+                detected = _Detected(
+                    table, self.device.launches_since(n0),
+                    table.spring_geometry(self.system),
+                )
+            else:
+                self.device.record(detected.launches)
+            return detected.table.copy(), detected
+
+    def _attempt(
+        self, step: int, retry: int, times: ModuleTimes, detected: _Detected | None
+    ) -> tuple[Attempt, _Trial]:
+        """One attempt at ``step`` with the current dt: detection, the
+        diagonal build and the open–close sweeps (loop 3), each stage
+        output passed through its fault seam and contract check."""
+        system = self.system
+        ctx = StepContext(step=step, dt=self.dt, retries=retry)
+        table, detected = self._replay_detection(step, times, detected)
+        contacts = self._inject("contact_detection", table, step)
+        self.contracts.check_contacts(
+            system, contacts, previous=self._contacts, context=ctx
+        )
+        # a fault that replaced the table brings its own geometry
+        geometry = (
+            detected.geometry if contacts is table
+            else contacts.spring_geometry(system)
+        )
+        self._oc_driver = OpenCloseDriver.build(
+            system, contacts, geometry, force_tolerance=self._force_tol
+        )
+        with self._stage(times, "diagonal_matrix_building", step):
+            diag_idx, diag_blocks, f_base = self._build_diagonal()
+        diag_idx = np.concatenate([diag_idx, contacts.block_i, contacts.block_j])
+        normal_force = contacts.pn * np.maximum(0.0, contacts.normal_disp)
+        d = np.zeros(system.n_dof)
+        x0 = self._prev_solution  # every sweep's CG starting guess
+        last = retry == MAX_STEP_RETRIES
+        cause: str | None = None
+        res: CGResult | None = None
+        # rung: the one the last solve needed, where the next one starts
+        cg_total = rung = 0
+        max_pen = 0.0
+        changes: list[int] = []  # significant changes, one per sweep
+        for oc in range(MAX_OPEN_CLOSE_ITERATIONS):
+            with self._stage(times, "nondiagonal_matrix_building", step):
+                w, ws, f_contact = self._build_nondiagonal(
+                    contacts, normal_force, geometry
+                )
+                matrix = self._assemble(
+                    diag_idx, diag_blocks, contacts, geometry, w, ws
+                )
+            matrix = self._inject("matrix_assembly", matrix, step)
+            self.contracts.check_matrix(matrix, context=ctx)
+            with self._stage(times, "equation_solving", step):
+                rhs = f_base + f_contact
+                res, rung, iters = self._solve_with_fallback(
+                    matrix, rhs, x0, rung
+                )
+            res = self._inject("equation_solving", res, step)
+            cg_total += iters
+            if not res.converged:
+                cause = "cg_breakdown" if res.breakdown else "cg_non_convergence"
+                break
+            self.contracts.check_solution(matrix, rhs, res, context=ctx)
+            d = res.x
+            with self._stage(times, "interpenetration_checking", step):
+                update = self._check_interpenetration(contacts, d, normal_force)
+            self.contracts.check_state_update(contacts, update, context=ctx)
+            max_pen = update.max_penetration
+            contacts.state = update.states
+            contacts.shear_sign = update.shear_sign
+            normal_force = update.normal_force
+            changes.append(update.significant_changes)
+            if update.significant_changes == 0:
+                break
+            # sweep 1 only closes the fresh table: a count that rose
+            # twice running from sweep 2 on, with sweeps left, diverges
+            if (
+                3 <= oc < MAX_OPEN_CLOSE_ITERATIONS - 1
+                and not last
+                and changes[-3] < changes[-2] < changes[-1]
+            ):
+                cause = "open_close_divergence"
+                break
+        else:
+            # states still switching at the cap are treated like CG
+            # non-convergence (Shi's rule); the last retry is accepted
+            # anyway so a marginal oscillation cannot wedge the run
+            if not last:
+                cause = "open_close_oscillation"
+        max_disp = self._max_vertex_displacement(d)
+        if cause is None and not max_disp <= 2.0 * self._max_disp_allowed:
+            cause = "max_displacement"
+        attempt = Attempt(
+            step, self.dt, cause, tuple(changes), cg_total, rung, max_pen
+        )
+        return attempt, _Trial(
+            detected, contacts, d, normal_force, max_disp,
+            [] if res is None else res.residuals,
+        )
+
+    def _accept(
+        self, attempt: Attempt, trial: _Trial, retry: int, times: ModuleTimes
+    ) -> StepRecord:
+        """Commit the accepted attempt, update the data, advance the
+        clock and dt, and return the step's record."""
+        contacts, d = trial.contacts, trial.d
+        self._prev_solution = d.copy()
+        if contacts.m:
+            # carry the converged normal compression as the contact
+            # memory transferred into the next step
+            contacts.normal_disp = trial.normal_force / np.maximum(
+                contacts.pn, 1e-300
+            )
+        self._contacts = contacts
+        # bound to the geometry that is about to move (and ~5 MB at
+        # 12 k contacts the next detection need not sit on)
+        self._bound_assembly = None
+        with self._stage(times, "data_updating", attempt.step):
+            self._update_data(d)
+        ctx = StepContext(step=attempt.step, dt=attempt.dt, retries=retry)
+        self.contracts.check_geometry(self.system, context=ctx)
+        self.sim_time += attempt.dt
+        self.dt = next_dt(attempt.dt, None, self.controls.time_step)
+        return StepRecord(
+            step=attempt.step,
+            dt=attempt.dt,
+            cg_iterations=attempt.cg_iterations,
+            open_close_iterations=len(attempt.changes),
+            n_contacts=contacts.m,
+            # the distinct contact block pairs the attempt assembled
+            n_offdiag_blocks=int(self._assembly_plan.ukey.size),
+            max_displacement=trial.max_displacement,
+            max_penetration=attempt.max_penetration,
+            retries=retry,
+            solver_rung=attempt.rung,
+            oc_converged=attempt.changes[-1:] == (0,),
         )
 
     # ------------------------------------------------------------------

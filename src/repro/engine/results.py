@@ -19,10 +19,9 @@ class StepRecord:
 
     ``dt`` is the time step the accepted attempt actually integrated
     with (not the grown value carried into the next step).
-    ``cg_iterations`` counts the accepted attempt only: what the
-    ``retries`` rejected attempts before it burned is in the
-    ``engine.rejected_cg_iterations`` counter, by cause in
-    ``engine.step_rejected.<cause>``.
+    ``cg_iterations`` counts the accepted attempt only: the ``retries``
+    rejected attempts before it are :class:`Attempt` records on
+    :attr:`SimulationResult.rejected`.
     ``solver_rung`` is the highest fallback-ladder rung the step needed
     (0 = the configured preconditioner converged every solve); nonzero
     values flag solver degradation long before a run fails outright.
@@ -41,6 +40,27 @@ class StepRecord:
     oc_converged: bool = True
 
 
+@dataclass(frozen=True)
+class Attempt:
+    """One loop-2 attempt at a step, as the step controller saw it.
+
+    ``dt`` is the time step the attempt integrated with. ``cause`` is
+    ``None`` for an accepted attempt, else why loop 2 threw it away (one
+    of ``repro.engine.base.REJECTION_CAUSES``). ``changes`` holds each
+    open–close sweep's significant-change count, so ``len(changes)`` is
+    the attempt's sweeps. ``cg_iterations`` counts every rung of every
+    solve, and ``rung`` is the highest fallback-ladder rung it needed.
+    """
+
+    step: int
+    dt: float
+    cause: str | None
+    changes: tuple[int, ...]
+    cg_iterations: int
+    rung: int
+    max_penetration: float
+
+
 @dataclass
 class SimulationResult:
     """Everything a run produced.
@@ -55,6 +75,9 @@ class SimulationResult:
         across its runs).
     steps:
         One :class:`StepRecord` per accepted step.
+    rejected:
+        One :class:`Attempt` per attempt loop 2 threw away, in order
+        (a rollback removes none).
     snapshots:
         ``(step, centroids)`` pairs recorded every ``snapshot_every``
         accepted steps (plus the final state).
@@ -83,6 +106,7 @@ class SimulationResult:
     module_times: ModuleTimes
     device: VirtualDevice
     steps: list[StepRecord] = field(default_factory=list)
+    rejected: list[Attempt] = field(default_factory=list)
     snapshots: list[tuple[int, np.ndarray]] = field(default_factory=list)
     displacements: np.ndarray | None = None
     warnings: list[HealthWarning] = field(default_factory=list)

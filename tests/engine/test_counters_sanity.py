@@ -1,6 +1,7 @@
 """Sanity checks of the virtual-device ledgers produced by full runs."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -98,7 +99,8 @@ class TestLedgerSanity:
 class TestRejectedAttempts:
     """Loop 2's thrown-away attempts are counted by cause, with the CG
     iterations they burned (``StepRecord.cg_iterations`` is the accepted
-    attempt only)."""
+    attempt only); ``result.rejected`` holds one record per attempt, and
+    the counters tally the records."""
 
     def test_rejections_by_cause_and_discarded_iterations(self):
         from repro.meshing.slope_models import build_slope_model
@@ -133,6 +135,12 @@ class TestRejectedAttempts:
         # 2186 discarded before the diverging attempt stopped at sweep 4
         assert (accepted, discarded) == (287, 1934)
         assert accepted + discarded == snap["histograms"]["cg.iterations"]["sum"]
+        rejected = result.rejected
+        assert Counter(a.cause for a in rejected) == {
+            "open_close_oscillation": 4, "open_close_divergence": 1,
+        }
+        assert sum(a.cg_iterations for a in rejected) == 1934
+        assert len(rejected) == sum(s.retries for s in result.steps) == 5
 
     def test_a_starved_solver_is_the_named_cause(self, monkeypatch):
         monkeypatch.setattr(engine_base, "CG_TOLERANCE", 1e-300)
@@ -141,9 +149,12 @@ class TestRejectedAttempts:
             build_brick_wall(2, 2),
             SimulationControls(time_step=1e-3, dynamic=True),
         )
-        (record,) = engine.run(steps=1).steps
+        result = engine.run(steps=1)
+        (record,) = result.steps
         counters = engine.metrics.snapshot()["counters"]
         assert record.retries == 6
         assert counters["engine.step_rejected.cg_non_convergence"] == 6
         assert counters["engine.step_rejected.open_close_oscillation"] == 0
         assert counters["engine.rejected_cg_iterations"] == 63
+        assert [a.cause for a in result.rejected] == ["cg_non_convergence"] * 6
+        assert sum(a.cg_iterations for a in result.rejected) == 63

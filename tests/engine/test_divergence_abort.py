@@ -1,6 +1,6 @@
 """Loop 2 gives up an attempt whose open–close count diverges.
 
-``EngineBase._step_impl`` rejects a loop-2 attempt, cause
+``EngineBase._attempt`` rejects a loop-2 attempt, cause
 ``open_close_divergence``, once its significant-change count has risen
 in two consecutive sweeps counted from sweep 2 (``c2 < c3 < c4`` stops
 it at sweep 4), while a sweep remains under the cap and a retry remains
@@ -17,6 +17,7 @@ step 345 with counts 4, 9, 12, 5, 2, 0 and step 370 with 7, 8, 10, 4,
 
 import dataclasses
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -82,17 +83,12 @@ def test_the_last_retry_runs_every_sweep(monkeypatch, cap, cause):
     (at a cap of 4 no sweep is left and the cap rejects them), and the
     last retry runs to the cap and is accepted unsettled, as it is
     without the rule."""
-    sweeps = []  # per attempt, the sweeps its driver ran
-    drivers = []
+    counts = itertools.count(1)
     real = OpenCloseDriver.sweep
 
     def rising(self, d, prev_normal_force):
-        if not drivers or drivers[-1] is not self:
-            drivers.append(self)
-            sweeps.append(0)
-        sweeps[-1] += 1
         return dataclasses.replace(
-            real(self, d, prev_normal_force), significant_changes=sweeps[-1]
+            real(self, d, prev_normal_force), significant_changes=next(counts)
         )
 
     monkeypatch.setattr(OpenCloseDriver, "sweep", rising)
@@ -100,9 +96,11 @@ def test_the_last_retry_runs_every_sweep(monkeypatch, cap, cause):
     engine = GpuEngine(
         build_brick_wall(2, 2), SimulationControls(time_step=1e-3)
     )
-    (record,) = engine.run(1).steps
+    result = engine.run(1)
+    (record,) = result.steps
 
-    assert sweeps == [4] * MAX_STEP_RETRIES + [cap]
+    assert [len(a.changes) for a in result.rejected] == [4] * MAX_STEP_RETRIES
+    assert {a.cause for a in result.rejected} == {cause}
     assert record.retries == MAX_STEP_RETRIES
     assert record.open_close_iterations == cap
     assert record.oc_converged is False

@@ -519,6 +519,18 @@ class TestEndToEndRecovery:
         assert rollback_notes and "rolled back to step" in rollback_notes[0].message
         # renumbering stayed contiguous through the rollback
         assert [s.step for s in result.steps] == list(range(10))
+        # the attempts the rollback undid keep their records, as they
+        # keep their counts: the counters tally result.rejected
+        counters = engine.metrics.snapshot()["counters"]
+        rejected = result.rejected
+        assert len(rejected) == sum(
+            n for name, n in counters.items()
+            if name.startswith("engine.step_rejected.")
+        )
+        assert sum(a.cg_iterations for a in rejected) == (
+            counters["engine.rejected_cg_iterations"]
+        )
+        assert len(rejected) > sum(s.retries for s in result.steps)
 
     @pytest.mark.parametrize("engine_cls", ENGINES)
     def test_persistent_fault_returns_partial_with_report(

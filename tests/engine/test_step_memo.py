@@ -1,6 +1,6 @@
 """Once-per-step contact work: the detection memo and its assumptions.
 
-``EngineBase._step_impl`` runs the preset's ``_detect_contacts()`` on
+``EngineBase._replay_detection`` runs the preset's ``_detect_contacts()`` on
 the first loop-2 attempt only; a retry records the captured slice of
 priced launches again and starts from a fresh copy of the detected
 table. That is valid because detection reads block geometry and the
@@ -380,10 +380,10 @@ class SkipRecorder:
         self.accepted.add(self.attempt)
         super()._update_data(d)
 
-    def _solve_with_fallback(self, matrix, rhs, first_rung=0):
+    def _solve_with_fallback(self, matrix, rhs, x0, first_rung=0):
         before = self.metrics.counter("solver.rungs_skipped").value
         res, rung, iters = super()._solve_with_fallback(
-            matrix, rhs, first_rung
+            matrix, rhs, x0, first_rung
         )
         n = self.metrics.counter("solver.rungs_skipped").value - before
         # by memory: the rungs below the first; by the zero-warm-start
@@ -391,7 +391,7 @@ class SkipRecorder:
         rungs = list(range(first_rung)) + [rung] * (n - first_rung)
         for r in rungs:
             self.skipped.append(
-                (self.attempt, r, matrix, rhs, self._prev_solution.copy())
+                (self.attempt, r, matrix, rhs, x0.copy())
             )
             self.kept[len(self.skipped) - 1] = res
         return res, rung, iters
@@ -455,8 +455,8 @@ def test_run_without_the_ladder_memory_ends_in_the_same_place(
     at rung 0: same accepted steps, same final state, more iterations."""
 
     class Amnesiac(ENGINES[preset]):
-        def _solve_with_fallback(self, matrix, rhs, first_rung=0):
-            return super()._solve_with_fallback(matrix, rhs, 0)
+        def _solve_with_fallback(self, matrix, rhs, x0, first_rung=0):
+            return super()._solve_with_fallback(matrix, rhs, x0, 0)
 
     ours = _capped(monkeypatch, preset, 100, None)
     theirs = _capped(monkeypatch, preset, 100, Amnesiac)

@@ -61,10 +61,11 @@ class TestMain:
         ) in out
         # the solve is reported whole: what the thrown-away attempts
         # burned stands next to the accepted attempt's count (1956 in 4,
-        # all open_close_oscillation, before two stopped at sweep 4)
+        # all open_close_oscillation, before two stopped at sweep 4);
+        # causes are listed in the order they first fired
         assert (
             "CG iterations total: 62 in accepted attempts, 1535 in 4 "
-            "rejected (2 open_close_oscillation, 2 open_close_divergence);"
+            "rejected (2 open_close_divergence, 2 open_close_oscillation);"
         ) in out
 
     def test_render_included_by_default(self, capsys):

@@ -4,7 +4,8 @@ Every ``[text](target)`` markdown link that points inside the repo
 must resolve: the target file exists, and if the link carries a
 ``#fragment`` the target page has a heading whose GitHub-style anchor
 matches. External links (``http(s)://``, ``mailto:``) are ignored —
-CI must not depend on the network.
+CI must not depend on the network. Every ``python -m benchmarks.<mod>``
+command names a module that runs something when run that way.
 """
 
 from __future__ import annotations
@@ -74,3 +75,23 @@ def test_docs_index_links_every_docs_page():
         assert f"docs/{doc.name}" in readme_links, (
             f"README documentation index is missing docs/{doc.name}"
         )
+
+
+_BENCH_MODULE = re.compile(r"python3? -m (benchmarks(?:\.\w+)+)")
+
+
+@pytest.mark.parametrize("page", PAGES, ids=lambda p: p.name)
+def test_benchmark_module_commands_run_something(page):
+    """A ``python -m benchmarks.<mod>`` whose module has no ``__main__``
+    block exits 0 having done nothing."""
+    problems = []
+    for module in _BENCH_MODULE.findall(page.read_text(encoding="utf-8")):
+        path = REPO.joinpath(*module.split("."))
+        source = path.with_suffix(".py")
+        if not source.exists():
+            source = path / "__main__.py"
+        if not source.exists():
+            problems.append(f"{module}: no module at {source}")
+        elif 'if __name__ == "__main__"' not in source.read_text(encoding="utf-8"):
+            problems.append(f"{module}: {source.name} has no __main__ block")
+    assert not problems, "\n".join(problems)
