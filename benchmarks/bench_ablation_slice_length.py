@@ -27,7 +27,7 @@ def matrix():
 def sweep(matrix):
     rng = np.random.default_rng(0)
     x = rng.normal(size=matrix.n * 6)
-    baseline = matrix.to_scipy_csr() @ x
+    baseline = matrix.matvec(x)
     out = {}
     for align in ALIGNMENTS:
         h = HSBCSRMatrix.from_block_matrix(matrix, align=align)

@@ -62,11 +62,8 @@ def modelled_times(case1_matrix, x_vector):
     np.testing.assert_allclose(y_b, y_h, rtol=1e-9, atol=1e-9)
 
     # TSS on the ILU factors of the same matrix
-    csr = a.to_scipy_csr()
-    csr.sort_indices()
-    indptr = csr.indptr.astype(np.int64)
-    indices = csr.indices.astype(np.int64)
-    lu = ilu0_factorize(indptr, indices, csr.data)
+    indptr, indices, data = a.to_csr_arrays()
+    lu = ilu0_factorize(indptr, indices, data)
     lo_levels = level_schedule(indptr, indices, lower=True)
     up_levels = level_schedule(indptr, indices, lower=False)
     dev = VirtualDevice(K40)

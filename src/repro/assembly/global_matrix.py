@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import bsr_matrix
 
 from repro.gpu.kernel import VirtualDevice
 from repro.primitives.scatter import scatter_add
@@ -101,20 +100,43 @@ class BlockMatrix:
             a[j * BS : (j + 1) * BS, i * BS : (i + 1) * BS] = self.blocks[k].T
         return a
 
-    def to_scipy_csr(self):
-        """Full (symmetric) matrix as ``scipy.sparse.csr_matrix``."""
-        idx_i = np.concatenate([np.arange(self.n), self.rows, self.cols])
-        idx_j = np.concatenate([np.arange(self.n), self.cols, self.rows])
-        data = np.concatenate(
+    def to_bcsr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Full (symmetric) matrix as block CSR ``(indptr, indices, blocks)``:
+        int64 ``(n+1,)`` block-row bounds, int64 ``(nb,)`` block columns
+        sorted within each row, ``(nb, 6, 6)`` blocks."""
+        n = self.n
+        rows = np.concatenate([np.arange(n), self.rows, self.cols])
+        cols = np.concatenate([np.arange(n), self.cols, self.rows])
+        blocks = np.concatenate(
             [self.diag, self.blocks, self.blocks.transpose(0, 2, 1)]
         )
-        order = np.argsort(idx_i * self.n + idx_j, kind="stable")
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(idx_i, minlength=self.n), out=indptr[1:])
-        return bsr_matrix(
-            (data[order], idx_j[order], indptr),
-            shape=(self.n * BS, self.n * BS),
-        ).tocsr()
+        order = np.argsort(rows * n + cols, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return indptr, cols[order], blocks[order]
+
+    def to_csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Full (symmetric) matrix as scalar CSR ``(indptr, indices, data)``:
+        int64 ``(6n+1,)`` row bounds, int64 columns sorted within each
+        row, float64 values. Every block's 36 entries are kept, explicit
+        zeros included: ``bsr_matrix(...).tocsr()``'s arrays, entry for
+        entry."""
+        bptr, bcols, blocks = self.to_bcsr_arrays()
+        counts = np.diff(bptr)
+        start = np.repeat(bptr[:-1], counts)
+        # scalar row 6i+r holds, block by block, row r of block row i:
+        # entry (r, c) of block k lands at pos[k, r, c]
+        first = BS * BS * start + BS * (np.arange(bcols.size) - start)
+        row_len = BS * np.repeat(counts, counts)
+        r, c = np.arange(BS)[:, None], np.arange(BS)[None, :]
+        pos = first[:, None, None] + r * row_len[:, None, None] + c
+        indices = np.empty(pos.size, dtype=np.int64)
+        indices[pos] = BS * bcols[:, None, None] + c
+        data = np.empty(pos.size)
+        data[pos] = blocks
+        indptr = np.zeros(self.n * BS + 1, dtype=np.int64)
+        np.cumsum(np.repeat(BS * counts, BS), out=indptr[1:])
+        return indptr, indices, data
 
 
 def assemble_gpu(

@@ -21,12 +21,33 @@ HSBCSR two-stage SpMV: each call is one SciPy BSR / CSR matvec kernel
 (the ``_sparsetools`` loops behind ``@``, no other module names them)
 into a zeroed output. Both sum strictly left to right — each 6-term
 dot, then each segment, from ``0.0`` — as a pure-Python loop does.
+Their extension file is loaded by path under a private name: through
+``scipy.sparse`` it would cost ≈ 75 modules and ≈ 13 MB. A later
+``import scipy.sparse`` loads its own copy beside this one.
 """
 
 from __future__ import annotations
 
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_loader
+from pathlib import Path
+
 import numpy as np
-from scipy.sparse._sparsetools import bsr_matvec, csr_matvecs
+
+
+def _load_sparsetools():
+    """SciPy's ``sparse/_sparsetools`` extension, without importing ``scipy``."""
+    (root,) = find_spec("scipy").submodule_search_locations
+    paths = [Path(root, "sparse", "_sparsetools" + s) for s in EXTENSION_SUFFIXES]
+    path = str(next((p for p in paths if p.is_file()), paths[0]))
+    loader = ExtensionFileLoader("repro.primitives._sparsetools", path)
+    module = module_from_spec(spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    return module
+
+
+_kernels = _load_sparsetools()
+bsr_matvec, csr_matvecs = _kernels.bsr_matvec, _kernels.csr_matvecs
 
 __all__ = [
     "scatter_add",

@@ -37,6 +37,11 @@ import threading
 import traceback
 from pathlib import Path
 
+# numpy submodules a job loads on first use: preloaded, so that a
+# forked worker inherits them (``late_imports`` below)
+import numpy.ma  # noqa: F401 - np.median, in EngineBase.__init__
+import numpy.random  # noqa: F401 - the models' seeded generators
+
 from repro.engine.resilience import SimulationError
 from repro.engine.runner import execute_spec, newest_valid_checkpoint
 from repro.io.batch_io import read_json, write_json_atomic

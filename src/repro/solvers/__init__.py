@@ -16,39 +16,3 @@ paper compares (Table I / Fig. 5):
 The PCG driver warm-starts from the previous step's solution, as the
 paper notes DDA does, and reports iteration counts for the Fig.-5 series.
 """
-
-from repro.solvers.cg import pcg, CGResult
-from repro.solvers.preconditioners import (
-    Preconditioner,
-    BlockJacobiPreconditioner,
-    SSORAIPreconditioner,
-    ILU0Preconditioner,
-    IdentityPreconditioner,
-    make_preconditioner,
-    stronger_preconditioner,
-    STRENGTH_ORDER,
-)
-from repro.solvers.triangular import (
-    sparse_triangular_solve,
-    level_schedule,
-    ilu0_factorize,
-)
-from repro.solvers.precision import cg_fixed_dtype, PrecisionResult
-
-__all__ = [
-    "cg_fixed_dtype",
-    "PrecisionResult",
-    "pcg",
-    "CGResult",
-    "Preconditioner",
-    "BlockJacobiPreconditioner",
-    "SSORAIPreconditioner",
-    "ILU0Preconditioner",
-    "IdentityPreconditioner",
-    "make_preconditioner",
-    "stronger_preconditioner",
-    "STRENGTH_ORDER",
-    "sparse_triangular_solve",
-    "level_schedule",
-    "ilu0_factorize",
-]

@@ -152,11 +152,8 @@ class ILU0Preconditioner(Preconditioner):
     name = "ilu"
 
     def __init__(self, a: BlockMatrix, device: VirtualDevice | None = None) -> None:
-        csr = a.to_scipy_csr()
-        csr.sort_indices()
-        self.indptr = csr.indptr.astype(np.int64)
-        self.indices = csr.indices.astype(np.int64)
-        self.lu = ilu0_factorize(self.indptr, self.indices, csr.data)
+        self.indptr, self.indices, data = a.to_csr_arrays()
+        self.lu = ilu0_factorize(self.indptr, self.indices, data)
         self.lower_levels = level_schedule(self.indptr, self.indices, lower=True)
         self.upper_levels = level_schedule(self.indptr, self.indices, lower=False)
         self.n_rows = a.n * BS

@@ -19,20 +19,3 @@ stages as compiled sparse products over its own index arrays
 cost on the virtual device; correctness is cross-checked against SciPy
 and a left-to-right Python oracle in the tests.
 """
-
-from repro.spmv.hsbcsr import HSBCSRMatrix, TwoStageOperator, hsbcsr_spmv
-from repro.spmv.csr_ref import CSRMatrix, csr_spmv
-from repro.spmv.formats import BCSRMatrix, bcsr_spmv
-from repro.spmv.synthetic import synthetic_block_matrix, slope_like_sparsity
-
-__all__ = [
-    "HSBCSRMatrix",
-    "TwoStageOperator",
-    "hsbcsr_spmv",
-    "CSRMatrix",
-    "csr_spmv",
-    "BCSRMatrix",
-    "bcsr_spmv",
-    "synthetic_block_matrix",
-    "slope_like_sparsity",
-]

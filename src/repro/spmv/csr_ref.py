@@ -48,13 +48,7 @@ class CSRMatrix:
         recorded — the cost the paper says "cannot be ignored in a nested
         loop".
         """
-        csr = a.to_scipy_csr()
-        out = cls(
-            n_rows=a.n * BS,
-            indptr=csr.indptr.astype(np.int64),
-            indices=csr.indices.astype(np.int64),
-            data=csr.data.astype(np.float64),
-        )
+        out = cls(a.n * BS, *a.to_csr_arrays())
         if device is not None and include_recovery_cost:
             half_bytes = (a.n + a.n_offdiag) * BS * BS * 8
             full_bytes = (a.n + 2 * a.n_offdiag) * BS * BS * (8 + 4)

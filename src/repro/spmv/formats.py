@@ -31,15 +31,7 @@ class BCSRMatrix:
 
     @classmethod
     def from_block_matrix(cls, a: BlockMatrix) -> "BCSRMatrix":
-        rows = np.concatenate([np.arange(a.n), a.rows, a.cols])
-        cols = np.concatenate([np.arange(a.n), a.cols, a.rows])
-        data = np.concatenate(
-            [a.diag, a.blocks, a.blocks.transpose(0, 2, 1)]
-        )
-        order = np.lexsort((cols, rows))
-        indptr = np.zeros(a.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=a.n), out=indptr[1:])
-        return cls(a.n, indptr, cols[order].astype(np.int64), data[order])
+        return cls(a.n, *a.to_bcsr_arrays())
 
     @property
     def storage_bytes(self) -> int:

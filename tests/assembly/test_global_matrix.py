@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import bsr_matrix
+from scipy_csr import scipy_csr
 
 from repro.assembly.global_matrix import BS, BlockMatrix, assemble_gpu
+from repro.core.state import SimulationControls
+from repro.engine.gpu_engine import GpuEngine
 from repro.gpu.device import K40
 from repro.gpu.kernel import VirtualDevice
 
@@ -51,7 +55,7 @@ class TestBlockMatrix:
     def test_scipy_roundtrip(self, rng):
         bm = self._simple()
         x = rng.normal(size=3 * BS)
-        np.testing.assert_allclose(bm.to_scipy_csr() @ x, bm.matvec(x))
+        np.testing.assert_allclose(scipy_csr(bm) @ x, bm.matvec(x))
 
     def test_rejects_lower_triangle(self):
         with pytest.raises(ValueError, match="row < col"):
@@ -194,3 +198,35 @@ class TestAssembleGpu:
         gpu = assemble_gpu(n, *args, device=VirtualDevice(K40))
         assert_same_matrix(gpu, assemble_gpu(n, *args))
         np.testing.assert_allclose(gpu.to_dense(), dense_reference(n, *args), atol=1e-10)
+
+
+def test_csr_arrays_are_scipy_bsr_to_csr_on_an_engine_matrix():
+    """``to_csr_arrays`` is SciPy's BSR → CSR expansion entry for entry —
+    dtype, explicit zeros and column order — on the last matrix a slope
+    step solves."""
+    from repro.meshing.slope_models import build_slope_model
+
+    engine = GpuEngine(
+        build_slope_model(joint_spacing=5.0, seed=0),
+        SimulationControls(time_step=2e-3, penalty_scale=50.0),
+    )
+    seen, prepare = [], engine._solver_operand
+    engine._solver_operand = lambda m: prepare(seen.append(m) or m)
+    engine.run(steps=1)
+    a = seen[-1]
+    idx_i = np.concatenate([np.arange(a.n), a.rows, a.cols])
+    idx_j = np.concatenate([np.arange(a.n), a.cols, a.rows])
+    blocks = np.concatenate([a.diag, a.blocks, a.blocks.transpose(0, 2, 1)])
+    order = np.argsort(idx_i * a.n + idx_j, kind="stable")
+    bptr = np.concatenate([[0], np.cumsum(np.bincount(idx_i, minlength=a.n))])
+    expected = bsr_matrix(
+        (blocks[order], idx_j[order], bptr), shape=(a.n * BS, a.n * BS)
+    ).tocsr()
+    indptr, indices, data = a.to_csr_arrays()
+    assert (indptr.dtype, indices.dtype, data.dtype) == (
+        np.int64, np.int64, expected.data.dtype
+    )
+    np.testing.assert_array_equal(indptr, expected.indptr)
+    np.testing.assert_array_equal(indices, expected.indices)
+    np.testing.assert_array_equal(data.view(np.int64), expected.data.view(np.int64))
+    assert a.n_offdiag > 0 and (data == 0.0).any()  # explicit zeros kept

@@ -8,6 +8,9 @@ so a SciPy release that renames, re-signs or re-orders those kernels
 fails here rather than moving an iterate.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,41 @@ from repro.spmv.hsbcsr import TwoStageOperator
 from repro.spmv.synthetic import synthetic_block_matrix
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+#: The seam's private kernels first, then ``scipy.sparse``'s own copy:
+#: two modules, the same loops, the same bits — ``-0.0``, NaN and empty
+#: segments included.
+COEXIST = """
+import sys
+import numpy as np
+from repro.primitives import scatter
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+from scipy.sparse import _sparsetools as public
+private = sys.modules["repro.primitives._sparsetools"]
+assert private is not public and scatter.bsr_matvec is private.bsr_matvec
+assert private.bsr_matvec is not public.bsr_matvec
+
+rng = np.random.default_rng(0)
+nan, neg = float("nan"), -0.0
+blocks = rng.normal(size=(5, 6, 6))
+blocks[0], blocks[1, 2] = neg, nan
+index = np.array([3, 0, 3, 1, 2], dtype=np.int64)
+x = rng.normal(size=24)
+x[6:12], x[19] = neg, nan
+row_of = np.arange(6, dtype=np.int64)
+indptr = np.array([0, 0, 2, 2, 5, 5], dtype=np.int64)   # empty segments
+gather = np.array([4, 0, 2, 1, 3], dtype=np.int64)
+v = rng.normal(size=(5, 6))
+v[0], v[2, 1] = neg, nan
+out = []
+for kernels in (private, public):
+    y, s = np.zeros((5, 6)), np.zeros((5, 6))
+    kernels.bsr_matvec(5, 4, 6, 6, row_of, index, blocks, x, y)
+    kernels.csr_matvecs(5, 5, 6, indptr, gather, np.ones(5), v, s)
+    out.append(np.concatenate([y, s]).view(np.int64))
+assert (out[0] == out[1]).all(), "the two copies disagree"
+assert np.isnan(y[1, 2]) and np.isnan(s[3, 1]) and not s[[0, 2, 4]].any()
+"""
 
 
 def bits(a) -> np.ndarray:
@@ -200,3 +238,13 @@ def test_only_the_seam_names_the_private_kernels():
         if "_sparsetools" in p.read_text(encoding="utf-8")
     )
     assert naming == ["primitives/scatter.py"]
+
+
+def test_private_kernels_coexist_with_scipy_sparse_bit_for_bit():
+    done = subprocess.run(
+        [sys.executable, "-c", COEXIST], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+        )}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

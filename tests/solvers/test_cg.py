@@ -342,7 +342,7 @@ class TestOperandProtocol:
 
     @pytest.fixture
     def dense(self, system):
-        return system[0].to_scipy_csr().toarray()
+        return system[0].to_dense()
 
     def test_converges_to_the_dense_solution(self, dense, system):
         _, _, b = system

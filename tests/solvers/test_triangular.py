@@ -35,10 +35,7 @@ class TestLevelSchedule:
         np.testing.assert_array_equal(levels, np.arange(5)[::-1])
 
     def test_level_valid_topological_order(self, rng):
-        a = synthetic_block_matrix(10, 20, seed=0).to_scipy_csr()
-        a.sort_indices()
-        indptr = a.indptr.astype(np.int64)
-        indices = a.indices.astype(np.int64)
+        indptr, indices, _ = synthetic_block_matrix(10, 20, seed=0).to_csr_arrays()
         levels = level_schedule(indptr, indices, lower=True)
         # every dependency sits at a strictly smaller level
         for i in range(len(indptr) - 1):
@@ -121,14 +118,11 @@ class TestTriangularSolve:
         from repro.spmv.hsbcsr import HSBCSRMatrix, hsbcsr_spmv
 
         a = synthetic_block_matrix(600, 2300, seed=1)
-        csr = a.to_scipy_csr()
-        csr.sort_indices()
-        indptr = csr.indptr.astype(np.int64)
-        indices = csr.indices.astype(np.int64)
+        indptr, indices, data = a.to_csr_arrays()
         x = rng.normal(size=a.n * 6)
         d_spmv, d_tss = VirtualDevice(K40), VirtualDevice(K40)
         hsbcsr_spmv(HSBCSRMatrix.from_block_matrix(a), x, d_spmv)
-        sparse_triangular_solve(indptr, indices, csr.data, x, device=d_tss)
+        sparse_triangular_solve(indptr, indices, data, x, device=d_tss)
         assert d_tss.total_time > 3.0 * d_spmv.total_time
 
 
@@ -149,12 +143,9 @@ class TestILU0:
         np.testing.assert_allclose(l @ u, a, rtol=1e-8)
 
     def test_preserves_pattern(self):
-        a = synthetic_block_matrix(6, 8, seed=2).to_scipy_csr()
-        a.sort_indices()
-        lu = ilu0_factorize(
-            a.indptr.astype(np.int64), a.indices.astype(np.int64), a.data
-        )
-        assert lu.shape == a.data.shape
+        indptr, indices, data = synthetic_block_matrix(6, 8, seed=2).to_csr_arrays()
+        lu = ilu0_factorize(indptr, indices, data)
+        assert lu.shape == data.shape
 
     def test_solve_roundtrip(self, rng):
         # L U x = b solved by the two triangular sweeps reproduces x for

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy_csr import scipy_csr
 
 from repro import (
     GpuEngine,
@@ -146,7 +147,7 @@ def test_rocks_matrix_bit_equal_to_oracle(rocks_matrix, x_rocks):
     )
     # and still the same matrix as every other format, to rounding
     np.testing.assert_allclose(
-        hsbcsr_spmv(h, x_rocks), rocks_matrix.to_scipy_csr() @ x_rocks,
+        hsbcsr_spmv(h, x_rocks), scipy_csr(rocks_matrix) @ x_rocks,
         rtol=1e-12, atol=1e-6,
     )
 

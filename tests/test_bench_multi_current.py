@@ -7,6 +7,9 @@ recorded copy, and the command that regenerates it.
   each curve's ``wall_seconds``: halo bytes, modelled seconds, CG
   iterations and the final-vertex checksum at 1, 2, 4 and 8 domains
   (≈ 3 s).
+* ``BENCH_pipeline.json`` — per engine, the block and step counts, the
+  CG iterations and the modelled seconds of each pipeline stage; the
+  wall-clock fields and the trajectory are not pinned (≈ 1.5 s).
 * ``table_ii.txt`` and ``table_iii.txt`` — the paper's Tables II and
   III, rendered from modelled seconds and CG iterations alone (≈ 10 s
   together).
@@ -24,6 +27,7 @@ import pytest
 
 from benchmarks import (
     bench_multi_gpu_projection,
+    bench_pipeline_smoke,
     bench_table2_case1,
     bench_table3_case2,
 )
@@ -48,6 +52,30 @@ def _deterministic(payload: dict) -> dict:
     return payload
 
 
+#: the fields of a BENCH_pipeline.json engine report no clock moves
+PIPELINE_FIELDS = (
+    "n_blocks", "steps", "total_cg_iterations", "modeled_seconds_per_module",
+)
+
+
+def _pipeline_fresh() -> dict:
+    return _pipeline(json.loads(json.dumps({
+        name: bench_pipeline_smoke.run_engine(name)
+        for name in bench_pipeline_smoke.ENGINES
+    })))
+
+
+def _pipeline_recorded(text: str) -> dict:
+    return _pipeline(json.loads(text)["payload"]["engines"])
+
+
+def _pipeline(engines: dict) -> dict:
+    return {
+        name: {field: report[field] for field in PIPELINE_FIELDS}
+        for name, report in engines.items()
+    }
+
+
 def _table(bench):
     return lambda: bench.report(bench.measure()) + "\n"
 
@@ -58,6 +86,11 @@ RECORDED = {
         _multi_fresh, _multi_recorded,
         "PYTHONPATH=src python -m benchmarks.bench_multi_gpu_projection "
         "--json results/BENCH_multi.json",
+    ),
+    "BENCH_pipeline.json": (
+        _pipeline_fresh, _pipeline_recorded,
+        "PYTHONPATH=src python -m benchmarks.bench_pipeline_smoke "
+        "--json results/BENCH_pipeline.json --pr N",
     ),
     "table_ii.txt": (
         _table(bench_table2_case1), str,

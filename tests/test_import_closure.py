@@ -3,18 +3,21 @@
 Five states, each checked in a fresh interpreter (tier-1's own imports
 would mask every one of them):
 
-* ``scipy.spatial`` is absent from a process that builds no Voronoi
-  model — it costs more to load than the rest of an engine process's
-  imports together — and the lazy exports still bring it in;
+* no ``scipy*`` module is in a process that builds no Voronoi model:
+  ``scipy.spatial`` costs more to load than the rest of an engine
+  process's imports together, and the two HSBCSR kernels load from
+  their extension file without ``scipy.sparse``'s ≈ 75 modules
+  (``primitives/scatter.py``). The lazy exports still bring
+  ``scipy.spatial`` in;
 * constructing a ``DomainEngine`` never loads ``scipy.sparse.csgraph``:
   the partitioner's connectivity test is a numpy sweep;
 * ``engine.run`` adds no module to ``sys.modules`` on any preset, so no
-  import lands inside a timed run;
+  import lands inside a timed run, and none of them is SciPy's;
 * a forked worker reports ``late_imports == 0``: ``service/worker.py``'s
   top-level imports are its closure, and the scheduler held them before
   the fork. The exception is a ``rubble`` worker, which loads
   ``scipy.spatial`` where ``engine/runner.py`` builds the model. The
-  scheduler holds neither it nor ``scipy.sparse.csgraph``;
+  scheduler holds no ``scipy*`` module;
 * an engine process never loads the linter: ``repro.lint`` is a
   development tool, and nothing on the run path imports it.
 
@@ -32,13 +35,21 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-NO_SPATIAL = """
+#: prefix of a check script: the ``scipy*`` modules its process holds
+SCIPY = """
 import sys
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+"""
+
+NO_SPATIAL = SCIPY + """
 import repro.engine.serial_engine, repro.engine.gpu_engine
 import repro.engine.hybrid_engine, repro.engine.domain_engine
 import repro.meshing.slope_models
-assert "scipy.sparse" in sys.modules
 assert "scipy.spatial" not in sys.modules, "scipy.spatial loaded eagerly"
+assert not scipy_modules(), f"engine process loads SciPy: {scipy_modules()}"
 """
 
 DOMAIN_NO_CSGRAPH = """
@@ -71,8 +82,7 @@ assert not lint, f"engine process imports the linter: {lint}"
 """
 
 # argv: engine preset
-ENGINE_RUN = """
-import sys
+ENGINE_RUN = SCIPY + """
 from types import SimpleNamespace
 from repro.engine.runner import build_system_from_spec, controls_from_spec, make_engine
 from repro.service.spec import JobSpec
@@ -84,10 +94,11 @@ before = set(sys.modules)
 engine.run(steps=2)
 late = sorted(set(sys.modules) - before)
 assert not late, f"imported inside engine.run: {late}"
+assert not scipy_modules(), f"engine process loads SciPy: {scipy_modules()}"
 """
 
-POOL = """
-import sys, tempfile
+POOL = SCIPY + """
+import tempfile
 from repro.service.client import BatchClient
 from repro.service.pool import WorkerPool
 from repro.service.spec import ENGINES, MODELS, JobSpec, JobState
@@ -120,7 +131,7 @@ with tempfile.TemporaryDirectory() as root:
             f"{engine}/{model}: late_imports {attempt['late_imports']}"
         )
         late += attempt["late_imports"]
-    assert not {"scipy.spatial", "scipy.sparse.csgraph"} & set(sys.modules)
+    assert not scipy_modules(), f"scheduler loads SciPy: {scipy_modules()}"
     counters = pool.metrics.snapshot()["counters"]
     assert counters["batch.worker_late_imports"] == late
     assert counters["batch.dispatched"] == len(pairs)
@@ -182,6 +193,13 @@ PLANTS = {
         "        import json.tool\n",
         (ENGINE_RUN, "serial"),
         "imported inside engine.run",
+    ),
+    "eager_sparse": (
+        "assembly/global_matrix.py",
+        "\nfrom repro.gpu.kernel import VirtualDevice\n",
+        "\nfrom scipy.sparse import bsr_matrix",
+        (NO_SPATIAL,),
+        "engine process loads SciPy: ['scipy'",
     ),
     "eager_voronoi": (
         "meshing/__init__.py",
