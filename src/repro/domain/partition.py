@@ -1,28 +1,21 @@
-"""Partition blocks across domains via the contact topology.
+"""Partition blocks across domains via the broad-phase block graph.
 
 The block-to-domain assignment :class:`repro.engine.domain_engine
-.DomainEngine` runs on: :func:`partition_blocks`.
+.DomainEngine` runs on: :func:`partition_blocks`. The graph is the
+broad-phase AABB adjacency, and the order it is split by is read from
+that graph:
 
-Two methods are available:
+* a spectral (Fiedler) order when the graph is connected and has at
+  most :data:`FIEDLER_MAX_BLOCKS` blocks — blocks are sorted by the
+  second Laplacian eigenvector and split into equal-count chunks, which
+  minimises cut edges for mesh-like topologies far better than a
+  coordinate sweep;
+* equal-count spatial stripes along x otherwise — isolated blocks would
+  make the Fiedler vector meaningless per component, and a large graph
+  is too big for the dense eigensolve.
 
-``graph``
-    Spectral (Fiedler) ordering of the contact-topology graph — blocks
-    are sorted by the second Laplacian eigenvector and split into
-    equal-count chunks, which minimises cut edges for mesh-like
-    topologies far better than a coordinate sweep. The graph comes
-    from a detected contact table when one is supplied (reusing
-    :func:`repro.analysis.topology.contact_graph`), else from the
-    broad-phase AABB adjacency.
-``stripe``
-    Equal-count spatial stripes along x — the fallback when the
-    contact graph is disconnected (isolated blocks would make the
-    Fiedler vector meaningless per component) or too large for the
-    dense eigensolve.
-
-``method="auto"`` (the default) picks ``graph`` when the graph is
-connected and small enough, else ``stripe``. Everything here is
-host-side partition *planning*, executed once per run — the per-step
-kernel work stays on the virtual devices.
+Everything here is host-side partition *planning*, executed once per
+run — the per-step kernel work stays on the virtual devices.
 """
 
 from __future__ import annotations
@@ -31,14 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.contact.broad_phase import broad_phase_pairs
 from repro.core.blocks import BlockSystem
 
 #: Largest block count for which the dense spectral ordering is used;
-#: beyond this, ``auto`` falls back to spatial stripes.
+#: beyond this, the partition falls back to spatial stripes.
 FIEDLER_MAX_BLOCKS = 3000
-
-#: Recognised values of the ``method`` argument.
-METHODS = ("auto", "graph", "stripe")
 
 
 @dataclass(frozen=True)
@@ -59,26 +50,6 @@ class PartitionStats:
     counts: np.ndarray
     cut_fraction: float
     imbalance: float
-
-
-def adjacency_pairs(
-    system: BlockSystem, *, margin: float = 0.0, contacts=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Contact-topology edges as two ``(p,)`` block-index arrays.
-
-    With a detected contact table the edges come from
-    :func:`repro.analysis.topology.contact_graph`; otherwise from the
-    broad-phase AABB overlap test widened by ``margin`` (scalar).
-    """
-    if contacts is not None and contacts.m:
-        from repro.analysis.topology import contact_graph
-
-        g = contact_graph(system, contacts)
-        edges = np.asarray(list(g.edges), dtype=np.int64).reshape(-1, 2)
-        return edges[:, 0], edges[:, 1]
-    from repro.contact.broad_phase import broad_phase_pairs
-
-    return broad_phase_pairs(system.aabbs, margin or 0.0)
 
 
 def _is_connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
@@ -151,36 +122,22 @@ def partition_stats(
 
 
 def partition_blocks(
-    system: BlockSystem,
-    n_domains: int,
-    *,
-    margin: float = 0.0,
-    method: str = "auto",
-    contacts=None,
+    system: BlockSystem, n_domains: int, *, margin: float = 0.0
 ) -> tuple[np.ndarray, PartitionStats]:
     """Partition blocks across ``n_domains`` devices.
 
-    Returns the ``(n_blocks,)`` int64 domain labels and the
-    :class:`PartitionStats`. Deterministic for a fixed system: the
-    spectral path tie-breaks by coordinate and index, the stripe path
-    is a stable coordinate sort.
+    The graph is :func:`repro.contact.broad_phase.broad_phase_pairs`
+    over the block AABBs widened by ``margin`` (scalar). Returns the
+    ``(n_blocks,)`` int64 domain labels and the :class:`PartitionStats`.
+    Deterministic for a fixed system: the spectral order tie-breaks by
+    coordinate and index, the stripe order is a stable coordinate sort.
     """
     if n_domains < 1:
         raise ValueError(f"n_domains must be >= 1, got {n_domains}")
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     n = system.n_blocks
     x = system.centroids[:, 0]
-    i, j = adjacency_pairs(system, margin=margin, contacts=contacts)
-    chosen = method
-    if method == "auto":
-        usable = (
-            n_domains > 1
-            and n <= FIEDLER_MAX_BLOCKS
-            and _is_connected(n, i, j)
-        )
-        chosen = "graph" if usable else "stripe"
-    if chosen == "graph":
+    i, j = broad_phase_pairs(system.aabbs, margin)
+    if n_domains > 1 and n <= FIEDLER_MAX_BLOCKS and _is_connected(n, i, j):
         order = _fiedler_order(n, i, j, x)
     else:
         order = np.argsort(x, kind="stable")

@@ -7,8 +7,8 @@ equation solve is distributed across ``n_domains`` per-domain
 :class:`~repro.gpu.kernel.VirtualDevice` ledgers:
 
 1. at construction the blocks are partitioned once via
-   :func:`repro.domain.partition.partition_blocks` (graph partition
-   over the contact topology, spatial-stripe fallback);
+   :func:`repro.domain.partition.partition_blocks` (spectral order of
+   the broad-phase AABB graph, spatial-stripe fallback);
 2. per sparsity pattern, :func:`repro.domain.halo.build_exchange_plan`
    lists the ghosts and lays out the stacked extended vector and
    :func:`repro.domain.assembly.split_matrix` re-points the global SpMV

@@ -37,9 +37,6 @@ from repro.contact.contact_set import ContactSet
 from repro.core.blocks import BlockSystem
 from repro.solvers.preconditioners import stronger_preconditioner
 
-#: In-memory checkpoint ring size (:class:`CheckpointManager`).
-KEEP_CHECKPOINTS = 2
-
 #: A rollback restores the checkpoint's ``dt`` times this, so the
 #: deterministic retry takes a different (safer) trajectory.
 ROLLBACK_DT_FACTOR = 0.5
@@ -398,30 +395,22 @@ class Checkpoint:
 
 
 class CheckpointManager:
-    """A ring of the :data:`KEEP_CHECKPOINTS` newest checkpoints, kept in
-    memory and optionally persisted.
+    """The newest checkpoint, kept in memory and optionally persisted.
 
-    ``persist_dir`` writes every checkpoint through
-    :func:`repro.io.model_io.save_checkpoint` (npz + SHA-256 integrity
-    checksum) so an external supervisor can restart a killed process.
+    A rollback restores :attr:`latest`; an older one is never read, so
+    a new checkpoint replaces it. ``persist_dir`` writes every
+    checkpoint through :func:`repro.io.model_io.save_checkpoint` (npz +
+    SHA-256 integrity checksum) so an external supervisor can restart a
+    killed process.
     """
 
     def __init__(self, *, persist_dir=None) -> None:
         self.persist_dir = persist_dir
-        self._ring: list[Checkpoint] = []
-
-    @property
-    def latest(self) -> Checkpoint | None:
-        return self._ring[-1] if self._ring else None
-
-    def __len__(self) -> int:
-        return len(self._ring)
+        self.latest: Checkpoint | None = None
 
     def take(self, engine, step: int) -> Checkpoint:
         """Capture and retain a checkpoint after ``step`` accepted steps."""
-        cp = Checkpoint.capture(engine, step)
-        self._ring.append(cp)
-        del self._ring[:-KEEP_CHECKPOINTS]
+        self.latest = cp = Checkpoint.capture(engine, step)
         if self.persist_dir is not None:
             from pathlib import Path
 

@@ -13,9 +13,7 @@ so millimetre- and kilometre-scale models behave identically.
 Dimensional conventions:
 
 * ``eps_length`` — compares lengths (``rel * length_scale``);
-* ``eps_area`` — compares areas (``rel * length_scale ** 2``);
-* ``eps_param`` — compares dimensionless parameters (projection ratios,
-  normalised cross products): just ``rel``.
+* ``eps_area`` — compares areas (``rel * length_scale ** 2``).
 """
 
 from __future__ import annotations
@@ -62,11 +60,6 @@ class Tolerances:
     def eps_area(self) -> float:
         """Areas below this are "zero" [length units squared]."""
         return self.rel * self.length_scale**2
-
-    @property
-    def eps_param(self) -> float:
-        """Dimensionless comparisons (ratios, normalised cross products)."""
-        return self.rel
 
     def scaled(self, factor: float) -> "Tolerances":
         """The same relative tolerance at ``factor`` times the length scale."""

@@ -9,7 +9,7 @@ while recording *modelled* work into :class:`~repro.gpu.counters.KernelCounters`
 
 * floating point operations (useful + divergence-wasted lanes),
 * global-memory transactions under the 128-byte coalescing rule,
-* shared-memory accesses and bank conflicts,
+* shared-memory accesses and bank conflicts (set by each kernel's model),
 * texture-cache reads,
 * warp counts and divergent-branch counts.
 
@@ -26,7 +26,6 @@ from repro.gpu.warp import divergence_stats, WARP_SIZE
 from repro.gpu.memory import (
     coalesced_transactions,
     gather_transactions,
-    shared_bank_conflicts,
 )
 
 __all__ = [
@@ -41,5 +40,4 @@ __all__ = [
     "WARP_SIZE",
     "coalesced_transactions",
     "gather_transactions",
-    "shared_bank_conflicts",
 ]

@@ -1,14 +1,9 @@
-"""Global/shared/texture memory access models.
+"""Global-memory access models.
 
 Global memory on Kepler-class GPUs is serviced in 128-byte transactions; a
 warp's loads are *coalesced* when its 32 lanes fall into few transactions.
 This module computes the number of transactions a given access pattern
 issues, which is what the :mod:`repro.gpu.device` timing model charges.
-
-Shared memory has 32 four-byte banks; lanes hitting the same bank at
-different words serialize. :func:`shared_bank_conflicts` counts the extra
-serialized accesses — the quantity the paper's HSBCSR reduction scheme
-(Fig. 8) is designed to keep at zero.
 """
 
 from __future__ import annotations
@@ -23,9 +18,6 @@ from repro.util.validation import check_array, check_positive
 
 #: Kepler global-memory transaction size in bytes.
 TRANSACTION_BYTES = 128
-
-#: Number of shared-memory banks (4-byte words) on Kepler.
-SHARED_BANKS = 32
 
 
 def coalesced_transactions(
@@ -61,23 +53,6 @@ def streamed(
     )
 
 
-def strided_transactions(
-    n_elements: int,
-    elem_bytes: int,
-    stride_elems: int,
-    transaction_bytes: int = TRANSACTION_BYTES,
-) -> float:
-    """Transactions for a constant-stride access pattern.
-
-    Every argument and the result is a scalar. With stride 1 this reduces to :func:`coalesced_transactions`; with a
-    stride of ``transaction_bytes / elem_bytes`` or more, every element
-    costs a full transaction.
-    """
-    check_positive("stride_elems", stride_elems)
-    per_txn = max(1, transaction_bytes // (elem_bytes * stride_elems))
-    return math.ceil(n_elements / per_txn)
-
-
 def gather_transactions(
     indices: np.ndarray,
     elem_bytes: int,
@@ -104,41 +79,3 @@ def gather_transactions(
     distinct = 1 + np.count_nonzero(s[:, 1:] != s[:, :-1], axis=1)
     # transaction counters are host-side model outputs by contract
     return int(distinct.sum())  # lint: sync-ok[cost-model] -- transaction counters are host-side model outputs
-
-
-def shared_bank_conflicts(
-    word_indices: np.ndarray,
-    warp_size: int = WARP_SIZE,
-    banks: int = SHARED_BANKS,
-) -> int:
-    """Extra serialized shared-memory cycles for a warp-structured access.
-
-    ``word_indices`` are 1-D per-thread 4-byte-word offsets into shared
-    memory. Lanes in the same warp mapping to the same bank *at different
-    words* serialize; broadcast of the identical word is conflict-free.
-    Returns the scalar total of extra cycles across all warps (0 ==
-    conflict-free, the design target of the paper's Fig. 8 scheme).
-    """
-    idx = check_array("word_indices", word_indices, ndim=1)
-    if idx.size == 0:
-        return 0
-    idx = idx.astype(np.int64)
-    pad = (-idx.size) % warp_size
-    if pad:
-        idx = np.concatenate([idx, np.repeat(idx[-1], pad)])
-    lanes = idx.reshape(-1, warp_size)
-    n_warps = lanes.shape[0]
-    # Key each (warp, bank, word) triple; distinct words per (warp, bank)
-    # determine that bank's cycle count.
-    bank = lanes % banks
-    key = (np.arange(n_warps)[:, None] * banks + bank) * (idx.max() + 1) + lanes
-    order = np.argsort(key, axis=None)
-    flat = key.ravel()[order]
-    new_word = np.ones(flat.size, dtype=bool)
-    new_word[1:] = flat[1:] != flat[:-1]
-    # count distinct words per (warp, bank) group
-    wb = (np.arange(n_warps)[:, None] * banks + bank).ravel()[order]
-    counts = np.bincount(wb[new_word], minlength=n_warps * banks)
-    cycles = counts.reshape(n_warps, banks).max(axis=1)
-    # conflict counters are host-side model outputs by contract
-    return int((cycles - 1).clip(min=0).sum())  # lint: sync-ok[cost-model] -- conflict counters are host-side model outputs

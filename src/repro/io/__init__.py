@@ -1,7 +1,7 @@
 """Model persistence and experiment reporting."""
 
 from repro.io.model_io import save_system, load_system
-from repro.io.reporting import ComparisonReport, paper_vs_measured_table
+from repro.io.reporting import ComparisonReport
 from repro.io.ascii_art import render_system
 from repro.io.batch_io import (
     read_json,
@@ -16,6 +16,5 @@ __all__ = [
     "summarize_result",
     "write_json_atomic",
     "ComparisonReport",
-    "paper_vs_measured_table",
     "render_system",
 ]

@@ -60,15 +60,3 @@ class ComparisonReport:
         path = directory / f"{slug}.txt"
         path.write_text(self.render() + "\n")
         return path
-
-
-def paper_vs_measured_table(
-    experiment: str,
-    description: str,
-    rows: list[tuple[str, float | str, float | str]],
-) -> str:
-    """One-shot helper: build and render a comparison report."""
-    report = ComparisonReport(experiment, description)
-    for label, paper, measured in rows:
-        report.add(label, paper, measured)
-    return report.render()

@@ -49,8 +49,8 @@ REDUCTION_ATTRS = frozenset({
 
 #: Calls whose argument subtree is cost-model context, not data path.
 MODEL_CALL_NAMES = frozenset({
-    "KernelCounters", "coalesced_transactions", "strided_transactions",
-    "gather_transactions", "launch",
+    "KernelCounters", "coalesced_transactions", "gather_transactions",
+    "launch",
 })
 
 #: np.* functions whose result, used as a truth value, forces a sync.

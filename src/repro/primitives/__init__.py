@@ -11,9 +11,9 @@ of the corresponding CUDA implementation (launch structure, memory traffic,
 scatter coalescing) into the device ledger.
 """
 
-from repro.primitives.scan import exclusive_scan, inclusive_scan
+from repro.primitives.scan import exclusive_scan
 from repro.primitives.radix_sort import radix_sort_pairs
-from repro.primitives.reduce import device_reduce, segmented_reduce
+from repro.primitives.reduce import segmented_reduce
 from repro.primitives.compact import stream_compact, partition_by_label
 from repro.primitives.sorted_search import sorted_search
 from repro.primitives.scatter import (
@@ -25,9 +25,7 @@ from repro.primitives.scatter import (
 
 __all__ = [
     "exclusive_scan",
-    "inclusive_scan",
     "radix_sort_pairs",
-    "device_reduce",
     "segmented_reduce",
     "stream_compact",
     "partition_by_label",

@@ -1,16 +1,12 @@
-"""Reductions: full and segmented.
+"""Segmented reduction.
 
-Full reductions model the two-kernel tree (per-block shuffle reduction,
-then a single-block pass over block partials). Segmented reduction is the
-work-horse of the paper's Fig.-4 assembly scheme: after sorting sub-matrix
-contributions by block index, entries of each segment are summed. The
-boundary-flag + scan construction used there is provided by
+The work-horse of the paper's Fig.-4 assembly scheme: after sorting
+sub-matrix contributions by block index, entries of each segment are
+summed. The boundary-flag + scan construction used there is provided by
 :func:`segment_boundaries`.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -20,48 +16,6 @@ from repro.gpu.memory import coalesced_transactions
 from repro.gpu.warp import WARP_SIZE
 from repro.primitives.scatter import segment_sum
 from repro.util.validation import check_array
-
-REDUCE_BLOCK = 256
-
-
-def device_reduce(
-    values: np.ndarray,
-    device: VirtualDevice | None = None,
-) -> float:
-    """Sum-reduce a 1-D array; models the two-kernel shuffle tree."""
-    values = check_array("values", values, ndim=1)
-    n = values.size
-    if device is not None and n:
-        blocks = math.ceil(n / REDUCE_BLOCK)
-        device.launch(
-            "reduce[block]",
-            KernelCounters(
-                flops=float(n),
-                global_bytes_read=n * values.itemsize,
-                global_bytes_written=blocks * values.itemsize,
-                global_txn_read=coalesced_transactions(n, values.itemsize),
-                global_txn_written=coalesced_transactions(blocks, values.itemsize),
-                shared_accesses=2.0 * blocks * (REDUCE_BLOCK // WARP_SIZE),
-                threads=blocks * REDUCE_BLOCK,
-                warps=blocks * (REDUCE_BLOCK // WARP_SIZE),
-            ),
-        )
-        if blocks > 1:
-            device.launch(
-                "reduce[final]",
-                KernelCounters(
-                    flops=float(blocks),
-                    global_bytes_read=blocks * values.itemsize,
-                    global_bytes_written=values.itemsize,
-                    global_txn_read=coalesced_transactions(blocks, values.itemsize),
-                    global_txn_written=1,
-                    threads=REDUCE_BLOCK,
-                    warps=REDUCE_BLOCK // WARP_SIZE,
-                ),
-            )
-    # device_reduce returns a host scalar by contract (its callers are
-    # host-side convergence checks)
-    return float(values.sum()) if n else 0.0  # lint: sync-ok[host-scalar-contract] -- device_reduce's contract is a host scalar
 
 
 def segment_boundaries(sorted_keys: np.ndarray) -> np.ndarray:

@@ -75,31 +75,6 @@ def _record(device: VirtualDevice | None, name: str, counters: list[KernelCounte
             device.launch(f"{name}[{i}]", c)
 
 
-def inclusive_scan(
-    values: np.ndarray,
-    device: VirtualDevice | None = None,
-    *,
-    use_shuffle: bool = True,
-) -> np.ndarray:
-    """Inclusive prefix sum of a 1-D array.
-
-    Parameters
-    ----------
-    values:
-        Numeric 1-D array.
-    device:
-        Optional virtual device; when given, the launch sequence of the
-        chained-scan CUDA implementation is recorded.
-    use_shuffle:
-        Model the Kepler shuffle-based reduction (the paper's choice)
-        instead of the classic shared-memory tree. Affects only the
-        modelled cost, never the result.
-    """
-    values = check_array("values", values, ndim=1)
-    _record(device, "inclusive_scan", _scan_counters(values.size, values.itemsize, use_shuffle))
-    return np.cumsum(values)
-
-
 def exclusive_scan(
     values: np.ndarray,
     device: VirtualDevice | None = None,
@@ -109,6 +84,10 @@ def exclusive_scan(
     """Exclusive prefix sum of a 1-D array.
 
     ``out[i] = sum(values[:i])``, ``out[0] = 0``; same shape as the input.
+    With a ``device``, the launch sequence of the chained-scan CUDA
+    implementation is recorded; ``use_shuffle`` models the Kepler
+    shuffle-based reduction (the paper's choice) instead of the classic
+    shared-memory tree, which changes the modelled cost, never the result.
     """
     values = check_array("values", values, ndim=1)
     _record(device, "exclusive_scan", _scan_counters(values.size, values.itemsize, use_shuffle))

@@ -155,7 +155,8 @@ def spec_from_args(args: argparse.Namespace) -> JobSpec:
 
 
 def batch_main(argv: list[str] | None = None) -> int:
-    args = build_batch_parser().parse_args(argv)
+    parser = build_batch_parser()
+    args = parser.parse_args(argv)
     client = BatchClient(args.batch_dir)
 
     def log(msg: str) -> None:
@@ -293,12 +294,15 @@ def batch_main(argv: list[str] | None = None) -> int:
         return 0 if ok else 1
 
     if args.command == "serve":
-        config = ServiceConfig(
-            host=args.host, port=args.port,
-            max_queue_depth=args.max_queue_depth,
-            rate_capacity=args.rate_capacity,
-            rate_refill_per_s=args.rate_refill,
-        )
+        try:
+            config = ServiceConfig(
+                host=args.host, port=args.port,
+                max_queue_depth=args.max_queue_depth,
+                rate_capacity=args.rate_capacity,
+                rate_refill_per_s=args.rate_refill,
+            )
+        except ValueError as err:
+            parser.error(f"serve: {err}")
         return run_server(args.batch_dir, config, log=log)
 
     raise AssertionError(f"unhandled command {args.command!r}")

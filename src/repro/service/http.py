@@ -127,6 +127,18 @@ class ServiceConfig:
     rate_capacity: float = 50.0
     rate_refill_per_s: float = 25.0
 
+    def __post_init__(self) -> None:
+        """A NaN bucket admits everything and a depth below 1 refuses
+        everything, so each tunable is checked on the way in."""
+        for name, low in (
+            ("max_queue_depth", 1), ("shed_queue_depth", 1),
+            ("rate_capacity", 1), ("rate_refill_per_s", 0),
+            ("shed_lease_expired_rate", 0),
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= low):
+                raise ValueError(f"{name} must be finite and >= {low}, got {value}")
+
 
 class TokenBucket:
     """Continuous-refill token bucket (one per tenant)."""

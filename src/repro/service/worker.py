@@ -17,9 +17,9 @@ scheduler died, the lease expired, and another scheduler re-claimed the
 job — so the worker **fences itself**: it journals the fact and
 ``os._exit`` s without writing an outcome, guaranteeing a zombie can
 never race the new owner's execution. Attempt checkpoint directories,
-final-state stems, and outcome filenames are all epoch-stamped for the
-same reason: even a zombie that dies *between* heartbeats cannot write
-into the new epoch's files.
+final-state stems, trace files and outcome filenames are all
+epoch-stamped for the same reason: even a zombie that dies *between*
+heartbeats cannot write into the new epoch's files.
 
 Retry granularity comes from checkpoints: every attempt persists
 checkpoints into its own ``attempt-<...>`` directory together with the
@@ -235,7 +235,7 @@ def run_job(
     summary["attempt"] = attempt
     summary["state_stem"] = str(state_stem)
     if trace:
-        trace_path = scratch / f"trace-attempt-{attempt:03d}.json"
+        trace_path = scratch / f"trace-e{epoch:04d}-attempt-{attempt:03d}.json"
         tracer.write(trace_path)
         summary["trace_path"] = str(trace_path)
     return summary

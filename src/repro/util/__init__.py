@@ -4,7 +4,6 @@ from repro.util.validation import (
     check_array,
     check_positive,
     validate_model_arrays,
-    validate_system,
     ModelValidationError,
     ReproError,
     ShapeError,
@@ -18,7 +17,6 @@ __all__ = [
     "check_array",
     "check_positive",
     "validate_model_arrays",
-    "validate_system",
     "ModelValidationError",
     "ReproError",
     "ShapeError",

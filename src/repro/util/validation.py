@@ -282,15 +282,3 @@ def validate_model_arrays(
                 f"load point references block {b} out of range "
                 f"[0, {n_blocks})"
             )
-
-
-def validate_system(system) -> None:
-    """Run :func:`validate_model_arrays` against a built ``BlockSystem``."""
-    validate_model_arrays(
-        system.vertices,
-        system.offsets,
-        system.material_id,
-        n_materials=len(system.materials),
-        fixed_points=system.fixed_points,
-        load_points=system.load_points,
-    )

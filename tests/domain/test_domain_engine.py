@@ -45,21 +45,31 @@ class TestBitIdenticalPin:
         assert res.n_steps == ref.n_steps == STEPS
 
     def test_stripe_partition_also_identical(self, monkeypatch):
-        # the engine partitions with method="auto", which picks the graph
-        # method on this connected wall: force the stripe path
+        # the engine's partition takes the spectral order on this
+        # connected wall: plant equal-count x stripes in its place
         import repro.domain
-        from repro.domain.partition import partition_blocks
+        from repro.domain.partition import _labels_from_order, partition_stats
 
         calls = []
 
-        def stripe(system, n_domains, **kwargs):
-            calls.append(kwargs)
-            return partition_blocks(system, n_domains, method="stripe", **kwargs)
+        def stripe(system, n_domains, *, margin):
+            calls.append(margin)
+            order = np.argsort(system.centroids[:, 0], kind="stable")
+            labels = _labels_from_order(order, n_domains)
+            empty = np.empty(0, dtype=np.int64)
+            return labels, partition_stats(labels, n_domains, empty, empty)
 
         monkeypatch.setattr(repro.domain, "partition_blocks", stripe)
         serial, _ = run(SerialEngine)
         domain, _ = run(DomainEngine, n_domains=2)
-        assert calls == [{"margin": domain.contact_threshold}]
+        assert calls == [domain.contact_threshold]
+        # the planted split is not the one the engine would have chosen
+        assert not np.array_equal(
+            domain.labels,
+            repro.domain.partition.partition_blocks(
+                domain.system, 2, margin=domain.contact_threshold
+            )[0],
+        )
         np.testing.assert_array_equal(
             domain.system.vertices, serial.system.vertices
         )

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.contact.broad_phase import broad_phase_pairs
 from repro.core.blocks import Block, BlockSystem
 from repro.core.materials import BlockMaterial
 from repro.domain.partition import (
-    METHODS,
     PartitionStats,
-    adjacency_pairs,
+    _fiedler_order,
+    _labels_from_order,
     partition_blocks,
     partition_stats,
 )
@@ -27,24 +28,35 @@ def two_islands() -> BlockSystem:
     return BlockSystem(blocks)
 
 
-def chain_contacts(n: int):
-    """Blocks in a row plus the detected 0-1, 1-2, ... contact table."""
-    from repro.assembly.contact_springs import LOCK
-    from repro.contact.contact_set import VE, ContactSet
+def chain(xs) -> BlockSystem:
+    """Unit squares in a row, the k-th with its left edge at ``xs[k]``."""
+    return BlockSystem([Block(SQ + np.array([x, 0.0]), MAT) for x in xs])
 
-    blocks = [Block(SQ + np.array([1.05 * k, 0.0]), MAT) for k in range(n)]
-    system = BlockSystem(blocks)
-    m = n - 1
-    contacts = ContactSet(
-        block_i=np.arange(m, dtype=np.int64),
-        block_j=np.arange(1, n, dtype=np.int64),
-        vertex_idx=np.arange(m, dtype=np.int64) * 4 + 1,
-        e1_idx=np.arange(1, n, dtype=np.int64) * 4,
-        e2_idx=np.arange(1, n, dtype=np.int64) * 4 + 3,
-        kind=np.full(m, VE, dtype=np.int64),
+
+def stripe_labels(system: BlockSystem, n_domains: int) -> np.ndarray:
+    """Equal-count spatial stripes along x, built by hand."""
+    order = np.argsort(system.centroids[:, 0], kind="stable")
+    return _labels_from_order(order, n_domains)
+
+
+def spectral_labels(system: BlockSystem, n_domains: int) -> np.ndarray:
+    """The Fiedler order of the margin-0.1 AABB graph, split by hand."""
+    i, j = broad_phase_pairs(system.aabbs, 0.1)
+    order = _fiedler_order(system.n_blocks, i, j, system.centroids[:, 0])
+    return _labels_from_order(order, n_domains)
+
+
+def stats_of(system: BlockSystem, labels: np.ndarray, n_domains: int):
+    return partition_stats(
+        labels, n_domains, *broad_phase_pairs(system.aabbs, 0.1)
     )
-    contacts.state[:] = LOCK
-    return system, contacts
+
+
+LABELLINGS = {
+    "auto": lambda system, n: partition_blocks(system, n, margin=0.1)[0],
+    "graph": spectral_labels,
+    "stripe": stripe_labels,
+}
 
 
 class TestPartitionBlocks:
@@ -64,45 +76,55 @@ class TestPartitionBlocks:
         assert stats.cut_fraction == 0.0
         assert stats.imbalance == 1.0
 
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method", LABELLINGS)
     def test_every_method_covers_all_blocks(self, method):
         system = build_brick_wall(4, 6)
-        labels, stats = partition_blocks(system, 4, margin=0.1, method=method)
+        labels = LABELLINGS[method](system, 4)
+        stats = stats_of(system, labels, 4)
         assert labels.shape == (system.n_blocks,)
         assert set(np.unique(labels)) == {0, 1, 2, 3}
         assert stats.counts.sum() == system.n_blocks
 
     def test_balanced_counts(self):
         system = build_brick_wall(4, 6)
-        for method in ("graph", "stripe"):
-            _, stats = partition_blocks(system, 4, margin=0.1, method=method)
+        _, graph = partition_blocks(system, 4, margin=0.1)
+        for stats in (graph, stats_of(system, stripe_labels(system, 4), 4)):
             assert stats.counts.max() - stats.counts.min() <= 1
             assert stats.imbalance < 1.2
 
     def test_stripe_labels_are_spatial(self):
-        system = build_brick_wall(4, 8)
-        labels, _ = partition_blocks(system, 2, margin=0.1, method="stripe")
+        # the two islands are disconnected, so the partition is stripes
+        system = two_islands()
+        labels, _ = partition_blocks(system, 2, margin=0.1)
         x = system.centroids[:, 0]
         # every left-domain block sits left of every right-domain block
         assert x[labels == 0].max() <= x[labels == 1].min()
 
     def test_auto_falls_back_to_stripe_when_disconnected(self):
         system = two_islands()
-        auto, _ = partition_blocks(system, 2, margin=0.1, method="auto")
-        stripe, _ = partition_blocks(system, 2, margin=0.1, method="stripe")
-        np.testing.assert_array_equal(auto, stripe)
+        auto, _ = partition_blocks(system, 2, margin=0.1)
+        np.testing.assert_array_equal(auto, stripe_labels(system, 2))
+
+    def test_disconnected_components_force_stripe_fallback(self):
+        # a gap wider than the margin splits a 6-chain into {0, 1} and
+        # {2, ..., 5}; the stripes cut it 3 + 3, across the component
+        system = chain([0.0, 1.05, 2.6, 3.65, 4.7, 5.75])
+        i, _ = broad_phase_pairs(system.aabbs, 0.1)
+        assert i.size == 4
+        labels, stats = partition_blocks(system, 2, margin=0.1)
+        np.testing.assert_array_equal(labels, [0, 0, 0, 1, 1, 1])
+        np.testing.assert_array_equal(labels, stripe_labels(system, 2))
+        assert stats.cut_fraction == pytest.approx(1.0 / 4.0)
 
     def test_graph_cut_no_worse_than_stripe_on_wall(self):
         system = build_brick_wall(4, 6)
-        _, graph = partition_blocks(system, 2, margin=0.1, method="graph")
-        _, stripe = partition_blocks(system, 2, margin=0.1, method="stripe")
+        _, graph = partition_blocks(system, 2, margin=0.1)
+        stripe = stats_of(system, stripe_labels(system, 2), 2)
         assert graph.cut_fraction <= stripe.cut_fraction
 
-    def test_contacts_drive_the_graph(self):
-        system, contacts = chain_contacts(6)
-        labels, stats = partition_blocks(
-            system, 2, method="graph", contacts=contacts
-        )
+    def test_broad_phase_graph_drives_the_split(self):
+        system = chain(1.05 * np.arange(6))
+        labels, stats = partition_blocks(system, 2, margin=0.1)
         # a 6-chain split in two cuts exactly one of its five edges
         assert stats.cut_fraction == pytest.approx(1.0 / 5.0)
         np.testing.assert_array_equal(np.sort(stats.counts), [3, 3])
@@ -114,8 +136,6 @@ class TestPartitionBlocks:
         system = build_brick_wall(2, 2)
         with pytest.raises(ValueError, match="n_domains"):
             partition_blocks(system, 0)
-        with pytest.raises(ValueError, match="method"):
-            partition_blocks(system, 2, method="bogus")
 
 
 class TestStatsAndAdjacency:
@@ -129,17 +149,11 @@ class TestStatsAndAdjacency:
 
     def test_adjacency_from_broad_phase(self):
         system = two_islands()
-        i, j = adjacency_pairs(system, margin=0.1)
+        i, j = broad_phase_pairs(system.aabbs, 0.1)
         # neighbours touch within each island; islands never couple
         assert i.size == 4
         labels_island = (system.centroids[:, 0] > 50.0).astype(int)
         np.testing.assert_array_equal(labels_island[i], labels_island[j])
-
-    def test_adjacency_from_contacts_matches_graph(self):
-        system, contacts = chain_contacts(4)
-        i, j = adjacency_pairs(system, contacts=contacts)
-        pairs = set(zip(i.tolist(), j.tolist()))
-        assert pairs == {(0, 1), (1, 2), (2, 3)}
 
 
 @pytest.mark.parametrize("seed", range(20))

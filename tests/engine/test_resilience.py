@@ -19,7 +19,6 @@ from repro.engine.gpu_engine import GpuEngine
 from repro.engine.hybrid_engine import HybridEngine
 from repro.engine.resilience import (
     ENERGY_FACTOR,
-    KEEP_CHECKPOINTS,
     OSCILLATION_STREAK,
     PENETRATION_FACTOR,
     CheckpointCorrupt,
@@ -446,11 +445,14 @@ class TestCheckpoint:
         assert engine.sim_time == 0.0
 
     def test_manager_ring_bounded(self):
+        """The manager holds one snapshot: a new checkpoint replaces
+        the last one."""
         engine = GpuEngine(stacked(), controls())
         manager = CheckpointManager()
+        assert manager.latest is None
         for step in range(5):
-            manager.take(engine, step=step)
-        assert len(manager) == KEEP_CHECKPOINTS == 2
+            cp = manager.take(engine, step=step)
+            assert manager.latest is cp
         assert manager.latest.step == 4
 
     def test_manager_persists(self, tmp_path):

@@ -87,7 +87,12 @@ class TestReporting:
         assert "Table II" in path.read_text()
 
     def test_ratio_column(self):
-        from repro.io.reporting import paper_vs_measured_table
+        from repro.io.reporting import ComparisonReport
 
-        text = paper_vs_measured_table("X", "d", [("a", 2.0, 4.0)])
-        assert "2" in text and "4" in text
+        rep = ComparisonReport("X", "d")
+        rep.add("a", 4.0, 2.0)
+        rep.add("b", "n/a", 1.0)
+        # measured / paper, and no ratio against a text cell
+        assert rep.to_table().rows == [
+            ["a", "4", "2", "0.5"], ["b", "n/a", "1", ""],
+        ]

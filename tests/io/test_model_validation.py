@@ -9,7 +9,6 @@ from repro.util.validation import (
     ModelValidationError,
     non_simple_blocks,
     validate_model_arrays,
-    validate_system,
 )
 
 SQ = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -33,7 +32,6 @@ def arrays(*polys):
 def test_valid_arrays_pass():
     v, o = arrays(SQ, SQ + np.array([2.0, 0.0]))
     validate_model_arrays(v, o)
-    validate_system(two_blocks())
 
 
 def test_nonfinite_vertex_names_block():

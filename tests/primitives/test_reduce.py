@@ -3,21 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.primitives.reduce import device_reduce, segment_boundaries, segmented_reduce
-
-
-class TestDeviceReduce:
-    def test_sum(self, rng, device):
-        x = rng.random(5000)
-        assert device_reduce(x, device) == pytest.approx(x.sum())
-        assert device.launches() == 2
-
-    def test_small_single_launch(self, device):
-        device_reduce(np.ones(8), device)
-        assert device.launches() == 1
-
-    def test_empty(self):
-        assert device_reduce(np.zeros(0)) == 0.0
+from repro.primitives.reduce import segment_boundaries, segmented_reduce
 
 
 class TestSegmentBoundaries:

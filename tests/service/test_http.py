@@ -2,9 +2,13 @@
 
 import dataclasses
 import json
+import os
 import socket
+import subprocess
+import sys
 import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +53,45 @@ class TestTokenBucket:
         now = time.monotonic()
         assert bucket.take(now) == 0.0
         assert bucket.take(now) > 0.0
+
+
+class TestServiceConfig:
+    """A NaN token bucket admits every request and a depth below 1
+    refuses every submit: both are refused when the config is built."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("rate_capacity", float("nan")),
+        ("rate_refill_per_s", float("nan")),
+        ("rate_capacity", float("inf")),
+        ("rate_capacity", 0.5),
+        ("rate_refill_per_s", -1.0),
+        ("max_queue_depth", -1),
+        ("max_queue_depth", 0),
+        ("shed_queue_depth", 0),
+        ("shed_lease_expired_rate", -1.0),
+        ("shed_lease_expired_rate", float("nan")),
+    ])
+    def test_rejects_a_config_that_disables_admission(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(**{field: value})
+
+    def test_edges_of_the_valid_range_pass(self):
+        ServiceConfig(
+            max_queue_depth=1, shed_queue_depth=1, rate_capacity=1.0,
+            rate_refill_per_s=0.0, shed_lease_expired_rate=0.0,
+        )
+
+    def test_serve_refuses_a_nan_refill_as_a_usage_error(self, tmp_path):
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "batch", "serve",
+             "--dir", str(tmp_path / "batch"), "--rate-refill", "nan"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert out.returncode == 2
+        assert "rate_refill_per_s must be finite" in out.stderr
+        assert not (tmp_path / "batch" / "http.json").exists()
 
 
 class TestLifecycle:

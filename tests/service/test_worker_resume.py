@@ -93,3 +93,12 @@ class TestEpochStamping:
     def test_final_state_stem_carries_the_epoch(self, tmp_path):
         outcome = run_job(spec(2), tmp_path, 0, epoch=7)
         assert outcome["state_stem"].endswith("final-e0007-attempt-000")
+
+    def test_trace_path_carries_the_epoch(self, tmp_path):
+        # a zombie of epoch 4 cannot overwrite epoch 5's trace of the
+        # same attempt index
+        zombie = run_job(spec(2), tmp_path, 1, epoch=4, trace=True)
+        owner = run_job(spec(2), tmp_path, 1, epoch=5, trace=True)
+        assert Path(owner["trace_path"]).name == "trace-e0005-attempt-001.json"
+        assert zombie["trace_path"] != owner["trace_path"]
+        assert Path(zombie["trace_path"]).is_file()

@@ -295,6 +295,24 @@ ROWS = [
     *rows((r"def _row\(", r"def _job_id\("), ("src/repro/service",),
           "one record load per request: HttpJobService._record and "
           "BatchClient.result(record)", 45),
+    Row("networkx", (*WIDE, "pyproject.toml", "README.md"),
+        "a numpy sweep in domain/partition.py; nothing screens the "
+        "contact graph", 48, word=True),
+    *rows(("contact_graph", "unanchored_blocks", "contact_clusters",
+           "coordination_numbers", "load_path_depth", "adjacency_pairs",
+           "METHODS", "device_reduce", "REDUCE_BLOCK", "inclusive_scan",
+           "strided_transactions", "shared_bank_conflicts", "SHARED_BANKS",
+           "paper_vs_measured_table", "validate_system", "eps_param",
+           "KEEP_CHECKPOINTS"), WIDE,
+          "nothing: no entry point, bench or example called them "
+          "(tests/test_reachability.py now walks definitions)", 48,
+          word=True),
+    Row(r"repro\.analysis\.topology", WIDE,
+        "nothing: no entry point, bench or example called it", 48),
+    Row(r"partition_blocks\([^)]*\b(method|contacts)=", WIDE,
+        "partition_blocks(system, n_domains, *, margin): the broad-phase "
+        "graph, spectral order or stripes read from it", 48,
+        plant='partition_blocks(system, 2, method="stripe")'),
 ]
 
 
@@ -421,6 +439,6 @@ def test_planted_name_fails_its_row(row, tmp_path):
 
 def test_every_row_searches_real_paths():
     for row in ROWS:
-        assert row.replaced_by and 14 <= row.pr <= 47, row
+        assert row.replaced_by and 14 <= row.pr <= 48, row
         for entry in row.paths:
             assert _files(entry, REPO), (row.pattern, entry)

@@ -12,8 +12,18 @@ imports it.
 ``__init__`` keeps nothing alive by listing it. ``repro.lint.passes``
 defines ``ALL_PASSES`` itself, which makes its imports (the registered
 passes) reached the moment the lint CLI asks for the registry.
+
+The same holds one level down, for definitions: every public top-level
+function and class under ``src/repro``, and every public method, must be
+named outside its own body — as a name, an attribute or an import — in
+``src/repro``, ``benchmarks/`` or ``examples/``, or be a row of
+DESIGN.md's table *"Definitions only tests and docs use"* naming a file
+that uses it. A package ``__init__``'s import lines do not count, and
+``__all__`` holds strings, which never do; a name an ``__init__`` body
+uses (``ALL_PASSES``) does.
 """
 
+import ast
 import re
 import shutil
 from functools import lru_cache
@@ -34,6 +44,9 @@ ENTRY_POINTS = (
 )
 
 TABLE_HEADING = "Modules no entry point reaches"
+DEFINITIONS_HEADING = "Definitions only tests and docs use"
+#: Trees besides ``src/repro`` whose code keeps a definition in use.
+CONSUMERS = ("benchmarks", "examples")
 
 
 @lru_cache(maxsize=None)
@@ -70,10 +83,11 @@ def reached_modules(files: dict[str, Path]) -> set[str]:
     return seen
 
 
-def table_rows(design: str) -> dict[str, str]:
-    """Module -> consumer path of DESIGN.md's table (first and last
-    cell of each row, both in backticks)."""
-    section = design.split(TABLE_HEADING, 1)[1] if TABLE_HEADING in design else ""
+def table_rows(design: str, heading: str = TABLE_HEADING) -> dict[str, str]:
+    """Module (or definition) -> consumer path of DESIGN.md's table
+    under ``heading`` (first and last cell of each row, both in
+    backticks)."""
+    section = design.split(heading, 1)[1] if heading in design else ""
     rows = {}
     for line in section.splitlines()[1:]:
         if line.startswith("#"):
@@ -111,6 +125,89 @@ def problems(src: Path, design: str) -> list[str]:
                 f"{module}: no entry point reaches it and DESIGN.md's "
                 f"table '{TABLE_HEADING}' has no row for it"
             )
+    return out
+
+
+def python_files(root: Path) -> list[Path]:
+    return sorted(p for p in root.rglob("*.py") if "__pycache__" not in p.parts)
+
+
+def definitions(src: Path) -> dict[str, tuple[str, Path, int, int]]:
+    """Dotted name -> ``(name, file, first line, last line)`` of every
+    public top-level function and class under ``src/repro`` and every
+    public method of those classes."""
+    out = {}
+    for path in python_files(src / "repro"):
+        tree = SourceModule(src, path).tree
+        module = dotted(path.relative_to(src / "repro").as_posix())
+        for node in tree.body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) or node.name.startswith("_"):
+                continue
+            qual = f"{module}.{node.name}"
+            out[qual] = (node.name, path, node.lineno, node.end_lineno)
+            for sub in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(
+                    sub, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ) and not sub.name.startswith("_"):
+                    out[f"{qual}.{sub.name}"] = (
+                        sub.name, path, sub.lineno, sub.end_lineno
+                    )
+    return out
+
+
+def named_at(src: Path) -> dict[str, list[tuple[Path, int]]]:
+    """Name -> ``(file, line)`` of every name, attribute and imported
+    name under ``src/repro`` and :data:`CONSUMERS`, a package
+    ``__init__``'s imports left out."""
+    found: dict[str, list[tuple[Path, int]]] = {}
+    roots = [(src, src / "repro")] + [(REPO, REPO / c) for c in CONSUMERS]
+    for base, root in roots:
+        for path in python_files(root):
+            module = SourceModule(base, path)
+            for node in ast.walk(module.tree):
+                if isinstance(node, ast.Name):
+                    found.setdefault(node.id, []).append((path, node.lineno))
+                elif isinstance(node, ast.Attribute):
+                    found.setdefault(node.attr, []).append((path, node.lineno))
+            if path.name != "__init__.py":
+                for name, line in module.imports:
+                    found.setdefault(name.rsplit(".", 1)[-1], []).append(
+                        (path, line)
+                    )
+    return found
+
+
+def definition_problems(src: Path, design: str) -> list[str]:
+    """One line per public definition nothing but its own body names
+    that is not a valid row, and per stale row; empty when the state
+    holds."""
+    defs = definitions(src)
+    named = named_at(src)
+    unused = {
+        qual for qual, (name, path, first, last) in defs.items()
+        if all(
+            where == path and first <= line <= last
+            for where, line in named.get(name, ())
+        )
+    }
+    rows = table_rows(design, DEFINITIONS_HEADING)
+    out = []
+    for qual, user in rows.items():
+        if qual not in unused:
+            out.append(f"{qual}: stale row (used, or no such definition)")
+        elif not (REPO / user).is_file():
+            out.append(f"{qual}: user {user} does not exist")
+        elif not re.search(
+            rf"\b{defs[qual][0]}\b", (REPO / user).read_text(encoding="utf-8")
+        ):
+            out.append(f"{qual}: user {user} does not name it")
+    for qual in sorted(unused - set(rows)):
+        out.append(
+            f"{qual}: only its own body names it, and DESIGN.md's table "
+            f"'{DEFINITIONS_HEADING}' has no row for it"
+        )
     return out
 
 
@@ -173,3 +270,36 @@ def test_planted_relative_import_is_rejected_at_its_line(tmp_path):
         "util/planted_stub.py:2: relative import; the name resolver reads "
         "absolute imports only"
     )
+
+
+def test_every_definition_is_used_or_a_row_names_its_user():
+    assert definition_problems(REPO / "src", DESIGN) == []
+
+
+def test_planted_unused_definition_is_reported_by_name(tmp_path):
+    shutil.copytree(
+        REPO / "src", tmp_path / "src",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    rng = tmp_path / "src" / "repro" / "util" / "rng.py"
+    rng.write_text(
+        rng.read_text(encoding="utf-8")
+        + "\n\ndef planted_stub():\n    return planted_stub\n",
+        encoding="utf-8",
+    )
+    (found,) = definition_problems(tmp_path / "src", DESIGN)
+    assert found.startswith("repro.util.rng.planted_stub: only its own body")
+
+
+def test_row_whose_user_does_not_name_the_definition_fails():
+    row = "`repro.core.displacement.displace_points` |"
+    doctored = DESIGN.replace(
+        row + " first-order displaced positions of one block's points | "
+        "`tests/core/test_displacement.py`",
+        row + " moved | `tests/gpu/test_counters.py`",
+    )
+    assert doctored != DESIGN
+    assert definition_problems(REPO / "src", doctored) == [
+        "repro.core.displacement.displace_points: user "
+        "tests/gpu/test_counters.py does not name it"
+    ]
