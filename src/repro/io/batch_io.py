@@ -8,8 +8,9 @@ so a killed scheduler or worker never leaves a half-written record for
 the next process to trip over.
 
 Every durability-relevant operation in this module is also a *chaos
-hook*: when a storage fault plan is armed
-(:mod:`repro.service.chaos`), the atomic writers,
+hook*: when a storage fault plan is armed in the process
+(``IOFaultInjector.install`` in :mod:`repro.service.chaos`, which each
+process entry calls), the atomic writers,
 :func:`read_json`, and :func:`locked_fd` consult the process-wide
 injector and may suffer ``ENOSPC``, a simulated crash after the rename,
 or injected IO latency — on the same code path a clean process runs.
@@ -36,38 +37,19 @@ try:
 except ImportError:  # pragma: no cover - POSIX
     msvcrt = None
 
-#: Environment variable naming a JSON fault-plan file. Checked lazily
-#: the first time a hooked operation runs in a process, so worker
-#: processes (fork *and* spawn) inherit the armed plan from the
-#: scheduler without any explicit plumbing.
-CHAOS_PLAN_ENV = "REPRO_IO_FAULT_PLAN"
-
-#: Process-wide storage fault injector (None = clean path).
+#: Process-wide storage fault injector (None = clean path), armed
+#: only by ``IOFaultInjector.install`` / ``install_from_env``.
 _io_chaos = None
-_env_checked = False
 
 
 def set_io_chaos(injector) -> None:
     """Install (or clear, with ``None``) the process fault injector."""
-    global _io_chaos, _env_checked
+    global _io_chaos
     _io_chaos = injector
-    _env_checked = True  # an explicit install overrides the env plan
 
 
 def get_io_chaos():
     """The armed injector, or ``None`` when the process is clean."""
-    return _io_chaos
-
-
-def _chaos():
-    """Resolve the active injector, arming lazily from the env plan."""
-    global _env_checked
-    if _io_chaos is None and not _env_checked:
-        _env_checked = True
-        if os.environ.get(CHAOS_PLAN_ENV):
-            from repro.service.chaos import IOFaultInjector
-
-            IOFaultInjector.install_from_env()
     return _io_chaos
 
 
@@ -110,7 +92,7 @@ def locked_fd(path: str | Path, mode: int = 0o644):
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    chaos = _chaos()
+    chaos = _io_chaos
     if chaos is not None:
         chaos.on_lock(path)
     fd = os.open(path, os.O_RDWR | os.O_CREAT, mode)
@@ -156,7 +138,7 @@ def _replace_atomic(path: Path, mode: str, write_payload) -> Path:
     the write lands although the caller saw a failure.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    chaos = _chaos()
+    chaos = _io_chaos
     fault = chaos.on_write(path) if chaos is not None else None
     fd, tmp = tempfile.mkstemp(
         dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
@@ -215,7 +197,7 @@ def read_json(path: str | Path):
     parse therefore reads as absent, and the final audit reports its
     job as lost.
     """
-    chaos = _chaos()
+    chaos = _io_chaos
     if chaos is not None:
         chaos.on_read(Path(path))
     try:

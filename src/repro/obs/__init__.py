@@ -8,8 +8,7 @@ engines, the solvers, and the batch service:
 * :class:`Tracer` (:mod:`repro.obs.tracer`) — per-step, per-module span
   records (wall seconds, modelled device seconds, solver/contact
   extras) with near-zero overhead when disabled, exportable as
-  JSON-lines or Chrome ``chrome://tracing`` / Perfetto trace-event
-  JSON;
+  Chrome ``chrome://tracing`` / Perfetto trace-event JSON;
 * :class:`MetricsRegistry` (:mod:`repro.obs.metrics`) — counters,
   gauges, and histograms (contact classes, CG iteration distribution,
   solver-rung escalations, contract violations, rollbacks, batch cache

@@ -27,6 +27,7 @@ orchestrates them on top of the per-run survival primitives from
   trail ``python -m repro batch audit`` replays to prove exactly-once
   completion, and ``batch soak`` (one driver over the scenario table
   :data:`repro.service.soak.SCENARIOS`) ends every chaos campaign with;
+  it is evidence for those readers, never read to serve a request;
 * :mod:`repro.service.chaos` — the one seeded fault-injection module:
   :class:`~repro.service.chaos.IOFaultPlan` arms the storage seam
   (``ENOSPC``, a crash after the rename, IO latency — the three
@@ -34,14 +35,15 @@ orchestrates them on top of the per-run survival primitives from
   under, and :class:`~repro.service.chaos.NetFaultPlan` the network
   seam (connection resets, latency) the
   service claims are tested under via
-  ``python -m repro batch soak --scenario api``;
+  ``python -m repro batch soak --scenario api``; each process entry
+  arms its seams explicitly (``install`` / ``install_from_env``);
 * :class:`~repro.service.client.BatchClient` — the programmatic facade
   behind the ``python -m repro batch`` CLI;
 * :class:`~repro.service.http.HttpJobService` — the asyncio HTTP/JSON
   front-end (``python -m repro batch serve``): idempotent submission by
-  spec hash, admission control with ``Retry-After`` backpressure,
-  per-tenant rate limits, deadline propagation, and SIGTERM graceful
-  drain (docs/service-api.md);
+  spec hash, admission control and queue-depth load shedding with
+  ``Retry-After`` backpressure, per-tenant rate limits, deadline
+  propagation, and SIGTERM graceful drain (docs/service-api.md);
 * :class:`~repro.service.netclient.ServiceClient` — the retrying HTTP
   client that absorbs transport faults with seeded backoff.
 """

@@ -31,13 +31,14 @@ The service's robustness claims — exactly-once completion under
 ``python -m repro batch audit``, idempotent resubmission, retrying
 clients — must hold with both seams armed.
 
-Arming is per-process: call ``IOFaultInjector.install(plan)`` /
-``NetFaultInjector.install(plan)`` programmatically, or set
+Arming is per-process and explicit: call ``IOFaultInjector.install(plan)``
+/ ``NetFaultInjector.install(plan)`` programmatically, or set
 ``REPRO_IO_FAULT_PLAN`` / ``REPRO_NET_FAULT_PLAN`` to a plan file path
-(written with :meth:`FaultPlan.save`). Every process that touches
-``batch_io`` — scheduler and workers, fork or spawn — arms its storage
-seam lazily on first use; the server process arms its network seam on
-startup via ``NetFaultInjector.install_from_env()``. Decisions are
+(written with :meth:`FaultPlan.save`) and call ``install_from_env()``.
+Each process entry does so before it builds anything: ``batch_main``
+and the soak's scheduler children arm the storage seam, every worker
+re-arms it (fork or spawn, each with its own seeded stream), and
+``run_server`` arms the network seam. Decisions are
 drawn from a private RNG seeded via
 :func:`repro.util.rng.derive_seed`, so a plan is deterministic per
 operation (or request) sequence. Health endpoints are never faulted —
@@ -58,10 +59,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.io.batch_io import CHAOS_PLAN_ENV, set_io_chaos
+from repro.io.batch_io import set_io_chaos
 from repro.util.rng import derive_seed
 
-#: Environment variable naming a JSON net-fault-plan file.
+#: Environment variables naming a JSON storage / net fault-plan file.
+IO_PLAN_ENV = "REPRO_IO_FAULT_PLAN"
 NET_PLAN_ENV = "REPRO_NET_FAULT_PLAN"
 
 
@@ -335,7 +337,7 @@ class IOFaultInjector(FaultInjector):
     PLAN = IOFaultPlan
     STREAM = "chaosio"
     METRIC = "batch.io_faults"
-    ENV = CHAOS_PLAN_ENV
+    ENV = IO_PLAN_ENV
 
     def _protected(self, target: str) -> bool:
         if any(token in target for token in PROTECTED_PATHS):

@@ -30,6 +30,7 @@ import json
 import sys
 
 from repro.service.audit import audit_journal, format_report
+from repro.service.chaos import IOFaultInjector
 from repro.service.client import BatchClient, render_overview
 from repro.service.http import ServiceConfig, run_server
 from repro.service.soak import SCENARIOS, run_soak
@@ -128,7 +129,7 @@ def build_batch_parser() -> argparse.ArgumentParser:
     v = sub.add_parser(
         "serve",
         help="HTTP/JSON front-end over the batch directory "
-             "(submit/status/results/cancel/events over the network)",
+             "(submit/status/results/cancel over the network)",
     )
     add_dir(v)
     v.add_argument("--host", default="127.0.0.1")
@@ -157,12 +158,24 @@ def spec_from_args(args: argparse.Namespace) -> JobSpec:
 def batch_main(argv: list[str] | None = None) -> int:
     parser = build_batch_parser()
     args = parser.parse_args(argv)
-    client = BatchClient(args.batch_dir)
+    IOFaultInjector.install_from_env()
 
     def log(msg: str) -> None:
         """Progress lines go to stderr (``--quiet`` drops them)."""
         if not getattr(args, "quiet", False):
             print(msg, file=sys.stderr)
+
+    if args.command == "serve":
+        try:
+            config = ServiceConfig(
+                host=args.host, port=args.port,
+                max_queue_depth=args.max_queue_depth,
+                rate_capacity=args.rate_capacity,
+                rate_refill_per_s=args.rate_refill,
+            )
+        except ValueError as err:
+            parser.error(f"serve: {err}")
+        return run_server(args.batch_dir, config, log=log)
 
     if args.command == "submit":
         try:
@@ -175,10 +188,16 @@ def batch_main(argv: list[str] | None = None) -> int:
             backoff_s=args.backoff,
             attempt_deadline_s=args.attempt_deadline,
         )
-        record = client.submit(spec, priority=args.priority, retry=retry)
+        record = BatchClient(args.batch_dir).submit(
+            spec, priority=args.priority, retry=retry
+        )
         print(f"submitted {record.job_id} "
               f"(spec {spec.spec_hash()[:12]}, priority {record.priority})")
         return 0
+
+    # built only once the verb's arguments have validated: a usage error
+    # leaves no batch directory behind
+    client = BatchClient(args.batch_dir)
 
     if args.command == "run":
         tallies = client.run(
@@ -292,17 +311,5 @@ def batch_main(argv: list[str] | None = None) -> int:
             print(format_report(summary["audit"]))
         ok = summary["drained"] and summary["audit"]["ok"] and clean_drains
         return 0 if ok else 1
-
-    if args.command == "serve":
-        try:
-            config = ServiceConfig(
-                host=args.host, port=args.port,
-                max_queue_depth=args.max_queue_depth,
-                rate_capacity=args.rate_capacity,
-                rate_refill_per_s=args.rate_refill,
-            )
-        except ValueError as err:
-            parser.error(f"serve: {err}")
-        return run_server(args.batch_dir, config, log=log)
 
     raise AssertionError(f"unhandled command {args.command!r}")

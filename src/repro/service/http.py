@@ -22,7 +22,6 @@ Endpoints
 ``GET  /v1/jobs/<id>``           one job's status (+ lease/epoch)
 ``GET  /v1/jobs/<id>/result``    final outcome (202 while running)
 ``POST /v1/jobs/<id>/cancel``    tombstone cancel
-``GET  /v1/jobs/<id>/events``    long-poll journal tail for the job
 ``GET  /healthz``                liveness (always served, never shed)
 ``GET  /readyz``                 readiness (503 while draining/shedding)
 ``GET  /metrics``                metrics registry snapshot
@@ -45,16 +44,16 @@ The robustness envelope
 * **Per-tenant rate limits.** A token bucket per ``X-Tenant`` header
   (capacity/refill configurable); exhausted buckets get ``429`` with
   the exact refill wait in ``Retry-After``.
-* **Load shedding.** When the queue depth passes ``shed_queue_depth``
-  or the journal shows a ``lease_expired`` rate above
-  ``shed_lease_expired_rate`` per minute (schedulers are dying faster
-  than they finish work), non-health traffic is shed with ``503`` —
-  the service protects the backlog it already accepted.
+* **Load shedding.** When the queue depth passes ``shed_queue_depth``,
+  non-health traffic is shed with ``503`` — the service protects the
+  backlog it already accepted. No request reads the job journal: it is
+  the auditor's evidence, and it grows with the campaign.
 * **Deadline propagation.** ``X-Deadline-S`` bounds the handler
   (``504`` past it) and, on submits, is propagated into the job's
   :class:`~repro.service.spec.RetryPolicy.attempt_deadline_s` so the
   scheduler enforces the caller's budget end-to-end.
-* **Graceful drain.** SIGTERM flips ``/readyz`` to 503, stops
+* **Graceful drain.** :meth:`BackgroundServer.stop` (which ``batch
+  serve`` calls on SIGTERM or SIGINT) flips ``/readyz`` to 503, stops
   accepting connections, lets in-flight requests finish within
   :data:`DRAIN_GRACE_S`, persists the metrics snapshot, journals the drain,
   and exits 0. Queued jobs are untouched — schedulers keep draining
@@ -99,8 +98,6 @@ DEFAULT_TIMEOUT_S = 30.0
 MAX_INFLIGHT = 64
 #: How long a drain waits for in-flight requests before exiting [s].
 DRAIN_GRACE_S = 10.0
-#: Longest long-poll wait the events endpoint will hold.
-LONG_POLL_MAX_S = 30.0
 #: Persist the metrics snapshot every this many requests (and on drain).
 METRICS_FLUSH_EVERY = 50
 
@@ -121,8 +118,6 @@ class ServiceConfig:
     max_queue_depth: int = 512
     #: All non-health traffic is shed (503) past this queue depth.
     shed_queue_depth: int = 1024
-    #: ... or when lease expiries per minute exceed this rate.
-    shed_lease_expired_rate: float = 60.0
     #: Token bucket per tenant: burst capacity and steady refill.
     rate_capacity: float = 50.0
     rate_refill_per_s: float = 25.0
@@ -133,7 +128,6 @@ class ServiceConfig:
         for name, low in (
             ("max_queue_depth", 1), ("shed_queue_depth", 1),
             ("rate_capacity", 1), ("rate_refill_per_s", 0),
-            ("shed_lease_expired_rate", 0),
         ):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= low):
@@ -232,7 +226,6 @@ class HttpJobService:
         # cached backpressure signals (refreshing them per request would
         # turn every GET into a directory scan)
         self._depth_cache: tuple[float, int] = (0.0, 0)
-        self._lease_rate_cache: tuple[float, float] = (0.0, 0.0)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -315,24 +308,6 @@ class HttpJobService:
             self._depth_cache = (now, depth)
         return depth
 
-    def _lease_expired_rate(self) -> float:
-        """Journal ``lease_expired`` events per minute (cached ~1 s)."""
-        now = time.monotonic()
-        stamp, rate = self._lease_rate_cache
-        if now - stamp > 1.0:
-            wall = time.time()
-            try:
-                events, _ = self.queue.journal.events()
-            except OSError:
-                events = []
-            rate = float(sum(
-                1 for e in events
-                if e.get("event") == "lease_expired"
-                and wall - float(e.get("ts", 0.0)) <= 60.0
-            ))
-            self._lease_rate_cache = (now, rate)
-        return rate
-
     def _bucket(self, tenant: str) -> TokenBucket:
         bucket = self._buckets.get(tenant)
         if bucket is None:
@@ -347,7 +322,7 @@ class HttpJobService:
     async def _handle(self, reader, writer) -> None:
         injector = NetFaultInjector.armed
         try:
-            method, path, query, headers, body = await asyncio.wait_for(
+            method, path, headers, body = await asyncio.wait_for(
                 self._read_request(reader), timeout=15.0
             )
         except _Response as resp:
@@ -369,7 +344,7 @@ class HttpJobService:
         self.inflight += 1
         try:
             status, payload, extra = await self._admit_and_dispatch(
-                method, path, query, headers, body
+                method, path, headers, body
             )
         finally:
             self.inflight -= 1
@@ -422,8 +397,7 @@ class HttpJobService:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        parsed = urllib.parse.urlsplit(target)
-        query = dict(urllib.parse.parse_qsl(parsed.query))
+        path = urllib.parse.urlsplit(target).path
         try:
             length = int(headers.get("content-length", "0") or 0)
         except ValueError:
@@ -443,12 +417,12 @@ class HttpJobService:
                 raise _Response(400, {"error": "body is not JSON"}) from err
             if not isinstance(body, dict):
                 raise _Response(400, {"error": "body must be an object"})
-        return method.upper(), parsed.path, query, headers, body
+        return method.upper(), path, headers, body
 
     # ------------------------------------------------------------------
     # admission control + dispatch
     # ------------------------------------------------------------------
-    async def _admit_and_dispatch(self, method, path, query, headers, body):
+    async def _admit_and_dispatch(self, method, path, headers, body):
         try:
             if path == "/healthz":
                 return 200, {
@@ -495,7 +469,7 @@ class HttpJobService:
             )
             try:
                 return await asyncio.wait_for(
-                    self._route(method, path, query, body, tenant, deadline_s),
+                    self._route(method, path, body, tenant, deadline_s),
                     timeout=budget,
                 )
             except asyncio.TimeoutError as err:
@@ -523,18 +497,12 @@ class HttpJobService:
         depth = self._queue_depth()
         if depth > self.config.shed_queue_depth:
             return f"queue depth {depth} > {self.config.shed_queue_depth}"
-        rate = self._lease_expired_rate()
-        if rate > self.config.shed_lease_expired_rate:
-            return (
-                f"lease_expired rate {rate:g}/min > "
-                f"{self.config.shed_lease_expired_rate:g}/min"
-            )
         return None
 
     # ------------------------------------------------------------------
     # routes
     # ------------------------------------------------------------------
-    async def _route(self, method, path, query, body, tenant, deadline_s):
+    async def _route(self, method, path, body, tenant, deadline_s):
         if path == "/v1/jobs" and method == "POST":
             return await asyncio.to_thread(
                 self._submit, body, tenant, deadline_s
@@ -551,8 +519,6 @@ class HttpJobService:
                 return await asyncio.to_thread(self._job_result, job_id)
             if tail == "cancel" and method == "POST":
                 return await asyncio.to_thread(self._cancel, job_id)
-            if tail == "events" and method == "GET":
-                return await self._events(job_id, query, deadline_s)
         raise _Response(404, {"error": f"no route for {method} {path}"})
 
     def _submit(self, body, tenant, deadline_s):
@@ -650,42 +616,6 @@ class HttpJobService:
             "state": fresh.state,
         }, {}
 
-    async def _events(self, job_id, query, deadline_s):
-        """Long-poll the journal tail for one job.
-
-        ``since`` is the caller's event cursor; the handler holds the
-        request open until more events than ``since`` exist for the job
-        (or the poll window ends) and returns the delta plus the next
-        cursor — progress streaming without server-held state.
-        """
-        try:
-            since = int(query.get("since", 0))
-            timeout_s = float(query.get("timeout", 0.0))
-        except ValueError as err:
-            raise _Response(400, {"error": "bad since/timeout"}) from err
-        if since < 0:
-            raise _Response(400, {"error": "since must be >= 0"})
-        if not math.isfinite(timeout_s):
-            raise _Response(400, {"error": "timeout must be finite"})
-        timeout_s = min(timeout_s, LONG_POLL_MAX_S)
-        if deadline_s is not None:
-            timeout_s = min(timeout_s, max(0.0, deadline_s - 0.1))
-        known = self.client.job(job_id) is not None
-        deadline = time.monotonic() + timeout_s
-        while True:
-            events, _torn = await asyncio.to_thread(self.queue.journal.events)
-            mine = [e for e in events if e.get("job_id") == job_id]
-            if not known and not mine:
-                raise _Response(404, {"error": f"unknown job {job_id}"})
-            if len(mine) > since or time.monotonic() >= deadline \
-                    or self.draining:
-                return 200, {
-                    "job_id": job_id,
-                    "events": mine[since:],
-                    "next": len(mine),
-                }, {}
-            await asyncio.sleep(0.1)
-
 
 # ----------------------------------------------------------------------
 # process entry points
@@ -698,30 +628,23 @@ def run_server(
 ) -> int:
     """Blocking server entry (the ``batch serve`` CLI target).
 
-    Installs SIGTERM/SIGINT handlers that trigger the graceful drain;
-    returns 0 after a clean drain.
+    Serves through a :class:`BackgroundServer` until SIGTERM or SIGINT,
+    then drains it with :meth:`BackgroundServer.stop`; returns 0 after
+    the drain.
     """
     NetFaultInjector.install_from_env()
-
-    async def _main() -> int:
-        service = HttpJobService(root, config, log=log)
-        await service.start()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(
-                    sig, lambda: asyncio.ensure_future(service.drain())
-                )
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # non-POSIX loop: rely on KeyboardInterrupt
-        await service._drained.wait()
-        return 0
-
-    return asyncio.run(_main())
+    stop = threading.Event()
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(sig, lambda *_: stop.set())
+    server = BackgroundServer(root, config, log=log).start()
+    stop.wait()
+    server.stop()
+    return 0
 
 
 class BackgroundServer:
-    """Run an :class:`HttpJobService` in a daemon thread (tests/docs).
+    """Run an :class:`HttpJobService` in a daemon thread (``batch
+    serve``, the tests and the harness).
 
     .. code-block:: python
 

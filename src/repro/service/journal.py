@@ -4,7 +4,9 @@ Every lifecycle transition of every job appends one JSON line to
 ``<queue>/journal/events.jsonl``: ``submitted``, ``claimed`` (with its
 fencing epoch and owner), ``heartbeat``, ``requeued``,
 ``lease_expired``, ``fenced``, ``quarantined``, and ``completed``
-(with the terminal status). The journal is *evidence*, not state — the
+(with the terminal status); the HTTP front-end adds ``dedup_hit`` per
+job and ``server_started`` / ``server_drained`` under the
+infrastructure job id ``"-"``. The journal is *evidence*, not state — the
 job records stay authoritative — which is what makes it usable as an
 auditor's input: ``python -m repro batch audit`` replays the journal
 against the records and asserts the exactly-once invariants
@@ -29,25 +31,6 @@ import json
 import os
 import time
 from pathlib import Path
-
-#: Canonical event names, in rough lifecycle order.
-EVENTS = (
-    "submitted",
-    "claimed",
-    "heartbeat",
-    "requeued",
-    "lease_expired",
-    "fenced",
-    "quarantined",
-    "completed",
-    # service-level events appended by the HTTP front-end; ``dedup_hit``
-    # is per-job, the ``server_*`` pair uses the infrastructure job id
-    # ``"-"`` (see repro.service.http.SERVICE_JOB_ID)
-    "dedup_hit",
-    "server_started",
-    "server_drained",
-)
-
 
 class Journal:
     """One append-only JSON-lines event file under a journal directory."""

@@ -117,10 +117,9 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
-    def _once(self, method, path, body, headers, timeout=None):
+    def _once(self, method, path, body, headers):
         conn = http.client.HTTPConnection(
-            self.host, self.port,
-            timeout=self.timeout if timeout is None else timeout,
+            self.host, self.port, timeout=self.timeout
         )
         try:
             raw = None if body is None else json.dumps(body).encode()
@@ -145,7 +144,6 @@ class ServiceClient:
         *,
         body: dict | None = None,
         deadline_s: float | None = None,
-        timeout: float | None = None,
     ) -> tuple[int, dict]:
         """One verb with the full retry loop; returns (status, payload)."""
         headers = {"X-Tenant": self.tenant, "Connection": "close"}
@@ -158,7 +156,7 @@ class ServiceClient:
             self.stats["requests"] += 1
             try:
                 status, payload, retry_after = self._once(
-                    method, path, body, headers, timeout
+                    method, path, body, headers
                 )
             except (OSError, http.client.HTTPException, socket.timeout) as err:
                 last = err
@@ -238,15 +236,6 @@ class ServiceClient:
 
     def cancel(self, job_id: str) -> dict:
         return self.request("POST", f"/v1/jobs/{job_id}/cancel", body={})[1]
-
-    def events(
-        self, job_id: str, *, since: int = 0, timeout_s: float = 0.0
-    ) -> dict:
-        """Long-poll the job's journal tail past cursor ``since``."""
-        path = f"/v1/jobs/{job_id}/events?since={since}&timeout={timeout_s:g}"
-        return self.request(
-            "GET", path, timeout=max(self.timeout, timeout_s + 5.0)
-        )[1]
 
     def wait(
         self, job_id: str, *, timeout_s: float = 60.0, poll_s: float = 0.2

@@ -470,13 +470,8 @@ class WorkerPool:
             )
         elif record.attempts < policy.max_attempts:
             delay = policy.delay(job_id, record.attempts)
-            with self.queue.locked_record(job_id):
-                current = self.queue.load_record(job_id)
-                if (
-                    current is None
-                    or current.state in JobState.TERMINAL
-                    or current.lease_epoch != slot.epoch
-                ):
+            with self.queue.live_record(job_id, slot.epoch) as current:
+                if current is None:
                     # superseded: the new owner handles this job's fate
                     self._tally("fenced")
                     self.queue.ack(slot.ticket)

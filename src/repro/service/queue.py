@@ -44,7 +44,8 @@ the record is already terminal or the caller's fencing epoch has been
 superseded (a *fenced* zombie write), and appends the single
 ``completed`` event to the journal (``claim`` and ``cancel``, which
 already hold the lock over a record they just checked, run the same
-transition body). ``python -m repro batch audit``
+transition body). That check is :meth:`JobQueue.live_record`, which the
+pool's retry path uses too. ``python -m repro batch audit``
 replays the journal against the records to prove the invariants held.
 
 Cancellation is a tombstone file (``cancelled/<job_id>``) rather than a
@@ -346,10 +347,26 @@ class JobQueue:
         """
         if state not in JobState.TERMINAL:
             raise ValueError(f"finalize() requires a terminal state, got {state!r}")
+        with self.live_record(job_id, epoch) as record:
+            if record is None:
+                return None
+            return self._complete(record, state, mutate, publish)
+
+    @contextmanager
+    def live_record(self, job_id: str, epoch: int | None):
+        """Yield the job's record under its lock, or ``None`` when the
+        job is gone, terminal, or — when ``epoch`` is given — claimed
+        at a later fencing epoch.
+
+        The one fencing check: only a superseded epoch is a *fenced*
+        write (a zombie's), journalled and counted in
+        ``batch.fenced_writes``; a gone or terminal job is no one's.
+        """
         with self.locked_record(job_id):
             record = self.load_record(job_id)
             if record is None or record.state in JobState.TERMINAL:
-                return None
+                yield None
+                return
             if epoch is not None and record.lease_epoch != epoch:
                 self.journal.append(
                     "fenced", job_id,
@@ -357,8 +374,9 @@ class JobQueue:
                 )
                 if self.metrics is not None:
                     self.metrics.inc("batch.fenced_writes")
-                return None
-            return self._complete(record, state, mutate, publish)
+                yield None
+                return
+            yield record
 
     def _complete(
         self, record: JobRecord, state: str, mutate=None, publish=None

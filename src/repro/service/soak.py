@@ -226,9 +226,8 @@ def run_soak(
     log = log or (lambda msg: None)
     t0 = time.time()
     # The driver submits and audits; it must stay chaos-clean even
-    # though it sets the env plans for its children — disarm explicitly
-    # rather than relying on batch_io's lazy one-shot env check, which
-    # only protects a driver that touched batch_io before the env was set.
+    # though it sets the env plans for its children, whatever its caller
+    # armed.
     IOFaultInjector.install(None)
     NetFaultInjector.install(None)
     batch = BatchClient(root)
@@ -257,7 +256,6 @@ def run_soak(
         rate_capacity=200.0, rate_refill_per_s=500.0,
         max_queue_depth=max(512, jobs * 4),
         shed_queue_depth=max(1024, jobs * 8),
-        shed_lease_expired_rate=1e9,  # scheduler kills are the *point*
     )
 
     def spawn_server():

@@ -250,8 +250,8 @@ def worker_entry(
     The outcome lands atomically; a crash at any earlier point leaves
     no file, which is the scheduler's crash signal. The storage chaos
     layer is re-armed explicitly: a forked child inherits the parent's
-    already-checked injector state, and every worker must run its own
-    seeded stream, fork or spawn alike.
+    injector and a spawned one starts unarmed, and every worker must run
+    its own seeded stream, fork or spawn alike.
 
     ``late_imports`` in the outcome counts the modules this process
     loaded between here and the outcome write: 0 for a forked worker,

@@ -155,6 +155,36 @@ class TestEngineFailureRetry:
             assert "crash" not in attempt
 
 
+class TestFencedRetry:
+    def test_superseded_retry_is_journalled_and_counted(self, tmp_path):
+        """A zombie's retry is fenced by the queue's one check, so it is
+        journalled and counted like a zombie's completion."""
+        from repro.service.pool import _Slot
+
+        client = BatchClient(tmp_path / "b")
+        record = client.submit(
+            healthy_spec(0), retry=RetryPolicy(max_attempts=3)
+        )
+        pool = WorkerPool(client.queue, client.store, client.scratch_root)
+        claimed, ticket = client.queue.claim()
+        # another scheduler re-claimed the job at a later epoch
+        with client.queue.locked_record(record.job_id):
+            current = client.queue.load_record(record.job_id)
+            current.lease_epoch += 1
+            client.queue.save_record(current)
+        owners = client.queue.load_record(record.job_id).to_dict()
+        claimed.attempts = 1
+        pool._retry_or_fail(_Slot(
+            None, claimed, ticket, tmp_path / "outcome.json", 0.0,
+            claimed.lease_epoch, None,
+        ), "WorkerCrashed")
+        assert client.queue.journal.count("fenced") == 1
+        assert pool.metrics.snapshot()["counters"]["batch.fenced_writes"] == 1
+        assert (pool.stats["fenced"], pool.stats["retried"]) == (1, 0)
+        # the new owner's record is untouched
+        assert client.queue.load_record(record.job_id).to_dict() == owners
+
+
 class TestConcurrentClientSafety:
     """A client opening the batch directory must never steal live work."""
 

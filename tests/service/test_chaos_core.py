@@ -61,7 +61,7 @@ NET_DRAWS = [
 ]
 NET_ROUTES = (
     "/v1/jobs", "/v1/jobs/j1", "/healthz", "/v1/jobs/j1/result",
-    "/readyz", "/metrics", "/v1/jobs/j1/events",
+    "/readyz", "/metrics", "/v1/jobs/j1/cancel",
 )
 
 

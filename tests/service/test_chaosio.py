@@ -1,6 +1,11 @@
 """Storage fault injector: determinism, budget, fault semantics."""
 
 import errno
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from atomic_writers import NEW, OLD, WRITERS
@@ -13,6 +18,8 @@ from repro.service.chaos import (
     IOFaultPlan,
     IO_FAULT_REGISTRY,
 )
+from repro.service.client import BatchClient
+from repro.service.spec import JobSpec
 
 install = IOFaultInjector.install
 install_from_env = IOFaultInjector.install_from_env
@@ -184,13 +191,39 @@ class TestEnvArming:
     def test_install_from_env_arms_lazily(self, tmp_path, monkeypatch):
         p = plan(faults=("enospc",))
         path = p.save(tmp_path / "chaos-plan.json")
-        monkeypatch.setenv(batch_io.CHAOS_PLAN_ENV, str(path))
+        monkeypatch.setenv(IOFaultInjector.ENV, str(path))
         inj = install_from_env()
         assert inj is not None and inj.plan == p
         with pytest.raises(OSError):
             write_json_atomic(tmp_path / "jobs" / "x.json", {})
 
     def test_unset_env_disarms(self, monkeypatch):
-        monkeypatch.delenv(batch_io.CHAOS_PLAN_ENV, raising=False)
+        monkeypatch.delenv(IOFaultInjector.ENV, raising=False)
         assert install_from_env() is None
         assert batch_io.get_io_chaos() is None
+
+    def test_fresh_batch_run_counts_every_fault_it_injects(self, tmp_path):
+        """``batch run`` arms the seam before it builds its pool, so the
+        scheduler's ``batch.io_faults`` counter is bound to the injector
+        that draws the faults."""
+        root = tmp_path / "batch"
+        BatchClient(root).submit(
+            JobSpec(model="wall", engine="serial", steps=2, tag="faulted")
+        )
+        path = plan(faults=("io_latency",), max_faults=16).save(
+            tmp_path / "chaos-plan.json"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src),
+               IOFaultInjector.ENV: str(path)}
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "batch", "run",
+             "--dir", str(root), "--workers", "1", "--quiet"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        (snapshot,) = (root / "metrics").glob("sched-*.json")
+        counters = json.loads(snapshot.read_text())["counters"]
+        assert counters["batch.io_faults"] > 0
+        assert counters["batch.io_faults.io_latency"] == \
+            counters["batch.io_faults"]

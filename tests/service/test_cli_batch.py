@@ -78,13 +78,18 @@ def test_cancel_queued_job(tmp_path, capsys):
 
 
 def test_submit_rejects_a_spec_the_run_would_reject(tmp_path, capsys):
+    """A usage error exits 2 and leaves no batch directory behind."""
     batch_dir = tmp_path / "batch"
-    rc = main(["batch", "submit", "--dir", str(batch_dir), "--model", "wall",
-               "--engine", "serial", "--steps", "2", "--max-rollbacks", "-1"])
-    assert rc != 0
-    assert "bad spec: max_rollbacks must be >= 0" in capsys.readouterr().err
-    assert not list(batch_dir.glob("queue/jobs/*.json"))
-    assert not list(batch_dir.glob("queue/tickets/queued/*"))
+    for bad, error in (
+        (["--steps", "2", "--max-rollbacks", "-1"],
+         "bad spec: max_rollbacks must be >= 0"),
+        (["--steps", "0"], "bad spec: steps"),
+    ):
+        rc = main(["batch", "submit", "--dir", str(batch_dir),
+                   "--model", "wall", "--engine", "serial", *bad])
+        assert rc == 2
+        assert error in capsys.readouterr().err
+        assert not batch_dir.exists()
 
 
 def test_directory_holding_a_record_submit_now_rejects(tmp_path, capsys):

@@ -19,6 +19,7 @@ from repro.service.http import (
     TokenBucket,
     read_server_info,
 )
+from repro.service.journal import Journal
 from repro.service.netclient import ClientRetry, ServiceClient, ServiceError
 from repro.service.spec import JobSpec, JobState
 
@@ -68,8 +69,6 @@ class TestServiceConfig:
         ("max_queue_depth", -1),
         ("max_queue_depth", 0),
         ("shed_queue_depth", 0),
-        ("shed_lease_expired_rate", -1.0),
-        ("shed_lease_expired_rate", float("nan")),
     ])
     def test_rejects_a_config_that_disables_admission(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -78,7 +77,7 @@ class TestServiceConfig:
     def test_edges_of_the_valid_range_pass(self):
         ServiceConfig(
             max_queue_depth=1, shed_queue_depth=1, rate_capacity=1.0,
-            rate_refill_per_s=0.0, shed_lease_expired_rate=0.0,
+            rate_refill_per_s=0.0,
         )
 
     def test_serve_refuses_a_nan_refill_as_a_usage_error(self, tmp_path):
@@ -91,7 +90,7 @@ class TestServiceConfig:
         )
         assert out.returncode == 2
         assert "rate_refill_per_s must be finite" in out.stderr
-        assert not (tmp_path / "batch" / "http.json").exists()
+        assert not (tmp_path / "batch").exists()
 
 
 class TestLifecycle:
@@ -195,23 +194,23 @@ class TestLifecycle:
             client.submit(spec("prio"), priority=priority)
         assert err.value.status == 400
 
-    @pytest.mark.parametrize("since", [-1, -5])
-    def test_negative_events_cursor_400s(self, served, since):
-        _server, client, _root = served
-        job_id = client.submit(spec("cursor"))["job_id"]
-        with pytest.raises(ServiceError) as err:
-            client.events(job_id, since=since)
-        assert err.value.status == 400
+    def test_no_request_reads_the_journal(self, served, monkeypatch):
+        """The journal is the auditor's evidence and grows with the
+        campaign: serving a request never parses it."""
+        server, _client, _root = served
 
-    def test_long_poll_events(self, served):
-        _server, client, _root = served
-        job_id = client.submit(spec("events"))["job_id"]
-        resp = client.events(job_id, since=0, timeout_s=0.2)
-        names = [e["event"] for e in resp["events"]]
-        assert "submitted" in names
-        # the cursor advances; polling past the tail returns empty
-        tail = client.events(job_id, since=resp["next"], timeout_s=0.1)
-        assert tail["events"] == []
+        def refuse(_journal):
+            raise AssertionError("a request parsed the job journal")
+
+        monkeypatch.setattr(Journal, "events", refuse)
+        client = ServiceClient(
+            server.host, server.port, tenant="test",
+            retry=ClientRetry(attempts=1),
+        )
+        job_id = client.submit(spec("unread"))["job_id"]
+        assert client.job(job_id)["state"] == JobState.QUEUED
+        assert client.result(job_id)["result"] is None
+        assert client.readyz() is True
 
     def test_metrics_endpoint_counts_requests(self, served):
         _server, client, _root = served
@@ -346,18 +345,6 @@ class TestNonFiniteInputs:
         assert err.value.status == 400
         assert "deadline must be finite" in err.value.payload["error"]
 
-    def test_events_timeout(self, served):
-        server, client, _root = served
-        job_id = client.submit(spec("events-nan"))["job_id"]
-        t0 = time.monotonic()
-        with pytest.raises(ServiceError) as err:
-            self.once(server).request(
-                "GET", f"/v1/jobs/{job_id}/events?timeout=nan",
-                deadline_s=2.0,
-            )
-        assert err.value.status == 400
-        assert time.monotonic() - t0 < 2.0  # no slot held to the deadline
-
     @pytest.mark.parametrize("spec_kw, retry", [
         ({"steps": float("nan")}, None),
         ({"seed": float("nan")}, None),
@@ -392,23 +379,16 @@ def _call(url: str, body: dict | None = None):
 
 
 class TestLoadShedding:
-    @pytest.mark.parametrize("rule", ["queue_depth", "lease_expired_rate"])
+    @pytest.mark.parametrize("rule", ["queue_depth"])
     def test_shed_server_refuses_work_but_stays_healthy(self, tmp_path, rule):
-        """Past either shedding threshold ``/readyz`` and submits answer
+        """Past the shedding threshold ``/readyz`` and submits answer
         503 with the reason, and ``/healthz`` still answers 200."""
         root = tmp_path / "b"
         queue = BatchClient(root).queue
-        if rule == "queue_depth":
-            config = ServiceConfig(shed_queue_depth=1)
-            queue.submit(spec("one"))
-            queue.submit(spec("two"))
-            reason = "queue depth 2 > 1"
-        else:
-            config = ServiceConfig(shed_lease_expired_rate=1.0)
-            # two claimants lost their leases within the last minute
-            queue.journal.append("lease_expired", "j000001-dead")
-            queue.journal.append("lease_expired", "j000002-dead")
-            reason = "lease_expired rate 2/min > 1/min"
+        config = ServiceConfig(shed_queue_depth=1)
+        queue.submit(spec("one"))
+        queue.submit(spec("two"))
+        reason = "queue depth 2 > 1"
         server = BackgroundServer(root, config).start()
         base = f"http://{server.host}:{server.port}"
         try:
@@ -423,7 +403,7 @@ class TestLoadShedding:
             assert status == 200 and payload["ok"] is True
         finally:
             server.stop()
-        assert len(queue.records()) == (2 if rule == "queue_depth" else 0)
+        assert len(queue.records()) == 2
 
 
 class TestDrain:

@@ -313,6 +313,29 @@ ROWS = [
         "partition_blocks(system, n_domains, *, margin): the broad-phase "
         "graph, spectral order or stripes read from it", 48,
         plant='partition_blocks(system, 2, method="stripe")'),
+    *rows(("shed_lease_expired_rate", "_lease_expired_rate",
+           "_lease_rate_cache"), WIDE,
+          "queue-depth shedding; no request reads the job journal", 49,
+          word=True),
+    *rows(("LONG_POLL_MAX_S", r"client\.events\("), WIDE,
+          "nothing: no entry point, bench, example or harness polled a "
+          "job's events; batch audit and repro report read the journal",
+          49),
+    Row(r"/events\b(?!\.jsonl)", WIDE,
+        "nothing: no entry point, bench, example or harness polled a "
+        "job's events", 49, plant="GET /v1/jobs/<id>/events"),
+    Row(r"def events\(", ("src/repro/service/netclient.py",),
+        "nothing: no entry point, bench, example or harness polled a "
+        "job's events", 49),
+    *rows(("CHAOS_PLAN_ENV", "_env_checked"), WIDE,
+          "IOFaultInjector.ENV, armed only by install / install_from_env "
+          "at each process entry", 49, word=True),
+    Row(r"^[^\S\n]*(import|from) repro\.service", ("src/repro/io",),
+        "repro.service.chaos installs the storage injector; repro.io "
+        "imports nothing from repro.service", 49,
+        plant="from repro.service.chaos import IOFaultInjector"),
+    Row("EVENTS", ("src/repro/service/journal.py",),
+        "the module docstring, which lists the events", 49, word=True),
 ]
 
 
@@ -439,6 +462,6 @@ def test_planted_name_fails_its_row(row, tmp_path):
 
 def test_every_row_searches_real_paths():
     for row in ROWS:
-        assert row.replaced_by and 14 <= row.pr <= 48, row
+        assert row.replaced_by and 14 <= row.pr <= 49, row
         for entry in row.paths:
             assert _files(entry, REPO), (row.pattern, entry)
