@@ -744,7 +744,9 @@ class EngineBase:
         diag_idx = np.concatenate([diag_idx, contacts.block_i, contacts.block_j])
         normal_force = contacts.pn * np.maximum(0.0, contacts.normal_disp)
         d = np.zeros(system.n_dof)
-        x0 = self._prev_solution  # every sweep's CG starting guess
+        # a sweep's CG starting guess: the step before's solution, then
+        # the sweep before's (the same K with some springs switched)
+        x0 = self._prev_solution
         last = retry == MAX_STEP_RETRIES
         cause: str | None = None
         res: CGResult | None = None
@@ -773,7 +775,7 @@ class EngineBase:
                 cause = "cg_breakdown" if res.breakdown else "cg_non_convergence"
                 break
             self.contracts.check_solution(matrix, rhs, res, context=ctx)
-            d = res.x
+            d = x0 = res.x
             with self._stage(times, "interpenetration_checking", step):
                 update = self._check_interpenetration(contacts, d, normal_force)
             self.contracts.check_state_update(contacts, update, context=ctx)

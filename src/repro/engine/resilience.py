@@ -210,7 +210,7 @@ def solver_ladder(preconditioner: str) -> list[tuple[str, bool]]:
     Returns ``(preconditioner_name, warm_start)`` pairs:
 
     * rung 0 — the configured preconditioner, warm-started from the
-      previous step's solution (the paper's setup);
+      sweep before's solution (a step's first sweep: the step before's);
     * rung 1 — the next-stronger preconditioner from
       :func:`repro.solvers.preconditioners.stronger_preconditioner`;
     * rung 2 — the stronger preconditioner with a cold start

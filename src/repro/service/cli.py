@@ -180,14 +180,14 @@ def batch_main(argv: list[str] | None = None) -> int:
     if args.command == "submit":
         try:
             spec = spec_from_args(args)
+            retry = RetryPolicy(
+                max_attempts=args.max_retries + 1,
+                backoff_s=args.backoff,
+                attempt_deadline_s=args.attempt_deadline,
+            )
         except ValueError as err:
             print(f"bad spec: {err}", file=sys.stderr)
             return 2
-        retry = RetryPolicy(
-            max_attempts=args.max_retries + 1,
-            backoff_s=args.backoff,
-            attempt_deadline_s=args.attempt_deadline,
-        )
         record = BatchClient(args.batch_dir).submit(
             spec, priority=args.priority, retry=retry
         )

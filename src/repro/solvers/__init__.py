@@ -13,6 +13,6 @@ paper compares (Table I / Fig. 5):
   lose on the GPU despite the best convergence (the paper's Fig. 10
   SpMV-vs-TSS comparison).
 
-The PCG driver warm-starts from the previous step's solution, as the
-paper notes DDA does, and reports iteration counts for the Fig.-5 series.
+The engines warm-start PCG from the previous step's solution, as the
+paper notes DDA does, and a later open–close sweep from the sweep before's.
 """

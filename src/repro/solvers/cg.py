@@ -7,7 +7,7 @@ The driver mirrors the paper's solver setup:
   the paper proposes);
 * the initial guess is the previous step's solution ("the equation
   solution of the previous step is the initial value of the PCG iterative
-  step");
+  step"), and within a step the previous open–close sweep's;
 * iteration count is capped at 200; DDA reacts to non-convergence by
   shrinking the physical time step, which the engine implements;
 * the loop is the only one: what differs between one device and several
@@ -193,8 +193,8 @@ def pcg(
     b:
         Right-hand side, shape ``(6 n,)``.
     x0:
-        Warm-start iterate of the same shape (previous step's solution);
-        zero if omitted.
+        Warm-start iterate of the same shape (the engines pass the sweep
+        or step before's solution); zero if omitted.
     preconditioner:
         Any :class:`Preconditioner`; identity if omitted. The operand
         decides how it is applied (:meth:`DeviceOperand.wrap`).

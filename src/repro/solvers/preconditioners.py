@@ -16,6 +16,7 @@ from repro.gpu.counters import KernelCounters
 from repro.gpu.kernel import PricedLaunches, VirtualDevice
 from repro.gpu.memory import coalesced_transactions, streamed
 from repro.gpu.warp import WARP_SIZE
+from repro.primitives.scatter import BlockRowProduct
 from repro.solvers.triangular import (
     ilu0_factorize,
     level_schedule,
@@ -54,7 +55,7 @@ class BlockJacobiPreconditioner(Preconditioner):
 
     def __init__(self, a: BlockMatrix, device: VirtualDevice | None = None) -> None:
         self.n = a.n
-        self.inv_blocks = np.linalg.inv(a.diag)
+        self.inverse = BlockRowProduct(np.linalg.inv(a.diag), np.arange(a.n), a.n)
         self.launches = PricedLaunches(("bj_apply", streamed(
             self.n * (BS * BS + BS), self.n * BS, 2.0 * self.n * BS * BS,
             self.n * BS,
@@ -68,7 +69,7 @@ class BlockJacobiPreconditioner(Preconditioner):
 
     def apply(self, r: np.ndarray, device: VirtualDevice | None = None) -> np.ndarray:
         """``M^{-1} r`` for ``(n*6,)`` float64 ``r`` (``pcg`` checked it)."""
-        z = np.einsum("nij,nj->ni", self.inv_blocks, r.reshape(self.n, BS))
+        z = self.inverse(r)
         if device is not None:
             self.launches.record(device)
         return z.reshape(-1)
@@ -78,9 +79,12 @@ class SSORAIPreconditioner(Preconditioner):
     """SSOR approximate inverse (first-order Neumann; Rudi & Koko 2012).
 
     ``M^{-1} = w(2 - w) W D W^T`` with ``W = D^{-1} - w D^{-1} U D^{-1}``
-    (``U`` the strict block upper triangle, ``L = U^T``). Application is
-    two triangular SpMVs and three block-diagonal multiplies — *no*
-    triangular solves, which is the whole point on the GPU.
+    (``U`` the strict block upper triangle, ``L = U^T``). As
+    ``W D = I - w D^{-1} U``, application is
+    ``t = D^{-1} r``, ``v = t - w D^{-1} (L t)``,
+    ``z = w(2 - w) (v - w D^{-1} (U v))``: two triangular SpMVs and
+    three block-diagonal products — *no* triangular solves, which is the
+    whole point on the GPU.
     """
 
     name = "ssor"
@@ -94,13 +98,12 @@ class SSORAIPreconditioner(Preconditioner):
     ) -> None:
         if not (0.0 < omega < 2.0):
             raise ValueError(f"omega must be in (0, 2), got {omega}")
-        self.a = a
         # the strict upper / lower triangular SpMVs are the two halves of
         # the HSBCSR kernel (the operators the construct launch stages);
         # the host skips the all-zero blocks the launches still price
         self.op = ZeroSkippingOperator.of(a)
         self.omega = omega
-        self.inv_diag = np.linalg.inv(a.diag)
+        self.inverse = BlockRowProduct(np.linalg.inv(a.diag), np.arange(a.n), a.n)
         self.scale = omega * (2.0 - omega)
         m = a.n_offdiag
         self.launches = PricedLaunches(("ssor_ai_apply", KernelCounters(
@@ -126,21 +129,16 @@ class SSORAIPreconditioner(Preconditioner):
                 (a.n + m) * BS,
             ))
 
-    def _dinv(self, xb: np.ndarray) -> np.ndarray:
-        return np.einsum("nij,nj->ni", self.inv_diag, xb)
+    def _d_inverse(self, x: np.ndarray) -> np.ndarray:
+        """``D^{-1} x``, ``(n, 6)``, for ``x`` holding ``n*6`` entries."""
+        return self.inverse(x.reshape(-1))
 
     def apply(self, r: np.ndarray, device: VirtualDevice | None = None) -> np.ndarray:
         """``M^{-1} r`` for ``(n*6,)`` float64 ``r`` (``pcg`` checked it)."""
-        a = self.a
-        rb = r.reshape(a.n, BS)
-        # W^T r = D^{-1} r - w D^{-1} L D^{-1} r
-        t = self._dinv(rb)
-        wt = t - self.omega * self._dinv(self.op.lower(t.reshape(-1)))
-        # D (W^T r)
-        dwt = np.einsum("nij,nj->ni", a.diag, wt)
-        # W (D W^T r)
-        u = self._dinv(dwt)
-        z = u - self.omega * self._dinv(self.op.upper(u.reshape(-1)))
+        dinv, w = self._d_inverse, self.omega
+        t = dinv(r)
+        v = t - w * dinv(self.op.lower(t.reshape(-1)))  # W^T r
+        z = v - w * dinv(self.op.upper(v.reshape(-1)))  # W D W^T r
         if device is not None:
             self.launches.record(device)
         return (self.scale * z).reshape(-1)

@@ -9,10 +9,11 @@ changes are the contacts closing for the first time.
 
 The rule only saves the sweeps of attempts that loop 2 throws away at
 the cap anyway, so the accepted physics must not move. The literals
-below were recorded before the rule existed. Counted from sweep 1, the
-rule aborts two attempts of the rocks run that are accepted without it:
-step 345 with counts 4, 9, 12, 5, 2, 0 and step 370 with 7, 8, 10, 4,
-2, 0. The trajectory then forks, and the first test fails.
+below are the engine's without the rule (see ``RUNS``). When the rule
+was added, counting from sweep 1 aborted two attempts of the rocks run
+that are accepted without it: step 345 with counts 4, 9, 12, 5, 2, 0
+and step 370 with 7, 8, 10, 4, 2, 0. The trajectory then forks, and the
+first test fails.
 """
 
 import dataclasses
@@ -41,18 +42,26 @@ def _sha(data: bytes) -> str:
 #: ``(vertex SHA-256, SHA-256 of every StepRecord tuple)`` of each run
 #: before the rule: the CLI's ``--model rocks`` (26 blocks, dynamic) and
 #: ``--model slope`` (89 blocks, static), gpu preset, dt 2e-3.
+#: Re-recorded for warm sweeps (each open–close sweep's CG starts from
+#: the sweep before's solution) and the compiled preconditioner
+#: products, which move every CG iterate: the new literals are those of
+#: the changed engine with the rule switched off, and the engine with
+#: the rule reproduces them (it fires 64 times on the rocks, 4 on the
+#: slope). At commit 5253207 they read 2aa78768...982bcb46e9 /
+#: 60edd7ed...194dd04e35 and 31e165a3...30efb292df33 / 48bf8479...
+#: 4bd1aba457f8.
 RUNS = {
     "rocks": (
         lambda: build_falling_rocks_model(n_rock_rows=3, n_rock_cols=8),
         True, 400,
-        "2aa7876832cc7db80b6b6d583e82ae76c942d288bd8e019b0afbb5982bcb46e9",
-        "60edd7edad1bfd86afac72d19147f498d2297d109776729d5438df194dd04e35",
+        "75cf6064feb1b77f46140500c1a2fbb16fd980574ab548121b37109011e3f7f9",
+        "0c62d08eb159ff679787a14243060d7e4ca23e93e83ece5ccd9e529674f579b1",
     ),
     "slope": (
         lambda: build_slope_model(joint_spacing=6.0, seed=0),
         False, 30,
-        "31e165a3bc8bde4b6214ffd63114127d23b06abcd58bbdce7e8030efb292df33",
-        "48bf847936016f89b83a743f40d8b5f34a8a6477b618adea57df4bd1aba457f8",
+        "770a51afb0eff0276fc567ed26a2199e8b20ad3e1d7843c0d9a4653ac6a9d0dc",
+        "c67f4f80ee48d48921c87d2dfd716f0fd646f0bcaca975e0e1aa98fdceeec792",
     ),
 }
 

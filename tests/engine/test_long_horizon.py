@@ -3,7 +3,7 @@
 Two :class:`~repro.engine.gpu_engine.GpuEngine` runs on the benchmark
 harness's own models and controls (``benchmarks/harness/workloads.py``:
 ``build_system``, ``controls_for``, seed 0): the 802-block falling rocks
-for 400 steps — past impact, with 187 loop-2 retries, 18 of them
+for 400 steps — past impact, with 187 loop-2 retries, 19 of them
 divergence aborts — and the 300-block slope of ``domain_slope`` for 200
 steps. Each is held to three SHA-256 digests: the final vertices, every
 :class:`~repro.engine.results.StepRecord`, and every record of the
@@ -14,6 +14,14 @@ The literals were recorded before detection kept anything across steps
 also those of commit 00748ef, before loop 2 aborted a diverging attempt:
 the abort saves CG iterations and moves nothing else. The rocks run must
 also both keep and rebuild its skin-kept contact candidates.
+
+All six digests were re-recorded for warm sweeps (each open–close
+sweep's CG starts from the sweep before's solution) and the compiled
+preconditioner products, which move every CG iterate. On the rocks the
+CG iterations per accepted sweep fall 24.6 -> 19.4 and the modelled
+seconds 4.035 -> 3.567; the retries stay at 187 (18 -> 19 divergence
+aborts). On the slope they fall 12.1 -> 10.6 and 0.897 -> 0.831 s, with
+121 retries both ways. The old literals are those of commit 5253207.
 """
 
 import dataclasses
@@ -27,15 +35,15 @@ from repro.engine.gpu_engine import GpuEngine
 PINS = {
     "rocks_dynamic": (
         400,
-        "b396fdeb0b9565f04758498a3fdfa063c67260100a3d15ed96aa6c0fd83d2d7c",
-        "ef89ebc96a66437a72d6ea5837299b14c1fdb3e4a2120584744ae8690f9d959a",
-        "913e3795373392da238fce18545a0d721af897b289f4bf8b30ae3a3c3861b56f",
+        "bfdbbe7a7ff409a38ca71bf08a534347ca7e3cd87db6f9b5855053ac7a1dc22c",
+        "768b759cc94c4624ae24353051eca1b683b54debec69f6a1fd86e76f11cd9aa7",
+        "7d50bb0ca7b1fe5056b862585d156f0558db63253f7c6e04fecbbdba35f46ce1",
     ),
     "domain_slope": (
         200,
-        "f70f5c504c11514afdf18724a14599bb830442c04a1cee317a7869ee0ca0904c",
-        "3431f77911dc46dce8591bc2ed7c79844933ccd4f7eb266b2621712968291b5b",
-        "c7e88cff10768d8f81b956b8b6981eecb9bd0d71419b67fba13267e6f85a4b62",
+        "d2f6b95deb7dec6bc10b2d134045a6850774b22e416a1175a7a4675d9b0310ae",
+        "d7f9cfe4710e8cf342a479a5c93e4e4c55d5d6f30b51c6eb6000320191f46c73",
+        "de3e33c7e8bbe7da39ac4cd4cad448a6190bfdedc26826dc712ab23fe79f3284",
     ),
 }
 

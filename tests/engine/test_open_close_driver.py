@@ -167,21 +167,25 @@ def test_symbolic_reuse_is_bit_invisible(engine_cls, case, monkeypatch):
 #: ledger below is the same either way. The three single-device ledgers
 #: were re-recorded when a CG iteration became four launches; with every
 #: CG-iteration record dropped on both sides they equal commit 6090d60's.
+#: The vertices and the three single-device ledgers were re-recorded
+#: for warm sweeps and the compiled preconditioner products, which move
+#: every CG iterate (the domain preset's own device carries no solve);
+#: the old literals are those of commit 5253207.
 ROCKS_VERTICES = (
-    "5d182b36c591c4ed687be764464394c4ebefb30cef0dc5cb4eaa724430bbcb82"
+    "943ce7e3dfe6a935d749997721a8e43f85faa63965fbb552d96a13637bf122d3"
 )
 ROCKS_LEDGER = {
     SerialEngine: (
-        "0.009184558666666663", 391,
-        "5f6d35605921d3a54ba35e6dcc1f7dd788b85b24814193c31562a6c2a51012f6",
+        "0.009072834666666665", 379,
+        "9a9f94b0a1a22722d61a9f4c7520e22555fd1a97680a069acea9310d9c782a8e",
     ),
     GpuEngine: (
-        "0.002942191901960787", 571,
-        "b7047e3bba84cd70ce00209749c0be38fb62dad505418b8608824533ab267b1f",
+        "0.002880791274509806", 559,
+        "b540b2111964bd9bf56837027c54181581022fcc67fc64c2e10956df281da1fd",
     ),
     HybridEngine: (
-        "0.006094855450980406", 474,
-        "613bbb71802289d26c434be77e0f3d8234da86abc0715ee5bb9c9e718d9a9317",
+        "0.006033454823529424", 462,
+        "dc62d60fdef478940a0377dd890483305dd1fd12905cc6c23b7939aee605966a",
     ),
     DomainEngine: (
         "0.006063377333333333", 63,

@@ -1,6 +1,12 @@
 """The ``python -m repro batch`` CLI surface, end to end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from repro.__main__ import main
 
@@ -90,6 +96,24 @@ def test_submit_rejects_a_spec_the_run_would_reject(tmp_path, capsys):
         assert rc == 2
         assert error in capsys.readouterr().err
         assert not batch_dir.exists()
+
+
+@pytest.mark.parametrize("bad, error", [
+    (["--max-retries", "-1"], "bad spec: max_attempts must be >= 1"),
+    (["--backoff", "nan"], "bad spec: backoff values must be finite"),
+])
+def test_submit_rejects_a_bad_retry_value_as_a_usage_error(tmp_path, bad, error):
+    """A retry value the policy rejects is a usage error, not a traceback."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "repro", "batch", "submit",
+         "--dir", str(tmp_path / "batch"), "--model", "wall", *bad],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.returncode == 2
+    assert error in out.stderr and "Traceback" not in out.stderr
+    assert not (tmp_path / "batch").exists()
 
 
 def test_directory_holding_a_record_submit_now_rejects(tmp_path, capsys):

@@ -61,10 +61,12 @@ class TestMain:
         ) in out
         # the solve is reported whole: what the thrown-away attempts
         # burned stands next to the accepted attempt's count (1956 in 4,
-        # all open_close_oscillation, before two stopped at sweep 4);
-        # causes are listed in the order they first fired
+        # all open_close_oscillation, before two stopped at sweep 4; 62
+        # and 1535 at commit 5253207, before each sweep's CG started from
+        # the sweep before's solution); causes are listed in the order
+        # they first fired
         assert (
-            "CG iterations total: 62 in accepted attempts, 1535 in 4 "
+            "CG iterations total: 43 in accepted attempts, 1413 in 4 "
             "rejected (2 open_close_divergence, 2 open_close_oscillation);"
         ) in out
 
