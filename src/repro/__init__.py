@@ -48,7 +48,7 @@ _EXPORTS = {
     "NumericalBlowup": "repro.engine.resilience",
     "CheckpointCorrupt": "repro.engine.resilience",
     "FailureReport": "repro.engine.resilience",
-    "Checkpoint": "repro.engine.resilience",
+    "Checkpoint": "repro.engine.physics",
     "ContractViolation": "repro.engine.contracts",
     "StageContracts": "repro.engine.contracts",
     "Tolerances": "repro.geometry.tolerances",

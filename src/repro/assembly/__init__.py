@@ -16,7 +16,6 @@ contribution pattern and a numeric phase run every sweep
 from repro.assembly.submatrices import (
     mass_integral_matrix,
     elastic_submatrix,
-    inertia_contribution,
     body_force_vector,
     point_load_vector,
     fixed_point_contribution,
@@ -36,7 +35,6 @@ from repro.assembly.categories import classify_categories, CATEGORY_NAMES
 __all__ = [
     "mass_integral_matrix",
     "elastic_submatrix",
-    "inertia_contribution",
     "body_force_vector",
     "point_load_vector",
     "fixed_point_contribution",

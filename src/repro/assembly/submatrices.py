@@ -94,30 +94,6 @@ def elastic_submatrix(area: float, material: BlockMaterial) -> np.ndarray:
     return k
 
 
-def inertia_contribution(
-    area: float,
-    moments: tuple[float, float, float] | np.ndarray,
-    density: float,
-    dt: float,
-    velocity: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inertia stiffness and load of Shi's constant-acceleration scheme.
-
-    Assuming constant acceleration over the step and zero step-start
-    displacement: ``K += (2/dt^2) M`` and ``F += (2/dt) M v0`` where ``M``
-    is the mass matrix and ``v0`` the step-start DOF velocity. (The
-    velocity update after solving is ``v1 = (2/dt) d - v0``.)
-
-    ``velocity`` has shape ``(6,)``; returns the ``(6, 6)`` stiffness
-    and the ``(6,)`` load contribution.
-    """
-    check_positive("dt", dt)
-    check_positive("density", density)
-    v0 = check_array("velocity", velocity, dtype=np.float64, shape=(6,))
-    m = density * mass_integral_matrix(area, moments)
-    return (2.0 / dt**2) * m, (2.0 / dt) * (m @ v0)
-
-
 def body_force_vector(area: float, fx: float, fy: float) -> np.ndarray:
     """Load of a constant body force (e.g. gravity): ``∫ T^T f dS``.
 

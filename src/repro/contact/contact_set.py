@@ -51,9 +51,9 @@ class ContactSet:
         ±1 sliding direction (meaningful in the SLIDE state).
     pn / ps:
         Normal and shear penalty stiffnesses.
-    normal_disp / shear_disp:
-        Accumulated normal/shear displacement memory carried across steps
-        by contact transfer.
+    normal_disp:
+        Normal compression memory carried across steps by contact
+        transfer (:func:`repro.engine.physics.store_normal_force`).
     """
 
     block_i: np.ndarray
@@ -69,7 +69,6 @@ class ContactSet:
     pn: np.ndarray = field(default=None)  # type: ignore[assignment]
     ps: np.ndarray = field(default=None)  # type: ignore[assignment]
     normal_disp: np.ndarray = field(default=None)  # type: ignore[assignment]
-    shear_disp: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         m = np.asarray(self.block_i).shape[0]
@@ -87,7 +86,6 @@ class ContactSet:
             "pn": np.zeros(m),
             "ps": np.zeros(m),
             "normal_disp": np.zeros(m),
-            "shear_disp": np.zeros(m),
         }
         for name, default in defaults.items():
             value = getattr(self, name)
@@ -175,7 +173,6 @@ class ContactSet:
             self.pn[idx],
             self.ps[idx],
             self.normal_disp[idx],
-            self.shear_disp[idx],
         )
 
     def copy(self) -> "ContactSet":

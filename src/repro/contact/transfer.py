@@ -3,7 +3,9 @@
 "Each contact of the previous step will search the contacts of the current
 step. If their contact data are the same, then the contact status
 parameter, normal displacement, shear displacement, and contact edge ratio
-of the previous step are transferred" (paper, Section III.B).
+of the previous step are transferred" (paper, Section III.B). Shear
+displacement is not carried: no stage reads it (the shear spring
+measures each step's own displacement).
 
 The GPU formulation sorts the current contacts by key and assigns one
 half-warp per previous contact to binary-search its match — reproduced
@@ -80,7 +82,6 @@ def transfer_contacts(
     out.prev_state[matched_cur] = previous.state[matched_prev]
     out.shear_sign[matched_cur] = previous.shear_sign[matched_prev]
     out.normal_disp[matched_cur] = previous.normal_disp[matched_prev]
-    out.shear_disp[matched_cur] = previous.shear_disp[matched_prev]
     out.ratio[matched_cur] = previous.ratio[matched_prev]
     # unmatched rows: prev_state mirrors the fresh state
     unmatched = np.ones(current.m, dtype=bool)

@@ -34,10 +34,9 @@ from repro.core.blocks import DOF, BlockSystem
 from repro.core.displacement import displacement_matrix, update_geometry
 from repro.core.state import SimulationControls
 from repro.engine.contracts import StageContracts
-from repro.engine.physics import contact_loads, diagonal_system
+from repro.engine import physics
 from repro.engine.resilience import (
     ROLLBACK_DT_FACTOR,
-    Checkpoint,
     CheckpointManager,
     FailureReport,
     HealthMonitor,
@@ -227,9 +226,7 @@ class EngineBase:
         self.contact_threshold = CONTACT_DISTANCE_FACTOR * mean_diam
         #: broad-phase pairs and narrow-phase rows kept across steps
         self._candidates = KeptCandidates(self.contact_threshold, self.metrics)
-        densities_all = np.array(
-            [m.density for m in system.materials]
-        )[system.material_id]
+        densities_all = physics.block_densities(system)
         # natural energy scale: dropping the whole model through its own
         # diagonal — the kinetic-energy guard stays silent below this
         energy_scale = float(
@@ -347,7 +344,9 @@ class EngineBase:
     def _build_diagonal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The contact-independent blocks and loads:
         :func:`repro.engine.physics.diagonal_system`."""
-        out = diagonal_system(self.system, self.controls, self.dt, self.sim_time)
+        out = physics.diagonal_system(
+            self.system, self.controls, self.dt, self.sim_time
+        )
         self.charges.diagonal(self.device, self.system.n_blocks)
         return out
 
@@ -360,7 +359,7 @@ class EngineBase:
         """Charge one sweep's non-diagonal build and return what it
         changes: :func:`repro.engine.physics.contact_loads`."""
         self.charges.nondiagonal(self.device, contacts)
-        return contact_loads(self.system, contacts, normal_force, geometry)
+        return physics.contact_loads(self.system, contacts, normal_force, geometry)
 
     def _plan_assembly(
         self,
@@ -520,11 +519,11 @@ class EngineBase:
     # ------------------------------------------------------------------
     # checkpointing
     # ------------------------------------------------------------------
-    def checkpoint(self, step: int = 0) -> Checkpoint:
+    def checkpoint(self, step: int = 0) -> physics.Checkpoint:
         """Snapshot the full engine state (see :class:`Checkpoint`)."""
-        return Checkpoint.capture(self, step)
+        return physics.Checkpoint.capture(self, step)
 
-    def restore_checkpoint(self, cp: Checkpoint) -> None:
+    def restore_checkpoint(self, cp: physics.Checkpoint) -> None:
         """Restore a snapshot taken by :meth:`checkpoint` (in place)."""
         cp.restore(self)
 
@@ -670,7 +669,6 @@ class EngineBase:
         times = result.module_times
         detected = None
         for retry in range(MAX_STEP_RETRIES + 1):
-            saved_velocities = self.system.velocities.copy()
             attempt, trial = self._attempt(step, retry, times, detected)
             if attempt.cause is None:
                 record = self._accept(attempt, trial, retry, times)
@@ -682,7 +680,6 @@ class EngineBase:
             self.metrics.inc(f"engine.step_rejected.{attempt.cause}")
             self.metrics.inc("engine.rejected_cg_iterations", attempt.cg_iterations)
             result.rejected.append(attempt)
-            self.system.velocities = saved_velocities
             self.dt = next_dt(attempt.dt, attempt.cause, self.controls.time_step)
             # the next attempt needs only the step's detection: the
             # rejected contacts and solution go before it runs
@@ -742,7 +739,7 @@ class EngineBase:
         with self._stage(times, "diagonal_matrix_building", step):
             diag_idx, diag_blocks, f_base = self._build_diagonal()
         diag_idx = np.concatenate([diag_idx, contacts.block_i, contacts.block_j])
-        normal_force = contacts.pn * np.maximum(0.0, contacts.normal_disp)
+        normal_force = physics.stored_normal_force(contacts)
         d = np.zeros(system.n_dof)
         # a sweep's CG starting guess: the step before's solution, then
         # the sweep before's (the same K with some springs switched)
@@ -819,18 +816,13 @@ class EngineBase:
         clock and dt, and return the step's record."""
         contacts, d = trial.contacts, trial.d
         self._prev_solution = d.copy()
-        if contacts.m:
-            # carry the converged normal compression as the contact
-            # memory transferred into the next step
-            contacts.normal_disp = trial.normal_force / np.maximum(
-                contacts.pn, 1e-300
-            )
+        physics.store_normal_force(contacts, trial.normal_force)
         self._contacts = contacts
         # bound to the geometry that is about to move (and ~5 MB at
         # 12 k contacts the next detection need not sit on)
         self._bound_assembly = None
         with self._stage(times, "data_updating", attempt.step):
-            self._update_data(d)
+            self._update_data(d, attempt.dt)
         ctx = StepContext(step=attempt.step, dt=attempt.dt, retries=retry)
         self.contracts.check_geometry(self.system, context=ctx)
         self.sim_time += attempt.dt
@@ -863,8 +855,9 @@ class EngineBase:
         disp = np.einsum("vij,vj->vi", t, db[owner])
         return float(np.hypot(disp[:, 0], disp[:, 1]).max())
 
-    def _update_data(self, d: np.ndarray) -> None:
-        """Move vertices, fixed/load points, velocities; refresh caches;
+    def _update_data(self, d: np.ndarray, dt: float) -> None:
+        """Move vertices and fixed/load points, advance the integrator's
+        state (:func:`repro.engine.physics.advance`), refresh caches,
         charge the update.
 
         Vectorised over all vertices (one pass of the exact-rotation
@@ -897,15 +890,6 @@ class EngineBase:
              fx, fy)
             for b, x, y, fx, fy in system.load_points
         ]
-        if self.controls.dynamic:
-            system.velocities = (2.0 / self.dt) * db - system.velocities
-        else:
-            system.velocities[:] = 0.0
-        # accumulate block stresses from this step's strain increments,
-        # grouped by (few distinct) materials
-        for mid, mat in enumerate(system.materials):
-            sel = system.material_id == mid
-            if sel.any():
-                system.stresses[sel] += db[sel, 3:6] @ mat.elastic_matrix().T
+        physics.advance(system, db, dt, self.controls.dynamic)
         system._refresh_cache()
         self.charges.update(self.device, system.vertices.shape[0])

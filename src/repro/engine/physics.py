@@ -1,11 +1,26 @@
-"""Shared DDA step physics: the system contributions.
+"""Shared DDA step physics: Shi's time integrator and the system
+contributions.
 
 Both engines call these functions; the engines differ in *how* the work is
 scheduled (serial loops vs classified vectorised kernels), not in what is
 computed.
+
+The integrator is one unit, the first section below. Shi's
+constant-acceleration scheme adds ``(2/dt²) M`` to each block's
+diagonal and ``(2/dt) M v0`` to its load, ``M = ρ ∫ TᵀT dS``; an
+accepted solution ``d`` sets ``v = (2/dt) d − v0`` (``0`` when static)
+and adds its strain to the stress memory ``σ += E·Δε``. What an
+accepted step hands the next is a :class:`Checkpoint`'s fields,
+:data:`CARRIED`, the one list a checkpoint's capture, restore, save and
+load iterate. Only an accept writes them, so a rejected attempt has
+nothing to restore.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import Any
 
 import numpy as np
 
@@ -16,15 +31,131 @@ from repro.assembly.contact_springs import (
 )
 from repro.assembly.submatrices import (
     fixed_point_contribution,
+    mass_integral_matrices,
     point_load_vector,
 )
 from repro.contact.contact_set import ContactSet
 from repro.core.blocks import DOF, BlockSystem
+from repro.core.displacement import displacement_matrix
 from repro.core.state import SimulationControls
 
 #: Fixed-point spring stiffness as a multiple of the mean Young's modulus
 #: (the contact penalty's usual magnitude).
 FIXED_POINT_PENALTY_SCALE = 50.0
+
+
+# ----------------------------------------------------------------------
+# Shi's time integrator
+# ----------------------------------------------------------------------
+def block_densities(system: BlockSystem) -> np.ndarray:
+    """``(n,)`` block densities."""
+    return np.array([m.density for m in system.materials])[system.material_id]
+
+
+def mass_matrices(system: BlockSystem, densities: np.ndarray) -> np.ndarray:
+    """``(n, 6, 6)`` mass matrices ``M`` on the current geometry."""
+    m = mass_integral_matrices(system.areas, system.moments)
+    return densities[:, None, None] * m
+
+
+def inertia(
+    m: np.ndarray, dt: float, v0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal blocks ``(2/dt²) M`` and the loads ``(2/dt) M v0``."""
+    return (2.0 / dt**2) * m, (2.0 / dt) * np.einsum("nij,nj->ni", m, v0)
+
+
+def advance(
+    system: BlockSystem, db: np.ndarray, dt: float, dynamic: bool
+) -> None:
+    """Apply an accepted solution ``db`` ``(n, 6)`` at ``dt`` to the
+    velocities and the stress memory (grouped by the few materials)."""
+    if dynamic:
+        system.velocities = (2.0 / dt) * db - system.velocities
+    else:
+        system.velocities[:] = 0.0
+    for mid, mat in enumerate(system.materials):
+        sel = system.material_id == mid
+        if sel.any():
+            system.stresses[sel] += db[sel, 3:6] @ mat.elastic_matrix().T
+
+
+def kinetic_energy(system: BlockSystem) -> float:
+    """``½ vᵀ M v`` summed over blocks [J per unit depth]."""
+    v = system.velocities
+    m = mass_matrices(system, block_densities(system))
+    return float(0.5 * np.sum(v * np.einsum("nij,nj->ni", m, v)))
+
+
+def store_normal_force(contacts: ContactSet, normal_force: np.ndarray) -> None:
+    """Carry an accept's normal forces as the compression ``normal_disp``."""
+    if contacts.m:
+        contacts.normal_disp = normal_force / np.maximum(contacts.pn, 1e-300)
+
+
+def stored_normal_force(contacts: ContactSet) -> np.ndarray:
+    """What :func:`store_normal_force` carried (zero on a fresh contact)."""
+    return contacts.pn * np.maximum(0.0, contacts.normal_disp)
+
+
+def _copy(value: Any) -> Any:
+    return value.copy() if hasattr(value, "copy") else value
+
+
+def _carried(path: str, kind: Any) -> Any:
+    return field(metadata={"path": path, "kind": kind})
+
+
+@dataclass
+class Checkpoint:
+    """What ``step`` accepted steps hand the next one: a snapshot a run
+    resumes from bit-exactly.
+
+    Every field after ``step`` is :data:`CARRIED`. Its metadata names
+    where the engine holds it (``path``) and how a checkpoint file
+    stores it (``kind``): ``"float"`` (a header number), ``"array"`` (an
+    npz member), ``"contacts"`` (a ``c_<column>`` member per
+    :class:`ContactSet` column) or one converter per point coordinate
+    (header rows).
+    """
+
+    step: int
+    dt: float = _carried("dt", "float")
+    sim_time: float = _carried("sim_time", "float")
+    vertices: np.ndarray = _carried("system.vertices", "array")
+    velocities: np.ndarray = _carried("system.velocities", "array")
+    stresses: np.ndarray = _carried("system.stresses", "array")
+    prev_solution: np.ndarray = _carried("_prev_solution", "array")
+    fixed_points: list[tuple[int, float, float]] = _carried(
+        "system.fixed_points", (int, float, float)
+    )
+    fixed_anchors: list[tuple[float, float]] = _carried(
+        "system.fixed_anchors", (float, float)
+    )
+    load_points: list[tuple[int, float, float, float, float]] = _carried(
+        "system.load_points", (int, float, float, float, float)
+    )
+    contacts: ContactSet = _carried("_contacts", "contacts")
+
+    @classmethod
+    def capture(cls, engine, step: int) -> "Checkpoint":
+        """A copy of ``engine``'s carried state after ``step`` accepted
+        steps."""
+        return cls(step, **{
+            f.name: _copy(attrgetter(f.metadata["path"])(engine))
+            for f in CARRIED
+        })
+
+    def restore(self, engine) -> None:
+        """Give ``engine`` a copy of this snapshot's carried state."""
+        for f in CARRIED:
+            owner, _, attr = f.metadata["path"].rpartition(".")
+            target = attrgetter(owner)(engine) if owner else engine
+            setattr(target, attr, _copy(getattr(self, f.name)))
+        engine.system._refresh_cache()
+
+
+CARRIED = fields(Checkpoint)[1:]
 
 
 def diagonal_system(
@@ -36,27 +167,20 @@ def diagonal_system(
     """Diagonal stiffness contributions and the global load vector.
 
     Returns ``(diag_idx, diag_blocks, f)`` where the contribution stream
-    carries elastic, inertia and fixed-point terms, and ``f`` collects
-    inertia momentum, gravity, seismic base shaking (evaluated at
-    ``sim_time``), and point loads.
+    carries elastic, inertia (:func:`inertia`) and fixed-point terms, and
+    ``f`` collects inertia momentum, gravity, seismic base shaking
+    (evaluated at ``sim_time``), and point loads.
     """
     n = system.n_blocks
     base_ax, base_ay = 0.0, 0.0
     if controls.base_acceleration is not None:
         base_ax, base_ay = controls.base_acceleration(sim_time)
     v0 = system.velocities if controls.dynamic else np.zeros((n, DOF))
-    densities = np.array(
-        [system.materials[m].density for m in system.material_id]
-    )
+    densities = block_densities(system)
     areas = system.areas
 
     # --- vectorised bulk terms (every block) -------------------------
-    from repro.assembly.submatrices import mass_integral_matrices
-
-    m_rho = densities[:, None, None] * mass_integral_matrices(
-        areas, system.moments
-    )
-    blocks = (2.0 / dt**2) * m_rho
+    blocks, momentum = inertia(mass_matrices(system, densities), dt, v0)
     # elastic stiffness grouped by material (few distinct materials)
     for mid, mat in enumerate(system.materials):
         sel = system.material_id == mid
@@ -65,7 +189,7 @@ def diagonal_system(
                 areas[sel, None, None] * mat.elastic_matrix()
             )
     fb = np.zeros((n, DOF))
-    fb += (2.0 / dt) * np.einsum("nij,nj->ni", m_rho, v0)
+    fb += momentum
     fb[:, 0] += -base_ax * densities * areas
     fb[:, 1] += -(controls.gravity + base_ay) * densities * areas
     # stress memory: accumulated stress enters as the initial-stress load
@@ -74,8 +198,6 @@ def diagonal_system(
     # --- sparse boundary-condition terms (few points) ----------------
     mean_young = float(np.mean([m.young for m in system.materials]))
     fixed_penalty = FIXED_POINT_PENALTY_SCALE * mean_young
-    from repro.core.displacement import displacement_matrix
-
     for (b, x, y), (ax_, ay_) in zip(
         system.fixed_points, system.fixed_anchors
     ):

@@ -18,10 +18,10 @@ failures and the machinery to survive them:
   :class:`NumericalBlowup` (the run loop rolls back), while deep
   penetration, a kinetic-energy blow-up and an open–close oscillation
   streak are recorded as :class:`HealthWarning` s;
-* :class:`Checkpoint` / :class:`CheckpointManager` — periodic full-state
-  snapshots the engine rolls back to when a fatal failure strikes, kept
-  in memory and optionally persisted via :mod:`repro.io.model_io` with
-  an integrity checksum.
+* :class:`CheckpointManager` — periodic full-state snapshots
+  (:class:`repro.engine.physics.Checkpoint`) the engine rolls back to
+  when a fatal failure strikes, kept in memory and optionally persisted
+  via :mod:`repro.io.model_io` with an integrity checksum.
 
 All exceptions extend :class:`RuntimeError`, so code written against the
 old bare ``RuntimeError`` contract keeps working.
@@ -30,11 +30,13 @@ old bare ``RuntimeError`` contract keeps working.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from repro.contact.contact_set import ContactSet
 from repro.core.blocks import BlockSystem
+from repro.engine.physics import Checkpoint, kinetic_energy
+from repro.io.model_io import save_checkpoint
 from repro.solvers.preconditioners import stronger_preconditioner
 
 #: A rollback restores the checkpoint's ``dt`` times this, so the
@@ -229,13 +231,6 @@ def solver_ladder(preconditioner: str) -> list[tuple[str, bool]]:
 # ----------------------------------------------------------------------
 
 
-def kinetic_energy(system: BlockSystem) -> float:
-    """Translational kinetic energy of all blocks [J per unit depth]."""
-    dens = np.array([m.density for m in system.materials])[system.material_id]
-    v = system.velocities[:, :2]
-    return float(0.5 * np.sum(dens * system.areas * (v * v).sum(axis=1)))
-
-
 class HealthMonitor:
     """Per-step guards run after the data-updating module, each with
     one fixed response:
@@ -244,8 +239,9 @@ class HealthMonitor:
       recoverable :class:`NumericalBlowup`, so the run loop rolls back;
     * ``penetration`` — max penetration above :data:`PENETRATION_FACTOR`
       × the contact threshold: warns;
-    * ``energy`` — kinetic energy above :data:`ENERGY_FACTOR` × the
-      previous step's and above ``energy_scale``: warns;
+    * ``energy`` — kinetic energy ``½ vᵀ M v`` above
+      :data:`ENERGY_FACTOR` × the previous step's and above
+      ``energy_scale``: warns;
     * ``oscillation`` — :data:`OSCILLATION_STREAK` consecutive accepted
       steps whose open–close iteration hit the loop-3 cap: warns.
 
@@ -337,63 +333,6 @@ class HealthMonitor:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class Checkpoint:
-    """A full engine snapshot sufficient to resume a run bit-exactly.
-
-    Captures everything the three loops read: geometry, velocities,
-    stresses, boundary conditions (fixed/load points move with their
-    blocks), the carried contact set with its normal/shear memory, the
-    adaptive ``dt``, accumulated ``sim_time`` and the PCG warm-start
-    vector.
-    """
-
-    step: int
-    dt: float
-    sim_time: float
-    vertices: np.ndarray
-    velocities: np.ndarray
-    stresses: np.ndarray
-    prev_solution: np.ndarray
-    fixed_points: list[tuple[int, float, float]]
-    fixed_anchors: list[tuple[float, float]]
-    load_points: list[tuple[int, float, float, float, float]]
-    contacts: ContactSet
-
-    @classmethod
-    def capture(cls, engine, step: int) -> "Checkpoint":
-        """Snapshot ``engine`` after ``step`` accepted steps."""
-        system = engine.system
-        return cls(
-            step=step,
-            dt=engine.dt,
-            sim_time=engine.sim_time,
-            vertices=system.vertices.copy(),
-            velocities=system.velocities.copy(),
-            stresses=system.stresses.copy(),
-            prev_solution=engine._prev_solution.copy(),
-            fixed_points=list(system.fixed_points),
-            fixed_anchors=list(system.fixed_anchors),
-            load_points=list(system.load_points),
-            contacts=engine._contacts.copy(),
-        )
-
-    def restore(self, engine) -> None:
-        """Write this snapshot back into ``engine`` (in place)."""
-        system = engine.system
-        system.vertices = self.vertices.copy()
-        system.velocities = self.velocities.copy()
-        system.stresses = self.stresses.copy()
-        system.fixed_points = list(self.fixed_points)
-        system.fixed_anchors = list(self.fixed_anchors)
-        system.load_points = list(self.load_points)
-        system._refresh_cache()
-        engine._prev_solution = self.prev_solution.copy()
-        engine._contacts = self.contacts.copy()
-        engine.dt = self.dt
-        engine.sim_time = self.sim_time
-
-
 class CheckpointManager:
     """The newest checkpoint, kept in memory and optionally persisted.
 
@@ -410,13 +349,7 @@ class CheckpointManager:
 
     def take(self, engine, step: int) -> Checkpoint:
         """Capture and retain a checkpoint after ``step`` accepted steps."""
-        self.latest = cp = Checkpoint.capture(engine, step)
+        self.latest = cp = engine.checkpoint(step)
         if self.persist_dir is not None:
-            from pathlib import Path
-
-            from repro.io.model_io import save_checkpoint
-
-            directory = Path(self.persist_dir)
-            directory.mkdir(parents=True, exist_ok=True)
-            save_checkpoint(cp, directory / f"checkpoint_{step:08d}")
+            save_checkpoint(cp, Path(self.persist_dir) / f"checkpoint_{step:08d}")
         return cp

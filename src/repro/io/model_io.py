@@ -5,23 +5,26 @@ conditions, and metadata; ``<stem>.npz`` with the geometry and state
 arrays. The pair round-trips everything an engine needs to resume.
 
 A saved *checkpoint* (:func:`save_checkpoint` / :func:`load_checkpoint`)
-is a single ``.npz`` holding an engine snapshot — geometry, velocities,
-stresses, the carried contact table, ``dt``/``sim_time``, the PCG
-warm-start vector — plus a SHA-256 integrity digest; a mismatch (bit rot,
-truncated write, hand-edited file) raises
+is a single ``.npz`` holding an engine snapshot — every field of
+:data:`repro.engine.physics.CARRIED` — plus a SHA-256 integrity
+digest; a mismatch (bit rot, truncated write, hand-edited file) raises
 :class:`~repro.engine.resilience.CheckpointCorrupt`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
+from repro.contact.contact_set import ContactSet
 from repro.core.blocks import Block, BlockSystem
 from repro.core.materials import BlockMaterial, JointMaterial
+from repro.engine.physics import CARRIED, Checkpoint
 from repro.util.validation import validate_model_arrays
 
 
@@ -47,17 +50,10 @@ def save_system(system: BlockSystem, stem: str | Path) -> tuple[Path, Path]:
             "cohesion": system.joint_material.cohesion,
             "tensile_strength": system.joint_material.tensile_strength,
         },
-        "fixed_points": [
-            [int(b), float(x), float(y)] for b, x, y in system.fixed_points
-        ],
-        "fixed_anchors": [
-            [float(x), float(y)] for x, y in system.fixed_anchors
-        ],
-        "load_points": [
-            [int(b), float(x), float(y), float(fx), float(fy)]
-            for b, x, y, fx, fy in system.load_points
-        ],
     }
+    for carried in CARRIED:  # the boundary points, as a checkpoint has them
+        if isinstance(carried.metadata["kind"], tuple):
+            _save(carried, getattr(system, carried.name), header, {})
     json_path = stem.with_suffix(".json")
     npz_path = stem.with_suffix(".npz")
     json_path.write_text(json.dumps(header, indent=2))
@@ -125,12 +121,9 @@ def load_system(stem: str | Path, *, validate: bool = True) -> BlockSystem:
 # engine checkpoints (npz + SHA-256 integrity digest)
 # ----------------------------------------------------------------------
 
-#: ContactSet fields persisted per checkpoint, in struct-of-arrays form.
-_CONTACT_FIELDS = (
-    "block_i", "block_j", "vertex_idx", "e1_idx", "e2_idx", "kind",
-    "state", "prev_state", "ratio", "shear_sign", "pn", "ps",
-    "normal_disp", "shear_disp",
-)
+#: ContactSet columns, one ``c_<column>`` npz member each. A member no
+#: column reads (``c_shear_disp``, in older files) is ignored.
+_CONTACT_COLUMNS = tuple(f.name for f in dataclasses.fields(ContactSet))
 
 
 def _checkpoint_digest(header_json: str, arrays: dict) -> str:
@@ -145,37 +138,55 @@ def _checkpoint_digest(header_json: str, arrays: dict) -> str:
     return h.hexdigest()
 
 
+def _save(
+    carried: dataclasses.Field, value: Any, header: dict, arrays: dict
+) -> None:
+    """Put one carried value into the header or the npz members."""
+    name, kind = carried.name, carried.metadata["kind"]
+    if kind == "float":
+        header[name] = float(value)
+    elif kind == "array":
+        arrays[name] = value
+    elif kind == "contacts":
+        for column in _CONTACT_COLUMNS:
+            arrays[f"c_{column}"] = getattr(value, column)
+    else:  # rows of points, one converter per coordinate
+        header[name] = [
+            [to(v) for to, v in zip(kind, row, strict=True)] for row in value
+        ]
+
+
+def _load(carried: dataclasses.Field, header: dict, arrays: dict) -> Any:
+    """The inverse of :func:`_save`."""
+    name, kind = carried.name, carried.metadata["kind"]
+    if kind == "float":
+        return float(header[name])
+    if kind == "array":
+        return arrays[name]
+    if kind == "contacts":
+        return ContactSet(
+            **{column: arrays[f"c_{column}"] for column in _CONTACT_COLUMNS}
+        )
+    return [
+        tuple(to(v) for to, v in zip(kind, row, strict=True))
+        for row in header[name]
+    ]
+
+
 def save_checkpoint(cp, path: str | Path) -> Path:
-    """Persist a :class:`~repro.engine.resilience.Checkpoint` to ``path``.
+    """Persist a :class:`~repro.engine.physics.Checkpoint` to ``path``.
 
     Writes a single ``<path>.npz`` whose payload is protected by a
     SHA-256 digest recomputed at load time.
     """
     path = Path(path).with_suffix(".npz")
     path.parent.mkdir(parents=True, exist_ok=True)
-    header = {
-        "format": "repro-dda-checkpoint",
-        "version": 1,
-        "step": int(cp.step),
-        "dt": float(cp.dt),
-        "sim_time": float(cp.sim_time),
-        "fixed_points": [
-            [int(b), float(x), float(y)] for b, x, y in cp.fixed_points
-        ],
-        "fixed_anchors": [[float(x), float(y)] for x, y in cp.fixed_anchors],
-        "load_points": [
-            [int(b), float(x), float(y), float(fx), float(fy)]
-            for b, x, y, fx, fy in cp.load_points
-        ],
+    header: dict[str, Any] = {
+        "format": "repro-dda-checkpoint", "version": 1, "step": int(cp.step),
     }
-    arrays = {
-        "vertices": cp.vertices,
-        "velocities": cp.velocities,
-        "stresses": cp.stresses,
-        "prev_solution": cp.prev_solution,
-    }
-    for name in _CONTACT_FIELDS:
-        arrays[f"c_{name}"] = getattr(cp.contacts, name)
+    arrays: dict[str, Any] = {}
+    for carried in CARRIED:
+        _save(carried, getattr(cp, carried.name), header, arrays)
     header_json = json.dumps(header, sort_keys=True)
     digest = _checkpoint_digest(header_json, arrays)
     np.savez_compressed(
@@ -194,12 +205,9 @@ def load_checkpoint(path: str | Path):
     file is unreadable, has the wrong format tag, or fails its SHA-256
     integrity check.
     """
-    from repro.contact.contact_set import ContactSet
-    from repro.engine.resilience import Checkpoint, CheckpointCorrupt
+    from repro.engine.resilience import CheckpointCorrupt
 
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(".npz")
+    path = Path(path).with_suffix(".npz")
     try:
         with np.load(path, allow_pickle=False) as data:
             header_json = str(data["__header__"])
@@ -208,8 +216,6 @@ def load_checkpoint(path: str | Path):
                 k: data[k] for k in data.files if not k.startswith("__")
             }
         header = json.loads(header_json)
-    except CheckpointCorrupt:
-        raise
     except Exception as exc:
         raise CheckpointCorrupt(
             f"{path}: unreadable checkpoint ({exc})"
@@ -223,29 +229,9 @@ def load_checkpoint(path: str | Path):
             f"(stored {stored_digest[:12]}..., computed {digest[:12]}...)"
         )
     try:
-        contacts = ContactSet(
-            **{name: arrays[f"c_{name}"] for name in _CONTACT_FIELDS}
-        )
         return Checkpoint(
-            step=int(header["step"]),
-            dt=float(header["dt"]),
-            sim_time=float(header["sim_time"]),
-            vertices=arrays["vertices"],
-            velocities=arrays["velocities"],
-            stresses=arrays["stresses"],
-            prev_solution=arrays["prev_solution"],
-            fixed_points=[
-                (int(b), float(x), float(y))
-                for b, x, y in header["fixed_points"]
-            ],
-            fixed_anchors=[
-                (float(x), float(y)) for x, y in header["fixed_anchors"]
-            ],
-            load_points=[
-                (int(b), float(x), float(y), float(fx), float(fy))
-                for b, x, y, fx, fy in header["load_points"]
-            ],
-            contacts=contacts,
+            int(header["step"]),
+            **{c.name: _load(c, header, arrays) for c in CARRIED},
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise CheckpointCorrupt(

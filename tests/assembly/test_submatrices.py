@@ -5,13 +5,13 @@ from repro.assembly.submatrices import (
     body_force_vector,
     elastic_submatrix,
     fixed_point_contribution,
-    inertia_contribution,
     initial_stress_vector,
     mass_integral_matrix,
     point_load_vector,
 )
 from repro.core.displacement import displacement_matrix
 from repro.core.materials import BlockMaterial
+from repro.engine.physics import inertia
 from repro.geometry.polygon import polygon_area, polygon_centroid, polygon_second_moments
 
 SQ = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
@@ -74,18 +74,21 @@ class TestElastic:
         assert (np.linalg.eigvalsh(k) >= -1e-6).all()
 
 
+def _inertia(dt, v):
+    """Shi's inertia term and load for the 2 x 2 square at 1000 kg/m^3."""
+    m = 1000.0 * mass_integral_matrix(4.0, polygon_second_moments(SQ))
+    k, f = inertia(m[None], dt, np.asarray(v, dtype=float)[None])
+    return k[0], f[0]
+
+
 class TestInertia:
     def test_stiffness_scales_inverse_dt2(self):
-        mom = polygon_second_moments(SQ)
-        v = np.zeros(6)
-        k1, _ = inertia_contribution(4.0, mom, 1000.0, 0.01, v)
-        k2, _ = inertia_contribution(4.0, mom, 1000.0, 0.005, v)
+        k1, _ = _inertia(0.01, np.zeros(6))
+        k2, _ = _inertia(0.005, np.zeros(6))
         np.testing.assert_allclose(k2, 4.0 * k1)
 
     def test_force_proportional_to_velocity(self):
-        mom = polygon_second_moments(SQ)
-        v = np.array([1.0, 0, 0, 0, 0, 0])
-        _, f = inertia_contribution(4.0, mom, 1000.0, 0.01, v)
+        _, f = _inertia(0.01, [1.0, 0, 0, 0, 0, 0])
         # translational velocity -> momentum force 2*rho*S*v/dt
         assert f[0] == pytest.approx(2 * 1000.0 * 4.0 * 1.0 / 0.01)
         assert f[1] == pytest.approx(0.0)
@@ -93,9 +96,8 @@ class TestInertia:
     def test_smaller_dt_stiffer_diagonal(self):
         # the paper's conditioning argument: halving physical time
         # enlarges the diagonal blocks
-        mom = polygon_second_moments(SQ)
-        k_big, _ = inertia_contribution(4.0, mom, 1000.0, 0.01, np.zeros(6))
-        k_small, _ = inertia_contribution(4.0, mom, 1000.0, 0.001, np.zeros(6))
+        k_big, _ = _inertia(0.01, np.zeros(6))
+        k_small, _ = _inertia(0.001, np.zeros(6))
         assert np.trace(k_small) > np.trace(k_big)
 
 

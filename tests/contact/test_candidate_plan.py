@@ -388,8 +388,8 @@ class PoisonStepFive:
 
     poisoned = False
 
-    def _update_data(self, d):
-        super()._update_data(d)
+    def _update_data(self, d, dt):
+        super()._update_data(d, dt)
         if self._current_step == 5 and not self.poisoned:
             self.poisoned = True
             self.system.velocities[0, 0] = np.nan

@@ -21,14 +21,12 @@ class TestTransferContacts:
     def test_matched_contact_inherits_state(self):
         prev = make_set([0], [4], [5])
         prev.state[:] = LOCK
-        prev.shear_disp[:] = 0.3
         prev.normal_disp[:] = -0.1
         prev.shear_sign[:] = -1.0
         cur = make_set([0], [4], [5])
         out = transfer_contacts(prev, cur, n_vertices=10)
         assert out.state[0] == LOCK
         assert out.prev_state[0] == LOCK
-        assert out.shear_disp[0] == 0.3
         assert out.normal_disp[0] == -0.1
         assert out.shear_sign[0] == -1.0
 

@@ -7,12 +7,20 @@ engines' one fault seam, and must still be (a) planted, (b) caught first
 by the guard the registry named, and (c) rolled back so the run
 completes — never silently absorbed into a wrong-but-plausible
 trajectory. A corrupted checkpoint file, the one fault outside a stage,
-is planted by :func:`corrupt_checkpoint_file`.
+is planted by :func:`planting.corrupt_checkpoint_file`.
 """
 
 import numpy as np
 import pytest
-from planting import DROP_ONE_CLOSED, PLANTED, Planter, Row, guard_of
+from planting import (
+    DROP_ONE_CLOSED,
+    PLANTED,
+    Planter,
+    Row,
+    corrupt_checkpoint_file,
+    guard_of,
+)
+from test_integrator import carried_bits
 
 from repro.__main__ import build_parser
 from repro.core.blocks import Block, BlockSystem
@@ -207,19 +215,7 @@ def test_injection_is_deterministic():
 # checkpoint corruption (the non-stage fault)
 # ----------------------------------------------------------------------
 
-def corrupt_checkpoint_file(path):
-    """Flip one byte in the middle of a persisted checkpoint file (bit
-    rot, a torn write)."""
-    data = bytearray(path.read_bytes())
-    if not data:
-        raise ValueError(f"{path}: empty file")
-    data[len(data) // 2] ^= 0xFF
-    path.write_bytes(bytes(data))
-
-
-def test_checkpoint_corruption_detected(tmp_path):
-    """Loading a corrupted checkpoint raises CheckpointCorrupt (the
-    SHA-256 digest no longer matches), never silently wrong state."""
+def _persisted_checkpoint(tmp_path):
     eng = GpuEngine(
         stacked(),
         chaos_controls(
@@ -229,11 +225,37 @@ def test_checkpoint_corruption_detected(tmp_path):
     eng.run(steps=2)
     files = sorted(tmp_path.glob("checkpoint_*.npz"))
     assert files, "no checkpoint persisted"
-    # the pristine file loads
-    load_checkpoint(files[-1])
-    corrupt_checkpoint_file(files[-1])
+    return files[-1]
+
+
+def test_checkpoint_corruption_detected(tmp_path):
+    """A flipped payload byte raises CheckpointCorrupt (the member's
+    CRC or the SHA-256 digest no longer matches), never silently wrong
+    state."""
+    path = _persisted_checkpoint(tmp_path)
+    load_checkpoint(path)  # the pristine file loads
+    corrupt_checkpoint_file(path)
     with pytest.raises(CheckpointCorrupt):
-        load_checkpoint(files[-1])
+        load_checkpoint(path)
+
+
+def test_every_flip_raises_or_loads_the_original(tmp_path):
+    """A sample of single-byte flips anywhere in the file: each raises
+    CheckpointCorrupt or (a flip in zip metadata no reader checks)
+    loads the original state."""
+    path = _persisted_checkpoint(tmp_path)
+    original, data = load_checkpoint(path), path.read_bytes()
+    flipped = tmp_path / "flipped.npz"
+    rng = np.random.default_rng(0)
+    for at in rng.choice(len(data), size=min(500, len(data)), replace=False):
+        corrupt = bytearray(data)
+        corrupt[at] ^= 0xFF
+        flipped.write_bytes(bytes(corrupt))
+        try:
+            loaded = load_checkpoint(flipped)
+        except CheckpointCorrupt:
+            continue
+        assert carried_bits(loaded) == carried_bits(original), f"flip at byte {at}"
 
 
 def test_corrupt_rejects_empty_file(tmp_path):

@@ -17,6 +17,7 @@ from repro.core.state import ResilienceControls, SimulationControls
 from repro.engine.domain_engine import DomainEngine
 from repro.engine.gpu_engine import GpuEngine
 from repro.engine.hybrid_engine import HybridEngine
+from repro.engine.physics import kinetic_energy
 from repro.engine.resilience import (
     ENERGY_FACTOR,
     OSCILLATION_STREAK,
@@ -29,7 +30,6 @@ from repro.engine.resilience import (
     SolverBreakdown,
     StepContext,
     StepRejected,
-    kinetic_energy,
     solver_ladder,
 )
 from repro.engine.results import StepRecord
@@ -493,6 +493,23 @@ class TestCheckpoint:
         assert cp.step == 2
         np.testing.assert_array_equal(cp.vertices, engine.system.vertices)
 
+    def test_contact_column_no_longer_read_is_ignored(self, tmp_path):
+        """Older files carry a ``c_shear_disp`` member (a contact column
+        nothing read, always zero); they still load."""
+        from test_integrator import older_layout
+
+        from repro.io.model_io import load_checkpoint, save_checkpoint
+
+        engine = GpuEngine(stacked(), controls())
+        engine.run(steps=2)
+        assert engine._contacts.m > 0
+        path = save_checkpoint(engine.checkpoint(step=2), tmp_path / "cp")
+        cp = load_checkpoint(older_layout(path, tmp_path))
+        assert cp.step == 2
+        np.testing.assert_array_equal(
+            cp.contacts.normal_disp, engine._contacts.normal_disp
+        )
+
 
 # ----------------------------------------------------------------------
 # end-to-end recovery (the acceptance scenario) — all three engines
@@ -562,8 +579,8 @@ class TestEndToEndRecovery:
         original = engine._update_data
         poisoned = {"armed": True}
 
-        def poison_once(d):
-            original(d)
+        def poison_once(d, dt):
+            original(d, dt)
             if poisoned["armed"] and engine.sim_time > 3e-3:
                 poisoned["armed"] = False
                 engine.system.velocities[0, 0] = np.nan
@@ -581,8 +598,8 @@ class TestEndToEndRecovery:
         )
         original = engine._update_data
 
-        def corrupt(d):
-            original(d)
+        def corrupt(d, dt):
+            original(d, dt)
             if engine.sim_time > 3e-3:
                 raise CheckpointCorrupt("planted non-recoverable failure")
 

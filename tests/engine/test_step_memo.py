@@ -96,7 +96,7 @@ def test_detection_ignores_dt_and_velocities(preset, case):
     engine.system.velocities = engine.system.velocities + 0.125
     second, second_launches = _detect_on_scratch(engine)
 
-    assert len(first) == 14
+    assert len(first) == 13
     assert first["block_i"].size > 0
     for name, values in first.items():
         np.testing.assert_array_equal(values, second[name], err_msg=name)
@@ -397,9 +397,9 @@ class SkipRecorder:
         self.attempt += 1
         return super()._build_diagonal()
 
-    def _update_data(self, d):  # only an accepted attempt gets here
+    def _update_data(self, d, dt):  # only an accepted attempt gets here
         self.accepted.add(self.attempt)
-        super()._update_data(d)
+        super()._update_data(d, dt)
 
     def _solve_with_fallback(self, matrix, rhs, x0, first_rung=0):
         before = self.metrics.counter("solver.rungs_skipped").value

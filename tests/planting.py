@@ -8,10 +8,14 @@ engine through the engines' one fault seam — the ``fault_injector``
 whose ``perturb`` ``EngineBase._inject`` and
 ``DomainEngine._halo_inject`` call at every stage boundary — and wraps
 the two stage methods whose outputs that seam does not see. Nothing is
-drawn at random: a row corrupts the same entry on every run.
+drawn at random: a row corrupts the same entry on every run. The one
+fault outside a stage, a corrupted checkpoint file, is planted by
+:func:`corrupt_checkpoint_file`.
 """
 
 import functools
+import struct
+import zipfile
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -215,8 +219,8 @@ class Planter:
                 step=engine._current_step, engine=engine,
             )
 
-        def update_data(d):
-            update(d)
+        def update_data(d, dt):
+            update(d, dt)
             self.perturb(
                 "data_updating", engine.system,
                 step=engine._current_step, engine=engine,
@@ -236,3 +240,20 @@ class Planter:
         self.planted.append(step)
         replaced = row.plant(engine, payload)
         return payload if replaced is None else replaced
+
+
+def corrupt_checkpoint_file(path, member="vertices.npy"):
+    """Flip the middle byte of one payload member's compressed data in a
+    persisted checkpoint (bit rot, a torn write). The byte is found
+    through the member's :class:`zipfile.ZipInfo`, so the flip lands in
+    the payload whatever the file's layout."""
+    data = bytearray(path.read_bytes())
+    if not data:
+        raise ValueError(f"{path}: empty file")
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member)
+    # the local header: 30 fixed bytes, then the name and extra field
+    name_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
+    start = info.header_offset + 30 + name_len + extra_len
+    data[start + info.compress_size // 2] ^= 0xFF
+    path.write_bytes(bytes(data))

@@ -336,6 +336,20 @@ ROWS = [
         plant="from repro.service.chaos import IOFaultInjector"),
     Row("EVENTS", ("src/repro/service/journal.py",),
         "the module docstring, which lists the events", 49, word=True),
+    Row("saved_velocities", WIDE,
+        "nothing: a rejected attempt writes no carried state "
+        "(repro.engine.physics)", 51, word=True),
+    Row("shear_disp", WIDE,
+        "nothing: no stage read it; older checkpoints' c_shear_disp "
+        "member is ignored", 51, word=True),
+    Row(r"def kinetic_energy\(",
+        ("src/repro/engine/resilience.py", "src/repro/analysis/energy.py"),
+        "repro.engine.physics.kinetic_energy, the full ½ vᵀ M v", 51),
+    Row(r"resilience\.kinetic_energy", WIDE,
+        "repro.engine.physics.kinetic_energy, the full ½ vᵀ M v", 51),
+    *rows(("inertia_contribution", "_CONTACT_FIELDS"), WIDE,
+          "repro.engine.physics: inertia, and CARRIED with the "
+          "ContactSet columns", 51, word=True),
 ]
 
 
@@ -462,6 +476,6 @@ def test_planted_name_fails_its_row(row, tmp_path):
 
 def test_every_row_searches_real_paths():
     for row in ROWS:
-        assert row.replaced_by and 14 <= row.pr <= 49, row
+        assert row.replaced_by and 14 <= row.pr <= 51, row
         for entry in row.paths:
             assert _files(entry, REPO), (row.pattern, entry)

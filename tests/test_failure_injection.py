@@ -175,8 +175,8 @@ class TestResilienceFaultInjection:
         original = engine._update_data
         armed = {"on": True}
 
-        def poison_once(d):
-            original(d)
+        def poison_once(d, dt):
+            original(d, dt)
             if armed["on"] and engine.sim_time > 2e-3:
                 armed["on"] = False
                 engine.system.velocities[1, 1] = np.nan
@@ -188,6 +188,8 @@ class TestResilienceFaultInjection:
         assert np.isfinite(engine.system.velocities).all()
 
     def test_corrupted_checkpoint_raises_checkpoint_corrupt(self, tmp_path):
+        from planting import corrupt_checkpoint_file
+
         from repro.core.state import SimulationControls
         from repro.engine.gpu_engine import GpuEngine
         from repro.engine.resilience import CheckpointCorrupt
@@ -202,10 +204,10 @@ class TestResilienceFaultInjection:
         path = save_checkpoint(engine.checkpoint(step=2), tmp_path / "cp")
 
         # flip a payload byte: unreadable or checksum-mismatched either way
-        blob = bytearray(path.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
+        blob = path.read_bytes()
         bad = tmp_path / "cp_bad.npz"
-        bad.write_bytes(bytes(blob))
+        bad.write_bytes(blob)
+        corrupt_checkpoint_file(bad)
         with pytest.raises(CheckpointCorrupt):
             load_checkpoint(bad)
 
