@@ -9,7 +9,6 @@ Run:  python examples/rubble_collapse.py [--blocks N] [--shrink S]
 """
 
 import argparse
-from dataclasses import replace
 
 import numpy as np
 
@@ -52,7 +51,7 @@ def main() -> None:
     steps, static = [], False
     while len(steps) < args.max_steps and not static:
         result = engine.run(steps=min(25, args.max_steps - len(steps)))
-        steps += [replace(s, step=len(steps) + s.step) for s in result.steps]
+        steps += result.steps
         static = max(s.max_displacement for s in result.steps) < tolerance
     result.steps = steps
 

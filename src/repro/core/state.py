@@ -26,14 +26,16 @@ ON_FAILURE = ("raise", "partial")
 class ResilienceControls:
     """Knobs of the resilience layer (:mod:`repro.engine.resilience`).
 
-    The layer's fixed settings (checkpoint ring size, rollback dt factor,
-    health-guard thresholds and policies) are module constants there.
+    The layer's fixed settings (rollback dt factor, health-guard
+    thresholds and policies) are module constants there; it keeps one
+    checkpoint, the newest.
 
     Attributes
     ----------
     checkpoint_every:
-        Take a full-state checkpoint every this many accepted steps
-        (``0`` disables checkpointing — and with it rollback recovery).
+        Take a full-state checkpoint where a run starts and at every
+        step number divisible by this (``0`` disables checkpointing —
+        and with it rollback recovery).
     checkpoint_dir:
         If set, persist every checkpoint to this directory as
         ``checkpoint_<step>.npz`` with an integrity checksum.

@@ -196,8 +196,10 @@ class EngineBase:
         self.dt = self.controls.time_step
         #: accumulated simulated physical time [s] (drives seismic input)
         self.sim_time = 0.0
+        #: accepted steps so far: the index of the step in progress,
+        #: carried by a checkpoint, so resumed runs keep numbering on
+        self.step = 0
         self._prev_solution = np.zeros(system.n_dof)
-        self._current_step = 0
         self._contacts = ContactSet.empty()
         #: vectorised open–close driver of the current loop-2 attempt
         self._oc_driver: OpenCloseDriver | None = None
@@ -250,16 +252,16 @@ class EngineBase:
             contact_threshold=self.contact_threshold,
         )
 
-    def _inject(self, stage: str, payload, step: int):
+    def _inject(self, stage: str, payload):
         """Chaos-harness hook: possibly corrupt a stage output."""
         if self.fault_injector is None:
             return payload
         return self.fault_injector.perturb(
-            stage, payload, step=step, engine=self
+            stage, payload, step=self.step, engine=self
         )
 
     @contextmanager
-    def _stage(self, times: ModuleTimes, module: str, step: int):
+    def _stage(self, times: ModuleTimes, module: str):
         """One pipeline-stage measurement, the one producer of a stage's
         time: launches are attributed to ``module``, and both clocks are
         read once — the wall seconds, and the modelled seconds of the
@@ -274,7 +276,6 @@ class EngineBase:
         marks = [(d.records, len(d.records)) for d in self._parallel_ledgers]
         start = tracer.now() if tracer.enabled else 0.0
         t0 = time.perf_counter()
-        self._current_step = step
         device._region_stack.append(module)
         try:
             yield
@@ -288,7 +289,7 @@ class EngineBase:
             times.add(module, wall, modelled)
             if tracer.enabled:
                 tracer.add(
-                    module, step=step, start=start, wall_s=wall,
+                    module, step=self.step, start=start, wall_s=wall,
                     device_s=modelled,
                 )
 
@@ -403,7 +404,8 @@ class EngineBase:
     def run(
         self, steps: int, *, snapshot_every: int = 0
     ) -> SimulationResult:
-        """Run ``steps`` accepted time steps (the paper's loop 1).
+        """Run ``steps`` more accepted time steps (the paper's loop 1),
+        numbered on from :attr:`step`.
 
         With checkpointing enabled (``resilience.checkpoint_every > 0``)
         a fatal step failure rolls the engine back to the last good
@@ -420,8 +422,8 @@ class EngineBase:
             Accepted step count (retries from the loop-2 control do not
             count).
         snapshot_every:
-            Record block centroids every this many accepted steps
-            (0 = only the final state).
+            Record block centroids at every step number divisible by
+            this (0 = only the final state).
         """
         if steps < 1:
             raise ValueError(f"steps must be >= 1, got {steps}")
@@ -439,17 +441,17 @@ class EngineBase:
         manager: CheckpointManager | None = None
         if rcontrols.checkpoint_every > 0:
             manager = CheckpointManager(persist_dir=rcontrols.checkpoint_dir)
-            manager.take(self, step=0)
+            manager.take(self)
         self._monitor.reset()
         # counts accumulate across runs on the checker; diff at the end
         # so each run reports its own
         violations_before = self.contracts.violations.copy()
         rollbacks = 0
-        step = 0
-        while step < steps:
+        start = self.step
+        while self.step < start + steps:
             step_start = tracer.now() if tracer.enabled else 0.0
             try:
-                record = self._step_impl(step, result)
+                record = self._step_impl(result)
             except SimulationError as err:
                 cp = manager.latest if manager is not None else None
                 if (
@@ -459,17 +461,18 @@ class EngineBase:
                 ):
                     rollbacks += 1
                     self.metrics.inc("engine.rollbacks")
+                    failed = self.step
                     self.restore_checkpoint(cp)
                     self.dt = cp.dt * ROLLBACK_DT_FACTOR
                     self._monitor.reset()
                     # drop the steps the rollback un-did
-                    del result.steps[cp.step:]
+                    del result.steps[cp.step - start:]
                     result.snapshots = [
                         (s, c) for s, c in result.snapshots if s <= cp.step
                     ]
                     result.warnings.append(
                         HealthWarning(
-                            step=step,
+                            step=failed,
                             guard="rollback",
                             message=(
                                 f"rolled back to step {cp.step} after "
@@ -478,7 +481,6 @@ class EngineBase:
                             ),
                         )
                     )
-                    step = cp.step
                     continue
                 report = FailureReport(
                     error=type(err).__name__,
@@ -494,12 +496,12 @@ class EngineBase:
                 raise
             result.steps.append(record)
             self._observe_step(record, step_start)
-            step += 1
-            if manager is not None and step % rcontrols.checkpoint_every == 0:
-                manager.take(self, step=step)
-            if snapshot_every and step % snapshot_every == 0:
+            self.step += 1
+            if manager is not None and self.step % rcontrols.checkpoint_every == 0:
+                manager.take(self)
+            if snapshot_every and self.step % snapshot_every == 0:
                 result.snapshots.append(
-                    (step, self.system.centroids.copy())
+                    (self.step, self.system.centroids.copy())
                 )
         result.rollbacks = rollbacks
         result.contract_violations = {
@@ -510,18 +512,16 @@ class EngineBase:
         for stage, count in result.contract_violations.items():
             self.metrics.inc(f"contracts.violations.{stage}", count)
             self.metrics.inc("contracts.violations", count)
-        result.snapshots.append(
-            (len(result.steps), self.system.centroids.copy())
-        )
+        result.snapshots.append((self.step, self.system.centroids.copy()))
         result.displacements = self.system.centroids - start_centroids
         return result
 
     # ------------------------------------------------------------------
     # checkpointing
     # ------------------------------------------------------------------
-    def checkpoint(self, step: int = 0) -> physics.Checkpoint:
+    def checkpoint(self) -> physics.Checkpoint:
         """Snapshot the full engine state (see :class:`Checkpoint`)."""
-        return physics.Checkpoint.capture(self, step)
+        return physics.Checkpoint.capture(self)
 
     def restore_checkpoint(self, cp: physics.Checkpoint) -> None:
         """Restore a snapshot taken by :meth:`checkpoint` (in place)."""
@@ -578,11 +578,10 @@ class EngineBase:
                     self.metrics.inc("solver.rung_escalations")
                 break
         if res is None:  # every rung failed to even construct
-            step = self._current_step
             raise SolverBreakdown(
-                f"step {step}: no preconditioner on the fallback ladder "
-                "could be built",
-                StepContext(step=step, dt=self.dt, cause="cg_breakdown"),
+                f"step {self.step}: no preconditioner on the fallback "
+                "ladder could be built",
+                StepContext(step=self.step, dt=self.dt, cause="cg_breakdown"),
             )
         if skipped:
             self.metrics.inc("solver.rungs_skipped", skipped)
@@ -663,13 +662,14 @@ class EngineBase:
             bound = self._bound_assembly = plan.bind(geometry)
         return bound.assemble(diag_blocks, w, ws)
 
-    def _step_impl(self, step: int, result: SimulationResult) -> StepRecord:
-        """Loop 2: attempt the step until an attempt is accepted, or
-        raise once ``MAX_STEP_RETRIES`` dt-halvings are spent."""
+    def _step_impl(self, result: SimulationResult) -> StepRecord:
+        """Loop 2: attempt step :attr:`step` until an attempt is
+        accepted, or raise once ``MAX_STEP_RETRIES`` dt-halvings are
+        spent."""
         times = result.module_times
         detected = None
         for retry in range(MAX_STEP_RETRIES + 1):
-            attempt, trial = self._attempt(step, retry, times, detected)
+            attempt, trial = self._attempt(retry, times, detected)
             if attempt.cause is None:
                 record = self._accept(attempt, trial, retry, times)
                 # health guards run on the freshly-updated state; a
@@ -687,23 +687,24 @@ class EngineBase:
             del trial
         error_cls = SolverBreakdown if attempt.cause == "cg_breakdown" else StepRejected
         raise error_cls(
-            f"step {step}: no acceptable time step after {MAX_STEP_RETRIES} "
-            f"halvings (dt={self.dt:.3e}, cause={attempt.cause})",
+            f"step {self.step}: no acceptable time step after "
+            f"{MAX_STEP_RETRIES} halvings (dt={self.dt:.3e}, "
+            f"cause={attempt.cause})",
             StepContext(
-                step=step, dt=self.dt, retries=MAX_STEP_RETRIES,
+                step=self.step, dt=self.dt, retries=MAX_STEP_RETRIES,
                 cg_residuals=list(residuals),
                 max_penetration=attempt.max_penetration, cause=attempt.cause,
             ),
         )
 
     def _replay_detection(
-        self, step: int, times: ModuleTimes, detected: _Detected | None
+        self, times: ModuleTimes, detected: _Detected | None
     ) -> tuple[ContactSet, _Detected]:
         """A fresh copy of the step's contact table. Detection and the
         spring linearisation read block geometry only, which moves in data
         updating alone: they run on the step's first attempt (``detected``
         is ``None``); a retry records the detection's priced launches."""
-        with self._stage(times, "contact_detection", step):
+        with self._stage(times, "contact_detection"):
             if detected is None:
                 n0 = self.device.launches()
                 table = self._detect_contacts()
@@ -716,15 +717,15 @@ class EngineBase:
             return detected.table.copy(), detected
 
     def _attempt(
-        self, step: int, retry: int, times: ModuleTimes, detected: _Detected | None
+        self, retry: int, times: ModuleTimes, detected: _Detected | None
     ) -> tuple[Attempt, _Trial]:
-        """One attempt at ``step`` with the current dt: detection, the
+        """One attempt at :attr:`step` with the current dt: detection, the
         diagonal build and the open–close sweeps (loop 3), each stage
         output passed through its fault seam and contract check."""
         system = self.system
-        ctx = StepContext(step=step, dt=self.dt, retries=retry)
-        table, detected = self._replay_detection(step, times, detected)
-        contacts = self._inject("contact_detection", table, step)
+        ctx = StepContext(step=self.step, dt=self.dt, retries=retry)
+        table, detected = self._replay_detection(times, detected)
+        contacts = self._inject("contact_detection", table)
         self.contracts.check_contacts(
             system, contacts, previous=self._contacts, context=ctx
         )
@@ -736,7 +737,7 @@ class EngineBase:
         self._oc_driver = OpenCloseDriver.build(
             system, contacts, geometry, force_tolerance=self._force_tol
         )
-        with self._stage(times, "diagonal_matrix_building", step):
+        with self._stage(times, "diagonal_matrix_building"):
             diag_idx, diag_blocks, f_base = self._build_diagonal()
         diag_idx = np.concatenate([diag_idx, contacts.block_i, contacts.block_j])
         normal_force = physics.stored_normal_force(contacts)
@@ -752,28 +753,28 @@ class EngineBase:
         max_pen = 0.0
         changes: list[int] = []  # significant changes, one per sweep
         for oc in range(MAX_OPEN_CLOSE_ITERATIONS):
-            with self._stage(times, "nondiagonal_matrix_building", step):
+            with self._stage(times, "nondiagonal_matrix_building"):
                 w, ws, f_contact = self._build_nondiagonal(
                     contacts, normal_force, geometry
                 )
                 matrix = self._assemble(
                     diag_idx, diag_blocks, contacts, geometry, w, ws
                 )
-            matrix = self._inject("matrix_assembly", matrix, step)
+            matrix = self._inject("matrix_assembly", matrix)
             self.contracts.check_matrix(matrix, context=ctx)
-            with self._stage(times, "equation_solving", step):
+            with self._stage(times, "equation_solving"):
                 rhs = f_base + f_contact
                 res, rung, iters = self._solve_with_fallback(
                     matrix, rhs, x0, rung
                 )
-            res = self._inject("equation_solving", res, step)
+            res = self._inject("equation_solving", res)
             cg_total += iters
             if not res.converged:
                 cause = "cg_breakdown" if res.breakdown else "cg_non_convergence"
                 break
             self.contracts.check_solution(matrix, rhs, res, context=ctx)
             d = x0 = res.x
-            with self._stage(times, "interpenetration_checking", step):
+            with self._stage(times, "interpenetration_checking"):
                 update = self._check_interpenetration(contacts, d, normal_force)
             self.contracts.check_state_update(contacts, update, context=ctx)
             max_pen = update.max_penetration
@@ -802,7 +803,7 @@ class EngineBase:
         if cause is None and not max_disp <= 2.0 * self._max_disp_allowed:
             cause = "max_displacement"
         attempt = Attempt(
-            step, self.dt, cause, tuple(changes), cg_total, rung, max_pen
+            self.step, self.dt, cause, tuple(changes), cg_total, rung, max_pen
         )
         return attempt, _Trial(
             detected, contacts, d, normal_force, max_disp,
@@ -821,7 +822,7 @@ class EngineBase:
         # bound to the geometry that is about to move (and ~5 MB at
         # 12 k contacts the next detection need not sit on)
         self._bound_assembly = None
-        with self._stage(times, "data_updating", attempt.step):
+        with self._stage(times, "data_updating"):
             self._update_data(d, attempt.dt)
         ctx = StepContext(step=attempt.step, dt=attempt.dt, retries=retry)
         self.contracts.check_geometry(self.system, context=ctx)

@@ -101,7 +101,7 @@ class DomainEngine(SerialEngine):
     # ------------------------------------------------------------------
     def _halo_inject(self, buffer: np.ndarray) -> np.ndarray:
         """Fault seam over the gathered solution transfer buffer."""
-        return self._inject("halo_exchange", buffer, self._current_step)
+        return self._inject("halo_exchange", buffer)
 
     def _solver_operand(self, matrix: BlockMatrix):
         """``matrix`` split across the domain devices — every ladder rung

@@ -109,19 +109,19 @@ def _carried(path: str, kind: Any) -> Any:
 @dataclass
 class Checkpoint:
     """What ``step`` accepted steps hand the next one: a snapshot a run
-    resumes from bit-exactly.
+    resumes from bit-exactly, step numbering included.
 
-    Every field after ``step`` is :data:`CARRIED`. Its metadata names
-    where the engine holds it (``path``) and how a checkpoint file
-    stores it (``kind``): ``"float"`` (a header number), ``"array"`` (an
-    npz member), ``"contacts"`` (a ``c_<column>`` member per
+    Every field is :data:`CARRIED`. Its metadata names where the engine
+    holds it (``path``) and how a checkpoint file stores it (``kind``):
+    ``int`` or ``float`` (a header number), ``"array"`` (an npz
+    member), ``"contacts"`` (a ``c_<column>`` member per
     :class:`ContactSet` column) or one converter per point coordinate
     (header rows).
     """
 
-    step: int
-    dt: float = _carried("dt", "float")
-    sim_time: float = _carried("sim_time", "float")
+    step: int = _carried("step", int)
+    dt: float = _carried("dt", float)
+    sim_time: float = _carried("sim_time", float)
     vertices: np.ndarray = _carried("system.vertices", "array")
     velocities: np.ndarray = _carried("system.velocities", "array")
     stresses: np.ndarray = _carried("system.stresses", "array")
@@ -138,10 +138,9 @@ class Checkpoint:
     contacts: ContactSet = _carried("_contacts", "contacts")
 
     @classmethod
-    def capture(cls, engine, step: int) -> "Checkpoint":
-        """A copy of ``engine``'s carried state after ``step`` accepted
-        steps."""
-        return cls(step, **{
+    def capture(cls, engine) -> "Checkpoint":
+        """A copy of ``engine``'s carried state."""
+        return cls(**{
             f.name: _copy(attrgetter(f.metadata["path"])(engine))
             for f in CARRIED
         })
@@ -155,7 +154,7 @@ class Checkpoint:
         engine.system._refresh_cache()
 
 
-CARRIED = fields(Checkpoint)[1:]
+CARRIED = fields(Checkpoint)
 
 
 def diagonal_system(

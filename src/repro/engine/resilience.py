@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.core.blocks import BlockSystem
 from repro.engine.physics import Checkpoint, kinetic_energy
-from repro.io.model_io import save_checkpoint
+from repro.io.model_io import load_checkpoint, save_checkpoint
 from repro.solvers.preconditioners import stronger_preconditioner
 
 #: A rollback restores the checkpoint's ``dt`` times this, so the
@@ -339,17 +339,37 @@ class CheckpointManager:
     A rollback restores :attr:`latest`; an older one is never read, so
     a new checkpoint replaces it. ``persist_dir`` writes every
     checkpoint through :func:`repro.io.model_io.save_checkpoint` (npz +
-    SHA-256 integrity checksum) so an external supervisor can restart a
-    killed process.
+    SHA-256 integrity checksum) as ``checkpoint_<step>.npz``, so an
+    external supervisor can restart a killed process
+    (:func:`newest_checkpoint`).
     """
 
     def __init__(self, *, persist_dir=None) -> None:
         self.persist_dir = persist_dir
         self.latest: Checkpoint | None = None
 
-    def take(self, engine, step: int) -> Checkpoint:
-        """Capture and retain a checkpoint after ``step`` accepted steps."""
-        self.latest = cp = engine.checkpoint(step)
+    def take(self, engine) -> Checkpoint:
+        """Capture and retain a checkpoint of ``engine``."""
+        self.latest = cp = engine.checkpoint()
         if self.persist_dir is not None:
-            save_checkpoint(cp, Path(self.persist_dir) / f"checkpoint_{step:08d}")
+            save_checkpoint(cp, Path(self.persist_dir) / f"checkpoint_{cp.step:08d}")
         return cp
+
+
+def newest_checkpoint(root, before: int) -> Checkpoint | None:
+    """The newest checkpoint short of step ``before`` that loads, among
+    those :class:`CheckpointManager` persisted anywhere under ``root``;
+    ``None`` if there is none. A corrupt file (failed integrity check,
+    truncated write from a dying process) is skipped for the next
+    newest."""
+    found = sorted(
+        (int(path.stem.split("_")[1]), path)
+        for path in Path(root).rglob("checkpoint_*.npz")
+    )
+    for step, path in reversed(found):
+        if step < before:
+            try:
+                return load_checkpoint(path)
+            except CheckpointCorrupt:
+                continue
+    return None

@@ -13,24 +13,20 @@ argparse namespace instead: its dests are the JobSpec field names
 from __future__ import annotations
 
 import time
-from pathlib import Path
 
 from repro.core.state import ResilienceControls, SimulationControls
 from repro.engine.domain_engine import DomainEngine
 from repro.engine.gpu_engine import GpuEngine
 from repro.engine.hybrid_engine import HybridEngine
-from repro.engine.resilience import CheckpointCorrupt
-from repro.engine.results import SimulationResult
 from repro.engine.serial_engine import SerialEngine
 from repro.gpu.device import K20, K40
 from repro.io.batch_io import summarize_result
-from repro.io.model_io import load_checkpoint, load_system
+from repro.io.model_io import load_system
 from repro.meshing.slope_models import (
     build_brick_wall,
     build_falling_rocks_model,
     build_slope_model,
 )
-from repro.util.timing import ModuleTimes
 
 #: ``--model`` values: the workloads :func:`build_system_from_spec` builds.
 MODELS = ("slope", "rocks", "wall", "rubble")
@@ -92,35 +88,11 @@ def make_engine(spec, system, controls, fault_injector=None,
     return preset(system, controls, profile=PROFILES[spec.profile], **common)
 
 
-def newest_valid_checkpoint(checkpoint_dir: str | Path):
-    """Newest loadable checkpoint in a directory, or ``None``.
-
-    Corrupt files (failed integrity check, truncated write from a dying
-    worker) are skipped, so a retry falls back to the newest checkpoint
-    that *survives* rather than giving up.
-    """
-    checkpoint_dir = Path(checkpoint_dir)
-    if not checkpoint_dir.is_dir():
-        return None
-    paths = sorted(
-        checkpoint_dir.glob("checkpoint_*.npz"),
-        key=lambda p: int(p.stem.split("_")[1]),
-        reverse=True,
-    )
-    for path in paths:
-        try:
-            return load_checkpoint(path)
-        except CheckpointCorrupt:
-            continue
-    return None
-
-
 def execute_spec(
     spec,
     *,
     resilience: dict | None = None,
     resume_checkpoint=None,
-    resume_offset: int = 0,
     fault_injector=None,
     tracer=None,
     metrics=None,
@@ -128,15 +100,13 @@ def execute_spec(
     """Run a spec end to end; returns ``(result, engine, summary)``.
 
     ``resilience`` goes to :func:`controls_from_spec` (a worker's
-    ``checkpoint_dir``; ``repro run``'s three run-only resilience flags).
-    With ``resume_checkpoint`` set, the engine restores it and
-    integrates only the remaining ``spec.steps - resume_offset`` steps
-    (``resume_offset`` is the checkpoint's *global* accepted-step index
-    — each ``engine.run`` numbers its own steps from 0, so the caller
-    tracks the offset across attempts). The returned summary dict (see
-    :func:`repro.io.batch_io.summarize_result`) records
-    ``resumed_from`` so callers can tell a fresh run from a
-    continuation. ``fault_injector`` is the engines' stage-output seam
+    ``checkpoint_dir``; ``repro run``'s two run-only resilience flags,
+    ``checkpoint_dir`` and ``on_failure``). With ``resume_checkpoint``
+    set (its step below ``spec.steps``), the engine restores it, step
+    count included, and integrates the remaining steps. The returned
+    summary dict (see :func:`repro.io.batch_io.summarize_result`)
+    records ``resumed_from``, the checkpoint's step (0 for a fresh
+    run). ``fault_injector`` is the engines' stage-output seam
     (a batch worker's kill switch). Engine failures propagate as
     :class:`~repro.engine.resilience.SimulationError` — callers decide
     the retry policy.
@@ -147,19 +117,11 @@ def execute_spec(
         spec, system, controls, fault_injector=fault_injector,
         tracer=tracer, metrics=metrics,
     )
-    resumed_from = 0
     if resume_checkpoint is not None:
         engine.restore_checkpoint(resume_checkpoint)
-        resumed_from = resume_offset
-    remaining = spec.steps - resumed_from
+    resumed_from = engine.step
     start = time.perf_counter()
-    if remaining > 0 or resume_checkpoint is None:
-        result = engine.run(steps=remaining)
-    else:  # a checkpoint already covers the whole run
-        result = SimulationResult(
-            module_times=ModuleTimes(), device=engine.device,
-            metrics=engine.metrics,
-        )
+    result = engine.run(steps=spec.steps - resumed_from)
     summary = summarize_result(
         result,
         engine=spec.engine,

@@ -216,9 +216,10 @@ def summarize_result(
 ) -> dict:
     """Flatten a :class:`SimulationResult` into a JSON-safe summary.
 
-    ``steps_executed`` counts only the steps *this* run integrated
-    (cache hits report 0); ``resumed_from`` records the checkpoint step
-    a retried attempt restarted at.
+    ``resumed_from`` is the checkpoint step a retried attempt restarted
+    at and ``total_steps`` the step the run reached. ``steps_executed``
+    (0 on a cache hit) and every other field describe only the steps
+    after ``resumed_from``, the ones *this* run integrated.
     """
     failure = None
     if result.failure is not None:

@@ -143,8 +143,8 @@ def _save(
 ) -> None:
     """Put one carried value into the header or the npz members."""
     name, kind = carried.name, carried.metadata["kind"]
-    if kind == "float":
-        header[name] = float(value)
+    if kind in (int, float):
+        header[name] = kind(value)
     elif kind == "array":
         arrays[name] = value
     elif kind == "contacts":
@@ -159,8 +159,8 @@ def _save(
 def _load(carried: dataclasses.Field, header: dict, arrays: dict) -> Any:
     """The inverse of :func:`_save`."""
     name, kind = carried.name, carried.metadata["kind"]
-    if kind == "float":
-        return float(header[name])
+    if kind in (int, float):
+        return kind(header[name])
     if kind == "array":
         return arrays[name]
     if kind == "contacts":
@@ -181,9 +181,7 @@ def save_checkpoint(cp, path: str | Path) -> Path:
     """
     path = Path(path).with_suffix(".npz")
     path.parent.mkdir(parents=True, exist_ok=True)
-    header: dict[str, Any] = {
-        "format": "repro-dda-checkpoint", "version": 1, "step": int(cp.step),
-    }
+    header: dict[str, Any] = {"format": "repro-dda-checkpoint", "version": 1}
     arrays: dict[str, Any] = {}
     for carried in CARRIED:
         _save(carried, getattr(cp, carried.name), header, arrays)
@@ -229,10 +227,7 @@ def load_checkpoint(path: str | Path):
             f"(stored {stored_digest[:12]}..., computed {digest[:12]}...)"
         )
     try:
-        return Checkpoint(
-            int(header["step"]),
-            **{c.name: _load(c, header, arrays) for c in CARRIED},
-        )
+        return Checkpoint(**{c.name: _load(c, header, arrays) for c in CARRIED})
     except (KeyError, ValueError, TypeError) as exc:
         raise CheckpointCorrupt(
             f"{path}: malformed checkpoint payload ({exc})"

@@ -419,17 +419,6 @@ class WorkerPool:
                         "status", "attempt", "pid", "epoch", "late_imports"
                     )
                 }
-                # The entry describes the whole computation, not the final
-                # attempt: a success resumed from a checkpoint reports only
-                # the tail it integrated, so make the global step count the
-                # authoritative one before caching.
-                total = (
-                    cache_entry.get("resumed_from", 0)
-                    + cache_entry.get("steps_executed", 0)
-                )
-                cache_entry.update(
-                    steps_executed=total, resumed_from=0, total_steps=total
-                )
                 self.store.put(spec_hash, cache_entry, state_stem=state_stem)
         else:
             record.attempt_log.append(outcome)

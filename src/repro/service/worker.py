@@ -22,11 +22,11 @@ epoch-stamped for the same reason: even a zombie that dies *between*
 heartbeats cannot write into the new epoch's files.
 
 Retry granularity comes from checkpoints: every attempt persists
-checkpoints into its own ``attempt-<...>`` directory together with the
-*global* step offset it resumed at (``engine.run`` numbers steps from 0
-each attempt, so the offset file is what lines the attempts up into one
-global step axis). The next attempt scans all previous attempts for the
-newest valid checkpoint and continues from there.
+checkpoints into its own ``attempt-<...>`` directory. A checkpoint
+carries the engine's count of accepted steps, so a resumed engine
+numbers its steps on from there and every attempt's files share one
+step axis; the next attempt continues from the newest valid checkpoint
+short of the spec's step count across all previous attempts.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ from pathlib import Path
 import numpy.ma  # noqa: F401 - np.median, in EngineBase.__init__
 import numpy.random  # noqa: F401 - the models' seeded generators
 
-from repro.engine.resilience import SimulationError
-from repro.engine.runner import execute_spec, newest_valid_checkpoint
-from repro.io.batch_io import read_json, write_json_atomic
+from repro.engine.resilience import SimulationError, newest_checkpoint
+from repro.engine.runner import execute_spec
+from repro.io.batch_io import write_json_atomic
 from repro.io.model_io import save_system
 from repro.obs.tracer import Tracer
 from repro.service.chaos import IOFaultInjector
@@ -59,7 +59,7 @@ FENCED_EXIT_CODE = 143
 
 
 class KillSwitch:
-    """Stage-output hook that hard-kills the worker at a global step.
+    """Stage-output hook that hard-kills the worker at a step.
 
     Stands in for the failures no in-process handler survives (segfault
     in a native kernel, OOM kill): ``os._exit`` skips ``finally``
@@ -68,12 +68,11 @@ class KillSwitch:
     passes every payload through untouched.
     """
 
-    def __init__(self, kill_at_step: int, offset: int = 0) -> None:
+    def __init__(self, kill_at_step: int) -> None:
         self.kill_at_step = kill_at_step
-        self.offset = offset
 
     def perturb(self, stage: str, payload, *, step: int, engine=None):
-        if self.offset + step >= self.kill_at_step:
+        if step >= self.kill_at_step:
             os._exit(KILL_EXIT_CODE)
         return payload
 
@@ -141,30 +140,10 @@ def attempt_checkpoint_dir(scratch: Path, attempt: int, epoch: int) -> Path:
     return Path(scratch) / "checkpoints" / f"attempt-e{epoch:04d}-{attempt:03d}"
 
 
-def find_resume_point(scratch: str | Path):
-    """Newest valid checkpoint across all attempts, with its global step.
-
-    Returns ``(checkpoint, global_step)`` or ``None``. Each attempt
-    directory carries an ``offset.json`` recording the global step the
-    attempt started at; a checkpoint's global position is that offset
-    plus its in-run step index. Attempts with a missing offset file
-    (crashed before writing it) are skipped.
-    """
-    best = None
-    root = Path(scratch) / "checkpoints"
-    if not root.is_dir():
-        return None
-    for attempt_dir in sorted(root.iterdir()):
-        meta = read_json(attempt_dir / "offset.json")
-        if meta is None:
-            continue
-        cp = newest_valid_checkpoint(attempt_dir)
-        if cp is None:
-            continue
-        global_step = int(meta["offset"]) + cp.step
-        if best is None or global_step > best[1]:
-            best = (cp, global_step)
-    return best
+def find_resume_point(scratch: str | Path, steps: int):
+    """Newest valid checkpoint short of step ``steps`` across all
+    attempts of a job, or ``None``."""
+    return newest_checkpoint(Path(scratch) / "checkpoints", before=steps)
 
 
 def run_job(
@@ -187,29 +166,25 @@ def run_job(
     """
     scratch = Path(scratch)
     tracer = Tracer(enabled=trace)
-    resume_cp, resume_offset = None, 0
-    if attempt > 0 and spec.checkpoint_every > 0:
-        found = find_resume_point(scratch)
-        if found is not None and found[1] < spec.steps:
-            resume_cp, resume_offset = found
+    resume_cp = None
     resilience: dict[str, str] = {}
     if spec.checkpoint_every > 0:
+        if attempt > 0:
+            resume_cp = find_resume_point(scratch, spec.steps)
         cp_dir = attempt_checkpoint_dir(scratch, attempt, epoch)
-        cp_dir.mkdir(parents=True, exist_ok=True)
-        write_json_atomic(cp_dir / "offset.json", {"offset": resume_offset})
         resilience["checkpoint_dir"] = str(cp_dir)
     injector = None
     if spec.kill_at_step is not None and not (spec.kill_once and attempt > 0):
-        injector = KillSwitch(spec.kill_at_step, resume_offset)
+        injector = KillSwitch(spec.kill_at_step)
     failed = {
-        "status": "failed", "attempt": attempt, "resumed_from": resume_offset,
+        "status": "failed", "attempt": attempt,
+        "resumed_from": 0 if resume_cp is None else resume_cp.step,
     }
     try:
         result, engine, summary = execute_spec(
             spec,
             resilience=resilience,
             resume_checkpoint=resume_cp,
-            resume_offset=resume_offset,
             fault_injector=injector,
             tracer=tracer,
         )

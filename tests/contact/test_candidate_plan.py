@@ -390,7 +390,7 @@ class PoisonStepFive:
 
     def _update_data(self, d, dt):
         super()._update_data(d, dt)
-        if self._current_step == 5 and not self.poisoned:
+        if self.step == 5 and not self.poisoned:
             self.poisoned = True
             self.system.velocities[0, 0] = np.nan
 
@@ -423,7 +423,7 @@ def test_restored_checkpoint_with_a_plan_in_place():
 
     engine = GpuEngine(rocks(3, 8), rocks_controls())
     engine.run(steps=4)
-    snapshot = engine.checkpoint(step=4)
+    snapshot = engine.checkpoint()
     engine.run(steps=3)
     kept = engine._candidates.plan
     engine.restore_checkpoint(snapshot)

@@ -267,7 +267,7 @@ class TestNoRungCouldBeBuilt:
 
         def construct(name, matrix, device=None):
             rollbacks = engine.metrics.counter("engine.rollbacks").value
-            if engine._current_step == 2 and rollbacks < heals_after:
+            if engine.step == 2 and rollbacks < heals_after:
                 raise ValueError("planted: non-positive diagonal")
             return real(name, matrix, device)
 
@@ -427,7 +427,7 @@ class TestCheckpoint:
     def test_restore_is_bit_exact(self):
         engine = GpuEngine(stacked(), controls())
         engine.run(steps=5)
-        cp = engine.checkpoint(step=5)
+        cp = engine.checkpoint()
         after_a = engine.run(steps=5)
         va = engine.system.vertices.copy()
         engine.restore_checkpoint(cp)
@@ -437,7 +437,7 @@ class TestCheckpoint:
 
     def test_restore_rolls_back_boundary_conditions(self):
         engine = GpuEngine(stacked(), controls())
-        cp = engine.checkpoint(step=0)
+        cp = engine.checkpoint()
         fixed_before = list(engine.system.fixed_points)
         engine.run(steps=10)  # fixed points move with their block
         engine.restore_checkpoint(cp)
@@ -451,7 +451,8 @@ class TestCheckpoint:
         manager = CheckpointManager()
         assert manager.latest is None
         for step in range(5):
-            cp = manager.take(engine, step=step)
+            engine.step = step
+            cp = manager.take(engine)
             assert manager.latest is cp
         assert manager.latest.step == 4
 
@@ -460,7 +461,8 @@ class TestCheckpoint:
 
         engine = GpuEngine(stacked(), controls())
         manager = CheckpointManager(persist_dir=tmp_path)
-        manager.take(engine, step=3)
+        engine.run(steps=3)
+        manager.take(engine)
         cp = load_checkpoint(tmp_path / "checkpoint_00000003.npz")
         assert cp.step == 3
         np.testing.assert_array_equal(cp.vertices, engine.system.vertices)
@@ -478,7 +480,7 @@ class TestCheckpoint:
 
         engine = GpuEngine(stacked(), controls())
         engine.run(steps=2)
-        path = save_checkpoint(engine.checkpoint(step=2), tmp_path / "cp")
+        path = save_checkpoint(engine.checkpoint(), tmp_path / "cp")
         with np.load(path) as data:
             header = json.loads(str(data["__header__"]))
             arrays = {k: data[k] for k in data.files if not k.startswith("__")}
@@ -503,7 +505,7 @@ class TestCheckpoint:
         engine = GpuEngine(stacked(), controls())
         engine.run(steps=2)
         assert engine._contacts.m > 0
-        path = save_checkpoint(engine.checkpoint(step=2), tmp_path / "cp")
+        path = save_checkpoint(engine.checkpoint(), tmp_path / "cp")
         cp = load_checkpoint(older_layout(path, tmp_path))
         assert cp.step == 2
         np.testing.assert_array_equal(

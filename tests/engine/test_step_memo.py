@@ -263,7 +263,7 @@ def test_one_detection_per_step_one_ledger_slice_per_attempt(preset):
 
     class Counting(ENGINES[preset]):
         def _detect_contacts(self):
-            calls.append(self._current_step)
+            calls.append(self.step)
             return super()._detect_contacts()
 
     engine = _retrying_engine(preset, Counting)
@@ -312,8 +312,8 @@ class TableRecorder(GpuEngine):
         super().__init__(*args, **kwargs)
         self.tables = []
 
-    def _inject(self, stage, payload, step):
-        out = super()._inject(stage, payload, step)
+    def _inject(self, stage, payload):
+        out = super()._inject(stage, payload)
         if stage == "contact_detection":
             self.tables.append(out)
         return out

@@ -216,14 +216,14 @@ class Planter:
         def check_interpenetration(contacts, d, normal_force):
             return self.perturb(
                 "interpenetration_checking", check(contacts, d, normal_force),
-                step=engine._current_step, engine=engine,
+                step=engine.step, engine=engine,
             )
 
         def update_data(d, dt):
             update(d, dt)
             self.perturb(
                 "data_updating", engine.system,
-                step=engine._current_step, engine=engine,
+                step=engine.step, engine=engine,
             )
 
         engine._check_interpenetration = check_interpenetration

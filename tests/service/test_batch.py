@@ -17,10 +17,12 @@ import numpy as np
 import pytest
 from lease_helpers import expire
 
-from repro.io.batch_io import read_json, write_json_atomic
+from repro.io.batch_io import write_json_atomic
+from repro.engine.runner import execute_spec
 from repro.io.model_io import save_system
 from repro.meshing.slope_models import build_brick_wall
 from repro.service import BatchClient, JobSpec, JobState, RetryPolicy, WorkerPool
+from repro.service.worker import find_resume_point
 
 
 def healthy_spec(i: int) -> JobSpec:
@@ -84,13 +86,13 @@ class TestCrashIsolation:
             return matches[-1]
 
         # attempt 0 started from scratch and checkpointed up to step 4
-        offset0 = read_json(attempt_dir(0) / "offset.json")
-        assert offset0 == {"offset": 0}
         saved = sorted(p.name for p in attempt_dir(0).glob("*.npz"))
+        assert saved[0] == "checkpoint_00000000.npz"
         assert "checkpoint_00000004.npz" in saved
-        # attempt 1 resumed from global step 4, not from zero
-        offset1 = read_json(attempt_dir(1) / "offset.json")
-        assert offset1 == {"offset": 4}
+        # attempt 1 resumed from step 4, not from zero: its one file is
+        # the restored state, named on the same step axis
+        resumed = sorted(p.name for p in attempt_dir(1).glob("*.npz"))
+        assert resumed == ["checkpoint_00000004.npz"]
 
     def test_failure_report_written(self, batch):
         client, killer, _healthy, _tallies = batch
@@ -300,7 +302,8 @@ class TestCacheAuthority:
         assert tallies["dispatched"] == 0
 
     def test_resumed_success_caches_global_step_count(self, tmp_path):
-        """A success resumed at step 4 of 6 must cache 6 steps, not 2."""
+        """A success resumed at step 4 of 6 caches the step it reached
+        (6) and what its per-run fields cover: the 2 steps after 4."""
         client = BatchClient(tmp_path / "b")
         spec = healthy_spec(0)
         record = client.submit(spec)
@@ -322,9 +325,31 @@ class TestCacheAuthority:
             claimed.lease_epoch, None,
         ))
         entry = client.store.peek(spec.spec_hash())
-        assert entry["steps_executed"] == 6
+        assert entry["steps_executed"] == 2
         assert entry["total_steps"] == 6
-        assert entry["resumed_from"] == 0
+        assert entry["resumed_from"] == 4
+
+    def test_resumed_cache_entry_says_it_holds_a_tail(self, tmp_path):
+        """A kill-once job dies at step 3 of 6 and resumes there: its
+        cache entry says so, and its per-run values are those of the
+        three steps after the checkpoint, not the whole run's."""
+        spec = JobSpec(
+            model="wall", engine="serial", steps=6, dynamic=True,
+            checkpoint_every=1, kill_at_step=3, kill_once=True,
+            tag="resumed-entry",
+        )
+        client = BatchClient(tmp_path / "b")
+        record = client.submit(spec)
+        assert client.run(n_workers=1)["succeeded"] == 1
+        entry = client.store.peek(spec.spec_hash())
+        assert (entry["resumed_from"], entry["steps_executed"]) == (3, 3)
+        assert entry["total_steps"] == 6
+        cp = find_resume_point(client.scratch_root / record.job_id, 4)
+        assert cp.step == 3
+        _, _, tail = execute_spec(spec, resume_checkpoint=cp)
+        _, _, whole = execute_spec(spec)
+        for key in ("total_cg_iterations", "max_total_displacement"):
+            assert entry[key] == tail[key] != whole[key]
 
 
 class TestStatusSurface:

@@ -2,13 +2,13 @@
 
 The happy path (retry resumes from the newest checkpoint) is covered by
 the batch integration tests; here we pin the edge cases: every
-checkpoint corrupt (fresh start, not a crash), a missing offset file
-(that attempt is ignored), and the newest-across-attempts selection.
+checkpoint corrupt (fresh start, not a crash), checkpoints at or past
+the goal (skipped), and the newest-across-attempts selection.
 """
 
 from pathlib import Path
 
-from repro.engine.runner import newest_valid_checkpoint
+from repro.engine.resilience import newest_checkpoint
 from repro.service.spec import JobSpec
 from repro.service.worker import find_resume_point, run_job
 
@@ -33,21 +33,14 @@ def all_npz(scratch: Path) -> list[Path]:
 
 class TestFindResumePoint:
     def test_empty_scratch(self, tmp_path):
-        assert find_resume_point(tmp_path) is None
+        assert find_resume_point(tmp_path, 4) is None
 
     def test_picks_newest_global_step_across_attempts(self, tmp_path):
         seed_attempt0(tmp_path, steps=2)
         # attempt 1 (longer spec) resumes at 2 and checkpoints further
         outcome = run_job(spec(3), tmp_path, 1, epoch=2)
         assert outcome["resumed_from"] == 2
-        cp, global_step = find_resume_point(tmp_path)
-        assert global_step == 3  # attempt 1's offset (2) + its step (1)
-
-    def test_attempt_without_offset_file_is_ignored(self, tmp_path):
-        seed_attempt0(tmp_path, steps=2)
-        (attempt_dir,) = (tmp_path / "checkpoints").iterdir()
-        (attempt_dir / "offset.json").unlink()
-        assert find_resume_point(tmp_path) is None
+        assert find_resume_point(tmp_path, 4).step == 3  # from attempt 1
 
 
 class TestCorruptCheckpoints:
@@ -59,7 +52,7 @@ class TestCorruptCheckpoints:
             key=lambda p: int(p.stem.split("_")[1]),
         )
         newest.write_bytes(b"not a checkpoint at all")
-        cp = newest_valid_checkpoint(attempt_dir)
+        cp = newest_checkpoint(attempt_dir, before=3)
         assert cp is not None
         assert cp.step == 1  # fell back past the corrupt step-2 file
 
@@ -69,19 +62,21 @@ class TestCorruptCheckpoints:
         seed_attempt0(tmp_path, steps=2)
         for path in all_npz(tmp_path):
             path.write_bytes(b"garbage" * 16)
-        assert find_resume_point(tmp_path) is None
+        assert find_resume_point(tmp_path, 4) is None
         outcome = run_job(spec(4), tmp_path, 1, epoch=2)
         assert outcome["status"] == "succeeded"
         assert outcome["resumed_from"] == 0
         assert outcome["steps_executed"] == 4
 
     def test_resume_ignores_checkpoints_at_or_past_the_goal(self, tmp_path):
-        """A checkpoint already covering spec.steps is not 'resumed' —
-        the attempt runs fresh rather than restoring a final state."""
+        """A checkpoint already covering spec.steps is not resumed from —
+        the attempt restores the newest one short of the goal instead of
+        a final state."""
         seed_attempt0(tmp_path, steps=4)
         outcome = run_job(spec(2), tmp_path, 1, epoch=2)
         assert outcome["status"] == "succeeded"
-        assert outcome["resumed_from"] == 0
+        assert outcome["resumed_from"] == 1
+        assert outcome["total_steps"] == 2
 
 
 class TestEpochStamping:

@@ -350,6 +350,19 @@ ROWS = [
     *rows(("inertia_contribution", "_CONTACT_FIELDS"), WIDE,
           "repro.engine.physics: inertia, and CARRIED with the "
           "ContactSet columns", 51, word=True),
+    *rows((r"offset\.json", "resume_offset", "_current_step"), WIDE,
+          "EngineBase.step, the count of accepted steps a checkpoint "
+          "carries", 52, word=True),
+    Row(r"KillSwitch\([^)\n]*,", WIDE,
+        "KillSwitch(kill_at_step): the fault seam's step= is the "
+        "engine's count", 52,
+        plant="KillSwitch(spec.kill_at_step, resume_offset)"),
+    Row("offset", ("src/repro/service/worker.py",),
+        "EngineBase.step, the count of accepted steps a checkpoint "
+        "carries", 52, word=True),
+    Row("newest_valid_checkpoint", ("src", "docs", "examples"),
+        "repro.engine.resilience.newest_checkpoint, beside the manager "
+        "that names the files", 52, word=True),
 ]
 
 
@@ -476,6 +489,6 @@ def test_planted_name_fails_its_row(row, tmp_path):
 
 def test_every_row_searches_real_paths():
     for row in ROWS:
-        assert row.replaced_by and 14 <= row.pr <= 51, row
+        assert row.replaced_by and 14 <= row.pr <= 52, row
         for entry in row.paths:
             assert _files(entry, REPO), (row.pattern, entry)

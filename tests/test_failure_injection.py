@@ -201,7 +201,7 @@ class TestResilienceFaultInjection:
                                max_displacement_ratio=0.05),
         )
         engine.run(steps=2)
-        path = save_checkpoint(engine.checkpoint(step=2), tmp_path / "cp")
+        path = save_checkpoint(engine.checkpoint(), tmp_path / "cp")
 
         # flip a payload byte: unreadable or checksum-mismatched either way
         blob = path.read_bytes()
