@@ -27,13 +27,14 @@ that line:
 Between the open–close sweeps of one loop-2 attempt not even the
 payloads are free: every contact block is ``w a b^T + ws a_s b_s^T``
 over the step's spring vectors, and only the weights follow the contact
-states. :meth:`AssemblyPlan.bind` gathers the *vectors* into assembly
-order once; :meth:`BoundAssembly.assemble` forms each sorted row's block
-from the sweep's weights, in segment-aligned chunks, straight into the
-same segment sums — same blocks, same order, same bits, without the
-``(m, 6, 6)`` contribution arrays, their concatenation or their gather.
-An OPEN contact's blocks are exact zeros, so only the segments where two
-nonzero rows meet are formed at all; the ledger still prices every row.
+states. A plan's :class:`StreamLayout` names each sorted row's contact
+and vectors, once per plan; :meth:`AssemblyPlan.bind` adds a step's
+geometry, and :meth:`BoundAssembly.assemble` forms each row's block from
+the sweep's weights, in segment-aligned chunks, straight into the same
+segment sums — same blocks, same order, same bits, without the
+``(m, 6, 6)`` contribution arrays. An OPEN contact's blocks are exact
+zeros, so only the segments where two nonzero rows meet are formed, and
+only their rows' vectors gathered; the ledger still prices every row.
 
 An engine keeps the plan of the last pattern it saw: a sweep whose
 pattern :meth:`AssemblyPlan.matches` it runs the numeric phase only and
@@ -52,6 +53,7 @@ step whose block pairs did not move, whatever the contact keys did.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -292,115 +294,111 @@ class AssemblyPlan:
             pair_sums.reshape(self.ukey.size, BS, BS),
         )
 
+    @cached_property
+    def layout(self) -> "StreamLayout":
+        """The per-plan half of every binding, made on the first :meth:`bind`."""
+        return StreamLayout(self)
+
     def bind(self, geometry: SpringGeometry) -> "BoundAssembly":
         """Bind the plan to one contact table's spring geometry.
 
         For the engines' stream layout — ``diag_idx`` is the
         contact-independent (static) rows, then ``block_i``, then
-        ``block_j``; the pair pattern is ``(block_i, block_j)`` —
-        gather the ``(m, 6)`` spring vectors into assembly order: the
-        diagonal stream's ``(e, e)`` / ``(g, g)`` rows through
-        ``diag_perm``, then the pair stream's ``(e, g)`` — ``(g, e)``
-        where ``swap`` — through ``perm``.
+        ``block_j``; the pair pattern is ``(block_i, block_j)``. The
+        plan's :attr:`layout` says which contact's vectors each sorted
+        row reads; the binding adds the ``geometry`` they are read from.
         """
-        m = self.off_rows.shape[0]
-        n_static = self.diag_idx.shape[0] - 2 * m
-        contacts = geometry.d0.shape[0]
-        if n_static < 0 or contacts != m:
+        q, m, contacts = self.diag_idx.size, self.off_rows.size, geometry.d0.size
+        if q < 2 * m or contacts != m:
             raise ValueError(
-                f"plan of {self.diag_idx.shape[0]} diagonal and {m} pair "
+                f"plan of {q} diagonal and {m} pair "
                 f"rows does not fit a table of {contacts} contacts"
             )
-        src, swap = self.diag_perm, self.swap[:, None]
-        pad = np.zeros((n_static, BS))
-
-        def in_order(i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            diag = np.concatenate([pad, i, j])[src]
-            return (
-                np.concatenate([diag, np.where(swap, j, i)[self.perm]]),
-                np.concatenate([diag, np.where(swap, i, j)[self.perm]]),
-            )
-
-        rows = np.arange(m)
-        return BoundAssembly(
-            self, geometry,
-            *in_order(geometry.e, geometry.g),
-            *in_order(geometry.e_s, geometry.g_s),
-            # static rows: any weight will do, their blocks are overwritten
-            contact=np.concatenate(
-                [np.concatenate([np.zeros_like(src[:n_static]), rows, rows])[src],
-                 self.perm]
-            ),
-            static_of=np.concatenate(
-                [np.where(src < n_static, src, -1), np.full(m, -1)]
-            ),
-        )
+        return BoundAssembly(self, geometry)
 
 
-@dataclass
+class StreamLayout:
+    """The ``r = q + m`` rows of a plan's sorted stream — the diagonal
+    stream's ``(e, e)`` / ``(g, g)`` rows through ``diag_perm``, then the
+    pair stream's ``(e, g)``, ``(g, e)`` where ``swap``, through ``perm``
+    — as index arrays only, so one layout serves every geometry.
+
+    ``contact`` is each row's contact, ``from_g`` the masks of the rows
+    whose ``a`` / ``b`` vectors are block ``j``'s, ``static_of`` the
+    static block a static row takes (``-1`` on contact rows). Segments
+    (``seg_start``, ``seg_len``) are cut into aligned ``chunks`` of about
+    ``_CHUNK_ROWS`` rows; ``static`` lists the static rows and
+    ``contact_rows`` each contact's ``i-i``, ``j-j`` and pair rows.
+    """
+
+    def __init__(self, plan: AssemblyPlan) -> None:
+        q, m, src = plan.diag_idx.shape[0], plan.off_rows.shape[0], plan.diag_perm
+        n_static, rows, r = q - 2 * m, np.arange(m), q + m
+        # static rows: any contact will do, their blocks are overwritten
+        zeros = np.zeros_like(src[:n_static])
+        self.contact = np.concatenate([np.concatenate([zeros, rows, rows])[src], plan.perm])
+        j_diag, swap = src >= n_static + m, plan.swap[plan.perm]
+        self.from_g = (np.concatenate([j_diag, swap]), np.concatenate([j_diag, ~swap]))
+        self.static_of = np.concatenate([np.where(src < n_static, src, -1), np.full(m, -1)])
+        self.seg_start = starts = np.concatenate([plan.diag_starts, q + plan.starts])
+        bounds = np.concatenate([starts, np.full(1, r)])
+        self.seg_len = np.diff(bounds)
+        # segment-aligned runs of about _CHUNK_ROWS rows: (row0, row1,
+        # seg0, seg1, local starts) each
+        first = np.searchsorted(starts, np.arange(-(-r // _CHUNK_ROWS)) * _CHUNK_ROWS)
+        seg = np.concatenate([first, np.full(1, starts.shape[0])])
+        edges = np.stack([bounds[seg], seg], axis=1).tolist()  # lint: sync-ok[chunk-layout] -- the host sizes the chunk launches, once per plan
+        self.chunks = [(r0, r1, s0, s1, starts[s0:s1] - r0)
+                       for (r0, s0), (r1, s1) in zip(edges, edges[1:]) if r1 > r0]
+        self.chunk_rows = max((c[1] - c[0] for c in self.chunks), default=0)
+        self.static = np.flatnonzero(self.static_of >= 0)
+        at = np.empty(r, dtype=np.int64)
+        at[np.concatenate([src, q + plan.perm])] = np.arange(r)
+        self.contact_rows = np.stack([at[q - 2 * m : q - m], at[q - m : q], at[q:]], 1)
+
+
 class BoundAssembly:
     """An :class:`AssemblyPlan` bound to one table's spring geometry
     (:meth:`AssemblyPlan.bind`); valid for exactly that ``plan`` and
     that ``geometry`` object.
 
-    ``a, b, a_s, b_s`` are the ``(q + m, 6)`` normal / shear vectors of
-    the sorted diagonal stream followed by the sorted pair stream,
-    ``contact`` the ``(q + m,)`` weight index of each row and
-    ``static_of`` the contact-independent block a static row takes
-    instead (``-1`` on contact rows).
+    A sweep gathers the spring vectors of the rows it forms from
+    ``geometry``; the first to form a whole chunk lays out ``stream``,
+    every row's ``(r, 6)`` ``a, b, a_s, b_s``, which later ones slice.
     """
 
-    plan: AssemblyPlan
-    geometry: SpringGeometry
-    a: np.ndarray
-    b: np.ndarray
-    a_s: np.ndarray
-    b_s: np.ndarray
-    contact: np.ndarray
-    static_of: np.ndarray
-
-    def __post_init__(self) -> None:
-        plan, r = self.plan, self.contact.shape[0]
-        q, m = plan.diag_idx.shape[0], plan.off_rows.shape[0]
-        # the stream's segments: start row, length, and each row's segment
-        self.seg_start = starts = np.concatenate([plan.diag_starts, q + plan.starts])
-        bounds = np.concatenate([starts, np.full(1, r)])
-        self.seg_len = np.diff(bounds)
-        self.seg_of = np.repeat(np.arange(starts.size), self.seg_len)
-        # segment-aligned runs of about _CHUNK_ROWS rows: (row0, row1,
-        # seg0, seg1, local starts) each
-        first = np.searchsorted(
-            starts, np.arange(-(-r // _CHUNK_ROWS)) * _CHUNK_ROWS
-        )
-        seg = np.concatenate([first, np.full(1, starts.shape[0])])
-        edges = np.stack([bounds[seg], seg], axis=1).tolist()  # lint: sync-ok[chunk-layout] -- the host sizes the chunk launches, once per binding
-        self.chunks = [
-            (r0, r1, s0, s1, starts[s0:s1] - r0)
-            for (r0, s0), (r1, s1) in zip(edges, edges[1:])
-            if r1 > r0
-        ]
-        self.work = np.empty(
-            (2, max((c[1] - c[0] for c in self.chunks), default=0), BS, BS)
-        )
-        # the static rows, and each contact's i-i, j-j and pair rows
-        self.static = np.flatnonzero(self.static_of >= 0)
-        at = np.empty(r, dtype=np.int64)
-        at[np.concatenate([plan.diag_perm, q + plan.perm])] = np.arange(r)
-        self.contact_rows = np.stack(
-            [at[q - 2 * m : q - m], at[q - m : q], at[q:]], axis=1
-        )
+    def __init__(self, plan: AssemblyPlan, geometry: SpringGeometry) -> None:
+        self.plan, self.geometry, self.layout = plan, geometry, plan.layout
+        self.stream: list | None = None
+        self.work = np.empty((2, self.layout.chunk_rows, BS, BS))
         g = self.geometry  # zero weights form +0.0 from finite vectors only
         self.finite = all(np.isfinite(v).all() for v in (g.e, g.g, g.e_s, g.g_s))
 
+    def _vectors(self, rows, c: np.ndarray) -> list:
+        """``a, b, a_s, b_s`` of stream ``rows`` (slice or indices),
+        whose contacts are ``c``."""
+        if self.stream is None and isinstance(rows, slice):
+            every = self.layout.contact
+            self.stream = self._vectors(np.arange(every.size), every)
+        if self.stream is not None:
+            return [v[rows] for v in self.stream]
+        geo, vectors = self.geometry, []
+        for i, j in ((geo.e, geo.g), (geo.e_s, geo.g_s)):
+            for from_g in self.layout.from_g:
+                v, pick = i[c], from_g[rows]
+                v[pick] = j[c[pick]]
+                vectors.append(v)
+        return vectors
+
     def _form(self, rows, static_blocks: np.ndarray, w: np.ndarray, ws) -> np.ndarray:
         """The ``(k, 36)`` blocks of stream ``rows`` (slice or indices), in ``work``."""
-        c = self.contact[rows]
+        c = self.layout.contact[rows]
+        a, b, a_s, b_s = self._vectors(rows, c)
         blocks = spring_blocks(
-            self.a[rows], self.b[rows], w[c],
-            self.a_s[rows], self.b_s[rows], None if ws is None else ws[c],
+            a, b, w[c], a_s, b_s, None if ws is None else ws[c],
             out=self.work[0, : c.size], scratch=self.work[1, : c.size],
         )
-        s = self.static_of[rows]
+        s = self.layout.static_of[rows]
         blocks[s >= 0] = static_blocks[s[s >= 0]]
         return blocks.reshape(c.size, BS * BS)
 
@@ -437,13 +435,13 @@ class BoundAssembly:
             ws = check_array("ws", ws, dtype=np.float64, shape=(m,))
         if m == 0:  # no weight for the static rows to read: nothing to form
             return self.plan.assemble(static_blocks, np.zeros((0, BS, BS)))
-        d = self.plan.diag_out.size
-        sums = np.zeros((self.seg_start.size, BS * BS))
+        lay, d = self.layout, self.plan.diag_out.size
+        sums = np.zeros((lay.seg_start.size, BS * BS))
         dense = np.ones(sums.shape[0], dtype=bool)
         live = (w != 0.0) if ws is None else (w != 0.0) | (ws != 0.0)
         if self.finite and not live.all():  # lint: sync-ok[stage-skip] -- host skips the bookkeeping when no row is zero
-            rows = np.concatenate([self.static, self.contact_rows[live].ravel()])
-            seg = self.seg_of[rows]
+            rows = np.concatenate([lay.static, lay.contact_rows[live].ravel()])
+            seg = np.searchsorted(lay.seg_start, rows, side="right") - 1
             count = np.bincount(seg, minlength=dense.size)
             one = count[seg] == 1
             rows, seg = rows[one], seg[one]
@@ -452,18 +450,18 @@ class BoundAssembly:
                 sums[seg[k : k + step]] = self._form(
                     rows[k : k + step], static_blocks, w, ws
                 )
-            sums[seg[self.seg_len[seg] > 1]] += 0.0
+            sums[seg[lay.seg_len[seg] > 1]] += 0.0
             dense = count >= 2
-        for r0, r1, s0, s1, starts in self.chunks:
+        for r0, r1, s0, s1, starts in lay.chunks:
             seg = s0 + np.flatnonzero(dense[s0:s1])
             rows = slice(r0, r1)  # every segment: the rows as they lie
             if seg.size < s1 - s0:  # lint: sync-ok[stage-skip] -- host sizes the chunk's launch
                 if not seg.size:  # lint: sync-ok[stage-skip] -- nothing in this chunk to form
                     continue
-                lens = self.seg_len[seg]
+                lens = lay.seg_len[seg]
                 ends = np.cumsum(lens)
                 starts = ends - lens
-                rows = np.repeat(self.seg_start[seg] - starts, lens)
+                rows = np.repeat(lay.seg_start[seg] - starts, lens)
                 rows += np.arange(ends[-1])
             sums[seg] = segmented_reduce(
                 self._form(rows, static_blocks, w, ws), starts

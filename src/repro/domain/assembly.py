@@ -10,16 +10,16 @@ domains as one :class:`DomainSplit`. Domain ``d``'s share is
   (its transpose contributes to an owned row);
 
 and the shares are not cut apart: the split is the global HSBCSR kernel
-(:class:`~repro.spmv.hsbcsr.TwoStageOperator`, the one
-:func:`repro.spmv.hsbcsr.hsbcsr_spmv` runs) with every stage-1 gather
-re-pointed from the canonical vector into the *owning domain's* slot
-range of the stacked extended vector (:class:`~repro.domain.halo
-.ExchangePlan`). The operator is block-diagonal over the domains — a
-row reads only its own device's owned and ghost slots — while entry
-order, stage-2 segments and the left-to-right summation (up, low,
-diagonal) are the global traversal's, so every row of the distributed
-product equals the global product bit for bit, in the same two
-compiled products at any domain count.
+(:class:`~repro.spmv.hsbcsr.ZeroSkippingOperator`, the one
+:func:`repro.spmv.hsbcsr.hsbcsr_spmv` runs, so the host skips the
+all-zero blocks here too) with every stage-1 gather re-pointed from the
+canonical vector into the *owning domain's* slot range of the stacked
+extended vector (:class:`~repro.domain.halo.ExchangePlan`). The operator
+is block-diagonal over the domains — a row reads only its own device's
+owned and ghost slots — while entry order, stage-2 segments and the
+left-to-right summation (up, low, diagonal) are the global traversal's,
+so every row of the distributed product equals the global product bit
+for bit, in the same two compiled products at any domain count.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.domain.halo import DomainMap, ExchangePlan
 from repro.gpu.counters import KernelCounters
 from repro.gpu.memory import coalesced_transactions
 from repro.gpu.warp import WARP_SIZE
-from repro.spmv.hsbcsr import TwoStageOperator
+from repro.spmv.hsbcsr import ZeroSkippingOperator
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,8 @@ class DomainSplit:
         vector to canonical ``(n*6,)``: upper entry ``(i, j)`` gathers
         ``j``'s slot in the range of ``i``'s owner, its transpose in the
         lower half ``i``'s slot in the range of ``j``'s owner, diagonal
-        block ``i`` its owner's slot of ``i``.
+        block ``i`` its owner's slot of ``i`` (``op.gather``, every
+        stored block's; the host multiplies the blocks not all zero).
     m_up, m_low:
         ``(n_domains,)`` entry counts of each domain's two halves (with
         the owned block counts, what the ledger prices).
@@ -59,7 +60,7 @@ class DomainSplit:
     matrix: BlockMatrix
     dmap: DomainMap
     plan: ExchangePlan
-    op: TwoStageOperator
+    op: ZeroSkippingOperator
     m_up: np.ndarray
     m_low: np.ndarray
 
@@ -89,7 +90,7 @@ class DomainSplit:
         row = np.concatenate([self.matrix.rows, self.matrix.cols, np.arange(n)])
         owned_end = offsets[:-1] + np.bincount(labels, minlength=offsets.size - 1)
         interior = np.ones(n, dtype=bool)
-        interior[row[self.op.stage1.index >= owned_end[labels[row]]]] = False
+        interior[row[np.concatenate(self.op.gather[:3]) >= owned_end[labels[row]]]] = False
         return interior
 
 
@@ -108,7 +109,7 @@ def split_matrix(
     rows, cols, labels = matrix.rows, matrix.cols, dmap.labels
     row_lab, col_lab = labels[rows], labels[cols]
     every = np.arange(matrix.n, dtype=np.int64)
-    op = TwoStageOperator.from_block_matrix(matrix, gather=(
+    op = ZeroSkippingOperator.of(matrix, gather=(
         plan.slots[row_lab, cols],
         plan.slots[col_lab, rows],
         plan.slots[labels, every],

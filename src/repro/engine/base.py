@@ -654,11 +654,7 @@ class EngineBase:
             plan.launches = self.device.launches_since(n0)
             self._assembly_plan = plan
         bound = self._bound_assembly
-        if (
-            bound is None
-            or bound.plan is not plan
-            or bound.geometry is not geometry
-        ):
+        if bound is None or bound.plan is not plan or bound.geometry is not geometry:
             bound = self._bound_assembly = plan.bind(geometry)
         return bound.assemble(diag_blocks, w, ws)
 

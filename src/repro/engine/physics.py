@@ -257,7 +257,8 @@ def contact_system(
 
     The materialising reference of the engines' bound assembly
     (:meth:`repro.assembly.symbolic.AssemblyPlan.bind`), which sums the
-    same blocks without forming them per contact.
+    same blocks but forms, and gathers the spring vectors of, only the
+    rows of segments that hold a nonzero one.
 
     Parameters
     ----------

@@ -44,7 +44,7 @@ the value of the block it stands for, the product is the global one bit
 for bit.
 
 The same order lets the host drop an all-zero block, whose terms add
-nothing: :class:`HSBCSRMatrix` and SSOR-AI run a
+nothing: :class:`HSBCSRMatrix`, SSOR-AI and the domain split run a
 :class:`ZeroSkippingOperator`, while the ledger prices every block.
 """
 
@@ -176,7 +176,8 @@ def _payload(a: BlockMatrix) -> np.ndarray:
 @dataclass(frozen=True)
 class ZeroSkippingOperator(TwoStageOperator):
     """The :class:`TwoStageOperator` of the off-diagonal blocks of
-    ``matrix`` that are not all zero (``keep``; ``skips`` if one is).
+    ``matrix`` that are not all zero (``keep``; ``skips`` if one is),
+    stage 1 gathered as ``gather`` says (:meth:`~TwoStageOperator.from_block_matrix`).
 
     Each dot and each segment sums from ``0.0``, so on a finite input an
     all-zero block (``-0.0`` entries included) adds only ``+0.0`` terms
@@ -188,11 +189,13 @@ class ZeroSkippingOperator(TwoStageOperator):
     matrix: BlockMatrix | None = None
     keep: np.ndarray | None = None
     skips: bool = False
+    gather: tuple | None = None
 
     @classmethod
-    def of(cls, a: BlockMatrix, like: "ZeroSkippingOperator | None" = None):
+    def of(cls, a: BlockMatrix, like=None, gather: tuple | None = None):
         """The operator of ``a``; ``like``, one of the same stored
-        pattern, lends its structure if it kept the same blocks."""
+        pattern and gathers, lends its structure if it kept the same blocks."""
+        gather = gather if like is None else like.gather
         keep = a.blocks.reshape(a.n_offdiag, BS * BS).any(axis=1)
         nonzero = a if keep.all() else replace(  # lint: sync-ok[structure-reuse] -- host sizes the payload once per matrix
             a, rows=a.rows[keep], cols=a.cols[keep], blocks=a.blocks[keep]
@@ -200,17 +203,18 @@ class ZeroSkippingOperator(TwoStageOperator):
         if like is not None and np.array_equal(like.keep, keep):  # lint: sync-ok[structure-reuse] -- host checks which blocks the kept structure dropped
             op, stage1 = like, like.stage1.with_blocks(_payload(nonzero))
         else:
-            op = TwoStageOperator.from_block_matrix(nonzero)
+            kept = gather and (gather[0][keep], gather[1][keep], *gather[2:])
+            op = TwoStageOperator.from_block_matrix(nonzero, kept)
             stage1 = op.stage1
         return cls(stage1, op.stage2, op.up_reduce, op.low_reduce, a, keep,
-                   nonzero is not a)
+                   nonzero is not a, gather)
 
     def with_values(self, a: BlockMatrix) -> "ZeroSkippingOperator":
         return self.of(a, like=self)
 
     @cached_property
     def full(self) -> TwoStageOperator:
-        return TwoStageOperator.from_block_matrix(self.matrix)
+        return TwoStageOperator.from_block_matrix(self.matrix, self.gather)
 
     def _for(self, x: np.ndarray):
         if self.skips and not np.isfinite(x).all():  # lint: sync-ok[stage-skip] -- host picks the payload a product runs on

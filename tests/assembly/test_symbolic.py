@@ -331,7 +331,7 @@ class TestBoundAssembly:
             30, np.concatenate([np.arange(30), table[1], table[2]]),
             table[1], table[2],
         ).bind(table[0])
-        assert len(binding.chunks) > 20
+        assert len(binding.layout.chunks) > 20
         assert binding.work.shape[1] > 16
         bound, ref = both_ways(30, *table)
         assert_same_bits(bound, ref)
@@ -491,7 +491,7 @@ class TestZeroAwareSweep:
         binding, got, ref = zero_aware_and_materialised(
             n, geometry, bi, bj, states, pn, ps, static
         )
-        assert binding.seg_len.max() >= 16
+        assert binding.layout.seg_len.max() >= 16
         assert_same_int_bits(got, ref)
 
     def test_negative_zero_static_entries(self):
@@ -532,6 +532,153 @@ class TestZeroAwareSweep:
         assert not binding.finite
         assert np.isnan(ref.diag).any()
         assert_same_int_bits(got, ref)
+
+
+def lazy_plan(seed, n=9, m=80):
+    """A plan over ``m`` contacts among ``n`` blocks, two spring
+    geometries for its table, and the sweep arguments ``(pn, ps,
+    static)``."""
+    first, block_i, block_j, _, pn, ps, static = spring_table(n, m, seed)
+    plan = AssemblyPlan.build(
+        n, np.concatenate([np.arange(n), block_i, block_j]), block_i, block_j
+    )
+    return plan, (first, spring_table(n, m, seed + 1)[0]), (pn, ps, static)
+
+
+def handful(m, seed):
+    """All OPEN but three closed contacts."""
+    states = np.full(m, OPEN)
+    states[np.random.default_rng(seed).choice(m, 3, replace=False)] = LOCK
+    return states
+
+
+def lazy_sweep(binding, states, pn, ps, static):
+    """One sweep of ``binding`` under ``states``, held to the materialised
+    stream through ``plan.assemble``; the plan's layout must hold index
+    arrays only, whatever the sweep laid out."""
+    m = states.size
+    with np.errstate(invalid="ignore"):  # 0 * inf on non-finite tables
+        w, ws, _, _ = spring_loads(
+            binding.geometry, states, pn, ps, np.zeros(m), np.ones(m)
+        )
+        kii, kjj, kij = spring_stiffness(binding.geometry, w, ws)
+        ref = binding.plan.assemble(np.concatenate([static, kii, kjj]), kij)
+        got = binding.assemble(static, w, ws)
+    assert_same_int_bits(got, ref)
+    held = [v for v in vars(binding.plan.layout).values()
+            if isinstance(v, np.ndarray)]
+    assert held and all(v.dtype.kind in "bi" for v in held)
+
+
+class TestLazyBinding:
+    """The per-plan layout is made once and holds no vectors; a binding
+    gathers the rows a sweep forms and lays the stream out only when a
+    sweep forms a whole chunk — bit-equal to ``plan.assemble`` on the
+    materialised stream in every case, on each of two geometries bound
+    to one plan in turn."""
+
+    def test_a_handful_of_live_contacts(self):
+        plan, geometries, args = lazy_plan(0)
+        for geometry in geometries:
+            binding = plan.bind(geometry)
+            lazy_sweep(binding, handful(80, 0), *args)
+            assert binding.stream is None
+
+    def test_an_all_live_sweep(self):
+        plan, geometries, args = lazy_plan(1)
+        for geometry in geometries:
+            binding = plan.bind(geometry)
+            lazy_sweep(binding, np.full(80, LOCK), *args)
+            assert binding.stream is not None
+            assert binding.layout is plan.layout
+
+    def test_sparse_then_dense_on_one_binding(self):
+        plan, (geometry, _), args = lazy_plan(2)
+        binding = plan.bind(geometry)
+        lazy_sweep(binding, handful(80, 2), *args)
+        assert binding.stream is None
+        lazy_sweep(binding, np.full(80, SLIDE), *args)
+        stream = binding.stream
+        assert stream is not None
+        lazy_sweep(binding, handful(80, 3), *args)  # slices the stream
+        lazy_sweep(binding, np.full(80, LOCK), *args)
+        assert binding.stream is stream  # laid out once per binding
+
+    def test_one_plan_two_geometries_in_turn(self):
+        plan, (first, second), args = lazy_plan(3)
+        a = plan.bind(first)
+        lazy_sweep(a, np.full(80, LOCK), *args)
+        layout = plan.layout
+        b = plan.bind(second)
+        assert b.layout is layout and b.stream is None
+        lazy_sweep(b, handful(80, 4), *args)
+        lazy_sweep(b, np.full(80, LOCK), *args)
+        assert not np.shares_memory(a.stream[0], b.stream[0])
+        lazy_sweep(plan.bind(first), handful(80, 5), *args)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_vectors(self, bad):
+        """Non-finite vectors form every row — the stream laid out even
+        for a handful of live contacts — after a finite geometry's
+        binding of the same plan laid out its own."""
+        plan, (first, second), args = lazy_plan(4)
+        states = handful(80, 6)
+        lazy_sweep(plan.bind(first), np.full(80, LOCK), *args)
+        e = second.e.copy()
+        e[states == OPEN] = bad
+        binding = plan.bind(dataclasses.replace(second, e=e))
+        lazy_sweep(binding, states, *args)
+        assert not binding.finite and binding.stream is not None
+        fresh = plan.bind(second)
+        lazy_sweep(fresh, states, *args)
+        assert fresh.stream is None
+
+
+class StreamWatch(GpuEngine):
+    """Records, per sweep, the binding's layout and whether it laid out
+    the stream."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sweeps = []
+
+    def _assemble(self, *args):
+        matrix = super()._assemble(*args)
+        bound = self._bound_assembly
+        self.sweeps.append((bound.plan, bound.layout, bound.stream is not None))
+        return matrix
+
+
+def test_quick_rocks_never_lay_out_the_stream():
+    """Case 2's rocks sit inside each other's margin but barely touch:
+    no sweep of a quick run forms a whole chunk, so no binding lays out
+    the stream, and each plan's layout is made once."""
+    engine = StreamWatch(
+        build_falling_rocks_model(
+            slope_height=70.0, slope_angle_deg=42.0, rock_size=2.0,
+            n_rock_rows=3, n_rock_cols=8,
+            joint_material=JointMaterial(friction_angle_deg=18.0),
+        ),
+        SimulationControls(
+            time_step=2e-3, dynamic=True, gravity=9.81, penalty_scale=50.0,
+            preconditioner="bj", max_displacement_ratio=0.05,
+        ),
+    )
+    engine.run(steps=6)
+    plans = {id(plan): layout for plan, layout, _ in engine.sweeps}
+    assert len(engine.sweeps) > 6 and len(plans) < len(engine.sweeps)
+    assert all(
+        layout is plans[id(plan)] for plan, layout, _ in engine.sweeps
+    )
+    assert not any(laid for *_, laid in engine.sweeps)
+    # the layout outlives the step: 26 bytes per stream row (contact,
+    # static_of, the two masks, contact_rows) and 24 per segment
+    layout = engine.sweeps[-1][1]
+    held = [*layout.from_g, *(c[4] for c in layout.chunks)] + [
+        v for v in vars(layout).values() if isinstance(v, np.ndarray)
+    ]
+    rows, segments = layout.contact.size, layout.seg_start.size
+    assert sum(v.nbytes for v in held) == 26 * rows + 24 * segments
 
 
 class CheckedEngine(GpuEngine):

@@ -3,15 +3,18 @@
 Every slot of one global block holds the same number after an exchange,
 so a row that read a *neighbour's* copy would pass every bit-identity
 test. These check the split's structure instead: which slots a row
-reads, how many compiled products a distributed SpMV makes, and when a
-kept split may be reused.
+reads, how many compiled products a distributed SpMV makes, when a
+kept split may be reused, and that the all-zero blocks the host skips
+are still priced and classified as stored.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.assembly.global_matrix import BS, BlockMatrix
-from repro.domain.assembly import split_matrix
+from repro.domain.assembly import price_spmv, split_matrix
 from repro.domain.halo import (
     DomainMap,
     HaloExchanger,
@@ -21,7 +24,7 @@ from repro.domain.halo import (
 from repro.domain.solve import DistributedOperand
 from repro.gpu.device import K40
 from repro.primitives.scatter import BlockRowProduct, GatherSegmentSum
-from repro.spmv.hsbcsr import HSBCSRMatrix, hsbcsr_spmv
+from repro.spmv.hsbcsr import HSBCSRMatrix, TwoStageOperator, hsbcsr_spmv
 from repro.spmv.synthetic import synthetic_block_matrix
 
 N, M = 12, 24
@@ -278,3 +281,108 @@ def test_any_other_pattern_or_ownership_misses():
         rows=matrix.rows, cols=matrix.cols, blocks=matrix.blocks,
     )
     assert not split.matches(grown, dmap)
+
+
+# ----------------------------------------------------------------------
+# (e) zero blocks: the host skips them, the ledger prices them
+# ----------------------------------------------------------------------
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def zeroed(matrix, zero, seed=4):
+    """``matrix`` with the off-diagonal blocks ``zero`` (a mask) replaced
+    by zeros of either sign, entry by entry."""
+    rng = np.random.default_rng(seed)
+    blocks = matrix.blocks.copy()
+    blocks[zero] = np.where(rng.random((int(zero.sum()), BS, BS)) < 0.5, -0.0, 0.0)
+    return dataclasses.replace(matrix, blocks=blocks)
+
+
+def full_split(split):
+    """The stacked kernel of every stored block, its gathers derived
+    here from the exchange plan (the split as it was before it skipped
+    zero blocks)."""
+    matrix, labels, slots = split.matrix, split.dmap.labels, split.plan.slots
+    return TwoStageOperator.from_block_matrix(matrix, gather=(
+        slots[labels[matrix.rows], matrix.cols],
+        slots[labels[matrix.cols], matrix.rows],
+        slots[labels, np.arange(matrix.n)],
+        split.plan.ext_ids.size,
+    ))
+
+
+ZERO_SHARES = [0.0, 0.3, 0.7, 1.0]
+
+
+@pytest.mark.parametrize("share", ZERO_SHARES)
+@pytest.mark.parametrize("n_domains", [1, 3, 4])
+def test_zero_skipping_split_equals_the_full_split(share, n_domains):
+    base = synthetic_block_matrix(160, 320, seed=2)
+    zero = np.random.default_rng(7).random(base.n_offdiag) < share
+    matrix = zeroed(base, zero)
+    op = operand(matrix, stripes(n_domains, 160), n_domains)
+    split, full = op.split, full_split(op.split)
+    assert split.op.skips == bool(zero.any())
+    assert split.op.stage1.blocks.shape[0] == 2 * int((~zero).sum()) + 160
+    x = vector(160)
+    ext = op.exchanger.exchange(x)
+    for f in ("__call__", "upper", "lower"):
+        np.testing.assert_array_equal(
+            bits(getattr(split.op, f)(ext)), bits(getattr(full, f)(ext))
+        )
+    np.testing.assert_array_equal(bits(op.matvec(x)), bits(reference(matrix, x)))
+    # a re-valued split keeps the gathers of every stored block
+    again = split.with_values(zeroed(base, ~zero))
+    np.testing.assert_array_equal(
+        bits(again.op(ext)), bits(full_split(again)(ext))
+    )
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_zero_skipping_split_on_a_non_finite_input(bad):
+    """``0 * inf`` is NaN: a slot only a zero block reads still poisons
+    its row, as it does in the full split."""
+    base = synthetic_block_matrix(160, 320, seed=2)
+    matrix = zeroed(base, np.arange(base.n_offdiag) % 2 == 0)
+    split = operand(matrix, stripes(4, 160), 4).split
+    ext = split.plan.ext_ids.astype(np.float64).repeat(BS) * 0.25 + 1.0
+    ext[split.op.gather[0][0] * BS] = bad  # block 0 is zero
+    full = full_split(split)
+    kept = TwoStageOperator(split.op.stage1, split.op.stage2,
+                            split.op.up_reduce, split.op.low_reduce)
+    row = split.matrix.rows[0]
+    assert np.isnan(full.upper(ext)[row]).all()
+    assert not np.isnan(kept.upper(ext)[row]).all()  # the guard matters
+    for f in ("__call__", "upper", "lower"):
+        np.testing.assert_array_equal(
+            bits(getattr(split.op, f)(ext)), bits(getattr(full, f)(ext))
+        )
+
+
+@pytest.mark.parametrize("share", ZERO_SHARES)
+def test_zero_blocks_are_priced_and_classified_as_stored(share):
+    """``interior()``, the entry counts and every record ``price_spmv``
+    prices are the full stored pattern's: a split whose every block is
+    nonzero (same pattern) is the reference."""
+    base = synthetic_block_matrix(160, 320, seed=2)
+    zero = np.random.default_rng(8).random(base.n_offdiag) < share
+    labels = stripes(4, 160)
+    skipping, dense = (
+        operand(m, labels, 4).split for m in (zeroed(base, zero), base)
+    )
+    # the full pattern's interior rows, read off its own gathers
+    full = full_split(skipping)
+    row = np.concatenate([base.rows, base.cols, np.arange(160)])
+    offsets = skipping.plan.offsets
+    owned_end = offsets[:-1] + np.bincount(labels, minlength=4)
+    interior = np.ones(160, dtype=bool)
+    interior[row[full.stage1.index >= owned_end[labels[row]]]] = False
+    np.testing.assert_array_equal(skipping.interior(), interior)
+    np.testing.assert_array_equal(dense.interior(), interior)
+    assert interior.any() and not interior.all()
+    np.testing.assert_array_equal(skipping.m_up, dense.m_up)
+    np.testing.assert_array_equal(skipping.m_low, dense.m_low)
+    assert skipping.m_up.sum() == skipping.m_low.sum() == base.n_offdiag
+    priced = [price_spmv(s, make_domain_devices(4, K40)) for s in (skipping, dense)]
+    assert priced[0] == priced[1]

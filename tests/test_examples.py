@@ -69,6 +69,15 @@ class TestExamples:
         header = written.read_text(encoding="utf-8").splitlines()[0]
         assert committed.read_text(encoding="utf-8").splitlines()[0] == header
 
+    def test_committed_rubble_csv_is_current(self, capsys, tmp_path, monkeypatch):
+        """The default-size run rewrites ``results/rubble_steps.csv`` byte
+        for byte: the checked-in file is what the code makes now."""
+        monkeypatch.chdir(tmp_path)
+        run_example("rubble_collapse.py", [], capsys)
+        written = tmp_path / "results" / "rubble_steps.csv"
+        committed = EXAMPLES.parent / "results" / "rubble_steps.csv"
+        assert written.read_bytes() == committed.read_bytes()
+
     def test_rubble_builder_import_routes_agree(self):
         """The example imports the module, ``docs/usage.md`` the package's
         lazy export, the README the top-level one: one function."""
