@@ -310,10 +310,8 @@ class AssemblyPlan:
         """
         q, m, contacts = self.diag_idx.size, self.off_rows.size, geometry.d0.size
         if q < 2 * m or contacts != m:
-            raise ValueError(
-                f"plan of {q} diagonal and {m} pair "
-                f"rows does not fit a table of {contacts} contacts"
-            )
+            raise ValueError(f"plan of {q} diagonal and {m} pair rows does "
+                             f"not fit a table of {contacts} contacts")
         return BoundAssembly(self, geometry)
 
 
@@ -326,7 +324,7 @@ class StreamLayout:
     ``contact`` is each row's contact, ``from_g`` the masks of the rows
     whose ``a`` / ``b`` vectors are block ``j``'s, ``static_of`` the
     static block a static row takes (``-1`` on contact rows). Segments
-    (``seg_start``, ``seg_len``) are cut into aligned ``chunks`` of about
+    (``seg_start``, ``seg_len``; ``seg_of`` per row) are cut into aligned ``chunks`` of about
     ``_CHUNK_ROWS`` rows; ``static`` lists the static rows and
     ``contact_rows`` each contact's ``i-i``, ``j-j`` and pair rows.
     """
@@ -343,6 +341,7 @@ class StreamLayout:
         self.seg_start = starts = np.concatenate([plan.diag_starts, q + plan.starts])
         bounds = np.concatenate([starts, np.full(1, r)])
         self.seg_len = np.diff(bounds)
+        self.seg_of = np.repeat(np.arange(starts.size, dtype=np.int32), self.seg_len)
         # segment-aligned runs of about _CHUNK_ROWS rows: (row0, row1,
         # seg0, seg1, local starts) each
         first = np.searchsorted(starts, np.arange(-(-r // _CHUNK_ROWS)) * _CHUNK_ROWS)
@@ -375,13 +374,14 @@ class BoundAssembly:
         self.finite = all(np.isfinite(v).all() for v in (g.e, g.g, g.e_s, g.g_s))
 
     def _vectors(self, rows, c: np.ndarray) -> list:
-        """``a, b, a_s, b_s`` of stream ``rows`` (slice or indices),
-        whose contacts are ``c``."""
+        """``a, b, a_s, b_s`` of stream ``rows`` (slice or indices), contacts ``c``."""
         if self.stream is None and isinstance(rows, slice):
-            every = self.layout.contact
-            self.stream = self._vectors(np.arange(every.size), every)
+            self.stream = self._gather(slice(None), self.layout.contact)
         if self.stream is not None:
             return [v[rows] for v in self.stream]
+        return self._gather(rows, c)
+
+    def _gather(self, rows, c: np.ndarray) -> list:
         geo, vectors = self.geometry, []
         for i, j in ((geo.e, geo.g), (geo.e_s, geo.g_s)):
             for from_g in self.layout.from_g:
@@ -441,7 +441,7 @@ class BoundAssembly:
         live = (w != 0.0) if ws is None else (w != 0.0) | (ws != 0.0)
         if self.finite and not live.all():  # lint: sync-ok[stage-skip] -- host skips the bookkeeping when no row is zero
             rows = np.concatenate([lay.static, lay.contact_rows[live].ravel()])
-            seg = np.searchsorted(lay.seg_start, rows, side="right") - 1
+            seg = lay.seg_of[rows]
             count = np.bincount(seg, minlength=dense.size)
             one = count[seg] == 1
             rows, seg = rows[one], seg[one]

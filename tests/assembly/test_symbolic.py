@@ -671,14 +671,15 @@ def test_quick_rocks_never_lay_out_the_stream():
         layout is plans[id(plan)] for plan, layout, _ in engine.sweeps
     )
     assert not any(laid for *_, laid in engine.sweeps)
-    # the layout outlives the step: 26 bytes per stream row (contact,
-    # static_of, the two masks, contact_rows) and 24 per segment
+    # the layout outlives the step: 30 bytes per stream row (contact,
+    # static_of, the two masks, contact_rows, the int32 seg_of) and 24
+    # per segment
     layout = engine.sweeps[-1][1]
     held = [*layout.from_g, *(c[4] for c in layout.chunks)] + [
         v for v in vars(layout).values() if isinstance(v, np.ndarray)
     ]
     rows, segments = layout.contact.size, layout.seg_start.size
-    assert sum(v.nbytes for v in held) == 26 * rows + 24 * segments
+    assert sum(v.nbytes for v in held) == 30 * rows + 24 * segments
 
 
 class CheckedEngine(GpuEngine):
