@@ -34,33 +34,19 @@ from repro.util.validation import check_positive
 _KIND_FLOPS = {VE: 180.0, VV1: 260.0, VV2: 340.0}
 
 
-def _refresh_ratios(system: BlockSystem, contacts: ContactSet, idx: np.ndarray) -> None:
-    """Recompute the edge ratio of the selected contacts in place."""
-    if idx.size == 0:
-        return
+def _refresh(system: BlockSystem, contacts: ContactSet, penalty_scale: float) -> None:
+    """Every contact's edge ratio from the current vertices, and its
+    penalty stiffness: scale x the mean Young's modulus of its two blocks
+    (DDA convention: shear penalty = normal penalty). Row by row, so one
+    call over the table computes what one call per kind would."""
     v = system.vertices
-    p1 = v[contacts.vertex_idx[idx]]
-    e1 = v[contacts.e1_idx[idx]]
-    e2 = v[contacts.e2_idx[idx]]
-    _, t = point_segment_distance(p1, e1, e2)
-    contacts.ratio[idx] = t
-
-
-def _set_penalties(
-    system: BlockSystem,
-    contacts: ContactSet,
-    idx: np.ndarray,
-    penalty_scale: float,
-) -> None:
-    """Penalty stiffness: scale x mean Young's modulus of the two blocks."""
-    if idx.size == 0:
-        return
-    young = np.array([m.young for m in system.materials])
-    e_i = young[system.material_id[contacts.block_i[idx]]]
-    e_j = young[system.material_id[contacts.block_j[idx]]]
-    pn = penalty_scale * 0.5 * (e_i + e_j)
-    contacts.pn[idx] = pn
-    contacts.ps[idx] = pn  # DDA convention: shear penalty = normal penalty
+    contacts.ratio[:] = point_segment_distance(
+        v[contacts.vertex_idx], v[contacts.e1_idx], v[contacts.e2_idx]
+    )[1]
+    young = np.array([m.young for m in system.materials])[system.material_id]
+    contacts.pn[:] = contacts.ps[:] = penalty_scale * 0.5 * (
+        young[contacts.block_i] + young[contacts.block_j]
+    )
 
 
 def initialize_contacts_classified(
@@ -78,12 +64,12 @@ def initialize_contacts_classified(
     """
     check_positive("penalty_scale", penalty_scale)
     out = contacts.copy()
-    for kind in (VE, VV1, VV2):
-        idx = np.flatnonzero(out.kind == kind)
-        _refresh_ratios(system, out, idx)
-        _set_penalties(system, out, idx, penalty_scale)
-        if device is not None and idx.size:  # lint: sync-ok[launch-config] -- modelled launch recorded only for non-empty batches
-            n = idx.size
+    _refresh(system, out, penalty_scale)
+    if device is None:
+        return out
+    sizes = np.bincount(out.kind, minlength=3).tolist()  # lint: sync-ok[launch-config] -- the host sizes the per-kind launches
+    for kind, n in enumerate(sizes):  # VE, VV1, VV2
+        if n:  # a modelled launch for a non-empty batch only
             device.launch(
                 f"contact_init_{('VE', 'VV1', 'VV2')[kind]}",
                 KernelCounters(
@@ -122,9 +108,7 @@ def initialize_contacts_unclassified(
     """
     check_positive("penalty_scale", penalty_scale)
     out = contacts.copy()
-    all_idx = np.arange(out.m)
-    _refresh_ratios(system, out, all_idx)
-    _set_penalties(system, out, all_idx, penalty_scale)
+    _refresh(system, out, penalty_scale)
     if device is not None and out.m:
         kinds = out.kind
         if shuffle_seed is not None:

@@ -22,6 +22,26 @@ from repro.util.validation import check_array
 HALF_WARP = 16
 
 
+def record_search(device: VirtualDevice, n_hay: int, q: int, hay_bytes=8, q_bytes=8):
+    """Record :func:`sorted_search`'s launch for ``q`` needles in ``n_hay``
+    keys, a function of the sizes alone (nothing for no needles)."""
+    if q:
+        probes = max(1, math.ceil(math.log2(max(2, n_hay))))
+        device.launch(
+            "sorted_search",
+            KernelCounters(
+                flops=float(q * probes),
+                global_bytes_read=q * q_bytes,
+                global_txn_read=coalesced_transactions(q, q_bytes),
+                texture_bytes=float(q * probes * hay_bytes),
+                threads=q * HALF_WARP,
+                warps=max(1, q * HALF_WARP // 32),
+                branch_regions=float(q * probes) / 32.0 * HALF_WARP,
+                divergent_branch_regions=float(q * probes) / 64.0 * HALF_WARP,
+            ),
+        )
+
+
 def sorted_search(
     haystack: np.ndarray,
     needles: np.ndarray,
@@ -46,20 +66,7 @@ def sorted_search(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if haystack.size > 1 and np.any(haystack[1:] < haystack[:-1]):  # lint: sync-ok[validation-gate] -- sortedness check, raises before any launch
         raise ValueError("haystack must be sorted ascending")
-    if device is not None and needles.size:
-        probes = max(1, math.ceil(math.log2(max(2, haystack.size))))
-        q = needles.size
-        device.launch(
-            "sorted_search",
-            KernelCounters(
-                flops=float(q * probes),
-                global_bytes_read=q * needles.itemsize,
-                global_txn_read=coalesced_transactions(q, needles.itemsize),
-                texture_bytes=float(q * probes * haystack.itemsize),
-                threads=q * HALF_WARP,
-                warps=max(1, q * HALF_WARP // 32),
-                branch_regions=float(q * probes) / 32.0 * HALF_WARP,
-                divergent_branch_regions=float(q * probes) / 64.0 * HALF_WARP,
-            ),
-        )
+    if device is not None:
+        record_search(device, haystack.size, needles.size,
+                      haystack.itemsize, needles.itemsize)
     return np.searchsorted(haystack, needles, side=side)

@@ -125,13 +125,14 @@ def test_harness_model_equals_the_oracle(model):
 
 def checked_narrow_phase(log):
     """A stand-in for the engines' ``narrow_phase`` that also runs the
-    oracle on the same inputs and compares table and launches."""
+    oracle on the same inputs and compares table and launches (the kept
+    kind split included)."""
 
-    def run(system, i, j, threshold, device, *, tol, candidates, rows):
+    def run(system, i, j, threshold, device, *, tol, candidates, rows, split):
         start = len(device.records)
         got = narrow_phase(
             system, i, j, threshold, device,
-            tol=tol, candidates=candidates, rows=rows,
+            tol=tol, candidates=candidates, rows=rows, split=split,
         )
         scratch = VirtualDevice(device.profile)
         want = narrow_phase_oracle(system, i, j, threshold, scratch, tol=tol)

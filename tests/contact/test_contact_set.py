@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.assembly.contact_springs import LOCK, OPEN
 from repro.contact.contact_set import VE, VV2, ContactSet
 from repro.core.blocks import Block, BlockSystem
+
+FLOAT_COLUMNS = ("ratio", "shear_sign", "pn", "ps", "normal_disp")
 
 SQ = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -76,6 +80,35 @@ class TestContactSet:
         c = cs.copy()
         c.state[0] = LOCK
         assert cs.state[0] == OPEN
+
+    def test_copy_keeps_dtypes_owns_its_columns_and_shares_the_load_sum(self):
+        """A copy copies the 13 columns as they are (no second
+        validation): same dtypes and bytes, no shared memory, and the
+        one :meth:`ContactSet.load_sum` structure of the table."""
+        cs = make_set(4)
+        cs.ratio[:] = [0.1, 0.2, 0.3, 0.4]
+        built = cs.load_sum(2)
+        c = cs.copy()
+        for f in dataclasses.fields(ContactSet):
+            a, b = getattr(cs, f.name), getattr(c, f.name)
+            assert a.dtype == b.dtype == (
+                np.float64 if f.name in FLOAT_COLUMNS else np.int64
+            ), f.name
+            assert a.tobytes() == b.tobytes() and not np.shares_memory(a, b)
+        assert c.load_sum(2) is built and c.copy()._load_sum is cs._load_sum
+
+    def test_only_missing_columns_get_defaults(self):
+        """Given columns are validated (cast safely, shape checked);
+        defaults are made for the others only."""
+        state = np.array([2, 1, 0], dtype=np.int32)
+        cs = ContactSet(*(np.arange(3) + k for k in (0, 3, 6, 9, 12)),
+                        np.zeros(3, dtype=np.int64), state=state)
+        assert cs.state.dtype == np.int64 and list(cs.state) == [2, 1, 0]
+        assert list(cs.prev_state) == [OPEN] * 3
+        assert cs.normal_disp.dtype == np.float64 and not cs.normal_disp.any()
+        with pytest.raises(ValueError, match="ratio"):
+            ContactSet(*(np.arange(3) + k for k in (0, 3, 6, 9, 12)),
+                       np.zeros(3, dtype=np.int64), ratio=np.zeros(2))
 
     def test_geometry(self):
         system = BlockSystem([Block(SQ), Block(SQ + np.array([2.0, 0.0]))])

@@ -19,7 +19,7 @@ from repro.assembly.contact_springs import (
     normal_spring_vectors,
     shear_spring_vectors,
 )
-from repro.assembly.symbolic import AssemblyPlan
+from repro.gpu.kernel import KeptLaunches
 from repro.contact.open_close import OpenCloseDriver
 from repro.core.materials import JointMaterial
 from repro.core.state import SimulationControls
@@ -138,8 +138,9 @@ def test_symbolic_reuse_is_bit_invisible(engine_cls, case, monkeypatch):
     eng_a = engine_cls(system_a, controls_a)
     eng_b = engine_cls(system_b, controls_b)
     eng_a.run(steps=3)
-    # no plan ever matches: every sweep of eng_b runs the symbolic phase
-    monkeypatch.setattr(AssemblyPlan, "matches", lambda self, *pattern: False)
+    # no kept work ever holds: every sweep of eng_b runs the symbolic
+    # phase, every detection its kind split and transfer sort
+    monkeypatch.setattr(KeptLaunches, "holds", lambda self, *where: False)
     eng_b.run(steps=3)
 
     np.testing.assert_array_equal(
