@@ -66,7 +66,7 @@ CPU_CHARGES = Charges(
     diagonal=_single_core("diagonal_build", 700.0, 400.0, 36.0 * 8),
     nondiagonal=lambda device, contacts: _nondiag(device, contacts.m),
     assembly=lambda device, plan: _scatter(
-        device, plan.diag_idx.size + plan.off_rows.size
+        device, plan.diag_perm.size + plan.perm.size
     ),
     interpenetration=_single_core("interpenetration_check", 180.0, 300.0, 24.0),
     update=_single_core("data_update", 30.0, 16.0, 16.0),
